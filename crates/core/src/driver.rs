@@ -33,7 +33,7 @@ use std::time::Duration;
 use lambada_engine::agg::GroupedAggState;
 use lambada_engine::logical::LogicalPlan;
 use lambada_engine::physical::{agg_state_to_batch, project_batch, sort_batch};
-use lambada_engine::pipeline::{PipelineSpec, Terminal};
+use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Df, Optimizer, RecordBatch};
 use lambada_sim::{BillingSnapshot, Cloud};
 
@@ -45,17 +45,13 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
 use crate::service::{ServiceConfig, WorkerGate};
-use crate::stage::{
-    self, AggMergeStage, FinalStage, PostOp, QueryDag, ScanStage, SortStage, SplitOptions,
-    StageKind, StageOutput,
-};
+use crate::stage::{self, FinalStage, PostOp, QueryDag, SplitOptions, StageKind, StageOutput};
 use crate::table::TableSpec;
 use crate::transport::{DirectTransport, ExchangeTransport, ObjectStoreTransport, TransportKind};
 use crate::verify::{self, FleetBounds};
 use crate::worker::{
-    register_worker_function, AggMergeShared, AggMergeTask, FragmentShared, FragmentTask,
-    JoinOutput, JoinShared, JoinTask, ScanExchangeShared, ScanExchangeTask, SortEdgeSpec,
-    SortShared, SortTask, WorkerPayload, WorkerTask,
+    register_worker_function, EdgeRead, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
+    WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -723,54 +719,30 @@ impl Lambada {
         // payloads built without error so a planning failure cannot
         // leak one.
         let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(dag.stages.len());
-        for (sid, kind) in dag.stages.iter().enumerate() {
+        for sid in 0..dag.stages.len() {
             let result_queue = format!("lambada-results-x{}-q{qid}-s{sid}", self.instance);
-            let payloads = match kind {
-                StageKind::Scan(scan) => self.scan_stage_payloads(
-                    qid,
-                    sid,
-                    scan,
-                    policy.fleet_cap,
-                    consumer_parts[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &result_queue,
-                )?,
-                StageKind::Join(join) => self.join_stage_payloads(
-                    qid,
-                    sid,
-                    join,
-                    planned_workers[sid],
-                    consumer_parts[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &planned_workers,
-                    &result_queue,
-                )?,
-                StageKind::AggMerge(agg) => self.agg_stage_payloads(
-                    qid,
-                    sid,
-                    agg,
-                    planned_workers[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &planned_workers,
-                    &result_queue,
-                    // Last stage under a carry final stage: the merge
-                    // fleet re-emits unfinalized state for the driver to
-                    // carry across micro-batches.
-                    sid == dag.stages.len() - 1
-                        && matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
-                )?,
-                StageKind::Sort(sort) => self.sort_stage_payloads(
-                    qid,
-                    sort,
-                    planned_workers[sid],
-                    &planned_workers,
-                    &transport,
-                    &result_queue,
-                ),
-            };
+            let task = Rc::new(self.stage_task(
+                qid,
+                sid,
+                dag,
+                policy.fleet_cap,
+                &planned_workers,
+                consumer_parts[sid],
+                sort_edges[sid].clone(),
+                &transport,
+            )?);
+            // One payload per fleet slot; the worker id doubles as the
+            // file-chunk id (scans) or the partition id (consumers).
+            let payloads = (0..planned_workers[sid])
+                .map(|w| WorkerPayload {
+                    worker_id: w as u64,
+                    attempt: 0,
+                    query: qid,
+                    task: WorkerTask::Stage(Rc::clone(&task)),
+                    children: Vec::new(),
+                    result_queue: result_queue.clone(),
+                })
+                .collect();
             staged.push((result_queue, payloads));
         }
 
@@ -975,304 +947,106 @@ impl Lambada {
         self.planned_workers(dag, None)
     }
 
-    /// Build one scan stage's worker payloads. `fleet_cap` is the
-    /// policy's contention clamp (the file chunking must agree with
-    /// [`Lambada::planned_workers`], so both call [`scan_partitioning`]).
-    /// `partitions` is the consumer fleet's size for exchange-bound
-    /// stages (how many ways to shard the output), unused for
-    /// driver-bound stages. `sort_edge` is set when the consumer is a
-    /// sort stage.
+    /// Build stage `sid`'s task — the one assignment its whole fleet
+    /// shares: the planner's stage as the operator, its in-edges resolved
+    /// to channels and sender counts, and its output as a sink.
+    /// `fleet_cap` is the policy's contention clamp (the file chunking
+    /// must agree with [`Lambada::planned_workers`], so both call
+    /// [`scan_partitioning`]). `partitions` is the consumer fleet's size
+    /// for exchange-bound stages (how many ways to shard the output),
+    /// unused for driver-bound stages. `sort_edge` is set when the
+    /// consumer is a sort stage.
     #[allow(clippy::too_many_arguments)]
-    fn scan_stage_payloads(
+    fn stage_task(
         &self,
         qid: u64,
         sid: usize,
-        scan: &ScanStage,
+        dag: &QueryDag,
         fleet_cap: Option<usize>,
-        partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
-        result_queue: &str,
-    ) -> Result<Vec<WorkerPayload>> {
-        let spec = self.table_spec(&scan.table)?;
-        // One worker per F files (§5.2: W = #files / F), rebalanced when
-        // the policy's fleet cap binds.
-        let (f, _) = scan_partitioning(spec.files.len(), self.config.files_per_worker, fleet_cap);
-        let fragment = FragmentShared {
-            base_schema: spec.schema.clone(),
-            scan_columns: scan.scan_columns.clone(),
-            prune_predicate: scan.prune_predicate.clone(),
-            pipeline: scan.pipeline.clone(),
-            scan: self.config.scan,
-            result_bucket: self.config.result_bucket.clone(),
-        };
-        let mut payloads = Vec::new();
-        match &scan.output {
-            StageOutput::Driver => {
-                let shared = Rc::new(fragment);
-                for (wid, chunk) in spec.files.chunks(f).enumerate() {
-                    payloads.push(WorkerPayload {
-                        worker_id: wid as u64,
-                        attempt: 0,
-                        query: qid,
-                        task: WorkerTask::Fragment(FragmentTask {
-                            shared: Rc::clone(&shared),
-                            files: chunk.to_vec(),
-                        }),
-                        children: Vec::new(),
-                        result_queue: result_queue.to_string(),
-                    });
-                }
-            }
-            output => {
-                // Swap the planner's placeholder terminal for the
-                // sharding variant, now that the consumer fleet is sized.
-                // (Sort-exchange stages keep their SortPartition terminal
-                // — range counts live in the edge spec, not the terminal.)
-                let mut fragment = fragment;
-                let terminal = match (output, &fragment.pipeline.terminal) {
-                    (StageOutput::Exchange { keys }, _) => {
-                        Terminal::HashPartition { keys: keys.clone(), partitions }
-                    }
-                    (StageOutput::AggExchange, Terminal::PartialAggregate { group_by, aggs }) => {
-                        Terminal::PartitionedAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            partitions,
-                        }
-                    }
-                    (StageOutput::AggExchange, other) => {
-                        return Err(CoreError::Engine(format!(
-                        "agg-exchange scan stage needs a partial-aggregate terminal, got {other:?}"
-                    )))
-                    }
-                    (StageOutput::SortExchange, t @ Terminal::SortPartition { .. }) => t.clone(),
-                    (StageOutput::SortExchange, other) => {
-                        return Err(CoreError::Engine(format!(
-                            "sort-exchange scan stage needs a sort-partition terminal, got \
-                             {other:?}"
-                        )))
-                    }
-                    (StageOutput::Driver, _) => unreachable!("handled above"),
-                };
-                if matches!(output, StageOutput::SortExchange) && sort_edge.is_none() {
-                    return Err(CoreError::Engine(
-                        "sort-exchange scan stage has no consumer sort stage".to_string(),
-                    ));
-                }
-                fragment.pipeline = PipelineSpec { terminal, ..fragment.pipeline };
-                let shared = Rc::new(ScanExchangeShared {
-                    fragment,
-                    channel: self.channel(qid, sid),
-                    transport: Rc::clone(transport),
-                    sort: sort_edge,
-                });
-                for (wid, chunk) in spec.files.chunks(f).enumerate() {
-                    payloads.push(WorkerPayload {
-                        worker_id: wid as u64,
-                        attempt: 0,
-                        query: qid,
-                        task: WorkerTask::ScanExchange(ScanExchangeTask {
-                            shared: Rc::clone(&shared),
-                            files: chunk.to_vec(),
-                        }),
-                        children: Vec::new(),
-                        result_queue: result_queue.to_string(),
-                    });
-                }
-            }
-        }
-        Ok(payloads)
-    }
-
-    /// Build the join fleet's payloads: worker `p` handles co-partition
-    /// `p` of both exchange edges. `out_partitions` is the consumer
-    /// fleet's size when the join feeds another stage (a parent join's
-    /// row exchange, an agg-merge fleet, or a sort fleet).
-    #[allow(clippy::too_many_arguments)]
-    fn join_stage_payloads(
-        &self,
-        qid: u64,
-        sid: usize,
-        join: &crate::stage::JoinStage,
-        partitions: usize,
-        out_partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
         planned_workers: &[usize],
-        result_queue: &str,
-    ) -> Result<Vec<WorkerPayload>> {
-        // Like the scan stages, the post pipeline's terminal is patched
-        // once the consumer fleet is sized.
-        let (post, output) = match &join.output {
-            StageOutput::Driver => (join.post.clone(), JoinOutput::Driver),
-            StageOutput::Exchange { keys } => {
-                // Nested join: rows leave on a hash-partitioned edge
-                // feeding the parent join, exactly like a scan stage's.
-                if !matches!(join.post.terminal, Terminal::Collect) {
-                    return Err(CoreError::Engine(format!(
-                        "row-exchange join stage needs a collect terminal, got {:?}",
-                        join.post.terminal
-                    )));
-                }
-                let post = PipelineSpec {
-                    terminal: Terminal::HashPartition {
-                        keys: keys.clone(),
-                        partitions: out_partitions,
-                    },
-                    ..join.post.clone()
-                };
-                (post, JoinOutput::Exchange { channel: self.channel(qid, sid) })
-            }
-            StageOutput::AggExchange => {
-                let Terminal::PartialAggregate { group_by, aggs } = &join.post.terminal else {
-                    return Err(CoreError::Engine(format!(
-                        "agg-exchange join stage needs a partial-aggregate terminal, got {:?}",
-                        join.post.terminal
-                    )));
-                };
-                let post = PipelineSpec {
-                    terminal: Terminal::PartitionedAggregate {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                        partitions: out_partitions,
-                    },
-                    ..join.post.clone()
-                };
-                (post, JoinOutput::AggExchange { channel: self.channel(qid, sid) })
-            }
+        partitions: usize,
+        sort_edge: Option<SortEdgeSpec>,
+        transport: &Rc<dyn ExchangeTransport>,
+    ) -> Result<StageTask> {
+        let mut kind = dag.stages[sid].clone();
+        let channel = self.channel(qid, sid);
+        let sink = match kind.output() {
+            StageOutput::Driver => StageSink::Report,
+            StageOutput::Exchange { .. } | StageOutput::AggExchange => StageSink::Edge { channel },
             StageOutput::SortExchange => {
-                if !matches!(join.post.terminal, Terminal::SortPartition { .. }) {
-                    return Err(CoreError::Engine(format!(
-                        "sort-exchange join stage needs a sort-partition terminal, got {:?}",
-                        join.post.terminal
-                    )));
-                }
                 let edge = sort_edge.ok_or_else(|| {
-                    CoreError::Engine(
-                        "sort-exchange join stage has no consumer sort stage".to_string(),
-                    )
+                    CoreError::Engine(format!(
+                        "sort-exchange stage {} has no consumer sort stage",
+                        kind.label(sid)
+                    ))
                 })?;
-                (
-                    join.post.clone(),
-                    JoinOutput::SortExchange { channel: self.channel(qid, sid), edge },
-                )
+                StageSink::SortEdge { channel, edge }
             }
         };
-        let shared = Rc::new(JoinShared {
-            probe_channel: self.channel(qid, join.probe_input),
-            build_channel: self.channel(qid, join.build_input),
-            probe_senders: planned_workers[join.probe_input],
-            build_senders: planned_workers[join.build_input],
-            probe_schema: join.probe_schema.clone(),
-            build_schema: join.build_schema.clone(),
-            probe_keys: join.probe_keys.clone(),
-            build_keys: join.build_keys.clone(),
-            variant: join.variant,
-            post,
+        // Swap the planner's placeholder terminal for the sharding
+        // variant, now that the consumer fleet is sized. (Sort-exchange
+        // stages keep their SortPartition terminal — range counts live in
+        // the edge spec, not the terminal.)
+        let sharding = match (kind.output(), kind.pipeline().map(|p| &p.terminal)) {
+            (StageOutput::Exchange { keys }, Some(Terminal::Collect)) => {
+                Some(Terminal::HashPartition { keys: keys.clone(), partitions })
+            }
+            (StageOutput::AggExchange, Some(Terminal::PartialAggregate { group_by, aggs })) => {
+                Some(Terminal::PartitionedAggregate {
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                    partitions,
+                })
+            }
+            // Anything else keeps the planner's terminal; the verifier has
+            // already matched it against the output (`V-TERM-*`).
+            _ => None,
+        };
+        if let (Some(pipeline), Some(terminal)) = (kind.pipeline_mut(), sharding) {
+            pipeline.terminal = terminal;
+        }
+
+        let edge = |input: usize| EdgeRead {
+            channel: self.channel(qid, input),
+            senders: planned_workers[input],
+        };
+        let op = match kind {
+            StageKind::Scan(stage) => {
+                let table = self.table_spec(&stage.table)?;
+                // One worker per F files (§5.2: W = #files / F),
+                // rebalanced when the policy's fleet cap binds.
+                let (files_per_worker, _) =
+                    scan_partitioning(table.files.len(), self.config.files_per_worker, fleet_cap);
+                StageOp::Scan(Rc::new(ScanOp {
+                    stage,
+                    table,
+                    scan: self.config.scan,
+                    files_per_worker,
+                }))
+            }
+            StageKind::Join(stage) => StageOp::Join {
+                probe: edge(stage.probe_input),
+                build: edge(stage.build_input),
+                stage,
+            },
+            StageKind::AggMerge(stage) => StageOp::AggMerge {
+                input: edge(stage.input),
+                stage,
+                // Last stage under a carry final stage: the merge fleet
+                // re-emits unfinalized state for the driver to carry
+                // across micro-batches.
+                emit_state: sid + 1 == dag.stages.len()
+                    && matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
+            },
+            StageKind::Sort(stage) => StageOp::Sort { input: edge(stage.input), stage },
+        };
+        Ok(StageTask {
+            op,
+            sink,
             transport: Rc::clone(transport),
             result_bucket: self.config.result_bucket.clone(),
             result_prefix: format!("results/x{}-q{qid}", self.instance),
-            output,
-        });
-        Ok((0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
-                attempt: 0,
-                query: qid,
-                task: WorkerTask::Join(JoinTask { shared: Rc::clone(&shared) }),
-                children: Vec::new(),
-                result_queue: result_queue.to_string(),
-            })
-            .collect())
-    }
-
-    /// Build the agg-merge fleet's payloads: worker `p` merges shard `p`
-    /// of every producer's grouped state, finalizes it, and either stores
-    /// the batch or feeds it onto a sort-exchange edge.
-    #[allow(clippy::too_many_arguments)]
-    fn agg_stage_payloads(
-        &self,
-        qid: u64,
-        sid: usize,
-        agg: &AggMergeStage,
-        partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
-        planned_workers: &[usize],
-        result_queue: &str,
-        emit_state: bool,
-    ) -> Result<Vec<WorkerPayload>> {
-        let sort = match &agg.output {
-            StageOutput::Driver => None,
-            StageOutput::SortExchange => {
-                let edge = sort_edge.ok_or_else(|| {
-                    CoreError::Engine(
-                        "sort-exchange agg-merge stage has no consumer sort stage".to_string(),
-                    )
-                })?;
-                Some((self.channel(qid, sid), edge))
-            }
-            other => {
-                return Err(CoreError::Engine(format!(
-                    "agg-merge stages report to the driver or a sort fleet, not {other:?}"
-                )))
-            }
-        };
-        let shared = Rc::new(AggMergeShared {
-            channel: self.channel(qid, agg.input),
-            senders: planned_workers[agg.input],
-            agg_schema: agg.agg_schema.clone(),
-            funcs: agg.funcs.clone(),
-            transport: Rc::clone(transport),
-            result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}-agg", self.instance),
-            sort,
-            emit_state,
-        });
-        Ok((0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
-                attempt: 0,
-                query: qid,
-                task: WorkerTask::AggMerge(AggMergeTask { shared: Rc::clone(&shared) }),
-                children: Vec::new(),
-                result_queue: result_queue.to_string(),
-            })
-            .collect())
-    }
-
-    /// Build the sort fleet's payloads: worker `p` sorts range partition
-    /// `p` of every producer's run and truncates it to the limit.
-    fn sort_stage_payloads(
-        &self,
-        qid: u64,
-        sort: &SortStage,
-        partitions: usize,
-        planned_workers: &[usize],
-        transport: &Rc<dyn ExchangeTransport>,
-        result_queue: &str,
-    ) -> Vec<WorkerPayload> {
-        let shared = Rc::new(SortShared {
-            channel: self.channel(qid, sort.input),
-            senders: planned_workers[sort.input],
-            schema: sort.schema.clone(),
-            keys: sort.keys.clone(),
-            limit: sort.limit,
-            transport: Rc::clone(transport),
-            result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}-sort", self.instance),
-        });
-        (0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
-                attempt: 0,
-                query: qid,
-                task: WorkerTask::Sort(SortTask { shared: Rc::clone(&shared) }),
-                children: Vec::new(),
-                result_queue: result_queue.to_string(),
-            })
-            .collect()
+        })
     }
 
     /// Exchange-edge key prefix of stage `sid` of query `qid`, namespaced

@@ -19,7 +19,7 @@
 //! # Stage edges and key namespacing
 //!
 //! The same machinery powers *stage edges*
-//! ([`exchange_stage_write`]/[`exchange_stage_read`]): write-combined
+//! ([`crate::transport::ObjectStoreTransport`]): write-combined
 //! shuffles where the producer and consumer are different worker fleets
 //! (scan → join, scan/join → agg-merge). Every stage-edge key lives
 //! under a caller-supplied `channel` prefix of the form
@@ -53,7 +53,7 @@
 //! headers of real files.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -229,15 +229,10 @@ fn build_rounds(algo: ExchangeAlgo, p: usize, total: usize) -> Vec<RoundPlan> {
 /// Encode one receiver's bundle into a standalone [`Body`]: the
 /// non-write-combined path, where every bundle becomes its own object.
 pub fn encode_bundle(parts: &[(u32, PartData)]) -> Result<(Body, Option<BundleSizes>)> {
-    let all_real = parts.iter().all(|(_, d)| d.is_real());
-    if all_real {
-        let mut out = Vec::new();
-        let (len, _) = encode_bundle_into(&mut out, parts)?;
-        debug_assert_eq!(len as usize, out.len());
-        Ok((Body::from_vec(out), None))
-    } else {
-        let (total, sizes) = encode_bundle_into(&mut Vec::new(), parts)?;
-        Ok((Body::Synthetic(total), sizes))
+    let mut out = Vec::new();
+    match encode_bundle_into(&mut out, parts)? {
+        (_, None) => Ok((Body::from_vec(out), None)),
+        (total, sizes) => Ok((Body::Synthetic(total), sizes)),
     }
 }
 
@@ -251,25 +246,28 @@ pub fn encode_bundle_into(
     out: &mut Vec<u8>,
     parts: &[(u32, PartData)],
 ) -> Result<(u64, Option<BundleSizes>)> {
-    let all_real = parts.iter().all(|(_, d)| d.is_real());
-    if all_real {
-        let before = out.len();
-        let mut w = BinWriter::from_vec(std::mem::take(out));
-        w.varint(parts.len() as u64);
-        for (dest, data) in parts {
-            w.varint(u64::from(*dest));
-            match data {
-                PartData::Real(b) => w.bytes(b),
-                PartData::Modeled(_) => unreachable!("all_real checked"),
+    let before = out.len();
+    let mut w = BinWriter::from_vec(std::mem::take(out));
+    w.varint(parts.len() as u64);
+    for (dest, data) in parts {
+        match data {
+            PartData::Real(b) => {
+                w.varint(u64::from(*dest));
+                w.bytes(b);
+            }
+            // One modeled part makes the whole section synthetic: undo
+            // what was appended and account sizes only.
+            PartData::Modeled(_) => {
+                *out = w.into_bytes();
+                out.truncate(before);
+                let total: u64 = parts.iter().map(|(_, d)| d.len() + 10).sum::<u64>() + 4;
+                let sizes = parts.iter().map(|(dest, d)| (*dest, d.len())).collect();
+                return Ok((total, Some(sizes)));
             }
         }
-        *out = w.into_bytes();
-        Ok(((out.len() - before) as u64, None))
-    } else {
-        let total: u64 = parts.iter().map(|(_, d)| d.len() + 10).sum::<u64>() + 4;
-        let sizes = parts.iter().map(|(dest, d)| (*dest, d.len())).collect();
-        Ok((total, Some(sizes)))
     }
+    *out = w.into_bytes();
+    Ok(((out.len() - before) as u64, None))
 }
 
 /// Decode one receiver's section of an exchange file back into
@@ -405,7 +403,10 @@ pub async fn run_exchange(
         // In-memory partitioning of everything currently held (Alg 1 l.2).
         let held_bytes: u64 = held.iter().map(|(_, d)| d.len()).sum();
         env.compute(env.costs.partition_seconds(held_bytes)).await;
-        let mut bundles: HashMap<usize, Vec<(u32, PartData)>> =
+        // Keyed in target order: the write phase below walks this map,
+        // and PUT issue order decides who queues on the connection
+        // semaphore — it must not vary run to run.
+        let mut bundles: BTreeMap<usize, Vec<(u32, PartData)>> =
             round.targets.iter().map(|&t| (t, Vec::new())).collect();
         for (dest, data) in held.drain(..) {
             let target = (round.route)(dest as usize);
@@ -424,15 +425,12 @@ pub async fn run_exchange(
         let write_start = env.cloud.handle.now();
         if cfg.write_combining {
             let gid = (round.group_of)(p);
-            let mut receivers: Vec<usize> = bundles.keys().copied().collect();
-            receivers.sort_unstable();
             let mut file_bytes: Vec<u8> = Vec::new();
             let mut synthetic_total = 0u64;
             let mut any_synthetic = false;
-            let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(receivers.len());
+            let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(bundles.len());
             let mut side_entries: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-            for &rcv in &receivers {
-                let bundle = &bundles[&rcv];
+            for (&rcv, bundle) in &bundles {
                 let (len, sizes) = encode_bundle_into(&mut file_bytes, bundle)?;
                 name_sections.push((rcv as u32, len));
                 if let Some(sizes) = sizes {
@@ -482,27 +480,7 @@ pub async fn run_exchange(
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 
         // ---- Read phase ----------------------------------------------------
-        let mut gets = Vec::new();
-        for (bucket, key, offset, len) in my_files {
-            if len == Some(0) {
-                continue; // empty write-combined section, nothing to fetch
-            }
-            let env2 = env.clone();
-            let conn2 = conn.clone();
-            let side2 = side.clone();
-            gets.push(env.cloud.handle.spawn(async move {
-                let _permit = conn2.acquire(1).await;
-                let body = match (offset, len) {
-                    (Some(off), Some(l)) => env2.s3.get_range(&bucket, &key, off, l).await?,
-                    _ => env2.s3.get(&bucket, &key).await?,
-                };
-                let sizes = side2.get(&format!("{bucket}/{key}"), p as u32);
-                decode_bundle(body, sizes)
-            }));
-        }
-        for r in join_all(gets).await {
-            held.extend(r?);
-        }
+        held.extend(fetch_sections(env, side, p, my_files).await?);
         let read_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_read", wait_end, read_end);
 
@@ -516,38 +494,14 @@ pub async fn run_exchange(
     Ok(ExchangeOutcome { received: held, rounds: timings })
 }
 
-/// Write one sender's partitioned output onto a *stage edge*: the
-/// exchange variant where the producer and consumer are different worker
-/// fleets (the scan → join edges of a distributed join) rather than one
-/// fleet shuffling among itself. Always write-combined: a single PUT per
-/// sender carries every receiver's section, with per-receiver offsets in
-/// the file *name* (§4.4.3), sharded over the exchange buckets by sender
-/// id (§4.4.1).
-///
-/// `parts[r]` is the payload destined to consumer-stage worker `r`;
-/// zero-length parts still get a name section (so receivers learn they
-/// have nothing to fetch) but no bytes.
-pub async fn exchange_stage_write(
-    env: &WorkerEnv,
-    cfg: &ExchangeConfig,
-    channel: &str,
-    sender: usize,
-    parts: Vec<PartData>,
-    side: &ExchangeSide,
-) -> Result<u64> {
-    let held_bytes: u64 = parts.iter().map(PartData::len).sum();
-    env.compute(env.costs.partition_seconds(held_bytes)).await;
-    let entries: Vec<(u32, PartData)> =
-        parts.into_iter().enumerate().map(|(rcv, data)| (rcv as u32, data)).collect();
-    stage_edge_put(env, cfg, channel, sender, entries, side).await
-}
-
 /// One write-combined PUT of `(receiver, payload)` entries onto a stage
-/// edge — the storage half of [`exchange_stage_write`], also used by the
-/// direct transport for its object-store fallback file (which carries
-/// sections only for the receivers whose p2p links failed). Entries must
+/// edge: the whole of an object-store send, and the direct transport's
+/// fallback file (which carries sections only for the receivers whose
+/// p2p links failed). A single PUT per sender carries every receiver's
+/// section, with per-receiver offsets in the file *name* (§4.4.3),
+/// sharded over the exchange buckets by sender id (§4.4.1). Entries must
 /// be sorted by receiver id; empty payloads get a zero-length name
-/// section and no bytes.
+/// section (so receivers learn they have nothing to fetch) and no bytes.
 pub(crate) async fn stage_edge_put(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
@@ -591,9 +545,8 @@ pub(crate) async fn stage_edge_put(
     Ok(written)
 }
 
-/// Request accounting of one stage-edge receive — an
-/// [`exchange_stage_read`] call or a direct-transport
-/// [`crate::transport::ExchangeTransport::recv`].
+/// Request accounting of one stage-edge receive
+/// ([`crate::transport::ExchangeTransport::recv`], either wire).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EdgeReadStats {
     pub list_requests: u64,
@@ -612,109 +565,105 @@ pub struct EdgeReadStats {
     pub wait_secs: f64,
 }
 
-/// Read one receiver's co-partition from a stage edge: LIST-poll until
-/// all `senders` producer files are visible (receivers may start before
-/// producers finish — everything synchronizes through storage), then
-/// ranged-GET this receiver's section of each file.
-pub async fn exchange_stage_read(
+/// A file a receiver must read: bucket, key, and this receiver's
+/// `(offset, len)` section of a write-combined file (`None`: the whole
+/// object is this receiver's).
+pub(crate) type FileRef = (String, String, Option<(u64, u64)>);
+
+/// `receiver`'s `(offset, len)` within a write-combined file, from the
+/// sections its name carries; `None` when the file has no section for it.
+pub(crate) fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
+    let mut offset = 0u64;
+    for &(rcv, len) in sections {
+        if rcv as usize == receiver {
+            return Some((offset, len));
+        }
+        offset += len;
+    }
+    None
+}
+
+/// The discovery loop, shared by the Algorithm-1 shuffle and the
+/// object-store stage edge: LIST-poll `bucket` under `prefix` (with
+/// backoff) until every `expected` sender's file is visible, then return
+/// one reference per sender in `expected` order, plus the LISTs spent.
+/// `section_for` names the receiver whose section of each write-combined
+/// file to reference; `None` references whole files (per-receiver keys
+/// carry no name sections). Listings are deduped per sender (highest
+/// attempt wins): "enough files" is not "all senders", and a speculative
+/// backup's duplicate must neither mask a sender still missing nor
+/// appear as a phantom extra one.
+pub(crate) async fn discover_files(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
-    channel: &str,
-    receiver: usize,
-    senders: usize,
-    side: &ExchangeSide,
-) -> Result<(Vec<PartData>, EdgeReadStats)> {
-    let mut stats = EdgeReadStats::default();
-    if senders == 0 {
-        return Ok((Vec::new(), stats));
-    }
-    let wait_start = env.cloud.handle.now();
-    // Senders shard across buckets by id; poll each (bucket, prefix) pair
-    // that holds at least one expected sender.
-    let mut by_bucket: HashMap<String, Vec<usize>> = HashMap::new();
-    for s in 0..senders {
-        by_bucket.entry(cfg.bucket_of(s)).or_default().push(s);
-    }
-    // Visit bucket groups in sender order and slot each sender's file
-    // reference by its id, so the assembled part order — and therefore
-    // the consumer's byte stream — is identical run to run no matter
-    // how senders shard across buckets or which LIST returns first.
-    let mut groups: Vec<(String, Vec<usize>)> = by_bucket.into_iter().collect();
-    groups.sort_by_key(|(_, ss)| ss[0]);
-    let prefix = format!("{channel}/");
-    let mut slots: Vec<Option<FileRef>> = vec![None; senders];
-    for (bucket, expected) in groups {
-        let mut polls = 0;
-        loop {
-            let listing = env.s3.list(&bucket, &prefix).await?;
-            stats.list_requests += 1;
-            let found = dedupe_listing(&listing)?;
-            if expected.iter().all(|s| found.contains_key(s)) {
-                for s in &expected {
-                    let (_, key, sections) = &found[s];
-                    let mut offset = 0u64;
-                    let mut my_len = None;
-                    for (rcv, len) in sections {
-                        if *rcv as usize == receiver {
-                            my_len = Some(*len);
-                            break;
-                        }
-                        offset += len;
-                    }
-                    let len = my_len.ok_or_else(|| {
+    bucket: &str,
+    prefix: &str,
+    expected: &[usize],
+    section_for: Option<usize>,
+    wait_start: SimTime,
+) -> Result<(Vec<FileRef>, u64)> {
+    let mut polls = 0;
+    loop {
+        let listing = env.s3.list(bucket, prefix).await?;
+        let found = dedupe_listing(&listing)?;
+        if expected.iter().all(|s| found.contains_key(s)) {
+            let mut files = Vec::with_capacity(expected.len());
+            for s in expected {
+                let (_, key, sections) = &found[s];
+                let section = match section_for {
+                    Some(receiver) => Some(section_of(sections, receiver).ok_or_else(|| {
                         CoreError::Storage(format!("no section for receiver {receiver} in {key}"))
-                    })?;
-                    slots[*s] = Some((bucket.clone(), key.clone(), Some(offset), Some(len)));
-                }
-                break;
+                    })?),
+                    None => None,
+                };
+                files.push((bucket.to_string(), key.clone(), section));
             }
-            polls += 1;
-            if polls >= cfg.max_polls {
-                return Err(CoreError::Timeout {
-                    waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
-                    missing_workers: expected.iter().filter(|s| !found.contains_key(s)).count(),
-                });
-            }
-            env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
+            return Ok((files, polls as u64 + 1));
         }
+        polls += 1;
+        if polls >= cfg.max_polls {
+            return Err(CoreError::Timeout {
+                waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
+                missing_workers: expected.iter().filter(|s| !found.contains_key(s)).count(),
+            });
+        }
+        env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
     }
-    let wait_end = env.cloud.handle.now();
-    stats.wait_secs = (wait_end - wait_start).as_secs_f64();
-    env.cloud.trace.record(env.worker_id, "exchange_wait", wait_start, wait_end);
+}
 
+/// GET every non-empty file reference (16 connections at a time) and
+/// decode the bundles, in `files` order.
+pub(crate) async fn fetch_sections(
+    env: &WorkerEnv,
+    side: &ExchangeSide,
+    receiver: usize,
+    files: Vec<FileRef>,
+) -> Result<Vec<(u32, PartData)>> {
     let conn = Semaphore::new(16);
     let mut gets = Vec::new();
-    for (bucket, key, offset, len) in slots.into_iter().flatten() {
-        if len == Some(0) {
-            continue; // empty section, nothing to fetch
+    for (bucket, key, section) in files {
+        if matches!(section, Some((_, 0))) {
+            continue; // empty write-combined section, nothing to fetch
         }
         let env2 = env.clone();
         let conn2 = conn.clone();
         let side2 = side.clone();
-        let receiver = receiver as u32;
         gets.push(env.cloud.handle.spawn(async move {
             let _permit = conn2.acquire(1).await;
-            let body = match (offset, len) {
-                (Some(off), Some(l)) => env2.s3.get_range(&bucket, &key, off, l).await?,
-                _ => env2.s3.get(&bucket, &key).await?,
+            let body = match section {
+                Some((off, len)) => env2.s3.get_range(&bucket, &key, off, len).await?,
+                None => env2.s3.get(&bucket, &key).await?,
             };
-            let sizes = side2.get(&format!("{bucket}/{key}"), receiver);
+            let sizes = side2.get(&format!("{bucket}/{key}"), receiver as u32);
             decode_bundle(body, sizes)
         }));
     }
     let mut out = Vec::new();
     for r in join_all(gets).await {
-        for (_, data) in r? {
-            stats.get_requests += 1;
-            stats.bytes_read += data.len();
-            out.push(data);
-        }
+        out.extend(r?);
     }
-    env.cloud.trace.record(env.worker_id, "exchange_read", wait_end, env.cloud.handle.now());
-    Ok((out, stats))
+    Ok(out)
 }
-
-type FileRef = (String, String, Option<u64>, Option<u64>); // bucket, key, offset, len
 
 /// Exponential poll backoff (capped at 8x) keeps the LIST count per
 /// worker at "a few" even when stragglers stretch the wait (Table 2's
@@ -725,9 +674,7 @@ pub(crate) fn backoff(base: std::time::Duration, polls: usize) -> std::time::Dur
 }
 
 /// Poll LISTs until every expected sender's file for this round is
-/// visible; returns the file references this worker must read. Listings
-/// are deduped per sender (highest attempt wins), so speculative backup
-/// workers are safe duplicates rather than phantom extra senders.
+/// visible; returns the file references this worker must read.
 async fn wait_for_senders(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
@@ -736,88 +683,26 @@ async fn wait_for_senders(
     round: &RoundPlan,
 ) -> Result<Vec<FileRef>> {
     let wait_start = env.cloud.handle.now();
-    if cfg.write_combining {
-        // Senders' files live under their group prefix; group senders by
-        // (bucket, prefix) and poll each until all expected names appear.
-        let mut groups: HashMap<(String, String), Vec<usize>> = HashMap::new();
-        for &s in &round.senders {
+    // Write-combined files live under their sender's group prefix, one
+    // file per receiver under the receiver's own. Group the senders by
+    // (bucket, prefix) — in key order, so the poll sequence repeats run
+    // to run — and poll each group until all expected names appear.
+    let mut groups: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
+    for &s in &round.senders {
+        let place = if cfg.write_combining {
             let gid = (round.group_of)(s);
-            let bucket = cfg.bucket_of(gid);
-            let prefix = format!("x{}/r{round_idx}/g{gid}/", cfg.run_id);
-            groups.entry((bucket, prefix)).or_default().push(s);
-        }
-        let mut out = Vec::with_capacity(round.senders.len());
-        for ((bucket, prefix), expected) in groups {
-            let mut polls = 0;
-            loop {
-                let listing = env.s3.list(&bucket, &prefix).await?;
-                let found = dedupe_listing(&listing)?;
-                if expected.iter().all(|s| found.contains_key(s)) {
-                    for s in &expected {
-                        let (_, key, sections) = &found[s];
-                        let mut offset = 0u64;
-                        let mut my_len = None;
-                        for (rcv, len) in sections {
-                            if *rcv as usize == p {
-                                my_len = Some(*len);
-                                break;
-                            }
-                            offset += len;
-                        }
-                        let len = my_len.ok_or_else(|| {
-                            CoreError::Storage(format!("no section for receiver {p} in {key}"))
-                        })?;
-                        out.push((bucket.clone(), key.clone(), Some(offset), Some(len)));
-                    }
-                    break;
-                }
-                polls += 1;
-                if polls >= cfg.max_polls {
-                    return Err(CoreError::Timeout {
-                        waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
-                        missing_workers: expected.iter().filter(|s| !found.contains_key(s)).count(),
-                    });
-                }
-                env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
-            }
-        }
-        Ok(out)
-    } else {
-        let bucket = cfg.bucket_of(p);
-        let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
-        let mut polls = 0;
-        loop {
-            let listing = env.s3.list(&bucket, &prefix).await?;
-            // "Enough files" is not "all senders": duplicate attempts
-            // from one sender must not mask another still missing, so
-            // dedupe per sender id and require the distinct set. (These
-            // per-receiver keys carry no name sections; the whole file
-            // is fetched.)
-            let found = dedupe_listing(&listing)?;
-            if round.senders.iter().all(|s| found.contains_key(s)) {
-                return Ok(round
-                    .senders
-                    .iter()
-                    .map(|s| (bucket.clone(), found[s].1.clone(), None, None))
-                    .collect());
-            }
-            polls += 1;
-            if polls >= cfg.max_polls {
-                return Err(CoreError::Timeout {
-                    waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
-                    missing_workers: round
-                        .senders
-                        .iter()
-                        .filter(|s| !found.contains_key(s))
-                        .count(),
-                });
-            }
-            env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
-        }
+            (cfg.bucket_of(gid), format!("x{}/r{round_idx}/g{gid}/", cfg.run_id))
+        } else {
+            (cfg.bucket_of(p), format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id))
+        };
+        groups.entry(place).or_default().push(s);
     }
-}
-
-/// Convenience for tests/benches: total wall-clock of an outcome.
-pub fn outcome_total_secs(start: SimTime, end: SimTime) -> f64 {
-    end.saturating_since(start).as_secs_f64()
+    let section_for = cfg.write_combining.then_some(p);
+    let mut out = Vec::with_capacity(round.senders.len());
+    for ((bucket, prefix), expected) in groups {
+        let (files, _) =
+            discover_files(env, cfg, &bucket, &prefix, &expected, section_for, wait_start).await?;
+        out.extend(files);
+    }
+    Ok(out)
 }

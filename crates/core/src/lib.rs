@@ -17,15 +17,15 @@
 //! * [`exchange`] — the purely serverless exchange operator family with
 //!   multi-level routing and write combining (§4.4, Fig 9, Tables 2–3,
 //!   Fig 13), plus its closed-form cost models in [`exchange_cost`]. The
-//!   same machinery powers *stage edges*
-//!   ([`exchange::exchange_stage_write`] / [`exchange::exchange_stage_read`]):
-//!   write-combined, bucket-sharded shuffles between the producer and
-//!   consumer fleets of a multi-stage query. [`transport`] abstracts
-//!   that edge behind [`transport::ExchangeTransport`], with the
-//!   object-store path as the paper baseline and
+//!   same machinery powers *stage edges*: write-combined, bucket-sharded
+//!   shuffles between the producer and consumer fleets of a multi-stage
+//!   query. [`transport`] abstracts that edge behind
+//!   [`transport::ExchangeTransport`], with the object-store path
+//!   ([`transport::ObjectStoreTransport`]) as the paper baseline and
 //!   [`transport::DirectTransport`] streaming worker-to-worker through a
 //!   rendezvous/relay (object store as fallback);
-//! * [`worker`] / [`driver`] / [`stage`] — the worker handler, the
+//! * [`worker`] / [`driver`] / [`stage`] — the worker handler (one
+//!   [`worker::StageTask`] shape for every stage: operator → sink), the
 //!   driver/session logic, and the distributed planner.
 //!   [`stage::split`] recursively lowers any supported plan tree into a
 //!   [`stage::QueryDag`] of scan, join (arbitrarily nested), agg-merge
@@ -72,9 +72,8 @@ pub use driver::{
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
 pub use exchange::{
-    decode_bundle, encode_bundle, encode_bundle_into, exchange_stage_read, exchange_stage_write,
-    install_exchange_buckets, run_exchange, EdgeReadStats, ExchangeConfig, ExchangeOutcome,
-    ExchangeSide, PartData,
+    decode_bundle, encode_bundle, encode_bundle_into, install_exchange_buckets, run_exchange,
+    EdgeReadStats, ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData,
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,
@@ -100,8 +99,6 @@ pub use verify::{
     MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, AggMergeShared,
-    AggMergeTask, ExchangeTask, FragmentShared, FragmentTask, JoinOutput, JoinShared, JoinTask,
-    ScanExchangeShared, ScanExchangeTask, SortEdgeSpec, SortShared, SortTask, WorkerPayload,
-    WorkerTask,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, EdgeRead,
+    ExchangeTask, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };

@@ -260,6 +260,39 @@ impl StageKind {
         }
     }
 
+    /// The worker pipeline whose terminal shapes this stage's output: a
+    /// scan's pipeline or a join's post pipeline. Agg-merge and sort
+    /// stages run no pipeline.
+    pub fn pipeline(&self) -> Option<&PipelineSpec> {
+        match self {
+            StageKind::Scan(s) => Some(&s.pipeline),
+            StageKind::Join(j) => Some(&j.post),
+            StageKind::AggMerge(_) | StageKind::Sort(_) => None,
+        }
+    }
+
+    /// Mutable [`StageKind::pipeline`]: where the driver installs the
+    /// sharding terminal once the consumer fleet is sized.
+    pub fn pipeline_mut(&mut self) -> Option<&mut PipelineSpec> {
+        match self {
+            StageKind::Scan(s) => Some(&mut s.pipeline),
+            StageKind::Join(j) => Some(&mut j.post),
+            StageKind::AggMerge(_) | StageKind::Sort(_) => None,
+        }
+    }
+
+    /// The rows this stage puts on its outgoing edge (or reports to the
+    /// driver): scan/join stages ship their pipeline's intermediate
+    /// schema (`None` when it does not type-check), agg-merge stages
+    /// their finalized `agg_schema`, sort stages their edge schema.
+    pub fn edge_schema(&self) -> Option<SchemaRef> {
+        match self {
+            StageKind::Scan(_) | StageKind::Join(_) => self.pipeline()?.intermediate_schema().ok(),
+            StageKind::AggMerge(a) => Some(a.agg_schema.clone()),
+            StageKind::Sort(s) => Some(s.schema.clone()),
+        }
+    }
+
     /// Human label carrying the stage's stable topo-ordered id:
     /// `scan:lineitem#0`, `join#2`, `semi-join#2`, `anti-join#2`,
     /// `left-join#2`, `agg#3`, `sort#4`. Join stages surface their

@@ -39,8 +39,7 @@
 //!   omitted from the received part list — exactly the baseline's
 //!   skip-empty-sections behavior.
 //!
-//! [`ObjectStoreTransport`] is the paper baseline, a thin wrapper over
-//! [`exchange_stage_write`]/[`exchange_stage_read`]. [`DirectTransport`]
+//! [`ObjectStoreTransport`] is the paper baseline. [`DirectTransport`]
 //! streams attempt-suffixed partitions through the sim's p2p
 //! rendezvous/relay service and only touches the object store for
 //! fallback; its discovery polls are free, which is where the request
@@ -57,8 +56,8 @@ use lambada_sim::P2pService;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{
-    backoff, decode_bundle, encode_bundle, exchange_stage_read, exchange_stage_write,
-    parse_wc_sections, stage_edge_put, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData,
+    backoff, decode_bundle, discover_files, encode_bundle, fetch_sections, parse_wc_sections,
+    section_of, stage_edge_put, EdgeReadStats, ExchangeConfig, ExchangeSide, FileRef, PartData,
 };
 
 /// Which stage-edge transport a query runs on.
@@ -154,8 +153,9 @@ async fn store_probe(
 }
 
 /// The paper baseline (§4.4): write-combined, bucket-sharded,
-/// LIST-discovered object-store shuffle. Bit-identical to calling
-/// [`exchange_stage_write`]/[`exchange_stage_read`] directly.
+/// LIST-discovered object-store shuffle — the exchange variant where the
+/// producer and consumer are different worker fleets rather than one
+/// fleet shuffling among itself.
 pub struct ObjectStoreTransport {
     cfg: ExchangeConfig,
     side: ExchangeSide,
@@ -180,12 +180,20 @@ impl ExchangeTransport for ObjectStoreTransport {
         parts: Vec<PartData>,
     ) -> BoxFuture<'a, Result<EdgeWriteStats>> {
         Box::pin(async move {
+            let held_bytes: u64 = parts.iter().map(PartData::len).sum();
+            env.compute(env.costs.partition_seconds(held_bytes)).await;
+            let entries: Vec<(u32, PartData)> =
+                parts.into_iter().enumerate().map(|(rcv, data)| (rcv as u32, data)).collect();
             let written =
-                exchange_stage_write(env, &self.cfg, channel, sender, parts, &self.side).await?;
+                stage_edge_put(env, &self.cfg, channel, sender, entries, &self.side).await?;
             Ok(EdgeWriteStats { bytes_written: written, put_requests: 1, ..Default::default() })
         })
     }
 
+    /// LIST-poll until all `senders` producer files are visible
+    /// (receivers may start before producers finish — everything
+    /// synchronizes through storage), then ranged-GET this receiver's
+    /// section of each file.
     fn recv<'a>(
         &'a self,
         env: &'a WorkerEnv,
@@ -194,7 +202,60 @@ impl ExchangeTransport for ObjectStoreTransport {
         senders: usize,
     ) -> BoxFuture<'a, Result<(Vec<PartData>, EdgeReadStats)>> {
         Box::pin(async move {
-            exchange_stage_read(env, &self.cfg, channel, receiver, senders, &self.side).await
+            let mut stats = EdgeReadStats::default();
+            if senders == 0 {
+                return Ok((Vec::new(), stats));
+            }
+            let wait_start = env.cloud.handle.now();
+            // Senders shard across buckets by id; poll each bucket that
+            // holds at least one expected sender.
+            let mut by_bucket: HashMap<String, Vec<usize>> = HashMap::new();
+            for s in 0..senders {
+                by_bucket.entry(self.cfg.bucket_of(s)).or_default().push(s);
+            }
+            // Visit bucket groups in sender order and slot each sender's
+            // file reference by its id, so the assembled part order — and
+            // therefore the consumer's byte stream — is identical run to
+            // run no matter how senders shard across buckets or which
+            // LIST returns first.
+            let mut groups: Vec<(String, Vec<usize>)> = by_bucket.into_iter().collect();
+            groups.sort_by_key(|(_, ss)| ss[0]);
+            let prefix = format!("{channel}/");
+            let mut slots: Vec<Option<FileRef>> = vec![None; senders];
+            for (bucket, expected) in groups {
+                let (files, lists) = discover_files(
+                    env,
+                    &self.cfg,
+                    &bucket,
+                    &prefix,
+                    &expected,
+                    Some(receiver),
+                    wait_start,
+                )
+                .await?;
+                stats.list_requests += lists;
+                for (s, file) in expected.into_iter().zip(files) {
+                    slots[s] = Some(file);
+                }
+            }
+            let wait_end = env.cloud.handle.now();
+            stats.wait_secs = (wait_end - wait_start).as_secs_f64();
+            env.cloud.trace.record(env.worker_id, "exchange_wait", wait_start, wait_end);
+
+            let files = slots.into_iter().flatten().collect();
+            let mut out = Vec::new();
+            for (_, data) in fetch_sections(env, &self.side, receiver, files).await? {
+                stats.get_requests += 1;
+                stats.bytes_read += data.len();
+                out.push(data);
+            }
+            env.cloud.trace.record(
+                env.worker_id,
+                "exchange_read",
+                wait_end,
+                env.cloud.handle.now(),
+            );
+            Ok((out, stats))
         })
     }
 
@@ -373,16 +434,9 @@ impl ExchangeTransport for DirectTransport {
                         stats.list_requests += 1;
                         for (key, _) in &listing {
                             let (snd, attempt, sections) = parse_wc_sections(key)?;
-                            let mut offset = 0u64;
-                            let mut my_len = None;
-                            for (rcv, len) in &sections {
-                                if *rcv as usize == receiver {
-                                    my_len = Some(*len);
-                                    break;
-                                }
-                                offset += len;
-                            }
-                            let Some(len) = my_len else { continue };
+                            let Some((offset, len)) = section_of(&sections, receiver) else {
+                                continue;
+                            };
                             match best.get(&snd) {
                                 Some(cur) if cur.attempt() >= attempt => {}
                                 _ => {

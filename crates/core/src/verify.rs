@@ -217,18 +217,6 @@ enum ConsumerRole {
     SortInput,
 }
 
-/// The rows a stage puts on its outgoing edge (or reports to the driver):
-/// scan/join stages ship their pipeline's intermediate schema, agg-merge
-/// stages their finalized `agg_schema`, sort stages their edge schema.
-fn edge_schema(kind: &StageKind) -> Option<SchemaRef> {
-    match kind {
-        StageKind::Scan(s) => s.pipeline.intermediate_schema().ok(),
-        StageKind::Join(j) => j.post.intermediate_schema().ok(),
-        StageKind::AggMerge(a) => Some(a.agg_schema.clone()),
-        StageKind::Sort(s) => Some(s.schema.clone()),
-    }
-}
-
 /// Type-check one scan/join pipeline in isolation: predicate, projection
 /// and terminal expressions must resolve over their schemas, and the
 /// terminal must be a planner terminal (the driver swaps in the sharding
@@ -370,12 +358,11 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
     // Pass 2 — per-stage pipelines type-check, and each stage's terminal
     // agrees with where its output goes.
     for (sid, kind) in dag.stages.iter().enumerate() {
-        let pipeline = match kind {
-            StageKind::Scan(s) => Some(("scan pipeline", &s.pipeline)),
-            StageKind::Join(j) => Some(("join post-pipeline", &j.post)),
-            StageKind::AggMerge(_) | StageKind::Sort(_) => None,
-        };
-        if let Some((what, p)) = pipeline {
+        if let Some(p) = kind.pipeline() {
+            let what = match kind {
+                StageKind::Scan(_) => "scan pipeline",
+                _ => "join post-pipeline",
+            };
             check_pipeline(sid, what, p, &mut out);
             let terminal_ok = match kind.output() {
                 // Driver-bound stages report batches or partial agg state.
@@ -482,7 +469,7 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
 
     // Pass 3 — edges: walk every producer's consumer set and check the
     // exchange contract (output kind, schema flow, key agreement).
-    let edge: Vec<Option<SchemaRef>> = dag.stages.iter().map(edge_schema).collect();
+    let edge: Vec<Option<SchemaRef>> = dag.stages.iter().map(StageKind::edge_schema).collect();
     let mut consumers: Vec<Vec<(usize, ConsumerRole)>> = vec![Vec::new(); dag.stages.len()];
     for (sid, kind) in dag.stages.iter().enumerate() {
         match kind {
@@ -585,12 +572,7 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
                 (StageKind::AggMerge(a), ConsumerRole::AggInput) => {
                     // The producer's PartialAggregate terminal determines
                     // the group/accumulator shapes the merge fleet owns.
-                    let producer_pipeline = match kind {
-                        StageKind::Scan(s) => Some(&s.pipeline),
-                        StageKind::Join(j) => Some(&j.post),
-                        _ => None,
-                    };
-                    let Some(pp) = producer_pipeline else {
+                    let Some(pp) = kind.pipeline() else {
                         out.push(Diagnostic::new(
                             codes::EXCH_KIND,
                             pid,
@@ -700,12 +682,7 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
     let last = &dag.stages[last_id];
     match &dag.final_stage {
         FinalStage::MergeAggregate { agg_schema, funcs, .. } => {
-            let pipeline = match last {
-                StageKind::Scan(s) => Some(&s.pipeline),
-                StageKind::Join(j) => Some(&j.post),
-                _ => None,
-            };
-            match pipeline.map(|p| (&p.terminal, p)) {
+            match last.pipeline().map(|p| (&p.terminal, p)) {
                 Some((Terminal::PartialAggregate { group_by, aggs }, p)) => {
                     if agg_schema.len() != group_by.len() + aggs.len() {
                         out.push(Diagnostic::new(
@@ -750,11 +727,6 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
             // reports: same agreement rules as MergeAggregate, except an
             // agg-merge last stage is also legal (its workers re-emit
             // unfinalized state when the final stage carries).
-            let pipeline = match last {
-                StageKind::Scan(s) => Some(&s.pipeline),
-                StageKind::Join(j) => Some(&j.post),
-                _ => None,
-            };
             match last {
                 StageKind::AggMerge(a) => {
                     if !schemas_compatible(&a.agg_schema, agg_schema) || &a.funcs != funcs {
@@ -771,7 +743,7 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
                         ));
                     }
                 }
-                _ => match pipeline.map(|p| (&p.terminal, p)) {
+                _ => match last.pipeline().map(|p| (&p.terminal, p)) {
                     Some((Terminal::PartialAggregate { group_by, aggs }, p)) => {
                         if agg_schema.len() != group_by.len() + aggs.len() {
                             out.push(Diagnostic::new(
@@ -813,17 +785,9 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
             }
         }
         FinalStage::CollectBatches { schema, .. } => {
-            let reported = match last {
-                StageKind::Scan(s) => match &s.pipeline.terminal {
-                    Terminal::Collect => s.pipeline.intermediate_schema().ok(),
-                    _ => None,
-                },
-                StageKind::Join(j) => match &j.post.terminal {
-                    Terminal::Collect => j.post.intermediate_schema().ok(),
-                    _ => None,
-                },
-                StageKind::AggMerge(a) => Some(a.agg_schema.clone()),
-                StageKind::Sort(s) => Some(s.schema.clone()),
+            let reported = match last.pipeline() {
+                Some(p) if !matches!(p.terminal, Terminal::Collect) => None,
+                _ => last.edge_schema(),
             };
             match reported {
                 Some(got) if schemas_compatible(&got, schema) => {}

@@ -5,6 +5,19 @@
 //! runs the fragment, and posts a success or error message to the result
 //! queue — including out-of-memory situations, which are *reported* rather
 //! than dying silently.
+//!
+//! # One stage task
+//!
+//! Every stage of a query DAG reaches the worker as the same
+//! [`StageTask`]: an *operator* ([`StageOp`]: scan, join, agg-merge or
+//! sort, carrying its table files or its [`EdgeRead`] in-edges) and a
+//! *sink* ([`StageSink`]: report to the driver, a hash/agg-shard exchange
+//! edge, or a sort-exchange edge). `run_stage` is the only path from one
+//! to the other — read edges → operator → emit — so draining an edge,
+//! rejecting modeled payloads, folding request accounting into the
+//! metrics, and turning a [`PipelineOutput`] into a result each exist
+//! once, whatever the operator. The exchange (§4.4) is just another
+//! operator behind the same handler.
 
 use std::rc::Rc;
 
@@ -16,9 +29,9 @@ use lambada_engine::physical::{
     truncate_rows,
 };
 use lambada_engine::pipeline::{Pipeline, PipelineOutput, PipelineSpec, Terminal};
-use lambada_engine::types::{DataType, Schema, SchemaRef};
-use lambada_engine::{AggFunc, Expr, JoinVariant, RecordBatch, Scalar};
-use lambada_sim::services::faas::{FaasService, FunctionSpec, InstanceCtx, InvokePayload};
+use lambada_engine::types::SchemaRef;
+use lambada_engine::{RecordBatch, Scalar};
+use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::mpsc;
 use lambada_sim::Cloud;
@@ -26,35 +39,13 @@ use lambada_sim::Cloud;
 use crate::costmodel::ComputeCostModel;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
-use crate::exchange::{run_exchange, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData};
+use crate::exchange::{run_exchange, ExchangeConfig, ExchangeSide, PartData};
 use crate::invoke;
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
-use crate::table::TableFile;
+use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
+use crate::table::TableSpec;
 use crate::transport::{EdgeWriteStats, ExchangeTransport};
-
-/// Immutable parts of a query fragment, shared across all workers of one
-/// query (the "query plan fragment" of §3.3).
-#[derive(Clone, Debug)]
-pub struct FragmentShared {
-    pub base_schema: Schema,
-    /// Base-schema column indices the scan must produce (ascending).
-    pub scan_columns: Vec<usize>,
-    /// Base-schema predicate used for row-group pruning.
-    pub prune_predicate: Option<Expr>,
-    /// The fragment pipeline over the scan output.
-    pub pipeline: PipelineSpec,
-    pub scan: ScanConfig,
-    /// Where collect-fragments store their batches.
-    pub result_bucket: String,
-}
-
-/// A fragment assignment: shared plan + this worker's files.
-#[derive(Clone, Debug)]
-pub struct FragmentTask {
-    pub shared: Rc<FragmentShared>,
-    pub files: Vec<TableFile>,
-}
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -68,30 +59,6 @@ pub struct ExchangeTask {
     /// Fig 13).
     pub input: Option<(String, String)>,
     pub side: ExchangeSide,
-}
-
-/// Immutable parts of a scan stage feeding an exchange edge (the scan
-/// sides of a distributed join). The pipeline terminal is
-/// [`Terminal::HashPartition`], so the fragment's surviving rows leave
-/// through [`ExchangeTransport::send`] instead of the result queue.
-#[derive(Clone)]
-pub struct ScanExchangeShared {
-    pub fragment: FragmentShared,
-    /// Key prefix namespacing this stage edge (e.g. `q3/s0`).
-    pub channel: String,
-    /// The wire this stage's output leaves on (object store or direct).
-    pub transport: Rc<dyn ExchangeTransport>,
-    /// Set when this scan feeds a sort fleet: the pipeline terminal is
-    /// [`Terminal::SortPartition`] and the finished run leaves through
-    /// the sample-then-range-partition protocol instead of hash sharding.
-    pub sort: Option<SortEdgeSpec>,
-}
-
-/// A scan-exchange assignment: shared stage + this worker's files.
-#[derive(Clone)]
-pub struct ScanExchangeTask {
-    pub shared: Rc<ScanExchangeShared>,
-    pub files: Vec<TableFile>,
 }
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
@@ -118,126 +85,83 @@ pub struct SortEdgeSpec {
     pub senders: usize,
 }
 
-/// Where a join stage's post-pipeline output goes.
-#[derive(Clone)]
-pub enum JoinOutput {
-    /// Report to the driver: agg state inline, large batches via storage.
-    Driver,
-    /// Hash-partition the post pipeline's rows onto the exchange edge
-    /// `channel` (the post terminal is [`Terminal::HashPartition`]),
-    /// feeding a parent join stage — the nested-join path.
-    Exchange { channel: String },
-    /// Shard the post pipeline's grouped aggregate state by group-key
-    /// hash onto the exchange edge `channel` (the post terminal is
-    /// [`Terminal::PartitionedAggregate`]), feeding an agg-merge fleet.
-    AggExchange { channel: String },
-    /// Range-partition the post pipeline's locally sorted run (the post
-    /// terminal is [`Terminal::SortPartition`]) onto the exchange edge
+/// One in-edge of a consumer operator: fleet worker `p` reads
+/// co-partition `p` of the producer stage's output.
+#[derive(Clone, Debug)]
+pub struct EdgeRead {
+    /// Key prefix namespacing the producer stage's exchange edge (e.g.
+    /// `x0/q3/s0`).
+    pub channel: String,
+    /// Producer fleet size (how many sender files to await).
+    pub senders: usize,
+}
+
+/// A scan operator: the planner's stage plus the table it reads. Worker
+/// `w` of the fleet scans chunk `w` of the table's files.
+#[derive(Debug)]
+pub struct ScanOp {
+    /// Scan columns, pruning predicate and the pipeline over the scan
+    /// output (terminal already patched for the sink).
+    pub stage: ScanStage,
+    /// Base schema and files of the scanned table.
+    pub table: TableSpec,
+    pub scan: ScanConfig,
+    /// Files per worker (the chunk size).
+    pub files_per_worker: usize,
+}
+
+/// What a stage's workers compute. Consumer operators own one
+/// co-partition each: the worker id doubles as the partition id.
+pub enum StageOp {
+    /// Scan + filter + project + the pipeline's terminal.
+    Scan(Rc<ScanOp>),
+    /// Build + probe one co-partition of a distributed hash join, then
+    /// run the post-join pipeline (`stage.post`, terminal patched for the
+    /// sink).
+    Join { stage: JoinStage, probe: EdgeRead, build: EdgeRead },
+    /// Merge shard `p` of every producer's partial-aggregate state — the
+    /// groups whose key hashes to `p`, so the fleet's group ranges are
+    /// disjoint — and finalize it.
+    AggMerge {
+        stage: AggMergeStage,
+        input: EdgeRead,
+        /// Hand the merged state on *unfinalized*. Set for streaming
+        /// queries, whose driver carries the state across micro-batches
+        /// and finalizes only at window close (an averaged `Avg` cannot
+        /// re-merge).
+        emit_state: bool,
+    },
+    /// Sort range partition `p` of every producer's run and truncate it
+    /// to the limit. Ranges are disjoint and ordered by partition id, so
+    /// the driver's concatenation (in worker order) is globally sorted.
+    Sort { stage: SortStage, input: EdgeRead },
+}
+
+/// Where an operator's output goes.
+pub enum StageSink {
+    /// Report to the driver: agg state inline, batches via one stored
+    /// object in the result bucket.
+    Report,
+    /// Shard onto the exchange edge `channel`: hash-partitioned rows
+    /// ([`Terminal::HashPartition`]) or grouped partial-aggregate state
+    /// ([`Terminal::PartitionedAggregate`]).
+    Edge { channel: String },
+    /// Range-partition the locally sorted run onto the exchange edge
     /// `channel`, feeding a sort fleet.
-    SortExchange { channel: String, edge: SortEdgeSpec },
+    SortEdge { channel: String, edge: SortEdgeSpec },
 }
 
-/// Immutable parts of a join stage, shared across its fleet. Worker `p`
-/// of the fleet owns co-partition `p` of both inputs.
-#[derive(Clone)]
-pub struct JoinShared {
-    pub probe_channel: String,
-    pub build_channel: String,
-    /// Producer worker counts per edge (how many sender files to await).
-    pub probe_senders: usize,
-    pub build_senders: usize,
-    pub probe_schema: SchemaRef,
-    pub build_schema: SchemaRef,
-    pub probe_keys: Vec<usize>,
-    pub build_keys: Vec<usize>,
-    /// Which rows the probe emits (inner / left-outer / semi / anti).
-    pub variant: JoinVariant,
-    /// Post-join pipeline over the variant's probe output (`probe ++
-    /// build` rows for inner/left-outer, probe rows for semi/anti).
-    pub post: PipelineSpec,
-    /// The wire both in-edges arrive on and the out-edge leaves on.
+/// One stage's assignment, shared by its whole fleet.
+pub struct StageTask {
+    pub op: StageOp,
+    pub sink: StageSink,
+    /// The wire every in-edge arrives on and the out-edge leaves on.
     pub transport: Rc<dyn ExchangeTransport>,
     pub result_bucket: String,
-    /// Namespaces stored results (join fleets run once per query).
+    /// Key prefix of stored results, namespaced by installation and
+    /// query (`results/x{instance}-q{query}`); worker `w` stores under
+    /// `{result_prefix}/w{w}`.
     pub result_prefix: String,
-    /// Driver for join-rooted queries, an exchange edge when a grouped
-    /// aggregate above the join runs repartitioned.
-    pub output: JoinOutput,
-}
-
-/// A join assignment; the worker id doubles as the partition id.
-#[derive(Clone)]
-pub struct JoinTask {
-    pub shared: Rc<JoinShared>,
-}
-
-/// Immutable parts of an agg-merge stage, shared across its fleet.
-/// Worker `p` merges shard `p` of every producer's partial-aggregate
-/// state — the groups whose key hashes to `p` — then finalizes and
-/// stores the resulting batch. Producers shard by group-key hash, so the
-/// fleet's group ranges are disjoint and no further merging is needed.
-#[derive(Clone)]
-pub struct AggMergeShared {
-    /// Key prefix namespacing the producer stage's exchange edge.
-    pub channel: String,
-    /// Producer worker count (how many sender files to await).
-    pub senders: usize,
-    /// Output schema of the aggregate (group keys ++ finalized values).
-    pub agg_schema: SchemaRef,
-    /// Accumulator shapes, to build the empty initial state.
-    pub funcs: Vec<(AggFunc, Option<DataType>)>,
-    /// The wire the in-edge arrives on (and any sort out-edge leaves on).
-    pub transport: Rc<dyn ExchangeTransport>,
-    pub result_bucket: String,
-    /// Namespaces stored results (one merge fleet per query).
-    pub result_prefix: String,
-    /// Set when a sort fleet consumes the finalized groups: the merge
-    /// worker locally sorts (and top-k-truncates) its finalized batch and
-    /// range-partitions it onto the out-edge instead of storing it.
-    pub sort: Option<(String, SortEdgeSpec)>,
-    /// Report the merged state *unfinalized* (as a
-    /// [`ResultPayload::AggState`]) instead of finalizing to a stored
-    /// batch. Set for streaming queries, whose driver carries the state
-    /// across micro-batches and finalizes only at window close; the
-    /// fleet's shards hold disjoint group ranges, so the driver merge is
-    /// trivially correct. Mutually exclusive with `sort`.
-    pub emit_state: bool,
-}
-
-/// Immutable parts of a distributed sort stage, shared across its fleet.
-/// Worker `p` receives range partition `p` of every producer's locally
-/// sorted run, sorts it, truncates to `limit`, and stores the result.
-/// Ranges are disjoint and ordered by partition id, so the driver's
-/// concatenation (in worker order) is globally sorted.
-#[derive(Clone)]
-pub struct SortShared {
-    /// Key prefix namespacing the producer stage's sort-exchange edge.
-    pub channel: String,
-    /// Producer worker count (how many sender files to await).
-    pub senders: usize,
-    /// Schema of the rows on the edge.
-    pub schema: SchemaRef,
-    /// Sort keys over `schema`.
-    pub keys: Vec<SortKey>,
-    /// Per-partition top-k truncation (the query's `LIMIT`).
-    pub limit: Option<usize>,
-    /// The wire the in-edge arrives on.
-    pub transport: Rc<dyn ExchangeTransport>,
-    pub result_bucket: String,
-    /// Namespaces stored results (one sort fleet per query).
-    pub result_prefix: String,
-}
-
-/// A sort assignment; the worker id doubles as the range partition id.
-#[derive(Clone)]
-pub struct SortTask {
-    pub shared: Rc<SortShared>,
-}
-
-/// An agg-merge assignment; the worker id doubles as the partition id.
-#[derive(Clone)]
-pub struct AggMergeTask {
-    pub shared: Rc<AggMergeShared>,
 }
 
 /// What a worker is asked to do.
@@ -247,20 +171,8 @@ pub enum WorkerTask {
     Noop,
     /// Fixed amount of number crunching on N threads (Fig 4).
     Compute { vcpu_seconds: f64, threads: usize },
-    /// Scan + filter + project + partial aggregate (queries).
-    Fragment(FragmentTask),
-    /// Scan + filter + project + hash-partition onto an exchange edge
-    /// (the scan stages of a distributed join).
-    ScanExchange(ScanExchangeTask),
-    /// Build + probe one co-partition of a distributed hash join, then
-    /// run the post-join pipeline.
-    Join(JoinTask),
-    /// Merge one co-partition of sharded partial-aggregate states and
-    /// finalize it (the merge stage of a repartitioned aggregation).
-    AggMerge(AggMergeTask),
-    /// Sort one range partition of a distributed sort and truncate it to
-    /// the query's limit.
-    Sort(SortTask),
+    /// One stage of a query DAG: operator → sink.
+    Stage(Rc<StageTask>),
     /// Repartition data through cloud storage.
     Exchange(ExchangeTask),
 }
@@ -324,11 +236,6 @@ pub fn register_worker_function(
         }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>
     };
     cloud.faas.register(FunctionSpec::new(name, memory_mib, timeout), Rc::new(handler));
-}
-
-/// Shortcut used by the installer.
-pub fn faas(cloud: &Cloud) -> &FaasService {
-    &cloud.faas
 }
 
 /// Install a per-worker fault injector on the cloud's FaaS service:
@@ -432,11 +339,7 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Result<(ResultPayload, 
             }
             Ok((ResultPayload::Empty, WorkerMetrics::default()))
         }
-        WorkerTask::Fragment(frag) => run_fragment(env, frag).await,
-        WorkerTask::ScanExchange(task) => run_scan_exchange(env, task).await,
-        WorkerTask::Join(task) => run_join(env, task).await,
-        WorkerTask::AggMerge(task) => run_agg_merge(env, task).await,
-        WorkerTask::Sort(task) => run_sort(env, task).await,
+        WorkerTask::Stage(task) => run_stage(env, task).await,
         WorkerTask::Exchange(x) => run_exchange_task(env, x).await,
     }
 }
@@ -446,27 +349,94 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Result<(ResultPayload, 
 /// one range either way — so a small constant suffices.
 const SORT_SAMPLE_ROWS: usize = 32;
 
-/// Fold one stage-edge send's request accounting into the worker metrics.
-fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) {
+/// Fold one stage-edge send's request accounting into the worker
+/// metrics; returns the bytes that crossed the edge, whichever wire
+/// carried them.
+fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
     metrics.bytes_written += stats.bytes_written;
     metrics.put_requests += stats.put_requests;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
+    stats.bytes_written + stats.p2p_bytes
 }
 
-/// Fold one stage-edge receive's request accounting into the metrics.
-fn fold_read_stats(metrics: &mut WorkerMetrics, stats: &EdgeReadStats) {
+/// Drain one receiver's co-partition of a stage edge: await every
+/// sender's part, fold the receive's request accounting into the
+/// metrics, and hand back the non-empty payloads in sender order.
+/// Modeled payloads carry no rows to compute on and are rejected.
+async fn read_edge(
+    env: &WorkerEnv,
+    task: &StageTask,
+    edge: &EdgeRead,
+    receiver: usize,
+    metrics: &mut WorkerMetrics,
+) -> Result<Vec<Vec<u8>>> {
+    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, edge.senders).await?;
     metrics.bytes_read += stats.bytes_read;
     metrics.get_requests += stats.get_requests;
     metrics.list_requests += stats.list_requests;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
     metrics.exchange_wait_secs += stats.wait_secs;
+    let mut payloads = Vec::with_capacity(parts.len());
+    for part in parts {
+        match part {
+            PartData::Real(bytes) if bytes.is_empty() => {}
+            PartData::Real(bytes) => payloads.push(bytes),
+            PartData::Modeled(_) => {
+                return Err(CoreError::Unsupported(
+                    "stage edges need real exchange payloads".to_string(),
+                ))
+            }
+        }
+    }
+    Ok(payloads)
 }
 
-/// Bytes that crossed the edge in one send, whichever wire carried them.
-fn edge_bytes(stats: &EdgeWriteStats) -> u64 {
-    stats.bytes_written + stats.p2p_bytes
+/// Decode received edge payloads into record batches, one payload at a
+/// time (a payload's bytes are dropped once its batches are out).
+fn decode_parts(payloads: Vec<Vec<u8>>) -> impl Iterator<Item = Result<RecordBatch>> {
+    payloads.into_iter().flat_map(|bytes| match crate::partition::decode_batches(&bytes) {
+        Ok(batches) => batches.into_iter().map(Ok).collect(),
+        Err(e) => vec![Err(e)],
+    })
+}
+
+/// Encode per-receiver batch lists as exchange parts. Receivers with
+/// nothing to fetch get a zero-length part, which they learn from the
+/// file name alone.
+fn batch_parts(partitions: &[Vec<RecordBatch>]) -> Result<Vec<PartData>> {
+    partitions
+        .iter()
+        .map(|batches| {
+            if batches.iter().all(|b| b.num_rows() == 0) {
+                Ok(PartData::Real(Vec::new()))
+            } else {
+                Ok(PartData::Real(crate::partition::encode_batches(batches)?))
+            }
+        })
+        .collect()
+}
+
+/// The one result upload: large results go to cloud storage, not through
+/// the queue. The key is namespaced by installation and query, so
+/// concurrent queries on one installation never overwrite each other.
+async fn store_result(
+    env: &WorkerEnv,
+    task: &StageTask,
+    batches: &[RecordBatch],
+    metrics: &mut WorkerMetrics,
+) -> Result<ResultPayload> {
+    let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+    if rows == 0 {
+        return Ok(ResultPayload::Empty);
+    }
+    let bytes = crate::partition::encode_batches(batches)?;
+    let key = format!("{}/w{}", task.result_prefix, env.worker_id);
+    metrics.bytes_written += bytes.len() as u64;
+    metrics.put_requests += 1;
+    env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?;
+    Ok(ResultPayload::StoredBatches { bucket: task.result_bucket.clone(), key, rows })
 }
 
 /// Ship one producer's locally sorted run onto a sort-exchange edge.
@@ -478,15 +448,15 @@ fn edge_bytes(stats: &EdgeWriteStats) -> u64 {
 /// from the pooled sample — deterministic, so all producers agree without
 /// any coordinator; (4) range-partition the run and write it onto the
 /// data edge like any other stage edge. Updates `metrics` with the
-/// requests spent and returns the exchanged (rows, bytes).
+/// requests spent and returns the bytes the data edge carried.
 async fn sort_exchange_out(
     env: &WorkerEnv,
-    transport: &dyn ExchangeTransport,
+    task: &StageTask,
     channel: &str,
     edge: &SortEdgeSpec,
     run: &RecordBatch,
     metrics: &mut WorkerMetrics,
-) -> Result<(u64, u64)> {
+) -> Result<u64> {
     // ---- Sample write ---------------------------------------------------
     let key_cols = sort_key_columns(run, &edge.keys)?;
     let rows = run.num_rows();
@@ -505,135 +475,62 @@ async fn sort_exchange_out(
         let sample = RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?;
         crate::partition::encode_batches(&[sample])?
     };
-    let smp_channel = format!("{channel}smp");
-    let write_stats = transport
-        .send(env, &smp_channel, env.worker_id as usize, vec![PartData::Real(sample_bytes)])
+    let samples = EdgeRead { channel: format!("{channel}smp"), senders: edge.senders };
+    let sender = env.worker_id as usize;
+    let write_stats = task
+        .transport
+        .send(env, &samples.channel, sender, vec![PartData::Real(sample_bytes)])
         .await?;
     fold_write_stats(metrics, write_stats);
 
     // ---- Sample read: every producer reads the whole pool ---------------
-    let (sample_parts, stats) = transport.recv(env, &smp_channel, 0, edge.senders).await?;
-    fold_read_stats(metrics, &stats);
     let mut pooled: Vec<Vec<Scalar>> = Vec::new();
-    for part in &sample_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "sort stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
-        }
-        for batch in crate::partition::decode_batches(bytes)? {
-            for row in 0..batch.num_rows() {
-                pooled.push(batch.row(row));
-            }
-        }
+    for batch in decode_parts(read_edge(env, task, &samples, 0, metrics).await?) {
+        let batch = batch?;
+        pooled.extend((0..batch.num_rows()).map(|row| batch.row(row)));
     }
     let boundaries = range_boundaries(pooled, &edge.keys, edge.partitions);
 
     // ---- Range partition + data write -----------------------------------
     env.compute(env.costs.partition_seconds((rows * run.num_columns() * 8) as u64)).await;
     let partitioned = range_partition_batch(run, &edge.keys, &boundaries)?;
-    let mut parts = Vec::with_capacity(edge.partitions);
-    for b in &partitioned {
-        if b.num_rows() == 0 {
-            parts.push(PartData::Real(Vec::new()));
-        } else {
-            parts.push(PartData::Real(crate::partition::encode_batches(std::slice::from_ref(b))?));
-        }
-    }
+    let ranges: Vec<Vec<RecordBatch>> = partitioned.into_iter().map(|b| vec![b]).collect();
+    let mut parts = batch_parts(&ranges)?;
     // The consumer fleet is sized before launch; boundaries can be fewer
     // than partitions - 1 only when the pooled sample is tiny, leaving
     // trailing partitions empty — pad the part list to the fleet size.
     parts.resize(edge.partitions, PartData::Real(Vec::new()));
-    let write_stats = transport.send(env, channel, env.worker_id as usize, parts).await?;
-    let bytes = edge_bytes(&write_stats);
-    fold_write_stats(metrics, write_stats);
-    metrics.rows_exchanged += rows as u64;
-    Ok((rows as u64, bytes))
+    let write_stats = task.transport.send(env, channel, sender, parts).await?;
+    Ok(fold_write_stats(metrics, write_stats))
 }
 
-/// Sort stage of a distributed sort/top-k: read range partition `p` of
-/// every producer's run, sort it, truncate to the limit, and store the
-/// resulting batch — the driver-side sort of §3.2 moved into the
-/// serverless scope. Concatenating the fleet's outputs in worker order
-/// yields the total order.
-async fn run_sort(env: &WorkerEnv, task: &SortTask) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let p = env.worker_id as usize;
-    let budget = env.engine_memory_budget();
-    let mut metrics = WorkerMetrics::default();
-
-    let (parts, stats) = shared.transport.recv(env, &shared.channel, p, shared.senders).await?;
-    fold_read_stats(&mut metrics, &stats);
-
-    let mut batches = Vec::new();
-    let mut state_bytes = 0u64;
-    for part in &parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "sort stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
-        }
-        for batch in crate::partition::decode_batches(bytes)? {
-            state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
-            if state_bytes > budget / 2 {
-                return Err(CoreError::Engine(format!(
-                    "out of memory: sort partition exceeds half the budget {budget} B"
-                )));
-            }
-            batches.push(batch);
-        }
-    }
-    let rows_in: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-    metrics.rows_in = rows_in;
-    metrics.rows_exchanged = rows_in;
-    env.compute(env.costs.process_seconds(rows_in)).await;
-
-    let all = RecordBatch::concat(shared.schema.clone(), &batches)?;
-    let mut sorted = sort_batch(&all, &shared.keys)?;
-    if let Some(n) = shared.limit {
-        sorted = truncate_rows(sorted, n);
-    }
-    metrics.rows_out = sorted.num_rows() as u64;
-    if sorted.num_rows() == 0 {
-        return Ok((ResultPayload::Empty, metrics));
-    }
-    let rows = sorted.num_rows() as u64;
-    let bytes = crate::partition::encode_batches(&[sorted])?;
-    let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-    metrics.bytes_written += bytes.len() as u64;
-    metrics.put_requests += 1;
-    env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-    Ok((ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows }, metrics))
-}
-
-/// Run the scan pipeline of one worker, feeding items into `pipeline`
-/// with OOM accounting; returns the scan metrics and modeled row count.
+/// Run the scan of one worker, feeding items into `pipeline` with OOM
+/// accounting; returns the scan metrics and modeled row count.
 async fn drive_scan(
     env: &WorkerEnv,
-    shared: &FragmentShared,
-    files: &[TableFile],
+    scan: &Rc<ScanOp>,
     pipeline: &mut Pipeline,
 ) -> Result<(crate::scan::ScanMetrics, u64)> {
     let budget = env.engine_memory_budget();
     let (tx, mut rx) = mpsc::channel::<ScanItem>();
     let scan_handle = {
         let env2 = env.clone();
-        let files = files.to_vec();
-        let shared2 = shared.clone();
+        let scan = Rc::clone(scan);
         env.cloud.handle.spawn(async move {
+            // Worker `w` scans chunk `w` of the table's files.
+            let files = scan
+                .table
+                .files
+                .chunks(scan.files_per_worker.max(1))
+                .nth(env2.worker_id as usize)
+                .unwrap_or_default();
             scan_table(
                 &env2,
-                &shared2.scan,
-                &files,
-                &shared2.base_schema,
-                &shared2.scan_columns,
-                shared2.prune_predicate.as_ref(),
+                &scan.scan,
+                files,
+                &scan.table.schema,
+                &scan.stage.scan_columns,
+                scan.stage.prune_predicate.as_ref(),
                 tx,
             )
             .await
@@ -670,377 +567,201 @@ async fn drive_scan(
     Ok((scan_metrics, modeled_rows))
 }
 
-async fn run_fragment(
-    env: &WorkerEnv,
-    frag: &FragmentTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &frag.shared;
-    let mut pipeline = Pipeline::new(shared.pipeline.clone())?;
-    let (scan_metrics, modeled_rows) = drive_scan(env, shared, &frag.files, &mut pipeline).await?;
-
-    let (rows_in, rows_out) = pipeline.row_counts();
-    let metrics = WorkerMetrics {
-        rows_in: rows_in + modeled_rows,
-        rows_out,
-        bytes_read: scan_metrics.bytes_read,
-        get_requests: scan_metrics.get_requests,
-        row_groups_pruned: scan_metrics.row_groups_pruned,
-        row_groups_scanned: scan_metrics.row_groups_total - scan_metrics.row_groups_pruned,
-        ..WorkerMetrics::default()
-    };
-
-    match pipeline.finish()? {
-        PipelineOutput::Aggregate(state) => Ok((ResultPayload::AggState(state.encode()), metrics)),
-        PipelineOutput::Batches(batches) => {
-            if batches.is_empty() {
-                return Ok((ResultPayload::Empty, metrics));
-            }
-            // Large results go to cloud storage, not through the queue.
-            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-            let bytes = crate::partition::encode_batches(&batches)?;
-            let key = format!("results/w{}", env.worker_id);
-            env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-            Ok((
-                ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows },
-                metrics,
-            ))
-        }
-        PipelineOutput::Partitions(_) | PipelineOutput::AggShards(_) => {
-            Err(CoreError::Engine("fragment task cannot end in a sharding terminal".to_string()))
-        }
-    }
-}
-
-/// Encode sharded partial-aggregate states as exchange parts. Empty
-/// shards become zero-length parts, so receivers learn from the file
-/// name that they have nothing to fetch.
-fn agg_shard_parts(shards: &[GroupedAggState]) -> Vec<PartData> {
-    shards
-        .iter()
-        .map(|s| {
-            if s.num_groups() == 0 {
-                PartData::Real(Vec::new())
-            } else {
-                PartData::Real(s.encode())
-            }
-        })
-        .collect()
-}
-
-/// Scan stage feeding an exchange edge: scan → filter → project, then
-/// either hash-partitioned rows (join inputs) or sharded partial
-/// aggregate states (repartitioned aggregation), leaving through one
-/// write-combined PUT.
-async fn run_scan_exchange(
-    env: &WorkerEnv,
-    task: &ScanExchangeTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let mut pipeline = Pipeline::new(shared.fragment.pipeline.clone())?;
-    let (scan_metrics, modeled_rows) =
-        drive_scan(env, &shared.fragment, &task.files, &mut pipeline).await?;
-    if modeled_rows > 0 {
-        return Err(CoreError::Unsupported(
-            "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
-                .to_string(),
-        ));
-    }
-
-    let (rows_in, rows_out) = pipeline.row_counts();
-    let mut metrics = WorkerMetrics {
-        rows_in,
-        rows_out,
-        bytes_read: scan_metrics.bytes_read,
-        get_requests: scan_metrics.get_requests,
-        row_groups_pruned: scan_metrics.row_groups_pruned,
-        row_groups_scanned: scan_metrics.row_groups_total - scan_metrics.row_groups_pruned,
-        ..WorkerMetrics::default()
-    };
-    // What actually leaves on the edge: filtered rows for hash-partition
-    // stages, grouped states (one "row" per group) for agg stages, a
-    // range-partitioned sorted run for sort-exchange stages.
-    let (parts, exchanged_rows) = match pipeline.finish()? {
-        PipelineOutput::Partitions(partitions) => {
-            let mut parts = Vec::with_capacity(partitions.len());
-            for batches in &partitions {
-                if batches.is_empty() {
-                    parts.push(PartData::Real(Vec::new()));
-                } else {
-                    parts.push(PartData::Real(crate::partition::encode_batches(batches)?));
-                }
-            }
-            (parts, rows_out)
-        }
-        PipelineOutput::AggShards(shards) => {
-            let groups: u64 = shards.iter().map(|s| s.num_groups() as u64).sum();
-            (agg_shard_parts(&shards), groups)
-        }
-        PipelineOutput::Batches(run) => {
-            let Some(edge) = shared.sort.as_ref() else {
-                return Err(CoreError::Engine(
-                    "scan-exchange task needs a sharding or sort-partition terminal".to_string(),
-                ));
-            };
-            let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let (rows, bytes) = sort_exchange_out(
-                env,
-                shared.transport.as_ref(),
-                &shared.channel,
-                edge,
-                &run,
-                &mut metrics,
-            )
-            .await?;
-            return Ok((ResultPayload::Exchanged { rows, bytes }, metrics));
-        }
-        _ => {
-            return Err(CoreError::Engine(
-                "scan-exchange task needs a sharding or sort-partition terminal".to_string(),
-            ))
-        }
-    };
-    let write_stats =
-        shared.transport.send(env, &shared.channel, env.worker_id as usize, parts).await?;
-    let bytes = edge_bytes(&write_stats);
-    fold_write_stats(&mut metrics, write_stats);
-    metrics.rows_exchanged = exchanged_rows;
-    Ok((ResultPayload::Exchanged { rows: exchanged_rows, bytes }, metrics))
-}
-
-/// Join stage: read both co-partitions from the exchange edges, build a
-/// hash table from the build side, probe it with the probe side, and run
-/// the post-join pipeline (§4.4's "operators that repartition data" —
-/// executed with no infrastructure beyond storage and functions).
-async fn run_join(env: &WorkerEnv, task: &JoinTask) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
+/// Run one stage task: the operator turns its files or in-edges into a
+/// [`PipelineOutput`], and the sink turns that into the worker's result —
+/// agg state inline, one stored object, or a write onto the out-edge
+/// (§4.4's "operators that repartition data", executed with no
+/// infrastructure beyond storage and functions).
+async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, WorkerMetrics)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
     let mut metrics = WorkerMetrics::default();
 
-    // ---- Build side -----------------------------------------------------
-    let (build_parts, build_stats) =
-        shared.transport.recv(env, &shared.build_channel, p, shared.build_senders).await?;
-    fold_read_stats(&mut metrics, &build_stats);
-    let mut build_batches = Vec::new();
-    for part in &build_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "join stages need real exchange payloads".to_string(),
-            ));
-        };
-        build_batches.extend(crate::partition::decode_batches(bytes)?);
-    }
-    let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
-    env.compute(env.costs.process_seconds(build_rows)).await;
-    let build =
-        JoinState::build(shared.build_schema.clone(), shared.build_keys.clone(), &build_batches)?;
-    drop(build_batches);
-    if build.approx_bytes() as u64 > budget / 2 {
-        return Err(CoreError::Engine(format!(
-            "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
-            build.approx_bytes()
-        )));
-    }
-
-    // ---- Probe side -----------------------------------------------------
-    let probe_spec = PipelineSpec {
-        input_schema: shared.probe_schema.clone(),
-        predicate: None,
-        projection: None,
-        terminal: Terminal::Probe {
-            build: Rc::new(build),
-            probe_keys: shared.probe_keys.clone(),
-            variant: shared.variant,
-        },
-    };
-    let mut probe_pipeline = Pipeline::new(probe_spec)?;
-    let (probe_parts, probe_stats) =
-        shared.transport.recv(env, &shared.probe_channel, p, shared.probe_senders).await?;
-    fold_read_stats(&mut metrics, &probe_stats);
-    for part in &probe_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "join stages need real exchange payloads".to_string(),
-            ));
-        };
-        for batch in crate::partition::decode_batches(bytes)? {
-            env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
-            probe_pipeline.push(&batch)?;
-            if probe_pipeline.approx_state_bytes() as u64 > budget / 2 {
+    let output = match &task.op {
+        StageOp::Scan(scan) => {
+            let mut pipeline = Pipeline::new(scan.stage.pipeline.clone())?;
+            let (scan_metrics, modeled_rows) = drive_scan(env, scan, &mut pipeline).await?;
+            if modeled_rows > 0 && !matches!(task.sink, StageSink::Report) {
+                return Err(CoreError::Unsupported(
+                    "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
+                        .to_string(),
+                ));
+            }
+            let (rows_in, rows_out) = pipeline.row_counts();
+            metrics.rows_in = rows_in + modeled_rows;
+            metrics.rows_out = rows_out;
+            metrics.bytes_read = scan_metrics.bytes_read;
+            metrics.get_requests = scan_metrics.get_requests;
+            metrics.row_groups_pruned = scan_metrics.row_groups_pruned;
+            metrics.row_groups_scanned =
+                scan_metrics.row_groups_total - scan_metrics.row_groups_pruned;
+            pipeline.finish()?
+        }
+        StageOp::Join { stage, probe, build } => {
+            // ---- Build side: the whole co-partition, then one hash table.
+            let build_batches = decode_parts(read_edge(env, task, build, p, &mut metrics).await?)
+                .collect::<Result<Vec<_>>>()?;
+            let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
+            env.compute(env.costs.process_seconds(build_rows)).await;
+            let table = JoinState::build(
+                stage.build_schema.clone(),
+                stage.build_keys.clone(),
+                &build_batches,
+            )?;
+            drop(build_batches);
+            if table.approx_bytes() as u64 > budget / 2 {
                 return Err(CoreError::Engine(format!(
-                    "out of memory: joined rows exceed half the budget {budget} B"
+                    "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
+                    table.approx_bytes()
                 )));
             }
+
+            // ---- Probe side: stream the co-partition through the table.
+            let mut probe_pipeline = Pipeline::new(PipelineSpec {
+                input_schema: stage.probe_schema.clone(),
+                predicate: None,
+                projection: None,
+                terminal: Terminal::Probe {
+                    build: Rc::new(table),
+                    probe_keys: stage.probe_keys.clone(),
+                    variant: stage.variant,
+                },
+            })?;
+            for batch in decode_parts(read_edge(env, task, probe, p, &mut metrics).await?) {
+                let batch = batch?;
+                env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
+                probe_pipeline.push(&batch)?;
+                if probe_pipeline.approx_state_bytes() as u64 > budget / 2 {
+                    return Err(CoreError::Engine(format!(
+                        "out of memory: joined rows exceed half the budget {budget} B"
+                    )));
+                }
+            }
+            let (probe_rows, _) = probe_pipeline.row_counts();
+            metrics.rows_in = probe_rows + build_rows;
+            metrics.rows_exchanged = probe_rows + build_rows;
+            let PipelineOutput::Batches(joined) = probe_pipeline.finish()? else {
+                return Err(CoreError::Engine(
+                    "probe terminal must collect joined batches".to_string(),
+                ));
+            };
+
+            // ---- Post-join pipeline.
+            let mut post = Pipeline::new(stage.post.clone())?;
+            for batch in &joined {
+                env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
+                post.push(batch)?;
+            }
+            metrics.rows_out = post.row_counts().1;
+            post.finish()?
         }
-    }
-    let (probe_rows, _) = probe_pipeline.row_counts();
-    metrics.rows_in = probe_rows + build_rows;
-    metrics.rows_exchanged = probe_rows + build_rows;
-    let PipelineOutput::Batches(joined) = probe_pipeline.finish()? else {
-        unreachable!("probe terminal collects joined batches");
+        StageOp::AggMerge { stage, input, emit_state } => {
+            let mut state = GroupedAggState::new(&stage.funcs)?;
+            for bytes in read_edge(env, task, input, p, &mut metrics).await? {
+                let shard = GroupedAggState::decode(&bytes)?;
+                metrics.rows_in += shard.num_groups() as u64;
+                env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
+                state.merge(&shard)?;
+                if state.approx_bytes() as u64 > budget {
+                    return Err(CoreError::Engine(format!(
+                        "out of memory: merged aggregate state {} B exceeds budget {budget} B",
+                        state.approx_bytes()
+                    )));
+                }
+            }
+            metrics.rows_exchanged = metrics.rows_in;
+            if *emit_state {
+                metrics.rows_out = state.num_groups() as u64;
+                PipelineOutput::Aggregate(state)
+            } else {
+                let mut batch = agg_state_to_batch(&state, &stage.agg_schema)?;
+                metrics.rows_out = batch.num_rows() as u64;
+                if let StageSink::SortEdge { edge, .. } = &task.sink {
+                    // A sort fleet consumes the finalized groups: this
+                    // merge worker is a sort-exchange producer, so it
+                    // sorts and top-k-truncates locally, as a
+                    // `Terminal::SortPartition` pipeline would.
+                    batch = sort_batch(&batch, &edge.keys)?;
+                    if let Some(n) = edge.limit {
+                        batch = truncate_rows(batch, n);
+                    }
+                }
+                PipelineOutput::Batches(vec![batch])
+            }
+        }
+        StageOp::Sort { stage, input } => {
+            let mut batches = Vec::new();
+            let mut state_bytes = 0u64;
+            for batch in decode_parts(read_edge(env, task, input, p, &mut metrics).await?) {
+                let batch = batch?;
+                state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
+                if state_bytes > budget / 2 {
+                    return Err(CoreError::Engine(format!(
+                        "out of memory: sort partition exceeds half the budget {budget} B"
+                    )));
+                }
+                batches.push(batch);
+            }
+            let rows_in: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+            metrics.rows_in = rows_in;
+            metrics.rows_exchanged = rows_in;
+            env.compute(env.costs.process_seconds(rows_in)).await;
+            let all = RecordBatch::concat(stage.schema.clone(), &batches)?;
+            let mut sorted = sort_batch(&all, &stage.keys)?;
+            if let Some(n) = stage.limit {
+                sorted = truncate_rows(sorted, n);
+            }
+            metrics.rows_out = sorted.num_rows() as u64;
+            PipelineOutput::Batches(vec![sorted])
+        }
     };
 
-    // ---- Post-join pipeline --------------------------------------------
-    let mut post = Pipeline::new(shared.post.clone())?;
-    for batch in &joined {
-        env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
-        post.push(batch)?;
-    }
-    let (_, rows_out) = post.row_counts();
-    metrics.rows_out = rows_out;
-
-    match post.finish()? {
-        PipelineOutput::Aggregate(state) => Ok((ResultPayload::AggState(state.encode()), metrics)),
-        PipelineOutput::AggShards(shards) => {
-            let JoinOutput::AggExchange { channel } = &shared.output else {
-                return Err(CoreError::Engine(
-                    "partitioned-aggregate terminal needs an agg-exchange output".to_string(),
-                ));
-            };
-            let groups: u64 = shards.iter().map(|s| s.num_groups() as u64).sum();
-            let write_stats =
-                shared.transport.send(env, channel, p, agg_shard_parts(&shards)).await?;
-            let bytes = edge_bytes(&write_stats);
-            fold_write_stats(&mut metrics, write_stats);
-            Ok((ResultPayload::Exchanged { rows: groups, bytes }, metrics))
+    // What leaves on an edge: filtered rows for hash-partition terminals,
+    // grouped states (one "row" per group) for partitioned aggregates, a
+    // range-partitioned sorted run for sort edges.
+    let (rows, bytes) = match (&task.sink, output) {
+        (StageSink::Report, PipelineOutput::Aggregate(state)) => {
+            return Ok((ResultPayload::AggState(state.encode()), metrics));
         }
-        PipelineOutput::Partitions(partitions) => {
-            // Nested join: this join's rows feed a parent join's edge,
-            // hash-partitioned exactly like a scan stage's would be.
-            let JoinOutput::Exchange { channel } = &shared.output else {
-                return Err(CoreError::Engine(
-                    "hash-partition terminal needs a row-exchange output".to_string(),
-                ));
-            };
-            let mut parts = Vec::with_capacity(partitions.len());
-            for batches in &partitions {
-                if batches.is_empty() {
-                    parts.push(PartData::Real(Vec::new()));
-                } else {
-                    parts.push(PartData::Real(crate::partition::encode_batches(batches)?));
-                }
-            }
-            let write_stats = shared.transport.send(env, channel, p, parts).await?;
-            let bytes = edge_bytes(&write_stats);
-            fold_write_stats(&mut metrics, write_stats);
-            metrics.rows_exchanged += rows_out;
-            Ok((ResultPayload::Exchanged { rows: rows_out, bytes }, metrics))
+        (StageSink::Report, PipelineOutput::Batches(batches)) => {
+            let stored = store_result(env, task, &batches, &mut metrics).await?;
+            return Ok((stored, metrics));
         }
-        PipelineOutput::Batches(batches) => match &shared.output {
-            JoinOutput::SortExchange { channel, edge } => {
-                let run = RecordBatch::concat(edge.schema.clone(), &batches)?;
-                let (rows, bytes) = sort_exchange_out(
-                    env,
-                    shared.transport.as_ref(),
-                    channel,
-                    edge,
-                    &run,
-                    &mut metrics,
-                )
-                .await?;
-                Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
-            }
-            JoinOutput::Driver => {
-                if batches.is_empty() {
-                    return Ok((ResultPayload::Empty, metrics));
-                }
-                let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-                let bytes = crate::partition::encode_batches(&batches)?;
-                let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-                metrics.bytes_written = bytes.len() as u64;
-                metrics.put_requests += 1;
-                env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-                Ok((
-                    ResultPayload::StoredBatches {
-                        bucket: shared.result_bucket.clone(),
-                        key,
-                        rows,
-                    },
-                    metrics,
-                ))
-            }
-            _ => Err(CoreError::Engine(
-                "collecting join terminal needs a driver or sort-exchange output".to_string(),
-            )),
-        },
-    }
-}
-
-/// Agg-merge stage of a repartitioned aggregation: read shard `p` of
-/// every producer's partial-aggregate state from the exchange edge, merge
-/// them (this fleet owns disjoint group ranges, so merging is local),
-/// finalize, and store the resulting batch for the driver to collect —
-/// the driver-side merge of §3.2 moved into the serverless scope.
-async fn run_agg_merge(
-    env: &WorkerEnv,
-    task: &AggMergeTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let p = env.worker_id as usize;
-    let budget = env.engine_memory_budget();
-    let mut metrics = WorkerMetrics::default();
-
-    let (parts, stats) = shared.transport.recv(env, &shared.channel, p, shared.senders).await?;
-    fold_read_stats(&mut metrics, &stats);
-
-    let mut state = GroupedAggState::new(&shared.funcs)?;
-    for part in &parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "agg-merge stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
+        (StageSink::Edge { channel }, PipelineOutput::Partitions(partitions)) => {
+            let stats = task.transport.send(env, channel, p, batch_parts(&partitions)?).await?;
+            (metrics.rows_out, fold_write_stats(&mut metrics, stats))
         }
-        let shard = GroupedAggState::decode(bytes)?;
-        metrics.rows_in += shard.num_groups() as u64;
-        env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
-        state.merge(&shard)?;
-        if state.approx_bytes() as u64 > budget {
-            return Err(CoreError::Engine(format!(
-                "out of memory: merged aggregate state {} B exceeds budget {budget} B",
-                state.approx_bytes()
-            )));
+        (StageSink::Edge { channel }, PipelineOutput::AggShards(shards)) => {
+            // Empty shards become zero-length parts, like empty batch lists.
+            let parts = shards
+                .iter()
+                .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
+                .collect();
+            let stats = task.transport.send(env, channel, p, parts).await?;
+            let groups = shards.iter().map(|s| s.num_groups() as u64).sum();
+            (groups, fold_write_stats(&mut metrics, stats))
         }
-    }
-    metrics.rows_exchanged = metrics.rows_in;
-
-    if shared.emit_state {
-        // Streaming: hand the merged state back unfinalized so the driver
-        // can carry it across micro-batches. Finalizing here would lose
-        // mergeability (an averaged Avg cannot re-merge).
-        metrics.rows_out = state.num_groups() as u64;
-        return Ok((ResultPayload::AggState(state.encode()), metrics));
-    }
-
-    let batch = agg_state_to_batch(&state, &shared.agg_schema)?;
-    metrics.rows_out = batch.num_rows() as u64;
-
-    if let Some((channel, edge)) = &shared.sort {
-        // A sort fleet consumes the finalized groups: locally sort,
-        // truncate to the pushed-down limit, and range-partition onto the
-        // out-edge — this merge worker is a sort-exchange producer.
-        let mut run = sort_batch(&batch, &edge.keys)?;
-        if let Some(n) = edge.limit {
-            run = truncate_rows(run, n);
+        (StageSink::SortEdge { channel, edge }, PipelineOutput::Batches(run)) => {
+            let run = RecordBatch::concat(edge.schema.clone(), &run)?;
+            let bytes = sort_exchange_out(env, task, channel, edge, &run, &mut metrics).await?;
+            (run.num_rows() as u64, bytes)
         }
-        let (rows, bytes) =
-            sort_exchange_out(env, shared.transport.as_ref(), channel, edge, &run, &mut metrics)
-                .await?;
-        return Ok((ResultPayload::Exchanged { rows, bytes }, metrics));
-    }
-
-    if batch.num_rows() == 0 {
-        return Ok((ResultPayload::Empty, metrics));
-    }
-    let rows = batch.num_rows() as u64;
-    let bytes = crate::partition::encode_batches(&[batch])?;
-    let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-    metrics.bytes_written = bytes.len() as u64;
-    metrics.put_requests += 1;
-    env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-    Ok((ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows }, metrics))
+        (StageSink::Report, _) => {
+            return Err(CoreError::Engine(
+                "a sharding terminal cannot report to the driver".to_string(),
+            ))
+        }
+        (StageSink::Edge { .. }, _) => {
+            return Err(CoreError::Engine("an exchange edge needs a sharding terminal".to_string()))
+        }
+        (StageSink::SortEdge { .. }, _) => {
+            return Err(CoreError::Engine(
+                "a sort edge needs a collecting (sort-partition) terminal".to_string(),
+            ))
+        }
+    };
+    metrics.rows_exchanged += rows;
+    Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
 }
 
 async fn run_exchange_task(
@@ -1061,4 +782,62 @@ async fn run_exchange_task(
         run_exchange(env, &task.cfg, env.worker_id as usize, task.total, parts, &task.side).await?;
     metrics.rows_in = outcome.received.len() as u64;
     Ok((ResultPayload::Empty, metrics))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stage::StageOutput;
+    use crate::transport::ObjectStoreTransport;
+    use lambada_engine::types::{DataType, Field, Schema};
+    use lambada_engine::{AggExpr, AggFunc};
+    use lambada_sim::{CloudConfig, Simulation};
+
+    /// A plan the verifier would reject can still reach a worker through
+    /// a hand-built payload: a partial aggregate (one inline state) wired
+    /// to an exchange edge (which ships shards). The stage task must
+    /// answer with a typed error for the result queue, not a panic that
+    /// kills the invocation silently.
+    #[test]
+    fn mismatched_output_and_sink_is_a_typed_error() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+        let schema = Schema::new(vec![Field::new("a", DataType::Int64)]);
+        let stage = ScanStage {
+            table: "t".to_string(),
+            scan_columns: vec![0],
+            prune_predicate: None,
+            pipeline: PipelineSpec {
+                input_schema: Schema::arc(schema.fields.clone()),
+                predicate: None,
+                projection: None,
+                terminal: Terminal::PartialAggregate {
+                    group_by: Vec::new(),
+                    aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
+                },
+            },
+            output: StageOutput::AggExchange,
+        };
+        let task = StageTask {
+            op: StageOp::Scan(Rc::new(ScanOp {
+                stage,
+                table: TableSpec::new("t", schema, Vec::new(), 0),
+                scan: ScanConfig::default(),
+                files_per_worker: 1,
+            })),
+            sink: StageSink::Edge { channel: "x0/q0/s0".to_string() },
+            transport: Rc::new(ObjectStoreTransport::new(
+                ExchangeConfig::default(),
+                ExchangeSide::new(),
+            )),
+            result_bucket: "results".to_string(),
+            result_prefix: "results/x0-q0".to_string(),
+        };
+        let err = sim.block_on(async move { run_stage(&env, &task).await.unwrap_err() });
+        assert!(
+            matches!(&err, CoreError::Engine(m) if m.contains("needs a sharding terminal")),
+            "got: {err}"
+        );
+    }
 }

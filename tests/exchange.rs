@@ -4,6 +4,7 @@
 
 use std::rc::Rc;
 
+use lambada::core::exchange::RoundTiming;
 use lambada::core::{
     install_exchange_buckets, run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig,
     ExchangeSide, PartData, WorkerEnv,
@@ -32,14 +33,14 @@ fn worker_envs(cloud: &Cloud, total: usize, memory_mib: u32) -> Vec<WorkerEnv> {
 }
 
 /// Run a full exchange where worker `p` holds one real payload
-/// `"{p}->{d}"` for every destination `d`; verify delivery.
-fn run_real_exchange(total: usize, cfg: ExchangeConfig) -> (Cloud, f64) {
+/// `"{p}->{d}"` for every destination `d`; verify delivery. Returns the
+/// cloud (for its request counters) and every worker's round timings.
+fn run_real_exchange(total: usize, cfg: ExchangeConfig) -> (Cloud, Vec<Vec<RoundTiming>>) {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     install_exchange_buckets(&cloud, &cfg);
     let envs = worker_envs(&cloud, total, 2048);
     let side = ExchangeSide::new();
-    let start = cloud.handle.now();
     let outcomes = sim.block_on({
         let cloud2 = cloud.clone();
         async move {
@@ -61,7 +62,6 @@ fn run_real_exchange(total: usize, cfg: ExchangeConfig) -> (Cloud, f64) {
             out
         }
     });
-    let elapsed = (cloud.handle.now() - start).as_secs_f64();
     // Every worker must have received exactly one part from every sender,
     // all destined to itself.
     for (p, outcome) in outcomes.iter().enumerate() {
@@ -78,7 +78,33 @@ fn run_real_exchange(total: usize, cfg: ExchangeConfig) -> (Cloud, f64) {
         senders.sort_unstable();
         assert_eq!(senders, (0..total).collect::<Vec<_>>(), "worker {p} senders");
     }
-    (cloud, elapsed)
+    (cloud, outcomes.into_iter().map(|o| o.rounds).collect())
+}
+
+/// Same seed, two runs: every worker's round timings and the request
+/// counters repeat exactly, for every algorithm with and without write
+/// combining. (PUT spawn order and sender-group poll order used to follow
+/// `HashMap` iteration, so `1l`/`2l`/`3l` spans and LIST counts drifted
+/// between runs.)
+#[test]
+fn same_seed_runs_repeat_exactly() {
+    let cases = [
+        (ExchangeAlgo::OneLevel, 16),
+        (ExchangeAlgo::TwoLevel, 16),
+        (ExchangeAlgo::ThreeLevel, 27),
+    ];
+    for (algo, total) in cases {
+        for wc in [false, true] {
+            let run = || {
+                let cfg = ExchangeConfig { algo, write_combining: wc, ..ExchangeConfig::default() };
+                let (cloud, rounds) = run_real_exchange(total, cfg);
+                let requests = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List]
+                    .map(|item| cloud.billing.units(item));
+                (rounds, requests)
+            };
+            assert_eq!(run(), run(), "{} P={total}", algo.label(wc));
+        }
+    }
 }
 
 #[test]

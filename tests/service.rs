@@ -9,8 +9,8 @@ use lambada::core::stage::{split_with, SplitOptions, StageKind, StageOutput};
 use lambada::core::verify::codes;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport,
-    QueryService, ServiceConfig, SortStrategy, SpeculationConfig, TenantBudget, TransportKind,
-    WorkerTask,
+    QueryService, ServiceConfig, SortStrategy, SpeculationConfig, StageOp, StageSink, TenantBudget,
+    TransportKind, WorkerPayload, WorkerTask,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{DataType, Df, Field, Optimizer, RecordBatch, Scalar, Schema};
@@ -19,6 +19,17 @@ use lambada::workloads::{
     q1, q12, q21, q3, q4, q5, q6, stage_real, stage_real_customer, stage_real_orders,
     CustomerStageOptions, OrdersStageOptions, StageOptions,
 };
+
+/// Is this payload a worker of an exchange-feeding scan fleet or of a
+/// join fleet? (The fleets the fault-isolation tests kill a worker in.)
+fn scan_exchange_or_join(p: &WorkerPayload) -> bool {
+    let WorkerTask::Stage(task) = &p.task else { return false };
+    matches!(
+        (&task.op, &task.sink),
+        (StageOp::Scan(_), StageSink::Edge { .. } | StageSink::SortEdge { .. })
+            | (StageOp::Join { .. }, _)
+    )
+}
 
 fn assert_batches_close(a: &RecordBatch, b: &RecordBatch) {
     assert_eq!(a.num_rows(), b.num_rows(), "row count");
@@ -185,11 +196,8 @@ fn concurrent_service_matches_serial_execution() {
     // by the barrier-aware probe, which has its own regression test in
     // `failure_injection.rs`.
     inject_query_worker_faults(&cloud, |p| {
-        (p.query == 1
-            && p.worker_id == 1
-            && p.attempt == 0
-            && matches!(p.task, WorkerTask::ScanExchange(_) | WorkerTask::Join(_)))
-        .then(|| InjectedFault::kill(Duration::from_millis(10)))
+        (p.query == 1 && p.worker_id == 1 && p.attempt == 0 && scan_exchange_or_join(p))
+            .then(|| InjectedFault::kill(Duration::from_millis(10)))
     });
 
     let reports = sim.block_on(async {
@@ -355,6 +363,63 @@ fn contention_shrinks_fleets_without_changing_results() {
 
 /// Weighted fair queueing: a one-query tenant is not starved by another
 /// tenant's burst, and a heavier weight drains a backlog faster.
+/// Two collect-rooted (filter-only) queries with different predicates,
+/// submitted together. Every worker stores its batches under a key
+/// namespaced by installation and query, so each concurrent result
+/// equals its serial one — scan results used to share `results/w{worker}`
+/// and the two queries overwrote each other's objects. The result PUTs
+/// are also counted: one per worker of the (only) stage.
+#[test]
+fn concurrent_collect_queries_match_their_serial_results() {
+    let plans = |system: &Lambada| -> Vec<LogicalPlan> {
+        let df = system.from_table("lineitem").unwrap();
+        let qty = df.col("l_quantity").unwrap();
+        vec![
+            df.clone().filter(qty.clone().lt(lambada::engine::lit_f64(3.0))).unwrap().build(),
+            df.filter(qty.gt(lambada::engine::lit_f64(48.0))).unwrap().build(),
+        ]
+    };
+
+    let sim = Simulation::new();
+    let (_cloud, system) = staged_lineitem(&sim);
+    let serial: Vec<QueryReport> = sim.block_on(async {
+        let mut out = Vec::new();
+        for plan in plans(&system) {
+            out.push(system.run_query(&plan).await.unwrap());
+        }
+        out
+    });
+
+    let sim = Simulation::new();
+    let (_cloud, system) = staged_lineitem(&sim);
+    let plans = plans(&system);
+    let service = QueryService::with_config(
+        system,
+        ServiceConfig {
+            max_inflight_workers: 0,
+            max_concurrent_queries: 2,
+            shrink_fleets: false,
+            default_budget: TenantBudget { max_concurrent_queries: 2, ..TenantBudget::default() },
+        },
+    );
+    let concurrent: Vec<QueryReport> = sim.block_on(async {
+        let handles: Vec<_> = plans.iter().map(|plan| service.submit("adhoc", plan)).collect();
+        let mut out = Vec::new();
+        for h in handles {
+            out.push(h.await.unwrap());
+        }
+        out
+    });
+
+    for (c, s) in concurrent.iter().zip(&serial) {
+        assert!(s.batch.num_rows() > 0);
+        assert_batches_close(&c.batch, &s.batch);
+        assert_eq!(c.stages.len(), 1, "a collect-rooted scan is a one-stage DAG");
+        assert_eq!(c.stages[0].put_requests, c.stages[0].workers as u64, "one result PUT each");
+    }
+    assert_ne!(serial[0].batch.num_rows(), serial[1].batch.num_rows(), "distinct predicates");
+}
+
 #[test]
 fn fair_queueing_interleaves_tenants() {
     let sim = Simulation::new();
@@ -564,11 +629,8 @@ fn fault_in_one_query_does_not_delay_neighbors() {
         let (cloud, system) = staged_system(&sim, service_lambada_config());
         if fault {
             inject_query_worker_faults(&cloud, |p| {
-                (p.query == 2
-                    && p.worker_id == 1
-                    && p.attempt == 0
-                    && matches!(p.task, WorkerTask::ScanExchange(_) | WorkerTask::Join(_)))
-                .then(|| InjectedFault::kill(Duration::from_millis(10)))
+                (p.query == 2 && p.worker_id == 1 && p.attempt == 0 && scan_exchange_or_join(p))
+                    .then(|| InjectedFault::kill(Duration::from_millis(10)))
             });
         }
         let service = QueryService::with_config(

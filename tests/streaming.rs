@@ -13,8 +13,8 @@ use lambada::core::streaming::windowed_event_schema;
 use lambada::core::verify::codes;
 use lambada::core::{
     events_to_batch, inject_query_worker_faults, AggStrategy, ContinuousQuery, CoreError, Lambada,
-    LambadaConfig, QueryService, ServiceConfig, SpeculationConfig, StreamSpec, TenantBudget,
-    TransportKind, WorkerTask, WINDOW_COLUMN,
+    LambadaConfig, QueryService, ServiceConfig, SpeculationConfig, StageOp, StreamSpec,
+    TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
 use lambada::engine::{
@@ -223,7 +223,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
         (armed_f.get()
             && p.worker_id == 1
             && p.attempt == 0
-            && matches!(p.task, WorkerTask::Join(_)))
+            && matches!(&p.task, WorkerTask::Stage(t) if matches!(t.op, StageOp::Join { .. })))
         .then(|| InjectedFault::kill(Duration::from_millis(10)))
     });
 

@@ -6,8 +6,8 @@
 //! vendor tree carries no `syn`, so everything is line-based scanning
 //! over [`code_only`]-stripped text:
 //!
-//! 1. **hot-path-panic** — no `.unwrap()` / `.expect(` / `panic!(` in
-//!    the worker/driver/exchange hot paths (`crates/core/src`, the
+//! 1. **hot-path-panic** — no `.unwrap()` / `.expect(` / `panic!(` /
+//!    `unreachable!(` in the worker/driver/exchange hot paths (`crates/core/src`, the
 //!    files in [`HOT_PATH_FILES`]). Test modules are exempt, and a
 //!    documented-infallible site is allowlisted by a
 //!    `// lint: allow(unwrap) — <reason>` comment directly above it;
@@ -227,8 +227,8 @@ fn code_only(line: &str, in_block: &mut bool) -> String {
     out
 }
 
-/// Lint one hot-path file: flag `.unwrap()` / `.expect(` / `panic!(`
-/// outside test modules, honoring `lint: allow(unwrap)` markers with a
+/// Lint one hot-path file: flag `.unwrap()` / `.expect(` / `panic!(` /
+/// `unreachable!(` outside test modules, honoring `lint: allow(unwrap)` markers with a
 /// justification.
 fn lint_hot_path(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     let mut in_block = false;
@@ -284,8 +284,10 @@ fn lint_hot_path(path: &Path, src: &str, findings: &mut Vec<Finding>) {
         if code.trim().is_empty() {
             continue; // comment/blank line keeps any armed marker alive
         }
-        let violation =
-            [".unwrap()", ".expect(", "panic!("].iter().find(|p| code.contains(&***p)).copied();
+        let violation = [".unwrap()", ".expect(", "panic!(", "unreachable!("]
+            .iter()
+            .find(|p| code.contains(&***p))
+            .copied();
         if let Some(pat) = violation {
             if armed {
                 if !armed_with_reason {
@@ -533,6 +535,7 @@ mod tests {
         assert_eq!(run_hot_path("let x = y.unwrap();").len(), 1);
         assert_eq!(run_hot_path("let x = y.expect(\"m\");").len(), 1);
         assert_eq!(run_hot_path("panic!(\"boom\");").len(), 1);
+        assert_eq!(run_hot_path("_ => unreachable!(\"checked above\"),").len(), 1);
         assert!(run_hot_path("let x = y.unwrap_or(0);").is_empty());
     }
 
