@@ -78,21 +78,109 @@ fn bench_kernels(c: &mut Criterion) {
 fn bench_hash_agg(c: &mut Criterion) {
     use lambada_engine::agg::{AggFunc, GroupedAggState};
     use lambada_engine::DataType;
-    let groups = Column::I64((0..65_536).map(|i| i % 8).collect());
-    let vals = Column::F64((0..65_536).map(|i| i as f64).collect());
+    const ROWS: usize = 65_536;
+    let f = Some(DataType::Float64);
+    let floats = Column::F64((0..ROWS).map(|i| i as f64).collect());
     let mut g = c.benchmark_group("engine/hash_agg");
-    g.throughput(Throughput::Elements(65_536));
+    g.throughput(Throughput::Elements(ROWS as u64));
+
+    let groups = Column::I64((0..ROWS as i64).map(|i| i % 8).collect());
     g.bench_function("update_batch_8_groups", |b| {
         b.iter(|| {
-            let mut st = GroupedAggState::new(&[(AggFunc::Sum, Some(DataType::Float64))]).unwrap();
+            let mut st = GroupedAggState::new(&[(AggFunc::Sum, f)]).unwrap();
             st.update_batch(
                 black_box(std::slice::from_ref(&groups)),
-                &[Some(vals.clone())],
-                65_536,
+                &[Some(floats.clone())],
+                ROWS,
             )
             .unwrap();
             st
         });
+    });
+
+    // TPC-H Q1: two keys, 6 groups of skewed sizes, 4 SUMs, 3 AVGs and
+    // a COUNT(*).
+    let q1_keys = [
+        Column::I64((0..ROWS).map(|i| [0, 1, 1, 2, 1, 2, 0, 1][i % 8]).collect()),
+        Column::I64((0..ROWS).map(|i| i64::from(i % 3 == 0 && i % 8 != 1)).collect()),
+    ];
+    let q1_funcs = [
+        (AggFunc::Sum, f),
+        (AggFunc::Sum, f),
+        (AggFunc::Sum, f),
+        (AggFunc::Sum, f),
+        (AggFunc::Avg, f),
+        (AggFunc::Avg, f),
+        (AggFunc::Avg, f),
+        (AggFunc::Count, None),
+    ];
+    let mut q1_args = vec![Some(floats.clone()); 7];
+    q1_args.push(None);
+    g.bench_function("update_batch_q1_2_keys_8_aggs_6_groups", |b| {
+        b.iter(|| {
+            let mut st = GroupedAggState::new(&q1_funcs).unwrap();
+            st.update_batch(black_box(&q1_keys), &q1_args, ROWS).unwrap();
+            st
+        });
+    });
+
+    // TPC-H Q3 at SF 0.02: 2.6e4 groups, one key.
+    const MANY: i64 = 26_000;
+    let spread = Column::I64((0..ROWS as i64).map(|i| i * 7919 % MANY).collect());
+    let q3_funcs = [(AggFunc::Sum, f), (AggFunc::Count, None)];
+    let many_groups = |keys: &Column| {
+        let mut st = GroupedAggState::new(&q3_funcs).unwrap();
+        st.update_batch(std::slice::from_ref(keys), &[Some(floats.clone()), None], ROWS).unwrap();
+        st
+    };
+    g.bench_function("update_batch_26k_groups", |b| b.iter(|| many_groups(black_box(&spread))));
+
+    g.throughput(Throughput::Elements(MANY as u64));
+    let base = many_groups(&spread);
+    let peer = many_groups(&Column::I64((0..ROWS as i64).map(|i| i * 104_729 % MANY).collect()));
+    g.bench_function("merge_26k_groups", |b| {
+        b.iter(|| {
+            let mut st = base.clone();
+            st.merge(black_box(&peer)).unwrap();
+            st
+        });
+    });
+    let wire = base.encode();
+    g.throughput(Throughput::Bytes(wire.len() as u64));
+    g.bench_function("encode_26k_groups", |b| b.iter(|| black_box(&base).encode()));
+    g.bench_function("decode_26k_groups", |b| {
+        b.iter(|| GroupedAggState::decode(black_box(&wire)).unwrap());
+    });
+    g.finish();
+}
+
+fn bench_hash_join(c: &mut Criterion) {
+    use lambada_engine::{JoinState, JoinVariant};
+    const BUILD: i64 = 100_000;
+    // Orders-like build side (unique keys), lineitem-like probe side
+    // (four rows a key, a quarter of them without a partner).
+    let build = RecordBatch::from_columns(
+        &["k", "v"],
+        vec![
+            Column::I64((0..BUILD).map(|i| i * 7919 % BUILD).collect()),
+            Column::F64((0..BUILD).map(|i| i as f64).collect()),
+        ],
+    )
+    .unwrap();
+    let probe = RecordBatch::from_columns(
+        &["k"],
+        vec![Column::I64((0..65_536).map(|i| i * 31 % (BUILD + BUILD / 3)).collect())],
+    )
+    .unwrap();
+    let build_side =
+        || JoinState::build(build.schema().clone(), vec![0], std::slice::from_ref(&build)).unwrap();
+    let mut g = c.benchmark_group("engine/hash_join");
+    g.throughput(Throughput::Elements(BUILD as u64));
+    g.bench_function("build_100k_rows", |b| b.iter(|| black_box(build_side())));
+    let state = build_side();
+    g.throughput(Throughput::Elements(probe.num_rows() as u64));
+    g.bench_function("probe_inner_64k_rows", |b| {
+        b.iter(|| state.probe_variant(black_box(&probe), &[0], JoinVariant::Inner).unwrap());
     });
     g.finish();
 }
@@ -169,6 +257,7 @@ criterion_group!(
     bench_lz,
     bench_kernels,
     bench_hash_agg,
+    bench_hash_join,
     bench_partitioning,
     bench_bundle,
     bench_executor

@@ -5,16 +5,27 @@
 //! finalizes them (§3.2: "post-processing like aggregating the
 //! intermediate worker results"). [`GroupedAggState`] is therefore both
 //! the hash-aggregation operator state and a wire format.
+//!
+//! The state is columnar: a `KeyTable` interns group keys, and each
+//! aggregate keeps one typed vector of accumulators indexed by group id.
+//! A batch is folded in two passes — group ids for all its rows, then one
+//! monomorphic loop per aggregate — so no `Scalar` is built per cell.
+//! Rows still reach each group's accumulator in row order, which is why
+//! results are bit-identical to a row-at-a-time fold.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use lambada_format::binio::{BinReader, BinWriter};
 
+use crate::batch::RecordBatch;
 use crate::column::Column;
-use crate::error::{exec_err, plan_err, EngineError, Result};
+use crate::error::{exec_err, plan_err, type_err, Result};
 use crate::expr::Expr;
+use crate::join::hash_key_parts;
+use crate::keytable::KeyTable;
 use crate::scalar::{Scalar, ScalarKey};
-use crate::types::DataType;
+use crate::types::{DataType, SchemaRef};
 
 /// Aggregate functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -143,9 +154,7 @@ impl Acc {
             Acc::MinF(m) => Scalar::Float64(*m),
             Acc::MaxI(m) => Scalar::Int64(*m),
             Acc::MaxF(m) => Scalar::Float64(*m),
-            Acc::Avg { sum, count } => {
-                Scalar::Float64(if *count == 0 { f64::NAN } else { sum / *count as f64 })
-            }
+            Acc::Avg { sum, count } => Scalar::Float64(avg(*sum, *count)),
         }
     }
 
@@ -188,70 +197,273 @@ impl Acc {
     }
 
     fn decode(r: &mut BinReader<'_>) -> Result<Acc> {
-        Ok(match r.u8().map_err(EngineError::from)? {
-            0 => Acc::SumI(r.i64().map_err(EngineError::from)?),
-            1 => Acc::SumF(r.f64().map_err(EngineError::from)?),
-            2 => Acc::Count(r.i64().map_err(EngineError::from)?),
-            3 => Acc::MinI(r.i64().map_err(EngineError::from)?),
-            4 => Acc::MinF(r.f64().map_err(EngineError::from)?),
-            5 => Acc::MaxI(r.i64().map_err(EngineError::from)?),
-            6 => Acc::MaxF(r.f64().map_err(EngineError::from)?),
-            7 => Acc::Avg {
-                sum: r.f64().map_err(EngineError::from)?,
-                count: r.i64().map_err(EngineError::from)?,
-            },
+        Ok(match r.u8()? {
+            0 => Acc::SumI(r.i64()?),
+            1 => Acc::SumF(r.f64()?),
+            2 => Acc::Count(r.i64()?),
+            3 => Acc::MinI(r.i64()?),
+            4 => Acc::MinF(r.f64()?),
+            5 => Acc::MaxI(r.i64()?),
+            6 => Acc::MaxF(r.f64()?),
+            7 => Acc::Avg { sum: r.f64()?, count: r.i64()? },
             other => return exec_err(format!("unknown accumulator tag {other}")),
         })
     }
-}
 
-fn encode_key(k: &ScalarKey, w: &mut BinWriter) {
-    match k {
-        ScalarKey::I(v) => {
-            w.u8(0);
-            w.i64(*v);
-        }
-        ScalarKey::F(v) => {
-            w.u8(1);
-            w.u64(*v);
-        }
-        ScalarKey::B(v) => {
-            w.u8(2);
-            w.bool(*v);
-        }
+    /// Same variant, whatever the value.
+    fn same_kind(&self, other: &Acc) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
     }
 }
 
-fn decode_key(r: &mut BinReader<'_>) -> Result<ScalarKey> {
-    Ok(match r.u8().map_err(EngineError::from)? {
-        0 => ScalarKey::I(r.i64().map_err(EngineError::from)?),
-        1 => ScalarKey::F(r.u64().map_err(EngineError::from)?),
-        2 => ScalarKey::B(r.bool().map_err(EngineError::from)?),
+/// `AVG`'s final value; `NaN` over no rows.
+fn avg(sum: f64, count: i64) -> f64 {
+    if count == 0 {
+        f64::NAN
+    } else {
+        sum / count as f64
+    }
+}
+
+/// Wire tag of a key part's type.
+fn key_tag(dtype: DataType) -> u8 {
+    match dtype {
+        DataType::Int64 => 0,
+        DataType::Float64 => 1,
+        DataType::Boolean => 2,
+    }
+}
+
+/// One key part off the wire: its type and raw 64-bit form.
+fn decode_key_part(r: &mut BinReader<'_>) -> Result<(DataType, u64)> {
+    Ok(match r.u8()? {
+        0 => (DataType::Int64, r.u64()?),
+        1 => (DataType::Float64, r.u64()?),
+        2 => (DataType::Boolean, u64::from(r.bool()?)),
         other => return exec_err(format!("unknown key tag {other}")),
     })
 }
 
-/// Hash-aggregation state: group keys mapped to accumulator rows.
-/// Serializable (worker → driver) and mergeable (driver side).
+fn gather<T: Copy>(values: &[T], ids: &[usize]) -> Vec<T> {
+    ids.iter().map(|&i| values[i]).collect()
+}
+
+/// `acc[ids[row]] = f(acc[ids[row]], vals[row])` for every row, in row
+/// order: the order a group's values fold in is the order of its rows,
+/// which keeps float sums bit-identical however rows are batched.
+#[inline]
+fn fold<T: Copy, V: Copy>(acc: &mut [T], ids: &[u32], vals: &[V], f: impl Fn(T, V) -> T) {
+    for (&gid, &v) in ids.iter().zip(vals) {
+        let a = &mut acc[gid as usize];
+        *a = f(*a, v);
+    }
+}
+
+/// Merge a peer's accumulators: peer group `i` goes to `dst[map[i]]`. A
+/// group new to `dst` has the next free id (ids are handed out in peer
+/// order) and is copied, not folded into a fresh accumulator.
+fn merge_into<T: Copy>(dst: &mut Vec<T>, src: &[T], map: &[u32], f: impl Fn(T, T) -> T) {
+    for (&s, &gid) in src.iter().zip(map) {
+        match dst.get_mut(gid as usize) {
+            Some(d) => *d = f(*d, s),
+            None => dst.push(s),
+        }
+    }
+}
+
+/// An aggregate argument as `f64`s, with [`Scalar::as_f64`]'s coercion.
+fn f64_values(arg: &Column) -> Result<Cow<'_, [f64]>> {
+    match arg {
+        Column::F64(v) => Ok(Cow::Borrowed(v)),
+        Column::I64(v) => Ok(Cow::Owned(v.iter().map(|&x| x as f64).collect())),
+        Column::Bool(_) => type_err("expected float64, got boolean"),
+    }
+}
+
+/// The accumulators of one aggregate for every group, by group id.
+#[derive(Clone, Debug)]
+enum AccColumn {
+    SumI(Vec<i64>),
+    SumF(Vec<f64>),
+    Count(Vec<i64>),
+    MinI(Vec<i64>),
+    MinF(Vec<f64>),
+    MaxI(Vec<i64>),
+    MaxF(Vec<f64>),
+    Avg { sum: Vec<f64>, count: Vec<i64> },
+}
+
+impl AccColumn {
+    /// An empty column of `proto`'s kind.
+    fn new(proto: &Acc) -> AccColumn {
+        match proto {
+            Acc::SumI(_) => AccColumn::SumI(Vec::new()),
+            Acc::SumF(_) => AccColumn::SumF(Vec::new()),
+            Acc::Count(_) => AccColumn::Count(Vec::new()),
+            Acc::MinI(_) => AccColumn::MinI(Vec::new()),
+            Acc::MinF(_) => AccColumn::MinF(Vec::new()),
+            Acc::MaxI(_) => AccColumn::MaxI(Vec::new()),
+            Acc::MaxF(_) => AccColumn::MaxF(Vec::new()),
+            Acc::Avg { .. } => AccColumn::Avg { sum: Vec::new(), count: Vec::new() },
+        }
+    }
+
+    /// Append one group's accumulator, which must be of this kind.
+    fn push(&mut self, acc: &Acc) -> Result<()> {
+        match (self, acc) {
+            (AccColumn::SumI(c), Acc::SumI(v))
+            | (AccColumn::Count(c), Acc::Count(v))
+            | (AccColumn::MinI(c), Acc::MinI(v))
+            | (AccColumn::MaxI(c), Acc::MaxI(v)) => c.push(*v),
+            (AccColumn::SumF(c), Acc::SumF(v))
+            | (AccColumn::MinF(c), Acc::MinF(v))
+            | (AccColumn::MaxF(c), Acc::MaxF(v)) => c.push(*v),
+            (AccColumn::Avg { sum, count }, Acc::Avg { sum: s, count: c }) => {
+                sum.push(*s);
+                count.push(*c);
+            }
+            (_, acc) => {
+                return exec_err(format!("accumulator {acc:?} is not of its aggregate's kind"))
+            }
+        }
+        Ok(())
+    }
+
+    fn get(&self, gid: usize) -> Acc {
+        match self {
+            AccColumn::SumI(c) => Acc::SumI(c[gid]),
+            AccColumn::SumF(c) => Acc::SumF(c[gid]),
+            AccColumn::Count(c) => Acc::Count(c[gid]),
+            AccColumn::MinI(c) => Acc::MinI(c[gid]),
+            AccColumn::MinF(c) => Acc::MinF(c[gid]),
+            AccColumn::MaxI(c) => Acc::MaxI(c[gid]),
+            AccColumn::MaxF(c) => Acc::MaxF(c[gid]),
+            AccColumn::Avg { sum, count } => Acc::Avg { sum: sum[gid], count: count[gid] },
+        }
+    }
+
+    /// The groups `gids`, in that order, as a column of their own.
+    fn select(&self, gids: &[usize]) -> AccColumn {
+        match self {
+            AccColumn::SumI(c) => AccColumn::SumI(gather(c, gids)),
+            AccColumn::SumF(c) => AccColumn::SumF(gather(c, gids)),
+            AccColumn::Count(c) => AccColumn::Count(gather(c, gids)),
+            AccColumn::MinI(c) => AccColumn::MinI(gather(c, gids)),
+            AccColumn::MinF(c) => AccColumn::MinF(gather(c, gids)),
+            AccColumn::MaxI(c) => AccColumn::MaxI(gather(c, gids)),
+            AccColumn::MaxF(c) => AccColumn::MaxF(gather(c, gids)),
+            AccColumn::Avg { sum, count } => {
+                AccColumn::Avg { sum: gather(sum, gids), count: gather(count, gids) }
+            }
+        }
+    }
+
+    /// Final values of the groups `gids`, in that order.
+    fn finalize(&self, gids: &[usize]) -> Column {
+        match self {
+            AccColumn::SumI(c) | AccColumn::Count(c) | AccColumn::MinI(c) | AccColumn::MaxI(c) => {
+                Column::I64(gather(c, gids))
+            }
+            AccColumn::SumF(c) | AccColumn::MinF(c) | AccColumn::MaxF(c) => {
+                Column::F64(gather(c, gids))
+            }
+            AccColumn::Avg { sum, count } => {
+                Column::F64(gids.iter().map(|&g| avg(sum[g], count[g])).collect())
+            }
+        }
+    }
+
+    /// [`Acc::update`] for a whole batch: row `r` of `arg` folds into
+    /// group `ids[r]`, one monomorphic loop per aggregate.
+    fn update(&mut self, ids: &[u32], arg: Option<&Column>) -> Result<()> {
+        if let AccColumn::Count(c) = self {
+            // COUNT ignores its input.
+            fold(c, ids, ids, |c, _| c.wrapping_add(1));
+            return Ok(());
+        }
+        let Some(arg) = arg else {
+            return exec_err("only COUNT takes no argument column");
+        };
+        if arg.len() < ids.len() {
+            return exec_err(format!(
+                "aggregate argument column has {} rows, expected {}",
+                arg.len(),
+                ids.len()
+            ));
+        }
+        match self {
+            AccColumn::SumI(c) => fold(c, ids, arg.as_i64()?, i64::wrapping_add),
+            AccColumn::MinI(c) => fold(c, ids, arg.as_i64()?, i64::min),
+            AccColumn::MaxI(c) => fold(c, ids, arg.as_i64()?, i64::max),
+            AccColumn::SumF(c) => fold(c, ids, &f64_values(arg)?, |s, x| s + x),
+            AccColumn::MinF(c) => fold(c, ids, &f64_values(arg)?, f64::min),
+            AccColumn::MaxF(c) => fold(c, ids, &f64_values(arg)?, f64::max),
+            AccColumn::Avg { sum, count } => {
+                for (&gid, &x) in ids.iter().zip(f64_values(arg)?.iter()) {
+                    sum[gid as usize] += x;
+                    count[gid as usize] = count[gid as usize].wrapping_add(1);
+                }
+            }
+            AccColumn::Count(_) => {}
+        }
+        Ok(())
+    }
+
+    /// [`Acc::merge`] for a whole peer column (see [`merge_into`]).
+    fn merge(&mut self, other: &AccColumn, map: &[u32]) -> Result<()> {
+        match (self, other) {
+            (AccColumn::SumI(a), AccColumn::SumI(b)) => merge_into(a, b, map, i64::wrapping_add),
+            (AccColumn::SumF(a), AccColumn::SumF(b)) => merge_into(a, b, map, |x, y| x + y),
+            (AccColumn::Count(a), AccColumn::Count(b)) => merge_into(a, b, map, i64::wrapping_add),
+            (AccColumn::MinI(a), AccColumn::MinI(b)) => merge_into(a, b, map, i64::min),
+            (AccColumn::MinF(a), AccColumn::MinF(b)) => merge_into(a, b, map, f64::min),
+            (AccColumn::MaxI(a), AccColumn::MaxI(b)) => merge_into(a, b, map, i64::max),
+            (AccColumn::MaxF(a), AccColumn::MaxF(b)) => merge_into(a, b, map, f64::max),
+            (AccColumn::Avg { sum: s, count: c }, AccColumn::Avg { sum: os, count: oc }) => {
+                merge_into(s, os, map, |x, y| x + y);
+                merge_into(c, oc, map, i64::wrapping_add);
+            }
+            _ => return exec_err("cannot merge accumulators of different kinds"),
+        }
+        Ok(())
+    }
+}
+
+/// `column` as the type a schema asks for, with the one coercion
+/// [`Scalar::as_f64`] allows (`Int64` → `Float64`).
+fn coerce(column: Column, dtype: DataType) -> Result<Column> {
+    match dtype {
+        t if column.dtype() == t => Ok(column),
+        DataType::Float64 => Ok(Column::F64(f64_values(&column)?.into_owned())),
+        t => type_err(format!("expected {t}, got {}", column.dtype())),
+    }
+}
+
+/// Hash-aggregation state: a `KeyTable` of group keys handing out
+/// dense group ids in first-seen order, and one typed accumulator column
+/// per aggregate indexed by those ids. Serializable (worker → driver)
+/// and mergeable (driver side); [`Acc`] is the per-group unit on the wire
+/// and in a merge, not the storage.
 #[derive(Clone, Debug)]
 pub struct GroupedAggState {
-    /// Prototype accumulators (one per aggregate), used to spawn groups.
+    /// Prototype accumulators (one per aggregate): a new group starts
+    /// from these values.
     prototypes: Vec<Acc>,
-    map: HashMap<Box<[ScalarKey]>, usize>,
-    keys: Vec<Box<[ScalarKey]>>,
-    accs: Vec<Vec<Acc>>,
+    keys: KeyTable,
+    /// `accs[i]` has the kind of `prototypes[i]` and one entry per group.
+    accs: Vec<AccColumn>,
 }
 
 impl GroupedAggState {
     /// Create state for aggregates over the given argument types.
     pub fn new(funcs: &[(AggFunc, Option<DataType>)]) -> Result<GroupedAggState> {
         let prototypes: Result<Vec<Acc>> = funcs.iter().map(|&(f, t)| Acc::new(f, t)).collect();
-        Ok(GroupedAggState {
-            prototypes: prototypes?,
-            map: HashMap::new(),
-            keys: Vec::new(),
-            accs: Vec::new(),
-        })
+        Ok(GroupedAggState::with_prototypes(prototypes?))
+    }
+
+    fn with_prototypes(prototypes: Vec<Acc>) -> GroupedAggState {
+        let accs = prototypes.iter().map(AccColumn::new).collect();
+        GroupedAggState { prototypes, keys: KeyTable::new(), accs }
     }
 
     pub fn num_groups(&self) -> usize {
@@ -260,67 +472,72 @@ impl GroupedAggState {
 
     /// Approximate in-memory footprint (used for worker OOM modelling).
     pub fn approx_bytes(&self) -> usize {
-        let per_group =
-            self.prototypes.len() * 24 + self.keys.first().map_or(16, |k| k.len() * 16 + 32);
+        let per_group = self.prototypes.len() * 24 + self.keys.types().len() * 16 + 32;
         self.keys.len() * per_group
     }
 
     /// Fold a batch in: `group_cols` are the evaluated grouping columns,
     /// `arg_cols[i]` the evaluated argument of aggregate `i` (`None` for
-    /// `COUNT(*)`).
+    /// `COUNT(*)`). Two passes: resolve every row's group id against the
+    /// key table, then run one typed loop per aggregate over that id
+    /// vector. Within a group, values fold in row order.
     pub fn update_batch(
         &mut self,
         group_cols: &[Column],
         arg_cols: &[Option<Column>],
         rows: usize,
     ) -> Result<()> {
-        debug_assert_eq!(arg_cols.len(), self.prototypes.len());
-        let mut key_buf: Vec<ScalarKey> = Vec::with_capacity(group_cols.len());
-        for row in 0..rows {
-            key_buf.clear();
-            for g in group_cols {
-                key_buf.push(g.value(row).key());
+        if arg_cols.len() != self.prototypes.len() {
+            return exec_err(format!(
+                "{} argument columns for {} aggregates",
+                arg_cols.len(),
+                self.prototypes.len()
+            ));
+        }
+        let known = self.keys.len();
+        let group_cols: Vec<&Column> = group_cols.iter().collect();
+        let ids = self.keys.intern_columns(&group_cols, rows)?;
+        let spawned = self.keys.len() - known;
+        for ((accs, proto), arg) in self.accs.iter_mut().zip(&self.prototypes).zip(arg_cols) {
+            for _ in 0..spawned {
+                accs.push(proto)?;
             }
-            let gid = match self.map.get(key_buf.as_slice()) {
-                Some(&gid) => gid,
-                None => {
-                    let gid = self.keys.len();
-                    let key: Box<[ScalarKey]> = key_buf.as_slice().into();
-                    self.map.insert(key.clone(), gid);
-                    self.keys.push(key);
-                    self.accs.push(self.prototypes.clone());
-                    gid
-                }
-            };
-            let accs = &mut self.accs[gid];
-            for (acc, arg) in accs.iter_mut().zip(arg_cols.iter()) {
-                match arg {
-                    Some(c) => acc.update(c.value(row))?,
-                    None => acc.update(Scalar::Int64(0))?, // COUNT(*): value ignored
-                }
-            }
+            accs.update(&ids, arg.as_ref())?;
         }
         Ok(())
     }
 
-    /// Merge a peer partial state (same shape).
+    /// Merge a peer partial state (same shape). Groups new to this state
+    /// are appended in the peer's own group order, so the merged state —
+    /// and its encoding — is a function of the two inputs alone.
     pub fn merge(&mut self, other: &GroupedAggState) -> Result<()> {
-        for (key, &ogid) in &other.map {
-            match self.map.get(key.as_ref()) {
-                Some(&gid) => {
-                    for (a, b) in self.accs[gid].iter_mut().zip(other.accs[ogid].iter()) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    let gid = self.keys.len();
-                    self.map.insert(key.clone(), gid);
-                    self.keys.push(key.clone());
-                    self.accs.push(other.accs[ogid].clone());
-                }
-            }
+        let same_kinds = self.prototypes.len() == other.prototypes.len()
+            && self.prototypes.iter().zip(&other.prototypes).all(|(a, b)| a.same_kind(b));
+        if !same_kinds {
+            return exec_err(format!(
+                "cannot merge aggregates {:?} with {:?}",
+                self.prototypes, other.prototypes
+            ));
+        }
+        let types = other.keys.types();
+        let mut map = Vec::with_capacity(other.num_groups());
+        for gid in 0..other.num_groups() {
+            let (id, _) = self.keys.intern(types, other.keys.hash(gid), other.keys.key(gid))?;
+            map.push(id);
+        }
+        for (accs, peer) in self.accs.iter_mut().zip(&other.accs) {
+            accs.merge(peer, &map)?;
         }
         Ok(())
+    }
+
+    /// The groups `gids`, in that order, as a state of their own.
+    fn select(&self, gids: &[usize]) -> GroupedAggState {
+        GroupedAggState {
+            prototypes: self.prototypes.clone(),
+            keys: self.keys.select(gids),
+            accs: self.accs.iter().map(|c| c.select(gids)).collect(),
+        }
     }
 
     /// Shard this state `partitions` ways by group-key hash: shard `p`
@@ -328,44 +545,76 @@ impl GroupedAggState {
     /// under [`crate::join::hash_scalar_keys`] — the same hash family the
     /// exchange operator uses for rows, so every producer of a
     /// distributed aggregation routes a given group to the same merge
-    /// worker. Merging all shards (in any order) reproduces the input.
-    /// Consumes the state so keys and accumulators *move* into their
-    /// shards — splitting happens at a worker's memory high-water mark,
-    /// where a deep copy would double the footprint the OOM model sees.
+    /// worker. Groups keep their relative order inside a shard; merging
+    /// all shards (in any order) reproduces the input.
     pub fn split(self, partitions: usize) -> Vec<GroupedAggState> {
         let partitions = partitions.max(1);
-        let mut shards: Vec<GroupedAggState> = (0..partitions)
-            .map(|_| GroupedAggState {
-                prototypes: self.prototypes.clone(),
-                map: HashMap::new(),
-                keys: Vec::new(),
-                accs: Vec::new(),
-            })
-            .collect();
-        for (key, accs) in self.keys.into_iter().zip(self.accs) {
-            let p = (crate::join::hash_scalar_keys(&key) % partitions as u64) as usize;
-            let shard = &mut shards[p];
-            let sid = shard.keys.len();
-            shard.map.insert(key.clone(), sid);
-            shard.keys.push(key);
-            shard.accs.push(accs);
+        let mut gids: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+        for gid in 0..self.num_groups() {
+            gids[(self.keys.hash(gid) % partitions as u64) as usize].push(gid);
         }
-        shards
+        gids.iter().map(|gids| self.select(gids)).collect()
+    }
+
+    /// Group ids in the derived [`ScalarKey`] order of their keys
+    /// (`Int64` by value, `Float64` by bit pattern).
+    fn sorted_ids(&self) -> Vec<usize> {
+        let types = self.keys.types();
+        let mut order: Vec<usize> = (0..self.num_groups()).collect();
+        order.sort_by(|&a, &b| {
+            let parts = self.keys.key(a).iter().zip(self.keys.key(b)).zip(types);
+            parts
+                .map(|((&x, &y), &t)| match t {
+                    DataType::Int64 => (x as i64).cmp(&(y as i64)),
+                    DataType::Float64 | DataType::Boolean => x.cmp(&y),
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order
     }
 
     /// Finalize into `(group_key_scalars, agg_scalars)` rows, sorted by key
     /// for deterministic output.
     pub fn finalize_rows(&self) -> Vec<(Vec<Scalar>, Vec<Scalar>)> {
-        let mut order: Vec<usize> = (0..self.keys.len()).collect();
-        order.sort_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
-        order
+        let types = self.keys.types();
+        self.sorted_ids()
             .into_iter()
             .map(|gid| {
-                let keys = self.keys[gid].iter().map(|k| k.to_scalar()).collect();
-                let vals = self.accs[gid].iter().map(Acc::finalize).collect();
+                let key = self.keys.key(gid).iter().zip(types);
+                let keys = key.map(|(&raw, &t)| ScalarKey::from_raw(t, raw).to_scalar()).collect();
+                let vals = self.accs.iter().map(|c| c.get(gid).finalize()).collect();
                 (keys, vals)
             })
             .collect()
+    }
+
+    /// [`GroupedAggState::finalize_rows`] as a batch with the aggregate
+    /// node's output schema (group columns first, then aggregates), built
+    /// column by column: the body of [`crate::physical::agg_state_to_batch`].
+    pub(crate) fn to_batch(&self, schema: &SchemaRef) -> Result<RecordBatch> {
+        let order = self.sorted_ids();
+        if order.is_empty() {
+            return Ok(RecordBatch::empty(Arc::clone(schema)));
+        }
+        let types = self.keys.types();
+        if types.len() + self.accs.len() != schema.len() {
+            return exec_err("aggregate row width does not match schema");
+        }
+        let key_cols = types.iter().enumerate().map(|(j, &t)| {
+            let raw = order.iter().map(|&gid| self.keys.key(gid)[j]);
+            match t {
+                DataType::Int64 => Column::I64(raw.map(|x| x as i64).collect()),
+                DataType::Float64 => Column::F64(raw.map(f64::from_bits).collect()),
+                DataType::Boolean => Column::Bool(raw.map(|x| x != 0).collect()),
+            }
+        });
+        let columns: Result<Vec<Column>> = key_cols
+            .chain(self.accs.iter().map(|c| c.finalize(&order)))
+            .zip(&schema.fields)
+            .map(|(c, f)| coerce(c, f.dtype))
+            .collect();
+        RecordBatch::new(Arc::clone(schema), columns?)
     }
 
     /// Split off every group whose *first* key is an `Int64` below
@@ -375,81 +624,80 @@ impl GroupedAggState {
     /// `lambada-core`'s streaming runtime: windowed plans put the window
     /// start first in the group key, so `split_off_closed(watermark -
     /// size + 1)` peels exactly the window instances the watermark has
-    /// closed (their accumulators move, so a group is emitted exactly
-    /// once) while open windows stay behind as carried state. Groups
-    /// whose first key is not `Int64` (or states with empty keys) are
-    /// never split off. Pass `i64::MAX` to close everything.
+    /// closed (a group is emitted exactly once) while open windows stay
+    /// behind as carried state. Groups whose first key is not `Int64` (or
+    /// states with empty keys) are never split off. Pass `i64::MAX` to
+    /// close everything.
     pub fn split_off_closed(&mut self, close_before: i64) -> GroupedAggState {
-        let keys = std::mem::take(&mut self.keys);
-        let accs = std::mem::take(&mut self.accs);
-        self.map.clear();
-        let mut closed = GroupedAggState {
-            prototypes: self.prototypes.clone(),
-            map: HashMap::new(),
-            keys: Vec::new(),
-            accs: Vec::new(),
-        };
-        for (key, acc) in keys.into_iter().zip(accs) {
-            let is_closed = matches!(key.first(), Some(&ScalarKey::I(w)) if w < close_before);
-            let target = if is_closed { &mut closed } else { &mut *self };
-            let gid = target.keys.len();
-            target.map.insert(key.clone(), gid);
-            target.keys.push(key);
-            target.accs.push(acc);
-        }
+        let windowed = self.keys.types().first() == Some(&DataType::Int64);
+        let (closed, open): (Vec<usize>, Vec<usize>) = (0..self.num_groups())
+            .partition(|&gid| windowed && (self.keys.key(gid)[0] as i64) < close_before);
+        let closed = self.select(&closed);
+        *self = self.select(&open);
         closed
     }
 
-    /// Serialize for the wire (worker result messages).
+    /// Serialize for the wire (worker result messages): groups in id
+    /// order, i.e. first seen first.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = BinWriter::new();
+        let types = self.keys.types();
+        // At most 9 bytes a key part and 17 an accumulator.
+        let per_group = 1 + 9 * types.len() + 17 * self.accs.len();
+        let mut w = BinWriter::with_capacity(20 + (1 + self.num_groups()) * per_group);
         w.varint(self.prototypes.len() as u64);
         for p in &self.prototypes {
             p.encode(&mut w);
         }
-        w.varint(self.keys.len() as u64);
-        for (key, accs) in self.keys.iter().zip(self.accs.iter()) {
-            w.varint(key.len() as u64);
-            for k in key.iter() {
-                encode_key(k, &mut w);
+        w.varint(self.num_groups() as u64);
+        for gid in 0..self.num_groups() {
+            w.varint(types.len() as u64);
+            for (&raw, &t) in self.keys.key(gid).iter().zip(types) {
+                w.u8(key_tag(t));
+                match t {
+                    DataType::Int64 | DataType::Float64 => w.u64(raw),
+                    DataType::Boolean => w.bool(raw != 0),
+                }
             }
-            for a in accs {
-                a.encode(&mut w);
+            for accs in &self.accs {
+                accs.get(gid).encode(&mut w);
             }
         }
         w.into_bytes()
     }
 
-    /// Deserialize a wire message.
+    /// Deserialize a wire message. The bytes come off a queue or an
+    /// exchange edge, so nothing is allocated on the strength of a count
+    /// they claim: every group is read before it is stored, and a state
+    /// no encoder produces (groups of different key shapes, an
+    /// accumulator of another kind than its aggregate's, a key listed
+    /// twice) is a typed error.
     pub fn decode(bytes: &[u8]) -> Result<GroupedAggState> {
         let mut r = BinReader::new(bytes);
-        let nproto = r.varint().map_err(EngineError::from)? as usize;
-        let mut prototypes = Vec::with_capacity(nproto);
+        let nproto = r.varint()?;
+        let mut prototypes = Vec::new();
         for _ in 0..nproto {
             prototypes.push(Acc::decode(&mut r)?);
         }
-        let ngroups = r.varint().map_err(EngineError::from)? as usize;
-        let mut state = GroupedAggState {
-            prototypes,
-            map: HashMap::with_capacity(ngroups),
-            keys: Vec::with_capacity(ngroups),
-            accs: Vec::with_capacity(ngroups),
-        };
+        let mut state = GroupedAggState::with_prototypes(prototypes);
+        let ngroups = r.varint()?;
+        let mut types = Vec::new();
+        let mut key = Vec::new();
         for _ in 0..ngroups {
-            let klen = r.varint().map_err(EngineError::from)? as usize;
-            let mut key = Vec::with_capacity(klen);
-            for _ in 0..klen {
-                key.push(decode_key(&mut r)?);
+            let arity = r.varint()?;
+            types.clear();
+            key.clear();
+            for _ in 0..arity {
+                let (dtype, raw) = decode_key_part(&mut r)?;
+                types.push(dtype);
+                key.push(raw);
             }
-            let mut accs = Vec::with_capacity(state.prototypes.len());
-            for _ in 0..state.prototypes.len() {
-                accs.push(Acc::decode(&mut r)?);
+            let (_, new) = state.keys.intern(&types, hash_key_parts(&key), &key)?;
+            if !new {
+                return exec_err("agg state lists a group key twice");
             }
-            let key: Box<[ScalarKey]> = key.into();
-            let gid = state.keys.len();
-            state.map.insert(key.clone(), gid);
-            state.keys.push(key);
-            state.accs.push(accs);
+            for accs in &mut state.accs {
+                accs.push(&Acc::decode(&mut r)?)?;
+            }
         }
         if !r.is_exhausted() {
             return exec_err("trailing bytes in agg state");
@@ -527,8 +775,9 @@ mod tests {
         assert_eq!(shards.iter().map(GroupedAggState::num_groups).sum::<usize>(), 97);
         // Each group lands in the shard its key hash dictates.
         for (p, shard) in shards.iter().enumerate() {
-            for key in &shard.keys {
-                assert_eq!((crate::join::hash_scalar_keys(key) % 5) as usize, p);
+            for (keys, _) in shard.finalize_rows() {
+                let key: Vec<ScalarKey> = keys.iter().map(Scalar::key).collect();
+                assert_eq!((crate::join::hash_scalar_keys(&key) % 5) as usize, p);
             }
         }
         // Merging shards back (in reverse order) reproduces the state.

@@ -5,22 +5,21 @@
 //! scan stages that hash-partition their rows on the join keys and a join
 //! stage whose workers each receive one co-partition of both inputs
 //! (§4.4: repartitioning operators run entirely over the serverless
-//! exchange). [`JoinState`] mirrors [`crate::agg::GroupedAggState`]: it is
-//! simultaneously the operator state (build + probe) and a wire format
-//! (mergeable partial states encoded with the same binary codec the file
-//! format uses), so build sides can travel through cloud storage.
+//! exchange). Build sides travel over the exchange as row batches;
+//! [`JoinState`] is the operator state a join worker builds from them
+//! and probes, never a wire format. Its index is the same
+//! key table (`keytable.rs`) that [`crate::agg::GroupedAggState`]
+//! groups with.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-
-use lambada_format::binio::{BinReader, BinWriter};
 
 use crate::batch::RecordBatch;
 use crate::column::Column;
-use crate::error::{exec_err, plan_err, EngineError, Result};
+use crate::error::{exec_err, plan_err, Result};
+use crate::keytable::{KeyTable, ABSENT};
 use crate::logical::JoinVariant;
 use crate::scalar::{Scalar, ScalarKey};
-use crate::types::{DataType, Field, Schema, SchemaRef};
+use crate::types::{Schema, SchemaRef};
 
 /// One all-sentinel row of `schema` — the `NULL` padding a left-outer
 /// join appends to unmatched probe rows (see [`Scalar::null_of`] for the
@@ -56,19 +55,27 @@ fn gather_with_pad(rows: &RecordBatch, indices: &[usize], pad_idx: usize) -> Res
     RecordBatch::new(SchemaRef::clone(rows.schema()), columns)
 }
 
+/// Multiply-shift hash of one key part in its raw 64-bit form.
+#[inline]
+fn mix(raw: u64) -> u64 {
+    raw.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31)
+}
+
 /// Multiply-shift hash of one scalar key part.
 #[inline]
 pub fn hash_scalar_key(k: ScalarKey) -> u64 {
-    let raw = match k {
-        ScalarKey::I(v) => v as u64,
-        ScalarKey::F(bits) => bits,
-        ScalarKey::B(b) => u64::from(b),
-    };
-    raw.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31)
+    mix(k.raw())
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// [`hash_scalar_keys`] of a key tuple given as raw 64-bit parts
+/// ([`ScalarKey::raw`]) — the form `KeyTable` stores.
+#[inline]
+pub(crate) fn hash_key_parts(parts: &[u64]) -> u64 {
+    parts.iter().fold(FNV_OFFSET, |h, &raw| (h ^ mix(raw)).wrapping_mul(FNV_PRIME))
+}
 
 /// FNV-style combination of an already-materialized key tuple. This is
 /// the same function as [`hash_row_key`] applied to the row's key
@@ -76,12 +83,7 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 /// aggregate states by group key over the exchange.
 #[inline]
 pub fn hash_scalar_keys(keys: &[ScalarKey]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &k in keys {
-        h ^= hash_scalar_key(k);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    keys.iter().fold(FNV_OFFSET, |h, &k| (h ^ hash_scalar_key(k)).wrapping_mul(FNV_PRIME))
 }
 
 /// FNV-style combination of the key columns of one row. Every component
@@ -111,42 +113,63 @@ pub fn row_partition(
 }
 
 /// Build-side hash table of a partitioned hash join. Rows are stored
-/// columnar (one concatenated batch); the map indexes them by key.
-#[derive(Clone, Debug, PartialEq)]
+/// columnar (one concatenated batch); a `KeyTable` interns the
+/// distinct keys, and the rows of key `k` are
+/// `row_index[offsets[k]..offsets[k + 1]]`, ascending.
+#[derive(Clone, Debug)]
 pub struct JoinState {
     schema: SchemaRef,
     key_cols: Vec<usize>,
     rows: RecordBatch,
-    map: HashMap<Box<[ScalarKey]>, Vec<usize>>,
+    keys: KeyTable,
+    offsets: Vec<u32>,
+    row_index: Vec<u32>,
+}
+
+/// The index is a function of the rows and key columns.
+impl PartialEq for JoinState {
+    fn eq(&self, other: &JoinState) -> bool {
+        self.schema == other.schema && self.key_cols == other.key_cols && self.rows == other.rows
+    }
 }
 
 impl JoinState {
-    /// Empty state for a build side with the given schema and key columns.
-    pub fn new(schema: SchemaRef, key_cols: Vec<usize>) -> Result<JoinState> {
-        for &k in &key_cols {
-            if k >= schema.len() {
-                return plan_err(format!("join key column {k} out of range"));
-            }
-        }
-        Ok(JoinState {
-            rows: RecordBatch::empty(Arc::clone(&schema)),
-            schema,
-            key_cols,
-            map: HashMap::new(),
-        })
-    }
-
-    /// Build from a set of batches in one go (concatenates once, so it is
+    /// Build from the build side's batches (concatenates once, so it is
     /// linear in the total row count regardless of batch granularity).
     pub fn build(
         schema: SchemaRef,
         key_cols: Vec<usize>,
         batches: &[RecordBatch],
     ) -> Result<JoinState> {
-        let all = RecordBatch::concat(Arc::clone(&schema), batches)?;
-        let mut state = JoinState::new(schema, key_cols)?;
-        state.push(&all)?;
-        Ok(state)
+        for &k in &key_cols {
+            if k >= schema.len() {
+                return plan_err(format!("join key column {k} out of range"));
+            }
+        }
+        let rows = RecordBatch::concat(Arc::clone(&schema), batches)?;
+        if rows.num_rows() >= ABSENT as usize {
+            return exec_err(format!("join build side of {} rows is too large", rows.num_rows()));
+        }
+        let mut keys = KeyTable::new();
+        let cols: Vec<&Column> = key_cols.iter().map(|&c| rows.column(c)).collect();
+        let ids = keys.intern_columns(&cols, rows.num_rows())?;
+        // Counting sort of row numbers by key id: stable, so each key's
+        // rows stay in build order.
+        let mut offsets = vec![0u32; keys.len() + 1];
+        for &id in &ids {
+            offsets[id as usize + 1] += 1;
+        }
+        for k in 0..keys.len() {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut row_index = vec![0u32; ids.len()];
+        for (row, &id) in ids.iter().enumerate() {
+            let at = &mut next[id as usize];
+            row_index[*at as usize] = row as u32;
+            *at += 1;
+        }
+        Ok(JoinState { schema, key_cols, rows, keys, offsets, row_index })
     }
 
     pub fn schema(&self) -> &SchemaRef {
@@ -162,55 +185,20 @@ impl JoinState {
     }
 
     pub fn num_keys(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// Approximate retained bytes, for worker OOM modelling.
     pub fn approx_bytes(&self) -> usize {
         let data = self.rows.num_rows() * self.rows.num_columns() * 8;
-        let index = self.map.len() * (self.key_cols.len() * 16 + 48) + self.rows.num_rows() * 8;
+        let index = self.keys.len() * (self.key_cols.len() * 16 + 48) + self.rows.num_rows() * 8;
         data + index
     }
 
-    /// Fold one batch of build-side rows in.
-    pub fn push(&mut self, batch: &RecordBatch) -> Result<()> {
-        if batch.schema().as_ref() != self.schema.as_ref() {
-            return exec_err(format!(
-                "join build schema mismatch: got {}, expected {}",
-                batch.schema(),
-                self.schema
-            ));
-        }
-        let base = self.rows.num_rows();
-        let mut key_buf: Vec<ScalarKey> = Vec::with_capacity(self.key_cols.len());
-        for row in 0..batch.num_rows() {
-            key_buf.clear();
-            for &c in &self.key_cols {
-                key_buf.push(batch.column(c).value(row).key());
-            }
-            self.map.entry(key_buf.as_slice().into()).or_default().push(base + row);
-        }
-        self.rows =
-            RecordBatch::concat(Arc::clone(&self.schema), &[self.rows.clone(), batch.clone()])?;
-        Ok(())
-    }
-
-    /// Merge a peer partial state (same schema and keys), mirroring
-    /// [`crate::agg::GroupedAggState::merge`].
-    pub fn merge(&mut self, other: &JoinState) -> Result<()> {
-        if other.schema.as_ref() != self.schema.as_ref() || other.key_cols != self.key_cols {
-            return exec_err("cannot merge join states with different shapes");
-        }
-        let base = self.rows.num_rows();
-        for (key, rows) in &other.map {
-            let entry = self.map.entry(key.clone()).or_default();
-            entry.extend(rows.iter().map(|r| base + r));
-        }
-        self.rows = RecordBatch::concat(
-            Arc::clone(&self.schema),
-            &[self.rows.clone(), other.rows.clone()],
-        )?;
-        Ok(())
+    /// Build rows holding key `id`, in build order.
+    fn matches(&self, id: u32) -> &[u32] {
+        let k = id as usize;
+        &self.row_index[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// Inner-equi-join probe: returns `probe columns ++ build columns`
@@ -243,46 +231,37 @@ impl JoinState {
                 self.key_cols.len()
             ));
         }
+        for &k in probe_keys {
+            if k >= batch.num_columns() {
+                return plan_err(format!("probe key column {k} out of range"));
+            }
+        }
+        let cols: Vec<&Column> = probe_keys.iter().map(|&c| batch.column(c)).collect();
+        let ids = self.keys.lookup_columns(&cols, batch.num_rows())?;
         let mut p_idx: Vec<usize> = Vec::new();
         let mut b_idx: Vec<usize> = Vec::new();
         // Index of the sentinel pad row in the extended build batch of a
         // left-outer probe.
         let pad_idx = self.rows.num_rows();
-        let mut key_buf: Vec<ScalarKey> = Vec::with_capacity(probe_keys.len());
-        for row in 0..batch.num_rows() {
-            key_buf.clear();
-            for &c in probe_keys {
-                key_buf.push(batch.column(c).value(row).key());
-            }
-            let matches = self.map.get(key_buf.as_slice());
+        for (row, &id) in ids.iter().enumerate() {
             match variant {
-                JoinVariant::Inner => {
-                    if let Some(matches) = matches {
-                        for &m in matches {
-                            p_idx.push(row);
-                            b_idx.push(m);
-                        }
-                    }
-                }
-                JoinVariant::LeftOuter => match matches {
-                    Some(matches) => {
-                        for &m in matches {
-                            p_idx.push(row);
-                            b_idx.push(m);
-                        }
-                    }
-                    None => {
+                JoinVariant::Inner | JoinVariant::LeftOuter => {
+                    if id != ABSENT {
+                        let matches = self.matches(id);
+                        p_idx.extend(std::iter::repeat_n(row, matches.len()));
+                        b_idx.extend(matches.iter().map(|&m| m as usize));
+                    } else if variant == JoinVariant::LeftOuter {
                         p_idx.push(row);
                         b_idx.push(pad_idx);
                     }
-                },
+                }
                 JoinVariant::Semi => {
-                    if matches.is_some() {
+                    if id != ABSENT {
                         p_idx.push(row);
                     }
                 }
                 JoinVariant::Anti => {
-                    if matches.is_none() {
+                    if id == ABSENT {
                         p_idx.push(row);
                     }
                 }
@@ -318,97 +297,12 @@ impl JoinState {
         }
         Schema::arc(fields)
     }
-
-    /// Serialize for the wire (worker → worker via cloud storage).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = BinWriter::new();
-        w.varint(self.schema.len() as u64);
-        for f in &self.schema.fields {
-            w.string(&f.name);
-            w.u8(match f.dtype {
-                DataType::Int64 => 0,
-                DataType::Float64 => 1,
-                DataType::Boolean => 2,
-            });
-        }
-        w.varint(self.key_cols.len() as u64);
-        for &k in &self.key_cols {
-            w.varint(k as u64);
-        }
-        w.varint(self.rows.num_rows() as u64);
-        for col in self.rows.columns() {
-            match col {
-                Column::I64(v) => v.iter().for_each(|&x| w.i64(x)),
-                Column::F64(v) => v.iter().for_each(|&x| w.f64(x)),
-                Column::Bool(v) => v.iter().for_each(|&x| w.bool(x)),
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Deserialize a wire message; the hash index is rebuilt locally.
-    pub fn decode(bytes: &[u8]) -> Result<JoinState> {
-        let mut r = BinReader::new(bytes);
-        let e = EngineError::from;
-        let ncols = r.varint().map_err(e)? as usize;
-        let mut fields = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let name = r.string().map_err(e)?;
-            let dtype = match r.u8().map_err(e)? {
-                0 => DataType::Int64,
-                1 => DataType::Float64,
-                2 => DataType::Boolean,
-                other => return exec_err(format!("unknown dtype tag {other}")),
-            };
-            fields.push(Field::new(name, dtype));
-        }
-        let schema = Schema::arc(fields);
-        let nkeys = r.varint().map_err(e)? as usize;
-        let mut key_cols = Vec::with_capacity(nkeys);
-        for _ in 0..nkeys {
-            key_cols.push(r.varint().map_err(e)? as usize);
-        }
-        let nrows = r.varint().map_err(e)? as usize;
-        let mut columns = Vec::with_capacity(schema.len());
-        for f in &schema.fields {
-            columns.push(match f.dtype {
-                DataType::Int64 => {
-                    let mut v = Vec::with_capacity(nrows);
-                    for _ in 0..nrows {
-                        v.push(r.i64().map_err(e)?);
-                    }
-                    Column::I64(v)
-                }
-                DataType::Float64 => {
-                    let mut v = Vec::with_capacity(nrows);
-                    for _ in 0..nrows {
-                        v.push(r.f64().map_err(e)?);
-                    }
-                    Column::F64(v)
-                }
-                DataType::Boolean => {
-                    let mut v = Vec::with_capacity(nrows);
-                    for _ in 0..nrows {
-                        v.push(r.bool().map_err(e)?);
-                    }
-                    Column::Bool(v)
-                }
-            });
-        }
-        if !r.is_exhausted() {
-            return exec_err("trailing bytes in join state");
-        }
-        let batch = RecordBatch::new(Arc::clone(&schema), columns)?;
-        let mut state = JoinState::new(schema, key_cols)?;
-        state.push(&batch)?;
-        Ok(state)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::Scalar;
+    use crate::types::{DataType, Field};
 
     fn build_schema() -> SchemaRef {
         Schema::arc(vec![Field::new("k", DataType::Int64), Field::new("w", DataType::Float64)])
@@ -444,35 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_build() {
-        let a = build_batch(vec![1, 2], vec![0.1, 0.2]);
-        let b = build_batch(vec![2, 3], vec![0.3, 0.4]);
-        let together = JoinState::build(build_schema(), vec![0], &[a.clone(), b.clone()]).unwrap();
-        let mut merged = JoinState::build(build_schema(), vec![0], &[a]).unwrap();
-        merged.merge(&JoinState::build(build_schema(), vec![0], &[b]).unwrap()).unwrap();
-        let probe = RecordBatch::from_columns(&["k"], vec![Column::I64(vec![1, 2, 3, 4])]).unwrap();
-        assert_eq!(together.probe(&probe, &[0]).unwrap(), merged.probe(&probe, &[0]).unwrap());
-        assert_eq!(merged.num_rows(), 4);
-        assert_eq!(merged.num_keys(), 3);
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_probes() {
-        let state = JoinState::build(
-            build_schema(),
-            vec![0],
-            &[build_batch(vec![5, 6, 5], vec![1.5, 2.5, 3.5])],
-        )
-        .unwrap();
-        let got = JoinState::decode(&state.encode()).unwrap();
-        let probe = RecordBatch::from_columns(&["k"], vec![Column::I64(vec![5, 6, 7])]).unwrap();
-        assert_eq!(got.probe(&probe, &[0]).unwrap(), state.probe(&probe, &[0]).unwrap());
-        assert_eq!(got, state);
-    }
-
-    #[test]
     fn empty_state_probes_to_zero_rows() {
-        let state = JoinState::new(build_schema(), vec![0]).unwrap();
+        let state = JoinState::build(build_schema(), vec![0], &[]).unwrap();
         let probe = RecordBatch::from_columns(&["k"], vec![Column::I64(vec![1, 2])]).unwrap();
         let out = state.probe(&probe, &[0]).unwrap();
         assert_eq!(out.num_rows(), 0);
@@ -519,7 +386,7 @@ mod tests {
 
     #[test]
     fn variant_probes_against_empty_build() {
-        let state = JoinState::new(build_schema(), vec![0]).unwrap();
+        let state = JoinState::build(build_schema(), vec![0], &[]).unwrap();
         let probe = RecordBatch::from_columns(&["k"], vec![Column::I64(vec![1, 2])]).unwrap();
         assert_eq!(state.probe_variant(&probe, &[0], JoinVariant::Semi).unwrap().num_rows(), 0);
         assert_eq!(state.probe_variant(&probe, &[0], JoinVariant::Anti).unwrap().num_rows(), 2);
@@ -544,12 +411,10 @@ mod tests {
 
     #[test]
     fn bad_shapes_rejected() {
-        assert!(JoinState::new(build_schema(), vec![9]).is_err());
+        assert!(JoinState::build(build_schema(), vec![9], &[]).is_err());
         let state = JoinState::build(build_schema(), vec![0], &[]).unwrap();
         let probe = RecordBatch::from_columns(&["k"], vec![Column::I64(vec![1])]).unwrap();
         assert!(state.probe(&probe, &[0, 1]).is_err());
-        let mut a = JoinState::new(build_schema(), vec![0]).unwrap();
-        let b = JoinState::new(build_schema(), vec![1]).unwrap();
-        assert!(a.merge(&b).is_err());
+        assert!(state.probe(&probe, &[7]).is_err(), "probe key column out of range");
     }
 }

@@ -23,9 +23,11 @@
 //! * [`pipeline`] — push-based fragment execution inside workers, with
 //!   terminals for partial aggregation, collection, hash partitioning
 //!   (feeding exchange edges), and hash-join probing;
-//! * [`agg`] — mergeable, wire-serializable partial aggregates;
+//! * [`agg`] — mergeable, wire-serializable partial aggregates, folded a
+//!   batch at a time into typed accumulator columns;
 //! * [`join`] — the shared partition hash plus [`join::JoinState`], the
-//!   mergeable, wire-serializable build side of a distributed hash join.
+//!   build side of a distributed hash join. Both index their keys with
+//!   one engine-internal key table (`keytable.rs`).
 
 pub mod agg;
 pub mod batch;
@@ -34,6 +36,7 @@ pub mod error;
 pub mod expr;
 pub mod frontend;
 pub mod join;
+mod keytable;
 pub mod logical;
 pub mod optimizer;
 pub mod physical;

@@ -108,46 +108,10 @@ pub fn project_batch(
     RecordBatch::new(Arc::clone(out_schema), columns)
 }
 
-/// Build a column of the given type from scalars.
-pub fn column_from_scalars(dtype: DataType, values: &[Scalar]) -> Result<Column> {
-    match dtype {
-        DataType::Int64 => {
-            let v: Result<Vec<i64>> = values.iter().map(Scalar::as_i64).collect();
-            Ok(Column::I64(v?))
-        }
-        DataType::Float64 => {
-            let v: Result<Vec<f64>> = values.iter().map(Scalar::as_f64).collect();
-            Ok(Column::F64(v?))
-        }
-        DataType::Boolean => {
-            let v: Result<Vec<bool>> = values.iter().map(Scalar::as_bool).collect();
-            Ok(Column::Bool(v?))
-        }
-    }
-}
-
 /// Convert finalized aggregation state into a batch with the aggregate
 /// node's output schema (group columns first, then aggregates).
 pub fn agg_state_to_batch(state: &GroupedAggState, schema: &SchemaRef) -> Result<RecordBatch> {
-    let rows = state.finalize_rows();
-    let ncols = schema.len();
-    let mut cols_scalars: Vec<Vec<Scalar>> = vec![Vec::with_capacity(rows.len()); ncols];
-    for (keys, vals) in &rows {
-        if keys.len() + vals.len() != ncols {
-            return exec_err("aggregate row width does not match schema");
-        }
-        for (j, k) in keys.iter().enumerate() {
-            cols_scalars[j].push(*k);
-        }
-        for (j, v) in vals.iter().enumerate() {
-            cols_scalars[keys.len() + j].push(*v);
-        }
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for (j, scalars) in cols_scalars.iter().enumerate() {
-        columns.push(column_from_scalars(schema.field(j).dtype, scalars)?);
-    }
-    RecordBatch::new(Arc::clone(schema), columns)
+    state.to_batch(schema)
 }
 
 /// A tumbling or sliding event-time window: instances start at every

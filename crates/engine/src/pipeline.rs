@@ -32,7 +32,7 @@ use std::rc::Rc;
 use crate::agg::{AggExpr, AggFunc, GroupedAggState};
 use crate::batch::RecordBatch;
 use crate::column::Column;
-use crate::error::{plan_err, Result};
+use crate::error::{exec_err, plan_err, Result};
 use crate::expr::{eval, Expr};
 use crate::join::{row_partition, JoinState};
 use crate::logical::{JoinVariant, SortKey};
@@ -268,19 +268,19 @@ impl Pipeline {
             Some(exprs) => crate::physical::project_batch(&filtered, exprs, &self.mid_schema)?,
             None => filtered,
         };
-        match (&self.spec.terminal, &mut self.agg) {
-            (
-                Terminal::PartialAggregate { group_by, aggs }
-                | Terminal::PartitionedAggregate { group_by, aggs, .. },
-                Some(state),
-            ) => {
+        match &self.spec.terminal {
+            Terminal::PartialAggregate { group_by, aggs }
+            | Terminal::PartitionedAggregate { group_by, aggs, .. } => {
+                let Some(state) = &mut self.agg else {
+                    return exec_err("aggregate terminal without aggregation state");
+                };
                 let (gcols, acols) = eval_agg_inputs(group_by, aggs, &projected)?;
                 state.update_batch(&gcols, &acols, projected.num_rows())?;
             }
-            (Terminal::Collect | Terminal::SortPartition { .. }, _) => {
+            Terminal::Collect | Terminal::SortPartition { .. } => {
                 self.collected.push(projected);
             }
-            (Terminal::HashPartition { keys, partitions }, _) => {
+            Terminal::HashPartition { keys, partitions } => {
                 let mut indices: Vec<Vec<usize>> = vec![Vec::new(); *partitions];
                 for row in 0..projected.num_rows() {
                     indices[row_partition(&projected, keys, *partitions, row)].push(row);
@@ -291,13 +291,12 @@ impl Pipeline {
                     }
                 }
             }
-            (Terminal::Probe { build, probe_keys, variant }, _) => {
+            Terminal::Probe { build, probe_keys, variant } => {
                 let joined = build.probe_variant(&projected, probe_keys, *variant)?;
                 if joined.num_rows() > 0 {
                     self.collected.push(joined);
                 }
             }
-            _ => unreachable!("agg state exists iff terminal is aggregate"),
         }
         Ok(())
     }

@@ -106,6 +106,27 @@ pub enum ScalarKey {
 }
 
 impl ScalarKey {
+    /// The 64-bit form hashing and key tables work on: an `i64` as is, an
+    /// `f64` by bit pattern, a `bool` as 0/1.
+    #[inline]
+    pub fn raw(self) -> u64 {
+        match self {
+            ScalarKey::I(v) => v as u64,
+            ScalarKey::F(bits) => bits,
+            ScalarKey::B(b) => u64::from(b),
+        }
+    }
+
+    /// Inverse of [`ScalarKey::raw`] for a key part of type `dtype`.
+    #[inline]
+    pub fn from_raw(dtype: DataType, raw: u64) -> ScalarKey {
+        match dtype {
+            DataType::Int64 => ScalarKey::I(raw as i64),
+            DataType::Float64 => ScalarKey::F(raw),
+            DataType::Boolean => ScalarKey::B(raw != 0),
+        }
+    }
+
     /// Back to a scalar value.
     pub fn to_scalar(self) -> Scalar {
         match self {

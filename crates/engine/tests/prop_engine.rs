@@ -277,12 +277,10 @@ proptest! {
             };
             let reference = lambada_engine::physical::execute(&plan, &cat).unwrap();
 
-            // Build side travels through its wire format, probe side
-            // streams through a pipeline in `chunk`-row batches.
+            // Probe side streams through a pipeline in `chunk`-row batches.
             let state =
                 JoinState::build(Arc::clone(&rs), vec![0], std::slice::from_ref(&rbatch))
                     .unwrap();
-            let state = JoinState::decode(&state.encode()).unwrap();
             let spec = PipelineSpec {
                 input_schema: Arc::clone(&ls),
                 predicate: None,

@@ -14,7 +14,7 @@
 //! * control byte `>= 0x80`: match of length `(control & 0x7f) + MIN_MATCH`
 //!   (4..=131), followed by a little-endian `u16` back-distance (1..=65535).
 
-use crate::error::{corrupt, Result};
+use crate::error::{corrupt, FormatError, Result};
 
 /// Compression tag stored per column chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,6 +53,7 @@ const MAX_DISTANCE: usize = 65_535;
 const HASH_BITS: u32 = 15;
 
 fn hash4(bytes: &[u8]) -> usize {
+    // lint: allow(unwrap) — a four-byte slice always converts to [u8; 4]
     let v = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
@@ -117,33 +118,44 @@ fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
 
 /// Decompress into a buffer of exactly `expected_len` bytes.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    // Reserve once, but not on the strength of a claim alone: a token is
+    // at least one byte and yields at most MAX_MATCH.
+    let mut out = Vec::with_capacity(expected_len.min(input.len().saturating_mul(MAX_MATCH)));
     let mut i = 0usize;
     while i < input.len() {
         let control = input[i];
         i += 1;
         if control < 0x80 {
             let n = control as usize + 1;
-            let lits = input.get(i..i + n).ok_or(crate::error::FormatError::UnexpectedEof)?;
+            let lits = input.get(i..i + n).ok_or(FormatError::UnexpectedEof)?;
+            if out.len() + n > expected_len {
+                return Err(corrupt("LZ output exceeds expected length"));
+            }
             out.extend_from_slice(lits);
             i += n;
         } else {
-            let len = (control & 0x7f) as usize + MIN_MATCH;
-            let dist_bytes = input.get(i..i + 2).ok_or(crate::error::FormatError::UnexpectedEof)?;
-            let dist = u16::from_le_bytes(dist_bytes.try_into().expect("2 bytes")) as usize;
+            let mut len = (control & 0x7f) as usize + MIN_MATCH;
+            let Some(&[lo, hi]) = input.get(i..i + 2) else {
+                return Err(FormatError::UnexpectedEof);
+            };
+            let dist = u16::from_le_bytes([lo, hi]) as usize;
             i += 2;
             if dist == 0 || dist > out.len() {
                 return Err(corrupt("LZ match distance out of range"));
             }
-            let start = out.len() - dist;
-            // Overlapping copies are valid (e.g. dist=1 repeats one byte).
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if out.len() + len > expected_len {
+                return Err(corrupt("LZ output exceeds expected length"));
             }
-        }
-        if out.len() > expected_len {
-            return Err(corrupt("LZ output exceeds expected length"));
+            let start = out.len() - dist;
+            // A match longer than its distance overlaps its own output
+            // (dist = 1 repeats one byte): it repeats its first `dist`
+            // bytes, so what is there so far, a whole number of periods,
+            // can be copied again, doubling the run each round.
+            while len > 0 {
+                let n = len.min(out.len() - start);
+                out.extend_from_within(start..start + n);
+                len -= n;
+            }
         }
     }
     if out.len() != expected_len {
@@ -249,6 +261,67 @@ mod tests {
         let c = compress(b"abcdef");
         assert!(decompress(&c, 5).is_err());
         assert!(decompress(&c, 7).is_err());
+    }
+
+    #[test]
+    fn match_reaching_past_expected_len_is_a_typed_error() {
+        // One literal, then a dist-1 match of 131 bytes: 132 in all.
+        let stream = vec![0x00, b'x', 0xff, 0x01, 0x00];
+        assert_eq!(decompress(&stream, 132).unwrap(), vec![b'x'; 132]);
+        for claimed in [1, 2, 100, 131] {
+            let err = decompress(&stream, claimed).unwrap_err();
+            assert!(matches!(err, FormatError::Corrupt(_)), "{claimed}: {err:?}");
+        }
+        assert!(matches!(decompress(&stream, 133), Err(FormatError::Corrupt(_))));
+        // A claim no stream this short could fill is not reserved for.
+        assert!(matches!(decompress(&stream, usize::MAX), Err(FormatError::Corrupt(_))));
+        // Cut inside the distance bytes.
+        assert_eq!(decompress(&stream[..4], 132), Err(FormatError::UnexpectedEof));
+    }
+
+    /// Byte-at-a-time reference for the match copy.
+    fn decompress_bytewise(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < input.len() {
+            let control = input[i] as usize;
+            if control < 0x80 {
+                out.extend_from_slice(&input[i + 1..i + 2 + control]);
+                i += 2 + control;
+            } else {
+                let dist = u16::from_le_bytes([input[i + 1], input[i + 2]]) as usize;
+                for _ in 0..(control & 0x7f) + MIN_MATCH {
+                    out.push(out[out.len() - dist]);
+                }
+                i += 3;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn random_inputs_with_short_period_runs_roundtrip() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..200 {
+            // Runs of period 1..=8 (overlapping matches) between
+            // stretches of noise, run lengths straddling MAX_MATCH.
+            let mut data = Vec::new();
+            for _ in 0..next(12) {
+                let noise = next(40);
+                data.extend((0..noise).map(|_| next(256) as u8));
+                let period = 1 + next(8);
+                let pattern: Vec<u8> = (0..period).map(|_| next(256) as u8).collect();
+                let run = next(3 * MAX_MATCH);
+                data.extend(pattern.iter().cycle().take(run));
+            }
+            let c = compress(&data);
+            assert_eq!(decompress(&c, data.len()).unwrap(), data);
+            assert_eq!(decompress_bytewise(&c), data);
+        }
     }
 
     #[test]

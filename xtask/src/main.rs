@@ -7,8 +7,9 @@
 //! over [`code_only`]-stripped text:
 //!
 //! 1. **hot-path-panic** — no `.unwrap()` / `.expect(` / `panic!(` /
-//!    `unreachable!(` in the worker/driver/exchange hot paths (`crates/core/src`, the
-//!    files in [`HOT_PATH_FILES`]). Test modules are exempt, and a
+//!    `unreachable!(` in the worker/driver/exchange hot paths and the
+//!    kernels they run on bytes off the wire (the files in
+//!    [`HOT_PATH_FILES`]). Test modules are exempt, and a
 //!    documented-infallible site is allowlisted by a
 //!    `// lint: allow(unwrap) — <reason>` comment directly above it;
 //!    the reason is required.
@@ -29,20 +30,27 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Hot-path files of `crates/core/src` where a stray panic kills a paid
-/// serverless invocation instead of surfacing a typed `CoreError`.
+/// Hot-path files, relative to `crates/`, where a stray panic kills a
+/// paid serverless invocation instead of surfacing a typed error: the
+/// worker/driver/exchange paths of `core`, and the engine and format
+/// kernels a worker runs on bytes it did not produce.
 const HOT_PATH_FILES: &[&str] = &[
-    "driver.rs",
-    "worker.rs",
-    "exchange.rs",
-    "transport.rs",
-    "scan.rs",
-    "invoke.rs",
-    "partition.rs",
-    "message.rs",
-    "routing.rs",
-    "sched.rs",
-    "streaming.rs",
+    "core/src/driver.rs",
+    "core/src/worker.rs",
+    "core/src/exchange.rs",
+    "core/src/transport.rs",
+    "core/src/scan.rs",
+    "core/src/invoke.rs",
+    "core/src/partition.rs",
+    "core/src/message.rs",
+    "core/src/routing.rs",
+    "core/src/sched.rs",
+    "core/src/streaming.rs",
+    "engine/src/agg.rs",
+    "engine/src/join.rs",
+    "engine/src/keytable.rs",
+    "engine/src/pipeline.rs",
+    "format/src/compress.rs",
 ];
 
 const ALLOW_MARKER: &str = "lint: allow(unwrap)";
@@ -82,7 +90,7 @@ fn lint() -> ExitCode {
     let mut findings = Vec::new();
 
     for file in HOT_PATH_FILES {
-        let path = root.join("crates/core/src").join(file);
+        let path = root.join("crates").join(file);
         match std::fs::read_to_string(&path) {
             Ok(src) => lint_hot_path(&path, &src, &mut findings),
             Err(e) => findings.push(Finding {
@@ -306,7 +314,7 @@ fn lint_hot_path(path: &Path, src: &str, findings: &mut Vec<Finding>) {
                     line: line_no,
                     rule: "hot-path-panic",
                     message: format!(
-                        "`{pat}` in a hot path; return a typed CoreError or annotate \
+                        "`{pat}` in a hot path; return a typed error or annotate \
                          with `// {ALLOW_MARKER} — <reason>`",
                         pat = pat.trim_start_matches('.')
                     ),
