@@ -1,8 +1,6 @@
-//! Event-driven stage scheduling vs the topological wave baseline on an
-//! *unbalanced* multi-join DAG: a wide, slow fact scan sits beside a
-//! deep chain of small dimension joins. Under waves the chain's joins
-//! serialize level by level even though their own inputs finished long
-//! ago; eager launch runs the whole dimension chain concurrently with
+//! Event-driven stage scheduling on an *unbalanced* multi-join DAG: a
+//! wide, slow fact scan sits beside a deep chain of small dimension
+//! joins. Eager launch runs the whole dimension chain concurrently with
 //! the fact scan, and overlap additionally starts cost-approved
 //! consumers while their producers still run, streaming sections in
 //! through the exchange's discovery polls. Overlapped consumers bill
@@ -10,8 +8,8 @@
 //! the extra billed poll-wait and holds it against the cost model's
 //! documented `OVERLAP_POLL_HEADROOM` bound.
 //!
-//! All three modes must produce bit-identical results — every edge
-//! still synchronizes through storage; the scheduler only moves launch
+//! Both modes must produce bit-identical results — every edge still
+//! synchronizes through storage; the scheduler only moves launch
 //! instants.
 //!
 //! Quick mode for CI: `LAMBADA_FIG_OVERLAP_ROWS=6000
@@ -51,9 +49,8 @@ fn table_cols(n: usize, salt: u64, prefix: usize) -> (Schema, Vec<Column>) {
 /// `big` (the shallow, slow branch). `big` is split over 16 files that
 /// `files_per_worker` folds onto a *single* worker, so its scan stage
 /// pays ~16 sequential file fetches while every chain stage is a
-/// single-file quickie. Under waves the chain's joins wait for `big`'s
-/// whole level-0 wave; under eager the dimension chain finishes inside
-/// `big`'s scan window.
+/// single-file quickie: the dimension chain finishes inside `big`'s
+/// scan window.
 fn run_unbalanced(rows: usize, mode: SchedMode) -> QueryReport {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
@@ -133,11 +130,10 @@ fn main() {
 
     banner(
         "Fig pipeline-overlap",
-        &format!("wave vs eager vs overlapped stage scheduling, {rows}-row fact table"),
+        &format!("eager vs overlapped stage scheduling, {rows}-row fact table"),
     );
 
-    let modes =
-        [("wave", SchedMode::Wave), ("eager", SchedMode::Eager), ("overlap", SchedMode::Overlap)];
+    let modes = [("eager", SchedMode::Eager), ("overlap", SchedMode::Overlap)];
     let mut reports = Vec::new();
     println!(
         "{:<9} {:>12} {:>14} {:>14} {:>14}",
@@ -166,33 +162,15 @@ fn main() {
     // Bit-identical results: the scheduler moves launch instants, never
     // rows — storage synchronization makes every mode read complete,
     // deduplicated co-partitions.
-    let (_, wave) = &reports[0];
-    for (label, r) in &reports[1..] {
-        assert_eq!(r.batch, wave.batch, "{label} result diverged from the wave baseline");
-    }
-
-    // The acceptance bar: event-driven scheduling buys ≥15% end-to-end
-    // span on this unbalanced shape.
-    let wave_span = reports[0].1.latency_secs;
-    for (label, r) in &reports[1..] {
-        let reduction = 1.0 - r.latency_secs / wave_span;
-        println!("--> {label}: {:.0}% span reduction vs wave", reduction * 100.0);
-        assert!(
-            reduction >= 0.15,
-            "{label} span reduction {reduction:.3} under the 15% bar (wave {wave_span:.2}s, \
-             {label} {:.2}s)",
-            r.latency_secs
-        );
-    }
+    let (eager, overlap) = (&reports[0].1, &reports[1].1);
+    assert_eq!(overlap.batch, eager.batch, "overlap result diverged from eager's");
 
     // Overlap's price: consumers launched early bill their discovery
     // polls. The cost model only approves an edge when the predicted
     // poll-wait stays under OVERLAP_POLL_HEADROOM of the consumer's own
     // work, so the *extra* measured poll-wait (beyond what eager pays
     // anyway) must stay under that fraction of total billed worker time.
-    let eager_wait = poll_wait(&reports[1].1);
-    let overlap = &reports[2].1;
-    let extra_wait = (poll_wait(overlap) - eager_wait).max(0.0);
+    let extra_wait = (poll_wait(overlap) - poll_wait(eager)).max(0.0);
     let bound = OVERLAP_POLL_HEADROOM * worker_exec(overlap);
     println!(
         "--> overlap extra billed poll-wait: {extra_wait:.2}s (bound {bound:.2}s = headroom \

@@ -17,8 +17,7 @@
 //! streaming sections in through the exchange's discovery polls — but
 //! only on edges where the cost model prices the billed poll-wait under
 //! [`crate::costmodel::OVERLAP_POLL_HEADROOM`] (overlapped consumers
-//! bill while polling). [`SchedMode::Wave`] reproduces the legacy
-//! topological wave order as a measurable baseline. The scheduler is
+//! bill while polling). The scheduler is
 //! shape-agnostic: a single-fragment Q1 is just a one-stage DAG, a
 //! five-way join tree or a diamond runs through exactly the same loop,
 //! and speculation, fleet sizing, and [`StageReport`]s apply to every
@@ -47,7 +46,7 @@ use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
 use crate::service::{ServiceConfig, WorkerGate};
 use crate::stage::{self, FinalStage, PostOp, QueryDag, SplitOptions, StageKind, StageOutput};
 use crate::table::TableSpec;
-use crate::transport::{DirectTransport, ExchangeTransport, ObjectStoreTransport, TransportKind};
+use crate::transport::{EdgeTransport, TransportKind};
 use crate::verify::{self, FleetBounds};
 use crate::worker::{
     register_worker_function, EdgeRead, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
@@ -175,9 +174,9 @@ pub struct LambadaConfig {
     /// (default) or direct worker-to-worker streaming with object-store
     /// fallback.
     pub transport: TransportKind,
-    /// Stage scheduling mode: dependency-driven eager launch (default),
-    /// cost-priced producer→consumer overlap, or the legacy topological
-    /// wave baseline. Per-query override via [`ExecPolicy::scheduler`].
+    /// Stage scheduling mode: dependency-driven eager launch (default)
+    /// or cost-priced producer→consumer overlap. Per-query override via
+    /// [`ExecPolicy::scheduler`].
     pub scheduler: SchedMode,
     /// Speculative re-invocation of straggling workers.
     pub speculation: SpeculationConfig,
@@ -418,7 +417,7 @@ impl Drop for P2pGuard {
 /// polling loop — so a silently dead producer holding the whole fleet
 /// under the speculation quorum still gets re-invoked.
 struct BarrierProbe {
-    transport: Rc<dyn ExchangeTransport>,
+    transport: Rc<EdgeTransport>,
     /// The sample channel (`{data channel}smp`).
     channel: String,
     /// Producer fleet size: sample senders are `0..senders`.
@@ -605,7 +604,6 @@ impl Lambada {
         // before any stage launches. That is what lets independent
         // stages launch together: a producer can shard its output for a
         // consumer fleet that does not exist yet.
-        let side = ExchangeSide::new();
         let planned_workers = self.planned_workers(dag, policy.fleet_cap)?;
         // The structural contracts were checked above; now that fleets
         // are sized, check the sizing invariants too — nonzero consumer
@@ -615,41 +613,21 @@ impl Lambada {
         if !fleet_diags.is_empty() {
             return Err(CoreError::InvalidPlan(fleet_diags));
         }
-        // Partition count each producer stage must shard its output into
-        // (= its consumer's planned fleet size; 0 for driver-bound
-        // stages). In a diamond, one producer may feed several consumers
-        // — they all read the same partitioned edge, so their fleets
-        // must agree in size.
+        // Per producer stage: the partition count it must shard its output
+        // into (= its consumer's planned fleet size; 0 for driver-bound
+        // stages) and, when it feeds a sort stage, the edge spec (keys,
+        // limit, fleet sizes) its fleet runs the sample protocol with.
+        // The verifier passes above already hold every consumer of a
+        // shared edge to one fleet size (`V-FLEET-004`) and a producer to
+        // at most one sort consumer (`V-EXCH-003`), so a plain overwrite
+        // is exact.
         let mut consumer_parts: Vec<usize> = vec![0; dag.stages.len()];
-        for (sid, kind) in dag.stages.iter().enumerate() {
-            for input in kind.inputs() {
-                let parts = planned_workers[sid];
-                if consumer_parts[input] != 0 && consumer_parts[input] != parts {
-                    return Err(CoreError::Unsupported(format!(
-                        "stage {input} feeds consumers of different fleet sizes \
-                         ({} vs {parts}); shared edges need equal consumer fleets",
-                        consumer_parts[input]
-                    )));
-                }
-                consumer_parts[input] = parts;
-            }
-        }
-        // Sort-exchange edges: a producer feeding a sort stage needs the
-        // edge spec (keys, limit, fleet sizes) to run the sample protocol.
-        // A producer can feed at most one sort stage — its run is range
-        // partitioned by exactly one boundary set — so, like conflicting
-        // consumer fleets above, a second consumer is an explicit error
-        // rather than a silent overwrite.
         let mut sort_edges: Vec<Option<SortEdgeSpec>> = vec![None; dag.stages.len()];
         for (sid, kind) in dag.stages.iter().enumerate() {
+            for input in kind.inputs() {
+                consumer_parts[input] = planned_workers[sid];
+            }
             if let StageKind::Sort(s) = kind {
-                if sort_edges[s.input].is_some() {
-                    return Err(CoreError::Unsupported(format!(
-                        "stage {} feeds more than one sort stage; a sort edge carries \
-                         exactly one boundary set",
-                        s.input
-                    )));
-                }
                 sort_edges[s.input] = Some(SortEdgeSpec {
                     keys: s.keys.clone(),
                     limit: s.limit,
@@ -664,20 +642,15 @@ impl Lambada {
         // transport, the driver registers all consumer endpoints with the
         // rendezvous service *now* — fleet sizes are fixed above, so the
         // address book is complete before the first producer launches
-        // even though consumer fleets start waves later. Registration
+        // even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
         // store for unregistered endpoints.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
-        let transport: Rc<dyn ExchangeTransport> = match transport_kind {
-            TransportKind::ObjectStore => {
-                Rc::new(ObjectStoreTransport::new(self.config.exchange.clone(), side.clone()))
-            }
-            TransportKind::Direct => Rc::new(DirectTransport::new(
-                self.config.exchange.clone(),
-                side.clone(),
-                self.cloud.p2p.clone(),
-            )),
-        };
+        let transport = Rc::new(EdgeTransport::new(
+            self.config.exchange.clone(),
+            ExchangeSide::new(),
+            (transport_kind == TransportKind::Direct).then(|| self.cloud.p2p.clone()),
+        ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
             for (sid, &parts) in consumer_parts.iter().enumerate() {
                 let channel = self.channel(qid, sid);
@@ -697,8 +670,7 @@ impl Lambada {
         // its fleet future when it may launch. Eager waits on input
         // *completion*; overlap downgrades cost-approved edges to the
         // producer's *launch*, letting the consumer's discovery polls
-        // stream sections in while the producer still runs; wave
-        // reproduces the legacy topological level barrier. Overlap
+        // stream sections in while the producer still runs. Overlap
         // prices edges from the same byte estimates that size fleets.
         let sched_mode = policy.scheduler.unwrap_or(self.config.scheduler);
         let sched_est = if sched_mode == SchedMode::Overlap {
@@ -966,7 +938,7 @@ impl Lambada {
         planned_workers: &[usize],
         partitions: usize,
         sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
+        transport: &Rc<EdgeTransport>,
     ) -> Result<StageTask> {
         let mut kind = dag.stages[sid].clone();
         let channel = self.channel(qid, sid);

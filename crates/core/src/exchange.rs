@@ -19,10 +19,13 @@
 //! # Stage edges and key namespacing
 //!
 //! The same machinery powers *stage edges*
-//! ([`crate::transport::ObjectStoreTransport`]): write-combined
-//! shuffles where the producer and consumer are different worker fleets
-//! (scan → join, scan/join → agg-merge). Every stage-edge key lives
-//! under a caller-supplied `channel` prefix of the form
+//! ([`crate::transport::EdgeTransport`]): write-combined shuffles where
+//! the producer and consumer are different worker fleets (scan → join,
+//! scan/join → agg-merge). Both are the same three steps — one write
+//! (`put_combined`), one wait (`await_copies`), one fetch
+//! (`fetch_copies`) — and differ only in where a sender's file goes.
+//! Every stage-edge key lives under a caller-supplied `channel` prefix
+//! of the form
 //!
 //! ```text
 //! x{instance}/q{query}/s{stage}/snd{sender}a{attempt}.{rcv}_{len}...
@@ -58,9 +61,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use lambada_format::binio::{BinReader, BinWriter};
-use lambada_sim::services::object_store::Body;
+use lambada_sim::services::object_store::{Body, S3Client};
 use lambada_sim::sync::{join_all, Semaphore};
-use lambada_sim::SimTime;
+use lambada_sim::P2pService;
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
@@ -292,24 +295,13 @@ pub fn decode_bundle(body: Body, side_sizes: Vec<(u32, u64)>) -> Result<Vec<(u32
     }
 }
 
-/// Offsets encoded into write-combined file names (§4.4.3 variant 2),
-/// extended with the sender's attempt id so speculative backup workers
-/// never overwrite or get mixed with the original's file:
-/// `snd{p}a{attempt}.{rcv}_{len}.{rcv}_{len}...`
-fn wc_name(
-    run: u64,
-    round: usize,
-    group: usize,
-    sender: usize,
-    attempt: u32,
-    sections: &[(u32, u64)],
-) -> String {
-    wc_key(&format!("x{run}/r{round}/g{group}"), sender, attempt, sections)
-}
-
-/// Same name scheme under an arbitrary prefix (stage-edge exchanges).
-pub(crate) fn wc_key(prefix: &str, sender: usize, attempt: u32, sections: &[(u32, u64)]) -> String {
-    let mut name = format!("{prefix}/snd{sender}a{attempt}");
+/// Key of a write-combined file under `prefix` (which ends in `/`). The
+/// per-receiver offsets ride in the name (§4.4.3 variant 2), extended
+/// with the sender's attempt id so speculative backup workers never
+/// overwrite or get mixed with the original's file:
+/// `{prefix}snd{p}a{attempt}.{rcv}_{len}.{rcv}_{len}...`
+fn wc_key(prefix: &str, sender: usize, attempt: u32, sections: &[(u32, u64)]) -> String {
+    let mut name = format!("{prefix}snd{sender}a{attempt}");
     for (rcv, len) in sections {
         name.push_str(&format!(".{rcv}_{len}"));
     }
@@ -337,10 +329,9 @@ fn parse_sender_attempt(token: &str, key: &str) -> Result<(usize, u32)> {
     }
 }
 
-/// A parsed write-combined key: sender id, attempt id, name sections.
-pub(crate) type ParsedWcKey = (usize, u32, BundleSizes);
-
-pub(crate) fn parse_wc_sections(key: &str) -> Result<ParsedWcKey> {
+/// Parse an exchange key into sender id, attempt id and name sections
+/// (none for the per-receiver keys of the non-write-combined arm).
+fn parse_wc_sections(key: &str) -> Result<(usize, u32, BundleSizes)> {
     let tail = key
         .rsplit('/')
         .next()
@@ -362,24 +353,303 @@ pub(crate) fn parse_wc_sections(key: &str) -> Result<ParsedWcKey> {
     Ok((snd, attempt, sections))
 }
 
-/// Collapse a listing to one file per sender with a deterministic
-/// highest-attempt-wins rule, so a speculative backup's re-written
-/// shuffle file can never be combined with the original's. Sections are
-/// per-file, so whichever attempt wins is read self-consistently.
-pub(crate) fn dedupe_listing(
-    listing: &[(String, u64)],
-) -> Result<HashMap<usize, (u32, String, BundleSizes)>> {
-    let mut found: HashMap<usize, (u32, String, BundleSizes)> = HashMap::new();
-    for (key, _) in listing {
-        let (snd, attempt, sections) = parse_wc_sections(key)?;
-        match found.get(&snd) {
-            Some((best, _, _)) if *best >= attempt => {}
-            _ => {
-                found.insert(snd, (attempt, key.clone(), sections));
-            }
+/// `receiver`'s `(offset, len)` within a write-combined file, from the
+/// sections its name carries; `None` when the file has no section for it.
+fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
+    let mut offset = 0u64;
+    for &(rcv, len) in sections {
+        if rcv as usize == receiver {
+            return Some((offset, len));
+        }
+        offset += len;
+    }
+    None
+}
+
+/// **The one write.** Assemble one sender's write-combined file — one
+/// bundle per receiver, per-receiver lengths in the file *name* — and PUT
+/// it under `prefix` in `bucket`: an object-store stage-edge send (all
+/// receivers), a direct send's fallback (the receivers whose p2p links
+/// failed) and each write-combined Algorithm-1 round. `entries` must be
+/// sorted by receiver id; a receiver with no parts gets a zero-length
+/// name section (it learns there is nothing to fetch) and no bytes.
+/// Returns the bytes written.
+pub(crate) async fn put_combined(
+    env: &WorkerEnv,
+    side: &ExchangeSide,
+    bucket: &str,
+    prefix: &str,
+    sender: usize,
+    entries: Vec<(u32, Vec<(u32, PartData)>)>,
+) -> Result<u64> {
+    let mut file_bytes: Vec<u8> = Vec::new();
+    let mut synthetic_total = 0u64;
+    let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(entries.len());
+    let mut side_entries: Vec<(u32, BundleSizes)> = Vec::new();
+    for (rcv, bundle) in entries {
+        if bundle.is_empty() {
+            name_sections.push((rcv, 0));
+            continue;
+        }
+        let (len, sizes) = encode_bundle_into(&mut file_bytes, &bundle)?;
+        name_sections.push((rcv, len));
+        if let Some(sizes) = sizes {
+            synthetic_total += len;
+            side_entries.push((rcv, sizes));
         }
     }
-    Ok(found)
+    let key = wc_key(prefix, sender, env.attempt, &name_sections);
+    let body = if side_entries.is_empty() {
+        Body::from_vec(file_bytes)
+    } else {
+        Body::Synthetic(synthetic_total + file_bytes.len() as u64)
+    };
+    let written = body.len();
+    for (rcv, sizes) in side_entries {
+        side.put(format!("{bucket}/{key}"), rcv, sizes);
+    }
+    env.s3.put(bucket, &key, body).await?;
+    Ok(written)
+}
+
+/// Request accounting of one stage-edge receive
+/// ([`crate::transport::EdgeTransport::recv`], with or without a mailbox).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EdgeReadStats {
+    pub list_requests: u64,
+    pub get_requests: u64,
+    pub bytes_read: u64,
+    /// Messages fetched over the p2p relay instead of the object store
+    /// (always 0 on the object-store transport).
+    pub p2p_requests: u64,
+    /// Payload bytes received over the p2p relay.
+    pub p2p_bytes: u64,
+    /// Virtual seconds this receiver spent blocked in discovery polls
+    /// before every producer section was visible. Billed worker time:
+    /// under overlapped scheduling the consumer fleet is running (and
+    /// paying) while it polls, so the driver meters this per stage and
+    /// holds it against [`crate::costmodel::OVERLAP_POLL_HEADROOM`].
+    pub wait_secs: f64,
+}
+
+/// Where a receiver looks for some of its senders: the files under
+/// `prefix` (which ends in `/`) in `bucket`.
+pub(crate) struct Place {
+    pub bucket: String,
+    pub prefix: String,
+    /// The senders expected here.
+    pub senders: Vec<usize>,
+}
+
+impl Place {
+    /// Group `senders` by the `(bucket, prefix)` each one writes under,
+    /// in order of first appearance — the order every poll visits them.
+    pub(crate) fn group(
+        senders: impl IntoIterator<Item = usize>,
+        place_of: impl Fn(usize) -> (String, String),
+    ) -> Vec<Place> {
+        let mut places: Vec<Place> = Vec::new();
+        for s in senders {
+            let (bucket, prefix) = place_of(s);
+            match places.iter_mut().find(|p| p.bucket == bucket && p.prefix == prefix) {
+                Some(place) => place.senders.push(s),
+                None => places.push(Place { bucket, prefix, senders: vec![s] }),
+            }
+        }
+        places
+    }
+}
+
+/// A receiver's p2p endpoint: the free path copies may arrive on.
+pub(crate) struct Mailbox {
+    pub p2p: P2pService,
+    pub endpoint: Rc<str>,
+}
+
+/// Side-channel key carrying the modeled-bundle composition of one p2p
+/// message (the analogue of a store copy's `bucket/key`).
+pub(crate) fn p2p_side_key(endpoint: &str, sender: usize, attempt: u32) -> String {
+    format!("p2p/{endpoint}/snd{sender}a{attempt}")
+}
+
+/// Where a discovered copy sits.
+pub(crate) enum CopyAt {
+    /// In the receiver's mailbox at this endpoint.
+    Mailbox(Rc<str>),
+    /// In the object store, at the receiver's `offset` within a
+    /// write-combined file (`None`: the whole object is the receiver's).
+    Store { bucket: String, key: String, offset: Option<u64> },
+}
+
+/// One sender's discovered copy of what it holds for this receiver.
+pub(crate) struct Copy {
+    pub sender: usize,
+    pub attempt: u32,
+    /// Bytes to fetch; zero announces an empty part.
+    pub len: u64,
+    pub at: CopyAt,
+}
+
+/// The one dedup rule: keep the highest attempt per sender, so a
+/// speculative backup's copy is never combined with its original's. The
+/// first copy seen wins a tie, and every pass reads the mailbox first —
+/// the direct copy is the same bytes without a GET.
+fn offer(best: &mut BTreeMap<usize, Copy>, copy: Copy) {
+    let attempt = copy.attempt;
+    match best.get(&copy.sender) {
+        Some(cur) if cur.attempt >= attempt => {}
+        _ => {
+            best.insert(copy.sender, copy);
+        }
+    }
+}
+
+fn complete(place: &Place, best: &BTreeMap<usize, Copy>) -> bool {
+    place.senders.iter().all(|s| best.contains_key(s))
+}
+
+/// One discovery pass: the free mailbox arrivals, then — with `list` —
+/// one LIST of every place that still misses a sender, in place order.
+/// `section_for` names the receiver whose section of each write-combined
+/// file is the copy (a file without one is no copy of anything for it);
+/// `None` takes whole objects. Returns the LISTs spent.
+pub(crate) async fn discover(
+    s3: &S3Client,
+    mailbox: Option<&Mailbox>,
+    places: &[Place],
+    section_for: Option<usize>,
+    list: bool,
+    best: &mut BTreeMap<usize, Copy>,
+) -> Result<u64> {
+    if let Some(m) = mailbox {
+        for (sender, attempt, len) in m.p2p.arrivals(&m.endpoint).unwrap_or_default() {
+            let at = CopyAt::Mailbox(Rc::clone(&m.endpoint));
+            offer(best, Copy { sender: sender as usize, attempt, len, at });
+        }
+    }
+    let mut lists = 0;
+    for place in places {
+        if !list || complete(place, best) {
+            continue;
+        }
+        lists += 1;
+        for (key, size) in s3.list(&place.bucket, &place.prefix).await? {
+            let (sender, attempt, sections) = parse_wc_sections(&key)?;
+            let (offset, len) = match section_for {
+                None => (None, size),
+                Some(receiver) => match section_of(&sections, receiver) {
+                    Some((offset, len)) => (Some(offset), len),
+                    None => continue,
+                },
+            };
+            let at = CopyAt::Store { bucket: place.bucket.clone(), key, offset };
+            offer(best, Copy { sender, attempt, len, at });
+        }
+    }
+    Ok(lists)
+}
+
+/// Rounds a receiver with a registered mailbox polls it alone before it
+/// starts paying for fallback LISTs as well. Healthy direct edges never
+/// touch the store; LISTs are billed only once a copy is plausibly late.
+const FALLBACK_GRACE_POLLS: usize = 3;
+
+/// **The one wait.** Poll until every sender of every place has a copy:
+/// one [`discover`] pass per round — the mailbox alone while it is
+/// registered and in its grace rounds — then back off, or time out with
+/// the number of senders still missing. Receivers may start before their
+/// senders finish; everything synchronizes through discovery. Returns
+/// one copy per expected sender in sender order, and the LISTs spent.
+pub(crate) async fn await_copies(
+    env: &WorkerEnv,
+    cfg: &ExchangeConfig,
+    mailbox: Option<&Mailbox>,
+    places: &[Place],
+    section_for: Option<usize>,
+) -> Result<(Vec<Copy>, u64)> {
+    let wait_start = env.cloud.handle.now();
+    // An unregistered mailbox (rendezvous capacity exhausted) means every
+    // sender fell back for this receiver: no grace.
+    let registered = mailbox.is_some_and(|m| m.p2p.is_registered(&m.endpoint));
+    let mut best = BTreeMap::new();
+    let (mut lists, mut polls) = (0u64, 0usize);
+    loop {
+        let list = !registered || polls >= FALLBACK_GRACE_POLLS;
+        lists += discover(&env.s3, mailbox, places, section_for, list, &mut best).await?;
+        if places.iter().all(|p| complete(p, &best)) {
+            let mut copies: Vec<Copy> =
+                places.iter().flat_map(|p| &p.senders).filter_map(|s| best.remove(s)).collect();
+            copies.sort_by_key(|c| c.sender);
+            return Ok((copies, lists));
+        }
+        polls += 1;
+        if polls >= cfg.max_polls {
+            return Err(CoreError::Timeout {
+                waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
+                missing_workers: places
+                    .iter()
+                    .flat_map(|p| &p.senders)
+                    .filter(|s| !best.contains_key(s))
+                    .count(),
+            });
+        }
+        env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
+    }
+}
+
+/// **The one fetch.** One task per non-empty copy, in `copies` order, 16
+/// connections at a time: a p2p fetch from the mailbox or a ranged/whole
+/// GET, then [`decode_bundle`]. Returns, per fetched copy, whether it
+/// came over p2p and its parts.
+pub(crate) async fn fetch_copies(
+    env: &WorkerEnv,
+    side: &ExchangeSide,
+    receiver: usize,
+    copies: Vec<Copy>,
+) -> Result<Vec<(bool, Vec<(u32, PartData)>)>> {
+    let conn = Semaphore::new(16);
+    let receiver = receiver as u32;
+    let mut fetches = Vec::new();
+    for copy in copies {
+        if copy.len == 0 {
+            continue; // empty part: announced, never fetched, omitted
+        }
+        let env2 = env.clone();
+        let conn2 = conn.clone();
+        let side2 = side.clone();
+        fetches.push(env.cloud.handle.spawn(async move {
+            let _permit = conn2.acquire(1).await;
+            match copy.at {
+                CopyAt::Mailbox(endpoint) => {
+                    let body = env2
+                        .p2p()
+                        .fetch(&endpoint, copy.sender as u32, copy.attempt)
+                        .await
+                        .map_err(|e| CoreError::Storage(e.to_string()))?;
+                    let sizes =
+                        side2.get(&p2p_side_key(&endpoint, copy.sender, copy.attempt), receiver);
+                    Ok((true, decode_bundle(body, sizes)?))
+                }
+                CopyAt::Store { bucket, key, offset } => {
+                    let body = match offset {
+                        Some(off) => env2.s3.get_range(&bucket, &key, off, copy.len).await?,
+                        None => env2.s3.get(&bucket, &key).await?,
+                    };
+                    let sizes = side2.get(&format!("{bucket}/{key}"), receiver);
+                    Ok((false, decode_bundle(body, sizes)?))
+                }
+            }
+        }));
+    }
+    join_all(fetches).await.into_iter().collect()
+}
+
+/// Exponential poll backoff (capped at 8x) keeps the LIST count per
+/// worker at "a few" even when stragglers stretch the wait (Table 2's
+/// O(P) #lists).
+fn backoff(base: Duration, polls: usize) -> Duration {
+    let factor = 1u32 << polls.min(3);
+    base * factor
 }
 
 /// Run one worker's side of the exchange. `parts[d]` is the data this
@@ -420,36 +690,19 @@ pub async fn run_exchange(
         for b in bundles.values_mut() {
             b.sort_by_key(|(d, _)| *d);
         }
+        // Write-combined files live under their sender's group prefix,
+        // one object per receiver under the receiver's own.
+        let group_place = |s: usize| {
+            let gid = (round.group_of)(s);
+            (cfg.bucket_of(gid), format!("x{}/r{round_idx}/g{gid}/", cfg.run_id))
+        };
 
         // ---- Write phase -------------------------------------------------
         let write_start = env.cloud.handle.now();
         if cfg.write_combining {
-            let gid = (round.group_of)(p);
-            let mut file_bytes: Vec<u8> = Vec::new();
-            let mut synthetic_total = 0u64;
-            let mut any_synthetic = false;
-            let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(bundles.len());
-            let mut side_entries: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-            for (&rcv, bundle) in &bundles {
-                let (len, sizes) = encode_bundle_into(&mut file_bytes, bundle)?;
-                name_sections.push((rcv as u32, len));
-                if let Some(sizes) = sizes {
-                    any_synthetic = true;
-                    synthetic_total += len;
-                    side_entries.push((rcv as u32, sizes));
-                }
-            }
-            let key = wc_name(cfg.run_id, round_idx, gid, p, env.attempt, &name_sections);
-            let bucket = cfg.bucket_of(gid);
-            let body = if any_synthetic {
-                Body::Synthetic(synthetic_total + file_bytes.len() as u64)
-            } else {
-                Body::from_vec(file_bytes)
-            };
-            for (rcv, sizes) in side_entries {
-                side.put(format!("{bucket}/{key}"), rcv, sizes);
-            }
-            env.s3.put(&bucket, &key, body).await?;
+            let (bucket, prefix) = group_place(p);
+            let entries = bundles.into_iter().map(|(rcv, b)| (rcv as u32, b)).collect();
+            put_combined(env, side, &bucket, &prefix, p, entries).await?;
         } else {
             let mut puts = Vec::new();
             for (&target, bundle) in &bundles {
@@ -475,12 +728,21 @@ pub async fn run_exchange(
         env.cloud.trace.record(p as u64, "exchange_write", write_start, write_end);
 
         // ---- Wait phase (LIST polling) ------------------------------------
-        let my_files = wait_for_senders(env, cfg, p, round_idx, round).await?;
+        let (places, section_for) = if cfg.write_combining {
+            (Place::group(round.senders.iter().copied(), group_place), Some(p))
+        } else {
+            let bucket = cfg.bucket_of(p);
+            let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
+            (vec![Place { bucket, prefix, senders: round.senders.clone() }], None)
+        };
+        let (copies, _) = await_copies(env, cfg, None, &places, section_for).await?;
         let wait_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 
         // ---- Read phase ----------------------------------------------------
-        held.extend(fetch_sections(env, side, p, my_files).await?);
+        for (_, parts) in fetch_copies(env, side, p, copies).await? {
+            held.extend(parts);
+        }
         let read_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_read", wait_end, read_end);
 
@@ -492,217 +754,4 @@ pub async fn run_exchange(
     }
 
     Ok(ExchangeOutcome { received: held, rounds: timings })
-}
-
-/// One write-combined PUT of `(receiver, payload)` entries onto a stage
-/// edge: the whole of an object-store send, and the direct transport's
-/// fallback file (which carries sections only for the receivers whose
-/// p2p links failed). A single PUT per sender carries every receiver's
-/// section, with per-receiver offsets in the file *name* (§4.4.3),
-/// sharded over the exchange buckets by sender id (§4.4.1). Entries must
-/// be sorted by receiver id; empty payloads get a zero-length name
-/// section (so receivers learn they have nothing to fetch) and no bytes.
-pub(crate) async fn stage_edge_put(
-    env: &WorkerEnv,
-    cfg: &ExchangeConfig,
-    channel: &str,
-    sender: usize,
-    entries: Vec<(u32, PartData)>,
-    side: &ExchangeSide,
-) -> Result<u64> {
-    let start = env.cloud.handle.now();
-    let mut file_bytes: Vec<u8> = Vec::new();
-    let mut synthetic_total = 0u64;
-    let mut any_synthetic = false;
-    let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(entries.len());
-    let mut side_entries: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-    for (rcv, data) in entries {
-        if data.is_empty() {
-            name_sections.push((rcv, 0));
-            continue;
-        }
-        let (len, sizes) = encode_bundle_into(&mut file_bytes, &[(rcv, data)])?;
-        name_sections.push((rcv, len));
-        if let Some(sizes) = sizes {
-            any_synthetic = true;
-            synthetic_total += len;
-            side_entries.push((rcv, sizes));
-        }
-    }
-    let key = wc_key(channel, sender, env.attempt, &name_sections);
-    let bucket = cfg.bucket_of(sender);
-    let body = if any_synthetic {
-        Body::Synthetic(synthetic_total + file_bytes.len() as u64)
-    } else {
-        Body::from_vec(file_bytes)
-    };
-    let written = body.len();
-    for (rcv, sizes) in side_entries {
-        side.put(format!("{bucket}/{key}"), rcv, sizes);
-    }
-    env.s3.put(&bucket, &key, body).await?;
-    env.cloud.trace.record(env.worker_id, "exchange_write", start, env.cloud.handle.now());
-    Ok(written)
-}
-
-/// Request accounting of one stage-edge receive
-/// ([`crate::transport::ExchangeTransport::recv`], either wire).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EdgeReadStats {
-    pub list_requests: u64,
-    pub get_requests: u64,
-    pub bytes_read: u64,
-    /// Messages fetched over the p2p relay instead of the object store
-    /// (always 0 on the object-store transport).
-    pub p2p_requests: u64,
-    /// Payload bytes received over the p2p relay.
-    pub p2p_bytes: u64,
-    /// Virtual seconds this receiver spent blocked in discovery polls
-    /// before every producer section was visible. Billed worker time:
-    /// under overlapped scheduling the consumer fleet is running (and
-    /// paying) while it polls, so the driver meters this per stage and
-    /// holds it against [`crate::costmodel::OVERLAP_POLL_HEADROOM`].
-    pub wait_secs: f64,
-}
-
-/// A file a receiver must read: bucket, key, and this receiver's
-/// `(offset, len)` section of a write-combined file (`None`: the whole
-/// object is this receiver's).
-pub(crate) type FileRef = (String, String, Option<(u64, u64)>);
-
-/// `receiver`'s `(offset, len)` within a write-combined file, from the
-/// sections its name carries; `None` when the file has no section for it.
-pub(crate) fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
-    let mut offset = 0u64;
-    for &(rcv, len) in sections {
-        if rcv as usize == receiver {
-            return Some((offset, len));
-        }
-        offset += len;
-    }
-    None
-}
-
-/// The discovery loop, shared by the Algorithm-1 shuffle and the
-/// object-store stage edge: LIST-poll `bucket` under `prefix` (with
-/// backoff) until every `expected` sender's file is visible, then return
-/// one reference per sender in `expected` order, plus the LISTs spent.
-/// `section_for` names the receiver whose section of each write-combined
-/// file to reference; `None` references whole files (per-receiver keys
-/// carry no name sections). Listings are deduped per sender (highest
-/// attempt wins): "enough files" is not "all senders", and a speculative
-/// backup's duplicate must neither mask a sender still missing nor
-/// appear as a phantom extra one.
-pub(crate) async fn discover_files(
-    env: &WorkerEnv,
-    cfg: &ExchangeConfig,
-    bucket: &str,
-    prefix: &str,
-    expected: &[usize],
-    section_for: Option<usize>,
-    wait_start: SimTime,
-) -> Result<(Vec<FileRef>, u64)> {
-    let mut polls = 0;
-    loop {
-        let listing = env.s3.list(bucket, prefix).await?;
-        let found = dedupe_listing(&listing)?;
-        if expected.iter().all(|s| found.contains_key(s)) {
-            let mut files = Vec::with_capacity(expected.len());
-            for s in expected {
-                let (_, key, sections) = &found[s];
-                let section = match section_for {
-                    Some(receiver) => Some(section_of(sections, receiver).ok_or_else(|| {
-                        CoreError::Storage(format!("no section for receiver {receiver} in {key}"))
-                    })?),
-                    None => None,
-                };
-                files.push((bucket.to_string(), key.clone(), section));
-            }
-            return Ok((files, polls as u64 + 1));
-        }
-        polls += 1;
-        if polls >= cfg.max_polls {
-            return Err(CoreError::Timeout {
-                waited_secs: (env.cloud.handle.now() - wait_start).as_secs_f64(),
-                missing_workers: expected.iter().filter(|s| !found.contains_key(s)).count(),
-            });
-        }
-        env.cloud.handle.sleep(backoff(cfg.poll_interval, polls)).await;
-    }
-}
-
-/// GET every non-empty file reference (16 connections at a time) and
-/// decode the bundles, in `files` order.
-pub(crate) async fn fetch_sections(
-    env: &WorkerEnv,
-    side: &ExchangeSide,
-    receiver: usize,
-    files: Vec<FileRef>,
-) -> Result<Vec<(u32, PartData)>> {
-    let conn = Semaphore::new(16);
-    let mut gets = Vec::new();
-    for (bucket, key, section) in files {
-        if matches!(section, Some((_, 0))) {
-            continue; // empty write-combined section, nothing to fetch
-        }
-        let env2 = env.clone();
-        let conn2 = conn.clone();
-        let side2 = side.clone();
-        gets.push(env.cloud.handle.spawn(async move {
-            let _permit = conn2.acquire(1).await;
-            let body = match section {
-                Some((off, len)) => env2.s3.get_range(&bucket, &key, off, len).await?,
-                None => env2.s3.get(&bucket, &key).await?,
-            };
-            let sizes = side2.get(&format!("{bucket}/{key}"), receiver as u32);
-            decode_bundle(body, sizes)
-        }));
-    }
-    let mut out = Vec::new();
-    for r in join_all(gets).await {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// Exponential poll backoff (capped at 8x) keeps the LIST count per
-/// worker at "a few" even when stragglers stretch the wait (Table 2's
-/// O(P) #lists).
-pub(crate) fn backoff(base: std::time::Duration, polls: usize) -> std::time::Duration {
-    let factor = 1u32 << polls.min(3);
-    base * factor
-}
-
-/// Poll LISTs until every expected sender's file for this round is
-/// visible; returns the file references this worker must read.
-async fn wait_for_senders(
-    env: &WorkerEnv,
-    cfg: &ExchangeConfig,
-    p: usize,
-    round_idx: usize,
-    round: &RoundPlan,
-) -> Result<Vec<FileRef>> {
-    let wait_start = env.cloud.handle.now();
-    // Write-combined files live under their sender's group prefix, one
-    // file per receiver under the receiver's own. Group the senders by
-    // (bucket, prefix) — in key order, so the poll sequence repeats run
-    // to run — and poll each group until all expected names appear.
-    let mut groups: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    for &s in &round.senders {
-        let place = if cfg.write_combining {
-            let gid = (round.group_of)(s);
-            (cfg.bucket_of(gid), format!("x{}/r{round_idx}/g{gid}/", cfg.run_id))
-        } else {
-            (cfg.bucket_of(p), format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id))
-        };
-        groups.entry(place).or_default().push(s);
-    }
-    let section_for = cfg.write_combining.then_some(p);
-    let mut out = Vec::with_capacity(round.senders.len());
-    for ((bucket, prefix), expected) in groups {
-        let (files, _) =
-            discover_files(env, cfg, &bucket, &prefix, &expected, section_for, wait_start).await?;
-        out.extend(files);
-    }
-    Ok(out)
 }

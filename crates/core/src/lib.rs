@@ -19,11 +19,10 @@
 //!   Fig 13), plus its closed-form cost models in [`exchange_cost`]. The
 //!   same machinery powers *stage edges*: write-combined, bucket-sharded
 //!   shuffles between the producer and consumer fleets of a multi-stage
-//!   query. [`transport`] abstracts that edge behind
-//!   [`transport::ExchangeTransport`], with the object-store path
-//!   ([`transport::ObjectStoreTransport`]) as the paper baseline and
-//!   [`transport::DirectTransport`] streaming worker-to-worker through a
-//!   rendezvous/relay (object store as fallback);
+//!   query. [`transport`] holds that edge, [`transport::EdgeTransport`]:
+//!   one write → wait → fetch protocol, the paper's object-store
+//!   baseline when it has no p2p mailboxes, worker-to-worker streaming
+//!   through a rendezvous/relay (object store as fallback) when it does;
 //! * [`worker`] / [`driver`] / [`stage`] — the worker handler (one
 //!   [`worker::StageTask`] shape for every stage: operator → sink), the
 //!   driver/session logic, and the distributed planner.
@@ -91,9 +90,7 @@ pub use streaming::{
     events_to_batch, streamify, ContinuousQuery, StreamBatchReport, StreamSpec, WINDOW_COLUMN,
 };
 pub use table::{TableFile, TableSpec};
-pub use transport::{
-    DirectTransport, EdgeWriteStats, ExchangeTransport, ObjectStoreTransport, TransportKind,
-};
+pub use transport::{EdgeTransport, EdgeWriteStats, TransportKind};
 pub use verify::{
     verify_dag, verify_fleets, verify_schedule, verify_stream, Diagnostic, FleetBounds,
     MAX_MODEL_FLEET,

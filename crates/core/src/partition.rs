@@ -13,20 +13,12 @@ use lambada_format::{read_all, write_file, Compression, Encoding, WriterOptions}
 
 use crate::error::{CoreError, Result};
 
-/// Partition id of row `row` given key columns. Delegates to the
-/// engine's shared partition hash so the exchange operator and the
-/// distributed join's [`Terminal::HashPartition`] pipelines agree on
-/// where every key lives.
+/// Partition id of one row: the engine's shared partition hash, so the
+/// exchange operator and the distributed join's
+/// [`Terminal::HashPartition`] pipelines agree on where every key lives.
 ///
 /// [`Terminal::HashPartition`]: lambada_engine::pipeline::Terminal
-pub fn row_partition(
-    batch: &RecordBatch,
-    key_cols: &[usize],
-    partitions: usize,
-    row: usize,
-) -> usize {
-    lambada_engine::join::row_partition(batch, key_cols, partitions, row)
-}
+pub use lambada_engine::join::row_partition;
 
 /// Split a batch into `partitions` batches by key hash. Every input row
 /// appears in exactly one output batch.
@@ -36,10 +28,7 @@ pub fn partition_batch(
     partitions: usize,
 ) -> Result<Vec<RecordBatch>> {
     assert!(partitions > 0);
-    let mut indices: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-    for row in 0..batch.num_rows() {
-        indices[row_partition(batch, key_cols, partitions, row)].push(row);
-    }
+    let indices = lambada_engine::join::partition_rows(batch, key_cols, partitions);
     Ok(indices.into_iter().map(|idx| batch.gather(&idx)).collect())
 }
 

@@ -1,22 +1,17 @@
 //! Event-driven stage scheduling: *when* each stage of a [`QueryDag`]
-//! may launch, decided per input edge instead of per topological wave.
+//! may launch, decided per input edge.
 //!
-//! The driver used to run strict waves — group stages into topological
-//! levels and `join_all` each level before launching the next — so a
-//! stage whose inputs finished early idled behind its slowest
-//! level-mate. [`plan_schedule`] instead precomputes, per stage, the
-//! [`WaitEvent`]s that must fire before that stage's fleet may acquire
-//! workers, and the driver runs one future per stage over a shared
-//! [`StageBoard`]. Three modes:
+//! [`plan_schedule`] precomputes, per stage, the [`WaitEvent`]s that
+//! must fire before that stage's fleet may acquire workers, and the
+//! driver runs one future per stage over a shared [`StageBoard`] — no
+//! topological level barrier, so a stage whose inputs finished early
+//! never idles behind a slower sibling. Every wait points at one of the
+//! stage's own inputs, hence at a lower-indexed stage. Two modes:
 //!
-//! * [`SchedMode::Wave`] — the old semantics, kept as the measurable
-//!   baseline: a stage waits for *every* stage of *every* earlier
-//!   topological level, its own inputs or not.
 //! * [`SchedMode::Eager`] — pure dependency scheduling: a stage waits
-//!   for exactly its own inputs to complete. Strictly dominates waves
-//!   on unbalanced DAGs (a deep join chain beside a shallow scan) and
-//!   costs nothing extra: consumers still launch only once their
-//!   inputs' edge data is fully written.
+//!   for exactly its own inputs to complete. Consumers launch only once
+//!   their inputs' edge data is fully written, so nothing is billed for
+//!   waiting.
 //! * [`SchedMode::Overlap`] — pipelined edges: a consumer may launch
 //!   while its producer is still running, riding the exchange layer's
 //!   existing poll-until-visible machinery (receivers LIST/probe until
@@ -51,9 +46,6 @@ use crate::stage::{QueryDag, StageOutput};
 /// When a stage's fleet may launch relative to its inputs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Strict topological waves (the pre-event-driven baseline): a
-    /// stage waits for every stage of every earlier level to complete.
-    Wave,
     /// Launch when this stage's own inputs have completed.
     #[default]
     Eager,
@@ -116,7 +108,7 @@ fn work_bytes(dag: &QueryDag, est_bytes: &[u64], sid: usize) -> u64 {
 /// Build the launch plan for `dag` under `mode`. `est_bytes` and
 /// `workers` are the driver's per-stage edge-volume estimates and
 /// planned fleet sizes; only [`SchedMode::Overlap`] prices edges with
-/// them (the other modes accept empty estimates).
+/// them (eager accepts empty estimates).
 pub fn plan_schedule(
     dag: &QueryDag,
     costs: &ComputeCostModel,
@@ -125,29 +117,6 @@ pub fn plan_schedule(
     workers: &[usize],
 ) -> SchedulePlan {
     let waits = match mode {
-        SchedMode::Wave => {
-            // Reconstruct wave semantics as events: a level-L stage
-            // waits on *every* stage of *every* earlier level — that is
-            // exactly the old join_all-per-wave barrier. Note a lower
-            // level does not imply a lower stage index (the planner may
-            // emit a level-0 scan after the joins it feeds), so these
-            // waits can point at higher-indexed stages; the level
-            // relation keeps the wait graph acyclic, which is what the
-            // verifier actually checks.
-            let mut levels: Vec<usize> = Vec::with_capacity(dag.stages.len());
-            for kind in &dag.stages {
-                let level = kind.inputs().iter().map(|&i| levels[i] + 1).max().unwrap_or(0);
-                levels.push(level);
-            }
-            (0..dag.stages.len())
-                .map(|sid| {
-                    (0..dag.stages.len())
-                        .filter(|&p| levels[p] < levels[sid])
-                        .map(WaitEvent::Completed)
-                        .collect()
-                })
-                .collect()
-        }
         SchedMode::Eager => dag
             .stages
             .iter()
@@ -277,31 +246,12 @@ mod tests {
         assert_eq!(plan.waits[1], Vec::new());
         assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(1)]);
         assert_eq!(plan.overlapped_edges(), 0);
-    }
-
-    #[test]
-    fn wave_waits_cover_every_earlier_level() {
-        // Diamond: 0 -> {1, 2} -> 3. Under waves, stage 3 waits on
-        // every stage of both earlier levels.
-        let dag = diamond_dag();
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Wave, &[], &[]);
-        assert_eq!(
-            plan.waits[3],
-            vec![WaitEvent::Completed(0), WaitEvent::Completed(1), WaitEvent::Completed(2)]
-        );
-        // The unbalanced shape is where waves genuinely differ: the
-        // level-1 join's only input is scan 0, but the wave makes it
-        // wait for its level-mate scan 1 too, and the final join drains
-        // both earlier waves whole.
-        let dag = unbalanced_join_dag();
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Wave, &[], &[]);
-        assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(1)]);
-        assert_eq!(
-            plan.waits[3],
-            vec![WaitEvent::Completed(0), WaitEvent::Completed(1), WaitEvent::Completed(2)]
-        );
-        // Eager, by contrast, waits on exactly the inputs.
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Eager, &[], &[]);
+        // Not a level barrier: in the diamond and the unbalanced shape a
+        // stage still waits on its own inputs only, whatever else sits
+        // in earlier topological levels.
+        let plan = plan_schedule(&diamond_dag(), &costs(), SchedMode::Eager, &[], &[]);
+        assert_eq!(plan.waits[3], vec![WaitEvent::Completed(1), WaitEvent::Completed(2)]);
+        let plan = plan_schedule(&unbalanced_join_dag(), &costs(), SchedMode::Eager, &[], &[]);
         assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(0)]);
         assert_eq!(plan.waits[3], vec![WaitEvent::Completed(2), WaitEvent::Completed(1)]);
     }
@@ -336,7 +286,7 @@ mod tests {
     #[test]
     fn sources_wait_on_nothing_in_every_mode() {
         let dag = single_scan_dag();
-        for mode in [SchedMode::Wave, SchedMode::Eager, SchedMode::Overlap] {
+        for mode in [SchedMode::Eager, SchedMode::Overlap] {
             let plan = plan_schedule(&dag, &costs(), mode, &[], &[]);
             assert_eq!(plan.waits, vec![Vec::new()]);
         }

@@ -112,9 +112,9 @@ pub mod codes {
     /// name (exchange channels and sample channels must be disjoint).
     pub const XPORT_ENDPOINT: &str = "V-XPORT-002";
     /// A schedule plan is malformed: it sizes a different number of
-    /// stages than the DAG, a wait references the waiter itself or a
-    /// stage outside the DAG, or the wait graph has a cycle (a set of
-    /// stages none of which can ever launch).
+    /// stages than the DAG, or a wait does not point at a lower-indexed
+    /// stage (the waiter itself, a later stage, a stage outside the
+    /// DAG) — the index order is what rules out wait cycles.
     pub const SCHED_SHAPE: &str = "V-SCHED-001";
     /// An overlapped (`Launched`) wait targets a producer whose output
     /// crosses a sort-sample barrier; the producer fleet synchronizes
@@ -1008,13 +1008,14 @@ pub fn verify_fleets(dag: &QueryDag, fleets: &[usize], bounds: &FleetBounds) -> 
 }
 
 /// Verify a launch plan for an already-structurally-valid DAG: one wait
-/// list per stage, no self-waits or out-of-range waits, an *acyclic*
-/// wait graph (index order is deliberately not required — wave plans
-/// legitimately wait on higher-indexed stages of earlier levels), no
-/// overlapped launch across a sort-sample barrier, and every input edge
-/// covered by a wait — directly or transitively (a wait on `p` covers
-/// everything `p` itself waited on, since `p` could not have launched
-/// earlier). Call only after [`verify_dag`] came back empty.
+/// list per stage; every wait on a *lower-indexed* stage of the DAG
+/// (stages are topologically numbered and a plan waits on inputs only,
+/// so index order is the deadlock-freedom argument: the wait graph
+/// cannot hold a cycle); no overlapped launch across a sort-sample
+/// barrier; and every input edge covered by a wait — directly or
+/// transitively (a wait on `p` covers everything `p` itself waited on,
+/// since `p` could not have launched earlier). Call only after
+/// [`verify_dag`] came back empty.
 pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
     let n = dag.stages.len();
     let mut out = Vec::new();
@@ -1025,14 +1026,19 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
             format!("schedule plans {} stages but the DAG has {}", plan.waits.len(), n),
         )];
     }
+    // launch_known[sid]: stages guaranteed to have launched before sid
+    // does, closed under the waits' own coverage. Waits point backward,
+    // so index order has every awaited stage resolved already.
+    let mut launch_known: Vec<HashSet<usize>> = Vec::with_capacity(n);
     for (sid, waits) in plan.waits.iter().enumerate() {
+        let mut known: HashSet<usize> = HashSet::new();
         for w in waits {
             let p = w.stage();
-            if p >= n || p == sid {
+            if p >= sid {
                 out.push(Diagnostic::new(
                     codes::SCHED_SHAPE,
                     sid,
-                    format!("wait on stage {p} is out of range or a self-wait"),
+                    format!("wait on stage {p}; a stage may wait on lower-indexed stages only"),
                 ));
                 continue;
             }
@@ -1047,57 +1053,6 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
                          sort edges require completion waits"
                     ),
                 ));
-            }
-        }
-    }
-    // Deadlock freedom is acyclicity of the wait graph: both event
-    // kinds require the awaited stage to have at least launched first,
-    // so a cycle means a set of fleets none of which can ever launch.
-    // Kahn's algorithm doubles as the topological order the coverage
-    // closure below needs (plain index order no longer works once waves
-    // may point forward).
-    let mut indegree = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (sid, waits) in plan.waits.iter().enumerate() {
-        for w in waits {
-            let p = w.stage();
-            if p < n && p != sid {
-                indegree[sid] += 1;
-                dependents[p].push(sid);
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&s| indegree[s] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    while let Some(s) = ready.pop() {
-        order.push(s);
-        for &d in &dependents[s] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                ready.push(d);
-            }
-        }
-    }
-    if order.len() != n {
-        for sid in (0..n).filter(|&s| indegree[s] > 0) {
-            out.push(Diagnostic::new(
-                codes::SCHED_SHAPE,
-                sid,
-                "stage's waits form or depend on a cycle; its fleet can never launch".to_string(),
-            ));
-        }
-        return out;
-    }
-    // launch_known[sid]: stages guaranteed to have launched before sid
-    // does, closed under the waits' own coverage. Computed in wait-graph
-    // topological order so forward waits are already resolved.
-    let mut launch_known: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-    for &sid in &order {
-        let mut known: HashSet<usize> = HashSet::new();
-        for w in &plan.waits[sid] {
-            let p = w.stage();
-            if p >= n || p == sid {
-                continue;
             }
             known.insert(p);
             known.extend(launch_known[p].iter().copied());
@@ -1114,7 +1069,7 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
                 ));
             }
         }
-        launch_known[sid] = known;
+        launch_known.push(known);
     }
     out
 }
@@ -1341,7 +1296,7 @@ mod tests {
         for dag in [two_scan_join_dag(), scan_sort_dag(), unbalanced_join_dag()] {
             let diags = verify_dag(&dag);
             assert!(diags.is_empty(), "{diags:?}");
-            for mode in [SchedMode::Wave, SchedMode::Eager, SchedMode::Overlap] {
+            for mode in [SchedMode::Eager, SchedMode::Overlap] {
                 let est = vec![1 << 20; dag.stages.len()];
                 let workers = vec![2; dag.stages.len()];
                 let plan = plan_schedule(&dag, &costs, mode, &est, &workers);
@@ -1368,31 +1323,19 @@ mod tests {
         };
         let diags = verify_schedule(&dag, &plan);
         assert!(diags.iter().any(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
-        // A *forward* wait alone is legal (wave plans wait on
-        // higher-indexed stages of earlier levels) — acyclicity is the
-        // invariant, and a cycle is rejected.
-        let plan = SchedulePlan {
-            mode: SchedMode::Wave,
-            waits: vec![
-                vec![WaitEvent::Completed(1)],
-                Vec::new(),
-                vec![WaitEvent::Completed(0), WaitEvent::Completed(1)],
-            ],
-        };
-        assert!(verify_schedule(&dag, &plan).is_empty());
+        // So is a forward wait, on its own or as half of a cycle: only
+        // the stage that points forward is flagged, once.
         let plan = SchedulePlan {
             mode: SchedMode::Overlap,
             waits: vec![
                 vec![WaitEvent::Launched(1)],
                 vec![WaitEvent::Launched(0)],
-                vec![WaitEvent::Completed(0), WaitEvent::Completed(1)],
+                vec![WaitEvent::Completed(0), WaitEvent::Completed(1), WaitEvent::Completed(9)],
             ],
         };
         let diags = verify_schedule(&dag, &plan);
         assert!(diags.iter().all(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
-        // All three stages are deadlocked: 0 and 1 form the cycle, 2
-        // depends on it.
-        assert_eq!(diags.len(), 3);
+        assert_eq!(diags.iter().map(|d| d.stage).collect::<Vec<_>>(), vec![Some(0), Some(2)]);
     }
 
     #[test]
@@ -1426,7 +1369,7 @@ mod tests {
         // accepted: a wait on `p` carries everything `p` waited on.
         let dag = unbalanced_join_dag();
         let plan = SchedulePlan {
-            mode: SchedMode::Wave,
+            mode: SchedMode::Eager,
             waits: vec![
                 Vec::new(),
                 Vec::new(),

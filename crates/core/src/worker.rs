@@ -45,7 +45,7 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
-use crate::transport::{EdgeWriteStats, ExchangeTransport};
+use crate::transport::{EdgeTransport, EdgeWriteStats};
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -156,7 +156,7 @@ pub struct StageTask {
     pub op: StageOp,
     pub sink: StageSink,
     /// The wire every in-edge arrives on and the out-edge leaves on.
-    pub transport: Rc<dyn ExchangeTransport>,
+    pub transport: Rc<EdgeTransport>,
     pub result_bucket: String,
     /// Key prefix of stored results, namespaced by installation and
     /// query (`results/x{instance}-q{query}`); worker `w` stores under
@@ -223,14 +223,16 @@ pub fn register_worker_function(
     timeout: std::time::Duration,
     costs: ComputeCostModel,
 ) {
-    let cloud2 = cloud.clone();
+    // Weak: the FaaS service stores the handler, and the cloud owns the
+    // service — a strong handle here would keep every cloud alive forever.
+    let cloud2 = cloud.downgrade();
     let fname = name.to_string();
     let handler = move |ctx: InstanceCtx, payload: InvokePayload| {
-        let cloud = cloud2.clone();
+        let cloud = cloud2.upgrade();
         let fname = fname.clone();
         Box::pin(async move {
-            let Ok(payload) = payload.downcast::<WorkerPayload>() else {
-                return; // not a Lambada payload; nothing to report to
+            let (Some(cloud), Ok(payload)) = (cloud, payload.downcast::<WorkerPayload>()) else {
+                return; // cloud gone or not a Lambada payload; nothing to report to
             };
             run_handler(cloud, fname, ctx, payload, costs).await;
         }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>
@@ -788,7 +790,6 @@ async fn run_exchange_task(
 mod tests {
     use super::*;
     use crate::stage::StageOutput;
-    use crate::transport::ObjectStoreTransport;
     use lambada_engine::types::{DataType, Field, Schema};
     use lambada_engine::{AggExpr, AggFunc};
     use lambada_sim::{CloudConfig, Simulation};
@@ -827,9 +828,10 @@ mod tests {
                 files_per_worker: 1,
             })),
             sink: StageSink::Edge { channel: "x0/q0/s0".to_string() },
-            transport: Rc::new(ObjectStoreTransport::new(
+            transport: Rc::new(EdgeTransport::new(
                 ExchangeConfig::default(),
                 ExchangeSide::new(),
+                None,
             )),
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),

@@ -112,6 +112,23 @@ pub fn row_partition(
     (hash_row_key(batch, key_cols, row) % partitions as u64) as usize
 }
 
+/// The hash-partition kernel: the row indices of `batch` that fall into
+/// each of `partitions` partitions, ascending within a partition. Every
+/// row lands in exactly one list. The pipeline's
+/// [`crate::pipeline::Terminal::HashPartition`] and the exchange
+/// operator's partitioning step both gather from these lists.
+pub fn partition_rows(
+    batch: &RecordBatch,
+    key_cols: &[usize],
+    partitions: usize,
+) -> Vec<Vec<usize>> {
+    let mut indices: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+    for row in 0..batch.num_rows() {
+        indices[row_partition(batch, key_cols, partitions, row)].push(row);
+    }
+    indices
+}
+
 /// Build-side hash table of a partitioned hash join. Rows are stored
 /// columnar (one concatenated batch); a `KeyTable` interns the
 /// distinct keys, and the rows of key `k` are

@@ -34,7 +34,7 @@ use crate::batch::RecordBatch;
 use crate::column::Column;
 use crate::error::{exec_err, plan_err, Result};
 use crate::expr::{eval, Expr};
-use crate::join::{row_partition, JoinState};
+use crate::join::{partition_rows, JoinState};
 use crate::logical::{JoinVariant, SortKey};
 use crate::types::{DataType, Schema, SchemaRef};
 
@@ -281,10 +281,7 @@ impl Pipeline {
                 self.collected.push(projected);
             }
             Terminal::HashPartition { keys, partitions } => {
-                let mut indices: Vec<Vec<usize>> = vec![Vec::new(); *partitions];
-                for row in 0..projected.num_rows() {
-                    indices[row_partition(&projected, keys, *partitions, row)].push(row);
-                }
+                let indices = partition_rows(&projected, keys, *partitions);
                 for (p, idx) in indices.into_iter().enumerate() {
                     if !idx.is_empty() {
                         self.partitioned[p].push(projected.gather(&idx));

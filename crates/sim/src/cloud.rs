@@ -1,7 +1,8 @@
 //! The assembled cloud: every serverless service sharing one clock, one
 //! billing ledger, one trace, and one seeded RNG tree.
 
-use std::rc::Rc;
+use std::ops::Deref;
+use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use crate::billing::{Billing, Prices};
@@ -50,9 +51,14 @@ impl Default for CloudConfig {
     }
 }
 
-/// Handle bundle to all simulated services.
+/// Handle bundle to all simulated services: one shared [`CloudState`],
+/// so a clone is one reference count and [`Cloud::downgrade`] gives a
+/// handle that does not keep the services alive.
 #[derive(Clone)]
-pub struct Cloud {
+pub struct Cloud(Rc<CloudState>);
+
+/// What a [`Cloud`] points at (reached through `Deref`).
+pub struct CloudState {
     pub handle: SimHandle,
     pub config: Rc<CloudConfig>,
     pub billing: Billing,
@@ -87,7 +93,7 @@ impl Cloud {
         let p2p = P2pService::new(handle.clone(), config.p2p.clone());
         let driver_link =
             BurstLink::new(handle.clone(), BurstLinkConfig::flat(config.driver_bandwidth));
-        Cloud {
+        Cloud(Rc::new(CloudState {
             handle,
             config: Rc::new(config),
             billing,
@@ -99,7 +105,16 @@ impl Cloud {
             kv,
             p2p,
             driver_link,
-        }
+        }))
+    }
+
+    /// A handle that does not keep the cloud alive. Whatever a service
+    /// stores must hold this one: a function handler registered with
+    /// [`CloudState::faas`] that captured a `Cloud` would own the service that
+    /// owns it, and the cloud — object store and all — would never be
+    /// freed.
+    pub fn downgrade(&self) -> WeakCloud {
+        WeakCloud(Rc::downgrade(&self.0))
     }
 
     /// Region the driver talks to.
@@ -153,6 +168,25 @@ impl Cloud {
     /// through the instance's traffic-shaped NIC.
     pub fn instance_p2p(&self, instance: &Rc<Instance>) -> P2pClient {
         self.p2p.client(instance.link.clone())
+    }
+}
+
+impl Deref for Cloud {
+    type Target = CloudState;
+
+    fn deref(&self) -> &CloudState {
+        &self.0
+    }
+}
+
+/// See [`Cloud::downgrade`].
+#[derive(Clone)]
+pub struct WeakCloud(Weak<CloudState>);
+
+impl WeakCloud {
+    /// The cloud, while some [`Cloud`] handle is still alive.
+    pub fn upgrade(&self) -> Option<Cloud> {
+        self.0.upgrade().map(Cloud)
     }
 }
 

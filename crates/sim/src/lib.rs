@@ -51,7 +51,7 @@ pub mod time;
 pub mod trace;
 
 pub use billing::{Billing, BillingSnapshot, CostItem, Prices};
-pub use cloud::{Cloud, CloudConfig};
+pub use cloud::{Cloud, CloudConfig, CloudState, WeakCloud};
 pub use executor::{JoinHandle, SimHandle, Simulation};
 pub use region::Region;
 pub use resource::{BurstLink, BurstLinkConfig, PsResource, TokenBucket};

@@ -11,10 +11,11 @@
 //! GiB) without allocating them. All timing and billing treat synthetic and
 //! real bodies identically.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -168,6 +169,13 @@ impl ObjectStore {
             billing,
             rng,
         }
+    }
+
+    /// A weak handle on the stored state — buckets and every object in
+    /// them. It upgrades for as long as any store or client handle is
+    /// alive, which is how a test shows a dropped cloud was really freed.
+    pub fn state_weak(&self) -> Weak<dyn Any> {
+        Rc::downgrade(&self.st) as Weak<dyn Any>
     }
 
     /// Create a bucket (idempotent, free, instantaneous — done at

@@ -834,3 +834,27 @@ fn q12_join_runs_distributed_and_matches_reference() {
     );
     assert!(report.cost.total() > 0.0);
 }
+
+/// Dropping the installation, the cloud and the simulation frees the
+/// cloud: the worker function registered with the FaaS service must not
+/// keep the cloud that owns that service alive (it did, and every
+/// session of a long run kept its whole object store resident).
+#[test]
+fn a_dropped_cloud_is_freed() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let opts = StageOptions { scale: 0.001, num_files: 4, row_groups_per_file: 2, seed: 3 };
+    let spec = stage_real(&cloud, "tpch", "lineitem", opts);
+    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    system.register_table(spec);
+    let store = cloud.s3.state_weak();
+    let report = sim.block_on(async move {
+        system.run_query(&lambada::workloads::q6("lineitem")).await.unwrap()
+    });
+    assert!(report.workers > 0, "the query really ran on workers");
+    assert!(store.upgrade().is_some(), "alive while the cloud is");
+    drop(report);
+    drop(cloud);
+    drop(sim);
+    assert!(store.upgrade().is_none(), "the object store outlived every handle to its cloud");
+}

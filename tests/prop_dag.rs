@@ -401,3 +401,79 @@ proptest! {
         }
     }
 }
+
+/// A shared edge is partitioned once, so its consumers' fleets must
+/// agree. Pins cannot disagree (one pin per operator kind), but
+/// model-sized fleets can: a hand-built diamond whose scan `t` feeds a
+/// tiny self-join (1 worker) and a join against an 8 GiB table (16
+/// workers). The driver must answer with the verifier's `V-FLEET-004`
+/// before a single worker is invoked.
+#[test]
+fn unequal_consumer_fleets_on_a_shared_edge_are_rejected_before_launch() {
+    use lambada::core::stage::{
+        FinalStage, JoinStage, QueryDag, ScanStage, StageKind, StageOutput,
+    };
+    use lambada::core::verify::codes;
+    use lambada::core::{CoreError, TableFile, TableSpec};
+    use lambada::engine::{JoinVariant, PipelineSpec, SchemaRef, Terminal};
+
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let config = LambadaConfig::default();
+    assert!(config.join_workers.is_none(), "join fleets are sized by the cost model");
+    let function = config.function_name.clone();
+    let mut system = Lambada::install(&cloud, config);
+    let cols = columns_for(&u_schema(), &[1, 2, 3], None, 1);
+    system.register_table(stage_table_real(&cloud, "data", "t", u_schema(), vec![cols], 3, 2));
+    // Never read: the plan is rejected first. Only its size matters.
+    let huge = TableFile::real("data", "u/part-0", 8 << 30);
+    system.register_table(TableSpec::new("u", v_schema(), vec![huge], 1 << 28));
+
+    let collect = |input_schema: SchemaRef| PipelineSpec {
+        input_schema,
+        predicate: None,
+        projection: None,
+        terminal: Terminal::Collect,
+    };
+    let scan = |table: &str, schema: &SchemaRef| {
+        StageKind::Scan(ScanStage {
+            table: table.to_string(),
+            scan_columns: vec![0, 1],
+            prune_predicate: None,
+            pipeline: collect(Arc::clone(schema)),
+            output: StageOutput::Exchange { keys: vec![0] },
+        })
+    };
+    let join = |probe: (usize, &SchemaRef), build: (usize, &SchemaRef), output: StageOutput| {
+        let mut fields = probe.1.fields.clone();
+        fields.extend(build.1.fields.clone());
+        let joined = Schema::arc(fields);
+        let stage = StageKind::Join(JoinStage {
+            probe_input: probe.0,
+            build_input: build.0,
+            probe_schema: Arc::clone(probe.1),
+            build_schema: Arc::clone(build.1),
+            probe_keys: vec![0],
+            build_keys: vec![0],
+            variant: JoinVariant::Inner,
+            post: collect(Arc::clone(&joined)),
+            output,
+        });
+        (stage, joined)
+    };
+    let (t, u) = (Arc::new(u_schema()), Arc::new(v_schema()));
+    let (tt_join, tt) = join((0, &t), (0, &t), StageOutput::Exchange { keys: vec![0] });
+    let (tu_join, tu) = join((0, &t), (1, &u), StageOutput::Exchange { keys: vec![0] });
+    let (top_join, top) = join((2, &tt), (3, &tu), StageOutput::Driver);
+    let dag = QueryDag {
+        stages: vec![scan("t", &t), scan("u", &u), tt_join, tu_join, top_join],
+        final_stage: FinalStage::CollectBatches { schema: top, post: Vec::new() },
+    };
+    dag.validate().unwrap();
+
+    let err = sim.block_on(async move { system.run_dag(&dag).await.unwrap_err() });
+    let CoreError::InvalidPlan(diags) = &err else { panic!("expected InvalidPlan, got {err}") };
+    assert!(diags.iter().any(|d| d.code == codes::FLEET_SHARED_EDGE), "{diags:?}");
+    assert!(err.to_string().contains("V-FLEET-004"), "{err}");
+    assert_eq!(cloud.faas.counters(&function).0, 0, "no worker was invoked");
+}

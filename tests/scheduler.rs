@@ -1,7 +1,7 @@
 //! Event-driven scheduler integration suite: every [`SchedMode`] must
-//! produce bit-identical results on an unbalanced multi-join DAG (the
-//! scheduler moves launch instants, never rows — each edge synchronizes
-//! through storage); overlapped scheduling must stay deadlock-free
+//! produce the reference executor's rows, bit-identical across modes, on
+//! an unbalanced multi-join DAG (the scheduler moves launch instants,
+//! never rows — each edge synchronizes through storage); overlapped scheduling must stay deadlock-free
 //! under a shared [`WorkerGate`] cap smaller than the combined fleets
 //! it co-schedules; speculation must recover a producer killed while
 //! its consumer was already launched against it; and the exchange's
@@ -10,14 +10,18 @@
 //! leans on — for both transports.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use lambada::core::{
-    install_exchange_buckets, AggStrategy, ComputeCostModel, DirectTransport, ExchangeConfig,
-    ExchangeSide, ExchangeTransport, ExecPolicy, Lambada, LambadaConfig, ObjectStoreTransport,
-    PartData, QueryReport, SchedMode, SortStrategy, SpeculationConfig, WorkerEnv, WorkerGate,
+    install_exchange_buckets, AggStrategy, ComputeCostModel, EdgeTransport, ExchangeConfig,
+    ExchangeSide, ExecPolicy, Lambada, LambadaConfig, PartData, QueryReport, SchedMode,
+    SortStrategy, SpeculationConfig, WorkerEnv, WorkerGate,
 };
 use lambada::engine::logical::LogicalPlan;
-use lambada::engine::{AggExpr, AggFunc, Column, DataType, Df, Field, Schema, SortKey};
+use lambada::engine::{
+    execute_into_batch, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
+    RecordBatch, Scalar, ScalarKey, Schema, SortKey,
+};
 use lambada::sim::{secs, Cloud, CloudConfig, InjectedFault, Simulation};
 use lambada::workloads::stage_table_real;
 
@@ -55,17 +59,23 @@ fn split_files(cols: &[Column], num_files: usize) -> Vec<Vec<Column>> {
 
 /// Stage the unbalanced shape the scheduler benchmarks use in
 /// miniature: a three-table dimension chain beside a wider fact scan,
-/// all joined. Small key domain so every join matches rows.
-fn install_unbalanced(cloud: &Cloud, config: LambadaConfig) -> (Lambada, LogicalPlan) {
+/// all joined. Small key domain so every join matches rows. The catalog
+/// holds the same tables in memory for the reference executor.
+fn install_unbalanced(cloud: &Cloud, config: LambadaConfig) -> (Lambada, LogicalPlan, Catalog) {
     let mut system = Lambada::install(cloud, config);
+    let mut catalog = Catalog::new();
     let mut dfs = Vec::new();
-    for (prefix, rows, files) in [(0usize, 240usize, 3usize), (1, 60, 1), (2, 40, 1)] {
-        let (schema, cols) = table_cols(rows, 0xA5A5 + prefix as u64, prefix, 13);
-        let name = format!("t{prefix}");
+    for (name, prefix, rows, files, salt) in [
+        ("t0", 0usize, 240usize, 3usize, 0xA5A5u64),
+        ("t1", 1, 60, 1, 0xA5A6),
+        ("t2", 2, 40, 1, 0xA5A7),
+        ("big", 9, 320, 4, 0xBEEF),
+    ] {
+        let (schema, cols) = table_cols(rows, salt, prefix, 13);
         let spec = stage_table_real(
             cloud,
             "data",
-            &name,
+            name,
             schema.clone(),
             split_files(&cols, files),
             rows as u64,
@@ -73,49 +83,50 @@ fn install_unbalanced(cloud: &Cloud, config: LambadaConfig) -> (Lambada, Logical
         );
         system.register_table(spec);
         dfs.push(Df::scan(name, &schema));
+        let batch = RecordBatch::new(Arc::new(schema), cols).unwrap();
+        catalog.register(name, Rc::new(MemTable::from_batch(batch)));
     }
-    let (big_schema, big_cols) = table_cols(320, 0xBEEF, 9, 13);
-    let spec = stage_table_real(
-        cloud,
-        "data",
-        "big",
-        big_schema.clone(),
-        split_files(&big_cols, 4),
-        320,
-        2,
-    );
-    system.register_table(spec);
+    let big = dfs.remove(3);
     let mut df = dfs.remove(0);
     for (t, right) in dfs.into_iter().enumerate() {
         let key = format!("k{}", t + 1);
         df = df.join(right, &[("k0", key.as_str())]).unwrap();
     }
-    let plan = df.join(Df::scan("big", &big_schema), &[("k0", "k9")]).unwrap().build();
-    (system, plan)
+    let plan = df.join(big, &[("k0", "k9")]).unwrap().build();
+    (system, plan, catalog)
+}
+
+/// Canonical multiset of rows: a distributed join emits the reference's
+/// rows in partition order, not in the reference's order.
+fn row_multiset(batch: &RecordBatch) -> Vec<Vec<ScalarKey>> {
+    let mut rows: Vec<Vec<ScalarKey>> =
+        (0..batch.num_rows()).map(|i| batch.row(i).iter().map(Scalar::key).collect()).collect();
+    rows.sort();
+    rows
 }
 
 fn mode_policy(mode: SchedMode) -> ExecPolicy {
     ExecPolicy { scheduler: Some(mode), ..ExecPolicy::default() }
 }
 
-/// Wave, eager, and overlap runs of the same DAG on the same
-/// installation return the same rows bit for bit.
+/// Eager and overlap runs of the same DAG on the same installation
+/// return the reference executor's rows, and each other's bit for bit.
 #[test]
 fn all_sched_modes_produce_bit_identical_results() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let (system, plan) = install_unbalanced(
+    let (system, plan, catalog) = install_unbalanced(
         &cloud,
         LambadaConfig { join_workers: Some(4), ..LambadaConfig::default() },
     );
+    let reference = execute_into_batch(&plan, &catalog).unwrap();
+    assert!(reference.num_rows() > 0, "the chain must actually join rows");
     sim.block_on(async move {
         let dag = system.plan(&plan).unwrap();
-        let wave = system.run_dag_with(&dag, &mode_policy(SchedMode::Wave)).await.unwrap();
-        assert!(wave.batch.num_rows() > 0, "the chain must actually join rows");
-        for mode in [SchedMode::Eager, SchedMode::Overlap] {
-            let run = system.run_dag_with(&dag, &mode_policy(mode)).await.unwrap();
-            assert_eq!(run.batch, wave.batch, "{mode:?} diverged from the wave baseline");
-        }
+        let eager = system.run_dag_with(&dag, &mode_policy(SchedMode::Eager)).await.unwrap();
+        let overlap = system.run_dag_with(&dag, &mode_policy(SchedMode::Overlap)).await.unwrap();
+        assert_eq!(row_multiset(&eager.batch), row_multiset(&reference), "eager vs reference");
+        assert_eq!(overlap.batch, eager.batch, "overlap moved rows, not just launch instants");
     });
 }
 
@@ -128,7 +139,7 @@ fn all_sched_modes_produce_bit_identical_results() {
 fn overlap_under_binding_worker_gate_completes_without_deadlock() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let (system, plan) = install_unbalanced(
+    let (system, plan, _) = install_unbalanced(
         &cloud,
         LambadaConfig { join_workers: Some(4), ..LambadaConfig::default() },
     );
@@ -259,11 +270,11 @@ fn early_consumer_dedupes_attempts_on_empty_prefix_on_both_transports() {
         let cloud = Cloud::new(&sim, CloudConfig::default());
         install_exchange_buckets(&cloud, &cfg);
         let side = ExchangeSide::new();
-        let transport: Rc<dyn ExchangeTransport> = if direct {
-            Rc::new(DirectTransport::new(cfg.clone(), side.clone(), cloud.p2p.clone()))
-        } else {
-            Rc::new(ObjectStoreTransport::new(cfg.clone(), side.clone()))
-        };
+        let transport = Rc::new(EdgeTransport::new(
+            cfg.clone(),
+            side.clone(),
+            direct.then(|| cloud.p2p.clone()),
+        ));
         let channel = "x7/q0/s0";
         if direct {
             cloud.p2p.register(&format!("{channel}/r0"));

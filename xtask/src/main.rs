@@ -1,6 +1,7 @@
-//! `cargo xtask lint` — the offline workspace linter.
+//! `cargo xtask lint` — the offline workspace linter — and
+//! `cargo xtask loc`, the size count the simplicity issues measure.
 //!
-//! Enforces repo invariants the compiler can't see, as the second layer
+//! `lint` enforces repo invariants the compiler can't see, as the second layer
 //! of the static-analysis pass (`core::verify` checks plans at runtime;
 //! this checks sources at CI time). Dependency-free by design — the
 //! vendor tree carries no `syn`, so everything is line-based scanning
@@ -25,6 +26,9 @@
 //!
 //! Findings print as `path:line: [rule] message`; the process exits
 //! nonzero when any are found, so CI fails the build.
+//!
+//! `loc` prints the non-test, non-comment line count ([`counted_lines`])
+//! of every first-party crate and of every file under `crates/core/src`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -74,12 +78,13 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: lint");
+            eprintln!("unknown xtask `{other}`; available: lint, loc");
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo xtask lint");
+            eprintln!("usage: cargo xtask <lint|loc>");
             ExitCode::from(2)
         }
     }
@@ -161,6 +166,64 @@ fn lint() -> ExitCode {
         println!("xtask lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
+}
+
+/// The lines of a source file the size criteria count: everything above
+/// the first column-0 `#[cfg(test)]`, minus blank lines and `//` comment
+/// lines. Equal by construction to
+/// `awk '/^#\[cfg\(test\)\]/{exit} {print}' f | grep -v '^\s*//' | grep -v '^\s*$' | wc -l`.
+fn counted_lines(src: &str) -> usize {
+    src.lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .map(str::trim_start)
+        .filter(|line| !line.is_empty() && !line.starts_with("//"))
+        .count()
+}
+
+/// Every `.rs` file under `dir`, recursively, in path order, with its
+/// [`counted_lines`].
+fn count_tree(dir: &Path, out: &mut Vec<(PathBuf, usize)>) -> std::io::Result<()> {
+    let mut entries: Vec<PathBuf> =
+        std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            count_tree(&path, out)?;
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push((path.clone(), counted_lines(&std::fs::read_to_string(&path)?)));
+        }
+    }
+    Ok(())
+}
+
+fn loc() -> ExitCode {
+    let root = workspace_root();
+    let crates = ["sim", "format", "engine", "core", "workloads", "baselines", "bench"];
+    let mut sources: Vec<(String, PathBuf)> =
+        crates.iter().map(|c| (format!("crates/{c}"), root.join("crates").join(c))).collect();
+    sources.push(("xtask".to_string(), root.join("xtask")));
+    sources.push(("lambada (facade)".to_string(), root.clone()));
+
+    println!("non-test, non-comment lines (above the first `#[cfg(test)]`)");
+    let mut total = 0;
+    for (name, dir) in &sources {
+        let mut files = Vec::new();
+        if let Err(e) = count_tree(&dir.join("src"), &mut files) {
+            eprintln!("xtask loc: {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+        let lines: usize = files.iter().map(|(_, n)| n).sum();
+        total += lines;
+        println!("  {name:<24} {lines:>6}");
+        if name == "crates/core" {
+            for (path, n) in &files {
+                let shown = path.strip_prefix(dir.join("src")).unwrap_or(path);
+                println!("    {:<22} {n:>6}", shown.display());
+            }
+        }
+    }
+    println!("  {:<24} {total:>6}", "total");
+    ExitCode::SUCCESS
 }
 
 /// The workspace root: xtask always runs via cargo, which sets the
