@@ -26,7 +26,8 @@ pub fn table3_references() -> Vec<ShuffleReference> {
     ]
 }
 
-/// The paper's own Lambada rows of Table 3 (for EXPERIMENTS.md deltas).
+/// The paper's own Lambada rows of Table 3 (the paper column of the
+/// `tab03_exchange_time` bench's paper-vs-measured rows).
 pub fn table3_lambada_paper() -> Vec<(u64, f64)> {
     vec![(250, 22.0), (500, 15.0), (1000, 13.0)]
 }

@@ -4,7 +4,8 @@
 //! paper: it runs the simulation (or evaluates the analytic model), prints
 //! the same rows/series the paper reports, and annotates the paper's
 //! published values for comparison. `cargo bench --workspace` regenerates
-//! everything; see EXPERIMENTS.md for the paper-vs-measured record.
+//! everything; the rows each target prints are the paper-vs-measured
+//! record (the repo's own benchmark is described in `benchmark/README.md`).
 
 use lambada_core::{
     run_exchange, ComputeCostModel, ExchangeConfig, ExchangeSide, Lambada, LambadaConfig, PartData,

@@ -21,9 +21,19 @@
 //! shape-agnostic: a single-fragment Q1 is just a one-stage DAG, a
 //! five-way join tree or a diamond runs through exactly the same loop,
 //! and speculation, fleet sizing, and [`StageReport`]s apply to every
-//! stage uniformly. Consumer fleets are sized per stage by the compute
-//! cost model. Per-stage worker counts, queue-wait vs execution time,
+//! stage uniformly. Per-stage worker counts, queue-wait vs execution time,
 //! and exact request counters are reported in [`QueryReport::stages`].
+//!
+//! Everything about the fleets that can be known before the first
+//! invocation is fixed once per `(dag, fleet_cap)`, in
+//! [`Lambada::launch_plan`]: the DAG is verified, then one pass over the
+//! stages yields each stage's pin, byte estimate and fleet size (scans
+//! by file count, consumer fleets by their pin or else the compute cost
+//! model), and the DAG's edge table ([`crate::stage::EdgeTable`]) turns
+//! those into every out-edge's partition count and sort-edge spec. The
+//! fleet verifier, the p2p registration, the scheduler, the stage-task
+//! builder and the service's admission estimate all take that
+//! [`LaunchPlan`]; none of them sizes or wires anything again.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -44,13 +54,15 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
 use crate::service::{ServiceConfig, WorkerGate};
-use crate::stage::{self, FinalStage, PostOp, QueryDag, SplitOptions, StageKind, StageOutput};
+use crate::stage::{
+    self, EdgeTable, FinalStage, PostOp, QueryDag, ReaderRole, SplitOptions, StageKind, StageOutput,
+};
 use crate::table::TableSpec;
 use crate::transport::{EdgeTransport, TransportKind};
-use crate::verify::{self, FleetBounds};
+use crate::verify;
 use crate::worker::{
-    register_worker_function, EdgeRead, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
-    WorkerPayload, WorkerTask,
+    register_worker_function, sample_channel, EdgeRead, ScanOp, SortEdgeSpec, StageOp, StageSink,
+    StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -387,7 +399,7 @@ pub struct Lambada {
     /// (the query service holds the installation in an `Rc`) can
     /// register/unregister the short-lived per-micro-batch tables the
     /// streaming runtime stages.
-    tables: std::cell::RefCell<HashMap<String, TableSpec>>,
+    tables: std::cell::RefCell<HashMap<String, Rc<TableSpec>>>,
     query_seq: std::cell::Cell<u64>,
     /// Process-unique installation id, namespacing exchange-edge keys so
     /// several installations (or re-installs) on one cloud never collide.
@@ -422,6 +434,73 @@ struct BarrierProbe {
     channel: String,
     /// Producer fleet size: sample senders are `0..senders`.
     senders: usize,
+}
+
+/// Everything about a query's fleets that is fixed before the first
+/// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
+/// per stage, the installation's pin, the estimated output bytes, the
+/// fleet size, the partition count of its out-edge and — for a stage
+/// feeding a sort fleet — the sort-edge spec. Built by
+/// [`Lambada::launch_plan`]; the fleet verifier, the p2p registration,
+/// [`sched::plan_schedule`], the stage-task builder and the service's
+/// admission estimate all read it.
+pub struct LaunchPlan<'a> {
+    pub edges: EdgeTable<'a>,
+    /// The installation's fixed fleet size (`join_workers`, the
+    /// `workers` of [`AggStrategy::Exchange`] / [`SortStrategy::Exchange`]);
+    /// `None` for scans and for consumers the cost model sizes.
+    pub pins: Vec<Option<usize>>,
+    /// Estimated bytes the stage emits onto its out-edge.
+    pub est_bytes: Vec<u64>,
+    /// Fleet size.
+    pub workers: Vec<usize>,
+    /// How many ways the stage shards its output: its consumers' fleet
+    /// size, 0 for the driver-bound last stage.
+    pub partitions: Vec<usize>,
+    /// `Some` exactly for a stage one of whose readers is a sort stage:
+    /// the keys, limit and fleet sizes its fleet runs the sample protocol
+    /// with.
+    pub sort_edges: Vec<Option<SortEdgeSpec>>,
+    /// For scan stages, the scanned table and the files-per-worker chunk.
+    pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
+}
+
+impl<'a> LaunchPlan<'a> {
+    /// Wire sized fleets to the edges: every out-edge's partition count
+    /// and sort-edge spec follow from its readers' fleet sizes.
+    /// Taking the last reader is exact on every plan that is used:
+    /// [`crate::verify::verify_fleets`], run on the wired plan, holds
+    /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
+    /// and the edge pass a producer to at most one sort reader
+    /// (`V-EXCH-003`).
+    pub fn wire(
+        edges: EdgeTable<'a>,
+        pins: Vec<Option<usize>>,
+        est_bytes: Vec<u64>,
+        workers: Vec<usize>,
+        scans: Vec<Option<(Rc<TableSpec>, usize)>>,
+    ) -> LaunchPlan<'a> {
+        let mut partitions = vec![0; workers.len()];
+        let mut sort_edges = vec![None; workers.len()];
+        for (pid, readers) in edges.readers.iter().enumerate() {
+            for reader in readers {
+                let Some(consumer) = reader.stage else { continue };
+                partitions[pid] = workers[consumer];
+                if let (ReaderRole::SortInput, StageKind::Sort(s)) =
+                    (reader.role, &edges.dag.stages[consumer])
+                {
+                    sort_edges[pid] = Some(SortEdgeSpec {
+                        keys: s.keys.clone(),
+                        limit: s.limit,
+                        schema: s.schema.clone(),
+                        partitions: workers[consumer],
+                        senders: workers[pid],
+                    });
+                }
+            }
+        }
+        LaunchPlan { edges, pins, est_bytes, workers, partitions, sort_edges, scans }
+    }
 }
 
 /// Result of one stage's fleet: the collected worker reports plus timing.
@@ -488,7 +567,7 @@ impl Lambada {
     /// streaming runtime registers each micro-batch's staged table on the
     /// installation the query service holds in an `Rc`.
     pub fn register_table_shared(&self, spec: TableSpec) {
-        self.tables.borrow_mut().insert(spec.name.clone(), spec);
+        self.tables.borrow_mut().insert(spec.name.clone(), Rc::new(spec));
     }
 
     /// Drop a registered table (the files it points to are untouched).
@@ -497,24 +576,18 @@ impl Lambada {
     }
 
     pub fn table(&self, name: &str) -> Option<TableSpec> {
-        self.tables.borrow().get(name).cloned()
+        self.tables.borrow().get(name).map(|spec| TableSpec::clone(spec))
     }
 
     /// Build a [`Df`] over a registered table.
     pub fn from_table(&self, name: &str) -> Result<Df> {
         let tables = self.tables.borrow();
-        let spec = tables
-            .get(name)
-            .ok_or_else(|| CoreError::Unsupported(format!("unknown table {name}")))?;
+        let spec = tables.get(name).ok_or_else(|| unknown_table(name))?;
         Ok(Df::scan(name, &spec.schema))
     }
 
-    fn table_spec(&self, name: &str) -> Result<TableSpec> {
-        self.tables
-            .borrow()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CoreError::Unsupported(format!("unknown table {name}")))
+    fn table_spec(&self, name: &str) -> Result<Rc<TableSpec>> {
+        self.tables.borrow().get(name).cloned().ok_or_else(|| unknown_table(name))
     }
 
     /// Optimize and lower a logical plan into this installation's stage
@@ -531,23 +604,6 @@ impl Lambada {
         stage::split_with(&optimized, &opts)
     }
 
-    /// Fleet-sizing pins and bounds for the static plan verifier,
-    /// derived from this installation's config.
-    pub(crate) fn fleet_bounds(&self) -> FleetBounds {
-        FleetBounds {
-            join_pin: self.config.join_workers,
-            agg_pin: match self.config.agg {
-                AggStrategy::Exchange { workers } => workers,
-                AggStrategy::DriverMerge => None,
-            },
-            sort_pin: match self.config.sort {
-                SortStrategy::Exchange { workers } => workers,
-                SortStrategy::Driver => None,
-            },
-            max_model_fleet: verify::MAX_MODEL_FLEET,
-        }
-    }
-
     /// Statically verify a DAG against this installation without
     /// executing anything: the structural operator contracts
     /// ([`crate::verify::verify_dag`]) plus the fleet plan the driver
@@ -555,11 +611,100 @@ impl Lambada {
     /// [`CoreError::InvalidPlan`] carrying every violated contract. The
     /// query service runs this before admission reserves tenant budget.
     pub fn verify_plan(&self, dag: &QueryDag) -> Result<()> {
-        dag.validate()?;
-        let fleets = self.plan_fleets(dag)?;
-        let diags = verify::verify_fleets(dag, &fleets, &self.fleet_bounds());
+        self.launch_plan(dag, None).map(|_| ())
+    }
+
+    /// Verify `dag` and fix everything about its fleets that is known
+    /// before the first invocation — the [`LaunchPlan`]: the structural
+    /// contracts first ([`crate::verify::checked_edges`]), then one
+    /// sizing pass over the stages, then the sizing invariants
+    /// ([`crate::verify::verify_fleets`]: nonzero consumer fleets, model
+    /// bounds, pins, shared-edge agreement). Every consumer fleet's size
+    /// doubles as the partition count of the exchange edges feeding it,
+    /// so fixing all sizes up front is what lets independent stages
+    /// launch together: a producer can shard its output for a consumer
+    /// fleet that does not exist yet.
+    ///
+    /// Sizing: `ceil(#files / F)` per scan (§5.2); consumer fleets (join,
+    /// agg-merge, sort) sized per stage by the compute cost model from
+    /// their inputs' estimated edge volume — the resource-allocation
+    /// trade-off of Kassing et al. applied at every level of the DAG —
+    /// unless the installation pins them. `fleet_cap` (contention
+    /// shrinking under the query service) clamps model-sized fleets and
+    /// scan fleets; explicitly pinned fleets stay pinned. The byte
+    /// estimates run bottom-up: table bytes scaled by the fraction of
+    /// surviving columns for scans, the variant-aware
+    /// [`ComputeCostModel::join_output_bytes`] for joins, an 8:1
+    /// pre-aggregation compaction for agg-merge fleets, pass-through for
+    /// sorts.
+    pub fn launch_plan<'a>(
+        &self,
+        dag: &'a QueryDag,
+        fleet_cap: Option<usize>,
+    ) -> Result<LaunchPlan<'a>> {
+        let edges = verify::checked_edges(dag).map_err(CoreError::InvalidPlan)?;
+        let costs = &self.config.costs;
+        let budget = u64::from(self.config.memory_mib) * 1024 * 1024;
+        // Pinned fleets stay pinned; model-sized ones shrink to the cap.
+        let sized = |pin: Option<usize>, model: usize| match (pin, fleet_cap) {
+            (Some(pinned), _) => pinned.max(1),
+            (None, Some(cap)) => model.min(cap.max(1)).max(1),
+            (None, None) => model,
+        };
+        let n = dag.stages.len();
+        let mut pins = Vec::with_capacity(n);
+        let mut est: Vec<u64> = Vec::with_capacity(n);
+        let mut workers = Vec::with_capacity(n);
+        let mut scans = Vec::with_capacity(n);
+        for kind in &dag.stages {
+            let (pin, bytes, fleet, scan) = match kind {
+                StageKind::Scan(scan) => {
+                    let table = self.table_spec(&scan.table)?;
+                    // One worker per F files (§5.2: W = #files / F),
+                    // rebalanced when the policy's fleet cap binds.
+                    let (files_per_worker, fleet) = scan_partitioning(
+                        table.files.len(),
+                        self.config.files_per_worker,
+                        fleet_cap,
+                    );
+                    // Crude column-selectivity estimate: exchanged bytes
+                    // scale with the fraction of columns that survive.
+                    let frac = scan.scan_columns.len() as f64 / table.schema.len().max(1) as f64;
+                    let bytes = (table.total_bytes() as f64 * frac) as u64;
+                    (None, bytes, fleet, Some((table, files_per_worker)))
+                }
+                StageKind::Join(j) => {
+                    let (probe, build) = (est[j.probe_input], est[j.build_input]);
+                    let pin = self.config.join_workers;
+                    let bytes = costs.join_output_bytes(j.variant, probe, build);
+                    (pin, bytes, sized(pin, costs.join_stage_workers(probe, build, budget)), None)
+                }
+                StageKind::AggMerge(a) => {
+                    let pin = match self.config.agg {
+                        AggStrategy::Exchange { workers } => workers,
+                        AggStrategy::DriverMerge => None,
+                    };
+                    let input = est[a.input];
+                    (pin, input / 8, sized(pin, costs.agg_merge_workers(input, budget)), None)
+                }
+                StageKind::Sort(s) => {
+                    let pin = match self.config.sort {
+                        SortStrategy::Exchange { workers } => workers,
+                        SortStrategy::Driver => None,
+                    };
+                    let input = est[s.input];
+                    (pin, input, sized(pin, costs.sort_stage_workers(input, budget)), None)
+                }
+            };
+            pins.push(pin);
+            est.push(bytes);
+            workers.push(fleet);
+            scans.push(scan);
+        }
+        let launch = LaunchPlan::wire(edges, pins, est, workers, scans);
+        let diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
         if diags.is_empty() {
-            Ok(())
+            Ok(launch)
         } else {
             Err(CoreError::InvalidPlan(diags))
         }
@@ -586,7 +731,9 @@ impl Lambada {
     /// for one installation interleave freely — exchange channels and
     /// result queues are already namespaced by query id.
     pub async fn run_dag_with(&self, dag: &QueryDag, policy: &ExecPolicy) -> Result<QueryReport> {
-        dag.validate()?;
+        // Structure, fleet sizes and the sizing invariants, all before a
+        // single worker is invoked.
+        let launch = self.launch_plan(dag, policy.fleet_cap)?;
         let qid = self.query_seq.get();
         self.query_seq.set(qid + 1);
 
@@ -599,50 +746,11 @@ impl Lambada {
         let mut cold_starts = 0u64;
         let mut workers_total = 0usize;
 
-        // Every consumer fleet's size doubles as the partition count of
-        // the exchange edges feeding it, so all fleet sizes are fixed
-        // before any stage launches. That is what lets independent
-        // stages launch together: a producer can shard its output for a
-        // consumer fleet that does not exist yet.
-        let planned_workers = self.planned_workers(dag, policy.fleet_cap)?;
-        // The structural contracts were checked above; now that fleets
-        // are sized, check the sizing invariants too — nonzero consumer
-        // fleets, model bounds, pins, shared-edge agreement — before a
-        // single worker is invoked.
-        let fleet_diags = verify::verify_fleets(dag, &planned_workers, &self.fleet_bounds());
-        if !fleet_diags.is_empty() {
-            return Err(CoreError::InvalidPlan(fleet_diags));
-        }
-        // Per producer stage: the partition count it must shard its output
-        // into (= its consumer's planned fleet size; 0 for driver-bound
-        // stages) and, when it feeds a sort stage, the edge spec (keys,
-        // limit, fleet sizes) its fleet runs the sample protocol with.
-        // The verifier passes above already hold every consumer of a
-        // shared edge to one fleet size (`V-FLEET-004`) and a producer to
-        // at most one sort consumer (`V-EXCH-003`), so a plain overwrite
-        // is exact.
-        let mut consumer_parts: Vec<usize> = vec![0; dag.stages.len()];
-        let mut sort_edges: Vec<Option<SortEdgeSpec>> = vec![None; dag.stages.len()];
-        for (sid, kind) in dag.stages.iter().enumerate() {
-            for input in kind.inputs() {
-                consumer_parts[input] = planned_workers[sid];
-            }
-            if let StageKind::Sort(s) = kind {
-                sort_edges[s.input] = Some(SortEdgeSpec {
-                    keys: s.keys.clone(),
-                    limit: s.limit,
-                    schema: s.schema.clone(),
-                    partitions: planned_workers[sid],
-                    senders: planned_workers[s.input],
-                });
-            }
-        }
-
         // The wire every stage edge of this query runs on. On the direct
         // transport, the driver registers all consumer endpoints with the
-        // rendezvous service *now* — fleet sizes are fixed above, so the
-        // address book is complete before the first producer launches
-        // even though consumer fleets launch later. Registration
+        // rendezvous service *now* — the launch plan fixed every fleet
+        // size, so the address book is complete before the first producer
+        // launches even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
         // store for unregistered endpoints.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
@@ -652,35 +760,29 @@ impl Lambada {
             (transport_kind == TransportKind::Direct).then(|| self.cloud.p2p.clone()),
         ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
-            for (sid, &parts) in consumer_parts.iter().enumerate() {
+            for (sid, &parts) in launch.partitions.iter().enumerate() {
                 let channel = self.channel(qid, sid);
                 for r in 0..parts {
                     self.cloud.p2p.register(&format!("{channel}/r{r}"));
                 }
                 // Sort edges add the sample barrier: every producer sends
                 // its sample to (and reads the pool from) receiver 0.
-                if sort_edges[sid].is_some() {
-                    self.cloud.p2p.register(&format!("{channel}smp/r0"));
+                if launch.sort_edges[sid].is_some() {
+                    self.cloud.p2p.register(&format!("{}/r0", sample_channel(&channel)));
                 }
             }
             P2pGuard { p2p: self.cloud.p2p.clone(), prefix: format!("x{}/q{qid}/", self.instance) }
         });
 
-        // Build the launch plan: one wait-event list per stage, telling
-        // its fleet future when it may launch. Eager waits on input
-        // *completion*; overlap downgrades cost-approved edges to the
-        // producer's *launch*, letting the consumer's discovery polls
+        // Build the launch schedule: one wait-event list per stage,
+        // telling its fleet future when it may launch. Eager waits on
+        // input *completion*; overlap downgrades cost-approved edges to
+        // the producer's *launch*, letting the consumer's discovery polls
         // stream sections in while the producer still runs. Overlap
-        // prices edges from the same byte estimates that size fleets.
+        // prices edges from the same byte estimates that sized the fleets.
         let sched_mode = policy.scheduler.unwrap_or(self.config.scheduler);
-        let sched_est = if sched_mode == SchedMode::Overlap {
-            self.estimated_stage_bytes(dag)?
-        } else {
-            Vec::new()
-        };
-        let plan =
-            sched::plan_schedule(dag, &self.config.costs, sched_mode, &sched_est, &planned_workers);
-        let sched_diags = verify::verify_schedule(dag, &plan);
+        let plan = sched::plan_schedule(&launch, &self.config.costs, sched_mode);
+        let sched_diags = verify::verify_schedule(&launch.edges, &plan);
         if !sched_diags.is_empty() {
             return Err(CoreError::InvalidPlan(sched_diags));
         }
@@ -693,19 +795,10 @@ impl Lambada {
         let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(dag.stages.len());
         for sid in 0..dag.stages.len() {
             let result_queue = format!("lambada-results-x{}-q{qid}-s{sid}", self.instance);
-            let task = Rc::new(self.stage_task(
-                qid,
-                sid,
-                dag,
-                policy.fleet_cap,
-                &planned_workers,
-                consumer_parts[sid],
-                sort_edges[sid].clone(),
-                &transport,
-            )?);
+            let task = Rc::new(self.stage_task(qid, sid, &launch, &transport)?);
             // One payload per fleet slot; the worker id doubles as the
             // file-chunk id (scans) or the partition id (consumers).
-            let payloads = (0..planned_workers[sid])
+            let payloads = (0..launch.workers[sid])
                 .map(|w| WorkerPayload {
                     worker_id: w as u64,
                     attempt: 0,
@@ -732,9 +825,9 @@ impl Lambada {
             // A stage whose output rides a sort edge synchronizes its
             // whole fleet on the sample barrier; hand the straggler
             // watcher a probe for it.
-            let barrier = sort_edges[sid].as_ref().map(|edge| BarrierProbe {
+            let barrier = launch.sort_edges[sid].as_ref().map(|edge| BarrierProbe {
                 transport: Rc::clone(&transport),
-                channel: format!("{}smp", self.channel(qid, sid)),
+                channel: sample_channel(&self.channel(qid, sid)),
                 senders: edge.senders,
             });
             self.cloud.sqs.create_queue(&result_queue);
@@ -826,134 +919,25 @@ impl Lambada {
         })
     }
 
-    /// Per-stage estimate of the bytes each stage emits onto its output
-    /// edge, computed bottom-up over the DAG: table bytes scaled by the
-    /// fraction of surviving columns for scans, the variant-aware
-    /// [`ComputeCostModel::join_output_bytes`] for joins (the larger
-    /// input for inner joins, a probe subset for semi/anti), an 8:1
-    /// pre-aggregation compaction for agg-merge fleets, and pass-through
-    /// for sorts.
-    fn estimated_stage_bytes(&self, dag: &QueryDag) -> Result<Vec<u64>> {
-        let mut est: Vec<u64> = Vec::with_capacity(dag.stages.len());
-        for kind in &dag.stages {
-            let bytes = match kind {
-                StageKind::Scan(scan) => {
-                    let spec = self.table_spec(&scan.table)?;
-                    let width = spec.schema.len().max(1);
-                    // Crude column-selectivity estimate: exchanged bytes
-                    // scale with the fraction of columns that survive.
-                    let frac = scan.scan_columns.len() as f64 / width as f64;
-                    (spec.total_bytes() as f64 * frac) as u64
-                }
-                StageKind::Join(j) => self.config.costs.join_output_bytes(
-                    j.variant,
-                    est[j.probe_input],
-                    est[j.build_input],
-                ),
-                StageKind::AggMerge(a) => est[a.input] / 8,
-                StageKind::Sort(s) => est[s.input],
-            };
-            est.push(bytes);
-        }
-        Ok(est)
-    }
-
-    /// Worker count of every stage, derivable before anything launches:
-    /// `ceil(#files / F)` per scan (§5.2); consumer fleets (join,
-    /// agg-merge, sort) sized per stage by the compute cost model from
-    /// their inputs' estimated edge volume — the resource-allocation
-    /// trade-off of Kassing et al. applied at every level of the DAG —
-    /// unless the installation pins them. `fleet_cap` (contention
-    /// shrinking under the query service) clamps model-sized fleets and
-    /// scan fleets; explicitly pinned fleets stay pinned.
-    fn planned_workers(&self, dag: &QueryDag, fleet_cap: Option<usize>) -> Result<Vec<usize>> {
-        let f = self.config.files_per_worker.max(1);
-        let capped = |w: usize| match fleet_cap {
-            Some(cap) => w.min(cap.max(1)).max(1),
-            None => w,
-        };
-        // Only walk the estimates when some fleet actually needs sizing:
-        // the common scan-only query skips the whole walk.
-        let needs_estimates = dag.stages.iter().any(|k| match k {
-            StageKind::Scan(_) => false,
-            StageKind::Join(_) => self.config.join_workers.is_none(),
-            StageKind::AggMerge(_) => {
-                !matches!(self.config.agg, AggStrategy::Exchange { workers: Some(_) })
-            }
-            StageKind::Sort(_) => {
-                !matches!(self.config.sort, SortStrategy::Exchange { workers: Some(_) })
-            }
-        });
-        let est = if needs_estimates { self.estimated_stage_bytes(dag)? } else { Vec::new() };
-        let budget = u64::from(self.config.memory_mib) * 1024 * 1024;
-        dag.stages
-            .iter()
-            .map(|kind| match kind {
-                StageKind::Scan(scan) => {
-                    let files = self.table_spec(&scan.table)?.files.len();
-                    Ok(scan_partitioning(files, f, fleet_cap).1)
-                }
-                StageKind::Join(j) => match self.config.join_workers {
-                    Some(w) => Ok(w.max(1)),
-                    None => Ok(capped(self.config.costs.join_stage_workers(
-                        est[j.probe_input],
-                        est[j.build_input],
-                        budget,
-                    ))),
-                },
-                StageKind::AggMerge(a) => match self.config.agg {
-                    AggStrategy::Exchange { workers: Some(w) } => Ok(w.max(1)),
-                    _ => Ok(capped(self.config.costs.agg_merge_workers(est[a.input], budget))),
-                },
-                StageKind::Sort(s) => match self.config.sort {
-                    SortStrategy::Exchange { workers: Some(w) } => Ok(w.max(1)),
-                    _ => Ok(capped(self.config.costs.sort_stage_workers(est[s.input], budget))),
-                },
-            })
-            .collect()
-    }
-
-    /// Uncapped fleet plan of a DAG — what the query service's admission
-    /// estimate sizes reservations from.
-    pub(crate) fn plan_fleets(&self, dag: &QueryDag) -> Result<Vec<usize>> {
-        self.planned_workers(dag, None)
-    }
-
     /// Build stage `sid`'s task — the one assignment its whole fleet
     /// shares: the planner's stage as the operator, its in-edges resolved
-    /// to channels and sender counts, and its output as a sink.
-    /// `fleet_cap` is the policy's contention clamp (the file chunking
-    /// must agree with [`Lambada::planned_workers`], so both call
-    /// [`scan_partitioning`]). `partitions` is the consumer fleet's size
-    /// for exchange-bound stages (how many ways to shard the output),
-    /// unused for driver-bound stages. `sort_edge` is set when the
-    /// consumer is a sort stage.
-    #[allow(clippy::too_many_arguments)]
+    /// to channels and sender counts, and its output as a sink, all sized
+    /// by the launch plan.
     fn stage_task(
         &self,
         qid: u64,
         sid: usize,
-        dag: &QueryDag,
-        fleet_cap: Option<usize>,
-        planned_workers: &[usize],
-        partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
+        launch: &LaunchPlan<'_>,
         transport: &Rc<EdgeTransport>,
     ) -> Result<StageTask> {
+        let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
         let channel = self.channel(qid, sid);
-        let sink = match kind.output() {
-            StageOutput::Driver => StageSink::Report,
-            StageOutput::Exchange { .. } | StageOutput::AggExchange => StageSink::Edge { channel },
-            StageOutput::SortExchange => {
-                let edge = sort_edge.ok_or_else(|| {
-                    CoreError::Engine(format!(
-                        "sort-exchange stage {} has no consumer sort stage",
-                        kind.label(sid)
-                    ))
-                })?;
-                StageSink::SortEdge { channel, edge }
-            }
+        let partitions = launch.partitions[sid];
+        let sink = match (&launch.sort_edges[sid], kind.output()) {
+            (Some(edge), _) => StageSink::SortEdge { channel, edge: edge.clone() },
+            (None, StageOutput::Driver) => StageSink::Report,
+            (None, _) => StageSink::Edge { channel },
         };
         // Swap the planner's placeholder terminal for the sharding
         // variant, now that the consumer fleet is sized. (Sort-exchange
@@ -980,15 +964,12 @@ impl Lambada {
 
         let edge = |input: usize| EdgeRead {
             channel: self.channel(qid, input),
-            senders: planned_workers[input],
+            senders: launch.workers[input],
         };
         let op = match kind {
             StageKind::Scan(stage) => {
-                let table = self.table_spec(&stage.table)?;
-                // One worker per F files (§5.2: W = #files / F),
-                // rebalanced when the policy's fleet cap binds.
-                let (files_per_worker, _) =
-                    scan_partitioning(table.files.len(), self.config.files_per_worker, fleet_cap);
+                let (table, files_per_worker) =
+                    launch.scans[sid].clone().ok_or_else(|| unknown_table(&stage.table))?;
                 StageOp::Scan(Rc::new(ScanOp {
                     stage,
                     table,
@@ -1039,13 +1020,7 @@ impl Lambada {
     ) -> Result<(RecordBatch, Option<Vec<u8>>)> {
         match final_stage {
             FinalStage::MergeAggregate { agg_schema, funcs, post } => {
-                let mut state = GroupedAggState::new(funcs)?;
-                for r in results {
-                    if let Ok(ResultPayload::AggState(bytes)) = &r.outcome {
-                        state.merge(&GroupedAggState::decode(bytes)?)?;
-                    }
-                }
-                let batch = agg_state_to_batch(&state, agg_schema)?;
+                let batch = agg_state_to_batch(&merge_agg_states(funcs, results)?, agg_schema)?;
                 Ok((self.apply_post(batch, post)?, None))
             }
             FinalStage::CarryAggState { agg_schema, funcs } => {
@@ -1053,14 +1028,8 @@ impl Lambada {
                 // collection already guarantees one payload per worker slot,
                 // and an exchange merge fleet's shards hold disjoint groups,
                 // so this merge never double-counts.
-                let mut state = GroupedAggState::new(funcs)?;
-                for r in results {
-                    if let Ok(ResultPayload::AggState(bytes)) = &r.outcome {
-                        state.merge(&GroupedAggState::decode(bytes)?)?;
-                    }
-                }
-                let batch = RecordBatch::empty(agg_schema.clone());
-                Ok((batch, Some(state.encode())))
+                let state = merge_agg_states(funcs, results)?;
+                Ok((RecordBatch::empty(agg_schema.clone()), Some(state.encode())))
             }
             FinalStage::CollectBatches { schema, post } => {
                 let s3 = self.cloud.driver_s3();
@@ -1095,13 +1064,32 @@ impl Lambada {
     }
 }
 
+fn unknown_table(name: &str) -> CoreError {
+    CoreError::Unsupported(format!("unknown table {name}"))
+}
+
+/// Merge every worker's reported partial-aggregate state into one.
+fn merge_agg_states(
+    funcs: &[(lambada_engine::AggFunc, Option<lambada_engine::DataType>)],
+    results: &[WorkerResult],
+) -> Result<GroupedAggState> {
+    let mut state = GroupedAggState::new(funcs)?;
+    for r in results {
+        if let Ok(ResultPayload::AggState(bytes)) = &r.outcome {
+            state.merge(&GroupedAggState::decode(bytes)?)?;
+        }
+    }
+    Ok(state)
+}
+
 /// Scan-fleet partitioning: the files-per-worker chunk size and the
 /// resulting worker count, with the policy's fleet cap applied. When the
 /// cap does not bind this is exactly §5.2's `W = ceil(#files / F)` with
 /// chunk `F`; when it binds, files are rebalanced into `cap` equal
-/// chunks. One function serves both [`Lambada::planned_workers`] (which
-/// fixes exchange sender counts before launch) and the payload builder,
-/// so the planned count always equals the number of payloads built.
+/// chunks. [`Lambada::launch_plan`] is the one caller: the chunk size it
+/// hands the payload builder and the worker count that fixes exchange
+/// sender counts come from the same call, so the planned count always
+/// equals the number of payloads built.
 fn scan_partitioning(
     num_files: usize,
     files_per_worker: usize,
@@ -1327,22 +1315,9 @@ async fn collect_results(
             let median = sorted[sorted.len() / 2];
             let elapsed = (cloud.handle.now() - stage_start).as_secs_f64();
             if elapsed > spec.multiplier * median {
-                let mut backups = Vec::new();
-                for p in payloads {
-                    if seen.contains(&p.worker_id) {
-                        continue;
-                    }
-                    let launched = attempts_launched.entry(p.worker_id).or_insert(0);
-                    if *launched >= spec.max_attempts {
-                        continue;
-                    }
-                    *launched += 1;
-                    backups.push(p.backup(*launched));
-                }
-                if !backups.is_empty() {
-                    backup_invocations += backups.len() as u64;
-                    invoke::invoke_backups(cloud, &config.function_name, backups).await?;
-                }
+                backup_invocations +=
+                    speculate(cloud, config, payloads, &seen, &mut attempts_launched, |_| true)
+                        .await?;
             }
         }
 
@@ -1353,25 +1328,43 @@ async fn collect_results(
                 next_barrier_probe = cloud.handle.now() + spec.barrier_grace;
                 let s3 = cloud.driver_s3();
                 let passed = b.transport.probe(&s3, &b.channel, b.senders).await?;
-                let mut backups = Vec::new();
-                for p in payloads {
-                    if seen.contains(&p.worker_id) || passed.contains(&(p.worker_id as usize)) {
-                        continue;
-                    }
-                    let launched = attempts_launched.entry(p.worker_id).or_insert(0);
-                    if *launched >= spec.max_attempts {
-                        continue;
-                    }
-                    *launched += 1;
-                    backups.push(p.backup(*launched));
-                }
-                if !backups.is_empty() {
-                    backup_invocations += backups.len() as u64;
-                    invoke::invoke_backups(cloud, &config.function_name, backups).await?;
-                }
+                let stuck = |p: &WorkerPayload| !passed.contains(&(p.worker_id as usize));
+                backup_invocations +=
+                    speculate(cloud, config, payloads, &seen, &mut attempts_launched, stuck)
+                        .await?;
             }
         }
     }
     results.sort_by_key(|r| r.worker_id);
     Ok(Collected { results, backup_invocations })
+}
+
+/// Re-invoke, as its next attempt, every worker that has not reported,
+/// that `eligible` admits, and that has backup attempts left. Returns how
+/// many backups were launched.
+async fn speculate(
+    cloud: &Cloud,
+    config: &LambadaConfig,
+    payloads: &[WorkerPayload],
+    seen: &HashSet<u64>,
+    attempts_launched: &mut HashMap<u64, u32>,
+    eligible: impl Fn(&WorkerPayload) -> bool,
+) -> Result<u64> {
+    let mut backups = Vec::new();
+    for p in payloads {
+        if seen.contains(&p.worker_id) || !eligible(p) {
+            continue;
+        }
+        let launched = attempts_launched.entry(p.worker_id).or_insert(0);
+        if *launched >= config.speculation.max_attempts {
+            continue;
+        }
+        *launched += 1;
+        backups.push(p.backup(*launched));
+    }
+    let launched = backups.len() as u64;
+    if launched > 0 {
+        invoke::invoke_backups(cloud, &config.function_name, backups).await?;
+    }
+    Ok(launched)
 }

@@ -65,8 +65,8 @@ pub mod worker;
 
 pub use costmodel::ComputeCostModel;
 pub use driver::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, SpeculationConfig,
-    StageReport,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport, SortStrategy,
+    SpeculationConfig, StageReport,
 };
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
@@ -92,10 +92,10 @@ pub use streaming::{
 pub use table::{TableFile, TableSpec};
 pub use transport::{EdgeTransport, EdgeWriteStats, TransportKind};
 pub use verify::{
-    verify_dag, verify_fleets, verify_schedule, verify_stream, Diagnostic, FleetBounds,
-    MAX_MODEL_FLEET,
+    verify_dag, verify_fleets, verify_schedule, verify_stream, Diagnostic, MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, EdgeRead,
-    ExchangeTask, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, sample_channel,
+    EdgeRead, ExchangeTask, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
+    WorkerTask,
 };

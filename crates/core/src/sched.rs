@@ -1,5 +1,5 @@
-//! Event-driven stage scheduling: *when* each stage of a [`QueryDag`]
-//! may launch, decided per input edge.
+//! Event-driven stage scheduling: *when* each stage of a
+//! [`crate::stage::QueryDag`] may launch, decided per input edge.
 //!
 //! [`plan_schedule`] precomputes, per stage, the [`WaitEvent`]s that
 //! must fire before that stage's fleet may acquire workers, and the
@@ -41,7 +41,7 @@ use std::cell::Cell;
 use lambada_sim::sync::{Notified, Notify};
 
 use crate::costmodel::ComputeCostModel;
-use crate::stage::{QueryDag, StageOutput};
+use crate::driver::LaunchPlan;
 
 /// When a stage's fleet may launch relative to its inputs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -96,62 +96,56 @@ impl SchedulePlan {
 
 /// Estimated bytes a stage has to chew through: the larger of what it
 /// emits and what it ingests, so cheap pass-through stages still get
-/// credited their input volume. Defensive on short estimate vectors
-/// (callers may pass an empty slice in modes that never price edges).
-fn work_bytes(dag: &QueryDag, est_bytes: &[u64], sid: usize) -> u64 {
-    let own = est_bytes.get(sid).copied().unwrap_or(0);
+/// credited their input volume.
+fn work_bytes(launch: &LaunchPlan<'_>, sid: usize) -> u64 {
     let ingest: u64 =
-        dag.stages[sid].inputs().iter().map(|&i| est_bytes.get(i).copied().unwrap_or(0)).sum();
-    own.max(ingest)
+        launch.edges.dag.stages[sid].inputs().iter().map(|&i| launch.est_bytes[i]).sum();
+    launch.est_bytes[sid].max(ingest)
 }
 
-/// Build the launch plan for `dag` under `mode`. `est_bytes` and
-/// `workers` are the driver's per-stage edge-volume estimates and
-/// planned fleet sizes; only [`SchedMode::Overlap`] prices edges with
-/// them (eager accepts empty estimates).
+/// Build the launch schedule for the DAG `launch` sizes, under `mode`.
+/// Only [`SchedMode::Overlap`] prices edges, from the launch plan's
+/// per-stage byte estimates and fleet sizes — the same numbers that
+/// sized the fleets.
 pub fn plan_schedule(
-    dag: &QueryDag,
+    launch: &LaunchPlan<'_>,
     costs: &ComputeCostModel,
     mode: SchedMode,
-    est_bytes: &[u64],
-    workers: &[usize],
 ) -> SchedulePlan {
+    let stages = &launch.edges.dag.stages;
     let waits = match mode {
-        SchedMode::Eager => dag
-            .stages
+        SchedMode::Eager => stages
             .iter()
             .map(|kind| kind.inputs().iter().map(|&i| WaitEvent::Completed(i)).collect())
             .collect(),
-        SchedMode::Overlap => dag
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(sid, kind)| {
-                let consumer_secs = costs.stage_worker_seconds(
-                    work_bytes(dag, est_bytes, sid),
-                    workers.get(sid).copied().unwrap_or(1),
-                );
-                kind.inputs()
-                    .iter()
-                    .map(|&p| {
-                        // Never overlap across a sort-sample barrier:
-                        // the producer fleet synchronizes on samples
-                        // from all members before any data moves, so an
-                        // early consumer only accrues billed wait.
-                        let barrier = matches!(dag.stages[p].output(), StageOutput::SortExchange);
-                        let producer_secs = costs.stage_worker_seconds(
-                            work_bytes(dag, est_bytes, p),
-                            workers.get(p).copied().unwrap_or(1),
-                        );
-                        if !barrier && costs.overlap_pays(producer_secs, consumer_secs) {
-                            WaitEvent::Launched(p)
-                        } else {
-                            WaitEvent::Completed(p)
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
+        SchedMode::Overlap => {
+            let worker_secs = |sid: usize| {
+                costs.stage_worker_seconds(work_bytes(launch, sid), launch.workers[sid])
+            };
+            stages
+                .iter()
+                .enumerate()
+                .map(|(sid, kind)| {
+                    let consumer_secs = worker_secs(sid);
+                    kind.inputs()
+                        .iter()
+                        .map(|&p| {
+                            // Never overlap across a sort-sample barrier:
+                            // the producer fleet synchronizes on samples
+                            // from all members before any data moves, so
+                            // an early consumer only accrues billed wait.
+                            if !launch.edges.feeds_sort(p)
+                                && costs.overlap_pays(worker_secs(p), consumer_secs)
+                            {
+                                WaitEvent::Launched(p)
+                            } else {
+                                WaitEvent::Completed(p)
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        }
     };
     SchedulePlan { mode, waits }
 }
@@ -230,9 +224,15 @@ impl StageBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::QueryDag;
     use crate::verify::test_dags::{
-        diamond_dag, scan_sort_dag, single_scan_dag, two_scan_join_dag, unbalanced_join_dag,
+        diamond_dag, scan_sort_dag, single_scan_dag, sized, two_scan_join_dag, unbalanced_join_dag,
     };
+
+    /// A launch plan nobody prices: eager never reads the estimates.
+    fn unpriced(dag: &QueryDag) -> LaunchPlan<'_> {
+        sized(dag, vec![0; dag.stages.len()], vec![1; dag.stages.len()])
+    }
 
     fn costs() -> ComputeCostModel {
         ComputeCostModel::default()
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn eager_waits_are_exactly_the_inputs() {
         let dag = two_scan_join_dag();
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Eager, &[], &[]);
+        let plan = plan_schedule(&unpriced(&dag), &costs(), SchedMode::Eager);
         assert_eq!(plan.waits[0], Vec::new());
         assert_eq!(plan.waits[1], Vec::new());
         assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(1)]);
@@ -249,9 +249,9 @@ mod tests {
         // Not a level barrier: in the diamond and the unbalanced shape a
         // stage still waits on its own inputs only, whatever else sits
         // in earlier topological levels.
-        let plan = plan_schedule(&diamond_dag(), &costs(), SchedMode::Eager, &[], &[]);
+        let plan = plan_schedule(&unpriced(&diamond_dag()), &costs(), SchedMode::Eager);
         assert_eq!(plan.waits[3], vec![WaitEvent::Completed(1), WaitEvent::Completed(2)]);
-        let plan = plan_schedule(&unbalanced_join_dag(), &costs(), SchedMode::Eager, &[], &[]);
+        let plan = plan_schedule(&unpriced(&unbalanced_join_dag()), &costs(), SchedMode::Eager);
         assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(0)]);
         assert_eq!(plan.waits[3], vec![WaitEvent::Completed(2), WaitEvent::Completed(1)]);
     }
@@ -262,14 +262,14 @@ mod tests {
         let workers = vec![1, 1, 1];
         // Tiny producers feeding a heavy consumer: both edges overlap.
         let est = vec![1 << 10, 1 << 10, 1 << 30];
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Overlap, &est, &workers);
+        let plan = plan_schedule(&sized(&dag, est, workers.clone()), &costs(), SchedMode::Overlap);
         assert_eq!(plan.waits[2], vec![WaitEvent::Launched(0), WaitEvent::Launched(1)]);
         assert_eq!(plan.overlapped_edges(), 2);
         // A heavy producer beside a tiny one: only the tiny edge
         // overlaps — polling out the heavy scan would bill more wait
         // than the headroom allows.
         let est = vec![1 << 30, 1 << 10, 1 << 20];
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Overlap, &est, &workers);
+        let plan = plan_schedule(&sized(&dag, est, workers), &costs(), SchedMode::Overlap);
         assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Launched(1)]);
     }
 
@@ -278,7 +278,7 @@ mod tests {
         let dag = scan_sort_dag();
         // Estimates that would otherwise scream "overlap".
         let est = vec![1, 1 << 30];
-        let plan = plan_schedule(&dag, &costs(), SchedMode::Overlap, &est, &[1, 1]);
+        let plan = plan_schedule(&sized(&dag, est, vec![1, 1]), &costs(), SchedMode::Overlap);
         assert_eq!(plan.waits[1], vec![WaitEvent::Completed(0)]);
         assert_eq!(plan.overlapped_edges(), 0);
     }
@@ -287,7 +287,7 @@ mod tests {
     fn sources_wait_on_nothing_in_every_mode() {
         let dag = single_scan_dag();
         for mode in [SchedMode::Eager, SchedMode::Overlap] {
-            let plan = plan_schedule(&dag, &costs(), mode, &[], &[]);
+            let plan = plan_schedule(&unpriced(&dag), &costs(), mode);
             assert_eq!(plan.waits, vec![Vec::new()]);
         }
     }

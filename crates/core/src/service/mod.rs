@@ -37,10 +37,10 @@ use lambada_engine::logical::LogicalPlan;
 use lambada_sim::sync::{Semaphore, SemaphorePermit};
 use lambada_sim::JoinHandle;
 
-use crate::driver::{ExecPolicy, Lambada, QueryReport};
-use crate::error::{CoreError, Result};
+use crate::driver::{ExecPolicy, Lambada, LaunchPlan, QueryReport};
+use crate::error::Result;
 use crate::exchange_cost::{direct_edge_counts, stage_edge_counts};
-use crate::stage::{QueryDag, StageKind};
+use crate::stage::{QueryDag, ReaderRole};
 use crate::transport::TransportKind;
 
 use admission::AdmissionController;
@@ -222,7 +222,8 @@ impl QueryService {
 
     /// The admission estimate a submission of `plan` would reserve.
     pub fn estimate(&self, plan: &LogicalPlan) -> Result<QueryEstimate> {
-        estimate_dag(&self.system, &self.system.plan(plan)?)
+        let dag = self.system.plan(plan)?;
+        Ok(estimate_dag(&self.system, &self.system.launch_plan(&dag, None)?))
     }
 
     /// High-water mark of in-flight workers across all queries (0 when
@@ -263,7 +264,7 @@ impl QueryService {
     /// Submit a hand-built stage DAG for `tenant` — the service-side
     /// counterpart of [`Lambada::run_dag`]. The DAG runs through the
     /// same static verification and admission as a planned query, so a
-    /// malformed DAG is rejected with [`CoreError::InvalidPlan`] before
+    /// malformed DAG is rejected with [`crate::CoreError::InvalidPlan`] before
     /// a cent of the tenant's budget is reserved or a worker invoked.
     pub fn submit_dag(&self, tenant: &str, dag: &QueryDag) -> QueryHandle {
         let system = Rc::clone(&self.system);
@@ -300,8 +301,8 @@ async fn admit_and_run(
     submitted: lambada_sim::SimTime,
     dag: QueryDag,
 ) -> Result<QueryReport> {
-    system.verify_plan(&dag)?;
-    let estimate = estimate_dag(&system, &dag)?;
+    // The estimate is read off the very launch plan that was verified.
+    let estimate = estimate_dag(&system, &system.launch_plan(&dag, None)?);
     admission.admit(&tenant, &estimate).await?;
     let fleet_cap = match &gate {
         Some(g) if shrink => {
@@ -341,46 +342,47 @@ async fn admit_and_run(
 /// on top.
 const DIRECT_FALLBACK_HEADROOM: f64 = 0.25;
 
-/// Build the admission estimate for a planned DAG: the uncapped fleet
-/// plan gives per-stage worker counts, every exchange edge is charged
-/// with [`stage_edge_counts`] (LISTs with a polling allowance) — or, on
-/// the direct transport, with [`direct_edge_counts`] under the
-/// [`DIRECT_FALLBACK_HEADROOM`] fallback bound, so direct-transport
-/// queries stop reserving full object-store request envelopes — scans
-/// are charged a per-file metadata + column-chunk envelope, and the
-/// total carries a 2× margin for speculation and slack.
-fn estimate_dag(system: &Lambada, dag: &QueryDag) -> Result<QueryEstimate> {
-    let fleets = system.plan_fleets(dag)?;
+/// Build the admission estimate from a DAG's verified, uncapped launch
+/// plan: it gives per-stage worker counts and every edge's readers.
+/// Every exchange edge is charged with [`stage_edge_counts`] (LISTs with
+/// a polling allowance) — or, on the direct transport, with
+/// [`direct_edge_counts`] under the [`DIRECT_FALLBACK_HEADROOM`] fallback
+/// bound, so direct-transport queries stop reserving full object-store
+/// request envelopes — scans are charged a per-file metadata +
+/// column-chunk envelope, and the total carries a 2× margin for
+/// speculation and slack.
+fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
+    let fleets = &launch.workers;
     let cfg = system.config();
     let buckets = cfg.exchange.num_buckets as f64;
+    // Receivers of an edge that touch the object store: all of them on
+    // the store transport, the fallback fraction on the direct one.
+    let store_receivers = |w: f64| match cfg.transport {
+        TransportKind::ObjectStore => w,
+        TransportKind::Direct => (w * DIRECT_FALLBACK_HEADROOM).ceil(),
+    };
     let (mut gets, mut puts, mut lists) = (0f64, 0f64, 0f64);
-    let mut invocations = 0u64;
-    let mut workers = 0usize;
-    for (sid, kind) in dag.stages.iter().enumerate() {
-        let w = fleets[sid];
-        workers += w;
-        invocations += w as u64;
+    let workers: usize = fleets.iter().sum();
+    let invocations = workers as u64;
+    for (pid, readers) in launch.edges.readers.iter().enumerate() {
+        let senders = fleets[pid] as f64;
         // Every stage uploads at most one result object per worker.
-        puts += w as f64;
-        if let StageKind::Scan(scan) = kind {
-            let spec = system
-                .table(&scan.table)
-                .ok_or_else(|| CoreError::Unsupported(format!("unknown table {}", scan.table)))?;
-            let width = spec.schema.len().max(1) as f64;
-            let files = spec.files.len() as f64;
+        puts += senders;
+        if let Some((table, _)) = &launch.scans[pid] {
             // Footer fetches plus a column-chunk envelope (8 row groups
             // per file covers every staged layout comfortably) plus
             // range splits of large chunks.
-            gets += files * (2.0 + 8.0 * width);
-            gets += (spec.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
+            let width = table.schema.len().max(1) as f64;
+            gets += table.files.len() as f64 * (2.0 + 8.0 * width);
+            gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
         }
-        for &input in &kind.inputs() {
-            let senders = fleets[input] as f64;
+        for reader in readers {
+            let Some(consumer) = reader.stage else { continue };
+            let w = fleets[consumer] as f64;
             let edge = match cfg.transport {
-                TransportKind::ObjectStore => stage_edge_counts(senders, w as f64, buckets),
+                TransportKind::ObjectStore => stage_edge_counts(senders, w, buckets),
                 TransportKind::Direct => {
-                    let fallback = (w as f64 * DIRECT_FALLBACK_HEADROOM).ceil();
-                    direct_edge_counts(senders, w as f64, fallback, buckets)
+                    direct_edge_counts(senders, w, store_receivers(w), buckets)
                 }
             };
             gets += edge.reads;
@@ -388,20 +390,17 @@ fn estimate_dag(system: &Lambada, dag: &QueryDag) -> Result<QueryEstimate> {
             // One LIST round per receiver in the steady state; allow 8
             // for concurrency-induced polling.
             lists += edge.lists * 8.0;
-        }
-        if let StageKind::Sort(s) = kind {
-            // Sample-exchange envelope: every producer publishes a
-            // sample run, every sort worker reads them all. The direct
-            // transport carries the sample barrier too, so only the
-            // fallback fraction of sort workers hits the store.
-            let senders = fleets[s.input] as f64;
-            let readers = match cfg.transport {
-                TransportKind::ObjectStore => w as f64,
-                TransportKind::Direct => (w as f64 * DIRECT_FALLBACK_HEADROOM).ceil(),
-            };
-            puts += senders;
-            gets += senders * readers;
-            lists += readers * 8.0;
+            if reader.role == ReaderRole::SortInput {
+                // Sample-exchange envelope: every producer publishes a
+                // sample run, every sort worker reads them all. The
+                // direct transport carries the sample barrier too, so
+                // only the fallback fraction of sort workers hits the
+                // store.
+                let sample_readers = store_receivers(w);
+                puts += senders;
+                gets += senders * sample_readers;
+                lists += sample_readers * 8.0;
+            }
         }
     }
     let prices = system.cloud().billing.prices();
@@ -411,9 +410,9 @@ fn estimate_dag(system: &Lambada, dag: &QueryDag) -> Result<QueryEstimate> {
         + puts * prices.s3_put
         + lists * prices.s3_list
         + invocations as f64 * prices.lambda_request;
-    Ok(QueryEstimate {
+    QueryEstimate {
         workers,
         requests: (raw * margin).ceil() as u64,
         request_dollars: dollars * margin,
-    })
+    }
 }

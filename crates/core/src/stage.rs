@@ -46,6 +46,18 @@
 //! Anything else (aggregates below joins, computed projections that do not
 //! compose) reports [`CoreError::Unsupported`] and falls back to the local
 //! reference engine.
+//!
+//! # The edge table
+//!
+//! The driver scope is one more reader of the last edge. [`QueryDag::edges`]
+//! derives, once per DAG, *who reads which stage's output, as what, and what
+//! must agree across it*: per producer its [`Reader`]s (a consumer stage in
+//! a [`ReaderRole`], or the driver's [`FinalStage`]), what the producer
+//! [`Emits`] (rows of a schema, or aggregate state of given key types and
+//! accumulator shapes) and what each reader [`Declares`]. The verifier's
+//! edge pass, the driver's launch plan (partition counts, sort-edge specs),
+//! the scheduler's sort-barrier rule and the service's admission estimate
+//! all read this one table; none of them walks `inputs()` for itself.
 
 use lambada_engine::logical::{JoinVariant, LogicalPlan, SortKey};
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
@@ -281,15 +293,43 @@ impl StageKind {
         }
     }
 
-    /// The rows this stage puts on its outgoing edge (or reports to the
-    /// driver): scan/join stages ship their pipeline's intermediate
-    /// schema (`None` when it does not type-check), agg-merge stages
-    /// their finalized `agg_schema`, sort stages their edge schema.
-    pub fn edge_schema(&self) -> Option<SchemaRef> {
+    /// What this stage puts on its outgoing edge (or reports to the
+    /// driver). Scan/join stages ship their pipeline's intermediate
+    /// schema as rows, or — under a `PartialAggregate` terminal — grouped
+    /// state; `None` when the pipeline does not type-check or carries a
+    /// runtime-only terminal. Agg-merge stages emit finalized `agg_schema`
+    /// rows, except that the last stage under a carry final stage
+    /// (`carried`) re-emits its merged state unfinalized. Sort stages emit
+    /// their edge schema.
+    fn emits(&self, carried: bool) -> Option<Emits> {
         match self {
-            StageKind::Scan(_) | StageKind::Join(_) => self.pipeline()?.intermediate_schema().ok(),
-            StageKind::AggMerge(a) => Some(a.agg_schema.clone()),
-            StageKind::Sort(s) => Some(s.schema.clone()),
+            StageKind::Scan(_) | StageKind::Join(_) => {
+                let p = self.pipeline()?;
+                let mid = p.intermediate_schema().ok()?;
+                match &p.terminal {
+                    Terminal::Collect | Terminal::SortPartition { .. } => Some(Emits::Rows(mid)),
+                    Terminal::PartialAggregate { group_by, aggs } => Some(Emits::AggState {
+                        keys: group_by
+                            .iter()
+                            .map(|(e, _)| e.data_type(&mid))
+                            .collect::<std::result::Result<_, _>>()
+                            .ok()?,
+                        funcs: agg_func_types(aggs, &mid).ok()?,
+                    }),
+                    Terminal::HashPartition { .. }
+                    | Terminal::PartitionedAggregate { .. }
+                    | Terminal::Probe { .. } => None,
+                }
+            }
+            StageKind::AggMerge(a) if carried => {
+                let num_keys = a.agg_schema.len().saturating_sub(a.funcs.len());
+                Some(Emits::AggState {
+                    keys: a.agg_schema.fields[..num_keys].iter().map(|f| f.dtype).collect(),
+                    funcs: a.funcs.clone(),
+                })
+            }
+            StageKind::AggMerge(a) => Some(Emits::Rows(a.agg_schema.clone())),
+            StageKind::Sort(s) => Some(Emits::Rows(s.schema.clone())),
         }
     }
 
@@ -318,19 +358,128 @@ pub struct QueryDag {
     pub final_stage: FinalStage,
 }
 
+/// What a producer stage puts on its out-edge.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Emits {
+    /// Record batches of this schema.
+    Rows(SchemaRef),
+    /// Grouped partial-aggregate state: the group-key types and the
+    /// accumulator shapes.
+    AggState { keys: Vec<DataType>, funcs: Vec<(AggFunc, Option<DataType>)> },
+}
+
+/// What a reader says it reads; must agree with what its producer
+/// [`Emits`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Declares<'a> {
+    /// Record batches of this schema (a join side, a sort edge, the
+    /// driver's collected batches).
+    Rows(&'a SchemaRef),
+    /// Aggregate state that finalizes into `agg_schema` (group keys ++
+    /// one column per accumulator in `funcs`).
+    AggState { agg_schema: &'a SchemaRef, funcs: &'a [(AggFunc, Option<DataType>)] },
+}
+
+/// The part a reader plays on the edge it reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReaderRole {
+    JoinProbe,
+    JoinBuild,
+    AggInput,
+    SortInput,
+    /// The driver's [`FinalStage`], reading the last stage's reports.
+    Final,
+}
+
+/// One reader of a producer's output.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Reader<'a> {
+    /// DAG index of the reading stage; `None` for the driver.
+    pub stage: Option<usize>,
+    pub role: ReaderRole,
+    pub declares: Declares<'a>,
+}
+
+/// The derived edge table of one [`QueryDag`]: per producer stage what
+/// it emits and who reads it. Built by [`QueryDag::edges`].
+#[derive(Clone, Debug)]
+pub struct EdgeTable<'a> {
+    pub dag: &'a QueryDag,
+    /// Per stage: what it emits; `None` when its own pipeline is broken.
+    pub emits: Vec<Option<Emits>>,
+    /// Per stage: its readers, consumer stages in DAG order (a join's
+    /// probe side before its build side), the driver last.
+    pub readers: Vec<Vec<Reader<'a>>>,
+}
+
+impl EdgeTable<'_> {
+    /// Does `producer`'s output cross a sort-sample barrier — is one of
+    /// its readers a sort stage?
+    pub fn feeds_sort(&self, producer: usize) -> bool {
+        self.readers[producer].iter().any(|r| r.role == ReaderRole::SortInput)
+    }
+}
+
 impl QueryDag {
     /// Statically verify the plan against the operator contracts —
-    /// topology, schema flow across every exchange edge, terminal/output
-    /// agreement, final-stage agreement — via [`crate::verify::verify_dag`].
-    /// Fleet sizing is checked separately once the driver has planned
-    /// worker counts ([`crate::verify::verify_fleets`]).
+    /// topology, per-stage pipelines, and every edge of the
+    /// [`EdgeTable`], the driver's included — via
+    /// [`crate::verify::verify_dag`]. Fleet sizing is checked separately
+    /// once the driver has planned worker counts
+    /// ([`crate::verify::verify_fleets`]).
     pub fn validate(&self) -> Result<()> {
-        let diags = crate::verify::verify_dag(self);
-        if diags.is_empty() {
-            Ok(())
-        } else {
-            Err(CoreError::InvalidPlan(diags))
+        crate::verify::checked_edges(self).map(|_| ()).map_err(CoreError::InvalidPlan)
+    }
+
+    /// Derive the edge table: the one place a per-producer reader list
+    /// is built. Safe on any DAG — an input index outside the DAG has no
+    /// producer to be listed under (the verifier reports it as
+    /// `V-TOPO-001`).
+    pub fn edges(&self) -> EdgeTable<'_> {
+        let carried = matches!(self.final_stage, FinalStage::CarryAggState { .. });
+        let last = self.stages.len().checked_sub(1);
+        let emits = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(sid, k)| k.emits(carried && Some(sid) == last))
+            .collect();
+        let mut readers: Vec<Vec<Reader<'_>>> = vec![Vec::new(); self.stages.len()];
+        let mut read = |producer: usize, stage, role, declares| {
+            if let Some(list) = readers.get_mut(producer) {
+                list.push(Reader { stage, role, declares });
+            }
+        };
+        for (sid, kind) in self.stages.iter().enumerate() {
+            let by = Some(sid);
+            match kind {
+                StageKind::Scan(_) => {}
+                StageKind::Join(j) => {
+                    read(j.probe_input, by, ReaderRole::JoinProbe, Declares::Rows(&j.probe_schema));
+                    read(j.build_input, by, ReaderRole::JoinBuild, Declares::Rows(&j.build_schema));
+                }
+                StageKind::AggMerge(a) => read(
+                    a.input,
+                    by,
+                    ReaderRole::AggInput,
+                    Declares::AggState { agg_schema: &a.agg_schema, funcs: &a.funcs },
+                ),
+                StageKind::Sort(s) => {
+                    read(s.input, by, ReaderRole::SortInput, Declares::Rows(&s.schema));
+                }
+            }
         }
+        let declares = match &self.final_stage {
+            FinalStage::MergeAggregate { agg_schema, funcs, .. }
+            | FinalStage::CarryAggState { agg_schema, funcs } => {
+                Declares::AggState { agg_schema, funcs }
+            }
+            FinalStage::CollectBatches { schema, .. } => Declares::Rows(schema),
+        };
+        if let Some(last) = last {
+            read(last, None, ReaderRole::Final, declares);
+        }
+        EdgeTable { dag: self, emits, readers }
     }
 }
 
@@ -351,17 +500,9 @@ pub fn split(plan: &LogicalPlan) -> Result<QueryDag> {
 pub fn split_with(plan: &LogicalPlan, opts: &SplitOptions) -> Result<QueryDag> {
     let dag = split_with_inner(plan, opts)?;
     debug_assert!(
-        {
-            let diags = crate::verify::verify_dag(&dag);
-            if !diags.is_empty() {
-                eprintln!("split_with produced an invalid DAG:");
-                for d in &diags {
-                    eprintln!("  {d}");
-                }
-            }
-            diags.is_empty()
-        },
-        "split_with produced a DAG the plan verifier rejects"
+        dag.validate().is_ok(),
+        "split_with produced a DAG the plan verifier rejects: {:?}",
+        dag.validate()
     );
     Ok(dag)
 }
@@ -392,231 +533,176 @@ fn split_with_inner(plan: &LogicalPlan, opts: &SplitOptions) -> Result<QueryDag>
     }
     post.reverse(); // apply bottom-up
 
-    // A trailing `ORDER BY [LIMIT]` (and nothing else) can lower into a
-    // distributed sort stage when the sorted rows materialize serverlessly.
-    let sort_spec: Option<(Vec<SortKey>, Option<usize>)> = if opts.exchange_sorts {
-        match post.as_slice() {
-            [PostOp::Sort(keys)] => Some((keys.clone(), None)),
-            [PostOp::Sort(keys), PostOp::Limit(n)] => Some((keys.clone(), Some(*n))),
-            _ => None,
-        }
-    } else {
-        None
-    };
-
-    match node {
+    // Schema of the rows the last fleet holds (under an aggregate, the
+    // aggregate's output schema).
+    let schema = node.schema()?;
+    // The aggregate on top of the producer subtree, if any. A grouped
+    // one repartitions through an agg-merge fleet under
+    // `exchange_aggregates`; a global one always merges on the driver —
+    // one group repartitions to one shard.
+    let agg = match node {
         LogicalPlan::Aggregate { input, group_by, aggs } => {
-            let agg_schema = node.schema()?;
             let mid_schema = input.schema()?;
             let funcs = agg_func_types(aggs, &mid_schema)?;
-            let terminal =
-                Terminal::PartialAggregate { group_by: group_by.clone(), aggs: aggs.clone() };
-            if opts.exchange_aggregates && !group_by.is_empty() {
-                // Repartitioned aggregation: the producer ships sharded
-                // grouped states over an exchange edge; an agg-merge
-                // fleet finalizes; the driver only concatenates.
-                let mut stages = Vec::new();
-                let input_idx =
-                    lower_producer(input, terminal, StageOutput::AggExchange, &mut stages)?;
-                match sort_spec {
-                    Some((keys, limit)) => {
-                        // …and a sort fleet totally orders the finalized
-                        // groups: nothing but concatenation on the driver.
-                        stages.push(StageKind::AggMerge(AggMergeStage {
-                            input: input_idx,
-                            agg_schema: agg_schema.clone(),
-                            funcs,
-                            output: StageOutput::SortExchange,
-                        }));
-                        let merge_idx = stages.len() - 1;
-                        stages.push(StageKind::Sort(SortStage {
-                            input: merge_idx,
-                            schema: agg_schema.clone(),
-                            keys,
-                            limit,
-                        }));
-                        let post = limit.map(PostOp::Limit).into_iter().collect();
-                        Ok(QueryDag {
-                            stages,
-                            final_stage: FinalStage::CollectBatches { schema: agg_schema, post },
-                        })
-                    }
-                    None => {
-                        stages.push(StageKind::AggMerge(AggMergeStage {
-                            input: input_idx,
-                            agg_schema: agg_schema.clone(),
-                            funcs,
-                            output: StageOutput::Driver,
-                        }));
-                        Ok(QueryDag {
-                            stages,
-                            final_stage: FinalStage::CollectBatches { schema: agg_schema, post },
-                        })
-                    }
-                }
-            } else {
-                // Driver-merged aggregates only materialize on the
-                // driver, so Sort/Limit stay driver post-ops.
-                let final_stage = FinalStage::MergeAggregate { agg_schema, funcs, post };
-                let mut stages = Vec::new();
-                lower_producer(input, terminal, StageOutput::Driver, &mut stages)?;
-                Ok(QueryDag { stages, final_stage })
-            }
+            Some((input.as_ref(), group_by, aggs, funcs))
         }
-        _ => {
-            let schema = node.schema()?;
-            match sort_spec {
+        _ => None,
+    };
+    let merge_fleet =
+        matches!(&agg, Some((_, group_by, ..)) if opts.exchange_aggregates && !group_by.is_empty());
+    // A trailing `ORDER BY [LIMIT]` (and nothing else) lowers into a
+    // distributed sort stage when the sorted rows materialize
+    // serverlessly. A driver-merged aggregate only materializes on the
+    // driver, so its Sort/Limit stay driver post-ops.
+    let sort_spec = match post.as_slice() {
+        _ if !opts.exchange_sorts || (agg.is_some() && !merge_fleet) => None,
+        [PostOp::Sort(keys)] => Some((keys.clone(), None)),
+        [PostOp::Sort(keys), PostOp::Limit(n)] => Some((keys.clone(), Some(*n))),
+        _ => None,
+    };
+    let sort_or_driver =
+        || if sort_spec.is_some() { StageOutput::SortExchange } else { StageOutput::Driver };
+
+    // One sequence: producer [→ agg-merge] [→ sort] → final.
+    let mut stages = Vec::new();
+    let mut last = match &agg {
+        Some((input, group_by, aggs, _)) => lower_stage(
+            input,
+            Terminal::PartialAggregate { group_by: (*group_by).clone(), aggs: (*aggs).clone() },
+            if merge_fleet { StageOutput::AggExchange } else { StageOutput::Driver },
+            &mut stages,
+        )?,
+        None => {
+            // Feeding a sort fleet, the producer locally sorts and
+            // truncates before it range-partitions.
+            let terminal = match &sort_spec {
                 Some((keys, limit)) => {
-                    // Producer fleet locally sorts + truncates, then range
-                    // partitions into the sort fleet.
-                    let terminal = Terminal::SortPartition { keys: keys.clone(), limit };
-                    let mut stages = Vec::new();
-                    let input_idx =
-                        lower_producer(node, terminal, StageOutput::SortExchange, &mut stages)?;
-                    stages.push(StageKind::Sort(SortStage {
-                        input: input_idx,
-                        schema: schema.clone(),
-                        keys,
-                        limit,
-                    }));
-                    let post = limit.map(PostOp::Limit).into_iter().collect();
-                    Ok(QueryDag {
-                        stages,
-                        final_stage: FinalStage::CollectBatches { schema, post },
-                    })
+                    Terminal::SortPartition { keys: keys.clone(), limit: *limit }
                 }
-                None => {
-                    let final_stage = FinalStage::CollectBatches { schema, post };
-                    let mut stages = Vec::new();
-                    lower_producer(node, Terminal::Collect, StageOutput::Driver, &mut stages)?;
-                    Ok(QueryDag { stages, final_stage })
-                }
-            }
+                None => Terminal::Collect,
+            };
+            lower_stage(node, terminal, sort_or_driver(), &mut stages)?
         }
+    };
+    if let Some((.., funcs)) = agg {
+        if !merge_fleet {
+            let final_stage = FinalStage::MergeAggregate { agg_schema: schema, funcs, post };
+            return Ok(QueryDag { stages, final_stage });
+        }
+        // Repartitioned aggregation: an agg-merge fleet finalizes the
+        // sharded grouped states; the driver only concatenates.
+        stages.push(StageKind::AggMerge(AggMergeStage {
+            input: last,
+            agg_schema: schema.clone(),
+            funcs,
+            output: sort_or_driver(),
+        }));
+        last = stages.len() - 1;
     }
+    if let Some((keys, limit)) = sort_spec {
+        // The sort fleet totally orders the rows: only concatenation (and
+        // the LIMIT's truncation) is left for the driver.
+        stages.push(StageKind::Sort(SortStage {
+            input: last,
+            schema: schema.clone(),
+            keys,
+            limit,
+        }));
+        post = limit.map(PostOp::Limit).into_iter().collect();
+    }
+    Ok(QueryDag { stages, final_stage: FinalStage::CollectBatches { schema, post } })
 }
 
-/// Does a `Project|Filter`-chain end in a join?
-fn contains_join(node: &LogicalPlan) -> bool {
-    match node {
-        LogicalPlan::Join { .. } => true,
-        LogicalPlan::Project { input, .. } | LogicalPlan::Filter { input, .. } => {
-            contains_join(input)
-        }
-        _ => false,
-    }
-}
-
-/// Lower a producer subtree `[Project|Filter]* → (Scan | Join)` with the
-/// given root terminal and output, appending its stages in topological
-/// order. Returns the root stage's DAG index.
-fn lower_producer(
+/// Lower a subtree `[Project|Filter]* → (Scan | Join)` into the stage
+/// whose pipeline ends in `terminal` and whose result leaves through
+/// `output`, appending it (after its own input stages, for a join) in
+/// topological order. Returns the stage's DAG index. A join input is just
+/// the `(Collect, Exchange { keys })` case: a nested join's post-pipeline
+/// rows leave through the hash exchange exactly like a scan's would, and
+/// the driver swaps in `HashPartition` once the consumer fleet is sized.
+fn lower_stage(
     node: &LogicalPlan,
     terminal: Terminal,
     output: StageOutput,
     stages: &mut Vec<StageKind>,
 ) -> Result<usize> {
-    if contains_join(node) {
-        lower_join(node, terminal, output, stages)
-    } else {
-        stages.push(StageKind::Scan(lower_scan_stage(node, terminal, output)?));
-        Ok(stages.len() - 1)
+    match peel_to_join(node)? {
+        Some(join) => lower_join(join, terminal, output, stages),
+        None => {
+            stages.push(StageKind::Scan(lower_scan_stage(node, terminal, output)?));
+            Ok(stages.len() - 1)
+        }
     }
 }
 
-/// Lower one join input into a stage feeding a row-exchange edge
-/// hash-partitioned on `keys` (expressed in the input's output schema):
-/// a scan stage for `[Project?] → Scan`, recursively a join stage for a
-/// nested join — its post pipeline's rows leave through the exchange
-/// exactly like a scan's would.
-fn lower_join_input(
-    node: &LogicalPlan,
-    keys: Vec<usize>,
-    stages: &mut Vec<StageKind>,
-) -> Result<usize> {
-    if contains_join(node) {
-        lower_join(node, Terminal::Collect, StageOutput::Exchange { keys }, stages)
-    } else {
-        stages.push(StageKind::Scan(lower_exchange_scan(node, keys)?));
-        Ok(stages.len() - 1)
-    }
+/// A join node with the `Project|Filter` chain above it folded, bottom-up,
+/// into one `(predicates, projection)` pair over the join output.
+struct PeeledJoin<'a> {
+    left: &'a LogicalPlan,
+    right: &'a LogicalPlan,
+    on: &'a [(usize, usize)],
+    variant: JoinVariant,
+    predicates: Vec<Expr>,
+    projection: Option<Vec<(Expr, String)>>,
 }
 
-/// The partitioned hash-join lowering: peel residual `Project|Filter`
-/// nodes above the join into the join stage's post pipeline, then lower
-/// each join input — scan or nested join — into a stage feeding a
+/// Walk a `Project|Filter` chain down to the join it ends in; `None` when
+/// it ends in anything else (a scan-rooted fragment). Stacked projections
+/// compose only when the lower one is simple column references (which is
+/// what the join reorderer emits); otherwise the plan is unsupported.
+fn peel_to_join(node: &LogicalPlan) -> Result<Option<PeeledJoin<'_>>> {
+    let unsupported = |what: &str| CoreError::Unsupported(what.to_string());
+    Ok(Some(match node {
+        LogicalPlan::Join { left, right, on, variant } => PeeledJoin {
+            left,
+            right,
+            on,
+            variant: *variant,
+            predicates: Vec::new(),
+            projection: None,
+        },
+        LogicalPlan::Filter { input, predicate } => {
+            let Some(mut join) = peel_to_join(input)? else { return Ok(None) };
+            join.predicates.push(match &join.projection {
+                None => predicate.clone(),
+                Some(exprs) => remap_through_simple(predicate, exprs).ok_or_else(|| {
+                    unsupported("filter above a computed projection above a join")
+                })?,
+            });
+            join
+        }
+        LogicalPlan::Project { input, exprs } => {
+            let Some(mut join) = peel_to_join(input)? else { return Ok(None) };
+            join.projection = Some(match &join.projection {
+                None => exprs.clone(),
+                Some(lower) => exprs
+                    .iter()
+                    .map(|(e, name)| {
+                        let through = remap_through_simple(e, lower).ok_or_else(|| {
+                            unsupported("stacked computed projections above a join")
+                        })?;
+                        Ok((through, name.clone()))
+                    })
+                    .collect::<Result<_>>()?,
+            });
+            join
+        }
+        _ => return Ok(None),
+    }))
+}
+
+/// The partitioned hash-join lowering: the residual `Project|Filter`
+/// nodes above the join become the join stage's post pipeline, and each
+/// join input — scan or nested join — lowers into a stage feeding a
 /// hash-partitioned exchange edge. `output` is where the join stage's
 /// post pipeline sends its result. Returns the join stage's DAG index.
 fn lower_join(
-    node: &LogicalPlan,
+    join: PeeledJoin<'_>,
     terminal: Terminal,
     output: StageOutput,
     stages: &mut Vec<StageKind>,
 ) -> Result<usize> {
-    // Collect the ops between the consumer and the join, top-down.
-    enum PostJoinOp {
-        Proj(Vec<(Expr, String)>),
-        Pred(Expr),
-    }
-    let mut ops: Vec<PostJoinOp> = Vec::new();
-    let mut cur = node;
-    loop {
-        match cur {
-            LogicalPlan::Project { input, exprs } => {
-                ops.push(PostJoinOp::Proj(exprs.clone()));
-                cur = input;
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                ops.push(PostJoinOp::Pred(predicate.clone()));
-                cur = input;
-            }
-            LogicalPlan::Join { .. } => break,
-            other => {
-                return Err(CoreError::Unsupported(format!(
-                    "unsupported shape above join:\n{}",
-                    other.display_indent()
-                )))
-            }
-        }
-    }
-    let LogicalPlan::Join { left, right, on, variant } = cur else { unreachable!() };
-
-    // Lower the peeled ops (bottom-up) into one (predicate, projection)
-    // pair over the join output. Stacked projections compose only when
-    // the lower one is simple column references (which is what the join
-    // reorderer emits); otherwise the plan is unsupported.
-    let mut projection: Option<Vec<(Expr, String)>> = None;
-    let mut predicates: Vec<Expr> = Vec::new();
-    for op in ops.into_iter().rev() {
-        match op {
-            PostJoinOp::Pred(p) => match &projection {
-                None => predicates.push(p),
-                Some(exprs) => {
-                    let remapped = remap_through_simple(&p, exprs).ok_or_else(|| {
-                        CoreError::Unsupported(
-                            "filter above a computed projection above a join".to_string(),
-                        )
-                    })?;
-                    predicates.push(remapped);
-                }
-            },
-            PostJoinOp::Proj(exprs) => match &projection {
-                None => projection = Some(exprs),
-                Some(lower) => {
-                    let mut composed = Vec::with_capacity(exprs.len());
-                    for (e, name) in exprs {
-                        let through = remap_through_simple(&e, lower).ok_or_else(|| {
-                            CoreError::Unsupported(
-                                "stacked computed projections above a join".to_string(),
-                            )
-                        })?;
-                        composed.push((through, name));
-                    }
-                    projection = Some(composed);
-                }
-            },
-        }
-    }
+    let PeeledJoin { left, right, on, variant, predicates, projection } = join;
     let predicate = if predicates.is_empty() {
         None
     } else {
@@ -642,8 +728,18 @@ fn lower_join(
         terminal,
     };
 
-    let probe_input = lower_join_input(left, probe_keys.clone(), stages)?;
-    let build_input = lower_join_input(right, build_keys.clone(), stages)?;
+    let probe_input = lower_stage(
+        left,
+        Terminal::Collect,
+        StageOutput::Exchange { keys: probe_keys.clone() },
+        stages,
+    )?;
+    let build_input = lower_stage(
+        right,
+        Terminal::Collect,
+        StageOutput::Exchange { keys: build_keys.clone() },
+        stages,
+    )?;
     stages.push(StageKind::Join(JoinStage {
         probe_input,
         build_input,
@@ -651,7 +747,7 @@ fn lower_join(
         build_schema,
         probe_keys,
         build_keys,
-        variant: *variant,
+        variant,
         post,
         output,
     }));
@@ -675,132 +771,75 @@ fn remap_through_simple(expr: &Expr, projection: &[(Expr, String)]) -> Option<Ex
     Some(expr.remap_columns(&|i| mapping[&i]))
 }
 
-/// Lower a scan-rooted fragment `[Project?] → Scan` into one scan stage
-/// with the given terminal and output.
+/// Lower a scan-rooted fragment `[Project?] → Scan` (the optimizer has
+/// already pushed filters into the scan) into one scan stage with the
+/// given terminal and output, in one walk over the matched `Scan` node.
 fn lower_scan_stage(
     node: &LogicalPlan,
     terminal: Terminal,
     output: StageOutput,
 ) -> Result<ScanStage> {
-    let (table, scan_columns, prune_predicate, pre_projection, _mid) = lower_fragment_input(node)?;
-    let pipeline = PipelineSpec {
-        input_schema: mid_schema_input(&scan_columns, node)?,
-        predicate: pipeline_predicate(&scan_columns, node)?,
-        projection: pre_projection,
-        terminal,
-    };
-    Ok(ScanStage { table, scan_columns, prune_predicate, pipeline, output })
-}
-
-/// Lower one join input (`[Project?] → Scan`) into a scan stage feeding
-/// an exchange edge. The terminal is `Collect` here; the driver swaps in
-/// `HashPartition { keys, partitions }` once the join fleet is sized.
-fn lower_exchange_scan(node: &LogicalPlan, keys: Vec<usize>) -> Result<ScanStage> {
-    lower_scan_stage(node, Terminal::Collect, StageOutput::Exchange { keys })
-}
-
-/// Walk `Project? → Filter? → Scan` below the consumer. Returns
-/// (table, scan columns, prune predicate, pipeline projection, schema the
-/// consumer's expressions refer to).
-#[allow(clippy::type_complexity)]
-fn lower_fragment_input(
-    node: &LogicalPlan,
-) -> Result<(String, Vec<usize>, Option<Expr>, Option<Vec<(Expr, String)>>, SchemaRef)> {
     // Optional projection between consumer and scan.
     let (projection_exprs, scan_node) = match node {
-        LogicalPlan::Project { input, exprs } => (Some(exprs.clone()), input.as_ref()),
+        LogicalPlan::Project { input, exprs } => (Some(exprs), input.as_ref()),
         other => (None, other),
     };
-    // The optimizer has already pushed filters into the scan.
-    let LogicalPlan::Scan { table, projection, predicate, .. } = scan_node else {
+    let LogicalPlan::Scan { table, schema, projection, predicate } = scan_node else {
         return Err(CoreError::Unsupported(format!(
             "fragment input must be [Project →] Scan after optimization, got:\n{}",
             scan_node.display_indent()
         )));
     };
+    let scan_schema = scan_node.schema()?;
     let scan_output_cols: Vec<usize> = match projection {
         Some(p) => p.clone(),
-        None => (0..scan_node.schema()?.len()).collect(),
+        None => (0..scan_schema.len()).collect(),
     };
-    // Scan operator must also download predicate columns (for row-level
-    // filtering in the pipeline).
-    let mut union_cols = scan_output_cols.clone();
+    // The scan operator must also download predicate columns (for
+    // row-level filtering in the pipeline): its columns are the union.
+    let mut scan_columns = scan_output_cols.clone();
     if let Some(p) = predicate {
-        union_cols.extend(p.referenced_columns());
+        scan_columns.extend(p.referenced_columns());
     }
-    union_cols.sort_unstable();
-    union_cols.dedup();
-
-    // Remap the plan's scan-output positions to union positions.
-    let pos_of = |base: usize| union_cols.iter().position(|&c| c == base).expect("in union");
-    let out_to_union: Vec<usize> = scan_output_cols.iter().map(|&c| pos_of(c)).collect();
-
-    let mid_schema = match &projection_exprs {
-        Some(exprs) => {
-            let scan_schema = scan_node.schema()?;
-            let mut fields = Vec::with_capacity(exprs.len());
-            for (e, name) in exprs {
-                fields.push(lambada_engine::Field::new(
-                    name.clone(),
-                    e.data_type(&scan_schema).map_err(CoreError::from)?,
-                ));
-            }
-            std::sync::Arc::new(lambada_engine::Schema::new(fields))
-        }
-        None => scan_node.schema()?,
-    };
+    scan_columns.sort_unstable();
+    scan_columns.dedup();
+    // Base-schema column → position in the union; total over the scan's
+    // output columns and the predicate's columns by construction.
+    let union_pos: std::collections::HashMap<usize, usize> =
+        scan_columns.iter().enumerate().map(|(pos, &base)| (base, pos)).collect();
 
     // Pipeline projection: plan projection exprs (remapped from scan
     // output positions to union positions), or a plain column selection
     // when the union is wider than the scan output.
     let pipeline_projection = match projection_exprs {
         Some(exprs) => Some(
-            exprs.into_iter().map(|(e, n)| (e.remap_columns(&|i| out_to_union[i]), n)).collect(),
+            exprs
+                .iter()
+                .map(|(e, n)| (e.remap_columns(&|i| union_pos[&scan_output_cols[i]]), n.clone()))
+                .collect(),
         ),
-        None => {
-            if union_cols == scan_output_cols {
-                None
-            } else {
-                let scan_schema = scan_node.schema()?;
-                Some(
-                    out_to_union
-                        .iter()
-                        .zip(scan_schema.fields.iter())
-                        .map(|(&u, f)| (Expr::Col(u), f.name.clone()))
-                        .collect(),
-                )
-            }
-        }
+        None if scan_columns == scan_output_cols => None,
+        None => Some(
+            scan_output_cols
+                .iter()
+                .zip(scan_schema.fields.iter())
+                .map(|(base, f)| (Expr::Col(union_pos[base]), f.name.clone()))
+                .collect(),
+        ),
     };
-
-    Ok((table.clone(), union_cols, predicate.clone(), pipeline_projection, mid_schema))
-}
-
-fn mid_schema_input(scan_columns: &[usize], node: &LogicalPlan) -> Result<SchemaRef> {
-    let scan = find_scan(node)?;
-    let LogicalPlan::Scan { schema, .. } = scan else { unreachable!() };
-    Ok(std::sync::Arc::new(schema.project(scan_columns)))
-}
-
-fn pipeline_predicate(scan_columns: &[usize], node: &LogicalPlan) -> Result<Option<Expr>> {
-    let scan = find_scan(node)?;
-    let LogicalPlan::Scan { predicate, .. } = scan else { unreachable!() };
-    Ok(predicate.as_ref().map(|p| {
-        p.remap_columns(&|base| {
-            scan_columns.iter().position(|&c| c == base).expect("predicate column in union")
-        })
-    }))
-}
-
-fn find_scan(node: &LogicalPlan) -> Result<&LogicalPlan> {
-    match node {
-        s @ LogicalPlan::Scan { .. } => Ok(s),
-        LogicalPlan::Project { input, .. } => find_scan(input),
-        other => Err(CoreError::Unsupported(format!(
-            "unsupported fragment shape:\n{}",
-            other.display_indent()
-        ))),
-    }
+    let pipeline = PipelineSpec {
+        input_schema: std::sync::Arc::new(schema.project(&scan_columns)),
+        predicate: predicate.as_ref().map(|p| p.remap_columns(&|base| union_pos[&base])),
+        projection: pipeline_projection,
+        terminal,
+    };
+    Ok(ScanStage {
+        table: table.clone(),
+        scan_columns,
+        prune_predicate: predicate.clone(),
+        pipeline,
+        output,
+    })
 }
 
 #[cfg(test)]
@@ -1308,5 +1347,156 @@ mod tests {
             j.output = StageOutput::Exchange { keys: vec![0] };
         }
         assert!(wrong_output.validate().is_err());
+    }
+
+    // ---- the edge table, on hand-built DAGs ----
+
+    use crate::verify::test_dags::{
+        agg_merge, agg_scan, collect_scan, diamond_dag, join_stage, scan_sort_dag, schema,
+        sum_by_c0, sum_funcs, sum_schema,
+    };
+
+    fn rows<'a>(stage: Option<usize>, role: ReaderRole, schema: &'a SchemaRef) -> Reader<'a> {
+        Reader { stage, role, declares: Declares::Rows(schema) }
+    }
+
+    #[test]
+    fn edge_table_of_a_diamond_lists_both_joins_on_the_shared_scan() {
+        use ReaderRole::{Final, JoinBuild, JoinProbe};
+        let dag = diamond_dag();
+        let edges = dag.edges();
+        let s2 = schema(2);
+        assert_eq!(
+            edges.readers,
+            vec![
+                // One scan read by two joins, each on both sides.
+                vec![
+                    rows(Some(1), JoinProbe, &s2),
+                    rows(Some(1), JoinBuild, &s2),
+                    rows(Some(2), JoinProbe, &s2),
+                    rows(Some(2), JoinBuild, &s2),
+                ],
+                vec![rows(Some(3), JoinProbe, &s2)],
+                vec![rows(Some(3), JoinBuild, &s2)],
+                vec![rows(None, Final, &s2)],
+            ]
+        );
+        assert_eq!(edges.emits, vec![Some(Emits::Rows(s2.clone())); 4]);
+        assert!((0..4).all(|p| !edges.feeds_sort(p)));
+    }
+
+    #[test]
+    fn edge_table_of_scan_to_sort_marks_the_sort_barrier() {
+        let dag = scan_sort_dag();
+        let edges = dag.edges();
+        let s2 = schema(2);
+        assert_eq!(
+            edges.readers,
+            vec![
+                vec![rows(Some(1), ReaderRole::SortInput, &s2)],
+                vec![rows(None, ReaderRole::Final, &s2)],
+            ]
+        );
+        // A locally sorted run is still rows of the pipeline's schema.
+        assert_eq!(edges.emits, vec![Some(Emits::Rows(s2.clone())); 2]);
+        assert!(edges.feeds_sort(0) && !edges.feeds_sort(1));
+    }
+
+    #[test]
+    fn edge_table_of_join_agg_merge_sort_switches_from_state_to_rows() {
+        let mut join = join_stage(0, 1, StageOutput::AggExchange);
+        if let StageKind::Join(j) = &mut join {
+            j.post.terminal = sum_by_c0();
+        }
+        let agg_schema = sum_schema(DataType::Int64);
+        let dag = QueryDag {
+            stages: vec![
+                collect_scan(StageOutput::Exchange { keys: vec![0] }),
+                collect_scan(StageOutput::Exchange { keys: vec![0] }),
+                join,
+                agg_merge(2, StageOutput::SortExchange),
+                StageKind::Sort(SortStage {
+                    input: 3,
+                    schema: agg_schema.clone(),
+                    keys: vec![SortKey::asc(col(0))],
+                    limit: Some(3),
+                }),
+            ],
+            final_stage: FinalStage::CollectBatches { schema: agg_schema.clone(), post: vec![] },
+        };
+        dag.validate().unwrap();
+        let edges = dag.edges();
+        let (s2, funcs) = (schema(2), sum_funcs());
+        assert_eq!(
+            edges.readers,
+            vec![
+                vec![rows(Some(2), ReaderRole::JoinProbe, &s2)],
+                vec![rows(Some(2), ReaderRole::JoinBuild, &s2)],
+                vec![Reader {
+                    stage: Some(3),
+                    role: ReaderRole::AggInput,
+                    declares: Declares::AggState { agg_schema: &agg_schema, funcs: &funcs },
+                }],
+                vec![rows(Some(4), ReaderRole::SortInput, &agg_schema)],
+                vec![rows(None, ReaderRole::Final, &agg_schema)],
+            ]
+        );
+        assert_eq!(
+            edges.emits,
+            vec![
+                Some(Emits::Rows(s2.clone())),
+                Some(Emits::Rows(s2.clone())),
+                // The join ships grouped state; the merge fleet finalizes
+                // it into rows, which the sort fleet passes on.
+                Some(Emits::AggState { keys: vec![DataType::Int64], funcs: funcs.clone() }),
+                Some(Emits::Rows(agg_schema.clone())),
+                Some(Emits::Rows(agg_schema.clone())),
+            ]
+        );
+        assert_eq!((0..5).filter(|&p| edges.feeds_sort(p)).collect::<Vec<_>>(), vec![3]);
+    }
+
+    #[test]
+    fn edge_table_under_a_carry_final_keeps_the_last_stage_unfinalized() {
+        let (agg_schema, funcs) = (sum_schema(DataType::Int64), sum_funcs());
+        let carry =
+            FinalStage::CarryAggState { agg_schema: agg_schema.clone(), funcs: funcs.clone() };
+        let state = Some(Emits::AggState { keys: vec![DataType::Int64], funcs: funcs.clone() });
+        let driver = Reader {
+            stage: None,
+            role: ReaderRole::Final,
+            declares: Declares::AggState { agg_schema: &agg_schema, funcs: &funcs },
+        };
+        // Scan-rooted: the scan's partial state goes straight to the driver.
+        let dag =
+            QueryDag { stages: vec![agg_scan(StageOutput::Driver)], final_stage: carry.clone() };
+        let edges = dag.edges();
+        assert_eq!(edges.readers, vec![vec![driver]]);
+        assert_eq!(edges.emits, vec![state.clone()]);
+        // Merge-rooted: the merge fleet re-emits state instead of rows —
+        // only under a carry final, and only as the last stage.
+        let stages = vec![agg_scan(StageOutput::AggExchange), agg_merge(0, StageOutput::Driver)];
+        let dag = QueryDag { stages: stages.clone(), final_stage: carry };
+        assert_eq!(dag.edges().emits, vec![state.clone(), state.clone()]);
+        assert_eq!(dag.edges().readers[1], vec![driver]);
+        let collect = FinalStage::CollectBatches { schema: agg_schema.clone(), post: vec![] };
+        let dag = QueryDag { stages, final_stage: collect };
+        assert_eq!(dag.edges().emits, vec![state, Some(Emits::Rows(agg_schema.clone()))]);
+    }
+
+    #[test]
+    fn edge_table_never_panics_on_a_malformed_dag() {
+        // No stages: no driver reader to attach. An input outside the DAG:
+        // no producer to list the reader under.
+        let mut dag = scan_sort_dag();
+        if let StageKind::Sort(s) = &mut dag.stages[1] {
+            s.input = 7;
+        }
+        let edges = dag.edges();
+        assert_eq!(edges.readers, vec![vec![], vec![rows(None, ReaderRole::Final, &schema(2))]]);
+        assert!(dag.validate().is_err());
+        dag.stages.clear();
+        assert!(dag.edges().readers.is_empty());
+        assert!(dag.validate().is_err());
     }
 }

@@ -11,16 +11,21 @@
 //! query service verifies before admission reserves a cent of tenant
 //! budget.
 //!
-//! The pass is split in three because the information arrives in steps:
+//! Every pass reads the DAG's one derived [`EdgeTable`]
+//! ([`QueryDag::edges`]): per producer what it emits and who reads it —
+//! consumer stages and, on the last stage, the driver's final stage. The
+//! pass is split in three because the information arrives in steps:
 //!
 //! * [`verify_dag`] checks everything the plan data itself determines —
-//!   topology, schema flow across every exchange edge, terminal/output
-//!   agreement, exchange-key consistency, final-stage agreement;
+//!   topology, each stage's own pipeline and keys, and then one walk over
+//!   every reader of every edge with one "emitted vs. declared"
+//!   comparison: the diagnostic code is chosen by the reader (a join
+//!   side or sort edge, an agg-merge fleet, or one of the three final
+//!   stages), the comparison is the same;
 //! * [`verify_fleets`] checks the sizing the driver computes per
 //!   execution — nonzero fleets, cost-model bounds, pinned fleets
 //!   respected, shared edges with equal consumer fleets (the partition
-//!   count of an edge *is* its consumer's fleet size), and endpoint
-//!   namespace uniqueness on the direct transport;
+//!   count of an edge *is* its consumer's fleet size);
 //! * [`verify_schedule`] checks the launch plan the event-driven
 //!   scheduler computed — every input edge covered by a wait (at least
 //!   transitively), the wait graph acyclic, and no overlapped launch
@@ -35,10 +40,12 @@ use std::collections::HashSet;
 use std::fmt;
 
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
-use lambada_engine::types::{Schema, SchemaRef};
+use lambada_engine::types::Schema;
 
 use crate::sched::{SchedulePlan, WaitEvent};
-use crate::stage::{FinalStage, QueryDag, StageKind, StageOutput};
+use crate::stage::{
+    Declares, EdgeTable, Emits, FinalStage, QueryDag, Reader, ReaderRole, StageKind, StageOutput,
+};
 
 /// Stable diagnostic codes; one section per invariant family. The full
 /// table, cross-linked to the OPERATORS.md contract each code enforces,
@@ -88,7 +95,8 @@ pub mod codes {
     /// payload-build time, they never live in a [`super::QueryDag`].
     pub const TERM_RUNTIME_ONLY: &str = "V-TERM-002";
     /// `FinalStage::MergeAggregate` disagrees with the last stage
-    /// (terminal kind, schema width, or accumulator shapes).
+    /// (terminal kind, schema width, group-key types, or accumulator
+    /// shapes).
     pub const FINAL_MERGE_AGG: &str = "V-FINAL-001";
     /// `FinalStage::CollectBatches` schema does not match the last
     /// stage's output schema.
@@ -108,9 +116,6 @@ pub mod codes {
     /// a sort edge's consumer set is not exactly one sort stage — the
     /// barrier/sample channel exists only on sort-feeding stages.
     pub const XPORT_DANGLING: &str = "V-XPORT-001";
-    /// Two edges of one query would claim the same transport endpoint
-    /// name (exchange channels and sample channels must be disjoint).
-    pub const XPORT_ENDPOINT: &str = "V-XPORT-002";
     /// A schedule plan is malformed: it sizes a different number of
     /// stages than the DAG, or a wait does not point at a lower-indexed
     /// stage (the waiter itself, a later stage, a stage outside the
@@ -124,8 +129,9 @@ pub mod codes {
     /// transitively — the stage could launch before its producer has.
     pub const SCHED_UNCOVERED_EDGE: &str = "V-SCHED-003";
     /// `FinalStage::CarryAggState` disagrees with the last stage
-    /// (terminal kind, schema width, or accumulator shapes) — the carried
-    /// state would not merge with what workers report.
+    /// (terminal kind, schema width, group-key types, or accumulator
+    /// shapes) — the carried state would not merge with what workers
+    /// report.
     pub const STREAM_FINAL: &str = "V-STREAM-001";
     /// A streaming plan's aggregate schema has no window key: the first
     /// group column must be the `Int64` window start (named
@@ -171,32 +177,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Fleet-sizing pins and bounds for [`verify_fleets`], derived from the
-/// driver's installation config (`join_workers`, exchange-aggregate and
-/// exchange-sort worker pins).
-#[derive(Clone, Copy, Debug)]
-pub struct FleetBounds {
-    /// Pinned join fleet size, if the installation pins one.
-    pub join_pin: Option<usize>,
-    /// Pinned agg-merge fleet size.
-    pub agg_pin: Option<usize>,
-    /// Pinned sort fleet size.
-    pub sort_pin: Option<usize>,
-    /// Upper bound for unpinned, cost-model-sized consumer fleets.
-    pub max_model_fleet: usize,
-}
-
-impl Default for FleetBounds {
-    fn default() -> Self {
-        FleetBounds {
-            join_pin: None,
-            agg_pin: None,
-            sort_pin: None,
-            max_model_fleet: MAX_MODEL_FLEET,
-        }
-    }
-}
-
 fn schemas_compatible(a: &Schema, b: &Schema) -> bool {
     // Positional type equality; names are presentation-only and renaming
     // through a projection is legal.
@@ -206,15 +186,6 @@ fn schemas_compatible(a: &Schema, b: &Schema) -> bool {
 fn schema_types(s: &Schema) -> String {
     let names: Vec<&str> = s.fields.iter().map(|f| f.dtype.name()).collect();
     format!("[{}]", names.join(", "))
-}
-
-/// What role a consumer plays on an edge, for message text and kind checks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum ConsumerRole {
-    JoinProbe,
-    JoinBuild,
-    AggInput,
-    SortInput,
 }
 
 /// Type-check one scan/join pipeline in isolation: predicate, projection
@@ -316,16 +287,27 @@ fn output_name(o: &StageOutput) -> &'static str {
 
 /// Structurally verify a [`QueryDag`] against the operator contracts.
 /// Returns every violated invariant as a [`Diagnostic`]; an empty vector
-/// means the plan is well-formed. Topology is checked first and returned
-/// alone when broken — the later passes index into `stages` through the
-/// edges and need the topological invariant to hold.
+/// means the plan is well-formed.
 pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
+    checked_edges(dag).err().unwrap_or_default()
+}
+
+/// [`verify_dag`], handing back the [`EdgeTable`] the checks walked so
+/// the sizing and scheduling passes that come next read the same table.
+/// Topology is checked first and returned alone when broken — the later
+/// passes index into `stages` through the edges and need the topological
+/// invariant to hold.
+pub fn checked_edges(dag: &QueryDag) -> Result<EdgeTable<'_>, Vec<Diagnostic>> {
     let mut out = Vec::new();
 
     // Pass 1 — topology: inputs strictly precede consumers, and exactly
     // the last stage reports to the driver.
     if dag.stages.is_empty() {
-        return vec![Diagnostic::new(codes::TOPO_ORDER, None, "plan has no stages".to_string())];
+        return Err(vec![Diagnostic::new(
+            codes::TOPO_ORDER,
+            None,
+            "plan has no stages".to_string(),
+        )]);
     }
     for (sid, kind) in dag.stages.iter().enumerate() {
         for input in kind.inputs() {
@@ -352,44 +334,90 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
         }
     }
     if !out.is_empty() {
-        return out;
+        return Err(out);
     }
 
-    // Pass 2 — per-stage pipelines type-check, and each stage's terminal
-    // agrees with where its output goes.
+    // Pass 2 — each stage on its own: pipelines type-check, terminals
+    // agree with where the output goes, join and sort keys resolve.
     for (sid, kind) in dag.stages.iter().enumerate() {
-        if let Some(p) = kind.pipeline() {
-            let what = match kind {
-                StageKind::Scan(_) => "scan pipeline",
-                _ => "join post-pipeline",
-            };
-            check_pipeline(sid, what, p, &mut out);
-            let terminal_ok = match kind.output() {
-                // Driver-bound stages report batches or partial agg state.
-                StageOutput::Driver => {
-                    matches!(p.terminal, Terminal::Collect | Terminal::PartialAggregate { .. })
-                }
-                // Row exchanges carry the Collect placeholder (the driver
-                // swaps in HashPartition once the consumer fleet is sized).
-                StageOutput::Exchange { .. } => matches!(p.terminal, Terminal::Collect),
-                StageOutput::AggExchange => {
-                    matches!(p.terminal, Terminal::PartialAggregate { .. })
-                }
-                StageOutput::SortExchange => matches!(p.terminal, Terminal::SortPartition { .. }),
-            };
-            if !terminal_ok {
-                out.push(Diagnostic::new(
-                    codes::TERM_OUTPUT,
-                    sid,
-                    format!(
-                        "terminal {} does not agree with output {}",
-                        terminal_name(&p.terminal),
-                        output_name(kind.output()),
-                    ),
-                ));
-            }
+        check_stage(sid, kind, &mut out);
+    }
+
+    // Pass 3 — edges: every reader of every producer, the driver's final
+    // stage included, against the exchange contract (output kind, what is
+    // emitted vs. what the reader declares, key agreement).
+    let edges = dag.edges();
+    for (pid, readers) in edges.readers.iter().enumerate() {
+        if readers.is_empty() {
+            out.push(Diagnostic::new(
+                codes::XPORT_DANGLING,
+                pid,
+                format!(
+                    "stage outputs {} but no stage consumes it",
+                    output_name(dag.stages[pid].output())
+                ),
+            ));
         }
-        if let StageKind::AggMerge(a) = kind {
+        for reader in readers {
+            check_reader(&edges, pid, reader, &mut out);
+        }
+        // A run is range-partitioned by exactly one boundary set, so a
+        // producer feeds at most one sort stage (one sample channel).
+        let sort_readers = readers.iter().filter(|r| r.role == ReaderRole::SortInput).count();
+        if sort_readers > 1 {
+            out.push(Diagnostic::new(
+                codes::EXCH_SORT_FANOUT,
+                pid,
+                format!(
+                    "stage feeds {sort_readers} sort stages; a sort edge carries exactly \
+                     one boundary set"
+                ),
+            ));
+        }
+    }
+    if out.is_empty() {
+        Ok(edges)
+    } else {
+        Err(out)
+    }
+}
+
+/// One stage in isolation: its pipeline type-checks, its terminal agrees
+/// with its output, and the keys it declares resolve over the schemas it
+/// declares.
+fn check_stage(sid: usize, kind: &StageKind, out: &mut Vec<Diagnostic>) {
+    if let Some(p) = kind.pipeline() {
+        let what = match kind {
+            StageKind::Scan(_) => "scan pipeline",
+            _ => "join post-pipeline",
+        };
+        check_pipeline(sid, what, p, out);
+        let terminal_ok = match kind.output() {
+            // Driver-bound stages report batches or partial agg state.
+            StageOutput::Driver => {
+                matches!(p.terminal, Terminal::Collect | Terminal::PartialAggregate { .. })
+            }
+            // Row exchanges carry the Collect placeholder (the driver
+            // swaps in HashPartition once the consumer fleet is sized).
+            StageOutput::Exchange { .. } => matches!(p.terminal, Terminal::Collect),
+            StageOutput::AggExchange => matches!(p.terminal, Terminal::PartialAggregate { .. }),
+            StageOutput::SortExchange => matches!(p.terminal, Terminal::SortPartition { .. }),
+        };
+        if !terminal_ok {
+            out.push(Diagnostic::new(
+                codes::TERM_OUTPUT,
+                sid,
+                format!(
+                    "terminal {} does not agree with output {}",
+                    terminal_name(&p.terminal),
+                    output_name(kind.output()),
+                ),
+            ));
+        }
+    }
+    match kind {
+        StageKind::Scan(_) => {}
+        StageKind::AggMerge(a) => {
             if !matches!(a.output, StageOutput::Driver | StageOutput::SortExchange) {
                 out.push(Diagnostic::new(
                     codes::TERM_OUTPUT,
@@ -402,7 +430,18 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
                 ));
             }
         }
-        if let StageKind::Join(j) = kind {
+        StageKind::Sort(s) => {
+            for (i, k) in s.keys.iter().enumerate() {
+                if let Err(err) = k.expr.data_type(&s.schema) {
+                    out.push(Diagnostic::new(
+                        codes::SCHEMA_SORT_KEY,
+                        sid,
+                        format!("sort key {i} does not resolve over the edge schema: {err}"),
+                    ));
+                }
+            }
+        }
+        StageKind::Join(j) => {
             // The post-pipeline's input is the variant's probe output.
             let mut fields = j.probe_schema.fields.clone();
             if j.variant.keeps_build_columns() {
@@ -432,391 +471,166 @@ pub fn verify_dag(dag: &QueryDag) -> Vec<Diagnostic> {
                         j.build_keys.len(),
                     ),
                 ));
-            } else {
-                for (i, (&pk, &bk)) in j.probe_keys.iter().zip(&j.build_keys).enumerate() {
-                    let (pt, bt) =
-                        match (j.probe_schema.fields.get(pk), j.build_schema.fields.get(bk)) {
-                            (Some(p), Some(b)) => (p.dtype, b.dtype),
-                            _ => {
-                                out.push(Diagnostic::new(
-                                    codes::SCHEMA_KEY_BOUNDS,
-                                    sid,
-                                    format!(
-                                        "join key pair {i} ({pk}, {bk}) out of schema bounds \
-                                     ({} probe, {} build columns)",
-                                        j.probe_schema.len(),
-                                        j.build_schema.len(),
-                                    ),
-                                ));
-                                continue;
-                            }
-                        };
-                    if pt != bt {
-                        out.push(Diagnostic::new(
-                            codes::SCHEMA_KEY_TYPES,
-                            sid,
-                            format!(
-                                "join key pair {i} types disagree: probe {} vs build {}",
-                                pt.name(),
-                                bt.name(),
-                            ),
-                        ));
-                    }
+                return;
+            }
+            for (i, (&pk, &bk)) in j.probe_keys.iter().zip(&j.build_keys).enumerate() {
+                match (j.probe_schema.fields.get(pk), j.build_schema.fields.get(bk)) {
+                    (Some(p), Some(b)) if p.dtype == b.dtype => {}
+                    (Some(p), Some(b)) => out.push(Diagnostic::new(
+                        codes::SCHEMA_KEY_TYPES,
+                        sid,
+                        format!(
+                            "join key pair {i} types disagree: probe {} vs build {}",
+                            p.dtype.name(),
+                            b.dtype.name(),
+                        ),
+                    )),
+                    _ => out.push(Diagnostic::new(
+                        codes::SCHEMA_KEY_BOUNDS,
+                        sid,
+                        format!(
+                            "join key pair {i} ({pk}, {bk}) out of schema bounds \
+                             ({} probe, {} build columns)",
+                            j.probe_schema.len(),
+                            j.build_schema.len(),
+                        ),
+                    )),
                 }
             }
         }
     }
+}
 
-    // Pass 3 — edges: walk every producer's consumer set and check the
-    // exchange contract (output kind, schema flow, key agreement).
-    let edge: Vec<Option<SchemaRef>> = dag.stages.iter().map(StageKind::edge_schema).collect();
-    let mut consumers: Vec<Vec<(usize, ConsumerRole)>> = vec![Vec::new(); dag.stages.len()];
-    for (sid, kind) in dag.stages.iter().enumerate() {
-        match kind {
-            StageKind::Scan(_) => {}
-            StageKind::Join(j) => {
-                consumers[j.probe_input].push((sid, ConsumerRole::JoinProbe));
-                consumers[j.build_input].push((sid, ConsumerRole::JoinBuild));
-            }
-            StageKind::AggMerge(a) => consumers[a.input].push((sid, ConsumerRole::AggInput)),
-            StageKind::Sort(s) => consumers[s.input].push((sid, ConsumerRole::SortInput)),
+/// The one "emitted vs. declared" comparison every edge goes through,
+/// whoever reads it: rows agree by positional type equality; aggregate
+/// state agrees in width, group-key types and accumulator shapes.
+/// Returns what disagrees, from the reader's point of view.
+fn shape_mismatch(emitted: &Emits, declared: &Declares<'_>) -> Option<String> {
+    match (emitted, declared) {
+        (Emits::Rows(rows), Declares::Rows(schema)) => {
+            (!schemas_compatible(rows, schema)).then(|| {
+                format!(
+                    "declares rows {} but is sent rows {}",
+                    schema_types(schema),
+                    schema_types(rows)
+                )
+            })
         }
-    }
-
-    for (pid, kind) in dag.stages.iter().enumerate() {
-        let fed = &consumers[pid];
-        let expected_role = match kind.output() {
-            StageOutput::Driver => None,
-            StageOutput::Exchange { .. } => Some("a join stage"),
-            StageOutput::AggExchange => Some("an agg-merge stage"),
-            StageOutput::SortExchange => Some("a sort stage"),
-        };
-        if expected_role.is_some() && fed.is_empty() {
-            out.push(Diagnostic::new(
-                codes::XPORT_DANGLING,
-                pid,
-                format!("stage outputs {} but no stage consumes it", output_name(kind.output())),
-            ));
-            continue;
-        }
-        for &(cid, role) in fed {
-            let kind_ok = matches!(
-                (kind.output(), role),
-                (StageOutput::Exchange { .. }, ConsumerRole::JoinProbe | ConsumerRole::JoinBuild)
-                    | (StageOutput::AggExchange, ConsumerRole::AggInput)
-                    | (StageOutput::SortExchange, ConsumerRole::SortInput)
-            );
-            if !kind_ok {
-                out.push(Diagnostic::new(
-                    codes::EXCH_KIND,
-                    pid,
-                    format!(
-                        "stage outputs {} but stage {cid} consumes it as {:?}; expected {}",
-                        output_name(kind.output()),
-                        role,
-                        expected_role.unwrap_or("no consumer (driver output)"),
-                    ),
+        (Emits::AggState { keys, funcs }, Declares::AggState { agg_schema, funcs: declared }) => {
+            if agg_schema.len() != keys.len() + funcs.len() {
+                return Some(format!(
+                    "declares an agg schema of {} columns but is sent state grouped by {} \
+                     keys with {} aggregates",
+                    agg_schema.len(),
+                    keys.len(),
+                    funcs.len(),
                 ));
-                continue;
             }
-            let Some(produced) = edge[pid].as_ref() else {
-                // Pipeline failed to type-check; already reported.
-                continue;
-            };
-            match (&dag.stages[cid], role) {
-                (StageKind::Join(j), ConsumerRole::JoinProbe | ConsumerRole::JoinBuild) => {
-                    let (declared, keys, side) = if role == ConsumerRole::JoinProbe {
-                        (&j.probe_schema, &j.probe_keys, "probe")
-                    } else {
-                        (&j.build_schema, &j.build_keys, "build")
-                    };
-                    if !schemas_compatible(produced, declared) {
-                        out.push(Diagnostic::new(
-                            codes::SCHEMA_EDGE,
-                            cid,
-                            format!(
-                                "{side} schema {} of join stage {cid} does not match \
-                                 producer stage {pid} edge rows {}",
-                                schema_types(declared),
-                                schema_types(produced),
-                            ),
-                        ));
-                    }
-                    // The producer shards on exactly the columns this
-                    // side co-partitions on, or worker p of the join
-                    // fleet does not own co-partition p of this input.
-                    if let StageOutput::Exchange { keys: produced_keys } = kind.output() {
-                        if produced_keys != keys {
-                            out.push(Diagnostic::new(
-                                codes::EXCH_KEYS,
-                                pid,
-                                format!(
-                                    "producer shards on columns {:?} but join stage {cid} \
-                                     co-partitions its {side} side on {:?}",
-                                    produced_keys, keys,
-                                ),
-                            ));
-                        }
-                        if let Some(&bad) = produced_keys.iter().find(|&&k| k >= produced.len()) {
-                            out.push(Diagnostic::new(
-                                codes::SCHEMA_KEY_BOUNDS,
-                                pid,
-                                format!(
-                                    "partition key column {bad} out of bounds for edge rows {}",
-                                    schema_types(produced),
-                                ),
-                            ));
-                        }
-                    }
-                }
-                (StageKind::AggMerge(a), ConsumerRole::AggInput) => {
-                    // The producer's PartialAggregate terminal determines
-                    // the group/accumulator shapes the merge fleet owns.
-                    let Some(pp) = kind.pipeline() else {
-                        out.push(Diagnostic::new(
-                            codes::EXCH_KIND,
-                            pid,
-                            format!(
-                                "agg-merge stage {cid} consumes a {} stage; only scan/join \
-                                 stages produce partial aggregate state",
-                                kind.label(pid),
-                            ),
-                        ));
-                        continue;
-                    };
-                    let Terminal::PartialAggregate { group_by, aggs } = &pp.terminal else {
-                        // Reported as V-TERM-001 in pass 2.
-                        continue;
-                    };
-                    if a.agg_schema.len() != group_by.len() + aggs.len() {
-                        out.push(Diagnostic::new(
-                            codes::SCHEMA_AGG,
-                            cid,
-                            format!(
-                                "agg schema has {} columns but the producer groups by {} \
-                                 keys with {} aggregates",
-                                a.agg_schema.len(),
-                                group_by.len(),
-                                aggs.len(),
-                            ),
-                        ));
-                        continue;
-                    }
-                    if let Ok(mid) = pp.intermediate_schema() {
-                        for (i, (e, _)) in group_by.iter().enumerate() {
-                            if let Ok(t) = e.data_type(&mid) {
-                                if t != a.agg_schema.field(i).dtype {
-                                    out.push(Diagnostic::new(
-                                        codes::SCHEMA_AGG,
-                                        cid,
-                                        format!(
-                                            "group key {i} is {} in the producer but {} in \
-                                             the agg schema",
-                                            t.name(),
-                                            a.agg_schema.field(i).dtype.name(),
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                        if let Ok(funcs) = agg_func_types(aggs, &mid) {
-                            if funcs != a.funcs {
-                                out.push(Diagnostic::new(
-                                    codes::SCHEMA_AGG,
-                                    cid,
-                                    format!(
-                                        "accumulator shapes {:?} do not match the \
-                                         producer's aggregates {:?}",
-                                        a.funcs, funcs,
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                (StageKind::Sort(s), ConsumerRole::SortInput) => {
-                    if !schemas_compatible(produced, &s.schema) {
-                        out.push(Diagnostic::new(
-                            codes::SCHEMA_EDGE,
-                            cid,
-                            format!(
-                                "sort stage edge schema {} does not match producer stage \
-                                 {pid} edge rows {}",
-                                schema_types(&s.schema),
-                                schema_types(produced),
-                            ),
-                        ));
-                    }
-                    for (i, k) in s.keys.iter().enumerate() {
-                        if let Err(err) = k.expr.data_type(&s.schema) {
-                            out.push(Diagnostic::new(
-                                codes::SCHEMA_SORT_KEY,
-                                cid,
-                                format!(
-                                    "sort key {i} does not resolve over the edge schema: {err}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-                _ => {}
+            if let Some((i, key)) =
+                keys.iter().enumerate().find(|(i, key)| agg_schema.field(*i).dtype != **key)
+            {
+                return Some(format!(
+                    "declares group key {i} as {} but is sent {}",
+                    agg_schema.field(i).dtype.name(),
+                    key.name(),
+                ));
             }
+            (funcs.as_slice() != *declared)
+                .then(|| format!("declares accumulator shapes {declared:?} but is sent {funcs:?}"))
         }
-        // A run is range-partitioned by exactly one boundary set, so a
-        // producer feeds at most one sort stage (one sample channel).
-        let sort_consumers = fed.iter().filter(|(_, r)| *r == ConsumerRole::SortInput).count();
-        if sort_consumers > 1 {
+        (Emits::Rows(_), Declares::AggState { .. }) => {
+            Some("merges aggregate state but is sent rows".to_string())
+        }
+        (Emits::AggState { .. }, Declares::Rows(_)) => {
+            Some("reads rows but is sent partial aggregate state".to_string())
+        }
+    }
+}
+
+/// Check one reader of producer `pid` against the exchange contract: the
+/// producer's output kind fits the reader's role, what it emits is what
+/// the reader declares, and a join side is sharded on the columns it
+/// co-partitions on. The reader picks the code and the anchor of a
+/// disagreement; the comparison is [`shape_mismatch`] for all of them.
+fn check_reader(edges: &EdgeTable<'_>, pid: usize, reader: &Reader<'_>, out: &mut Vec<Diagnostic>) {
+    let dag = edges.dag;
+    let output = dag.stages[pid].output();
+    let kind_ok = matches!(
+        (output, reader.role),
+        (StageOutput::Exchange { .. }, ReaderRole::JoinProbe | ReaderRole::JoinBuild)
+            | (StageOutput::AggExchange, ReaderRole::AggInput)
+            | (StageOutput::SortExchange, ReaderRole::SortInput)
+            | (StageOutput::Driver, ReaderRole::Final)
+    );
+    let who = || match reader.stage {
+        Some(c) => format!("stage {c} ({})", dag.stages[c].label(c)),
+        None => "the driver's final stage".to_string(),
+    };
+    if !kind_ok {
+        out.push(Diagnostic::new(
+            codes::EXCH_KIND,
+            pid,
+            format!(
+                "stage outputs {} but {} reads it as {:?}",
+                output_name(output),
+                who(),
+                reader.role
+            ),
+        ));
+        return;
+    }
+    // A producer whose own pipeline is broken was reported in pass 2.
+    let Some(emitted) = &edges.emits[pid] else { return };
+    if let Some(problem) = shape_mismatch(emitted, &reader.declares) {
+        let code = match (reader.role, &dag.final_stage) {
+            (ReaderRole::JoinProbe | ReaderRole::JoinBuild | ReaderRole::SortInput, _) => {
+                codes::SCHEMA_EDGE
+            }
+            (ReaderRole::AggInput, _) => codes::SCHEMA_AGG,
+            (ReaderRole::Final, FinalStage::MergeAggregate { .. }) => codes::FINAL_MERGE_AGG,
+            (ReaderRole::Final, FinalStage::CollectBatches { .. }) => codes::FINAL_COLLECT,
+            (ReaderRole::Final, FinalStage::CarryAggState { .. }) => codes::STREAM_FINAL,
+        };
+        out.push(Diagnostic::new(
+            code,
+            reader.stage,
+            format!("{}, as {:?}, {problem} by producer stage {pid}", who(), reader.role),
+        ));
+    }
+    // The producer shards on exactly the columns this join side
+    // co-partitions on, or worker p of the join fleet does not own
+    // co-partition p of this input.
+    if let (StageOutput::Exchange { keys: sharded }, Some(StageKind::Join(j))) =
+        (output, reader.stage.map(|c| &dag.stages[c]))
+    {
+        let (side, keys) = match reader.role {
+            ReaderRole::JoinProbe => ("probe", &j.probe_keys),
+            _ => ("build", &j.build_keys),
+        };
+        if sharded != keys {
             out.push(Diagnostic::new(
-                codes::EXCH_SORT_FANOUT,
+                codes::EXCH_KEYS,
                 pid,
                 format!(
-                    "stage feeds {sort_consumers} sort stages; a sort edge carries exactly \
-                     one boundary set"
+                    "producer shards on columns {sharded:?} but {} co-partitions its {side} \
+                     side on {keys:?}",
+                    who(),
                 ),
             ));
         }
-    }
-
-    // Pass 4 — final stage agrees with what the last stage reports.
-    let last_id = dag.stages.len() - 1;
-    let last = &dag.stages[last_id];
-    match &dag.final_stage {
-        FinalStage::MergeAggregate { agg_schema, funcs, .. } => {
-            match last.pipeline().map(|p| (&p.terminal, p)) {
-                Some((Terminal::PartialAggregate { group_by, aggs }, p)) => {
-                    if agg_schema.len() != group_by.len() + aggs.len() {
-                        out.push(Diagnostic::new(
-                            codes::FINAL_MERGE_AGG,
-                            None,
-                            format!(
-                                "final agg schema has {} columns but the last stage groups \
-                                 by {} keys with {} aggregates",
-                                agg_schema.len(),
-                                group_by.len(),
-                                aggs.len(),
-                            ),
-                        ));
-                    } else if let Ok(mid) = p.intermediate_schema() {
-                        if let Ok(expect) = agg_func_types(aggs, &mid) {
-                            if &expect != funcs {
-                                out.push(Diagnostic::new(
-                                    codes::FINAL_MERGE_AGG,
-                                    None,
-                                    format!(
-                                        "final accumulator shapes {funcs:?} do not match \
-                                         the last stage's aggregates {expect:?}",
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                _ => out.push(Diagnostic::new(
-                    codes::FINAL_MERGE_AGG,
-                    None,
+        if let Emits::Rows(rows) = emitted {
+            if let Some(&bad) = sharded.iter().find(|&&k| k >= rows.len()) {
+                out.push(Diagnostic::new(
+                    codes::SCHEMA_KEY_BOUNDS,
+                    pid,
                     format!(
-                        "MergeAggregate final stage needs a scan/join last stage with a \
-                         PartialAggregate terminal; found {}",
-                        last.label(last_id),
+                        "partition key column {bad} out of bounds for edge rows {}",
+                        schema_types(rows),
                     ),
-                )),
-            }
-        }
-        FinalStage::CarryAggState { agg_schema, funcs } => {
-            // The carried state must merge with what the last stage
-            // reports: same agreement rules as MergeAggregate, except an
-            // agg-merge last stage is also legal (its workers re-emit
-            // unfinalized state when the final stage carries).
-            match last {
-                StageKind::AggMerge(a) => {
-                    if !schemas_compatible(&a.agg_schema, agg_schema) || &a.funcs != funcs {
-                        out.push(Diagnostic::new(
-                            codes::STREAM_FINAL,
-                            None,
-                            format!(
-                                "CarryAggState disagrees with the agg-merge last stage: \
-                                 schema {} vs {}, funcs {funcs:?} vs {:?}",
-                                schema_types(agg_schema),
-                                schema_types(&a.agg_schema),
-                                a.funcs,
-                            ),
-                        ));
-                    }
-                }
-                _ => match last.pipeline().map(|p| (&p.terminal, p)) {
-                    Some((Terminal::PartialAggregate { group_by, aggs }, p)) => {
-                        if agg_schema.len() != group_by.len() + aggs.len() {
-                            out.push(Diagnostic::new(
-                                codes::STREAM_FINAL,
-                                None,
-                                format!(
-                                    "carried agg schema has {} columns but the last stage \
-                                     groups by {} keys with {} aggregates",
-                                    agg_schema.len(),
-                                    group_by.len(),
-                                    aggs.len(),
-                                ),
-                            ));
-                        } else if let Ok(mid) = p.intermediate_schema() {
-                            if let Ok(expect) = agg_func_types(aggs, &mid) {
-                                if &expect != funcs {
-                                    out.push(Diagnostic::new(
-                                        codes::STREAM_FINAL,
-                                        None,
-                                        format!(
-                                            "carried accumulator shapes {funcs:?} do not \
-                                             match the last stage's aggregates {expect:?}",
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    _ => out.push(Diagnostic::new(
-                        codes::STREAM_FINAL,
-                        None,
-                        format!(
-                            "CarryAggState final stage needs an agg-merge last stage or a \
-                             scan/join last stage with a PartialAggregate terminal; found {}",
-                            last.label(last_id),
-                        ),
-                    )),
-                },
-            }
-        }
-        FinalStage::CollectBatches { schema, .. } => {
-            let reported = match last.pipeline() {
-                Some(p) if !matches!(p.terminal, Terminal::Collect) => None,
-                _ => last.edge_schema(),
-            };
-            match reported {
-                Some(got) if schemas_compatible(&got, schema) => {}
-                Some(got) => out.push(Diagnostic::new(
-                    codes::FINAL_COLLECT,
-                    None,
-                    format!(
-                        "CollectBatches schema {} does not match the last stage's output {}",
-                        schema_types(schema),
-                        schema_types(&got),
-                    ),
-                )),
-                // Terminal mismatch already reported as V-TERM-001; a
-                // PartialAggregate last stage under CollectBatches is
-                // still a final-stage disagreement worth naming.
-                None => out.push(Diagnostic::new(
-                    codes::FINAL_COLLECT,
-                    None,
-                    format!(
-                        "CollectBatches final stage but the last stage ({}) does not \
-                         report batches",
-                        last.label(last_id),
-                    ),
-                )),
+                ));
             }
         }
     }
-
-    out
 }
 
 /// Verify the streaming-specific contracts of a per-micro-batch DAG:
@@ -886,138 +700,93 @@ pub fn verify_stream(
     out
 }
 
-/// Verify a concrete fleet plan for an already-structurally-valid DAG:
-/// one worker count per stage, every fleet nonzero, unpinned consumer
-/// fleets within the cost model's bound, pins respected, shared edges
-/// with equal consumer fleets, and the query's transport endpoint
-/// namespace collision-free. Call only after [`verify_dag`] came back
-/// empty — this pass indexes through the edges.
-pub fn verify_fleets(dag: &QueryDag, fleets: &[usize], bounds: &FleetBounds) -> Vec<Diagnostic> {
+/// Verify a concrete fleet plan over a verified DAG's [`EdgeTable`]
+/// ([`checked_edges`]): one worker count and one pin per stage (`None`
+/// for scans and for consumers the cost model sizes), every consumer
+/// fleet nonzero, unpinned consumer fleets within the cost model's bound,
+/// pins respected, and shared edges read by equal fleets. Transport
+/// endpoint names need no check: `x{instance}/q{query}/s{stage}/r{p}` and
+/// the `…smp/r0` sample endpoint are injective in the stage id, and one
+/// function spells each for both the driver and the workers.
+pub fn verify_fleets(
+    edges: &EdgeTable<'_>,
+    fleets: &[usize],
+    pins: &[Option<usize>],
+) -> Vec<Diagnostic> {
+    let stages = &edges.dag.stages;
     let mut out = Vec::new();
-    if fleets.len() != dag.stages.len() {
+    if fleets.len() != stages.len() || pins.len() != stages.len() {
         return vec![Diagnostic::new(
             codes::FLEET_ZERO,
             None,
             format!(
-                "fleet plan sizes {} stages but the DAG has {}",
+                "fleet plan sizes {} stages and pins {} but the DAG has {}",
                 fleets.len(),
-                dag.stages.len()
+                pins.len(),
+                stages.len()
             ),
         )];
     }
-    for (sid, (kind, &w)) in dag.stages.iter().zip(fleets).enumerate() {
-        if w == 0 {
+    for (sid, kind) in stages.iter().enumerate() {
+        let w = fleets[sid];
+        let is_scan = matches!(kind, StageKind::Scan(_));
+        match pins[sid] {
             // A scan over an empty table legitimately launches no
             // workers; consumer fleets double as partition counts and
             // must be nonzero (the model and the pins both clamp to 1).
-            if !matches!(kind, StageKind::Scan(_)) {
-                out.push(Diagnostic::new(
-                    codes::FLEET_ZERO,
-                    sid,
-                    "zero-worker consumer fleet; its size is the edge partition count".to_string(),
-                ));
-            }
-            continue;
-        }
-        let pin = match kind {
-            StageKind::Scan(_) => None,
-            StageKind::Join(_) => bounds.join_pin,
-            StageKind::AggMerge(_) => bounds.agg_pin,
-            StageKind::Sort(_) => bounds.sort_pin,
-        };
-        match (pin, kind) {
-            (Some(p), _) => {
-                if w != p.max(1) {
-                    out.push(Diagnostic::new(
-                        codes::FLEET_PIN,
-                        sid,
-                        format!("fleet sized {w} but the installation pins {} workers", p.max(1)),
-                    ));
-                }
-            }
+            _ if w == 0 && is_scan => {}
+            _ if w == 0 => out.push(Diagnostic::new(
+                codes::FLEET_ZERO,
+                sid,
+                "zero-worker consumer fleet; its size is the edge partition count".to_string(),
+            )),
+            Some(p) if w != p.max(1) => out.push(Diagnostic::new(
+                codes::FLEET_PIN,
+                sid,
+                format!("fleet sized {w} but the installation pins {} workers", p.max(1)),
+            )),
             // Scan fleets follow the file layout, not the consumer
             // sizers; consumers without a pin must come from the model.
-            (None, StageKind::Scan(_)) => {}
-            (None, _) => {
-                if w > bounds.max_model_fleet {
-                    out.push(Diagnostic::new(
-                        codes::FLEET_MODEL_BOUND,
-                        sid,
-                        format!(
-                            "unpinned fleet sized {w} exceeds the cost model bound of {}",
-                            bounds.max_model_fleet,
-                        ),
-                    ));
-                }
-            }
+            None if !is_scan && w > MAX_MODEL_FLEET => out.push(Diagnostic::new(
+                codes::FLEET_MODEL_BOUND,
+                sid,
+                format!(
+                    "unpinned fleet sized {w} exceeds the cost model bound of {MAX_MODEL_FLEET}"
+                ),
+            )),
+            _ => {}
         }
-    }
-
-    // Shared edges: every consumer of one producer reads the same
-    // partitioned edge, so their fleets (the partition count) must agree.
-    let mut consumer_fleet: Vec<Option<(usize, usize)>> = vec![None; dag.stages.len()];
-    for (sid, kind) in dag.stages.iter().enumerate() {
-        for input in kind.inputs() {
-            let w = fleets[sid];
-            match consumer_fleet[input] {
-                Some((other, ow)) if ow != w => out.push(Diagnostic::new(
-                    codes::FLEET_SHARED_EDGE,
-                    input,
-                    format!(
-                        "shared edge partitioned {ow} ways for stage {other} but {w} ways \
-                         for stage {sid}; consumer fleets must agree",
-                    ),
-                )),
-                Some(_) => {}
-                None => consumer_fleet[input] = Some((sid, w)),
-            }
-        }
-    }
-
-    // Endpoint namespace: within one query, every exchange receiver
-    // endpoint (`s{sid}/r{p}`) and sample endpoint (`s{sid}smp/r0`) must
-    // be unique — the direct transport's rendezvous registrations and the
-    // object-store fallback keys both key on these names.
-    let mut endpoints: HashSet<String> = HashSet::new();
-    for (sid, kind) in dag.stages.iter().enumerate() {
-        if let Some((_, parts)) = consumer_fleet[sid] {
-            for r in 0..parts {
-                let ep = format!("s{sid}/r{r}");
-                if !endpoints.insert(ep.clone()) {
-                    out.push(Diagnostic::new(
-                        codes::XPORT_ENDPOINT,
-                        sid,
-                        format!("duplicate transport endpoint {ep}"),
-                    ));
-                }
-            }
-        }
-        if matches!(kind.output(), StageOutput::SortExchange) {
-            let ep = format!("s{sid}smp/r0");
-            if !endpoints.insert(ep.clone()) {
+        // Shared edges: every consumer of this stage reads the same
+        // partitioned edge, so their fleets (the partition count) agree.
+        let mut consumers =
+            edges.readers[sid].iter().filter_map(|r| r.stage).map(|c| (c, fleets[c]));
+        if let Some((first, parts)) = consumers.next() {
+            for (other, w) in consumers.filter(|&(_, w)| w != parts) {
                 out.push(Diagnostic::new(
-                    codes::XPORT_ENDPOINT,
+                    codes::FLEET_SHARED_EDGE,
                     sid,
-                    format!("duplicate sample endpoint {ep}"),
+                    format!(
+                        "shared edge partitioned {parts} ways for stage {first} but {w} ways \
+                         for stage {other}; consumer fleets must agree",
+                    ),
                 ));
             }
         }
     }
-
     out
 }
 
-/// Verify a launch plan for an already-structurally-valid DAG: one wait
+/// Verify a launch plan over a verified DAG's [`EdgeTable`]: one wait
 /// list per stage; every wait on a *lower-indexed* stage of the DAG
 /// (stages are topologically numbered and a plan waits on inputs only,
 /// so index order is the deadlock-freedom argument: the wait graph
 /// cannot hold a cycle); no overlapped launch across a sort-sample
 /// barrier; and every input edge covered by a wait — directly or
 /// transitively (a wait on `p` covers everything `p` itself waited on,
-/// since `p` could not have launched earlier). Call only after
-/// [`verify_dag`] came back empty.
-pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
-    let n = dag.stages.len();
+/// since `p` could not have launched earlier).
+pub fn verify_schedule(edges: &EdgeTable<'_>, plan: &SchedulePlan) -> Vec<Diagnostic> {
+    let stages = &edges.dag.stages;
+    let n = stages.len();
     let mut out = Vec::new();
     if plan.waits.len() != n {
         return vec![Diagnostic::new(
@@ -1042,9 +811,7 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
                 ));
                 continue;
             }
-            if matches!(w, WaitEvent::Launched(_))
-                && matches!(dag.stages[p].output(), StageOutput::SortExchange)
-            {
+            if matches!(w, WaitEvent::Launched(_)) && edges.feeds_sort(p) {
                 out.push(Diagnostic::new(
                     codes::SCHED_SORT_BARRIER,
                     sid,
@@ -1057,7 +824,7 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
             known.insert(p);
             known.extend(launch_known[p].iter().copied());
         }
-        for input in dag.stages[sid].inputs() {
+        for input in stages[sid].inputs() {
             if !known.contains(&input) {
                 out.push(Diagnostic::new(
                     codes::SCHED_UNCOVERED_EDGE,
@@ -1080,11 +847,20 @@ pub fn verify_schedule(dag: &QueryDag, plan: &SchedulePlan) -> Vec<Diagnostic> {
 pub(crate) mod test_dags {
     use lambada_engine::pipeline::{PipelineSpec, Terminal};
     use lambada_engine::types::{DataType, Field, Schema, SchemaRef};
-    use lambada_engine::{Expr, JoinVariant, SortKey};
+    use lambada_engine::{AggExpr, AggFunc, Expr, JoinVariant, SortKey};
 
+    use crate::driver::LaunchPlan;
     use crate::stage::{
-        FinalStage, JoinStage, QueryDag, ScanStage, SortStage, StageKind, StageOutput,
+        AggMergeStage, FinalStage, JoinStage, QueryDag, ScanStage, SortStage, StageKind,
+        StageOutput,
     };
+
+    /// A launch plan over `dag` with the given estimates and fleet
+    /// sizes, nothing pinned.
+    pub(crate) fn sized(dag: &QueryDag, est: Vec<u64>, workers: Vec<usize>) -> LaunchPlan<'_> {
+        let n = dag.stages.len();
+        LaunchPlan::wire(dag.edges(), vec![None; n], est, workers, vec![None; n])
+    }
 
     pub(crate) fn schema(n: usize) -> SchemaRef {
         Schema::arc((0..n).map(|i| Field::new(format!("c{i}"), DataType::Int64)).collect())
@@ -1101,6 +877,44 @@ pub(crate) mod test_dags {
                 projection: None,
                 terminal: Terminal::Collect,
             },
+            output,
+        })
+    }
+
+    /// `GROUP BY c0` with `sum(c1)` over a 2-column Int64 edge.
+    pub(crate) fn sum_by_c0() -> Terminal {
+        Terminal::PartialAggregate {
+            group_by: vec![(Expr::Col(0), "c0".to_string())],
+            aggs: vec![AggExpr::new(AggFunc::Sum, Some(Expr::Col(1)), "s")],
+        }
+    }
+
+    /// The accumulator shapes of [`sum_by_c0`].
+    pub(crate) fn sum_funcs() -> Vec<(AggFunc, Option<DataType>)> {
+        vec![(AggFunc::Sum, Some(DataType::Int64))]
+    }
+
+    /// The output schema of [`sum_by_c0`], with the group key declared as
+    /// `key` (`Int64` is what the producer groups by).
+    pub(crate) fn sum_schema(key: DataType) -> SchemaRef {
+        Schema::arc(vec![Field::new("c0", key), Field::new("s", DataType::Int64)])
+    }
+
+    /// A scan running [`sum_by_c0`] as its terminal.
+    pub(crate) fn agg_scan(output: StageOutput) -> StageKind {
+        let mut scan = collect_scan(output);
+        if let StageKind::Scan(s) = &mut scan {
+            s.pipeline.terminal = sum_by_c0();
+        }
+        scan
+    }
+
+    /// The merge fleet of [`sum_by_c0`] shards.
+    pub(crate) fn agg_merge(input: usize, output: StageOutput) -> StageKind {
+        StageKind::AggMerge(AggMergeStage {
+            input,
+            agg_schema: sum_schema(DataType::Int64),
+            funcs: sum_funcs(),
             output,
         })
     }
@@ -1180,9 +994,10 @@ pub(crate) mod test_dags {
         }
     }
 
-    /// Two level-0 scans, a join over scan 0 at level 1, and a final
-    /// join at level 2 consuming the level-1 join plus level-0 scan 1 —
-    /// the unbalanced shape where waves and eager scheduling differ.
+    /// Two scans, a join over scan 0 alone, and a final join consuming
+    /// that join plus scan 1 — the unbalanced shape where a stage must
+    /// wait on exactly its own inputs: the final join on the first join
+    /// and scan 1, never on scan 0 directly.
     pub(crate) fn unbalanced_join_dag() -> QueryDag {
         QueryDag {
             stages: vec![
@@ -1199,18 +1014,19 @@ pub(crate) mod test_dags {
 #[cfg(test)]
 mod tests {
     use super::test_dags::{
-        collect_scan, scan_sort_dag, schema, single_scan_dag, two_scan_join_dag,
-        unbalanced_join_dag,
+        agg_merge, agg_scan, collect_scan, scan_sort_dag, schema, single_scan_dag, sized,
+        sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
     };
     use super::*;
     use crate::costmodel::ComputeCostModel;
     use crate::sched::{plan_schedule, SchedMode};
-    use lambada_engine::Expr;
+    use lambada_engine::types::{DataType, Field};
+    use lambada_engine::{AggFunc, Expr};
 
     #[test]
     fn trivial_scan_verifies_clean() {
         assert!(verify_dag(&single_scan_dag()).is_empty());
-        assert!(verify_fleets(&single_scan_dag(), &[3], &FleetBounds::default()).is_empty());
+        assert!(verify_fleets(&single_scan_dag().edges(), &[3], &[None]).is_empty());
     }
 
     #[test]
@@ -1269,17 +1085,107 @@ mod tests {
     #[test]
     fn fleet_checks_catch_zero_pin_and_bound() {
         let dag = scan_sort_dag();
-        let diags = verify_fleets(&dag, &[1, 0], &FleetBounds::default());
+        let edges = dag.edges();
+        let unpinned = [None, None];
+        let diags = verify_fleets(&edges, &[1, 0], &unpinned);
         assert!(diags.iter().any(|d| d.code == codes::FLEET_ZERO), "{diags:?}");
         // An empty scan legitimately launches no workers.
-        assert!(verify_fleets(&dag, &[0, 2], &FleetBounds::default()).is_empty());
-        let diags = verify_fleets(&dag, &[1], &FleetBounds::default());
+        assert!(verify_fleets(&edges, &[0, 2], &unpinned).is_empty());
+        let diags = verify_fleets(&edges, &[1], &unpinned);
         assert!(diags.iter().any(|d| d.code == codes::FLEET_ZERO), "{diags:?}");
-        let bounds = FleetBounds { sort_pin: Some(4), ..FleetBounds::default() };
-        let diags = verify_fleets(&dag, &[1, 2], &bounds);
+        // The sort fleet is pinned to 4 workers.
+        let diags = verify_fleets(&edges, &[1, 2], &[None, Some(4)]);
         assert!(diags.iter().any(|d| d.code == codes::FLEET_PIN), "{diags:?}");
-        let diags = verify_fleets(&dag, &[1, 500], &FleetBounds::default());
+        let diags = verify_fleets(&edges, &[1, 500], &unpinned);
         assert!(diags.iter().any(|d| d.code == codes::FLEET_MODEL_BOUND), "{diags:?}");
+    }
+
+    /// The driver's final stage is one more reader of the last edge, so
+    /// it goes through the same comparison an agg-merge reader does: a
+    /// group key the producer emits as `Int64` but the final schema
+    /// declares `Float64` would be silently coerced at run time (or fail
+    /// after every worker was billed).
+    #[test]
+    fn final_stages_check_group_key_types() {
+        use DataType::{Float64, Int64};
+        let merge = |key| FinalStage::MergeAggregate {
+            agg_schema: sum_schema(key),
+            funcs: sum_funcs(),
+            post: Vec::new(),
+        };
+        let carry =
+            |key| FinalStage::CarryAggState { agg_schema: sum_schema(key), funcs: sum_funcs() };
+        let scan_rooted = || vec![agg_scan(StageOutput::Driver)];
+        let merge_rooted =
+            || vec![agg_scan(StageOutput::AggExchange), agg_merge(0, StageOutput::Driver)];
+        type Stages = fn() -> Vec<StageKind>;
+        type Final = fn(DataType) -> FinalStage;
+        let cases: [(Stages, Final, &str); 3] = [
+            (scan_rooted, merge, codes::FINAL_MERGE_AGG),
+            (scan_rooted, carry, codes::STREAM_FINAL),
+            (merge_rooted, carry, codes::STREAM_FINAL),
+        ];
+        for (stages, final_stage, code) in cases {
+            let good = QueryDag { stages: stages(), final_stage: final_stage(Int64) };
+            assert!(verify_dag(&good).is_empty(), "{:?}", verify_dag(&good));
+            let bad = QueryDag { stages: stages(), final_stage: final_stage(Float64) };
+            let diags = verify_dag(&bad);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!((diags[0].code, diags[0].stage), (code, None), "{diags:?}");
+            assert!(diags[0].message.contains("group key 0"), "{diags:?}");
+        }
+    }
+
+    /// Width and accumulator shapes go through the same comparison, for
+    /// stage readers and final stages alike.
+    #[test]
+    fn agg_shape_disagreements_pick_the_readers_code() {
+        let wide =
+            Schema::arc(["c0", "x", "s"].iter().map(|n| Field::new(*n, DataType::Int64)).collect());
+        let counts = vec![(AggFunc::Count, None)];
+        // An agg-merge reader: V-SCHEMA-005 at the merge stage.
+        for (agg_schema, funcs) in
+            [(wide.clone(), sum_funcs()), (sum_schema(DataType::Int64), counts.clone())]
+        {
+            let mut dag = QueryDag {
+                stages: vec![agg_scan(StageOutput::AggExchange), agg_merge(0, StageOutput::Driver)],
+                final_stage: FinalStage::CollectBatches {
+                    schema: agg_schema.clone(),
+                    post: Vec::new(),
+                },
+            };
+            if let StageKind::AggMerge(a) = &mut dag.stages[1] {
+                (a.agg_schema, a.funcs) = (agg_schema, funcs);
+            }
+            let diags = verify_dag(&dag);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!((diags[0].code, diags[0].stage), (codes::SCHEMA_AGG, Some(1)), "{diags:?}");
+        }
+        // The driver as the reader: V-FINAL-001, whole-plan.
+        for (agg_schema, funcs) in [(wide, sum_funcs()), (sum_schema(DataType::Int64), counts)] {
+            let dag = QueryDag {
+                stages: vec![agg_scan(StageOutput::Driver)],
+                final_stage: FinalStage::MergeAggregate { agg_schema, funcs, post: Vec::new() },
+            };
+            let diags = verify_dag(&dag);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!((diags[0].code, diags[0].stage), (codes::FINAL_MERGE_AGG, None));
+        }
+        // Rows where state is declared, and state where rows are.
+        let mut dag = single_scan_dag();
+        dag.final_stage = FinalStage::MergeAggregate {
+            agg_schema: sum_schema(DataType::Int64),
+            funcs: sum_funcs(),
+            post: Vec::new(),
+        };
+        let diags = verify_dag(&dag);
+        assert!(diags.iter().any(|d| d.code == codes::FINAL_MERGE_AGG), "{diags:?}");
+        let dag = QueryDag {
+            stages: vec![agg_scan(StageOutput::Driver)],
+            final_stage: FinalStage::CollectBatches { schema: schema(2), post: Vec::new() },
+        };
+        let diags = verify_dag(&dag);
+        assert!(diags.iter().any(|d| d.code == codes::FINAL_COLLECT), "{diags:?}");
     }
 
     #[test]
@@ -1297,10 +1203,10 @@ mod tests {
             let diags = verify_dag(&dag);
             assert!(diags.is_empty(), "{diags:?}");
             for mode in [SchedMode::Eager, SchedMode::Overlap] {
-                let est = vec![1 << 20; dag.stages.len()];
-                let workers = vec![2; dag.stages.len()];
-                let plan = plan_schedule(&dag, &costs, mode, &est, &workers);
-                assert!(verify_schedule(&dag, &plan).is_empty(), "{mode:?}");
+                let launch =
+                    sized(&dag, vec![1 << 20; dag.stages.len()], vec![2; dag.stages.len()]);
+                let plan = plan_schedule(&launch, &costs, mode);
+                assert!(verify_schedule(&launch.edges, &plan).is_empty(), "{mode:?}");
             }
         }
     }
@@ -1309,7 +1215,7 @@ mod tests {
     fn schedule_shape_errors_are_sched_001() {
         let dag = two_scan_join_dag();
         let plan = SchedulePlan { mode: SchedMode::Eager, waits: vec![Vec::new()] };
-        let diags = verify_schedule(&dag, &plan);
+        let diags = verify_schedule(&dag.edges(), &plan);
         assert!(diags.iter().all(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
         assert_eq!(diags.len(), 1);
         // A wait pointing at the waiter itself is rejected.
@@ -1321,7 +1227,7 @@ mod tests {
                 vec![WaitEvent::Completed(0), WaitEvent::Completed(1)],
             ],
         };
-        let diags = verify_schedule(&dag, &plan);
+        let diags = verify_schedule(&dag.edges(), &plan);
         assert!(diags.iter().any(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
         // So is a forward wait, on its own or as half of a cycle: only
         // the stage that points forward is flagged, once.
@@ -1333,7 +1239,7 @@ mod tests {
                 vec![WaitEvent::Completed(0), WaitEvent::Completed(1), WaitEvent::Completed(9)],
             ],
         };
-        let diags = verify_schedule(&dag, &plan);
+        let diags = verify_schedule(&dag.edges(), &plan);
         assert!(diags.iter().all(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
         assert_eq!(diags.iter().map(|d| d.stage).collect::<Vec<_>>(), vec![Some(0), Some(2)]);
     }
@@ -1345,14 +1251,14 @@ mod tests {
             mode: SchedMode::Overlap,
             waits: vec![Vec::new(), vec![WaitEvent::Launched(0)]],
         };
-        let diags = verify_schedule(&dag, &plan);
+        let diags = verify_schedule(&dag.edges(), &plan);
         assert!(diags.iter().any(|d| d.code == codes::SCHED_SORT_BARRIER), "{diags:?}");
         // The same wait as a completion is fine.
         let plan = SchedulePlan {
             mode: SchedMode::Overlap,
             waits: vec![Vec::new(), vec![WaitEvent::Completed(0)]],
         };
-        assert!(verify_schedule(&dag, &plan).is_empty());
+        assert!(verify_schedule(&dag.edges(), &plan).is_empty());
     }
 
     #[test]
@@ -1362,7 +1268,7 @@ mod tests {
             mode: SchedMode::Eager,
             waits: vec![Vec::new(), Vec::new(), vec![WaitEvent::Completed(0)]],
         };
-        let diags = verify_schedule(&dag, &plan);
+        let diags = verify_schedule(&dag.edges(), &plan);
         assert!(diags.iter().any(|d| d.code == codes::SCHED_UNCOVERED_EDGE), "{diags:?}");
         // A plan where stage 3 covers its level-0 input only
         // transitively (3 waits on 2, which waits on 0 and 1) must be
@@ -1377,6 +1283,6 @@ mod tests {
                 vec![WaitEvent::Completed(2)],
             ],
         };
-        assert!(verify_schedule(&dag, &plan).is_empty());
+        assert!(verify_schedule(&dag.edges(), &plan).is_empty());
     }
 }

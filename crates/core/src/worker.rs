@@ -66,7 +66,7 @@ pub struct ExchangeTask {
 ///
 /// Producers agree on the partition function with zero coordination
 /// beyond storage: each writes a small sample of its run's sort keys to
-/// the edge's sample channel (`{channel}smp`), LIST-polls until all
+/// the edge's sample channel ([`sample_channel`]), LIST-polls until all
 /// `senders` samples are visible, and computes boundaries from the pooled
 /// sample deterministically — same pool, same boundaries, everywhere
 /// (speculative duplicate samples are harmless: a backup's run is
@@ -83,6 +83,14 @@ pub struct SortEdgeSpec {
     pub partitions: usize,
     /// Producer fleet size (how many sample files to await).
     pub senders: usize,
+}
+
+/// Name of the sample channel riding beside a sort edge's data
+/// `channel`: where producers publish their key samples and read the
+/// pool back (receiver 0). The one spelling — workers write and read it,
+/// the driver registers its p2p endpoint and probes it for stragglers.
+pub fn sample_channel(channel: &str) -> String {
+    format!("{channel}smp")
 }
 
 /// One in-edge of a consumer operator: fleet worker `p` reads
@@ -103,8 +111,9 @@ pub struct ScanOp {
     /// Scan columns, pruning predicate and the pipeline over the scan
     /// output (terminal already patched for the sink).
     pub stage: ScanStage,
-    /// Base schema and files of the scanned table.
-    pub table: TableSpec,
+    /// Base schema and files of the scanned table (shared with the
+    /// installation's registry).
+    pub table: Rc<TableSpec>,
     pub scan: ScanConfig,
     /// Files per worker (the chunk size).
     pub files_per_worker: usize,
@@ -477,7 +486,7 @@ async fn sort_exchange_out(
         let sample = RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?;
         crate::partition::encode_batches(&[sample])?
     };
-    let samples = EdgeRead { channel: format!("{channel}smp"), senders: edge.senders };
+    let samples = EdgeRead { channel: sample_channel(channel), senders: edge.senders };
     let sender = env.worker_id as usize;
     let write_stats = task
         .transport
@@ -823,7 +832,7 @@ mod tests {
         let task = StageTask {
             op: StageOp::Scan(Rc::new(ScanOp {
                 stage,
-                table: TableSpec::new("t", schema, Vec::new(), 0),
+                table: Rc::new(TableSpec::new("t", schema, Vec::new(), 0)),
                 scan: ScanConfig::default(),
                 files_per_worker: 1,
             })),

@@ -2,8 +2,10 @@
 //!
 //! Two directions: (1) *soundness of the planner* — every `split_with`
 //! output over randomized supported plan shapes and planner options
-//! verifies with zero diagnostics, and a well-formed fleet plan passes
-//! the sizing pass; (2) *sensitivity of the verifier* — hand-seeded
+//! verifies with zero diagnostics, a well-formed fleet plan passes the
+//! sizing pass, its edge table is exactly the inverse of `inputs()` plus
+//! the driver, and an installation's launch plan wires every edge to its
+//! readers' fleet size; (2) *sensitivity of the verifier* — hand-seeded
 //! invalid DAGs (schema mismatch, inconsistent exchange keys,
 //! inconsistent partition counts, mid-DAG driver output, zero-worker
 //! fleet, terminal/output disagreement) are each rejected with the
@@ -14,14 +16,19 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use lambada::core::stage::{
-    split_with, FinalStage, JoinStage, QueryDag, ScanStage, SplitOptions, StageKind, StageOutput,
+    split_with, FinalStage, JoinStage, QueryDag, ReaderRole, ScanStage, SplitOptions, StageKind,
+    StageOutput,
 };
 use lambada::core::verify::codes;
-use lambada::core::{verify_dag, verify_fleets, CoreError, Diagnostic, FleetBounds};
+use lambada::core::{
+    verify_dag, verify_fleets, AggStrategy, CoreError, Diagnostic, Lambada, LambadaConfig,
+    SortStrategy, TableFile, TableSpec,
+};
 use lambada::engine::pipeline::{PipelineSpec, Terminal};
 use lambada::engine::{
     lit_i64, AggExpr, AggFunc, DataType, Df, Field, JoinVariant, Optimizer, Schema, SchemaRef,
 };
+use lambada::sim::{Cloud, CloudConfig, Simulation};
 
 fn t_schema() -> Schema {
     Schema::new(vec![
@@ -124,6 +131,30 @@ fn uniform_fleets(dag: &QueryDag) -> Vec<usize> {
         .collect()
 }
 
+/// An installation planning like `opts`, with `t` (3 files), `u` (2) and
+/// `v` (1) registered — nothing is staged, a launch plan reads only the
+/// registry.
+fn installation(opts: &SplitOptions) -> Lambada {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let mut config = LambadaConfig::default();
+    if opts.exchange_aggregates {
+        config.agg = AggStrategy::Exchange { workers: None };
+    }
+    if opts.exchange_sorts {
+        config.sort = SortStrategy::Exchange { workers: None };
+    }
+    let mut system = Lambada::install(&cloud, config);
+    for (name, schema, files) in [("t", t_schema(), 3), ("u", u_schema(), 2), ("v", v_schema(), 1)]
+    {
+        let files = (0..files)
+            .map(|i| TableFile::real("tables", format!("{name}/{i}"), 1 << (20 + i)))
+            .collect();
+        system.register_table(TableSpec::new(name, schema, files, 1_000));
+    }
+    system
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -144,8 +175,45 @@ proptest! {
         let diags = verify_dag(&dag);
         prop_assert!(diags.is_empty(), "shape {shape} opts {opts:?}: {diags:?}");
         let fleets = uniform_fleets(&dag);
-        let fleet_diags = verify_fleets(&dag, &fleets, &FleetBounds::default());
+        let unpinned = vec![None; dag.stages.len()];
+        let fleet_diags = verify_fleets(&dag.edges(), &fleets, &unpinned);
         prop_assert!(fleet_diags.is_empty(), "shape {shape}: {fleet_diags:?}");
+
+        // The edge table is the inverse of `inputs()`: stage `c` reads
+        // stage `p` once per occurrence of `p` in `c`'s inputs, and the
+        // driver is the one extra reader, on the last stage.
+        let edges = dag.edges();
+        let last = dag.stages.len() - 1;
+        for p in 0..dag.stages.len() {
+            let mut want: Vec<Option<usize>> = Vec::new();
+            for (c, kind) in dag.stages.iter().enumerate() {
+                want.extend(kind.inputs().iter().filter(|&&i| i == p).map(|_| Some(c)));
+            }
+            if p == last {
+                want.push(None);
+            }
+            let got: Vec<Option<usize>> = edges.readers[p].iter().map(|r| r.stage).collect();
+            prop_assert_eq!(&got, &want, "shape {} readers of stage {}", shape, p);
+            for r in &edges.readers[p] {
+                prop_assert_eq!(r.stage.is_none(), r.role == ReaderRole::Final);
+            }
+        }
+
+        // The launch plan wires every out-edge to its readers' fleets.
+        let system = installation(&opts);
+        let launch = system.launch_plan(&dag, None).unwrap();
+        for (p, kind) in dag.stages.iter().enumerate() {
+            for c in launch.edges.readers[p].iter().filter_map(|r| r.stage) {
+                prop_assert_eq!(launch.partitions[p], launch.workers[c], "edge {} → {}", p, c);
+            }
+            prop_assert_eq!(
+                launch.sort_edges[p].is_some(),
+                matches!(kind.output(), StageOutput::SortExchange),
+                "stage {}", p
+            );
+            prop_assert_eq!(launch.scans[p].is_some(), matches!(kind, StageKind::Scan(_)));
+        }
+        prop_assert_eq!(launch.partitions[last], 0, "the driver reads no partitions");
     }
 }
 
@@ -302,25 +370,25 @@ fn inconsistent_partition_counts_are_rejected() {
     // Stage 0 feeds stages 1 and 2; their fleets (= the edge's partition
     // count) disagree.
     let dag = shared_edge_dag();
-    let diags = verify_fleets(&dag, &[2, 3, 4], &FleetBounds::default());
+    let diags = verify_fleets(&dag.edges(), &[2, 3, 4], &[None; 3]);
     assert!(has_code(&diags, codes::FLEET_SHARED_EDGE), "{diags:?}");
     // Agreeing consumer fleets pass.
-    assert!(verify_fleets(&dag, &[2, 3, 3], &FleetBounds::default()).is_empty());
+    assert!(verify_fleets(&dag.edges(), &[2, 3, 3], &[None; 3]).is_empty());
 }
 
 #[test]
 fn zero_worker_fleet_is_rejected() {
     let dag = shared_edge_dag();
-    let diags = verify_fleets(&dag, &[2, 0, 0], &FleetBounds::default());
+    let diags = verify_fleets(&dag.edges(), &[2, 0, 0], &[None; 3]);
     assert!(has_code(&diags, codes::FLEET_ZERO), "{diags:?}");
 }
 
 #[test]
 fn unrespected_pin_and_model_bound_are_rejected() {
     let dag = shared_edge_dag();
-    let bounds = FleetBounds { join_pin: Some(5), ..FleetBounds::default() };
-    let diags = verify_fleets(&dag, &[2, 3, 3], &bounds);
+    // Both join fleets pinned to 5 workers (`join_workers: Some(5)`).
+    let diags = verify_fleets(&dag.edges(), &[2, 3, 3], &[None, Some(5), Some(5)]);
     assert!(has_code(&diags, codes::FLEET_PIN), "{diags:?}");
-    let diags = verify_fleets(&dag, &[2, 300, 300], &FleetBounds::default());
+    let diags = verify_fleets(&dag.edges(), &[2, 300, 300], &[None; 3]);
     assert!(has_code(&diags, codes::FLEET_MODEL_BOUND), "{diags:?}");
 }

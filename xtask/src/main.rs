@@ -36,7 +36,9 @@ use std::process::ExitCode;
 
 /// Hot-path files, relative to `crates/`, where a stray panic kills a
 /// paid serverless invocation instead of surfacing a typed error: the
-/// worker/driver/exchange paths of `core`, and the engine and format
+/// worker/driver/exchange paths of `core`, the planner and the plan
+/// verifier (planning a user's query and verifying a hand-built DAG —
+/// `run_dag` is public — must not panic), and the engine and format
 /// kernels a worker runs on bytes it did not produce.
 const HOT_PATH_FILES: &[&str] = &[
     "core/src/driver.rs",
@@ -49,7 +51,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "core/src/message.rs",
     "core/src/routing.rs",
     "core/src/sched.rs",
+    "core/src/stage.rs",
     "core/src/streaming.rs",
+    "core/src/verify.rs",
     "engine/src/agg.rs",
     "engine/src/join.rs",
     "engine/src/keytable.rs",
