@@ -1,0 +1,261 @@
+//! Golden virtual-clock pins: fixed-seed scenarios whose latency, bill,
+//! request counts and trace length are compared with constants, bit for
+//! bit.
+//!
+//! `tests/determinism.rs` compares a run with *itself*, so a change in
+//! event order between two commits (the order of same-instant polls
+//! decides the order of draws from the store-wide and FaaS-wide RNGs)
+//! passes it. These pins compare a run with the *previous commit's*.
+//!
+//! **Regenerating.** A failing scenario prints the value it measured as
+//! a Rust expression; paste it over the constant. Do that only in a PR
+//! that moves the virtual clock on purpose and says so in CHANGES.md. A
+//! PR that only changes how the simulator executes (`crates/sim`'s
+//! executor, timers, resources, sync primitives) may **not** regenerate
+//! them: for such a PR a moved pin is a bug in the PR.
+
+use std::time::Duration;
+
+use lambada::core::{
+    inject_worker_faults, AggStrategy, Lambada, LambadaConfig, QueryReport, QueryService,
+    ServiceConfig, SpeculationConfig, TenantBudget, TransportKind,
+};
+use lambada::sim::{Cloud, CloudConfig, CostItem, InjectedFault, Simulation};
+use lambada::workloads::{
+    q1, q12, q3, q6, stage_descriptors, stage_real, stage_real_orders, DescriptorOptions,
+    OrdersStageOptions, StageOptions,
+};
+
+/// Everything a scenario pins. `queries` is one `(latency_secs, cost.total())`
+/// pair per report, as `f64::to_bits`.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    queries: Vec<(u64, u64)>,
+    s3_gets: u64,
+    s3_puts: u64,
+    s3_lists: u64,
+    trace_len: usize,
+}
+
+fn pin(cloud: &Cloud, reports: &[QueryReport]) -> Pin {
+    Pin {
+        queries: reports
+            .iter()
+            .map(|r| (r.latency_secs.to_bits(), r.cost.total().to_bits()))
+            .collect(),
+        s3_gets: cloud.billing.units(CostItem::S3Get) as u64,
+        s3_puts: cloud.billing.units(CostItem::S3Put) as u64,
+        s3_lists: cloud.billing.units(CostItem::S3List) as u64,
+        trace_len: cloud.trace.len(),
+    }
+}
+
+/// Run `scenario` on a fresh simulation and compare with `expected`.
+fn check(name: &str, expected: Pin, scenario: impl FnOnce(&Simulation) -> Pin) {
+    let sim = Simulation::new();
+    let actual = scenario(&sim);
+    assert!(
+        actual == expected,
+        "{name}: the virtual clock moved (see the module docs before pasting). Measured:\n\
+         Pin {{ queries: vec!{:?}, s3_gets: {}, s3_puts: {}, s3_lists: {}, trace_len: {} }}\n\
+         expected:\n{expected:?}",
+        actual.queries,
+        actual.s3_gets,
+        actual.s3_puts,
+        actual.s3_lists,
+        actual.trace_len
+    );
+}
+
+fn cloud(sim: &Simulation, seed: u64) -> Cloud {
+    Cloud::new(sim, CloudConfig { seed, ..CloudConfig::default() })
+}
+
+fn lineitem(cloud: &Cloud, scale: f64, num_files: usize) -> lambada::core::TableSpec {
+    let opts = StageOptions { scale, num_files, row_groups_per_file: 3, seed: 5 };
+    stage_real(cloud, "tpch", "lineitem", opts)
+}
+
+fn orders(cloud: &Cloud, rows: u64) -> lambada::core::TableSpec {
+    let opts = OrdersStageOptions { rows, num_files: 3, row_groups_per_file: 2, seed: 5 };
+    stage_real_orders(cloud, "tpch", "orders", opts)
+}
+
+/// Lineitem + orders on a fresh cloud, installed with `config`.
+fn join_system(sim: &Simulation, seed: u64, config: LambadaConfig) -> (Cloud, Lambada) {
+    let cloud = cloud(sim, seed);
+    let li = lineitem(&cloud, 0.004, 4);
+    let ord = orders(&cloud, li.total_rows);
+    let mut system = Lambada::install(&cloud, config);
+    system.register_table(li);
+    system.register_table(ord);
+    (cloud, system)
+}
+
+fn exchange_config() -> LambadaConfig {
+    LambadaConfig {
+        join_workers: Some(3),
+        agg: AggStrategy::Exchange { workers: Some(2) },
+        ..LambadaConfig::default()
+    }
+}
+
+/// Q6 on real files: NIC sharing, CPU sharing and the GET limiter.
+#[test]
+fn q6_on_real_files() {
+    let expected = Pin {
+        queries: vec![(4609429400397108917, 4540555546217389564)],
+        s3_gets: 16,
+        s3_puts: 0,
+        s3_lists: 0,
+        trace_len: 22,
+    };
+    check("q6_on_real_files", expected, |sim| {
+        let cloud = cloud(sim, 11);
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        system.register_table(lineitem(&cloud, 0.01, 4));
+        let report = sim.block_on(async move { system.run_query(&q6("lineitem")).await.unwrap() });
+        pin(&cloud, &[report])
+    });
+}
+
+/// Q12 over the object-store exchange: PUT/LIST/GET polling on edges.
+#[test]
+fn q12_over_the_object_store_exchange() {
+    let expected = Pin {
+        queries: vec![(4612220783347887056, 4554236055144979180)],
+        s3_gets: 56,
+        s3_puts: 11,
+        s3_lists: 27,
+        trace_len: 94,
+    };
+    check("q12_over_the_object_store_exchange", expected, |sim| {
+        let (cloud, system) = join_system(sim, 12, exchange_config());
+        let plan = q12("lineitem", "orders");
+        let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+        pin(&cloud, &[report])
+    });
+}
+
+/// Q3 on the direct transport: p2p links between worker NICs.
+#[test]
+fn q3_on_the_direct_transport() {
+    let expected = Pin {
+        queries: vec![(4611710932995800263, 4547981110106035651)],
+        s3_gets: 63,
+        s3_puts: 2,
+        s3_lists: 0,
+        trace_len: 94,
+    };
+    check("q3_on_the_direct_transport", expected, |sim| {
+        let config = LambadaConfig { transport: TransportKind::Direct, ..exchange_config() };
+        let (cloud, system) = join_system(sim, 13, config);
+        let plan = q3("lineitem", "orders");
+        let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+        pin(&cloud, &[report])
+    });
+}
+
+/// Two tenants through the query service under a gate smaller than one
+/// round's fleets: admission queue, worker gate, `StageBoard` notify and
+/// the result queues' long poll.
+#[test]
+fn two_tenants_through_a_small_gate() {
+    let expected = Pin {
+        queries: vec![
+            (4612493591739338188, 4553629157264954138),
+            (4613822316740783789, 4558862325620439845),
+            (4611932898681553540, 4550009156678714332),
+            (4607191474264349356, 4557755520976017271),
+        ],
+        s3_gets: 249,
+        s3_puts: 24,
+        s3_lists: 47,
+        trace_len: 212,
+    };
+    check("two_tenants_through_a_small_gate", expected, |sim| {
+        let (cloud, system) = join_system(sim, 14, exchange_config());
+        let service = QueryService::with_config(
+            system,
+            ServiceConfig {
+                max_inflight_workers: 6,
+                max_concurrent_queries: 3,
+                shrink_fleets: true,
+                default_budget: TenantBudget::default(),
+            },
+        );
+        let plans = [
+            ("a", q1("lineitem")),
+            ("b", q12("lineitem", "orders")),
+            ("a", q6("lineitem")),
+            ("b", q3("lineitem", "orders")),
+        ];
+        let reports = sim.block_on(async {
+            let handles: Vec<_> = plans.iter().map(|(t, p)| service.submit(t, p)).collect();
+            let mut out = Vec::new();
+            for h in handles {
+                out.push(h.await.unwrap());
+            }
+            out
+        });
+        pin(&cloud, &reports)
+    });
+}
+
+/// Descriptor Q1 on 40 files: the two-level invocation tree and the
+/// modelled scan (no real bytes).
+#[test]
+fn descriptor_q1_on_40_files() {
+    let expected = Pin {
+        queries: vec![(4617194682938344959, 4570354762470511388)],
+        s3_gets: 1713,
+        s3_puts: 0,
+        s3_lists: 0,
+        trace_len: 181,
+    };
+    check("descriptor_q1_on_40_files", expected, |sim| {
+        let cloud = cloud(sim, 15);
+        let opts =
+            DescriptorOptions { scale: 100.0, num_files: 40, ..DescriptorOptions::default() };
+        let spec = stage_descriptors(&cloud, "tpch", "lineitem", &opts);
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        system.register_table(spec);
+        let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+        pin(&cloud, &[report])
+    });
+}
+
+/// A worker killed mid-flight and recovered by a speculative backup:
+/// the FaaS layer's handler-versus-death race.
+#[test]
+fn killed_worker_with_speculation() {
+    let expected = Pin {
+        queries: vec![(4613930924502310542, 4545715849933784124)],
+        s3_gets: 103,
+        s3_puts: 0,
+        s3_lists: 0,
+        trace_len: 27,
+    };
+    check("killed_worker_with_speculation", expected, |sim| {
+        let cloud = cloud(sim, 16);
+        let config = LambadaConfig {
+            max_wait: Duration::from_secs(60),
+            speculation: SpeculationConfig {
+                enabled: true,
+                quantile: 0.7,
+                multiplier: 2.0,
+                max_attempts: 1,
+                ..SpeculationConfig::default()
+            },
+            ..LambadaConfig::default()
+        };
+        let mut system = Lambada::install(&cloud, config);
+        system.register_table(lineitem(&cloud, 0.01, 4));
+        inject_worker_faults(&cloud, |wid, attempt| {
+            (wid == 1 && attempt == 0).then(|| InjectedFault::kill(Duration::from_millis(10)))
+        });
+        let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+        assert_eq!(report.backup_invocations(), 1);
+        pin(&cloud, &[report])
+    });
+}
