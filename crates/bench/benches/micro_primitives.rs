@@ -227,25 +227,85 @@ fn bench_bundle(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `sim/executor` case: the usual ns/iter line, then what an iteration
+/// costs per executor poll and how many polls one job takes — the two
+/// numbers a change to the simulator moves.
+fn executor_case(
+    g: &mut criterion::BenchmarkGroup,
+    name: &str,
+    jobs: u64,
+    run: impl Fn(&lambada_sim::Simulation),
+) {
+    use lambada_sim::Simulation;
+    g.bench_function(name, |b| b.iter(|| run(&Simulation::new())));
+    const REPS: u32 = 20;
+    let start = std::time::Instant::now();
+    let mut polls = 0;
+    for _ in 0..REPS {
+        let sim = Simulation::new();
+        run(&sim);
+        polls = sim.steps();
+    }
+    let ns_per_run = start.elapsed().as_nanos() as f64 / f64::from(REPS);
+    println!(
+        "  {:<40} {:>12.0} ns/poll, {:.2} polls/job",
+        "",
+        ns_per_run / polls as f64,
+        polls as f64 / jobs as f64
+    );
+}
+
 fn bench_executor(c: &mut Criterion) {
-    use lambada_sim::{secs, Simulation};
+    use lambada_sim::sync::{select2, Semaphore};
+    use lambada_sim::{secs, BurstLink, BurstLinkConfig, PsResource, SimHandle};
+    /// Spawn `n` tasks and await them all.
+    async fn fan_out<F: std::future::Future<Output = ()> + 'static>(
+        h: SimHandle,
+        n: u64,
+        task: impl Fn(u64) -> F,
+    ) {
+        let joins: Vec<_> = (0..n).map(|i| h.spawn(task(i))).collect();
+        for j in joins {
+            j.await;
+        }
+    }
     let mut g = c.benchmark_group("sim/executor");
-    g.bench_function("spawn_1k_sleepers", |b| {
-        b.iter(|| {
-            let sim = Simulation::new();
-            let h = sim.handle();
-            sim.block_on(async move {
-                let mut joins = Vec::with_capacity(1000);
-                for i in 0..1000u64 {
-                    let h2 = h.clone();
-                    joins.push(h.spawn(async move {
-                        h2.sleep(secs(i as f64 * 0.001)).await;
-                    }));
-                }
-                for j in joins {
-                    j.await;
-                }
-            });
+    executor_case(&mut g, "spawn_1k_sleepers", 1000, |sim| {
+        let h = sim.handle();
+        sim.block_on(fan_out(h.clone(), 1000, |i| {
+            let h = h.clone();
+            async move { h.sleep(secs(i as f64 * 0.001)).await }
+        }));
+    });
+    // A worker's NIC during a scan: 64 ranged GETs under 16 connections.
+    executor_case(&mut g, "link_fan_in", 64, |sim| {
+        let h = sim.handle();
+        let link = BurstLink::new(h.clone(), BurstLinkConfig::flat(90e6));
+        let conn = Semaphore::new(16);
+        sim.block_on(fan_out(h, 64, |i| {
+            let (link, conn) = (link.clone(), conn.clone());
+            async move {
+                let _permit = conn.acquire(1).await;
+                link.transfer(1e6 + i as f64 * 1e4).await;
+            }
+        }));
+    });
+    executor_case(&mut g, "cpu_share", 8, |sim| {
+        let h = sim.handle();
+        let cpu = PsResource::new(h.clone(), 2.0, 1.0);
+        sim.block_on(fan_out(h, 8, |i| {
+            let cpu = cpu.clone();
+            async move { cpu.run(0.1 * (i + 1) as f64).await }
+        }));
+    });
+    // The FaaS layer's handler-versus-timeout race: the loser is a 900 s
+    // timer that must not outlive the select.
+    executor_case(&mut g, "select_sleep_loser", 1000, |sim| {
+        let h = sim.handle();
+        sim.block_on(async move {
+            for _ in 0..1000 {
+                select2(h.sleep(secs(0.001)), h.sleep(secs(900.0))).await;
+            }
         });
     });
     g.finish();

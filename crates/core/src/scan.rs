@@ -165,7 +165,9 @@ async fn download_chunk(
             env.s3.get_range(&bucket, &key, off, len).await
         }));
     }
-    let mut assembled: Option<Vec<u8>> = Some(Vec::with_capacity(chunk.compressed_len as usize));
+    // The assembly buffer is reserved when the first real body arrives:
+    // a descriptor table's bodies are all synthetic and need none.
+    let mut assembled: Option<Vec<u8>> = Some(Vec::new());
     let mut n_requests = 0u64;
     let mut n_bytes = 0u64;
     for j in joins {
@@ -173,7 +175,12 @@ async fn download_chunk(
         n_requests += 1;
         n_bytes += body.len();
         match (&mut assembled, body) {
-            (Some(buf), Body::Real(bytes)) => buf.extend_from_slice(&bytes),
+            (Some(buf), Body::Real(bytes)) => {
+                if buf.capacity() == 0 {
+                    buf.reserve_exact(chunk.compressed_len as usize);
+                }
+                buf.extend_from_slice(&bytes);
+            }
             (_, Body::Synthetic(_)) => assembled = None,
             (None, _) => {}
         }

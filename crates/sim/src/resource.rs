@@ -13,15 +13,25 @@
 //!   (§4.3.1, Fig 6): ~90 MiB/s sustained, with a memory-dependent burst
 //!   rate that lasts until a credit pool drains; concurrent connections are
 //!   each capped near the sustained rate, so bursts require parallelism.
+//!
+//! The last two are one fair-share job table (`FairShare`) that differs only
+//! in how membership becomes a rate. It integrates remaining work at the
+//! instants membership or the rate changes and keeps **one** timer, armed
+//! for the earliest finisher; [`ShareJob`] is the future of one job. Those
+//! instants, the tie rules and the deadline formula are part of the virtual
+//! clock (see "Simulator" in `docs/ARCHITECTURE.md`): changing them moves
+//! every pinned number.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::executor::SimHandle;
-use crate::sync::{oneshot, select2, Notify};
+use crate::executor::{SimHandle, Sleep};
+use crate::sync::oneshot;
 use crate::time::SimTime;
 
 const WORK_EPS: f64 = 1e-9;
@@ -133,6 +143,227 @@ impl TokenBucket {
     }
 }
 
+/// How a [`FairShare`] resource turns membership into rates.
+enum Shaping {
+    /// `capacity` units in total, at most `per_job_cap` per job.
+    Cpu { capacity: f64, per_job_cap: f64 },
+    /// Dual-rate credit-based traffic shaping.
+    Link { cfg: BurstLinkConfig, credits: f64 },
+}
+
+struct Job {
+    id: u64,
+    /// Work left as of `FairShare::last`.
+    rem: f64,
+    /// Taken when the job is woken because it is finished.
+    waker: Option<Waker>,
+}
+
+/// The state shared by [`PsResource`] and [`BurstLink`]: jobs that all
+/// progress at the same rate, which changes only when a job joins or
+/// leaves or the link's credits run out.
+///
+/// Remaining work is integrated lazily by `advance`, called exactly when
+/// a job joins, a job leaves (finished or dropped), and the timer fires.
+/// There is **one** live timer, armed for whichever job finishes first
+/// under the current rate (the lowest id on a tie) or for the credit
+/// boundary if that comes sooner; every call of `rearm` replaces it, so a
+/// join or a leave costs one reschedule, not a poll of every job.
+struct FairShare {
+    handle: SimHandle,
+    shaping: Shaping,
+    /// Ordered by id: ids only grow and a join appends.
+    jobs: Vec<Job>,
+    next_job: u64,
+    last: SimTime,
+    /// Work done so far (a link's `total_bytes`).
+    moved: f64,
+    timer: Option<Sleep>,
+}
+
+impl FairShare {
+    fn new(handle: SimHandle, shaping: Shaping) -> Rc<RefCell<Self>> {
+        Rc::new(RefCell::new(FairShare {
+            last: handle.now(),
+            handle,
+            shaping,
+            jobs: Vec::new(),
+            next_job: 0,
+            moved: 0.0,
+            timer: None,
+        }))
+    }
+
+    /// Rate of each of the `n > 0` active jobs.
+    fn per_job_rate(&self) -> f64 {
+        let n = self.jobs.len() as f64;
+        match &self.shaping {
+            Shaping::Cpu { capacity, per_job_cap } => (capacity / n).min(*per_job_cap),
+            Shaping::Link { cfg, credits } => link_rate(cfg, *credits, n) / n,
+        }
+    }
+
+    /// Bring every job's remaining work (and the link's credits) to now.
+    fn advance(&mut self) {
+        let now = self.handle.now();
+        let mut t = std::mem::replace(&mut self.last, now);
+        let n = self.jobs.len() as f64;
+        match &mut self.shaping {
+            Shaping::Cpu { .. } => {
+                let dt = now.saturating_since(t).as_secs_f64();
+                if dt > 0.0 && !self.jobs.is_empty() {
+                    let r = self.per_job_rate();
+                    for job in &mut self.jobs {
+                        job.rem = (job.rem - r * dt).max(0.0);
+                    }
+                }
+            }
+            Shaping::Link { cfg, credits } if self.jobs.is_empty() => {
+                // Credits refill at the sustained rate when idle.
+                let dt = now.saturating_since(t).as_secs_f64();
+                *credits = (*credits + cfg.sustained * dt).min(cfg.credit_cap);
+            }
+            // Integrate piecewise over credit-state boundaries (credits
+            // hitting zero or full change the rate).
+            Shaping::Link { cfg, credits } => {
+                while t < now {
+                    let r = link_rate(cfg, *credits, n);
+                    let drain = r - cfg.sustained; // >0 drains credits, <0 refills
+                    let remaining = now.saturating_since(t).as_secs_f64();
+                    let seg = if drain > WORK_EPS && *credits > WORK_EPS {
+                        (*credits / drain).min(remaining)
+                    } else if drain < -WORK_EPS && *credits < cfg.credit_cap {
+                        (((cfg.credit_cap - *credits) / -drain).min(remaining)).max(0.0)
+                    } else {
+                        remaining
+                    };
+                    let per_job = r / n;
+                    for job in &mut self.jobs {
+                        job.rem = (job.rem - per_job * seg).max(0.0);
+                    }
+                    self.moved += r * seg;
+                    *credits = (*credits - drain * seg).clamp(0.0, cfg.credit_cap);
+                    let step = Duration::from_secs_f64(seg);
+                    if step.is_zero() {
+                        break; // sub-nanosecond remainder; avoid spinning
+                    }
+                    t += step;
+                }
+            }
+        }
+    }
+
+    /// Replace the timer after the membership or the rate changed. Jobs
+    /// that are finished already are woken now instead (in id order), and
+    /// no timer is armed: each of them leaves in this instant, which
+    /// re-arms.
+    fn rearm(&mut self) {
+        self.timer = None;
+        // `min_by` keeps the first of equal elements: the lowest id.
+        let Some(first) = self.jobs.iter().min_by(|a, b| a.rem.total_cmp(&b.rem)) else {
+            return;
+        };
+        if first.rem <= WORK_EPS {
+            for job in self.jobs.iter_mut().filter(|j| j.rem <= WORK_EPS) {
+                if let Some(waker) = job.waker.take() {
+                    waker.wake();
+                }
+            }
+            return;
+        }
+        let now = self.handle.now();
+        let after = |secs: f64| now + Duration::from_secs_f64(secs) + Duration::from_nanos(1);
+        let mut deadline = after(first.rem / self.per_job_rate());
+        if let Shaping::Link { cfg, credits } = &self.shaping {
+            // The instant the credits run out at the current rate, if ever.
+            let drain = link_rate(cfg, *credits, self.jobs.len() as f64) - cfg.sustained;
+            if drain > WORK_EPS && *credits > WORK_EPS {
+                deadline = deadline.min(after(*credits / drain));
+            }
+        }
+        let mut timer = self.handle.sleep_until(deadline);
+        timer.arm(first.waker.as_ref().expect("an unfinished job keeps its waker"));
+        self.timer = Some(timer);
+    }
+
+    /// Remove job `id` (finished or dropped mid-flight); its share goes
+    /// to its peers from this instant.
+    fn leave(&mut self, id: u64) {
+        self.advance();
+        self.jobs.retain(|j| j.id != id);
+        self.rearm();
+    }
+}
+
+/// Total rate of a link carrying `n > 0` transfers.
+fn link_rate(cfg: &BurstLinkConfig, credits: f64, n: f64) -> f64 {
+    let shaping = if credits > WORK_EPS { cfg.burst } else { cfg.sustained };
+    (cfg.per_conn * n).min(shaping)
+}
+
+/// One job on a fair-share resource: the future returned by
+/// [`PsResource::run`] and [`BurstLink::transfer`]. It joins when first
+/// polled. Cancellation-safe: dropping it mid-flight removes the job and
+/// re-arms the resource's timer.
+pub struct ShareJob {
+    st: Rc<RefCell<FairShare>>,
+    work: f64,
+    id: Option<u64>,
+}
+
+impl Future for ShareJob {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        if this.work <= 0.0 {
+            return Poll::Ready(());
+        }
+        let mut st = this.st.borrow_mut();
+        let Some(id) = this.id else {
+            st.advance();
+            let id = st.next_job;
+            st.next_job += 1;
+            st.jobs.push(Job { id, rem: this.work, waker: Some(cx.waker().clone()) });
+            if this.work <= WORK_EPS {
+                st.leave(id);
+                return Poll::Ready(());
+            }
+            this.id = Some(id);
+            st.rearm();
+            return Poll::Pending;
+        };
+        // Woken by the timer (for this job or, on a spurious poll, for a
+        // peer): that is an instant the shares are integrated at.
+        let due = st.timer.as_ref().is_some_and(Sleep::is_due);
+        if due {
+            st.advance();
+        }
+        let job = st.jobs.iter_mut().find(|j| j.id == id).expect("job registered");
+        if job.rem <= WORK_EPS {
+            this.id = None;
+            st.leave(id);
+            return Poll::Ready(());
+        }
+        let moved = !job.waker.as_ref().is_some_and(|w| w.will_wake(cx.waker()));
+        if moved {
+            job.waker = Some(cx.waker().clone());
+        }
+        if due || moved {
+            st.rearm();
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for ShareJob {
+    fn drop(&mut self) {
+        if let Some(id) = self.id {
+            self.st.borrow_mut().leave(id);
+        }
+    }
+}
+
 /// Processor-sharing resource: `capacity` units total, at most `per_job_cap`
 /// units per job, split evenly among active jobs.
 ///
@@ -140,55 +371,14 @@ impl TokenBucket {
 /// [`PsResource::run`] takes vCPU-seconds of work.
 #[derive(Clone)]
 pub struct PsResource {
-    st: Rc<RefCell<PsState>>,
-    notify: Notify,
-    handle: SimHandle,
-}
-
-struct PsState {
+    st: Rc<RefCell<FairShare>>,
     capacity: f64,
-    per_job_cap: f64,
-    jobs: HashMap<u64, f64>,
-    next_job: u64,
-    last: SimTime,
-}
-
-impl PsState {
-    fn rate_per_job(&self) -> f64 {
-        let n = self.jobs.len();
-        if n == 0 {
-            return 0.0;
-        }
-        (self.capacity / n as f64).min(self.per_job_cap)
-    }
-
-    fn advance(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last).as_secs_f64();
-        if dt > 0.0 && !self.jobs.is_empty() {
-            let r = self.rate_per_job();
-            for rem in self.jobs.values_mut() {
-                *rem = (*rem - r * dt).max(0.0);
-            }
-        }
-        self.last = now;
-    }
 }
 
 impl PsResource {
     pub fn new(handle: SimHandle, capacity: f64, per_job_cap: f64) -> Self {
         assert!(capacity > 0.0 && per_job_cap > 0.0);
-        let last = handle.now();
-        PsResource {
-            st: Rc::new(RefCell::new(PsState {
-                capacity,
-                per_job_cap,
-                jobs: HashMap::new(),
-                next_job: 0,
-                last,
-            })),
-            notify: Notify::new(),
-            handle,
-        }
+        PsResource { st: FairShare::new(handle, Shaping::Cpu { capacity, per_job_cap }), capacity }
     }
 
     /// Number of active jobs.
@@ -198,57 +388,13 @@ impl PsResource {
 
     /// The resource's total capacity.
     pub fn capacity(&self) -> f64 {
-        self.st.borrow().capacity
+        self.capacity
     }
 
     /// Execute `work` units of demand (e.g. vCPU-seconds), sharing the
-    /// resource with concurrent jobs. Cancellation-safe: dropping the future
-    /// deregisters the job.
-    pub async fn run(&self, work: f64) {
-        if work <= 0.0 {
-            return;
-        }
-        let id = {
-            let mut st = self.st.borrow_mut();
-            st.advance(self.handle.now());
-            let id = st.next_job;
-            st.next_job += 1;
-            st.jobs.insert(id, work);
-            id
-        };
-        self.notify.notify_all();
-        let guard = PsGuard { res: self.clone(), id };
-        loop {
-            let (deadline, notified) = {
-                let mut st = self.st.borrow_mut();
-                let now = self.handle.now();
-                st.advance(now);
-                let rem = *st.jobs.get(&id).expect("job registered");
-                if rem <= WORK_EPS {
-                    break;
-                }
-                let r = st.rate_per_job();
-                let deadline = now + Duration::from_secs_f64(rem / r) + Duration::from_nanos(1);
-                (deadline, self.notify.notified())
-            };
-            select2(self.handle.sleep_until(deadline), notified).await;
-        }
-        drop(guard); // removes the job and notifies peers
-    }
-}
-
-struct PsGuard {
-    res: PsResource,
-    id: u64,
-}
-
-impl Drop for PsGuard {
-    fn drop(&mut self) {
-        let mut st = self.res.st.borrow_mut();
-        st.advance(self.res.handle.now());
-        st.jobs.remove(&self.id);
-        drop(st);
-        self.res.notify.notify_all();
+    /// resource with concurrent jobs.
+    pub fn run(&self, work: f64) -> ShareJob {
+        ShareJob { st: Rc::clone(&self.st), work, id: None }
     }
 }
 
@@ -282,96 +428,12 @@ impl BurstLinkConfig {
 /// while credits remain and the sustained rate afterwards.
 #[derive(Clone)]
 pub struct BurstLink {
-    st: Rc<RefCell<BlState>>,
-    notify: Notify,
-    handle: SimHandle,
-}
-
-struct BlState {
-    cfg: BurstLinkConfig,
-    credits: f64,
-    jobs: HashMap<u64, f64>,
-    next_job: u64,
-    last: SimTime,
-    total_bytes: f64,
-}
-
-impl BlState {
-    fn total_rate(&self) -> f64 {
-        let n = self.jobs.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let conn_limit = self.cfg.per_conn * n as f64;
-        let shaping = if self.credits > WORK_EPS { self.cfg.burst } else { self.cfg.sustained };
-        conn_limit.min(shaping)
-    }
-
-    /// Advance state to `now`, integrating piecewise over credit-state
-    /// boundaries (credits hitting zero or full change the rate).
-    fn advance(&mut self, now: SimTime) {
-        let mut t = self.last;
-        self.last = now;
-        if self.jobs.is_empty() {
-            // Credits refill at the sustained rate when idle.
-            let dt = now.saturating_since(t).as_secs_f64();
-            self.credits = (self.credits + self.cfg.sustained * dt).min(self.cfg.credit_cap);
-            return;
-        }
-        while t < now {
-            let r = self.total_rate();
-            let drain = r - self.cfg.sustained; // >0 drains credits, <0 refills
-            let remaining = now.saturating_since(t).as_secs_f64();
-            let seg = if drain > WORK_EPS && self.credits > WORK_EPS {
-                (self.credits / drain).min(remaining)
-            } else if drain < -WORK_EPS && self.credits < self.cfg.credit_cap {
-                (((self.cfg.credit_cap - self.credits) / -drain).min(remaining)).max(0.0)
-            } else {
-                remaining
-            };
-            let n = self.jobs.len() as f64;
-            let per_job = r / n;
-            for rem in self.jobs.values_mut() {
-                *rem = (*rem - per_job * seg).max(0.0);
-            }
-            self.total_bytes += r * seg;
-            self.credits = (self.credits - drain * seg).clamp(0.0, self.cfg.credit_cap);
-            let step = Duration::from_secs_f64(seg);
-            if step.is_zero() {
-                break; // sub-nanosecond remainder; avoid spinning
-            }
-            t += step;
-        }
-    }
-
-    /// Virtual time at which credits hit zero given the current rate, or
-    /// `SimTime::MAX` if they never will under current membership.
-    fn credit_exhaustion(&self, now: SimTime) -> SimTime {
-        let r = self.total_rate();
-        let drain = r - self.cfg.sustained;
-        if drain > WORK_EPS && self.credits > WORK_EPS {
-            now + Duration::from_secs_f64(self.credits / drain) + Duration::from_nanos(1)
-        } else {
-            SimTime::MAX
-        }
-    }
+    st: Rc<RefCell<FairShare>>,
 }
 
 impl BurstLink {
     pub fn new(handle: SimHandle, cfg: BurstLinkConfig) -> Self {
-        let last = handle.now();
-        BurstLink {
-            st: Rc::new(RefCell::new(BlState {
-                credits: cfg.credit_cap,
-                cfg,
-                jobs: HashMap::new(),
-                next_job: 0,
-                last,
-                total_bytes: 0.0,
-            })),
-            notify: Notify::new(),
-            handle,
-        }
+        BurstLink { st: FairShare::new(handle, Shaping::Link { cfg, credits: cfg.credit_cap }) }
     }
 
     /// Number of in-flight transfers.
@@ -382,58 +444,14 @@ impl BurstLink {
     /// Total bytes moved through this link so far.
     pub fn total_bytes(&self) -> f64 {
         let mut st = self.st.borrow_mut();
-        st.advance(self.handle.now());
-        st.total_bytes
+        st.advance();
+        st.moved
     }
 
     /// Transfer `bytes` through the link, sharing bandwidth with concurrent
-    /// transfers and honoring burst credits. Cancellation-safe.
-    pub async fn transfer(&self, bytes: f64) {
-        if bytes <= 0.0 {
-            return;
-        }
-        let id = {
-            let mut st = self.st.borrow_mut();
-            st.advance(self.handle.now());
-            let id = st.next_job;
-            st.next_job += 1;
-            st.jobs.insert(id, bytes);
-            id
-        };
-        self.notify.notify_all();
-        let guard = BlGuard { link: self.clone(), id };
-        loop {
-            let (deadline, notified) = {
-                let mut st = self.st.borrow_mut();
-                let now = self.handle.now();
-                st.advance(now);
-                let rem = *st.jobs.get(&id).expect("job registered");
-                if rem <= WORK_EPS {
-                    break;
-                }
-                let per_job = st.total_rate() / st.jobs.len() as f64;
-                let finish = now + Duration::from_secs_f64(rem / per_job) + Duration::from_nanos(1);
-                let boundary = st.credit_exhaustion(now);
-                (finish.min(boundary), self.notify.notified())
-            };
-            select2(self.handle.sleep_until(deadline), notified).await;
-        }
-        drop(guard);
-    }
-}
-
-struct BlGuard {
-    link: BurstLink,
-    id: u64,
-}
-
-impl Drop for BlGuard {
-    fn drop(&mut self) {
-        let mut st = self.link.st.borrow_mut();
-        st.advance(self.link.handle.now());
-        st.jobs.remove(&self.id);
-        drop(st);
-        self.link.notify.notify_all();
+    /// transfers and honoring burst credits.
+    pub fn transfer(&self, bytes: f64) -> ShareJob {
+        ShareJob { st: Rc::clone(&self.st), work: bytes, id: None }
     }
 }
 

@@ -122,27 +122,36 @@ impl Default for S3Config {
     }
 }
 
+#[derive(Default)]
 struct BucketState {
     objects: BTreeMap<String, Body>,
     gets: u64,
     puts: u64,
     lists: u64,
-}
-
-struct Buckets {
-    map: HashMap<String, Rc<RefCell<BucketState>>>,
     // S3 rate limits apply per partitioned key prefix (AWS performance
-    // guidelines), so limiters are keyed by (bucket, prefix-up-to-last-/).
-    get_limiters: HashMap<(String, String), TokenBucket>,
-    put_limiters: HashMap<(String, String), TokenBucket>,
+    // guidelines), so a bucket keeps one limiter per prefix-up-to-last-/.
+    get_limiters: HashMap<String, TokenBucket>,
+    put_limiters: HashMap<String, TokenBucket>,
 }
 
-/// The rate-limit partition of a key: everything up to the last '/'.
-fn key_prefix(key: &str) -> String {
-    match key.rfind('/') {
-        Some(i) => key[..i].to_string(),
-        None => String::new(),
+type Buckets = HashMap<String, Rc<RefCell<BucketState>>>;
+
+/// The limiter of `key`'s rate-limit partition (everything up to the last
+/// '/'), created full on first use. The lookup borrows the prefix from
+/// `key`: a request whose limiter exists builds no `String`.
+fn limiter(
+    map: &mut HashMap<String, TokenBucket>,
+    handle: &SimHandle,
+    rate: f64,
+    key: &str,
+) -> TokenBucket {
+    let prefix = key.rfind('/').map_or("", |i| &key[..i]);
+    if let Some(found) = map.get(prefix) {
+        return found.clone();
     }
+    let created = TokenBucket::new(handle.clone(), rate, rate);
+    map.insert(prefix.to_string(), created.clone());
+    created
 }
 
 /// The shared object-store service. Create per-caller [`S3Client`]s with
@@ -158,17 +167,7 @@ pub struct ObjectStore {
 
 impl ObjectStore {
     pub fn new(handle: SimHandle, cfg: S3Config, billing: Billing, rng: SimRng) -> Self {
-        ObjectStore {
-            st: Rc::new(RefCell::new(Buckets {
-                map: HashMap::new(),
-                get_limiters: HashMap::new(),
-                put_limiters: HashMap::new(),
-            })),
-            cfg: Rc::new(cfg),
-            handle,
-            billing,
-            rng,
-        }
+        ObjectStore { st: Rc::default(), cfg: Rc::new(cfg), handle, billing, rng }
     }
 
     /// A weak handle on the stored state — buckets and every object in
@@ -182,21 +181,13 @@ impl ObjectStore {
     /// installation time per §4.4.1).
     pub fn create_bucket(&self, name: &str) {
         let mut st = self.st.borrow_mut();
-        if !st.map.contains_key(name) {
-            st.map.insert(
-                name.to_string(),
-                Rc::new(RefCell::new(BucketState {
-                    objects: BTreeMap::new(),
-                    gets: 0,
-                    puts: 0,
-                    lists: 0,
-                })),
-            );
+        if !st.contains_key(name) {
+            st.insert(name.to_string(), Rc::default());
         }
     }
 
     pub fn bucket_exists(&self, name: &str) -> bool {
-        self.st.borrow().map.contains_key(name)
+        self.st.borrow().contains_key(name)
     }
 
     /// Insert an object without latency, billing, or bandwidth — used to
@@ -205,14 +196,14 @@ impl ObjectStore {
     pub fn stage(&self, bucket: &str, key: &str, body: Body) {
         self.create_bucket(bucket);
         let st = self.st.borrow();
-        let b = st.map.get(bucket).expect("bucket just created");
+        let b = st.get(bucket).expect("bucket just created");
         b.borrow_mut().objects.insert(key.to_string(), body);
     }
 
     /// Request counters for a bucket: (gets, puts, lists).
     pub fn bucket_counters(&self, bucket: &str) -> (u64, u64, u64) {
         let st = self.st.borrow();
-        match st.map.get(bucket) {
+        match st.get(bucket) {
             Some(b) => {
                 let b = b.borrow();
                 (b.gets, b.puts, b.lists)
@@ -224,19 +215,19 @@ impl ObjectStore {
     /// Total bytes stored in a bucket.
     pub fn bucket_bytes(&self, bucket: &str) -> u64 {
         let st = self.st.borrow();
-        st.map.get(bucket).map(|b| b.borrow().objects.values().map(Body::len).sum()).unwrap_or(0)
+        st.get(bucket).map(|b| b.borrow().objects.values().map(Body::len).sum()).unwrap_or(0)
     }
 
     /// Number of objects in a bucket.
     pub fn bucket_object_count(&self, bucket: &str) -> usize {
         let st = self.st.borrow();
-        st.map.get(bucket).map(|b| b.borrow().objects.len()).unwrap_or(0)
+        st.get(bucket).map(|b| b.borrow().objects.len()).unwrap_or(0)
     }
 
     /// Remove all objects from a bucket (test/bench housekeeping; free).
     pub fn clear_bucket(&self, bucket: &str) {
         let st = self.st.borrow();
-        if let Some(b) = st.map.get(bucket) {
+        if let Some(b) = st.get(bucket) {
             b.borrow_mut().objects.clear();
         }
     }
@@ -249,32 +240,17 @@ impl ObjectStore {
     }
 
     fn bucket(&self, name: &str) -> Result<Rc<RefCell<BucketState>>, S3Error> {
-        self.st
-            .borrow()
-            .map
-            .get(name)
-            .cloned()
-            .ok_or_else(|| S3Error::NoSuchBucket(name.to_string()))
+        self.st.borrow().get(name).cloned().ok_or_else(|| S3Error::NoSuchBucket(name.to_string()))
     }
 
-    fn get_limiter(&self, bucket: &str, key: &str) -> TokenBucket {
-        let mut st = self.st.borrow_mut();
+    fn get_limiter(&self, bucket: &RefCell<BucketState>, key: &str) -> TokenBucket {
         let rate = self.cfg.get_rate_per_bucket;
-        let handle = self.handle.clone();
-        st.get_limiters
-            .entry((bucket.to_string(), key_prefix(key)))
-            .or_insert_with(|| TokenBucket::new(handle, rate, rate))
-            .clone()
+        limiter(&mut bucket.borrow_mut().get_limiters, &self.handle, rate, key)
     }
 
-    fn put_limiter(&self, bucket: &str, key: &str) -> TokenBucket {
-        let mut st = self.st.borrow_mut();
+    fn put_limiter(&self, bucket: &RefCell<BucketState>, key: &str) -> TokenBucket {
         let rate = self.cfg.put_rate_per_bucket;
-        let handle = self.handle.clone();
-        st.put_limiters
-            .entry((bucket.to_string(), key_prefix(key)))
-            .or_insert_with(|| TokenBucket::new(handle, rate, rate))
-            .clone()
+        limiter(&mut bucket.borrow_mut().put_limiters, &self.handle, rate, key)
     }
 
     fn sample_latency(&self, base: Duration) -> Duration {
@@ -316,7 +292,7 @@ impl S3Client {
     ) -> Result<Body, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.get_limiter(bucket, key).acquire(1.0).await;
+        store.get_limiter(&b, key).acquire(1.0).await;
         store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
         store.billing.record(CostItem::S3Get, 1.0);
         b.borrow_mut().gets += 1;
@@ -334,7 +310,7 @@ impl S3Client {
     pub async fn put(&self, bucket: &str, key: &str, body: Body) -> Result<(), S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.put_limiter(bucket, key).acquire(1.0).await;
+        store.put_limiter(&b, key).acquire(1.0).await;
         let base = store.cfg.ttfb_median + store.cfg.put_extra;
         store.handle.sleep(self.extra_latency + store.sample_latency(base)).await;
         store.billing.record(CostItem::S3Put, 1.0);
@@ -350,7 +326,7 @@ impl S3Client {
     pub async fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<(String, u64)>, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.put_limiter(bucket, prefix).acquire(1.0).await;
+        store.put_limiter(&b, prefix).acquire(1.0).await;
         store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
         let out: Vec<(String, u64)> = {
             let st = b.borrow();
@@ -370,7 +346,7 @@ impl S3Client {
     pub async fn exists(&self, bucket: &str, key: &str) -> Result<bool, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.get_limiter(bucket, key).acquire(1.0).await;
+        store.get_limiter(&b, key).acquire(1.0).await;
         store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
         store.billing.record(CostItem::S3Get, 1.0);
         let mut st = b.borrow_mut();

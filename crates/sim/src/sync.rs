@@ -3,6 +3,11 @@
 //! These mirror the usual async toolbox (oneshot, mpsc, notify, semaphore,
 //! select) but are `Rc`-based: the executor never crosses threads, so no
 //! atomics are needed beyond what `Waker` requires.
+//!
+//! Every waiting future here keeps at most one registration however often
+//! it is polled (a slot it overwrites, or a list entry it updates), and
+//! [`select2`] drops its loser, which for a `Sleep` cancels the timer: a
+//! spurious poll never turns into extra wake-ups later.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -221,7 +226,9 @@ pub mod mpsc {
 ///
 /// [`Notify::notified`] captures the current epoch and resolves once any
 /// later [`Notify::notify_all`] bumps it, so a notification between creating
-/// the future and first polling it is never lost.
+/// the future and first polling it is never lost. A [`Notified`] registers
+/// its waker once, however often it is polled, so a spurious poll never
+/// buys the task an extra wake-up at the next notification.
 #[derive(Clone, Default)]
 pub struct Notify {
     inner: Rc<RefCell<NotifyInner>>,
@@ -252,24 +259,34 @@ impl Notify {
 
     /// A future that resolves at the next `notify_all` after this call.
     pub fn notified(&self) -> Notified {
-        Notified { inner: Rc::clone(&self.inner), epoch: self.inner.borrow().epoch }
+        Notified { inner: Rc::clone(&self.inner), epoch: self.inner.borrow().epoch, slot: None }
     }
 }
 
 pub struct Notified {
     inner: Rc<RefCell<NotifyInner>>,
     epoch: u64,
+    /// Where this future's waker sits in `wakers`. The list only grows
+    /// until the epoch changes, so the index stays valid while it matters.
+    slot: Option<usize>,
 }
 
 impl Future for Notified {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.epoch != self.epoch {
+        let this = self.get_mut();
+        let mut inner = this.inner.borrow_mut();
+        if inner.epoch != this.epoch {
             return Poll::Ready(());
         }
-        inner.wakers.push(cx.waker().clone());
+        match this.slot {
+            Some(i) => inner.wakers[i].clone_from(cx.waker()),
+            None => {
+                this.slot = Some(inner.wakers.len());
+                inner.wakers.push(cx.waker().clone());
+            }
+        }
         Poll::Pending
     }
 }
@@ -530,6 +547,22 @@ mod tests {
             c
         });
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn notified_registers_once_however_often_it_is_polled() {
+        let notify = Notify::new();
+        let (mut a, mut b) = (notify.notified(), notify.notified());
+        let mut cx = Context::from_waker(Waker::noop());
+        for _ in 0..5 {
+            assert!(Pin::new(&mut a).poll(&mut cx).is_pending());
+            assert!(Pin::new(&mut b).poll(&mut cx).is_pending());
+        }
+        assert_eq!(notify.inner.borrow().wakers.len(), 2, "one entry per waiting future");
+        notify.notify_all();
+        assert!(notify.inner.borrow().wakers.is_empty());
+        assert!(Pin::new(&mut a).poll(&mut cx).is_ready());
+        assert!(Pin::new(&mut b).poll(&mut cx).is_ready());
     }
 
     #[test]

@@ -54,6 +54,10 @@ fn pin(cloud: &Cloud, reports: &[QueryReport]) -> Pin {
 fn check(name: &str, expected: Pin, scenario: impl FnOnce(&Simulation) -> Pin) {
     let sim = Simulation::new();
     let actual = scenario(&sim);
+    // Leak gauges: the scenario's cloud and installation are dropped, so
+    // nothing of it may still be scheduled.
+    assert_eq!(sim.pending_timers(), 0, "{name}: live timers left behind");
+    assert_eq!(sim.live_tasks(), 0, "{name}: unfinished tasks left behind");
     assert!(
         actual == expected,
         "{name}: the virtual clock moved (see the module docs before pasting). Measured:\n\
