@@ -8,6 +8,93 @@ use std::hint::black_box;
 use lambada_engine::{col, lit_f64, Column, RecordBatch};
 use lambada_format::{encoding, ColumnData, Encoding};
 
+/// What one item costs: the best of 15 passes of `f` over `items` values
+/// or rows, printed in the table's layout. A best-of, where criterion
+/// reports a mean, because per-item costs of a nanosecond or so are
+/// compared across commits and a shared box only ever adds time.
+fn ns_per_item(name: &str, unit: &str, items: usize, mut f: impl FnMut()) {
+    let best = (0..15)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default();
+    println!("  {name:<40} {:>12.2} ns/{unit}", best.as_nanos() as f64 / items as f64);
+}
+
+/// The first `files` files of the repo benchmark's `scan_agg` table —
+/// LINEITEM SF 0.05 in 8 files of 4 row groups — as encoded files, and the
+/// scan stage the planner makes of a query over it.
+struct Lineitem {
+    files: Vec<(Vec<u8>, lambada_format::FileMeta)>,
+    system: lambada_core::Lambada,
+}
+
+impl Lineitem {
+    fn generate(files: usize) -> Lineitem {
+        use lambada_workloads::loader::{generate_file_columns, stage_real, StageOptions};
+        let scale = 0.05 / 8.0 * files as f64;
+        let opts = StageOptions { scale, num_files: files, row_groups_per_file: 4, seed: 1 };
+        let schema = lambada_workloads::lineitem_schema().to_file_schema().unwrap();
+        let files = generate_file_columns(opts)
+            .into_iter()
+            .map(|columns| {
+                let rows = columns[0].len();
+                let data: Vec<_> = columns.into_iter().map(|c| c.into_data().unwrap()).collect();
+                let groups = lambada_format::chunk_rows(&data, rows.div_ceil(4));
+                let file = lambada_format::write_file(schema.clone(), &groups, Default::default());
+                let file = file.unwrap();
+                let meta = lambada_format::read_footer(&file).unwrap();
+                (file, meta)
+            })
+            .collect();
+        // Planning reads the table's schema, not its data: a token table.
+        let sim = lambada_sim::Simulation::new();
+        let cloud = lambada_sim::Cloud::new(&sim, lambada_sim::CloudConfig::default());
+        let mut system = lambada_core::Lambada::install(&cloud, Default::default());
+        let token = StageOptions { scale: 0.0005, num_files: 1, ..opts };
+        system.register_table(stage_real(&cloud, "tpch", "lineitem", token));
+        Lineitem { files, system }
+    }
+
+    /// The stored bytes of column `name`'s chunk in the first row group.
+    fn chunk(&self, name: &str) -> (&[u8], &lambada_format::ColumnChunkMeta) {
+        let (file, meta) = &self.files[0];
+        let chunk = &meta.row_groups[0].columns[meta.schema.index_of(name).unwrap()];
+        (&file[chunk.offset as usize..(chunk.offset + chunk.compressed_len) as usize], chunk)
+    }
+
+    /// The scan pipeline of `plan` and the row groups it is pushed: the
+    /// scan's columns of every row group its statistics do not prune.
+    fn scan(
+        &self,
+        plan: &lambada_engine::LogicalPlan,
+    ) -> (lambada_engine::PipelineSpec, Vec<RecordBatch>) {
+        use lambada_engine::expr::range::can_match;
+        let dag = self.system.plan(plan).unwrap();
+        let Some(lambada_core::StageKind::Scan(scan)) = dag.stages.first() else {
+            panic!("a one-table query starts with a scan stage");
+        };
+        let schema =
+            std::sync::Arc::new(lambada_workloads::lineitem_schema().project(&scan.scan_columns));
+        let mut batches = Vec::new();
+        for (file, meta) in &self.files {
+            for (g, rg) in meta.row_groups.iter().enumerate() {
+                let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
+                if scan.prune_predicate.as_ref().is_some_and(|p| !can_match(p, &stats)) {
+                    continue;
+                }
+                let data = lambada_format::read_row_group(file, meta, g, &scan.scan_columns);
+                let columns = data.unwrap().into_iter().map(Column::from_data).collect();
+                batches.push(RecordBatch::new(schema.clone(), columns).unwrap());
+            }
+        }
+        (scan.pipeline.clone(), batches)
+    }
+}
+
 fn bench_encodings(c: &mut Criterion) {
     let sorted: Vec<i64> = (0..65_536).map(|i| 8000 + i / 50).collect();
     let mut g = c.benchmark_group("format/encoding");
@@ -26,6 +113,11 @@ fn bench_encodings(c: &mut Criterion) {
         });
     }
     g.finish();
+    let plain = encoding::encode(&data, Encoding::Plain).unwrap();
+    ns_per_item("decode/plain", "value", data.len(), || {
+        let ptype = lambada_format::PhysicalType::I64;
+        black_box(encoding::decode(black_box(&plain), Encoding::Plain, ptype, 65_536).unwrap());
+    });
 }
 
 fn bench_lz(c: &mut Criterion) {
@@ -44,7 +136,19 @@ fn bench_lz(c: &mut Criterion) {
             lambada_format::compress::decompress(black_box(&compressed), data.len()).unwrap()
         });
     });
+    // What the synthetic input above does not have: a real `l_quantity`
+    // chunk is 50 distinct doubles in no order, a match token per value.
+    let lineitem = Lineitem::generate(1);
+    let (stored, chunk) = lineitem.chunk("l_quantity");
+    let len = chunk.uncompressed_len as usize;
+    g.throughput(Throughput::Bytes(chunk.uncompressed_len));
+    g.bench_function("decompress_f64_lowcard", |b| {
+        b.iter(|| lambada_format::compress::decompress(black_box(stored), len).unwrap());
+    });
     g.finish();
+    ns_per_item("decompress_f64_lowcard", "value", chunk.num_values as usize, || {
+        black_box(lambada_format::compress::decompress(black_box(stored), len).unwrap());
+    });
 }
 
 fn q6_like_batch(n: usize) -> RecordBatch {
@@ -72,7 +176,43 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("arith_projection", |b| {
         b.iter(|| lambada_engine::expr::eval::evaluate(black_box(&projection), &batch).unwrap());
     });
+    // Masks no branch predictor learns, at Q6's, an even and Q1's density.
+    for percent in [2u64, 50, 98] {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mask: Vec<bool> = (0..batch.num_rows())
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % 100 < percent
+            })
+            .collect();
+        g.bench_function(format!("filter_{percent}pct"), |b| {
+            b.iter(|| batch.filter(black_box(&mask)).unwrap());
+        });
+    }
     g.finish();
+}
+
+/// `Pipeline::push` over real row groups: the scan stages of Q1 (7
+/// columns, 98% of rows kept, 8 aggregates over 4 groups) and Q6 (4
+/// columns, 2% kept, one global sum).
+fn bench_pipeline(_: &mut Criterion) {
+    use lambada_engine::Pipeline;
+    println!("\nbenchmark group: engine/pipeline");
+    let lineitem = Lineitem::generate(8);
+    for (name, plan) in [
+        ("q1_push", lambada_workloads::q1("lineitem")),
+        ("q6_push", lambada_workloads::q6("lineitem")),
+    ] {
+        let (spec, batches) = lineitem.scan(&plan);
+        let rows = batches.iter().map(RecordBatch::num_rows).sum();
+        ns_per_item(name, "row", rows, || {
+            let mut pipeline = Pipeline::new(spec.clone()).unwrap();
+            for batch in &batches {
+                pipeline.push(black_box(batch)).unwrap();
+            }
+            black_box(pipeline.finish().unwrap());
+        });
+    }
 }
 
 fn bench_hash_agg(c: &mut Criterion) {
@@ -316,6 +456,7 @@ criterion_group!(
     bench_encodings,
     bench_lz,
     bench_kernels,
+    bench_pipeline,
     bench_hash_agg,
     bench_hash_join,
     bench_partitioning,

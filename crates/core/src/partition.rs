@@ -129,4 +129,47 @@ mod tests {
     fn empty_input_rejected() {
         assert!(encode_batches(&[]).is_err());
     }
+
+    /// An exchange payload is bytes another worker wrote: cut short or
+    /// with any one bit flipped it decodes to an error or to batches of
+    /// the payload's shape, never to a panic.
+    #[test]
+    fn damaged_payloads_are_errors_never_panics() {
+        let batches = vec![batch(10), batch(3)];
+        let bytes = encode_batches(&batches).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(decode_batches(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut damaged = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(got) = decode_batches(&damaged) {
+                let rows: Vec<usize> = got.iter().map(RecordBatch::num_rows).collect();
+                assert_eq!(rows, [10, 3], "bit {bit}");
+            }
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// A footer claiming 2^40 rows over the same few bytes: the decoder
+    /// reserves what the bytes can back, not what the count says (this
+    /// aborted the process on an 8 TiB allocation).
+    #[test]
+    fn a_payload_lying_about_its_row_count_is_an_error() {
+        use lambada_format::{FileMeta, TRAILER_LEN};
+        let bytes = encode_batches(&[batch(10)]).unwrap();
+        let mut meta = FileMeta::parse_tail(&bytes).unwrap();
+        let payload = bytes.len() - meta.encode_footer().len();
+        for claimed in [1u64 << 40, u64::MAX / 4, 11, 9] {
+            meta.num_rows = claimed;
+            meta.row_groups[0].num_rows = claimed;
+            for chunk in &mut meta.row_groups[0].columns {
+                chunk.num_values = claimed;
+            }
+            let mut lying = bytes[..payload].to_vec();
+            lying.extend(meta.encode_footer());
+            assert!(lying.len() > payload + TRAILER_LEN);
+            assert!(decode_batches(&lying).is_err(), "claiming {claimed} rows");
+        }
+    }
 }

@@ -135,6 +135,16 @@ async fn fetch_metadata(
     }
 }
 
+/// A column chunk as its requests come back: one request's body is kept
+/// as it came; the bodies of several are copied into one buffer. Any
+/// synthetic part makes the whole chunk synthetic (a descriptor table's
+/// are all, and cost neither a buffer nor a copy).
+enum ChunkParts {
+    Whole(Body),
+    Assembled(Vec<u8>),
+    Synthetic,
+}
+
 /// Download one column chunk (possibly as several ranged requests).
 async fn download_chunk(
     env: &WorkerEnv,
@@ -143,7 +153,7 @@ async fn download_chunk(
     chunk: &ColumnChunkMeta,
     max_request_bytes: u64,
     shared: &Rc<Shared>,
-) -> Result<Option<Vec<u8>>> {
+) -> Result<Body> {
     let mut parts: Vec<(u64, u64)> = Vec::new();
     let mut off = chunk.offset;
     let end = chunk.offset + chunk.compressed_len;
@@ -165,30 +175,37 @@ async fn download_chunk(
             env.s3.get_range(&bucket, &key, off, len).await
         }));
     }
-    // The assembly buffer is reserved when the first real body arrives:
-    // a descriptor table's bodies are all synthetic and need none.
-    let mut assembled: Option<Vec<u8>> = Some(Vec::new());
+    let mut got: Option<ChunkParts> = None;
     let mut n_requests = 0u64;
     let mut n_bytes = 0u64;
     for j in joins {
         let body = j.await?;
         n_requests += 1;
         n_bytes += body.len();
-        match (&mut assembled, body) {
-            (Some(buf), Body::Real(bytes)) => {
-                if buf.capacity() == 0 {
-                    buf.reserve_exact(chunk.compressed_len as usize);
-                }
+        got = Some(match (got, body) {
+            (None, body) => ChunkParts::Whole(body),
+            (Some(ChunkParts::Whole(Body::Real(first))), Body::Real(bytes)) => {
+                let mut buf = Vec::with_capacity(chunk.compressed_len as usize);
+                buf.extend_from_slice(&first);
                 buf.extend_from_slice(&bytes);
+                ChunkParts::Assembled(buf)
             }
-            (_, Body::Synthetic(_)) => assembled = None,
-            (None, _) => {}
-        }
+            (Some(ChunkParts::Assembled(mut buf)), Body::Real(bytes)) => {
+                buf.extend_from_slice(&bytes);
+                ChunkParts::Assembled(buf)
+            }
+            _ => ChunkParts::Synthetic,
+        });
     }
     let mut m = shared.metrics.borrow_mut();
     m.get_requests += n_requests;
     m.bytes_read += n_bytes;
-    Ok(assembled)
+    Ok(match got {
+        Some(ChunkParts::Whole(body)) => body,
+        Some(ChunkParts::Assembled(buf)) => Body::from_vec(buf),
+        Some(ChunkParts::Synthetic) => Body::Synthetic(n_bytes),
+        None => Body::from_vec(Vec::new()),
+    })
 }
 
 /// Charge decode CPU, optionally splitting onto the second hardware
@@ -249,7 +266,7 @@ pub async fn scan_table(
     struct InFlight {
         rows: u64,
         decode_seconds: f64,
-        columns: Vec<(usize, ColumnChunkMeta, Option<Vec<u8>>)>,
+        columns: Vec<(usize, ColumnChunkMeta, Body)>,
     }
     let mut inflight: std::collections::VecDeque<lambada_sim::JoinHandle<Result<InFlight>>> =
         std::collections::VecDeque::new();
@@ -267,13 +284,13 @@ pub async fn scan_table(
         let rg = got?;
         charge_decode(env, cfg, rg.decode_seconds).await;
         shared.metrics.borrow_mut().rows += rg.rows;
-        let all_real = rg.columns.iter().all(|(_, _, b)| b.is_some());
+        let all_real = rg.columns.iter().all(|(_, _, b)| b.as_real().is_some());
         let item = if all_real && !rg.columns.is_empty() {
             let mut cols = Vec::with_capacity(columns.len());
-            for (col_idx, chunk, bytes) in &rg.columns {
+            for (col_idx, chunk, body) in &rg.columns {
                 let ptype =
                     base_schema.field(*col_idx).dtype.to_physical().map_err(CoreError::from)?;
-                let bytes = bytes.as_ref().ok_or_else(|| {
+                let bytes = body.as_real().ok_or_else(|| {
                     CoreError::Storage(format!("column chunk {col_idx} lost its bytes"))
                 })?;
                 let data = lambada_format::decode_chunk(chunk, ptype, bytes)?;

@@ -8,10 +8,12 @@
 //!
 //! The state is columnar: a `KeyTable` interns group keys, and each
 //! aggregate keeps one typed vector of accumulators indexed by group id.
-//! A batch is folded in two passes — group ids for all its rows, then one
-//! monomorphic loop per aggregate — so no `Scalar` is built per cell.
-//! Rows still reach each group's accumulator in row order, which is why
-//! results are bit-identical to a row-at-a-time fold.
+//! A batch is folded in passes — group ids for all its rows, then typed
+//! loops over that id vector: the float sums several aggregates to a
+//! pass, every count from one histogram of the ids, one loop each for the
+//! rest — so no `Scalar` is built per cell. Rows still reach each
+//! accumulator of each group in row order, which is why results are
+//! bit-identical to a row-at-a-time fold.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -259,6 +261,68 @@ fn fold<T: Copy, V: Copy>(acc: &mut [T], ids: &[u32], vals: &[V], f: impl Fn(T, 
     }
 }
 
+/// A float sum of a batch: the accumulators by group id, and a value per
+/// row.
+type SumLane<'a> = (&'a mut [f64], &'a [f64]);
+
+/// How many float sums fold in one pass over the rows.
+const SUM_LANES: usize = 4;
+
+/// [`fold`] with `+` for several float sums at once. Each sum is still
+/// its own fold, a group's values added in row order — floating-point
+/// addition is not reassociated, lanes never mix — but `acc[id] += v` is a
+/// load that waits for the previous row's store whenever neighbouring
+/// rows share a group, which with a handful of groups is most of the
+/// time. One pass per sum runs at the speed of that chain; the chains of
+/// different sums are independent, so a pass over [`SUM_LANES`] of them
+/// overlaps them.
+fn fold_sums(ids: &[u32], sums: &mut [SumLane<'_>]) {
+    #[inline(always)]
+    fn pass<const N: usize>(ids: &[u32], lanes: [&mut SumLane<'_>; N]) {
+        let mut lanes = lanes.map(|(acc, vals)| (&mut **acc, &vals[..ids.len()]));
+        for (row, &gid) in ids.iter().enumerate() {
+            for (acc, vals) in &mut lanes {
+                acc[gid as usize] += vals[row];
+            }
+        }
+    }
+    for lanes in sums.chunks_mut(SUM_LANES) {
+        match lanes {
+            [a, b, c, d] => pass(ids, [a, b, c, d]),
+            [a, b, c] => pass(ids, [a, b, c]),
+            [a, b] => pass(ids, [a, b]),
+            [a] => pass(ids, [a]),
+            _ => {}
+        }
+    }
+}
+
+/// Add one to `count[ids[row]]` for every row, in each of the `counts`
+/// columns. Integer addition is associative, so the rows of a group may
+/// be counted once, into a histogram of the ids, and the histogram added
+/// to every column: one pass over the rows and one over the groups per
+/// column, instead of a pass over the rows per column — taken when that
+/// is the shorter walk (it is not for a lone column, or for a batch with
+/// fewer rows than the state has groups).
+fn count_rows(ids: &[u32], counts: &mut [&mut [i64]]) {
+    let Some(groups) = counts.first().map(|c| c.len()) else {
+        return;
+    };
+    if (counts.len() - 1) * ids.len() > counts.len() * groups {
+        let mut histogram = vec![0i64; groups];
+        fold(&mut histogram, ids, ids, |n, _| n + 1);
+        for count in counts {
+            for (c, n) in count.iter_mut().zip(&histogram) {
+                *c = c.wrapping_add(*n);
+            }
+        }
+    } else {
+        for count in counts {
+            fold(count, ids, ids, |c, _| c.wrapping_add(1));
+        }
+    }
+}
+
 /// Merge a peer's accumulators: peer group `i` goes to `dst[map[i]]`. A
 /// group new to `dst` has the next free id (ids are handed out in peer
 /// order) and is copied, not folded into a fresh accumulator.
@@ -271,12 +335,43 @@ fn merge_into<T: Copy>(dst: &mut Vec<T>, src: &[T], map: &[u32], f: impl Fn(T, T
     }
 }
 
-/// An aggregate argument as `f64`s, with [`Scalar::as_f64`]'s coercion.
-fn f64_values(arg: &Column) -> Result<Cow<'_, [f64]>> {
+/// The first `rows` values of an aggregate argument as `f64`s, with
+/// [`Scalar::as_f64`]'s coercion.
+fn f64_values(arg: &Column, rows: usize) -> Result<Cow<'_, [f64]>> {
     match arg {
-        Column::F64(v) => Ok(Cow::Borrowed(v)),
-        Column::I64(v) => Ok(Cow::Owned(v.iter().map(|&x| x as f64).collect())),
+        Column::F64(v) => Ok(Cow::Borrowed(&v[..rows])),
+        Column::I64(v) => Ok(v[..rows].iter().map(|&x| x as f64).collect()),
         Column::Bool(_) => type_err("expected float64, got boolean"),
+    }
+}
+
+/// One aggregate's argument for a batch of `rows` rows, checked and in
+/// the type its accumulator folds.
+enum Arg<'a> {
+    /// `COUNT` ignores its input.
+    Ignored,
+    I64(&'a [i64]),
+    F64(Cow<'a, [f64]>),
+}
+
+impl<'a> Arg<'a> {
+    fn of(proto: &Acc, arg: Option<&'a Column>, rows: usize) -> Result<Arg<'a>> {
+        if let Acc::Count(_) = proto {
+            return Ok(Arg::Ignored);
+        }
+        let Some(arg) = arg else {
+            return exec_err("only COUNT takes no argument column");
+        };
+        if arg.len() < rows {
+            return exec_err(format!(
+                "aggregate argument column has {} rows, expected {rows}",
+                arg.len()
+            ));
+        }
+        Ok(match proto {
+            Acc::SumI(_) | Acc::MinI(_) | Acc::MaxI(_) => Arg::I64(&arg.as_i64()?[..rows]),
+            _ => Arg::F64(f64_values(arg, rows)?),
+        })
     }
 }
 
@@ -373,42 +468,6 @@ impl AccColumn {
         }
     }
 
-    /// [`Acc::update`] for a whole batch: row `r` of `arg` folds into
-    /// group `ids[r]`, one monomorphic loop per aggregate.
-    fn update(&mut self, ids: &[u32], arg: Option<&Column>) -> Result<()> {
-        if let AccColumn::Count(c) = self {
-            // COUNT ignores its input.
-            fold(c, ids, ids, |c, _| c.wrapping_add(1));
-            return Ok(());
-        }
-        let Some(arg) = arg else {
-            return exec_err("only COUNT takes no argument column");
-        };
-        if arg.len() < ids.len() {
-            return exec_err(format!(
-                "aggregate argument column has {} rows, expected {}",
-                arg.len(),
-                ids.len()
-            ));
-        }
-        match self {
-            AccColumn::SumI(c) => fold(c, ids, arg.as_i64()?, i64::wrapping_add),
-            AccColumn::MinI(c) => fold(c, ids, arg.as_i64()?, i64::min),
-            AccColumn::MaxI(c) => fold(c, ids, arg.as_i64()?, i64::max),
-            AccColumn::SumF(c) => fold(c, ids, &f64_values(arg)?, |s, x| s + x),
-            AccColumn::MinF(c) => fold(c, ids, &f64_values(arg)?, f64::min),
-            AccColumn::MaxF(c) => fold(c, ids, &f64_values(arg)?, f64::max),
-            AccColumn::Avg { sum, count } => {
-                for (&gid, &x) in ids.iter().zip(f64_values(arg)?.iter()) {
-                    sum[gid as usize] += x;
-                    count[gid as usize] = count[gid as usize].wrapping_add(1);
-                }
-            }
-            AccColumn::Count(_) => {}
-        }
-        Ok(())
-    }
-
     /// [`Acc::merge`] for a whole peer column (see [`merge_into`]).
     fn merge(&mut self, other: &AccColumn, map: &[u32]) -> Result<()> {
         match (self, other) {
@@ -434,7 +493,7 @@ impl AccColumn {
 fn coerce(column: Column, dtype: DataType) -> Result<Column> {
     match dtype {
         t if column.dtype() == t => Ok(column),
-        DataType::Float64 => Ok(Column::F64(f64_values(&column)?.into_owned())),
+        DataType::Float64 => Ok(Column::F64(f64_values(&column, column.len())?.into_owned())),
         t => type_err(format!("expected {t}, got {}", column.dtype())),
     }
 }
@@ -478,13 +537,31 @@ impl GroupedAggState {
 
     /// Fold a batch in: `group_cols` are the evaluated grouping columns,
     /// `arg_cols[i]` the evaluated argument of aggregate `i` (`None` for
-    /// `COUNT(*)`). Two passes: resolve every row's group id against the
-    /// key table, then run one typed loop per aggregate over that id
-    /// vector. Within a group, values fold in row order.
+    /// `COUNT(*)`). See [`GroupedAggState::update_columns`], which this
+    /// is for a caller that owns its columns.
     pub fn update_batch(
         &mut self,
         group_cols: &[Column],
         arg_cols: &[Option<Column>],
+        rows: usize,
+    ) -> Result<()> {
+        let group_cols: Vec<&Column> = group_cols.iter().collect();
+        let arg_cols: Vec<Option<&Column>> = arg_cols.iter().map(Option::as_ref).collect();
+        self.update_columns(&group_cols, &arg_cols, rows)
+    }
+
+    /// Fold the first `rows` rows of the given columns in. Every argument
+    /// is checked and typed before the state is touched, so an `Err`
+    /// leaves it as it was. Then: resolve every row's group id against
+    /// the key table; fold the float sums (`SUM`, and `AVG`'s sum) several
+    /// to a pass (`fold_sums`); count rows per group once for every
+    /// `COUNT` and `AVG` (`count_rows`); and run one typed loop for each
+    /// remaining aggregate. Within a group *and aggregate*, values fold
+    /// in row order.
+    pub fn update_columns(
+        &mut self,
+        group_cols: &[&Column],
+        arg_cols: &[Option<&Column>],
         rows: usize,
     ) -> Result<()> {
         if arg_cols.len() != self.prototypes.len() {
@@ -494,16 +571,34 @@ impl GroupedAggState {
                 self.prototypes.len()
             ));
         }
+        let typed = self.prototypes.iter().zip(arg_cols).map(|(p, arg)| Arg::of(p, *arg, rows));
+        let args = typed.collect::<Result<Vec<Arg<'_>>>>()?;
         let known = self.keys.len();
-        let group_cols: Vec<&Column> = group_cols.iter().collect();
-        let ids = self.keys.intern_columns(&group_cols, rows)?;
+        let ids = self.keys.intern_columns(group_cols, rows)?;
         let spawned = self.keys.len() - known;
-        for ((accs, proto), arg) in self.accs.iter_mut().zip(&self.prototypes).zip(arg_cols) {
+        let mut sums: Vec<SumLane<'_>> = Vec::new();
+        let mut counts: Vec<&mut [i64]> = Vec::new();
+        for ((accs, proto), arg) in self.accs.iter_mut().zip(&self.prototypes).zip(&args) {
             for _ in 0..spawned {
                 accs.push(proto)?;
             }
-            accs.update(&ids, arg.as_ref())?;
+            match (accs, arg) {
+                (AccColumn::Count(c), _) => counts.push(c),
+                (AccColumn::SumF(c), Arg::F64(v)) => sums.push((c, v)),
+                (AccColumn::Avg { sum, count }, Arg::F64(v)) => {
+                    sums.push((sum, v));
+                    counts.push(count);
+                }
+                (AccColumn::SumI(c), Arg::I64(v)) => fold(c, &ids, v, i64::wrapping_add),
+                (AccColumn::MinI(c), Arg::I64(v)) => fold(c, &ids, v, i64::min),
+                (AccColumn::MaxI(c), Arg::I64(v)) => fold(c, &ids, v, i64::max),
+                (AccColumn::MinF(c), Arg::F64(v)) => fold(c, &ids, v, f64::min),
+                (AccColumn::MaxF(c), Arg::F64(v)) => fold(c, &ids, v, f64::max),
+                _ => return exec_err("aggregate argument typed for another accumulator"),
+            }
         }
+        fold_sums(&ids, &mut sums);
+        count_rows(&ids, &mut counts);
         Ok(())
     }
 

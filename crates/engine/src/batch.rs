@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::column::{selection, Column};
 use crate::error::{exec_err, Result};
 use crate::scalar::Scalar;
 use crate::types::{Schema, SchemaRef};
@@ -79,10 +79,14 @@ impl RecordBatch {
 
     /// Keep rows where the mask is true.
     pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
-        let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.filter(mask)).collect();
-        let columns = columns?;
-        let rows = columns.first().map_or(0, Column::len);
-        Ok(RecordBatch { schema: Arc::clone(&self.schema), columns, rows })
+        if mask.len() != self.rows {
+            return exec_err(format!("mask length {} != batch rows {}", mask.len(), self.rows));
+        }
+        let Some(rows) = selection(mask)? else {
+            return Ok(self.clone());
+        };
+        let columns = self.columns.iter().map(|c| c.select(&rows)).collect();
+        Ok(RecordBatch { schema: Arc::clone(&self.schema), columns, rows: rows.len() })
     }
 
     /// Reorder rows by index.
@@ -99,7 +103,7 @@ impl RecordBatch {
         let ncols = schema.len();
         let mut columns = Vec::with_capacity(ncols);
         for i in 0..ncols {
-            let parts: Vec<Column> = batches.iter().map(|b| b.columns[i].clone()).collect();
+            let parts: Vec<&Column> = batches.iter().map(|b| &b.columns[i]).collect();
             columns.push(Column::concat(&parts)?);
         }
         RecordBatch::new(schema, columns)

@@ -1,10 +1,38 @@
 //! Typed column vectors: the unit of vectorized execution.
 
+use std::borrow::Borrow;
+
 use lambada_format::ColumnData;
 
 use crate::error::{exec_err, type_err, Result};
 use crate::scalar::Scalar;
 use crate::types::DataType;
+
+/// The rows a filter mask keeps, as ascending row numbers: the engine's
+/// one filter kernel. [`Column::filter`], [`crate::batch::RecordBatch::filter`]
+/// and the pipeline all turn a mask into this once and gather every
+/// column through it ([`Column::select`]). `None` stands for "every row":
+/// a mask that rejects nothing asks for no gather at all.
+pub fn selection(mask: &[bool]) -> Result<Option<Vec<u32>>> {
+    if u32::try_from(mask.len()).is_err() {
+        return exec_err(format!("a mask of {} rows is past 32-bit row numbers", mask.len()));
+    }
+    let kept = mask.iter().filter(|&&keep| keep).count();
+    if kept == mask.len() {
+        return Ok(None);
+    }
+    // One store per row and no branch on the mask, which on a mixed mask
+    // would mispredict: the cursor moves only past a kept row. The spare
+    // slot takes the stores of the rows after the last kept one.
+    let mut rows = vec![0u32; kept + 1];
+    let mut at = 0;
+    for (row, &keep) in mask.iter().enumerate() {
+        rows[at] = row as u32;
+        at += usize::from(keep);
+    }
+    rows.truncate(kept);
+    Ok(Some(rows))
+}
 
 /// A column of values, one variant per logical type.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,14 +116,22 @@ impl Column {
         if mask.len() != self.len() {
             return exec_err(format!("mask length {} != column length {}", mask.len(), self.len()));
         }
-        fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter().zip(mask).filter_map(|(x, &m)| m.then_some(*x)).collect()
-        }
-        Ok(match self {
-            Column::I64(v) => Column::I64(keep(v, mask)),
-            Column::F64(v) => Column::F64(keep(v, mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
+        Ok(match selection(mask)? {
+            Some(rows) => self.select(&rows),
+            None => self.clone(),
         })
+    }
+
+    /// The rows a [`selection`] names, in its order.
+    pub fn select(&self, rows: &[u32]) -> Column {
+        fn take<T: Copy>(v: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&i| v[i as usize]).collect()
+        }
+        match self {
+            Column::I64(v) => Column::I64(take(v, rows)),
+            Column::F64(v) => Column::F64(take(v, rows)),
+            Column::Bool(v) => Column::Bool(take(v, rows)),
+        }
     }
 
     /// Reorder/select rows by index.
@@ -108,31 +144,31 @@ impl Column {
     }
 
     /// Concatenate same-typed columns.
-    pub fn concat(parts: &[Column]) -> Result<Column> {
+    pub fn concat<C: Borrow<Column>>(parts: &[C]) -> Result<Column> {
         let Some(first) = parts.first() else {
             return exec_err("cannot concat zero columns");
         };
-        let dtype = first.dtype();
-        let total: usize = parts.iter().map(Column::len).sum();
+        let dtype = first.borrow().dtype();
+        let total: usize = parts.iter().map(|p| p.borrow().len()).sum();
         match dtype {
             DataType::Int64 => {
                 let mut out = Vec::with_capacity(total);
                 for p in parts {
-                    out.extend_from_slice(p.as_i64()?);
+                    out.extend_from_slice(p.borrow().as_i64()?);
                 }
                 Ok(Column::I64(out))
             }
             DataType::Float64 => {
                 let mut out = Vec::with_capacity(total);
                 for p in parts {
-                    out.extend_from_slice(p.as_f64()?);
+                    out.extend_from_slice(p.borrow().as_f64()?);
                 }
                 Ok(Column::F64(out))
             }
             DataType::Boolean => {
                 let mut out = Vec::with_capacity(total);
                 for p in parts {
-                    out.extend_from_slice(p.as_bool()?);
+                    out.extend_from_slice(p.borrow().as_bool()?);
                 }
                 Ok(Column::Bool(out))
             }

@@ -1,23 +1,40 @@
 //! Expression evaluation over record batches.
 
+use std::borrow::Cow;
+
 use crate::batch::RecordBatch;
-use crate::error::Result;
+use crate::column::Column;
+use crate::error::{plan_err, Result};
 use crate::expr::kernels::{self, Value};
 use crate::expr::Expr;
 
-/// Evaluate an expression against a batch.
-pub fn evaluate(expr: &Expr, batch: &RecordBatch) -> Result<Value> {
+/// Evaluate an expression against a batch. A column reference evaluates
+/// to the batch's own column, borrowed.
+pub fn evaluate<'a>(expr: &Expr, batch: &'a RecordBatch) -> Result<Value<'a>> {
+    evaluate_over(expr, &|i| batch.columns().get(i))
+}
+
+/// Evaluate an expression whose column `i` is `column(i)`: the columns
+/// need not sit in a [`RecordBatch`], which is how the pipeline evaluates
+/// over filtered or projected columns without assembling one.
+pub fn evaluate_over<'a>(
+    expr: &Expr,
+    column: &impl Fn(usize) -> Option<&'a Column>,
+) -> Result<Value<'a>> {
     match expr {
-        Expr::Col(i) => Ok(Value::Column(batch.column(*i).clone())),
+        Expr::Col(i) => match column(*i) {
+            Some(c) => Ok(Value::Column(Cow::Borrowed(c))),
+            None => plan_err(format!("column index {i} out of range")),
+        },
         Expr::Lit(s) => Ok(Value::Scalar(*s)),
         Expr::Binary { op, left, right } => {
-            let l = evaluate(left, batch)?;
-            let r = evaluate(right, batch)?;
+            let l = evaluate_over(left, column)?;
+            let r = evaluate_over(right, column)?;
             kernels::binary(*op, l, r)
         }
-        Expr::Not(e) => kernels::not(evaluate(e, batch)?),
-        Expr::Neg(e) => kernels::neg(evaluate(e, batch)?),
-        Expr::Cast { expr, to } => kernels::cast(evaluate(expr, batch)?, *to),
+        Expr::Not(e) => kernels::not(evaluate_over(e, column)?),
+        Expr::Neg(e) => kernels::neg(evaluate_over(e, column)?),
+        Expr::Cast { expr, to } => kernels::cast(evaluate_over(expr, column)?, *to),
     }
 }
 
@@ -47,7 +64,7 @@ mod tests {
         // price * (qty + 1)
         let e = col(1).mul(col(0).add(lit_i64(1)));
         let v = evaluate(&e, &b).unwrap();
-        assert_eq!(v, Value::Column(Column::F64(vec![11.0, 62.0, 153.0])));
+        assert_eq!(v, Value::from(Column::F64(vec![11.0, 62.0, 153.0])));
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! kernel is a monomorphic loop over typed slices that the compiler
 //! auto-vectorizes. Interpretation overhead is paid per *batch*, not per
 //! row.
+//!
+//! Kernels borrow their operands and own only what they compute: a
+//! [`Value`] holds a `Cow` of its column, so a column reference is a
+//! pointer to the batch's own vector, every kernel reads slices, and the
+//! one allocation of an operator is its result. Nothing here copies a
+//! column to look at it.
+
+use std::borrow::Cow;
 
 use crate::column::Column;
 use crate::error::{exec_err, type_err, Result};
@@ -12,14 +20,21 @@ use crate::expr::BinOp;
 use crate::scalar::Scalar;
 use crate::types::DataType;
 
-/// Evaluation result: a full column or an unbroadcast constant.
+/// Evaluation result: a column — the batch's own, borrowed, or a computed
+/// one, owned — or an unbroadcast constant.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    Column(Column),
+pub enum Value<'a> {
+    Column(Cow<'a, Column>),
     Scalar(Scalar),
 }
 
-impl Value {
+impl From<Column> for Value<'_> {
+    fn from(column: Column) -> Self {
+        Value::Column(Cow::Owned(column))
+    }
+}
+
+impl<'a> Value<'a> {
     pub fn dtype(&self) -> DataType {
         match self {
             Value::Column(c) => c.dtype(),
@@ -27,12 +42,19 @@ impl Value {
         }
     }
 
-    /// Materialize as a column of `rows` values.
-    pub fn into_column(self, rows: usize) -> Column {
+    /// As a column of `rows` values, borrowed if it was; a constant is
+    /// broadcast.
+    pub fn into_cow(self, rows: usize) -> Cow<'a, Column> {
         match self {
             Value::Column(c) => c,
-            Value::Scalar(s) => Column::broadcast(s, rows),
+            Value::Scalar(s) => Cow::Owned(Column::broadcast(s, rows)),
         }
+    }
+
+    /// Materialize as a column of `rows` values: the one copy of a
+    /// borrowed column, for a caller that retains it.
+    pub fn into_column(self, rows: usize) -> Column {
+        self.into_cow(rows).into_owned()
     }
 
     /// Materialize a boolean value as a mask of `rows` entries.
@@ -44,32 +66,43 @@ impl Value {
     }
 }
 
-enum Num {
-    I64(NumRepr<i64>),
-    F64(NumRepr<f64>),
+enum Num<'a> {
+    I64(NumRepr<'a, i64>),
+    F64(NumRepr<'a, f64>),
 }
 
-enum NumRepr<T> {
-    Col(Vec<T>),
+/// An operand as a kernel reads it: a slice — borrowed from the operand,
+/// or owned where promotion had to compute it — or a constant.
+enum NumRepr<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
     Scalar(T),
 }
 
-fn to_numeric(v: Value) -> Result<Num> {
+fn to_numeric<'a>(v: &'a Value<'_>) -> Result<Num<'a>> {
     Ok(match v {
-        Value::Column(Column::I64(x)) => Num::I64(NumRepr::Col(x)),
-        Value::Column(Column::F64(x)) => Num::F64(NumRepr::Col(x)),
-        Value::Scalar(Scalar::Int64(x)) => Num::I64(NumRepr::Scalar(x)),
-        Value::Scalar(Scalar::Float64(x)) => Num::F64(NumRepr::Scalar(x)),
-        other => return type_err(format!("expected numeric, got {}", other.dtype())),
+        Value::Column(c) => match c.as_ref() {
+            Column::I64(x) => Num::I64(NumRepr::Col(Cow::Borrowed(x))),
+            Column::F64(x) => Num::F64(NumRepr::Col(Cow::Borrowed(x))),
+            Column::Bool(_) => return type_err("expected numeric, got boolean"),
+        },
+        Value::Scalar(Scalar::Int64(x)) => Num::I64(NumRepr::Scalar(*x)),
+        Value::Scalar(Scalar::Float64(x)) => Num::F64(NumRepr::Scalar(*x)),
+        Value::Scalar(Scalar::Boolean(_)) => return type_err("expected numeric, got boolean"),
     })
 }
 
-fn promote_f64(n: Num) -> NumRepr<f64> {
+fn promote_f64(n: Num<'_>) -> NumRepr<'_, f64> {
     match n {
         Num::F64(r) => r,
-        Num::I64(NumRepr::Col(v)) => NumRepr::Col(v.into_iter().map(|x| x as f64).collect()),
+        Num::I64(NumRepr::Col(v)) => NumRepr::Col(v.iter().map(|&x| x as f64).collect()),
         Num::I64(NumRepr::Scalar(x)) => NumRepr::Scalar(x as f64),
     }
+}
+
+/// An operator reached a kernel of another operator family: a bug in
+/// [`binary`]'s dispatch, reported like any other failed query.
+fn misrouted<T>(kernel: &str, op: BinOp) -> Result<T> {
+    exec_err(format!("{kernel} kernel called with {op:?}"))
 }
 
 macro_rules! zip_arith {
@@ -77,13 +110,13 @@ macro_rules! zip_arith {
         match ($l, $r) {
             (NumRepr::Col(a), NumRepr::Col(b)) => {
                 debug_assert_eq!(a.len(), b.len());
-                Value::Column($col(a.iter().zip(b.iter()).map(|(x, y)| $f(*x, *y)).collect()))
+                Value::from($col(a.iter().zip(b.iter()).map(|(x, y)| $f(*x, *y)).collect()))
             }
             (NumRepr::Col(a), NumRepr::Scalar(s)) => {
-                Value::Column($col(a.iter().map(|x| $f(*x, s)).collect()))
+                Value::from($col(a.iter().map(|x| $f(*x, s)).collect()))
             }
             (NumRepr::Scalar(s), NumRepr::Col(b)) => {
-                Value::Column($col(b.iter().map(|y| $f(s, *y)).collect()))
+                Value::from($col(b.iter().map(|y| $f(s, *y)).collect()))
             }
             (NumRepr::Scalar(a), NumRepr::Scalar(b)) => Value::Scalar($scalar($f(a, b))),
         }
@@ -92,25 +125,11 @@ macro_rules! zip_arith {
 
 macro_rules! zip_cmp {
     ($l:expr, $r:expr, $f:expr) => {
-        match ($l, $r) {
-            (NumRepr::Col(a), NumRepr::Col(b)) => {
-                debug_assert_eq!(a.len(), b.len());
-                Value::Column(Column::Bool(
-                    a.iter().zip(b.iter()).map(|(x, y)| $f(*x, *y)).collect(),
-                ))
-            }
-            (NumRepr::Col(a), NumRepr::Scalar(s)) => {
-                Value::Column(Column::Bool(a.iter().map(|x| $f(*x, s)).collect()))
-            }
-            (NumRepr::Scalar(s), NumRepr::Col(b)) => {
-                Value::Column(Column::Bool(b.iter().map(|y| $f(s, *y)).collect()))
-            }
-            (NumRepr::Scalar(a), NumRepr::Scalar(b)) => Value::Scalar(Scalar::Boolean($f(a, b))),
-        }
+        zip_arith!($l, $r, $f, Column::Bool, Scalar::Boolean)
     };
 }
 
-fn arith_i64(op: BinOp, l: NumRepr<i64>, r: NumRepr<i64>) -> Result<Value> {
+fn arith_i64(op: BinOp, l: NumRepr<'_, i64>, r: NumRepr<'_, i64>) -> Result<Value<'static>> {
     Ok(match op {
         BinOp::Add => zip_arith!(l, r, i64::wrapping_add, Column::I64, Scalar::Int64),
         BinOp::Sub => zip_arith!(l, r, i64::wrapping_sub, Column::I64, Scalar::Int64),
@@ -123,90 +142,93 @@ fn arith_i64(op: BinOp, l: NumRepr<i64>, r: NumRepr<i64>) -> Result<Value> {
                 })
             };
             match (l, r) {
-                (NumRepr::Col(a), NumRepr::Col(b)) => Value::Column(Column::I64(
+                (NumRepr::Col(a), NumRepr::Col(b)) => Value::from(Column::I64(
                     a.iter().zip(b.iter()).map(|(x, y)| f(*x, *y)).collect::<Result<_>>()?,
                 )),
                 (NumRepr::Col(a), NumRepr::Scalar(s)) => {
-                    Value::Column(Column::I64(a.iter().map(|x| f(*x, s)).collect::<Result<_>>()?))
+                    Value::from(Column::I64(a.iter().map(|x| f(*x, s)).collect::<Result<_>>()?))
                 }
                 (NumRepr::Scalar(s), NumRepr::Col(b)) => {
-                    Value::Column(Column::I64(b.iter().map(|y| f(s, *y)).collect::<Result<_>>()?))
+                    Value::from(Column::I64(b.iter().map(|y| f(s, *y)).collect::<Result<_>>()?))
                 }
                 (NumRepr::Scalar(a), NumRepr::Scalar(b)) => Value::Scalar(Scalar::Int64(f(a, b)?)),
             }
         }
-        _ => unreachable!("arith_i64 called with non-arithmetic op"),
+        _ => return misrouted("int64 arithmetic", op),
     })
 }
 
-fn arith_f64(op: BinOp, l: NumRepr<f64>, r: NumRepr<f64>) -> Value {
-    match op {
+fn arith_f64(op: BinOp, l: NumRepr<'_, f64>, r: NumRepr<'_, f64>) -> Result<Value<'static>> {
+    Ok(match op {
         BinOp::Add => zip_arith!(l, r, |a: f64, b: f64| a + b, Column::F64, Scalar::Float64),
         BinOp::Sub => zip_arith!(l, r, |a: f64, b: f64| a - b, Column::F64, Scalar::Float64),
         BinOp::Mul => zip_arith!(l, r, |a: f64, b: f64| a * b, Column::F64, Scalar::Float64),
         BinOp::Div => zip_arith!(l, r, |a: f64, b: f64| a / b, Column::F64, Scalar::Float64),
-        _ => unreachable!("arith_f64 called with non-arithmetic op"),
-    }
+        _ => return misrouted("float64 arithmetic", op),
+    })
 }
 
-fn cmp_i64(op: BinOp, l: NumRepr<i64>, r: NumRepr<i64>) -> Value {
-    match op {
+fn cmp_i64(op: BinOp, l: NumRepr<'_, i64>, r: NumRepr<'_, i64>) -> Result<Value<'static>> {
+    Ok(match op {
         BinOp::Eq => zip_cmp!(l, r, |a: i64, b: i64| a == b),
         BinOp::Ne => zip_cmp!(l, r, |a: i64, b: i64| a != b),
         BinOp::Lt => zip_cmp!(l, r, |a: i64, b: i64| a < b),
         BinOp::Le => zip_cmp!(l, r, |a: i64, b: i64| a <= b),
         BinOp::Gt => zip_cmp!(l, r, |a: i64, b: i64| a > b),
         BinOp::Ge => zip_cmp!(l, r, |a: i64, b: i64| a >= b),
-        _ => unreachable!("cmp_i64 called with non-comparison op"),
-    }
+        _ => return misrouted("int64 comparison", op),
+    })
 }
 
-fn cmp_f64(op: BinOp, l: NumRepr<f64>, r: NumRepr<f64>) -> Value {
-    match op {
+fn cmp_f64(op: BinOp, l: NumRepr<'_, f64>, r: NumRepr<'_, f64>) -> Result<Value<'static>> {
+    Ok(match op {
         BinOp::Eq => zip_cmp!(l, r, |a: f64, b: f64| a == b),
         BinOp::Ne => zip_cmp!(l, r, |a: f64, b: f64| a != b),
         BinOp::Lt => zip_cmp!(l, r, |a: f64, b: f64| a < b),
         BinOp::Le => zip_cmp!(l, r, |a: f64, b: f64| a <= b),
         BinOp::Gt => zip_cmp!(l, r, |a: f64, b: f64| a > b),
         BinOp::Ge => zip_cmp!(l, r, |a: f64, b: f64| a >= b),
-        _ => unreachable!("cmp_f64 called with non-comparison op"),
-    }
+        _ => return misrouted("float64 comparison", op),
+    })
 }
 
-fn logical(op: BinOp, l: Value, r: Value) -> Result<Value> {
-    let as_bool = |v: Value| -> Result<NumRepr<bool>> {
-        Ok(match v {
-            Value::Column(Column::Bool(b)) => NumRepr::Col(b),
-            Value::Scalar(Scalar::Boolean(b)) => NumRepr::Scalar(b),
-            other => return type_err(format!("expected boolean, got {}", other.dtype())),
-        })
-    };
+fn logical(op: BinOp, l: &Value<'_>, r: &Value<'_>) -> Result<Value<'static>> {
+    fn as_bool<'a>(v: &'a Value<'_>) -> Result<NumRepr<'a, bool>> {
+        match v {
+            Value::Column(c) => match c.as_ref() {
+                Column::Bool(b) => Ok(NumRepr::Col(Cow::Borrowed(b))),
+                other => type_err(format!("expected boolean, got {}", other.dtype())),
+            },
+            Value::Scalar(Scalar::Boolean(b)) => Ok(NumRepr::Scalar(*b)),
+            Value::Scalar(other) => type_err(format!("expected boolean, got {}", other.dtype())),
+        }
+    }
     let l = as_bool(l)?;
     let r = as_bool(r)?;
     Ok(match op {
         BinOp::And => zip_cmp!(l, r, |a: bool, b: bool| a && b),
         BinOp::Or => zip_cmp!(l, r, |a: bool, b: bool| a || b),
-        _ => unreachable!("logical called with non-logical op"),
+        _ => return misrouted("logical", op),
     })
 }
 
 /// Apply a binary operator to two values. Column operands must already be
 /// equal-length (`rows` each, enforced by the caller via the batch).
-pub fn binary(op: BinOp, left: Value, right: Value) -> Result<Value> {
+pub fn binary(op: BinOp, left: Value<'_>, right: Value<'_>) -> Result<Value<'static>> {
     if let (Value::Column(a), Value::Column(b)) = (&left, &right) {
         if a.len() != b.len() {
             return exec_err(format!("operand lengths differ: {} vs {}", a.len(), b.len()));
         }
     }
     if op.is_logical() {
-        return logical(op, left, right);
+        return logical(op, &left, &right);
     }
-    let l = to_numeric(left)?;
-    let r = to_numeric(right)?;
+    let l = to_numeric(&left)?;
+    let r = to_numeric(&right)?;
     match (l, r) {
         (Num::I64(a), Num::I64(b)) => {
             if op.is_comparison() {
-                Ok(cmp_i64(op, a, b))
+                cmp_i64(op, a, b)
             } else {
                 arith_i64(op, a, b)
             }
@@ -215,73 +237,85 @@ pub fn binary(op: BinOp, left: Value, right: Value) -> Result<Value> {
             let a = promote_f64(l);
             let b = promote_f64(r);
             if op.is_comparison() {
-                Ok(cmp_f64(op, a, b))
+                cmp_f64(op, a, b)
             } else {
-                Ok(arith_f64(op, a, b))
+                arith_f64(op, a, b)
             }
         }
     }
 }
 
 /// Boolean NOT.
-pub fn not(v: Value) -> Result<Value> {
-    Ok(match v {
-        Value::Column(Column::Bool(b)) => {
-            Value::Column(Column::Bool(b.into_iter().map(|x| !x).collect()))
-        }
+pub fn not(v: Value<'_>) -> Result<Value<'static>> {
+    Ok(match &v {
+        Value::Column(c) => match c.as_ref() {
+            Column::Bool(b) => Column::Bool(b.iter().map(|x| !x).collect()).into(),
+            other => return type_err(format!("NOT expects boolean, got {}", other.dtype())),
+        },
         Value::Scalar(Scalar::Boolean(b)) => Value::Scalar(Scalar::Boolean(!b)),
-        other => return type_err(format!("NOT expects boolean, got {}", other.dtype())),
+        Value::Scalar(other) => {
+            return type_err(format!("NOT expects boolean, got {}", other.dtype()))
+        }
     })
 }
 
 /// Arithmetic negation.
-pub fn neg(v: Value) -> Result<Value> {
-    Ok(match v {
-        Value::Column(Column::I64(x)) => {
-            Value::Column(Column::I64(x.into_iter().map(|a| a.wrapping_neg()).collect()))
-        }
-        Value::Column(Column::F64(x)) => {
-            Value::Column(Column::F64(x.into_iter().map(|a| -a).collect()))
-        }
+pub fn neg(v: Value<'_>) -> Result<Value<'static>> {
+    Ok(match &v {
+        Value::Column(c) => match c.as_ref() {
+            Column::I64(x) => Column::I64(x.iter().map(|a| a.wrapping_neg()).collect()).into(),
+            Column::F64(x) => Column::F64(x.iter().map(|a| -a).collect()).into(),
+            Column::Bool(_) => return type_err("negation expects numeric, got boolean"),
+        },
         Value::Scalar(Scalar::Int64(a)) => Value::Scalar(Scalar::Int64(a.wrapping_neg())),
         Value::Scalar(Scalar::Float64(a)) => Value::Scalar(Scalar::Float64(-a)),
-        other => return type_err(format!("negation expects numeric, got {}", other.dtype())),
+        Value::Scalar(Scalar::Boolean(_)) => {
+            return type_err("negation expects numeric, got boolean")
+        }
     })
 }
 
-/// Numeric cast.
-pub fn cast(v: Value, to: DataType) -> Result<Value> {
-    match to {
-        DataType::Int64 => Ok(match v {
-            Value::Column(Column::I64(_)) | Value::Scalar(Scalar::Int64(_)) => v,
-            Value::Column(Column::F64(x)) => {
-                Value::Column(Column::I64(x.into_iter().map(|a| a as i64).collect()))
-            }
-            Value::Scalar(Scalar::Float64(a)) => Value::Scalar(Scalar::Int64(a as i64)),
-            other => return type_err(format!("cannot cast {} to int64", other.dtype())),
-        }),
-        DataType::Float64 => Ok(match v {
-            Value::Column(Column::F64(_)) | Value::Scalar(Scalar::Float64(_)) => v,
-            Value::Column(Column::I64(x)) => {
-                Value::Column(Column::F64(x.into_iter().map(|a| a as f64).collect()))
-            }
-            Value::Scalar(Scalar::Int64(a)) => Value::Scalar(Scalar::Float64(a as f64)),
-            other => return type_err(format!("cannot cast {} to float64", other.dtype())),
-        }),
-        DataType::Boolean => type_err("cannot cast to boolean"),
+/// Numeric cast. A cast to the type a value already has is the value
+/// itself, still borrowed if it was.
+pub fn cast(v: Value<'_>, to: DataType) -> Result<Value<'_>> {
+    if to == DataType::Boolean {
+        return type_err("cannot cast to boolean");
     }
+    if v.dtype() == to {
+        return Ok(v);
+    }
+    Ok(match (&v, to) {
+        (Value::Column(c), _) => match (c.as_ref(), to) {
+            (Column::F64(x), DataType::Int64) => {
+                Column::I64(x.iter().map(|&a| a as i64).collect()).into()
+            }
+            (Column::I64(x), DataType::Float64) => {
+                Column::F64(x.iter().map(|&a| a as f64).collect()).into()
+            }
+            (other, to) => return type_err(format!("cannot cast {} to {to}", other.dtype())),
+        },
+        (Value::Scalar(Scalar::Float64(a)), DataType::Int64) => {
+            Value::Scalar(Scalar::Int64(*a as i64))
+        }
+        (Value::Scalar(Scalar::Int64(a)), DataType::Float64) => {
+            Value::Scalar(Scalar::Float64(*a as f64))
+        }
+        (Value::Scalar(other), to) => {
+            return type_err(format!("cannot cast {} to {to}", other.dtype()))
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn coli(v: Vec<i64>) -> Value {
-        Value::Column(Column::I64(v))
+    fn coli(v: Vec<i64>) -> Value<'static> {
+        Value::from(Column::I64(v))
     }
 
-    fn colf(v: Vec<f64>) -> Value {
-        Value::Column(Column::F64(v))
+    fn colf(v: Vec<f64>) -> Value<'static> {
+        Value::from(Column::F64(v))
     }
 
     #[test]
@@ -301,23 +335,23 @@ mod tests {
     #[test]
     fn comparisons_produce_bool() {
         let out = binary(BinOp::Lt, coli(vec![1, 5]), Value::Scalar(Scalar::Int64(3))).unwrap();
-        assert_eq!(out, Value::Column(Column::Bool(vec![true, false])));
+        assert_eq!(out, Value::from(Column::Bool(vec![true, false])));
         let out =
             binary(BinOp::Ge, colf(vec![1.0, 3.0]), Value::Scalar(Scalar::Float64(3.0))).unwrap();
-        assert_eq!(out, Value::Column(Column::Bool(vec![false, true])));
+        assert_eq!(out, Value::from(Column::Bool(vec![false, true])));
     }
 
     #[test]
     fn logical_ops() {
-        let l = Value::Column(Column::Bool(vec![true, true, false]));
-        let r = Value::Column(Column::Bool(vec![true, false, false]));
+        let l = Value::from(Column::Bool(vec![true, true, false]));
+        let r = Value::from(Column::Bool(vec![true, false, false]));
         assert_eq!(
             binary(BinOp::And, l.clone(), r.clone()).unwrap(),
-            Value::Column(Column::Bool(vec![true, false, false]))
+            Value::from(Column::Bool(vec![true, false, false]))
         );
         assert_eq!(
             binary(BinOp::Or, l, r).unwrap(),
-            Value::Column(Column::Bool(vec![true, true, false]))
+            Value::from(Column::Bool(vec![true, true, false]))
         );
     }
 
@@ -344,8 +378,8 @@ mod tests {
     #[test]
     fn not_neg_cast() {
         assert_eq!(
-            not(Value::Column(Column::Bool(vec![true, false]))).unwrap(),
-            Value::Column(Column::Bool(vec![false, true]))
+            not(Value::from(Column::Bool(vec![true, false]))).unwrap(),
+            Value::from(Column::Bool(vec![false, true]))
         );
         assert_eq!(neg(coli(vec![5, -2])).unwrap(), coli(vec![-5, 2]));
         assert_eq!(cast(coli(vec![2]), DataType::Float64).unwrap(), colf(vec![2.0]));
@@ -357,7 +391,7 @@ mod tests {
     fn mask_materialization() {
         let v = Value::Scalar(Scalar::Boolean(true));
         assert_eq!(v.into_mask(3).unwrap(), vec![true, true, true]);
-        let v = Value::Column(Column::I64(vec![1]));
+        let v = Value::from(Column::I64(vec![1]));
         assert!(v.into_mask(1).is_err());
     }
 }

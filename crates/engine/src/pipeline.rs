@@ -26,11 +26,32 @@
 //! state in memory, so a worker's footprint is bounded by its retained
 //! state rather than its input ([`Pipeline::approx_state_bytes`] feeds
 //! the OOM modelling).
+//!
+//! ## What `push` copies
+//!
+//! A value is touched once per consumer and copied only where something
+//! is retained. The predicate yields one mask: if it keeps every row the
+//! input batch is used as it is, if none `push` returns, and otherwise
+//! the mask becomes one selection vector ([`crate::column::selection`])
+//! that an input column is gathered through the first time a later step
+//! reads it — a column only the predicate reads never is. Expressions
+//! evaluate to borrowed columns ([`crate::expr::kernels::Value`]), so a
+//! bare column reference in a projection, a grouping key or an aggregate
+//! argument is a pointer, and the aggregate terminals hand
+//! [`GroupedAggState::update_columns`] references without a projected
+//! batch ever being assembled. The terminals that keep rows copy them
+//! once: `Collect` and `SortPartition` when they store the batch,
+//! `HashPartition` and `Probe` in the gather that builds their output
+//! (an unfiltered, unprojected input is read in place).
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::agg::{AggExpr, AggFunc, GroupedAggState};
 use crate::batch::RecordBatch;
+use crate::column::selection;
 use crate::column::Column;
 use crate::error::{exec_err, plan_err, Result};
 use crate::expr::{eval, Expr};
@@ -146,25 +167,100 @@ pub fn agg_func_types(
         .collect()
 }
 
-/// Evaluate grouping and aggregate-argument expressions over a batch.
+/// Evaluated grouping columns and aggregate arguments (`None` under
+/// `COUNT(*)`), borrowed wherever the expression is a bare column
+/// reference.
+type AggInputs<'a> = (Vec<Cow<'a, Column>>, Vec<Option<Cow<'a, Column>>>);
+
+/// Grouping and aggregate-argument expressions evaluated over columns:
+/// `column(i)` is input column `i`, `rows` long.
+fn agg_inputs<'a>(
+    group_by: &[(Expr, String)],
+    aggs: &[AggExpr],
+    column: &impl Fn(usize) -> Option<&'a Column>,
+    rows: usize,
+) -> Result<AggInputs<'a>> {
+    let eval = |e: &Expr| Ok(eval::evaluate_over(e, column)?.into_cow(rows));
+    let groups = group_by.iter().map(|(e, _)| eval(e)).collect::<Result<_>>()?;
+    let args = aggs.iter().map(|a| a.arg.as_ref().map(&eval).transpose()).collect::<Result<_>>()?;
+    Ok((groups, args))
+}
+
+/// Evaluate grouping and aggregate-argument expressions over a batch,
+/// into columns of the caller's own.
 pub fn eval_agg_inputs(
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
     batch: &RecordBatch,
 ) -> Result<(Vec<Column>, Vec<Option<Column>>)> {
-    let rows = batch.num_rows();
-    let mut gcols = Vec::with_capacity(group_by.len());
-    for (e, _) in group_by {
-        gcols.push(eval::evaluate(e, batch)?.into_column(rows));
+    let (groups, args) = agg_inputs(group_by, aggs, &|i| batch.columns().get(i), batch.num_rows())?;
+    Ok((
+        groups.into_iter().map(Cow::into_owned).collect(),
+        args.into_iter().map(|a| a.map(Cow::into_owned)).collect(),
+    ))
+}
+
+/// The rows of an input batch that the predicate kept, column by column.
+struct Survivors<'a> {
+    batch: &'a RecordBatch,
+    /// The kept rows' numbers; `None` when every row was kept and the
+    /// columns are the batch's own.
+    rows: Option<Vec<u32>>,
+    /// Input columns gathered through `rows`, each on first use.
+    gathered: Vec<OnceCell<Column>>,
+}
+
+impl<'a> Survivors<'a> {
+    fn new(batch: &'a RecordBatch, rows: Option<Vec<u32>>) -> Survivors<'a> {
+        let cells = if rows.is_some() { batch.num_columns() } else { 0 };
+        Survivors { batch, rows, gathered: (0..cells).map(|_| OnceCell::new()).collect() }
     }
-    let mut acols = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        acols.push(match &a.arg {
-            Some(e) => Some(eval::evaluate(e, batch)?.into_column(rows)),
-            None => None,
-        });
+
+    fn num_rows(&self) -> usize {
+        self.rows.as_ref().map_or(self.batch.num_rows(), Vec::len)
     }
-    Ok((gcols, acols))
+
+    /// Input column `i`, kept rows only.
+    fn column(&self, i: usize) -> Option<&Column> {
+        let column = self.batch.columns().get(i)?;
+        Some(match &self.rows {
+            Some(rows) => self.gathered.get(i)?.get_or_init(|| column.select(rows)),
+            None => column,
+        })
+    }
+
+    /// A copy of [`Survivors::column`] for a terminal that keeps it: one
+    /// gather, or one clone, straight from the batch.
+    fn copied(&self, i: usize) -> Result<Column> {
+        match (self.batch.columns().get(i), &self.rows) {
+            (Some(column), Some(rows)) => Ok(column.select(rows)),
+            (Some(column), None) => Ok(column.clone()),
+            (None, _) => plan_err(format!("column index {i} out of range")),
+        }
+    }
+
+    /// The projected batch, materialised for a terminal that keeps rows
+    /// or gathers from them — or the input batch itself where nothing
+    /// was filtered out or projected.
+    fn project(
+        &self,
+        projection: Option<&[(Expr, String)]>,
+        schema: &SchemaRef,
+    ) -> Result<Cow<'a, RecordBatch>> {
+        let rows = self.num_rows();
+        let columns: Result<Vec<Column>> = match projection {
+            None if self.rows.is_none() => return Ok(Cow::Borrowed(self.batch)),
+            None => (0..self.batch.num_columns()).map(|i| self.copied(i)).collect(),
+            Some(exprs) => exprs
+                .iter()
+                .map(|(e, _)| match e {
+                    Expr::Col(i) => self.copied(*i),
+                    e => Ok(eval::evaluate_over(e, &|i| self.column(i))?.into_column(rows)),
+                })
+                .collect(),
+        };
+        RecordBatch::new(Arc::clone(schema), columns?).map(Cow::Owned)
+    }
 }
 
 impl Pipeline {
@@ -253,34 +349,45 @@ impl Pipeline {
             ));
         }
         self.rows_in += batch.num_rows() as u64;
-        let filtered = match &self.spec.predicate {
-            Some(p) => {
-                let mask = eval::evaluate_mask(p, batch)?;
-                batch.filter(&mask)?
-            }
-            None => batch.clone(),
+        let kept = match &self.spec.predicate {
+            Some(p) => selection(&eval::evaluate_mask(p, batch)?)?,
+            None => None,
         };
-        self.rows_out += filtered.num_rows() as u64;
-        if filtered.num_rows() == 0 {
+        let input = Survivors::new(batch, kept);
+        let rows = input.num_rows();
+        self.rows_out += rows as u64;
+        if rows == 0 {
             return Ok(());
         }
-        let projected = match &self.spec.projection {
-            Some(exprs) => crate::physical::project_batch(&filtered, exprs, &self.mid_schema)?,
-            None => filtered,
-        };
+        let projection = self.spec.projection.as_deref();
         match &self.spec.terminal {
             Terminal::PartialAggregate { group_by, aggs }
             | Terminal::PartitionedAggregate { group_by, aggs, .. } => {
                 let Some(state) = &mut self.agg else {
                     return exec_err("aggregate terminal without aggregation state");
                 };
-                let (gcols, acols) = eval_agg_inputs(group_by, aggs, &projected)?;
-                state.update_batch(&gcols, &acols, projected.num_rows())?;
+                let projected = match projection {
+                    Some(exprs) => {
+                        let eval = |e| eval::evaluate_over(e, &|i| input.column(i));
+                        let columns = exprs.iter().map(|(e, _)| Ok(eval(e)?.into_cow(rows)));
+                        Some(columns.collect::<Result<Vec<Cow<'_, Column>>>>()?)
+                    }
+                    None => None,
+                };
+                let mid = |i: usize| match &projected {
+                    Some(columns) => columns.get(i).map(Cow::as_ref),
+                    None => input.column(i),
+                };
+                let (groups, args) = agg_inputs(group_by, aggs, &mid, rows)?;
+                let groups: Vec<&Column> = groups.iter().map(Cow::as_ref).collect();
+                let args: Vec<Option<&Column>> = args.iter().map(Option::as_deref).collect();
+                state.update_columns(&groups, &args, rows)?;
             }
             Terminal::Collect | Terminal::SortPartition { .. } => {
-                self.collected.push(projected);
+                self.collected.push(input.project(projection, &self.mid_schema)?.into_owned());
             }
             Terminal::HashPartition { keys, partitions } => {
+                let projected = input.project(projection, &self.mid_schema)?;
                 let indices = partition_rows(&projected, keys, *partitions);
                 for (p, idx) in indices.into_iter().enumerate() {
                     if !idx.is_empty() {
@@ -289,6 +396,7 @@ impl Pipeline {
                 }
             }
             Terminal::Probe { build, probe_keys, variant } => {
+                let projected = input.project(projection, &self.mid_schema)?;
                 let joined = build.probe_variant(&projected, probe_keys, *variant)?;
                 if joined.num_rows() > 0 {
                     self.collected.push(joined);

@@ -562,3 +562,114 @@ fn short_columns_are_typed_errors() {
     let wrong_type = st.update_batch(&[keys], &[Some(Column::F64(vec![1.0, 2.0])), None], 2);
     assert!(wrong_type.is_err(), "SUM over Int64 takes no Float64 argument");
 }
+
+/// `sums` float sums — `SUM`s and `AVG`s by turns, every third fed an
+/// `Int64` column — between two `COUNT`s, an integer sum and a minimum.
+/// The float sums fold several to a pass and the counts from one
+/// histogram of the group ids; the oracle folds a cell at a time.
+fn fused_funcs(sums: usize) -> (Funcs, Vec<DataType>) {
+    let mut funcs = vec![(AggFunc::Count, None)];
+    let mut arg_types = vec![DataType::Int64];
+    for k in 0..sums {
+        let func = if k % 2 == 0 { AggFunc::Sum } else { AggFunc::Avg };
+        funcs.push((func, Some(DataType::Float64)));
+        arg_types.push(if k % 3 == 2 { DataType::Int64 } else { DataType::Float64 });
+    }
+    funcs.extend([
+        (AggFunc::Sum, Some(DataType::Int64)),
+        (AggFunc::Count, None),
+        (AggFunc::Min, Some(DataType::Float64)),
+    ]);
+    arg_types.extend([DataType::Int64, DataType::Int64, DataType::Float64]);
+    (funcs, arg_types)
+}
+
+/// One to nine float sums (every width of the last fused pass) over one
+/// group, a few, and ~1e4 — in batches with more rows than the state has
+/// groups and with fewer, which is where the count histogram gives way
+/// to a pass per column.
+#[test]
+fn fused_sums_and_the_count_histogram_match_the_oracle() {
+    let mut rng = Rng(0xF0_1D);
+    for sums in 1..=9 {
+        for (domain, batch_rows) in
+            [(1, vec![1, 64, 0, 3]), (6, vec![500, 2, 40]), (10_000, vec![9_000, 300, 4_000])]
+        {
+            let (funcs, arg_types) = fused_funcs(sums);
+            let mut state = GroupedAggState::new(&funcs).unwrap();
+            let mut oracle = Oracle::new(&funcs);
+            for rows in batch_rows {
+                let keys = Column::I64((0..rows).map(|_| rng.below(domain) as i64).collect());
+                // One Float64 and one Int64 column feed every aggregate
+                // of their type: the same column under several folds.
+                let floats = random_column(&mut rng, DataType::Float64, rows, 1000);
+                let ints = random_column(&mut rng, DataType::Int64, rows, 1000);
+                let args: Vec<Option<Column>> = funcs
+                    .iter()
+                    .zip(&arg_types)
+                    .map(|(&(func, _), &t)| match (func, t) {
+                        (AggFunc::Count, _) => None,
+                        (_, DataType::Float64) => Some(floats.clone()),
+                        _ => Some(ints.clone()),
+                    })
+                    .collect();
+                let borrowed: Vec<Option<&Column>> = funcs
+                    .iter()
+                    .zip(&arg_types)
+                    .map(|(&(func, _), &t)| match (func, t) {
+                        (AggFunc::Count, _) => None,
+                        (_, DataType::Float64) => Some(&floats),
+                        _ => Some(&ints),
+                    })
+                    .collect();
+                state.update_columns(&[&keys], &borrowed, rows).unwrap();
+                oracle.update_batch(&[keys], &args, rows);
+                let what = format!("{sums} sums, {domain} keys, {rows} rows");
+                assert_eq!(state.num_groups(), oracle.keys.len(), "{what}");
+                assert!(state.encode() == oracle.encode(), "{what}: encodings differ");
+                assert_eq!(finalize_bits(&state), oracle.finalize_bits(), "{what}");
+            }
+        }
+    }
+}
+
+/// Every argument is checked before the first fold or the first new
+/// group: a bad column in the *last* aggregate leaves the state — its
+/// groups, its sums, its bytes — as it was.
+#[test]
+fn a_failed_update_leaves_the_state_as_it_was() {
+    let (funcs, _) = fused_funcs(5);
+    let mut state = GroupedAggState::new(&funcs).unwrap();
+    let keys = Column::I64(vec![1, 2, 1]);
+    let floats = Column::F64(vec![0.5, 1.5, 2.5]);
+    let ints = Column::I64(vec![7, 8, 9]);
+    let args = |last: &Column| -> Vec<Option<Column>> {
+        let mut args: Vec<Option<Column>> = funcs[..funcs.len() - 1]
+            .iter()
+            .map(|&(func, t)| match (func, t) {
+                (AggFunc::Count, _) => None,
+                (_, Some(DataType::Float64)) => Some(floats.clone()),
+                _ => Some(ints.clone()),
+            })
+            .collect();
+        args.push(Some(last.clone()));
+        args
+    };
+    state.update_batch(std::slice::from_ref(&keys), &args(&floats), 3).unwrap();
+    let before = state.encode();
+    // New groups (3, 4) and fresh values in every good column; the last
+    // argument is a row short, then of a type `MIN` over floats rejects.
+    let new_keys = Column::I64(vec![3, 4, 1]);
+    for bad in [Column::F64(vec![1.0, 2.0]), Column::Bool(vec![true; 3])] {
+        let failed = state.update_batch(std::slice::from_ref(&new_keys), &args(&bad), 3);
+        assert!(failed.is_err());
+        assert_eq!(state.num_groups(), 2);
+        assert!(state.encode() == before, "a failed update changed the state");
+    }
+    // And it still folds: the same state as one that never saw the error.
+    let mut oracle = Oracle::new(&funcs);
+    oracle.update_batch(std::slice::from_ref(&keys), &args(&floats), 3);
+    state.update_batch(std::slice::from_ref(&new_keys), &args(&floats), 3).unwrap();
+    oracle.update_batch(std::slice::from_ref(&new_keys), &args(&floats), 3);
+    assert!(state.encode() == oracle.encode());
+}

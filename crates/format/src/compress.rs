@@ -13,6 +13,18 @@
 //!   followed by the bytes;
 //! * control byte `>= 0x80`: match of length `(control & 0x7f) + MIN_MATCH`
 //!   (4..=131), followed by a little-endian `u16` back-distance (1..=65535).
+//!
+//! ## Decoding
+//!
+//! [`decompress`] is bound by its tokens, not its bytes: a plain-encoded
+//! `f64` column of few distinct values (`l_quantity`, `l_discount`)
+//! compresses to about one 8-byte match per value, one of many
+//! (`l_extendedprice`) to a literal of a few bytes plus a short match. It
+//! therefore writes into a buffer sized once and moves short tokens as
+//! 8-byte words; see the function for what that leaves checked (all that
+//! a byte-at-a-time decoder checks).
+
+use std::borrow::Cow;
 
 use crate::error::{corrupt, FormatError, Result};
 
@@ -116,11 +128,37 @@ fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
     }
 }
 
+/// Width of the copies [`decompress`] moves bytes in.
+const WORD: usize = 8;
+
+/// Room [`decompress`] keeps after its output, so that the copies of a
+/// token may run past the token's end: two words for the shortest match.
+const SLACK: usize = 2 * WORD;
+
+/// `buf[to..to + WORD] = buf[from..from + WORD]`, the source read whole
+/// before the write.
+#[inline(always)]
+fn copy_word(buf: &mut [u8], from: usize, to: usize) {
+    let mut word = [0u8; WORD];
+    word.copy_from_slice(&buf[from..from + WORD]);
+    buf[to..to + WORD].copy_from_slice(&word);
+}
+
 /// Decompress into a buffer of exactly `expected_len` bytes.
+///
+/// The buffer is sized once and short tokens are copied into it a word at
+/// a time: on numeric column chunks nearly every token is a match of one
+/// 8-byte value, give or take a byte, or a literal of a few bytes, so a
+/// `memcpy` call and a length update per token cost more than the bytes
+/// they move. A word copy may write past the end of its token; those
+/// bytes lie in the slack or are overwritten by the next token, and are
+/// never read (a match reaches back at most to the bytes decoded so far).
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    // Reserve once, but not on the strength of a claim alone: a token is
-    // at least one byte and yields at most MAX_MATCH.
-    let mut out = Vec::with_capacity(expected_len.min(input.len().saturating_mul(MAX_MATCH)));
+    // Not sized on the strength of a claim alone: a token is at least one
+    // byte and yields at most MAX_MATCH, so `pos` never passes `cap`.
+    let cap = expected_len.min(input.len().saturating_mul(MAX_MATCH));
+    let mut out = vec![0u8; cap + SLACK];
+    let mut pos = 0usize;
     let mut i = 0usize;
     while i < input.len() {
         let control = input[i];
@@ -128,39 +166,64 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         if control < 0x80 {
             let n = control as usize + 1;
             let lits = input.get(i..i + n).ok_or(FormatError::UnexpectedEof)?;
-            if out.len() + n > expected_len {
+            if pos + n > expected_len {
                 return Err(corrupt("LZ output exceeds expected length"));
             }
-            out.extend_from_slice(lits);
+            match input.get(i..i + WORD) {
+                Some(word) if n <= WORD => out[pos..pos + WORD].copy_from_slice(word),
+                _ => out[pos..pos + n].copy_from_slice(lits),
+            }
+            pos += n;
             i += n;
         } else {
-            let mut len = (control & 0x7f) as usize + MIN_MATCH;
+            let len = (control & 0x7f) as usize + MIN_MATCH;
             let Some(&[lo, hi]) = input.get(i..i + 2) else {
                 return Err(FormatError::UnexpectedEof);
             };
             let dist = u16::from_le_bytes([lo, hi]) as usize;
             i += 2;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > pos {
                 return Err(corrupt("LZ match distance out of range"));
             }
-            if out.len() + len > expected_len {
+            if pos + len > expected_len {
                 return Err(corrupt("LZ output exceeds expected length"));
             }
-            let start = out.len() - dist;
-            // A match longer than its distance overlaps its own output
-            // (dist = 1 repeats one byte): it repeats its first `dist`
-            // bytes, so what is there so far, a whole number of periods,
-            // can be copied again, doubling the run each round.
-            while len > 0 {
-                let n = len.min(out.len() - start);
-                out.extend_from_within(start..start + n);
-                len -= n;
+            let from = pos - dist;
+            if dist >= WORD && len <= 2 * WORD {
+                // Two words whatever the length: a second copy that runs
+                // only for a match longer than one value is a branch on
+                // the data's whim, mispredicted more often than the copy
+                // costs. In order, so the second may read the first.
+                copy_word(&mut out, from, pos);
+                copy_word(&mut out, from + WORD, pos + WORD);
+            } else if dist >= len {
+                out.copy_within(from..from + len, pos);
+            } else {
+                // The match overlaps its own output (dist = 1 repeats one
+                // byte): it repeats its first `dist` bytes. Closer than a
+                // word, those go out byte by byte until `step` of them
+                // are there — the least multiple of `dist` a word fits
+                // in — and the rest is copied at that distance.
+                let (head, step) = if dist >= WORD {
+                    (0, dist)
+                } else {
+                    let step = dist * WORD.div_ceil(dist);
+                    (len.min(step), step)
+                };
+                for k in 0..head {
+                    out[pos + k] = out[from + k];
+                }
+                for k in (head..len).step_by(WORD) {
+                    copy_word(&mut out, pos + k - step, pos + k);
+                }
             }
+            pos += len;
         }
     }
-    if out.len() != expected_len {
-        return Err(corrupt(format!("LZ output length {} != expected {expected_len}", out.len())));
+    if pos != expected_len {
+        return Err(corrupt(format!("LZ output length {pos} != expected {expected_len}")));
     }
+    out.truncate(expected_len);
     Ok(out)
 }
 
@@ -172,16 +235,17 @@ pub fn apply(data: &[u8], compression: Compression) -> Vec<u8> {
     }
 }
 
-/// Invert a compression scheme.
-pub fn invert(data: &[u8], compression: Compression, expected_len: usize) -> Result<Vec<u8>> {
+/// Invert a compression scheme. Uncompressed data is the input itself,
+/// borrowed.
+pub fn invert(data: &[u8], compression: Compression, expected_len: usize) -> Result<Cow<'_, [u8]>> {
     match compression {
         Compression::None => {
             if data.len() != expected_len {
                 return Err(corrupt("uncompressed chunk length mismatch"));
             }
-            Ok(data.to_vec())
+            Ok(Cow::Borrowed(data))
         }
-        Compression::Lz => decompress(data, expected_len),
+        Compression::Lz => decompress(data, expected_len).map(Cow::Owned),
     }
 }
 
@@ -279,33 +343,82 @@ mod tests {
         assert_eq!(decompress(&stream[..4], 132), Err(FormatError::UnexpectedEof));
     }
 
-    /// Byte-at-a-time reference for the match copy.
-    fn decompress_bytewise(input: &[u8]) -> Vec<u8> {
+    /// The decoder this module had before it copied words: one byte at a
+    /// time into a growing vector, the same checks in the same order.
+    fn decompress_bytewise(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < input.len() {
             let control = input[i] as usize;
+            i += 1;
             if control < 0x80 {
-                out.extend_from_slice(&input[i + 1..i + 2 + control]);
-                i += 2 + control;
+                let lits = input.get(i..i + control + 1).ok_or(FormatError::UnexpectedEof)?;
+                if out.len() + lits.len() > expected_len {
+                    return Err(corrupt("LZ output exceeds expected length"));
+                }
+                out.extend_from_slice(lits);
+                i += lits.len();
             } else {
-                let dist = u16::from_le_bytes([input[i + 1], input[i + 2]]) as usize;
-                for _ in 0..(control & 0x7f) + MIN_MATCH {
+                let len = (control & 0x7f) + MIN_MATCH;
+                let Some(&[lo, hi]) = input.get(i..i + 2) else {
+                    return Err(FormatError::UnexpectedEof);
+                };
+                let dist = u16::from_le_bytes([lo, hi]) as usize;
+                i += 2;
+                if dist == 0 || dist > out.len() {
+                    return Err(corrupt("LZ match distance out of range"));
+                }
+                if out.len() + len > expected_len {
+                    return Err(corrupt("LZ output exceeds expected length"));
+                }
+                for _ in 0..len {
                     out.push(out[out.len() - dist]);
                 }
-                i += 3;
             }
         }
-        out
+        if out.len() != expected_len {
+            return Err(corrupt("LZ output length differs from expected"));
+        }
+        Ok(out)
+    }
+
+    /// Same bytes, or the same error variant.
+    fn assert_same_outcome(input: &[u8], expected_len: usize, what: &str) {
+        let got = decompress(input, expected_len);
+        let want = decompress_bytewise(input, expected_len);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => assert_eq!(g, w, "{what}"),
+            (Err(FormatError::UnexpectedEof), Err(FormatError::UnexpectedEof))
+            | (Err(FormatError::Corrupt(_)), Err(FormatError::Corrupt(_))) => {}
+            _ => panic!("{what}: got {got:?}, reference {want:?}"),
+        }
+    }
+
+    /// `input` itself, every prefix of it and every single-bit flip of it.
+    fn assert_same_outcome_under_damage(input: &[u8], expected_len: usize) {
+        assert_same_outcome(input, expected_len, "intact");
+        for cut in 0..input.len() {
+            assert_same_outcome(&input[..cut], expected_len, &format!("cut at {cut}"));
+        }
+        let mut damaged = input.to_vec();
+        for bit in 0..input.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_same_outcome(&damaged, expected_len, &format!("bit {bit} flipped"));
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    fn lcg(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        }
     }
 
     #[test]
     fn random_inputs_with_short_period_runs_roundtrip() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move |n: usize| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as usize % n
-        };
+        let mut next = lcg(0x9E37_79B9_7F4A_7C15);
         for _ in 0..200 {
             // Runs of period 1..=8 (overlapping matches) between
             // stretches of noise, run lengths straddling MAX_MATCH.
@@ -320,8 +433,85 @@ mod tests {
             }
             let c = compress(&data);
             assert_eq!(decompress(&c, data.len()).unwrap(), data);
-            assert_eq!(decompress_bytewise(&c), data);
+            assert_eq!(decompress_bytewise(&c, data.len()).unwrap(), data);
         }
+    }
+
+    /// A literal token of `n` random bytes.
+    fn push_literal(stream: &mut Vec<u8>, n: usize, next: &mut impl FnMut(usize) -> usize) {
+        stream.push((n - 1) as u8);
+        stream.extend((0..n).map(|_| next(256) as u8));
+    }
+
+    fn push_match(stream: &mut Vec<u8>, len: usize, dist: usize) {
+        stream.push(0x80 | (len - MIN_MATCH) as u8);
+        stream.extend_from_slice(&(dist as u16).to_le_bytes());
+    }
+
+    #[test]
+    fn random_token_streams_decode_like_the_bytewise_reference() {
+        let mut next = lcg(0x0123_4567_89AB_CDEF);
+        // Every distance a word copy can overlap at, and a few beyond.
+        let dists: Vec<usize> = (1..=24).chain([25, 31, 32, 33, 63, 64, 65, 127, 300]).collect();
+        for (round, &last_dist) in dists.iter().cycle().take(120).enumerate() {
+            let mut stream = Vec::new();
+            let mut produced = 0usize;
+            push_literal(&mut stream, last_dist.min(128), &mut next);
+            produced += last_dist.min(128);
+            for _ in 0..next(10) {
+                if next(3) == 0 {
+                    let n = 1 + next(128);
+                    push_literal(&mut stream, n, &mut next);
+                    produced += n;
+                } else {
+                    let dist = match next(3) {
+                        0 => 1 + next(produced),
+                        _ => dists[next(dists.len())],
+                    };
+                    let len = MIN_MATCH + next(MAX_MATCH - MIN_MATCH + 1);
+                    push_match(&mut stream, len, dist.min(produced));
+                    produced += len;
+                }
+            }
+            while produced < last_dist {
+                push_literal(&mut stream, 128.min(last_dist - produced), &mut next);
+                produced += 128.min(last_dist - produced);
+            }
+            // The last token is a match that ends exactly at the end of
+            // the buffer: its final word copy runs into the slack.
+            let len = [MIN_MATCH, 5, 7, 8, 9, 15, 16, 17, MAX_MATCH][round % 9];
+            push_match(&mut stream, len, last_dist);
+            produced += len;
+            assert_eq!(decompress_bytewise(&stream, produced).unwrap().len(), produced);
+            assert_same_outcome_under_damage(&stream, produced);
+            for claimed in [0, 1, produced - 1, produced + 1, produced + SLACK, usize::MAX] {
+                assert_same_outcome(&stream, claimed, &format!("claiming {claimed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn low_cardinality_f64_chunks_decode_like_the_bytewise_reference() {
+        // `l_quantity`-like: 50 distinct doubles in no order, so nearly
+        // every token is a match of exactly one value.
+        let mut next = lcg(7);
+        for values in [1usize, 2, 3, 50, 150] {
+            let mut plain = Vec::new();
+            for _ in 0..values {
+                plain.extend_from_slice(&((1 + next(50)) as f64).to_le_bytes());
+            }
+            let c = compress(&plain);
+            assert_eq!(decompress(&c, plain.len()).unwrap(), plain);
+            assert_same_outcome_under_damage(&c, plain.len());
+        }
+        // `l_extendedprice`-like: a few fresh low bytes, then a match.
+        let mut plain = Vec::new();
+        for _ in 0..150 {
+            plain.extend_from_slice(&(900.0 + next(100_000) as f64 / 100.0).to_le_bytes());
+        }
+        let c = compress(&plain);
+        assert_eq!(decompress(&c, plain.len()).unwrap(), plain);
+        assert_same_outcome_under_damage(&c, plain.len());
     }
 
     #[test]

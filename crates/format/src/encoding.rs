@@ -113,7 +113,48 @@ fn encode_runs<T: PartialEq>(w: &mut BinWriter, values: &[T], emit: impl Fn(&mut
     }
 }
 
-/// Decode a column of `num_values` values.
+/// `num_values` fixed-width values, converted a word at a time.
+fn decode_plain<T>(bytes: &[u8], num_values: usize, value: fn([u8; 8]) -> T) -> Result<Vec<T>> {
+    match num_values.checked_mul(8) {
+        Some(len) if len == bytes.len() => {}
+        Some(len) if len < bytes.len() => return Err(trailing_bytes()),
+        _ => return Err(FormatError::UnexpectedEof),
+    }
+    // `chunks_exact(8)` with the width in the type: one pass, no check
+    // per value.
+    let (words, _) = bytes.as_chunks::<8>();
+    Ok(words.iter().map(|&word| value(word)).collect())
+}
+
+/// Runs of `(count, value)` adding up to `num_values` values. The vector
+/// grows a run at a time: a run is a few bytes whatever it claims, so a
+/// count the allocator cannot back is an error like any other.
+fn decode_runs<T: Clone>(
+    r: &mut BinReader<'_>,
+    num_values: usize,
+    value: fn(u64) -> T,
+) -> Result<Vec<T>> {
+    let mut v = Vec::new();
+    while v.len() < num_values {
+        let run = r.varint()?;
+        let val = value(r.u64()?);
+        let run = match usize::try_from(run) {
+            Ok(run) if run != 0 && run <= num_values - v.len() => run,
+            _ => return Err(corrupt("RLE run overflows value count")),
+        };
+        v.try_reserve(run).map_err(|_| corrupt("RLE run is too long to allocate"))?;
+        v.extend(std::iter::repeat_n(val, run));
+    }
+    Ok(v)
+}
+
+fn trailing_bytes() -> FormatError {
+    corrupt("trailing bytes after encoded column")
+}
+
+/// Decode a column of `num_values` values. The count comes from a footer,
+/// that is from file or exchange bytes, so nothing is reserved on its
+/// word alone: only what `bytes` can back.
 pub fn decode(
     bytes: &[u8],
     encoding: Encoding,
@@ -123,45 +164,20 @@ pub fn decode(
     let mut r = BinReader::new(bytes);
     let out = match (encoding, ptype) {
         (Encoding::Plain, PhysicalType::I64) => {
-            let mut v = Vec::with_capacity(num_values);
-            for _ in 0..num_values {
-                v.push(r.i64()?);
-            }
-            ColumnData::I64(v)
+            return decode_plain(bytes, num_values, i64::from_le_bytes).map(ColumnData::I64);
         }
         (Encoding::Plain, PhysicalType::F64) => {
-            let mut v = Vec::with_capacity(num_values);
-            for _ in 0..num_values {
-                v.push(r.f64()?);
-            }
-            ColumnData::F64(v)
+            return decode_plain(bytes, num_values, f64::from_le_bytes).map(ColumnData::F64);
         }
         (Encoding::Rle, PhysicalType::I64) => {
-            let mut v = Vec::with_capacity(num_values);
-            while v.len() < num_values {
-                let run = r.varint()? as usize;
-                let val = r.i64()?;
-                if run == 0 || v.len() + run > num_values {
-                    return Err(corrupt("RLE run overflows value count"));
-                }
-                v.extend(std::iter::repeat_n(val, run));
-            }
-            ColumnData::I64(v)
+            ColumnData::I64(decode_runs(&mut r, num_values, |raw| raw as i64)?)
         }
         (Encoding::Rle, PhysicalType::F64) => {
-            let mut v = Vec::with_capacity(num_values);
-            while v.len() < num_values {
-                let run = r.varint()? as usize;
-                let val = f64::from_bits(r.u64()?);
-                if run == 0 || v.len() + run > num_values {
-                    return Err(corrupt("RLE run overflows value count"));
-                }
-                v.extend(std::iter::repeat_n(val, run));
-            }
-            ColumnData::F64(v)
+            ColumnData::F64(decode_runs(&mut r, num_values, f64::from_bits)?)
         }
         (Encoding::Delta, PhysicalType::I64) => {
-            let mut v = Vec::with_capacity(num_values);
+            // The first value is a word, each later one at least a byte.
+            let mut v = Vec::with_capacity(num_values.min(bytes.len()));
             if num_values > 0 {
                 let mut prev = r.i64()?;
                 v.push(prev);
@@ -177,7 +193,7 @@ pub fn decode(
         }
     };
     if !r.is_exhausted() {
-        return Err(corrupt("trailing bytes after encoded column"));
+        return Err(trailing_bytes());
     }
     Ok(out)
 }

@@ -103,7 +103,8 @@ impl RowGroupMeta {
     fn decode(r: &mut BinReader<'_>) -> Result<Self> {
         let num_rows = r.varint()?;
         let n = r.varint()? as usize;
-        let mut columns = Vec::with_capacity(n);
+        // Every entry takes bytes: a count past what is left is a lie.
+        let mut columns = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             columns.push(ColumnChunkMeta::decode(r)?);
         }
@@ -159,7 +160,7 @@ impl FileMeta {
         let schema = FileSchema::decode(&mut r)?;
         let num_rows = r.varint()?;
         let n = r.varint()? as usize;
-        let mut row_groups = Vec::with_capacity(n);
+        let mut row_groups = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             row_groups.push(RowGroupMeta::decode(&mut r)?);
         }
@@ -190,7 +191,7 @@ impl FileMeta {
                     )));
                 }
             }
-            rows += rg.num_rows;
+            rows = rows.checked_add(rg.num_rows).ok_or_else(|| corrupt("row count overflows"))?;
         }
         if rows != self.num_rows {
             return Err(corrupt(format!(

@@ -49,9 +49,10 @@ pub fn read_row_group(
     for &col in projection {
         let chunk =
             rg.columns.get(col).ok_or_else(|| corrupt(format!("column {col} out of range")))?;
-        let start = chunk.offset as usize;
-        let end = start + chunk.compressed_len as usize;
-        let bytes = file.get(start..end).ok_or_else(|| corrupt("chunk byte range outside file"))?;
+        let end = chunk.offset.checked_add(chunk.compressed_len);
+        let bytes = end
+            .and_then(|end| file.get(chunk.offset as usize..end as usize))
+            .ok_or_else(|| corrupt("chunk byte range outside file"))?;
         out.push(decode_chunk(chunk, meta.schema.column(col).ptype, bytes)?);
     }
     Ok(out)

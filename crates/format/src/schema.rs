@@ -94,7 +94,7 @@ impl FileSchema {
 
     pub(crate) fn decode(r: &mut BinReader<'_>) -> Result<Self> {
         let n = r.varint()? as usize;
-        let mut columns = Vec::with_capacity(n);
+        let mut columns = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             let name = r.string()?;
             let ptype = PhysicalType::from_tag(r.u8()?)?;

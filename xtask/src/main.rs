@@ -55,10 +55,16 @@ const HOT_PATH_FILES: &[&str] = &[
     "core/src/streaming.rs",
     "core/src/verify.rs",
     "engine/src/agg.rs",
+    "engine/src/batch.rs",
+    "engine/src/column.rs",
+    "engine/src/expr/eval.rs",
+    "engine/src/expr/kernels.rs",
     "engine/src/join.rs",
     "engine/src/keytable.rs",
     "engine/src/pipeline.rs",
     "format/src/compress.rs",
+    "format/src/encoding.rs",
+    "format/src/reader.rs",
 ];
 
 const ALLOW_MARKER: &str = "lint: allow(unwrap)";
