@@ -2,18 +2,56 @@
 //!
 //! For every first-generation worker: how long the driver queued it, how
 //! long its own invocation took, and how long it spent invoking its
-//! second-generation children.
+//! second-generation children. Then the shape decision behind
+//! `invoke_workers`: for a sweep of fleet sizes up to that one (each
+//! fleet launched once per shape), the predicted time until
+//! the last worker is initiated and the measured time until it runs, for
+//! the direct shape, the tree and the one the predictor picks. Exits
+//! non-zero if the pick is measured (on a warm fleet) more than 10%
+//! slower than the other.
 
 use lambada_bench::{banner, env_usize, fresh_cloud};
-use lambada_core::invoke::{self, labels};
+use lambada_core::invoke::{self, choose_strategy, labels, predicted_last_initiation};
 use lambada_core::{
     register_worker_function, ComputeCostModel, InvocationStrategy, WorkerPayload, WorkerTask,
 };
+use lambada_sim::{Cloud, CloudConfig, TraceEvent};
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() {
-    let total = env_usize("LAMBADA_FIG5_WORKERS", 4096);
-    banner("Fig 5", &format!("two-level invocation of {total} cold workers"));
+fn payloads(total: usize) -> Vec<WorkerPayload> {
+    (0..total as u64)
+        .map(|i| WorkerPayload {
+            worker_id: i,
+            attempt: 0,
+            query: 0,
+            task: WorkerTask::Noop,
+            children: Vec::new(),
+            result_queue: "results".to_string(),
+        })
+        .collect()
+}
+
+/// Invoke `total` no-op workers in `strategy`'s shape and run until every
+/// one of them has started; returns when the last one did, from launch.
+async fn invoke_all(cloud: &Cloud, total: usize, strategy: InvocationStrategy) -> f64 {
+    let launch = cloud.handle.now();
+    cloud.trace.clear();
+    invoke::invoke_workers_as(cloud, "lambada-worker", payloads(total), strategy).await.unwrap();
+    while cloud.trace.spans(labels::RUNNING).len() < total {
+        cloud.handle.sleep(Duration::from_millis(100)).await;
+    }
+    let running = cloud.trace.spans(labels::RUNNING);
+    running.iter().map(|e| (e.start - launch).as_secs_f64()).fold(0.0, f64::max)
+}
+
+/// A fresh cloud's fleet of `total` invoked twice: cold, then — once
+/// every container is back in the pool — warm. Returns the cold run's
+/// trace and both times to the last running worker.
+fn invoke_cold_then_warm(
+    total: usize,
+    strategy: InvocationStrategy,
+) -> (Vec<TraceEvent>, f64, f64) {
     let (sim, cloud) = fresh_cloud();
     register_worker_function(
         &cloud,
@@ -23,51 +61,58 @@ fn main() {
         ComputeCostModel::default(),
     );
     cloud.sqs.create_queue("results");
-    let payloads: Vec<WorkerPayload> = (0..total as u64)
-        .map(|i| WorkerPayload {
-            worker_id: i,
-            attempt: 0,
-            query: 0,
-            task: WorkerTask::Noop,
-            children: Vec::new(),
-            result_queue: "results".to_string(),
+    sim.block_on(async {
+        let cold = invoke_all(&cloud, total, strategy).await;
+        let cold_trace = cloud.trace.events();
+        cloud.handle.sleep(Duration::from_secs(2)).await;
+        let warm = invoke_all(&cloud, total, strategy).await;
+        (cold_trace, cold, warm)
+    })
+}
+
+/// One fleet size of the sweep, both shapes, cold then warm.
+struct Sized {
+    p: usize,
+    cold_direct: f64,
+    direct: f64,
+    cold_tree: f64,
+    tree: f64,
+    /// The cold tree run's trace: Fig 5 itself at `p == total`.
+    tree_trace: Vec<TraceEvent>,
+}
+
+fn main() -> ExitCode {
+    use InvocationStrategy::{Direct, TwoLevel};
+    let total = env_usize("LAMBADA_FIG5_WORKERS", 4096);
+    banner("Fig 5", &format!("two-level invocation of {total} cold workers"));
+    // Every fleet is launched once per shape; the sweep's run at `total`
+    // is the figure.
+    let mut sizes: Vec<usize> =
+        [8, 64, 128, 512, 4096].into_iter().filter(|&p| p < total).collect();
+    sizes.push(total);
+    let sweep: Vec<Sized> = sizes
+        .into_iter()
+        .map(|p| {
+            let (_, cold_direct, direct) = invoke_cold_then_warm(p, Direct);
+            let (tree_trace, cold_tree, tree) = invoke_cold_then_warm(p, TwoLevel);
+            Sized { p, cold_direct, direct, cold_tree, tree, tree_trace }
         })
         .collect();
-
+    let Some(Sized { tree_trace: trace, cold_tree: last_running, .. }) = sweep.last() else {
+        unreachable!("the sweep ends with `total`");
+    };
     let first_gen: Vec<u64> =
-        invoke::build_tree(payloads.clone()).iter().map(|p| p.worker_id).collect();
-
-    sim.block_on({
-        let cloud2 = cloud.clone();
-        async move {
-            invoke::invoke_workers(
-                &cloud2,
-                "lambada-worker",
-                payloads,
-                InvocationStrategy::TwoLevel,
-            )
-            .await
-            .unwrap();
-            // Wait for every worker to start running.
-            loop {
-                if cloud2.trace.spans(labels::RUNNING).len() >= total {
-                    break;
-                }
-                cloud2.handle.sleep(Duration::from_millis(100)).await;
-            }
-        }
-    });
-
-    let queued = cloud.trace.spans(labels::QUEUED);
-    let api = cloud.trace.spans(labels::API);
-    let spawn = cloud.trace.spans(labels::SPAWN);
-    let running = cloud.trace.spans(labels::RUNNING);
+        invoke::build_tree(payloads(total)).iter().map(|p| p.worker_id).collect();
+    let spans = |label: &str| -> Vec<TraceEvent> {
+        trace.iter().filter(|e| e.label == label).cloned().collect()
+    };
+    let (queued, api, spawn) = (spans(labels::QUEUED), spans(labels::API), spans(labels::SPAWN));
 
     println!(
         "{:>6} {:>14} {:>14} {:>16}",
         "fg#", "queued [s]", "invocation [s]", "spawn children [s]"
     );
-    let span_of = |spans: &[lambada_sim::TraceEvent], w: u64| {
+    let span_of = |spans: &[TraceEvent], w: u64| {
         spans.iter().find(|e| e.worker == w).map(|e| (e.start.as_secs_f64(), e.end.as_secs_f64()))
     };
     for (i, &w) in first_gen.iter().enumerate() {
@@ -83,10 +128,49 @@ fn main() {
         );
     }
     let last_initiated = spawn.iter().map(|e| e.end.as_secs_f64()).fold(0.0f64, f64::max);
-    let last_running = running.iter().map(|e| e.start.as_secs_f64()).fold(0.0f64, f64::max);
-    let naive = total as f64 / cloud.region().concurrent_invocation_rate();
-    println!("--> last invocation initiated at {last_initiated:.2} s; last worker running at {last_running:.2} s");
+    let region = CloudConfig::default().region; // what `fresh_cloud` runs in
+    let naive = total as f64 / region.concurrent_invocation_rate();
+    println!(
+        "--> last invocation initiated at {last_initiated:.2} s; last worker running at {last_running:.2} s"
+    );
     println!(
         "    paper: last initiation ~2.5 s, all running ~3 s — vs {naive:.0} s if the driver invoked all {total} alone"
     );
+
+    // The shape per fleet size. The predictor prices initiation from
+    // Table 1 and is checked against warm fleets, where starting a
+    // container adds the same few milliseconds to either shape. Cold, the
+    // tree's second generation also waits out its parents' container
+    // start: the cold columns show what that costs a mid-sized fleet.
+    println!("\nshape per fleet size ({}): last worker initiated / running [s]", region.name());
+    println!(
+        "{:>6} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>12} | {:>9} {:>9}",
+        "P",
+        "pred dir",
+        "pred tree",
+        "warm dir",
+        "warm tree",
+        "chosen",
+        "chosen/other",
+        "cold dir",
+        "cold tree"
+    );
+    let mut worst: f64 = 0.0;
+    for &Sized { p, cold_direct, direct, cold_tree, tree, .. } in &sweep {
+        let predicted = |s| predicted_last_initiation(region, p, s);
+        let chosen = choose_strategy(region, p);
+        let ratio = if chosen == Direct { direct / tree } else { tree / direct };
+        worst = worst.max(ratio);
+        println!(
+            "{p:>6} {:>9.3} {:>9.3} | {direct:>9.3} {tree:>9.3} {:>9} {ratio:>12.2} | {cold_direct:>9.3} {cold_tree:>9.3}",
+            predicted(Direct),
+            predicted(TwoLevel),
+            format!("{chosen:?}"),
+        );
+    }
+    if worst > 1.10 {
+        eprintln!("the chosen shape takes {worst:.2}x the other one's time at some fleet size");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

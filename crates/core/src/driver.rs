@@ -49,7 +49,7 @@ use lambada_sim::{BillingSnapshot, Cloud};
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
-use crate::invoke::{self, invoke_workers, InvocationStrategy};
+use crate::invoke::{self, invoke_workers};
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
@@ -164,7 +164,6 @@ pub struct LambadaConfig {
     /// Files per worker F; the worker count is `ceil(#files / F)` (§5.2).
     pub files_per_worker: usize,
     pub scan: ScanConfig,
-    pub strategy: InvocationStrategy,
     pub costs: ComputeCostModel,
     /// Long-poll duration per result-queue receive call.
     pub receive_wait: Duration,
@@ -207,7 +206,6 @@ impl Default for LambadaConfig {
             timeout: Duration::from_secs(300),
             files_per_worker: 1,
             scan: ScanConfig::default(),
-            strategy: InvocationStrategy::TwoLevel,
             costs: ComputeCostModel::default(),
             receive_wait: Duration::from_secs(1),
             max_wait: Duration::from_secs(900),
@@ -765,9 +763,10 @@ impl Lambada {
                 for r in 0..parts {
                     self.cloud.p2p.register(&format!("{channel}/r{r}"));
                 }
-                // Sort edges add the sample barrier: every producer sends
-                // its sample to (and reads the pool from) receiver 0.
-                if launch.sort_edges[sid].is_some() {
+                // Sort edges with a sample barrier add its endpoint: every
+                // producer sends its sample to (and reads the pool from)
+                // receiver 0.
+                if launch.sort_edges[sid].as_ref().is_some_and(SortEdgeSpec::has_barrier) {
                     self.cloud.p2p.register(&format!("{}/r0", sample_channel(&channel)));
                 }
             }
@@ -825,7 +824,8 @@ impl Lambada {
             // A stage whose output rides a sort edge synchronizes its
             // whole fleet on the sample barrier; hand the straggler
             // watcher a probe for it.
-            let barrier = launch.sort_edges[sid].as_ref().map(|edge| BarrierProbe {
+            let barrier_edge = launch.sort_edges[sid].as_ref().filter(|edge| edge.has_barrier());
+            let barrier = barrier_edge.map(|edge| BarrierProbe {
                 transport: Rc::clone(&transport),
                 channel: sample_channel(&self.channel(qid, sid)),
                 senders: edge.senders,
@@ -1171,7 +1171,7 @@ async fn run_fleet(
     // paper-scale fleet's payloads when speculation is off.
     let retained: Vec<WorkerPayload> =
         if config.speculation.enabled { payloads.clone() } else { Vec::new() };
-    let invoked = invoke_workers(&cloud, &config.function_name, payloads, config.strategy).await;
+    let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
     let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
     let collected = match invoked {
         Ok(()) => {
@@ -1326,8 +1326,7 @@ async fn collect_results(
         if spec.enabled && seen.len() < quorum && cloud.handle.now() >= next_barrier_probe {
             if let Some(b) = barrier {
                 next_barrier_probe = cloud.handle.now() + spec.barrier_grace;
-                let s3 = cloud.driver_s3();
-                let passed = b.transport.probe(&s3, &b.channel, b.senders).await?;
+                let passed = b.transport.probe(cloud, &b.channel, b.senders).await?;
                 let stuck = |p: &WorkerPayload| !passed.contains(&(p.worker_id as usize));
                 backup_invocations +=
                     speculate(cloud, config, payloads, &seen, &mut attempts_launched, stuck)

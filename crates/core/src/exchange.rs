@@ -63,7 +63,7 @@ use std::time::Duration;
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_sim::services::object_store::{Body, S3Client};
 use lambada_sim::sync::{join_all, Semaphore};
-use lambada_sim::P2pService;
+use lambada_sim::{P2pService, SimHandle};
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
@@ -509,11 +509,16 @@ fn complete(place: &Place, best: &BTreeMap<usize, Copy>) -> bool {
 }
 
 /// One discovery pass: the free mailbox arrivals, then — with `list` —
-/// one LIST of every place that still misses a sender, in place order.
-/// `section_for` names the receiver whose section of each write-combined
-/// file is the copy (a file without one is no copy of anything for it);
-/// `None` takes whole objects. Returns the LISTs spent.
+/// one LIST of every place that still misses a sender. The LISTs of a
+/// pass are in flight together (one first-byte latency, not one per
+/// bucket) and their listings are offered in place order, so the copies
+/// chosen are those of a one-by-one pass; the first failed listing in
+/// place order is the error. `section_for` names the receiver whose
+/// section of each write-combined file is the copy (a file without one
+/// is no copy of anything for it); `None` takes whole objects. Returns
+/// the LISTs spent.
 pub(crate) async fn discover(
+    handle: &SimHandle,
     s3: &S3Client,
     mailbox: Option<&Mailbox>,
     places: &[Place],
@@ -527,13 +532,14 @@ pub(crate) async fn discover(
             offer(best, Copy { sender: sender as usize, attempt, len, at });
         }
     }
-    let mut lists = 0;
-    for place in places {
-        if !list || complete(place, best) {
-            continue;
-        }
-        lists += 1;
-        for (key, size) in s3.list(&place.bucket, &place.prefix).await? {
+    let mut listings = Vec::new();
+    for place in places.iter().filter(|p| list && !complete(p, best)) {
+        let (s3, bucket, prefix) = (s3.clone(), place.bucket.clone(), place.prefix.clone());
+        listings.push((place, handle.spawn(async move { s3.list(&bucket, &prefix).await })));
+    }
+    let lists = listings.len() as u64;
+    for (place, listing) in listings {
+        for (key, size) in listing.await? {
             let (sender, attempt, sections) = parse_wc_sections(&key)?;
             let (offset, len) = match section_for {
                 None => (None, size),
@@ -554,6 +560,21 @@ pub(crate) async fn discover(
 /// touch the store; LISTs are billed only once a copy is plausibly late.
 const FALLBACK_GRACE_POLLS: usize = 3;
 
+/// How one pass of [`await_copies`] visits its places.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pass {
+    /// All LISTs of the pass in flight together: one first-byte latency
+    /// for an edge whose senders have written.
+    Together,
+    /// One place after the other, for a barrier among running peers (a
+    /// sort edge's sample pool): the peers write within a few first-byte
+    /// latencies of each other, so a pass that takes that long finds them
+    /// all, where a single round would miss the late ones and pay a
+    /// back-off — `2 × poll_interval`, more than a whole pass over
+    /// `num_buckets` places — plus a second LIST of each.
+    OneByOne,
+}
+
 /// **The one wait.** Poll until every sender of every place has a copy:
 /// one [`discover`] pass per round — the mailbox alone while it is
 /// registered and in its grace rounds — then back off, or time out with
@@ -566,6 +587,7 @@ pub(crate) async fn await_copies(
     mailbox: Option<&Mailbox>,
     places: &[Place],
     section_for: Option<usize>,
+    pass: Pass,
 ) -> Result<(Vec<Copy>, u64)> {
     let wait_start = env.cloud.handle.now();
     // An unregistered mailbox (rendezvous capacity exhausted) means every
@@ -575,7 +597,15 @@ pub(crate) async fn await_copies(
     let (mut lists, mut polls) = (0u64, 0usize);
     loop {
         let list = !registered || polls >= FALLBACK_GRACE_POLLS;
-        lists += discover(&env.s3, mailbox, places, section_for, list, &mut best).await?;
+        let at_once = match pass {
+            Pass::Together => places.len().max(1),
+            Pass::OneByOne => 1,
+        };
+        for round in places.chunks(at_once) {
+            lists +=
+                discover(&env.cloud.handle, &env.s3, mailbox, round, section_for, list, &mut best)
+                    .await?;
+        }
         if places.iter().all(|p| complete(p, &best)) {
             let mut copies: Vec<Copy> =
                 places.iter().flat_map(|p| &p.senders).filter_map(|s| best.remove(s)).collect();
@@ -735,7 +765,8 @@ pub async fn run_exchange(
             let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
             (vec![Place { bucket, prefix, senders: round.senders.clone() }], None)
         };
-        let (copies, _) = await_copies(env, cfg, None, &places, section_for).await?;
+        let (copies, _) =
+            await_copies(env, cfg, None, &places, section_for, Pass::Together).await?;
         let wait_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 

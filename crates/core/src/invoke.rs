@@ -7,10 +7,16 @@
 //! of its ~√P second-generation children, which it invokes before doing
 //! its own work — the last worker is initiated after ~2.5 s even for 4096
 //! workers (Fig 5).
+//!
+//! The tree only pays for large fleets: a second-generation worker waits
+//! for its parent's in-region invoke (16/81 s in `eu`) where the driver's
+//! own call takes 36 ms. [`invoke_workers`] therefore prices both shapes
+//! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
+//! for the fleet at hand; the crossover is near 100 workers in `eu`.
 
 use std::rc::Rc;
 
-use lambada_sim::region::{DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
+use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
 use lambada_sim::services::faas::FaasCaller;
 use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::Cloud;
@@ -39,10 +45,63 @@ pub mod labels {
     pub const RUNNING: &str = "worker_running";
 }
 
-/// Invoke all `payloads` of `function` using `strategy`. Returns when
-/// every *driver-side* invocation has been accepted (second-generation
-/// invocations proceed inside the first-generation workers).
+/// Width and depth of the two-level tree over `p` workers: `n1 ≈ √P`
+/// first-generation workers, each heading a group of at most `group`
+/// (itself included), so driver and first generation perform ~√P
+/// invocations each (§4.2).
+fn tree_shape(p: usize) -> (usize, usize) {
+    let n1 = crate::routing::isqrt_ceil(p).max(1);
+    (n1, p.div_ceil(n1))
+}
+
+/// Predicted seconds from fleet launch until the last of `p` workers is
+/// initiated under `strategy`, from Table 1's rates: the driver pushes
+/// its share at the concurrent rate and the last call takes one
+/// invocation latency; in the tree the last first-generation worker then
+/// pushes its children at the in-region rate. Non-decreasing in `p`.
+pub fn predicted_last_initiation(region: Region, p: usize, strategy: InvocationStrategy) -> f64 {
+    let driver = |calls: usize| {
+        calls as f64 / region.concurrent_invocation_rate()
+            + region.single_invocation().as_secs_f64()
+    };
+    match strategy {
+        InvocationStrategy::Direct => driver(p),
+        InvocationStrategy::TwoLevel => {
+            let (n1, group) = tree_shape(p);
+            driver(n1)
+                + group.saturating_sub(1) as f64 / region.intra_region_rate()
+                + region.intra_invocation().as_secs_f64()
+        }
+    }
+}
+
+/// The shape that initiates the last of `p` workers sooner in `region`
+/// (direct on a tie: it bills no worker time for invoking).
+pub fn choose_strategy(region: Region, p: usize) -> InvocationStrategy {
+    let predicted = |s| predicted_last_initiation(region, p, s);
+    if predicted(InvocationStrategy::TwoLevel) < predicted(InvocationStrategy::Direct) {
+        InvocationStrategy::TwoLevel
+    } else {
+        InvocationStrategy::Direct
+    }
+}
+
+/// Invoke all `payloads` of `function` in the shape [`choose_strategy`]
+/// picks for this fleet size. Returns when every *driver-side*
+/// invocation has been accepted (second-generation invocations proceed
+/// inside the first-generation workers).
 pub async fn invoke_workers(
+    cloud: &Cloud,
+    function: &str,
+    payloads: Vec<WorkerPayload>,
+) -> Result<()> {
+    let strategy = choose_strategy(cloud.region(), payloads.len());
+    invoke_workers_as(cloud, function, payloads, strategy).await
+}
+
+/// [`invoke_workers`] in an explicit shape: for the experiments that
+/// drive the tree on purpose (Fig 5, the FaaS-dispatched exchange).
+pub async fn invoke_workers_as(
     cloud: &Cloud,
     function: &str,
     payloads: Vec<WorkerPayload>,
@@ -66,10 +125,7 @@ pub fn build_tree(payloads: Vec<WorkerPayload>) -> Vec<Rc<WorkerPayload>> {
     if p <= 1 {
         return payloads.into_iter().map(Rc::new).collect();
     }
-    // Driver and each first-gen worker should perform ~√P invocations
-    // each (§4.2): n1 groups of size ~P/n1.
-    let n1 = crate::routing::isqrt_ceil(p);
-    let group = p.div_ceil(n1);
+    let (n1, group) = tree_shape(p);
     let mut out = Vec::with_capacity(n1);
     let mut iter = payloads.into_iter();
     loop {
@@ -193,6 +249,40 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
         }
+    }
+
+    #[test]
+    fn small_fleets_go_direct_and_large_ones_through_the_tree() {
+        use InvocationStrategy::{Direct, TwoLevel};
+        for region in Region::ALL {
+            for p in [1usize, 8, 40] {
+                assert_eq!(choose_strategy(region, p), Direct, "{region:?} P={p}");
+            }
+            for p in [320usize, 4096] {
+                assert_eq!(choose_strategy(region, p), TwoLevel, "{region:?} P={p}");
+            }
+            // The crossover is a single point: once the tree wins it keeps
+            // winning, and every predictor only grows with the fleet.
+            let chosen = |p| predicted_last_initiation(region, p, choose_strategy(region, p));
+            let mut tree_won = false;
+            for p in 1..=4096usize {
+                let tree = choose_strategy(region, p) == TwoLevel;
+                assert!(tree || !tree_won, "{region:?}: back to direct at P={p}");
+                tree_won = tree;
+                for s in [Direct, TwoLevel] {
+                    assert!(
+                        predicted_last_initiation(region, p, s)
+                            >= predicted_last_initiation(region, p - 1, s),
+                        "{region:?} {s:?} shrinks at P={p}"
+                    );
+                }
+                assert!(chosen(p) >= chosen(p - 1), "{region:?} chosen shrinks at P={p}");
+            }
+        }
+        // Worked numbers for `eu`.
+        let eu = |p, s| predicted_last_initiation(Region::Eu, p, s);
+        assert!((eu(8, Direct) - 0.063).abs() < 1e-3);
+        assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, TwoLevel) - 0.50).abs() < 1e-2);
     }
 
     #[test]

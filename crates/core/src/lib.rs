@@ -9,8 +9,9 @@
 //!
 //! The paper's system components map to modules:
 //!
-//! * [`invoke`] — the two-level invocation tree that starts thousands of
-//!   workers in seconds (§4.2, Fig 5);
+//! * [`invoke`] — fleet-sized invocation: directly from the driver, or
+//!   through the two-level tree that starts thousands of workers in
+//!   seconds (§4.2, Fig 5), whichever Table 1 prices faster;
 //! * [`scan`] — the cost/performance-balanced S3 scan operator with
 //!   metadata prefetching, min/max row-group pruning, and multi-level
 //!   request concurrency (§4.3, Figs 6–8, 11);
@@ -78,7 +79,7 @@ pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,
     RequestCounts,
 };
-pub use invoke::{invoke_backups, invoke_workers, InvocationStrategy};
+pub use invoke::{invoke_backups, invoke_workers, invoke_workers_as, InvocationStrategy};
 pub use message::{ResultPayload, WorkerMetrics, WorkerResult};
 pub use scan::{scan_table, ScanConfig, ScanItem, ScanMetrics};
 pub use sched::{plan_schedule, SchedMode, SchedulePlan, StageBoard, WaitEvent};

@@ -12,6 +12,12 @@
 //!   per chunk (level 2 runs chunks of a row group concurrently), split
 //!   into multiple requests only above a size threshold (level 1, the
 //!   trade-off of Fig 7: more requests cost more money);
+//! * the same trade-off below the chunk sizes the paper studied: a row
+//!   group whose scanned chunks span (gaps included) no more bytes than a
+//!   connection moves in one first-byte latency is *latency-bound* and is
+//!   fetched with one ranged GET, its chunks zero-copy slices of the one
+//!   body — the over-read costs less time than one more round trip and
+//!   less money than one more request;
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
 //!   group;
@@ -83,6 +89,25 @@ struct Shared {
     metrics: RefCell<ScanMetrics>,
 }
 
+/// One ranged GET under the connection budget, counted as requested.
+async fn get_counted(
+    env: &WorkerEnv,
+    conn: &Semaphore,
+    file: &TableFile,
+    offset: u64,
+    len: u64,
+    shared: &Shared,
+) -> Result<Body> {
+    let body = {
+        let _permit = conn.acquire(1).await;
+        env.s3.get_range(&file.bucket, &file.key, offset, len).await?
+    };
+    let mut m = shared.metrics.borrow_mut();
+    m.get_requests += 1;
+    m.bytes_read += body.len();
+    Ok(body)
+}
+
 /// Fetched (or carried) metadata plus request accounting.
 async fn fetch_metadata(
     env: &WorkerEnv,
@@ -92,16 +117,7 @@ async fn fetch_metadata(
     shared: &Rc<Shared>,
 ) -> Result<Rc<FileMeta>> {
     let want = tail_bytes.min(file.size);
-    let offset = file.size - want;
-    let body = {
-        let _permit = conn.acquire(1).await;
-        env.s3.get_range(&file.bucket, &file.key, offset, want).await?
-    };
-    {
-        let mut m = shared.metrics.borrow_mut();
-        m.get_requests += 1;
-        m.bytes_read += body.len();
-    }
+    let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
     env.compute(env.costs.metadata_parse_s).await;
     if let Some(meta) = &file.meta {
         // Descriptor-backed file: the range request above charged the
@@ -116,16 +132,7 @@ async fn fetch_metadata(
         Err(FormatError::TailTooShort(need)) => {
             // Speculative fetch too small: retry with the exact size.
             let want = (need as u64).min(file.size);
-            let offset = file.size - want;
-            let body = {
-                let _permit = conn.acquire(1).await;
-                env.s3.get_range(&file.bucket, &file.key, offset, want).await?
-            };
-            {
-                let mut m = shared.metrics.borrow_mut();
-                m.get_requests += 1;
-                m.bytes_read += body.len();
-            }
+            let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
             let bytes = body.as_real().ok_or_else(|| {
                 CoreError::Format("real file returned synthetic body".to_string())
             })?;
@@ -133,6 +140,25 @@ async fn fetch_metadata(
         }
         Err(e) => Err(e.into()),
     }
+}
+
+/// Reject a footer whose scanned chunks do not lie inside the file, before
+/// any of them sizes a request list or a buffer: every `(offset,
+/// compressed_len)` of the scan columns must end at or before
+/// [`TableFile::size`], without overflowing.
+fn check_chunk_ranges(file: &TableFile, meta: &FileMeta, columns: &[usize]) -> Result<()> {
+    for (rg_idx, rg) in meta.row_groups.iter().enumerate() {
+        for &c in columns {
+            let chunk = &rg.columns[c];
+            if chunk.offset.checked_add(chunk.compressed_len).is_none_or(|end| end > file.size) {
+                return Err(CoreError::Format(format!(
+                    "file {}: row group {rg_idx} column {c} claims bytes {}+{}, the file has {}",
+                    file.key, chunk.offset, chunk.compressed_len, file.size
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A column chunk as its requests come back: one request's body is kept
@@ -145,7 +171,8 @@ enum ChunkParts {
     Synthetic,
 }
 
-/// Download one column chunk (possibly as several ranged requests).
+/// Download one column chunk (possibly as several ranged requests). The
+/// chunk's range has passed [`check_chunk_ranges`].
 async fn download_chunk(
     env: &WorkerEnv,
     conn: &Semaphore,
@@ -154,33 +181,29 @@ async fn download_chunk(
     max_request_bytes: u64,
     shared: &Rc<Shared>,
 ) -> Result<Body> {
-    let mut parts: Vec<(u64, u64)> = Vec::new();
+    // Launch all requests for this chunk concurrently; the connection
+    // semaphore bounds global parallelism (levels 1+2 share the budget).
+    // A paper-scale scan spawns tens of thousands of these tasks per
+    // query, so each carries the client and two names only, and the
+    // chunk counts its requests once.
+    let mut joins = Vec::new();
     let mut off = chunk.offset;
     let end = chunk.offset + chunk.compressed_len;
     while off < end {
         let len = max_request_bytes.min(end - off);
-        parts.push((off, len));
-        off += len;
-    }
-    // Launch all requests for this chunk concurrently; the connection
-    // semaphore bounds global parallelism (levels 1+2 share the budget).
-    let mut joins = Vec::with_capacity(parts.len());
-    for (off, len) in parts {
-        let env = env.clone();
-        let conn = conn.clone();
-        let bucket = file.bucket.clone();
-        let key = file.key.clone();
+        let (s3, conn, bucket, key) =
+            (env.s3.clone(), conn.clone(), file.bucket.clone(), file.key.clone());
         joins.push(env.cloud.handle.spawn(async move {
             let _permit = conn.acquire(1).await;
-            env.s3.get_range(&bucket, &key, off, len).await
+            s3.get_range(&bucket, &key, off, len).await
         }));
+        off += len;
     }
     let mut got: Option<ChunkParts> = None;
-    let mut n_requests = 0u64;
     let mut n_bytes = 0u64;
+    let n_requests = joins.len() as u64;
     for j in joins {
         let body = j.await?;
-        n_requests += 1;
         n_bytes += body.len();
         got = Some(match (got, body) {
             (None, body) => ChunkParts::Whole(body),
@@ -197,15 +220,56 @@ async fn download_chunk(
             _ => ChunkParts::Synthetic,
         });
     }
-    let mut m = shared.metrics.borrow_mut();
-    m.get_requests += n_requests;
-    m.bytes_read += n_bytes;
+    {
+        let mut m = shared.metrics.borrow_mut();
+        m.get_requests += n_requests;
+        m.bytes_read += n_bytes;
+    }
     Ok(match got {
         Some(ChunkParts::Whole(body)) => body,
         Some(ChunkParts::Assembled(buf)) => Body::from_vec(buf),
         Some(ChunkParts::Synthetic) => Body::Synthetic(n_bytes),
         None => Body::from_vec(Vec::new()),
     })
+}
+
+/// Download the scanned chunks of one row group; one body per chunk, in
+/// `chunks` order. A scanned span (first to last scanned byte, gaps
+/// included) of at most `coalesce_below` bytes is one ranged GET whose
+/// body the chunks slice; a wider one is a download per chunk, all
+/// launched at once (level 2).
+async fn download_row_group(
+    env: &WorkerEnv,
+    conn: &Semaphore,
+    file: &TableFile,
+    chunks: &[(usize, ColumnChunkMeta)],
+    max_request_bytes: u64,
+    coalesce_below: u64,
+    shared: &Rc<Shared>,
+) -> Result<Vec<Body>> {
+    let start = chunks.iter().map(|(_, c)| c.offset).min().unwrap_or(0);
+    let end = chunks.iter().map(|(_, c)| c.offset + c.compressed_len).max().unwrap_or(0);
+    let span = end - start;
+    if span > 0 && span <= coalesce_below {
+        let whole = get_counted(env, conn, file, start, span, shared).await?;
+        return Ok(chunks
+            .iter()
+            .map(|(_, c)| whole.slice(c.offset - start, c.compressed_len))
+            .collect());
+    }
+    let mut joins = Vec::with_capacity(chunks.len());
+    for (_, chunk) in chunks {
+        let (env2, conn, file, chunk, shared) =
+            (env.clone(), conn.clone(), file.clone(), chunk.clone(), Rc::clone(shared));
+        joins.push(env.cloud.handle.spawn(async move {
+            download_chunk(&env2, &conn, &file, &chunk, max_request_bytes, &shared).await
+        }));
+    }
+    let mut bodies = Vec::with_capacity(joins.len());
+    for j in joins {
+        bodies.push(j.await?);
+    }
+    Ok(bodies)
 }
 
 /// Charge decode CPU, optionally splitting onto the second hardware
@@ -243,6 +307,12 @@ pub async fn scan_table(
 ) -> Result<ScanMetrics> {
     let shared = Rc::new(Shared { metrics: RefCell::new(ScanMetrics::default()) });
     let conn = Semaphore::new(cfg.connections.max(1));
+    let max_req = cfg.max_request_bytes.max(1);
+    // A span a connection moves within one first-byte latency: a second
+    // request for part of it would take longer than reading over the gaps.
+    let service = &env.cloud.config;
+    let coalesce_below =
+        max_req.min((service.s3.ttfb_median.as_secs_f64() * service.nic.per_conn) as u64);
 
     // Level 4: prefetch metadata for all files in a dedicated task.
     let (meta_tx, mut meta_rx) = mpsc::channel::<Result<Rc<FileMeta>>>();
@@ -320,8 +390,9 @@ pub async fn scan_table(
                 base_schema.len()
             )));
         }
+        check_chunk_ranges(file, &meta, columns)?;
         shared.metrics.borrow_mut().files += 1;
-        for (rg_idx, rg) in meta.row_groups.iter().enumerate() {
+        for rg in &meta.row_groups {
             shared.metrics.borrow_mut().row_groups_total += 1;
             if let Some(pred) = prune_predicate {
                 let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
@@ -344,29 +415,21 @@ pub async fn scan_table(
             let chunk_metas: Vec<(usize, ColumnChunkMeta)> =
                 columns.iter().map(|&c| (c, rg.columns[c].clone())).collect();
             let rows = rg.num_rows;
-            let max_req = cfg.max_request_bytes;
             let costs = env.costs;
-            let _ = rg_idx;
             inflight.push_back(env.cloud.handle.spawn(async move {
-                let mut joins = Vec::with_capacity(chunk_metas.len());
-                for (col_idx, chunk) in &chunk_metas {
-                    let env3 = env2.clone();
-                    let conn3 = conn2.clone();
-                    let file3 = file2.clone();
-                    let chunk3 = chunk.clone();
-                    let shared3 = Rc::clone(&shared2);
-                    let col_idx = *col_idx;
-                    joins.push(env2.cloud.handle.spawn(async move {
-                        let bytes =
-                            download_chunk(&env3, &conn3, &file3, &chunk3, max_req, &shared3)
-                                .await?;
-                        Ok::<_, CoreError>((col_idx, chunk3, bytes))
-                    }));
-                }
+                let bodies = download_row_group(
+                    &env2,
+                    &conn2,
+                    &file2,
+                    &chunk_metas,
+                    max_req,
+                    coalesce_below,
+                    &shared2,
+                )
+                .await?;
                 let mut decode_seconds = 0.0;
-                let mut out = Vec::with_capacity(joins.len());
-                for j in joins {
-                    let (col_idx, chunk, bytes) = j.await?;
+                let mut out = Vec::with_capacity(bodies.len());
+                for ((col_idx, chunk), bytes) in chunk_metas.into_iter().zip(bodies) {
                     decode_seconds += costs.chunk_decode_seconds(
                         chunk.compressed_len,
                         chunk.uncompressed_len,

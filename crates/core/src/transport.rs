@@ -25,7 +25,7 @@
 //! * **Registration.** Consumers are addressed by *endpoint*
 //!   `{channel}/r{receiver}`. The driver registers every consumer
 //!   endpoint of a query (and the `{channel}smp/r0` sample-barrier
-//!   endpoints of sort edges) with the rendezvous service *before the
+//!   endpoint of each sort edge that has one) with the rendezvous service *before the
 //!   first stage launches* — fleet sizes are fixed up front, so the
 //!   address book is complete even though consumer fleets launch later.
 //!   Cleanup deregisters the query's whole endpoint prefix.
@@ -50,15 +50,15 @@
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-use lambada_sim::services::object_store::{Body, S3Client};
+use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{join_all, Semaphore};
-use lambada_sim::P2pService;
+use lambada_sim::{Cloud, P2pService};
 
 use crate::env::WorkerEnv;
 use crate::error::Result;
 use crate::exchange::{
     await_copies, discover, encode_bundle, fetch_copies, p2p_side_key, put_combined, EdgeReadStats,
-    ExchangeConfig, ExchangeSide, Mailbox, PartData, Place,
+    ExchangeConfig, ExchangeSide, Mailbox, PartData, Pass, Place,
 };
 
 /// Which stage-edge transport a query runs on.
@@ -233,6 +233,32 @@ impl EdgeTransport {
         receiver: usize,
         senders: usize,
     ) -> Result<(Vec<PartData>, EdgeReadStats)> {
+        self.recv_paced(env, channel, receiver, senders, Pass::Together).await
+    }
+
+    /// [`Self::recv`] on a barrier among running peers — every producer
+    /// of a sort edge reads section 0 of all `senders` samples, its own
+    /// included, right after writing it. Discovery walks the buckets one
+    /// by one: the peers write within a few first-byte latencies of each
+    /// other, so a pass that takes that long finds them all, where one
+    /// round would miss the late ones and pay a back-off plus a re-LIST.
+    pub async fn recv_barrier(
+        &self,
+        env: &WorkerEnv,
+        channel: &str,
+        senders: usize,
+    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
+        self.recv_paced(env, channel, 0, senders, Pass::OneByOne).await
+    }
+
+    async fn recv_paced(
+        &self,
+        env: &WorkerEnv,
+        channel: &str,
+        receiver: usize,
+        senders: usize,
+        pass: Pass,
+    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
         let mut stats = EdgeReadStats::default();
         if senders == 0 {
             return Ok((Vec::new(), stats));
@@ -240,7 +266,7 @@ impl EdgeTransport {
         let wait_start = env.cloud.handle.now();
         let (mailbox, places) = self.sources(channel, receiver, senders);
         let (copies, lists) =
-            await_copies(env, &self.cfg, mailbox.as_ref(), &places, Some(receiver)).await?;
+            await_copies(env, &self.cfg, mailbox.as_ref(), &places, Some(receiver), pass).await?;
         stats.list_requests = lists;
         let wait_end = env.cloud.handle.now();
         stats.wait_secs = (wait_end - wait_start).as_secs_f64();
@@ -270,13 +296,14 @@ impl EdgeTransport {
     /// on* a sort-sample barrier from the worker that died *before* it.
     pub async fn probe(
         &self,
-        s3: &S3Client,
+        cloud: &Cloud,
         channel: &str,
         senders: usize,
     ) -> Result<HashSet<usize>> {
         let (mailbox, places) = self.sources(channel, 0, senders);
         let mut seen = BTreeMap::new();
-        discover(s3, mailbox.as_ref(), &places, Some(0), true, &mut seen).await?;
+        let s3 = cloud.driver_s3();
+        discover(&cloud.handle, &s3, mailbox.as_ref(), &places, Some(0), true, &mut seen).await?;
         Ok(seen.into_keys().collect())
     }
 }
@@ -302,11 +329,21 @@ mod tests {
         endpoints: usize,
         max_polls: usize,
     ) -> (Simulation, Cloud, EdgeTransport) {
+        edge_over(1, direct, endpoints, max_polls)
+    }
+
+    /// [`edge`] with the senders sharded over `num_buckets` buckets.
+    fn edge_over(
+        num_buckets: usize,
+        direct: bool,
+        endpoints: usize,
+        max_polls: usize,
+    ) -> (Simulation, Cloud, EdgeTransport) {
         let sim = Simulation::new();
         let p2p = P2pConfig { max_endpoints: endpoints, ..P2pConfig::default() };
         let cloud = Cloud::new(&sim, CloudConfig { p2p, ..CloudConfig::default() });
         let cfg = ExchangeConfig {
-            num_buckets: 1,
+            num_buckets,
             poll_interval: Duration::from_millis(10),
             max_polls,
             ..ExchangeConfig::default()
@@ -408,6 +445,108 @@ mod tests {
             assert_eq!((stats.p2p_requests, stats.get_requests), (direct, 2 - direct));
             assert_eq!(stats.list_requests, 1, "one LIST, after the mailbox-only grace rounds");
         }
+    }
+
+    /// (b') A pass LISTs every incomplete bucket at once: with eight
+    /// senders on eight buckets already written, discovery costs about one
+    /// first-byte latency, not eight, and spends the LISTs and chooses the
+    /// copies of a pass that visits the buckets one by one.
+    #[test]
+    fn a_discovery_pass_lists_all_buckets_in_one_round() {
+        use crate::exchange::{Copy, CopyAt};
+        let (sim, cloud, t) = edge_over(8, false, 0, 50);
+        let ttfb = cloud.config.s3.ttfb_median.as_secs_f64();
+        let chosen = |best: &BTreeMap<usize, Copy>| -> Vec<(usize, u32, u64, String)> {
+            let key = |c: &Copy| match &c.at {
+                CopyAt::Store { bucket, key, .. } => format!("{bucket}/{key}"),
+                CopyAt::Mailbox(endpoint) => endpoint.to_string(),
+            };
+            best.values().map(|c| (c.sender, c.attempt, c.len, key(c))).collect()
+        };
+        sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                // Senders 2 and 5 were speculated against: two files each.
+                for s in 0..8 {
+                    put_file(&t, &worker(&cloud, s as u64, 0), s, 0, &[s as u8; 16]).await;
+                }
+                for s in [2, 5] {
+                    put_file(&t, &worker(&cloud, s as u64, 1), s, 0, &[0xB0 | s as u8; 24]).await;
+                }
+                let (_, places) = t.sources(CHANNEL, 0, 8);
+                assert_eq!(places.len(), 8, "one bucket per sender");
+                let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
+
+                let start = handle.now();
+                let (mut one_by_one, mut lists) = (BTreeMap::new(), 0);
+                for place in &places {
+                    let place = std::slice::from_ref(place);
+                    lists += discover(handle, &s3, None, place, Some(0), true, &mut one_by_one)
+                        .await
+                        .unwrap();
+                }
+                let serial_secs = (handle.now() - start).as_secs_f64();
+
+                let start = handle.now();
+                let mut together = BTreeMap::new();
+                let spent = discover(handle, &s3, None, &places, Some(0), true, &mut together)
+                    .await
+                    .unwrap();
+                let round_secs = (handle.now() - start).as_secs_f64();
+                assert_eq!((spent, lists), (8, 8));
+                assert_eq!(chosen(&together), chosen(&one_by_one));
+                assert_eq!(together[&2].attempt, 1, "the backup's file wins");
+                assert!(serial_secs > 6.0 * ttfb, "one by one: {serial_secs} s");
+                assert!(round_secs < 2.5 * ttfb, "one round: {round_secs} s");
+
+                // The same through a receive: the wait is that one round.
+                let (parts, stats) = t.recv(&worker(&cloud, 11, 0), CHANNEL, 0, 8).await.unwrap();
+                assert!(stats.wait_secs < 2.5 * ttfb, "exchange_wait {} s", stats.wait_secs);
+                assert_eq!((stats.list_requests, stats.get_requests), (8, 8));
+                assert_eq!(parts[2], real(&[0xB2; 24]));
+                assert_eq!(parts[3], real(&[3; 16]));
+            }
+        });
+    }
+
+    /// (b'') A barrier among running peers walks its buckets one by one:
+    /// four peers that write their sample within a few first-byte
+    /// latencies of each other all complete in one pass — one LIST per
+    /// bucket, no back-off — where the one-round receive sends the early
+    /// ones to sleep and to LIST again.
+    #[test]
+    fn a_barrier_pass_outlasts_the_skew_among_its_peers() {
+        let run = |barrier: bool| {
+            let (sim, cloud, t) = edge_over(4, false, 0, 50);
+            let ttfb = cloud.config.s3.ttfb_median;
+            let t = Rc::new(t);
+            let peers: Vec<_> = (0..4usize)
+                .map(|p| {
+                    let (cloud, t) = (cloud.clone(), Rc::clone(&t));
+                    cloud.handle.clone().spawn(async move {
+                        let env = worker(&cloud, p as u64, 0);
+                        cloud.handle.sleep(ttfb.mul_f64(0.5 * p as f64)).await;
+                        t.send(&env, "x9/q0/s0smp", p, vec![real(&[p as u8; 8])]).await.unwrap();
+                        let (parts, stats) = if barrier {
+                            t.recv_barrier(&env, "x9/q0/s0smp", 4).await.unwrap()
+                        } else {
+                            t.recv(&env, "x9/q0/s0smp", 0, 4).await.unwrap()
+                        };
+                        assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
+                        stats
+                    })
+                })
+                .collect();
+            sim.block_on(join_all(peers))
+        };
+        let ttfb = CloudConfig::default().s3.ttfb_median.as_secs_f64();
+        for stats in run(true) {
+            assert_eq!(stats.list_requests, 4, "one pass");
+            assert!(stats.wait_secs < 5.0 * ttfb, "four LISTs, no back-off: {}", stats.wait_secs);
+        }
+        let one_round = run(false);
+        assert!(one_round[0].list_requests > 4, "the first writer misses the late samples");
+        assert_eq!(one_round[3].list_requests, 4, "the last writer finds everyone");
     }
 
     /// (c) A listed file with no section for this receiver is not a copy:

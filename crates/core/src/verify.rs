@@ -706,8 +706,10 @@ pub fn verify_stream(
 /// fleet nonzero, unpinned consumer fleets within the cost model's bound,
 /// pins respected, and shared edges read by equal fleets. Transport
 /// endpoint names need no check: `x{instance}/q{query}/s{stage}/r{p}` and
-/// the `…smp/r0` sample endpoint are injective in the stage id, and one
-/// function spells each for both the driver and the workers.
+/// the `…smp/r0` sample endpoint (which exists only for a sort edge with
+/// a barrier, [`crate::worker::SortEdgeSpec::has_barrier`]) are injective
+/// in the stage id, and one function spells each for both the driver and
+/// the workers.
 pub fn verify_fleets(
     edges: &EdgeTable<'_>,
     fleets: &[usize],

@@ -33,13 +33,13 @@ use lambada_engine::types::SchemaRef;
 use lambada_engine::{RecordBatch, Scalar};
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
-use lambada_sim::sync::mpsc;
+use lambada_sim::sync::{mpsc, try_join2};
 use lambada_sim::Cloud;
 
 use crate::costmodel::ComputeCostModel;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
-use crate::exchange::{run_exchange, ExchangeConfig, ExchangeSide, PartData};
+use crate::exchange::{run_exchange, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData};
 use crate::invoke;
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
@@ -70,7 +70,8 @@ pub struct ExchangeTask {
 /// `senders` samples are visible, and computes boundaries from the pooled
 /// sample deterministically — same pool, same boundaries, everywhere
 /// (speculative duplicate samples are harmless: a backup's run is
-/// bit-identical to the original's).
+/// bit-identical to the original's). An edge with nothing to agree on
+/// has no such barrier ([`SortEdgeSpec::has_barrier`]).
 #[derive(Clone)]
 pub struct SortEdgeSpec {
     /// Sort keys over `schema`.
@@ -83,6 +84,16 @@ pub struct SortEdgeSpec {
     pub partitions: usize,
     /// Producer fleet size (how many sample files to await).
     pub senders: usize,
+}
+
+impl SortEdgeSpec {
+    /// Whether producers must pool their samples before partitioning.
+    /// One partition has no boundaries, and a lone producer's pool is its
+    /// own sample: neither writes, awaits or reads a sample, the driver
+    /// registers no sample endpoint and probes no barrier.
+    pub fn has_barrier(&self) -> bool {
+        self.partitions > 1 && self.senders > 1
+    }
 }
 
 /// Name of the sample channel riding beside a sort edge's data
@@ -371,24 +382,33 @@ fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
     stats.bytes_written + stats.p2p_bytes
 }
 
-/// Drain one receiver's co-partition of a stage edge: await every
-/// sender's part, fold the receive's request accounting into the
-/// metrics, and hand back the non-empty payloads in sender order.
-/// Modeled payloads carry no rows to compute on and are rejected.
-async fn read_edge(
-    env: &WorkerEnv,
-    task: &StageTask,
-    edge: &EdgeRead,
-    receiver: usize,
-    metrics: &mut WorkerMetrics,
-) -> Result<Vec<Vec<u8>>> {
-    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, edge.senders).await?;
+/// Fold one stage-edge receive's request accounting into the worker
+/// metrics.
+fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
     metrics.bytes_read += stats.bytes_read;
     metrics.get_requests += stats.get_requests;
     metrics.list_requests += stats.list_requests;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
     metrics.exchange_wait_secs += stats.wait_secs;
+}
+
+/// Receive one receiver's co-partition of a stage edge: await every
+/// sender's part and hand back the non-empty payloads in sender order,
+/// with the receive's request accounting. Modeled payloads carry no rows
+/// to compute on and are rejected.
+async fn recv_edge(
+    env: &WorkerEnv,
+    task: &StageTask,
+    edge: &EdgeRead,
+    receiver: usize,
+) -> Result<(Vec<Vec<u8>>, EdgeReadStats)> {
+    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, edge.senders).await?;
+    Ok((real_payloads(parts)?, stats))
+}
+
+/// The non-empty payloads of received parts, in order.
+fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
     let mut payloads = Vec::with_capacity(parts.len());
     for part in parts {
         match part {
@@ -401,6 +421,20 @@ async fn read_edge(
             }
         }
     }
+    Ok(payloads)
+}
+
+/// [`recv_edge`] for an operator with one in-edge: the accounting goes
+/// straight into the metrics.
+async fn read_edge(
+    env: &WorkerEnv,
+    task: &StageTask,
+    edge: &EdgeRead,
+    receiver: usize,
+    metrics: &mut WorkerMetrics,
+) -> Result<Vec<Vec<u8>>> {
+    let (payloads, stats) = recv_edge(env, task, edge, receiver).await?;
+    fold_read_stats(metrics, stats);
     Ok(payloads)
 }
 
@@ -458,8 +492,10 @@ async fn store_result(
 /// sample is visible and read them all back; (3) compute range boundaries
 /// from the pooled sample — deterministic, so all producers agree without
 /// any coordinator; (4) range-partition the run and write it onto the
-/// data edge like any other stage edge. Updates `metrics` with the
-/// requests spent and returns the bytes the data edge carried.
+/// data edge like any other stage edge. Without a barrier
+/// ([`SortEdgeSpec::has_barrier`]) steps (1) and (2) fall away: the pool
+/// is the local sample. Updates `metrics` with the requests spent and
+/// returns the bytes the data edge carried.
 async fn sort_exchange_out(
     env: &WorkerEnv,
     task: &StageTask,
@@ -468,13 +504,13 @@ async fn sort_exchange_out(
     run: &RecordBatch,
     metrics: &mut WorkerMetrics,
 ) -> Result<u64> {
-    // ---- Sample write ---------------------------------------------------
-    let key_cols = sort_key_columns(run, &edge.keys)?;
+    // ---- Local sample ---------------------------------------------------
     let rows = run.num_rows();
     let sample_count = SORT_SAMPLE_ROWS.min(rows);
-    let sample_bytes = if sample_count == 0 {
-        Vec::new()
+    let sample = if sample_count == 0 || edge.partitions <= 1 {
+        None
     } else {
+        let key_cols = sort_key_columns(run, &edge.keys)?;
         let idx: Vec<usize> = (0..sample_count).map(|i| i * rows / sample_count).collect();
         let mut fields = Vec::with_capacity(edge.keys.len());
         let mut cols = Vec::with_capacity(edge.keys.len());
@@ -483,23 +519,27 @@ async fn sort_exchange_out(
             fields.push(lambada_engine::Field::new(format!("k{j}"), gathered.dtype()));
             cols.push(gathered);
         }
-        let sample = RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?;
-        crate::partition::encode_batches(&[sample])?
+        Some(RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?)
     };
-    let samples = EdgeRead { channel: sample_channel(channel), senders: edge.senders };
     let sender = env.worker_id as usize;
-    let write_stats = task
-        .transport
-        .send(env, &samples.channel, sender, vec![PartData::Real(sample_bytes)])
-        .await?;
-    fold_write_stats(metrics, write_stats);
-
-    // ---- Sample read: every producer reads the whole pool ---------------
-    let mut pooled: Vec<Vec<Scalar>> = Vec::new();
-    for batch in decode_parts(read_edge(env, task, &samples, 0, metrics).await?) {
-        let batch = batch?;
-        pooled.extend((0..batch.num_rows()).map(|row| batch.row(row)));
-    }
+    let pool: Vec<RecordBatch> = if edge.has_barrier() {
+        // ---- Sample write, then every producer reads the whole pool -----
+        let sample_bytes = match &sample {
+            Some(sample) => crate::partition::encode_batches(std::slice::from_ref(sample))?,
+            None => Vec::new(),
+        };
+        let samples = sample_channel(channel);
+        let write_stats =
+            task.transport.send(env, &samples, sender, vec![PartData::Real(sample_bytes)]).await?;
+        fold_write_stats(metrics, write_stats);
+        let (parts, read_stats) = task.transport.recv_barrier(env, &samples, edge.senders).await?;
+        fold_read_stats(metrics, read_stats);
+        decode_parts(real_payloads(parts)?).collect::<Result<_>>()?
+    } else {
+        sample.into_iter().collect()
+    };
+    let pooled: Vec<Vec<Scalar>> =
+        pool.iter().flat_map(|b| (0..b.num_rows()).map(|row| b.row(row))).collect();
     let boundaries = range_boundaries(pooled, &edge.keys, edge.partitions);
 
     // ---- Range partition + data write -----------------------------------
@@ -609,23 +649,37 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
             pipeline.finish()?
         }
         StageOp::Join { stage, probe, build } => {
+            // Both in-edges are received together — each costs a
+            // discovery round and a fetch round of pure latency — and
+            // consumed in a fixed order: build fully, then probe. Their
+            // accounting is folded in that order too, so float sums
+            // repeat.
             // ---- Build side: the whole co-partition, then one hash table.
-            let build_batches = decode_parts(read_edge(env, task, build, p, &mut metrics).await?)
-                .collect::<Result<Vec<_>>>()?;
-            let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
-            env.compute(env.costs.process_seconds(build_rows)).await;
-            let table = JoinState::build(
-                stage.build_schema.clone(),
-                stage.build_keys.clone(),
-                &build_batches,
-            )?;
-            drop(build_batches);
-            if table.approx_bytes() as u64 > budget / 2 {
-                return Err(CoreError::Engine(format!(
-                    "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
-                    table.approx_bytes()
-                )));
-            }
+            let build_side = async {
+                let (payloads, stats) = recv_edge(env, task, build, p).await?;
+                let build_batches = decode_parts(payloads).collect::<Result<Vec<_>>>()?;
+                let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
+                env.compute(env.costs.process_seconds(build_rows)).await;
+                let table = JoinState::build(
+                    stage.build_schema.clone(),
+                    stage.build_keys.clone(),
+                    &build_batches,
+                )?;
+                if table.approx_bytes() as u64 > budget / 2 {
+                    return Err(CoreError::Engine(format!(
+                        "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
+                        table.approx_bytes()
+                    )));
+                }
+                Ok::<_, CoreError>((table, build_rows, stats))
+            };
+            // A build-side failure is the worker's failure at once: the
+            // probe receive is dropped, not waited for.
+            let ((table, build_rows, build_stats), probed) =
+                try_join2(build_side, recv_edge(env, task, probe, p)).await?;
+            fold_read_stats(&mut metrics, build_stats);
+            let (probe_payloads, probe_stats) = probed?;
+            fold_read_stats(&mut metrics, probe_stats);
 
             // ---- Probe side: stream the co-partition through the table.
             let mut probe_pipeline = Pipeline::new(PipelineSpec {
@@ -638,7 +692,7 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
                     variant: stage.variant,
                 },
             })?;
-            for batch in decode_parts(read_edge(env, task, probe, p, &mut metrics).await?) {
+            for batch in decode_parts(probe_payloads) {
                 let batch = batch?;
                 env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
                 probe_pipeline.push(&batch)?;

@@ -398,7 +398,65 @@ impl<A: Future, B: Future> Future for Select2<A, B> {
     }
 }
 
-/// Await all futures in a vector, returning outputs in input order.
+/// Await two futures together in one task: resolves with `a`'s error as
+/// soon as `a` fails (dropping `b`, like [`select2`] drops its loser),
+/// otherwise once both have finished, with `a`'s value and `b`'s output.
+/// Each poll drives `a` first, so same-instant progress is in argument
+/// order. Unlike spawning, the futures may borrow from the caller.
+pub fn try_join2<T, E, A, B>(a: A, b: B) -> TryJoin2<T, A, B>
+where
+    A: Future<Output = Result<T, E>>,
+    B: Future,
+{
+    TryJoin2 { a, b, a_out: None, b_out: None }
+}
+
+pub struct TryJoin2<T, A, B: Future> {
+    a: A,
+    b: B,
+    a_out: Option<T>,
+    b_out: Option<B::Output>,
+}
+
+impl<T, E, A, B> Future for TryJoin2<T, A, B>
+where
+    A: Future<Output = Result<T, E>>,
+    B: Future,
+{
+    type Output = Result<(T, B::Output), E>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // Safety: `a` and `b` are structurally pinned; they are never moved
+        // out of `self` while pinned. The outputs are plain values.
+        let this = unsafe { self.get_unchecked_mut() };
+        if this.a_out.is_none() {
+            let a = unsafe { Pin::new_unchecked(&mut this.a) };
+            match a.poll(cx) {
+                Poll::Ready(Ok(v)) => this.a_out = Some(v),
+                Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                Poll::Pending => {}
+            }
+        }
+        if this.b_out.is_none() {
+            let b = unsafe { Pin::new_unchecked(&mut this.b) };
+            if let Poll::Ready(v) = b.poll(cx) {
+                this.b_out = Some(v);
+            }
+        }
+        if this.a_out.is_some() && this.b_out.is_some() {
+            let both = this.a_out.take().zip(this.b_out.take());
+            return Poll::Ready(Ok(both.expect("both outputs checked present")));
+        }
+        Poll::Pending
+    }
+}
+
+/// Await the futures of a vector **one after the other**, returning
+/// outputs in input order. Only futures that already run on their own —
+/// [`crate::JoinHandle`]s of spawned tasks — overlap; plain futures start
+/// when their turn comes, so `n` one-second sleeps take `n` seconds. To
+/// overlap work that borrows from the caller use [`try_join2`]; otherwise
+/// spawn it first and pass the handles.
 pub async fn join_all<F: Future>(futures: Vec<F>) -> Vec<F::Output> {
     let mut out = Vec::with_capacity(futures.len());
     for f in futures {
@@ -563,6 +621,63 @@ mod tests {
         assert!(notify.inner.borrow().wakers.is_empty());
         assert!(Pin::new(&mut a).poll(&mut cx).is_ready());
         assert!(Pin::new(&mut b).poll(&mut cx).is_ready());
+    }
+
+    #[test]
+    fn join_all_awaits_in_order_and_only_spawned_handles_overlap() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        sim.block_on(async {
+            // Each future takes its deadline when it is first polled.
+            let one_second = || async { h.sleep(secs(1.0)).await };
+            join_all(vec![one_second(), one_second()]).await
+        });
+        assert_eq!(sim.now().as_secs_f64(), 2.0, "plain futures run one after the other");
+
+        let sim = Simulation::new();
+        let h = sim.handle();
+        sim.block_on(async move {
+            let spawned = (0..2)
+                .map(|_| {
+                    let h2 = h.clone();
+                    h.spawn(async move { h2.sleep(secs(1.0)).await })
+                })
+                .collect();
+            join_all(spawned).await
+        });
+        assert_eq!(sim.now().as_secs_f64(), 1.0, "spawned tasks overlap");
+    }
+
+    #[test]
+    fn try_join2_overlaps_borrowing_futures_and_returns_at_the_first_error_of_a() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let log = RefCell::new(Vec::new());
+        let out = sim.block_on(async {
+            let step = |name: &'static str, s: f64, ok: bool| {
+                let (h, log) = (&h, &log);
+                async move {
+                    h.sleep(secs(s)).await;
+                    log.borrow_mut().push(name);
+                    if ok {
+                        Ok(name)
+                    } else {
+                        Err(name)
+                    }
+                }
+            };
+            let first = try_join2(step("a", 2.0, true), step("b", 1.0, true)).await;
+            let tie = try_join2(step("c", 1.0, true), step("d", 1.0, false)).await;
+            // `a` fails after 1 s: `b`'s remaining 9 s are not waited for.
+            let failed = try_join2(step("e", 1.0, false), step("f", 10.0, true)).await;
+            (first, tie, failed)
+        });
+        assert_eq!(out.0, Ok(("a", Ok("b"))));
+        assert_eq!(out.1, Ok(("c", Err("d"))), "only `a`'s error cuts the join short");
+        assert_eq!(out.2, Err("e"));
+        assert_eq!(*log.borrow(), vec!["b", "a", "c", "d", "e"]);
+        assert_eq!(sim.now().as_secs_f64(), 4.0, "2 s + 1 s + 1 s");
+        assert_eq!(sim.pending_timers(), 0, "the dropped sleep cancelled its timer");
     }
 
     #[test]

@@ -96,22 +96,103 @@ fn q6_distributed_matches_reference() {
     assert!(batch.row(0)[0].as_f64().unwrap() > 0.0);
 }
 
+/// The installation picks the invocation shape per fleet, so both shapes
+/// are driven here through the explicit entry point: Q6's scan fleet is
+/// built by hand, invoked directly and through the two-level tree, and
+/// its reports merged like the driver merges them.
 #[test]
 fn direct_and_two_level_invocation_agree() {
+    use lambada::core::invoke::labels;
+    use lambada::core::stage::FinalStage;
+    use lambada::core::{
+        invoke_workers_as, EdgeTransport, ExchangeSide, ResultPayload, ScanOp, StageKind, StageOp,
+        StageSink, StageTask, WorkerPayload, WorkerResult, WorkerTask,
+    };
+    use lambada::engine::physical::agg_state_to_batch;
+    use lambada::engine::GroupedAggState;
+
     let plan = lambada::workloads::q6("lineitem");
-    let (direct, _) = run_distributed(
-        &plan,
-        0.001,
-        7,
-        LambadaConfig { strategy: InvocationStrategy::Direct, ..LambadaConfig::default() },
-    );
-    let (tree, _) = run_distributed(
-        &plan,
-        0.001,
-        7,
-        LambadaConfig { strategy: InvocationStrategy::TwoLevel, ..LambadaConfig::default() },
-    );
-    assert_batches_close(&direct, &tree);
+    let run = |strategy: InvocationStrategy| {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let spec = stage_real(&cloud, "tpch", "lineitem", stage_opts(0.001, 7));
+        let workers = spec.files.len();
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        system.register_table(spec.clone());
+        let dag = system.plan(&plan).unwrap();
+        let [StageKind::Scan(stage)] = dag.stages.as_slice() else {
+            panic!("Q6 is one scan stage");
+        };
+        let FinalStage::MergeAggregate { agg_schema, funcs, post } = &dag.final_stage else {
+            panic!("Q6 merges aggregate states on the driver");
+        };
+        assert!(post.is_empty(), "nothing left to apply after the merge");
+        let config = system.config();
+        let task = Rc::new(StageTask {
+            op: StageOp::Scan(Rc::new(ScanOp {
+                stage: stage.clone(),
+                table: Rc::new(spec),
+                scan: config.scan,
+                files_per_worker: 1,
+            })),
+            sink: StageSink::Report,
+            transport: Rc::new(EdgeTransport::new(
+                config.exchange.clone(),
+                ExchangeSide::new(),
+                None,
+            )),
+            result_bucket: config.result_bucket.clone(),
+            result_prefix: "results/by-hand".to_string(),
+        });
+        cloud.sqs.create_queue("by-hand");
+        let payloads: Vec<WorkerPayload> = (0..workers as u64)
+            .map(|w| WorkerPayload {
+                worker_id: w,
+                attempt: 0,
+                query: 0,
+                task: WorkerTask::Stage(Rc::clone(&task)),
+                children: Vec::new(),
+                result_queue: "by-hand".to_string(),
+            })
+            .collect();
+        let function = config.function_name.clone();
+        let mut results = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                invoke_workers_as(&cloud, &function, payloads, strategy).await.unwrap();
+                let sqs = cloud.driver_sqs();
+                let mut out = Vec::new();
+                while out.len() < workers {
+                    let wait = std::time::Duration::from_secs(2);
+                    for msg in sqs.receive("by-hand", 10, wait).await.unwrap() {
+                        out.push(WorkerResult::decode(&msg).unwrap());
+                    }
+                }
+                out
+            }
+        });
+        results.sort_by_key(|r| r.worker_id);
+        let mut state = GroupedAggState::new(funcs).unwrap();
+        for r in &results {
+            match r.outcome.as_ref().unwrap() {
+                ResultPayload::AggState(bytes) => {
+                    state.merge(&GroupedAggState::decode(bytes).unwrap()).unwrap();
+                }
+                ResultPayload::Empty => {}
+                other => panic!("worker {} reported {other:?}", r.worker_id),
+            }
+        }
+        let second_generation = cloud.trace.spans(labels::SPAWN).len();
+        (agg_state_to_batch(&state, agg_schema).unwrap(), second_generation)
+    };
+    let (direct, direct_spawns) = run(InvocationStrategy::Direct);
+    let (tree, tree_spawns) = run(InvocationStrategy::TwoLevel);
+    assert_eq!(direct_spawns, 0, "the driver invoked every worker itself");
+    assert_eq!(tree_spawns, 3, "six workers: three first-generation workers with a child each");
+    assert_eq!(direct, tree, "the shape moves the clock, never a bit of the result");
+    // And the shape the installation picks for this fleet gives the same.
+    let (chosen, _) = run_distributed(&plan, 0.001, 7, LambadaConfig::default());
+    assert_eq!(chosen, direct);
 }
 
 #[test]
@@ -299,6 +380,17 @@ fn system_buckets() -> f64 {
 
 #[test]
 fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() {
+    q5_multiway(2);
+}
+
+/// A one-worker sort fleet has no boundaries to agree on: the merge
+/// fleet skips the sample barrier and PUTs its runs only.
+#[test]
+fn q5_multiway_with_a_lone_sorter_skips_the_sample_barrier() {
+    q5_multiway(1);
+}
+
+fn q5_multiway(sort_workers: usize) {
     // The acceptance shape for general DAG lowering: a 3-table join with
     // group-by, ORDER BY, and LIMIT plans and executes entirely in the
     // serverless scope — nested join over a row exchange, repartitioned
@@ -325,7 +417,6 @@ fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() 
     let cust_spec = lambada::workloads::stage_real_customer(&cloud, "tpch", "customer", cust_opts);
     let join_workers = 3;
     let agg_workers = 4;
-    let sort_workers = 2;
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
@@ -426,28 +517,29 @@ fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() 
         outer_join.put_requests, join_workers as u64,
         "outer join ships agg shards: one combined PUT per worker"
     );
+    let barrier = sort_workers > 1;
     assert_eq!(
         agg.put_requests,
-        2 * agg_workers as u64,
-        "each merge worker PUTs its boundary sample and its partitioned run"
+        if barrier { 2 * agg_workers as u64 } else { agg_workers as u64 },
+        "each merge worker PUTs its partitioned run, and its boundary sample \
+         only when there are boundaries to agree on"
     );
     assert!(sort.put_requests >= 1 && sort.put_requests <= sort_workers as u64);
     // Reads/lists bounded by the model (empty sections are skipped).
     let inner_edge = stage_edge_counts(scan_workers as f64, join_workers as f64, buckets);
     assert!(inner_join.get_requests >= 1 && inner_join.get_requests <= inner_edge.reads as u64);
     assert!(inner_join.list_requests >= 1 && inner_join.list_requests <= inner_edge.lists as u64);
-    // The merge fleet LISTs two prefixes: the join→agg state edge and
-    // the sample pool of the sort edge it produces (every merge worker
-    // reads all merge workers' samples).
+    // The merge fleet LISTs two prefixes: the join→agg state edge and —
+    // with a barrier — the sample pool of the sort edge it produces
+    // (every merge worker reads all merge workers' samples). One pass
+    // over each, bucket by bucket, and never a re-poll: the state edge's
+    // producers are done (eager scheduling), and a pass over the pool
+    // outlasts the skew among the peers writing to it.
     let agg_edge = stage_edge_counts(join_workers as f64, agg_workers as f64, buckets);
     let smp_edge = stage_edge_counts(agg_workers as f64, agg_workers as f64, buckets);
     assert!(agg.get_requests >= 1);
-    assert!(
-        agg.list_requests >= 1 && agg.list_requests <= (agg_edge.lists + smp_edge.lists) as u64,
-        "{} LISTs vs model bound {}",
-        agg.list_requests,
-        agg_edge.lists + smp_edge.lists
-    );
+    let one_pass = agg_edge.lists as u64 + if barrier { smp_edge.lists as u64 } else { 0 };
+    assert_eq!(agg.list_requests, one_pass, "LISTs vs one model pass per in-edge");
     // Every exchange edge carried bytes.
     assert!(report.stages[..3].iter().all(|s| s.bytes_exchanged > 0));
     assert!(inner_join.bytes_exchanged > 0, "nested join re-exchanged rows");
@@ -802,7 +894,7 @@ fn q12_join_runs_distributed_and_matches_reference() {
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
-    assert_batches_close(&report.batch, &reference);
+    assert_eq!(report.batch, reference, "bit-identical to the reference executor");
     assert!(report.batch.num_rows() > 0, "Q12 selected something");
 
     // The stage DAG really ran: two scan fleets + one join fleet. The
@@ -824,6 +916,18 @@ fn q12_join_runs_distributed_and_matches_reference() {
     assert_eq!(report.stages[1].put_requests, 6, "one combined PUT per lineitem scanner");
     assert!(report.stages[2].get_requests >= 1, "join workers fetch partitions");
     assert!(report.stages[2].list_requests >= 1, "partition discovery via LIST");
+    // Both in-edges are complete when the join fleet launches, and each
+    // join worker discovers them together: its two waits (only join
+    // workers wait on an edge in this DAG) start at once and overlap,
+    // so a worker pays one discovery round, not one per edge.
+    let waits = cloud.trace.spans("exchange_wait");
+    assert_eq!(waits.len(), 2 * report.stages[2].workers);
+    for w in 0..report.stages[2].workers as u64 {
+        let mine: Vec<_> = waits.iter().filter(|e| e.worker == w).collect();
+        let [a, b] = mine.as_slice() else { panic!("join worker {w}: {} waits", mine.len()) };
+        assert_eq!(a.start, b.start, "join worker {w} starts both receives together");
+        assert!(a.end > b.start && b.end > a.start, "join worker {w}'s waits overlap");
+    }
     // Concurrent scan wave: both scans share one billing snapshot and the
     // query is not slower than the two scans run back to back.
     assert!(report.latency_secs > 0.0);

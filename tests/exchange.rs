@@ -254,8 +254,8 @@ fn modeled_exchange_matches_real_request_counts() {
 #[test]
 fn exchange_runs_through_faas_workers() {
     use lambada::core::{
-        invoke_workers, register_worker_function, ExchangeTask, InvocationStrategy, WorkerPayload,
-        WorkerResult, WorkerTask,
+        invoke_workers_as, register_worker_function, ExchangeTask, InvocationStrategy,
+        WorkerPayload, WorkerResult, WorkerTask,
     };
     use std::time::Duration;
 
@@ -301,7 +301,9 @@ fn exchange_runs_through_faas_workers() {
     let results = sim.block_on({
         let cloud2 = cloud.clone();
         async move {
-            invoke_workers(&cloud2, "xchg", payloads, InvocationStrategy::TwoLevel).await.unwrap();
+            invoke_workers_as(&cloud2, "xchg", payloads, InvocationStrategy::TwoLevel)
+                .await
+                .unwrap();
             let sqs = cloud2.driver_sqs();
             let mut out = Vec::new();
             while out.len() < total {

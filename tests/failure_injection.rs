@@ -121,12 +121,14 @@ fn big_enough_workers_succeed_on_same_data() {
 fn function_timeout_kills_workers_and_driver_gives_up() {
     let sim = Simulation::new();
     let (cloud, spec) = staged(&sim, 0.01);
-    // A timeout far below the work required: every worker is killed
-    // mid-flight and never posts a result (the realistic silent death).
+    // A timeout far below the work required — less than one first byte
+    // from the object store, and a scan needs the footer and then a row
+    // group: every worker is killed mid-flight and never posts a result
+    // (the realistic silent death).
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
-            timeout: Duration::from_millis(200),
+            timeout: Duration::from_millis(10),
             max_wait: Duration::from_secs(30),
             ..LambadaConfig::default()
         },
@@ -134,12 +136,12 @@ fn function_timeout_kills_workers_and_driver_gives_up() {
     system.register_table(spec);
     let err = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap_err() });
     match err {
-        CoreError::Timeout { missing_workers, .. } => assert!(missing_workers > 0),
+        CoreError::Timeout { missing_workers, .. } => assert_eq!(missing_workers, 4),
         other => panic!("expected driver timeout, got {other}"),
     }
-    // The FaaS layer counted the kills.
+    // The FaaS layer counted the kills: the whole four-file fleet.
     let (_, _, timeouts) = cloud.faas.counters("lambada-worker");
-    assert!(timeouts > 0);
+    assert_eq!(timeouts, 4);
     // Even the failed stage's result queue was cleaned up.
     assert_eq!(cloud.sqs.queue_count(), 0);
 }
@@ -319,6 +321,90 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
     let plan = lambada::workloads::q12("lineitem", "orders");
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
     (report.batch.clone(), report)
+}
+
+/// A join worker receives both in-edges together, but a build side that
+/// fails is the worker's failure at once: with a probe producer that
+/// never writes it reports when it would with the probe edge ready, not
+/// after sitting out the probe edge's poll ladder on billed time.
+#[test]
+fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
+    use lambada::core::{
+        invoke_workers_as, EdgeRead, EdgeTransport, ExchangeSide, InvocationStrategy, PartData,
+        StageKind, StageOp, StageSink, StageTask, WorkerEnv, WorkerPayload, WorkerResult,
+        WorkerTask,
+    };
+
+    // Seconds from launch until the worker's error report is received.
+    let run = |probe_written: bool| -> f64 {
+        let sim = Simulation::new();
+        let (cloud, li_spec) = staged(&sim, 0.002);
+        let orders_opts = lambada::workloads::OrdersStageOptions {
+            rows: li_spec.total_rows,
+            num_files: 2,
+            row_groups_per_file: 1,
+            seed: 21,
+        };
+        let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        system.register_table(li_spec);
+        system.register_table(ord_spec);
+        let dag = system.plan(&lambada::workloads::q12("lineitem", "orders")).unwrap();
+        let Some(StageKind::Join(stage)) = dag.stages.last() else {
+            panic!("Q12 ends in a join stage");
+        };
+        let config = system.config();
+        let transport =
+            Rc::new(EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None));
+        let edge = |stage: usize| EdgeRead { channel: format!("xhand/q0/s{stage}"), senders: 1 };
+        let (probe, build) = (edge(0), edge(1));
+        let task = Rc::new(StageTask {
+            op: StageOp::Join { stage: stage.clone(), probe: probe.clone(), build: build.clone() },
+            sink: StageSink::Report,
+            transport: Rc::clone(&transport),
+            result_bucket: config.result_bucket.clone(),
+            result_prefix: "results/by-hand".to_string(),
+        });
+        let payload = WorkerPayload {
+            worker_id: 0,
+            attempt: 0,
+            query: 0,
+            task: WorkerTask::Stage(task),
+            children: Vec::new(),
+            result_queue: "by-hand".to_string(),
+        };
+        cloud.sqs.create_queue("by-hand");
+        let function = config.function_name.clone();
+        sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                // The build producer shipped bytes that are no record batch.
+                let garbage = || vec![PartData::Real(b"not a record batch".to_vec())];
+                let sender = WorkerEnv::bare(&cloud, 9, 2048, Default::default());
+                transport.send(&sender, &build.channel, 0, garbage()).await.unwrap();
+                if probe_written {
+                    transport.send(&sender, &probe.channel, 0, garbage()).await.unwrap();
+                }
+                let launched = cloud.handle.now();
+                invoke_workers_as(&cloud, &function, vec![payload], InvocationStrategy::Direct)
+                    .await
+                    .unwrap();
+                let sqs = cloud.driver_sqs();
+                for _ in 0..10 {
+                    let wait = Duration::from_secs(2);
+                    if let Some(msg) = sqs.receive("by-hand", 1, wait).await.unwrap().pop() {
+                        let result = WorkerResult::decode(&msg).unwrap();
+                        assert!(result.outcome.is_err(), "decoded garbage: {:?}", result.outcome);
+                        return (cloud.handle.now() - launched).as_secs_f64();
+                    }
+                }
+                panic!("the join worker never reported");
+            }
+        })
+    };
+    let (ready, stalled) = (run(true), run(false));
+    // The probe edge's first back-off alone is 0.5 s, its ladder over an hour.
+    assert!((stalled - ready).abs() < 0.05, "probe ready: {ready} s, never written: {stalled} s");
 }
 
 #[test]

@@ -108,11 +108,11 @@ fn exchange_config() -> LambadaConfig {
 #[test]
 fn q6_on_real_files() {
     let expected = Pin {
-        queries: vec![(4609429400397108917, 4540555546217389564)],
-        s3_gets: 16,
+        queries: vec![(4607338026111492801, 4536524183238306033)],
+        s3_gets: 7,
         s3_puts: 0,
         s3_lists: 0,
-        trace_len: 22,
+        trace_len: 24,
     };
     check("q6_on_real_files", expected, |sim| {
         let cloud = cloud(sim, 11);
@@ -127,11 +127,11 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4612220783347887056, 4554236055144979180)],
-        s3_gets: 56,
+        queries: vec![(4609615541249366754, 4553321096638923186)],
+        s3_gets: 32,
         s3_puts: 11,
         s3_lists: 27,
-        trace_len: 94,
+        trace_len: 98,
     };
     check("q12_over_the_object_store_exchange", expected, |sim| {
         let (cloud, system) = join_system(sim, 12, exchange_config());
@@ -145,11 +145,11 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4611710932995800263, 4547981110106035651)],
-        s3_gets: 63,
+        queries: vec![(4608807302089218762, 4544852542311134512)],
+        s3_gets: 24,
         s3_puts: 2,
         s3_lists: 0,
-        trace_len: 94,
+        trace_len: 98,
     };
     check("q3_on_the_direct_transport", expected, |sim| {
         let config = LambadaConfig { transport: TransportKind::Direct, ..exchange_config() };
@@ -167,15 +167,15 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4612493591739338188, 4553629157264954138),
-            (4613822316740783789, 4558862325620439845),
-            (4611932898681553540, 4550009156678714332),
-            (4607191474264349356, 4557755520976017271),
+            (4609496711494377172, 4550739647744033224),
+            (4611022287317822062, 4556761414408670020),
+            (4607920106707612837, 4546859548066354111),
+            (4609138274386540791, 4556468111177898042),
         ],
-        s3_gets: 249,
+        s3_gets: 105,
         s3_puts: 24,
         s3_lists: 47,
-        trace_len: 212,
+        trace_len: 217,
     };
     check("two_tenants_through_a_small_gate", expected, |sim| {
         let (cloud, system) = join_system(sim, 14, exchange_config());
@@ -211,11 +211,11 @@ fn two_tenants_through_a_small_gate() {
 #[test]
 fn descriptor_q1_on_40_files() {
     let expected = Pin {
-        queries: vec![(4617194682938344959, 4570354762470511388)],
+        queries: vec![(4616330646166027182, 4570195198134273799)],
         s3_gets: 1713,
         s3_puts: 0,
         s3_lists: 0,
-        trace_len: 181,
+        trace_len: 240,
     };
     check("descriptor_q1_on_40_files", expected, |sim| {
         let cloud = cloud(sim, 15);
@@ -234,11 +234,11 @@ fn descriptor_q1_on_40_files() {
 #[test]
 fn killed_worker_with_speculation() {
     let expected = Pin {
-        queries: vec![(4613930924502310542, 4545715849933784124)],
-        s3_gets: 103,
+        queries: vec![(4611549333543689662, 4539091970013366402)],
+        s3_gets: 19,
         s3_puts: 0,
         s3_lists: 0,
-        trace_len: 27,
+        trace_len: 29,
     };
     check("killed_worker_with_speculation", expected, |sim| {
         let cloud = cloud(sim, 16);

@@ -344,8 +344,9 @@ fn run_fault_case(
 }
 
 /// Duplicate-attempt interleaving on the direct path: a scan producer
-/// with a crippled NIC keeps (slowly) streaming its attempt-0 partitions
-/// while its speculative backup re-sends them as attempt 1. Consumers
+/// with a crippled NIC (about 1 KB/s: a straggler by its own slowness,
+/// well past the fleet's cold starts) keeps streaming its attempt-0
+/// partitions while its speculative backup re-sends them as attempt 1. Consumers
 /// must pick exactly one attempt per sender — highest wins on ties of
 /// availability — and the result must match the clean baseline run.
 #[test]
@@ -357,7 +358,7 @@ fn duplicate_attempts_on_direct_path_match_clean_baseline() {
         Some(|wid, attempt| {
             (wid == 1 && attempt == 0).then_some(InjectedFault {
                 compute_factor: 50.0,
-                nic_factor: 0.001,
+                nic_factor: 0.00001,
                 kill_after: None,
             })
         }),
