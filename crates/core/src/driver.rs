@@ -30,13 +30,29 @@
 //! stages yields each stage's pin, byte estimate and fleet size (scans
 //! by file count, consumer fleets by their pin or else the compute cost
 //! model), and the DAG's edge table ([`crate::stage::EdgeTable`]) turns
-//! those into every out-edge's partition count and sort-edge spec. The
-//! fleet verifier, the p2p registration, the scheduler, the stage-task
-//! builder and the service's admission estimate all take that
-//! [`LaunchPlan`]; none of them sizes or wires anything again.
+//! those into every out-edge's partition count and sort-edge spec, and
+//! marks the edges that are *fused*. The fleet verifier, the p2p
+//! registration, the scheduler, the stage-task builder and the service's
+//! admission estimate all take that [`LaunchPlan`]; none of them sizes or
+//! wires anything again.
+//!
+//! A stage boundary costs something only where rows change workers. An
+//! edge from a one-worker fleet into a one-worker, single-input consumer
+//! is an identity, so it is fused ([`LaunchPlan::fused`]): the consumer
+//! runs inside its producer's invocation, and a chain of such stages
+//! (Q12's join → agg → sort) is one fleet future, one invocation, one
+//! result message — with one [`StageReport`] per stage all the same.
+//! Results ride that message when they are small
+//! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
+//! stored rest concurrently. Collection keeps a few result-queue long
+//! polls in flight and handles each as it completes, so a stage ends
+//! when its last report arrives, not when the slowest poll times out.
 
 use std::collections::{HashMap, HashSet};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 use std::time::Duration;
 
 use lambada_engine::agg::GroupedAggState;
@@ -55,14 +71,15 @@ use crate::scan::ScanConfig;
 use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
 use crate::service::{ServiceConfig, WorkerGate};
 use crate::stage::{
-    self, EdgeTable, FinalStage, PostOp, QueryDag, ReaderRole, SplitOptions, StageKind, StageOutput,
+    self, EdgeTable, FinalStage, PostOp, QueryDag, Reader, ReaderRole, SplitOptions, StageKind,
+    StageOutput,
 };
 use crate::table::TableSpec;
 use crate::transport::{EdgeTransport, TransportKind};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, sample_channel, EdgeRead, ScanOp, SortEdgeSpec, StageOp, StageSink,
-    StageTask, WorkerPayload, WorkerTask,
+    register_worker_function, sample_channel, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp,
+    StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -256,6 +273,11 @@ pub struct StageReport {
     /// `agg#3`, `sort#4`.
     pub label: String,
     pub workers: usize,
+    /// Id of the stage whose invocations ran this one: `id` itself, or
+    /// the head of the fused chain this stage ran in (see
+    /// [`LaunchPlan::fused`]). A fused stage shares its head's launch,
+    /// timing and billing window, and launches no invocation of its own.
+    pub chain: usize,
     /// Virtual seconds from the stage's enqueue (query start) to its
     /// last worker report: `queue_wait_secs + exec_secs`.
     pub wall_secs: f64,
@@ -331,7 +353,10 @@ pub struct QueryReport {
     /// exact per-stage request counters ([`QueryReport::request_dollars`])
     /// instead.
     pub cost: BillingSnapshot,
-    /// Total workers across all stages.
+    /// Worker invocations launched across all stages: one per fleet
+    /// slot, except that a fused chain of one-worker stages runs in one
+    /// invocation. (`Σ stages[i].workers` minus the fused edges;
+    /// speculative backups are counted separately.)
     pub workers: usize,
     pub cold_starts: u64,
     pub worker_metrics: Vec<WorkerMetrics>,
@@ -367,8 +392,8 @@ impl QueryReport {
         self.stages.iter().map(|s| s.p2p_requests).sum()
     }
 
-    /// Worker invocations this query paid for: one per fleet slot plus
-    /// the speculative backups.
+    /// Worker invocations this query paid for: one per fleet slot — a
+    /// fused chain being one — plus the speculative backups.
     pub fn invocations(&self) -> u64 {
         self.workers as u64 + self.backup_invocations()
     }
@@ -437,8 +462,9 @@ struct BarrierProbe {
 /// Everything about a query's fleets that is fixed before the first
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
 /// per stage, the installation's pin, the estimated output bytes, the
-/// fleet size, the partition count of its out-edge and — for a stage
-/// feeding a sort fleet — the sort-edge spec. Built by
+/// fleet size, the partition count of its out-edge, whether that edge is
+/// fused and — for a stage feeding a sort fleet — the sort-edge spec.
+/// Built by
 /// [`Lambada::launch_plan`]; the fleet verifier, the p2p registration,
 /// [`sched::plan_schedule`], the stage-task builder and the service's
 /// admission estimate all read it.
@@ -459,18 +485,25 @@ pub struct LaunchPlan<'a> {
     /// the keys, limit and fleet sizes its fleet runs the sample protocol
     /// with.
     pub sort_edges: Vec<Option<SortEdgeSpec>>,
+    /// Whether the stage's out-edge is *fused*: the stage runs on one
+    /// worker, its one reader is a stage that runs on one worker and
+    /// reads nothing else. Such an edge moves no rows between workers,
+    /// so the consumer runs in the producer's invocation — no exchange
+    /// objects, requests, invocation or result message for it.
+    pub fused: Vec<bool>,
     /// For scan stages, the scanned table and the files-per-worker chunk.
     pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
 }
 
 impl<'a> LaunchPlan<'a> {
-    /// Wire sized fleets to the edges: every out-edge's partition count
-    /// and sort-edge spec follow from its readers' fleet sizes.
+    /// Wire sized fleets to the edges: every out-edge's partition count,
+    /// sort-edge spec and fusion follow from its readers' fleet sizes.
     /// Taking the last reader is exact on every plan that is used:
     /// [`crate::verify::verify_fleets`], run on the wired plan, holds
     /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
     /// and the edge pass a producer to at most one sort reader
-    /// (`V-EXCH-003`).
+    /// (`V-EXCH-003`). Fusion never targets a join (two inputs), so a
+    /// chain's launch waits are exactly its head's.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
@@ -497,7 +530,35 @@ impl<'a> LaunchPlan<'a> {
                 }
             }
         }
-        LaunchPlan { edges, pins, est_bytes, workers, partitions, sort_edges, scans }
+        let fused = (0..workers.len())
+            .map(|p| match edges.readers[p][..] {
+                [Reader { stage: Some(c), .. }] => {
+                    workers[p] == 1 && workers[c] == 1 && edges.dag.stages[c].inputs().len() == 1
+                }
+                _ => false,
+            })
+            .collect();
+        LaunchPlan { edges, pins, est_bytes, workers, partitions, sort_edges, fused, scans }
+    }
+
+    /// The stage that reads `sid`'s fused out-edge, if it is fused.
+    pub(crate) fn fused_into(&self, sid: usize) -> Option<usize> {
+        match self.edges.readers[sid][..] {
+            [Reader { stage: Some(c), .. }] if self.fused[sid] => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Whether `sid` runs in an invocation of its own fleet — it is no
+    /// fused edge's reader — rather than after its producer.
+    pub(crate) fn is_chain_head(&self, sid: usize) -> bool {
+        !self.edges.dag.stages[sid].inputs().iter().any(|&p| self.fused[p])
+    }
+
+    /// The stages one invocation of `head`'s fleet runs: `head`, then
+    /// every stage fused after it, in order.
+    pub(crate) fn chain(&self, head: usize) -> Vec<usize> {
+        std::iter::successors(Some(head), |&sid| self.fused_into(sid)).collect()
     }
 }
 
@@ -700,7 +761,8 @@ impl Lambada {
             scans.push(scan);
         }
         let launch = LaunchPlan::wire(edges, pins, est, workers, scans);
-        let diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
+        let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
+        diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.fused));
         if diags.is_empty() {
             Ok(launch)
         } else {
@@ -738,19 +800,13 @@ impl Lambada {
         let start = self.cloud.handle.now();
         let cost_before = self.cloud.billing.snapshot();
 
-        let mut stage_reports: Vec<StageReport> = Vec::new();
-        let mut all_metrics: Vec<WorkerMetrics> = Vec::new();
-        let mut invoke_secs = 0.0;
-        let mut cold_starts = 0u64;
-        let mut workers_total = 0usize;
-
         // The wire every stage edge of this query runs on. On the direct
         // transport, the driver registers all consumer endpoints with the
         // rendezvous service *now* — the launch plan fixed every fleet
         // size, so the address book is complete before the first producer
         // launches even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
-        // store for unregistered endpoints.
+        // store for unregistered endpoints. A fused edge has no endpoint.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
         let transport = Rc::new(EdgeTransport::new(
             self.config.exchange.clone(),
@@ -759,6 +815,9 @@ impl Lambada {
         ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
             for (sid, &parts) in launch.partitions.iter().enumerate() {
+                if launch.fused[sid] {
+                    continue;
+                }
                 let channel = self.channel(qid, sid);
                 for r in 0..parts {
                     self.cloud.p2p.register(&format!("{channel}/r{r}"));
@@ -786,23 +845,39 @@ impl Lambada {
             return Err(CoreError::InvalidPlan(sched_diags));
         }
 
-        // Build every stage's payloads before anything launches: a
-        // payload-planning failure must surface before the first
-        // invocation, and result queues are created only after *all*
-        // payloads built without error so a planning failure cannot
-        // leak one.
-        let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(dag.stages.len());
-        for sid in 0..dag.stages.len() {
-            let result_queue = format!("lambada-results-x{}-q{qid}-s{sid}", self.instance);
-            let task = Rc::new(self.stage_task(qid, sid, &launch, &transport)?);
+        // Build every stage's task, consumers first so a fused producer
+        // can link the stage it hands its part to, and every chain head's
+        // payloads, before anything launches: a payload-planning failure
+        // must surface before the first invocation, and result queues are
+        // created only after *all* payloads built without error so a
+        // planning failure cannot leak one.
+        let n = dag.stages.len();
+        let mut tasks: Vec<Rc<StageTask>> = Vec::with_capacity(n); // stage n - 1 first
+        for sid in (0..n).rev() {
+            let fused_into = launch.fused_into(sid).map(|c| FusedStage {
+                label: format!(
+                    "{} (fused after {})",
+                    dag.stages[c].label(c),
+                    dag.stages[sid].label(sid)
+                ),
+                task: Rc::clone(&tasks[n - 1 - c]),
+            });
+            tasks.push(Rc::new(self.stage_task(qid, sid, &launch, &transport, fused_into)?));
+        }
+        tasks.reverse();
+        let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
+        let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(heads.len());
+        for &head in &heads {
+            let result_queue = format!("lambada-results-x{}-q{qid}-s{head}", self.instance);
+            let task = &tasks[head];
             // One payload per fleet slot; the worker id doubles as the
             // file-chunk id (scans) or the partition id (consumers).
-            let payloads = (0..launch.workers[sid])
+            let payloads = (0..launch.workers[head])
                 .map(|w| WorkerPayload {
                     worker_id: w as u64,
                     attempt: 0,
                     query: qid,
-                    task: WorkerTask::Stage(Rc::clone(&task)),
+                    task: WorkerTask::Stage(Rc::clone(task)),
                     children: Vec::new(),
                     result_queue: result_queue.clone(),
                 })
@@ -810,24 +885,25 @@ impl Lambada {
             staged.push((result_queue, payloads));
         }
 
-        // One concurrently spawned fleet future per stage, sequenced by
-        // the shared board: each future sleeps until its wait events
+        // One concurrently spawned fleet future per chain head, sequenced
+        // by the shared board: each future sleeps until its wait events
         // have fired, then admits its whole fleet through the gate,
         // invokes, and collects. A stage's `Launched` event fires only
         // *after* gate admission, so under overlap a consumer enqueues
         // on the FIFO gate strictly behind its producers — grant order
         // embeds dependency order and a binding worker cap cannot form
         // a permit cycle (see [`crate::sched`]'s deadlock argument).
-        let board = Rc::new(StageBoard::new(dag.stages.len()));
-        let mut handles = Vec::with_capacity(dag.stages.len());
-        for (sid, (result_queue, payloads)) in staged.into_iter().enumerate() {
+        let board = Rc::new(StageBoard::new(n));
+        let mut handles = Vec::with_capacity(heads.len());
+        for (&head, (result_queue, payloads)) in heads.iter().zip(staged) {
             // A stage whose output rides a sort edge synchronizes its
             // whole fleet on the sample barrier; hand the straggler
-            // watcher a probe for it.
-            let barrier_edge = launch.sort_edges[sid].as_ref().filter(|edge| edge.has_barrier());
+            // watcher a probe for it. (A chain runs on one worker: no
+            // barrier anywhere in it.)
+            let barrier_edge = launch.sort_edges[head].as_ref().filter(|edge| edge.has_barrier());
             let barrier = barrier_edge.map(|edge| BarrierProbe {
                 transport: Rc::clone(&transport),
-                channel: sample_channel(&self.channel(qid, sid)),
+                channel: sample_channel(&self.channel(qid, head)),
                 senders: edge.senders,
             });
             self.cloud.sqs.create_queue(&result_queue);
@@ -838,66 +914,90 @@ impl Lambada {
                 payloads,
                 policy.gate.clone(),
                 barrier,
-                plan.waits[sid].clone(),
+                plan.waits[head].clone(),
                 Rc::clone(&board),
-                sid,
+                launch.chain(head),
             )));
         }
         // On failure the board's failed flag stands the unlaunched
         // fleets down (they resolve to `None`), so this join always
         // drains; the lowest-numbered failing stage — the most upstream,
         // usually the root cause — wins error reporting.
-        let mut runs: Vec<Option<StageRun>> = Vec::with_capacity(dag.stages.len());
-        for outcome in lambada_sim::sync::join_all(handles).await {
-            runs.push(outcome?);
+        let mut runs: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
+        let mut results: Vec<Vec<WorkerResult>> = vec![Vec::new(); n];
+        let mut chain_of = vec![0; n];
+        let (mut invoke_secs, mut workers_total) = (0.0, 0);
+        for (&head, outcome) in heads.iter().zip(lambada_sim::sync::join_all(handles).await) {
+            let mut run = outcome?.ok_or_else(|| never_ran(head))?;
+            invoke_secs += run.invoke_secs;
+            workers_total += run.workers;
+            // Every worker's report splits into one per chain member.
+            let chain = launch.chain(head);
+            for &sid in &chain {
+                chain_of[sid] = head;
+            }
+            for r in std::mem::take(&mut run.results) {
+                let split = r.split_fused();
+                if split.len() != chain.len() {
+                    return Err(CoreError::Engine(format!(
+                        "a worker of stage {head} reported {} stages of its {}-stage chain",
+                        split.len(),
+                        chain.len()
+                    )));
+                }
+                for (&sid, r) in chain.iter().zip(split) {
+                    results[sid].push(r);
+                }
+            }
+            runs[head] = Some(run);
         }
 
-        let mut final_results: Vec<WorkerResult> = Vec::new();
+        let mut stage_reports: Vec<StageReport> = Vec::with_capacity(n);
+        let mut all_metrics: Vec<WorkerMetrics> = Vec::new();
+        let mut cold_starts = 0u64;
         for (sid, kind) in dag.stages.iter().enumerate() {
-            let run = runs[sid]
-                .take()
-                .ok_or_else(|| CoreError::Engine(format!("stage {sid} never produced a run")))?;
-            workers_total += run.workers;
-            invoke_secs += run.invoke_secs;
-            cold_starts += run.results.iter().filter(|r| r.metrics.cold_start).count() as u64;
-            all_metrics.extend(run.results.iter().map(|r| r.metrics));
+            let head = chain_of[sid];
+            let run = runs[head].as_ref().ok_or_else(|| never_ran(sid))?;
+            let reports = &results[sid];
+            let sum = |f: fn(&WorkerMetrics) -> u64| reports.iter().map(|r| f(&r.metrics)).sum();
+            cold_starts += reports.iter().filter(|r| r.metrics.cold_start).count() as u64;
+            all_metrics.extend(reports.iter().map(|r| r.metrics));
             stage_reports.push(StageReport {
                 id: sid,
                 label: kind.label(sid),
-                workers: run.workers,
+                workers: launch.workers[sid],
+                chain: head,
                 wall_secs: run.queue_wait_secs + run.exec_secs,
                 queue_wait_secs: run.queue_wait_secs,
                 exec_secs: run.exec_secs,
-                exchange_wait_secs: run.results.iter().map(|r| r.metrics.exchange_wait_secs).sum(),
+                exchange_wait_secs: reports.iter().map(|r| r.metrics.exchange_wait_secs).sum(),
                 cost: run.cost,
-                rows_out: run
-                    .results
+                rows_out: reports
                     .iter()
                     .map(|r| match &r.outcome {
-                        Ok(ResultPayload::Exchanged { rows, .. }) => *rows,
-                        Ok(ResultPayload::StoredBatches { rows, .. }) => *rows,
+                        Ok(ResultPayload::Exchanged { rows, .. })
+                        | Ok(ResultPayload::StoredBatches { rows, .. })
+                        | Ok(ResultPayload::InlineBatches { rows, .. }) => *rows,
                         _ => r.metrics.rows_out,
                     })
                     .sum(),
-                bytes_exchanged: run
-                    .results
+                bytes_exchanged: reports
                     .iter()
                     .map(|r| match &r.outcome {
                         Ok(ResultPayload::Exchanged { bytes, .. }) => *bytes,
                         _ => 0,
                     })
                     .sum(),
-                get_requests: run.results.iter().map(|r| r.metrics.get_requests).sum(),
-                put_requests: run.results.iter().map(|r| r.metrics.put_requests).sum(),
-                list_requests: run.results.iter().map(|r| r.metrics.list_requests).sum(),
-                p2p_requests: run.results.iter().map(|r| r.metrics.p2p_requests).sum(),
-                backup_invocations: run.backup_invocations,
+                get_requests: sum(|m| m.get_requests),
+                put_requests: sum(|m| m.put_requests),
+                list_requests: sum(|m| m.list_requests),
+                p2p_requests: sum(|m| m.p2p_requests),
+                // Backups relaunch a whole chain: counted once, at its head.
+                backup_invocations: if head == sid { run.backup_invocations } else { 0 },
             });
-            if sid + 1 == dag.stages.len() {
-                final_results = run.results;
-            }
         }
 
+        let final_results = results.pop().unwrap_or_default();
         let (batch, agg_state) = self.finalize(&dag.final_stage, &final_results).await?;
         let now = self.cloud.handle.now();
         let latency_secs = (now - start).as_secs_f64();
@@ -922,13 +1022,15 @@ impl Lambada {
     /// Build stage `sid`'s task — the one assignment its whole fleet
     /// shares: the planner's stage as the operator, its in-edges resolved
     /// to channels and sender counts, and its output as a sink, all sized
-    /// by the launch plan.
+    /// by the launch plan; `fused_into` is the stage its fused out-edge
+    /// hands its part to.
     fn stage_task(
         &self,
         qid: u64,
         sid: usize,
         launch: &LaunchPlan<'_>,
         transport: &Rc<EdgeTransport>,
+        fused_into: Option<FusedStage>,
     ) -> Result<StageTask> {
         let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
@@ -999,6 +1101,7 @@ impl Lambada {
             transport: Rc::clone(transport),
             result_bucket: self.config.result_bucket.clone(),
             result_prefix: format!("results/x{}-q{qid}", self.instance),
+            fused_into,
         })
     }
 
@@ -1032,16 +1135,36 @@ impl Lambada {
                 Ok((RecordBatch::empty(agg_schema.clone()), Some(state.encode())))
             }
             FinalStage::CollectBatches { schema, post } => {
-                let s3 = self.cloud.driver_s3();
+                // Every stored result's GET is in flight before the first
+                // is awaited; inline results are here already. Both decode
+                // in worker order.
+                let fetches: Vec<_> = results
+                    .iter()
+                    .map(|r| match &r.outcome {
+                        Ok(ResultPayload::StoredBatches { bucket, key, .. }) => {
+                            let (s3, bucket, key) =
+                                (self.cloud.driver_s3(), bucket.clone(), key.clone());
+                            Some(
+                                self.cloud.handle.spawn(async move { s3.get(&bucket, &key).await }),
+                            )
+                        }
+                        _ => None,
+                    })
+                    .collect();
                 let mut batches = Vec::new();
-                for r in results {
-                    if let Ok(ResultPayload::StoredBatches { bucket, key, .. }) = &r.outcome {
-                        let body = s3.get(bucket, key).await?;
-                        let bytes = body.as_real().ok_or_else(|| {
-                            CoreError::Storage("stored result was synthetic".to_string())
-                        })?;
-                        batches.extend(crate::partition::decode_batches(bytes)?);
-                    }
+                for (r, fetch) in results.iter().zip(fetches) {
+                    let body;
+                    let bytes: &[u8] = match (&r.outcome, fetch) {
+                        (Ok(ResultPayload::InlineBatches { bytes, .. }), _) => bytes,
+                        (_, Some(fetch)) => {
+                            body = fetch.await?;
+                            body.as_real().ok_or_else(|| {
+                                CoreError::Storage("stored result was synthetic".to_string())
+                            })?
+                        }
+                        _ => continue,
+                    };
+                    batches.extend(crate::partition::decode_batches(bytes)?);
                 }
                 let batch = RecordBatch::concat(schema.clone(), &batches)?;
                 Ok((self.apply_post(batch, post)?, None))
@@ -1066,6 +1189,10 @@ impl Lambada {
 
 fn unknown_table(name: &str) -> CoreError {
     CoreError::Unsupported(format!("unknown table {name}"))
+}
+
+fn never_ran(sid: usize) -> CoreError {
+    CoreError::Engine(format!("stage {sid} never produced a run"))
 }
 
 /// Merge every worker's reported partial-aggregate state into one.
@@ -1108,11 +1235,13 @@ fn scan_partitioning(
     (chunk, num_files.div_ceil(chunk))
 }
 
-/// Invoke one stage's fleet and collect every worker's report. A free
-/// function over owned handles: the driver spawns one per stage and the
-/// shared [`StageBoard`] sequences them — each future first sleeps until
-/// its `waits` have fired (dependency readiness under the launch plan),
-/// then admits its whole fleet through the gate, invokes, and collects.
+/// Invoke one chain's fleet and collect every worker's report. A free
+/// function over owned handles: the driver spawns one per chain head and
+/// the shared [`StageBoard`] sequences them — each future first sleeps
+/// until its `waits` have fired (dependency readiness under the launch
+/// plan), then admits its whole fleet through the gate, invokes, and
+/// collects. `chain` is the head and the stages fused after it: all of
+/// them launch and complete with the fleet.
 /// The stage's result queue is deleted once the fleet is collected
 /// (success or failure) — per-stage queues would otherwise leak one
 /// queue per stage per query. Late reports from superseded stragglers
@@ -1143,7 +1272,7 @@ async fn run_fleet(
     barrier: Option<BarrierProbe>,
     waits: Vec<WaitEvent>,
     board: Rc<StageBoard>,
-    sid: usize,
+    chain: Vec<usize>,
 ) -> Result<Option<StageRun>> {
     let enqueued = cloud.handle.now();
     loop {
@@ -1163,7 +1292,9 @@ async fn run_fleet(
     };
     // Announce launch only now — post-admission — so downstream
     // overlapped stages enqueue on the gate strictly after this fleet.
-    board.launch(sid);
+    for &sid in &chain {
+        board.launch(sid);
+    }
     let stage_start = cloud.handle.now();
     let queue_wait_secs = (stage_start - enqueued).as_secs_f64();
     let cost_before = cloud.billing.snapshot();
@@ -1198,7 +1329,9 @@ async fn run_fleet(
             return Err(e);
         }
     };
-    board.complete(sid);
+    for &sid in &chain {
+        board.complete(sid);
+    }
     Ok(Some(StageRun {
         results: collected.results,
         workers,
@@ -1219,9 +1352,14 @@ struct Collected {
 
 /// Poll the result queue until all workers reported (§3.3). Like the
 /// invoker, the driver polls from a small thread pool — with thousands
-/// of workers a single serial receive loop would dominate query latency.
+/// of workers a single serial receive loop would dominate query latency:
+/// up to one long poll per ten missing reports (at most 16) stays in
+/// flight, each is handled the moment it returns and replaced while
+/// reports are missing, and the rest are dropped — their timers
+/// cancelled — once the fleet is complete, so collection ends with the
+/// last report rather than with the slowest poll's `receive_wait`.
 ///
-/// Between receive rounds the driver plays straggler watcher: once the
+/// After every receive the driver plays straggler watcher: once the
 /// configured quantile of the fleet has reported and the holdouts exceed
 /// `multiplier ×` the fleet's median span, every missing worker is
 /// speculatively re-invoked (§3.3's "the driver decides", applied to
@@ -1266,6 +1404,9 @@ async fn collect_results(
     let deadline = cloud.handle.now() + config.max_wait;
     let mut next_barrier_probe = stage_start + spec.barrier_grace;
     let pollers = workers.div_ceil(10).clamp(1, 16);
+    let sqs = cloud.driver_sqs();
+    let receive = || Box::pin(sqs.receive(queue, 10, config.receive_wait));
+    let mut receives = Vec::with_capacity(pollers);
     while seen.len() < workers {
         if cloud.handle.now() >= deadline {
             return Err(CoreError::Timeout {
@@ -1273,40 +1414,34 @@ async fn collect_results(
                 missing_workers: workers - seen.len(),
             });
         }
-        let mut receives = Vec::with_capacity(pollers);
-        for _ in 0..pollers {
-            let sqs = cloud.driver_sqs();
-            let queue = queue.to_string();
-            let wait = config.receive_wait;
-            receives.push(cloud.handle.spawn(async move { sqs.receive(&queue, 10, wait).await }));
+        let wanted = pollers.min((workers - seen.len()).div_ceil(10));
+        while receives.len() < wanted {
+            receives.push(receive());
         }
-        for r in lambada_sim::sync::join_all(receives).await {
-            for msg in r? {
-                let result = WorkerResult::decode(&msg)?;
-                if seen.contains(&result.worker_id) {
-                    continue; // a superseded duplicate lost the race
-                }
-                if let Err(message) = &result.outcome {
-                    // Fail fast (§3.3: errors are reported, the driver
-                    // decides): a fast OOM must not wait out the
-                    // slowest worker before surfacing. Only an
-                    // *original* attempt's error is terminal, though —
-                    // a failed backup is a lost race whose original is
-                    // still running (or will hit max_wait), so
-                    // speculation can never fail a query that would
-                    // have succeeded without it.
-                    if result.attempt == 0 {
-                        return Err(CoreError::Worker {
-                            worker_id: result.worker_id,
-                            message: message.clone(),
-                        });
-                    }
-                    continue;
-                }
-                seen.insert(result.worker_id);
-                spans.push((cloud.handle.now() - stage_start).as_secs_f64());
-                results.push(result);
+        for msg in first_done(&mut receives).await? {
+            let result = WorkerResult::decode(&msg)?;
+            if seen.contains(&result.worker_id) {
+                continue; // a superseded duplicate lost the race
             }
+            if let Err(message) = &result.outcome {
+                // Fail fast (§3.3: errors are reported, the driver
+                // decides): a fast OOM must not wait out the slowest
+                // worker before surfacing. Only an *original* attempt's
+                // error is terminal, though — a failed backup is a lost
+                // race whose original is still running (or will hit
+                // max_wait), so speculation can never fail a query that
+                // would have succeeded without it.
+                if result.attempt == 0 {
+                    return Err(CoreError::Worker {
+                        worker_id: result.worker_id,
+                        message: message.clone(),
+                    });
+                }
+                continue;
+            }
+            seen.insert(result.worker_id);
+            spans.push((cloud.handle.now() - stage_start).as_secs_f64());
+            results.push(result);
         }
 
         if spec.enabled && seen.len() < workers && seen.len() >= quorum {
@@ -1338,6 +1473,21 @@ async fn collect_results(
     Ok(Collected { results, backup_invocations })
 }
 
+/// Await whichever of `pending` completes first (the earliest in the
+/// list on a tie) and remove it; the others stay in flight.
+async fn first_done<F: Future + Unpin>(pending: &mut Vec<F>) -> F::Output {
+    std::future::poll_fn(|cx| {
+        for i in 0..pending.len() {
+            if let Poll::Ready(out) = Pin::new(&mut pending[i]).poll(cx) {
+                pending.remove(i);
+                return Poll::Ready(out);
+            }
+        }
+        Poll::Pending
+    })
+    .await
+}
+
 /// Re-invoke, as its next attempt, every worker that has not reported,
 /// that `eligible` admits, and that has backup attempts left. Returns how
 /// many backups were launched.
@@ -1366,4 +1516,65 @@ async fn speculate(
         invoke::invoke_backups(cloud, &config.function_name, backups).await?;
     }
     Ok(launched)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lambada_sim::{secs, CloudConfig, Simulation};
+
+    /// A fleet of more than ten workers is collected when its last report
+    /// arrives: once one report is missing only one long poll waits for
+    /// it — none is left to wait out its `receive_wait` — and the polls
+    /// still in flight are dropped with their timers. Worker 39 reports
+    /// last, alone, ~0.8 s after the others. (When every round of four
+    /// polls waited for all four, this fleet was collected 1.03 s after
+    /// that report.)
+    #[test]
+    fn a_large_fleet_is_collected_when_its_last_report_arrives() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = LambadaConfig::default();
+        let function = config.function_name.clone();
+        register_worker_function(
+            &cloud,
+            &function,
+            config.memory_mib,
+            config.timeout,
+            config.costs,
+        );
+        crate::worker::inject_worker_faults(&cloud, |wid, _| {
+            (wid == 39).then(|| lambada_sim::InjectedFault::slowdown(106.0))
+        });
+        cloud.sqs.create_queue("results");
+        let payloads = (0..40)
+            .map(|w| WorkerPayload {
+                worker_id: w,
+                attempt: 0,
+                query: 0,
+                task: WorkerTask::Compute { vcpu_seconds: 0.01, threads: 1 },
+                children: Vec::new(),
+                result_queue: "results".to_string(),
+            })
+            .collect();
+        let (reported, collected_at) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let start = cloud.handle.now();
+                invoke_workers(&cloud, &function, payloads).await.unwrap();
+                let collected =
+                    collect_results(&cloud, &config, "results", 40, &[], start, &None).await;
+                (collected.unwrap().results.len(), cloud.handle.now())
+            }
+        });
+        assert_eq!(reported, 40);
+        // A worker's report leaves when its processing ends.
+        let processed = cloud.trace.spans("worker_processing");
+        let last_report = processed.iter().map(|e| e.end).max().unwrap();
+        assert!(processed.iter().filter(|e| e.end + secs(0.2) > last_report).count() == 1);
+        let lag = (collected_at - last_report).as_secs_f64();
+        let sqs_median = cloud.config.sqs.latency_median.as_secs_f64();
+        assert!(lag < 2.0 * sqs_median, "collected {lag} s after the last report");
+        assert_eq!(sim.pending_timers(), 0, "the dropped polls cancelled their timers");
+    }
 }

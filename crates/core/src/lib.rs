@@ -25,7 +25,8 @@
 //!   baseline when it has no p2p mailboxes, worker-to-worker streaming
 //!   through a rendezvous/relay (object store as fallback) when it does;
 //! * [`worker`] / [`driver`] / [`stage`] — the worker handler (one
-//!   [`worker::StageTask`] shape for every stage: operator → sink), the
+//!   [`worker::StageTask`] shape for every stage: operator → sink; a
+//!   chain of one-worker stages runs in one invocation), the
 //!   driver/session logic, and the distributed planner.
 //!   [`stage::split`] recursively lowers any supported plan tree into a
 //!   [`stage::QueryDag`] of scan, join (arbitrarily nested), agg-merge
@@ -80,7 +81,7 @@ pub use exchange_cost::{
     RequestCounts,
 };
 pub use invoke::{invoke_backups, invoke_workers, invoke_workers_as, InvocationStrategy};
-pub use message::{ResultPayload, WorkerMetrics, WorkerResult};
+pub use message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 pub use scan::{scan_table, ScanConfig, ScanItem, ScanMetrics};
 pub use sched::{plan_schedule, SchedMode, SchedulePlan, StageBoard, WaitEvent};
 pub use service::{
@@ -93,10 +94,11 @@ pub use streaming::{
 pub use table::{TableFile, TableSpec};
 pub use transport::{EdgeTransport, EdgeWriteStats, TransportKind};
 pub use verify::{
-    verify_dag, verify_fleets, verify_schedule, verify_stream, Diagnostic, MAX_MODEL_FLEET,
+    verify_dag, verify_fleets, verify_fused, verify_schedule, verify_stream, Diagnostic,
+    MAX_MODEL_FLEET,
 };
 pub use worker::{
     inject_query_worker_faults, inject_worker_faults, register_worker_function, sample_channel,
-    EdgeRead, ExchangeTask, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
-    WorkerTask,
+    EdgeRead, ExchangeTask, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
+    WorkerPayload, WorkerTask,
 };

@@ -3,11 +3,27 @@
 //! Workers post exactly one message to the result queue per invocation —
 //! success with a payload, or an error report (§3.3). Messages are
 //! hand-serialized with the same binary codec the file format uses.
+//!
+//! A message must fit one SQS message ([`SQS_MESSAGE_BYTES`]), so a
+//! worker returns its batches inline only up to [`INLINE_RESULT_BYTES`]
+//! and stores larger ones in cloud storage (§3.3).
 
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
 
 use crate::error::{CoreError, Result};
+
+/// SQS's cap on one message body: 256 KiB.
+pub const SQS_MESSAGE_BYTES: usize = 256 * 1024;
+
+/// Largest encoded batch payload a worker returns inline in its result
+/// message ([`ResultPayload::InlineBatches`]); anything larger is stored
+/// in the result bucket ([`ResultPayload::StoredBatches`]). The message
+/// cap less 4 KiB for the rest of the message: the header and member
+/// count (≤ 46 B), and per stage the invocation ran its
+/// [`WorkerMetrics`] (≤ 137 B) plus, ahead of the last, its payload
+/// (≤ 21 B) — room for chains of twenty-odd fused stages.
+pub const INLINE_RESULT_BYTES: usize = SQS_MESSAGE_BYTES - 4 * 1024;
 
 /// Per-worker execution metrics, reported with every result.
 ///
@@ -72,7 +88,9 @@ impl WorkerMetrics {
         w.f64(self.exchange_wait_secs);
     }
 
-    fn decode(r: &mut BinReader<'_>) -> std::result::Result<Self, FormatError> {
+    /// `may_end`: these metrics may end the message, so an encoder from
+    /// before `exchange_wait_secs` may have stopped short of it.
+    fn decode(r: &mut BinReader<'_>, may_end: bool) -> std::result::Result<Self, FormatError> {
         Ok(WorkerMetrics {
             processing_secs: r.f64()?,
             rows_in: r.varint()?,
@@ -90,15 +108,15 @@ impl WorkerMetrics {
             cold_start: r.bool()?,
             // Appended after the first release; absent on messages from
             // older encoders, so a short read defaults it.
-            exchange_wait_secs: if r.is_exhausted() { 0.0 } else { r.f64()? },
+            exchange_wait_secs: if may_end && r.is_exhausted() { 0.0 } else { r.f64()? },
         })
     }
 }
 
 /// The payload of a successful worker.
 ///
-/// Wire stability: variants encode by fixed tag (0–3 in declaration
-/// order); tags are frozen once assigned. New payload kinds take the
+/// Wire stability: variants encode by fixed tag (0–5; `Exchanged` is 4
+/// and errors are 3); tags are frozen once assigned. New payload kinds take the
 /// next free tag — never reuse one, a mixed-version fleet would
 /// misparse old results. The `AggState` encoding
 /// ([`lambada_engine::agg::GroupedAggState::encode`]) is additionally
@@ -111,13 +129,18 @@ impl WorkerMetrics {
 pub enum ResultPayload {
     /// Serialized partial-aggregate state (small, inline in the message).
     AggState(Vec<u8>),
-    /// Large results were written to cloud storage instead.
+    /// Batches larger than [`INLINE_RESULT_BYTES`] were written to cloud
+    /// storage instead.
     StoredBatches { bucket: String, key: String, rows: u64 },
     /// Fragment produced nothing (e.g. all row groups pruned).
     Empty,
     /// The fragment's rows went to an exchange edge, not to the driver
-    /// (scan stages of a distributed join).
+    /// (scan stages of a distributed join) — or, with `bytes` 0, to the
+    /// next stage of a fused chain in the same invocation.
     Exchanged { rows: u64, bytes: u64 },
+    /// Encoded result batches small enough to ride the message itself
+    /// (at most [`INLINE_RESULT_BYTES`]): no PUT, no driver GET.
+    InlineBatches { rows: u64, bytes: Vec<u8> },
 }
 
 /// One message on the result queue.
@@ -132,13 +155,20 @@ pub struct WorkerResult {
     /// original, 1.. for speculative backups. The driver keeps the first
     /// result per `worker_id` regardless of attempt.
     pub attempt: u32,
+    /// The last stage's outcome (the only stage, unless the invocation
+    /// ran a fused chain).
     pub outcome: std::result::Result<ResultPayload, String>,
     pub metrics: WorkerMetrics,
+    /// A fused chain's members ahead of the last, in chain order: each
+    /// one's own payload (what it handed on) and metrics. Empty for an
+    /// invocation that ran one stage. Appended after the first release;
+    /// a short read leaves it empty.
+    pub fused: Vec<(ResultPayload, WorkerMetrics)>,
 }
 
 impl WorkerResult {
     pub fn ok(worker_id: u64, payload: ResultPayload, metrics: WorkerMetrics) -> WorkerResult {
-        WorkerResult { worker_id, attempt: 0, outcome: Ok(payload), metrics }
+        WorkerResult { worker_id, attempt: 0, outcome: Ok(payload), metrics, fused: Vec::new() }
     }
 
     pub fn error(
@@ -146,7 +176,13 @@ impl WorkerResult {
         message: impl Into<String>,
         metrics: WorkerMetrics,
     ) -> WorkerResult {
-        WorkerResult { worker_id, attempt: 0, outcome: Err(message.into()), metrics }
+        WorkerResult {
+            worker_id,
+            attempt: 0,
+            outcome: Err(message.into()),
+            metrics,
+            fused: Vec::new(),
+        }
     }
 
     /// Tag this result with the attempt id that produced it.
@@ -155,35 +191,37 @@ impl WorkerResult {
         self
     }
 
+    /// One result per stage the invocation ran, in chain order: the
+    /// fused members ahead of the last, then the last one's own.
+    pub(crate) fn split_fused(mut self) -> Vec<WorkerResult> {
+        let fused = std::mem::take(&mut self.fused);
+        let (worker_id, attempt) = (self.worker_id, self.attempt);
+        let mut out: Vec<WorkerResult> = fused
+            .into_iter()
+            .map(|(payload, metrics)| WorkerResult::ok(worker_id, payload, metrics))
+            .map(|r| r.with_attempt(attempt))
+            .collect();
+        out.push(self);
+        out
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut w = BinWriter::new();
         w.varint(self.worker_id);
         w.varint(u64::from(self.attempt));
         match &self.outcome {
-            Ok(ResultPayload::AggState(bytes)) => {
-                w.u8(0);
-                w.bytes(bytes);
-            }
-            Ok(ResultPayload::StoredBatches { bucket, key, rows }) => {
-                w.u8(1);
-                w.string(bucket);
-                w.string(key);
-                w.varint(*rows);
-            }
-            Ok(ResultPayload::Empty) => {
-                w.u8(2);
-            }
-            Ok(ResultPayload::Exchanged { rows, bytes }) => {
-                w.u8(4);
-                w.varint(*rows);
-                w.varint(*bytes);
-            }
+            Ok(payload) => encode_payload(&mut w, payload),
             Err(msg) => {
                 w.u8(3);
                 w.string(msg);
             }
         }
         self.metrics.encode(&mut w);
+        w.varint(self.fused.len() as u64);
+        for (payload, metrics) in &self.fused {
+            encode_payload(&mut w, payload);
+            metrics.encode(&mut w);
+        }
         w.into_bytes()
     }
 
@@ -193,24 +231,67 @@ impl WorkerResult {
             let worker_id = r.varint()?;
             let attempt = r.varint()? as u32;
             let outcome = match r.u8()? {
-                0 => Ok(ResultPayload::AggState(r.bytes()?.to_vec())),
-                1 => Ok(ResultPayload::StoredBatches {
-                    bucket: r.string()?,
-                    key: r.string()?,
-                    rows: r.varint()?,
-                }),
-                2 => Ok(ResultPayload::Empty),
                 3 => Err(r.string()?),
-                4 => Ok(ResultPayload::Exchanged { rows: r.varint()?, bytes: r.varint()? }),
-                other => {
-                    return Err(FormatError::Corrupt(format!("unknown result tag {other}")));
-                }
+                tag => Ok(decode_payload(tag, &mut r)?),
             };
-            let metrics = WorkerMetrics::decode(&mut r)?;
-            Ok(WorkerResult { worker_id, attempt, outcome, metrics })
+            let metrics = WorkerMetrics::decode(&mut r, true)?;
+            // Appended after the first release: absent on messages from
+            // older encoders. Entries are pushed as they decode, never
+            // reserved from the claimed count.
+            let mut fused = Vec::new();
+            let members = if r.is_exhausted() { 0 } else { r.varint()? };
+            for _ in 0..members {
+                let payload = decode_payload(r.u8()?, &mut r)?;
+                fused.push((payload, WorkerMetrics::decode(&mut r, false)?));
+            }
+            Ok(WorkerResult { worker_id, attempt, outcome, metrics, fused })
         })();
         inner.map_err(|e| CoreError::Format(e.to_string()))
     }
+}
+
+fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
+    match payload {
+        ResultPayload::AggState(bytes) => {
+            w.u8(0);
+            w.bytes(bytes);
+        }
+        ResultPayload::StoredBatches { bucket, key, rows } => {
+            w.u8(1);
+            w.string(bucket);
+            w.string(key);
+            w.varint(*rows);
+        }
+        ResultPayload::Empty => w.u8(2),
+        ResultPayload::Exchanged { rows, bytes } => {
+            w.u8(4);
+            w.varint(*rows);
+            w.varint(*bytes);
+        }
+        ResultPayload::InlineBatches { rows, bytes } => {
+            w.u8(5);
+            w.varint(*rows);
+            w.bytes(bytes);
+        }
+    }
+}
+
+fn decode_payload(
+    tag: u8,
+    r: &mut BinReader<'_>,
+) -> std::result::Result<ResultPayload, FormatError> {
+    Ok(match tag {
+        0 => ResultPayload::AggState(r.bytes()?.to_vec()),
+        1 => ResultPayload::StoredBatches {
+            bucket: r.string()?,
+            key: r.string()?,
+            rows: r.varint()?,
+        },
+        2 => ResultPayload::Empty,
+        4 => ResultPayload::Exchanged { rows: r.varint()?, bytes: r.varint()? },
+        5 => ResultPayload::InlineBatches { rows: r.varint()?, bytes: r.bytes()?.to_vec() },
+        other => return Err(FormatError::Corrupt(format!("unknown result tag {other}"))),
+    })
 }
 
 #[cfg(test)]
@@ -239,11 +320,12 @@ mod tests {
 
     #[test]
     fn short_read_defaults_trailing_metrics() {
-        // A pre-`exchange_wait_secs` encoder stops after `cold_start`;
-        // decode must tolerate the truncated tail.
+        // A pre-`exchange_wait_secs` encoder stops after `cold_start`
+        // (8 bytes before the end of the metrics, which the empty fused
+        // member count follows); decode must tolerate the truncated tail.
         let msg = WorkerResult::ok(7, ResultPayload::Empty, metrics());
         let mut bytes = msg.encode();
-        bytes.truncate(bytes.len() - 8);
+        bytes.truncate(bytes.len() - 1 - 8);
         let got = WorkerResult::decode(&bytes).unwrap();
         assert_eq!(got.metrics.exchange_wait_secs, 0.0);
         assert!(got.metrics.cold_start);
@@ -291,5 +373,102 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         assert!(WorkerResult::decode(&[9, 9, 9]).is_err());
+    }
+
+    /// A three-stage chain's report: an inline tail and two members
+    /// ahead of it that handed their rows on.
+    fn chain_result() -> WorkerResult {
+        let head = WorkerMetrics { rows_out: 40, ..metrics() };
+        let mid = WorkerMetrics { rows_in: 40, rows_out: 3, ..WorkerMetrics::default() };
+        let tail = ResultPayload::InlineBatches { rows: 3, bytes: vec![7; 40] };
+        WorkerResult {
+            fused: vec![
+                (ResultPayload::Exchanged { rows: 40, bytes: 0 }, head),
+                (ResultPayload::Exchanged { rows: 3, bytes: 0 }, mid),
+            ],
+            ..WorkerResult::ok(4, tail, metrics())
+        }
+        .with_attempt(1)
+    }
+
+    #[test]
+    fn inline_result_and_fused_members_roundtrip_and_split() {
+        let msg = chain_result();
+        assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
+        let split = msg.clone().split_fused();
+        assert_eq!(split.len(), 3);
+        assert!(split.iter().all(|r| (r.worker_id, r.attempt) == (4, 1) && r.fused.is_empty()));
+        assert_eq!(split[0].outcome, Ok(ResultPayload::Exchanged { rows: 40, bytes: 0 }));
+        assert_eq!(split[1].metrics.rows_out, 3);
+        assert_eq!((&split[2].outcome, split[2].metrics), (&msg.outcome, msg.metrics));
+    }
+
+    /// Every truncation of a message is an error — except exactly where
+    /// an older encoder ended its message (before the fused members,
+    /// before `exchange_wait_secs`), which decodes to what that encoder
+    /// would have sent.
+    #[test]
+    fn every_truncation_is_an_error_except_an_older_encoders_end() {
+        let stored =
+            ResultPayload::StoredBatches { bucket: "b".to_string(), key: "k".to_string(), rows: 5 };
+        for msg in [
+            chain_result(),
+            WorkerResult::error(3, "out of memory", metrics()),
+            WorkerResult::ok(1, stored, metrics()),
+        ] {
+            let bytes = msg.encode();
+            let unfused = WorkerResult { fused: Vec::new(), ..msg.clone() };
+            let before_fused = unfused.encode().len() - 1;
+            let before_wait = before_fused - 8;
+            for cut in 0..bytes.len() {
+                let got = WorkerResult::decode(&bytes[..cut]);
+                if cut == before_fused {
+                    assert_eq!(got.unwrap(), unfused);
+                } else if cut == before_wait {
+                    let mut old = unfused.clone();
+                    old.metrics.exchange_wait_secs = 0.0;
+                    assert_eq!(got.unwrap(), old);
+                } else {
+                    assert!(got.is_err(), "cut at {cut} of {}", bytes.len());
+                }
+            }
+        }
+    }
+
+    /// Any single flipped bit decodes to an error or to some message,
+    /// never to a panic.
+    #[test]
+    fn every_single_bit_flip_decodes_or_errs_without_panicking() {
+        let bytes = chain_result().encode();
+        let mut damaged = bytes.clone();
+        let mut errors = 0;
+        for bit in 0..bytes.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            errors += usize::from(WorkerResult::decode(&damaged).is_err());
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(errors > 0, "some flips break the structure");
+    }
+
+    /// Lengths and counts are claims, not allocations: a message claiming
+    /// 2^40 inline bytes or 2^60 fused members over a handful of real
+    /// bytes is an error, found without reserving what it claims.
+    #[test]
+    fn lying_lengths_are_errors_without_allocating() {
+        let mut w = BinWriter::new();
+        w.varint(1);
+        w.varint(0);
+        w.u8(5);
+        w.varint(3);
+        w.varint(1 << 40);
+        w.raw(&[1, 2, 3]);
+        assert!(WorkerResult::decode(&w.into_bytes()).is_err());
+
+        let mut bytes = WorkerResult::ok(1, ResultPayload::Empty, metrics()).encode();
+        assert_eq!(bytes.pop(), Some(0), "the empty member count ends the message");
+        let mut w = BinWriter::from_vec(bytes);
+        w.varint(1 << 60);
+        w.u8(2);
+        assert!(WorkerResult::decode(&w.into_bytes()).is_err());
     }
 }

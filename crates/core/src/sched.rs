@@ -25,6 +25,9 @@
 //!   synchronizes on samples from *all* its members; a consumer
 //!   launched early would burn its whole wait budget against the
 //!   barrier). Which edges stayed conservative is visible in the plan.
+//!   A fused edge ([`LaunchPlan::fused`]) is always a completion wait:
+//!   its consumer runs after its producer, in the same invocation, and
+//!   launches with the chain's head.
 //!
 //! Deadlock freedom under a [`crate::service::WorkerGate`] cap comes
 //! from event ordering, not lease ordering: a stage's `Launched` event
@@ -134,7 +137,10 @@ pub fn plan_schedule(
                             // the producer fleet synchronizes on samples
                             // from all members before any data moves, so
                             // an early consumer only accrues billed wait.
+                            // Nor across a fused edge: its consumer runs
+                            // after its producer in the same invocation.
                             if !launch.edges.feeds_sort(p)
+                                && !launch.fused[p]
                                 && costs.overlap_pays(worker_secs(p), consumer_secs)
                             {
                                 WaitEvent::Launched(p)

@@ -343,7 +343,10 @@ async fn admit_and_run(
 const DIRECT_FALLBACK_HEADROOM: f64 = 0.25;
 
 /// Build the admission estimate from a DAG's verified, uncapped launch
-/// plan: it gives per-stage worker counts and every edge's readers.
+/// plan: it gives per-stage worker counts, every edge's readers and the
+/// fused edges, which cost no request and share their producer's
+/// invocation — the envelope drops them and counts one invocation per
+/// fused chain, so it stays an over-estimate.
 /// Every exchange edge is charged with [`stage_edge_counts`] (LISTs with
 /// a polling allowance) — or, on the direct transport, with
 /// [`direct_edge_counts`] under the [`DIRECT_FALLBACK_HEADROOM`] fallback
@@ -363,7 +366,7 @@ fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
     };
     let (mut gets, mut puts, mut lists) = (0f64, 0f64, 0f64);
     let workers: usize = fleets.iter().sum();
-    let invocations = workers as u64;
+    let invocations = (workers - launch.fused.iter().filter(|&&f| f).count()) as u64;
     for (pid, readers) in launch.edges.readers.iter().enumerate() {
         let senders = fleets[pid] as f64;
         // Every stage uploads at most one result object per worker.
@@ -375,6 +378,9 @@ fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
             let width = table.schema.len().max(1) as f64;
             gets += table.files.len() as f64 * (2.0 + 8.0 * width);
             gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
+        }
+        if launch.fused[pid] {
+            continue;
         }
         for reader in readers {
             let Some(consumer) = reader.stage else { continue };

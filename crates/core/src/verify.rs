@@ -25,7 +25,8 @@
 //! * [`verify_fleets`] checks the sizing the driver computes per
 //!   execution — nonzero fleets, cost-model bounds, pinned fleets
 //!   respected, shared edges with equal consumer fleets (the partition
-//!   count of an edge *is* its consumer's fleet size);
+//!   count of an edge *is* its consumer's fleet size) — and
+//!   [`verify_fused`] that every fused edge is a 1 → 1 identity;
 //! * [`verify_schedule`] checks the launch plan the event-driven
 //!   scheduler computed — every input edge covered by a wait (at least
 //!   transitively), the wait graph acyclic, and no overlapped launch
@@ -112,6 +113,11 @@ pub mod codes {
     /// the edge's partition count is its consumer fleet size, so shared
     /// edges need equal consumer fleets.
     pub const FLEET_SHARED_EDGE: &str = "V-FLEET-004";
+    /// A fused edge is not an identity: its producer or consumer fleet
+    /// is not one worker, it has another reader (or the driver reads
+    /// it), or its consumer reads a second edge — the consumer could not
+    /// run inside the producer's invocation on the producer's one part.
+    pub const FLEET_FUSED: &str = "V-FLEET-005";
     /// A non-driver output edge has no consumer (dangling exchange), or
     /// a sort edge's consumer set is not exactly one sort stage — the
     /// barrier/sample channel exists only on sort-feeding stages.
@@ -778,6 +784,47 @@ pub fn verify_fleets(
     out
 }
 
+/// Verify the fused edges of a sized plan ([`crate::LaunchPlan::fused`],
+/// one flag per stage): a fused edge runs its consumer inside the
+/// producer's one invocation on the producer's one part, so both fleets
+/// are one worker, the consumer is the edge's only reader (not the
+/// driver) and reads no other edge.
+pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> Vec<Diagnostic> {
+    let stages = &edges.dag.stages;
+    if fused.len() != stages.len() || fleets.len() != stages.len() {
+        return vec![Diagnostic::new(
+            codes::FLEET_FUSED,
+            None,
+            format!(
+                "fusion marks {} stages and fleets size {} but the DAG has {}",
+                fused.len(),
+                fleets.len(),
+                stages.len()
+            ),
+        )];
+    }
+    let mut out = Vec::new();
+    for p in (0..stages.len()).filter(|&p| fused[p]) {
+        let problem = match edges.readers[p][..] {
+            _ if fleets[p] != 1 => format!("its producer runs {} workers", fleets[p]),
+            [Reader { stage: Some(c), .. }] if fleets[c] != 1 => {
+                format!("its consumer stage {c} runs {} workers", fleets[c])
+            }
+            [Reader { stage: Some(c), .. }] if stages[c].inputs().len() != 1 => {
+                format!("its consumer stage {c} reads {} edges", stages[c].inputs().len())
+            }
+            [Reader { stage: Some(_), .. }] => continue,
+            _ => format!("it has {} readers, not one stage", edges.readers[p].len()),
+        };
+        out.push(Diagnostic::new(
+            codes::FLEET_FUSED,
+            p,
+            format!("out-edge marked fused but {problem}; only a 1 → 1 identity edge fuses"),
+        ));
+    }
+    out
+}
+
 /// Verify a launch plan over a verified DAG's [`EdgeTable`]: one wait
 /// list per stage; every wait on a *lower-indexed* stage of the DAG
 /// (stages are topologically numbered and a plan waits on inputs only,
@@ -1016,8 +1063,8 @@ pub(crate) mod test_dags {
 #[cfg(test)]
 mod tests {
     use super::test_dags::{
-        agg_merge, agg_scan, collect_scan, scan_sort_dag, schema, single_scan_dag, sized,
-        sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
+        agg_merge, agg_scan, collect_scan, diamond_dag, scan_sort_dag, schema, single_scan_dag,
+        sized, sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
     };
     use super::*;
     use crate::costmodel::ComputeCostModel;
@@ -1188,6 +1235,63 @@ mod tests {
         };
         let diags = verify_dag(&dag);
         assert!(diags.iter().any(|d| d.code == codes::FINAL_COLLECT), "{diags:?}");
+    }
+
+    /// scan (partial agg) → agg-merge → driver: the one-input shape a
+    /// fused chain is made of.
+    fn merge_chain_dag() -> QueryDag {
+        QueryDag {
+            stages: vec![agg_scan(StageOutput::AggExchange), agg_merge(0, StageOutput::Driver)],
+            final_stage: FinalStage::CollectBatches {
+                schema: sum_schema(DataType::Int64),
+                post: Vec::new(),
+            },
+        }
+    }
+
+    /// Fusion is a pure function of fleet sizes and the edge table: a
+    /// 1 → 1 edge into a single-input consumer fuses, nothing else does.
+    #[test]
+    fn only_one_worker_edges_into_single_input_consumers_fuse() {
+        let fused =
+            |dag: &QueryDag, workers: Vec<usize>| sized(dag, vec![0; workers.len()], workers).fused;
+        let chain = merge_chain_dag();
+        assert_eq!(fused(&chain, vec![1, 1]), [true, false]);
+        assert_eq!(fused(&chain, vec![2, 1]), [false, false], "two producers");
+        assert_eq!(fused(&chain, vec![1, 2]), [false, false], "two consumers");
+        // A join reads two edges; in the diamond the scan has four readers
+        // and the middle joins feed a join.
+        assert_eq!(fused(&two_scan_join_dag(), vec![1; 3]), [false; 3]);
+        assert_eq!(fused(&diamond_dag(), vec![1; 4]), [false; 4]);
+        assert_eq!(fused(&unbalanced_join_dag(), vec![1; 4]), [false; 4]);
+        // The one-worker sort edge fuses; the chain is one invocation.
+        let sort = scan_sort_dag();
+        let launch = sized(&sort, vec![0; 2], vec![1, 1]);
+        assert_eq!(launch.fused, [true, false]);
+        assert_eq!(launch.chain(0), [0, 1]);
+        assert!(launch.is_chain_head(0) && !launch.is_chain_head(1));
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+    }
+
+    /// A fused edge must be an identity; a plan marking anything else
+    /// fused is rejected.
+    #[test]
+    fn a_fused_edge_that_is_no_identity_is_fleet_005() {
+        let join = two_scan_join_dag();
+        let chain = merge_chain_dag();
+        let cases: [(&QueryDag, &[usize], &[bool], &str); 5] = [
+            (&join, &[1, 1, 1], &[true, false, false], "reads 2 edges"),
+            (&chain, &[2, 1], &[true, false], "producer runs 2 workers"),
+            (&chain, &[1, 3], &[true, false], "consumer stage 1 runs 3 workers"),
+            (&chain, &[1, 1], &[true, true], "1 readers, not one stage"),
+            (&chain, &[1, 1], &[true], "the DAG has 2"),
+        ];
+        for (dag, fleets, fused, says) in cases {
+            let diags = verify_fused(&dag.edges(), fleets, fused);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, codes::FLEET_FUSED);
+            assert!(diags[0].message.contains(says), "{}", diags[0].message);
+        }
     }
 
     #[test]

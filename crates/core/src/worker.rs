@@ -18,6 +18,27 @@
 //! metrics, and turning a [`PipelineOutput`] into a result each exist
 //! once, whatever the operator. The exchange (§4.4) is just another
 //! operator behind the same handler.
+//!
+//! # Fused chains
+//!
+//! Between two one-worker fleets an exchange edge is an identity: the
+//! producer's one part goes to the consumer's one worker. The driver
+//! marks such an edge *fused* and launches the consumer inside the
+//! producer's invocation ([`StageTask::fused_into`]): `run_chain` runs
+//! the members one after the other, and a member's sink hands receiver
+//! 0's part to the next member as the exact [`PartData`] bytes the
+//! transport would have delivered — no PUT, LIST, GET, partitioning
+//! charge or result message — so the consumer's decode → merge/sort path
+//! is the one it runs behind a real edge. A member's operator state is
+//! dropped before the next member starts, every budget check stays, and
+//! each member reports its own metrics ([`WorkerResult::fused`]).
+//!
+//! # Results
+//!
+//! Agg state always rides the result message. Batches ride it too
+//! ([`ResultPayload::InlineBatches`]) while they encode to at most
+//! [`INLINE_RESULT_BYTES`]; larger ones are stored in the result bucket,
+//! one object per worker.
 
 use std::rc::Rc;
 
@@ -41,7 +62,7 @@ use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{run_exchange, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData};
 use crate::invoke;
-use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
+use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
@@ -182,6 +203,16 @@ pub struct StageTask {
     /// query (`results/x{instance}-q{query}`); worker `w` stores under
     /// `{result_prefix}/w{w}`.
     pub result_prefix: String,
+    /// `Some` when the out-edge is fused: the sink hands its one part to
+    /// this next stage, which runs in the same invocation.
+    pub fused_into: Option<FusedStage>,
+}
+
+/// The stage a fused out-edge feeds, run right after its producer.
+pub struct FusedStage {
+    /// How errors name the stage: `agg#5 (fused after join#4)`.
+    pub label: String,
+    pub task: Rc<StageTask>,
 }
 
 /// What a worker is asked to do.
@@ -325,18 +356,20 @@ async fn run_handler(
     cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
 
     let msg = match outcome {
-        Ok((result, mut metrics)) => {
-            metrics.processing_secs = processing;
+        Ok((result, mut metrics, fused)) => {
+            // Fused members ahead of the last timed themselves.
+            let ahead: f64 = fused.iter().map(|(_, m)| m.processing_secs).sum();
+            metrics.processing_secs = processing - ahead;
             metrics.cold_start = env.ctx.cold;
-            WorkerResult::ok(wid, result, metrics)
+            WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
         }
-        Err(e) => {
+        Err(message) => {
             let metrics = WorkerMetrics {
                 processing_secs: processing,
                 cold_start: env.ctx.cold,
                 ..WorkerMetrics::default()
             };
-            WorkerResult::error(wid, e.to_string(), metrics)
+            WorkerResult::error(wid, message, metrics)
         }
     }
     .with_attempt(payload.attempt);
@@ -345,9 +378,16 @@ async fn run_handler(
     let _ = env.sqs.send(&payload.result_queue, msg.encode()).await;
 }
 
-async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Result<(ResultPayload, WorkerMetrics)> {
+/// What one stage reports: its payload and metrics.
+type Report = (ResultPayload, WorkerMetrics);
+
+/// What an invocation ran: the last stage's report, and the reports of
+/// the fused members ahead of it. Errors are the message to report.
+type Ran = std::result::Result<(ResultPayload, WorkerMetrics, Vec<Report>), String>;
+
+async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Ran {
     match task {
-        WorkerTask::Noop => Ok((ResultPayload::Empty, WorkerMetrics::default())),
+        WorkerTask::Noop => Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new())),
         WorkerTask::Compute { vcpu_seconds, threads } => {
             let threads = (*threads).max(1);
             let share = vcpu_seconds / threads as f64;
@@ -359,10 +399,35 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Result<(ResultPayload, 
             for j in joins {
                 j.await;
             }
-            Ok((ResultPayload::Empty, WorkerMetrics::default()))
+            Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new()))
         }
-        WorkerTask::Stage(task) => run_stage(env, task).await,
-        WorkerTask::Exchange(x) => run_exchange_task(env, x).await,
+        WorkerTask::Stage(task) => run_chain(env, task).await,
+        WorkerTask::Exchange(x) => match run_exchange_task(env, x).await {
+            Ok((payload, metrics)) => Ok((payload, metrics, Vec::new())),
+            Err(e) => Err(e.to_string()),
+        },
+    }
+}
+
+/// Run a stage task and every stage fused after it, one after the
+/// other, each fed the part its predecessor handed on. Members ahead of
+/// the last are timed here; an error names the member it happened in.
+async fn run_chain(env: &WorkerEnv, head: &StageTask) -> Ran {
+    let mut ahead = Vec::new();
+    let (mut task, mut input, mut label) = (head, None, None);
+    loop {
+        let start = env.cloud.handle.now();
+        let ran = run_stage(env, task, input.take()).await;
+        let (payload, mut metrics, handoff) = ran.map_err(|e| match label {
+            Some(label) => format!("{label}: {e}"),
+            None => e.to_string(),
+        })?;
+        let Some(next) = &task.fused_into else {
+            return Ok((payload, metrics, ahead));
+        };
+        metrics.processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
+        ahead.push((payload, metrics));
+        (task, input, label) = (&next.task, handoff, Some(&next.label));
     }
 }
 
@@ -425,15 +490,19 @@ fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
 }
 
 /// [`recv_edge`] for an operator with one in-edge: the accounting goes
-/// straight into the metrics.
+/// straight into the metrics. On a fused edge the producer's part is
+/// `handed` already, and reading it costs nothing.
 async fn read_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
-    receiver: usize,
+    handed: Option<PartData>,
     metrics: &mut WorkerMetrics,
 ) -> Result<Vec<Vec<u8>>> {
-    let (payloads, stats) = recv_edge(env, task, edge, receiver).await?;
+    if let Some(part) = handed {
+        return real_payloads(vec![part]);
+    }
+    let (payloads, stats) = recv_edge(env, task, edge, env.worker_id as usize).await?;
     fold_read_stats(metrics, stats);
     Ok(payloads)
 }
@@ -463,10 +532,12 @@ fn batch_parts(partitions: &[Vec<RecordBatch>]) -> Result<Vec<PartData>> {
         .collect()
 }
 
-/// The one result upload: large results go to cloud storage, not through
-/// the queue. The key is namespaced by installation and query, so
-/// concurrent queries on one installation never overwrite each other.
-async fn store_result(
+/// Report result batches: inline in the message while they encode to at
+/// most [`INLINE_RESULT_BYTES`], otherwise through the one result upload
+/// — large results go to cloud storage, not through the queue. The key is
+/// namespaced by installation and query, so concurrent queries on one
+/// installation never overwrite each other.
+async fn report_batches(
     env: &WorkerEnv,
     task: &StageTask,
     batches: &[RecordBatch],
@@ -477,6 +548,9 @@ async fn store_result(
         return Ok(ResultPayload::Empty);
     }
     let bytes = crate::partition::encode_batches(batches)?;
+    if bytes.len() <= INLINE_RESULT_BYTES {
+        return Ok(ResultPayload::InlineBatches { rows, bytes });
+    }
     let key = format!("{}/w{}", task.result_prefix, env.worker_id);
     metrics.bytes_written += bytes.len() as u64;
     metrics.put_requests += 1;
@@ -484,26 +558,27 @@ async fn store_result(
     Ok(ResultPayload::StoredBatches { bucket: task.result_bucket.clone(), key, rows })
 }
 
-/// Ship one producer's locally sorted run onto a sort-exchange edge.
+/// Cut one producer's locally sorted run into the parts of a
+/// sort-exchange edge.
 ///
 /// The purely serverless range-partitioning protocol (§4.4 applied to
 /// sort): (1) PUT a small, evenly spaced sample of the run's sort keys
 /// onto the edge's sample channel; (2) LIST-poll until every producer's
 /// sample is visible and read them all back; (3) compute range boundaries
 /// from the pooled sample — deterministic, so all producers agree without
-/// any coordinator; (4) range-partition the run and write it onto the
-/// data edge like any other stage edge. Without a barrier
-/// ([`SortEdgeSpec::has_barrier`]) steps (1) and (2) fall away: the pool
-/// is the local sample. Updates `metrics` with the requests spent and
-/// returns the bytes the data edge carried.
-async fn sort_exchange_out(
+/// any coordinator; (4) range-partition the run, one part per sort
+/// worker, for the caller to write onto the data edge like any other
+/// stage edge. Without a barrier ([`SortEdgeSpec::has_barrier`]) steps
+/// (1) and (2) fall away: the pool is the local sample. Updates `metrics`
+/// with the requests spent.
+async fn sort_edge_parts(
     env: &WorkerEnv,
     task: &StageTask,
     channel: &str,
     edge: &SortEdgeSpec,
     run: &RecordBatch,
     metrics: &mut WorkerMetrics,
-) -> Result<u64> {
+) -> Result<Vec<PartData>> {
     // ---- Local sample ---------------------------------------------------
     let rows = run.num_rows();
     let sample_count = SORT_SAMPLE_ROWS.min(rows);
@@ -551,8 +626,7 @@ async fn sort_exchange_out(
     // than partitions - 1 only when the pooled sample is tiny, leaving
     // trailing partitions empty — pad the part list to the fleet size.
     parts.resize(edge.partitions, PartData::Real(Vec::new()));
-    let write_stats = task.transport.send(env, channel, sender, parts).await?;
-    Ok(fold_write_stats(metrics, write_stats))
+    Ok(parts)
 }
 
 /// Run the scan of one worker, feeding items into `pipeline` with OOM
@@ -620,10 +694,16 @@ async fn drive_scan(
 
 /// Run one stage task: the operator turns its files or in-edges into a
 /// [`PipelineOutput`], and the sink turns that into the worker's result —
-/// agg state inline, one stored object, or a write onto the out-edge
-/// (§4.4's "operators that repartition data", executed with no
-/// infrastructure beyond storage and functions).
-async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, WorkerMetrics)> {
+/// agg state or batches inline, one stored object, or a write onto the
+/// out-edge (§4.4's "operators that repartition data", executed with no
+/// infrastructure beyond storage and functions). `handed` is the part a
+/// fused producer handed on; the part this stage hands on, if its own
+/// out-edge is fused, comes back beside the report.
+async fn run_stage(
+    env: &WorkerEnv,
+    task: &StageTask,
+    handed: Option<PartData>,
+) -> Result<(ResultPayload, WorkerMetrics, Option<PartData>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
     let mut metrics = WorkerMetrics::default();
@@ -722,7 +802,7 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
         }
         StageOp::AggMerge { stage, input, emit_state } => {
             let mut state = GroupedAggState::new(&stage.funcs)?;
-            for bytes in read_edge(env, task, input, p, &mut metrics).await? {
+            for bytes in read_edge(env, task, input, handed, &mut metrics).await? {
                 let shard = GroupedAggState::decode(&bytes)?;
                 metrics.rows_in += shard.num_groups() as u64;
                 env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
@@ -757,7 +837,7 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
         StageOp::Sort { stage, input } => {
             let mut batches = Vec::new();
             let mut state_bytes = 0u64;
-            for batch in decode_parts(read_edge(env, task, input, p, &mut metrics).await?) {
+            for batch in decode_parts(read_edge(env, task, input, handed, &mut metrics).await?) {
                 let batch = batch?;
                 state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
                 if state_bytes > budget / 2 {
@@ -784,17 +864,16 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
     // What leaves on an edge: filtered rows for hash-partition terminals,
     // grouped states (one "row" per group) for partitioned aggregates, a
     // range-partitioned sorted run for sort edges.
-    let (rows, bytes) = match (&task.sink, output) {
+    let (rows, channel, parts) = match (&task.sink, output) {
         (StageSink::Report, PipelineOutput::Aggregate(state)) => {
-            return Ok((ResultPayload::AggState(state.encode()), metrics));
+            return Ok((ResultPayload::AggState(state.encode()), metrics, None));
         }
         (StageSink::Report, PipelineOutput::Batches(batches)) => {
-            let stored = store_result(env, task, &batches, &mut metrics).await?;
-            return Ok((stored, metrics));
+            let reported = report_batches(env, task, &batches, &mut metrics).await?;
+            return Ok((reported, metrics, None));
         }
         (StageSink::Edge { channel }, PipelineOutput::Partitions(partitions)) => {
-            let stats = task.transport.send(env, channel, p, batch_parts(&partitions)?).await?;
-            (metrics.rows_out, fold_write_stats(&mut metrics, stats))
+            (metrics.rows_out, channel, batch_parts(&partitions)?)
         }
         (StageSink::Edge { channel }, PipelineOutput::AggShards(shards)) => {
             // Empty shards become zero-length parts, like empty batch lists.
@@ -802,14 +881,12 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
                 .iter()
                 .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
                 .collect();
-            let stats = task.transport.send(env, channel, p, parts).await?;
-            let groups = shards.iter().map(|s| s.num_groups() as u64).sum();
-            (groups, fold_write_stats(&mut metrics, stats))
+            (shards.iter().map(|s| s.num_groups() as u64).sum(), channel, parts)
         }
         (StageSink::SortEdge { channel, edge }, PipelineOutput::Batches(run)) => {
             let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let bytes = sort_exchange_out(env, task, channel, edge, &run, &mut metrics).await?;
-            (run.num_rows() as u64, bytes)
+            let parts = sort_edge_parts(env, task, channel, edge, &run, &mut metrics).await?;
+            (run.num_rows() as u64, channel, parts)
         }
         (StageSink::Report, _) => {
             return Err(CoreError::Engine(
@@ -826,7 +903,15 @@ async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, 
         }
     };
     metrics.rows_exchanged += rows;
-    Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
+    if task.fused_into.is_some() {
+        // The one part goes to the next stage as it is: no request, no
+        // partitioning charge.
+        let handoff = parts.into_iter().next();
+        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, handoff));
+    }
+    let stats = task.transport.send(env, channel, p, parts).await?;
+    let bytes = fold_write_stats(&mut metrics, stats);
+    Ok((ResultPayload::Exchanged { rows, bytes }, metrics, None))
 }
 
 async fn run_exchange_task(
@@ -854,8 +939,43 @@ mod tests {
     use super::*;
     use crate::stage::StageOutput;
     use lambada_engine::types::{DataType, Field, Schema};
-    use lambada_engine::{AggExpr, AggFunc};
+    use lambada_engine::{AggExpr, AggFunc, Column};
     use lambada_sim::{CloudConfig, Simulation};
+
+    /// A one-worker scan task over an empty `t` whose pipeline ends in
+    /// `terminal`, shipping to `sink`.
+    fn scan_task(terminal: Terminal, output: StageOutput, sink: StageSink) -> StageTask {
+        let schema = Schema::new(vec![Field::new("a", DataType::Int64)]);
+        let stage = ScanStage {
+            table: "t".to_string(),
+            scan_columns: vec![0],
+            prune_predicate: None,
+            pipeline: PipelineSpec {
+                input_schema: Schema::arc(schema.fields.clone()),
+                predicate: None,
+                projection: None,
+                terminal,
+            },
+            output,
+        };
+        StageTask {
+            op: StageOp::Scan(Rc::new(ScanOp {
+                stage,
+                table: Rc::new(TableSpec::new("t", schema, Vec::new(), 0)),
+                scan: ScanConfig::default(),
+                files_per_worker: 1,
+            })),
+            sink,
+            transport: Rc::new(EdgeTransport::new(
+                ExchangeConfig::default(),
+                ExchangeSide::new(),
+                None,
+            )),
+            result_bucket: "results".to_string(),
+            result_prefix: "results/x0-q0".to_string(),
+            fused_into: None,
+        }
+    }
 
     /// A plan the verifier would reject can still reach a worker through
     /// a hand-built payload: a partial aggregate (one inline state) wired
@@ -867,42 +987,54 @@ mod tests {
         let sim = Simulation::new();
         let cloud = Cloud::new(&sim, CloudConfig::default());
         let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
-        let schema = Schema::new(vec![Field::new("a", DataType::Int64)]);
-        let stage = ScanStage {
-            table: "t".to_string(),
-            scan_columns: vec![0],
-            prune_predicate: None,
-            pipeline: PipelineSpec {
-                input_schema: Schema::arc(schema.fields.clone()),
-                predicate: None,
-                projection: None,
-                terminal: Terminal::PartialAggregate {
-                    group_by: Vec::new(),
-                    aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
-                },
-            },
-            output: StageOutput::AggExchange,
+        let terminal = Terminal::PartialAggregate {
+            group_by: Vec::new(),
+            aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
         };
-        let task = StageTask {
-            op: StageOp::Scan(Rc::new(ScanOp {
-                stage,
-                table: Rc::new(TableSpec::new("t", schema, Vec::new(), 0)),
-                scan: ScanConfig::default(),
-                files_per_worker: 1,
-            })),
-            sink: StageSink::Edge { channel: "x0/q0/s0".to_string() },
-            transport: Rc::new(EdgeTransport::new(
-                ExchangeConfig::default(),
-                ExchangeSide::new(),
-                None,
-            )),
-            result_bucket: "results".to_string(),
-            result_prefix: "results/x0-q0".to_string(),
-        };
-        let err = sim.block_on(async move { run_stage(&env, &task).await.unwrap_err() });
+        let sink = StageSink::Edge { channel: "x0/q0/s0".to_string() };
+        let task = scan_task(terminal, StageOutput::AggExchange, sink);
+        let err = sim.block_on(async move { run_stage(&env, &task, None).await.unwrap_err() });
         assert!(
             matches!(&err, CoreError::Engine(m) if m.contains("needs a sharding terminal")),
             "got: {err}"
         );
+    }
+
+    /// Result batches that encode to exactly [`INLINE_RESULT_BYTES`] ride
+    /// the message; one byte more and they are stored, with one PUT.
+    #[test]
+    fn results_up_to_the_inline_limit_ride_the_message() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        cloud.s3.create_bucket("results");
+        let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+        let task = scan_task(Terminal::Collect, StageOutput::Driver, StageSink::Report);
+        // The column name's length moves the encoded size byte by byte
+        // (its length prefix stays two bytes from 128 on).
+        let rows = INLINE_RESULT_BYTES / 8 - 64;
+        let batch = |name_len: usize| {
+            let name = "c".repeat(name_len);
+            RecordBatch::from_columns(&[name.as_str()], vec![Column::I64(vec![1; rows])]).unwrap()
+        };
+        let size = |b: &RecordBatch| {
+            crate::partition::encode_batches(std::slice::from_ref(b)).unwrap().len()
+        };
+        let at_limit = 200 + INLINE_RESULT_BYTES - size(&batch(200));
+        let (inline, over) = (batch(at_limit), batch(at_limit + 1));
+        assert_eq!((size(&inline), size(&over)), (INLINE_RESULT_BYTES, INLINE_RESULT_BYTES + 1));
+        let (inline, stored, puts) = sim.block_on(async move {
+            let mut metrics = WorkerMetrics::default();
+            let inline = report_batches(&env, &task, &[inline], &mut metrics).await.unwrap();
+            let puts = metrics.put_requests;
+            let stored = report_batches(&env, &task, &[over], &mut metrics).await.unwrap();
+            (inline, stored, (puts, metrics.put_requests))
+        });
+        assert!(
+            matches!(&inline, ResultPayload::InlineBatches { rows: r, bytes }
+                if *r == rows as u64 && bytes.len() == INLINE_RESULT_BYTES),
+            "{inline:?}"
+        );
+        assert!(matches!(stored, ResultPayload::StoredBatches { .. }), "{stored:?}");
+        assert_eq!(puts, (0, 1));
     }
 }

@@ -15,19 +15,23 @@ use lambada::sim::{Cloud, CloudConfig, Prices, Simulation};
 
 /// Print one query's per-stage breakdown table from the exact
 /// per-worker request counters. Stage labels carry the operator that
-/// actually ran — `semi-join#2`, not a generic `join#2`.
+/// actually ran — `semi-join#2`, not a generic `join#2` — and `chain`
+/// names the stage whose invocation ran it (a one-worker stage fused
+/// after its one-worker producer runs in the producer's). The total row
+/// counts invocations, not fleet slots.
 fn print_stages(title: &str, report: &lambada::core::QueryReport) {
     println!("\n{title}");
     println!(
-        "  {:<18} {:>7} {:>9} {:>9} {:>6} {:>6} {:>6} {:>12}",
-        "stage", "workers", "queue [s]", "exec [s]", "GET", "PUT", "LIST", "requests [$]"
+        "  {:<18} {:>7} {:<16} {:>9} {:>9} {:>6} {:>6} {:>6} {:>12}",
+        "stage", "workers", "chain", "queue [s]", "exec [s]", "GET", "PUT", "LIST", "requests [$]"
     );
     let prices = Prices::default();
     for s in &report.stages {
         println!(
-            "  {:<18} {:>7} {:>9.2} {:>9.2} {:>6} {:>6} {:>6} {:>12.7}",
+            "  {:<18} {:>7} {:<16} {:>9.2} {:>9.2} {:>6} {:>6} {:>6} {:>12.7}",
             s.label,
             s.workers,
+            report.stages[s.chain].label,
             s.queue_wait_secs,
             s.exec_secs,
             s.get_requests,
@@ -38,8 +42,12 @@ fn print_stages(title: &str, report: &lambada::core::QueryReport) {
     }
     let total: f64 = report.stages.iter().map(|s| s.request_dollars(&prices)).sum();
     println!(
-        "  {:<18} {:>7} {:>19.2} {:>37.7}",
-        "total", report.workers, report.latency_secs, total
+        "  {:<18} {:>7} {:<16} {:>19.2} {:>37.7}",
+        "total",
+        report.invocations(),
+        "invocations",
+        report.latency_secs,
+        total
     );
 }
 

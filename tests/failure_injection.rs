@@ -364,6 +364,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             transport: Rc::clone(&transport),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
+            fused_into: None,
         });
         let payload = WorkerPayload {
             worker_id: 0,

@@ -127,9 +127,9 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609615541249366754, 4553321096638923186)],
-        s3_gets: 32,
-        s3_puts: 11,
+        queries: vec![(4609439240600165135, 4553221484220925155)],
+        s3_gets: 31,
+        s3_puts: 10,
         s3_lists: 27,
         trace_len: 98,
     };
@@ -145,9 +145,9 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4608807302089218762, 4544852542311134512)],
-        s3_gets: 24,
-        s3_puts: 2,
+        queries: vec![(4608344684283059131, 4543920232336434184)],
+        s3_gets: 22,
+        s3_puts: 0,
         s3_lists: 0,
         trace_len: 98,
     };
@@ -167,13 +167,13 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4609496711494377172, 4550739647744033224),
-            (4611022287317822062, 4556761414408670020),
+            (4609139264453379273, 4549916922958345779),
+            (4610979298815564947, 4556401702899232684),
             (4607920106707612837, 4546859548066354111),
-            (4609138274386540791, 4556468111177898042),
+            (4608648191720327213, 4555909174832464642),
         ],
-        s3_gets: 105,
-        s3_puts: 24,
+        s3_gets: 100,
+        s3_puts: 19,
         s3_lists: 47,
         trace_len: 217,
     };
@@ -211,7 +211,7 @@ fn two_tenants_through_a_small_gate() {
 #[test]
 fn descriptor_q1_on_40_files() {
     let expected = Pin {
-        queries: vec![(4616330646166027182, 4570195198134273799)],
+        queries: vec![(4614246451878099090, 4570193353459866428)],
         s3_gets: 1713,
         s3_puts: 0,
         s3_lists: 0,

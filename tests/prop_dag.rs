@@ -283,6 +283,10 @@ proptest! {
         prop_assert_eq!(report.stages.len(), 2);
         prop_assert!(report.stages[1].label.starts_with("sort#"));
         prop_assert_eq!(report.stages[1].workers, sort_workers);
+        // A lone scanner feeding a lone sorter is one fused invocation.
+        let scanners = report.stages[0].workers;
+        let fused = usize::from(scanners == 1 && sort_workers == 1);
+        prop_assert_eq!(report.invocations() as usize, scanners + sort_workers - fused);
     }
 
     /// Group-by + ORDER BY + LIMIT with both exchange strategies on —
@@ -340,6 +344,15 @@ proptest! {
         prop_assert!(report.stages[1].label.starts_with("agg#"));
         prop_assert!(report.stages[2].label.starts_with("sort#"));
         prop_assert_eq!(report.stages[2].workers, sort_workers);
+        // Fleet sizes drawn from ranges that include 1: every 1 → 1 edge
+        // fuses, and each fused edge saves an invocation.
+        let scanners = report.stages[0].workers;
+        let fused = usize::from(scanners == 1 && agg_workers == 1)
+            + usize::from(agg_workers == 1 && sort_workers == 1);
+        prop_assert_eq!(
+            report.invocations() as usize,
+            scanners + agg_workers + sort_workers - fused
+        );
     }
 
     /// DISTINCT ≡ reference under both aggregation strategies.

@@ -364,11 +364,13 @@ fn contention_shrinks_fleets_without_changing_results() {
 /// Weighted fair queueing: a one-query tenant is not starved by another
 /// tenant's burst, and a heavier weight drains a backlog faster.
 /// Two collect-rooted (filter-only) queries with different predicates,
-/// submitted together. Every worker stores its batches under a key
-/// namespaced by installation and query, so each concurrent result
+/// submitted together. The broad one's per-worker results exceed the
+/// inline limit, so every worker stores its batches under a key
+/// namespaced by installation and query, and each concurrent result
 /// equals its serial one — scan results used to share `results/w{worker}`
 /// and the two queries overwrote each other's objects. The result PUTs
-/// are also counted: one per worker of the (only) stage.
+/// are also counted: one per worker for the stored query, none for the
+/// narrow one, whose results ride the result messages.
 #[test]
 fn concurrent_collect_queries_match_their_serial_results() {
     let plans = |system: &Lambada| -> Vec<LogicalPlan> {
@@ -376,7 +378,7 @@ fn concurrent_collect_queries_match_their_serial_results() {
         let qty = df.col("l_quantity").unwrap();
         vec![
             df.clone().filter(qty.clone().lt(lambada::engine::lit_f64(3.0))).unwrap().build(),
-            df.filter(qty.gt(lambada::engine::lit_f64(48.0))).unwrap().build(),
+            df.filter(qty.gt(lambada::engine::lit_f64(8.0))).unwrap().build(),
         ]
     };
 
@@ -415,8 +417,10 @@ fn concurrent_collect_queries_match_their_serial_results() {
         assert!(s.batch.num_rows() > 0);
         assert_batches_close(&c.batch, &s.batch);
         assert_eq!(c.stages.len(), 1, "a collect-rooted scan is a one-stage DAG");
-        assert_eq!(c.stages[0].put_requests, c.stages[0].workers as u64, "one result PUT each");
     }
+    let [narrow, broad] = [&concurrent[0].stages[0], &concurrent[1].stages[0]];
+    assert_eq!(narrow.put_requests, 0, "small results arrive inline");
+    assert_eq!(broad.put_requests, broad.workers as u64, "one result PUT each");
     assert_ne!(serial[0].batch.num_rows(), serial[1].batch.num_rows(), "distinct predicates");
 }
 
