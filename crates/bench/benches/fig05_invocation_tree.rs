@@ -26,6 +26,7 @@ fn payloads(total: usize) -> Vec<WorkerPayload> {
             attempt: 0,
             query: 0,
             task: WorkerTask::Noop,
+            edges: Vec::new(),
             children: Vec::new(),
             result_queue: "results".to_string(),
         })

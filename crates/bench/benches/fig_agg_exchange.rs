@@ -7,16 +7,18 @@
 //! runs a TPC-H Q3-style join + *high-cardinality* group-by (one group
 //! per qualifying order) end to end through scan → exchange → join →
 //! exchange → agg-merge stages, sweeping the merge fleet size W. The
-//! join edge's requests stay fixed while the agg edge's GETs and LISTs
-//! grow with W; both are checked against the closed-form stage-edge
-//! accounting of `exchange_cost.rs`.
+//! join edge's requests stay fixed while the agg edge's GETs grow with
+//! W (no LIST: the driver addresses every section); both are printed
+//! beside the closed-form stage-edge accounting of `exchange_cost.rs`.
 //!
 //! ```sh
 //! cargo bench -p lambada-bench --bench fig_agg_exchange
 //! ```
 
 use lambada_bench::{banner, env_f64, env_usize};
-use lambada_core::{request_dollars, stage_edge_counts, AggStrategy, Lambada, LambadaConfig};
+use lambada_core::{
+    request_dollars, stage_edge_counts, AggStrategy, Lambada, LambadaConfig, ADDRESSED,
+};
 use lambada_sim::{Cloud, CloudConfig, CostItem, Prices, Simulation};
 use lambada_workloads::{stage_real, stage_real_orders, OrdersStageOptions, StageOptions};
 
@@ -73,7 +75,6 @@ fn main() {
         );
         system.register_table(li);
         system.register_table(orders);
-        let buckets = system.config().exchange.num_buckets as f64;
         let plan = lambada_workloads::q3("lineitem", "orders");
         let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
 
@@ -82,13 +83,14 @@ fn main() {
         let agg_stage =
             report.stages.iter().find(|s| s.label.starts_with("agg#")).expect("agg stage");
         // The agg edge exactly: the join fleet's shard PUTs plus the
-        // merge fleet's discovery LISTs and shard GETs.
+        // merge fleet's shard GETs (and LISTs, which an addressed edge
+        // never issues).
         let agg_edge_dollars = join_stage.put_requests as f64 * prices.s3_put
             + agg_stage.get_requests as f64 * prices.s3_get
             + agg_stage.list_requests as f64 * prices.s3_list;
         // Closed-form stage-edge model for the same edge (GETs are an
         // upper bound: empty shards are skipped).
-        let model = stage_edge_counts(join_workers as f64, agg_workers as f64, buckets);
+        let model = stage_edge_counts(join_workers as f64, agg_workers as f64, ADDRESSED);
         let (mr, mw) = request_dollars(&model, &prices);
         println!(
             "{:<4} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>14.8} {:>14.8}",
@@ -107,6 +109,6 @@ fn main() {
     println!("\npaper context: §3.2 merges partial aggregates on the driver, which caps");
     println!("group-by cardinality at what one client can merge; repartitioned aggregation");
     println!("moves the merge into a serverless fleet. Wider merge fleets shrink per-worker");
-    println!("state but pay more GETs + LIST polls on the agg edge — the same fleet-sizing");
+    println!("state but pay more ranged GETs on the agg edge — the same fleet-sizing");
     println!("trade-off as the join (Kassing et al., CIDR 2022).");
 }

@@ -2,7 +2,8 @@
 //! size, object-store exchange vs direct worker-to-worker transport.
 //!
 //! Not a figure of the paper — the paper's exchange pays PUT + LIST +
-//! GET on the object store for every shuffled partition (§4.4), which it
+//! GET on the object store for every shuffled partition (§4.4; here the
+//! driver addresses every section, so a stage edge pays no LIST), which it
 //! identifies as the dominant request-cost term; ROADMAP's direct
 //! transport replaces that with a rendezvous/relay in the style of
 //! lambdatization's `chappy`, keeping the object store only as the
@@ -12,7 +13,8 @@
 //! and reports per run: latency, exact S3 requests, relay messages and
 //! bytes, and S3 requests per shuffled MiB. The direct transport must
 //! return the identical result while strictly reducing S3 requests per
-//! shuffled byte — the run aborts if it ever doesn't.
+//! shuffled byte, and neither may list a stage edge — the run aborts if
+//! either ever fails.
 //!
 //! ```sh
 //! cargo bench -p lambada-bench --bench fig_exchange_transport
@@ -135,6 +137,7 @@ fn main() {
             let gets: u64 = r.stages.iter().map(|s| s.get_requests).sum();
             let puts: u64 = r.stages.iter().map(|s| s.put_requests).sum();
             let lists: u64 = r.stages.iter().map(|s| s.list_requests).sum();
+            assert_eq!(lists, 0, "{name}: a stage edge is addressed, never listed");
             println!(
                 "{:<8} {:<9} {:>10.2} {:>8.2} {:>8} {:>8} {:>8} {:>10} {:>10.2} {:>12.1}",
                 scale,
@@ -159,7 +162,7 @@ fn main() {
         );
     }
     println!("\npaper context: §4.4 prices the exchange entirely in object-store requests");
-    println!("(PUT + LIST poll + ranged GET per partition); the direct transport moves the");
+    println!("(PUT + ranged GET per partition, once addressed); the direct transport moves the");
     println!("same partitions through a chappy-style rendezvous/relay, keeps the store only");
     println!("as the fallback for unreachable peers, and pays zero S3 requests per healthy");
     println!("edge — identical results, strictly fewer requests per shuffled byte.");

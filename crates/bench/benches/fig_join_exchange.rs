@@ -7,15 +7,15 @@
 //! Q12-style LINEITEM ⋈ ORDERS runs end to end through scan → exchange →
 //! join stages, sweeping the join fleet size W. Requests follow the
 //! stage-edge exchange shape (senders · 1 write-combined PUT, receivers ·
-//! ranged GETs), checked against the closed-form accounting of
-//! `exchange_cost.rs`.
+//! ranged GETs, no LIST: the driver addresses every section), printed
+//! beside the closed-form accounting of `exchange_cost.rs`.
 //!
 //! ```sh
 //! cargo bench -p lambada-bench --bench fig_join_exchange
 //! ```
 
 use lambada_bench::{banner, env_f64, env_usize};
-use lambada_core::{request_dollars, stage_edge_counts, Lambada, LambadaConfig};
+use lambada_core::{request_dollars, stage_edge_counts, Lambada, LambadaConfig, ADDRESSED};
 use lambada_sim::{Cloud, CloudConfig, CostItem, Prices, Simulation};
 use lambada_workloads::{stage_real, stage_real_orders, OrdersStageOptions, StageOptions};
 
@@ -58,7 +58,6 @@ fn main() {
         );
         system.register_table(li);
         system.register_table(orders);
-        let buckets = system.config().exchange.num_buckets as f64;
         let plan = lambada_workloads::q12("lineitem", "orders");
         let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
 
@@ -66,7 +65,8 @@ fn main() {
         let scan_secs: f64 = report.stages.iter().take(2).map(|s| s.wall_secs).fold(0.0, f64::max);
         let join_stage = report.stages.last().expect("join stage");
         // Exchange requests exactly: the scan fleets' write-combined PUTs
-        // plus the join fleet's discovery LISTs and partition GETs.
+        // plus the join fleet's partition GETs (and LISTs, which an
+        // addressed edge never issues).
         let exchange_requests: f64 = report
             .stages
             .iter()
@@ -82,7 +82,7 @@ fn main() {
         // are bounded by senders · receivers (empty sections are skipped,
         // so the measurement must come in at or under the model).
         let senders = (li_files + ord_files) as f64;
-        let model = stage_edge_counts(senders, join_workers as f64, buckets);
+        let model = stage_edge_counts(senders, join_workers as f64, ADDRESSED);
         let (mr, mw) = request_dollars(&model, &prices);
         println!(
             "{:<4} {:>10.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>14.8} {:>14.8}",
@@ -98,7 +98,7 @@ fn main() {
         );
     }
     println!("\npaper context: §4.4 builds the exchange so repartitioning operators can run");
-    println!("purely serverless; request cost grows with W (more GETs + LIST polls) while");
+    println!("purely serverless; request cost grows with W (more ranged GETs) while");
     println!("join latency shrinks until co-partitions stop amortizing invocation overhead —");
     println!("the fleet-sizing trade-off of Kassing et al. (CIDR 2022).");
 }

@@ -12,7 +12,7 @@
 //! emit rule differs — across join-fleet widths W. Semi/anti output a
 //! probe subset with no build columns, so their result upload volume
 //! undercuts inner/left-outer at every W; request cost grows with W
-//! (more GETs + LIST polls) identically for all variants.
+//! (more ranged GETs) identically for all variants.
 //!
 //! ```sh
 //! cargo bench -p lambada-bench --bench fig_join_variants

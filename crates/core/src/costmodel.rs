@@ -9,19 +9,6 @@
 
 use lambada_engine::JoinVariant;
 
-/// Largest fraction of a consumer stage's own per-worker runtime the
-/// scheduler may spend as billed poll-wait on an overlapped edge.
-///
-/// An overlapped consumer launches while its producer still runs and is
-/// metered while it polls for sections (Kassing et al., CIDR 2022:
-/// overlapped consumers bill while polling). At 0.5, an edge overlaps
-/// only when the producer's predicted per-worker runtime — an upper
-/// bound on how long the consumer could poll — is at most half the
-/// consumer's own per-worker work, so the billed wait stays a bounded
-/// minority of the consumer's bill even when the estimate is off by the
-/// usual 2x. [`ComputeCostModel::overlap_pays`] applies the bound.
-pub const OVERLAP_POLL_HEADROOM: f64 = 0.5;
-
 /// Throughput constants per vCPU.
 #[derive(Clone, Copy, Debug)]
 pub struct ComputeCostModel {
@@ -177,29 +164,6 @@ impl ComputeCostModel {
     pub fn contended_fleet_cap(&self, global_worker_cap: usize, active_queries: usize) -> usize {
         (global_worker_cap / active_queries.max(1)).max(1)
     }
-
-    /// Predicted vCPU-seconds one worker of a `workers`-strong fleet
-    /// spends on a stage that moves `stage_bytes` — light decode of its
-    /// share, pipeline work over an assumed 16-byte row, and the
-    /// exchange repartition. A coarse *relative* measure: the scheduler
-    /// compares producer against consumer stages with it to price
-    /// overlapped edges, so only the ordering between stages matters,
-    /// not the absolute seconds.
-    pub fn stage_worker_seconds(&self, stage_bytes: u64, workers: usize) -> f64 {
-        let share = stage_bytes / workers.max(1) as u64;
-        self.chunk_decode_seconds(share, share, false)
-            + self.process_seconds(share / 16)
-            + self.partition_seconds(share)
-    }
-
-    /// Should a consumer launch while this producer still runs? True
-    /// when the producer's predicted per-worker runtime — the worst-case
-    /// billed poll-wait of a consumer launched at the same instant —
-    /// fits inside [`OVERLAP_POLL_HEADROOM`] of the consumer's own
-    /// per-worker work.
-    pub fn overlap_pays(&self, producer_secs: f64, consumer_secs: f64) -> bool {
-        producer_secs <= OVERLAP_POLL_HEADROOM * consumer_secs
-    }
 }
 
 #[cfg(test)]
@@ -285,25 +249,6 @@ mod tests {
         assert_eq!(m.contended_fleet_cap(64, 4), 16, "even split across active queries");
         assert_eq!(m.contended_fleet_cap(4, 100), 1, "never starves a query to zero workers");
         assert_eq!(m.contended_fleet_cap(64, 0), 64, "zero active treated as one");
-    }
-
-    #[test]
-    fn overlap_pricing_respects_the_headroom_bound() {
-        let m = ComputeCostModel::default();
-        let gib = 1u64 << 30;
-        // Per-worker seconds shrink with fleet size and grow with bytes.
-        let one = m.stage_worker_seconds(gib, 1);
-        assert!(m.stage_worker_seconds(gib, 8) < one);
-        assert!(m.stage_worker_seconds(8 * gib, 1) > one);
-        assert!(m.stage_worker_seconds(0, 0) == 0.0, "zero workers read as one, zero bytes free");
-        // A tiny producer overlaps under a heavy consumer; an equal one
-        // does not (its runtime exceeds half the consumer's).
-        let tiny = m.stage_worker_seconds(1 << 10, 1);
-        assert!(m.overlap_pays(tiny, one));
-        assert!(!m.overlap_pays(one, one));
-        // The boundary is exactly the headroom fraction.
-        assert!(m.overlap_pays(OVERLAP_POLL_HEADROOM * one, one));
-        assert!(!m.overlap_pays(OVERLAP_POLL_HEADROOM * one * 1.01, one));
     }
 
     #[test]

@@ -6,18 +6,17 @@
 //! Queries execute as a stage DAG under an *event-driven stage
 //! scheduler*: every stage gets its own concurrently spawned fleet
 //! future, which sleeps on a shared [`StageBoard`] until the stage's
-//! launch plan — a per-stage list of [`WaitEvent`]s computed by
-//! [`sched::plan_schedule`] — is satisfied, then admits, invokes, and
-//! collects its fleet, writing its output onto an exchange edge in
-//! cloud storage for consumer fleets (join, agg-merge, sort workers) to
-//! pick up. Under the default [`SchedMode::Eager`] a stage launches the
-//! moment its *own* inputs complete, so it never idles behind an
-//! unrelated topological level-mate. [`SchedMode::Overlap`] goes
-//! further and launches a consumer while its producers still run,
-//! streaming sections in through the exchange's discovery polls — but
-//! only on edges where the cost model prices the billed poll-wait under
-//! [`crate::costmodel::OVERLAP_POLL_HEADROOM`] (overlapped consumers
-//! bill while polling). The scheduler is
+//! *own* inputs have completed — so it never idles behind an unrelated
+//! topological level-mate — then admits, invokes, and collects its
+//! fleet, writing its output onto an exchange edge for consumer fleets
+//! (join, agg-merge, sort workers) to pick up. The driver is the one
+//! place that decides which copy of a producer's output a consumer
+//! reads: it keeps the first report per worker, every report carries
+//! the worker's section table, and each consumer worker's payload
+//! carries the exact attempt, offset, length and wire of its section
+//! from every sender ([`crate::transport::SectionAddr`]). A consumer
+//! therefore fetches its inputs without a LIST, a poll or a wait. The
+//! scheduler is
 //! shape-agnostic: a single-fragment Q1 is just a one-stage DAG, a
 //! five-way join tree or a diamond runs through exactly the same loop,
 //! and speculation, fleet sizing, and [`StageReport`]s apply to every
@@ -32,9 +31,9 @@
 //! model), and the DAG's edge table ([`crate::stage::EdgeTable`]) turns
 //! those into every out-edge's partition count and sort-edge spec, and
 //! marks the edges that are *fused*. The fleet verifier, the p2p
-//! registration, the scheduler, the stage-task builder and the service's
-//! admission estimate all take that [`LaunchPlan`]; none of them sizes or
-//! wires anything again.
+//! registration, the stage-task builder and the service's admission
+//! estimate all take that [`LaunchPlan`]; none of them sizes or wires
+//! anything again.
 //!
 //! A stage boundary costs something only where rows change workers. An
 //! edge from a one-worker fleet into a one-worker, single-input consumer
@@ -68,14 +67,14 @@ use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
 use crate::invoke::{self, invoke_workers};
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
-use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
+use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
 use crate::stage::{
     self, EdgeTable, FinalStage, PostOp, QueryDag, Reader, ReaderRole, SplitOptions, StageKind,
     StageOutput,
 };
 use crate::table::TableSpec;
-use crate::transport::{EdgeTransport, TransportKind};
+use crate::transport::{address_sections, EdgeTransport, SectionAddr, TransportKind};
 use crate::verify;
 use crate::worker::{
     register_worker_function, sample_channel, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp,
@@ -124,9 +123,10 @@ pub enum SortStrategy {
 /// result queue. Once at least `quantile` of a fleet has reported and
 /// the stragglers' elapsed time exceeds `multiplier ×` the median span
 /// of the workers that did report, every missing worker is re-invoked
-/// as a backup attempt. The first result per `worker_id` wins; the
-/// exchange's attempt-suffixed keys keep a backup's re-written shuffle
-/// files from ever being mixed with the original's.
+/// as a backup attempt. The first result per `worker_id` wins, and its
+/// section table is the one consumers are addressed from; the exchange's
+/// attempt-suffixed keys keep a backup's re-written shuffle files from
+/// ever being mixed with the original's.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeculationConfig {
     pub enabled: bool,
@@ -202,10 +202,6 @@ pub struct LambadaConfig {
     /// (default) or direct worker-to-worker streaming with object-store
     /// fallback.
     pub transport: TransportKind,
-    /// Stage scheduling mode: dependency-driven eager launch (default)
-    /// or cost-priced producer→consumer overlap. Per-query override via
-    /// [`ExecPolicy::scheduler`].
-    pub scheduler: SchedMode,
     /// Speculative re-invocation of straggling workers.
     pub speculation: SpeculationConfig,
     /// Multi-tenant query service layer (admission control, per-tenant
@@ -232,7 +228,6 @@ impl Default for LambadaConfig {
             agg: AggStrategy::DriverMerge,
             sort: SortStrategy::Driver,
             transport: TransportKind::default(),
-            scheduler: SchedMode::default(),
             speculation: SpeculationConfig::default(),
             service: ServiceConfig::default(),
         }
@@ -258,9 +253,6 @@ pub struct ExecPolicy {
     /// Per-query transport override (`None` ⇒ the installation's
     /// [`LambadaConfig::transport`]).
     pub transport: Option<TransportKind>,
-    /// Per-query scheduler override (`None` ⇒ the installation's
-    /// [`LambadaConfig::scheduler`]).
-    pub scheduler: Option<SchedMode>,
 }
 
 /// Per-stage execution summary of one query.
@@ -289,9 +281,8 @@ pub struct StageReport {
     /// begins) to the last worker report.
     pub exec_secs: f64,
     /// Billed virtual seconds this stage's workers spent blocked in
-    /// exchange discovery polls, summed over the fleet. Under
-    /// [`SchedMode::Overlap`] this is the extra worker time the cost
-    /// model priced under [`crate::costmodel::OVERLAP_POLL_HEADROOM`].
+    /// exchange discovery polls, summed over the fleet: 0 on addressed
+    /// stage edges, so only a sort-sample barrier's pass shows here.
     pub exchange_wait_secs: f64,
     /// Billing delta over this stage's execution window. Stages launch
     /// concurrently and their windows overlap, so summing this field
@@ -305,7 +296,7 @@ pub struct StageReport {
     pub bytes_exchanged: u64,
     /// Exact S3 request counts summed over this stage's workers: table
     /// scans + exchange reads (GET), exchange writes + result uploads
-    /// (PUT), exchange-edge discovery polls (LIST).
+    /// (PUT), sort-sample barrier discovery polls (LIST).
     pub get_requests: u64,
     pub put_requests: u64,
     pub list_requests: u64,
@@ -461,21 +452,18 @@ struct BarrierProbe {
 
 /// Everything about a query's fleets that is fixed before the first
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
-/// per stage, the installation's pin, the estimated output bytes, the
-/// fleet size, the partition count of its out-edge, whether that edge is
+/// per stage, the installation's pin, the fleet size, the partition count of its out-edge, whether that edge is
 /// fused and — for a stage feeding a sort fleet — the sort-edge spec.
 /// Built by
 /// [`Lambada::launch_plan`]; the fleet verifier, the p2p registration,
-/// [`sched::plan_schedule`], the stage-task builder and the service's
-/// admission estimate all read it.
+/// the stage-task builder and the service's admission estimate all read
+/// it.
 pub struct LaunchPlan<'a> {
     pub edges: EdgeTable<'a>,
     /// The installation's fixed fleet size (`join_workers`, the
     /// `workers` of [`AggStrategy::Exchange`] / [`SortStrategy::Exchange`]);
     /// `None` for scans and for consumers the cost model sizes.
     pub pins: Vec<Option<usize>>,
-    /// Estimated bytes the stage emits onto its out-edge.
-    pub est_bytes: Vec<u64>,
     /// Fleet size.
     pub workers: Vec<usize>,
     /// How many ways the stage shards its output: its consumers' fleet
@@ -507,7 +495,6 @@ impl<'a> LaunchPlan<'a> {
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
-        est_bytes: Vec<u64>,
         workers: Vec<usize>,
         scans: Vec<Option<(Rc<TableSpec>, usize)>>,
     ) -> LaunchPlan<'a> {
@@ -538,7 +525,7 @@ impl<'a> LaunchPlan<'a> {
                 _ => false,
             })
             .collect();
-        LaunchPlan { edges, pins, est_bytes, workers, partitions, sort_edges, fused, scans }
+        LaunchPlan { edges, pins, workers, partitions, sort_edges, fused, scans }
     }
 
     /// The stage that reads `sid`'s fused out-edge, if it is fused.
@@ -760,7 +747,7 @@ impl Lambada {
             workers.push(fleet);
             scans.push(scan);
         }
-        let launch = LaunchPlan::wire(edges, pins, est, workers, scans);
+        let launch = LaunchPlan::wire(edges, pins, workers, scans);
         let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
         diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.fused));
         if diags.is_empty() {
@@ -832,25 +819,13 @@ impl Lambada {
             P2pGuard { p2p: self.cloud.p2p.clone(), prefix: format!("x{}/q{qid}/", self.instance) }
         });
 
-        // Build the launch schedule: one wait-event list per stage,
-        // telling its fleet future when it may launch. Eager waits on
-        // input *completion*; overlap downgrades cost-approved edges to
-        // the producer's *launch*, letting the consumer's discovery polls
-        // stream sections in while the producer still runs. Overlap
-        // prices edges from the same byte estimates that sized the fleets.
-        let sched_mode = policy.scheduler.unwrap_or(self.config.scheduler);
-        let plan = sched::plan_schedule(&launch, &self.config.costs, sched_mode);
-        let sched_diags = verify::verify_schedule(&launch.edges, &plan);
-        if !sched_diags.is_empty() {
-            return Err(CoreError::InvalidPlan(sched_diags));
-        }
-
         // Build every stage's task, consumers first so a fused producer
         // can link the stage it hands its part to, and every chain head's
         // payloads, before anything launches: a payload-planning failure
         // must surface before the first invocation, and result queues are
         // created only after *all* payloads built without error so a
-        // planning failure cannot leak one.
+        // planning failure cannot leak one. Edge addresses are the one
+        // per-worker part known only at launch: the fleet fills them in.
         let n = dag.stages.len();
         let mut tasks: Vec<Rc<StageTask>> = Vec::with_capacity(n); // stage n - 1 first
         for sid in (0..n).rev() {
@@ -878,6 +853,7 @@ impl Lambada {
                     attempt: 0,
                     query: qid,
                     task: WorkerTask::Stage(Rc::clone(task)),
+                    edges: Vec::new(),
                     children: Vec::new(),
                     result_queue: result_queue.clone(),
                 })
@@ -886,14 +862,11 @@ impl Lambada {
         }
 
         // One concurrently spawned fleet future per chain head, sequenced
-        // by the shared board: each future sleeps until its wait events
-        // have fired, then admits its whole fleet through the gate,
-        // invokes, and collects. A stage's `Launched` event fires only
-        // *after* gate admission, so under overlap a consumer enqueues
-        // on the FIFO gate strictly behind its producers — grant order
-        // embeds dependency order and a binding worker cap cannot form
-        // a permit cycle (see [`crate::sched`]'s deadlock argument).
-        let board = Rc::new(StageBoard::new(n));
+        // by the shared board: each future sleeps until its head's inputs
+        // have completed, addresses its workers' reads from their
+        // producers' section tables, admits its whole fleet through the
+        // gate, invokes, and collects.
+        let board = Rc::new(StageBoard::new(dag));
         let mut handles = Vec::with_capacity(heads.len());
         for (&head, (result_queue, payloads)) in heads.iter().zip(staged) {
             // A stage whose output rides a sort edge synchronizes its
@@ -907,16 +880,15 @@ impl Lambada {
                 senders: edge.senders,
             });
             self.cloud.sqs.create_queue(&result_queue);
+            let chain = launch.chain(head);
+            let receivers = chain.last().map_or(0, |&last| launch.partitions[last]);
+            let fleet = Fleet { result_queue, payloads, barrier, chain, receivers };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 self.cloud.clone(),
                 self.config.clone(),
-                result_queue,
-                payloads,
                 policy.gate.clone(),
-                barrier,
-                plan.waits[head].clone(),
                 Rc::clone(&board),
-                launch.chain(head),
+                fleet,
             )));
         }
         // On failure the board's failed flag stands the unlaunched
@@ -976,6 +948,7 @@ impl Lambada {
                     .iter()
                     .map(|r| match &r.outcome {
                         Ok(ResultPayload::Exchanged { rows, .. })
+                        | Ok(ResultPayload::Sections { rows, .. })
                         | Ok(ResultPayload::StoredBatches { rows, .. })
                         | Ok(ResultPayload::InlineBatches { rows, .. }) => *rows,
                         _ => r.metrics.rows_out,
@@ -984,7 +957,8 @@ impl Lambada {
                 bytes_exchanged: reports
                     .iter()
                     .map(|r| match &r.outcome {
-                        Ok(ResultPayload::Exchanged { bytes, .. }) => *bytes,
+                        Ok(ResultPayload::Exchanged { bytes, .. })
+                        | Ok(ResultPayload::Sections { bytes, .. }) => *bytes,
                         _ => 0,
                     })
                     .sum(),
@@ -1064,10 +1038,8 @@ impl Lambada {
             pipeline.terminal = terminal;
         }
 
-        let edge = |input: usize| EdgeRead {
-            channel: self.channel(qid, input),
-            senders: launch.workers[input],
-        };
+        // Slot `i` is the stage's `i`-th input, as the payload addresses it.
+        let edge = |slot: usize, input: usize| EdgeRead { channel: self.channel(qid, input), slot };
         let op = match kind {
             StageKind::Scan(stage) => {
                 let (table, files_per_worker) =
@@ -1080,12 +1052,12 @@ impl Lambada {
                 }))
             }
             StageKind::Join(stage) => StageOp::Join {
-                probe: edge(stage.probe_input),
-                build: edge(stage.build_input),
+                probe: edge(0, stage.probe_input),
+                build: edge(1, stage.build_input),
                 stage,
             },
             StageKind::AggMerge(stage) => StageOp::AggMerge {
-                input: edge(stage.input),
+                input: edge(0, stage.input),
                 stage,
                 // Last stage under a carry final stage: the merge fleet
                 // re-emits unfinalized state for the driver to carry
@@ -1093,7 +1065,7 @@ impl Lambada {
                 emit_state: sid + 1 == dag.stages.len()
                     && matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
             },
-            StageKind::Sort(stage) => StageOp::Sort { input: edge(stage.input), stage },
+            StageKind::Sort(stage) => StageOp::Sort { input: edge(0, stage.input), stage },
         };
         Ok(StageTask {
             op,
@@ -1235,13 +1207,28 @@ fn scan_partitioning(
     (chunk, num_files.div_ceil(chunk))
 }
 
+/// One chain's fleet as the driver spawns it.
+struct Fleet {
+    result_queue: String,
+    /// One payload per fleet slot, edge addresses still empty.
+    payloads: Vec<WorkerPayload>,
+    /// The sort-sample barrier the head's fleet synchronizes on, if any.
+    barrier: Option<BarrierProbe>,
+    /// The head, then every stage fused after it.
+    chain: Vec<usize>,
+    /// Consumer fleet size of the chain's out-edge: how many sections
+    /// every report must carry (0 when the driver reads it).
+    receivers: usize,
+}
+
 /// Invoke one chain's fleet and collect every worker's report. A free
 /// function over owned handles: the driver spawns one per chain head and
 /// the shared [`StageBoard`] sequences them — each future first sleeps
-/// until its `waits` have fired (dependency readiness under the launch
-/// plan), then admits its whole fleet through the gate, invokes, and
-/// collects. `chain` is the head and the stages fused after it: all of
-/// them launch and complete with the fleet.
+/// until its head's inputs have completed, then addresses every
+/// worker's reads from its producers' section tables, admits its whole
+/// fleet through the gate, invokes, and collects. All members of the
+/// chain complete with the fleet; the last one's section tables go on
+/// the board for its consumers.
 /// The stage's result queue is deleted once the fleet is collected
 /// (success or failure) — per-stage queues would otherwise leak one
 /// queue per stage per query. Late reports from superseded stragglers
@@ -1252,49 +1239,40 @@ fn scan_partitioning(
 /// gate: the whole fleet's permits are acquired *before* anything is
 /// invoked (partial launches could deadlock fleets that synchronize
 /// internally, like a sort fleet's sample barrier) and released when
-/// collection finishes, success or failure. The stage's `Launched`
-/// board event is announced only *after* admission, so an overlapped
-/// consumer enqueues on the FIFO gate strictly behind the producers it
-/// overlaps — grant order embeds dependency order and a binding cap
-/// stays deadlock-free (see [`crate::sched`]).
+/// collection finishes, success or failure.
 ///
 /// Returns `Ok(None)` when another stage failed before this one
 /// launched: the board's failure flag lets unlaunched fleets stand down
 /// without inventing an error of their own — the failing stage already
 /// carries the root cause.
-#[allow(clippy::too_many_arguments)]
 async fn run_fleet(
     cloud: Cloud,
     config: LambadaConfig,
-    result_queue: String,
-    payloads: Vec<WorkerPayload>,
     gate: Option<WorkerGate>,
-    barrier: Option<BarrierProbe>,
-    waits: Vec<WaitEvent>,
     board: Rc<StageBoard>,
-    chain: Vec<usize>,
+    fleet: Fleet,
 ) -> Result<Option<StageRun>> {
+    let Fleet { result_queue, mut payloads, barrier, chain, receivers } = fleet;
+    let head = chain.first().copied().unwrap_or_default();
     let enqueued = cloud.handle.now();
     loop {
         if board.failed() {
             cloud.sqs.delete_queue(&result_queue);
             return Ok(None);
         }
-        if waits.iter().all(|w| board.fired(w)) {
+        if board.ready(head) {
             break;
         }
         board.notified().await;
+    }
+    for p in &mut payloads {
+        p.edges = board.addresses(head, p.worker_id as usize);
     }
     let workers = payloads.len();
     let lease = match &gate {
         Some(g) => Some(g.admit(workers).await),
         None => None,
     };
-    // Announce launch only now — post-admission — so downstream
-    // overlapped stages enqueue on the gate strictly after this fleet.
-    for &sid in &chain {
-        board.launch(sid);
-    }
     let stage_start = cloud.handle.now();
     let queue_wait_secs = (stage_start - enqueued).as_secs_f64();
     let cost_before = cloud.billing.snapshot();
@@ -1321,16 +1299,23 @@ async fn run_fleet(
     };
     cloud.sqs.delete_queue(&result_queue);
     drop(lease);
-    let collected = match collected {
-        Ok(c) => c,
+    let written = collected.and_then(|c| {
+        let tables = section_tables(&c.results, receivers)?;
+        Ok((c, tables))
+    });
+    let (collected, tables) = match written {
+        Ok(written) => written,
         Err(e) => {
             // Wake every still-waiting fleet so it can stand down.
             board.fail();
             return Err(e);
         }
     };
-    for &sid in &chain {
-        board.complete(sid);
+    if let Some((&last, ahead)) = chain.split_last() {
+        for &sid in ahead {
+            board.complete(sid, Vec::new());
+        }
+        board.complete(last, tables);
     }
     Ok(Some(StageRun {
         results: collected.results,
@@ -1341,6 +1326,28 @@ async fn run_fleet(
         cost: cloud.billing.snapshot().since(&cost_before),
         backup_invocations: collected.backup_invocations,
     }))
+}
+
+/// Every kept report's section table as addresses, in worker order: row
+/// `s` is where each of the `receivers` consumer workers finds sender
+/// `s`'s section (none when the driver reads the output). A report that
+/// wrote no edge, or a table of another size, is a typed error.
+fn section_tables(results: &[WorkerResult], receivers: usize) -> Result<Vec<Vec<SectionAddr>>> {
+    if receivers == 0 {
+        return Ok(Vec::new());
+    }
+    results
+        .iter()
+        .map(|r| match &r.outcome {
+            Ok(ResultPayload::Sections { sections, .. }) => {
+                address_sections(r.attempt, sections, receivers)
+            }
+            _ => Err(CoreError::Format(format!(
+                "worker {} reported no section table for its out-edge",
+                r.worker_id
+            ))),
+        })
+        .collect()
 }
 
 /// What [`collect_results`] hands back: one report per worker, plus how
@@ -1364,7 +1371,9 @@ struct Collected {
 /// `multiplier ×` the fleet's median span, every missing worker is
 /// speculatively re-invoked (§3.3's "the driver decides", applied to
 /// silent deaths and stragglers instead of error reports). The first
-/// result per `worker_id` wins, whatever its attempt id.
+/// result per `worker_id` wins, whatever its attempt id — the stage-edge
+/// dedup rule: consumers are addressed from that report's section table
+/// alone, so a backup's copy and its original's are never combined.
 ///
 /// `stage_start` is the stage's own launch instant (post-board-wait,
 /// post-gate), so the quorum and barrier triggers anchor to when *this*
@@ -1553,6 +1562,7 @@ mod tests {
                 attempt: 0,
                 query: 0,
                 task: WorkerTask::Compute { vcpu_seconds: 0.01, threads: 1 },
+                edges: Vec::new(),
                 children: Vec::new(),
                 result_queue: "results".to_string(),
             })

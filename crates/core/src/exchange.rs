@@ -21,33 +21,40 @@
 //! The same machinery powers *stage edges*
 //! ([`crate::transport::EdgeTransport`]): write-combined shuffles where
 //! the producer and consumer are different worker fleets (scan → join,
-//! scan/join → agg-merge). Both are the same three steps — one write
-//! (`put_combined`), one wait (`await_copies`), one fetch
-//! (`fetch_copies`) — and differ only in where a sender's file goes.
-//! Every stage-edge key lives under a caller-supplied `channel` prefix
-//! of the form
+//! scan/join → agg-merge). A stage edge writes with `put_combined` and
+//! reads with `fetch_copies`, and never waits: its consumer fleet
+//! launches after every producer reported its section table, so the
+//! driver hands each receiver the exact attempt, offset and length of
+//! every sender's section. Every stage-edge key is
 //!
 //! ```text
-//! x{instance}/q{query}/s{stage}/snd{sender}a{attempt}.{rcv}_{len}...
+//! x{instance}/q{query}/s{stage}/snd{sender}a{attempt}
 //! ```
 //!
 //! where `instance` is the process-unique installation id, `query` the
 //! installation's query sequence number, and `stage` the producer's DAG
-//! index. Receivers LIST-poll exactly this prefix, so two concurrent
-//! installations (or two concurrent queries of one installation) with
-//! identical DAG shapes can never read each other's shuffle files —
-//! isolation is part of the key, not a runtime check. The per-receiver
-//! byte offsets ride in the file *name* (the `.{rcv}_{len}` sections),
-//! which is what lets a receiver turn one LIST into ranged GETs without
-//! touching file contents (§4.4.3).
+//! index, so two concurrent installations (or two concurrent queries of
+//! one installation) with identical DAG shapes can never read each
+//! other's shuffle files — isolation is part of the key, not a runtime
+//! check. The key's length does not grow with the consumer fleet.
 //!
 //! The `a{attempt}` component makes the exchange *duplicate-tolerant*:
 //! when the driver speculatively re-invokes a straggling producer, the
 //! backup writes a fresh file under the next attempt id instead of
-//! overwriting the original's. Receivers collapse the listing to one
-//! file per sender with a deterministic highest-attempt-wins rule, so
-//! sections of different attempts are never combined and duplicate
-//! files from one sender never satisfy the wait for another.
+//! overwriting the original's, and the driver addresses only the
+//! attempt whose report it kept (the first per worker).
+//!
+//! # Discovery among running peers
+//!
+//! Where the peers of an exchange run at once — Algorithm 1's rounds
+//! ([`run_exchange`]) and a sort edge's sample barrier — nobody can
+//! address them, so receivers discover copies (`await_copies`): LIST
+//! polls with back-off, collapsed to one copy per sender by a
+//! deterministic highest-attempt-wins rule. Algorithm 1's files carry
+//! the per-receiver byte offsets in their *name*
+//! (`snd{p}a{attempt}.{rcv}_{len}...`), which lets a receiver turn one
+//! LIST into ranged GETs without touching file contents (§4.4.3); a
+//! sample file holds one section and is read whole.
 //!
 //! Payloads are either real bytes (tests, small-scale validation) or
 //! modeled sizes ([`PartData::Modeled`]) for paper-scale runs; modeled
@@ -295,13 +302,18 @@ pub fn decode_bundle(body: Body, side_sizes: Vec<(u32, u64)>) -> Result<Vec<(u32
     }
 }
 
-/// Key of a write-combined file under `prefix` (which ends in `/`). The
-/// per-receiver offsets ride in the name (§4.4.3 variant 2), extended
-/// with the sender's attempt id so speculative backup workers never
-/// overwrite or get mixed with the original's file:
+/// Key of sender `sender`'s write-combined file under `prefix` (which
+/// ends in `/`): `{prefix}snd{sender}a{attempt}`. The attempt id keeps a
+/// speculative backup from overwriting or mixing with the original.
+pub(crate) fn edge_key(prefix: &str, sender: usize, attempt: u32) -> String {
+    format!("{prefix}snd{sender}a{attempt}")
+}
+
+/// [`edge_key`] with the per-receiver lengths in the name (§4.4.3
+/// variant 2), for receivers that discover files by LIST:
 /// `{prefix}snd{p}a{attempt}.{rcv}_{len}.{rcv}_{len}...`
 fn wc_key(prefix: &str, sender: usize, attempt: u32, sections: &[(u32, u64)]) -> String {
-    let mut name = format!("{prefix}snd{sender}a{attempt}");
+    let mut name = edge_key(prefix, sender, attempt);
     for (rcv, len) in sections {
         name.push_str(&format!(".{rcv}_{len}"));
     }
@@ -367,38 +379,45 @@ fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
 }
 
 /// **The one write.** Assemble one sender's write-combined file — one
-/// bundle per receiver, per-receiver lengths in the file *name* — and PUT
-/// it under `prefix` in `bucket`: an object-store stage-edge send (all
-/// receivers), a direct send's fallback (the receivers whose p2p links
-/// failed) and each write-combined Algorithm-1 round. `entries` must be
-/// sorted by receiver id; a receiver with no parts gets a zero-length
-/// name section (it learns there is nothing to fetch) and no bytes.
-/// Returns the bytes written.
+/// bundle per receiver, back to back — and PUT it under `prefix` in
+/// `bucket`: an object-store stage-edge send (all receivers), a direct
+/// send's fallback (the receivers whose p2p links failed), a sample of
+/// the sort barrier and each write-combined Algorithm-1 round. `entries`
+/// must be sorted by receiver id; a receiver with no parts gets a
+/// zero-length section (it learns there is nothing to fetch) and no
+/// bytes. With `named`, the section lengths also ride in the key, for
+/// receivers that discover the file by LIST. Returns the bytes written
+/// and the section table, `(receiver, len)` in file order.
 pub(crate) async fn put_combined(
     env: &WorkerEnv,
     side: &ExchangeSide,
     bucket: &str,
     prefix: &str,
     sender: usize,
+    named: bool,
     entries: Vec<(u32, Vec<(u32, PartData)>)>,
-) -> Result<u64> {
+) -> Result<(u64, BundleSizes)> {
     let mut file_bytes: Vec<u8> = Vec::new();
     let mut synthetic_total = 0u64;
-    let mut name_sections: Vec<(u32, u64)> = Vec::with_capacity(entries.len());
+    let mut sections: BundleSizes = Vec::with_capacity(entries.len());
     let mut side_entries: Vec<(u32, BundleSizes)> = Vec::new();
     for (rcv, bundle) in entries {
         if bundle.is_empty() {
-            name_sections.push((rcv, 0));
+            sections.push((rcv, 0));
             continue;
         }
         let (len, sizes) = encode_bundle_into(&mut file_bytes, &bundle)?;
-        name_sections.push((rcv, len));
+        sections.push((rcv, len));
         if let Some(sizes) = sizes {
             synthetic_total += len;
             side_entries.push((rcv, sizes));
         }
     }
-    let key = wc_key(prefix, sender, env.attempt, &name_sections);
+    let key = if named {
+        wc_key(prefix, sender, env.attempt, &sections)
+    } else {
+        edge_key(prefix, sender, env.attempt)
+    };
     let body = if side_entries.is_empty() {
         Body::from_vec(file_bytes)
     } else {
@@ -409,11 +428,12 @@ pub(crate) async fn put_combined(
         side.put(format!("{bucket}/{key}"), rcv, sizes);
     }
     env.s3.put(bucket, &key, body).await?;
-    Ok(written)
+    Ok((written, sections))
 }
 
 /// Request accounting of one stage-edge receive
-/// ([`crate::transport::EdgeTransport::recv`], with or without a mailbox).
+/// ([`crate::transport::EdgeTransport::recv`], with or without a mailbox)
+/// or of one pass of the sort-sample barrier.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EdgeReadStats {
     pub list_requests: u64,
@@ -425,10 +445,8 @@ pub struct EdgeReadStats {
     /// Payload bytes received over the p2p relay.
     pub p2p_bytes: u64,
     /// Virtual seconds this receiver spent blocked in discovery polls
-    /// before every producer section was visible. Billed worker time:
-    /// under overlapped scheduling the consumer fleet is running (and
-    /// paying) while it polls, so the driver meters this per stage and
-    /// holds it against [`crate::costmodel::OVERLAP_POLL_HEADROOM`].
+    /// before every peer's section was visible: billed worker time, 0 on
+    /// an addressed stage edge (only the sample barrier discovers).
     pub wait_secs: f64,
 }
 
@@ -490,10 +508,12 @@ pub(crate) struct Copy {
     pub at: CopyAt,
 }
 
-/// The one dedup rule: keep the highest attempt per sender, so a
+/// Discovery's dedup rule: keep the highest attempt per sender, so a
 /// speculative backup's copy is never combined with its original's. The
 /// first copy seen wins a tie, and every pass reads the mailbox first —
-/// the direct copy is the same bytes without a GET.
+/// the direct copy is the same bytes without a GET. (An addressed stage
+/// edge needs no rule here: the driver addresses the attempt whose
+/// report it kept.)
 fn offer(best: &mut BTreeMap<usize, Copy>, copy: Copy) {
     let attempt = copy.attempt;
     match best.get(&copy.sender) {
@@ -555,9 +575,10 @@ pub(crate) async fn discover(
     Ok(lists)
 }
 
-/// Rounds a receiver with a registered mailbox polls it alone before it
-/// starts paying for fallback LISTs as well. Healthy direct edges never
-/// touch the store; LISTs are billed only once a copy is plausibly late.
+/// Rounds a barrier receiver with a registered mailbox polls it alone
+/// before it starts paying for fallback LISTs as well. A healthy direct
+/// barrier never touches the store; LISTs are billed only once a copy is
+/// plausibly late.
 const FALLBACK_GRACE_POLLS: usize = 3;
 
 /// How one pass of [`await_copies`] visits its places.
@@ -575,12 +596,12 @@ pub(crate) enum Pass {
     OneByOne,
 }
 
-/// **The one wait.** Poll until every sender of every place has a copy:
-/// one [`discover`] pass per round — the mailbox alone while it is
+/// **The one wait**, for peers that run at once (the sample barrier,
+/// Algorithm 1's rounds): poll until every sender of every place has a
+/// copy — one [`discover`] pass per round, the mailbox alone while it is
 /// registered and in its grace rounds — then back off, or time out with
-/// the number of senders still missing. Receivers may start before their
-/// senders finish; everything synchronizes through discovery. Returns
-/// one copy per expected sender in sender order, and the LISTs spent.
+/// the number of senders still missing. Returns one copy per expected
+/// sender in sender order, and the LISTs spent.
 pub(crate) async fn await_copies(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
@@ -732,7 +753,7 @@ pub async fn run_exchange(
         if cfg.write_combining {
             let (bucket, prefix) = group_place(p);
             let entries = bundles.into_iter().map(|(rcv, b)| (rcv as u32, b)).collect();
-            put_combined(env, side, &bucket, &prefix, p, entries).await?;
+            put_combined(env, side, &bucket, &prefix, p, true, entries).await?;
         } else {
             let mut puts = Vec::new();
             for (&target, bundle) in &bundles {

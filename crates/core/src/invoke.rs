@@ -228,6 +228,7 @@ mod tests {
                 attempt: 0,
                 query: 0,
                 task: WorkerTask::Noop,
+                edges: Vec::new(),
                 children: Vec::new(),
                 result_queue: "q".to_string(),
             })

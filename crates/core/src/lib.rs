@@ -21,9 +21,11 @@
 //!   same machinery powers *stage edges*: write-combined, bucket-sharded
 //!   shuffles between the producer and consumer fleets of a multi-stage
 //!   query. [`transport`] holds that edge, [`transport::EdgeTransport`]:
-//!   one write → wait → fetch protocol, the paper's object-store
-//!   baseline when it has no p2p mailboxes, worker-to-worker streaming
-//!   through a rendezvous/relay (object store as fallback) when it does;
+//!   senders write and report their section tables, the driver addresses
+//!   every receiver, receivers fetch without a LIST — the paper's
+//!   object-store baseline when it has no p2p mailboxes,
+//!   worker-to-worker streaming through a rendezvous/relay (object store
+//!   as fallback) when it does;
 //! * [`worker`] / [`driver`] / [`stage`] — the worker handler (one
 //!   [`worker::StageTask`] shape for every stage: operator → sink; a
 //!   chain of one-worker stages runs in one invocation), the
@@ -33,11 +35,10 @@
 //!   (with [`stage::SplitOptions::exchange_aggregates`]), and
 //!   range-partitioned sort stages (with
 //!   [`stage::SplitOptions::exchange_sorts`]), which the driver's
-//!   event-driven stage scheduler ([`driver::Lambada::run_dag`], launch
-//!   plans from [`sched::plan_schedule`]) executes shape-agnostically —
-//!   diamonds included — launching each stage as soon as its own inputs
-//!   are ready, optionally overlapping producers and consumers where
-//!   the cost model prices the billed poll-wait as worth it;
+//!   event-driven stage scheduler ([`driver::Lambada::run_dag`] over a
+//!   [`sched::StageBoard`]) executes shape-agnostically — diamonds
+//!   included — launching each stage as soon as its own inputs are
+//!   complete;
 //! * [`costmodel`] — calibrated vCPU-second charges for engine work and
 //!   per-stage fleet sizing for join, agg-merge, and sort fleets;
 //! * [`service`] — the multi-tenant query service: many concurrent query
@@ -78,12 +79,12 @@ pub use exchange::{
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,
-    RequestCounts,
+    RequestCounts, ADDRESSED,
 };
 pub use invoke::{invoke_backups, invoke_workers, invoke_workers_as, InvocationStrategy};
 pub use message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 pub use scan::{scan_table, ScanConfig, ScanItem, ScanMetrics};
-pub use sched::{plan_schedule, SchedMode, SchedulePlan, StageBoard, WaitEvent};
+pub use sched::StageBoard;
 pub use service::{
     QueryEstimate, QueryHandle, QueryService, ServiceConfig, TenantBudget, TenantUsage, WorkerGate,
 };
@@ -92,10 +93,11 @@ pub use streaming::{
     events_to_batch, streamify, ContinuousQuery, StreamBatchReport, StreamSpec, WINDOW_COLUMN,
 };
 pub use table::{TableFile, TableSpec};
-pub use transport::{EdgeTransport, EdgeWriteStats, TransportKind};
+pub use transport::{
+    address_sections, EdgeTransport, EdgeWriteStats, Section, SectionAddr, TransportKind, Wire,
+};
 pub use verify::{
-    verify_dag, verify_fleets, verify_fused, verify_schedule, verify_stream, Diagnostic,
-    MAX_MODEL_FLEET,
+    verify_dag, verify_fleets, verify_fused, verify_stream, Diagnostic, MAX_MODEL_FLEET,
 };
 pub use worker::{
     inject_query_worker_faults, inject_worker_faults, register_worker_function, sample_channel,

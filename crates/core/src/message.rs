@@ -52,7 +52,7 @@ pub struct WorkerMetrics {
     pub bytes_written: u64,
     /// PUT requests issued (exchange writes, result uploads).
     pub put_requests: u64,
-    /// LIST requests issued (exchange-edge discovery polls).
+    /// LIST requests issued (sort-sample barrier discovery polls).
     pub list_requests: u64,
     /// Rows exchanged to the consumer stage (hash-partition fragments) or
     /// received from producer stages (join workers).
@@ -64,8 +64,8 @@ pub struct WorkerMetrics {
     /// Whether this invocation was a cold start.
     pub cold_start: bool,
     /// Virtual seconds spent blocked in exchange discovery polls waiting
-    /// for producer sections to appear — billed worker time that the
-    /// driver attributes to overlapped scheduling.
+    /// for peers' sections to appear — billed worker time; 0 on an
+    /// addressed stage edge, so only a sort-sample barrier shows here.
     pub exchange_wait_secs: f64,
 }
 
@@ -113,9 +113,32 @@ impl WorkerMetrics {
     }
 }
 
+/// Which wire carries one receiver's section of a stage edge.
+///
+/// Wire stability: encodes as one byte, `File` 0 and `Mailbox` 1; the
+/// values are frozen once assigned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire {
+    /// The sender's write-combined object file.
+    File = 0,
+    /// The receiver's p2p mailbox (direct transport only).
+    Mailbox = 1,
+}
+
+/// One receiver's section of a sender's write onto a stage edge: its
+/// byte length (0: an empty part, nothing to fetch) and where it is.
+/// Sections of the file lie back to back in receiver order.
+///
+/// Wire stability: encodes as `varint len`, then the [`Wire`] byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Section {
+    pub len: u64,
+    pub wire: Wire,
+}
+
 /// The payload of a successful worker.
 ///
-/// Wire stability: variants encode by fixed tag (0–5; `Exchanged` is 4
+/// Wire stability: variants encode by fixed tag (0–6; `Exchanged` is 4
 /// and errors are 3); tags are frozen once assigned. New payload kinds take the
 /// next free tag — never reuse one, a mixed-version fleet would
 /// misparse old results. The `AggState` encoding
@@ -134,13 +157,16 @@ pub enum ResultPayload {
     StoredBatches { bucket: String, key: String, rows: u64 },
     /// Fragment produced nothing (e.g. all row groups pruned).
     Empty,
-    /// The fragment's rows went to an exchange edge, not to the driver
-    /// (scan stages of a distributed join) — or, with `bytes` 0, to the
-    /// next stage of a fused chain in the same invocation.
+    /// The fragment's rows went to the next stage of a fused chain in the
+    /// same invocation (`bytes` 0).
     Exchanged { rows: u64, bytes: u64 },
     /// Encoded result batches small enough to ride the message itself
     /// (at most [`INLINE_RESULT_BYTES`]): no PUT, no driver GET.
     InlineBatches { rows: u64, bytes: Vec<u8> },
+    /// The fragment's rows went onto a stage edge: `bytes` crossed it,
+    /// and `sections[r]` tells the driver where receiver `r`'s part is —
+    /// what it hands every consumer worker so no receiver lists storage.
+    Sections { rows: u64, bytes: u64, sections: Vec<Section> },
 }
 
 /// One message on the result queue.
@@ -273,6 +299,16 @@ fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
             w.varint(*rows);
             w.bytes(bytes);
         }
+        ResultPayload::Sections { rows, bytes, sections } => {
+            w.u8(6);
+            w.varint(*rows);
+            w.varint(*bytes);
+            w.varint(sections.len() as u64);
+            for s in sections {
+                w.varint(s.len);
+                w.u8(s.wire as u8);
+            }
+        }
     }
 }
 
@@ -290,6 +326,21 @@ fn decode_payload(
         2 => ResultPayload::Empty,
         4 => ResultPayload::Exchanged { rows: r.varint()?, bytes: r.varint()? },
         5 => ResultPayload::InlineBatches { rows: r.varint()?, bytes: r.bytes()?.to_vec() },
+        6 => {
+            let (rows, bytes, count) = (r.varint()?, r.varint()?, r.varint()?);
+            // Pushed as they decode, never reserved from the claimed count.
+            let mut sections = Vec::new();
+            for _ in 0..count {
+                let len = r.varint()?;
+                let wire = match r.u8()? {
+                    0 => Wire::File,
+                    1 => Wire::Mailbox,
+                    other => return Err(FormatError::Corrupt(format!("unknown wire {other}"))),
+                };
+                sections.push(Section { len, wire });
+            }
+            ResultPayload::Sections { rows, bytes, sections }
+        }
         other => return Err(FormatError::Corrupt(format!("unknown result tag {other}"))),
     })
 }
@@ -370,6 +421,24 @@ mod tests {
         assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
     }
 
+    /// A stage-edge report: one section per receiver, on either wire.
+    fn sections_result() -> WorkerResult {
+        let sections = vec![
+            Section { len: 300, wire: Wire::File },
+            Section { len: 0, wire: Wire::Mailbox },
+            Section { len: 1 << 40, wire: Wire::Mailbox },
+            Section { len: 0, wire: Wire::File },
+        ];
+        WorkerResult::ok(2, ResultPayload::Sections { rows: 77, bytes: 300, sections }, metrics())
+            .with_attempt(1)
+    }
+
+    #[test]
+    fn section_table_result_roundtrips() {
+        let msg = sections_result();
+        assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
+    }
+
     #[test]
     fn garbage_rejected() {
         assert!(WorkerResult::decode(&[9, 9, 9]).is_err());
@@ -413,6 +482,7 @@ mod tests {
             ResultPayload::StoredBatches { bucket: "b".to_string(), key: "k".to_string(), rows: 5 };
         for msg in [
             chain_result(),
+            sections_result(),
             WorkerResult::error(3, "out of memory", metrics()),
             WorkerResult::ok(1, stored, metrics()),
         ] {
@@ -439,15 +509,17 @@ mod tests {
     /// never to a panic.
     #[test]
     fn every_single_bit_flip_decodes_or_errs_without_panicking() {
-        let bytes = chain_result().encode();
-        let mut damaged = bytes.clone();
-        let mut errors = 0;
-        for bit in 0..bytes.len() * 8 {
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            errors += usize::from(WorkerResult::decode(&damaged).is_err());
-            damaged[bit / 8] ^= 1 << (bit % 8);
+        for msg in [chain_result(), sections_result()] {
+            let bytes = msg.encode();
+            let mut damaged = bytes.clone();
+            let mut errors = 0;
+            for bit in 0..bytes.len() * 8 {
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                errors += usize::from(WorkerResult::decode(&damaged).is_err());
+                damaged[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert!(errors > 0, "some flips break the structure");
         }
-        assert!(errors > 0, "some flips break the structure");
     }
 
     /// Lengths and counts are claims, not allocations: a message claiming
@@ -470,5 +542,29 @@ mod tests {
         w.varint(1 << 60);
         w.u8(2);
         assert!(WorkerResult::decode(&w.into_bytes()).is_err());
+
+        // A section table claiming 2^60 entries over one real section.
+        let mut w = BinWriter::new();
+        w.varint(1);
+        w.varint(0);
+        w.u8(6);
+        w.varint(5);
+        w.varint(9);
+        w.varint(1 << 60);
+        w.varint(9);
+        w.u8(0);
+        assert!(WorkerResult::decode(&w.into_bytes()).is_err());
+    }
+
+    /// A wire byte no encoder writes is an error, not a guess.
+    #[test]
+    fn an_unknown_wire_is_an_error() {
+        let mut bytes = sections_result().encode();
+        // The first section's wire byte follows its two-byte length (300).
+        let wire = 1 + 1 + 1 + 1 + 2 + 1 + 2;
+        assert_eq!(bytes[wire], 0, "the file wire");
+        bytes[wire] = 2;
+        let err = WorkerResult::decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("unknown wire 2"), "{err}");
     }
 }

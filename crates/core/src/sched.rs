@@ -1,213 +1,92 @@
-//! Event-driven stage scheduling: *when* each stage of a
-//! [`crate::stage::QueryDag`] may launch, decided per input edge.
+//! Event-driven stage scheduling: a stage of a
+//! [`crate::stage::QueryDag`] launches the moment its own inputs have
+//! completed.
 //!
-//! [`plan_schedule`] precomputes, per stage, the [`WaitEvent`]s that
-//! must fire before that stage's fleet may acquire workers, and the
-//! driver runs one future per stage over a shared [`StageBoard`] — no
+//! The driver runs one future per fleet over a shared [`StageBoard`] — no
 //! topological level barrier, so a stage whose inputs finished early
-//! never idles behind a slower sibling. Every wait points at one of the
-//! stage's own inputs, hence at a lower-indexed stage. Two modes:
+//! never idles behind a slower sibling, and every wait points at one of
+//! the stage's own inputs, a lower-indexed stage. A consumer launches
+//! only once its producers' edges are fully written and every producer
+//! has reported where it wrote each receiver's section, so nothing is
+//! billed for waiting, and the board can hand each consumer worker the
+//! exact address of its section from every sender
+//! ([`StageBoard::addresses`]): the consumer's receive is a fetch, never
+//! a discovery. A fused edge's consumer runs after its producer in the
+//! same invocation and launches with the chain's head.
 //!
-//! * [`SchedMode::Eager`] — pure dependency scheduling: a stage waits
-//!   for exactly its own inputs to complete. Consumers launch only once
-//!   their inputs' edge data is fully written, so nothing is billed for
-//!   waiting.
-//! * [`SchedMode::Overlap`] — pipelined edges: a consumer may launch
-//!   while its producer is still running, riding the exchange layer's
-//!   existing poll-until-visible machinery (receivers LIST/probe until
-//!   every sender's section appears, so correctness never depended on
-//!   launch order). Overlap trades billed poll-wait for span — an
-//!   overlapped consumer is metered while it waits (Kassing et al.,
-//!   CIDR 2022) — so the edge is overlapped only when
-//!   [`ComputeCostModel::overlap_pays`] predicts the producer's
-//!   remaining runtime is small against the consumer's own work, and
-//!   never across a sort-sample barrier (the producer fleet
-//!   synchronizes on samples from *all* its members; a consumer
-//!   launched early would burn its whole wait budget against the
-//!   barrier). Which edges stayed conservative is visible in the plan.
-//!   A fused edge ([`LaunchPlan::fused`]) is always a completion wait:
-//!   its consumer runs after its producer, in the same invocation, and
-//!   launches with the chain's head.
-//!
-//! Deadlock freedom under a [`crate::service::WorkerGate`] cap comes
-//! from event ordering, not lease ordering: a stage's `Launched` event
-//! fires only *after* its fleet's whole-fleet lease was granted, so an
-//! overlapped consumer enqueues on the FIFO gate strictly behind every
-//! producer it waits on. The gate's grant order therefore embeds the
-//! dependency order, and whoever holds leases can always finish and
-//! release — no cycle of fleets waiting on each other's permits can
-//! form. [`crate::verify::verify_schedule`] checks the static
-//! invariants (`V-SCHED-*`) before a single worker is invoked.
+//! Deadlock freedom under a [`crate::service::WorkerGate`] cap: a fleet
+//! asks the gate for workers only after its inputs completed, and a
+//! completed fleet holds no lease, so no fleet ever waits on the gate
+//! for a fleet that waits on it.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use lambada_sim::sync::{Notified, Notify};
 
-use crate::costmodel::ComputeCostModel;
-use crate::driver::LaunchPlan;
+use crate::stage::QueryDag;
+use crate::transport::SectionAddr;
 
-/// When a stage's fleet may launch relative to its inputs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Launch when this stage's own inputs have completed.
-    #[default]
-    Eager,
-    /// Launch while producers still run, where the cost model predicts
-    /// the billed poll-wait stays under
-    /// [`crate::costmodel::OVERLAP_POLL_HEADROOM`]; edges where it
-    /// does not (and all sort-sample barrier edges) fall back to
-    /// completion waits.
-    Overlap,
-}
-
-/// One readiness condition of a stage: a fact about another stage that
-/// must hold before the waiting stage's fleet may acquire workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitEvent {
-    /// The stage's fleet finished and its output edge is fully written.
-    Completed(usize),
-    /// The stage's fleet holds its worker lease and is invoking — the
-    /// overlapped-consumer trigger.
-    Launched(usize),
-}
-
-impl WaitEvent {
-    /// The stage this event is about.
-    pub fn stage(&self) -> usize {
-        match *self {
-            WaitEvent::Completed(sid) | WaitEvent::Launched(sid) => sid,
-        }
-    }
-}
-
-/// A launch plan over one DAG: `waits[sid]` must all have fired before
-/// stage `sid` launches. Produced by [`plan_schedule`], checked by
-/// [`crate::verify::verify_schedule`], executed by the driver.
-#[derive(Clone, Debug)]
-pub struct SchedulePlan {
-    pub mode: SchedMode,
-    pub waits: Vec<Vec<WaitEvent>>,
-}
-
-impl SchedulePlan {
-    /// Number of input edges the plan launches overlapped (consumer up
-    /// while the producer still runs).
-    pub fn overlapped_edges(&self) -> usize {
-        self.waits.iter().flatten().filter(|w| matches!(w, WaitEvent::Launched(_))).count()
-    }
-}
-
-/// Estimated bytes a stage has to chew through: the larger of what it
-/// emits and what it ingests, so cheap pass-through stages still get
-/// credited their input volume.
-fn work_bytes(launch: &LaunchPlan<'_>, sid: usize) -> u64 {
-    let ingest: u64 =
-        launch.edges.dag.stages[sid].inputs().iter().map(|&i| launch.est_bytes[i]).sum();
-    launch.est_bytes[sid].max(ingest)
-}
-
-/// Build the launch schedule for the DAG `launch` sizes, under `mode`.
-/// Only [`SchedMode::Overlap`] prices edges, from the launch plan's
-/// per-stage byte estimates and fleet sizes — the same numbers that
-/// sized the fleets.
-pub fn plan_schedule(
-    launch: &LaunchPlan<'_>,
-    costs: &ComputeCostModel,
-    mode: SchedMode,
-) -> SchedulePlan {
-    let stages = &launch.edges.dag.stages;
-    let waits = match mode {
-        SchedMode::Eager => stages
-            .iter()
-            .map(|kind| kind.inputs().iter().map(|&i| WaitEvent::Completed(i)).collect())
-            .collect(),
-        SchedMode::Overlap => {
-            let worker_secs = |sid: usize| {
-                costs.stage_worker_seconds(work_bytes(launch, sid), launch.workers[sid])
-            };
-            stages
-                .iter()
-                .enumerate()
-                .map(|(sid, kind)| {
-                    let consumer_secs = worker_secs(sid);
-                    kind.inputs()
-                        .iter()
-                        .map(|&p| {
-                            // Never overlap across a sort-sample barrier:
-                            // the producer fleet synchronizes on samples
-                            // from all members before any data moves, so
-                            // an early consumer only accrues billed wait.
-                            // Nor across a fused edge: its consumer runs
-                            // after its producer in the same invocation.
-                            if !launch.edges.feeds_sort(p)
-                                && !launch.fused[p]
-                                && costs.overlap_pays(worker_secs(p), consumer_secs)
-                            {
-                                WaitEvent::Launched(p)
-                            } else {
-                                WaitEvent::Completed(p)
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-    };
-    SchedulePlan { mode, waits }
-}
-
-/// Shared launch/completion scoreboard one query's stage futures
-/// coordinate through. Single-threaded (the driver's futures all run on
-/// the simulation executor), so plain `Cell`s plus an edge-triggered
+/// Shared completion scoreboard one query's fleet futures coordinate
+/// through. Single-threaded (the driver's futures all run on the
+/// simulation executor), so plain cells plus an edge-triggered
 /// [`Notify`] suffice: every state change calls `notify_all`, and
-/// waiters re-check their [`WaitEvent`]s on each wake.
+/// waiters re-check [`StageBoard::ready`] on each wake.
 pub struct StageBoard {
-    launched: Vec<Cell<bool>>,
-    completed: Vec<Cell<bool>>,
+    /// Each stage's inputs, in [`crate::stage::StageKind::inputs`] order.
+    inputs: Vec<Vec<usize>>,
+    /// `Some` once the stage completed: per sender, one address per
+    /// receiver of its out-edge (empty for a stage whose out-edge no
+    /// consumer reads through the transport).
+    written: Vec<RefCell<Option<Vec<Vec<SectionAddr>>>>>,
     failed: Cell<bool>,
     notify: Notify,
 }
 
 impl StageBoard {
-    pub fn new(stages: usize) -> StageBoard {
+    pub fn new(dag: &QueryDag) -> StageBoard {
         StageBoard {
-            launched: (0..stages).map(|_| Cell::new(false)).collect(),
-            completed: (0..stages).map(|_| Cell::new(false)).collect(),
+            inputs: dag.stages.iter().map(|kind| kind.inputs()).collect(),
+            written: dag.stages.iter().map(|_| RefCell::new(None)).collect(),
             failed: Cell::new(false),
             notify: Notify::new(),
         }
     }
 
-    /// Has this event fired? Out-of-range stage ids read as "never
-    /// fires", which the static verifier rejects before execution.
-    pub fn fired(&self, event: &WaitEvent) -> bool {
-        match *event {
-            WaitEvent::Completed(sid) => self.completed.get(sid).map(Cell::get).unwrap_or(false),
-            WaitEvent::Launched(sid) => self.launched.get(sid).map(Cell::get).unwrap_or(false),
-        }
+    fn completed(&self, sid: usize) -> bool {
+        self.written.get(sid).is_some_and(|w| w.borrow().is_some())
     }
 
-    /// Stage `sid` holds its worker lease and is invoking. Fired from
-    /// inside the fleet runner *after* gate admission — that ordering
-    /// is the deadlock-freedom invariant (see the module doc).
-    pub fn launch(&self, sid: usize) {
-        if let Some(c) = self.launched.get(sid) {
-            c.set(true);
+    /// May stage `sid` launch — have all of its own inputs completed?
+    /// (Sources always may.) Out-of-range stages never complete, which
+    /// the static verifier rules out before execution.
+    pub fn ready(&self, sid: usize) -> bool {
+        self.inputs.get(sid).is_some_and(|inputs| inputs.iter().all(|&i| self.completed(i)))
+    }
+
+    /// Stage `sid` finished, its output edge is fully written, and
+    /// `written[s][r]` is where receiver `r` finds sender `s`'s section
+    /// of it — the addresses of the first report per worker, the one the
+    /// driver kept.
+    pub fn complete(&self, sid: usize, written: Vec<Vec<SectionAddr>>) {
+        if let Some(cell) = self.written.get(sid) {
+            *cell.borrow_mut() = Some(written);
         }
         self.notify.notify_all();
     }
 
-    /// Stage `sid` finished and its output edge is fully written.
-    /// Implies launched, so a plan mixing event kinds on one producer
-    /// can never re-wait a fact that already held.
-    pub fn complete(&self, sid: usize) {
-        if let Some(c) = self.launched.get(sid) {
-            c.set(true);
-        }
-        if let Some(c) = self.completed.get(sid) {
-            c.set(true);
-        }
-        self.notify.notify_all();
+    /// Where worker `receiver` of stage `sid` finds its sections: per
+    /// input, one address per sender — O(senders) per input, never the
+    /// whole table. Asked only once `sid` is [`Self::ready`], when every
+    /// input completed with one address per worker of `sid`'s fleet: an
+    /// edge's partition count is its consumer fleet's size
+    /// (`V-FLEET-004`), and [`crate::transport::address_sections`] held
+    /// every table to it.
+    pub fn addresses(&self, sid: usize, receiver: usize) -> Vec<Vec<SectionAddr>> {
+        let address = |&input: &usize| -> Vec<SectionAddr> {
+            let written = self.written[input].borrow();
+            written.iter().flatten().map(|table| table[receiver]).collect()
+        };
+        self.inputs[sid].iter().map(address).collect()
     }
 
     /// A stage failed: wake every waiter so pending stages abort
@@ -230,89 +109,45 @@ impl StageBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::QueryDag;
-    use crate::verify::test_dags::{
-        diamond_dag, scan_sort_dag, single_scan_dag, sized, two_scan_join_dag, unbalanced_join_dag,
-    };
+    use crate::message::Wire;
+    use crate::verify::test_dags::{diamond_dag, single_scan_dag, unbalanced_join_dag};
 
-    /// A launch plan nobody prices: eager never reads the estimates.
-    fn unpriced(dag: &QueryDag) -> LaunchPlan<'_> {
-        sized(dag, vec![0; dag.stages.len()], vec![1; dag.stages.len()])
+    fn addr(attempt: u32, offset: u64) -> SectionAddr {
+        SectionAddr { attempt, offset, len: 1, wire: Wire::File }
     }
 
-    fn costs() -> ComputeCostModel {
-        ComputeCostModel::default()
-    }
-
+    /// A stage waits for exactly its own inputs — not a level barrier:
+    /// in the unbalanced shape the final join may launch once the first
+    /// join and scan 1 completed, whatever else sits in earlier levels,
+    /// and sources never wait.
     #[test]
     fn eager_waits_are_exactly_the_inputs() {
-        let dag = two_scan_join_dag();
-        let plan = plan_schedule(&unpriced(&dag), &costs(), SchedMode::Eager);
-        assert_eq!(plan.waits[0], Vec::new());
-        assert_eq!(plan.waits[1], Vec::new());
-        assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(1)]);
-        assert_eq!(plan.overlapped_edges(), 0);
-        // Not a level barrier: in the diamond and the unbalanced shape a
-        // stage still waits on its own inputs only, whatever else sits
-        // in earlier topological levels.
-        let plan = plan_schedule(&unpriced(&diamond_dag()), &costs(), SchedMode::Eager);
-        assert_eq!(plan.waits[3], vec![WaitEvent::Completed(1), WaitEvent::Completed(2)]);
-        let plan = plan_schedule(&unpriced(&unbalanced_join_dag()), &costs(), SchedMode::Eager);
-        assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Completed(0)]);
-        assert_eq!(plan.waits[3], vec![WaitEvent::Completed(2), WaitEvent::Completed(1)]);
-    }
-
-    #[test]
-    fn overlap_prices_edges_and_falls_back_when_the_producer_is_heavy() {
-        let dag = two_scan_join_dag();
-        let workers = vec![1, 1, 1];
-        // Tiny producers feeding a heavy consumer: both edges overlap.
-        let est = vec![1 << 10, 1 << 10, 1 << 30];
-        let plan = plan_schedule(&sized(&dag, est, workers.clone()), &costs(), SchedMode::Overlap);
-        assert_eq!(plan.waits[2], vec![WaitEvent::Launched(0), WaitEvent::Launched(1)]);
-        assert_eq!(plan.overlapped_edges(), 2);
-        // A heavy producer beside a tiny one: only the tiny edge
-        // overlaps — polling out the heavy scan would bill more wait
-        // than the headroom allows.
-        let est = vec![1 << 30, 1 << 10, 1 << 20];
-        let plan = plan_schedule(&sized(&dag, est, workers), &costs(), SchedMode::Overlap);
-        assert_eq!(plan.waits[2], vec![WaitEvent::Completed(0), WaitEvent::Launched(1)]);
-    }
-
-    #[test]
-    fn overlap_never_crosses_a_sort_sample_barrier() {
-        let dag = scan_sort_dag();
-        // Estimates that would otherwise scream "overlap".
-        let est = vec![1, 1 << 30];
-        let plan = plan_schedule(&sized(&dag, est, vec![1, 1]), &costs(), SchedMode::Overlap);
-        assert_eq!(plan.waits[1], vec![WaitEvent::Completed(0)]);
-        assert_eq!(plan.overlapped_edges(), 0);
-    }
-
-    #[test]
-    fn sources_wait_on_nothing_in_every_mode() {
-        let dag = single_scan_dag();
-        for mode in [SchedMode::Eager, SchedMode::Overlap] {
-            let plan = plan_schedule(&unpriced(&dag), &costs(), mode);
-            assert_eq!(plan.waits, vec![Vec::new()]);
-        }
-    }
-
-    #[test]
-    fn board_fires_events_and_complete_implies_launched() {
-        let board = StageBoard::new(2);
-        assert!(!board.fired(&WaitEvent::Launched(0)));
-        board.launch(0);
-        assert!(board.fired(&WaitEvent::Launched(0)));
-        assert!(!board.fired(&WaitEvent::Completed(0)));
-        board.complete(1);
-        assert!(board.fired(&WaitEvent::Launched(1)));
-        assert!(board.fired(&WaitEvent::Completed(1)));
+        let board = StageBoard::new(&single_scan_dag());
+        assert!(board.ready(0), "a source waits on nothing");
+        let board = StageBoard::new(&unbalanced_join_dag());
+        assert!(board.ready(0) && board.ready(1));
+        assert!(!board.ready(3));
+        board.complete(2, Vec::new());
+        assert!(!board.ready(3), "still missing scan 1");
+        board.complete(1, Vec::new());
+        assert!(board.ready(3), "scan 0 is no input of the final join");
+        assert!(!board.ready(2) && !board.ready(7), "join 2 reads scan 0; stage 7 is none");
         assert!(!board.failed());
         board.fail();
         assert!(board.failed());
-        // Out-of-range events never fire (the verifier rejects them
-        // statically; the board just stays safe).
-        assert!(!board.fired(&WaitEvent::Completed(7)));
+    }
+
+    /// Worker `r` of a consumer gets one address per sender of each of
+    /// its inputs: the column `r` of every sender's table.
+    #[test]
+    fn the_board_addresses_each_receiver_from_its_inputs_tables() {
+        let board = StageBoard::new(&diamond_dag());
+        // Scan 0: two senders, two receivers; join 1 reads it as both
+        // of its inputs.
+        board.complete(0, vec![vec![addr(0, 0), addr(0, 1)], vec![addr(1, 0), addr(1, 1)]]);
+        assert!(board.ready(1) && board.ready(2) && !board.ready(3));
+        assert_eq!(board.addresses(1, 1), vec![vec![addr(0, 1), addr(1, 1)]; 2]);
+        assert_eq!(board.addresses(2, 0), vec![vec![addr(0, 0), addr(1, 0)]; 2]);
+        assert_eq!(board.addresses(0, 0), Vec::<Vec<SectionAddr>>::new(), "a scan reads no edge");
     }
 }

@@ -37,11 +37,12 @@ use lambada_engine::logical::LogicalPlan;
 use lambada_sim::sync::{Semaphore, SemaphorePermit};
 use lambada_sim::JoinHandle;
 
-use crate::driver::{ExecPolicy, Lambada, LaunchPlan, QueryReport};
+use crate::driver::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport};
 use crate::error::Result;
-use crate::exchange_cost::{direct_edge_counts, stage_edge_counts};
-use crate::stage::{QueryDag, ReaderRole};
+use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts, ADDRESSED};
+use crate::stage::QueryDag;
 use crate::transport::TransportKind;
+use crate::worker::SortEdgeSpec;
 
 use admission::AdmissionController;
 pub use admission::{TenantBudget, TenantUsage};
@@ -316,7 +317,6 @@ async fn admit_and_run(
         tenant: Some(tenant.clone()),
         submitted: Some(submitted),
         transport: None,
-        scheduler: None,
     };
     let outcome = system.run_dag_with(&dag, &policy).await;
     let prices = system.cloud().billing.prices();
@@ -342,83 +342,128 @@ async fn admit_and_run(
 /// on top.
 const DIRECT_FALLBACK_HEADROOM: f64 = 0.25;
 
-/// Build the admission estimate from a DAG's verified, uncapped launch
-/// plan: it gives per-stage worker counts, every edge's readers and the
-/// fused edges, which cost no request and share their producer's
-/// invocation — the envelope drops them and counts one invocation per
-/// fused chain, so it stays an over-estimate.
-/// Every exchange edge is charged with [`stage_edge_counts`] (LISTs with
-/// a polling allowance) — or, on the direct transport, with
-/// [`direct_edge_counts`] under the [`DIRECT_FALLBACK_HEADROOM`] fallback
-/// bound, so direct-transport queries stop reserving full object-store
-/// request envelopes — scans are charged a per-file metadata +
-/// column-chunk envelope, and the total carries a 2× margin for
-/// speculation and slack.
-fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
+/// LIST passes the estimate allows every receiver of a discovered
+/// exchange — the sort-sample barrier, whose peers run at once: one in
+/// the steady state, the rest for peers that write late.
+const DISCOVERY_PASSES: f64 = 8.0;
+
+/// The request envelope of one launch plan, before the margin.
+#[derive(Default)]
+struct Envelope {
+    gets: f64,
+    puts: f64,
+    lists: f64,
+    invocations: u64,
+}
+
+impl Envelope {
+    fn add(&mut self, c: RequestCounts) {
+        self.gets += c.reads;
+        self.puts += c.writes;
+        self.lists += c.lists;
+    }
+}
+
+/// Count a DAG's verified, uncapped launch plan into its request
+/// envelope. The plan gives per-stage worker counts, every edge's
+/// readers and the fused edges, which cost no request and share their
+/// producer's invocation — the envelope drops them and counts one
+/// invocation per fused chain, so it stays an over-estimate. Every
+/// exchange edge is charged with [`stage_edge_counts`] — or, on the
+/// direct transport, with [`direct_edge_counts`] under the
+/// [`DIRECT_FALLBACK_HEADROOM`] fallback bound — and lists nothing: the
+/// driver addresses its receivers. A sort edge's sample barrier is an
+/// exchange among its producers, every one reading every sample, and
+/// discovers by LIST. Scans are charged a per-file metadata +
+/// column-chunk envelope.
+fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
     let fleets = &launch.workers;
-    let cfg = system.config();
     let buckets = cfg.exchange.num_buckets as f64;
-    // Receivers of an edge that touch the object store: all of them on
-    // the store transport, the fallback fraction on the direct one.
-    let store_receivers = |w: f64| match cfg.transport {
-        TransportKind::ObjectStore => w,
-        TransportKind::Direct => (w * DIRECT_FALLBACK_HEADROOM).ceil(),
+    // The S3 requests of an exchange from `senders` to `receivers`:
+    // every receiver touches the store on the store transport, the
+    // fallback fraction on the direct one.
+    let exchange = |senders: f64, receivers: f64, listed_buckets: f64| match cfg.transport {
+        TransportKind::ObjectStore => stage_edge_counts(senders, receivers, listed_buckets),
+        TransportKind::Direct => {
+            let fallback = (receivers * DIRECT_FALLBACK_HEADROOM).ceil();
+            direct_edge_counts(senders, receivers, fallback, listed_buckets)
+        }
     };
-    let (mut gets, mut puts, mut lists) = (0f64, 0f64, 0f64);
-    let workers: usize = fleets.iter().sum();
-    let invocations = (workers - launch.fused.iter().filter(|&&f| f).count()) as u64;
+    let mut env = Envelope::default();
     for (pid, readers) in launch.edges.readers.iter().enumerate() {
         let senders = fleets[pid] as f64;
         // Every stage uploads at most one result object per worker.
-        puts += senders;
+        env.puts += senders;
         if let Some((table, _)) = &launch.scans[pid] {
             // Footer fetches plus a column-chunk envelope (8 row groups
             // per file covers every staged layout comfortably) plus
             // range splits of large chunks.
             let width = table.schema.len().max(1) as f64;
-            gets += table.files.len() as f64 * (2.0 + 8.0 * width);
-            gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
+            env.gets += table.files.len() as f64 * (2.0 + 8.0 * width);
+            env.gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
         }
         if launch.fused[pid] {
             continue;
         }
-        for reader in readers {
-            let Some(consumer) = reader.stage else { continue };
-            let w = fleets[consumer] as f64;
-            let edge = match cfg.transport {
-                TransportKind::ObjectStore => stage_edge_counts(senders, w, buckets),
-                TransportKind::Direct => {
-                    direct_edge_counts(senders, w, store_receivers(w), buckets)
-                }
-            };
-            gets += edge.reads;
-            puts += edge.writes;
-            // One LIST round per receiver in the steady state; allow 8
-            // for concurrency-induced polling.
-            lists += edge.lists * 8.0;
-            if reader.role == ReaderRole::SortInput {
-                // Sample-exchange envelope: every producer publishes a
-                // sample run, every sort worker reads them all. The
-                // direct transport carries the sample barrier too, so
-                // only the fallback fraction of sort workers hits the
-                // store.
-                let sample_readers = store_receivers(w);
-                puts += senders;
-                gets += senders * sample_readers;
-                lists += sample_readers * 8.0;
-            }
+        for consumer in readers.iter().filter_map(|r| r.stage) {
+            env.add(exchange(senders, fleets[consumer] as f64, ADDRESSED));
+        }
+        if launch.sort_edges[pid].as_ref().is_some_and(SortEdgeSpec::has_barrier) {
+            let barrier = exchange(senders, senders, buckets);
+            env.add(RequestCounts { lists: barrier.lists * DISCOVERY_PASSES, ..barrier });
         }
     }
+    let workers: usize = fleets.iter().sum();
+    env.invocations = (workers - launch.fused.iter().filter(|&&f| f).count()) as u64;
+    env
+}
+
+/// Build the admission estimate from a DAG's verified, uncapped launch
+/// plan: its request [`envelope`] priced at the cloud's prices, with a
+/// 2× margin for speculation and slack.
+fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
+    let env = envelope(launch, system.config());
     let prices = system.cloud().billing.prices();
     let margin = 2.0;
-    let raw = gets + puts + lists + invocations as f64;
-    let dollars = gets * prices.s3_get
-        + puts * prices.s3_put
-        + lists * prices.s3_list
-        + invocations as f64 * prices.lambda_request;
+    let invocations = env.invocations as f64;
+    let raw = env.gets + env.puts + env.lists + invocations;
+    let dollars = env.gets * prices.s3_get
+        + env.puts * prices.s3_put
+        + env.lists * prices.s3_list
+        + invocations * prices.lambda_request;
     QueryEstimate {
-        workers,
+        workers: launch.workers.iter().sum(),
         requests: (raw * margin).ceil() as u64,
         request_dollars: dollars * margin,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verify::test_dags::{scan_sort_dag, sized};
+
+    /// Every producer of a sort edge reads every producer's sample, so
+    /// the barrier of 8 merge workers feeding 2 sorters is an 8 → 8
+    /// exchange: 64 GETs and a LIST of each of 8 buckets by each of 8
+    /// readers per pass — not the 2 sorters' 16 and 16.
+    #[test]
+    fn the_sample_barrier_is_charged_to_the_producers() {
+        let dag = scan_sort_dag();
+        let launch = sized(&dag, vec![8, 2]);
+        let store = envelope(&launch, &LambadaConfig::default());
+        let edge = 8.0 * 2.0;
+        let (barrier_gets, barrier_lists) = (8.0 * 8.0, 8.0 * 8.0);
+        assert_eq!(store.gets, edge + barrier_gets);
+        assert_eq!(store.lists, barrier_lists * DISCOVERY_PASSES, "the edge itself lists nothing");
+        // Result uploads (8 + 2), the edge's and the samples' PUTs.
+        assert_eq!(store.puts, 10.0 + 8.0 + 8.0);
+        assert_eq!(store.invocations, 10);
+        // On the direct transport only the fallback quarter of the
+        // producers reads the samples from the store.
+        let config = LambadaConfig { transport: TransportKind::Direct, ..LambadaConfig::default() };
+        let direct = envelope(&launch, &config);
+        assert_eq!(direct.gets, 8.0 * 1.0 + 8.0 * 2.0);
+        assert_eq!(direct.lists, 2.0 * 8.0 * DISCOVERY_PASSES);
     }
 }

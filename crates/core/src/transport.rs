@@ -2,50 +2,58 @@
 //! reaches its consumer fleet.
 //!
 //! The Lambada paper routes every shuffle byte through the object store
-//! (§4.4): one write-combined PUT per sender, LIST polls for discovery,
-//! ranged GETs per `(sender, receiver)` pair. That is the correctness
-//! keystone — duplicate-tolerant via attempt-suffixed keys, storage-
-//! synchronized so fleets launched at different times never need to
-//! coexist — but also the dominant request-cost and latency term of the
-//! exchange. A *direct* worker-to-worker path (in the style of
-//! lambdatization's `chappy` rendezvous/relay) replaces the storage hop
-//! without weakening any of those guarantees.
+//! (§4.4): one write-combined PUT per sender, ranged GETs per `(sender,
+//! receiver)` pair. That is the correctness keystone — duplicate-tolerant
+//! via attempt-suffixed keys, storage-synchronized so fleets launched at
+//! different times never need to coexist — but also the dominant
+//! request-cost and latency term of the exchange. A *direct*
+//! worker-to-worker path (in the style of lambdatization's `chappy`
+//! rendezvous/relay) replaces the storage hop without weakening any of
+//! those guarantees.
 //!
-//! # One edge, with or without a mailbox
+//! # One edge, with or without a mailbox, addressed by the driver
 //!
-//! There is one transport, [`EdgeTransport`], and one protocol: write
-//! (`exchange::put_combined`), wait (`exchange::await_copies`), fetch
-//! (`exchange::fetch_copies`). The direct transport is that
-//! protocol with a p2p *mailbox* per receiver in front of it; **the
-//! object-store transport is the direct transport with no mailbox** —
-//! nothing is ever delivered, so everything rides the combined file, and
-//! a direct edge whose every endpoint is unreachable issues exactly the
-//! object store's requests. The contract:
+//! There is one transport, [`EdgeTransport`], and one protocol: a sender
+//! writes (`exchange::put_combined`) and reports its section table, the
+//! driver addresses every receiver, the receiver fetches
+//! (`exchange::fetch_copies`). The direct transport is that protocol with
+//! a p2p *mailbox* per receiver in front of it; **the object-store
+//! transport is the direct transport with no mailbox** — nothing is ever
+//! delivered, so everything rides the combined file, and a direct edge
+//! whose every endpoint is unreachable issues exactly the object store's
+//! requests. The contract:
 //!
 //! * **Registration.** Consumers are addressed by *endpoint*
 //!   `{channel}/r{receiver}`. The driver registers every consumer
 //!   endpoint of a query (and the `{channel}smp/r0` sample-barrier
-//!   endpoint of each sort edge that has one) with the rendezvous service *before the
-//!   first stage launches* — fleet sizes are fixed up front, so the
-//!   address book is complete even though consumer fleets launch later.
-//!   Cleanup deregisters the query's whole endpoint prefix.
+//!   endpoint of each sort edge that has one) with the rendezvous service
+//!   *before the first stage launches*. Cleanup deregisters the query's
+//!   whole endpoint prefix.
+//! * **Section tables.** [`EdgeTransport::send`] returns one [`Section`]
+//!   per receiver: its length and whether it went to the receiver's
+//!   mailbox or into the sender's file. The worker reports it
+//!   ([`crate::message::ResultPayload::Sections`]); the driver keeps the
+//!   first report per worker and, once a consumer fleet's inputs are
+//!   complete, hands each consumer worker one [`SectionAddr`] per sender
+//!   ([`address_sections`]). [`EdgeTransport::recv`] goes straight to the
+//!   fetch: no LIST, no poll, no back-off, no wait.
 //! * **Fallback.** A send to an unregistered endpoint (rendezvous
 //!   capacity exhausted, query torn down) or over a severed link must
 //!   not lose data: whatever a sender could not deliver goes into one
 //!   write-combined file that carries sections *only for those
-//!   receivers*. A receiver polls its mailbox for free and, once a copy
-//!   is plausibly late, LISTs the store as well; a listed file without
-//!   its section is not a copy for it.
+//!   receivers*, and the table says which receivers those are.
 //! * **Attempt semantics.** Every message and file key carries the
-//!   sender's attempt id. Receivers keep the highest attempt per sender
-//!   — across both paths, with the direct copy winning ties — so a
+//!   sender's attempt id, and an address names one attempt, so a
 //!   speculative backup can never be mixed with its original.
-//! * **Empty parts.** A zero-length partition is announced (zero-length
-//!   message / zero-length name section) but never fetched, and is
-//!   omitted from the received part list.
+//! * **Empty parts.** A zero-length partition is announced (a zero-length
+//!   message or section) but never fetched, and is omitted from the
+//!   received part list.
 //!
-//! Mailbox polls are free, which is where the direct path's request
-//! savings come from (see `exchange_cost::direct_edge_counts`).
+//! Only the sort-sample barrier, an exchange among running peers,
+//! discovers its copies ([`EdgeTransport::recv_barrier`], polling the
+//! mailbox for free before it LISTs the store). Mailbox fetches are
+//! free, which is where the direct path's request savings come from (see
+//! `exchange_cost::direct_edge_counts`).
 
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
@@ -55,11 +63,12 @@ use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::{Cloud, P2pService};
 
 use crate::env::WorkerEnv;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::exchange::{
-    await_copies, discover, encode_bundle, fetch_copies, p2p_side_key, put_combined, EdgeReadStats,
-    ExchangeConfig, ExchangeSide, Mailbox, PartData, Pass, Place,
+    await_copies, discover, edge_key, encode_bundle, fetch_copies, p2p_side_key, put_combined,
+    Copy, CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, Mailbox, PartData, Pass, Place,
 };
+pub use crate::message::{Section, Wire};
 
 /// Which stage-edge transport a query runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,11 +95,53 @@ pub struct EdgeWriteStats {
     pub p2p_bytes: u64,
 }
 
+/// Where a receiver finds one sender's section of a stage edge: the
+/// sender's attempt whose report the driver kept, and the section's
+/// byte range on its wire — `offset` within that attempt's file, `len` 0
+/// for an empty part.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SectionAddr {
+    pub attempt: u32,
+    pub offset: u64,
+    pub len: u64,
+    pub wire: Wire,
+}
+
+/// Turn one sender's reported section table into one address per
+/// receiver. File sections lie back to back in receiver order, so each
+/// offset is a prefix sum of the file sections before it. A table that
+/// does not have one section per receiver of the `receivers`-worker
+/// consumer fleet, or whose sections end past `u64::MAX`, is a typed
+/// error.
+pub fn address_sections(
+    attempt: u32,
+    sections: &[Section],
+    receivers: usize,
+) -> Result<Vec<SectionAddr>> {
+    if sections.len() != receivers {
+        return Err(CoreError::Format(format!(
+            "a section table of {} entries for a {receivers}-worker consumer fleet",
+            sections.len()
+        )));
+    }
+    let mut offset = 0u64;
+    let mut out = Vec::with_capacity(receivers);
+    for s in sections {
+        out.push(SectionAddr { attempt, offset, len: s.len, wire: s.wire });
+        if s.wire == Wire::File {
+            offset = offset.checked_add(s.len).ok_or_else(|| {
+                CoreError::Format("section offsets overflow the file".to_string())
+            })?;
+        }
+    }
+    Ok(out)
+}
+
 /// One stage edge's wire: how sender `s`'s partitioned output reaches
 /// receivers `0..partitions`, and how receiver `r` collects its
-/// co-partition from senders `0..senders`. With a p2p service it streams
-/// to the receivers' mailboxes ([`TransportKind::Direct`]); without one
-/// every byte goes through the object store (the paper baseline, §4.4).
+/// co-partition from every sender. With a p2p service it streams to the
+/// receivers' mailboxes ([`TransportKind::Direct`]); without one every
+/// byte goes through the object store (the paper baseline, §4.4).
 pub struct EdgeTransport {
     cfg: ExchangeConfig,
     side: ExchangeSide,
@@ -115,19 +166,18 @@ impl EdgeTransport {
         (self.cfg.bucket_of(sender), format!("{channel}/"))
     }
 
-    /// Where receiver `receiver` finds the `senders` producers of
-    /// `channel`: its mailbox, if the edge has p2p, and the senders'
-    /// combined files.
-    fn sources(
-        &self,
-        channel: &str,
-        receiver: usize,
-        senders: usize,
-    ) -> (Option<Mailbox>, Vec<Place>) {
-        let mailbox = self.p2p.as_ref().map(|p2p| Mailbox {
-            p2p: p2p.clone(),
-            endpoint: Rc::from(format!("{channel}/r{receiver}")),
-        });
+    /// Receiver `receiver`'s p2p endpoint on `channel`.
+    fn endpoint(channel: &str, receiver: usize) -> Rc<str> {
+        Rc::from(format!("{channel}/r{receiver}"))
+    }
+
+    /// Where a barrier receiver finds the `senders` peers of `channel`:
+    /// its mailbox, if the edge has p2p, and the senders' files.
+    fn sources(&self, channel: &str, senders: usize) -> (Option<Mailbox>, Vec<Place>) {
+        let mailbox = self
+            .p2p
+            .as_ref()
+            .map(|p2p| Mailbox { p2p: p2p.clone(), endpoint: Self::endpoint(channel, 0) });
         (mailbox, Place::group(0..senders, |s| self.place_of(channel, s)))
     }
 
@@ -135,23 +185,25 @@ impl EdgeTransport {
     /// edge `channel` as sender `sender`. Charges the in-memory
     /// partitioning compute, streams what it can over p2p, and PUTs one
     /// combined file for the rest — everything, without p2p. Empty parts
-    /// are announced but carry nothing.
+    /// are announced but carry nothing. Returns the accounting and the
+    /// section table: one [`Section`] per receiver.
     pub async fn send(
         &self,
         env: &WorkerEnv,
         channel: &str,
         sender: usize,
         parts: Vec<PartData>,
-    ) -> Result<EdgeWriteStats> {
+    ) -> Result<(EdgeWriteStats, Vec<Section>)> {
         let mut stats = EdgeWriteStats::default();
         let held_bytes: u64 = parts.iter().map(PartData::len).sum();
         env.compute(env.costs.partition_seconds(held_bytes)).await;
         let start = env.cloud.handle.now();
 
+        let mut sections = vec![Section { len: 0, wire: Wire::File }; parts.len()];
         let mut entries: Vec<(u32, PartData)> =
             parts.into_iter().enumerate().map(|(rcv, data)| (rcv as u32, data)).collect();
         if self.p2p.is_some() {
-            entries = self.stream(env, channel, sender, entries, &mut stats).await?;
+            entries = self.stream(env, channel, sender, entries, &mut stats, &mut sections).await?;
         }
         if !entries.is_empty() {
             // The same bundle encoding on both paths, so a received part
@@ -161,17 +213,22 @@ impl EdgeTransport {
                 .map(|(rcv, data)| (rcv, if data.is_empty() { vec![] } else { vec![(rcv, data)] }))
                 .collect();
             let (bucket, prefix) = self.place_of(channel, sender);
-            stats.bytes_written +=
-                put_combined(env, &self.side, &bucket, &prefix, sender, bundles).await?;
+            let (written, filed) =
+                put_combined(env, &self.side, &bucket, &prefix, sender, false, bundles).await?;
+            for (rcv, len) in filed {
+                sections[rcv as usize] = Section { len, wire: Wire::File };
+            }
+            stats.bytes_written += written;
             stats.put_requests += 1;
         }
         env.cloud.trace.record(env.worker_id, "exchange_write", start, env.cloud.handle.now());
-        Ok(stats)
+        Ok((stats, sections))
     }
 
     /// Stream each entry to its receiver's mailbox, 16 connections at a
-    /// time, and hand back the entries that could not be delivered
-    /// (unregistered endpoint, severed link), sorted by receiver.
+    /// time, marking the delivered ones' sections, and hand back the
+    /// entries that could not be delivered (unregistered endpoint,
+    /// severed link), sorted by receiver.
     async fn stream(
         &self,
         env: &WorkerEnv,
@@ -179,6 +236,7 @@ impl EdgeTransport {
         sender: usize,
         entries: Vec<(u32, PartData)>,
         stats: &mut EdgeWriteStats,
+        sections: &mut [Section],
     ) -> Result<Vec<(u32, PartData)>> {
         let client = env.p2p();
         let attempt = env.attempt;
@@ -186,7 +244,7 @@ impl EdgeTransport {
         let mut sends = Vec::with_capacity(entries.len());
         for entry in entries {
             let rcv = entry.0;
-            let endpoint = format!("{channel}/r{rcv}");
+            let endpoint = Self::endpoint(channel, rcv as usize);
             // Empty parts become zero-length messages: the receiver learns
             // the sender completed, fetches nothing, omits the part.
             let body = if entry.1.is_empty() {
@@ -204,7 +262,7 @@ impl EdgeTransport {
                 let _permit = conn2.acquire(1).await;
                 let len = body.len();
                 match client2.send(&endpoint, sender as u32, attempt, body).await {
-                    Ok(()) => Ok(len),
+                    Ok(()) => Ok((rcv, len)),
                     Err(_) => Err(entry),
                 }
             }));
@@ -212,9 +270,10 @@ impl EdgeTransport {
         let mut undelivered = Vec::new();
         for outcome in join_all(sends).await {
             match outcome {
-                Ok(len) => {
+                Ok((rcv, len)) => {
                     stats.p2p_requests += 1;
                     stats.p2p_bytes += len;
+                    sections[rcv as usize] = Section { len, wire: Wire::Mailbox };
                 }
                 Err(entry) => undelivered.push(entry),
             }
@@ -222,56 +281,82 @@ impl EdgeTransport {
         Ok(undelivered)
     }
 
-    /// Collect receiver `receiver`'s co-partition from all `senders`
-    /// producers of the edge `channel`: wait until one copy per sender is
-    /// discovered (highest attempt wins), fetch the non-empty ones, and
-    /// return their payloads in sender order (empty parts omitted).
+    /// Collect receiver `receiver`'s co-partition of the edge `channel`
+    /// from the senders the driver addressed, `addrs[s]` for sender `s`:
+    /// fetch the non-empty sections straight from their wires and return
+    /// their payloads in sender order (empty parts omitted). A mailbox
+    /// address on a transport without p2p is a typed error.
     pub async fn recv(
         &self,
         env: &WorkerEnv,
         channel: &str,
         receiver: usize,
-        senders: usize,
+        addrs: &[SectionAddr],
     ) -> Result<(Vec<PartData>, EdgeReadStats)> {
-        self.recv_paced(env, channel, receiver, senders, Pass::Together).await
+        let endpoint = Self::endpoint(channel, receiver);
+        let mut copies = Vec::with_capacity(addrs.len());
+        for (sender, a) in addrs.iter().enumerate() {
+            let at = match (a.wire, &self.p2p) {
+                (Wire::Mailbox, None) => {
+                    return Err(CoreError::Storage(format!(
+                        "sender {sender} of {channel} addressed a mailbox on the object-store transport"
+                    )))
+                }
+                _ if a.len == 0 => continue,
+                (Wire::Mailbox, Some(_)) => CopyAt::Mailbox(Rc::clone(&endpoint)),
+                (Wire::File, _) => {
+                    let (bucket, prefix) = self.place_of(channel, sender);
+                    let key = edge_key(&prefix, sender, a.attempt);
+                    CopyAt::Store { bucket, key, offset: Some(a.offset) }
+                }
+            };
+            copies.push(Copy { sender, attempt: a.attempt, len: a.len, at });
+        }
+        // Nothing to wait for: the span stays, zero long.
+        let start = env.cloud.handle.now();
+        env.cloud.trace.record(env.worker_id, "exchange_wait", start, start);
+        self.fetch(env, receiver, copies, EdgeReadStats::default()).await
     }
 
-    /// [`Self::recv`] on a barrier among running peers — every producer
-    /// of a sort edge reads section 0 of all `senders` samples, its own
-    /// included, right after writing it. Discovery walks the buckets one
-    /// by one: the peers write within a few first-byte latencies of each
-    /// other, so a pass that takes that long finds them all, where one
-    /// round would miss the late ones and pay a back-off plus a re-LIST.
+    /// The sort-sample barrier among running peers: every producer of a
+    /// sort edge reads all `senders` samples, its own included, right
+    /// after writing it — the one exchange on a stage edge nobody can
+    /// address, so it discovers. Discovery walks the buckets one by one:
+    /// the peers write within a few first-byte latencies of each other,
+    /// so a pass that takes that long finds them all, where one round
+    /// would miss the late ones and pay a back-off plus a re-LIST. Each
+    /// sample file holds one section and is read whole.
     pub async fn recv_barrier(
         &self,
         env: &WorkerEnv,
         channel: &str,
         senders: usize,
     ) -> Result<(Vec<PartData>, EdgeReadStats)> {
-        self.recv_paced(env, channel, 0, senders, Pass::OneByOne).await
-    }
-
-    async fn recv_paced(
-        &self,
-        env: &WorkerEnv,
-        channel: &str,
-        receiver: usize,
-        senders: usize,
-        pass: Pass,
-    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
         let mut stats = EdgeReadStats::default();
         if senders == 0 {
             return Ok((Vec::new(), stats));
         }
         let wait_start = env.cloud.handle.now();
-        let (mailbox, places) = self.sources(channel, receiver, senders);
+        let (mailbox, places) = self.sources(channel, senders);
         let (copies, lists) =
-            await_copies(env, &self.cfg, mailbox.as_ref(), &places, Some(receiver), pass).await?;
+            await_copies(env, &self.cfg, mailbox.as_ref(), &places, None, Pass::OneByOne).await?;
         stats.list_requests = lists;
         let wait_end = env.cloud.handle.now();
         stats.wait_secs = (wait_end - wait_start).as_secs_f64();
         env.cloud.trace.record(env.worker_id, "exchange_wait", wait_start, wait_end);
+        self.fetch(env, 0, copies, stats).await
+    }
 
+    /// Fetch `copies` for `receiver`, count each part on the wire it came
+    /// over, and record the `exchange_read` span.
+    async fn fetch(
+        &self,
+        env: &WorkerEnv,
+        receiver: usize,
+        copies: Vec<Copy>,
+        mut stats: EdgeReadStats,
+    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
+        let start = env.cloud.handle.now();
         let mut out = Vec::new();
         for (direct, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
             for (_, data) in parts {
@@ -285,25 +370,25 @@ impl EdgeTransport {
                 out.push(data);
             }
         }
-        env.cloud.trace.record(env.worker_id, "exchange_read", wait_end, env.cloud.handle.now());
+        env.cloud.trace.record(env.worker_id, "exchange_read", start, env.cloud.handle.now());
         Ok((out, stats))
     }
 
     /// Driver-side, non-blocking: which of `0..senders` have already
-    /// produced something on `channel`? One discovery pass as receiver 0
-    /// (the sample barrier routes everything there), no polling — what
-    /// the barrier-aware straggler watcher uses to tell workers *blocked
-    /// on* a sort-sample barrier from the worker that died *before* it.
+    /// published a sample on the barrier `channel`? One discovery pass, no
+    /// polling — what the barrier-aware straggler watcher uses to tell
+    /// workers *blocked on* a sort-sample barrier from the worker that
+    /// died *before* it.
     pub async fn probe(
         &self,
         cloud: &Cloud,
         channel: &str,
         senders: usize,
     ) -> Result<HashSet<usize>> {
-        let (mailbox, places) = self.sources(channel, 0, senders);
+        let (mailbox, places) = self.sources(channel, senders);
         let mut seen = BTreeMap::new();
         let s3 = cloud.driver_s3();
-        discover(&cloud.handle, &s3, mailbox.as_ref(), &places, Some(0), true, &mut seen).await?;
+        discover(&cloud.handle, &s3, mailbox.as_ref(), &places, None, true, &mut seen).await?;
         Ok(seen.into_keys().collect())
     }
 }
@@ -312,11 +397,10 @@ impl EdgeTransport {
 mod tests {
     use std::time::Duration;
 
-    use lambada_sim::{Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
+    use lambada_sim::{secs, Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
 
     use super::*;
     use crate::costmodel::ComputeCostModel;
-    use crate::error::CoreError;
     use crate::exchange::install_exchange_buckets;
 
     const CHANNEL: &str = "x9/q0/s0";
@@ -364,21 +448,36 @@ mod tests {
         PartData::Real(bytes.to_vec())
     }
 
-    /// Sender `sender`'s combined file holding `payload` for `receiver`.
+    /// What the driver hands receiver `receiver`: one address per sender,
+    /// from each sender's `(attempt, section table)`.
+    fn addresses(tables: &[(u32, Vec<Section>)], receiver: usize) -> Vec<SectionAddr> {
+        tables
+            .iter()
+            .map(|(attempt, sections)| {
+                address_sections(*attempt, sections, sections.len()).unwrap()[receiver]
+            })
+            .collect()
+    }
+
+    /// Sender `sender`'s combined file holding `payload` for `receiver`:
+    /// a sample of the barrier, or — `named` — an Algorithm-1 file with
+    /// its section lengths in the key.
     async fn put_file(
         t: &EdgeTransport,
         env: &WorkerEnv,
         sender: usize,
         receiver: u32,
         payload: &[u8],
+        named: bool,
     ) {
         let bundles = vec![(receiver, vec![(receiver, real(payload))])];
         let (bucket, prefix) = t.place_of(CHANNEL, sender);
-        put_combined(env, &t.side, &bucket, &prefix, sender, bundles).await.unwrap();
+        put_combined(env, &t.side, &bucket, &prefix, sender, named, bundles).await.unwrap();
     }
 
     /// (a) The object-store edge *is* the direct edge with no reachable
-    /// endpoint: same parts, same GET/PUT/LIST counts, same stats.
+    /// endpoint: same tables, same parts, same GET/PUT counts, same
+    /// stats — and neither lists anything.
     #[test]
     fn direct_edge_without_endpoints_is_the_object_store_edge() {
         let run = |direct: bool| {
@@ -390,37 +489,44 @@ mod tests {
                     let registered = cloud2.p2p.register(&format!("{CHANNEL}/r{r}"));
                     assert!(!registered, "the rendezvous service has no capacity");
                 }
-                let mut writes = Vec::new();
+                let (mut writes, mut tables) = (Vec::new(), Vec::new());
                 for s in 0..3usize {
                     let parts = vec![real(&[s as u8; 40]), real(&[]), real(&[7, s as u8])];
                     let env = worker(&cloud2, s as u64, 0);
-                    writes.push(t.send(&env, CHANNEL, s, parts).await.unwrap());
+                    let (stats, sections) = t.send(&env, CHANNEL, s, parts).await.unwrap();
+                    writes.push(stats);
+                    tables.push((0, sections));
                 }
                 let mut reads = Vec::new();
                 for r in 0..3usize {
                     let env = worker(&cloud2, 10 + r as u64, 0);
-                    reads.push(t.recv(&env, CHANNEL, r, 3).await.unwrap());
+                    reads.push(t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap());
                 }
-                (writes, reads)
+                (writes, tables, reads)
             });
             let units = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List]
                 .map(|item| cloud.billing.units(item));
             (got, units)
         };
-        let ((store_writes, store_reads), store_units) = run(false);
-        let ((direct_writes, direct_reads), direct_units) = run(true);
+        let ((store_writes, store_tables, store_reads), store_units) = run(false);
+        let ((direct_writes, direct_tables, direct_reads), direct_units) = run(true);
+        let file = |len| Section { len, wire: Wire::File };
+        assert_eq!(store_tables[1].1, vec![file(43), file(0), file(5)]);
         assert_eq!(store_reads[0].0, vec![real(&[0; 40]), real(&[1; 40]), real(&[2; 40])]);
         assert_eq!(store_reads[1].0, Vec::new(), "empty parts are announced, not fetched");
+        assert_eq!(direct_tables, store_tables);
         assert_eq!(direct_reads, store_reads);
         assert_eq!(direct_writes, store_writes);
         assert_eq!(direct_units, store_units);
-        assert_eq!(store_units, [6.0, 3.0, 3.0]);
+        assert_eq!(store_units, [6.0, 3.0, 0.0]);
     }
 
-    /// (b) Sender 0 has a copy on each path; sender 1 is only in a
-    /// fallback file, so the receiver lists after its grace rounds and
-    /// sees both of sender 0's. The higher attempt wins whichever path it
-    /// is on, and the direct copy wins a tie.
+    /// (b) The barrier — the one stage-edge exchange that still
+    /// discovers — keeps discovery's dedup. Sender 0 has a copy on each
+    /// path; sender 1 is only in a fallback file, so the receiver lists
+    /// after its grace rounds and sees both of sender 0's. The higher
+    /// attempt wins whichever path it is on, and the direct copy wins a
+    /// tie.
     #[test]
     fn highest_attempt_wins_across_paths_and_direct_wins_a_tie() {
         // (attempt on p2p, attempt in the file, payload that must win)
@@ -433,11 +539,11 @@ mod tests {
                 let cloud = cloud.clone();
                 async move {
                     let env = worker(&cloud, 0, p2p_attempt);
-                    let sent = t.send(&env, CHANNEL, 0, vec![real(b"p2p!")]).await.unwrap();
+                    let (sent, _) = t.send(&env, CHANNEL, 0, vec![real(b"p2p!")]).await.unwrap();
                     assert_eq!((sent.p2p_requests, sent.put_requests), (1, 0));
-                    put_file(&t, &worker(&cloud, 0, file_attempt), 0, 0, b"file").await;
-                    put_file(&t, &worker(&cloud, 1, 0), 1, 0, b"only").await;
-                    t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, 2).await.unwrap()
+                    put_file(&t, &worker(&cloud, 0, file_attempt), 0, 0, b"file", false).await;
+                    put_file(&t, &worker(&cloud, 1, 0), 1, 0, b"only", false).await;
+                    t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 2).await.unwrap()
                 }
             });
             assert_eq!(parts, vec![real(winner), real(b"only")], "{p2p_attempt} vs {file_attempt}");
@@ -453,7 +559,6 @@ mod tests {
     /// copies of a pass that visits the buckets one by one.
     #[test]
     fn a_discovery_pass_lists_all_buckets_in_one_round() {
-        use crate::exchange::{Copy, CopyAt};
         let (sim, cloud, t) = edge_over(8, false, 0, 50);
         let ttfb = cloud.config.s3.ttfb_median.as_secs_f64();
         let chosen = |best: &BTreeMap<usize, Copy>| -> Vec<(usize, u32, u64, String)> {
@@ -468,12 +573,13 @@ mod tests {
             async move {
                 // Senders 2 and 5 were speculated against: two files each.
                 for s in 0..8 {
-                    put_file(&t, &worker(&cloud, s as u64, 0), s, 0, &[s as u8; 16]).await;
+                    put_file(&t, &worker(&cloud, s as u64, 0), s, 0, &[s as u8; 16], true).await;
                 }
                 for s in [2, 5] {
-                    put_file(&t, &worker(&cloud, s as u64, 1), s, 0, &[0xB0 | s as u8; 24]).await;
+                    let env = worker(&cloud, s as u64, 1);
+                    put_file(&t, &env, s, 0, &[0xB0 | s as u8; 24], true).await;
                 }
-                let (_, places) = t.sources(CHANNEL, 0, 8);
+                let (_, places) = t.sources(CHANNEL, 8);
                 assert_eq!(places.len(), 8, "one bucket per sender");
                 let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
 
@@ -498,13 +604,6 @@ mod tests {
                 assert_eq!(together[&2].attempt, 1, "the backup's file wins");
                 assert!(serial_secs > 6.0 * ttfb, "one by one: {serial_secs} s");
                 assert!(round_secs < 2.5 * ttfb, "one round: {round_secs} s");
-
-                // The same through a receive: the wait is that one round.
-                let (parts, stats) = t.recv(&worker(&cloud, 11, 0), CHANNEL, 0, 8).await.unwrap();
-                assert!(stats.wait_secs < 2.5 * ttfb, "exchange_wait {} s", stats.wait_secs);
-                assert_eq!((stats.list_requests, stats.get_requests), (8, 8));
-                assert_eq!(parts[2], real(&[0xB2; 24]));
-                assert_eq!(parts[3], real(&[3; 16]));
             }
         });
     }
@@ -512,10 +611,11 @@ mod tests {
     /// (b'') A barrier among running peers walks its buckets one by one:
     /// four peers that write their sample within a few first-byte
     /// latencies of each other all complete in one pass — one LIST per
-    /// bucket, no back-off — where the one-round receive sends the early
-    /// ones to sleep and to LIST again.
+    /// bucket, no back-off — where a one-round wait sends the early ones
+    /// to sleep and to LIST again.
     #[test]
     fn a_barrier_pass_outlasts_the_skew_among_its_peers() {
+        const SAMPLES: &str = "x9/q0/s0smp";
         let run = |barrier: bool| {
             let (sim, cloud, t) = edge_over(4, false, 0, 50);
             let ttfb = cloud.config.s3.ttfb_median;
@@ -526,31 +626,81 @@ mod tests {
                     cloud.handle.clone().spawn(async move {
                         let env = worker(&cloud, p as u64, 0);
                         cloud.handle.sleep(ttfb.mul_f64(0.5 * p as f64)).await;
-                        t.send(&env, "x9/q0/s0smp", p, vec![real(&[p as u8; 8])]).await.unwrap();
-                        let (parts, stats) = if barrier {
-                            t.recv_barrier(&env, "x9/q0/s0smp", 4).await.unwrap()
+                        t.send(&env, SAMPLES, p, vec![real(&[p as u8; 8])]).await.unwrap();
+                        if barrier {
+                            let (parts, stats) = t.recv_barrier(&env, SAMPLES, 4).await.unwrap();
+                            assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
+                            (stats.list_requests, stats.wait_secs)
                         } else {
-                            t.recv(&env, "x9/q0/s0smp", 0, 4).await.unwrap()
-                        };
-                        assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
-                        stats
+                            let start = cloud.handle.now();
+                            let (_, places) = t.sources(SAMPLES, 4);
+                            let (copies, lists) =
+                                await_copies(&env, &t.cfg, None, &places, None, Pass::Together)
+                                    .await
+                                    .unwrap();
+                            assert_eq!(copies.len(), 4);
+                            (lists, (cloud.handle.now() - start).as_secs_f64())
+                        }
                     })
                 })
                 .collect();
             sim.block_on(join_all(peers))
         };
         let ttfb = CloudConfig::default().s3.ttfb_median.as_secs_f64();
-        for stats in run(true) {
-            assert_eq!(stats.list_requests, 4, "one pass");
-            assert!(stats.wait_secs < 5.0 * ttfb, "four LISTs, no back-off: {}", stats.wait_secs);
+        for (lists, wait_secs) in run(true) {
+            assert_eq!(lists, 4, "one pass");
+            assert!(wait_secs < 5.0 * ttfb, "four LISTs, no back-off: {wait_secs}");
         }
         let one_round = run(false);
-        assert!(one_round[0].list_requests > 4, "the first writer misses the late samples");
-        assert_eq!(one_round[3].list_requests, 4, "the last writer finds everyone");
+        assert!(one_round[0].0 > 4, "the first writer misses the late samples");
+        assert_eq!(one_round[3].0, 4, "the last writer finds everyone");
     }
 
-    /// (c) A listed file with no section for this receiver is not a copy:
-    /// its sender stays missing and the timeout says so, on both kinds.
+    /// (b''') The out-of-order attempts a barrier can see: a peer starts
+    /// waiting before anything is written, so its first pass finds an
+    /// empty prefix (or mailbox) and it keeps polling; the speculative
+    /// attempt-1 sample then lands first and the straggling attempt-0
+    /// original later. The barrier returns exactly one part, attempt
+    /// 1's, on both transports.
+    #[test]
+    fn a_barrier_keeps_the_highest_attempt_when_attempts_land_out_of_order() {
+        for direct in [false, true] {
+            let sim = Simulation::new();
+            let cloud = Cloud::new(&sim, CloudConfig::default());
+            let cfg = ExchangeConfig::default();
+            install_exchange_buckets(&cloud, &cfg);
+            let t = Rc::new(EdgeTransport::new(
+                cfg,
+                ExchangeSide::new(),
+                direct.then(|| cloud.p2p.clone()),
+            ));
+            if direct {
+                cloud.p2p.register(&format!("{CHANNEL}/r0"));
+            }
+            let (parts, stats) = sim.block_on({
+                let cloud = cloud.clone();
+                async move {
+                    let waiting = cloud.handle.spawn({
+                        let (cloud, t) = (cloud.clone(), Rc::clone(&t));
+                        async move { t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 1).await }
+                    });
+                    // Let the first discovery pass find nothing.
+                    cloud.handle.sleep(secs(0.7)).await;
+                    for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
+                        let env = worker(&cloud, 0, attempt);
+                        t.send(&env, CHANNEL, 0, vec![real(payload)]).await.unwrap();
+                    }
+                    waiting.await.unwrap()
+                }
+            });
+            assert!(stats.wait_secs > 0.0, "the peer really waited on an empty barrier");
+            assert_eq!(parts, vec![real(b"attempt-one-wins")], "direct={direct}");
+        }
+    }
+
+    /// (c) Discovery of named (Algorithm-1) files: a listed file with no
+    /// section for this receiver is not a copy, so its sender stays
+    /// missing and the timeout says so, with or without a mailbox.
     #[test]
     fn a_file_without_the_receivers_section_leaves_its_sender_missing() {
         for direct in [false, true] {
@@ -559,42 +709,140 @@ mod tests {
             let err = sim.block_on({
                 let cloud = cloud.clone();
                 async move {
-                    put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine").await;
-                    put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's").await;
-                    t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, 2).await.unwrap_err()
+                    put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine", true).await;
+                    put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's", true).await;
+                    let (mailbox, places) = t.sources(CHANNEL, 2);
+                    let env = worker(&cloud, 10, 0);
+                    await_copies(&env, &t.cfg, mailbox.as_ref(), &places, Some(0), Pass::Together)
+                        .await
+                        .err()
                 }
             });
             assert!(
-                matches!(err, CoreError::Timeout { missing_workers: 1, .. }),
-                "direct={direct}: {err}"
+                matches!(err, Some(CoreError::Timeout { missing_workers: 1, .. })),
+                "direct={direct}: {err:?}"
             );
         }
     }
 
-    /// (d) One send is one `exchange_write` span, fallback file included.
+    /// (d) One send is one `exchange_write` span, fallback file included,
+    /// and its table says where every receiver's copy went: a registered
+    /// receiver's to its mailbox, the rest into the file. Each receiver
+    /// then reads from where its copy is, with no LIST and no wait.
     #[test]
     fn a_send_records_one_write_span_on_every_path() {
         // (direct, registered endpoints of two, PUTs expected)
         for (direct, registered, puts) in [(false, 0, 1), (true, 0, 1), (true, 1, 1), (true, 2, 0)]
         {
+            let what = format!("direct={direct} registered={registered}");
             let (sim, cloud, t) = edge(direct, 8, 50);
             for r in 0..registered {
                 cloud.p2p.register(&format!("{CHANNEL}/r{r}"));
             }
-            let stats = sim.block_on({
+            let ((stats, sections), reads) = sim.block_on({
                 let cloud = cloud.clone();
                 async move {
                     let parts = vec![real(b"left"), real(b"right")];
-                    t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts).await.unwrap()
+                    let sent = t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts).await.unwrap();
+                    let tables = [(0, sent.1.clone())];
+                    let mut reads = Vec::new();
+                    for r in 0..2 {
+                        let env = worker(&cloud, 10, 0);
+                        reads.push(t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap());
+                    }
+                    (sent, reads)
                 }
             });
-            assert_eq!(stats.put_requests, puts, "direct={direct} registered={registered}");
+            assert_eq!(stats.put_requests, puts, "{what}");
             assert_eq!(stats.p2p_requests, registered as u64);
-            assert_eq!(
-                cloud.trace.spans("exchange_write").len(),
-                1,
-                "direct={direct} registered={registered}"
-            );
+            assert_eq!(cloud.trace.spans("exchange_write").len(), 1, "{what}");
+            let wires: Vec<Wire> = sections.iter().map(|s| s.wire).collect();
+            let expect: Vec<Wire> =
+                (0..2).map(|r| if r < registered { Wire::Mailbox } else { Wire::File }).collect();
+            assert_eq!(wires, expect, "{what}");
+            for (r, (parts, stats)) in reads.iter().enumerate() {
+                assert_eq!(parts, &vec![real([&b"left"[..], b"right"][r])], "{what}");
+                assert_eq!((stats.list_requests, stats.wait_secs), (0, 0.0), "{what}");
+                assert_eq!(stats.p2p_requests, u64::from(r < registered), "{what}");
+            }
+            assert_eq!(cloud.billing.units(CostItem::S3List), 0.0, "{what}");
         }
+    }
+
+    /// (e) An addressed receive reads the attempt it is handed and
+    /// nothing else: attempt 0's addresses while the bucket also holds a
+    /// different attempt-1 file of that sender return attempt 0's bytes,
+    /// with no LIST and no wait.
+    #[test]
+    fn an_addressed_receive_reads_the_attempt_it_is_handed() {
+        let (sim, cloud, t) = edge(false, 0, 50);
+        let (parts, stats) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let (original, backup) = (worker(&cloud, 0, 0), worker(&cloud, 0, 1));
+                let (_, sections) =
+                    t.send(&original, CHANNEL, 0, vec![real(b"first")]).await.unwrap();
+                t.send(&backup, CHANNEL, 0, vec![real(b"backup!")]).await.unwrap();
+                t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &addresses(&[(0, sections)], 0))
+                    .await
+                    .unwrap()
+            }
+        });
+        assert_eq!(parts, vec![real(b"first")]);
+        assert_eq!((stats.list_requests, stats.get_requests, stats.wait_secs), (0, 1, 0.0));
+        assert_eq!(cloud.billing.units(CostItem::S3List), 0.0);
+    }
+
+    /// (f) A table the driver cannot address from, and an address the
+    /// transport cannot serve, are typed errors: a table of the wrong
+    /// length, sections ending past `u64::MAX`, a mailbox address on the
+    /// object-store transport.
+    #[test]
+    fn addresses_that_do_not_fit_are_typed_errors() {
+        let file = |len| Section { len, wire: Wire::File };
+        let mail = |len| Section { len, wire: Wire::Mailbox };
+        let got = address_sections(2, &[file(5), mail(9), file(0), file(7)], 4).unwrap();
+        let offsets: Vec<u64> = got.iter().map(|a| a.offset).collect();
+        assert_eq!(offsets, vec![0, 5, 5, 5], "mailbox sections take no file bytes");
+        assert!(got.iter().all(|a| a.attempt == 2));
+        let short = address_sections(0, &[file(5)], 2);
+        assert!(matches!(short, Err(CoreError::Format(m)) if m.contains("2-worker")));
+        let over = address_sections(0, &[file(u64::MAX), file(1), file(0)], 3);
+        assert!(matches!(over, Err(CoreError::Format(m)) if m.contains("overflow")));
+        assert!(address_sections(0, &[file(u64::MAX), mail(1), file(0)], 3).is_ok());
+
+        let (sim, cloud, t) = edge(false, 0, 50);
+        let err = sim.block_on(async move {
+            let addr = SectionAddr { attempt: 0, offset: 0, len: 0, wire: Wire::Mailbox };
+            t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &[addr]).await.err()
+        });
+        assert!(matches!(&err, Some(CoreError::Storage(m)) if m.contains("mailbox")), "{err:?}");
+    }
+
+    /// (g) A stage-edge key does not grow with the consumer fleet: a
+    /// 256-receiver edge's file key stays far under S3's 1 KiB cap, where
+    /// naming every section in it would not.
+    #[test]
+    fn a_wide_edges_keys_stay_under_the_s3_key_cap() {
+        let (sim, cloud, t) = edge(false, 0, 50);
+        let (keys, sections) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let parts = (0..256).map(|r| real(&vec![7; 100 + r])).collect();
+                let (_, sections) =
+                    t.send(&worker(&cloud, 4095, 3), CHANNEL, 4095, parts).await.unwrap();
+                let (bucket, prefix) = t.place_of(CHANNEL, 4095);
+                (cloud.driver_s3().list(&bucket, &prefix).await.unwrap(), sections)
+            }
+        });
+        let keys: Vec<&str> = keys.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, vec![format!("{CHANNEL}/snd4095a3")]);
+        let named: usize = sections
+            .iter()
+            .enumerate()
+            .map(|(r, s)| format!(".{r}_{}", s.len).len())
+            .sum::<usize>()
+            + keys[0].len();
+        assert!(keys[0].len() < 1024 && named > 1024, "{} vs {named} bytes", keys[0].len());
     }
 }

@@ -26,24 +26,22 @@
 //!   execution — nonzero fleets, cost-model bounds, pinned fleets
 //!   respected, shared edges with equal consumer fleets (the partition
 //!   count of an edge *is* its consumer's fleet size) — and
-//!   [`verify_fused`] that every fused edge is a 1 → 1 identity;
-//! * [`verify_schedule`] checks the launch plan the event-driven
-//!   scheduler computed — every input edge covered by a wait (at least
-//!   transitively), the wait graph acyclic, and no overlapped launch
-//!   across a sort-sample barrier.
+//!   [`verify_fused`] that every fused edge is a 1 → 1 identity.
+//!
+//! The scheduler needs no check of its own: a stage waits for exactly
+//! its inputs, which the topological-order check already holds to
+//! lower-indexed stages, so the wait graph cannot hold a cycle.
 //!
 //! Every finding is a typed [`Diagnostic`] with a stable code (table in
 //! `docs/VERIFIER.md`); callers collect all of them rather than stopping
 //! at the first, so a broken planner change surfaces every violated
 //! contract in one run.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
 use lambada_engine::types::Schema;
 
-use crate::sched::{SchedulePlan, WaitEvent};
 use crate::stage::{
     Declares, EdgeTable, Emits, FinalStage, QueryDag, Reader, ReaderRole, StageKind, StageOutput,
 };
@@ -122,18 +120,6 @@ pub mod codes {
     /// a sort edge's consumer set is not exactly one sort stage — the
     /// barrier/sample channel exists only on sort-feeding stages.
     pub const XPORT_DANGLING: &str = "V-XPORT-001";
-    /// A schedule plan is malformed: it sizes a different number of
-    /// stages than the DAG, or a wait does not point at a lower-indexed
-    /// stage (the waiter itself, a later stage, a stage outside the
-    /// DAG) — the index order is what rules out wait cycles.
-    pub const SCHED_SHAPE: &str = "V-SCHED-001";
-    /// An overlapped (`Launched`) wait targets a producer whose output
-    /// crosses a sort-sample barrier; the producer fleet synchronizes
-    /// on samples from all members, so overlap is forbidden there.
-    pub const SCHED_SORT_BARRIER: &str = "V-SCHED-002";
-    /// A stage's waits do not cover one of its input edges, even
-    /// transitively — the stage could launch before its producer has.
-    pub const SCHED_UNCOVERED_EDGE: &str = "V-SCHED-003";
     /// `FinalStage::CarryAggState` disagrees with the last stage
     /// (terminal kind, schema width, group-key types, or accumulator
     /// shapes) — the carried state would not merge with what workers
@@ -825,71 +811,6 @@ pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> 
     out
 }
 
-/// Verify a launch plan over a verified DAG's [`EdgeTable`]: one wait
-/// list per stage; every wait on a *lower-indexed* stage of the DAG
-/// (stages are topologically numbered and a plan waits on inputs only,
-/// so index order is the deadlock-freedom argument: the wait graph
-/// cannot hold a cycle); no overlapped launch across a sort-sample
-/// barrier; and every input edge covered by a wait — directly or
-/// transitively (a wait on `p` covers everything `p` itself waited on,
-/// since `p` could not have launched earlier).
-pub fn verify_schedule(edges: &EdgeTable<'_>, plan: &SchedulePlan) -> Vec<Diagnostic> {
-    let stages = &edges.dag.stages;
-    let n = stages.len();
-    let mut out = Vec::new();
-    if plan.waits.len() != n {
-        return vec![Diagnostic::new(
-            codes::SCHED_SHAPE,
-            None,
-            format!("schedule plans {} stages but the DAG has {}", plan.waits.len(), n),
-        )];
-    }
-    // launch_known[sid]: stages guaranteed to have launched before sid
-    // does, closed under the waits' own coverage. Waits point backward,
-    // so index order has every awaited stage resolved already.
-    let mut launch_known: Vec<HashSet<usize>> = Vec::with_capacity(n);
-    for (sid, waits) in plan.waits.iter().enumerate() {
-        let mut known: HashSet<usize> = HashSet::new();
-        for w in waits {
-            let p = w.stage();
-            if p >= sid {
-                out.push(Diagnostic::new(
-                    codes::SCHED_SHAPE,
-                    sid,
-                    format!("wait on stage {p}; a stage may wait on lower-indexed stages only"),
-                ));
-                continue;
-            }
-            if matches!(w, WaitEvent::Launched(_)) && edges.feeds_sort(p) {
-                out.push(Diagnostic::new(
-                    codes::SCHED_SORT_BARRIER,
-                    sid,
-                    format!(
-                        "overlapped launch across stage {p}'s sort-sample barrier; \
-                         sort edges require completion waits"
-                    ),
-                ));
-            }
-            known.insert(p);
-            known.extend(launch_known[p].iter().copied());
-        }
-        for input in stages[sid].inputs() {
-            if !known.contains(&input) {
-                out.push(Diagnostic::new(
-                    codes::SCHED_UNCOVERED_EDGE,
-                    sid,
-                    format!(
-                        "input stage {input} is not covered by any wait; the stage \
-                         could launch before its producer"
-                    ),
-                ));
-            }
-        }
-        launch_known.push(known);
-    }
-    out
-}
-
 /// Shared test-only DAG builders: small, verify-clean plans both the
 /// verifier and the scheduler unit tests exercise.
 #[cfg(test)]
@@ -904,11 +825,11 @@ pub(crate) mod test_dags {
         StageOutput,
     };
 
-    /// A launch plan over `dag` with the given estimates and fleet
-    /// sizes, nothing pinned.
-    pub(crate) fn sized(dag: &QueryDag, est: Vec<u64>, workers: Vec<usize>) -> LaunchPlan<'_> {
+    /// A launch plan over `dag` with the given fleet sizes, nothing
+    /// pinned.
+    pub(crate) fn sized(dag: &QueryDag, workers: Vec<usize>) -> LaunchPlan<'_> {
         let n = dag.stages.len();
-        LaunchPlan::wire(dag.edges(), vec![None; n], est, workers, vec![None; n])
+        LaunchPlan::wire(dag.edges(), vec![None; n], workers, vec![None; n])
     }
 
     pub(crate) fn schema(n: usize) -> SchemaRef {
@@ -1067,8 +988,6 @@ mod tests {
         sized, sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
     };
     use super::*;
-    use crate::costmodel::ComputeCostModel;
-    use crate::sched::{plan_schedule, SchedMode};
     use lambada_engine::types::{DataType, Field};
     use lambada_engine::{AggFunc, Expr};
 
@@ -1253,8 +1172,7 @@ mod tests {
     /// 1 → 1 edge into a single-input consumer fuses, nothing else does.
     #[test]
     fn only_one_worker_edges_into_single_input_consumers_fuse() {
-        let fused =
-            |dag: &QueryDag, workers: Vec<usize>| sized(dag, vec![0; workers.len()], workers).fused;
+        let fused = |dag: &QueryDag, workers: Vec<usize>| sized(dag, workers).fused;
         let chain = merge_chain_dag();
         assert_eq!(fused(&chain, vec![1, 1]), [true, false]);
         assert_eq!(fused(&chain, vec![2, 1]), [false, false], "two producers");
@@ -1266,7 +1184,7 @@ mod tests {
         assert_eq!(fused(&unbalanced_join_dag(), vec![1; 4]), [false; 4]);
         // The one-worker sort edge fuses; the chain is one invocation.
         let sort = scan_sort_dag();
-        let launch = sized(&sort, vec![0; 2], vec![1, 1]);
+        let launch = sized(&sort, vec![1, 1]);
         assert_eq!(launch.fused, [true, false]);
         assert_eq!(launch.chain(0), [0, 1]);
         assert!(launch.is_chain_head(0) && !launch.is_chain_head(1));
@@ -1300,95 +1218,5 @@ mod tests {
         assert_eq!(d.to_string(), "V-FLEET-001 [stage 3]: zero-worker fleet");
         let d = Diagnostic::new(codes::FINAL_COLLECT, None, "mismatch".to_string());
         assert_eq!(d.to_string(), "V-FINAL-002: mismatch");
-    }
-
-    #[test]
-    fn planner_schedules_verify_clean_in_every_mode() {
-        let costs = ComputeCostModel::default();
-        for dag in [two_scan_join_dag(), scan_sort_dag(), unbalanced_join_dag()] {
-            let diags = verify_dag(&dag);
-            assert!(diags.is_empty(), "{diags:?}");
-            for mode in [SchedMode::Eager, SchedMode::Overlap] {
-                let launch =
-                    sized(&dag, vec![1 << 20; dag.stages.len()], vec![2; dag.stages.len()]);
-                let plan = plan_schedule(&launch, &costs, mode);
-                assert!(verify_schedule(&launch.edges, &plan).is_empty(), "{mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_shape_errors_are_sched_001() {
-        let dag = two_scan_join_dag();
-        let plan = SchedulePlan { mode: SchedMode::Eager, waits: vec![Vec::new()] };
-        let diags = verify_schedule(&dag.edges(), &plan);
-        assert!(diags.iter().all(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
-        assert_eq!(diags.len(), 1);
-        // A wait pointing at the waiter itself is rejected.
-        let plan = SchedulePlan {
-            mode: SchedMode::Eager,
-            waits: vec![
-                vec![WaitEvent::Completed(0)],
-                Vec::new(),
-                vec![WaitEvent::Completed(0), WaitEvent::Completed(1)],
-            ],
-        };
-        let diags = verify_schedule(&dag.edges(), &plan);
-        assert!(diags.iter().any(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
-        // So is a forward wait, on its own or as half of a cycle: only
-        // the stage that points forward is flagged, once.
-        let plan = SchedulePlan {
-            mode: SchedMode::Overlap,
-            waits: vec![
-                vec![WaitEvent::Launched(1)],
-                vec![WaitEvent::Launched(0)],
-                vec![WaitEvent::Completed(0), WaitEvent::Completed(1), WaitEvent::Completed(9)],
-            ],
-        };
-        let diags = verify_schedule(&dag.edges(), &plan);
-        assert!(diags.iter().all(|d| d.code == codes::SCHED_SHAPE), "{diags:?}");
-        assert_eq!(diags.iter().map(|d| d.stage).collect::<Vec<_>>(), vec![Some(0), Some(2)]);
-    }
-
-    #[test]
-    fn overlap_across_a_sort_barrier_is_sched_002() {
-        let dag = scan_sort_dag();
-        let plan = SchedulePlan {
-            mode: SchedMode::Overlap,
-            waits: vec![Vec::new(), vec![WaitEvent::Launched(0)]],
-        };
-        let diags = verify_schedule(&dag.edges(), &plan);
-        assert!(diags.iter().any(|d| d.code == codes::SCHED_SORT_BARRIER), "{diags:?}");
-        // The same wait as a completion is fine.
-        let plan = SchedulePlan {
-            mode: SchedMode::Overlap,
-            waits: vec![Vec::new(), vec![WaitEvent::Completed(0)]],
-        };
-        assert!(verify_schedule(&dag.edges(), &plan).is_empty());
-    }
-
-    #[test]
-    fn uncovered_input_edge_is_sched_003_and_coverage_is_transitive() {
-        let dag = two_scan_join_dag();
-        let plan = SchedulePlan {
-            mode: SchedMode::Eager,
-            waits: vec![Vec::new(), Vec::new(), vec![WaitEvent::Completed(0)]],
-        };
-        let diags = verify_schedule(&dag.edges(), &plan);
-        assert!(diags.iter().any(|d| d.code == codes::SCHED_UNCOVERED_EDGE), "{diags:?}");
-        // A plan where stage 3 covers its level-0 input only
-        // transitively (3 waits on 2, which waits on 0 and 1) must be
-        // accepted: a wait on `p` carries everything `p` waited on.
-        let dag = unbalanced_join_dag();
-        let plan = SchedulePlan {
-            mode: SchedMode::Eager,
-            waits: vec![
-                Vec::new(),
-                Vec::new(),
-                vec![WaitEvent::Completed(0), WaitEvent::Completed(1)],
-                vec![WaitEvent::Completed(2)],
-            ],
-        };
-        assert!(verify_schedule(&dag.edges(), &plan).is_empty());
     }
 }

@@ -12,12 +12,14 @@
 //! [`StageTask`]: an *operator* ([`StageOp`]: scan, join, agg-merge or
 //! sort, carrying its table files or its [`EdgeRead`] in-edges) and a
 //! *sink* ([`StageSink`]: report to the driver, a hash/agg-shard exchange
-//! edge, or a sort-exchange edge). `run_stage` is the only path from one
-//! to the other — read edges → operator → emit — so draining an edge,
-//! rejecting modeled payloads, folding request accounting into the
-//! metrics, and turning a [`PipelineOutput`] into a result each exist
-//! once, whatever the operator. The exchange (§4.4) is just another
-//! operator behind the same handler.
+//! edge, or a sort-exchange edge). The task is shared by the fleet; what
+//! differs per worker rides its payload ([`WorkerPayload::edges`]: where
+//! each sender's section of every in-edge is). `run_stage` is the only
+//! path from one to the other — read edges → operator → emit — so
+//! draining an edge, rejecting modeled payloads, folding request
+//! accounting into the metrics, and turning a [`PipelineOutput`] into a
+//! result each exist once, whatever the operator. The exchange (§4.4) is
+//! just another operator behind the same handler.
 //!
 //! # Fused chains
 //!
@@ -66,7 +68,7 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_B
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
-use crate::transport::{EdgeTransport, EdgeWriteStats};
+use crate::transport::{EdgeTransport, EdgeWriteStats, SectionAddr};
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -132,8 +134,9 @@ pub struct EdgeRead {
     /// Key prefix namespacing the producer stage's exchange edge (e.g.
     /// `x0/q3/s0`).
     pub channel: String,
-    /// Producer fleet size (how many sender files to await).
-    pub senders: usize,
+    /// Which of the payload's [`WorkerPayload::edges`] addresses this
+    /// edge's senders: the edge's position in the stage's inputs.
+    pub slot: usize,
 }
 
 /// A scan operator: the planner's stage plus the table it reads. Worker
@@ -242,6 +245,11 @@ pub struct WorkerPayload {
     /// one query's fleets.
     pub query: u64,
     pub task: WorkerTask,
+    /// Per in-edge of the stage (in [`crate::stage::StageKind::inputs`]
+    /// order), one address per sender: where this worker's section of
+    /// each producer's output is. Filled in by the driver once the
+    /// producers reported; empty for stages that read no edge.
+    pub edges: Vec<Vec<SectionAddr>>,
     /// Second-generation workers to invoke before running `task` (§4.2).
     pub children: Vec<Rc<WorkerPayload>>,
     pub result_queue: String,
@@ -249,15 +257,16 @@ pub struct WorkerPayload {
 
 impl WorkerPayload {
     /// The same assignment re-issued as a speculative backup: next
-    /// attempt id, no children (every missing worker is re-invoked
-    /// individually, so a dead first-generation worker's subtree is
-    /// recovered leaf by leaf).
+    /// attempt id, the same edge addresses, no children (every missing
+    /// worker is re-invoked individually, so a dead first-generation
+    /// worker's subtree is recovered leaf by leaf).
     pub fn backup(&self, attempt: u32) -> WorkerPayload {
         WorkerPayload {
             worker_id: self.worker_id,
             attempt,
             query: self.query,
             task: self.task.clone(),
+            edges: self.edges.clone(),
             children: Vec::new(),
             result_queue: self.result_queue.clone(),
         }
@@ -351,7 +360,7 @@ async fn run_handler(
     }
 
     let start = cloud.handle.now();
-    let outcome = run_task(&env, &payload.task).await;
+    let outcome = run_task(&env, &payload).await;
     let processing = (cloud.handle.now() - start).as_secs_f64();
     cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
 
@@ -385,8 +394,8 @@ type Report = (ResultPayload, WorkerMetrics);
 /// the fused members ahead of it. Errors are the message to report.
 type Ran = std::result::Result<(ResultPayload, WorkerMetrics, Vec<Report>), String>;
 
-async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Ran {
-    match task {
+async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
+    match &payload.task {
         WorkerTask::Noop => Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new())),
         WorkerTask::Compute { vcpu_seconds, threads } => {
             let threads = (*threads).max(1);
@@ -401,7 +410,7 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Ran {
             }
             Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new()))
         }
-        WorkerTask::Stage(task) => run_chain(env, task).await,
+        WorkerTask::Stage(task) => run_chain(env, task, &payload.edges).await,
         WorkerTask::Exchange(x) => match run_exchange_task(env, x).await {
             Ok((payload, metrics)) => Ok((payload, metrics, Vec::new())),
             Err(e) => Err(e.to_string()),
@@ -410,14 +419,15 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Ran {
 }
 
 /// Run a stage task and every stage fused after it, one after the
-/// other, each fed the part its predecessor handed on. Members ahead of
-/// the last are timed here; an error names the member it happened in.
-async fn run_chain(env: &WorkerEnv, head: &StageTask) -> Ran {
+/// other: the head reads its in-edges at `edges`, every member after it
+/// the part its predecessor handed on. Members ahead of the last are
+/// timed here; an error names the member it happened in.
+async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[Vec<SectionAddr>]) -> Ran {
     let mut ahead = Vec::new();
     let (mut task, mut input, mut label) = (head, None, None);
     loop {
         let start = env.cloud.handle.now();
-        let ran = run_stage(env, task, input.take()).await;
+        let ran = run_stage(env, task, input.take(), edges).await;
         let (payload, mut metrics, handoff) = ran.map_err(|e| match label {
             Some(label) => format!("{label}: {e}"),
             None => e.to_string(),
@@ -458,17 +468,21 @@ fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
     metrics.exchange_wait_secs += stats.wait_secs;
 }
 
-/// Receive one receiver's co-partition of a stage edge: await every
-/// sender's part and hand back the non-empty payloads in sender order,
-/// with the receive's request accounting. Modeled payloads carry no rows
-/// to compute on and are rejected.
+/// Receive one receiver's co-partition of a stage edge from the senders
+/// `edges` addresses and hand back the non-empty payloads in sender
+/// order, with the receive's request accounting. Modeled payloads carry
+/// no rows to compute on and are rejected.
 async fn recv_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
+    edges: &[Vec<SectionAddr>],
     receiver: usize,
 ) -> Result<(Vec<Vec<u8>>, EdgeReadStats)> {
-    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, edge.senders).await?;
+    let addrs = edges.get(edge.slot).ok_or_else(|| {
+        CoreError::Engine(format!("no addresses for in-edge {} ({})", edge.slot, edge.channel))
+    })?;
+    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, addrs).await?;
     Ok((real_payloads(parts)?, stats))
 }
 
@@ -496,13 +510,14 @@ async fn read_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
+    edges: &[Vec<SectionAddr>],
     handed: Option<PartData>,
     metrics: &mut WorkerMetrics,
 ) -> Result<Vec<Vec<u8>>> {
     if let Some(part) = handed {
         return real_payloads(vec![part]);
     }
-    let (payloads, stats) = recv_edge(env, task, edge, env.worker_id as usize).await?;
+    let (payloads, stats) = recv_edge(env, task, edge, edges, env.worker_id as usize).await?;
     fold_read_stats(metrics, stats);
     Ok(payloads)
 }
@@ -604,7 +619,7 @@ async fn sort_edge_parts(
             None => Vec::new(),
         };
         let samples = sample_channel(channel);
-        let write_stats =
+        let (write_stats, _) =
             task.transport.send(env, &samples, sender, vec![PartData::Real(sample_bytes)]).await?;
         fold_write_stats(metrics, write_stats);
         let (parts, read_stats) = task.transport.recv_barrier(env, &samples, edge.senders).await?;
@@ -696,13 +711,15 @@ async fn drive_scan(
 /// [`PipelineOutput`], and the sink turns that into the worker's result —
 /// agg state or batches inline, one stored object, or a write onto the
 /// out-edge (§4.4's "operators that repartition data", executed with no
-/// infrastructure beyond storage and functions). `handed` is the part a
-/// fused producer handed on; the part this stage hands on, if its own
-/// out-edge is fused, comes back beside the report.
+/// infrastructure beyond storage and functions). `edges` addresses the
+/// in-edges; `handed` is the part a fused producer handed on instead.
+/// The part this stage hands on, if its own out-edge is fused, comes back
+/// beside the report.
 async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
     handed: Option<PartData>,
+    edges: &[Vec<SectionAddr>],
 ) -> Result<(ResultPayload, WorkerMetrics, Option<PartData>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
@@ -729,14 +746,14 @@ async fn run_stage(
             pipeline.finish()?
         }
         StageOp::Join { stage, probe, build } => {
-            // Both in-edges are received together — each costs a
-            // discovery round and a fetch round of pure latency — and
-            // consumed in a fixed order: build fully, then probe. Their
+            // Both in-edges are received together — each costs a fetch
+            // round of pure latency — and consumed in a fixed order:
+            // build fully, then probe. Their
             // accounting is folded in that order too, so float sums
             // repeat.
             // ---- Build side: the whole co-partition, then one hash table.
             let build_side = async {
-                let (payloads, stats) = recv_edge(env, task, build, p).await?;
+                let (payloads, stats) = recv_edge(env, task, build, edges, p).await?;
                 let build_batches = decode_parts(payloads).collect::<Result<Vec<_>>>()?;
                 let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
                 env.compute(env.costs.process_seconds(build_rows)).await;
@@ -756,7 +773,7 @@ async fn run_stage(
             // A build-side failure is the worker's failure at once: the
             // probe receive is dropped, not waited for.
             let ((table, build_rows, build_stats), probed) =
-                try_join2(build_side, recv_edge(env, task, probe, p)).await?;
+                try_join2(build_side, recv_edge(env, task, probe, edges, p)).await?;
             fold_read_stats(&mut metrics, build_stats);
             let (probe_payloads, probe_stats) = probed?;
             fold_read_stats(&mut metrics, probe_stats);
@@ -802,7 +819,7 @@ async fn run_stage(
         }
         StageOp::AggMerge { stage, input, emit_state } => {
             let mut state = GroupedAggState::new(&stage.funcs)?;
-            for bytes in read_edge(env, task, input, handed, &mut metrics).await? {
+            for bytes in read_edge(env, task, input, edges, handed, &mut metrics).await? {
                 let shard = GroupedAggState::decode(&bytes)?;
                 metrics.rows_in += shard.num_groups() as u64;
                 env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
@@ -837,7 +854,8 @@ async fn run_stage(
         StageOp::Sort { stage, input } => {
             let mut batches = Vec::new();
             let mut state_bytes = 0u64;
-            for batch in decode_parts(read_edge(env, task, input, handed, &mut metrics).await?) {
+            let payloads = read_edge(env, task, input, edges, handed, &mut metrics).await?;
+            for batch in decode_parts(payloads) {
                 let batch = batch?;
                 state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
                 if state_bytes > budget / 2 {
@@ -909,9 +927,9 @@ async fn run_stage(
         let handoff = parts.into_iter().next();
         return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, handoff));
     }
-    let stats = task.transport.send(env, channel, p, parts).await?;
+    let (stats, sections) = task.transport.send(env, channel, p, parts).await?;
     let bytes = fold_write_stats(&mut metrics, stats);
-    Ok((ResultPayload::Exchanged { rows, bytes }, metrics, None))
+    Ok((ResultPayload::Sections { rows, bytes, sections }, metrics, None))
 }
 
 async fn run_exchange_task(
@@ -993,7 +1011,7 @@ mod tests {
         };
         let sink = StageSink::Edge { channel: "x0/q0/s0".to_string() };
         let task = scan_task(terminal, StageOutput::AggExchange, sink);
-        let err = sim.block_on(async move { run_stage(&env, &task, None).await.unwrap_err() });
+        let err = sim.block_on(async move { run_stage(&env, &task, None, &[]).await.unwrap_err() });
         assert!(
             matches!(&err, CoreError::Engine(m) if m.contains("needs a sharding terminal")),
             "got: {err}"

@@ -5,7 +5,9 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use lambada::core::{stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig};
+use lambada::core::{
+    stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig, ADDRESSED,
+};
 use lambada::engine::{execute_into_batch, Catalog, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 use lambada::workloads::{lineitem_schema, stage_real, StageOptions};
@@ -152,6 +154,7 @@ fn direct_and_two_level_invocation_agree() {
                 attempt: 0,
                 query: 0,
                 task: WorkerTask::Stage(Rc::clone(&task)),
+                edges: Vec::new(),
                 children: Vec::new(),
                 result_queue: "by-hand".to_string(),
             })
@@ -375,24 +378,24 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     assert!(agg.rows_out > 100, "{} groups finalized by the merge fleet", agg.rows_out);
 
     // Request counts match the stage-edge cost model (writes exact, GETs
-    // bounded by senders × receivers since empty sections are skipped).
-    let buckets = system_buckets();
+    // bounded by senders × receivers since empty sections are skipped,
+    // no LIST: the driver hands every receiver its sections).
     let scan_senders: usize = scans.iter().map(|s| s.workers).sum();
-    let join_edge = stage_edge_counts(scan_senders as f64, join_workers as f64, buckets);
+    let join_edge = stage_edge_counts(scan_senders as f64, join_workers as f64, ADDRESSED);
     assert_eq!(
         scans.iter().map(|s| s.put_requests).sum::<u64>(),
         join_edge.writes as u64,
         "one write-combined PUT per scan worker"
     );
     assert!(join.get_requests >= 1 && join.get_requests <= join_edge.reads as u64);
-    assert!(join.list_requests >= 1 && join.list_requests <= join_edge.lists as u64);
-    let agg_edge = stage_edge_counts(join_workers as f64, agg_workers as f64, buckets);
+    assert_eq!(join.list_requests, 0, "an addressed edge lists nothing");
+    let agg_edge = stage_edge_counts(join_workers as f64, agg_workers as f64, ADDRESSED);
     assert_eq!(
         join.put_requests, agg_edge.writes as u64,
         "one write-combined shard PUT per join worker"
     );
     assert!(agg.get_requests >= 1 && agg.get_requests <= agg_edge.reads as u64);
-    assert!(agg.list_requests >= 1 && agg.list_requests <= agg_edge.lists as u64);
+    assert_eq!(agg.list_requests, 0, "an addressed edge lists nothing");
     // Merge workers report finalized batches (no driver merge), each a
     // few KB — well under the inline limit, so they ride the result
     // messages: no result PUT at all.
@@ -532,7 +535,6 @@ fn q5_multiway(sort_workers: usize) {
     // Per-stage request counts match the stage-edge cost model. Writes
     // are exact: one write-combined PUT per producer worker per edge —
     // plus one sample PUT per sort-exchange producer.
-    let buckets = system_buckets();
     let scan_workers: usize = report.stages[..3].iter().map(|s| s.workers).sum();
     for s in &report.stages[..3] {
         assert_eq!(s.put_requests, s.workers as u64, "one combined PUT per scan worker");
@@ -553,21 +555,21 @@ fn q5_multiway(sort_workers: usize) {
          only when there are boundaries to agree on"
     );
     assert_eq!(sort.put_requests, 0, "the sorted top 10 rides the result messages");
-    // Reads/lists bounded by the model (empty sections are skipped).
-    let inner_edge = stage_edge_counts(scan_workers as f64, join_workers as f64, buckets);
+    // Reads bounded by the model (empty sections are skipped); no stage
+    // edge lists anything.
+    let inner_edge = stage_edge_counts(scan_workers as f64, join_workers as f64, ADDRESSED);
     assert!(inner_join.get_requests >= 1 && inner_join.get_requests <= inner_edge.reads as u64);
-    assert!(inner_join.list_requests >= 1 && inner_join.list_requests <= inner_edge.lists as u64);
-    // The merge fleet LISTs two prefixes: the join→agg state edge and —
-    // with a barrier — the sample pool of the sort edge it produces
-    // (every merge worker reads all merge workers' samples). One pass
-    // over each, bucket by bucket, and never a re-poll: the state edge's
-    // producers are done (eager scheduling), and a pass over the pool
-    // outlasts the skew among the peers writing to it.
-    let agg_edge = stage_edge_counts(join_workers as f64, agg_workers as f64, buckets);
+    assert_eq!((inner_join.list_requests, outer_join.list_requests, sort.list_requests), (0, 0, 0));
+    // The merge fleet LISTs only the sample pool of the sort edge it
+    // produces, and only with a barrier (every merge worker reads all
+    // merge workers' samples): one pass, bucket by bucket, and never a
+    // re-poll — a pass over the pool outlasts the skew among the peers
+    // writing to it. Its addressed in-edge lists nothing.
+    let buckets = system_buckets();
     let smp_edge = stage_edge_counts(agg_workers as f64, agg_workers as f64, buckets);
     assert!(agg.get_requests >= 1);
-    let one_pass = agg_edge.lists as u64 + if barrier { smp_edge.lists as u64 } else { 0 };
-    assert_eq!(agg.list_requests, one_pass, "LISTs vs one model pass per in-edge");
+    let one_pass = if barrier { smp_edge.lists as u64 } else { 0 };
+    assert_eq!(agg.list_requests, one_pass, "LISTs vs one model pass of the barrier");
     // Every exchange edge carried bytes.
     assert!(report.stages[..3].iter().all(|s| s.bytes_exchanged > 0));
     assert!(inner_join.bytes_exchanged > 0, "nested join re-exchanged rows");
@@ -943,18 +945,21 @@ fn q12_join_runs_distributed_and_matches_reference() {
     assert_eq!(report.stages[0].put_requests, 4, "one combined PUT per orders scanner");
     assert_eq!(report.stages[1].put_requests, 6, "one combined PUT per lineitem scanner");
     assert!(report.stages[2].get_requests >= 1, "join workers fetch partitions");
-    assert!(report.stages[2].list_requests >= 1, "partition discovery via LIST");
+    assert_eq!(report.stages[2].list_requests, 0, "the driver addressed every partition");
     // Both in-edges are complete when the join fleet launches, and each
-    // join worker discovers them together: its two waits (only join
-    // workers wait on an edge in this DAG) start at once and overlap,
-    // so a worker pays one discovery round, not one per edge.
+    // join worker receives them together: its two receives (only join
+    // workers read an edge in this DAG) wait for nothing, and their
+    // fetches start at once and overlap, so a worker pays one fetch
+    // round, not one per edge.
     let waits = cloud.trace.spans("exchange_wait");
     assert_eq!(waits.len(), 2 * report.stages[2].workers);
+    assert!(waits.iter().all(|e| e.start == e.end), "an addressed edge is never waited for");
+    let reads = cloud.trace.spans("exchange_read");
     for w in 0..report.stages[2].workers as u64 {
-        let mine: Vec<_> = waits.iter().filter(|e| e.worker == w).collect();
-        let [a, b] = mine.as_slice() else { panic!("join worker {w}: {} waits", mine.len()) };
+        let mine: Vec<_> = reads.iter().filter(|e| e.worker == w).collect();
+        let [a, b] = mine.as_slice() else { panic!("join worker {w}: {} reads", mine.len()) };
         assert_eq!(a.start, b.start, "join worker {w} starts both receives together");
-        assert!(a.end > b.start && b.end > a.start, "join worker {w}'s waits overlap");
+        assert!(a.end > b.start && b.end > a.start, "join worker {w}'s fetches overlap");
     }
     // Concurrent scan wave: both scans share one billing snapshot and the
     // query is not slower than the two scans run back to back.

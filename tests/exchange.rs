@@ -294,6 +294,7 @@ fn exchange_runs_through_faas_workers() {
                 input: Some(("input".to_string(), "shard".to_string())),
                 side: side.clone(),
             }),
+            edges: Vec::new(),
             children: Vec::new(),
             result_queue: "xresults".to_string(),
         })

@@ -324,15 +324,14 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
 }
 
 /// A join worker receives both in-edges together, but a build side that
-/// fails is the worker's failure at once: with a probe producer that
-/// never writes it reports when it would with the probe edge ready, not
-/// after sitting out the probe edge's poll ladder on billed time.
+/// fails is the worker's failure at once: whether its probe section is
+/// there or missing, it reports at the same instant.
 #[test]
 fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
     use lambada::core::{
-        invoke_workers_as, EdgeRead, EdgeTransport, ExchangeSide, InvocationStrategy, PartData,
-        StageKind, StageOp, StageSink, StageTask, WorkerEnv, WorkerPayload, WorkerResult,
-        WorkerTask,
+        address_sections, invoke_workers_as, EdgeRead, EdgeTransport, ExchangeSide,
+        InvocationStrategy, PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv,
+        WorkerPayload, WorkerResult, WorkerTask,
     };
 
     // Seconds from launch until the worker's error report is received.
@@ -356,7 +355,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
         let config = system.config();
         let transport =
             Rc::new(EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None));
-        let edge = |stage: usize| EdgeRead { channel: format!("xhand/q0/s{stage}"), senders: 1 };
+        let edge = |slot: usize| EdgeRead { channel: format!("xhand/q0/s{slot}"), slot };
         let (probe, build) = (edge(0), edge(1));
         let task = Rc::new(StageTask {
             op: StageOp::Join { stage: stage.clone(), probe: probe.clone(), build: build.clone() },
@@ -366,11 +365,12 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             result_prefix: "results/by-hand".to_string(),
             fused_into: None,
         });
-        let payload = WorkerPayload {
+        let mut payload = WorkerPayload {
             worker_id: 0,
             attempt: 0,
             query: 0,
             task: WorkerTask::Stage(task),
+            edges: Vec::new(),
             children: Vec::new(),
             result_queue: "by-hand".to_string(),
         };
@@ -382,10 +382,14 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
                 // The build producer shipped bytes that are no record batch.
                 let garbage = || vec![PartData::Real(b"not a record batch".to_vec())];
                 let sender = WorkerEnv::bare(&cloud, 9, 2048, Default::default());
-                transport.send(&sender, &build.channel, 0, garbage()).await.unwrap();
+                let (_, sections) =
+                    transport.send(&sender, &build.channel, 0, garbage()).await.unwrap();
                 if probe_written {
                     transport.send(&sender, &probe.channel, 0, garbage()).await.unwrap();
                 }
+                // Without its write, the probe address points at nothing.
+                let addrs = address_sections(0, &sections, 1).unwrap();
+                payload.edges = vec![addrs.clone(), addrs];
                 let launched = cloud.handle.now();
                 invoke_workers_as(&cloud, &function, vec![payload], InvocationStrategy::Direct)
                     .await
@@ -616,9 +620,9 @@ fn killed_producer_on_direct_transport_recovers_over_store_fallback() {
     // silently mid-stream (a partial p2p transfer leaves *nothing* in
     // any mailbox), and every p2p link from sender 1 stays severed — so
     // its speculative backup cannot stream either and must take the
-    // object-store fallback. Receivers discover the fallback file via
-    // billed LIST polls and the join must still match the clean
-    // object-store run exactly.
+    // object-store fallback. The backup's section table says so, the
+    // driver addresses the join workers to the fallback file, and the
+    // join must still match the clean object-store run exactly.
     let (clean, clean_report) = run_q12_join(false);
     assert_eq!(clean_report.backup_invocations(), 0);
     let (recovered, report, cloud) = run_q12_direct(
@@ -631,9 +635,14 @@ fn killed_producer_on_direct_transport_recovers_over_store_fallback() {
     assert!(cloud.faas.injected_kills("lambada-worker") >= 1);
     let (_, _, drops) = cloud.p2p.counters();
     assert!(drops > 0, "the backup really hit the severed links");
-    // The fallback shows up as billed store traffic on the consumer
-    // side; healthy senders still rode the relay.
+    // The fallback shows up as store GETs on the consumer side, read
+    // straight from the file — no grace polls, no LIST; healthy senders
+    // still rode the relay.
     assert!(report.p2p_requests() > 0, "healthy senders stayed on the relay");
+    let join = report.stages.iter().find(|s| s.label == "join#2").expect("Q12's join");
+    assert!(join.get_requests > 0, "the fallback file was read");
+    assert_eq!((join.list_requests, join.exchange_wait_secs), (0, 0.0));
+    assert!(join.exec_secs < 0.5, "join#2 ran {} s", join.exec_secs);
     assert_batches_close(&recovered, &clean);
 }
 

@@ -3,14 +3,14 @@
 //! planner's Q12, Q5 and Q3 with cost-model-sized tails must fuse exactly
 //! their one-worker tails, match the reference executor, spend no request
 //! and leave no object on a fused edge, and still report every stage on
-//! its own — on both transports and under both scheduler modes.
+//! its own — on both transports.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use lambada::core::{
-    AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport, QueryService, SchedMode,
-    ServiceConfig, SortStrategy, TransportKind,
+    AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport, QueryService, ServiceConfig,
+    SortStrategy, TransportKind,
 };
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
@@ -74,12 +74,11 @@ fn stage_tables(cloud: &Cloud, system: &mut Lambada) -> Catalog {
 
 /// Model-sized fleets everywhere (no pins): at this scale every consumer
 /// fleet is one worker.
-fn config(sort: bool, transport: TransportKind, scheduler: SchedMode) -> LambadaConfig {
+fn config(sort: bool, transport: TransportKind) -> LambadaConfig {
     LambadaConfig {
         agg: AggStrategy::Exchange { workers: None },
         sort: if sort { SortStrategy::Exchange { workers: None } } else { SortStrategy::Driver },
         transport,
-        scheduler,
         ..LambadaConfig::default()
     }
 }
@@ -192,33 +191,31 @@ fn model_sized_tails_fuse_and_match_the_reference() {
         };
         assert!(reference.num_rows() > 0, "{}: the query selects something", case.name);
         for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-            for scheduler in [SchedMode::Eager, SchedMode::Overlap] {
-                let what = format!("{} on {transport:?} / {scheduler:?}", case.name);
-                let sim = Simulation::new();
-                let cloud = Cloud::new(&sim, CloudConfig::default());
-                let config = config(case.sort, transport, scheduler);
-                let mut system = Lambada::install(&cloud, config.clone());
-                stage_tables(&cloud, &mut system);
-                // Through the ungated service, so the admission estimate —
-                // which drops fused edges and counts one invocation per
-                // chain — can be held against the actuals.
-                let service = QueryService::with_config(
-                    system,
-                    ServiceConfig { max_inflight_workers: 0, ..ServiceConfig::default() },
-                );
-                let estimate = service.estimate(&case.plan).unwrap();
-                let report = sim.block_on(service.run("t", &case.plan)).unwrap();
-                assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
-                assert_eq!(report.batch, reference, "{what}: bit for bit");
-                check_fused_run(&case, &report, &what);
-                for (p, _) in case.fused {
-                    let p = report.stages.iter().position(|s| s.label == *p).unwrap();
-                    let left = edge_objects(&sim, &cloud, &config, report.query_id, p);
-                    assert_eq!(left, 0, "{what}: objects under a fused edge's channel");
-                }
-                assert_eq!(cloud.p2p.endpoint_count(), 0, "{what}: endpoints deregistered");
-                assert_eq!(sim.live_tasks(), 0, "{what}: nothing left running");
+            let what = format!("{} on {transport:?}", case.name);
+            let sim = Simulation::new();
+            let cloud = Cloud::new(&sim, CloudConfig::default());
+            let config = config(case.sort, transport);
+            let mut system = Lambada::install(&cloud, config.clone());
+            stage_tables(&cloud, &mut system);
+            // Through the ungated service, so the admission estimate —
+            // which drops fused edges and counts one invocation per
+            // chain — can be held against the actuals.
+            let service = QueryService::with_config(
+                system,
+                ServiceConfig { max_inflight_workers: 0, ..ServiceConfig::default() },
+            );
+            let estimate = service.estimate(&case.plan).unwrap();
+            let report = sim.block_on(service.run("t", &case.plan)).unwrap();
+            assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
+            assert_eq!(report.batch, reference, "{what}: bit for bit");
+            check_fused_run(&case, &report, &what);
+            for (p, _) in case.fused {
+                let p = report.stages.iter().position(|s| s.label == *p).unwrap();
+                let left = edge_objects(&sim, &cloud, &config, report.query_id, p);
+                assert_eq!(left, 0, "{what}: objects under a fused edge's channel");
             }
+            assert_eq!(cloud.p2p.endpoint_count(), 0, "{what}: endpoints deregistered");
+            assert_eq!(sim.live_tasks(), 0, "{what}: nothing left running");
         }
     }
 }

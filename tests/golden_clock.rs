@@ -123,14 +123,15 @@ fn q6_on_real_files() {
     });
 }
 
-/// Q12 over the object-store exchange: PUT/LIST/GET polling on edges.
+/// Q12 over the object-store exchange: PUTs and addressed ranged GETs on
+/// edges.
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609439240600165135, 4553221484220925155)],
+        queries: vec![(4609349419327512580, 4548010624896553587)],
         s3_gets: 31,
         s3_puts: 10,
-        s3_lists: 27,
+        s3_lists: 0,
         trace_len: 98,
     };
     check("q12_over_the_object_store_exchange", expected, |sim| {
@@ -167,14 +168,14 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4609139264453379273, 4549916922958345779),
-            (4610979298815564947, 4556401702899232684),
+            (4609078834446514074, 4548217228430179134),
+            (4610719002349368373, 4552824129824362405),
             (4607920106707612837, 4546859548066354111),
-            (4608648191720327213, 4555909174832464642),
+            (4608431494921878786, 4549994399283455360),
         ],
         s3_gets: 100,
         s3_puts: 19,
-        s3_lists: 47,
+        s3_lists: 0,
         trace_len: 217,
     };
     check("two_tenants_through_a_small_gate", expected, |sim| {

@@ -1,28 +1,24 @@
-//! Event-driven scheduler integration suite: every [`SchedMode`] must
-//! produce the reference executor's rows, bit-identical across modes, on
-//! an unbalanced multi-join DAG (the scheduler moves launch instants,
-//! never rows — each edge synchronizes through storage); overlapped scheduling must stay deadlock-free
-//! under a shared [`WorkerGate`] cap smaller than the combined fleets
-//! it co-schedules; speculation must recover a producer killed while
-//! its consumer was already launched against it; and the exchange's
-//! highest-attempt-wins dedup must hold when the consumer starts
-//! *before any producer wrote* — the empty-prefix LIST path overlap
-//! leans on — for both transports.
+//! Event-driven scheduler integration suite: the one scheduler — a
+//! stage launches once its own inputs completed — must produce the
+//! reference executor's rows on an unbalanced multi-join DAG, repeat
+//! them bit for bit, and stay deadlock-free under a shared
+//! [`WorkerGate`] cap smaller than the combined fleets; and speculation
+//! must recover a killed producer, its consumers addressed from the
+//! backup's report.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use lambada::core::{
-    install_exchange_buckets, AggStrategy, ComputeCostModel, EdgeTransport, ExchangeConfig,
-    ExchangeSide, ExecPolicy, Lambada, LambadaConfig, PartData, QueryReport, SchedMode,
-    SortStrategy, SpeculationConfig, WorkerEnv, WorkerGate,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, SpeculationConfig,
+    WorkerGate,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{
     execute_into_batch, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, ScalarKey, Schema, SortKey,
 };
-use lambada::sim::{secs, Cloud, CloudConfig, InjectedFault, Simulation};
+use lambada::sim::{Cloud, CloudConfig, InjectedFault, Simulation};
 use lambada::workloads::stage_table_real;
 
 fn keys(n: usize, salt: u64, domain: i64) -> Vec<i64> {
@@ -105,14 +101,10 @@ fn row_multiset(batch: &RecordBatch) -> Vec<Vec<ScalarKey>> {
     rows
 }
 
-fn mode_policy(mode: SchedMode) -> ExecPolicy {
-    ExecPolicy { scheduler: Some(mode), ..ExecPolicy::default() }
-}
-
-/// Eager and overlap runs of the same DAG on the same installation
-/// return the reference executor's rows, and each other's bit for bit.
+/// Two runs of the same DAG on the same installation return the
+/// reference executor's rows, and each other's bit for bit.
 #[test]
-fn all_sched_modes_produce_bit_identical_results() {
+fn unbalanced_dag_matches_the_reference_bit_for_bit() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let (system, plan, catalog) = install_unbalanced(
@@ -123,20 +115,21 @@ fn all_sched_modes_produce_bit_identical_results() {
     assert!(reference.num_rows() > 0, "the chain must actually join rows");
     sim.block_on(async move {
         let dag = system.plan(&plan).unwrap();
-        let eager = system.run_dag_with(&dag, &mode_policy(SchedMode::Eager)).await.unwrap();
-        let overlap = system.run_dag_with(&dag, &mode_policy(SchedMode::Overlap)).await.unwrap();
-        assert_eq!(row_multiset(&eager.batch), row_multiset(&reference), "eager vs reference");
-        assert_eq!(overlap.batch, eager.batch, "overlap moved rows, not just launch instants");
+        let first = system.run_dag(&dag).await.unwrap();
+        let second = system.run_dag(&dag).await.unwrap();
+        assert_eq!(row_multiset(&first.batch), row_multiset(&reference), "vs reference");
+        assert_eq!(second.batch, first.batch, "a second run moved rows");
+        let lists: u64 = first.stages.iter().map(|s| s.list_requests).sum();
+        assert_eq!(lists, 0, "every edge addressed, none listed");
     });
 }
 
-/// Overlapped scheduling under a worker gate whose cap is smaller than
-/// the combined fleets it would co-schedule: the FIFO gate's grant
-/// order embeds the dependency order (a fleet's `Launched` event fires
-/// only after admission), so the query completes instead of
+/// A worker gate whose cap is smaller than the combined fleets of the
+/// concurrent scans: a fleet asks for workers only once its inputs
+/// completed and released theirs, so the query completes instead of
 /// deadlocking, matches the ungated run, and never exceeds the cap.
 #[test]
-fn overlap_under_binding_worker_gate_completes_without_deadlock() {
+fn a_binding_worker_gate_completes_without_deadlock() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let (system, plan, _) = install_unbalanced(
@@ -145,15 +138,11 @@ fn overlap_under_binding_worker_gate_completes_without_deadlock() {
     );
     sim.block_on(async move {
         let dag = system.plan(&plan).unwrap();
-        let free = system.run_dag_with(&dag, &mode_policy(SchedMode::Overlap)).await.unwrap();
+        let free = system.run_dag(&dag).await.unwrap();
         // Cap 4 admits any single fleet whole (joins are pinned at 4)
-        // but never two overlapping fleets together.
+        // but never two of them together.
         let gate = WorkerGate::new(4);
-        let policy = ExecPolicy {
-            scheduler: Some(SchedMode::Overlap),
-            gate: Some(gate.clone()),
-            ..ExecPolicy::default()
-        };
+        let policy = ExecPolicy { gate: Some(gate.clone()), ..ExecPolicy::default() };
         let gated = system.run_dag_with(&dag, &policy).await.unwrap();
         assert_eq!(gated.batch, free.batch, "gating must not change rows");
         assert_eq!(gate.inflight(), 0, "every lease released");
@@ -166,10 +155,7 @@ fn overlap_under_binding_worker_gate_completes_without_deadlock() {
 }
 
 /// The fault-suite plan: join feeding a repartitioned aggregation
-/// feeding a distributed sort. The build-side scan is small beside the
-/// probe side, so the overlap cost model approves launching the join
-/// fleet against the still-running build scan — the consumer is up
-/// mid-overlap when the producer dies.
+/// feeding a distributed sort.
 fn fault_plan() -> LogicalPlan {
     let left = Df::scan(
         "l",
@@ -196,10 +182,7 @@ fn fault_plan() -> LogicalPlan {
         .build()
 }
 
-fn run_fault_case(
-    mode: SchedMode,
-    fault: Option<fn(u64, u32) -> Option<InjectedFault>>,
-) -> QueryReport {
+fn run_fault_case(fault: Option<fn(u64, u32) -> Option<InjectedFault>>) -> QueryReport {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let (ls, lcols) = table_cols(400, 0x1111, 0, 37);
@@ -230,92 +213,26 @@ fn run_fault_case(
     let plan = fault_plan();
     sim.block_on(async move {
         let dag = system.plan(&plan).unwrap();
-        system.run_dag_with(&dag, &mode_policy(mode)).await.unwrap()
+        system.run_dag(&dag).await.unwrap()
     })
 }
 
-/// A producer silently killed while overlapped scheduling already has
-/// its consumer launched and polling: the per-stage straggler watcher
-/// (anchored to the fleet's own post-gate launch instant) re-invokes
-/// it, the backup's higher attempt wins dedup, and the result matches
-/// the clean eager baseline bit for bit.
+/// A producer silently killed mid-flight: the per-stage straggler
+/// watcher (anchored to the fleet's own post-gate launch instant)
+/// re-invokes it, the driver keeps the backup's report — the first for
+/// that worker — and addresses the consumers from its section table, and
+/// the result matches the clean run bit for bit.
 #[test]
-fn speculation_recovers_killed_producer_mid_overlap() {
-    let clean = run_fault_case(SchedMode::Eager, None);
+fn speculation_recovers_a_killed_producer() {
+    let clean = run_fault_case(None);
     assert_eq!(clean.backup_invocations(), 0);
     assert!(clean.batch.num_rows() > 0);
-    let killed = run_fault_case(
-        SchedMode::Overlap,
-        Some(|wid, attempt| {
-            (wid == 1 && attempt == 0)
-                .then(|| InjectedFault::kill(std::time::Duration::from_millis(10)))
-        }),
-    );
+    let killed = run_fault_case(Some(|wid, attempt| {
+        (wid == 1 && attempt == 0)
+            .then(|| InjectedFault::kill(std::time::Duration::from_millis(10)))
+    }));
     assert!(killed.backup_invocations() >= 1, "the kill was speculated against");
     assert_eq!(killed.batch, clean.batch);
-}
-
-/// Highest-attempt-wins dedup on a consumer that starts before any
-/// producer wrote: the receiver's first discovery pass sees an empty
-/// prefix (or mailbox) and must keep polling; when the producer's
-/// attempts then land *out of order* — the speculative attempt-1 copy
-/// first, the straggling attempt-0 original later — the receiver must
-/// return exactly one part carrying the attempt-1 payload, on both the
-/// object-store and the direct transport.
-#[test]
-fn early_consumer_dedupes_attempts_on_empty_prefix_on_both_transports() {
-    let cfg = ExchangeConfig::default();
-    for direct in [false, true] {
-        let sim = Simulation::new();
-        let cloud = Cloud::new(&sim, CloudConfig::default());
-        install_exchange_buckets(&cloud, &cfg);
-        let side = ExchangeSide::new();
-        let transport = Rc::new(EdgeTransport::new(
-            cfg.clone(),
-            side.clone(),
-            direct.then(|| cloud.p2p.clone()),
-        ));
-        let channel = "x7/q0/s0";
-        if direct {
-            cloud.p2p.register(&format!("{channel}/r0"));
-        }
-        let old_payload = b"attempt-zero-stale".to_vec();
-        let new_payload = b"attempt-one-wins".to_vec();
-        let got = sim.block_on({
-            let cloud = cloud.clone();
-            let transport2 = Rc::clone(&transport);
-            let (old_payload, new_payload) = (old_payload.clone(), new_payload.clone());
-            async move {
-                let consumer = cloud.handle.spawn({
-                    let cloud = cloud.clone();
-                    let transport = Rc::clone(&transport2);
-                    async move {
-                        let env = WorkerEnv::bare(&cloud, 10, 2048, ComputeCostModel::default());
-                        transport.recv(&env, "x7/q0/s0", 0, 1).await.unwrap()
-                    }
-                });
-                // Let the consumer's first discovery pass find nothing.
-                cloud.handle.sleep(secs(0.7)).await;
-                let mut env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
-                env.attempt = 1;
-                transport2
-                    .send(&env, "x7/q0/s0", 0, vec![PartData::Real(new_payload)])
-                    .await
-                    .unwrap();
-                env.attempt = 0;
-                transport2
-                    .send(&env, "x7/q0/s0", 0, vec![PartData::Real(old_payload)])
-                    .await
-                    .unwrap();
-                let (parts, stats) = consumer.await;
-                assert!(stats.wait_secs > 0.0, "the consumer really waited on an empty edge");
-                parts
-            }
-        });
-        assert_eq!(
-            got,
-            vec![PartData::Real(new_payload)],
-            "direct={direct}: exactly one part, highest attempt wins"
-        );
-    }
+    let join = killed.stages.iter().find(|s| s.label.starts_with("join#")).unwrap();
+    assert_eq!((join.list_requests, join.exchange_wait_secs), (0, 0.0));
 }

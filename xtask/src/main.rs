@@ -14,10 +14,9 @@
 //!    documented-infallible site is allowlisted by a
 //!    `// lint: allow(unwrap) — <reason>` comment directly above it;
 //!    the reason is required.
-//! 2. **doc-variant** — every `StageKind`, `TransportKind`, and
-//!    `SchedMode` variant is named in `docs/OPERATORS.md`, so the
-//!    operator reference can't silently fall behind the planner or the
-//!    scheduler.
+//! 2. **doc-variant** — every `StageKind` and `TransportKind` variant
+//!    is named in `docs/OPERATORS.md`, so the operator reference can't
+//!    silently fall behind the planner or the transports.
 //! 3. **doc-metric** — every public `WorkerMetrics` field is named in
 //!    `docs/OPERATORS.md`'s stage-report metric table.
 //! 4. **wire-stability** — every public struct/enum in the wire-format
@@ -139,17 +138,6 @@ fn lint() -> ExitCode {
             &root.join("crates/core/src/transport.rs"),
             transport_src,
             "TransportKind",
-            docs,
-            &mut findings,
-        );
-    }
-    let sched_src =
-        read_or_report(&root.join("crates/core/src/sched.rs"), "doc-variant", &mut findings);
-    if let (Some(docs), Some(sched_src)) = (&docs, &sched_src) {
-        lint_doc_variants(
-            &root.join("crates/core/src/sched.rs"),
-            sched_src,
-            "SchedMode",
             docs,
             &mut findings,
         );
