@@ -110,7 +110,9 @@ impl StageBoard {
 mod tests {
     use super::*;
     use crate::message::Wire;
-    use crate::verify::test_dags::{diamond_dag, single_scan_dag, unbalanced_join_dag};
+    use crate::verify::test_dags::{
+        diamond_dag, scan_sort_dag, single_scan_dag, two_scan_join_dag, unbalanced_join_dag,
+    };
 
     fn addr(attempt: u32, offset: u64) -> SectionAddr {
         SectionAddr { attempt, offset, len: 1, wire: Wire::File }
@@ -118,12 +120,9 @@ mod tests {
 
     /// A stage waits for exactly its own inputs — not a level barrier:
     /// in the unbalanced shape the final join may launch once the first
-    /// join and scan 1 completed, whatever else sits in earlier levels,
-    /// and sources never wait.
+    /// join and scan 1 completed, whatever else sits in earlier levels.
     #[test]
     fn eager_waits_are_exactly_the_inputs() {
-        let board = StageBoard::new(&single_scan_dag());
-        assert!(board.ready(0), "a source waits on nothing");
         let board = StageBoard::new(&unbalanced_join_dag());
         assert!(board.ready(0) && board.ready(1));
         assert!(!board.ready(3));
@@ -135,6 +134,25 @@ mod tests {
         assert!(!board.failed());
         board.fail();
         assert!(board.failed());
+    }
+
+    /// In every DAG shape a source is ready on a fresh board, before any
+    /// stage completed, and reads no edge.
+    #[test]
+    fn sources_wait_on_nothing_in_every_mode() {
+        for dag in [
+            single_scan_dag(),
+            scan_sort_dag(),
+            two_scan_join_dag(),
+            diamond_dag(),
+            unbalanced_join_dag(),
+        ] {
+            let board = StageBoard::new(&dag);
+            for sid in (0..dag.stages.len()).filter(|&sid| dag.stages[sid].inputs().is_empty()) {
+                assert!(board.ready(sid), "source {sid} waits on nothing");
+                assert_eq!(board.addresses(sid, 0), Vec::<Vec<SectionAddr>>::new());
+            }
+        }
     }
 
     /// Worker `r` of a consumer gets one address per sender of each of
