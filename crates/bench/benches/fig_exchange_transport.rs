@@ -14,7 +14,10 @@
 //! bytes, and S3 requests per shuffled MiB. The direct transport must
 //! return the identical result while strictly reducing S3 requests per
 //! shuffled byte, and neither may list a stage edge — the run aborts if
-//! either ever fails.
+//! either ever fails. At the quick sweep's scales (the first two points)
+//! the join → agg edge is under its inline budget and must cost no PUT,
+//! GET or relay message on either transport, while the scan → join edges
+//! still move their bulk through files or the relay.
 //!
 //! ```sh
 //! cargo bench -p lambada-bench --bench fig_exchange_transport
@@ -152,6 +155,18 @@ fn main() {
                 per_mib,
             );
         }
+        if i < 2 {
+            for r in [&store, &direct] {
+                let (join, agg) = (&r.stages[2], &r.stages[3]);
+                let edge = (join.put_requests, agg.get_requests, agg.p2p_requests);
+                assert_eq!(edge, (0, 0, 0), "the join → agg edge rides inline at scale {scale}");
+            }
+        }
+        let (scans, join) = (&store.stages[..2], &store.stages[2]);
+        assert!(scans.iter().any(|s| s.put_requests > 0) && join.get_requests > 0);
+        let (scans, join) = (&direct.stages[..2], &direct.stages[2]);
+        assert!(scans.iter().all(|s| s.put_requests == 0) && join.get_requests == 0);
+        assert!(join.p2p_requests > 0, "the scan → join edges stream on the direct transport");
         // The acceptance bar: at equal results, the direct transport
         // strictly reduces S3 requests per shuffled byte.
         assert!(

@@ -26,7 +26,7 @@ fn single_invocation_ms(region: Region) -> f64 {
         let handle = cloud.handle.clone();
         async move {
             let t0 = handle.now();
-            caller.invoke("noop", Rc::new(())).await.unwrap();
+            caller.invoke("noop", Rc::new(()), 0).await.unwrap();
             (handle.now() - t0).as_secs_f64() * 1e3
         }
     })
@@ -46,7 +46,7 @@ fn concurrent_rate(region: Region, threads: usize, n: usize) -> f64 {
                 let sem = sem.clone();
                 joins.push(handle.spawn(async move {
                     let _permit = sem.acquire(1).await;
-                    caller.invoke("noop", Rc::new(())).await.unwrap();
+                    caller.invoke("noop", Rc::new(()), 0).await.unwrap();
                 }));
             }
             for j in joins {
@@ -73,7 +73,7 @@ fn intra_region_rate(region: Region, n: usize) -> f64 {
                 let sem = sem.clone();
                 joins.push(handle.spawn(async move {
                     let _permit = sem.acquire(1).await;
-                    caller.invoke("noop", Rc::new(())).await.unwrap();
+                    caller.invoke("noop", Rc::new(()), 0).await.unwrap();
                 }));
             }
             for j in joins {

@@ -15,7 +15,10 @@
 //! the worker's section table, and each consumer worker's payload
 //! carries the exact attempt, offset, length and wire of its section
 //! from every sender ([`crate::transport::SectionAddr`]). A consumer
-//! therefore fetches its inputs without a LIST, a poll or a wait. The
+//! therefore fetches its inputs without a LIST, a poll or a wait. A
+//! sender under its edge's inline budget ([`LaunchPlan::inline_budgets`])
+//! reports its sections themselves, and the driver hands each consumer
+//! its slices in the payload: no request at either end. The
 //! scheduler is
 //! shape-agnostic: a single-fragment Q1 is just a one-stage DAG, a
 //! five-way join tree or a diamond runs through exactly the same loop,
@@ -65,7 +68,7 @@ use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
 use crate::invoke::{self, invoke_workers};
-use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
+use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_EDGE_BYTES};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -479,6 +482,12 @@ pub struct LaunchPlan<'a> {
     /// so the consumer runs in the producer's invocation — no exchange
     /// objects, requests, invocation or result message for it.
     pub fused: Vec<bool>,
+    /// How many encoded bytes each sender of the stage's out-edge may
+    /// ship inline: [`INLINE_EDGE_BYTES`] over every sender of all the
+    /// reader's in-edges (the smallest such share over its readers), so
+    /// no set of consumer payloads can carry more than the cap. `u64::MAX`
+    /// for the driver-bound last stage, which ships nothing.
+    pub inline_budgets: Vec<u64>,
     /// For scan stages, the scanned table and the files-per-worker chunk.
     pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
 }
@@ -500,10 +509,15 @@ impl<'a> LaunchPlan<'a> {
     ) -> LaunchPlan<'a> {
         let mut partitions = vec![0; workers.len()];
         let mut sort_edges = vec![None; workers.len()];
+        let mut inline_budgets = vec![u64::MAX; workers.len()];
         for (pid, readers) in edges.readers.iter().enumerate() {
             for reader in readers {
                 let Some(consumer) = reader.stage else { continue };
                 partitions[pid] = workers[consumer];
+                let inputs = edges.dag.stages[consumer].inputs();
+                let senders: usize = inputs.iter().map(|&i| workers[i]).sum();
+                let share = (INLINE_EDGE_BYTES / senders.max(1)) as u64;
+                inline_budgets[pid] = inline_budgets[pid].min(share);
                 if let (ReaderRole::SortInput, StageKind::Sort(s)) =
                     (reader.role, &edges.dag.stages[consumer])
                 {
@@ -525,7 +539,7 @@ impl<'a> LaunchPlan<'a> {
                 _ => false,
             })
             .collect();
-        LaunchPlan { edges, pins, workers, partitions, sort_edges, fused, scans }
+        LaunchPlan { edges, pins, workers, partitions, sort_edges, fused, inline_budgets, scans }
     }
 
     /// The stage that reads `sid`'s fused out-edge, if it is fused.
@@ -1009,11 +1023,11 @@ impl Lambada {
         let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
         let channel = self.channel(qid, sid);
-        let partitions = launch.partitions[sid];
+        let (partitions, inline_budget) = (launch.partitions[sid], launch.inline_budgets[sid]);
         let sink = match (&launch.sort_edges[sid], kind.output()) {
-            (Some(edge), _) => StageSink::SortEdge { channel, edge: edge.clone() },
+            (Some(edge), _) => StageSink::SortEdge { channel, inline_budget, edge: edge.clone() },
             (None, StageOutput::Driver) => StageSink::Report,
-            (None, _) => StageSink::Edge { channel },
+            (None, _) => StageSink::Edge { channel, inline_budget },
         };
         // Swap the planner's placeholder terminal for the sharding
         // variant, now that the consumer fleet is sized. (Sort-exchange
@@ -1330,7 +1344,8 @@ async fn run_fleet(
 
 /// Every kept report's section table as addresses, in worker order: row
 /// `s` is where each of the `receivers` consumer workers finds sender
-/// `s`'s section (none when the driver reads the output). A report that
+/// `s`'s section (none when the driver reads the output); an inline
+/// section's address holds its slice of the report's blob. A report that
 /// wrote no edge, or a table of another size, is a typed error.
 fn section_tables(results: &[WorkerResult], receivers: usize) -> Result<Vec<Vec<SectionAddr>>> {
     if receivers == 0 {
@@ -1339,8 +1354,8 @@ fn section_tables(results: &[WorkerResult], receivers: usize) -> Result<Vec<Vec<
     results
         .iter()
         .map(|r| match &r.outcome {
-            Ok(ResultPayload::Sections { sections, .. }) => {
-                address_sections(r.attempt, sections, receivers)
+            Ok(ResultPayload::Sections { sections, inline, .. }) => {
+                address_sections(r.attempt, sections, inline, receivers)
             }
             _ => Err(CoreError::Format(format!(
                 "worker {} reported no section table for its out-edge",
@@ -1530,7 +1545,135 @@ async fn speculate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::WorkerEnv;
+    use crate::exchange::{encode_bundle_into, PartData};
+    use crate::invoke::{build_tree, choose_strategy, InvocationStrategy};
+    use crate::message::{Section, Wire};
+    use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
+    use lambada_sim::services::object_store::Bytes;
     use lambada_sim::{secs, CloudConfig, Simulation};
+
+    /// A cloud with the worker function registered and a `results` queue.
+    fn installed() -> (Simulation, Cloud, LambadaConfig) {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = LambadaConfig::default();
+        let (name, memory, timeout) = (&config.function_name, config.memory_mib, config.timeout);
+        register_worker_function(&cloud, name, memory, timeout, config.costs);
+        cloud.sqs.create_queue("results");
+        (sim, cloud, config)
+    }
+
+    /// Worker `worker`'s report of one inline section, `part`, for a
+    /// one-worker consumer, as attempt `attempt`.
+    fn inline_report(worker: u64, attempt: u32, part: &[u8]) -> WorkerResult {
+        let mut blob = Vec::new();
+        let parts = [(0, PartData::Real(part.to_vec()))];
+        let (len, _) = encode_bundle_into(&mut blob, &parts).unwrap();
+        let sections = vec![Section { len, wire: Wire::Inline }];
+        let inline = Bytes::from(blob);
+        let payload = ResultPayload::Sections { rows: 1, bytes: len, sections, inline };
+        WorkerResult::ok(worker, payload, WorkerMetrics::default()).with_attempt(attempt)
+    }
+
+    /// Speculation over inline senders: worker 0's backup reports first
+    /// and its original after it, both inline with different bytes. The
+    /// driver keeps the first report per worker, and the consumer decodes
+    /// exactly the kept attempt's bytes — never both, never the original.
+    #[test]
+    fn a_consumer_decodes_the_kept_attempts_inline_bytes() {
+        let (sim, cloud, config) = installed();
+        let parts = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let sqs = cloud.driver_sqs();
+                for r in [inline_report(0, 1, b"backup"), inline_report(0, 0, b"original")] {
+                    sqs.send("results", r.encode()).await.unwrap();
+                }
+                sqs.send("results", inline_report(1, 0, b"other").encode()).await.unwrap();
+                let start = cloud.handle.now();
+                let collected =
+                    collect_results(&cloud, &config, "results", 2, &[], start, &None).await;
+                let tables = section_tables(&collected.unwrap().results, 1).unwrap();
+                let addrs: Vec<SectionAddr> = tables.iter().map(|t| t[0].clone()).collect();
+                assert_eq!(addrs.iter().map(|a| a.attempt).collect::<Vec<_>>(), vec![1, 0]);
+                let t = EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None);
+                let env = WorkerEnv::bare(&cloud, 0, 2048, config.costs);
+                t.recv(&env, "x0/q0/s0", 0, &addrs).await.unwrap()
+            }
+        });
+        let bytes = |b: &[u8]| PartData::Real(b.to_vec());
+        assert_eq!(parts.0, vec![bytes(b"backup"), bytes(b"other")]);
+        assert_eq!(parts.1.get_requests, 0, "nothing is fetched");
+    }
+
+    /// A 256-sender edge into a 128-worker consumer fleet, which the
+    /// driver invokes through the two-level tree: every sender ships its
+    /// whole budget inline, all of it to the first tree group, so that
+    /// group's first-generation payload carries all 256 senders' bytes —
+    /// exactly [`INLINE_EDGE_BYTES`], within Lambda's cap, and invoked.
+    /// A payload past the cap is a typed error, not a panic.
+    #[test]
+    fn a_first_generation_payload_stays_within_the_invoke_cap() {
+        let (sim, cloud, config) = installed();
+        let (senders, receivers) = (256, 128);
+        assert_eq!(choose_strategy(cloud.region(), receivers), InvocationStrategy::TwoLevel);
+        let budget = (INLINE_EDGE_BYTES / senders) as u64;
+        let group = build_tree(vec![payload(0, Vec::new()); receivers])[0].children.len() + 1;
+        let (carried, invoked, over) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let t = EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None);
+                let mut tables = Vec::new();
+                for s in 0..senders {
+                    let env = WorkerEnv::bare(&cloud, s as u64, 2048, config.costs);
+                    // One part, to a receiver of the first group, that
+                    // encodes to the budget: its count, receiver id and
+                    // two-byte length prefix, then its bytes.
+                    let mut parts = vec![PartData::Real(Vec::new()); receivers];
+                    parts[s % group] = PartData::Real(vec![s as u8; budget as usize - 4]);
+                    let (_, sections, inline) =
+                        t.send(&env, "x0/q0/s0", s, parts, Some(budget)).await.unwrap();
+                    assert_eq!(sections[s % group], Section { len: budget, wire: Wire::Inline });
+                    tables.push(address_sections(0, &sections, &inline, receivers).unwrap());
+                }
+                let payloads: Vec<WorkerPayload> = (0..receivers)
+                    .map(|r| payload(r as u64, tables.iter().map(|t| t[r].clone()).collect()))
+                    .collect();
+                let carried: Vec<usize> =
+                    build_tree(payloads.clone()).iter().map(|p| p.inline_bytes()).collect();
+                let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
+                let mut huge = payload(0, Vec::new());
+                let bytes = Bytes::from(vec![0; MAX_ASYNC_PAYLOAD_BYTES + 1]);
+                let (len, wire) = (bytes.len() as u64, Wire::Inline);
+                huge.edges = vec![vec![SectionAddr {
+                    attempt: 0,
+                    offset: 0,
+                    len,
+                    wire,
+                    inline: Some(bytes),
+                }]];
+                (carried, invoked, invoke_workers(&cloud, &config.function_name, vec![huge]).await)
+            }
+        });
+        assert_eq!(carried[0], INLINE_EDGE_BYTES, "the first group carries every sender's bytes");
+        assert!(carried.iter().all(|&c| c <= MAX_ASYNC_PAYLOAD_BYTES), "{carried:?}");
+        assert!(invoked.is_ok(), "{invoked:?}");
+        assert!(matches!(&over, Err(CoreError::Invoke(m)) if m.contains("cap")), "{over:?}");
+    }
+
+    /// A no-op worker's payload with in-edge addresses `addrs`.
+    fn payload(worker_id: u64, addrs: Vec<SectionAddr>) -> WorkerPayload {
+        WorkerPayload {
+            worker_id,
+            attempt: 0,
+            query: 0,
+            task: WorkerTask::Noop,
+            edges: vec![addrs],
+            children: Vec::new(),
+            result_queue: "results".to_string(),
+        }
+    }
 
     /// A fleet of more than ten workers is collected when its last report
     /// arrives: once one report is missing only one long poll waits for

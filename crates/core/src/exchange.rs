@@ -25,7 +25,8 @@
 //! reads with `fetch_copies`, and never waits: its consumer fleet
 //! launches after every producer reported its section table, so the
 //! driver hands each receiver the exact attempt, offset and length of
-//! every sender's section. Every stage-edge key is
+//! every sender's section — or the section itself, when it rode the
+//! sender's result message inline. Every stage-edge key is
 //!
 //! ```text
 //! x{instance}/q{query}/s{stage}/snd{sender}a{attempt}
@@ -68,13 +69,14 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use lambada_format::binio::{BinReader, BinWriter};
-use lambada_sim::services::object_store::{Body, S3Client};
+use lambada_sim::services::object_store::{Body, Bytes, S3Client};
 use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::{P2pService, SimHandle};
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange_cost::ExchangeAlgo;
+use crate::message::Wire;
 use crate::routing::{Grid, HyperGrid};
 
 /// One partition's payload.
@@ -288,7 +290,8 @@ pub fn decode_bundle(body: Body, side_sizes: Vec<(u32, u64)>) -> Result<Vec<(u32
         Body::Real(bytes) => {
             let mut r = BinReader::new(&bytes);
             let n = r.varint().map_err(|e| CoreError::Format(e.to_string()))?;
-            let mut out = Vec::with_capacity(n as usize);
+            // Pushed as they decode, never reserved from the claimed count.
+            let mut out = Vec::new();
             for _ in 0..n {
                 let dest = r.varint().map_err(|e| CoreError::Format(e.to_string()))? as u32;
                 let data = r.bytes().map_err(|e| CoreError::Format(e.to_string()))?.to_vec();
@@ -497,6 +500,8 @@ pub(crate) enum CopyAt {
     /// In the object store, at the receiver's `offset` within a
     /// write-combined file (`None`: the whole object is the receiver's).
     Store { bucket: String, key: String, offset: Option<u64> },
+    /// In the receiver's invocation payload: the section's own bytes.
+    Inline(Bytes),
 }
 
 /// One sender's discovered copy of what it holds for this receiver.
@@ -649,15 +654,15 @@ pub(crate) async fn await_copies(
 }
 
 /// **The one fetch.** One task per non-empty copy, in `copies` order, 16
-/// connections at a time: a p2p fetch from the mailbox or a ranged/whole
-/// GET, then [`decode_bundle`]. Returns, per fetched copy, whether it
-/// came over p2p and its parts.
+/// connections at a time: a p2p fetch from the mailbox, a ranged/whole
+/// GET, or nothing for an inline copy, then [`decode_bundle`]. Returns,
+/// per fetched copy, the wire it came over and its parts.
 pub(crate) async fn fetch_copies(
     env: &WorkerEnv,
     side: &ExchangeSide,
     receiver: usize,
     copies: Vec<Copy>,
-) -> Result<Vec<(bool, Vec<(u32, PartData)>)>> {
+) -> Result<Vec<(Wire, Vec<(u32, PartData)>)>> {
     let conn = Semaphore::new(16);
     let receiver = receiver as u32;
     let mut fetches = Vec::new();
@@ -679,7 +684,7 @@ pub(crate) async fn fetch_copies(
                         .map_err(|e| CoreError::Storage(e.to_string()))?;
                     let sizes =
                         side2.get(&p2p_side_key(&endpoint, copy.sender, copy.attempt), receiver);
-                    Ok((true, decode_bundle(body, sizes)?))
+                    Ok((Wire::Mailbox, decode_bundle(body, sizes)?))
                 }
                 CopyAt::Store { bucket, key, offset } => {
                     let body = match offset {
@@ -687,7 +692,10 @@ pub(crate) async fn fetch_copies(
                         None => env2.s3.get(&bucket, &key).await?,
                     };
                     let sizes = side2.get(&format!("{bucket}/{key}"), receiver);
-                    Ok((false, decode_bundle(body, sizes)?))
+                    Ok((Wire::File, decode_bundle(body, sizes)?))
+                }
+                CopyAt::Inline(bytes) => {
+                    Ok((Wire::Inline, decode_bundle(Body::Real(bytes), vec![])?))
                 }
             }
         }));

@@ -13,8 +13,14 @@
 //! own call takes 36 ms. [`invoke_workers`] therefore prices both shapes
 //! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
 //! for the fleet at hand; the crossover is near 100 workers in `eu`.
+//!
+//! A payload's size is the edge sections it carries inline
+//! ([`WorkerPayload::inline_bytes`]), its children's included; Lambda
+//! rejects one over its asynchronous cap, and the driver pays their
+//! transfer over its link ([`carry_inline`]).
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
 use lambada_sim::services::faas::FaasCaller;
@@ -43,6 +49,17 @@ pub mod labels {
     pub const SPAWN: &str = "invoke_children";
     /// Worker-side: zero-length marker when the handler starts running.
     pub const RUNNING: &str = "worker_running";
+}
+
+/// Charge `bytes` of inline edge sections, riding a result message or an
+/// invocation payload, their transfer at the driver's bandwidth. Nothing
+/// for none: a message or payload without inline sections is timed as if
+/// the transfer did not exist.
+pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
+    if bytes > 0 {
+        let secs = bytes as f64 / cloud.config.driver_bandwidth;
+        cloud.handle.sleep(Duration::from_secs_f64(secs)).await;
+    }
 }
 
 /// Width and depth of the two-level tree over `p` workers: `n1 ≈ √P`
@@ -173,7 +190,9 @@ async fn invoke_from_driver(
             let wid = payload.worker_id;
             let initiated = cloud2.handle.now();
             cloud2.trace.record(wid, labels::QUEUED, start, initiated);
-            let out = caller.invoke(&function, payload).await;
+            let bytes = payload.inline_bytes();
+            carry_inline(&cloud2, bytes).await;
+            let out = caller.invoke(&function, payload, bytes).await;
             cloud2.trace.record(wid, labels::API, initiated, cloud2.handle.now());
             out
         }));
@@ -206,7 +225,8 @@ pub async fn invoke_children(
         let child = Rc::clone(child);
         joins.push(cloud.handle.spawn(async move {
             let _permit = sem.acquire(1).await;
-            caller.invoke(&function, child).await
+            let bytes = child.inline_bytes();
+            caller.invoke(&function, child, bytes).await
         }));
     }
     for r in join_all(joins).await {

@@ -6,15 +6,17 @@
 //!
 //! A message must fit one SQS message ([`SQS_MESSAGE_BYTES`]), so a
 //! worker returns its batches inline only up to [`INLINE_RESULT_BYTES`]
-//! and stores larger ones in cloud storage (§3.3).
+//! and stores larger ones in cloud storage (§3.3). Stage-edge sections
+//! ride a message under the same bound ([`INLINE_EDGE_BYTES`]).
 
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
+use lambada_sim::services::object_store::Bytes;
 
 use crate::error::{CoreError, Result};
 
 /// SQS's cap on one message body: 256 KiB.
-pub const SQS_MESSAGE_BYTES: usize = 256 * 1024;
+pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_BYTES;
 
 /// Largest encoded batch payload a worker returns inline in its result
 /// message ([`ResultPayload::InlineBatches`]); anything larger is stored
@@ -24,6 +26,16 @@ pub const SQS_MESSAGE_BYTES: usize = 256 * 1024;
 /// [`WorkerMetrics`] (≤ 137 B) plus, ahead of the last, its payload
 /// (≤ 21 B) — room for chains of twenty-odd fused stages.
 pub const INLINE_RESULT_BYTES: usize = SQS_MESSAGE_BYTES - 4 * 1024;
+
+/// Stage-edge bytes one consumer stage's senders may ship inline, all
+/// together: each of its `n` senders inlines its whole output iff it
+/// encodes to at most `INLINE_EDGE_BYTES / n`. So whatever rides one
+/// sender's result message, and whatever any set of consumer workers'
+/// invocation payloads carry (a two-level tree's first generation
+/// included), stays within both 256 KiB caps, SQS's and Lambda's
+/// asynchronous invoke's, with the same 4 KiB to spare as
+/// [`INLINE_RESULT_BYTES`].
+pub const INLINE_EDGE_BYTES: usize = INLINE_RESULT_BYTES;
 
 /// Per-worker execution metrics, reported with every result.
 ///
@@ -115,19 +127,23 @@ impl WorkerMetrics {
 
 /// Which wire carries one receiver's section of a stage edge.
 ///
-/// Wire stability: encodes as one byte, `File` 0 and `Mailbox` 1; the
-/// values are frozen once assigned.
+/// Wire stability: encodes as one byte, `File` 0, `Mailbox` 1 and
+/// `Inline` 2; the values are frozen once assigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wire {
     /// The sender's write-combined object file.
     File = 0,
     /// The receiver's p2p mailbox (direct transport only).
     Mailbox = 1,
+    /// The sender's result message, then the receiver's invocation
+    /// payload: no request at either end.
+    Inline = 2,
 }
 
 /// One receiver's section of a sender's write onto a stage edge: its
 /// byte length (0: an empty part, nothing to fetch) and where it is.
-/// Sections of the file lie back to back in receiver order.
+/// Sections of the file, and inline sections in the sender's blob, lie
+/// back to back in receiver order.
 ///
 /// Wire stability: encodes as `varint len`, then the [`Wire`] byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,7 +182,10 @@ pub enum ResultPayload {
     /// The fragment's rows went onto a stage edge: `bytes` crossed it,
     /// and `sections[r]` tells the driver where receiver `r`'s part is —
     /// what it hands every consumer worker so no receiver lists storage.
-    Sections { rows: u64, bytes: u64, sections: Vec<Section> },
+    /// `inline` holds the [`Wire::Inline`] sections back to back; it ends
+    /// the message, after the fused members, and a message from an older
+    /// encoder, which ends before it, decodes with none.
+    Sections { rows: u64, bytes: u64, sections: Vec<Section>, inline: Bytes },
 }
 
 /// One message on the result queue.
@@ -248,6 +267,9 @@ impl WorkerResult {
             encode_payload(&mut w, payload);
             metrics.encode(&mut w);
         }
+        if let Ok(ResultPayload::Sections { inline, .. }) = &self.outcome {
+            w.raw(inline);
+        }
         w.into_bytes()
     }
 
@@ -267,13 +289,46 @@ impl WorkerResult {
             let mut fused = Vec::new();
             let members = if r.is_exhausted() { 0 } else { r.varint()? };
             for _ in 0..members {
-                let payload = decode_payload(r.u8()?, &mut r)?;
+                let mut payload = decode_payload(r.u8()?, &mut r)?;
+                attach_inline(Some(&mut payload), &[])?;
                 fused.push((payload, WorkerMetrics::decode(&mut r, false)?));
             }
+            // The rest of the message is the outcome's inline blob.
+            let mut outcome = outcome;
+            attach_inline(outcome.as_mut().ok(), r.raw(r.remaining())?)?;
             Ok(WorkerResult { worker_id, attempt, outcome, metrics, fused })
         })();
         inner.map_err(|e| CoreError::Format(e.to_string()))
     }
+}
+
+/// How many blob bytes a section table's inline sections claim, all
+/// together; `None` past `u64::MAX`.
+pub(crate) fn inline_claim(sections: &[Section]) -> Option<u64> {
+    let mut inline = sections.iter().filter(|s| s.wire == Wire::Inline);
+    inline.try_fold(0u64, |sum, s| sum.checked_add(s.len))
+}
+
+/// Hand a decoded outcome its inline `blob`, which must be exactly as
+/// long as its inline sections claim: only a section table has one, and
+/// a claim is checked before anything is copied.
+fn attach_inline(
+    outcome: Option<&mut ResultPayload>,
+    blob: &[u8],
+) -> std::result::Result<(), FormatError> {
+    let claimed = match &outcome {
+        Some(ResultPayload::Sections { sections, .. }) => inline_claim(sections),
+        _ => Some(0),
+    };
+    let len = blob.len();
+    if claimed != Some(len as u64) {
+        let claim = format!("inline sections claim {claimed:?} B of a {len} B blob");
+        return Err(FormatError::Corrupt(claim));
+    }
+    if let Some(ResultPayload::Sections { inline, .. }) = outcome {
+        *inline = Bytes::copy_from_slice(blob);
+    }
+    Ok(())
 }
 
 fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
@@ -299,7 +354,8 @@ fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
             w.varint(*rows);
             w.bytes(bytes);
         }
-        ResultPayload::Sections { rows, bytes, sections } => {
+        // The inline blob goes at the end of the message.
+        ResultPayload::Sections { rows, bytes, sections, inline: _ } => {
             w.u8(6);
             w.varint(*rows);
             w.varint(*bytes);
@@ -335,11 +391,12 @@ fn decode_payload(
                 let wire = match r.u8()? {
                     0 => Wire::File,
                     1 => Wire::Mailbox,
+                    2 => Wire::Inline,
                     other => return Err(FormatError::Corrupt(format!("unknown wire {other}"))),
                 };
                 sections.push(Section { len, wire });
             }
-            ResultPayload::Sections { rows, bytes, sections }
+            ResultPayload::Sections { rows, bytes, sections, inline: Bytes::new() }
         }
         other => return Err(FormatError::Corrupt(format!("unknown result tag {other}"))),
     })
@@ -429,14 +486,29 @@ mod tests {
             Section { len: 1 << 40, wire: Wire::Mailbox },
             Section { len: 0, wire: Wire::File },
         ];
-        WorkerResult::ok(2, ResultPayload::Sections { rows: 77, bytes: 300, sections }, metrics())
-            .with_attempt(1)
+        let payload =
+            ResultPayload::Sections { rows: 77, bytes: 300, sections, inline: Bytes::new() };
+        WorkerResult::ok(2, payload, metrics()).with_attempt(1)
+    }
+
+    /// An inline sender's report at the end of a fused chain: two inline
+    /// sections, whose bytes end the message after the fused member.
+    fn inline_result() -> WorkerResult {
+        let inline = |len| Section { len, wire: Wire::Inline };
+        let sections = vec![inline(3), Section { len: 0, wire: Wire::File }, inline(2)];
+        let blob = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let payload = ResultPayload::Sections { rows: 9, bytes: 5, sections, inline: blob };
+        let head = (ResultPayload::Exchanged { rows: 40, bytes: 0 }, metrics());
+        WorkerResult { fused: vec![head], ..WorkerResult::ok(3, payload, metrics()) }
     }
 
     #[test]
     fn section_table_result_roundtrips() {
-        let msg = sections_result();
-        assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
+        for msg in [sections_result(), inline_result()] {
+            assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
+        }
+        let bytes = inline_result().encode();
+        assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends the message");
     }
 
     #[test]
@@ -475,7 +547,8 @@ mod tests {
     /// Every truncation of a message is an error — except exactly where
     /// an older encoder ended its message (before the fused members,
     /// before `exchange_wait_secs`), which decodes to what that encoder
-    /// would have sent.
+    /// would have sent. No older encoder wrote inline sections, so a
+    /// message with a blob has no such end.
     #[test]
     fn every_truncation_is_an_error_except_an_older_encoders_end() {
         let stored =
@@ -483,18 +556,20 @@ mod tests {
         for msg in [
             chain_result(),
             sections_result(),
+            inline_result(),
             WorkerResult::error(3, "out of memory", metrics()),
             WorkerResult::ok(1, stored, metrics()),
         ] {
             let bytes = msg.encode();
             let unfused = WorkerResult { fused: Vec::new(), ..msg.clone() };
+            let old = !matches!(&msg.outcome, Ok(ResultPayload::Sections { inline, .. }) if !inline.is_empty());
             let before_fused = unfused.encode().len() - 1;
             let before_wait = before_fused - 8;
             for cut in 0..bytes.len() {
                 let got = WorkerResult::decode(&bytes[..cut]);
-                if cut == before_fused {
+                if old && cut == before_fused {
                     assert_eq!(got.unwrap(), unfused);
-                } else if cut == before_wait {
+                } else if old && cut == before_wait {
                     let mut old = unfused.clone();
                     old.metrics.exchange_wait_secs = 0.0;
                     assert_eq!(got.unwrap(), old);
@@ -509,7 +584,7 @@ mod tests {
     /// never to a panic.
     #[test]
     fn every_single_bit_flip_decodes_or_errs_without_panicking() {
-        for msg in [chain_result(), sections_result()] {
+        for msg in [chain_result(), sections_result(), inline_result()] {
             let bytes = msg.encode();
             let mut damaged = bytes.clone();
             let mut errors = 0;
@@ -554,6 +629,29 @@ mod tests {
         w.varint(9);
         w.u8(0);
         assert!(WorkerResult::decode(&w.into_bytes()).is_err());
+
+        // Inline sections claiming 2^40 bytes over a three-byte blob.
+        let huge = vec![Section { len: 1 << 40, wire: Wire::Inline }];
+        let payload =
+            ResultPayload::Sections { rows: 1, bytes: 3, sections: huge, inline: Bytes::new() };
+        let mut bytes = WorkerResult::ok(1, payload, metrics()).encode();
+        bytes.extend([1, 2, 3]);
+        assert!(WorkerResult::decode(&bytes).is_err());
+    }
+
+    /// The blob is exactly as long as the table's inline sections claim:
+    /// one byte short, one byte over, or trailing bytes after a payload
+    /// with no table are typed errors.
+    #[test]
+    fn a_blob_that_does_not_match_its_table_is_an_error() {
+        let bytes = inline_result().encode();
+        let mut long = bytes.clone();
+        long.push(6);
+        let trailing = [WorkerResult::ok(1, ResultPayload::Empty, metrics()).encode(), vec![6]];
+        for damaged in [&bytes[..bytes.len() - 1], &long[..], &trailing.concat()[..]] {
+            let err = WorkerResult::decode(damaged).unwrap_err();
+            assert!(matches!(&err, CoreError::Format(m) if m.contains("blob")), "{err}");
+        }
     }
 
     /// A wire byte no encoder writes is an error, not a guess.
@@ -563,8 +661,8 @@ mod tests {
         // The first section's wire byte follows its two-byte length (300).
         let wire = 1 + 1 + 1 + 1 + 2 + 1 + 2;
         assert_eq!(bytes[wire], 0, "the file wire");
-        bytes[wire] = 2;
+        bytes[wire] = 3;
         let err = WorkerResult::decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("unknown wire 2"), "{err}");
+        assert!(err.to_string().contains("unknown wire 3"), "{err}");
     }
 }

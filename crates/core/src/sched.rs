@@ -66,7 +66,8 @@ impl StageBoard {
     /// Stage `sid` finished, its output edge is fully written, and
     /// `written[s][r]` is where receiver `r` finds sender `s`'s section
     /// of it — the addresses of the first report per worker, the one the
-    /// driver kept.
+    /// driver kept. Inline sections are views of that report's blob,
+    /// shared by every address, never copied per receiver.
     pub fn complete(&self, sid: usize, written: Vec<Vec<SectionAddr>>) {
         if let Some(cell) = self.written.get(sid) {
             *cell.borrow_mut() = Some(written);
@@ -84,7 +85,7 @@ impl StageBoard {
     pub fn addresses(&self, sid: usize, receiver: usize) -> Vec<Vec<SectionAddr>> {
         let address = |&input: &usize| -> Vec<SectionAddr> {
             let written = self.written[input].borrow();
-            written.iter().flatten().map(|table| table[receiver]).collect()
+            written.iter().flatten().map(|table| table[receiver].clone()).collect()
         };
         self.inputs[sid].iter().map(address).collect()
     }
@@ -115,7 +116,7 @@ mod tests {
     };
 
     fn addr(attempt: u32, offset: u64) -> SectionAddr {
-        SectionAddr { attempt, offset, len: 1, wire: Wire::File }
+        SectionAddr { attempt, offset, len: 1, wire: Wire::File, inline: None }
     }
 
     /// A stage waits for exactly its own inputs — not a level barrier:

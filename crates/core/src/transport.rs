@@ -30,13 +30,21 @@
 //!   *before the first stage launches*. Cleanup deregisters the query's
 //!   whole endpoint prefix.
 //! * **Section tables.** [`EdgeTransport::send`] returns one [`Section`]
-//!   per receiver: its length and whether it went to the receiver's
-//!   mailbox or into the sender's file. The worker reports it
-//!   ([`crate::message::ResultPayload::Sections`]); the driver keeps the
-//!   first report per worker and, once a consumer fleet's inputs are
+//!   per receiver: its length and which of three wires carries it — the
+//!   receiver's mailbox, the sender's file, or inline. The worker reports
+//!   it ([`crate::message::ResultPayload::Sections`]); the driver keeps
+//!   the first report per worker and, once a consumer fleet's inputs are
 //!   complete, hands each consumer worker one [`SectionAddr`] per sender
 //!   ([`address_sections`]). [`EdgeTransport::recv`] goes straight to the
 //!   fetch: no LIST, no poll, no back-off, no wait.
+//! * **Inline senders.** A sender whose sections all encode to at most
+//!   its inline budget (`INLINE_EDGE_BYTES` over the consumer's senders,
+//!   see [`crate::message::INLINE_EDGE_BYTES`]) writes no file and sends
+//!   no message: its sections ride its result message, and the driver
+//!   copies each receiver's slice into that receiver's invocation payload,
+//!   which it decodes with no request. The decision is the same on both
+//!   transports and is taken before any mailbox streaming; modeled parts
+//!   never inline.
 //! * **Fallback.** A send to an unregistered endpoint (rendezvous
 //!   capacity exhausted, query torn down) or over a severed link must
 //!   not lose data: whatever a sender could not deliver goes into one
@@ -45,9 +53,11 @@
 //! * **Attempt semantics.** Every message and file key carries the
 //!   sender's attempt id, and an address names one attempt, so a
 //!   speculative backup can never be mixed with its original.
-//! * **Empty parts.** A zero-length partition is announced (a zero-length
-//!   message or section) but never fetched, and is omitted from the
-//!   received part list.
+//! * **Empty parts.** A zero-length partition travels nowhere: the table's
+//!   zero length is all its receiver learns, so a sender whose every part
+//!   is empty PUTs nothing and sends no message. It is never fetched and
+//!   is omitted from the received part list. Only a barrier sample is
+//!   announced even when empty: its peers count the samples they see.
 //!
 //! Only the sort-sample barrier, an exchange among running peers,
 //! discovers its copies ([`EdgeTransport::recv_barrier`], polling the
@@ -58,16 +68,18 @@
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-use lambada_sim::services::object_store::Body;
+use lambada_sim::services::object_store::{Body, Bytes};
 use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::{Cloud, P2pService};
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{
-    await_copies, discover, edge_key, encode_bundle, fetch_copies, p2p_side_key, put_combined,
-    Copy, CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, Mailbox, PartData, Pass, Place,
+    await_copies, discover, edge_key, encode_bundle, encode_bundle_into, fetch_copies,
+    p2p_side_key, put_combined, Copy, CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, Mailbox,
+    PartData, Pass, Place,
 };
+use crate::message::inline_claim;
 pub use crate::message::{Section, Wire};
 
 /// Which stage-edge transport a query runs on.
@@ -93,29 +105,36 @@ pub struct EdgeWriteStats {
     pub p2p_requests: u64,
     /// Payload bytes sent over the p2p relay.
     pub p2p_bytes: u64,
+    /// Bytes of inline sections, which ride the result message.
+    pub inline_bytes: u64,
 }
 
 /// Where a receiver finds one sender's section of a stage edge: the
 /// sender's attempt whose report the driver kept, and the section's
-/// byte range on its wire — `offset` within that attempt's file, `len` 0
-/// for an empty part.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// byte range on its wire — `offset` within that attempt's file or
+/// inline blob, `len` 0 for an empty part. An inline section carries its
+/// bytes: a view of the sender's blob, shared, not copied.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SectionAddr {
     pub attempt: u32,
     pub offset: u64,
     pub len: u64,
     pub wire: Wire,
+    /// The section's bytes, for a [`Wire::Inline`] one.
+    pub inline: Option<Bytes>,
 }
 
-/// Turn one sender's reported section table into one address per
-/// receiver. File sections lie back to back in receiver order, so each
-/// offset is a prefix sum of the file sections before it. A table that
-/// does not have one section per receiver of the `receivers`-worker
-/// consumer fleet, or whose sections end past `u64::MAX`, is a typed
-/// error.
+/// Turn one sender's reported section table and inline blob into one
+/// address per receiver. File sections lie back to back in receiver
+/// order, and so do inline sections in the blob, so each offset is a
+/// prefix sum of the sections on its wire before it. A table that does
+/// not have one section per receiver of the `receivers`-worker consumer
+/// fleet, whose sections end past `u64::MAX`, or whose inline sections
+/// do not fill the blob exactly, is a typed error.
 pub fn address_sections(
     attempt: u32,
     sections: &[Section],
+    inline: &Bytes,
     receivers: usize,
 ) -> Result<Vec<SectionAddr>> {
     if sections.len() != receivers {
@@ -124,17 +143,50 @@ pub fn address_sections(
             sections.len()
         )));
     }
-    let mut offset = 0u64;
+    let len = inline.len();
+    if inline_claim(sections) != Some(len as u64) {
+        return Err(CoreError::Format(format!("inline sections do not fill a {len} B blob")));
+    }
+    let (mut file, mut blob) = (0u64, 0u64);
     let mut out = Vec::with_capacity(receivers);
     for s in sections {
-        out.push(SectionAddr { attempt, offset, len: s.len, wire: s.wire });
-        if s.wire == Wire::File {
-            offset = offset.checked_add(s.len).ok_or_else(|| {
+        let cursor = if s.wire == Wire::Inline { &mut blob } else { &mut file };
+        let offset = *cursor;
+        if s.wire != Wire::Mailbox {
+            *cursor = offset.checked_add(s.len).ok_or_else(|| {
                 CoreError::Format("section offsets overflow the file".to_string())
             })?;
         }
+        // In range: the inline sections fill the blob exactly.
+        let bytes = (s.wire == Wire::Inline).then(|| inline.slice(offset as usize..blob as usize));
+        out.push(SectionAddr { attempt, offset, len: s.len, wire: s.wire, inline: bytes });
     }
     Ok(out)
+}
+
+/// A sender's traveling `entries` as one inline blob — each receiver's
+/// bundle, back to back, marked [`Wire::Inline`] in `sections` — iff
+/// every one is real and together they encode to at most `budget` bytes.
+/// Senders far over budget are turned away before anything is encoded.
+fn inline_blob(
+    entries: &[(u32, PartData)],
+    budget: u64,
+    sections: &mut [Section],
+) -> Result<Option<Vec<u8>>> {
+    let raw: u64 = entries.iter().map(|(_, data)| data.len()).sum();
+    if raw > budget || !entries.iter().all(|(_, data)| data.is_real()) {
+        return Ok(None);
+    }
+    let (mut blob, mut inline) = (Vec::new(), sections.to_vec());
+    for entry in entries {
+        let (len, _) = encode_bundle_into(&mut blob, std::slice::from_ref(entry))?;
+        inline[entry.0 as usize] = Section { len, wire: Wire::Inline };
+    }
+    if blob.len() as u64 > budget {
+        return Ok(None);
+    }
+    sections.copy_from_slice(&inline);
+    Ok(Some(blob))
 }
 
 /// One stage edge's wire: how sender `s`'s partitioned output reaches
@@ -183,30 +235,43 @@ impl EdgeTransport {
 
     /// Ship `parts[r]` (payload destined to consumer worker `r`) onto the
     /// edge `channel` as sender `sender`. Charges the in-memory
-    /// partitioning compute, streams what it can over p2p, and PUTs one
-    /// combined file for the rest — everything, without p2p. Empty parts
-    /// are announced but carry nothing. Returns the accounting and the
-    /// section table: one [`Section`] per receiver.
+    /// partitioning compute; then, if every non-empty part is real and
+    /// they encode to at most `inline_budget` bytes together, returns them
+    /// as the inline blob and writes nothing. Otherwise it streams what it
+    /// can over p2p and PUTs one combined file for the rest — everything,
+    /// without p2p. Empty parts travel nowhere, except that a barrier's
+    /// sample (`inline_budget` `None`: its running peers have no driver to
+    /// relay it) is announced even when empty, since its peers count the
+    /// samples they see. Returns the accounting, the section table (one
+    /// [`Section`] per receiver) and the blob.
     pub async fn send(
         &self,
         env: &WorkerEnv,
         channel: &str,
         sender: usize,
         parts: Vec<PartData>,
-    ) -> Result<(EdgeWriteStats, Vec<Section>)> {
+        inline_budget: Option<u64>,
+    ) -> Result<(EdgeWriteStats, Vec<Section>, Bytes)> {
         let mut stats = EdgeWriteStats::default();
         let held_bytes: u64 = parts.iter().map(PartData::len).sum();
         env.compute(env.costs.partition_seconds(held_bytes)).await;
         let start = env.cloud.handle.now();
 
         let mut sections = vec![Section { len: 0, wire: Wire::File }; parts.len()];
+        let travels = |data: &PartData| inline_budget.is_none() || !data.is_empty();
+        let entries = parts.into_iter().enumerate().filter(|(_, data)| travels(data));
         let mut entries: Vec<(u32, PartData)> =
-            parts.into_iter().enumerate().map(|(rcv, data)| (rcv as u32, data)).collect();
-        if self.p2p.is_some() {
+            entries.map(|(rcv, data)| (rcv as u32, data)).collect();
+        let inline = match inline_budget {
+            Some(budget) => inline_blob(&entries, budget, &mut sections)?,
+            None => None,
+        };
+        stats.inline_bytes = inline.as_ref().map_or(0, |blob| blob.len() as u64);
+        if inline.is_none() && self.p2p.is_some() {
             entries = self.stream(env, channel, sender, entries, &mut stats, &mut sections).await?;
         }
-        if !entries.is_empty() {
-            // The same bundle encoding on both paths, so a received part
+        if inline.is_none() && !entries.is_empty() {
+            // The same bundle encoding on every wire, so a received part
             // is bit-identical whichever wire carried it.
             let bundles = entries
                 .into_iter()
@@ -222,13 +287,14 @@ impl EdgeTransport {
             stats.put_requests += 1;
         }
         env.cloud.trace.record(env.worker_id, "exchange_write", start, env.cloud.handle.now());
-        Ok((stats, sections))
+        Ok((stats, sections, Bytes::from(inline.unwrap_or_default())))
     }
 
     /// Stream each entry to its receiver's mailbox, 16 connections at a
     /// time, marking the delivered ones' sections, and hand back the
     /// entries that could not be delivered (unregistered endpoint,
-    /// severed link), sorted by receiver.
+    /// severed link), sorted by receiver. An empty entry (a barrier's
+    /// empty sample) becomes a zero-length message.
     async fn stream(
         &self,
         env: &WorkerEnv,
@@ -245,8 +311,6 @@ impl EdgeTransport {
         for entry in entries {
             let rcv = entry.0;
             let endpoint = Self::endpoint(channel, rcv as usize);
-            // Empty parts become zero-length messages: the receiver learns
-            // the sender completed, fetches nothing, omits the part.
             let body = if entry.1.is_empty() {
                 Body::from_vec(Vec::new())
             } else {
@@ -283,9 +347,11 @@ impl EdgeTransport {
 
     /// Collect receiver `receiver`'s co-partition of the edge `channel`
     /// from the senders the driver addressed, `addrs[s]` for sender `s`:
-    /// fetch the non-empty sections straight from their wires and return
-    /// their payloads in sender order (empty parts omitted). A mailbox
-    /// address on a transport without p2p is a typed error.
+    /// decode the inline sections and fetch the other non-empty ones
+    /// straight from their wires, and return their payloads in sender
+    /// order (empty parts omitted). A mailbox address on a transport
+    /// without p2p, and an inline address without its bytes, are typed
+    /// errors.
     pub async fn recv(
         &self,
         env: &WorkerEnv,
@@ -303,6 +369,15 @@ impl EdgeTransport {
                     )))
                 }
                 _ if a.len == 0 => continue,
+                (Wire::Inline, _) => match &a.inline {
+                    Some(bytes) if bytes.len() as u64 == a.len => CopyAt::Inline(bytes.clone()),
+                    _ => {
+                        return Err(CoreError::Format(format!(
+                            "sender {sender} of {channel}: the payload lacks its inline section's {} B",
+                            a.len
+                        )))
+                    }
+                },
                 (Wire::Mailbox, Some(_)) => CopyAt::Mailbox(Rc::clone(&endpoint)),
                 (Wire::File, _) => {
                     let (bucket, prefix) = self.place_of(channel, sender);
@@ -358,14 +433,18 @@ impl EdgeTransport {
     ) -> Result<(Vec<PartData>, EdgeReadStats)> {
         let start = env.cloud.handle.now();
         let mut out = Vec::new();
-        for (direct, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
+        for (wire, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
             for (_, data) in parts {
-                if direct {
-                    stats.p2p_requests += 1;
-                    stats.p2p_bytes += data.len();
-                } else {
-                    stats.get_requests += 1;
-                    stats.bytes_read += data.len();
+                match wire {
+                    Wire::Mailbox => {
+                        stats.p2p_requests += 1;
+                        stats.p2p_bytes += data.len();
+                    }
+                    Wire::File => {
+                        stats.get_requests += 1;
+                        stats.bytes_read += data.len();
+                    }
+                    Wire::Inline => {}
                 }
                 out.push(data);
             }
@@ -449,12 +528,13 @@ mod tests {
     }
 
     /// What the driver hands receiver `receiver`: one address per sender,
-    /// from each sender's `(attempt, section table)`.
-    fn addresses(tables: &[(u32, Vec<Section>)], receiver: usize) -> Vec<SectionAddr> {
+    /// from each sender's `(attempt, section table, inline blob)`.
+    fn addresses(tables: &[(u32, Vec<Section>, Bytes)], receiver: usize) -> Vec<SectionAddr> {
         tables
             .iter()
-            .map(|(attempt, sections)| {
-                address_sections(*attempt, sections, sections.len()).unwrap()[receiver]
+            .map(|(attempt, sections, inline)| {
+                let addrs = address_sections(*attempt, sections, inline, sections.len());
+                addrs.unwrap().swap_remove(receiver)
             })
             .collect()
     }
@@ -493,9 +573,10 @@ mod tests {
                 for s in 0..3usize {
                     let parts = vec![real(&[s as u8; 40]), real(&[]), real(&[7, s as u8])];
                     let env = worker(&cloud2, s as u64, 0);
-                    let (stats, sections) = t.send(&env, CHANNEL, s, parts).await.unwrap();
+                    let (stats, sections, inline) =
+                        t.send(&env, CHANNEL, s, parts, Some(0)).await.unwrap();
                     writes.push(stats);
-                    tables.push((0, sections));
+                    tables.push((0, sections, inline));
                 }
                 let mut reads = Vec::new();
                 for r in 0..3usize {
@@ -512,6 +593,7 @@ mod tests {
         let ((direct_writes, direct_tables, direct_reads), direct_units) = run(true);
         let file = |len| Section { len, wire: Wire::File };
         assert_eq!(store_tables[1].1, vec![file(43), file(0), file(5)]);
+        assert!(store_tables.iter().all(|(_, _, inline)| inline.is_empty()), "a budget of 0");
         assert_eq!(store_reads[0].0, vec![real(&[0; 40]), real(&[1; 40]), real(&[2; 40])]);
         assert_eq!(store_reads[1].0, Vec::new(), "empty parts are announced, not fetched");
         assert_eq!(direct_tables, store_tables);
@@ -539,7 +621,8 @@ mod tests {
                 let cloud = cloud.clone();
                 async move {
                     let env = worker(&cloud, 0, p2p_attempt);
-                    let (sent, _) = t.send(&env, CHANNEL, 0, vec![real(b"p2p!")]).await.unwrap();
+                    let (sent, ..) =
+                        t.send(&env, CHANNEL, 0, vec![real(b"p2p!")], None).await.unwrap();
                     assert_eq!((sent.p2p_requests, sent.put_requests), (1, 0));
                     put_file(&t, &worker(&cloud, 0, file_attempt), 0, 0, b"file", false).await;
                     put_file(&t, &worker(&cloud, 1, 0), 1, 0, b"only", false).await;
@@ -565,6 +648,7 @@ mod tests {
             let key = |c: &Copy| match &c.at {
                 CopyAt::Store { bucket, key, .. } => format!("{bucket}/{key}"),
                 CopyAt::Mailbox(endpoint) => endpoint.to_string(),
+                CopyAt::Inline(_) => "inline".to_string(),
             };
             best.values().map(|c| (c.sender, c.attempt, c.len, key(c))).collect()
         };
@@ -626,7 +710,7 @@ mod tests {
                     cloud.handle.clone().spawn(async move {
                         let env = worker(&cloud, p as u64, 0);
                         cloud.handle.sleep(ttfb.mul_f64(0.5 * p as f64)).await;
-                        t.send(&env, SAMPLES, p, vec![real(&[p as u8; 8])]).await.unwrap();
+                        t.send(&env, SAMPLES, p, vec![real(&[p as u8; 8])], None).await.unwrap();
                         if barrier {
                             let (parts, stats) = t.recv_barrier(&env, SAMPLES, 4).await.unwrap();
                             assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
@@ -688,7 +772,7 @@ mod tests {
                     cloud.handle.sleep(secs(0.7)).await;
                     for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
                         let env = worker(&cloud, 0, attempt);
-                        t.send(&env, CHANNEL, 0, vec![real(payload)]).await.unwrap();
+                        t.send(&env, CHANNEL, 0, vec![real(payload)], None).await.unwrap();
                     }
                     waiting.await.unwrap()
                 }
@@ -739,12 +823,13 @@ mod tests {
             for r in 0..registered {
                 cloud.p2p.register(&format!("{CHANNEL}/r{r}"));
             }
-            let ((stats, sections), reads) = sim.block_on({
+            let ((stats, sections, _), reads) = sim.block_on({
                 let cloud = cloud.clone();
                 async move {
                     let parts = vec![real(b"left"), real(b"right")];
-                    let sent = t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts).await.unwrap();
-                    let tables = [(0, sent.1.clone())];
+                    let sent =
+                        t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts, Some(0)).await.unwrap();
+                    let tables = [(0, sent.1.clone(), sent.2.clone())];
                     let mut reads = Vec::new();
                     for r in 0..2 {
                         let env = worker(&cloud, 10, 0);
@@ -780,10 +865,10 @@ mod tests {
             let cloud = cloud.clone();
             async move {
                 let (original, backup) = (worker(&cloud, 0, 0), worker(&cloud, 0, 1));
-                let (_, sections) =
-                    t.send(&original, CHANNEL, 0, vec![real(b"first")]).await.unwrap();
-                t.send(&backup, CHANNEL, 0, vec![real(b"backup!")]).await.unwrap();
-                t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &addresses(&[(0, sections)], 0))
+                let (_, sections, inline) =
+                    t.send(&original, CHANNEL, 0, vec![real(b"first")], Some(0)).await.unwrap();
+                t.send(&backup, CHANNEL, 0, vec![real(b"backup!")], Some(0)).await.unwrap();
+                t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &addresses(&[(0, sections, inline)], 0))
                     .await
                     .unwrap()
             }
@@ -801,22 +886,127 @@ mod tests {
     fn addresses_that_do_not_fit_are_typed_errors() {
         let file = |len| Section { len, wire: Wire::File };
         let mail = |len| Section { len, wire: Wire::Mailbox };
-        let got = address_sections(2, &[file(5), mail(9), file(0), file(7)], 4).unwrap();
+        let none = Bytes::new();
+        let got = address_sections(2, &[file(5), mail(9), file(0), file(7)], &none, 4).unwrap();
         let offsets: Vec<u64> = got.iter().map(|a| a.offset).collect();
         assert_eq!(offsets, vec![0, 5, 5, 5], "mailbox sections take no file bytes");
         assert!(got.iter().all(|a| a.attempt == 2));
-        let short = address_sections(0, &[file(5)], 2);
+        let short = address_sections(0, &[file(5)], &none, 2);
         assert!(matches!(short, Err(CoreError::Format(m)) if m.contains("2-worker")));
-        let over = address_sections(0, &[file(u64::MAX), file(1), file(0)], 3);
+        let over = address_sections(0, &[file(u64::MAX), file(1), file(0)], &none, 3);
         assert!(matches!(over, Err(CoreError::Format(m)) if m.contains("overflow")));
-        assert!(address_sections(0, &[file(u64::MAX), mail(1), file(0)], 3).is_ok());
+        assert!(address_sections(0, &[file(u64::MAX), mail(1), file(0)], &none, 3).is_ok());
+
+        // Inline sections take their offsets in the blob, which they must
+        // fill exactly: lengths running past it, or short of it, err.
+        let inl = |len| Section { len, wire: Wire::Inline };
+        let blob = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let got = address_sections(0, &[inl(2), file(9), inl(3)], &blob, 3).unwrap();
+        let at: Vec<(u64, Option<&[u8]>)> =
+            got.iter().map(|a| (a.offset, a.inline.as_deref())).collect();
+        assert_eq!(at, vec![(0, Some(&[1, 2][..])), (0, None), (2, Some(&[3, 4, 5][..]))]);
+        for table in [&[inl(2), inl(4)][..], &[inl(2), inl(2)][..], &[inl(u64::MAX), inl(1)][..]] {
+            let err = address_sections(0, table, &blob, 2);
+            assert!(matches!(err, Err(CoreError::Format(_))), "{table:?}: {err:?}");
+        }
 
         let (sim, cloud, t) = edge(false, 0, 50);
-        let err = sim.block_on(async move {
-            let addr = SectionAddr { attempt: 0, offset: 0, len: 0, wire: Wire::Mailbox };
-            t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &[addr]).await.err()
+        let errs = sim.block_on(async move {
+            let addr = |wire, len| SectionAddr { attempt: 0, offset: 0, len, wire, inline: None };
+            let env = worker(&cloud, 10, 0);
+            let mailbox = t.recv(&env, CHANNEL, 0, &[addr(Wire::Mailbox, 0)]).await.err();
+            // An inline address whose bytes are missing from the payload,
+            // or are not the section's length.
+            let missing = t.recv(&env, CHANNEL, 0, &[addr(Wire::Inline, 3)]).await.err();
+            let short = SectionAddr { inline: Some(Bytes::from(vec![1])), ..addr(Wire::Inline, 3) };
+            (mailbox, missing, t.recv(&env, CHANNEL, 0, &[short]).await.err())
         });
-        assert!(matches!(&err, Some(CoreError::Storage(m)) if m.contains("mailbox")), "{err:?}");
+        let (mailbox, missing, short) = errs;
+        assert!(matches!(&mailbox, Some(CoreError::Storage(m)) if m.contains("mailbox")));
+        for err in [missing, short] {
+            assert!(matches!(&err, Some(CoreError::Format(m)) if m.contains("inline")), "{err:?}");
+        }
+    }
+
+    /// (h) Empty parts travel nowhere: a sender whose every part is empty
+    /// PUTs no zero-byte file and sends no zero-length message, on either
+    /// transport and even with no inline budget, and its receivers read
+    /// nothing, request nothing.
+    #[test]
+    fn a_sender_of_empty_parts_spends_no_request() {
+        for direct in [false, true] {
+            let (sim, cloud, t) = edge(direct, 8, 50);
+            for r in 0..3 {
+                cloud.p2p.register(&format!("{CHANNEL}/r{r}"));
+            }
+            let (sent, table, reads) = sim.block_on({
+                let cloud = cloud.clone();
+                async move {
+                    let env = worker(&cloud, 0, 0);
+                    let (sent, sections, inline) =
+                        t.send(&env, CHANNEL, 0, vec![real(&[]); 3], Some(0)).await.unwrap();
+                    let table = [(0, sections.clone(), inline)];
+                    let mut reads = Vec::new();
+                    for r in 0..3 {
+                        let env = worker(&cloud, 10, 0);
+                        reads.push(t.recv(&env, CHANNEL, r, &addresses(&table, r)).await.unwrap());
+                    }
+                    (sent, sections, reads)
+                }
+            });
+            assert_eq!(sent, EdgeWriteStats::default(), "direct={direct}");
+            assert_eq!(table, vec![Section { len: 0, wire: Wire::File }; 3]);
+            for (parts, stats) in reads {
+                assert_eq!((parts, stats), (Vec::new(), EdgeReadStats::default()));
+            }
+            let units = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List];
+            assert_eq!(units.map(|item| cloud.billing.units(item)), [0.0; 3], "direct={direct}");
+            assert_eq!(cloud.p2p.counters().0, 0, "direct={direct}: no zero-length message");
+        }
+    }
+
+    /// (i) The inline budget is inclusive: a sender whose sections encode
+    /// to one byte under it or exactly to it rides inline — no PUT, no
+    /// message, no GET, and its receivers decode the same parts as from a
+    /// file — and one byte over it writes its file, on either transport.
+    #[test]
+    fn senders_at_and_under_the_budget_ride_inline_and_over_it_write() {
+        let parts = || vec![real(&[1; 300]), real(&[]), real(&[2; 40])];
+        // Each bundle: its part count, receiver id and length prefix (two
+        // bytes for 300).
+        let encoded = (1 + 1 + 2 + 300) + (1 + 1 + 1 + 40);
+        for direct in [false, true] {
+            for (budget, inline) in [(encoded + 1, true), (encoded, true), (encoded - 1, false)] {
+                let what = format!("direct={direct} budget={budget}");
+                let (sim, cloud, t) = edge(direct, 0, 50);
+                let ((sent, sections, blob), reads) = sim.block_on({
+                    let cloud = cloud.clone();
+                    async move {
+                        let env = worker(&cloud, 0, 0);
+                        let sent = t.send(&env, CHANNEL, 0, parts(), Some(budget)).await.unwrap();
+                        let table = [(0, sent.1.clone(), sent.2.clone())];
+                        let mut reads = Vec::new();
+                        for r in 0..3 {
+                            let env = worker(&cloud, 10, 0);
+                            let addrs = addresses(&table, r);
+                            reads.push(t.recv(&env, CHANNEL, r, &addrs).await.unwrap().0);
+                        }
+                        (sent, reads)
+                    }
+                });
+                let wire = if inline { Wire::Inline } else { Wire::File };
+                let wires: Vec<Wire> = sections.iter().map(|s| s.wire).collect();
+                assert_eq!(wires, vec![wire, Wire::File, wire], "{what}");
+                assert_eq!(sections[0].len + sections[2].len, encoded, "{what}");
+                let expect = [vec![real(&[1; 300])], Vec::new(), vec![real(&[2; 40])]];
+                assert_eq!(reads, expect, "{what}");
+                let riding = if inline { encoded } else { 0 };
+                assert_eq!((sent.inline_bytes, blob.len() as u64), (riding, riding), "{what}");
+                assert_eq!(sent.put_requests, u64::from(!inline), "{what}");
+                let gets = cloud.billing.units(CostItem::S3Get);
+                assert_eq!(gets, if inline { 0.0 } else { 2.0 }, "{what}");
+            }
+        }
     }
 
     /// (g) A stage-edge key does not grow with the consumer fleet: a
@@ -829,8 +1019,8 @@ mod tests {
             let cloud = cloud.clone();
             async move {
                 let parts = (0..256).map(|r| real(&vec![7; 100 + r])).collect();
-                let (_, sections) =
-                    t.send(&worker(&cloud, 4095, 3), CHANNEL, 4095, parts).await.unwrap();
+                let (_, sections, _) =
+                    t.send(&worker(&cloud, 4095, 3), CHANNEL, 4095, parts, Some(0)).await.unwrap();
                 let (bucket, prefix) = t.place_of(CHANNEL, 4095);
                 (cloud.driver_s3().list(&bucket, &prefix).await.unwrap(), sections)
             }

@@ -40,7 +40,10 @@
 //! Agg state always rides the result message. Batches ride it too
 //! ([`ResultPayload::InlineBatches`]) while they encode to at most
 //! [`INLINE_RESULT_BYTES`]; larger ones are stored in the result bucket,
-//! one object per worker.
+//! one object per worker. So do a stage edge's sections while they fit
+//! the sink's inline budget (see [`crate::transport`]): the message, and
+//! then each consumer's invocation payload, carries them, and both pay
+//! their transfer over the driver's link ([`invoke::carry_inline`]).
 
 use std::rc::Rc;
 
@@ -181,7 +184,9 @@ pub enum StageOp {
     Sort { stage: SortStage, input: EdgeRead },
 }
 
-/// Where an operator's output goes.
+/// Where an operator's output goes. An edge sink's `inline_budget` is
+/// how many encoded bytes a sender may ship inline rather than through
+/// the transport's wires (see [`crate::message::INLINE_EDGE_BYTES`]).
 pub enum StageSink {
     /// Report to the driver: agg state inline, batches via one stored
     /// object in the result bucket.
@@ -189,10 +194,10 @@ pub enum StageSink {
     /// Shard onto the exchange edge `channel`: hash-partitioned rows
     /// ([`Terminal::HashPartition`]) or grouped partial-aggregate state
     /// ([`Terminal::PartitionedAggregate`]).
-    Edge { channel: String },
+    Edge { channel: String, inline_budget: u64 },
     /// Range-partition the locally sorted run onto the exchange edge
     /// `channel`, feeding a sort fleet.
-    SortEdge { channel: String, edge: SortEdgeSpec },
+    SortEdge { channel: String, inline_budget: u64, edge: SortEdgeSpec },
 }
 
 /// One stage's assignment, shared by its whole fleet.
@@ -256,6 +261,14 @@ pub struct WorkerPayload {
 }
 
 impl WorkerPayload {
+    /// Edge bytes this payload carries inline, its children's included:
+    /// what its invocation ships beyond the plan.
+    pub fn inline_bytes(&self) -> usize {
+        let own = self.edges.iter().flatten().filter_map(|a| a.inline.as_ref());
+        own.map(|bytes| bytes.len()).sum::<usize>()
+            + self.children.iter().map(|c| c.inline_bytes()).sum::<usize>()
+    }
+
     /// The same assignment re-issued as a speculative backup: next
     /// attempt id, the same edge addresses, no children (every missing
     /// worker is re-invoked individually, so a dead first-generation
@@ -383,8 +396,16 @@ async fn run_handler(
     }
     .with_attempt(payload.attempt);
     // Success or error, the handler posts a message to the result queue
-    // from which the driver polls (§3.3).
-    let _ = env.sqs.send(&payload.result_queue, msg.encode()).await;
+    // from which the driver polls (§3.3). Inline edge sections make it
+    // bigger; one the queue refuses is still reported, as an error.
+    if let Ok(ResultPayload::Sections { inline, .. }) = &msg.outcome {
+        invoke::carry_inline(&cloud, inline.len()).await;
+    }
+    if let Err(e) = env.sqs.send(&payload.result_queue, msg.encode()).await {
+        let refused = WorkerResult::error(wid, format!("result message: {e}"), msg.metrics);
+        let _ =
+            env.sqs.send(&payload.result_queue, refused.with_attempt(msg.attempt).encode()).await;
+    }
 }
 
 /// What one stage reports: its payload and metrics.
@@ -454,7 +475,7 @@ fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
     metrics.put_requests += stats.put_requests;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
-    stats.bytes_written + stats.p2p_bytes
+    stats.bytes_written + stats.p2p_bytes + stats.inline_bytes
 }
 
 /// Fold one stage-edge receive's request accounting into the worker
@@ -533,7 +554,7 @@ fn decode_parts(payloads: Vec<Vec<u8>>) -> impl Iterator<Item = Result<RecordBat
 
 /// Encode per-receiver batch lists as exchange parts. Receivers with
 /// nothing to fetch get a zero-length part, which they learn from the
-/// file name alone.
+/// section table alone.
 fn batch_parts(partitions: &[Vec<RecordBatch>]) -> Result<Vec<PartData>> {
     partitions
         .iter()
@@ -619,8 +640,8 @@ async fn sort_edge_parts(
             None => Vec::new(),
         };
         let samples = sample_channel(channel);
-        let (write_stats, _) =
-            task.transport.send(env, &samples, sender, vec![PartData::Real(sample_bytes)]).await?;
+        let sample = vec![PartData::Real(sample_bytes)];
+        let (write_stats, ..) = task.transport.send(env, &samples, sender, sample, None).await?;
         fold_write_stats(metrics, write_stats);
         let (parts, read_stats) = task.transport.recv_barrier(env, &samples, edge.senders).await?;
         fold_read_stats(metrics, read_stats);
@@ -882,7 +903,7 @@ async fn run_stage(
     // What leaves on an edge: filtered rows for hash-partition terminals,
     // grouped states (one "row" per group) for partitioned aggregates, a
     // range-partitioned sorted run for sort edges.
-    let (rows, channel, parts) = match (&task.sink, output) {
+    let (rows, (channel, inline_budget), parts) = match (&task.sink, output) {
         (StageSink::Report, PipelineOutput::Aggregate(state)) => {
             return Ok((ResultPayload::AggState(state.encode()), metrics, None));
         }
@@ -890,21 +911,22 @@ async fn run_stage(
             let reported = report_batches(env, task, &batches, &mut metrics).await?;
             return Ok((reported, metrics, None));
         }
-        (StageSink::Edge { channel }, PipelineOutput::Partitions(partitions)) => {
-            (metrics.rows_out, channel, batch_parts(&partitions)?)
+        (StageSink::Edge { channel, inline_budget }, PipelineOutput::Partitions(partitions)) => {
+            (metrics.rows_out, (channel, *inline_budget), batch_parts(&partitions)?)
         }
-        (StageSink::Edge { channel }, PipelineOutput::AggShards(shards)) => {
+        (StageSink::Edge { channel, inline_budget }, PipelineOutput::AggShards(shards)) => {
             // Empty shards become zero-length parts, like empty batch lists.
             let parts = shards
                 .iter()
                 .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
                 .collect();
-            (shards.iter().map(|s| s.num_groups() as u64).sum(), channel, parts)
+            let rows = shards.iter().map(|s| s.num_groups() as u64).sum();
+            (rows, (channel, *inline_budget), parts)
         }
-        (StageSink::SortEdge { channel, edge }, PipelineOutput::Batches(run)) => {
+        (StageSink::SortEdge { channel, inline_budget, edge }, PipelineOutput::Batches(run)) => {
             let run = RecordBatch::concat(edge.schema.clone(), &run)?;
             let parts = sort_edge_parts(env, task, channel, edge, &run, &mut metrics).await?;
-            (run.num_rows() as u64, channel, parts)
+            (run.num_rows() as u64, (channel, *inline_budget), parts)
         }
         (StageSink::Report, _) => {
             return Err(CoreError::Engine(
@@ -927,9 +949,10 @@ async fn run_stage(
         let handoff = parts.into_iter().next();
         return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, handoff));
     }
-    let (stats, sections) = task.transport.send(env, channel, p, parts).await?;
+    let (stats, sections, inline) =
+        task.transport.send(env, channel, p, parts, Some(inline_budget)).await?;
     let bytes = fold_write_stats(&mut metrics, stats);
-    Ok((ResultPayload::Sections { rows, bytes, sections }, metrics, None))
+    Ok((ResultPayload::Sections { rows, bytes, sections, inline }, metrics, None))
 }
 
 async fn run_exchange_task(
@@ -1009,7 +1032,7 @@ mod tests {
             group_by: Vec::new(),
             aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
         };
-        let sink = StageSink::Edge { channel: "x0/q0/s0".to_string() };
+        let sink = StageSink::Edge { channel: "x0/q0/s0".to_string(), inline_budget: 0 };
         let task = scan_task(terminal, StageOutput::AggExchange, sink);
         let err = sim.block_on(async move { run_stage(&env, &task, None, &[]).await.unwrap_err() });
         assert!(

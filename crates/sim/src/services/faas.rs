@@ -12,7 +12,8 @@
 //! * per-caller invocation throughput (Table 1): the driver's 128 requester
 //!   threads achieve 220–290 inv/s, a worker inside the region ~80 inv/s;
 //! * function timeouts that kill the handler (silent death — error
-//!   reporting is the worker wrapper's job, §3.3).
+//!   reporting is the worker wrapper's job, §3.3);
+//! * the asynchronous invocation's payload cap ([`MAX_ASYNC_PAYLOAD_BYTES`]).
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -33,6 +34,9 @@ use crate::trace::Trace;
 
 /// Payload handed to a function invocation (the JSON event in real Lambda).
 pub type InvokePayload = Rc<dyn Any>;
+
+/// Lambda's cap on an asynchronous ("Event") invocation's payload: 256 KiB.
+pub const MAX_ASYNC_PAYLOAD_BYTES: usize = 256 * 1024;
 
 type LocalBoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -242,12 +246,17 @@ impl InstanceCtx {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InvokeError {
     FunctionNotFound(String),
+    /// A payload of this many bytes, over [`MAX_ASYNC_PAYLOAD_BYTES`].
+    PayloadTooLarge(usize),
 }
 
 impl fmt::Display for InvokeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InvokeError::FunctionNotFound(n) => write!(f, "function not found: {n}"),
+            InvokeError::PayloadTooLarge(n) => {
+                write!(f, "a payload of {n} B exceeds the {MAX_ASYNC_PAYLOAD_BYTES} B cap")
+            }
         }
     }
 }
@@ -498,8 +507,18 @@ pub struct FaasCaller {
 
 impl FaasCaller {
     /// Asynchronously invoke a function ("Event" invocation type: returns
-    /// once the request is accepted, not when the function finishes).
-    pub async fn invoke(&self, function: &str, payload: InvokePayload) -> Result<(), InvokeError> {
+    /// once the request is accepted, not when the function finishes) with
+    /// a payload that encodes to `bytes`; over [`MAX_ASYNC_PAYLOAD_BYTES`]
+    /// it is rejected before it is sent.
+    pub async fn invoke(
+        &self,
+        function: &str,
+        payload: InvokePayload,
+        bytes: usize,
+    ) -> Result<(), InvokeError> {
+        if bytes > MAX_ASYNC_PAYLOAD_BYTES {
+            return Err(InvokeError::PayloadTooLarge(bytes));
+        }
         self.rate.acquire(1.0).await;
         let jitter =
             self.svc.rng.lognormal(self.latency.as_secs_f64(), self.svc.cfg.invoke_jitter_sigma);
@@ -561,7 +580,7 @@ mod tests {
         );
         let caller = svc.driver_caller(Region::Eu);
         sim.block_on(async move {
-            caller.invoke("f", Rc::new(())).await.unwrap();
+            caller.invoke("f", Rc::new(()), 0).await.unwrap();
             rx.recv().await.unwrap();
         });
         assert_eq!(billing.units(CostItem::LambdaRequests), 1.0);
@@ -588,9 +607,9 @@ mod tests {
         );
         let caller = svc.driver_caller(Region::Eu);
         let (first, second) = sim.block_on(async move {
-            caller.invoke("f", Rc::new(())).await.unwrap();
+            caller.invoke("f", Rc::new(()), 0).await.unwrap();
             let first = rx.recv().await.unwrap();
-            caller.invoke("f", Rc::new(())).await.unwrap();
+            caller.invoke("f", Rc::new(()), 0).await.unwrap();
             let second = rx.recv().await.unwrap();
             (first, second)
         });
@@ -612,10 +631,10 @@ mod tests {
             let svc = svc.clone();
             let h = sim.handle();
             async move {
-                caller.invoke("f", Rc::new(())).await.unwrap();
+                caller.invoke("f", Rc::new(()), 0).await.unwrap();
                 h.sleep(Duration::from_secs(5)).await;
                 svc.register(spec, handler); // fresh function
-                caller.invoke("f", Rc::new(())).await.unwrap();
+                caller.invoke("f", Rc::new(()), 0).await.unwrap();
                 h.sleep(Duration::from_secs(5)).await;
             }
         });
@@ -651,7 +670,7 @@ mod tests {
         let caller = svc.driver_caller(Region::Eu);
         let finishes = sim.block_on(async move {
             for _ in 0..4 {
-                caller.invoke("f", Rc::new(())).await.unwrap();
+                caller.invoke("f", Rc::new(()), 0).await.unwrap();
             }
             let mut out = Vec::new();
             for _ in 0..4 {
@@ -684,7 +703,7 @@ mod tests {
         let got = sim.block_on({
             let h = sim.handle();
             async move {
-                caller.invoke("f", Rc::new(())).await.unwrap();
+                caller.invoke("f", Rc::new(()), 0).await.unwrap();
                 h.sleep(Duration::from_secs(20)).await;
                 rx.try_recv()
             }
@@ -692,6 +711,30 @@ mod tests {
         assert!(got.is_none(), "timed-out handler must not produce output");
         let (_, _, timeouts) = svc.counters("f");
         assert_eq!(timeouts, 1);
+    }
+
+    /// A 256 KiB payload is invoked; one byte more is a typed error,
+    /// neither billed nor run.
+    #[test]
+    fn payloads_over_the_async_cap_are_rejected() {
+        let sim = Simulation::new();
+        let (svc, billing) = service(&sim, quiet_cfg());
+        svc.register(
+            FunctionSpec::new("f", 512, Duration::from_secs(60)),
+            Rc::new(|_ctx, _p| Box::pin(async {})),
+        );
+        let caller = svc.driver_caller(Region::Eu);
+        let h = sim.handle();
+        let (at_cap, over) = sim.block_on(async move {
+            let at_cap = caller.invoke("f", Rc::new(()), MAX_ASYNC_PAYLOAD_BYTES).await;
+            let over = caller.invoke("f", Rc::new(()), MAX_ASYNC_PAYLOAD_BYTES + 1).await;
+            h.sleep(Duration::from_secs(5)).await;
+            (at_cap, over)
+        });
+        assert_eq!(at_cap, Ok(()));
+        assert_eq!(over, Err(InvokeError::PayloadTooLarge(MAX_ASYNC_PAYLOAD_BYTES + 1)));
+        assert_eq!(billing.units(CostItem::LambdaRequests), 1.0);
+        assert_eq!(svc.counters("f").0, 1);
     }
 
     #[test]
@@ -712,7 +755,7 @@ mod tests {
                 let sem = sem.clone();
                 joins.push(h.spawn(async move {
                     let _p = sem.acquire(1).await;
-                    caller.invoke("f", Rc::new(())).await.unwrap();
+                    caller.invoke("f", Rc::new(()), 0).await.unwrap();
                 }));
             }
             for j in joins {

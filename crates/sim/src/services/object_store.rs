@@ -18,7 +18,7 @@ use std::fmt;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
-use bytes::Bytes;
+pub use bytes::Bytes;
 
 use crate::billing::{Billing, CostItem};
 use crate::executor::SimHandle;

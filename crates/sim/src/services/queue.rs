@@ -3,6 +3,8 @@
 //! Lambada uses the queue for short messages only: workers post success or
 //! error reports, and the driver polls until it has heard from all workers
 //! (§3.3). Both sends and (possibly empty) receives are billed requests.
+//! A message body is capped at [`MAX_MESSAGE_BYTES`], and a send is billed
+//! one request per started [`BILLED_CHUNK_BYTES`] of it, as on AWS.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -14,6 +16,12 @@ use crate::billing::{Billing, CostItem};
 use crate::executor::SimHandle;
 use crate::rng::SimRng;
 use crate::sync::{select2, Notify};
+
+/// SQS's cap on one message body: 256 KiB.
+pub const MAX_MESSAGE_BYTES: usize = 256 * 1024;
+
+/// SQS bills a send one request per started 64 KiB chunk of its body.
+pub const BILLED_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Queue service parameters.
 #[derive(Clone, Debug)]
@@ -36,12 +44,17 @@ impl Default for SqsConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SqsError {
     NoSuchQueue(String),
+    /// A message body of this many bytes, over [`MAX_MESSAGE_BYTES`].
+    MessageTooLarge(usize),
 }
 
 impl fmt::Display for SqsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SqsError::NoSuchQueue(q) => write!(f, "no such queue: {q}"),
+            SqsError::MessageTooLarge(n) => {
+                write!(f, "a message of {n} B exceeds the {MAX_MESSAGE_BYTES} B cap")
+            }
         }
     }
 }
@@ -131,11 +144,16 @@ pub struct SqsClient {
 }
 
 impl SqsClient {
-    /// Send one message.
+    /// Send one message: rejected over [`MAX_MESSAGE_BYTES`], billed one
+    /// request per started [`BILLED_CHUNK_BYTES`].
     pub async fn send(&self, queue: &str, msg: Vec<u8>) -> Result<(), SqsError> {
         let q = self.svc.queue(queue)?;
+        if msg.len() > MAX_MESSAGE_BYTES {
+            return Err(SqsError::MessageTooLarge(msg.len()));
+        }
         self.svc.handle.sleep(self.extra_latency + self.svc.latency()).await;
-        self.svc.billing.record(CostItem::SqsRequests, 1.0);
+        let requests = msg.len().div_ceil(BILLED_CHUNK_BYTES).max(1);
+        self.svc.billing.record(CostItem::SqsRequests, requests as f64);
         let mut st = q.borrow_mut();
         st.messages.push_back(msg);
         let arrivals = st.arrivals.clone();
@@ -269,6 +287,30 @@ mod tests {
         assert_eq!(err, SqsError::NoSuchQueue("q".to_string()));
         assert_eq!(svc.queue_count(), 0);
         assert_eq!(svc.depth("q"), 0);
+    }
+
+    /// A send is one request per started 64 KiB of its body, and a body
+    /// over 256 KiB is a typed error that bills nothing.
+    #[test]
+    fn sends_bill_per_64_kib_chunk_up_to_the_256_kib_cap() {
+        let sim = Simulation::new();
+        let (svc, client, billing) = setup(&sim);
+        svc.create_queue("q");
+        let billed = |len: usize| {
+            let (client, billing) = (client.clone(), billing.clone());
+            sim.block_on(async move {
+                let before = billing.units(CostItem::SqsRequests);
+                let sent = client.send("q", vec![7; len]).await;
+                (sent, billing.units(CostItem::SqsRequests) - before)
+            })
+        };
+        assert_eq!(billed(0), (Ok(()), 1.0));
+        assert_eq!(billed(BILLED_CHUNK_BYTES), (Ok(()), 1.0));
+        assert_eq!(billed(BILLED_CHUNK_BYTES + 1), (Ok(()), 2.0));
+        assert_eq!(billed(MAX_MESSAGE_BYTES), (Ok(()), 4.0));
+        let over = MAX_MESSAGE_BYTES + 1;
+        assert_eq!(billed(over), (Err(SqsError::MessageTooLarge(over)), 0.0));
+        assert_eq!(svc.depth("q"), 4, "the rejected message was never queued");
     }
 
     #[test]

@@ -96,6 +96,13 @@ fn semi_join_breakdown() {
          probe rows)",
         report.batch.num_rows()
     );
+    // No edge here writes a file: every orders scanner is under its
+    // inline budget and its rows ride the messages, and the one-worker
+    // semi join hands its part to the merge worker in its invocation.
+    let puts =
+        |label: &str| report.stages.iter().find(|s| s.label == label).map(|s| s.put_requests);
+    assert_eq!(puts("scan:orders#0"), Some(0), "the orders edge wrote a file");
+    assert_eq!(puts("semi-join#2"), Some(0), "the semi-join → agg edge wrote a file");
 }
 
 /// Run the Q5-style three-table query (nested joins → repartitioned

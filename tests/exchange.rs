@@ -446,16 +446,20 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
 
     let schema =
         || Schema::new(vec![Field::new("g", DataType::Int64), Field::new("v", DataType::Int64)]);
+    // Enough groups per sender that its shards are too big to ride
+    // inline: every sender writes an exchange file.
+    const GROUPS: i64 = 30_000;
     let table = |offset: i64| -> Vec<lambada::engine::Column> {
         vec![
-            lambada::engine::Column::I64((0..60).map(|i| offset + i).collect()),
-            lambada::engine::Column::I64((0..60).collect()),
+            lambada::engine::Column::I64((0..GROUPS).map(|i| offset + i).collect()),
+            lambada::engine::Column::I64((0..GROUPS).collect()),
         ]
     };
+    let per_file = GROUPS as usize / 3;
     let split = |cols: &[lambada::engine::Column]| -> Vec<Vec<lambada::engine::Column>> {
         (0..3)
             .map(|f| {
-                let idx: Vec<usize> = (f * 20..(f + 1) * 20).collect();
+                let idx: Vec<usize> = (f * per_file..(f + 1) * per_file).collect();
                 cols.iter().map(|c| c.gather(&idx)).collect()
             })
             .collect()
@@ -471,7 +475,7 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     // Identical query shape, disjoint key domains: install A groups keys
-    // 0..60, install B keys 1000..1060.
+    // 0..GROUPS, install B keys 1_000_000.. as many.
     let config = || LambadaConfig {
         agg: AggStrategy::Exchange { workers: Some(3) },
         ..LambadaConfig::default()
@@ -483,7 +487,7 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
         "t",
         schema(),
         split(&table(0)),
-        60,
+        GROUPS as u64,
         2,
     ));
     let mut sys_b = Lambada::install(&cloud, config());
@@ -492,8 +496,8 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
         "data-b",
         "t",
         schema(),
-        split(&table(1000)),
-        60,
+        split(&table(1_000_000)),
+        GROUPS as u64,
         2,
     ));
     let plan_a = plan(&sys_a);
@@ -507,20 +511,22 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
             (ha.await, hb.await)
         }
     });
-    assert_eq!(a.batch.num_rows(), 60, "install A sees exactly its own 60 groups");
-    assert_eq!(b.batch.num_rows(), 60, "install B sees exactly its own 60 groups");
+    assert_eq!(a.batch.num_rows(), GROUPS as usize, "install A sees exactly its own groups");
+    assert_eq!(b.batch.num_rows(), GROUPS as usize, "install B sees exactly its own groups");
     let keys_of = |batch: &lambada::engine::RecordBatch| -> Vec<i64> {
         let mut k: Vec<i64> =
             (0..batch.num_rows()).map(|i| batch.row(i)[0].as_i64().unwrap()).collect();
         k.sort_unstable();
         k
     };
-    assert_eq!(keys_of(&a.batch), (0..60).collect::<Vec<i64>>());
-    assert_eq!(keys_of(&b.batch), (1000..1060).collect::<Vec<i64>>());
+    assert_eq!(keys_of(&a.batch), (0..GROUPS).collect::<Vec<i64>>());
+    assert_eq!(keys_of(&b.batch), (1_000_000..1_000_000 + GROUPS).collect::<Vec<i64>>());
     for report in [&a, &b] {
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.stages[1].label, "agg#1");
-        // Each merge fleet discovered exactly its own 3 senders.
+        // Each of the 3 senders wrote its file; each merge worker read
+        // exactly its own fleet's 3.
         assert_eq!(report.stages[0].put_requests, 3);
+        assert_eq!(report.stages[1].get_requests, 9);
     }
 }

@@ -382,13 +382,14 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
                 // The build producer shipped bytes that are no record batch.
                 let garbage = || vec![PartData::Real(b"not a record batch".to_vec())];
                 let sender = WorkerEnv::bare(&cloud, 9, 2048, Default::default());
-                let (_, sections) =
-                    transport.send(&sender, &build.channel, 0, garbage()).await.unwrap();
+                // A budget of 0: the sections go into files.
+                let (_, sections, inline) =
+                    transport.send(&sender, &build.channel, 0, garbage(), Some(0)).await.unwrap();
                 if probe_written {
-                    transport.send(&sender, &probe.channel, 0, garbage()).await.unwrap();
+                    transport.send(&sender, &probe.channel, 0, garbage(), Some(0)).await.unwrap();
                 }
                 // Without its write, the probe address points at nothing.
-                let addrs = address_sections(0, &sections, 1).unwrap();
+                let addrs = address_sections(0, &sections, &inline, 1).unwrap();
                 payload.edges = vec![addrs.clone(), addrs];
                 let launched = cloud.handle.now();
                 invoke_workers_as(&cloud, &function, vec![payload], InvocationStrategy::Direct)

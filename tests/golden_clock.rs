@@ -128,9 +128,9 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609349419327512580, 4548010624896553587)],
-        s3_gets: 31,
-        s3_puts: 10,
+        queries: vec![(4609176910456995628, 4545221477192608703)],
+        s3_gets: 25,
+        s3_puts: 3,
         s3_lists: 0,
         trace_len: 98,
     };
@@ -146,7 +146,7 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4608344684283059131, 4543920232336434184)],
+        queries: vec![(4608348086770592008, 4544038291498505925)],
         s3_gets: 22,
         s3_puts: 0,
         s3_lists: 0,
@@ -168,13 +168,13 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4609078834446514074, 4548217228430179134),
-            (4610719002349368373, 4552824129824362405),
-            (4607920106707612837, 4546859548066354111),
-            (4608431494921878786, 4549994399283455360),
+            (4608064630822534858, 4545250991983126638),
+            (4610242907602388629, 4550555180303296128),
+            (4607718514545465447, 4544645938777508965),
+            (4603804203804641770, 4548121305360995842),
         ],
-        s3_gets: 100,
-        s3_puts: 19,
+        s3_gets: 79,
+        s3_puts: 6,
         s3_lists: 0,
         trace_len: 217,
     };

@@ -769,3 +769,53 @@ fn direct_transport_shrinks_admission_estimate() {
     );
     assert!(direct.request_dollars < store.request_dollars);
 }
+
+/// Inline edges loosen the request envelope, never break it: every query
+/// of the `service_mix` benchmark (Q1, Q6, Q12 and Q4 at SF 0.01 under
+/// its configuration, where most edges ride the messages) spends at most
+/// the envelope before its 2× margin, whichever way its senders went.
+#[test]
+fn the_admission_envelope_bounds_every_service_mix_query() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let li = stage_real(
+        &cloud,
+        "tpch",
+        "lineitem",
+        StageOptions { scale: 0.01, num_files: 6, row_groups_per_file: 3, seed: 1 },
+    );
+    let ord = stage_real_orders(
+        &cloud,
+        "tpch",
+        "orders",
+        OrdersStageOptions { rows: li.total_rows, num_files: 4, row_groups_per_file: 3, seed: 1 },
+    );
+    let config = LambadaConfig {
+        join_workers: Some(4),
+        agg: AggStrategy::Exchange { workers: Some(2) },
+        ..LambadaConfig::default()
+    };
+    let mut system = Lambada::install(&cloud, config);
+    system.register_table(li);
+    system.register_table(ord);
+    let service = QueryService::with_config(
+        system,
+        ServiceConfig {
+            max_inflight_workers: 24,
+            max_concurrent_queries: 8,
+            shrink_fleets: true,
+            default_budget: TenantBudget::default(),
+        },
+    );
+    let mut puts = 0;
+    for plan in
+        [q1("lineitem"), q6("lineitem"), q12("lineitem", "orders"), q4("lineitem", "orders")]
+    {
+        let estimate = service.estimate(&plan).unwrap();
+        let report = sim.block_on(service.submit("mix", &plan)).unwrap();
+        let spent = report.request_count();
+        assert!(2 * spent <= estimate.requests, "{spent} requests vs {estimate:?}");
+        puts += report.stages.iter().map(|s| s.put_requests).sum::<u64>();
+    }
+    assert!(puts > 0, "some sender was over its budget and wrote a file");
+}

@@ -216,7 +216,9 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
 
     // Kill join worker 1's original attempt — only while armed, i.e.
     // during micro-batch 9. The concurrent ad-hoc query (Q1) has no
-    // join fleet, so the kill is scoped to the streaming query.
+    // join fleet, so the kill is scoped to the streaming query. Its
+    // inputs ride its payload, so it reads nothing: the kill comes 1 ms
+    // in, while its report is still on its way.
     let armed = Rc::new(Cell::new(false));
     let armed_f = Rc::clone(&armed);
     inject_query_worker_faults(&cloud, move |p| {
@@ -224,7 +226,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
             && p.worker_id == 1
             && p.attempt == 0
             && matches!(&p.task, WorkerTask::Stage(t) if matches!(t.op, StageOp::Join { .. })))
-        .then(|| InjectedFault::kill(Duration::from_millis(10)))
+        .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });
 
     let (out, incremental_emissions, killed_backups, late, batches_run, adhoc) =
@@ -325,16 +327,18 @@ fn driver_merged_sliding_windows_match_the_reference() {
 /// Direct worker-to-worker transport with every p2p link from one
 /// sender severed during two mid-stream batches: the transport falls
 /// back to the object store, and the carried window state comes through
-/// uncorrupted — emissions still match the reference exactly.
+/// uncorrupted — emissions still match the reference exactly. Batches 3
+/// to 6 are too big for their scan senders to ship inline, so they
+/// stream; the rest ride inline.
 #[test]
 fn severed_direct_link_falls_back_without_corrupting_carried_state() {
     let spec =
         StreamSpec { window: WindowSpec::tumbling(10), lateness: 5, ..StreamSpec::default() };
-    let batches = source_batches(
-        SourceConfig { seed: 5, events_per_tick: 10.0, max_delay: 5, ..SourceConfig::default() },
-        16,
-        30,
-    );
+    let config =
+        SourceConfig { seed: 5, events_per_tick: 10.0, max_delay: 5, ..SourceConfig::default() };
+    let mut src = EventSource::new(config);
+    let batches: Vec<Vec<SourceEvent>> =
+        (0..16).map(|i| src.next_events(if (3..7).contains(&i) { 8000 } else { 30 })).collect();
     let reference = reference_windows(&batches.concat(), &spec.window);
 
     let sim = Simulation::new();
