@@ -68,7 +68,7 @@ use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
 use crate::invoke::{self, invoke_workers};
-use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_EDGE_BYTES};
+use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -483,10 +483,9 @@ pub struct LaunchPlan<'a> {
     /// objects, requests, invocation or result message for it.
     pub fused: Vec<bool>,
     /// How many encoded bytes each sender of the stage's out-edge may
-    /// ship inline: [`INLINE_EDGE_BYTES`] over every sender of all the
-    /// reader's in-edges (the smallest such share over its readers), so
-    /// no set of consumer payloads can carry more than the cap. `u64::MAX`
-    /// for the driver-bound last stage, which ships nothing.
+    /// ship inline: its [`crate::transport::inline_budget`] among every sender of all the
+    /// reader's in-edges (the smallest over its readers). `u64::MAX` for
+    /// the driver-bound last stage, which ships nothing.
     pub inline_budgets: Vec<u64>,
     /// For scan stages, the scanned table and the files-per-worker chunk.
     pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
@@ -514,9 +513,8 @@ impl<'a> LaunchPlan<'a> {
             for reader in readers {
                 let Some(consumer) = reader.stage else { continue };
                 partitions[pid] = workers[consumer];
-                let inputs = edges.dag.stages[consumer].inputs();
-                let senders: usize = inputs.iter().map(|&i| workers[i]).sum();
-                let share = (INLINE_EDGE_BYTES / senders.max(1)) as u64;
+                let senders = edges.dag.stages[consumer].inputs().iter().map(|&i| workers[i]).sum();
+                let share = crate::transport::inline_budget(senders, workers[consumer]);
                 inline_budgets[pid] = inline_budgets[pid].min(share);
                 if let (ReaderRole::SortInput, StageKind::Sort(s)) =
                     (reader.role, &edges.dag.stages[consumer])
@@ -1548,7 +1546,8 @@ mod tests {
     use crate::env::WorkerEnv;
     use crate::exchange::{encode_bundle_into, PartData};
     use crate::invoke::{build_tree, choose_strategy, InvocationStrategy};
-    use crate::message::{Section, Wire};
+    use crate::message::{Section, Wire, INLINE_EDGE_BYTES};
+    use crate::transport::{At, ADDRESS_BYTES};
     use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
     use lambada_sim::services::object_store::Bytes;
     use lambada_sim::{secs, CloudConfig, Simulation};
@@ -1610,16 +1609,20 @@ mod tests {
     /// A 256-sender edge into a 128-worker consumer fleet, which the
     /// driver invokes through the two-level tree: every sender ships its
     /// whole budget inline, all of it to the first tree group, so that
-    /// group's first-generation payload carries all 256 senders' bytes —
-    /// exactly [`INLINE_EDGE_BYTES`], within Lambda's cap, and invoked.
-    /// A payload past the cap is a typed error, not a panic.
+    /// group's first-generation payload carries all 256 senders' bytes
+    /// and its eleven workers' 256 addresses each — within Lambda's cap,
+    /// and invoked, where a budget blind to the addresses would overrun
+    /// it. A payload past the cap is a typed error, not a panic.
     #[test]
     fn a_first_generation_payload_stays_within_the_invoke_cap() {
         let (sim, cloud, config) = installed();
         let (senders, receivers) = (256, 128);
         assert_eq!(choose_strategy(cloud.region(), receivers), InvocationStrategy::TwoLevel);
-        let budget = (INLINE_EDGE_BYTES / senders) as u64;
+        let budget = crate::transport::inline_budget(senders, receivers);
         let group = build_tree(vec![payload(0, Vec::new()); receivers])[0].children.len() + 1;
+        assert_eq!(group, invoke::tree_shape(receivers).1);
+        let addresses = group * senders * ADDRESS_BYTES;
+        assert!(INLINE_EDGE_BYTES + addresses > MAX_ASYNC_PAYLOAD_BYTES);
         let (carried, invoked, over) = sim.block_on({
             let cloud = cloud.clone();
             async move {
@@ -1640,23 +1643,19 @@ mod tests {
                 let payloads: Vec<WorkerPayload> = (0..receivers)
                     .map(|r| payload(r as u64, tables.iter().map(|t| t[r].clone()).collect()))
                     .collect();
-                let carried: Vec<usize> =
-                    build_tree(payloads.clone()).iter().map(|p| p.inline_bytes()).collect();
+                let carried: Vec<usize> = build_tree(payloads.clone())
+                    .iter()
+                    .map(|p| p.edge_bytes(ADDRESS_BYTES))
+                    .collect();
                 let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
-                let mut huge = payload(0, Vec::new());
                 let bytes = Bytes::from(vec![0; MAX_ASYNC_PAYLOAD_BYTES + 1]);
-                let (len, wire) = (bytes.len() as u64, Wire::Inline);
-                huge.edges = vec![vec![SectionAddr {
-                    attempt: 0,
-                    offset: 0,
-                    len,
-                    wire,
-                    inline: Some(bytes),
-                }]];
+                let huge = payload(0, vec![SectionAddr { attempt: 0, at: At::Inline(bytes) }]);
                 (carried, invoked, invoke_workers(&cloud, &config.function_name, vec![huge]).await)
             }
         });
-        assert_eq!(carried[0], INLINE_EDGE_BYTES, "the first group carries every sender's bytes");
+        let first = senders * budget as usize + addresses;
+        assert_eq!(carried[0], first, "the first group carries every sender's bytes");
+        assert!(first <= INLINE_EDGE_BYTES, "{first}");
         assert!(carried.iter().all(|&c| c <= MAX_ASYNC_PAYLOAD_BYTES), "{carried:?}");
         assert!(invoked.is_ok(), "{invoked:?}");
         assert!(matches!(&over, Err(CoreError::Invoke(m)) if m.contains("cap")), "{over:?}");

@@ -14,13 +14,12 @@
 //! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
 //! for the fleet at hand; the crossover is near 100 workers in `eu`.
 //!
-//! A payload's size is the edge sections it carries inline
-//! ([`WorkerPayload::inline_bytes`]), its children's included; Lambda
-//! rejects one over its asynchronous cap, and the driver pays their
-//! transfer over its link ([`carry_inline`]).
+//! A payload is sized at its addresses and the edge sections it carries
+//! inline ([`WorkerPayload::edge_bytes`]), its children's included;
+//! Lambda rejects one over its asynchronous cap. The inline bytes cross
+//! the driver's one link ([`carry_inline`]).
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
 use lambada_sim::services::faas::FaasCaller;
@@ -28,6 +27,7 @@ use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::Cloud;
 
 use crate::error::Result;
+use crate::transport::ADDRESS_BYTES;
 use crate::worker::WorkerPayload;
 
 /// How the driver starts the fleet.
@@ -51,14 +51,14 @@ pub mod labels {
     pub const RUNNING: &str = "worker_running";
 }
 
-/// Charge `bytes` of inline edge sections, riding a result message or an
-/// invocation payload, their transfer at the driver's bandwidth. Nothing
-/// for none: a message or payload without inline sections is timed as if
-/// the transfer did not exist.
+/// Move `bytes` of inline edge sections, riding a result message or an
+/// invocation payload, over the driver's link, which every concurrent
+/// transfer shares: a fleet's payloads take their total over the
+/// driver's bandwidth. Nothing for none: a message or payload without
+/// inline sections is timed as if the transfer did not exist.
 pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
     if bytes > 0 {
-        let secs = bytes as f64 / cloud.config.driver_bandwidth;
-        cloud.handle.sleep(Duration::from_secs_f64(secs)).await;
+        cloud.driver_link().transfer(bytes as f64).await;
     }
 }
 
@@ -66,7 +66,7 @@ pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
 /// first-generation workers, each heading a group of at most `group`
 /// (itself included), so driver and first generation perform ~√P
 /// invocations each (§4.2).
-fn tree_shape(p: usize) -> (usize, usize) {
+pub(crate) fn tree_shape(p: usize) -> (usize, usize) {
     let n1 = crate::routing::isqrt_ceil(p).max(1);
     (n1, p.div_ceil(n1))
 }
@@ -190,8 +190,8 @@ async fn invoke_from_driver(
             let wid = payload.worker_id;
             let initiated = cloud2.handle.now();
             cloud2.trace.record(wid, labels::QUEUED, start, initiated);
-            let bytes = payload.inline_bytes();
-            carry_inline(&cloud2, bytes).await;
+            carry_inline(&cloud2, payload.edge_bytes(0)).await;
+            let bytes = payload.edge_bytes(ADDRESS_BYTES);
             let out = caller.invoke(&function, payload, bytes).await;
             cloud2.trace.record(wid, labels::API, initiated, cloud2.handle.now());
             out
@@ -225,7 +225,7 @@ pub async fn invoke_children(
         let child = Rc::clone(child);
         joins.push(cloud.handle.spawn(async move {
             let _permit = sem.acquire(1).await;
-            let bytes = child.inline_bytes();
+            let bytes = child.edge_bytes(ADDRESS_BYTES);
             caller.invoke(&function, child, bytes).await
         }));
     }

@@ -27,13 +27,14 @@ pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_B
 /// (≤ 21 B) — room for chains of twenty-odd fused stages.
 pub const INLINE_RESULT_BYTES: usize = SQS_MESSAGE_BYTES - 4 * 1024;
 
-/// Stage-edge bytes one consumer stage's senders may ship inline, all
-/// together: each of its `n` senders inlines its whole output iff it
-/// encodes to at most `INLINE_EDGE_BYTES / n`. So whatever rides one
-/// sender's result message, and whatever any set of consumer workers'
-/// invocation payloads carry (a two-level tree's first generation
-/// included), stays within both 256 KiB caps, SQS's and Lambda's
-/// asynchronous invoke's, with the same 4 KiB to spare as
+/// What may ride toward one consumer stage, all together: the inline
+/// bytes of its senders plus the section tables and addresses that
+/// locate them. Each of its `n` senders inlines its whole output iff it
+/// encodes to at most its share of what the tables and addresses leave
+/// ([`crate::transport::inline_budget`]). So one sender's result message, and
+/// any set of consumer workers' invocation payloads (a two-level tree's
+/// first generation included), stays within both 256 KiB caps, SQS's
+/// and Lambda's asynchronous invoke's, with the same 4 KiB to spare as
 /// [`INLINE_RESULT_BYTES`].
 pub const INLINE_EDGE_BYTES: usize = INLINE_RESULT_BYTES;
 
@@ -151,6 +152,10 @@ pub struct Section {
     pub len: u64,
     pub wire: Wire,
 }
+
+/// The most one [`Section`] adds to a result message: its length as a
+/// varint at its widest (10 B) and the wire byte.
+pub const SECTION_BYTES: usize = 11;
 
 /// The payload of a successful worker.
 ///
@@ -316,18 +321,16 @@ fn attach_inline(
     outcome: Option<&mut ResultPayload>,
     blob: &[u8],
 ) -> std::result::Result<(), FormatError> {
-    let claimed = match &outcome {
-        Some(ResultPayload::Sections { sections, .. }) => inline_claim(sections),
-        _ => Some(0),
+    let (claimed, inline) = match outcome {
+        Some(ResultPayload::Sections { sections, inline, .. }) => (inline_claim(sections), inline),
+        _ => (Some(0), &mut Bytes::new()),
     };
     let len = blob.len();
     if claimed != Some(len as u64) {
         let claim = format!("inline sections claim {claimed:?} B of a {len} B blob");
         return Err(FormatError::Corrupt(claim));
     }
-    if let Some(ResultPayload::Sections { inline, .. }) = outcome {
-        *inline = Bytes::copy_from_slice(blob);
-    }
+    *inline = Bytes::copy_from_slice(blob);
     Ok(())
 }
 

@@ -110,13 +110,13 @@ impl StageBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Wire;
+    use crate::transport::At;
     use crate::verify::test_dags::{
         diamond_dag, scan_sort_dag, single_scan_dag, two_scan_join_dag, unbalanced_join_dag,
     };
 
     fn addr(attempt: u32, offset: u64) -> SectionAddr {
-        SectionAddr { attempt, offset, len: 1, wire: Wire::File, inline: None }
+        SectionAddr { attempt, at: At::File { offset, len: 1 } }
     }
 
     /// A stage waits for exactly its own inputs — not a level barrier:

@@ -38,8 +38,9 @@
 //!   ([`address_sections`]). [`EdgeTransport::recv`] goes straight to the
 //!   fetch: no LIST, no poll, no back-off, no wait.
 //! * **Inline senders.** A sender whose sections all encode to at most
-//!   its inline budget (`INLINE_EDGE_BYTES` over the consumer's senders,
-//!   see [`crate::message::INLINE_EDGE_BYTES`]) writes no file and sends
+//!   its inline budget ([`inline_budget`]: what is left of
+//!   [`crate::message::INLINE_EDGE_BYTES`] after the section tables and
+//!   addresses, shared by the consumer's senders) writes no file and sends
 //!   no message: its sections ride its result message, and the driver
 //!   copies each receiver's slice into that receiver's invocation payload,
 //!   which it decodes with no request. The decision is the same on both
@@ -79,7 +80,8 @@ use crate::exchange::{
     p2p_side_key, put_combined, Copy, CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, Mailbox,
     PartData, Pass, Place,
 };
-use crate::message::inline_claim;
+use crate::invoke::tree_shape;
+use crate::message::{inline_claim, INLINE_EDGE_BYTES, SECTION_BYTES};
 pub use crate::message::{Section, Wire};
 
 /// Which stage-edge transport a query runs on.
@@ -110,18 +112,45 @@ pub struct EdgeWriteStats {
 }
 
 /// Where a receiver finds one sender's section of a stage edge: the
-/// sender's attempt whose report the driver kept, and the section's
-/// byte range on its wire — `offset` within that attempt's file or
-/// inline blob, `len` 0 for an empty part. An inline section carries its
-/// bytes: a view of the sender's blob, shared, not copied.
+/// sender's attempt whose report the driver kept, and where on its wire
+/// the section is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SectionAddr {
     pub attempt: u32,
-    pub offset: u64,
-    pub len: u64,
-    pub wire: Wire,
-    /// The section's bytes, for a [`Wire::Inline`] one.
-    pub inline: Option<Bytes>,
+    pub at: At,
+}
+
+/// Where on its wire one section is.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum At {
+    /// `len` bytes at `offset` within the attempt's combined file; `len`
+    /// 0 for an empty part.
+    File { offset: u64, len: u64 },
+    /// A `len`-byte message in the receiver's mailbox.
+    Mailbox { len: u64 },
+    /// The section itself: a view of the sender's inline blob, shared,
+    /// not copied.
+    Inline(Bytes),
+}
+
+/// The most an address adds to an invocation payload besides its inline
+/// bytes: the attempt, offset and length as varints at their widest (5,
+/// 10 and 10 B) and a wire tag.
+pub const ADDRESS_BYTES: usize = 26;
+
+/// Each sender's inline budget into a consumer stage of `receivers`
+/// workers whose in-edges have `senders` senders in all:
+/// [`INLINE_EDGE_BYTES`] less what locates the sections — a message's
+/// section table ([`SECTION_BYTES`] per receiver) and the addresses of
+/// the largest payload ([`ADDRESS_BYTES`] per sender for each receiver
+/// of a tree group, which covers a directly invoked payload) — shared
+/// evenly. Any set of senders' inline bytes then fits beside the
+/// addresses in any payload, and each sender's fits beside its table in
+/// its message.
+pub fn inline_budget(senders: usize, receivers: usize) -> u64 {
+    let addresses = tree_shape(receivers).1 * senders * ADDRESS_BYTES;
+    let located = INLINE_EDGE_BYTES.saturating_sub(receivers * SECTION_BYTES + addresses);
+    (located / senders.max(1)) as u64
 }
 
 /// Turn one sender's reported section table and inline blob into one
@@ -147,19 +176,25 @@ pub fn address_sections(
     if inline_claim(sections) != Some(len as u64) {
         return Err(CoreError::Format(format!("inline sections do not fill a {len} B blob")));
     }
-    let (mut file, mut blob) = (0u64, 0u64);
+    let (mut file, mut blob) = (0u64, 0usize);
     let mut out = Vec::with_capacity(receivers);
     for s in sections {
-        let cursor = if s.wire == Wire::Inline { &mut blob } else { &mut file };
-        let offset = *cursor;
-        if s.wire != Wire::Mailbox {
-            *cursor = offset.checked_add(s.len).ok_or_else(|| {
-                CoreError::Format("section offsets overflow the file".to_string())
-            })?;
-        }
-        // In range: the inline sections fill the blob exactly.
-        let bytes = (s.wire == Wire::Inline).then(|| inline.slice(offset as usize..blob as usize));
-        out.push(SectionAddr { attempt, offset, len: s.len, wire: s.wire, inline: bytes });
+        let at = match s.wire {
+            Wire::Mailbox => At::Mailbox { len: s.len },
+            Wire::File => {
+                let offset = file;
+                file = offset.checked_add(s.len).ok_or_else(|| {
+                    CoreError::Format("section offsets overflow the file".to_string())
+                })?;
+                At::File { offset, len: s.len }
+            }
+            Wire::Inline => {
+                // In range: the inline sections fill the blob exactly.
+                blob += s.len as usize;
+                At::Inline(inline.slice(blob - s.len as usize..blob))
+            }
+        };
+        out.push(SectionAddr { attempt, at });
     }
     Ok(out)
 }
@@ -168,6 +203,8 @@ pub fn address_sections(
 /// bundle, back to back, marked [`Wire::Inline`] in `sections` — iff
 /// every one is real and together they encode to at most `budget` bytes.
 /// Senders far over budget are turned away before anything is encoded.
+/// One turned away after encoding leaves its entries marked inline: the
+/// stream or file that then carries them re-marks every one.
 fn inline_blob(
     entries: &[(u32, PartData)],
     budget: u64,
@@ -177,16 +214,12 @@ fn inline_blob(
     if raw > budget || !entries.iter().all(|(_, data)| data.is_real()) {
         return Ok(None);
     }
-    let (mut blob, mut inline) = (Vec::new(), sections.to_vec());
+    let mut blob = Vec::new();
     for entry in entries {
         let (len, _) = encode_bundle_into(&mut blob, std::slice::from_ref(entry))?;
-        inline[entry.0 as usize] = Section { len, wire: Wire::Inline };
+        sections[entry.0 as usize] = Section { len, wire: Wire::Inline };
     }
-    if blob.len() as u64 > budget {
-        return Ok(None);
-    }
-    sections.copy_from_slice(&inline);
-    Ok(Some(blob))
+    Ok((blob.len() as u64 <= budget).then_some(blob))
 }
 
 /// One stage edge's wire: how sender `s`'s partitioned output reaches
@@ -258,14 +291,12 @@ impl EdgeTransport {
         let start = env.cloud.handle.now();
 
         let mut sections = vec![Section { len: 0, wire: Wire::File }; parts.len()];
-        let travels = |data: &PartData| inline_budget.is_none() || !data.is_empty();
-        let entries = parts.into_iter().enumerate().filter(|(_, data)| travels(data));
+        let travels = |(_, data): &(usize, PartData)| inline_budget.is_none() || !data.is_empty();
+        let entries = parts.into_iter().enumerate().filter(travels);
         let mut entries: Vec<(u32, PartData)> =
             entries.map(|(rcv, data)| (rcv as u32, data)).collect();
-        let inline = match inline_budget {
-            Some(budget) => inline_blob(&entries, budget, &mut sections)?,
-            None => None,
-        };
+        let inline = inline_budget.map(|b| inline_blob(&entries, b, &mut sections)).transpose()?;
+        let inline = inline.flatten();
         stats.inline_bytes = inline.as_ref().map_or(0, |blob| blob.len() as u64);
         if inline.is_none() && self.p2p.is_some() {
             entries = self.stream(env, channel, sender, entries, &mut stats, &mut sections).await?;
@@ -350,8 +381,7 @@ impl EdgeTransport {
     /// decode the inline sections and fetch the other non-empty ones
     /// straight from their wires, and return their payloads in sender
     /// order (empty parts omitted). A mailbox address on a transport
-    /// without p2p, and an inline address without its bytes, are typed
-    /// errors.
+    /// without p2p is a typed error.
     pub async fn recv(
         &self,
         env: &WorkerEnv,
@@ -362,30 +392,21 @@ impl EdgeTransport {
         let endpoint = Self::endpoint(channel, receiver);
         let mut copies = Vec::with_capacity(addrs.len());
         for (sender, a) in addrs.iter().enumerate() {
-            let at = match (a.wire, &self.p2p) {
-                (Wire::Mailbox, None) => {
+            let (len, at) = match (&a.at, &self.p2p) {
+                (At::Mailbox { .. }, None) => {
                     return Err(CoreError::Storage(format!(
                         "sender {sender} of {channel} addressed a mailbox on the object-store transport"
                     )))
                 }
-                _ if a.len == 0 => continue,
-                (Wire::Inline, _) => match &a.inline {
-                    Some(bytes) if bytes.len() as u64 == a.len => CopyAt::Inline(bytes.clone()),
-                    _ => {
-                        return Err(CoreError::Format(format!(
-                            "sender {sender} of {channel}: the payload lacks its inline section's {} B",
-                            a.len
-                        )))
-                    }
-                },
-                (Wire::Mailbox, Some(_)) => CopyAt::Mailbox(Rc::clone(&endpoint)),
-                (Wire::File, _) => {
+                (At::Inline(bytes), _) => (bytes.len() as u64, CopyAt::Inline(bytes.clone())),
+                (At::Mailbox { len }, Some(_)) => (*len, CopyAt::Mailbox(Rc::clone(&endpoint))),
+                (At::File { offset, len }, _) => {
                     let (bucket, prefix) = self.place_of(channel, sender);
                     let key = edge_key(&prefix, sender, a.attempt);
-                    CopyAt::Store { bucket, key, offset: Some(a.offset) }
+                    (*len, CopyAt::Store { bucket, key, offset: Some(*offset) })
                 }
             };
-            copies.push(Copy { sender, attempt: a.attempt, len: a.len, at });
+            copies.push(Copy { sender, attempt: a.attempt, len, at });
         }
         // Nothing to wait for: the span stays, zero long.
         let start = env.cloud.handle.now();
@@ -399,12 +420,15 @@ impl EdgeTransport {
     /// address, so it discovers. Discovery walks the buckets one by one:
     /// the peers write within a few first-byte latencies of each other,
     /// so a pass that takes that long finds them all, where one round
-    /// would miss the late ones and pay a back-off plus a re-LIST. Each
-    /// sample file holds one section and is read whole.
+    /// would miss the late ones and pay a back-off plus a re-LIST. The
+    /// walk starts at the bucket of `sender`'s own sample, which it just
+    /// wrote: the peers get one more first-byte latency before their
+    /// first LIST. Each sample file holds one section and is read whole.
     pub async fn recv_barrier(
         &self,
         env: &WorkerEnv,
         channel: &str,
+        sender: usize,
         senders: usize,
     ) -> Result<(Vec<PartData>, EdgeReadStats)> {
         let mut stats = EdgeReadStats::default();
@@ -412,7 +436,10 @@ impl EdgeTransport {
             return Ok((Vec::new(), stats));
         }
         let wait_start = env.cloud.handle.now();
-        let (mailbox, places) = self.sources(channel, senders);
+        let (mailbox, mut places) = self.sources(channel, senders);
+        // Sender `s` writes to place `s % places.len()`.
+        let own = sender % places.len();
+        places.rotate_left(own);
         let (copies, lists) =
             await_copies(env, &self.cfg, mailbox.as_ref(), &places, None, Pass::OneByOne).await?;
         stats.list_requests = lists;
@@ -435,16 +462,12 @@ impl EdgeTransport {
         let mut out = Vec::new();
         for (wire, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
             for (_, data) in parts {
-                match wire {
-                    Wire::Mailbox => {
-                        stats.p2p_requests += 1;
-                        stats.p2p_bytes += data.len();
-                    }
-                    Wire::File => {
-                        stats.get_requests += 1;
-                        stats.bytes_read += data.len();
-                    }
-                    Wire::Inline => {}
+                if wire == Wire::Mailbox {
+                    stats.p2p_requests += 1;
+                    stats.p2p_bytes += data.len();
+                } else if wire == Wire::File {
+                    stats.get_requests += 1;
+                    stats.bytes_read += data.len();
                 }
                 out.push(data);
             }
@@ -626,7 +649,7 @@ mod tests {
                     assert_eq!((sent.p2p_requests, sent.put_requests), (1, 0));
                     put_file(&t, &worker(&cloud, 0, file_attempt), 0, 0, b"file", false).await;
                     put_file(&t, &worker(&cloud, 1, 0), 1, 0, b"only", false).await;
-                    t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 2).await.unwrap()
+                    t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 0, 2).await.unwrap()
                 }
             });
             assert_eq!(parts, vec![real(winner), real(b"only")], "{p2p_attempt} vs {file_attempt}");
@@ -712,7 +735,7 @@ mod tests {
                         cloud.handle.sleep(ttfb.mul_f64(0.5 * p as f64)).await;
                         t.send(&env, SAMPLES, p, vec![real(&[p as u8; 8])], None).await.unwrap();
                         if barrier {
-                            let (parts, stats) = t.recv_barrier(&env, SAMPLES, 4).await.unwrap();
+                            let (parts, stats) = t.recv_barrier(&env, SAMPLES, p, 4).await.unwrap();
                             assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
                             (stats.list_requests, stats.wait_secs)
                         } else {
@@ -766,7 +789,7 @@ mod tests {
                 async move {
                     let waiting = cloud.handle.spawn({
                         let (cloud, t) = (cloud.clone(), Rc::clone(&t));
-                        async move { t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 1).await }
+                        async move { t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 0, 1).await }
                     });
                     // Let the first discovery pass find nothing.
                     cloud.handle.sleep(secs(0.7)).await;
@@ -888,8 +911,10 @@ mod tests {
         let mail = |len| Section { len, wire: Wire::Mailbox };
         let none = Bytes::new();
         let got = address_sections(2, &[file(5), mail(9), file(0), file(7)], &none, 4).unwrap();
-        let offsets: Vec<u64> = got.iter().map(|a| a.offset).collect();
-        assert_eq!(offsets, vec![0, 5, 5, 5], "mailbox sections take no file bytes");
+        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
+        let at_file = |offset, len| At::File { offset, len };
+        let expect = vec![at_file(0, 5), At::Mailbox { len: 9 }, at_file(5, 0), at_file(5, 7)];
+        assert_eq!(at, expect, "mailbox sections take no file bytes");
         assert!(got.iter().all(|a| a.attempt == 2));
         let short = address_sections(0, &[file(5)], &none, 2);
         assert!(matches!(short, Err(CoreError::Format(m)) if m.contains("2-worker")));
@@ -897,35 +922,25 @@ mod tests {
         assert!(matches!(over, Err(CoreError::Format(m)) if m.contains("overflow")));
         assert!(address_sections(0, &[file(u64::MAX), mail(1), file(0)], &none, 3).is_ok());
 
-        // Inline sections take their offsets in the blob, which they must
-        // fill exactly: lengths running past it, or short of it, err.
+        // Inline sections are consecutive slices of the blob, which they
+        // must fill exactly: lengths running past it, or short of it, err.
         let inl = |len| Section { len, wire: Wire::Inline };
         let blob = Bytes::from(vec![1, 2, 3, 4, 5]);
         let got = address_sections(0, &[inl(2), file(9), inl(3)], &blob, 3).unwrap();
-        let at: Vec<(u64, Option<&[u8]>)> =
-            got.iter().map(|a| (a.offset, a.inline.as_deref())).collect();
-        assert_eq!(at, vec![(0, Some(&[1, 2][..])), (0, None), (2, Some(&[3, 4, 5][..]))]);
+        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
+        let slice = |range| At::Inline(blob.slice(range));
+        assert_eq!(at, vec![slice(0..2), at_file(0, 9), slice(2..5)]);
         for table in [&[inl(2), inl(4)][..], &[inl(2), inl(2)][..], &[inl(u64::MAX), inl(1)][..]] {
             let err = address_sections(0, table, &blob, 2);
             assert!(matches!(err, Err(CoreError::Format(_))), "{table:?}: {err:?}");
         }
 
         let (sim, cloud, t) = edge(false, 0, 50);
-        let errs = sim.block_on(async move {
-            let addr = |wire, len| SectionAddr { attempt: 0, offset: 0, len, wire, inline: None };
-            let env = worker(&cloud, 10, 0);
-            let mailbox = t.recv(&env, CHANNEL, 0, &[addr(Wire::Mailbox, 0)]).await.err();
-            // An inline address whose bytes are missing from the payload,
-            // or are not the section's length.
-            let missing = t.recv(&env, CHANNEL, 0, &[addr(Wire::Inline, 3)]).await.err();
-            let short = SectionAddr { inline: Some(Bytes::from(vec![1])), ..addr(Wire::Inline, 3) };
-            (mailbox, missing, t.recv(&env, CHANNEL, 0, &[short]).await.err())
+        let mailbox = sim.block_on(async move {
+            let addr = SectionAddr { attempt: 0, at: At::Mailbox { len: 0 } };
+            t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &[addr]).await.err()
         });
-        let (mailbox, missing, short) = errs;
         assert!(matches!(&mailbox, Some(CoreError::Storage(m)) if m.contains("mailbox")));
-        for err in [missing, short] {
-            assert!(matches!(&err, Some(CoreError::Format(m)) if m.contains("inline")), "{err:?}");
-        }
     }
 
     /// (h) Empty parts travel nowhere: a sender whose every part is empty

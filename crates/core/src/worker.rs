@@ -71,7 +71,7 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_B
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
-use crate::transport::{EdgeTransport, EdgeWriteStats, SectionAddr};
+use crate::transport::{At, EdgeTransport, EdgeWriteStats, SectionAddr};
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -261,12 +261,19 @@ pub struct WorkerPayload {
 }
 
 impl WorkerPayload {
-    /// Edge bytes this payload carries inline, its children's included:
-    /// what its invocation ships beyond the plan.
-    pub fn inline_bytes(&self) -> usize {
-        let own = self.edges.iter().flatten().filter_map(|a| a.inline.as_ref());
-        own.map(|bytes| bytes.len()).sum::<usize>()
-            + self.children.iter().map(|c| c.inline_bytes()).sum::<usize>()
+    /// Edge bytes this payload carries, its children's included: its
+    /// inline sections plus `per_address` for each address. With 0 that
+    /// is what crosses the driver's link; with
+    /// [`crate::transport::ADDRESS_BYTES`] it is
+    /// what the payload is sized at against the invoke cap. The task is
+    /// not sized: the fleet shares it, and the sim hands it over by
+    /// reference.
+    pub fn edge_bytes(&self, per_address: usize) -> usize {
+        let own = self.edges.iter().flatten().map(|a| match &a.at {
+            At::Inline(bytes) => bytes.len() + per_address,
+            _ => per_address,
+        });
+        own.sum::<usize>() + self.children.iter().map(|c| c.edge_bytes(per_address)).sum::<usize>()
     }
 
     /// The same assignment re-issued as a speculative backup: next
@@ -643,7 +650,8 @@ async fn sort_edge_parts(
         let sample = vec![PartData::Real(sample_bytes)];
         let (write_stats, ..) = task.transport.send(env, &samples, sender, sample, None).await?;
         fold_write_stats(metrics, write_stats);
-        let (parts, read_stats) = task.transport.recv_barrier(env, &samples, edge.senders).await?;
+        let (parts, read_stats) =
+            task.transport.recv_barrier(env, &samples, sender, edge.senders).await?;
         fold_read_stats(metrics, read_stats);
         decode_parts(real_payloads(parts)?).collect::<Result<_>>()?
     } else {

@@ -127,6 +127,11 @@ impl Cloud {
         self.s3.client(self.driver_link.clone(), self.config.region.driver_rtt())
     }
 
+    /// The driver machine's network link, shared by everything it moves.
+    pub fn driver_link(&self) -> &BurstLink {
+        &self.driver_link
+    }
+
     /// SQS access from the driver's machine.
     pub fn driver_sqs(&self) -> SqsClient {
         self.sqs.client(self.config.region.driver_rtt())

@@ -128,7 +128,7 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609176910456995628, 4545221477192608703)],
+        queries: vec![(4609176955353380314, 4545221477192608703)],
         s3_gets: 25,
         s3_puts: 3,
         s3_lists: 0,
@@ -146,7 +146,7 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4608348086770592008, 4544038291498505925)],
+        queries: vec![(4608351489262628484, 4544038291498505925)],
         s3_gets: 22,
         s3_puts: 0,
         s3_lists: 0,
@@ -168,10 +168,10 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4608064630822534858, 4545250991983126638),
-            (4610242907602388629, 4550555180303296128),
-            (4607718514545465447, 4544645938777508965),
-            (4603804203804641770, 4548121305360995842),
+            (4608064658429600574, 4545250991983126638),
+            (4610242980105839030, 4550555180303296128),
+            (4607718514549969047, 4544645938777508965),
+            (4603813773656612357, 4548121305360995842),
         ],
         s3_gets: 79,
         s3_puts: 6,

@@ -6,9 +6,10 @@
 //! skew, duplicate-attempt interleavings (speculative backups re-sending
 //! partitions), and a silently killed producer.
 //!
-//! Small tables ship every edge inline, on either transport alike; a
-//! repeat factor makes some cases' senders too big for their inline
-//! budget, so the relay and the object store carry them.
+//! Small tables ship every edge inline, on either transport alike, and
+//! the relay stays idle; padding the probe table past the inline cap
+//! makes its senders too big for their budget, so the relay and the
+//! object store carry them, and the relay must then spare S3 requests.
 //!
 //! Both runs execute on the *same* installation over the same staged
 //! files, so any divergence is attributable to the transport alone. All
@@ -19,6 +20,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use lambada::core::message::INLINE_EDGE_BYTES;
 use lambada::core::{
     AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, SpeculationConfig,
     TransportKind,
@@ -100,20 +102,29 @@ fn row_multiset(batch: &RecordBatch) -> Vec<Vec<lambada::engine::ScalarKey>> {
     rows
 }
 
-/// `keys`, repeated `times` over.
-fn repeated(keys: &[i64], times: usize) -> Vec<i64> {
-    keys.iter().copied().cycle().take(keys.len() * times).collect()
+/// `keys` cycled until their probe rows — three `Int64` columns, 24 B
+/// apiece before any framing — outweigh [`INLINE_EDGE_BYTES`]. However
+/// the files split them, some probe scanner then holds more than its
+/// share of the cap, which is at least its inline budget: it ships its
+/// edge through the relay or the object store. No keys stay none.
+fn past_the_inline_cap(keys: &[i64]) -> Vec<i64> {
+    let rows = if keys.is_empty() { 0 } else { INLINE_EDGE_BYTES / 24 + 1 };
+    keys.iter().copied().cycle().take(rows.max(keys.len())).collect()
 }
 
-/// Both transports take one inline decision per sender: where no sender
-/// went over its budget nothing touches the relay and the two spend the
-/// same S3 requests; where one did, it streamed instead of PUTting.
-fn relay_saves_s3_requests(store: &QueryReport, direct: &QueryReport) -> bool {
+/// The direct run moved something over the relay and so spent fewer S3
+/// requests than the baseline, which never touches it.
+fn relay_spares_s3_requests(store: &QueryReport, direct: &QueryReport) -> bool {
     store.p2p_requests() == 0
-        && match direct.p2p_requests() {
-            0 => direct.s3_requests() == store.s3_requests(),
-            _ => direct.s3_requests() < store.s3_requests(),
-        }
+        && direct.p2p_requests() > 0
+        && direct.s3_requests() < store.s3_requests()
+}
+
+/// Neither run touched the relay, and both spent the same S3 requests:
+/// every edge rode the messages.
+fn relay_idle(store: &QueryReport, direct: &QueryReport) -> bool {
+    (store.p2p_requests(), direct.p2p_requests()) == (0, 0)
+        && direct.s3_requests() == store.s3_requests()
 }
 
 fn policy(kind: TransportKind) -> ExecPolicy {
@@ -170,19 +181,19 @@ proptest! {
     /// All four distributed join variants: DirectTransport ≡ object-store
     /// baseline as bitwise row multisets, across fleet sizes, file
     /// layouts, key skew and probe sizes on both sides of the inline
-    /// budget — and whatever the direct run moved over the relay spared
-    /// it S3 requests.
+    /// budget. Under it the relay stays idle; past it the direct run
+    /// streams and spares S3 requests.
     #[test]
     fn direct_join_variants_match_object_store(
         variant in arb_variant(),
         probe_keys in (0usize..50).prop_flat_map(arb_keys),
         build_keys in (0usize..30).prop_flat_map(arb_keys),
-        repeat in prop_oneof![Just(1usize), Just(200)],
+        over_budget in prop_oneof![Just(false), Just(true)],
         probe_files in 1usize..4,
         build_files in 1usize..4,
         join_workers in 1usize..8,
     ) {
-        let probe_keys = repeated(&probe_keys, repeat);
+        let probe_keys = if over_budget { past_the_inline_cap(&probe_keys) } else { probe_keys };
         let left = Df::scan("l", &probe_schema());
         let right = Df::scan("r", &build_schema());
         let plan = left.join_variant(right, &[("lk", "rk")], variant).unwrap().build();
@@ -200,8 +211,9 @@ proptest! {
             "{:?} join diverged across transports",
             variant
         );
+        let streams = over_budget && !probe_keys.is_empty();
         prop_assert!(
-            relay_saves_s3_requests(&store, &direct),
+            if streams { relay_spares_s3_requests(&store, &direct) } else { relay_idle(&store, &direct) },
             "direct: {} S3 requests and {} over the relay; store: {} and {}",
             direct.s3_requests(),
             direct.p2p_requests(),
@@ -218,7 +230,7 @@ proptest! {
     fn direct_agg_and_sort_match_object_store_and_reference(
         probe_keys in arb_keys(40),
         build_keys in arb_keys(20),
-        repeat in prop_oneof![Just(1usize), Just(200)],
+        over_budget in prop_oneof![Just(false), Just(true)],
         join_workers in 1usize..5,
         agg_workers in 1usize..5,
         sort_workers in 1usize..5,
@@ -246,7 +258,7 @@ proptest! {
             .limit(limit)
             .unwrap()
             .build();
-        let probe_keys = repeated(&probe_keys, repeat);
+        let probe_keys = if over_budget { past_the_inline_cap(&probe_keys) } else { probe_keys };
         let (store, direct) = run_on_both_transports(
             &probe_keys,
             &build_keys,
@@ -278,8 +290,18 @@ proptest! {
         )));
         let reference = execute_into_batch(&plan, &cat).unwrap();
         prop_assert_eq!(row_multiset(&direct.batch), row_multiset(&reference));
-        // A sample barrier rides the relay, and so do the edges over budget.
-        prop_assert!(relay_saves_s3_requests(&store, &direct));
+        // The probe edge over budget rides the relay, and so does a sample
+        // barrier (a merge fleet and a sort fleet of two or more each);
+        // otherwise every edge rides the messages.
+        let fleet = |label: &str| {
+            direct.stages.iter().find(|s| s.label.starts_with(label)).map_or(0, |s| s.workers)
+        };
+        let barrier = fleet("agg") > 1 && fleet("sort") > 1;
+        prop_assert!(if over_budget || barrier {
+            relay_spares_s3_requests(&store, &direct)
+        } else {
+            relay_idle(&store, &direct)
+        });
     }
 }
 
