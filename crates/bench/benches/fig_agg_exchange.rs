@@ -16,9 +16,7 @@
 //! ```
 
 use lambada_bench::{banner, env_f64, env_usize};
-use lambada_core::{
-    request_dollars, stage_edge_counts, AggStrategy, Lambada, LambadaConfig, ADDRESSED,
-};
+use lambada_core::{request_dollars, stage_edge_counts, AggStrategy, Lambada, LambadaConfig};
 use lambada_sim::{Cloud, CloudConfig, CostItem, Prices, Simulation};
 use lambada_workloads::{stage_real, stage_real_orders, OrdersStageOptions, StageOptions};
 
@@ -90,7 +88,7 @@ fn main() {
             + agg_stage.list_requests as f64 * prices.s3_list;
         // Closed-form stage-edge model for the same edge (GETs are an
         // upper bound: empty shards are skipped).
-        let model = stage_edge_counts(join_workers as f64, agg_workers as f64, ADDRESSED);
+        let model = stage_edge_counts(join_workers as f64, agg_workers as f64);
         let (mr, mw) = request_dollars(&model, &prices);
         println!(
             "{:<4} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>14.8} {:>14.8}",

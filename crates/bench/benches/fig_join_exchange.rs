@@ -15,7 +15,7 @@
 //! ```
 
 use lambada_bench::{banner, env_f64, env_usize};
-use lambada_core::{request_dollars, stage_edge_counts, Lambada, LambadaConfig, ADDRESSED};
+use lambada_core::{request_dollars, stage_edge_counts, Lambada, LambadaConfig};
 use lambada_sim::{Cloud, CloudConfig, CostItem, Prices, Simulation};
 use lambada_workloads::{stage_real, stage_real_orders, OrdersStageOptions, StageOptions};
 
@@ -82,7 +82,7 @@ fn main() {
         // are bounded by senders · receivers (empty sections are skipped,
         // so the measurement must come in at or under the model).
         let senders = (li_files + ord_files) as f64;
-        let model = stage_edge_counts(senders, join_workers as f64, ADDRESSED);
+        let model = stage_edge_counts(senders, join_workers as f64);
         let (mr, mw) = request_dollars(&model, &prices);
         println!(
             "{:<4} {:>10.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>14.8} {:>14.8}",

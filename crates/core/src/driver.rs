@@ -18,9 +18,12 @@
 //! therefore fetches its inputs without a LIST, a poll or a wait. A
 //! sender under its edge's inline budget ([`LaunchPlan::inline_budgets`])
 //! reports its sections themselves, and the driver hands each consumer
-//! its slices in the payload: no request at either end. The
-//! scheduler is
-//! shape-agnostic: a single-fragment Q1 is just a one-stage DAG, a
+//! its slices in the payload: no request at either end. A sort edge is
+//! no exception: its producers cut their sorted runs into blocks and
+//! report the blocks' first keys, from which the driver picks the range
+//! boundaries and addresses each sorter to the blocks that can hold its
+//! range (`section_tables`). The scheduler is shape-agnostic: a
+//! single-fragment Q1 is just a one-stage DAG, a
 //! five-way join tree or a diamond runs through exactly the same loop,
 //! and speculation, fleet sizing, and [`StageReport`]s apply to every
 //! stage uniformly. Per-stage worker counts, queue-wait vs execution time,
@@ -59,9 +62,12 @@ use std::time::Duration;
 
 use lambada_engine::agg::GroupedAggState;
 use lambada_engine::logical::LogicalPlan;
-use lambada_engine::physical::{agg_state_to_batch, project_batch, sort_batch};
+use lambada_engine::physical::{
+    agg_state_to_batch, cmp_key_rows, project_batch, range_boundaries, range_partition_of,
+    sort_batch,
+};
 use lambada_engine::pipeline::Terminal;
-use lambada_engine::{Df, Optimizer, RecordBatch};
+use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
 use lambada_sim::{BillingSnapshot, Cloud};
 
 use crate::costmodel::ComputeCostModel;
@@ -77,11 +83,11 @@ use crate::stage::{
     StageOutput,
 };
 use crate::table::TableSpec;
-use crate::transport::{address_sections, EdgeTransport, SectionAddr, TransportKind};
+use crate::transport::{address_blocks, address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, sample_channel, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp,
-    StageSink, StageTask, WorkerPayload, WorkerTask,
+    register_worker_function, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink,
+    StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -112,9 +118,10 @@ pub enum SortStrategy {
     #[default]
     Driver,
     /// Distributed range-partitioned sort: producers locally sort (and
-    /// top-k-truncate) their rows, agree on range boundaries through a
-    /// sample exchange, and ship each range to a dedicated sort fleet;
-    /// the driver only concatenates the fleet's pre-sorted runs in
+    /// top-k-truncate) their rows and ship them, cut into blocks, to a
+    /// dedicated sort fleet; the driver picks the range boundaries from
+    /// the blocks' first keys, every sorter keeps and sorts its range,
+    /// and the driver only concatenates the fleet's pre-sorted runs in
     /// partition order. `workers` fixes the sort-fleet size (= range
     /// count); `None` lets the compute cost model size it.
     Exchange { workers: Option<usize> },
@@ -144,26 +151,11 @@ pub struct SpeculationConfig {
     pub multiplier: f64,
     /// Backup attempts per worker beyond the original (attempt 0).
     pub max_attempts: u32,
-    /// Barrier-aware straggler detection. A fleet synchronizing on a
-    /// sort-sample barrier can be held *under* the quorum by one dead
-    /// producer — nobody passes the barrier, nobody reports, and the
-    /// quantile rule never arms. When a stage has such a barrier and the
-    /// quorum hasn't been reached `barrier_grace` after launch, the
-    /// driver probes the barrier channel directly (one discovery pass,
-    /// no polling) and re-invokes the workers that left no sample,
-    /// re-arming the probe every `barrier_grace` thereafter.
-    pub barrier_grace: Duration,
 }
 
 impl Default for SpeculationConfig {
     fn default() -> Self {
-        SpeculationConfig {
-            enabled: false,
-            quantile: 0.9,
-            multiplier: 2.0,
-            max_attempts: 1,
-            barrier_grace: Duration::from_secs(15),
-        }
+        SpeculationConfig { enabled: false, quantile: 0.9, multiplier: 2.0, max_attempts: 1 }
     }
 }
 
@@ -284,8 +276,8 @@ pub struct StageReport {
     /// begins) to the last worker report.
     pub exec_secs: f64,
     /// Billed virtual seconds this stage's workers spent blocked in
-    /// exchange discovery polls, summed over the fleet: 0 on addressed
-    /// stage edges, so only a sort-sample barrier's pass shows here.
+    /// exchange discovery polls, summed over the fleet: 0, since the
+    /// driver addresses every stage edge.
     pub exchange_wait_secs: f64,
     /// Billing delta over this stage's execution window. Stages launch
     /// concurrently and their windows overlap, so summing this field
@@ -299,7 +291,7 @@ pub struct StageReport {
     pub bytes_exchanged: u64,
     /// Exact S3 request counts summed over this stage's workers: table
     /// scans + exchange reads (GET), exchange writes + result uploads
-    /// (PUT), sort-sample barrier discovery polls (LIST).
+    /// (PUT), and LISTs — 0, since the driver addresses every stage edge.
     pub get_requests: u64,
     pub put_requests: u64,
     pub list_requests: u64,
@@ -440,19 +432,6 @@ impl Drop for P2pGuard {
     }
 }
 
-/// Probe handle for a stage whose fleet synchronizes on a sort-sample
-/// barrier. The straggler watcher uses it to ask the transport which
-/// producers have published their sample — a single discovery pass, no
-/// polling loop — so a silently dead producer holding the whole fleet
-/// under the speculation quorum still gets re-invoked.
-struct BarrierProbe {
-    transport: Rc<EdgeTransport>,
-    /// The sample channel (`{data channel}smp`).
-    channel: String,
-    /// Producer fleet size: sample senders are `0..senders`.
-    senders: usize,
-}
-
 /// Everything about a query's fleets that is fixed before the first
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
 /// per stage, the installation's pin, the fleet size, the partition count of its out-edge, whether that edge is
@@ -473,8 +452,7 @@ pub struct LaunchPlan<'a> {
     /// size, 0 for the driver-bound last stage.
     pub partitions: Vec<usize>,
     /// `Some` exactly for a stage one of whose readers is a sort stage:
-    /// the keys, limit and fleet sizes its fleet runs the sample protocol
-    /// with.
+    /// the keys, limit and range count its fleet ships its runs with.
     pub sort_edges: Vec<Option<SortEdgeSpec>>,
     /// Whether the stage's out-edge is *fused*: the stage runs on one
     /// worker, its one reader is a stage that runs on one worker and
@@ -483,9 +461,11 @@ pub struct LaunchPlan<'a> {
     /// objects, requests, invocation or result message for it.
     pub fused: Vec<bool>,
     /// How many encoded bytes each sender of the stage's out-edge may
-    /// ship inline: its [`crate::transport::inline_budget`] among every sender of all the
-    /// reader's in-edges (the smallest over its readers). `u64::MAX` for
-    /// the driver-bound last stage, which ships nothing.
+    /// ship inline: its [`crate::transport::inline_budget`] among every
+    /// sender of all the reader's in-edges — its
+    /// [`crate::transport::block_budget`] on a sort edge of several
+    /// ranges — the smallest over its readers. `u64::MAX` for the
+    /// driver-bound last stage, which ships nothing.
     pub inline_budgets: Vec<u64>,
     /// For scan stages, the scanned table and the files-per-worker chunk.
     pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
@@ -514,19 +494,23 @@ impl<'a> LaunchPlan<'a> {
                 let Some(consumer) = reader.stage else { continue };
                 partitions[pid] = workers[consumer];
                 let senders = edges.dag.stages[consumer].inputs().iter().map(|&i| workers[i]).sum();
-                let share = crate::transport::inline_budget(senders, workers[consumer]);
-                inline_budgets[pid] = inline_budgets[pid].min(share);
+                let mut share = crate::transport::inline_budget(senders, workers[consumer]);
                 if let (ReaderRole::SortInput, StageKind::Sort(s)) =
                     (reader.role, &edges.dag.stages[consumer])
                 {
-                    sort_edges[pid] = Some(SortEdgeSpec {
+                    let edge = SortEdgeSpec {
                         keys: s.keys.clone(),
                         limit: s.limit,
                         schema: s.schema.clone(),
                         partitions: workers[consumer],
-                        senders: workers[pid],
-                    });
+                    };
+                    if edge.cuts_blocks() {
+                        let keys = edge.keys.len();
+                        share = crate::transport::block_budget(senders, workers[consumer], keys);
+                    }
+                    sort_edges[pid] = Some(edge);
                 }
+                inline_budgets[pid] = inline_budgets[pid].min(share);
             }
         }
         let fused = (0..workers.len())
@@ -805,7 +789,9 @@ impl Lambada {
         // size, so the address book is complete before the first producer
         // launches even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
-        // store for unregistered endpoints. A fused edge has no endpoint.
+        // store for unregistered endpoints. A fused edge has no endpoint,
+        // and neither has a sort edge of several ranges: blocks are not
+        // receivers.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
         let transport = Rc::new(EdgeTransport::new(
             self.config.exchange.clone(),
@@ -814,18 +800,13 @@ impl Lambada {
         ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
             for (sid, &parts) in launch.partitions.iter().enumerate() {
-                if launch.fused[sid] {
+                let blocks = launch.sort_edges[sid].as_ref().is_some_and(SortEdgeSpec::cuts_blocks);
+                if launch.fused[sid] || blocks {
                     continue;
                 }
                 let channel = self.channel(qid, sid);
                 for r in 0..parts {
                     self.cloud.p2p.register(&format!("{channel}/r{r}"));
-                }
-                // Sort edges with a sample barrier add its endpoint: every
-                // producer sends its sample to (and reads the pool from)
-                // receiver 0.
-                if launch.sort_edges[sid].as_ref().is_some_and(SortEdgeSpec::has_barrier) {
-                    self.cloud.p2p.register(&format!("{}/r0", sample_channel(&channel)));
                 }
             }
             P2pGuard { p2p: self.cloud.p2p.clone(), prefix: format!("x{}/q{qid}/", self.instance) }
@@ -881,20 +862,12 @@ impl Lambada {
         let board = Rc::new(StageBoard::new(dag));
         let mut handles = Vec::with_capacity(heads.len());
         for (&head, (result_queue, payloads)) in heads.iter().zip(staged) {
-            // A stage whose output rides a sort edge synchronizes its
-            // whole fleet on the sample barrier; hand the straggler
-            // watcher a probe for it. (A chain runs on one worker: no
-            // barrier anywhere in it.)
-            let barrier_edge = launch.sort_edges[head].as_ref().filter(|edge| edge.has_barrier());
-            let barrier = barrier_edge.map(|edge| BarrierProbe {
-                transport: Rc::clone(&transport),
-                channel: sample_channel(&self.channel(qid, head)),
-                senders: edge.senders,
-            });
             self.cloud.sqs.create_queue(&result_queue);
             let chain = launch.chain(head);
-            let receivers = chain.last().map_or(0, |&last| launch.partitions[last]);
-            let fleet = Fleet { result_queue, payloads, barrier, chain, receivers };
+            let last = chain.last().copied().unwrap_or(head);
+            let receivers = launch.partitions[last];
+            let sort = launch.sort_edges[last].clone().filter(SortEdgeSpec::cuts_blocks);
+            let fleet = Fleet { result_queue, payloads, sort, chain, receivers };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 self.cloud.clone(),
                 self.config.clone(),
@@ -1224,8 +1197,9 @@ struct Fleet {
     result_queue: String,
     /// One payload per fleet slot, edge addresses still empty.
     payloads: Vec<WorkerPayload>,
-    /// The sort-sample barrier the head's fleet synchronizes on, if any.
-    barrier: Option<BarrierProbe>,
+    /// The chain's out-edge, if it is a sort edge of several ranges: its
+    /// reports carry blocks and starts, not one section per receiver.
+    sort: Option<SortEdgeSpec>,
     /// The head, then every stage fused after it.
     chain: Vec<usize>,
     /// Consumer fleet size of the chain's out-edge: how many sections
@@ -1249,9 +1223,12 @@ struct Fleet {
 ///
 /// Under the query service, `gate` is the installation's shared worker
 /// gate: the whole fleet's permits are acquired *before* anything is
-/// invoked (partial launches could deadlock fleets that synchronize
-/// internally, like a sort fleet's sample barrier) and released when
-/// collection finishes, success or failure.
+/// invoked and released when collection finishes, success or failure.
+/// No fleet synchronizes internally, so a partial launch could not
+/// deadlock; the lease is whole because the fleet launches at once — its
+/// invocation tree and the straggler watcher's spans both assume so, and
+/// a fleet launched in waves would have its later waves speculated
+/// against.
 ///
 /// Returns `Ok(None)` when another stage failed before this one
 /// launched: the board's failure flag lets unlaunched fleets stand down
@@ -1264,7 +1241,7 @@ async fn run_fleet(
     board: Rc<StageBoard>,
     fleet: Fleet,
 ) -> Result<Option<StageRun>> {
-    let Fleet { result_queue, mut payloads, barrier, chain, receivers } = fleet;
+    let Fleet { result_queue, mut payloads, sort, chain, receivers } = fleet;
     let head = chain.first().copied().unwrap_or_default();
     let enqueued = cloud.handle.now();
     loop {
@@ -1296,23 +1273,14 @@ async fn run_fleet(
     let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
     let collected = match invoked {
         Ok(()) => {
-            collect_results(
-                &cloud,
-                &config,
-                &result_queue,
-                workers,
-                &retained,
-                stage_start,
-                &barrier,
-            )
-            .await
+            collect_results(&cloud, &config, &result_queue, workers, &retained, stage_start).await
         }
         Err(e) => Err(e),
     };
     cloud.sqs.delete_queue(&result_queue);
     drop(lease);
     let written = collected.and_then(|c| {
-        let tables = section_tables(&c.results, receivers)?;
+        let tables = section_tables(&c.results, receivers, sort.as_ref())?;
         Ok((c, tables))
     });
     let (collected, tables) = match written {
@@ -1340,27 +1308,99 @@ async fn run_fleet(
     }))
 }
 
-/// Every kept report's section table as addresses, in worker order: row
-/// `s` is where each of the `receivers` consumer workers finds sender
-/// `s`'s section (none when the driver reads the output); an inline
-/// section's address holds its slice of the report's blob. A report that
-/// wrote no edge, or a table of another size, is a typed error.
-fn section_tables(results: &[WorkerResult], receivers: usize) -> Result<Vec<Vec<SectionAddr>>> {
+/// Where each of the `receivers` consumer workers finds the out-edge,
+/// from the kept reports in worker order: one address per sender, and —
+/// on a sort edge of several ranges (`sort`) — its range's boundaries
+/// ([`InEdge::bounds`]); nothing when the driver reads the output. An
+/// inline section's address holds its slice of the report's blob. A
+/// report that wrote no edge, or whose table or starts do not fit it, is
+/// a typed error.
+///
+/// A sort edge's blocks are addressed here: the first keys of every
+/// sender's blocks are the pool one [`range_boundaries`] call picks the
+/// boundaries from, and a block, sorted, can hold the ranges from its
+/// first key's to the next block's first key's (or its own last key's).
+pub(crate) fn section_tables(
+    results: &[WorkerResult],
+    receivers: usize,
+    sort: Option<&SortEdgeSpec>,
+) -> Result<Vec<InEdge>> {
     if receivers == 0 {
         return Ok(Vec::new());
     }
-    results
-        .iter()
-        .map(|r| match &r.outcome {
-            Ok(ResultPayload::Sections { sections, inline, .. }) => {
-                address_sections(r.attempt, sections, inline, receivers)
+    let mut reports = Vec::with_capacity(results.len());
+    for r in results {
+        let Ok(ResultPayload::Sections { sections, inline, starts, .. }) = &r.outcome else {
+            let worker = r.worker_id;
+            let what = format!("worker {worker} reported no section table for its out-edge");
+            return Err(CoreError::Format(what));
+        };
+        reports.push((r.attempt, sections, inline, starts.as_deref()));
+    }
+    let mut edges = vec![InEdge::default(); receivers];
+    let tables: Vec<_> = match sort {
+        None => reports
+            .iter()
+            .map(|&(attempt, sections, inline, starts)| match starts {
+                Some(_) => Err(CoreError::Format("starts reported on an edge of no blocks".into())),
+                None => address_sections(attempt, sections, inline, receivers),
+            })
+            .collect::<Result<_>>()?,
+        Some(edge) => {
+            let starts = reports.iter().map(|r| block_starts(edge, r.1.len(), r.3));
+            let starts = starts.collect::<Result<Vec<_>>>()?;
+            let pool = starts.iter().flat_map(|s| s.split_last().map_or(&[][..], |(_, b)| b));
+            let boundaries = range_boundaries(pool.cloned().collect(), &edge.keys, receivers);
+            for (r, e) in edges.iter_mut().enumerate().filter(|_| !boundaries.is_empty()) {
+                e.bounds = boundaries[r.saturating_sub(1)..(r + 1).min(receivers - 1)].to_vec();
             }
-            _ => Err(CoreError::Format(format!(
-                "worker {} reported no section table for its out-edge",
-                r.worker_id
-            ))),
-        })
-        .collect()
+            let range = |key: &Vec<Scalar>| range_partition_of(key, &boundaries, &edge.keys);
+            let spans = |keys: &Vec<Vec<Scalar>>| -> Vec<(usize, usize)> {
+                keys.windows(2).map(|w| (range(&w[0]), range(&w[1]))).collect()
+            };
+            let blocks =
+                reports.iter().zip(&starts).map(|(&(attempt, sections, inline, _), keys)| {
+                    address_blocks(attempt, sections, inline, &spans(keys), receivers)
+                });
+            blocks.collect::<Result<_>>()?
+        }
+    };
+    for table in tables {
+        for (edge, addr) in edges.iter_mut().zip(table) {
+            edge.senders.push(addr);
+        }
+    }
+    Ok(edges)
+}
+
+/// One sort-edge sender's reported `starts` as key rows: none from a
+/// sender of no blocks, else one row more than it cut `blocks`, of the
+/// sort keys' types, in sort order. Anything else is a typed error —
+/// never a boundary picked from a lying pool.
+fn block_starts(
+    edge: &SortEdgeSpec,
+    blocks: usize,
+    starts: Option<&[u8]>,
+) -> Result<Vec<Vec<Scalar>>> {
+    let types = edge.keys.iter().map(|k| k.expr.data_type(&edge.schema));
+    let types = types.collect::<lambada_engine::Result<Vec<_>>>()?;
+    let mut rows = Vec::new();
+    for batch in starts.map(crate::partition::decode_batches).transpose()?.unwrap_or_default() {
+        let got: Vec<DataType> = batch.columns().iter().map(Column::dtype).collect();
+        if got != types {
+            return Err(CoreError::Format(format!("starts of {got:?} for sort keys of {types:?}")));
+        }
+        rows.extend(batch.rows());
+    }
+    let want = if starts.is_none() && blocks == 0 { 0 } else { blocks + 1 };
+    if rows.len() != want {
+        return Err(CoreError::Format(format!("{} starts for {blocks} blocks", rows.len())));
+    }
+    let descends = |w: &[Vec<Scalar>]| cmp_key_rows(&w[0], &w[1], &edge.keys).is_gt();
+    if rows.windows(2).any(descends) {
+        return Err(CoreError::Format("starts out of sort order".to_string()));
+    }
+    Ok(rows)
 }
 
 /// What [`collect_results`] hands back: one report per worker, plus how
@@ -1389,17 +1429,10 @@ struct Collected {
 /// alone, so a backup's copy and its original's are never combined.
 ///
 /// `stage_start` is the stage's own launch instant (post-board-wait,
-/// post-gate), so the quorum and barrier triggers anchor to when *this*
-/// fleet actually started — never to when an unrelated stage of the
-/// same query launched.
-///
-/// Stages with a sort-sample `barrier` get a second trigger: the
-/// quantile rule needs `quorum` reporters, but a barrier-synchronized
-/// fleet can be held at *zero* reporters by a single dead producer.
-/// When the quorum hasn't formed `barrier_grace` after launch, the
-/// watcher probes the barrier channel and re-invokes exactly the
-/// workers that left no sample (everyone past the barrier is alive —
-/// just waiting on the dead peer).
+/// post-gate), so the quorum trigger anchors to when *this* fleet
+/// actually started — never to when an unrelated stage of the same query
+/// launched. No worker waits for a peer, so a dead one never holds the
+/// rest under the quorum: every other worker reports.
 async fn collect_results(
     cloud: &Cloud,
     config: &LambadaConfig,
@@ -1407,7 +1440,6 @@ async fn collect_results(
     workers: usize,
     payloads: &[WorkerPayload],
     stage_start: lambada_sim::SimTime,
-    barrier: &Option<BarrierProbe>,
 ) -> Result<Collected> {
     let spec = config.speculation;
     let mut seen: HashSet<u64> = HashSet::with_capacity(workers);
@@ -1424,7 +1456,6 @@ async fn collect_results(
     let quorum = ((spec.quantile * workers as f64).ceil() as usize)
         .clamp(1, workers.saturating_sub(1).max(1));
     let deadline = cloud.handle.now() + config.max_wait;
-    let mut next_barrier_probe = stage_start + spec.barrier_grace;
     let pollers = workers.div_ceil(10).clamp(1, 16);
     let sqs = cloud.driver_sqs();
     let receive = || Box::pin(sqs.receive(queue, 10, config.receive_wait));
@@ -1473,21 +1504,7 @@ async fn collect_results(
             let elapsed = (cloud.handle.now() - stage_start).as_secs_f64();
             if elapsed > spec.multiplier * median {
                 backup_invocations +=
-                    speculate(cloud, config, payloads, &seen, &mut attempts_launched, |_| true)
-                        .await?;
-            }
-        }
-
-        // Barrier-aware trigger: under the quorum with a sample barrier
-        // in play, ask the transport who actually published a sample.
-        if spec.enabled && seen.len() < quorum && cloud.handle.now() >= next_barrier_probe {
-            if let Some(b) = barrier {
-                next_barrier_probe = cloud.handle.now() + spec.barrier_grace;
-                let passed = b.transport.probe(cloud, &b.channel, b.senders).await?;
-                let stuck = |p: &WorkerPayload| !passed.contains(&(p.worker_id as usize));
-                backup_invocations +=
-                    speculate(cloud, config, payloads, &seen, &mut attempts_launched, stuck)
-                        .await?;
+                    speculate(cloud, config, payloads, &seen, &mut attempts_launched).await?;
             }
         }
     }
@@ -1510,20 +1527,18 @@ async fn first_done<F: Future + Unpin>(pending: &mut Vec<F>) -> F::Output {
     .await
 }
 
-/// Re-invoke, as its next attempt, every worker that has not reported,
-/// that `eligible` admits, and that has backup attempts left. Returns how
-/// many backups were launched.
+/// Re-invoke, as its next attempt, every worker that has not reported
+/// and has backup attempts left. Returns how many backups were launched.
 async fn speculate(
     cloud: &Cloud,
     config: &LambadaConfig,
     payloads: &[WorkerPayload],
     seen: &HashSet<u64>,
     attempts_launched: &mut HashMap<u64, u32>,
-    eligible: impl Fn(&WorkerPayload) -> bool,
 ) -> Result<u64> {
     let mut backups = Vec::new();
     for p in payloads {
-        if seen.contains(&p.worker_id) || !eligible(p) {
+        if seen.contains(&p.worker_id) {
             continue;
         }
         let launched = attempts_launched.entry(p.worker_id).or_insert(0);
@@ -1547,7 +1562,9 @@ mod tests {
     use crate::exchange::{encode_bundle_into, PartData};
     use crate::invoke::{build_tree, choose_strategy, InvocationStrategy};
     use crate::message::{Section, Wire, INLINE_EDGE_BYTES};
-    use crate::transport::{At, ADDRESS_BYTES};
+    use crate::transport::{At, SectionAddr, ADDRESS_BYTES};
+    use lambada_engine::logical::SortKey;
+    use lambada_engine::types::{Field, Schema};
     use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
     use lambada_sim::services::object_store::Bytes;
     use lambada_sim::{secs, CloudConfig, Simulation};
@@ -1571,7 +1588,8 @@ mod tests {
         let (len, _) = encode_bundle_into(&mut blob, &parts).unwrap();
         let sections = vec![Section { len, wire: Wire::Inline }];
         let inline = Bytes::from(blob);
-        let payload = ResultPayload::Sections { rows: 1, bytes: len, sections, inline };
+        let payload =
+            ResultPayload::Sections { rows: 1, bytes: len, sections, inline, starts: None };
         WorkerResult::ok(worker, payload, WorkerMetrics::default()).with_attempt(attempt)
     }
 
@@ -1591,10 +1609,9 @@ mod tests {
                 }
                 sqs.send("results", inline_report(1, 0, b"other").encode()).await.unwrap();
                 let start = cloud.handle.now();
-                let collected =
-                    collect_results(&cloud, &config, "results", 2, &[], start, &None).await;
-                let tables = section_tables(&collected.unwrap().results, 1).unwrap();
-                let addrs: Vec<SectionAddr> = tables.iter().map(|t| t[0].clone()).collect();
+                let collected = collect_results(&cloud, &config, "results", 2, &[], start).await;
+                let tables = section_tables(&collected.unwrap().results, 1, None).unwrap();
+                let addrs = tables[0].senders.clone();
                 assert_eq!(addrs.iter().map(|a| a.attempt).collect::<Vec<_>>(), vec![1, 0]);
                 let t = EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None);
                 let env = WorkerEnv::bare(&cloud, 0, 2048, config.costs);
@@ -1636,7 +1653,7 @@ mod tests {
                     let mut parts = vec![PartData::Real(Vec::new()); receivers];
                     parts[s % group] = PartData::Real(vec![s as u8; budget as usize - 4]);
                     let (_, sections, inline) =
-                        t.send(&env, "x0/q0/s0", s, parts, Some(budget)).await.unwrap();
+                        t.send(&env, "x0/q0/s0", s, parts, budget, true).await.unwrap();
                     assert_eq!(sections[s % group], Section { len: budget, wire: Wire::Inline });
                     tables.push(address_sections(0, &sections, &inline, receivers).unwrap());
                 }
@@ -1668,7 +1685,7 @@ mod tests {
             attempt: 0,
             query: 0,
             task: WorkerTask::Noop,
-            edges: vec![addrs],
+            edges: vec![InEdge { senders: addrs, bounds: Vec::new() }],
             children: Vec::new(),
             result_queue: "results".to_string(),
         }
@@ -1714,8 +1731,7 @@ mod tests {
             async move {
                 let start = cloud.handle.now();
                 invoke_workers(&cloud, &function, payloads).await.unwrap();
-                let collected =
-                    collect_results(&cloud, &config, "results", 40, &[], start, &None).await;
+                let collected = collect_results(&cloud, &config, "results", 40, &[], start).await;
                 (collected.unwrap().results.len(), cloud.handle.now())
             }
         });
@@ -1728,5 +1744,68 @@ mod tests {
         let sqs_median = cloud.config.sqs.latency_median.as_secs_f64();
         assert!(lag < 2.0 * sqs_median, "collected {lag} s after the last report");
         assert_eq!(sim.pending_timers(), 0, "the dropped polls cancelled their timers");
+    }
+
+    /// A sort-edge report of `blocks` ten-byte file blocks and `starts`.
+    fn block_report(blocks: usize, starts: Option<Vec<u8>>) -> WorkerResult {
+        let sections = vec![Section { len: 10, wire: Wire::File }; blocks];
+        let (rows, bytes, inline) = (1, 10 * blocks as u64, Bytes::new());
+        let payload = ResultPayload::Sections { rows, bytes, sections, inline, starts };
+        WorkerResult::ok(0, payload, WorkerMetrics::default())
+    }
+
+    /// One encoded key column, the shape of a producer's starts.
+    fn starts(column: Column) -> Option<Vec<u8>> {
+        let batch = RecordBatch::from_columns(&["k0"], vec![column]).unwrap();
+        Some(crate::partition::encode_batches(&[batch]).unwrap())
+    }
+
+    /// The driver checks a sort edge's starts before it picks a boundary
+    /// from them: one row more than the blocks, of the sort keys' types,
+    /// in sort order, and only on an edge that cuts blocks — anything
+    /// else is a typed error. A damaged tag-7 message, cut anywhere or
+    /// with any bit flipped, decodes to an error or to a report the
+    /// driver checks, never to a panic.
+    #[test]
+    fn malformed_starts_are_typed_errors_at_the_driver() {
+        let schema = Schema::arc(vec![Field::new("k", DataType::Int64)]);
+        let keys = vec![SortKey::asc(lambada_engine::col(0))];
+        let edge = SortEdgeSpec { keys, limit: None, schema, partitions: 2 };
+        let tables = |report: WorkerResult, sort| section_tables(&[report], 2, sort);
+        let good = || block_report(2, starts(Column::I64(vec![1, 5, 9])));
+        let edges = tables(good(), Some(&edge)).unwrap();
+        assert_eq!(edges[0].bounds, vec![vec![Scalar::Int64(5)]], "the pool is 1 and 5");
+        let at = |r: usize| edges[r].senders[0].at.clone();
+        assert_eq!(
+            (at(0), at(1)),
+            (At::File { offset: 0, len: 10 }, At::File { offset: 0, len: 20 })
+        );
+
+        for (what, report, sort) in [
+            ("a row short", block_report(2, starts(Column::I64(vec![1, 5]))), Some(&edge)),
+            ("other types", block_report(2, starts(Column::F64(vec![1.0, 5.0, 9.0]))), Some(&edge)),
+            ("out of order", block_report(2, starts(Column::I64(vec![5, 1, 9]))), Some(&edge)),
+            ("blocks without starts", block_report(2, None), Some(&edge)),
+            ("starts on an edge of no blocks", good(), None),
+        ] {
+            let err = tables(report, sort);
+            assert!(matches!(err, Err(CoreError::Format(_))), "{what}: {err:?}");
+        }
+        assert_eq!(tables(block_report(0, None), Some(&edge)).unwrap()[1].senders.len(), 1);
+
+        let bytes = good().encode();
+        let mut damaged = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(report) = WorkerResult::decode(&damaged) {
+                let _ = tables(report, Some(&edge));
+            }
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..bytes.len() {
+            if let Ok(report) = WorkerResult::decode(&bytes[..cut]) {
+                let _ = tables(report, Some(&edge));
+            }
+        }
     }
 }

@@ -47,15 +47,13 @@
 //!
 //! # Discovery among running peers
 //!
-//! Where the peers of an exchange run at once — Algorithm 1's rounds
-//! ([`run_exchange`]) and a sort edge's sample barrier — nobody can
-//! address them, so receivers discover copies (`await_copies`): LIST
-//! polls with back-off, collapsed to one copy per sender by a
-//! deterministic highest-attempt-wins rule. Algorithm 1's files carry
-//! the per-receiver byte offsets in their *name*
+//! Algorithm 1's rounds ([`run_exchange`]) are the one exchange whose
+//! peers run at once, so nobody can address them: receivers discover
+//! copies (`await_copies`) by LIST polls with back-off, collapsed to one
+//! copy per sender by a deterministic highest-attempt-wins rule. The
+//! files carry the per-receiver byte offsets in their *name*
 //! (`snd{p}a{attempt}.{rcv}_{len}...`), which lets a receiver turn one
-//! LIST into ranged GETs without touching file contents (§4.4.3); a
-//! sample file holds one section and is read whole.
+//! LIST into ranged GETs without touching file contents (§4.4.3).
 //!
 //! Payloads are either real bytes (tests, small-scale validation) or
 //! modeled sizes ([`PartData::Modeled`]) for paper-scale runs; modeled
@@ -71,7 +69,7 @@ use std::time::Duration;
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_sim::services::object_store::{Body, Bytes, S3Client};
 use lambada_sim::sync::{join_all, Semaphore};
-use lambada_sim::{P2pService, SimHandle};
+use lambada_sim::SimHandle;
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
@@ -282,20 +280,22 @@ pub fn encode_bundle_into(
     Ok(((out.len() - before) as u64, None))
 }
 
-/// Decode one receiver's section of an exchange file back into
-/// `(destination, payload)` parts; synthetic bodies reconstitute from
-/// the side-channel `side_sizes`.
+/// Decode one receiver's section of an exchange file — one bundle, or
+/// several back to back (a sort-edge address spanning blocks) — back
+/// into `(destination, payload)` parts; synthetic bodies reconstitute
+/// from the side-channel `side_sizes`.
 pub fn decode_bundle(body: Body, side_sizes: Vec<(u32, u64)>) -> Result<Vec<(u32, PartData)>> {
     match body {
         Body::Real(bytes) => {
             let mut r = BinReader::new(&bytes);
-            let n = r.varint().map_err(|e| CoreError::Format(e.to_string()))?;
+            let corrupt = |e: lambada_format::FormatError| CoreError::Format(e.to_string());
             // Pushed as they decode, never reserved from the claimed count.
             let mut out = Vec::new();
-            for _ in 0..n {
-                let dest = r.varint().map_err(|e| CoreError::Format(e.to_string()))? as u32;
-                let data = r.bytes().map_err(|e| CoreError::Format(e.to_string()))?.to_vec();
-                out.push((dest, PartData::Real(data)));
+            while !r.is_exhausted() {
+                for _ in 0..r.varint().map_err(corrupt)? {
+                    let dest = r.varint().map_err(corrupt)? as u32;
+                    out.push((dest, PartData::Real(r.bytes().map_err(corrupt)?.to_vec())));
+                }
             }
             Ok(out)
         }
@@ -384,8 +384,8 @@ fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
 /// **The one write.** Assemble one sender's write-combined file — one
 /// bundle per receiver, back to back — and PUT it under `prefix` in
 /// `bucket`: an object-store stage-edge send (all receivers), a direct
-/// send's fallback (the receivers whose p2p links failed), a sample of
-/// the sort barrier and each write-combined Algorithm-1 round. `entries`
+/// send's fallback (the receivers whose p2p links failed), a sort-edge
+/// producer's blocks and each write-combined Algorithm-1 round. `entries`
 /// must be sorted by receiver id; a receiver with no parts gets a
 /// zero-length section (it learns there is nothing to fetch) and no
 /// bytes. With `named`, the section lengths also ride in the key, for
@@ -435,11 +435,11 @@ pub(crate) async fn put_combined(
 }
 
 /// Request accounting of one stage-edge receive
-/// ([`crate::transport::EdgeTransport::recv`], with or without a mailbox)
-/// or of one pass of the sort-sample barrier.
+/// ([`crate::transport::EdgeTransport::recv`], with or without a
+/// mailbox). The driver addresses every receiver, so a receive lists
+/// nothing and waits for nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EdgeReadStats {
-    pub list_requests: u64,
     pub get_requests: u64,
     pub bytes_read: u64,
     /// Messages fetched over the p2p relay instead of the object store
@@ -447,10 +447,6 @@ pub struct EdgeReadStats {
     pub p2p_requests: u64,
     /// Payload bytes received over the p2p relay.
     pub p2p_bytes: u64,
-    /// Virtual seconds this receiver spent blocked in discovery polls
-    /// before every peer's section was visible: billed worker time, 0 on
-    /// an addressed stage edge (only the sample barrier discovers).
-    pub wait_secs: f64,
 }
 
 /// Where a receiver looks for some of its senders: the files under
@@ -481,19 +477,13 @@ impl Place {
     }
 }
 
-/// A receiver's p2p endpoint: the free path copies may arrive on.
-pub(crate) struct Mailbox {
-    pub p2p: P2pService,
-    pub endpoint: Rc<str>,
-}
-
 /// Side-channel key carrying the modeled-bundle composition of one p2p
 /// message (the analogue of a store copy's `bucket/key`).
 pub(crate) fn p2p_side_key(endpoint: &str, sender: usize, attempt: u32) -> String {
     format!("p2p/{endpoint}/snd{sender}a{attempt}")
 }
 
-/// Where a discovered copy sits.
+/// Where a copy sits.
 pub(crate) enum CopyAt {
     /// In the receiver's mailbox at this endpoint.
     Mailbox(Rc<str>),
@@ -504,7 +494,7 @@ pub(crate) enum CopyAt {
     Inline(Bytes),
 }
 
-/// One sender's discovered copy of what it holds for this receiver.
+/// One sender's copy of what it holds for this receiver.
 pub(crate) struct Copy {
     pub sender: usize,
     pub attempt: u32,
@@ -514,11 +504,9 @@ pub(crate) struct Copy {
 }
 
 /// Discovery's dedup rule: keep the highest attempt per sender, so a
-/// speculative backup's copy is never combined with its original's. The
-/// first copy seen wins a tie, and every pass reads the mailbox first —
-/// the direct copy is the same bytes without a GET. (An addressed stage
-/// edge needs no rule here: the driver addresses the attempt whose
-/// report it kept.)
+/// speculative backup's copy is never combined with its original's; the
+/// first copy seen wins a tie. (An addressed stage edge needs no rule
+/// here: the driver addresses the attempt whose report it kept.)
 fn offer(best: &mut BTreeMap<usize, Copy>, copy: Copy) {
     let attempt = copy.attempt;
     match best.get(&copy.sender) {
@@ -533,32 +521,23 @@ fn complete(place: &Place, best: &BTreeMap<usize, Copy>) -> bool {
     place.senders.iter().all(|s| best.contains_key(s))
 }
 
-/// One discovery pass: the free mailbox arrivals, then — with `list` —
-/// one LIST of every place that still misses a sender. The LISTs of a
-/// pass are in flight together (one first-byte latency, not one per
-/// bucket) and their listings are offered in place order, so the copies
-/// chosen are those of a one-by-one pass; the first failed listing in
-/// place order is the error. `section_for` names the receiver whose
-/// section of each write-combined file is the copy (a file without one
-/// is no copy of anything for it); `None` takes whole objects. Returns
-/// the LISTs spent.
+/// One discovery pass: one LIST of every place that still misses a
+/// sender. The LISTs of a pass are in flight together (one first-byte
+/// latency, not one per bucket) and their listings are offered in place
+/// order, so the copies chosen are those of a one-by-one pass; the first
+/// failed listing in place order is the error. `section_for` names the
+/// receiver whose section of each write-combined file is the copy (a
+/// file without one is no copy of anything for it); `None` takes whole
+/// objects. Returns the LISTs spent.
 pub(crate) async fn discover(
     handle: &SimHandle,
     s3: &S3Client,
-    mailbox: Option<&Mailbox>,
     places: &[Place],
     section_for: Option<usize>,
-    list: bool,
     best: &mut BTreeMap<usize, Copy>,
 ) -> Result<u64> {
-    if let Some(m) = mailbox {
-        for (sender, attempt, len) in m.p2p.arrivals(&m.endpoint).unwrap_or_default() {
-            let at = CopyAt::Mailbox(Rc::clone(&m.endpoint));
-            offer(best, Copy { sender: sender as usize, attempt, len, at });
-        }
-    }
     let mut listings = Vec::new();
-    for place in places.iter().filter(|p| list && !complete(p, best)) {
+    for place in places.iter().filter(|p| !complete(p, best)) {
         let (s3, bucket, prefix) = (s3.clone(), place.bucket.clone(), place.prefix.clone());
         listings.push((place, handle.spawn(async move { s3.list(&bucket, &prefix).await })));
     }
@@ -580,58 +559,22 @@ pub(crate) async fn discover(
     Ok(lists)
 }
 
-/// Rounds a barrier receiver with a registered mailbox polls it alone
-/// before it starts paying for fallback LISTs as well. A healthy direct
-/// barrier never touches the store; LISTs are billed only once a copy is
-/// plausibly late.
-const FALLBACK_GRACE_POLLS: usize = 3;
-
-/// How one pass of [`await_copies`] visits its places.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Pass {
-    /// All LISTs of the pass in flight together: one first-byte latency
-    /// for an edge whose senders have written.
-    Together,
-    /// One place after the other, for a barrier among running peers (a
-    /// sort edge's sample pool): the peers write within a few first-byte
-    /// latencies of each other, so a pass that takes that long finds them
-    /// all, where a single round would miss the late ones and pay a
-    /// back-off — `2 × poll_interval`, more than a whole pass over
-    /// `num_buckets` places — plus a second LIST of each.
-    OneByOne,
-}
-
-/// **The one wait**, for peers that run at once (the sample barrier,
-/// Algorithm 1's rounds): poll until every sender of every place has a
-/// copy — one [`discover`] pass per round, the mailbox alone while it is
-/// registered and in its grace rounds — then back off, or time out with
-/// the number of senders still missing. Returns one copy per expected
-/// sender in sender order, and the LISTs spent.
+/// **The one wait**, for Algorithm 1's peers, which run at once: poll
+/// until every sender of every place has a copy — one [`discover`] pass
+/// per round — then back off, or time out with the number of senders
+/// still missing. Returns one copy per expected sender in sender order,
+/// and the LISTs spent.
 pub(crate) async fn await_copies(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
-    mailbox: Option<&Mailbox>,
     places: &[Place],
     section_for: Option<usize>,
-    pass: Pass,
 ) -> Result<(Vec<Copy>, u64)> {
     let wait_start = env.cloud.handle.now();
-    // An unregistered mailbox (rendezvous capacity exhausted) means every
-    // sender fell back for this receiver: no grace.
-    let registered = mailbox.is_some_and(|m| m.p2p.is_registered(&m.endpoint));
     let mut best = BTreeMap::new();
     let (mut lists, mut polls) = (0u64, 0usize);
     loop {
-        let list = !registered || polls >= FALLBACK_GRACE_POLLS;
-        let at_once = match pass {
-            Pass::Together => places.len().max(1),
-            Pass::OneByOne => 1,
-        };
-        for round in places.chunks(at_once) {
-            lists +=
-                discover(&env.cloud.handle, &env.s3, mailbox, round, section_for, list, &mut best)
-                    .await?;
-        }
+        lists += discover(&env.cloud.handle, &env.s3, places, section_for, &mut best).await?;
         if places.iter().all(|p| complete(p, &best)) {
             let mut copies: Vec<Copy> =
                 places.iter().flat_map(|p| &p.senders).filter_map(|s| best.remove(s)).collect();
@@ -711,8 +654,10 @@ fn backoff(base: Duration, polls: usize) -> Duration {
     base * factor
 }
 
-/// Run one worker's side of the exchange. `parts[d]` is the data this
-/// worker holds for final partition `d` (length must equal `total`).
+/// Run worker `p`'s side of the exchange among `total` workers.
+/// `parts[d]` is the data this worker holds for final partition `d`; a
+/// worker outside the exchange, or a part list of another length, is a
+/// typed error.
 pub async fn run_exchange(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
@@ -721,7 +666,11 @@ pub async fn run_exchange(
     parts: Vec<PartData>,
     side: &ExchangeSide,
 ) -> Result<ExchangeOutcome> {
-    assert_eq!(parts.len(), total, "one part per destination worker");
+    if p >= total || parts.len() != total {
+        let held = parts.len();
+        let task = format!("worker {p} holding {held} parts of a {total}-worker exchange");
+        return Err(CoreError::Engine(task));
+    }
     let conn = Semaphore::new(16);
     let mut held: Vec<(u32, PartData)> =
         parts.into_iter().enumerate().map(|(d, data)| (d as u32, data)).collect();
@@ -794,8 +743,7 @@ pub async fn run_exchange(
             let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
             (vec![Place { bucket, prefix, senders: round.senders.clone() }], None)
         };
-        let (copies, _) =
-            await_copies(env, cfg, None, &places, section_for, Pass::Together).await?;
+        let (copies, _) = await_copies(env, cfg, &places, section_for).await?;
         let wait_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 

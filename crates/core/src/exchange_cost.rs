@@ -57,52 +57,28 @@ pub fn request_counts(algo: ExchangeAlgo, write_combining: bool, p: f64) -> Requ
     RequestCounts { reads, writes, lists, scans: algo.levels() }
 }
 
-/// The `listed_buckets` of an addressed stage edge: the driver hands
-/// every receiver the address of each sender's section, so no receiver
-/// lists anything.
-pub const ADDRESSED: f64 = 0.0;
-
 /// Request counts of one *stage edge* exchange (producer fleet →
 /// consumer fleet, always write-combined): `senders` PUTs (one combined
-/// file per producer), at most one ranged GET per (sender, receiver)
+/// file per producer) and at most one ranged GET per (sender, receiver)
 /// pair holding data — empty sections are skipped, so measurements come
-/// in at or under this bound — and, where receivers discover the files
-/// themselves, one LIST pass per receiver over the `listed_buckets` the
-/// senders shard across: the sort-sample barrier, whose peers all run
-/// at once. An addressed edge passes [`ADDRESSED`] and lists nothing.
-pub fn stage_edge_counts(senders: f64, receivers: f64, listed_buckets: f64) -> RequestCounts {
-    RequestCounts {
-        reads: senders * receivers,
-        writes: senders,
-        lists: receivers * listed_buckets.min(senders),
-        scans: 1,
-    }
+/// in at or under this bound. No LIST: the driver hands every receiver
+/// the address of each sender's section.
+pub fn stage_edge_counts(senders: f64, receivers: f64) -> RequestCounts {
+    RequestCounts { reads: senders * receivers, writes: senders, lists: 0.0, scans: 1 }
 }
 
-/// Request counts of one stage edge on the *direct* transport: discovery
-/// and data movement ride the p2p rendezvous/relay (free of object-store
-/// requests), so S3 is touched only for the `fallback_receivers` whose
-/// endpoints were unreachable — one combined fallback file per sender,
-/// one ranged GET per (sender, fallback receiver) pair, and — where
-/// receivers discover the files — LIST passes by the fallback receivers
-/// only (none on an addressed edge, [`ADDRESSED`]). With zero fallback
-/// the edge costs no S3 requests at all; with every receiver on fallback
-/// it degenerates to exactly [`stage_edge_counts`].
-pub fn direct_edge_counts(
-    senders: f64,
-    _receivers: f64,
-    fallback_receivers: f64,
-    listed_buckets: f64,
-) -> RequestCounts {
+/// Request counts of one stage edge on the *direct* transport: data
+/// rides the p2p relay (free of object-store requests), so S3 is
+/// touched only for the `fallback_receivers` whose endpoints were
+/// unreachable — one combined fallback file per sender and one ranged
+/// GET per (sender, fallback receiver) pair. With zero fallback the edge
+/// costs no S3 requests at all; with every receiver on fallback it
+/// degenerates to exactly [`stage_edge_counts`].
+pub fn direct_edge_counts(senders: f64, fallback_receivers: f64) -> RequestCounts {
     if fallback_receivers == 0.0 {
         return RequestCounts { reads: 0.0, writes: 0.0, lists: 0.0, scans: 1 };
     }
-    RequestCounts {
-        reads: senders * fallback_receivers,
-        writes: senders,
-        lists: fallback_receivers * listed_buckets.min(senders),
-        scans: 1,
-    }
+    stage_edge_counts(senders, fallback_receivers)
 }
 
 /// Dollar cost of the S3 requests of one exchange (the bars of Fig 9).
@@ -150,20 +126,17 @@ mod tests {
     #[test]
     fn direct_edge_bounds() {
         // Fully direct: the edge is free of S3 requests.
-        let free = direct_edge_counts(128.0, 64.0, 0.0, 16.0);
+        let free = direct_edge_counts(128.0, 0.0);
         assert_eq!((free.reads, free.writes, free.lists), (0.0, 0.0, 0.0));
         assert_eq!(free.scans, 1);
         // Fully fallen back: identical to the baseline edge.
-        let full = direct_edge_counts(128.0, 64.0, 64.0, 16.0);
-        assert_eq!(full, stage_edge_counts(128.0, 64.0, 16.0));
-        // Partial fallback sits strictly between.
-        let part = direct_edge_counts(128.0, 64.0, 8.0, 16.0);
+        let full = direct_edge_counts(128.0, 64.0);
+        assert_eq!(full, stage_edge_counts(128.0, 64.0));
+        assert_eq!((full.reads, full.writes, full.lists), (128.0 * 64.0, 128.0, 0.0));
+        // Partial fallback sits strictly between; nothing ever lists.
+        let part = direct_edge_counts(128.0, 8.0);
         assert!(part.reads > 0.0 && part.reads < full.reads);
-        assert!(part.lists > 0.0 && part.lists < full.lists);
-        // Addressed, neither lists anything; reads and writes stay.
-        let addressed = stage_edge_counts(128.0, 64.0, ADDRESSED);
-        assert_eq!((addressed.reads, addressed.writes, addressed.lists), (full.reads, 128.0, 0.0));
-        assert_eq!(direct_edge_counts(128.0, 64.0, 8.0, ADDRESSED).lists, 0.0);
+        assert_eq!(part.lists, 0.0);
     }
 
     #[test]

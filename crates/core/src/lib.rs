@@ -79,7 +79,7 @@ pub use exchange::{
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,
-    RequestCounts, ADDRESSED,
+    RequestCounts,
 };
 pub use invoke::{invoke_backups, invoke_workers, invoke_workers_as, InvocationStrategy};
 pub use message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
@@ -94,13 +94,14 @@ pub use streaming::{
 };
 pub use table::{TableFile, TableSpec};
 pub use transport::{
-    address_sections, EdgeTransport, EdgeWriteStats, Section, SectionAddr, TransportKind, Wire,
+    address_sections, EdgeTransport, EdgeWriteStats, InEdge, Section, SectionAddr, TransportKind,
+    Wire,
 };
 pub use verify::{
     verify_dag, verify_fleets, verify_fused, verify_stream, Diagnostic, MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, sample_channel,
-    EdgeRead, ExchangeTask, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
-    WorkerPayload, WorkerTask,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, EdgeRead,
+    ExchangeTask, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
+    WorkerTask,
 };

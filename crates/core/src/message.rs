@@ -65,7 +65,9 @@ pub struct WorkerMetrics {
     pub bytes_written: u64,
     /// PUT requests issued (exchange writes, result uploads).
     pub put_requests: u64,
-    /// LIST requests issued (sort-sample barrier discovery polls).
+    /// LIST requests issued: 0 on a query stage, whose in-edges the
+    /// driver addresses (only an Algorithm-1 exchange,
+    /// [`crate::exchange::run_exchange`], discovers by LIST).
     pub list_requests: u64,
     /// Rows exchanged to the consumer stage (hash-partition fragments) or
     /// received from producer stages (join workers).
@@ -77,8 +79,8 @@ pub struct WorkerMetrics {
     /// Whether this invocation was a cold start.
     pub cold_start: bool,
     /// Virtual seconds spent blocked in exchange discovery polls waiting
-    /// for peers' sections to appear — billed worker time; 0 on an
-    /// addressed stage edge, so only a sort-sample barrier shows here.
+    /// for peers' sections to appear — billed worker time; 0 on a query
+    /// stage, whose in-edges the driver addresses, so nothing waits.
     pub exchange_wait_secs: f64,
 }
 
@@ -159,8 +161,9 @@ pub const SECTION_BYTES: usize = 11;
 
 /// The payload of a successful worker.
 ///
-/// Wire stability: variants encode by fixed tag (0–6; `Exchanged` is 4
-/// and errors are 3); tags are frozen once assigned. New payload kinds take the
+/// Wire stability: variants encode by fixed tag (0–7; `Exchanged` is 4,
+/// errors are 3, and a section table with starts is 7 — tag 6's fields,
+/// then the starts); tags are frozen once assigned. New payload kinds take the
 /// next free tag — never reuse one, a mixed-version fleet would
 /// misparse old results. The `AggState` encoding
 /// ([`lambada_engine::agg::GroupedAggState::encode`]) is additionally
@@ -189,8 +192,18 @@ pub enum ResultPayload {
     /// what it hands every consumer worker so no receiver lists storage.
     /// `inline` holds the [`Wire::Inline`] sections back to back; it ends
     /// the message, after the fused members, and a message from an older
-    /// encoder, which ends before it, decodes with none.
-    Sections { rows: u64, bytes: u64, sections: Vec<Section>, inline: Bytes },
+    /// encoder, which ends before it, decodes with none. On a sort edge
+    /// of several ranges the sections are the blocks of the sender's
+    /// sorted run, and `starts` (encoded key columns,
+    /// [`crate::partition::encode_batches`]) holds each block's first
+    /// sort key and then the run's last.
+    Sections {
+        rows: u64,
+        bytes: u64,
+        sections: Vec<Section>,
+        inline: Bytes,
+        starts: Option<Vec<u8>>,
+    },
 }
 
 /// One message on the result queue.
@@ -358,14 +371,17 @@ fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
             w.bytes(bytes);
         }
         // The inline blob goes at the end of the message.
-        ResultPayload::Sections { rows, bytes, sections, inline: _ } => {
-            w.u8(6);
+        ResultPayload::Sections { rows, bytes, sections, inline: _, starts } => {
+            w.u8(if starts.is_some() { 7 } else { 6 });
             w.varint(*rows);
             w.varint(*bytes);
             w.varint(sections.len() as u64);
             for s in sections {
                 w.varint(s.len);
                 w.u8(s.wire as u8);
+            }
+            if let Some(starts) = starts {
+                w.bytes(starts);
             }
         }
     }
@@ -385,7 +401,7 @@ fn decode_payload(
         2 => ResultPayload::Empty,
         4 => ResultPayload::Exchanged { rows: r.varint()?, bytes: r.varint()? },
         5 => ResultPayload::InlineBatches { rows: r.varint()?, bytes: r.bytes()?.to_vec() },
-        6 => {
+        6 | 7 => {
             let (rows, bytes, count) = (r.varint()?, r.varint()?, r.varint()?);
             // Pushed as they decode, never reserved from the claimed count.
             let mut sections = Vec::new();
@@ -399,7 +415,8 @@ fn decode_payload(
                 };
                 sections.push(Section { len, wire });
             }
-            ResultPayload::Sections { rows, bytes, sections, inline: Bytes::new() }
+            let starts = if tag == 7 { Some(r.bytes()?.to_vec()) } else { None };
+            ResultPayload::Sections { rows, bytes, sections, inline: Bytes::new(), starts }
         }
         other => return Err(FormatError::Corrupt(format!("unknown result tag {other}"))),
     })
@@ -489,8 +506,9 @@ mod tests {
             Section { len: 1 << 40, wire: Wire::Mailbox },
             Section { len: 0, wire: Wire::File },
         ];
+        let inline = Bytes::new();
         let payload =
-            ResultPayload::Sections { rows: 77, bytes: 300, sections, inline: Bytes::new() };
+            ResultPayload::Sections { rows: 77, bytes: 300, sections, inline, starts: None };
         WorkerResult::ok(2, payload, metrics()).with_attempt(1)
     }
 
@@ -500,18 +518,53 @@ mod tests {
         let inline = |len| Section { len, wire: Wire::Inline };
         let sections = vec![inline(3), Section { len: 0, wire: Wire::File }, inline(2)];
         let blob = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let payload = ResultPayload::Sections { rows: 9, bytes: 5, sections, inline: blob };
+        let payload =
+            ResultPayload::Sections { rows: 9, bytes: 5, sections, inline: blob, starts: None };
         let head = (ResultPayload::Exchanged { rows: 40, bytes: 0 }, metrics());
         WorkerResult { fused: vec![head], ..WorkerResult::ok(3, payload, metrics()) }
     }
 
+    /// A sort-edge producer's report: two inline blocks and the starts.
+    fn starts_result() -> WorkerResult {
+        let sections = vec![Section { len: 2, wire: Wire::Inline }; 2];
+        let starts = Some(vec![9; 40]);
+        let inline = Bytes::from(vec![1, 2, 3, 4]);
+        let payload = ResultPayload::Sections { rows: 6, bytes: 4, sections, inline, starts };
+        WorkerResult::ok(5, payload, metrics())
+    }
+
     #[test]
     fn section_table_result_roundtrips() {
-        for msg in [sections_result(), inline_result()] {
+        for msg in [sections_result(), inline_result(), starts_result()] {
             assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
         }
         let bytes = inline_result().encode();
         assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends the message");
+    }
+
+    /// A table without starts is tag 6, byte for byte; one with starts is
+    /// tag 7: the same bytes up to the table's end, then the starts.
+    #[test]
+    fn starts_take_tag_7_after_tag_6s_fields() {
+        let with = starts_result();
+        let Ok(ResultPayload::Sections { rows, bytes, sections, inline, .. }) = &with.outcome
+        else {
+            unreachable!()
+        };
+        let without = ResultPayload::Sections {
+            rows: *rows,
+            bytes: *bytes,
+            sections: sections.clone(),
+            inline: inline.clone(),
+            starts: None,
+        };
+        let (a, b) = (WorkerResult::ok(5, without, metrics()).encode(), with.encode());
+        // Worker id, attempt, then the tag; the table is 1 + 1 + 1 + 2 × 2.
+        assert_eq!((a[2], b[2]), (6, 7));
+        let table = 3 + 7;
+        assert_eq!(a[3..table], b[3..table]);
+        assert_eq!(b[table..table + 41], [&[40][..], &[9; 40]].concat()[..]);
+        assert_eq!(a[table..], b[table + 41..], "metrics, members and blob follow alike");
     }
 
     #[test]
@@ -550,8 +603,8 @@ mod tests {
     /// Every truncation of a message is an error — except exactly where
     /// an older encoder ended its message (before the fused members,
     /// before `exchange_wait_secs`), which decodes to what that encoder
-    /// would have sent. No older encoder wrote inline sections, so a
-    /// message with a blob has no such end.
+    /// would have sent. No older encoder wrote inline sections or starts,
+    /// so a message with a blob or starts has no such end.
     #[test]
     fn every_truncation_is_an_error_except_an_older_encoders_end() {
         let stored =
@@ -560,12 +613,14 @@ mod tests {
             chain_result(),
             sections_result(),
             inline_result(),
+            starts_result(),
             WorkerResult::error(3, "out of memory", metrics()),
             WorkerResult::ok(1, stored, metrics()),
         ] {
             let bytes = msg.encode();
             let unfused = WorkerResult { fused: Vec::new(), ..msg.clone() };
-            let old = !matches!(&msg.outcome, Ok(ResultPayload::Sections { inline, .. }) if !inline.is_empty());
+            let old = !matches!(&msg.outcome, Ok(ResultPayload::Sections { inline, starts, .. })
+                if !inline.is_empty() || starts.is_some());
             let before_fused = unfused.encode().len() - 1;
             let before_wait = before_fused - 8;
             for cut in 0..bytes.len() {
@@ -587,7 +642,7 @@ mod tests {
     /// never to a panic.
     #[test]
     fn every_single_bit_flip_decodes_or_errs_without_panicking() {
-        for msg in [chain_result(), sections_result(), inline_result()] {
+        for msg in [chain_result(), sections_result(), inline_result(), starts_result()] {
             let bytes = msg.encode();
             let mut damaged = bytes.clone();
             let mut errors = 0;
@@ -635,11 +690,24 @@ mod tests {
 
         // Inline sections claiming 2^40 bytes over a three-byte blob.
         let huge = vec![Section { len: 1 << 40, wire: Wire::Inline }];
+        let inline = Bytes::new();
         let payload =
-            ResultPayload::Sections { rows: 1, bytes: 3, sections: huge, inline: Bytes::new() };
+            ResultPayload::Sections { rows: 1, bytes: 3, sections: huge, inline, starts: None };
         let mut bytes = WorkerResult::ok(1, payload, metrics()).encode();
         bytes.extend([1, 2, 3]);
         assert!(WorkerResult::decode(&bytes).is_err());
+
+        // Starts claiming 2^40 bytes over an empty table.
+        let mut w = BinWriter::new();
+        w.varint(1);
+        w.varint(0);
+        w.u8(7);
+        w.varint(0);
+        w.varint(0);
+        w.varint(0);
+        w.varint(1 << 40);
+        w.raw(&[9; 8]);
+        assert!(WorkerResult::decode(&w.into_bytes()).is_err());
     }
 
     /// The blob is exactly as long as the table's inline sections claim:

@@ -24,7 +24,7 @@ use std::cell::{Cell, RefCell};
 use lambada_sim::sync::{Notified, Notify};
 
 use crate::stage::QueryDag;
-use crate::transport::SectionAddr;
+use crate::transport::InEdge;
 
 /// Shared completion scoreboard one query's fleet futures coordinate
 /// through. Single-threaded (the driver's futures all run on the
@@ -34,10 +34,10 @@ use crate::transport::SectionAddr;
 pub struct StageBoard {
     /// Each stage's inputs, in [`crate::stage::StageKind::inputs`] order.
     inputs: Vec<Vec<usize>>,
-    /// `Some` once the stage completed: per sender, one address per
-    /// receiver of its out-edge (empty for a stage whose out-edge no
+    /// `Some` once the stage completed: per receiver of its out-edge,
+    /// where it finds that edge (empty for a stage whose out-edge no
     /// consumer reads through the transport).
-    written: Vec<RefCell<Option<Vec<Vec<SectionAddr>>>>>,
+    written: Vec<RefCell<Option<Vec<InEdge>>>>,
     failed: Cell<bool>,
     notify: Notify,
 }
@@ -64,11 +64,12 @@ impl StageBoard {
     }
 
     /// Stage `sid` finished, its output edge is fully written, and
-    /// `written[s][r]` is where receiver `r` finds sender `s`'s section
-    /// of it — the addresses of the first report per worker, the one the
-    /// driver kept. Inline sections are views of that report's blob,
-    /// shared by every address, never copied per receiver.
-    pub fn complete(&self, sid: usize, written: Vec<Vec<SectionAddr>>) {
+    /// `written[r]` is where receiver `r` finds it: each sender's section
+    /// — the addresses of the first report per worker, the one the driver
+    /// kept — and its range's boundaries, if any. Inline sections are
+    /// views of that report's blob, shared by every address, never copied
+    /// per receiver.
+    pub fn complete(&self, sid: usize, written: Vec<InEdge>) {
         if let Some(cell) = self.written.get(sid) {
             *cell.borrow_mut() = Some(written);
         }
@@ -78,14 +79,14 @@ impl StageBoard {
     /// Where worker `receiver` of stage `sid` finds its sections: per
     /// input, one address per sender — O(senders) per input, never the
     /// whole table. Asked only once `sid` is [`Self::ready`], when every
-    /// input completed with one address per worker of `sid`'s fleet: an
+    /// input completed with an entry per worker of `sid`'s fleet: an
     /// edge's partition count is its consumer fleet's size
-    /// (`V-FLEET-004`), and [`crate::transport::address_sections`] held
-    /// every table to it.
-    pub fn addresses(&self, sid: usize, receiver: usize) -> Vec<Vec<SectionAddr>> {
-        let address = |&input: &usize| -> Vec<SectionAddr> {
+    /// (`V-FLEET-004`). An input whose output no consumer reads through
+    /// the transport addresses nothing.
+    pub fn addresses(&self, sid: usize, receiver: usize) -> Vec<InEdge> {
+        let address = |&input: &usize| -> InEdge {
             let written = self.written[input].borrow();
-            written.iter().flatten().map(|table| table[receiver].clone()).collect()
+            written.as_ref().and_then(|w| w.get(receiver)).cloned().unwrap_or_default()
         };
         self.inputs[sid].iter().map(address).collect()
     }
@@ -110,7 +111,7 @@ impl StageBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::At;
+    use crate::transport::{At, SectionAddr};
     use crate::verify::test_dags::{
         diamond_dag, scan_sort_dag, single_scan_dag, two_scan_join_dag, unbalanced_join_dag,
     };
@@ -151,22 +152,24 @@ mod tests {
             let board = StageBoard::new(&dag);
             for sid in (0..dag.stages.len()).filter(|&sid| dag.stages[sid].inputs().is_empty()) {
                 assert!(board.ready(sid), "source {sid} waits on nothing");
-                assert_eq!(board.addresses(sid, 0), Vec::<Vec<SectionAddr>>::new());
+                assert_eq!(board.addresses(sid, 0), Vec::<InEdge>::new());
             }
         }
     }
 
     /// Worker `r` of a consumer gets one address per sender of each of
-    /// its inputs: the column `r` of every sender's table.
+    /// its inputs: entry `r` of every input's per-receiver table.
     #[test]
     fn the_board_addresses_each_receiver_from_its_inputs_tables() {
         let board = StageBoard::new(&diamond_dag());
+        let edge = |senders| InEdge { senders, bounds: Vec::new() };
         // Scan 0: two senders, two receivers; join 1 reads it as both
         // of its inputs.
-        board.complete(0, vec![vec![addr(0, 0), addr(0, 1)], vec![addr(1, 0), addr(1, 1)]]);
+        let written = vec![edge(vec![addr(0, 0), addr(1, 0)]), edge(vec![addr(0, 1), addr(1, 1)])];
+        board.complete(0, written);
         assert!(board.ready(1) && board.ready(2) && !board.ready(3));
-        assert_eq!(board.addresses(1, 1), vec![vec![addr(0, 1), addr(1, 1)]; 2]);
-        assert_eq!(board.addresses(2, 0), vec![vec![addr(0, 0), addr(1, 0)]; 2]);
-        assert_eq!(board.addresses(0, 0), Vec::<Vec<SectionAddr>>::new(), "a scan reads no edge");
+        assert_eq!(board.addresses(1, 1), vec![edge(vec![addr(0, 1), addr(1, 1)]); 2]);
+        assert_eq!(board.addresses(2, 0), vec![edge(vec![addr(0, 0), addr(1, 0)]); 2]);
+        assert_eq!(board.addresses(0, 0), Vec::<InEdge>::new(), "a scan reads no edge");
     }
 }

@@ -39,7 +39,7 @@ use lambada_sim::JoinHandle;
 
 use crate::driver::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport};
 use crate::error::Result;
-use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts, ADDRESSED};
+use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts};
 use crate::stage::QueryDag;
 use crate::transport::TransportKind;
 use crate::worker::SortEdgeSpec;
@@ -111,9 +111,8 @@ impl WorkerGate {
 
     /// High-water mark of [`WorkerGate::inflight`]. With fleet shrinking
     /// on, every fleet fits under the cap and this never exceeds it; a
-    /// fleet pinned larger than the cap is admitted whole (a partial
-    /// launch could deadlock fleets that synchronize internally, like a
-    /// sort fleet's sample barrier) and shows up here.
+    /// fleet pinned larger than the cap is admitted whole (a fleet
+    /// launches at once, see `run_fleet`) and shows up here.
     pub fn peak_inflight(&self) -> usize {
         self.peak.get()
     }
@@ -342,11 +341,6 @@ async fn admit_and_run(
 /// on top.
 const DIRECT_FALLBACK_HEADROOM: f64 = 0.25;
 
-/// LIST passes the estimate allows every receiver of a discovered
-/// exchange — the sort-sample barrier, whose peers run at once: one in
-/// the steady state, the rest for peers that write late.
-const DISCOVERY_PASSES: f64 = 8.0;
-
 /// The request envelope of one launch plan, before the margin.
 #[derive(Default)]
 struct Envelope {
@@ -372,22 +366,19 @@ impl Envelope {
 /// exchange edge is charged with [`stage_edge_counts`] — or, on the
 /// direct transport, with [`direct_edge_counts`] under the
 /// [`DIRECT_FALLBACK_HEADROOM`] fallback bound — and lists nothing: the
-/// driver addresses its receivers. A sort edge's sample barrier is an
-/// exchange among its producers, every one reading every sample, and
-/// discovers by LIST. Scans are charged a per-file metadata +
-/// column-chunk envelope.
+/// driver addresses its receivers. A sort edge of several ranges never
+/// streams, so it is charged as a stored edge on either transport.
+/// Scans are charged a per-file metadata + column-chunk envelope.
 fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
     let fleets = &launch.workers;
-    let buckets = cfg.exchange.num_buckets as f64;
-    // The S3 requests of an exchange from `senders` to `receivers`:
-    // every receiver touches the store on the store transport, the
-    // fallback fraction on the direct one.
-    let exchange = |senders: f64, receivers: f64, listed_buckets: f64| match cfg.transport {
-        TransportKind::ObjectStore => stage_edge_counts(senders, receivers, listed_buckets),
-        TransportKind::Direct => {
-            let fallback = (receivers * DIRECT_FALLBACK_HEADROOM).ceil();
-            direct_edge_counts(senders, receivers, fallback, listed_buckets)
+    // The S3 requests of an edge from `senders` to `receivers`: every
+    // receiver touches the store on the store transport or when the edge
+    // cannot stream, the fallback fraction otherwise.
+    let exchange = |senders: f64, receivers: f64, streams: bool| match cfg.transport {
+        TransportKind::Direct if streams => {
+            direct_edge_counts(senders, (receivers * DIRECT_FALLBACK_HEADROOM).ceil())
         }
+        _ => stage_edge_counts(senders, receivers),
     };
     let mut env = Envelope::default();
     for (pid, readers) in launch.edges.readers.iter().enumerate() {
@@ -405,12 +396,9 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         if launch.fused[pid] {
             continue;
         }
+        let streams = !launch.sort_edges[pid].as_ref().is_some_and(SortEdgeSpec::cuts_blocks);
         for consumer in readers.iter().filter_map(|r| r.stage) {
-            env.add(exchange(senders, fleets[consumer] as f64, ADDRESSED));
-        }
-        if launch.sort_edges[pid].as_ref().is_some_and(SortEdgeSpec::has_barrier) {
-            let barrier = exchange(senders, senders, buckets);
-            env.add(RequestCounts { lists: barrier.lists * DISCOVERY_PASSES, ..barrier });
+            env.add(exchange(senders, fleets[consumer] as f64, streams));
         }
     }
     let workers: usize = fleets.iter().sum();
@@ -443,27 +431,20 @@ mod tests {
     use super::*;
     use crate::verify::test_dags::{scan_sort_dag, sized};
 
-    /// Every producer of a sort edge reads every producer's sample, so
-    /// the barrier of 8 merge workers feeding 2 sorters is an 8 → 8
-    /// exchange: 64 GETs and a LIST of each of 8 buckets by each of 8
-    /// readers per pass — not the 2 sorters' 16 and 16.
+    /// A sort edge of several ranges is an edge like any other, listing
+    /// nothing, but it never streams: 8 merge workers feeding 2 sorters
+    /// are charged 8 PUTs and 8 × 2 GETs on both transports.
     #[test]
-    fn the_sample_barrier_is_charged_to_the_producers() {
+    fn a_sort_edge_of_several_ranges_is_charged_as_a_stored_edge() {
         let dag = scan_sort_dag();
         let launch = sized(&dag, vec![8, 2]);
-        let store = envelope(&launch, &LambadaConfig::default());
-        let edge = 8.0 * 2.0;
-        let (barrier_gets, barrier_lists) = (8.0 * 8.0, 8.0 * 8.0);
-        assert_eq!(store.gets, edge + barrier_gets);
-        assert_eq!(store.lists, barrier_lists * DISCOVERY_PASSES, "the edge itself lists nothing");
-        // Result uploads (8 + 2), the edge's and the samples' PUTs.
-        assert_eq!(store.puts, 10.0 + 8.0 + 8.0);
-        assert_eq!(store.invocations, 10);
-        // On the direct transport only the fallback quarter of the
-        // producers reads the samples from the store.
-        let config = LambadaConfig { transport: TransportKind::Direct, ..LambadaConfig::default() };
-        let direct = envelope(&launch, &config);
-        assert_eq!(direct.gets, 8.0 * 1.0 + 8.0 * 2.0);
-        assert_eq!(direct.lists, 2.0 * 8.0 * DISCOVERY_PASSES);
+        let direct = LambadaConfig { transport: TransportKind::Direct, ..LambadaConfig::default() };
+        for config in [LambadaConfig::default(), direct] {
+            let env = envelope(&launch, &config);
+            assert_eq!((env.gets, env.lists), (8.0 * 2.0, 0.0), "{:?}", config.transport);
+            // Result uploads (8 + 2) and the edge's PUTs.
+            assert_eq!(env.puts, 10.0 + 8.0);
+            assert_eq!(env.invocations, 10);
+        }
     }
 }

@@ -37,11 +37,12 @@
 //! * **sort stages** run a trailing `ORDER BY [LIMIT]` as a distributed
 //!   range-partitioned sort (enabled by [`SplitOptions::exchange_sorts`]):
 //!   the producer fleet locally sorts (and top-k-truncates) its rows
-//!   ([`lambada_engine::pipeline::Terminal::SortPartition`]), agrees on
-//!   range boundaries through a sample exchange, and range-partitions the
-//!   runs onto the edge ([`StageOutput::SortExchange`]); sort worker `p`
-//!   then sorts range `p`, so the driver only *concatenates* the runs in
-//!   partition order — no driver-side sort or merge anywhere.
+//!   ([`lambada_engine::pipeline::Terminal::SortPartition`]) and ships
+//!   the runs onto the edge ([`StageOutput::SortExchange`]), cut into
+//!   blocks whose first keys the driver picks the range boundaries from;
+//!   sort worker `p` then keeps and sorts range `p`, so the driver only
+//!   *concatenates* the runs in partition order — no driver-side sort or
+//!   merge anywhere.
 //!
 //! Anything else (aggregates below joins, computed projections that do not
 //! compose) reports [`CoreError::Unsupported`] and falls back to the local
@@ -55,9 +56,9 @@
 //! a [`ReaderRole`], or the driver's [`FinalStage`]), what the producer
 //! [`Emits`] (rows of a schema, or aggregate state of given key types and
 //! accumulator shapes) and what each reader [`Declares`]. The verifier's
-//! edge pass, the driver's launch plan (partition counts, sort-edge specs),
-//! the scheduler's sort-barrier rule and the service's admission estimate
-//! all read this one table; none of them walks `inputs()` for itself.
+//! edge pass, the driver's launch plan (partition counts, sort-edge specs)
+//! and the service's admission estimate all read this one table; none of
+//! them walks `inputs()` for itself.
 
 use lambada_engine::logical::{JoinVariant, LogicalPlan, SortKey};
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
@@ -138,10 +139,11 @@ pub enum StageOutput {
     /// [`Terminal::PartialAggregate`] here; the driver swaps in
     /// [`Terminal::PartitionedAggregate`] once the merge fleet is sized.
     AggExchange,
-    /// Workers range-partition their locally sorted runs onto the
-    /// exchange edge feeding a [`SortStage`], after agreeing on sample
-    /// boundaries through storage. The consumer sort stage carries the
-    /// keys and limit; the driver wires partition counts at launch.
+    /// Workers ship their locally sorted runs onto the exchange edge
+    /// feeding a [`SortStage`], which the driver range-partitions by
+    /// boundaries it picks from the runs' reported block keys. The
+    /// consumer sort stage carries the keys and limit; the driver wires
+    /// partition counts at launch.
     SortExchange,
 }
 
@@ -410,14 +412,6 @@ pub struct EdgeTable<'a> {
     /// Per stage: its readers, consumer stages in DAG order (a join's
     /// probe side before its build side), the driver last.
     pub readers: Vec<Vec<Reader<'a>>>,
-}
-
-impl EdgeTable<'_> {
-    /// Does `producer`'s output cross a sort-sample barrier — is one of
-    /// its readers a sort stage?
-    pub fn feeds_sort(&self, producer: usize) -> bool {
-        self.readers[producer].iter().any(|r| r.role == ReaderRole::SortInput)
-    }
 }
 
 impl QueryDag {
@@ -1382,7 +1376,6 @@ mod tests {
             ]
         );
         assert_eq!(edges.emits, vec![Some(Emits::Rows(s2.clone())); 4]);
-        assert!((0..4).all(|p| !edges.feeds_sort(p)));
     }
 
     #[test]
@@ -1399,7 +1392,6 @@ mod tests {
         );
         // A locally sorted run is still rows of the pipeline's schema.
         assert_eq!(edges.emits, vec![Some(Emits::Rows(s2.clone())); 2]);
-        assert!(edges.feeds_sort(0) && !edges.feeds_sort(1));
     }
 
     #[test]
@@ -1453,7 +1445,6 @@ mod tests {
                 Some(Emits::Rows(agg_schema.clone())),
             ]
         );
-        assert_eq!((0..5).filter(|&p| edges.feeds_sort(p)).collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! * **Registration.** Consumers are addressed by *endpoint*
 //!   `{channel}/r{receiver}`. The driver registers every consumer
-//!   endpoint of a query (and the `{channel}smp/r0` sample-barrier
-//!   endpoint of each sort edge that has one) with the rendezvous service
-//!   *before the first stage launches*. Cleanup deregisters the query's
-//!   whole endpoint prefix.
+//!   endpoint of a query with the rendezvous service *before the first
+//!   stage launches* — none for a sort edge of several ranges, which
+//!   never streams. Cleanup deregisters the query's whole endpoint
+//!   prefix.
 //! * **Section tables.** [`EdgeTransport::send`] returns one [`Section`]
 //!   per receiver: its length and which of three wires carries it — the
 //!   receiver's mailbox, the sender's file, or inline. The worker reports
@@ -37,13 +37,22 @@
 //!   complete, hands each consumer worker one [`SectionAddr`] per sender
 //!   ([`address_sections`]). [`EdgeTransport::recv`] goes straight to the
 //!   fetch: no LIST, no poll, no back-off, no wait.
+//! * **Sort edges of several ranges.** A producer's sections are the
+//!   *blocks* of its sorted run instead, and it reports their first keys
+//!   (`crate::worker` cuts them). Blocks are not receivers: they ride
+//!   inline or in one combined file, never a mailbox. From the pooled
+//!   first keys the driver picks the range boundaries, and it hands each
+//!   receiver one address per sender over the blocks that can hold its
+//!   range ([`address_blocks`]) and the boundaries of that range
+//!   ([`InEdge::bounds`]), by which the receiver keeps its own rows.
 //! * **Inline senders.** A sender whose sections all encode to at most
 //!   its inline budget ([`inline_budget`]: what is left of
 //!   [`crate::message::INLINE_EDGE_BYTES`] after the section tables and
-//!   addresses, shared by the consumer's senders) writes no file and sends
-//!   no message: its sections ride its result message, and the driver
-//!   copies each receiver's slice into that receiver's invocation payload,
-//!   which it decodes with no request. The decision is the same on both
+//!   addresses, shared by the consumer's senders; [`block_budget`] on a
+//!   sort edge of several ranges) writes no file and sends no message:
+//!   its sections ride its result message, and the driver copies each
+//!   receiver's slice into that receiver's invocation payload, which it
+//!   decodes with no request. The decision is the same on both
 //!   transports and is taken before any mailbox streaming; modeled parts
 //!   never inline.
 //! * **Fallback.** A send to an unregistered endpoint (rendezvous
@@ -57,32 +66,30 @@
 //! * **Empty parts.** A zero-length partition travels nowhere: the table's
 //!   zero length is all its receiver learns, so a sender whose every part
 //!   is empty PUTs nothing and sends no message. It is never fetched and
-//!   is omitted from the received part list. Only a barrier sample is
-//!   announced even when empty: its peers count the samples they see.
+//!   is omitted from the received part list.
 //!
-//! Only the sort-sample barrier, an exchange among running peers,
-//! discovers its copies ([`EdgeTransport::recv_barrier`], polling the
-//! mailbox for free before it LISTs the store). Mailbox fetches are
+//! Nothing on a stage edge discovers its copies: LIST polls are left to
+//! Algorithm 1's peers (`exchange::run_exchange`). Mailbox fetches are
 //! free, which is where the direct path's request savings come from (see
 //! `exchange_cost::direct_edge_counts`).
 
-use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-use lambada_sim::services::object_store::{Body, Bytes};
+use lambada_engine::Scalar;
+use lambada_sim::services::object_store::Bytes;
 use lambada_sim::sync::{join_all, Semaphore};
-use lambada_sim::{Cloud, P2pService};
+use lambada_sim::P2pService;
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{
-    await_copies, discover, edge_key, encode_bundle, encode_bundle_into, fetch_copies,
-    p2p_side_key, put_combined, Copy, CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, Mailbox,
-    PartData, Pass, Place,
+    edge_key, encode_bundle, encode_bundle_into, fetch_copies, p2p_side_key, put_combined, Copy,
+    CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData,
 };
 use crate::invoke::tree_shape;
 use crate::message::{inline_claim, INLINE_EDGE_BYTES, SECTION_BYTES};
 pub use crate::message::{Section, Wire};
+use crate::worker::SORT_SAMPLE_ROWS;
 
 /// Which stage-edge transport a query runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -133,10 +140,25 @@ pub enum At {
     Inline(Bytes),
 }
 
+/// Where one consumer worker finds its part of one in-edge: one address
+/// per sender and, on a sort edge of several ranges, the boundaries of
+/// its own range — the one below it unless it is the first range, then
+/// the one above it unless it is the last. Of the rows it receives it
+/// keeps those whose range among its bounds is `usize::from(worker > 0)`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct InEdge {
+    pub senders: Vec<SectionAddr>,
+    pub bounds: Vec<Vec<Scalar>>,
+}
+
 /// The most an address adds to an invocation payload besides its inline
 /// bytes: the attempt, offset and length as varints at their widest (5,
 /// 10 and 10 B) and a wire tag.
 pub const ADDRESS_BYTES: usize = 26;
+
+/// The most one sort-key value of a boundary adds to a payload: an
+/// `Int64` or a `Float64`.
+pub const KEY_BYTES: usize = 8;
 
 /// Each sender's inline budget into a consumer stage of `receivers`
 /// workers whose in-edges have `senders` senders in all:
@@ -148,8 +170,25 @@ pub const ADDRESS_BYTES: usize = 26;
 /// addresses in any payload, and each sender's fits beside its table in
 /// its message.
 pub fn inline_budget(senders: usize, receivers: usize) -> u64 {
-    let addresses = tree_shape(receivers).1 * senders * ADDRESS_BYTES;
-    let located = INLINE_EDGE_BYTES.saturating_sub(receivers * SECTION_BYTES + addresses);
+    shared_budget(senders, receivers, receivers * SECTION_BYTES, 0)
+}
+
+/// [`inline_budget`] for the senders of a sort edge of several ranges
+/// over `keys` sort keys: a table holds up to `SORT_SAMPLE_ROWS` (32)
+/// blocks whatever the fleet, and every payload carries its range's two
+/// boundaries besides the addresses. A sender's starts ride its message
+/// too, so it inlines only what fits its budget beside them.
+pub fn block_budget(senders: usize, receivers: usize, keys: usize) -> u64 {
+    shared_budget(senders, receivers, SORT_SAMPLE_ROWS * SECTION_BYTES, 2 * keys * KEY_BYTES)
+}
+
+/// What is left of [`INLINE_EDGE_BYTES`] after one message's `table` and
+/// the largest payload — a tree group of receivers, each with one
+/// address per sender and `per_payload` more bytes — shared evenly by
+/// the `senders`.
+fn shared_budget(senders: usize, receivers: usize, table: usize, per_payload: usize) -> u64 {
+    let payloads = tree_shape(receivers).1 * (senders * ADDRESS_BYTES + per_payload);
+    let located = INLINE_EDGE_BYTES.saturating_sub(table + payloads);
     (located / senders.max(1)) as u64
 }
 
@@ -183,9 +222,7 @@ pub fn address_sections(
             Wire::Mailbox => At::Mailbox { len: s.len },
             Wire::File => {
                 let offset = file;
-                file = offset.checked_add(s.len).ok_or_else(|| {
-                    CoreError::Format("section offsets overflow the file".to_string())
-                })?;
+                file = offset.checked_add(s.len).ok_or_else(overflow)?;
                 At::File { offset, len: s.len }
             }
             Wire::Inline => {
@@ -197,6 +234,54 @@ pub fn address_sections(
         out.push(SectionAddr { attempt, at });
     }
     Ok(out)
+}
+
+fn overflow() -> CoreError {
+    CoreError::Format("section offsets overflow the file".to_string())
+}
+
+/// Address one sort-edge sender's blocks to the `receivers` ranges:
+/// `spans[b]` is the first and the last range block `b` can hold. Spans
+/// only grow along a sorted run, so the blocks that can hold range `r`
+/// are contiguous, and receiver `r` gets one address over them — a zero
+/// length one when there are none. The blocks lie back to back on one
+/// wire, the sender's file or its inline blob; a table on a mailbox or
+/// on both wires, of another length than `spans`, ending past
+/// `u64::MAX` or not filling its blob is a typed error.
+pub fn address_blocks(
+    attempt: u32,
+    sections: &[Section],
+    inline: &Bytes,
+    spans: &[(usize, usize)],
+    receivers: usize,
+) -> Result<Vec<SectionAddr>> {
+    let wire = sections.first().map_or(Wire::File, |s| s.wire);
+    if wire == Wire::Mailbox || sections.iter().any(|s| s.wire != wire) {
+        return Err(CoreError::Format("a sort edge's blocks ride one file or blob".to_string()));
+    }
+    if spans.len() != sections.len() || inline_claim(sections) != Some(inline.len() as u64) {
+        let blocks = sections.len();
+        let claim =
+            format!("{blocks} blocks of {} spans over a {} B blob", spans.len(), inline.len());
+        return Err(CoreError::Format(claim));
+    }
+    // Where each block starts on its wire, then where the last one ends.
+    let mut at = vec![0u64];
+    for s in sections {
+        let end = at[at.len() - 1].checked_add(s.len).ok_or_else(overflow)?;
+        at.push(end);
+    }
+    let address = |r: usize| {
+        let first = spans.partition_point(|&(_, last)| last < r);
+        let end = spans.partition_point(|&(first, _)| first <= r).max(first);
+        let (from, to) = (at[first], at[end]);
+        let at = match wire {
+            Wire::Inline => At::Inline(inline.slice(from as usize..to as usize)),
+            _ => At::File { offset: from, len: to - from },
+        };
+        SectionAddr { attempt, at }
+    };
+    Ok((0..receivers).map(address).collect())
 }
 
 /// A sender's traveling `entries` as one inline blob — each receiver's
@@ -256,34 +341,24 @@ impl EdgeTransport {
         Rc::from(format!("{channel}/r{receiver}"))
     }
 
-    /// Where a barrier receiver finds the `senders` peers of `channel`:
-    /// its mailbox, if the edge has p2p, and the senders' files.
-    fn sources(&self, channel: &str, senders: usize) -> (Option<Mailbox>, Vec<Place>) {
-        let mailbox = self
-            .p2p
-            .as_ref()
-            .map(|p2p| Mailbox { p2p: p2p.clone(), endpoint: Self::endpoint(channel, 0) });
-        (mailbox, Place::group(0..senders, |s| self.place_of(channel, s)))
-    }
-
-    /// Ship `parts[r]` (payload destined to consumer worker `r`) onto the
-    /// edge `channel` as sender `sender`. Charges the in-memory
+    /// Ship `parts` onto the edge `channel` as sender `sender`: one part
+    /// per consumer worker — or, with `stream` off, one per block of a
+    /// sorted run, which no mailbox receives. Charges the in-memory
     /// partitioning compute; then, if every non-empty part is real and
     /// they encode to at most `inline_budget` bytes together, returns them
     /// as the inline blob and writes nothing. Otherwise it streams what it
-    /// can over p2p and PUTs one combined file for the rest — everything,
-    /// without p2p. Empty parts travel nowhere, except that a barrier's
-    /// sample (`inline_budget` `None`: its running peers have no driver to
-    /// relay it) is announced even when empty, since its peers count the
-    /// samples they see. Returns the accounting, the section table (one
-    /// [`Section`] per receiver) and the blob.
+    /// may over p2p and PUTs one combined file for the rest — everything,
+    /// without p2p or `stream`. Empty parts travel nowhere. Returns the
+    /// accounting, the section table (one [`Section`] per part) and the
+    /// blob.
     pub async fn send(
         &self,
         env: &WorkerEnv,
         channel: &str,
         sender: usize,
         parts: Vec<PartData>,
-        inline_budget: Option<u64>,
+        inline_budget: u64,
+        stream: bool,
     ) -> Result<(EdgeWriteStats, Vec<Section>, Bytes)> {
         let mut stats = EdgeWriteStats::default();
         let held_bytes: u64 = parts.iter().map(PartData::len).sum();
@@ -291,23 +366,18 @@ impl EdgeTransport {
         let start = env.cloud.handle.now();
 
         let mut sections = vec![Section { len: 0, wire: Wire::File }; parts.len()];
-        let travels = |(_, data): &(usize, PartData)| inline_budget.is_none() || !data.is_empty();
-        let entries = parts.into_iter().enumerate().filter(travels);
+        let entries = parts.into_iter().enumerate().filter(|(_, data)| !data.is_empty());
         let mut entries: Vec<(u32, PartData)> =
             entries.map(|(rcv, data)| (rcv as u32, data)).collect();
-        let inline = inline_budget.map(|b| inline_blob(&entries, b, &mut sections)).transpose()?;
-        let inline = inline.flatten();
+        let inline = inline_blob(&entries, inline_budget, &mut sections)?;
         stats.inline_bytes = inline.as_ref().map_or(0, |blob| blob.len() as u64);
-        if inline.is_none() && self.p2p.is_some() {
+        if inline.is_none() && stream && self.p2p.is_some() {
             entries = self.stream(env, channel, sender, entries, &mut stats, &mut sections).await?;
         }
         if inline.is_none() && !entries.is_empty() {
             // The same bundle encoding on every wire, so a received part
             // is bit-identical whichever wire carried it.
-            let bundles = entries
-                .into_iter()
-                .map(|(rcv, data)| (rcv, if data.is_empty() { vec![] } else { vec![(rcv, data)] }))
-                .collect();
+            let bundles = entries.into_iter().map(|(rcv, data)| (rcv, vec![(rcv, data)])).collect();
             let (bucket, prefix) = self.place_of(channel, sender);
             let (written, filed) =
                 put_combined(env, &self.side, &bucket, &prefix, sender, false, bundles).await?;
@@ -324,8 +394,7 @@ impl EdgeTransport {
     /// Stream each entry to its receiver's mailbox, 16 connections at a
     /// time, marking the delivered ones' sections, and hand back the
     /// entries that could not be delivered (unregistered endpoint,
-    /// severed link), sorted by receiver. An empty entry (a barrier's
-    /// empty sample) becomes a zero-length message.
+    /// severed link), sorted by receiver.
     async fn stream(
         &self,
         env: &WorkerEnv,
@@ -342,15 +411,10 @@ impl EdgeTransport {
         for entry in entries {
             let rcv = entry.0;
             let endpoint = Self::endpoint(channel, rcv as usize);
-            let body = if entry.1.is_empty() {
-                Body::from_vec(Vec::new())
-            } else {
-                let (body, sizes) = encode_bundle(std::slice::from_ref(&entry))?;
-                if let Some(sizes) = sizes {
-                    self.side.put(p2p_side_key(&endpoint, sender, attempt), rcv, sizes);
-                }
-                body
-            };
+            let (body, sizes) = encode_bundle(std::slice::from_ref(&entry))?;
+            if let Some(sizes) = sizes {
+                self.side.put(p2p_side_key(&endpoint, sender, attempt), rcv, sizes);
+            }
             let client2 = client.clone();
             let conn2 = conn.clone();
             sends.push(env.cloud.handle.spawn(async move {
@@ -379,9 +443,9 @@ impl EdgeTransport {
     /// Collect receiver `receiver`'s co-partition of the edge `channel`
     /// from the senders the driver addressed, `addrs[s]` for sender `s`:
     /// decode the inline sections and fetch the other non-empty ones
-    /// straight from their wires, and return their payloads in sender
-    /// order (empty parts omitted). A mailbox address on a transport
-    /// without p2p is a typed error.
+    /// straight from their wires — one request per address — and return
+    /// their payloads in sender order (empty parts omitted). A mailbox
+    /// address on a transport without p2p is a typed error.
     pub async fn recv(
         &self,
         env: &WorkerEnv,
@@ -411,105 +475,40 @@ impl EdgeTransport {
         // Nothing to wait for: the span stays, zero long.
         let start = env.cloud.handle.now();
         env.cloud.trace.record(env.worker_id, "exchange_wait", start, start);
-        self.fetch(env, receiver, copies, EdgeReadStats::default()).await
-    }
-
-    /// The sort-sample barrier among running peers: every producer of a
-    /// sort edge reads all `senders` samples, its own included, right
-    /// after writing it — the one exchange on a stage edge nobody can
-    /// address, so it discovers. Discovery walks the buckets one by one:
-    /// the peers write within a few first-byte latencies of each other,
-    /// so a pass that takes that long finds them all, where one round
-    /// would miss the late ones and pay a back-off plus a re-LIST. The
-    /// walk starts at the bucket of `sender`'s own sample, which it just
-    /// wrote: the peers get one more first-byte latency before their
-    /// first LIST. Each sample file holds one section and is read whole.
-    pub async fn recv_barrier(
-        &self,
-        env: &WorkerEnv,
-        channel: &str,
-        sender: usize,
-        senders: usize,
-    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
-        let mut stats = EdgeReadStats::default();
-        if senders == 0 {
-            return Ok((Vec::new(), stats));
-        }
-        let wait_start = env.cloud.handle.now();
-        let (mailbox, mut places) = self.sources(channel, senders);
-        // Sender `s` writes to place `s % places.len()`.
-        let own = sender % places.len();
-        places.rotate_left(own);
-        let (copies, lists) =
-            await_copies(env, &self.cfg, mailbox.as_ref(), &places, None, Pass::OneByOne).await?;
-        stats.list_requests = lists;
-        let wait_end = env.cloud.handle.now();
-        stats.wait_secs = (wait_end - wait_start).as_secs_f64();
-        env.cloud.trace.record(env.worker_id, "exchange_wait", wait_start, wait_end);
-        self.fetch(env, 0, copies, stats).await
-    }
-
-    /// Fetch `copies` for `receiver`, count each part on the wire it came
-    /// over, and record the `exchange_read` span.
-    async fn fetch(
-        &self,
-        env: &WorkerEnv,
-        receiver: usize,
-        copies: Vec<Copy>,
-        mut stats: EdgeReadStats,
-    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
-        let start = env.cloud.handle.now();
-        let mut out = Vec::new();
+        let (mut out, mut stats) = (Vec::new(), EdgeReadStats::default());
         for (wire, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
-            for (_, data) in parts {
-                if wire == Wire::Mailbox {
-                    stats.p2p_requests += 1;
-                    stats.p2p_bytes += data.len();
-                } else if wire == Wire::File {
-                    stats.get_requests += 1;
-                    stats.bytes_read += data.len();
-                }
-                out.push(data);
+            let bytes: u64 = parts.iter().map(|(_, data)| data.len()).sum();
+            if wire == Wire::Mailbox {
+                stats.p2p_requests += 1;
+                stats.p2p_bytes += bytes;
+            } else if wire == Wire::File {
+                stats.get_requests += 1;
+                stats.bytes_read += bytes;
             }
+            out.extend(parts.into_iter().map(|(_, data)| data));
         }
         env.cloud.trace.record(env.worker_id, "exchange_read", start, env.cloud.handle.now());
         Ok((out, stats))
-    }
-
-    /// Driver-side, non-blocking: which of `0..senders` have already
-    /// published a sample on the barrier `channel`? One discovery pass, no
-    /// polling — what the barrier-aware straggler watcher uses to tell
-    /// workers *blocked on* a sort-sample barrier from the worker that
-    /// died *before* it.
-    pub async fn probe(
-        &self,
-        cloud: &Cloud,
-        channel: &str,
-        senders: usize,
-    ) -> Result<HashSet<usize>> {
-        let (mailbox, places) = self.sources(channel, senders);
-        let mut seen = BTreeMap::new();
-        let s3 = cloud.driver_s3();
-        discover(&cloud.handle, &s3, mailbox.as_ref(), &places, None, true, &mut seen).await?;
-        Ok(seen.into_keys().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     use lambada_sim::{secs, Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
 
     use super::*;
     use crate::costmodel::ComputeCostModel;
-    use crate::exchange::install_exchange_buckets;
+    use crate::exchange::{await_copies, discover, install_exchange_buckets, Place};
 
     const CHANNEL: &str = "x9/q0/s0";
 
     /// A cloud with the exchange buckets and an edge of either kind.
     /// `endpoints` caps the rendezvous service; all senders share one
     /// bucket, so one LIST sees every file of the channel.
+    /// `max_polls` bounds a discovery wait.
     fn edge(
         direct: bool,
         endpoints: usize,
@@ -563,8 +562,8 @@ mod tests {
     }
 
     /// Sender `sender`'s combined file holding `payload` for `receiver`:
-    /// a sample of the barrier, or — `named` — an Algorithm-1 file with
-    /// its section lengths in the key.
+    /// a stage-edge file, or — `named` — an Algorithm-1 file with its
+    /// section lengths in the key.
     async fn put_file(
         t: &EdgeTransport,
         env: &WorkerEnv,
@@ -597,7 +596,7 @@ mod tests {
                     let parts = vec![real(&[s as u8; 40]), real(&[]), real(&[7, s as u8])];
                     let env = worker(&cloud2, s as u64, 0);
                     let (stats, sections, inline) =
-                        t.send(&env, CHANNEL, s, parts, Some(0)).await.unwrap();
+                        t.send(&env, CHANNEL, s, parts, 0, true).await.unwrap();
                     writes.push(stats);
                     tables.push((0, sections, inline));
                 }
@@ -626,40 +625,7 @@ mod tests {
         assert_eq!(store_units, [6.0, 3.0, 0.0]);
     }
 
-    /// (b) The barrier — the one stage-edge exchange that still
-    /// discovers — keeps discovery's dedup. Sender 0 has a copy on each
-    /// path; sender 1 is only in a fallback file, so the receiver lists
-    /// after its grace rounds and sees both of sender 0's. The higher
-    /// attempt wins whichever path it is on, and the direct copy wins a
-    /// tie.
-    #[test]
-    fn highest_attempt_wins_across_paths_and_direct_wins_a_tie() {
-        // (attempt on p2p, attempt in the file, payload that must win)
-        for (p2p_attempt, file_attempt, winner) in
-            [(0, 1, b"file"), (1, 0, b"p2p!"), (0, 0, b"p2p!")]
-        {
-            let (sim, cloud, t) = edge(true, 8, 50);
-            cloud.p2p.register(&format!("{CHANNEL}/r0"));
-            let (parts, stats) = sim.block_on({
-                let cloud = cloud.clone();
-                async move {
-                    let env = worker(&cloud, 0, p2p_attempt);
-                    let (sent, ..) =
-                        t.send(&env, CHANNEL, 0, vec![real(b"p2p!")], None).await.unwrap();
-                    assert_eq!((sent.p2p_requests, sent.put_requests), (1, 0));
-                    put_file(&t, &worker(&cloud, 0, file_attempt), 0, 0, b"file", false).await;
-                    put_file(&t, &worker(&cloud, 1, 0), 1, 0, b"only", false).await;
-                    t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 0, 2).await.unwrap()
-                }
-            });
-            assert_eq!(parts, vec![real(winner), real(b"only")], "{p2p_attempt} vs {file_attempt}");
-            let direct = u64::from(winner == b"p2p!");
-            assert_eq!((stats.p2p_requests, stats.get_requests), (direct, 2 - direct));
-            assert_eq!(stats.list_requests, 1, "one LIST, after the mailbox-only grace rounds");
-        }
-    }
-
-    /// (b') A pass LISTs every incomplete bucket at once: with eight
+    /// (b) A pass LISTs every incomplete bucket at once: with eight
     /// senders on eight buckets already written, discovery costs about one
     /// first-byte latency, not eight, and spends the LISTs and chooses the
     /// copies of a pass that visits the buckets one by one.
@@ -686,7 +652,7 @@ mod tests {
                     let env = worker(&cloud, s as u64, 1);
                     put_file(&t, &env, s, 0, &[0xB0 | s as u8; 24], true).await;
                 }
-                let (_, places) = t.sources(CHANNEL, 8);
+                let places = Place::group(0..8, |s| t.place_of(CHANNEL, s));
                 assert_eq!(places.len(), 8, "one bucket per sender");
                 let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
 
@@ -694,17 +660,13 @@ mod tests {
                 let (mut one_by_one, mut lists) = (BTreeMap::new(), 0);
                 for place in &places {
                     let place = std::slice::from_ref(place);
-                    lists += discover(handle, &s3, None, place, Some(0), true, &mut one_by_one)
-                        .await
-                        .unwrap();
+                    lists += discover(handle, &s3, place, Some(0), &mut one_by_one).await.unwrap();
                 }
                 let serial_secs = (handle.now() - start).as_secs_f64();
 
                 let start = handle.now();
                 let mut together = BTreeMap::new();
-                let spent = discover(handle, &s3, None, &places, Some(0), true, &mut together)
-                    .await
-                    .unwrap();
+                let spent = discover(handle, &s3, &places, Some(0), &mut together).await.unwrap();
                 let round_secs = (handle.now() - start).as_secs_f64();
                 assert_eq!((spent, lists), (8, 8));
                 assert_eq!(chosen(&together), chosen(&one_by_one));
@@ -715,121 +677,57 @@ mod tests {
         });
     }
 
-    /// (b'') A barrier among running peers walks its buckets one by one:
-    /// four peers that write their sample within a few first-byte
-    /// latencies of each other all complete in one pass — one LIST per
-    /// bucket, no back-off — where a one-round wait sends the early ones
-    /// to sleep and to LIST again.
+    /// (b') The out-of-order attempts a discovery can see: a receiver
+    /// starts waiting before anything is written, so its first pass finds
+    /// an empty prefix and it keeps polling; the speculative attempt-1
+    /// file then lands first and the straggling attempt-0 original later.
+    /// The wait returns exactly one copy, attempt 1's.
     #[test]
-    fn a_barrier_pass_outlasts_the_skew_among_its_peers() {
-        const SAMPLES: &str = "x9/q0/s0smp";
-        let run = |barrier: bool| {
-            let (sim, cloud, t) = edge_over(4, false, 0, 50);
-            let ttfb = cloud.config.s3.ttfb_median;
-            let t = Rc::new(t);
-            let peers: Vec<_> = (0..4usize)
-                .map(|p| {
+    fn discovery_keeps_the_highest_attempt_when_attempts_land_out_of_order() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let cfg = ExchangeConfig::default();
+        install_exchange_buckets(&cloud, &cfg);
+        let t = Rc::new(EdgeTransport::new(cfg, ExchangeSide::new(), None));
+        let (parts, lists, waited) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let waiting = cloud.handle.spawn({
                     let (cloud, t) = (cloud.clone(), Rc::clone(&t));
-                    cloud.handle.clone().spawn(async move {
-                        let env = worker(&cloud, p as u64, 0);
-                        cloud.handle.sleep(ttfb.mul_f64(0.5 * p as f64)).await;
-                        t.send(&env, SAMPLES, p, vec![real(&[p as u8; 8])], None).await.unwrap();
-                        if barrier {
-                            let (parts, stats) = t.recv_barrier(&env, SAMPLES, p, 4).await.unwrap();
-                            assert_eq!(parts, (0..4).map(|s| real(&[s; 8])).collect::<Vec<_>>());
-                            (stats.list_requests, stats.wait_secs)
-                        } else {
-                            let start = cloud.handle.now();
-                            let (_, places) = t.sources(SAMPLES, 4);
-                            let (copies, lists) =
-                                await_copies(&env, &t.cfg, None, &places, None, Pass::Together)
-                                    .await
-                                    .unwrap();
-                            assert_eq!(copies.len(), 4);
-                            (lists, (cloud.handle.now() - start).as_secs_f64())
-                        }
-                    })
-                })
-                .collect();
-            sim.block_on(join_all(peers))
-        };
-        let ttfb = CloudConfig::default().s3.ttfb_median.as_secs_f64();
-        for (lists, wait_secs) in run(true) {
-            assert_eq!(lists, 4, "one pass");
-            assert!(wait_secs < 5.0 * ttfb, "four LISTs, no back-off: {wait_secs}");
-        }
-        let one_round = run(false);
-        assert!(one_round[0].0 > 4, "the first writer misses the late samples");
-        assert_eq!(one_round[3].0, 4, "the last writer finds everyone");
-    }
-
-    /// (b''') The out-of-order attempts a barrier can see: a peer starts
-    /// waiting before anything is written, so its first pass finds an
-    /// empty prefix (or mailbox) and it keeps polling; the speculative
-    /// attempt-1 sample then lands first and the straggling attempt-0
-    /// original later. The barrier returns exactly one part, attempt
-    /// 1's, on both transports.
-    #[test]
-    fn a_barrier_keeps_the_highest_attempt_when_attempts_land_out_of_order() {
-        for direct in [false, true] {
-            let sim = Simulation::new();
-            let cloud = Cloud::new(&sim, CloudConfig::default());
-            let cfg = ExchangeConfig::default();
-            install_exchange_buckets(&cloud, &cfg);
-            let t = Rc::new(EdgeTransport::new(
-                cfg,
-                ExchangeSide::new(),
-                direct.then(|| cloud.p2p.clone()),
-            ));
-            if direct {
-                cloud.p2p.register(&format!("{CHANNEL}/r0"));
-            }
-            let (parts, stats) = sim.block_on({
-                let cloud = cloud.clone();
-                async move {
-                    let waiting = cloud.handle.spawn({
-                        let (cloud, t) = (cloud.clone(), Rc::clone(&t));
-                        async move { t.recv_barrier(&worker(&cloud, 10, 0), CHANNEL, 0, 1).await }
-                    });
-                    // Let the first discovery pass find nothing.
-                    cloud.handle.sleep(secs(0.7)).await;
-                    for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
-                        let env = worker(&cloud, 0, attempt);
-                        t.send(&env, CHANNEL, 0, vec![real(payload)], None).await.unwrap();
+                    async move {
+                        let env = worker(&cloud, 10, 0);
+                        let places = Place::group(0..1, |s| t.place_of(CHANNEL, s));
+                        let (copies, lists) = await_copies(&env, &t.cfg, &places, Some(0)).await?;
+                        let waited = env.cloud.handle.now().as_secs_f64();
+                        let parts = fetch_copies(&env, &t.side, 0, copies).await?;
+                        Ok::<_, CoreError>((parts, lists, waited))
                     }
-                    waiting.await.unwrap()
+                });
+                // Let the first discovery pass find nothing.
+                cloud.handle.sleep(secs(0.7)).await;
+                for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
+                    put_file(&t, &worker(&cloud, 0, attempt), 0, 0, payload, true).await;
                 }
-            });
-            assert!(stats.wait_secs > 0.0, "the peer really waited on an empty barrier");
-            assert_eq!(parts, vec![real(b"attempt-one-wins")], "direct={direct}");
-        }
+                waiting.await.unwrap()
+            }
+        });
+        assert!(waited > 0.7 && lists > 1, "the receiver really waited: {waited} s, {lists} LISTs");
+        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))])]);
     }
 
     /// (c) Discovery of named (Algorithm-1) files: a listed file with no
     /// section for this receiver is not a copy, so its sender stays
-    /// missing and the timeout says so, with or without a mailbox.
+    /// missing and the timeout says so.
     #[test]
     fn a_file_without_the_receivers_section_leaves_its_sender_missing() {
-        for direct in [false, true] {
-            let (sim, cloud, t) = edge(direct, 8, 6);
-            cloud.p2p.register(&format!("{CHANNEL}/r0"));
-            let err = sim.block_on({
-                let cloud = cloud.clone();
-                async move {
-                    put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine", true).await;
-                    put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's", true).await;
-                    let (mailbox, places) = t.sources(CHANNEL, 2);
-                    let env = worker(&cloud, 10, 0);
-                    await_copies(&env, &t.cfg, mailbox.as_ref(), &places, Some(0), Pass::Together)
-                        .await
-                        .err()
-                }
-            });
-            assert!(
-                matches!(err, Some(CoreError::Timeout { missing_workers: 1, .. })),
-                "direct={direct}: {err:?}"
-            );
-        }
+        let (sim, cloud, t) = edge(false, 0, 6);
+        let err = sim.block_on(async move {
+            put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine", true).await;
+            put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's", true).await;
+            let places = Place::group(0..2, |s| t.place_of(CHANNEL, s));
+            await_copies(&worker(&cloud, 10, 0), &t.cfg, &places, Some(0)).await.err()
+        });
+        assert!(matches!(err, Some(CoreError::Timeout { missing_workers: 1, .. })), "{err:?}");
     }
 
     /// (d) One send is one `exchange_write` span, fallback file included,
@@ -851,7 +749,7 @@ mod tests {
                 async move {
                     let parts = vec![real(b"left"), real(b"right")];
                     let sent =
-                        t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts, Some(0)).await.unwrap();
+                        t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts, 0, true).await.unwrap();
                     let tables = [(0, sent.1.clone(), sent.2.clone())];
                     let mut reads = Vec::new();
                     for r in 0..2 {
@@ -870,7 +768,6 @@ mod tests {
             assert_eq!(wires, expect, "{what}");
             for (r, (parts, stats)) in reads.iter().enumerate() {
                 assert_eq!(parts, &vec![real([&b"left"[..], b"right"][r])], "{what}");
-                assert_eq!((stats.list_requests, stats.wait_secs), (0, 0.0), "{what}");
                 assert_eq!(stats.p2p_requests, u64::from(r < registered), "{what}");
             }
             assert_eq!(cloud.billing.units(CostItem::S3List), 0.0, "{what}");
@@ -889,15 +786,15 @@ mod tests {
             async move {
                 let (original, backup) = (worker(&cloud, 0, 0), worker(&cloud, 0, 1));
                 let (_, sections, inline) =
-                    t.send(&original, CHANNEL, 0, vec![real(b"first")], Some(0)).await.unwrap();
-                t.send(&backup, CHANNEL, 0, vec![real(b"backup!")], Some(0)).await.unwrap();
+                    t.send(&original, CHANNEL, 0, vec![real(b"first")], 0, true).await.unwrap();
+                t.send(&backup, CHANNEL, 0, vec![real(b"backup!")], 0, true).await.unwrap();
                 t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &addresses(&[(0, sections, inline)], 0))
                     .await
                     .unwrap()
             }
         });
         assert_eq!(parts, vec![real(b"first")]);
-        assert_eq!((stats.list_requests, stats.get_requests, stats.wait_secs), (0, 1, 0.0));
+        assert_eq!(stats.get_requests, 1);
         assert_eq!(cloud.billing.units(CostItem::S3List), 0.0);
     }
 
@@ -943,6 +840,46 @@ mod tests {
         assert!(matches!(&mailbox, Some(CoreError::Storage(m)) if m.contains("mailbox")));
     }
 
+    /// (f') A sort-edge sender's blocks: each receiver gets one address
+    /// over the contiguous blocks whose spans hold its range — both
+    /// receivers the block straddling their boundary, a zero-length one
+    /// when no block does — in the file or in the blob. Blocks on a
+    /// mailbox or on both wires, spans of another length and a blob they
+    /// do not fill are typed errors.
+    #[test]
+    fn blocks_are_addressed_to_every_range_their_spans_hold() {
+        let file = |len| Section { len, wire: Wire::File };
+        let inl = |len| Section { len, wire: Wire::Inline };
+        let none = Bytes::new();
+        let table = [file(5), file(7), file(2), file(9)];
+        let spans = [(0, 0), (0, 1), (1, 1), (3, 3)];
+        let got = address_blocks(4, &table, &none, &spans, 4).unwrap();
+        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
+        let f = |offset, len| At::File { offset, len };
+        assert_eq!(at, vec![f(0, 12), f(5, 9), f(14, 0), f(14, 9)]);
+        assert!(got.iter().all(|a| a.attempt == 4));
+
+        let blob = Bytes::from(vec![1, 2, 3, 4, 5, 6]);
+        let got = address_blocks(0, &[inl(2), inl(4)], &blob, &[(0, 1), (1, 1)], 2).unwrap();
+        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
+        assert_eq!(at, vec![At::Inline(blob.slice(0..2)), At::Inline(blob.slice(0..6))]);
+        assert_eq!(
+            address_blocks(0, &[], &none, &[], 3).unwrap(),
+            vec![SectionAddr { attempt: 0, at: f(0, 0) }; 3]
+        );
+
+        let mail = Section { len: 2, wire: Wire::Mailbox };
+        for (table, blob, spans) in [
+            (vec![mail], &none, &[(0, 0)][..]),
+            (vec![inl(2), file(4)], &blob.slice(0..2), &[(0, 0), (0, 1)][..]),
+            (vec![file(2), file(4)], &none, &[(0, 0)][..]),
+            (vec![inl(2), inl(3)], &blob, &[(0, 0), (0, 1)][..]),
+        ] {
+            let err = address_blocks(0, &table, blob, spans, 2);
+            assert!(matches!(err, Err(CoreError::Format(_))), "{table:?}: {err:?}");
+        }
+    }
+
     /// (h) Empty parts travel nowhere: a sender whose every part is empty
     /// PUTs no zero-byte file and sends no zero-length message, on either
     /// transport and even with no inline budget, and its receivers read
@@ -959,7 +896,7 @@ mod tests {
                 async move {
                     let env = worker(&cloud, 0, 0);
                     let (sent, sections, inline) =
-                        t.send(&env, CHANNEL, 0, vec![real(&[]); 3], Some(0)).await.unwrap();
+                        t.send(&env, CHANNEL, 0, vec![real(&[]); 3], 0, true).await.unwrap();
                     let table = [(0, sections.clone(), inline)];
                     let mut reads = Vec::new();
                     for r in 0..3 {
@@ -998,7 +935,7 @@ mod tests {
                     let cloud = cloud.clone();
                     async move {
                         let env = worker(&cloud, 0, 0);
-                        let sent = t.send(&env, CHANNEL, 0, parts(), Some(budget)).await.unwrap();
+                        let sent = t.send(&env, CHANNEL, 0, parts(), budget, true).await.unwrap();
                         let table = [(0, sent.1.clone(), sent.2.clone())];
                         let mut reads = Vec::new();
                         for r in 0..3 {
@@ -1035,7 +972,7 @@ mod tests {
             async move {
                 let parts = (0..256).map(|r| real(&vec![7; 100 + r])).collect();
                 let (_, sections, _) =
-                    t.send(&worker(&cloud, 4095, 3), CHANNEL, 4095, parts, Some(0)).await.unwrap();
+                    t.send(&worker(&cloud, 4095, 3), CHANNEL, 4095, parts, 0, true).await.unwrap();
                 let (bucket, prefix) = t.place_of(CHANNEL, 4095);
                 (cloud.driver_s3().list(&bucket, &prefix).await.unwrap(), sections)
             }

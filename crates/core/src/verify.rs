@@ -83,8 +83,8 @@ pub mod codes {
     /// Hash-partition key sets disagree across an edge: the producer
     /// shards on different columns than the consumer co-partitions on.
     pub const EXCH_KEYS: &str = "V-EXCH-002";
-    /// A producer feeds more than one sort stage: a sort edge carries
-    /// exactly one sample channel and one boundary set.
+    /// A producer feeds more than one sort stage: its blocks are
+    /// addressed under exactly one boundary set.
     pub const EXCH_SORT_FANOUT: &str = "V-EXCH-003";
     /// A stage's `StageOutput` disagrees with its pipeline terminal
     /// (e.g. `AggExchange` without `PartialAggregate`).
@@ -117,8 +117,8 @@ pub mod codes {
     /// run inside the producer's invocation on the producer's one part.
     pub const FLEET_FUSED: &str = "V-FLEET-005";
     /// A non-driver output edge has no consumer (dangling exchange), or
-    /// a sort edge's consumer set is not exactly one sort stage — the
-    /// barrier/sample channel exists only on sort-feeding stages.
+    /// a sort edge's consumer set is not exactly one sort stage — a run
+    /// cut into blocks means something only to one sort fleet.
     pub const XPORT_DANGLING: &str = "V-XPORT-001";
     /// `FinalStage::CarryAggState` disagrees with the last stage
     /// (terminal kind, schema width, group-key types, or accumulator
@@ -354,7 +354,7 @@ pub fn checked_edges(dag: &QueryDag) -> Result<EdgeTable<'_>, Vec<Diagnostic>> {
             check_reader(&edges, pid, reader, &mut out);
         }
         // A run is range-partitioned by exactly one boundary set, so a
-        // producer feeds at most one sort stage (one sample channel).
+        // producer feeds at most one sort stage (one boundary set).
         let sort_readers = readers.iter().filter(|r| r.role == ReaderRole::SortInput).count();
         if sort_readers > 1 {
             out.push(Diagnostic::new(
@@ -697,11 +697,9 @@ pub fn verify_stream(
 /// for scans and for consumers the cost model sizes), every consumer
 /// fleet nonzero, unpinned consumer fleets within the cost model's bound,
 /// pins respected, and shared edges read by equal fleets. Transport
-/// endpoint names need no check: `x{instance}/q{query}/s{stage}/r{p}` and
-/// the `…smp/r0` sample endpoint (which exists only for a sort edge with
-/// a barrier, [`crate::worker::SortEdgeSpec::has_barrier`]) are injective
-/// in the stage id, and one function spells each for both the driver and
-/// the workers.
+/// endpoint names need no check: `x{instance}/q{query}/s{stage}/r{p}` is
+/// injective in the stage id, and one function spells the channel for
+/// both the driver and the workers.
 pub fn verify_fleets(
     edges: &EdgeTable<'_>,
     fleets: &[usize],

@@ -51,12 +51,11 @@ use lambada_engine::agg::GroupedAggState;
 use lambada_engine::join::JoinState;
 use lambada_engine::logical::SortKey;
 use lambada_engine::physical::{
-    agg_state_to_batch, range_boundaries, range_partition_batch, sort_batch, sort_key_columns,
-    truncate_rows,
+    agg_state_to_batch, range_partition_batch, sort_batch, sort_key_columns, truncate_rows,
 };
 use lambada_engine::pipeline::{Pipeline, PipelineOutput, PipelineSpec, Terminal};
-use lambada_engine::types::SchemaRef;
-use lambada_engine::{RecordBatch, Scalar};
+use lambada_engine::types::{Field, Schema, SchemaRef};
+use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{mpsc, try_join2};
@@ -71,7 +70,7 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_B
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
-use crate::transport::{At, EdgeTransport, EdgeWriteStats, SectionAddr};
+use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, KEY_BYTES};
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -88,16 +87,13 @@ pub struct ExchangeTask {
 }
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
-/// locally sorted run is range-partitioned into the consumer sort fleet.
+/// locally sorted run reaches the consumer sort fleet.
 ///
-/// Producers agree on the partition function with zero coordination
-/// beyond storage: each writes a small sample of its run's sort keys to
-/// the edge's sample channel ([`sample_channel`]), LIST-polls until all
-/// `senders` samples are visible, and computes boundaries from the pooled
-/// sample deterministically — same pool, same boundaries, everywhere
-/// (speculative duplicate samples are harmless: a backup's run is
-/// bit-identical to the original's). An edge with nothing to agree on
-/// has no such barrier ([`SortEdgeSpec::has_barrier`]).
+/// Into one range the run is one part. Into several, no producer
+/// partitions anything: each cuts its run into blocks and reports their
+/// first sort keys ([`SortEdgeSpec::cuts_blocks`]), the driver pools
+/// those keys into the range boundaries, and every sorter keeps the rows
+/// of its own range from the blocks it is addressed.
 #[derive(Clone)]
 pub struct SortEdgeSpec {
     /// Sort keys over `schema`.
@@ -108,26 +104,16 @@ pub struct SortEdgeSpec {
     pub schema: SchemaRef,
     /// Consumer sort-fleet size (= range partition count).
     pub partitions: usize,
-    /// Producer fleet size (how many sample files to await).
-    pub senders: usize,
 }
 
 impl SortEdgeSpec {
-    /// Whether producers must pool their samples before partitioning.
-    /// One partition has no boundaries, and a lone producer's pool is its
-    /// own sample: neither writes, awaits or reads a sample, the driver
-    /// registers no sample endpoint and probes no barrier.
-    pub fn has_barrier(&self) -> bool {
-        self.partitions > 1 && self.senders > 1
+    /// Whether producers cut their runs into blocks for the driver to
+    /// address: an edge of several ranges. Blocks are not receivers, so
+    /// such an edge never streams and the driver registers no endpoint
+    /// for it.
+    pub fn cuts_blocks(&self) -> bool {
+        self.partitions > 1
     }
-}
-
-/// Name of the sample channel riding beside a sort edge's data
-/// `channel`: where producers publish their key samples and read the
-/// pool back (receiver 0). The one spelling — workers write and read it,
-/// the driver registers its p2p endpoint and probes it for stragglers.
-pub fn sample_channel(channel: &str) -> String {
-    format!("{channel}smp")
 }
 
 /// One in-edge of a consumer operator: fleet worker `p` reads
@@ -251,10 +237,11 @@ pub struct WorkerPayload {
     pub query: u64,
     pub task: WorkerTask,
     /// Per in-edge of the stage (in [`crate::stage::StageKind::inputs`]
-    /// order), one address per sender: where this worker's section of
-    /// each producer's output is. Filled in by the driver once the
+    /// order), one address per sender — where this worker's section of
+    /// each producer's output is — and, on a sort edge of several
+    /// ranges, its range's boundaries. Filled in by the driver once the
     /// producers reported; empty for stages that read no edge.
-    pub edges: Vec<Vec<SectionAddr>>,
+    pub edges: Vec<InEdge>,
     /// Second-generation workers to invoke before running `task` (§4.2).
     pub children: Vec<Rc<WorkerPayload>>,
     pub result_queue: String,
@@ -262,18 +249,19 @@ pub struct WorkerPayload {
 
 impl WorkerPayload {
     /// Edge bytes this payload carries, its children's included: its
-    /// inline sections plus `per_address` for each address. With 0 that
-    /// is what crosses the driver's link; with
-    /// [`crate::transport::ADDRESS_BYTES`] it is
-    /// what the payload is sized at against the invoke cap. The task is
-    /// not sized: the fleet shares it, and the sim hands it over by
-    /// reference.
+    /// inline sections and boundaries ([`KEY_BYTES`] a key) plus
+    /// `per_address` for each address. With 0 that is what crosses the
+    /// driver's link; with [`crate::transport::ADDRESS_BYTES`] it is what
+    /// the payload is sized at against the invoke cap. The task is not
+    /// sized: the fleet shares it, and the sim hands it over by reference.
     pub fn edge_bytes(&self, per_address: usize) -> usize {
-        let own = self.edges.iter().flatten().map(|a| match &a.at {
+        let addrs = self.edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
             At::Inline(bytes) => bytes.len() + per_address,
             _ => per_address,
         });
-        own.sum::<usize>() + self.children.iter().map(|c| c.edge_bytes(per_address)).sum::<usize>()
+        let bounds = self.edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
+        let children = self.children.iter().map(|c| c.edge_bytes(per_address));
+        addrs.sum::<usize>() + bounds.sum::<usize>() + children.sum::<usize>()
     }
 
     /// The same assignment re-issued as a speculative backup: next
@@ -450,7 +438,7 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
 /// other: the head reads its in-edges at `edges`, every member after it
 /// the part its predecessor handed on. Members ahead of the last are
 /// timed here; an error names the member it happened in.
-async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[Vec<SectionAddr>]) -> Ran {
+async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
     let mut ahead = Vec::new();
     let (mut task, mut input, mut label) = (head, None, None);
     loop {
@@ -469,10 +457,12 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[Vec<SectionAddr>]
     }
 }
 
-/// Rows of each producer's sample kept per worker. Samples only steer
-/// partition *balance*, never correctness — every row lands in exactly
-/// one range either way — so a small constant suffices.
-const SORT_SAMPLE_ROWS: usize = 32;
+/// Blocks a sort-edge producer cuts its run into, at most: their first
+/// keys are its share of the pool the range boundaries are picked from.
+/// The pool only steers partition *balance*, never correctness — every
+/// row lands in exactly one range either way — so a small constant
+/// suffices.
+pub(crate) const SORT_SAMPLE_ROWS: usize = 32;
 
 /// Fold one stage-edge send's request accounting into the worker
 /// metrics; returns the bytes that crossed the edge, whichever wire
@@ -490,10 +480,8 @@ fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
 fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
     metrics.bytes_read += stats.bytes_read;
     metrics.get_requests += stats.get_requests;
-    metrics.list_requests += stats.list_requests;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
-    metrics.exchange_wait_secs += stats.wait_secs;
 }
 
 /// Receive one receiver's co-partition of a stage edge from the senders
@@ -504,13 +492,13 @@ async fn recv_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
-    edges: &[Vec<SectionAddr>],
+    edges: &[InEdge],
     receiver: usize,
 ) -> Result<(Vec<Vec<u8>>, EdgeReadStats)> {
     let addrs = edges.get(edge.slot).ok_or_else(|| {
         CoreError::Engine(format!("no addresses for in-edge {} ({})", edge.slot, edge.channel))
     })?;
-    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, addrs).await?;
+    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, &addrs.senders).await?;
     Ok((real_payloads(parts)?, stats))
 }
 
@@ -538,7 +526,7 @@ async fn read_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
-    edges: &[Vec<SectionAddr>],
+    edges: &[InEdge],
     handed: Option<PartData>,
     metrics: &mut WorkerMetrics,
 ) -> Result<Vec<Vec<u8>>> {
@@ -601,76 +589,43 @@ async fn report_batches(
     Ok(ResultPayload::StoredBatches { bucket: task.result_bucket.clone(), key, rows })
 }
 
-/// Cut one producer's locally sorted run into the parts of a
-/// sort-exchange edge.
+/// Cut one producer's locally sorted run for its sort edge: the parts
+/// it ships and, into several ranges, the starts it reports.
 ///
-/// The purely serverless range-partitioning protocol (§4.4 applied to
-/// sort): (1) PUT a small, evenly spaced sample of the run's sort keys
-/// onto the edge's sample channel; (2) LIST-poll until every producer's
-/// sample is visible and read them all back; (3) compute range boundaries
-/// from the pooled sample — deterministic, so all producers agree without
-/// any coordinator; (4) range-partition the run, one part per sort
-/// worker, for the caller to write onto the data edge like any other
-/// stage edge. Without a barrier ([`SortEdgeSpec::has_barrier`]) steps
-/// (1) and (2) fall away: the pool is the local sample. Updates `metrics`
-/// with the requests spent.
+/// Into one range the run is one part, under the range-partition charge
+/// of the single-range protocol. Into several it is at most
+/// [`SORT_SAMPLE_ROWS`] contiguous blocks, cut at the rows
+/// `i * rows / min(SORT_SAMPLE_ROWS, rows)`, and the starts are the sort
+/// keys of those rows, then of the run's last row. The driver pools the
+/// blocks' first keys into the range boundaries and addresses every
+/// sorter to the blocks that can hold its range; the sorter keeps its own
+/// rows. The producer itself partitions nothing and waits for no one.
 async fn sort_edge_parts(
     env: &WorkerEnv,
-    task: &StageTask,
-    channel: &str,
     edge: &SortEdgeSpec,
     run: &RecordBatch,
-    metrics: &mut WorkerMetrics,
-) -> Result<Vec<PartData>> {
-    // ---- Local sample ---------------------------------------------------
+) -> Result<(Vec<PartData>, Option<Vec<u8>>)> {
     let rows = run.num_rows();
-    let sample_count = SORT_SAMPLE_ROWS.min(rows);
-    let sample = if sample_count == 0 || edge.partitions <= 1 {
-        None
-    } else {
-        let key_cols = sort_key_columns(run, &edge.keys)?;
-        let idx: Vec<usize> = (0..sample_count).map(|i| i * rows / sample_count).collect();
-        let mut fields = Vec::with_capacity(edge.keys.len());
-        let mut cols = Vec::with_capacity(edge.keys.len());
-        for (j, c) in key_cols.iter().enumerate() {
-            let gathered = c.gather(&idx);
-            fields.push(lambada_engine::Field::new(format!("k{j}"), gathered.dtype()));
-            cols.push(gathered);
-        }
-        Some(RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?)
-    };
-    let sender = env.worker_id as usize;
-    let pool: Vec<RecordBatch> = if edge.has_barrier() {
-        // ---- Sample write, then every producer reads the whole pool -----
-        let sample_bytes = match &sample {
-            Some(sample) => crate::partition::encode_batches(std::slice::from_ref(sample))?,
-            None => Vec::new(),
-        };
-        let samples = sample_channel(channel);
-        let sample = vec![PartData::Real(sample_bytes)];
-        let (write_stats, ..) = task.transport.send(env, &samples, sender, sample, None).await?;
-        fold_write_stats(metrics, write_stats);
-        let (parts, read_stats) =
-            task.transport.recv_barrier(env, &samples, sender, edge.senders).await?;
-        fold_read_stats(metrics, read_stats);
-        decode_parts(real_payloads(parts)?).collect::<Result<_>>()?
-    } else {
-        sample.into_iter().collect()
-    };
-    let pooled: Vec<Vec<Scalar>> =
-        pool.iter().flat_map(|b| (0..b.num_rows()).map(|row| b.row(row))).collect();
-    let boundaries = range_boundaries(pooled, &edge.keys, edge.partitions);
-
-    // ---- Range partition + data write -----------------------------------
-    env.compute(env.costs.partition_seconds((rows * run.num_columns() * 8) as u64)).await;
-    let partitioned = range_partition_batch(run, &edge.keys, &boundaries)?;
-    let ranges: Vec<Vec<RecordBatch>> = partitioned.into_iter().map(|b| vec![b]).collect();
-    let mut parts = batch_parts(&ranges)?;
-    // The consumer fleet is sized before launch; boundaries can be fewer
-    // than partitions - 1 only when the pooled sample is tiny, leaving
-    // trailing partitions empty — pad the part list to the fleet size.
-    parts.resize(edge.partitions, PartData::Real(Vec::new()));
-    Ok(parts)
+    if !edge.cuts_blocks() {
+        env.compute(env.costs.partition_seconds((rows * run.num_columns() * 8) as u64)).await;
+        return Ok((batch_parts(&[vec![run.clone()]])?, None));
+    }
+    let count = SORT_SAMPLE_ROWS.min(rows);
+    if count == 0 {
+        return Ok((Vec::new(), None));
+    }
+    let mut cuts: Vec<usize> = (0..count).map(|i| i * rows / count).collect();
+    let blocks: Vec<Vec<RecordBatch>> = (0..count)
+        .map(|i| {
+            let end = cuts.get(i + 1).copied().unwrap_or(rows);
+            vec![run.gather(&(cuts[i]..end).collect::<Vec<_>>())]
+        })
+        .collect();
+    cuts.push(rows - 1);
+    let keys: Vec<_> = sort_key_columns(run, &edge.keys)?.iter().map(|c| c.gather(&cuts)).collect();
+    let fields = keys.iter().enumerate().map(|(j, c)| Field::new(format!("k{j}"), c.dtype()));
+    let starts = RecordBatch::new(Schema::arc(fields.collect()), keys)?;
+    Ok((batch_parts(&blocks)?, Some(crate::partition::encode_batches(&[starts])?)))
 }
 
 /// Run the scan of one worker, feeding items into `pipeline` with OOM
@@ -748,7 +703,7 @@ async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
     handed: Option<PartData>,
-    edges: &[Vec<SectionAddr>],
+    edges: &[InEdge],
 ) -> Result<(ResultPayload, WorkerMetrics, Option<PartData>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
@@ -881,11 +836,22 @@ async fn run_stage(
             }
         }
         StageOp::Sort { stage, input } => {
-            let mut batches = Vec::new();
+            // Blocks of a sort edge of several ranges hold other ranges'
+            // rows too: keep this range's, in the order they came.
+            let bounds = match handed {
+                None => edges.get(input.slot).map_or(&[][..], |e| &e.bounds[..]),
+                Some(_) => &[],
+            };
+            let (mut batches, mut received) = (Vec::new(), 0u64);
             let mut state_bytes = 0u64;
             let payloads = read_edge(env, task, input, edges, handed, &mut metrics).await?;
             for batch in decode_parts(payloads) {
-                let batch = batch?;
+                let mut batch = batch?;
+                if !bounds.is_empty() {
+                    received += (batch.num_rows() * batch.num_columns() * 8) as u64;
+                    let mut ranges = range_partition_batch(&batch, &stage.keys, bounds)?;
+                    batch = ranges.swap_remove(usize::from(p > 0));
+                }
                 state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
                 if state_bytes > budget / 2 {
                     return Err(CoreError::Engine(format!(
@@ -893,6 +859,9 @@ async fn run_stage(
                     )));
                 }
                 batches.push(batch);
+            }
+            if !bounds.is_empty() {
+                env.compute(env.costs.partition_seconds(received)).await;
             }
             let rows_in: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
             metrics.rows_in = rows_in;
@@ -910,8 +879,8 @@ async fn run_stage(
 
     // What leaves on an edge: filtered rows for hash-partition terminals,
     // grouped states (one "row" per group) for partitioned aggregates, a
-    // range-partitioned sorted run for sort edges.
-    let (rows, (channel, inline_budget), parts) = match (&task.sink, output) {
+    // sorted run — whole, or cut into blocks — for sort edges.
+    let (rows, (channel, inline_budget), parts, starts) = match (&task.sink, output) {
         (StageSink::Report, PipelineOutput::Aggregate(state)) => {
             return Ok((ResultPayload::AggState(state.encode()), metrics, None));
         }
@@ -920,7 +889,7 @@ async fn run_stage(
             return Ok((reported, metrics, None));
         }
         (StageSink::Edge { channel, inline_budget }, PipelineOutput::Partitions(partitions)) => {
-            (metrics.rows_out, (channel, *inline_budget), batch_parts(&partitions)?)
+            (metrics.rows_out, (channel, *inline_budget), batch_parts(&partitions)?, None)
         }
         (StageSink::Edge { channel, inline_budget }, PipelineOutput::AggShards(shards)) => {
             // Empty shards become zero-length parts, like empty batch lists.
@@ -929,12 +898,12 @@ async fn run_stage(
                 .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
                 .collect();
             let rows = shards.iter().map(|s| s.num_groups() as u64).sum();
-            (rows, (channel, *inline_budget), parts)
+            (rows, (channel, *inline_budget), parts, None)
         }
         (StageSink::SortEdge { channel, inline_budget, edge }, PipelineOutput::Batches(run)) => {
             let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let parts = sort_edge_parts(env, task, channel, edge, &run, &mut metrics).await?;
-            (run.num_rows() as u64, (channel, *inline_budget), parts)
+            let (parts, starts) = sort_edge_parts(env, edge, &run).await?;
+            (run.num_rows() as u64, (channel, *inline_budget), parts, starts)
         }
         (StageSink::Report, _) => {
             return Err(CoreError::Engine(
@@ -957,10 +926,14 @@ async fn run_stage(
         let handoff = parts.into_iter().next();
         return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, handoff));
     }
+    // Blocks (what starts come with) stream to no mailbox, and the
+    // starts ride the message beside whatever goes inline.
+    let (stream, starts_len) = (starts.is_none(), starts.as_ref().map_or(0, Vec::len));
+    let inline_budget = inline_budget.saturating_sub(starts_len as u64);
     let (stats, sections, inline) =
-        task.transport.send(env, channel, p, parts, Some(inline_budget)).await?;
+        task.transport.send(env, channel, p, parts, inline_budget, stream).await?;
     let bytes = fold_write_stats(&mut metrics, stats);
-    Ok((ResultPayload::Sections { rows, bytes, sections, inline }, metrics, None))
+    Ok((ResultPayload::Sections { rows, bytes, sections, inline, starts }, metrics, None))
 }
 
 async fn run_exchange_task(
@@ -975,7 +948,8 @@ async fn run_exchange_task(
         metrics.get_requests += 1;
         env.cloud.trace.record(env.worker_id, "exchange_input", start, env.cloud.handle.now());
     }
-    let per_dest = task.data_bytes / task.total as u64;
+    // An exchange among no workers holds nothing: `run_exchange` rejects it.
+    let per_dest = task.data_bytes.checked_div(task.total as u64).unwrap_or_default();
     let parts: Vec<PartData> = (0..task.total).map(|_| PartData::Modeled(per_dest)).collect();
     let outcome =
         run_exchange(env, &task.cfg, env.worker_id as usize, task.total, parts, &task.side).await?;
@@ -987,8 +961,9 @@ async fn run_exchange_task(
 mod tests {
     use super::*;
     use crate::stage::StageOutput;
-    use lambada_engine::types::{DataType, Field, Schema};
-    use lambada_engine::{AggExpr, AggFunc, Column};
+    use crate::transport::SectionAddr;
+    use lambada_engine::types::DataType;
+    use lambada_engine::{col, AggExpr, AggFunc, Column, Scalar};
     use lambada_sim::{CloudConfig, Simulation};
 
     /// A one-worker scan task over an empty `t` whose pipeline ends in
@@ -1085,5 +1060,138 @@ mod tests {
         );
         assert!(matches!(stored, ResultPayload::StoredBatches { .. }), "{stored:?}");
         assert_eq!(puts, (0, 1));
+    }
+
+    /// A sort edge of two ranges over a run of 64 rows whose key 21 is
+    /// hot — rows 21 to 63 — cut into 32 blocks of two rows. The pooled
+    /// first keys put the boundary at 21, inside block 10 (keys 20 and
+    /// 21): the driver addresses that block to both sorters, and each
+    /// keeps exactly its range's rows, in run order.
+    #[test]
+    fn a_block_straddling_a_boundary_reaches_both_sorters_and_each_keeps_its_own() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let env = |w| WorkerEnv::bare(&cloud, w, 2048, ComputeCostModel::default());
+        let schema =
+            Schema::arc(vec![Field::new("k", DataType::Int64), Field::new("v", DataType::Int64)]);
+        let keys: Vec<i64> = (0..64).map(|row| row.min(21)).collect();
+        let run = RecordBatch::new(
+            schema.clone(),
+            vec![Column::I64(keys), Column::I64((0..64).collect())],
+        )
+        .unwrap();
+        let sort_keys = vec![SortKey::asc(col(0))];
+        let edge = SortEdgeSpec {
+            keys: sort_keys.clone(),
+            limit: None,
+            schema: schema.clone(),
+            partitions: 2,
+        };
+        let transport =
+            Rc::new(EdgeTransport::new(ExchangeConfig::default(), ExchangeSide::new(), None));
+        let (blocks, edges) = sim.block_on({
+            let (env, transport) = (env(0), Rc::clone(&transport));
+            async move {
+                let (parts, starts) = sort_edge_parts(&env, &edge, &run).await.unwrap();
+                let (_, sections, inline) =
+                    transport.send(&env, "x0/q0/s0", 0, parts, u64::MAX, false).await.unwrap();
+                let (rows, bytes) = (64, inline.len() as u64);
+                let report = ResultPayload::Sections {
+                    rows,
+                    bytes,
+                    sections: sections.clone(),
+                    inline,
+                    starts,
+                };
+                let report = WorkerResult::ok(0, report, WorkerMetrics::default());
+                (sections, crate::driver::section_tables(&[report], 2, Some(&edge)).unwrap())
+            }
+        });
+        assert_eq!(blocks.len(), 32);
+        let bound = vec![vec![Scalar::Int64(21)]];
+        assert!(edges.iter().all(|e| e.bounds == bound), "{edges:?}");
+        let len = |e: &InEdge| match &e.senders[..] {
+            [SectionAddr { at: At::Inline(bytes), .. }] => bytes.len() as u64,
+            other => panic!("one inline address per sender, not {other:?}"),
+        };
+        let before: u64 = blocks[..10].iter().map(|s| s.len).sum();
+        let after: u64 = blocks[11..].iter().map(|s| s.len).sum();
+        assert_eq!(
+            (len(&edges[0]), len(&edges[1])),
+            (before + blocks[10].len, blocks[10].len + after)
+        );
+
+        let stage = SortStage { input: 0, schema, keys: sort_keys, limit: None };
+        let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
+        let task = StageTask {
+            op: StageOp::Sort { stage, input },
+            sink: StageSink::Report,
+            transport,
+            result_bucket: "results".to_string(),
+            result_prefix: "results/x0-q0".to_string(),
+            fused_into: None,
+        };
+        for (r, rows) in [(0usize, 0..21i64), (1, 21..64)] {
+            let (env, edge) = (env(r as u64), edges[r].clone());
+            let ran = sim.block_on(async { run_stage(&env, &task, None, &[edge]).await.unwrap() });
+            let ResultPayload::InlineBatches { bytes, .. } = &ran.0 else { panic!("{:?}", ran.0) };
+            let got = crate::partition::decode_batches(bytes).unwrap();
+            let got: Vec<i64> =
+                got.iter().flat_map(|b| b.column(1).as_i64().unwrap().to_vec()).collect();
+            assert_eq!(got, rows.collect::<Vec<_>>(), "sorter {r}");
+            assert_eq!(ran.1.rows_in, got.len() as u64, "sorter {r} counts the rows it keeps");
+        }
+    }
+
+    /// A malformed Algorithm-1 task — an exchange among no workers, or a
+    /// worker outside it — is reported on the result queue as the
+    /// worker's error, not a panic that takes the handler down.
+    #[test]
+    fn a_malformed_exchange_task_posts_an_error_result() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        register_worker_function(
+            &cloud,
+            "x",
+            2048,
+            std::time::Duration::from_secs(60),
+            ComputeCostModel::default(),
+        );
+        cloud.sqs.create_queue("results");
+        let side = ExchangeSide::new();
+        let task = |total| ExchangeTask {
+            cfg: ExchangeConfig::default(),
+            total,
+            data_bytes: 1 << 20,
+            input: None,
+            side: side.clone(),
+        };
+        let payloads = [(0, task(0)), (3, task(2))].map(|(worker_id, task)| WorkerPayload {
+            worker_id,
+            attempt: 0,
+            query: 0,
+            task: WorkerTask::Exchange(task),
+            edges: Vec::new(),
+            children: Vec::new(),
+            result_queue: "results".to_string(),
+        });
+        let results = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                invoke::invoke_workers(&cloud, "x", payloads.to_vec()).await.unwrap();
+                let mut got = Vec::new();
+                while got.len() < 2 {
+                    let wait = std::time::Duration::from_secs(1);
+                    for msg in cloud.driver_sqs().receive("results", 10, wait).await.unwrap() {
+                        got.push(WorkerResult::decode(&msg).unwrap());
+                    }
+                }
+                got
+            }
+        });
+        for r in results {
+            let err = r.outcome.unwrap_err();
+            assert!(err.contains("-worker exchange"), "worker {}: {err}", r.worker_id);
+        }
     }
 }

@@ -5,9 +5,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use lambada::core::{
-    stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig, ADDRESSED,
-};
+use lambada::core::{stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig};
 use lambada::engine::{execute_into_batch, Catalog, DataType, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 use lambada::workloads::{lineitem_schema, stage_real, stage_table_real, StageOptions};
@@ -386,7 +384,7 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     // senders mix on one edge; the join workers' grouped shards all ride
     // inline to the merge fleet.
     let scan_senders: usize = scans.iter().map(|s| s.workers).sum();
-    let join_edge = stage_edge_counts(scan_senders as f64, join_workers as f64, ADDRESSED);
+    let join_edge = stage_edge_counts(scan_senders as f64, join_workers as f64);
     let scan_puts: Vec<u64> = scans.iter().map(|s| s.put_requests).collect();
     assert_eq!(scan_puts, vec![4, 0], "only the scanners over budget PUT");
     assert!(scan_puts.iter().sum::<u64>() <= join_edge.writes as u64);
@@ -405,17 +403,13 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     assert!(join.bytes_exchanged > 0, "join fleet exchanged grouped state shards");
 }
 
-fn system_buckets() -> f64 {
-    LambadaConfig::default().exchange.num_buckets as f64
-}
-
 #[test]
 fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() {
     q5_multiway(2);
 }
 
-/// A one-worker sort fleet has no boundaries to agree on: the merge
-/// fleet skips the sample barrier and PUTs its runs only.
+/// A one-worker sort fleet has one range: every merge worker ships its
+/// run as one part and cuts no blocks.
 #[test]
 fn q5_multiway_with_a_lone_sorter_skips_the_sample_barrier() {
     q5_multiway(1);
@@ -536,8 +530,7 @@ fn q5_multiway(sort_workers: usize) {
     // Writes are exact: one write-combined PUT per producer worker whose
     // sections exceed its inline budget (INLINE_EDGE_BYTES over its
     // consumer's senders) — every customer scanner, 4 of the 6 lineitem
-    // scanners, no orders scanner, no join or merge worker — plus one
-    // sample PUT per sort-exchange producer.
+    // scanners, no orders scanner, no join or merge worker.
     let scan_workers: usize = report.stages[..3].iter().map(|s| s.workers).sum();
     let scan_puts: Vec<u64> = report.stages[..3].iter().map(|s| s.put_requests).collect();
     assert_eq!(scan_puts, vec![3, 4, 0], "only the scanners over budget PUT");
@@ -546,30 +539,23 @@ fn q5_multiway(sort_workers: usize) {
         (0, 0),
         "the re-exchanged rows and the agg shards ride inline"
     );
-    let barrier = sort_workers > 1;
+    // The merge fleet's runs, cut into blocks when there are several
+    // ranges, ride inline: the driver picks the boundaries from the
+    // reported starts, so nobody PUTs, GETs or LISTs a sample.
     assert_eq!(
-        agg.put_requests,
-        if barrier { agg_workers as u64 } else { 0 },
-        "each merge worker's run rides inline; it PUTs its boundary sample \
-         only when there are boundaries to agree on"
+        (agg.put_requests, agg.get_requests, agg.list_requests),
+        (0, 0, 0),
+        "each merge worker's run rides inline, and its in-edge did too"
     );
     assert_eq!(sort.put_requests, 0, "the sorted top 10 rides the result messages");
+    assert_eq!(sort.get_requests, 0, "the runs rode the sorters' payloads");
     // Reads bounded by the model (empty sections are skipped); no stage
-    // edge lists anything.
-    let inner_edge = stage_edge_counts(scan_workers as f64, join_workers as f64, ADDRESSED);
+    // lists anything or waits.
+    let inner_edge = stage_edge_counts(scan_workers as f64, join_workers as f64);
     assert!(inner_join.get_requests >= 1 && inner_join.get_requests <= inner_edge.reads as u64);
-    assert_eq!((inner_join.list_requests, outer_join.list_requests, sort.list_requests), (0, 0, 0));
-    // The merge fleet LISTs only the sample pool of the sort edge it
-    // produces, and only with a barrier (every merge worker reads all
-    // merge workers' samples): one pass, bucket by bucket from its own
-    // sample's, and never a re-poll — a pass over the pool outlasts the
-    // skew among the peers writing to it. Its in-edge lists nothing.
-    let buckets = system_buckets();
-    let smp_edge = stage_edge_counts(agg_workers as f64, agg_workers as f64, buckets);
-    let samples = (agg_workers * agg_workers) as u64;
-    assert_eq!(agg.get_requests, if barrier { samples } else { 0 }, "only samples are fetched");
-    let one_pass = if barrier { smp_edge.lists as u64 } else { 0 };
-    assert_eq!(agg.list_requests, one_pass, "LISTs vs one model pass of the barrier");
+    for stage in &report.stages {
+        assert_eq!((stage.list_requests, stage.exchange_wait_secs), (0, 0.0), "{}", stage.label);
+    }
     // Every exchange edge carried bytes.
     assert!(report.stages[..3].iter().all(|s| s.bytes_exchanged > 0));
     assert!(inner_join.bytes_exchanged > 0, "nested join re-exchanged rows");

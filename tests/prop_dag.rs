@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lambada::core::{AggStrategy, Lambada, LambadaConfig, SortStrategy};
+use lambada::core::{AggStrategy, ExecPolicy, Lambada, LambadaConfig, SortStrategy, TransportKind};
 use lambada::engine::{
     execute_into_batch, lit_i64, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, Schema, SortKey,
@@ -44,6 +44,19 @@ fn arb_keys(len: usize) -> impl Strategy<Value = Vec<i64>> {
         prop::collection::vec(-3i64..4, len..len + 1),
         prop::collection::vec(-500i64..500, len..len + 1),
         (0i64..2).prop_map(move |k| vec![k; len]),
+    ]
+}
+
+/// Keys for a cut sort: any [`arb_keys`] draw, or one hot key holding
+/// most rows, whose runs span several blocks and the boundaries around
+/// them.
+fn arb_sort_keys(len: usize) -> impl Strategy<Value = Vec<i64>> {
+    prop_oneof![
+        arb_keys(len),
+        prop::collection::vec(
+            (0..5, -20i64..20).prop_map(|(w, k)| if w < 4 { 7 } else { k }),
+            len..len + 1
+        ),
     ]
 }
 
@@ -287,6 +300,74 @@ proptest! {
         let scanners = report.stages[0].workers;
         let fused = usize::from(scanners == 1 && sort_workers == 1);
         prop_assert_eq!(report.invocations() as usize, scanners + sort_workers - fused);
+    }
+
+    /// The cut sort: 1–4 producers of up to 120 rows each — fewer than a
+    /// block per sample row, several rows a block, or none once the
+    /// filter drops their rows — into 2–8 sorters, with and without
+    /// LIMIT, ≡ the reference's exact row sequence on both transports,
+    /// and nothing lists.
+    #[test]
+    fn cut_sort_matches_reference_exactly_on_both_transports(
+        producers in prop::collection::vec(1usize..120, 1..5).prop_flat_map(|sizes| {
+            let rows = sizes.iter().sum();
+            (Just(sizes), arb_sort_keys(rows))
+        }),
+        keep in 0i64..300,
+        sort_workers in 2usize..9,
+        limit in (any::<bool>(), 0usize..40).prop_map(|(some, n)| some.then_some(n)),
+        descending in any::<bool>(),
+    ) {
+        let (sizes, keys) = producers;
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let schema = u_schema();
+        let rows = keys.len();
+        let cols = vec![Column::I64(keys), Column::I64((0..rows as i64).collect())];
+        let mut files = Vec::new();
+        let mut start = 0;
+        for size in sizes {
+            let idx: Vec<usize> = (start..start + size).collect();
+            files.push(cols.iter().map(|c| c.gather(&idx)).collect());
+            start += size;
+        }
+        let mut system = Lambada::install(&cloud, LambadaConfig {
+            sort: SortStrategy::Exchange { workers: Some(sort_workers) },
+            ..LambadaConfig::default()
+        });
+        system.register_table(stage_table_real(&cloud, "data", "u", schema.clone(), files, rows as u64, 2));
+        let mut catalog = Catalog::new();
+        catalog.register(
+            "u",
+            Rc::new(MemTable::from_batch(RecordBatch::new(Arc::new(schema.clone()), cols).unwrap())),
+        );
+
+        // WHERE b < keep — later producers keep nothing — ORDER BY uk
+        // [DESC], b: every column a key, so the order is total.
+        let df = Df::scan("u", &schema);
+        let (k, b) = (df.col("uk").unwrap(), df.col("b").unwrap());
+        let sk = if descending { SortKey::desc(k) } else { SortKey::asc(k) };
+        let mut df = df.filter(b.clone().lt(lit_i64(keep))).unwrap().sort(vec![sk, SortKey::asc(b)]).unwrap();
+        if let Some(n) = limit {
+            df = df.limit(n).unwrap();
+        }
+        let plan = df.build();
+        let reference = execute_into_batch(&plan, &catalog).unwrap();
+        let reports = sim.block_on(async move {
+            let dag = system.plan(&plan).unwrap();
+            let mut reports = Vec::new();
+            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+            }
+            reports
+        });
+        for report in &reports {
+            assert_rows_identical(&report.batch, &reference)?;
+            prop_assert_eq!(report.stages[1].workers, sort_workers);
+            prop_assert!(report.stages.iter().all(|s| s.list_requests == 0), "nothing lists");
+            prop_assert_eq!(report.p2p_requests(), 0, "blocks never stream");
+        }
     }
 
     /// Group-by + ORDER BY + LIMIT with both exchange strategies on —

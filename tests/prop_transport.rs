@@ -290,14 +290,9 @@ proptest! {
         )));
         let reference = execute_into_batch(&plan, &cat).unwrap();
         prop_assert_eq!(row_multiset(&direct.batch), row_multiset(&reference));
-        // The probe edge over budget rides the relay, and so does a sample
-        // barrier (a merge fleet and a sort fleet of two or more each);
-        // otherwise every edge rides the messages.
-        let fleet = |label: &str| {
-            direct.stages.iter().find(|s| s.label.starts_with(label)).map_or(0, |s| s.workers)
-        };
-        let barrier = fleet("agg") > 1 && fleet("sort") > 1;
-        prop_assert!(if over_budget || barrier {
+        // Only the probe edge over budget rides the relay: a sort edge's
+        // blocks never stream, and every other edge rides the messages.
+        prop_assert!(if over_budget {
             relay_spares_s3_requests(&store, &direct)
         } else {
             relay_idle(&store, &direct)
