@@ -12,12 +12,17 @@
 //!   per chunk (level 2 runs chunks of a row group concurrently), split
 //!   into multiple requests only above a size threshold (level 1, the
 //!   trade-off of Fig 7: more requests cost more money);
-//! * the same trade-off below the chunk sizes the paper studied: a row
-//!   group whose scanned chunks span (gaps included) no more bytes than a
-//!   connection moves in one first-byte latency is *latency-bound* and is
-//!   fetched with one ranged GET, its chunks zero-copy slices of the one
-//!   body — the over-read costs less time than one more round trip and
-//!   less money than one more request;
+//! * the same trade-off below the chunk sizes the paper studied: a span
+//!   of no more bytes than a connection moves in one first-byte latency
+//!   is *latency-bound* — the over-read costs less time than one more
+//!   round trip and less money than one more request. A latency-bound
+//!   *file* is its footer read: that one GET is the whole file. A
+//!   latency-bound row group (its scanned chunks' span, gaps included)
+//!   is one ranged GET. Either way the chunks are zero-copy slices of
+//!   the one body;
+//! * a row group whose scanned span lies inside the body the footer came
+//!   in (the whole file, or the tail of a larger one) is sliced from that
+//!   body and costs no request at all;
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
 //!   group;
@@ -47,7 +52,7 @@ pub struct ScanConfig {
     pub connections: usize,
     /// Row groups downloaded ahead (level 3); the paper uses two.
     pub row_group_pipeline: usize,
-    /// Speculative footer fetch size.
+    /// Speculative footer fetch size, for a file too large to read whole.
     pub metadata_tail_bytes: u64,
     /// Use the second hardware thread for decompression (§4.3.2).
     pub parallel_decompress: bool,
@@ -108,42 +113,72 @@ async fn get_counted(
     Ok(body)
 }
 
-/// Fetched (or carried) metadata plus request accounting.
+/// A file's footer and the body it came in: the file's bytes
+/// `[offset, size)` — all of them for a latency-bound file.
+struct Footer {
+    meta: Rc<FileMeta>,
+    offset: u64,
+    body: Body,
+}
+
+/// The bytes of a real file's body.
+fn real_bytes(body: &Body) -> Result<&[u8]> {
+    body.as_real()
+        .map(|b| b.as_ref())
+        .ok_or_else(|| CoreError::Format("real file returned synthetic body".to_string()))
+}
+
+/// Fetch a file's footer with one read, plus request accounting. A file
+/// of at most `coalesce_below` bytes is latency-bound, so the read is the
+/// whole file and brings every row group with it; a larger one reads its
+/// last `tail_bytes`, retried with the exact size if the footer turns out
+/// larger. The body comes back with the footer, so a row group inside it
+/// costs no further request.
 async fn fetch_metadata(
     env: &WorkerEnv,
     conn: &Semaphore,
     file: &TableFile,
     tail_bytes: u64,
+    coalesce_below: u64,
     shared: &Rc<Shared>,
-) -> Result<Rc<FileMeta>> {
-    let want = tail_bytes.min(file.size);
+) -> Result<Footer> {
+    let want = if file.size <= coalesce_below { file.size } else { tail_bytes.min(file.size) };
     let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
     env.compute(env.costs.metadata_parse_s).await;
     if let Some(meta) = &file.meta {
         // Descriptor-backed file: the range request above charged the
         // realistic latency/bytes/cost; the metadata rides along.
-        return Ok(Rc::clone(meta));
+        return Ok(Footer { meta: Rc::clone(meta), offset: file.size - want, body });
     }
-    let bytes = body
-        .as_real()
-        .ok_or_else(|| CoreError::Format("real file returned synthetic body".to_string()))?;
-    match FileMeta::parse_tail(bytes) {
-        Ok(meta) => Ok(Rc::new(meta)),
-        Err(FormatError::TailTooShort(need)) => {
-            // Speculative fetch too small: retry with the exact size.
+    let parsed = FileMeta::parse_tail(real_bytes(&body)?);
+    match parsed {
+        Ok(meta) => Ok(Footer { meta: Rc::new(meta), offset: file.size - want, body }),
+        // Speculative fetch too small: retry with the exact size (a body
+        // that is already the whole file has no more to give).
+        Err(FormatError::TailTooShort(need)) if want < file.size => {
             let want = (need as u64).min(file.size);
             let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
-            let bytes = body.as_real().ok_or_else(|| {
-                CoreError::Format("real file returned synthetic body".to_string())
-            })?;
-            Ok(Rc::new(FileMeta::parse_tail(bytes)?))
+            let meta = FileMeta::parse_tail(real_bytes(&body)?)?;
+            Ok(Footer { meta: Rc::new(meta), offset: file.size - want, body })
         }
         Err(e) => Err(e.into()),
     }
 }
 
+/// Reject a footer whose schema is not the table's.
+fn check_width(file: &TableFile, meta: &FileMeta, width: usize) -> Result<()> {
+    if meta.schema.len() != width {
+        return Err(CoreError::Format(format!(
+            "file {} has {} columns, table schema has {width}",
+            file.key,
+            meta.schema.len()
+        )));
+    }
+    Ok(())
+}
+
 /// Reject a footer whose scanned chunks do not lie inside the file, before
-/// any of them sizes a request list or a buffer: every `(offset,
+/// any of them sizes a request list, a buffer or a slice: every `(offset,
 /// compressed_len)` of the scan columns must end at or before
 /// [`TableFile::size`], without overflowing.
 fn check_chunk_ranges(file: &TableFile, meta: &FileMeta, columns: &[usize]) -> Result<()> {
@@ -233,11 +268,24 @@ async fn download_chunk(
     })
 }
 
+/// The scanned span of a row group: its first and one past its last
+/// scanned byte, gaps included.
+fn scanned_span(chunks: &[(usize, ColumnChunkMeta)]) -> (u64, u64) {
+    let start = chunks.iter().map(|(_, c)| c.offset).min().unwrap_or(0);
+    let end = chunks.iter().map(|(_, c)| c.offset + c.compressed_len).max().unwrap_or(0);
+    (start, end)
+}
+
+/// The chunks as zero-copy slices of `body`, which holds the file's bytes
+/// from `offset` on and every byte of them.
+fn slice_chunks(chunks: &[(usize, ColumnChunkMeta)], body: &Body, offset: u64) -> Vec<Body> {
+    chunks.iter().map(|(_, c)| body.slice(c.offset - offset, c.compressed_len)).collect()
+}
+
 /// Download the scanned chunks of one row group; one body per chunk, in
-/// `chunks` order. A scanned span (first to last scanned byte, gaps
-/// included) of at most `coalesce_below` bytes is one ranged GET whose
-/// body the chunks slice; a wider one is a download per chunk, all
-/// launched at once (level 2).
+/// `chunks` order. A scanned span of at most `coalesce_below` bytes is one
+/// ranged GET whose body the chunks slice; a wider one is a download per
+/// chunk, all launched at once (level 2).
 async fn download_row_group(
     env: &WorkerEnv,
     conn: &Semaphore,
@@ -247,15 +295,11 @@ async fn download_row_group(
     coalesce_below: u64,
     shared: &Rc<Shared>,
 ) -> Result<Vec<Body>> {
-    let start = chunks.iter().map(|(_, c)| c.offset).min().unwrap_or(0);
-    let end = chunks.iter().map(|(_, c)| c.offset + c.compressed_len).max().unwrap_or(0);
+    let (start, end) = scanned_span(chunks);
     let span = end - start;
     if span > 0 && span <= coalesce_below {
         let whole = get_counted(env, conn, file, start, span, shared).await?;
-        return Ok(chunks
-            .iter()
-            .map(|(_, c)| whole.slice(c.offset - start, c.compressed_len))
-            .collect());
+        return Ok(slice_chunks(chunks, &whole, start));
     }
     let mut joins = Vec::with_capacity(chunks.len());
     for (_, chunk) in chunks {
@@ -310,23 +354,35 @@ pub async fn scan_table(
     let max_req = cfg.max_request_bytes.max(1);
     // A span a connection moves within one first-byte latency: a second
     // request for part of it would take longer than reading over the gaps.
+    // A file that small is read whole by its footer read.
     let service = &env.cloud.config;
     let coalesce_below =
         max_req.min((service.s3.ttfb_median.as_secs_f64() * service.nic.per_conn) as u64);
 
-    // Level 4: prefetch metadata for all files in a dedicated task.
-    let (meta_tx, mut meta_rx) = mpsc::channel::<Result<Rc<FileMeta>>>();
+    // Level 4: prefetch metadata for all files in a dedicated task. A
+    // footer is checked against the scan before it is handed over, and the
+    // task stops at the first file that fails (or once the scan is gone).
+    let (meta_tx, mut meta_rx) = mpsc::channel::<Result<Footer>>();
     {
         let env = env.clone();
         let conn = conn.clone();
         let files: Vec<TableFile> = files.to_vec();
+        let columns = columns.to_vec();
+        let width = base_schema.len();
         let shared = Rc::clone(&shared);
         let tail = cfg.metadata_tail_bytes;
         env.cloud.handle.clone().spawn(async move {
             for file in &files {
-                let out = fetch_metadata(&env, &conn, file, tail, &shared).await;
-                if meta_tx.send(out).is_err() {
-                    return; // scan aborted
+                let out = fetch_metadata(&env, &conn, file, tail, coalesce_below, &shared)
+                    .await
+                    .and_then(|footer| {
+                        check_width(file, &footer.meta, width)?;
+                        check_chunk_ranges(file, &footer.meta, &columns)?;
+                        Ok(footer)
+                    });
+                let failed = out.is_err();
+                if meta_tx.send(out).is_err() || failed {
+                    return;
                 }
             }
         });
@@ -378,21 +434,12 @@ pub async fn scan_table(
     }
 
     for file in files {
-        let meta = match meta_rx.recv().await {
-            Some(m) => m?,
+        let footer = match meta_rx.recv().await {
+            Some(f) => f?,
             None => return Err(CoreError::Storage("metadata prefetch task died".to_string())),
         };
-        if meta.schema.len() != base_schema.len() {
-            return Err(CoreError::Format(format!(
-                "file {} has {} columns, table schema has {}",
-                file.key,
-                meta.schema.len(),
-                base_schema.len()
-            )));
-        }
-        check_chunk_ranges(file, &meta, columns)?;
         shared.metrics.borrow_mut().files += 1;
-        for rg in &meta.row_groups {
+        for rg in &footer.meta.row_groups {
             shared.metrics.borrow_mut().row_groups_total += 1;
             if let Some(pred) = prune_predicate {
                 let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
@@ -414,19 +461,27 @@ pub async fn scan_table(
             let shared2 = Rc::clone(&shared);
             let chunk_metas: Vec<(usize, ColumnChunkMeta)> =
                 columns.iter().map(|&c| (c, rg.columns[c].clone())).collect();
+            // A row group the footer's body holds is already here.
+            let held = (scanned_span(&chunk_metas).0 >= footer.offset)
+                .then(|| slice_chunks(&chunk_metas, &footer.body, footer.offset));
             let rows = rg.num_rows;
             let costs = env.costs;
             inflight.push_back(env.cloud.handle.spawn(async move {
-                let bodies = download_row_group(
-                    &env2,
-                    &conn2,
-                    &file2,
-                    &chunk_metas,
-                    max_req,
-                    coalesce_below,
-                    &shared2,
-                )
-                .await?;
+                let bodies = match held {
+                    Some(bodies) => bodies,
+                    None => {
+                        download_row_group(
+                            &env2,
+                            &conn2,
+                            &file2,
+                            &chunk_metas,
+                            max_req,
+                            coalesce_below,
+                            &shared2,
+                        )
+                        .await?
+                    }
+                };
                 let mut decode_seconds = 0.0;
                 let mut out = Vec::with_capacity(bodies.len());
                 for ((col_idx, chunk), bytes) in chunk_metas.into_iter().zip(bodies) {

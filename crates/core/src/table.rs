@@ -15,7 +15,8 @@ use lambada_format::FileMeta;
 /// * **descriptor-backed** — the object store holds a synthetic body of
 ///   the file's *size* only, and the footer metadata rides along here.
 ///   All timing, request, and billing behaviour is identical (the scan
-///   still fetches the footer range and every projected column chunk);
+///   still fetches the footer range and every projected column chunk it
+///   does not hold, by the same plan as a real file's);
 ///   only the decode is replaced by its modeled CPU charge. This is how
 ///   paper-scale experiments (SF 1000 = 151 GiB of Parquet) run without
 ///   materializing 151 GiB.

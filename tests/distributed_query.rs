@@ -300,7 +300,10 @@ fn query_cost_is_dominated_by_lambda_compute() {
     let (_, report) = run_distributed(&plan, 0.002, 13, LambadaConfig::default());
     let lambda = report.cost.dollars(CostItem::LambdaGibSeconds);
     assert!(lambda > 0.0);
-    assert!(report.cost.units(CostItem::S3Get) >= 12.0, "footer + chunks per file");
+    // Every file is latency-bound: its footer read is the whole file.
+    let files = stage_opts(0.002, 13).num_files as u64;
+    assert_eq!(report.stages[0].get_requests, files, "one GET per file");
+    assert_eq!(report.cost.units(CostItem::S3Get), files as f64);
     assert!(report.cost.units(CostItem::SqsRequests) >= 6.0, "one result per worker");
 }
 

@@ -108,8 +108,8 @@ fn exchange_config() -> LambadaConfig {
 #[test]
 fn q6_on_real_files() {
     let expected = Pin {
-        queries: vec![(4607338026111492801, 4536524183238306033)],
-        s3_gets: 7,
+        queries: vec![(4607355825314501289, 4536170005752090809)],
+        s3_gets: 4,
         s3_puts: 0,
         s3_lists: 0,
         trace_len: 24,
@@ -128,8 +128,8 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609176955353380314, 4545221477192608703)],
-        s3_gets: 25,
+        queries: vec![(4609077591313405331, 4544955844077947286)],
+        s3_gets: 16,
         s3_puts: 3,
         s3_lists: 0,
         trace_len: 98,
@@ -146,8 +146,8 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4608351489262628484, 4544038291498505925)],
-        s3_gets: 22,
+        queries: vec![(4608294356214949694, 4543152847782967867)],
+        s3_gets: 7,
         s3_puts: 0,
         s3_lists: 0,
         trace_len: 98,
@@ -168,12 +168,12 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4608064658429600574, 4545250991983126638),
-            (4610242980105839030, 4550555180303296128),
-            (4607718514549969047, 4544645938777508965),
-            (4603813773656612357, 4548121305360995842),
+            (4607840699432637824, 4544601666591732062),
+            (4609792591139920380, 4549570124169760039),
+            (4607494555553006297, 4543861202755398314),
+            (4607833472168545811, 4547162074669162946),
         ],
-        s3_gets: 79,
+        s3_gets: 40,
         s3_puts: 6,
         s3_lists: 0,
         trace_len: 217,
@@ -235,8 +235,8 @@ fn descriptor_q1_on_40_files() {
 #[test]
 fn killed_worker_with_speculation() {
     let expected = Pin {
-        queries: vec![(4611549333543689662, 4539091970013366402)],
-        s3_gets: 19,
+        queries: vec![(4611320429639372056, 4537439141744362027)],
+        s3_gets: 5,
         s3_puts: 0,
         s3_lists: 0,
         trace_len: 29,

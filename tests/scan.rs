@@ -1,19 +1,24 @@
-//! The scan operator's request plan (§4.3): a latency-bound row group is
-//! one ranged GET, a bandwidth-bound one is a GET per chunk split at
-//! `max_request_bytes`, both yield the same batches, and a footer that
-//! lies about a chunk's place in the file is an error before any request
-//! is sized from it.
+//! The scan operator's request plan (§4.3). A latency-bound file is one
+//! GET: its footer read is the whole file. A larger file's footer read is
+//! its tail, and a row group whose scanned span lies inside that tail
+//! costs no request. Any other latency-bound row group is one ranged GET,
+//! a bandwidth-bound one is a GET per chunk split at `max_request_bytes`.
+//! Every plan yields the same batches, a footer that lies about a chunk's
+//! place in the file is an error before any request or slice is sized
+//! from it, and a failed scan requests nothing more.
+
+use std::time::Duration;
 
 use lambada::core::{
     scan_table, ComputeCostModel, CoreError, ScanConfig, ScanItem, ScanMetrics, TableFile,
     TableSpec, WorkerEnv,
 };
 use lambada::engine::{col, lit_i64, Column, DataType, Expr, Field, RecordBatch, Schema};
-use lambada::format::{chunk_rows, write_file, FileMeta, WriterOptions};
+use lambada::format::{chunk_rows, write_file, FileMeta, WriterOptions, TRAILER_LEN};
 use lambada::sim::services::object_store::Body;
 use lambada::sim::sync::mpsc;
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
-use lambada::workloads::{stage_descriptors, stage_table_real, DescriptorOptions};
+use lambada::workloads::{stage_descriptors, DescriptorOptions};
 
 const ROW_GROUPS: usize = 6;
 const ROWS: i64 = 6_000;
@@ -29,16 +34,38 @@ fn schema() -> Schema {
     ])
 }
 
-fn columns() -> Vec<Column> {
+fn columns(rows: i64) -> Vec<Column> {
     vec![
-        Column::I64((0..ROWS).collect()),
-        Column::F64((0..ROWS).map(|i| i as f64 * 0.5).collect()),
-        Column::I64((0..ROWS).map(|i| (i * 7919) % 1013).collect()),
-        Column::F64((0..ROWS).map(|i| ((i * 31) % 97) as f64 / 7.0).collect()),
+        Column::I64((0..rows).collect()),
+        Column::F64((0..rows).map(|i| i as f64 * 0.5).collect()),
+        Column::I64((0..rows).map(|i| (i * 7919) % 1013).collect()),
+        Column::F64((0..rows).map(|i| ((i * 31) % 97) as f64 / 7.0).collect()),
     ]
 }
 
 const SCANNED: [usize; 3] = [0, 2, 3];
+
+/// The test table's rows `0..rows` as one file of `row_groups` row groups.
+fn write(rows: i64, row_groups: usize) -> Vec<u8> {
+    let file_schema = schema().to_file_schema().unwrap();
+    let data: Vec<_> = columns(rows).into_iter().map(|c| c.into_data().unwrap()).collect();
+    let groups = chunk_rows(&data, (rows as usize).div_ceil(row_groups));
+    write_file(file_schema, &groups, WriterOptions::default()).unwrap()
+}
+
+fn stage(cloud: &Cloud, bucket: &str, key: &str, bytes: Vec<u8>) -> TableFile {
+    let size = bytes.len() as u64;
+    cloud.s3.create_bucket(bucket);
+    cloud.s3.stage(bucket, key, Body::from_vec(bytes));
+    TableFile::real(bucket, key, size)
+}
+
+/// The bytes one connection moves within one first-byte latency: the
+/// latency-bound limit whenever `max_request_bytes` is above it.
+fn latency_limit(cloud: &Cloud) -> u64 {
+    let config = &cloud.config;
+    (config.s3.ttfb_median.as_secs_f64() * config.nic.per_conn) as u64
+}
 
 /// Run one worker's scan of `files` to its end and drain what it emitted.
 fn scan(
@@ -74,45 +101,62 @@ fn batches(items: Vec<ScanItem>) -> Vec<RecordBatch> {
 }
 
 /// The per-chunk plan, forced on any file: a request limit below every
-/// chunk (which is also the coalescing limit).
+/// chunk (which is also the latency-bound limit of files and row groups),
+/// and a footer read of the trailer alone, so the body the footer comes
+/// in holds no row group.
 fn per_chunk(max_request_bytes: u64) -> ScanConfig {
-    ScanConfig { max_request_bytes, ..ScanConfig::default() }
+    ScanConfig {
+        max_request_bytes,
+        metadata_tail_bytes: TRAILER_LEN as u64,
+        ..ScanConfig::default()
+    }
 }
 
 #[test]
 fn a_small_row_group_is_one_get_and_the_same_batches_as_a_get_per_chunk() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let spec =
-        stage_table_real(&cloud, "data", "t", schema(), vec![columns()], ROWS as u64, ROW_GROUPS);
+    let file = stage(&cloud, "data", "t", write(ROWS, ROW_GROUPS));
+    let spec = TableSpec::new("t", schema(), vec![file], ROWS as u64);
+    let size = spec.files[0].size;
+    assert!(size <= latency_limit(&cloud), "the file is latency-bound");
     // `k >= 2000` prunes the first two row groups by their statistics.
     let predicate = || Some(col(0).ge(lit_i64(2000)));
     let surviving = ROW_GROUPS as u64 - 2;
 
-    let (one, one_items) =
+    let (file, file_items) =
         scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, predicate())
             .unwrap();
-    assert_eq!((one.row_groups_total, one.row_groups_pruned), (ROW_GROUPS as u64, 2));
-    assert_eq!(one.get_requests, 1 + surviving, "the footer, then one GET per row group");
+    assert_eq!((file.row_groups_total, file.row_groups_pruned), (ROW_GROUPS as u64, 2));
+    assert_eq!(file.get_requests, 1, "the footer read is the whole file");
+    assert_eq!(file.bytes_read, size);
+
+    // Below the file, above every row group: the trailer, the footer, then
+    // one GET per surviving row group.
+    let (groups, group_items) =
+        scan(&sim, &cloud, per_chunk(size / 2), &spec, &spec.files, &SCANNED, predicate()).unwrap();
+    assert_eq!(groups.get_requests, 2 + surviving);
 
     let (many, many_items) =
         scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, predicate()).unwrap();
     assert!(
-        many.get_requests > 1 + surviving * SCANNED.len() as u64,
+        many.get_requests > 2 + surviving * SCANNED.len() as u64,
         "chunks above the request limit are split: {} GETs",
         many.get_requests
     );
-    // Requested bytes are counted: the single GET reads over `pad`.
-    assert!(one.bytes_read > many.bytes_read);
-    assert_eq!(one.rows, many.rows);
+    // Requested bytes are counted: one GET a row group reads over `pad`,
+    // the whole file reads everything.
+    assert!(file.bytes_read > groups.bytes_read && groups.bytes_read > many.bytes_read);
+    assert_eq!((file.rows, groups.rows), (many.rows, many.rows));
 
-    let (one_batches, many_batches) = (batches(one_items), batches(many_items));
-    assert_eq!(one_batches.len(), surviving as usize);
-    assert_eq!(one_batches, many_batches, "bit-identical, whichever way the bytes came");
+    let file_batches = batches(file_items);
+    assert_eq!(file_batches.len(), surviving as usize);
+    assert_eq!(file_batches, batches(group_items), "bit-identical, whichever way the bytes came");
+    assert_eq!(file_batches, batches(many_items));
     let kept: Vec<usize> = (2000..ROWS as usize).collect();
     let expected: Vec<Column> =
-        SCANNED.iter().map(|&c| columns().swap_remove(c).gather(&kept)).collect();
-    let whole = RecordBatch::concat(one_batches[0].schema().clone(), &one_batches).unwrap();
+        SCANNED.iter().map(|&c| columns(ROWS).swap_remove(c).gather(&kept)).collect();
+    let whole = RecordBatch::concat(file_batches[0].schema().clone(), &file_batches).unwrap();
     assert_eq!(whole.columns(), expected.as_slice());
 }
 
@@ -139,29 +183,95 @@ fn a_descriptor_file_with_paper_scale_row_groups_keeps_one_get_per_chunk() {
     assert_eq!(metrics.get_requests, want);
 
     // The plan follows the bytes, not the kind of file: the same table at
-    // a scale where a row group is latency-bound is one GET per row group.
+    // a scale where the file is latency-bound is one GET, and its row
+    // groups are modelled from that one body.
     let small = DescriptorOptions { scale: 0.01, num_files: 2, ..DescriptorOptions::default() };
     let spec = stage_descriptors(&cloud, "tpch", "small", &small);
-    let (metrics, _) =
+    assert!(spec.files[0].size <= latency_limit(&cloud));
+    let (metrics, items) =
         scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files[..1], &q1_columns, None)
             .unwrap();
-    assert_eq!(metrics.get_requests, 1 + small.row_groups_per_file as u64);
+    assert_eq!(metrics.get_requests, 1);
+    assert_eq!(metrics.bytes_read, spec.files[0].size);
+    assert_eq!(items.len(), small.row_groups_per_file);
+    assert!(items.iter().all(|i| matches!(i, ScanItem::Modeled { .. })));
+}
+
+/// A file of four ~40 KB row groups above a 64 KiB request limit, and its
+/// footer; the default 64 KiB footer read holds the last row group alone.
+fn four_large_row_groups(cloud: &Cloud, key: &str) -> (TableSpec, FileMeta) {
+    let rows = 28_000;
+    let bytes = write(rows, 4);
+    let meta = FileMeta::parse_tail(&bytes).unwrap();
+    let file = stage(cloud, "data", key, bytes);
+    (TableSpec::new("t", schema(), vec![file], rows as u64), meta)
+}
+
+/// First and one past the last scanned byte of each row group.
+fn spans(meta: &FileMeta, columns: &[usize]) -> Vec<(u64, u64)> {
+    let span = |rg: &lambada::format::RowGroupMeta| {
+        let chunks = columns.iter().map(|&c| &rg.columns[c]);
+        let start = chunks.clone().map(|c| c.offset).min().unwrap();
+        (start, chunks.map(|c| c.offset + c.compressed_len).max().unwrap())
+    };
+    meta.row_groups.iter().map(span).collect()
+}
+
+#[test]
+fn a_row_group_inside_the_footer_tail_costs_no_get() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let (spec, meta) = four_large_row_groups(&cloud, "inside");
+    let size = spec.files[0].size;
+    let cfg = ScanConfig { max_request_bytes: 64 << 10, ..ScanConfig::default() };
+    assert_eq!(cfg.metadata_tail_bytes, 64 << 10, "the default footer read");
+    let tail_start = size - cfg.metadata_tail_bytes;
+    let spans = spans(&meta, &SCANNED);
+    let inside: Vec<bool> = spans.iter().map(|&(start, _)| start >= tail_start).collect();
+    assert_eq!(inside, [false, false, false, true], "the tail holds the last row group alone");
+    assert!(size > cfg.max_request_bytes, "the file is not read whole");
+    assert!(spans.iter().all(|(start, end)| end - start <= cfg.max_request_bytes));
+
+    let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+    // The footer, then one GET per row group — less the one the tail held.
+    assert_eq!(metrics.get_requests, 1 + 4 - 1);
+    let read_over: u64 = spans[..3].iter().map(|(start, end)| end - start).sum();
+    assert_eq!(metrics.bytes_read, cfg.metadata_tail_bytes + read_over);
+
+    let (reference, reference_items) =
+        scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, None).unwrap();
+    assert_eq!(metrics.rows, reference.rows);
+    assert_eq!(batches(items), batches(reference_items));
+}
+
+#[test]
+fn a_row_group_partly_inside_the_tail_takes_its_own_get() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let (spec, meta) = four_large_row_groups(&cloud, "partly");
+    let size = spec.files[0].size;
+    let (start, end) = spans(&meta, &SCANNED)[3];
+    // The tail edge cuts the last row group's scanned span in half.
+    let cfg = ScanConfig {
+        max_request_bytes: 64 << 10,
+        metadata_tail_bytes: size - (start + end) / 2,
+        ..ScanConfig::default()
+    };
+    let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+    assert_eq!(metrics.get_requests, 1 + 4, "the footer, then one GET per row group");
+    let (_, reference_items) =
+        scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, None).unwrap();
+    assert_eq!(batches(items), batches(reference_items));
 }
 
 /// Stage the test table as one file whose footer was rewritten by `lie`.
 fn stage_with_footer(cloud: &Cloud, key: &str, lie: impl Fn(&mut FileMeta)) -> TableFile {
-    let file_schema = schema().to_file_schema().unwrap();
-    let data: Vec<_> = columns().into_iter().map(|c| c.into_data().unwrap()).collect();
-    let groups = chunk_rows(&data, ROWS as usize / ROW_GROUPS);
-    let mut bytes = write_file(file_schema, &groups, WriterOptions::default()).unwrap();
+    let mut bytes = write(ROWS, ROW_GROUPS);
     let mut meta = FileMeta::parse_tail(&bytes).unwrap();
     bytes.truncate(bytes.len() - meta.encode_footer().len());
     lie(&mut meta);
     bytes.extend_from_slice(&meta.encode_footer());
-    let size = bytes.len() as u64;
-    cloud.s3.create_bucket("lies");
-    cloud.s3.stage("lies", key, Body::from_vec(bytes));
-    TableFile::real("lies", key, size)
+    stage(cloud, "lies", key, bytes)
 }
 
 #[test]
@@ -174,9 +284,11 @@ fn a_lying_footer_is_an_error_before_it_sizes_a_request() {
         ("offset-max", |m| m.row_groups[5].columns[0].offset = u64::MAX),
     ];
     for (name, lie) in lies {
-        // The coalesced plan, and the per-chunk plan whose request list a
+        // The whole-file read, whose body a lying chunk would slice, and a
+        // 4 KiB tail before the per-chunk plan, whose request list a
         // claimed length of 2^64 would have sized.
-        for cfg in [ScanConfig::default(), per_chunk(512)] {
+        let tail = ScanConfig { metadata_tail_bytes: 4 << 10, ..per_chunk(512) };
+        for cfg in [ScanConfig::default(), tail] {
             let sim = Simulation::new();
             let cloud = Cloud::new(&sim, CloudConfig::default());
             let file = stage_with_footer(&cloud, name, lie);
@@ -188,8 +300,47 @@ fn a_lying_footer_is_an_error_before_it_sizes_a_request() {
             }
             let err = got.map(|(metrics, _)| metrics).unwrap_err();
             assert!(matches!(err, CoreError::Format(_)), "{name}: {err}");
-            assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "{name}: only the footer");
+            assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "{name}: only the footer read");
             assert!(sim.now().as_secs_f64() < 0.1, "{name}: failed at {:?}", sim.now());
         }
     }
+}
+
+#[test]
+fn a_footer_longer_than_the_whole_file_read_is_an_error_after_one_get() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let mut bytes = write(ROWS, ROW_GROUPS);
+    // The trailer's footer length claims more bytes than the file holds.
+    let at = bytes.len() - TRAILER_LEN;
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let file = stage(&cloud, "lies", "long", bytes);
+    assert!(file.size <= latency_limit(&cloud), "the footer read is the whole file");
+    let spec = TableSpec::new("t", schema(), vec![file], ROWS as u64);
+    let err = scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, None)
+        .map(|(metrics, _)| metrics)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Format(_)), "{err}");
+    assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "a retry has no more bytes to give");
+}
+
+#[test]
+fn a_failed_scan_stops_requesting() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let files = vec![
+        stage_with_footer(&cloud, "f0", |m| m.row_groups[3].columns[2].compressed_len += 1 << 20),
+        stage_with_footer(&cloud, "f1", |_| {}),
+        stage_with_footer(&cloud, "f2", |_| {}),
+    ];
+    let spec = TableSpec::new("t", schema(), files, 3 * ROWS as u64);
+    let before = sim.live_tasks();
+    let err = scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, None)
+        .map(|(metrics, _)| metrics)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Format(_)), "{err}");
+    // Drain the simulation: whatever the scan left running runs out.
+    sim.block_on(sim.handle().sleep(Duration::from_secs(60)));
+    assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "no file after the failed one");
+    assert_eq!(sim.live_tasks(), before, "the metadata prefetch has ended");
 }
