@@ -53,6 +53,8 @@
 //! polls in flight and handles each as it completes, so a stage ends
 //! when its last report arrives, not when the slowest poll times out.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::pin::Pin;
@@ -68,13 +70,14 @@ use lambada_engine::physical::{
 };
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
+use lambada_sim::services::object_store::Bytes;
 use lambada_sim::{BillingSnapshot, Cloud};
 
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
 use crate::invoke::{self, invoke_workers};
-use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
+use crate::message::{ResultPayload, Section, Wire, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -83,7 +86,7 @@ use crate::stage::{
     StageOutput,
 };
 use crate::table::TableSpec;
-use crate::transport::{address_blocks, address_sections, EdgeTransport, InEdge, TransportKind};
+use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
     register_worker_function, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink,
@@ -452,7 +455,7 @@ pub struct LaunchPlan<'a> {
     /// size, 0 for the driver-bound last stage.
     pub partitions: Vec<usize>,
     /// `Some` exactly for a stage one of whose readers is a sort stage:
-    /// the keys, limit and range count its fleet ships its runs with.
+    /// the keys, limit and schema its fleet ships its runs with.
     pub sort_edges: Vec<Option<SortEdgeSpec>>,
     /// Whether the stage's out-edge is *fused*: the stage runs on one
     /// worker, its one reader is a stage that runs on one worker and
@@ -463,9 +466,9 @@ pub struct LaunchPlan<'a> {
     /// How many encoded bytes each sender of the stage's out-edge may
     /// ship inline: its [`crate::transport::inline_budget`] among every
     /// sender of all the reader's in-edges — its
-    /// [`crate::transport::block_budget`] on a sort edge of several
-    /// ranges — the smallest over its readers. `u64::MAX` for the
-    /// driver-bound last stage, which ships nothing.
+    /// [`crate::transport::block_budget`] on a sort edge — the smallest
+    /// over its readers. `u64::MAX` for the driver-bound last stage,
+    /// which ships nothing.
     pub inline_budgets: Vec<u64>,
     /// For scan stages, the scanned table and the files-per-worker chunk.
     pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
@@ -498,17 +501,13 @@ impl<'a> LaunchPlan<'a> {
                 if let (ReaderRole::SortInput, StageKind::Sort(s)) =
                     (reader.role, &edges.dag.stages[consumer])
                 {
-                    let edge = SortEdgeSpec {
+                    let keys = s.keys.len();
+                    share = crate::transport::block_budget(senders, workers[consumer], keys);
+                    sort_edges[pid] = Some(SortEdgeSpec {
                         keys: s.keys.clone(),
                         limit: s.limit,
                         schema: s.schema.clone(),
-                        partitions: workers[consumer],
-                    };
-                    if edge.cuts_blocks() {
-                        let keys = edge.keys.len();
-                        share = crate::transport::block_budget(senders, workers[consumer], keys);
-                    }
-                    sort_edges[pid] = Some(edge);
+                    });
                 }
                 inline_budgets[pid] = inline_budgets[pid].min(share);
             }
@@ -790,8 +789,7 @@ impl Lambada {
         // launches even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
         // store for unregistered endpoints. A fused edge has no endpoint,
-        // and neither has a sort edge of several ranges: blocks are not
-        // receivers.
+        // and neither has a sort edge: blocks are not receivers.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
         let transport = Rc::new(EdgeTransport::new(
             self.config.exchange.clone(),
@@ -800,8 +798,7 @@ impl Lambada {
         ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
             for (sid, &parts) in launch.partitions.iter().enumerate() {
-                let blocks = launch.sort_edges[sid].as_ref().is_some_and(SortEdgeSpec::cuts_blocks);
-                if launch.fused[sid] || blocks {
+                if launch.fused[sid] || launch.sort_edges[sid].is_some() {
                     continue;
                 }
                 let channel = self.channel(qid, sid);
@@ -866,7 +863,7 @@ impl Lambada {
             let chain = launch.chain(head);
             let last = chain.last().copied().unwrap_or(head);
             let receivers = launch.partitions[last];
-            let sort = launch.sort_edges[last].clone().filter(SortEdgeSpec::cuts_blocks);
+            let sort = launch.sort_edges[last].clone();
             let fleet = Fleet { result_queue, payloads, sort, chain, receivers };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 self.cloud.clone(),
@@ -934,7 +931,7 @@ impl Lambada {
                     .map(|r| match &r.outcome {
                         Ok(ResultPayload::Exchanged { rows, .. })
                         | Ok(ResultPayload::Sections { rows, .. })
-                        | Ok(ResultPayload::StoredBatches { rows, .. })
+                        | Ok(ResultPayload::Stored { rows, .. })
                         | Ok(ResultPayload::InlineBatches { rows, .. }) => *rows,
                         _ => r.metrics.rows_out,
                     })
@@ -1002,8 +999,9 @@ impl Lambada {
         };
         // Swap the planner's placeholder terminal for the sharding
         // variant, now that the consumer fleet is sized. (Sort-exchange
-        // stages keep their SortPartition terminal — range counts live in
-        // the edge spec, not the terminal.)
+        // stages keep their SortPartition terminal: the producers cut
+        // blocks whatever the range count, and the driver picks the
+        // ranges.)
         let sharding = match (kind.output(), kind.pipeline().map(|p| &p.terminal)) {
             (StageOutput::Exchange { keys }, Some(Terminal::Collect)) => {
                 Some(Terminal::HashPartition { keys: keys.clone(), partitions })
@@ -1078,9 +1076,10 @@ impl Lambada {
         final_stage: &FinalStage,
         results: &[WorkerResult],
     ) -> Result<(RecordBatch, Option<Vec<u8>>)> {
+        let reported = self.reported(results).await?;
         match final_stage {
             FinalStage::MergeAggregate { agg_schema, funcs, post } => {
-                let batch = agg_state_to_batch(&merge_agg_states(funcs, results)?, agg_schema)?;
+                let batch = agg_state_to_batch(&merge_agg_states(funcs, &reported)?, agg_schema)?;
                 Ok((self.apply_post(batch, post)?, None))
             }
             FinalStage::CarryAggState { agg_schema, funcs } => {
@@ -1088,45 +1087,51 @@ impl Lambada {
                 // collection already guarantees one payload per worker slot,
                 // and an exchange merge fleet's shards hold disjoint groups,
                 // so this merge never double-counts.
-                let state = merge_agg_states(funcs, results)?;
+                let state = merge_agg_states(funcs, &reported)?;
                 Ok((RecordBatch::empty(agg_schema.clone()), Some(state.encode())))
             }
             FinalStage::CollectBatches { schema, post } => {
-                // Every stored result's GET is in flight before the first
-                // is awaited; inline results are here already. Both decode
-                // in worker order.
-                let fetches: Vec<_> = results
-                    .iter()
-                    .map(|r| match &r.outcome {
-                        Ok(ResultPayload::StoredBatches { bucket, key, .. }) => {
-                            let (s3, bucket, key) =
-                                (self.cloud.driver_s3(), bucket.clone(), key.clone());
-                            Some(
-                                self.cloud.handle.spawn(async move { s3.get(&bucket, &key).await }),
-                            )
-                        }
-                        _ => None,
-                    })
-                    .collect();
                 let mut batches = Vec::new();
-                for (r, fetch) in results.iter().zip(fetches) {
-                    let body;
-                    let bytes: &[u8] = match (&r.outcome, fetch) {
-                        (Ok(ResultPayload::InlineBatches { bytes, .. }), _) => bytes,
-                        (_, Some(fetch)) => {
-                            body = fetch.await?;
-                            body.as_real().ok_or_else(|| {
-                                CoreError::Storage("stored result was synthetic".to_string())
-                            })?
-                        }
-                        _ => continue,
-                    };
+                for bytes in &reported {
                     batches.extend(crate::partition::decode_batches(bytes)?);
                 }
                 let batch = RecordBatch::concat(schema.clone(), &batches)?;
                 Ok((self.apply_post(batch, post)?, None))
             }
         }
+    }
+
+    /// The bytes of every report, in worker order: agg state or batches
+    /// as they rode the message, or as stored — every stored report's GET
+    /// is in flight before the first is awaited. Reports of nothing are
+    /// skipped.
+    async fn reported(&self, results: &[WorkerResult]) -> Result<Vec<Bytes>> {
+        let fetches: Vec<_> = results
+            .iter()
+            .map(|r| match &r.outcome {
+                Ok(ResultPayload::Stored { bucket, key, .. }) => {
+                    let (s3, bucket, key) = (self.cloud.driver_s3(), bucket.clone(), key.clone());
+                    Some(self.cloud.handle.spawn(async move { s3.get(&bucket, &key).await }))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut reported = Vec::with_capacity(results.len());
+        for (r, fetch) in results.iter().zip(fetches) {
+            reported.push(match (&r.outcome, fetch) {
+                (
+                    Ok(ResultPayload::AggState(bytes) | ResultPayload::InlineBatches { bytes, .. }),
+                    _,
+                ) => Bytes::copy_from_slice(bytes),
+                (_, Some(fetch)) => {
+                    fetch.await?.as_real().cloned().ok_or_else(|| {
+                        CoreError::Storage("stored result was synthetic".to_string())
+                    })?
+                }
+                _ => continue,
+            });
+        }
+        Ok(reported)
     }
 
     fn apply_post(&self, mut batch: RecordBatch, post: &[PostOp]) -> Result<RecordBatch> {
@@ -1155,13 +1160,11 @@ fn never_ran(sid: usize) -> CoreError {
 /// Merge every worker's reported partial-aggregate state into one.
 fn merge_agg_states(
     funcs: &[(lambada_engine::AggFunc, Option<lambada_engine::DataType>)],
-    results: &[WorkerResult],
+    reported: &[Bytes],
 ) -> Result<GroupedAggState> {
     let mut state = GroupedAggState::new(funcs)?;
-    for r in results {
-        if let Ok(ResultPayload::AggState(bytes)) = &r.outcome {
-            state.merge(&GroupedAggState::decode(bytes)?)?;
-        }
+    for bytes in reported {
+        state.merge(&GroupedAggState::decode(bytes)?)?;
     }
     Ok(state)
 }
@@ -1197,8 +1200,8 @@ struct Fleet {
     result_queue: String,
     /// One payload per fleet slot, edge addresses still empty.
     payloads: Vec<WorkerPayload>,
-    /// The chain's out-edge, if it is a sort edge of several ranges: its
-    /// reports carry blocks and starts, not one section per receiver.
+    /// The chain's out-edge, if it is a sort edge: its reports carry
+    /// blocks and starts, not one section per receiver.
     sort: Option<SortEdgeSpec>,
     /// The head, then every stage fused after it.
     chain: Vec<usize>,
@@ -1310,16 +1313,15 @@ async fn run_fleet(
 
 /// Where each of the `receivers` consumer workers finds the out-edge,
 /// from the kept reports in worker order: one address per sender, and —
-/// on a sort edge of several ranges (`sort`) — its range's boundaries
-/// ([`InEdge::bounds`]); nothing when the driver reads the output. An
-/// inline section's address holds its slice of the report's blob. A
-/// report that wrote no edge, or whose table or starts do not fit it, is
-/// a typed error.
-///
-/// A sort edge's blocks are addressed here: the first keys of every
-/// sender's blocks are the pool one [`range_boundaries`] call picks the
-/// boundaries from, and a block, sorted, can hold the ranges from its
-/// first key's to the next block's first key's (or its own last key's).
+/// on a sort edge (`sort`) — its range's boundaries ([`InEdge::bounds`]);
+/// nothing when the driver reads the output. Every sender's table is
+/// addressed by the one rule, [`address_sections`], over its spans: each
+/// section is its own receiver's on a hash or agg edge, and a sort edge's
+/// block can hold the ranges from its first key's to the next block's
+/// first key's (or its own last key's) under the boundaries that one
+/// [`range_boundaries`] call picks from the pool of every sender's block
+/// first keys. A report that wrote no edge, or whose table or starts do
+/// not fit it, is a typed error.
 pub(crate) fn section_tables(
     results: &[WorkerResult],
     receivers: usize,
@@ -1335,53 +1337,59 @@ pub(crate) fn section_tables(
             let what = format!("worker {worker} reported no section table for its out-edge");
             return Err(CoreError::Format(what));
         };
-        reports.push((r.attempt, sections, inline, starts.as_deref()));
+        let keys = match (sort, starts) {
+            (Some(edge), starts) => block_starts(edge, sections, starts.as_deref())?,
+            (None, Some(_)) => {
+                return Err(CoreError::Format("starts on an edge of no blocks".into()))
+            }
+            (None, None) => Vec::new(),
+        };
+        reports.push((r.attempt, sections, inline, keys));
     }
     let mut edges = vec![InEdge::default(); receivers];
-    let tables: Vec<_> = match sort {
-        None => reports
-            .iter()
-            .map(|&(attempt, sections, inline, starts)| match starts {
-                Some(_) => Err(CoreError::Format("starts reported on an edge of no blocks".into())),
-                None => address_sections(attempt, sections, inline, receivers),
-            })
-            .collect::<Result<_>>()?,
+    let boundaries = match sort {
         Some(edge) => {
-            let starts = reports.iter().map(|r| block_starts(edge, r.1.len(), r.3));
-            let starts = starts.collect::<Result<Vec<_>>>()?;
-            let pool = starts.iter().flat_map(|s| s.split_last().map_or(&[][..], |(_, b)| b));
-            let boundaries = range_boundaries(pool.cloned().collect(), &edge.keys, receivers);
-            for (r, e) in edges.iter_mut().enumerate().filter(|_| !boundaries.is_empty()) {
-                e.bounds = boundaries[r.saturating_sub(1)..(r + 1).min(receivers - 1)].to_vec();
-            }
-            let range = |key: &Vec<Scalar>| range_partition_of(key, &boundaries, &edge.keys);
-            let spans = |keys: &Vec<Vec<Scalar>>| -> Vec<(usize, usize)> {
-                keys.windows(2).map(|w| (range(&w[0]), range(&w[1]))).collect()
-            };
-            let blocks =
-                reports.iter().zip(&starts).map(|(&(attempt, sections, inline, _), keys)| {
-                    address_blocks(attempt, sections, inline, &spans(keys), receivers)
-                });
-            blocks.collect::<Result<_>>()?
+            let pool = reports.iter().flat_map(|r| r.3.split_last().map_or(&[][..], |(_, b)| b));
+            range_boundaries(pool.cloned().collect(), &edge.keys, receivers)
         }
+        None => Vec::new(),
     };
-    for table in tables {
-        for (edge, addr) in edges.iter_mut().zip(table) {
+    for (r, e) in edges.iter_mut().enumerate().filter(|_| !boundaries.is_empty()) {
+        e.bounds = boundaries[r.saturating_sub(1)..(r + 1).min(receivers - 1)].to_vec();
+    }
+    let own: Vec<(usize, usize)> = (0..receivers).map(|r| (r, r)).collect();
+    for (attempt, sections, inline, keys) in reports {
+        let blocks: Vec<(usize, usize)>;
+        let spans = match sort {
+            Some(edge) => {
+                let range = |key: &Vec<Scalar>| range_partition_of(key, &boundaries, &edge.keys);
+                blocks = keys.windows(2).map(|w| (range(&w[0]), range(&w[1]))).collect();
+                &blocks
+            }
+            None => &own,
+        };
+        let addrs = address_sections(attempt, sections, inline, spans, receivers)?;
+        for (edge, addr) in edges.iter_mut().zip(addrs) {
             edge.senders.push(addr);
         }
     }
     Ok(edges)
 }
 
-/// One sort-edge sender's reported `starts` as key rows: none from a
-/// sender of no blocks, else one row more than it cut `blocks`, of the
-/// sort keys' types, in sort order. Anything else is a typed error —
-/// never a boundary picked from a lying pool.
+/// One sort-edge sender's blocks checked against its reported `starts`,
+/// as key rows: none from a sender of no blocks, else one row more than
+/// it cut blocks, of the sort keys' types, in sort order, and the blocks
+/// on one file or blob. Anything else is a typed error — never a
+/// boundary picked from a lying pool.
 fn block_starts(
     edge: &SortEdgeSpec,
-    blocks: usize,
+    blocks: &[Section],
     starts: Option<&[u8]>,
 ) -> Result<Vec<Vec<Scalar>>> {
+    let wire = blocks.first().map_or(Wire::File, |s| s.wire);
+    if wire == Wire::Mailbox || blocks.iter().any(|s| s.wire != wire) {
+        return Err(CoreError::Format("a sort edge's blocks ride one file or blob".to_string()));
+    }
     let types = edge.keys.iter().map(|k| k.expr.data_type(&edge.schema));
     let types = types.collect::<lambada_engine::Result<Vec<_>>>()?;
     let mut rows = Vec::new();
@@ -1392,6 +1400,7 @@ fn block_starts(
         }
         rows.extend(batch.rows());
     }
+    let blocks = blocks.len();
     let want = if starts.is_none() && blocks == 0 { 0 } else { blocks + 1 };
     if rows.len() != want {
         return Err(CoreError::Format(format!("{} starts for {blocks} blocks", rows.len())));
@@ -1655,7 +1664,8 @@ mod tests {
                     let (_, sections, inline) =
                         t.send(&env, "x0/q0/s0", s, parts, budget, true).await.unwrap();
                     assert_eq!(sections[s % group], Section { len: budget, wire: Wire::Inline });
-                    tables.push(address_sections(0, &sections, &inline, receivers).unwrap());
+                    let own: Vec<_> = (0..receivers).map(|r| (r, r)).collect();
+                    tables.push(address_sections(0, &sections, &inline, &own, receivers).unwrap());
                 }
                 let payloads: Vec<WorkerPayload> = (0..receivers)
                     .map(|r| payload(r as u64, tables.iter().map(|t| t[r].clone()).collect()))
@@ -1760,17 +1770,17 @@ mod tests {
         Some(crate::partition::encode_batches(&[batch]).unwrap())
     }
 
-    /// The driver checks a sort edge's starts before it picks a boundary
-    /// from them: one row more than the blocks, of the sort keys' types,
-    /// in sort order, and only on an edge that cuts blocks — anything
-    /// else is a typed error. A damaged tag-7 message, cut anywhere or
+    /// The driver checks a sort edge's report before it picks a boundary
+    /// from it: one start more than the blocks, of the sort keys' types,
+    /// in sort order, the blocks on one file or blob, and starts only on a
+    /// sort edge — anything else is a typed error. A damaged tag-7 message, cut anywhere or
     /// with any bit flipped, decodes to an error or to a report the
     /// driver checks, never to a panic.
     #[test]
     fn malformed_starts_are_typed_errors_at_the_driver() {
         let schema = Schema::arc(vec![Field::new("k", DataType::Int64)]);
         let keys = vec![SortKey::asc(lambada_engine::col(0))];
-        let edge = SortEdgeSpec { keys, limit: None, schema, partitions: 2 };
+        let edge = SortEdgeSpec { keys, limit: None, schema };
         let tables = |report: WorkerResult, sort| section_tables(&[report], 2, sort);
         let good = || block_report(2, starts(Column::I64(vec![1, 5, 9])));
         let edges = tables(good(), Some(&edge)).unwrap();
@@ -1781,7 +1791,16 @@ mod tests {
             (At::File { offset: 0, len: 10 }, At::File { offset: 0, len: 20 })
         );
 
+        let wired = |wires: [Wire; 2]| {
+            let mut report = good();
+            if let Ok(ResultPayload::Sections { sections, .. }) = &mut report.outcome {
+                sections.iter_mut().zip(wires).for_each(|(s, wire)| s.wire = wire);
+            }
+            report
+        };
         for (what, report, sort) in [
+            ("blocks on a mailbox", wired([Wire::Mailbox; 2]), Some(&edge)),
+            ("blocks on two wires", wired([Wire::File, Wire::Mailbox]), Some(&edge)),
             ("a row short", block_report(2, starts(Column::I64(vec![1, 5]))), Some(&edge)),
             ("other types", block_report(2, starts(Column::F64(vec![1.0, 5.0, 9.0]))), Some(&edge)),
             ("out of order", block_report(2, starts(Column::I64(vec![5, 1, 9]))), Some(&edge)),

@@ -61,6 +61,8 @@
 //! simulation side channel that stands in for the self-describing bundle
 //! headers of real files.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;

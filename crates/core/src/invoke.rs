@@ -19,6 +19,8 @@
 //! Lambda rejects one over its asynchronous cap. The inline bytes cross
 //! the driver's one link ([`carry_inline`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::rc::Rc;
 
 use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};

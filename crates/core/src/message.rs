@@ -5,9 +5,12 @@
 //! hand-serialized with the same binary codec the file format uses.
 //!
 //! A message must fit one SQS message ([`SQS_MESSAGE_BYTES`]), so a
-//! worker returns its batches inline only up to [`INLINE_RESULT_BYTES`]
-//! and stores larger ones in cloud storage (§3.3). Stage-edge sections
+//! worker returns its batches or agg state inline only up to
+//! [`INLINE_RESULT_BYTES`] and stores larger ones in cloud storage
+//! (§3.3). Stage-edge sections
 //! ride a message under the same bound ([`INLINE_EDGE_BYTES`]).
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
@@ -18,9 +21,10 @@ use crate::error::{CoreError, Result};
 /// SQS's cap on one message body: 256 KiB.
 pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_BYTES;
 
-/// Largest encoded batch payload a worker returns inline in its result
-/// message ([`ResultPayload::InlineBatches`]); anything larger is stored
-/// in the result bucket ([`ResultPayload::StoredBatches`]). The message
+/// Largest encoded batches or agg state a worker returns inline in its
+/// result message ([`ResultPayload::InlineBatches`],
+/// [`ResultPayload::AggState`]); anything larger is stored in the result
+/// bucket ([`ResultPayload::Stored`]). The message
 /// cap less 4 KiB for the rest of the message: the header and member
 /// count (≤ 46 B), and per stage the invocation ran its
 /// [`WorkerMetrics`] (≤ 137 B) plus, ahead of the last, its payload
@@ -174,11 +178,13 @@ pub const SECTION_BYTES: usize = 11;
 /// short-read defaults, never a reinterpretation of existing bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ResultPayload {
-    /// Serialized partial-aggregate state (small, inline in the message).
+    /// Serialized partial-aggregate state of at most
+    /// [`INLINE_RESULT_BYTES`], inline in the message.
     AggState(Vec<u8>),
-    /// Batches larger than [`INLINE_RESULT_BYTES`] were written to cloud
-    /// storage instead.
-    StoredBatches { bucket: String, key: String, rows: u64 },
+    /// Batches or agg state larger than [`INLINE_RESULT_BYTES`] were
+    /// written to cloud storage instead: `rows` result rows, or the rows
+    /// out of the stage that built the state.
+    Stored { bucket: String, key: String, rows: u64 },
     /// Fragment produced nothing (e.g. all row groups pruned).
     Empty,
     /// The fragment's rows went to the next stage of a fused chain in the
@@ -193,8 +199,8 @@ pub enum ResultPayload {
     /// `inline` holds the [`Wire::Inline`] sections back to back; it ends
     /// the message, after the fused members, and a message from an older
     /// encoder, which ends before it, decodes with none. On a sort edge
-    /// of several ranges the sections are the blocks of the sender's
-    /// sorted run, and `starts` (encoded key columns,
+    /// the sections are the blocks of the sender's sorted run, and
+    /// `starts` (encoded key columns,
     /// [`crate::partition::encode_batches`]) holds each block's first
     /// sort key and then the run's last.
     Sections {
@@ -353,7 +359,7 @@ fn encode_payload(w: &mut BinWriter, payload: &ResultPayload) {
             w.u8(0);
             w.bytes(bytes);
         }
-        ResultPayload::StoredBatches { bucket, key, rows } => {
+        ResultPayload::Stored { bucket, key, rows } => {
             w.u8(1);
             w.string(bucket);
             w.string(key);
@@ -393,11 +399,7 @@ fn decode_payload(
 ) -> std::result::Result<ResultPayload, FormatError> {
     Ok(match tag {
         0 => ResultPayload::AggState(r.bytes()?.to_vec()),
-        1 => ResultPayload::StoredBatches {
-            bucket: r.string()?,
-            key: r.string()?,
-            rows: r.varint()?,
-        },
+        1 => ResultPayload::Stored { bucket: r.string()?, key: r.string()?, rows: r.varint()? },
         2 => ResultPayload::Empty,
         4 => ResultPayload::Exchanged { rows: r.varint()?, bytes: r.varint()? },
         5 => ResultPayload::InlineBatches { rows: r.varint()?, bytes: r.bytes()?.to_vec() },
@@ -477,7 +479,7 @@ mod tests {
     fn stored_result_roundtrip() {
         let msg = WorkerResult::ok(
             1,
-            ResultPayload::StoredBatches { bucket: "b".to_string(), key: "k".to_string(), rows: 5 },
+            ResultPayload::Stored { bucket: "b".to_string(), key: "k".to_string(), rows: 5 },
             WorkerMetrics::default(),
         );
         assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
@@ -549,7 +551,7 @@ mod tests {
         let with = starts_result();
         let Ok(ResultPayload::Sections { rows, bytes, sections, inline, .. }) = &with.outcome
         else {
-            unreachable!()
+            panic!("a section table")
         };
         let without = ResultPayload::Sections {
             rows: *rows,
@@ -608,7 +610,7 @@ mod tests {
     #[test]
     fn every_truncation_is_an_error_except_an_older_encoders_end() {
         let stored =
-            ResultPayload::StoredBatches { bucket: "b".to_string(), key: "k".to_string(), rows: 5 };
+            ResultPayload::Stored { bucket: "b".to_string(), key: "k".to_string(), rows: 5 };
         for msg in [
             chain_result(),
             sections_result(),

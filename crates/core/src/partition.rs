@@ -6,6 +6,8 @@
 //! input files use (plain encoding, no heavy compression — shuffle data
 //! is written once and read once).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use lambada_engine::{Column, RecordBatch};

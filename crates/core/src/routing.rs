@@ -13,6 +13,8 @@
 //! correct column, so round 2 (within columns) delivers it; receivers
 //! account for these extra senders deterministically.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 /// Ceiling integer square root.
 pub fn isqrt_ceil(p: usize) -> usize {
     let mut s = (p as f64).sqrt().floor() as usize;

@@ -29,6 +29,8 @@
 //! * decompression optionally uses the second hardware thread that large
 //!   workers have (§4.1/Fig 4).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

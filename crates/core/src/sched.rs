@@ -19,6 +19,8 @@
 //! completed fleet holds no lease, so no fleet ever waits on the gate
 //! for a fleet that waits on it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::cell::{Cell, RefCell};
 
 use lambada_sim::sync::{Notified, Notify};

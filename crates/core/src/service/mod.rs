@@ -42,7 +42,6 @@ use crate::error::Result;
 use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts};
 use crate::stage::QueryDag;
 use crate::transport::TransportKind;
-use crate::worker::SortEdgeSpec;
 
 use admission::AdmissionController;
 pub use admission::{TenantBudget, TenantUsage};
@@ -366,8 +365,8 @@ impl Envelope {
 /// exchange edge is charged with [`stage_edge_counts`] — or, on the
 /// direct transport, with [`direct_edge_counts`] under the
 /// [`DIRECT_FALLBACK_HEADROOM`] fallback bound — and lists nothing: the
-/// driver addresses its receivers. A sort edge of several ranges never
-/// streams, so it is charged as a stored edge on either transport.
+/// driver addresses its receivers. A sort edge never streams, so it is
+/// charged as a stored edge on either transport.
 /// Scans are charged a per-file metadata + column-chunk envelope.
 fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
     let fleets = &launch.workers;
@@ -396,7 +395,7 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         if launch.fused[pid] {
             continue;
         }
-        let streams = !launch.sort_edges[pid].as_ref().is_some_and(SortEdgeSpec::cuts_blocks);
+        let streams = launch.sort_edges[pid].is_none();
         for consumer in readers.iter().filter_map(|r| r.stage) {
             env.add(exchange(senders, fleets[consumer] as f64, streams));
         }
@@ -431,20 +430,24 @@ mod tests {
     use super::*;
     use crate::verify::test_dags::{scan_sort_dag, sized};
 
-    /// A sort edge of several ranges is an edge like any other, listing
-    /// nothing, but it never streams: 8 merge workers feeding 2 sorters
-    /// are charged 8 PUTs and 8 × 2 GETs on both transports.
+    /// A sort edge of several ranges — or of one — is an edge like any
+    /// other, listing nothing, but it never streams: 8 merge workers
+    /// feeding `s` sorters are charged 8 PUTs and 8 × `s` GETs on both
+    /// transports.
     #[test]
     fn a_sort_edge_of_several_ranges_is_charged_as_a_stored_edge() {
         let dag = scan_sort_dag();
-        let launch = sized(&dag, vec![8, 2]);
         let direct = LambadaConfig { transport: TransportKind::Direct, ..LambadaConfig::default() };
-        for config in [LambadaConfig::default(), direct] {
-            let env = envelope(&launch, &config);
-            assert_eq!((env.gets, env.lists), (8.0 * 2.0, 0.0), "{:?}", config.transport);
-            // Result uploads (8 + 2) and the edge's PUTs.
-            assert_eq!(env.puts, 10.0 + 8.0);
-            assert_eq!(env.invocations, 10);
+        for sorters in [2, 1] {
+            let launch = sized(&dag, vec![8, sorters]);
+            for config in [LambadaConfig::default(), direct.clone()] {
+                let env = envelope(&launch, &config);
+                let s = sorters as f64;
+                assert_eq!((env.gets, env.lists), (8.0 * s, 0.0), "{:?}", config.transport);
+                // Result uploads (8 + s) and the edge's PUTs.
+                assert_eq!(env.puts, 8.0 + s + 8.0);
+                assert_eq!(env.invocations, 8 + sorters as u64);
+            }
         }
     }
 }

@@ -60,6 +60,8 @@
 //! and the service's admission estimate all read this one table; none of
 //! them walks `inputs()` for itself.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use lambada_engine::logical::{JoinVariant, LogicalPlan, SortKey};
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
 use lambada_engine::types::{DataType, SchemaRef};

@@ -40,6 +40,8 @@
 //!
 //! See `docs/STREAMING.md` for the lifecycle and the exactness argument.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use lambada_engine::agg::GroupedAggState;
 use lambada_engine::logical::LogicalPlan;
 use lambada_engine::physical::agg_state_to_batch;

@@ -26,9 +26,8 @@
 //! * **Registration.** Consumers are addressed by *endpoint*
 //!   `{channel}/r{receiver}`. The driver registers every consumer
 //!   endpoint of a query with the rendezvous service *before the first
-//!   stage launches* — none for a sort edge of several ranges, which
-//!   never streams. Cleanup deregisters the query's whole endpoint
-//!   prefix.
+//!   stage launches* — none for a sort edge, which never streams.
+//!   Cleanup deregisters the query's whole endpoint prefix.
 //! * **Section tables.** [`EdgeTransport::send`] returns one [`Section`]
 //!   per receiver: its length and which of three wires carries it — the
 //!   receiver's mailbox, the sender's file, or inline. The worker reports
@@ -37,19 +36,21 @@
 //!   complete, hands each consumer worker one [`SectionAddr`] per sender
 //!   ([`address_sections`]). [`EdgeTransport::recv`] goes straight to the
 //!   fetch: no LIST, no poll, no back-off, no wait.
-//! * **Sort edges of several ranges.** A producer's sections are the
-//!   *blocks* of its sorted run instead, and it reports their first keys
-//!   (`crate::worker` cuts them). Blocks are not receivers: they ride
-//!   inline or in one combined file, never a mailbox. From the pooled
-//!   first keys the driver picks the range boundaries, and it hands each
-//!   receiver one address per sender over the blocks that can hold its
-//!   range ([`address_blocks`]) and the boundaries of that range
+//! * **Sort edges.** Into any number of sorters, a producer's sections
+//!   are the *blocks* of its sorted run instead, and it reports their
+//!   first keys (`crate::worker` cuts them). Blocks are not receivers:
+//!   they ride inline or in one combined file, never a mailbox — so a
+//!   sort edge does not stream on the direct transport, even into one
+//!   sorter. From the pooled first keys the driver picks the range
+//!   boundaries (none for one range), and the same [`address_sections`]
+//!   hands each receiver one address per sender over the run of blocks
+//!   that can hold its range, beside that range's boundaries
 //!   ([`InEdge::bounds`]), by which the receiver keeps its own rows.
 //! * **Inline senders.** A sender whose sections all encode to at most
 //!   its inline budget ([`inline_budget`]: what is left of
 //!   [`crate::message::INLINE_EDGE_BYTES`] after the section tables and
 //!   addresses, shared by the consumer's senders; [`block_budget`] on a
-//!   sort edge of several ranges) writes no file and sends no message:
+//!   sort edge) writes no file and sends no message:
 //!   its sections ride its result message, and the driver copies each
 //!   receiver's slice into that receiver's invocation payload, which it
 //!   decodes with no request. The decision is the same on both
@@ -72,6 +73,8 @@
 //! Algorithm 1's peers (`exchange::run_exchange`). Mailbox fetches are
 //! free, which is where the direct path's request savings come from (see
 //! `exchange_cost::direct_edge_counts`).
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::rc::Rc;
 
@@ -141,10 +144,11 @@ pub enum At {
 }
 
 /// Where one consumer worker finds its part of one in-edge: one address
-/// per sender and, on a sort edge of several ranges, the boundaries of
-/// its own range — the one below it unless it is the first range, then
-/// the one above it unless it is the last. Of the rows it receives it
-/// keeps those whose range among its bounds is `usize::from(worker > 0)`.
+/// per sender and, on a sort edge, the boundaries of its own range — the
+/// one below it unless it is the first range, then the one above it
+/// unless it is the last, so none when there is one range. Of the rows
+/// it receives it keeps those whose range among its bounds is
+/// `usize::from(worker > 0)`, or every row when it has no bounds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct InEdge {
     pub senders: Vec<SectionAddr>,
@@ -173,11 +177,11 @@ pub fn inline_budget(senders: usize, receivers: usize) -> u64 {
     shared_budget(senders, receivers, receivers * SECTION_BYTES, 0)
 }
 
-/// [`inline_budget`] for the senders of a sort edge of several ranges
-/// over `keys` sort keys: a table holds up to `SORT_SAMPLE_ROWS` (32)
-/// blocks whatever the fleet, and every payload carries its range's two
-/// boundaries besides the addresses. A sender's starts ride its message
-/// too, so it inlines only what fits its budget beside them.
+/// [`inline_budget`] for the senders of a sort edge over `keys` sort
+/// keys: a table holds up to `SORT_SAMPLE_ROWS` (32) blocks whatever the
+/// fleet, and every payload carries its range's two boundaries besides
+/// the addresses. A sender's starts ride its message too, so it inlines
+/// only what fits its budget beside them.
 pub fn block_budget(senders: usize, receivers: usize, keys: usize) -> u64 {
     shared_budget(senders, receivers, SORT_SAMPLE_ROWS * SECTION_BYTES, 2 * keys * KEY_BYTES)
 }
@@ -193,95 +197,75 @@ fn shared_budget(senders: usize, receivers: usize, table: usize, per_payload: us
 }
 
 /// Turn one sender's reported section table and inline blob into one
-/// address per receiver. File sections lie back to back in receiver
-/// order, and so do inline sections in the blob, so each offset is a
-/// prefix sum of the sections on its wire before it. A table that does
-/// not have one section per receiver of the `receivers`-worker consumer
-/// fleet, whose sections end past `u64::MAX`, or whose inline sections
-/// do not fill the blob exactly, is a typed error.
+/// address per receiver of a `receivers`-worker consumer fleet.
+/// `spans[b]` is the first and the last receiver section `b` can hold:
+/// `(r, r)` for receiver `r`'s own section of a hash or agg edge, the
+/// ranges a sorted block can hold on a sort edge. Spans never decrease,
+/// so the sections receiver `r` needs are contiguous, and its address
+/// covers that run — a zero-length one when there is none. Each wire's
+/// sections lie back to back in table order, so an offset is a prefix
+/// sum of the sections before it on its wire. A table of another length
+/// than `spans`, whose file sections end past `u64::MAX` or whose inline
+/// sections do not fill the blob exactly, is a typed error, and so is a
+/// run that is not on one wire or a mailbox section addressed to any
+/// receiver but its own: a mailbox holds one message per receiver.
 pub fn address_sections(
-    attempt: u32,
-    sections: &[Section],
-    inline: &Bytes,
-    receivers: usize,
-) -> Result<Vec<SectionAddr>> {
-    if sections.len() != receivers {
-        return Err(CoreError::Format(format!(
-            "a section table of {} entries for a {receivers}-worker consumer fleet",
-            sections.len()
-        )));
-    }
-    let len = inline.len();
-    if inline_claim(sections) != Some(len as u64) {
-        return Err(CoreError::Format(format!("inline sections do not fill a {len} B blob")));
-    }
-    let (mut file, mut blob) = (0u64, 0usize);
-    let mut out = Vec::with_capacity(receivers);
-    for s in sections {
-        let at = match s.wire {
-            Wire::Mailbox => At::Mailbox { len: s.len },
-            Wire::File => {
-                let offset = file;
-                file = offset.checked_add(s.len).ok_or_else(overflow)?;
-                At::File { offset, len: s.len }
-            }
-            Wire::Inline => {
-                // In range: the inline sections fill the blob exactly.
-                blob += s.len as usize;
-                At::Inline(inline.slice(blob - s.len as usize..blob))
-            }
-        };
-        out.push(SectionAddr { attempt, at });
-    }
-    Ok(out)
-}
-
-fn overflow() -> CoreError {
-    CoreError::Format("section offsets overflow the file".to_string())
-}
-
-/// Address one sort-edge sender's blocks to the `receivers` ranges:
-/// `spans[b]` is the first and the last range block `b` can hold. Spans
-/// only grow along a sorted run, so the blocks that can hold range `r`
-/// are contiguous, and receiver `r` gets one address over them — a zero
-/// length one when there are none. The blocks lie back to back on one
-/// wire, the sender's file or its inline blob; a table on a mailbox or
-/// on both wires, of another length than `spans`, ending past
-/// `u64::MAX` or not filling its blob is a typed error.
-pub fn address_blocks(
     attempt: u32,
     sections: &[Section],
     inline: &Bytes,
     spans: &[(usize, usize)],
     receivers: usize,
 ) -> Result<Vec<SectionAddr>> {
-    let wire = sections.first().map_or(Wire::File, |s| s.wire);
-    if wire == Wire::Mailbox || sections.iter().any(|s| s.wire != wire) {
-        return Err(CoreError::Format("a sort edge's blocks ride one file or blob".to_string()));
+    if spans.len() != sections.len() {
+        let (got, want) = (sections.len(), spans.len());
+        return Err(CoreError::Format(format!("a table of {got} sections for {want} spans")));
     }
-    if spans.len() != sections.len() || inline_claim(sections) != Some(inline.len() as u64) {
-        let blocks = sections.len();
-        let claim =
-            format!("{blocks} blocks of {} spans over a {} B blob", spans.len(), inline.len());
-        return Err(CoreError::Format(claim));
+    let len = inline.len();
+    if inline_claim(sections) != Some(len as u64) {
+        return Err(CoreError::Format(format!("inline sections do not fill a {len} B blob")));
     }
-    // Where each block starts on its wire, then where the last one ends.
-    let mut at = vec![0u64];
+    // Where each section starts on its wire.
+    let (mut file, mut blob, mut offsets) = (0u64, 0u64, Vec::with_capacity(sections.len()));
     for s in sections {
-        let end = at[at.len() - 1].checked_add(s.len).ok_or_else(overflow)?;
-        at.push(end);
+        let end = match s.wire {
+            Wire::File => &mut file,
+            Wire::Inline => &mut blob,
+            Wire::Mailbox => {
+                offsets.push(0);
+                continue;
+            }
+        };
+        offsets.push(*end);
+        *end = end.checked_add(s.len).ok_or_else(overflow)?;
     }
     let address = |r: usize| {
         let first = spans.partition_point(|&(_, last)| last < r);
         let end = spans.partition_point(|&(first, _)| first <= r).max(first);
-        let (from, to) = (at[first], at[end]);
-        let at = match wire {
-            Wire::Inline => At::Inline(inline.slice(from as usize..to as usize)),
-            _ => At::File { offset: from, len: to - from },
+        let run = &sections[first..end];
+        let Some(wire) = run.first().map(|s| s.wire) else {
+            return Ok(SectionAddr { attempt, at: At::File { offset: 0, len: 0 } });
         };
-        SectionAddr { attempt, at }
+        if run.iter().any(|s| s.wire != wire) {
+            return Err(CoreError::Format(format!("receiver {r}'s sections span two wires")));
+        }
+        if wire == Wire::Mailbox && (first, end) != (r, r + 1) {
+            let what = format!("mailbox sections {first}..{end} addressed to receiver {r}");
+            return Err(CoreError::Format(what));
+        }
+        // In range: a file or blob run ends within its wire's total.
+        let (offset, len) = (offsets[first], run.iter().map(|s| s.len).sum::<u64>());
+        let at = match wire {
+            Wire::Mailbox => At::Mailbox { len },
+            Wire::File => At::File { offset, len },
+            Wire::Inline => At::Inline(inline.slice(offset as usize..(offset + len) as usize)),
+        };
+        Ok(SectionAddr { attempt, at })
     };
-    Ok((0..receivers).map(address).collect())
+    (0..receivers).map(address).collect()
+}
+
+fn overflow() -> CoreError {
+    CoreError::Format("section offsets overflow the file".to_string())
 }
 
 /// A sender's traveling `entries` as one inline blob — each receiver's
@@ -555,7 +539,8 @@ mod tests {
         tables
             .iter()
             .map(|(attempt, sections, inline)| {
-                let addrs = address_sections(*attempt, sections, inline, sections.len());
+                let own: Vec<_> = (0..sections.len()).map(|r| (r, r)).collect();
+                let addrs = address_sections(*attempt, sections, inline, &own, sections.len());
                 addrs.unwrap().swap_remove(receiver)
             })
             .collect()
@@ -798,38 +783,52 @@ mod tests {
         assert_eq!(cloud.billing.units(CostItem::S3List), 0.0);
     }
 
-    /// (f) A table the driver cannot address from, and an address the
-    /// transport cannot serve, are typed errors: a table of the wrong
-    /// length, sections ending past `u64::MAX`, a mailbox address on the
-    /// object-store transport.
+    /// (f) A hash edge's table has one section per receiver on any mix of
+    /// wires: file offsets advance only over file sections, inline ones
+    /// are slices of the blob. A table the driver cannot address from,
+    /// and an address the transport cannot serve, are typed errors: a
+    /// table of the wrong length, sections ending past `u64::MAX` or not
+    /// filling the blob, a mailbox address on the object-store transport.
     #[test]
     fn addresses_that_do_not_fit_are_typed_errors() {
         let file = |len| Section { len, wire: Wire::File };
         let mail = |len| Section { len, wire: Wire::Mailbox };
-        let none = Bytes::new();
-        let got = address_sections(2, &[file(5), mail(9), file(0), file(7)], &none, 4).unwrap();
-        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
-        let at_file = |offset, len| At::File { offset, len };
-        let expect = vec![at_file(0, 5), At::Mailbox { len: 9 }, at_file(5, 0), at_file(5, 7)];
-        assert_eq!(at, expect, "mailbox sections take no file bytes");
-        assert!(got.iter().all(|a| a.attempt == 2));
-        let short = address_sections(0, &[file(5)], &none, 2);
-        assert!(matches!(short, Err(CoreError::Format(m)) if m.contains("2-worker")));
-        let over = address_sections(0, &[file(u64::MAX), file(1), file(0)], &none, 3);
-        assert!(matches!(over, Err(CoreError::Format(m)) if m.contains("overflow")));
-        assert!(address_sections(0, &[file(u64::MAX), mail(1), file(0)], &none, 3).is_ok());
-
-        // Inline sections are consecutive slices of the blob, which they
-        // must fill exactly: lengths running past it, or short of it, err.
         let inl = |len| Section { len, wire: Wire::Inline };
-        let blob = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let got = address_sections(0, &[inl(2), file(9), inl(3)], &blob, 3).unwrap();
-        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
-        let slice = |range| At::Inline(blob.slice(range));
-        assert_eq!(at, vec![slice(0..2), at_file(0, 9), slice(2..5)]);
-        for table in [&[inl(2), inl(4)][..], &[inl(2), inl(2)][..], &[inl(u64::MAX), inl(1)][..]] {
-            let err = address_sections(0, table, &blob, 2);
-            assert!(matches!(err, Err(CoreError::Format(_))), "{table:?}: {err:?}");
+        let (none, blob) = (Bytes::new(), Bytes::from(vec![1, 2, 3, 4, 5, 6]));
+        let own = |n: usize| (0..n).map(|r| (r, r)).collect::<Vec<_>>();
+        let f = |offset, len| At::File { offset, len };
+        let (slice, mailbox) = (|range| At::Inline(blob.slice(range)), |len| At::Mailbox { len });
+        // (table, blob, receivers, one address per receiver)
+        let cases = [
+            (
+                vec![file(5), mail(9), file(0), file(7)],
+                &none,
+                4,
+                vec![f(0, 5), mailbox(9), f(5, 0), f(5, 7)],
+            ),
+            (vec![inl(2), file(9), inl(4)], &blob, 3, vec![slice(0..2), f(0, 9), slice(2..6)]),
+            (
+                vec![file(u64::MAX), mail(1), file(0)],
+                &none,
+                3,
+                vec![f(0, u64::MAX), mailbox(1), f(u64::MAX, 0)],
+            ),
+        ];
+        for (table, blob, receivers, want) in cases {
+            let got = address_sections(2, &table, blob, &own(receivers), receivers).unwrap();
+            assert!(got.iter().all(|a| a.attempt == 2), "{table:?}");
+            assert_eq!(got.into_iter().map(|a| a.at).collect::<Vec<_>>(), want, "{table:?}");
+        }
+
+        for (what, table, blob, spans) in [
+            ("a table short of its receivers", vec![file(5)], &none, own(2)),
+            ("file sections past u64::MAX", vec![file(u64::MAX), file(1)], &none, own(2)),
+            ("inline sections past the blob", vec![inl(2), inl(5)], &blob, own(2)),
+            ("inline sections short of it", vec![inl(2), inl(2)], &blob, own(2)),
+            ("inline sections past u64::MAX", vec![inl(u64::MAX), inl(1)], &blob, own(2)),
+        ] {
+            let err = address_sections(0, &table, blob, &spans, 2);
+            assert!(matches!(err, Err(CoreError::Format(_))), "{what}: {err:?}");
         }
 
         let (sim, cloud, t) = edge(false, 0, 50);
@@ -840,43 +839,47 @@ mod tests {
         assert!(matches!(&mailbox, Some(CoreError::Storage(m)) if m.contains("mailbox")));
     }
 
-    /// (f') A sort-edge sender's blocks: each receiver gets one address
-    /// over the contiguous blocks whose spans hold its range — both
-    /// receivers the block straddling their boundary, a zero-length one
-    /// when no block does — in the file or in the blob. Blocks on a
-    /// mailbox or on both wires, spans of another length and a blob they
-    /// do not fill are typed errors.
+    /// (f') A sort-edge sender's blocks, addressed by the same rule: each
+    /// receiver gets one address over the contiguous blocks whose spans
+    /// hold its range — both receivers of the boundary a block straddles,
+    /// a zero-length one when no block does — in the file or in the blob.
+    /// Spans of another length than the table, a run on two wires and a
+    /// mailbox section addressed to any receiver but its own are typed
+    /// errors.
     #[test]
     fn blocks_are_addressed_to_every_range_their_spans_hold() {
         let file = |len| Section { len, wire: Wire::File };
+        let mail = |len| Section { len, wire: Wire::Mailbox };
         let inl = |len| Section { len, wire: Wire::Inline };
-        let none = Bytes::new();
-        let table = [file(5), file(7), file(2), file(9)];
-        let spans = [(0, 0), (0, 1), (1, 1), (3, 3)];
-        let got = address_blocks(4, &table, &none, &spans, 4).unwrap();
-        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
+        let (none, blob) = (Bytes::new(), Bytes::from(vec![1, 2, 3, 4, 5, 6]));
         let f = |offset, len| At::File { offset, len };
-        assert_eq!(at, vec![f(0, 12), f(5, 9), f(14, 0), f(14, 9)]);
-        assert!(got.iter().all(|a| a.attempt == 4));
+        let slice = |range| At::Inline(blob.slice(range));
+        // (table, blob, spans, receivers, one address per receiver)
+        let cases = [
+            (
+                vec![file(5), file(7), file(2), file(9)],
+                &none,
+                vec![(0, 0), (0, 1), (1, 1), (3, 3)],
+                4,
+                vec![f(0, 12), f(5, 9), f(0, 0), f(14, 9)],
+            ),
+            (vec![inl(2), inl(4)], &blob, vec![(0, 1), (1, 1)], 2, vec![slice(0..2), slice(0..6)]),
+            (Vec::new(), &none, Vec::new(), 3, vec![f(0, 0); 3]),
+        ];
+        for (table, blob, spans, receivers, want) in cases {
+            let got = address_sections(4, &table, blob, &spans, receivers).unwrap();
+            assert!(got.iter().all(|a| a.attempt == 4), "{table:?}");
+            assert_eq!(got.into_iter().map(|a| a.at).collect::<Vec<_>>(), want, "{table:?}");
+        }
 
-        let blob = Bytes::from(vec![1, 2, 3, 4, 5, 6]);
-        let got = address_blocks(0, &[inl(2), inl(4)], &blob, &[(0, 1), (1, 1)], 2).unwrap();
-        let at: Vec<At> = got.iter().map(|a| a.at.clone()).collect();
-        assert_eq!(at, vec![At::Inline(blob.slice(0..2)), At::Inline(blob.slice(0..6))]);
-        assert_eq!(
-            address_blocks(0, &[], &none, &[], 3).unwrap(),
-            vec![SectionAddr { attempt: 0, at: f(0, 0) }; 3]
-        );
-
-        let mail = Section { len: 2, wire: Wire::Mailbox };
-        for (table, blob, spans) in [
-            (vec![mail], &none, &[(0, 0)][..]),
-            (vec![inl(2), file(4)], &blob.slice(0..2), &[(0, 0), (0, 1)][..]),
-            (vec![file(2), file(4)], &none, &[(0, 0)][..]),
-            (vec![inl(2), inl(3)], &blob, &[(0, 0), (0, 1)][..]),
+        for (what, table, blob, spans) in [
+            ("spans short of the table", vec![file(2), file(4)], &none, vec![(0, 0)]),
+            ("a run on two wires", vec![inl(2), file(4)], &blob.slice(0..2), vec![(0, 0), (0, 1)]),
+            ("another receiver's mailbox", vec![mail(2)], &none, vec![(1, 1)]),
+            ("a run of mailboxes", vec![mail(u64::MAX), mail(1)], &none, vec![(0, 0), (0, 1)]),
         ] {
-            let err = address_blocks(0, &table, blob, spans, 2);
-            assert!(matches!(err, Err(CoreError::Format(_))), "{table:?}: {err:?}");
+            let err = address_sections(0, &table, blob, &spans, 2);
+            assert!(matches!(err, Err(CoreError::Format(_))), "{what}: {err:?}");
         }
     }
 

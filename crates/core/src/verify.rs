@@ -37,6 +37,8 @@
 //! at the first, so a broken planner change surfaces every violated
 //! contract in one run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::fmt;
 
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
@@ -114,7 +116,7 @@ pub mod codes {
     /// A fused edge is not an identity: its producer or consumer fleet
     /// is not one worker, it has another reader (or the driver reads
     /// it), or its consumer reads a second edge — the consumer could not
-    /// run inside the producer's invocation on the producer's one part.
+    /// run inside the producer's invocation on the producer's parts.
     pub const FLEET_FUSED: &str = "V-FLEET-005";
     /// A non-driver output edge has no consumer (dangling exchange), or
     /// a sort edge's consumer set is not exactly one sort stage — a run
@@ -770,7 +772,7 @@ pub fn verify_fleets(
 
 /// Verify the fused edges of a sized plan ([`crate::LaunchPlan::fused`],
 /// one flag per stage): a fused edge runs its consumer inside the
-/// producer's one invocation on the producer's one part, so both fleets
+/// producer's one invocation on the producer's parts, so both fleets
 /// are one worker, the consumer is the edge's only reader (not the
 /// driver) and reads no other edge.
 pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> Vec<Diagnostic> {

@@ -23,27 +23,33 @@
 //!
 //! # Fused chains
 //!
-//! Between two one-worker fleets an exchange edge is an identity: the
-//! producer's one part goes to the consumer's one worker. The driver
+//! Between two one-worker fleets an exchange edge is an identity: all of
+//! the producer's output goes to the consumer's one worker. The driver
 //! marks such an edge *fused* and launches the consumer inside the
 //! producer's invocation ([`StageTask::fused_into`]): `run_chain` runs
-//! the members one after the other, and a member's sink hands receiver
-//! 0's part to the next member as the exact [`PartData`] bytes the
-//! transport would have delivered — no PUT, LIST, GET, partitioning
-//! charge or result message — so the consumer's decode → merge/sort path
-//! is the one it runs behind a real edge. A member's operator state is
-//! dropped before the next member starts, every budget check stays, and
-//! each member reports its own metrics ([`WorkerResult::fused`]).
+//! the members one after the other, and a member's sink hands all its
+//! parts — receiver 0's one part, or a sorted run's blocks — to the next
+//! member as the exact [`PartData`] bytes the transport would have
+//! delivered, with no PUT, LIST, GET, partitioning charge or result
+//! message, so the consumer's decode → merge/sort path is the one it
+//! runs behind a real edge. A fused member has no addresses, so a fused
+//! sorter has no range boundaries and keeps every row. A member's
+//! operator state is dropped before the next member starts, every budget
+//! check stays, and each member reports its own metrics
+//! ([`WorkerResult::fused`]).
 //!
 //! # Results
 //!
-//! Agg state always rides the result message. Batches ride it too
-//! ([`ResultPayload::InlineBatches`]) while they encode to at most
-//! [`INLINE_RESULT_BYTES`]; larger ones are stored in the result bucket,
-//! one object per worker. So do a stage edge's sections while they fit
-//! the sink's inline budget (see [`crate::transport`]): the message, and
-//! then each consumer's invocation payload, carries them, and both pay
-//! their transfer over the driver's link ([`invoke::carry_inline`]).
+//! Agg state ([`ResultPayload::AggState`]) and batches
+//! ([`ResultPayload::InlineBatches`]) ride the result message while they
+//! encode to at most [`INLINE_RESULT_BYTES`]; larger ones are stored in
+//! the result bucket, one object per worker ([`ResultPayload::Stored`]).
+//! So do a stage edge's sections while they fit the sink's inline budget
+//! (see [`crate::transport`]): the message, and then each consumer's
+//! invocation payload, carries them, and both pay their transfer over the
+//! driver's link ([`invoke::carry_inline`]).
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::rc::Rc;
 
@@ -89,11 +95,14 @@ pub struct ExchangeTask {
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
 /// locally sorted run reaches the consumer sort fleet.
 ///
-/// Into one range the run is one part. Into several, no producer
-/// partitions anything: each cuts its run into blocks and reports their
-/// first sort keys ([`SortEdgeSpec::cuts_blocks`]), the driver pools
-/// those keys into the range boundaries, and every sorter keeps the rows
-/// of its own range from the blocks it is addressed.
+/// One protocol at every width: no producer partitions anything. Each
+/// cuts its run into blocks and reports their first sort keys, the
+/// driver pools those keys into the range boundaries — none for one
+/// range — and every sorter keeps the rows of its own range from the
+/// blocks it is addressed, or all of them when it has no boundaries.
+/// Blocks are not receivers, so a sort edge never streams and the driver
+/// registers no endpoint for it, on either transport; a fused edge hands
+/// every block on.
 #[derive(Clone)]
 pub struct SortEdgeSpec {
     /// Sort keys over `schema`.
@@ -102,18 +111,6 @@ pub struct SortEdgeSpec {
     pub limit: Option<usize>,
     /// Schema of the rows on the edge.
     pub schema: SchemaRef,
-    /// Consumer sort-fleet size (= range partition count).
-    pub partitions: usize,
-}
-
-impl SortEdgeSpec {
-    /// Whether producers cut their runs into blocks for the driver to
-    /// address: an edge of several ranges. Blocks are not receivers, so
-    /// such an edge never streams and the driver registers no endpoint
-    /// for it.
-    pub fn cuts_blocks(&self) -> bool {
-        self.partitions > 1
-    }
 }
 
 /// One in-edge of a consumer operator: fleet worker `p` reads
@@ -174,14 +171,14 @@ pub enum StageOp {
 /// how many encoded bytes a sender may ship inline rather than through
 /// the transport's wires (see [`crate::message::INLINE_EDGE_BYTES`]).
 pub enum StageSink {
-    /// Report to the driver: agg state inline, batches via one stored
-    /// object in the result bucket.
+    /// Report to the driver: agg state or batches inline in the message,
+    /// or, past its limit, as one stored object in the result bucket.
     Report,
     /// Shard onto the exchange edge `channel`: hash-partitioned rows
     /// ([`Terminal::HashPartition`]) or grouped partial-aggregate state
     /// ([`Terminal::PartitionedAggregate`]).
     Edge { channel: String, inline_budget: u64 },
-    /// Range-partition the locally sorted run onto the exchange edge
+    /// Cut the locally sorted run into blocks onto the exchange edge
     /// `channel`, feeding a sort fleet.
     SortEdge { channel: String, inline_budget: u64, edge: SortEdgeSpec },
 }
@@ -197,7 +194,7 @@ pub struct StageTask {
     /// query (`results/x{instance}-q{query}`); worker `w` stores under
     /// `{result_prefix}/w{w}`.
     pub result_prefix: String,
-    /// `Some` when the out-edge is fused: the sink hands its one part to
+    /// `Some` when the out-edge is fused: the sink hands its parts to
     /// this next stage, which runs in the same invocation.
     pub fused_into: Option<FusedStage>,
 }
@@ -238,9 +235,9 @@ pub struct WorkerPayload {
     pub task: WorkerTask,
     /// Per in-edge of the stage (in [`crate::stage::StageKind::inputs`]
     /// order), one address per sender — where this worker's section of
-    /// each producer's output is — and, on a sort edge of several
-    /// ranges, its range's boundaries. Filled in by the driver once the
-    /// producers reported; empty for stages that read no edge.
+    /// each producer's output is — and, on a sort edge, its range's
+    /// boundaries. Filled in by the driver once the producers reported;
+    /// empty for stages that read no edge.
     pub edges: Vec<InEdge>,
     /// Second-generation workers to invoke before running `task` (§4.2).
     pub children: Vec<Rc<WorkerPayload>>,
@@ -436,11 +433,11 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
 
 /// Run a stage task and every stage fused after it, one after the
 /// other: the head reads its in-edges at `edges`, every member after it
-/// the part its predecessor handed on. Members ahead of the last are
-/// timed here; an error names the member it happened in.
+/// the parts its predecessor handed on, with no addresses. Members ahead
+/// of the last are timed here; an error names the member it happened in.
 async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
     let mut ahead = Vec::new();
-    let (mut task, mut input, mut label) = (head, None, None);
+    let (mut task, mut input, mut label, mut edges) = (head, None, None, edges);
     loop {
         let start = env.cloud.handle.now();
         let ran = run_stage(env, task, input.take(), edges).await;
@@ -453,7 +450,7 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
         };
         metrics.processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
         ahead.push((payload, metrics));
-        (task, input, label) = (&next.task, handoff, Some(&next.label));
+        (task, input, label, edges) = (&next.task, handoff, Some(&next.label), &[]);
     }
 }
 
@@ -520,18 +517,18 @@ fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
 }
 
 /// [`recv_edge`] for an operator with one in-edge: the accounting goes
-/// straight into the metrics. On a fused edge the producer's part is
-/// `handed` already, and reading it costs nothing.
+/// straight into the metrics. On a fused edge the producer's parts are
+/// `handed` already, and reading them costs nothing.
 async fn read_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
     edges: &[InEdge],
-    handed: Option<PartData>,
+    handed: Option<Vec<PartData>>,
     metrics: &mut WorkerMetrics,
 ) -> Result<Vec<Vec<u8>>> {
-    if let Some(part) = handed {
-        return real_payloads(vec![part]);
+    if let Some(parts) = handed {
+        return real_payloads(parts);
     }
     let (payloads, stats) = recv_edge(env, task, edge, edges, env.worker_id as usize).await?;
     fold_read_stats(metrics, stats);
@@ -563,53 +560,59 @@ fn batch_parts(partitions: &[Vec<RecordBatch>]) -> Result<Vec<PartData>> {
         .collect()
 }
 
-/// Report result batches: inline in the message while they encode to at
-/// most [`INLINE_RESULT_BYTES`], otherwise through the one result upload
-/// — large results go to cloud storage, not through the queue. The key is
+/// Report what a stage hands the driver — its agg state or its result
+/// batches — inline in the message while it encodes to at most
+/// [`INLINE_RESULT_BYTES`], otherwise through the one result upload:
+/// large results go to cloud storage, not through the queue. The key is
 /// namespaced by installation and query, so concurrent queries on one
 /// installation never overwrite each other.
-async fn report_batches(
+async fn report(
     env: &WorkerEnv,
     task: &StageTask,
-    batches: &[RecordBatch],
+    output: PipelineOutput,
     metrics: &mut WorkerMetrics,
 ) -> Result<ResultPayload> {
-    let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-    if rows == 0 {
-        return Ok(ResultPayload::Empty);
-    }
-    let bytes = crate::partition::encode_batches(batches)?;
+    let (rows, bytes) = match &output {
+        PipelineOutput::Aggregate(state) => (metrics.rows_out, state.encode()),
+        PipelineOutput::Batches(batches) => {
+            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+            if rows == 0 {
+                return Ok(ResultPayload::Empty);
+            }
+            (rows, crate::partition::encode_batches(batches)?)
+        }
+        _ => {
+            return Err(CoreError::Engine(
+                "a sharding terminal cannot report to the driver".to_string(),
+            ))
+        }
+    };
     if bytes.len() <= INLINE_RESULT_BYTES {
-        return Ok(ResultPayload::InlineBatches { rows, bytes });
+        return Ok(match output {
+            PipelineOutput::Aggregate(_) => ResultPayload::AggState(bytes),
+            _ => ResultPayload::InlineBatches { rows, bytes },
+        });
     }
     let key = format!("{}/w{}", task.result_prefix, env.worker_id);
     metrics.bytes_written += bytes.len() as u64;
     metrics.put_requests += 1;
     env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?;
-    Ok(ResultPayload::StoredBatches { bucket: task.result_bucket.clone(), key, rows })
+    Ok(ResultPayload::Stored { bucket: task.result_bucket.clone(), key, rows })
 }
 
-/// Cut one producer's locally sorted run for its sort edge: the parts
-/// it ships and, into several ranges, the starts it reports.
-///
-/// Into one range the run is one part, under the range-partition charge
-/// of the single-range protocol. Into several it is at most
-/// [`SORT_SAMPLE_ROWS`] contiguous blocks, cut at the rows
-/// `i * rows / min(SORT_SAMPLE_ROWS, rows)`, and the starts are the sort
-/// keys of those rows, then of the run's last row. The driver pools the
-/// blocks' first keys into the range boundaries and addresses every
-/// sorter to the blocks that can hold its range; the sorter keeps its own
-/// rows. The producer itself partitions nothing and waits for no one.
-async fn sort_edge_parts(
-    env: &WorkerEnv,
+/// Cut one producer's locally sorted run for its sort edge, into any
+/// number of ranges: the parts it ships are at most [`SORT_SAMPLE_ROWS`]
+/// contiguous blocks, cut at the rows `i * rows / min(SORT_SAMPLE_ROWS,
+/// rows)`, and the starts it reports are the sort keys of those rows,
+/// then of the run's last row. The driver pools the blocks' first keys
+/// into the range boundaries and addresses every sorter to the blocks
+/// that can hold its range; the sorter keeps its own rows. The producer
+/// itself partitions nothing and waits for no one.
+fn sort_edge_parts(
     edge: &SortEdgeSpec,
     run: &RecordBatch,
 ) -> Result<(Vec<PartData>, Option<Vec<u8>>)> {
     let rows = run.num_rows();
-    if !edge.cuts_blocks() {
-        env.compute(env.costs.partition_seconds((rows * run.num_columns() * 8) as u64)).await;
-        return Ok((batch_parts(&[vec![run.clone()]])?, None));
-    }
     let count = SORT_SAMPLE_ROWS.min(rows);
     if count == 0 {
         return Ok((Vec::new(), None));
@@ -696,15 +699,15 @@ async fn drive_scan(
 /// agg state or batches inline, one stored object, or a write onto the
 /// out-edge (§4.4's "operators that repartition data", executed with no
 /// infrastructure beyond storage and functions). `edges` addresses the
-/// in-edges; `handed` is the part a fused producer handed on instead.
-/// The part this stage hands on, if its own out-edge is fused, comes back
+/// in-edges; `handed` is the parts a fused producer handed on instead.
+/// The parts this stage hands on, if its own out-edge is fused, come back
 /// beside the report.
 async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
-    handed: Option<PartData>,
+    handed: Option<Vec<PartData>>,
     edges: &[InEdge],
-) -> Result<(ResultPayload, WorkerMetrics, Option<PartData>)> {
+) -> Result<(ResultPayload, WorkerMetrics, Option<Vec<PartData>>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
     let mut metrics = WorkerMetrics::default();
@@ -836,12 +839,10 @@ async fn run_stage(
             }
         }
         StageOp::Sort { stage, input } => {
-            // Blocks of a sort edge of several ranges hold other ranges'
-            // rows too: keep this range's, in the order they came.
-            let bounds = match handed {
-                None => edges.get(input.slot).map_or(&[][..], |e| &e.bounds[..]),
-                Some(_) => &[],
-            };
+            // A sort edge's blocks hold other ranges' rows too: keep this
+            // range's, in the order they came. With no bounds — one range,
+            // or a fused edge — every row is this range's.
+            let bounds = edges.get(input.slot).map_or(&[][..], |e| &e.bounds[..]);
             let (mut batches, mut received) = (Vec::new(), 0u64);
             let mut state_bytes = 0u64;
             let payloads = read_edge(env, task, input, edges, handed, &mut metrics).await?;
@@ -879,14 +880,10 @@ async fn run_stage(
 
     // What leaves on an edge: filtered rows for hash-partition terminals,
     // grouped states (one "row" per group) for partitioned aggregates, a
-    // sorted run — whole, or cut into blocks — for sort edges.
+    // sorted run cut into blocks for sort edges.
     let (rows, (channel, inline_budget), parts, starts) = match (&task.sink, output) {
-        (StageSink::Report, PipelineOutput::Aggregate(state)) => {
-            return Ok((ResultPayload::AggState(state.encode()), metrics, None));
-        }
-        (StageSink::Report, PipelineOutput::Batches(batches)) => {
-            let reported = report_batches(env, task, &batches, &mut metrics).await?;
-            return Ok((reported, metrics, None));
+        (StageSink::Report, output) => {
+            return Ok((report(env, task, output, &mut metrics).await?, metrics, None));
         }
         (StageSink::Edge { channel, inline_budget }, PipelineOutput::Partitions(partitions)) => {
             (metrics.rows_out, (channel, *inline_budget), batch_parts(&partitions)?, None)
@@ -902,13 +899,8 @@ async fn run_stage(
         }
         (StageSink::SortEdge { channel, inline_budget, edge }, PipelineOutput::Batches(run)) => {
             let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let (parts, starts) = sort_edge_parts(env, edge, &run).await?;
+            let (parts, starts) = sort_edge_parts(edge, &run)?;
             (run.num_rows() as u64, (channel, *inline_budget), parts, starts)
-        }
-        (StageSink::Report, _) => {
-            return Err(CoreError::Engine(
-                "a sharding terminal cannot report to the driver".to_string(),
-            ))
         }
         (StageSink::Edge { .. }, _) => {
             return Err(CoreError::Engine("an exchange edge needs a sharding terminal".to_string()))
@@ -921,10 +913,9 @@ async fn run_stage(
     };
     metrics.rows_exchanged += rows;
     if task.fused_into.is_some() {
-        // The one part goes to the next stage as it is: no request, no
+        // The parts go to the next stage as they are: no request, no
         // partitioning charge.
-        let handoff = parts.into_iter().next();
-        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, handoff));
+        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, Some(parts)));
     }
     // Blocks (what starts come with) stream to no mailbox, and the
     // starts ride the message beside whatever goes inline.
@@ -1048,9 +1039,10 @@ mod tests {
         assert_eq!((size(&inline), size(&over)), (INLINE_RESULT_BYTES, INLINE_RESULT_BYTES + 1));
         let (inline, stored, puts) = sim.block_on(async move {
             let mut metrics = WorkerMetrics::default();
-            let inline = report_batches(&env, &task, &[inline], &mut metrics).await.unwrap();
+            let batches = |batch| PipelineOutput::Batches(vec![batch]);
+            let inline = report(&env, &task, batches(inline), &mut metrics).await.unwrap();
             let puts = metrics.put_requests;
-            let stored = report_batches(&env, &task, &[over], &mut metrics).await.unwrap();
+            let stored = report(&env, &task, batches(over), &mut metrics).await.unwrap();
             (inline, stored, (puts, metrics.put_requests))
         });
         assert!(
@@ -1058,7 +1050,7 @@ mod tests {
                 if *r == rows as u64 && bytes.len() == INLINE_RESULT_BYTES),
             "{inline:?}"
         );
-        assert!(matches!(stored, ResultPayload::StoredBatches { .. }), "{stored:?}");
+        assert!(matches!(stored, ResultPayload::Stored { .. }), "{stored:?}");
         assert_eq!(puts, (0, 1));
     }
 
@@ -1081,18 +1073,13 @@ mod tests {
         )
         .unwrap();
         let sort_keys = vec![SortKey::asc(col(0))];
-        let edge = SortEdgeSpec {
-            keys: sort_keys.clone(),
-            limit: None,
-            schema: schema.clone(),
-            partitions: 2,
-        };
+        let edge = SortEdgeSpec { keys: sort_keys.clone(), limit: None, schema: schema.clone() };
         let transport =
             Rc::new(EdgeTransport::new(ExchangeConfig::default(), ExchangeSide::new(), None));
         let (blocks, edges) = sim.block_on({
             let (env, transport) = (env(0), Rc::clone(&transport));
             async move {
-                let (parts, starts) = sort_edge_parts(&env, &edge, &run).await.unwrap();
+                let (parts, starts) = sort_edge_parts(&edge, &run).unwrap();
                 let (_, sections, inline) =
                     transport.send(&env, "x0/q0/s0", 0, parts, u64::MAX, false).await.unwrap();
                 let (rows, bytes) = (64, inline.len() as u64);
@@ -1140,6 +1127,65 @@ mod tests {
                 got.iter().flat_map(|b| b.column(1).as_i64().unwrap().to_vec()).collect();
             assert_eq!(got, rows.collect::<Vec<_>>(), "sorter {r}");
             assert_eq!(ran.1.rows_in, got.len() as u64, "sorter {r} counts the rows it keeps");
+        }
+    }
+
+    /// One range is the same protocol: a lone sorter's producer cuts its
+    /// run into blocks, the driver picks no boundary, and the sorter —
+    /// addressed to every block, or handed them all by a fused producer —
+    /// keeps every row and is charged its sort alone, no partitioning.
+    #[test]
+    fn a_lone_sorter_keeps_every_block_and_charges_only_its_sort() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+        let schema = Schema::arc(vec![Field::new("k", DataType::Int64)]);
+        let run = RecordBatch::new(schema.clone(), vec![Column::I64((0..100).collect())]).unwrap();
+        let keys = vec![SortKey::asc(col(0))];
+        let edge = SortEdgeSpec { keys: keys.clone(), limit: None, schema: schema.clone() };
+        let transport =
+            Rc::new(EdgeTransport::new(ExchangeConfig::default(), ExchangeSide::new(), None));
+        let (parts, addressed) = sim.block_on(async {
+            let (parts, starts) = sort_edge_parts(&edge, &run).unwrap();
+            let (_, sections, inline) =
+                transport.send(&env, "x0/q0/s0", 0, parts.clone(), u64::MAX, false).await.unwrap();
+            let bytes = inline.len() as u64;
+            let report = ResultPayload::Sections { rows: 100, bytes, sections, inline, starts };
+            let report = WorkerResult::ok(0, report, WorkerMetrics::default());
+            (parts, crate::driver::section_tables(&[report], 1, Some(&edge)).unwrap())
+        });
+        assert_eq!(parts.len(), SORT_SAMPLE_ROWS);
+        assert_eq!(addressed[0].bounds, Vec::<Vec<Scalar>>::new(), "one range, no boundary");
+
+        let stage = SortStage { input: 0, schema, keys, limit: None };
+        let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
+        let task = StageTask {
+            op: StageOp::Sort { stage, input },
+            sink: StageSink::Report,
+            transport,
+            result_bucket: "results".to_string(),
+            result_prefix: "results/x0-q0".to_string(),
+            fused_into: None,
+        };
+        let now = || cloud.handle.now();
+        let sort_secs = sim.block_on(async {
+            let start = now();
+            env.compute(env.costs.process_seconds(100)).await;
+            now() - start
+        });
+        for (what, handed, edges) in
+            [("addressed", None, addressed), ("fused", Some(parts), vec![])]
+        {
+            let (ran, took) = sim.block_on(async {
+                let start = now();
+                let ran = run_stage(&env, &task, handed, &edges).await.unwrap();
+                (ran, now() - start)
+            });
+            let ResultPayload::InlineBatches { bytes, .. } = ran.0 else { panic!("{what}") };
+            let got = crate::partition::decode_batches(&bytes).unwrap();
+            let got = got.iter().flat_map(|b| b.column(0).as_i64().unwrap().to_vec());
+            assert_eq!(got.collect::<Vec<i64>>(), (0..100).collect::<Vec<_>>(), "{what}");
+            assert_eq!(took, sort_secs, "{what}: the sort is all it is charged");
         }
     }
 

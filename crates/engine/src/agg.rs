@@ -15,6 +15,8 @@
 //! accumulator of each group in row order, which is why results are
 //! bit-identical to a row-at-a-time fold.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
 use std::sync::Arc;
 

@@ -1,5 +1,7 @@
 //! Record batches: a schema plus equally-long columns.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use crate::column::{selection, Column};

@@ -1,5 +1,7 @@
 //! Typed column vectors: the unit of vectorized execution.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Borrow;
 
 use lambada_format::ColumnData;

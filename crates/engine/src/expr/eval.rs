@@ -1,5 +1,7 @@
 //! Expression evaluation over record batches.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
 
 use crate::batch::RecordBatch;

@@ -12,6 +12,8 @@
 //! one allocation of an operator is its result. Nothing here copies a
 //! column to look at it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
 
 use crate::column::Column;

@@ -11,6 +11,8 @@
 //! key table (`keytable.rs`) that [`crate::agg::GroupedAggState`]
 //! groups with.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::sync::Arc;
 
 use crate::batch::RecordBatch;

@@ -17,6 +17,8 @@
 //! receives agrees on `hash % partitions`, so the low bits carry no
 //! information there.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::column::Column;
 use crate::error::{exec_err, Result};
 use crate::join::hash_key_parts;

@@ -44,6 +44,8 @@
 //! `HashPartition` and `Probe` in the gather that builds their output
 //! (an unfiltered, unprojected input is read in place).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::rc::Rc;

@@ -24,6 +24,8 @@
 //! 8-byte words; see the function for what that leaves checked (all that
 //! a byte-at-a-time decoder checks).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::borrow::Cow;
 
 use crate::error::{corrupt, FormatError, Result};
@@ -65,7 +67,7 @@ const MAX_DISTANCE: usize = 65_535;
 const HASH_BITS: u32 = 15;
 
 fn hash4(bytes: &[u8]) -> usize {
-    // lint: allow(unwrap) — a four-byte slice always converts to [u8; 4]
+    #[expect(clippy::expect_used, reason = "a four-byte slice always converts to [u8; 4]")]
     let v = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }

@@ -13,6 +13,8 @@
 //!   like `l_shipdate` (the sort order §5.1 establishes) and near-
 //!   sequential keys.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::binio::{BinReader, BinWriter};
 use crate::data::ColumnData;
 use crate::error::{corrupt, FormatError, Result};

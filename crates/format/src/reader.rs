@@ -5,6 +5,8 @@
 //! This mirrors Fig 8's layering, where the Parquet library sits above a
 //! user-provided random-access file system.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::compress;
 use crate::data::ColumnData;
 use crate::encoding;

@@ -11,7 +11,6 @@ use crate::region::Region;
 use crate::resource::{BurstLink, BurstLinkConfig};
 use crate::rng::SimRng;
 use crate::services::faas::{FaasCaller, FaasConfig, FaasService, Instance, NicModel};
-use crate::services::kv::{KvClient, KvConfig, KvService};
 use crate::services::object_store::{ObjectStore, S3Client, S3Config};
 use crate::services::p2p::{P2pClient, P2pConfig, P2pService};
 use crate::services::queue::{QueueService, SqsClient, SqsConfig};
@@ -27,7 +26,6 @@ pub struct CloudConfig {
     pub nic: NicModel,
     pub s3: S3Config,
     pub sqs: SqsConfig,
-    pub kv: KvConfig,
     pub p2p: P2pConfig,
     /// Driver machine's WAN bandwidth in bytes/s (1 Gbps by default; the
     /// driver only ships plans and collects small results).
@@ -44,7 +42,6 @@ impl Default for CloudConfig {
             nic: NicModel::default(),
             s3: S3Config::default(),
             sqs: SqsConfig::default(),
-            kv: KvConfig::default(),
             p2p: P2pConfig::default(),
             driver_bandwidth: 125e6,
         }
@@ -67,7 +64,6 @@ pub struct CloudState {
     pub s3: ObjectStore,
     pub faas: FaasService,
     pub sqs: QueueService,
-    pub kv: KvService,
     pub p2p: P2pService,
     driver_link: BurstLink,
 }
@@ -89,7 +85,6 @@ impl Cloud {
         );
         let sqs =
             QueueService::new(handle.clone(), config.sqs.clone(), billing.clone(), rng.fork());
-        let kv = KvService::new(handle.clone(), config.kv.clone(), billing.clone(), rng.fork());
         let p2p = P2pService::new(handle.clone(), config.p2p.clone());
         let driver_link =
             BurstLink::new(handle.clone(), BurstLinkConfig::flat(config.driver_bandwidth));
@@ -102,7 +97,6 @@ impl Cloud {
             s3,
             faas,
             sqs,
-            kv,
             p2p,
             driver_link,
         }))
@@ -137,11 +131,6 @@ impl Cloud {
         self.sqs.client(self.config.region.driver_rtt())
     }
 
-    /// KV access from the driver's machine.
-    pub fn driver_kv(&self) -> KvClient {
-        self.kv.client(self.config.region.driver_rtt())
-    }
-
     /// An invocation caller with the driver's Table-1 profile.
     pub fn driver_invoker(&self) -> FaasCaller {
         self.faas.driver_caller(self.config.region)
@@ -162,11 +151,6 @@ impl Cloud {
     /// SQS access from inside a function instance.
     pub fn instance_sqs(&self) -> SqsClient {
         self.sqs.client(Duration::ZERO)
-    }
-
-    /// KV access from inside a function instance.
-    pub fn instance_kv(&self) -> KvClient {
-        self.kv.client(Duration::ZERO)
     }
 
     /// P2p access from inside a function instance: transfers flow

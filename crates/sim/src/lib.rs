@@ -16,7 +16,7 @@
 //! * **service models** ([`services`]) — an S3-like object store with
 //!   per-bucket rate limits and per-request billing, an AWS-Lambda-like
 //!   FaaS runtime with memory-proportional CPU shares and cold starts, an
-//!   SQS-like queue, and a DynamoDB-like KV store;
+//!   SQS-like queue, and a worker-to-worker rendezvous/relay;
 //! * a **billing ledger** ([`billing`]) with the paper's published prices,
 //!   and a **trace collector** ([`trace`]) for per-worker phase timelines.
 //!

@@ -1,8 +1,7 @@
-//! Serverless service models: FaaS, object store, queue, KV store, and
-//! the worker-to-worker rendezvous/relay network.
+//! Serverless service models: FaaS, object store, queue, and the
+//! worker-to-worker rendezvous/relay network.
 
 pub mod faas;
-pub mod kv;
 pub mod object_store;
 pub mod p2p;
 pub mod queue;

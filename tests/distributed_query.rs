@@ -8,7 +8,9 @@ use std::sync::Arc;
 use lambada::core::{stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig};
 use lambada::engine::{execute_into_batch, Catalog, DataType, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
-use lambada::workloads::{lineitem_schema, stage_real, stage_table_real, StageOptions};
+use lambada::workloads::{
+    lineitem_schema, loader, orders_schema, stage_real, stage_table_real, StageOptions,
+};
 
 fn stage_opts(scale: f64, seed: u64) -> StageOptions {
     StageOptions { scale, num_files: 6, row_groups_per_file: 3, seed }
@@ -406,13 +408,59 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     assert!(join.bytes_exchanged > 0, "join fleet exchanged grouped state shards");
 }
 
+/// A driver-merged aggregate state too large for a result message is
+/// stored in the result bucket, as batches are: Q3 under `DriverMerge`
+/// with one join worker, whose grouped state is several times SQS's cap,
+/// returns the reference executor's result, and its join stage's one PUT
+/// is that state.
+#[test]
+fn an_agg_state_over_the_message_cap_is_stored_and_merged() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let li_opts = StageOptions { scale: 0.02, num_files: 8, row_groups_per_file: 4, seed: 1 };
+    let li_spec = stage_real(&cloud, "tpch", "lineitem", li_opts);
+    let orders_opts = lambada::workloads::OrdersStageOptions {
+        rows: li_spec.total_rows,
+        num_files: 4,
+        row_groups_per_file: 3,
+        seed: 1,
+    };
+    let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
+    let config = LambadaConfig { join_workers: Some(1), ..LambadaConfig::default() };
+    let mut system = Lambada::install(&cloud, config);
+    system.register_table(li_spec);
+    system.register_table(ord_spec);
+
+    let mut cat = Catalog::new();
+    let tables = [
+        ("lineitem", lineitem_schema(), loader::generate_file_columns(li_opts)),
+        ("orders", orders_schema(), loader::generate_orders_file_columns(orders_opts)),
+    ];
+    for (name, schema, files) in tables {
+        let schema = Arc::new(schema);
+        let batches = files.into_iter().map(|c| RecordBatch::new(Arc::clone(&schema), c).unwrap());
+        let batches = batches.collect();
+        cat.register(name, Rc::new(MemTable::new(schema, batches).unwrap()));
+    }
+    let plan = lambada::workloads::q3("lineitem", "orders");
+    let optimized = lambada::engine::Optimizer::new().optimize(&plan).unwrap();
+    let reference = execute_into_batch(&optimized, &cat).unwrap();
+
+    let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_eq!(report.batch, reference);
+    let join = &report.stages[2];
+    assert_eq!((join.label.as_str(), join.workers), ("join#2", 1));
+    assert_eq!(join.put_requests, 1, "the state is stored, not sent");
+}
+
 #[test]
 fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() {
     q5_multiway(2);
 }
 
-/// A one-worker sort fleet has one range: every merge worker ships its
-/// run as one part and cuts no blocks.
+/// A one-worker sort fleet has one range and the same protocol: every
+/// merge worker cuts its run into blocks, and the lone sorter, given no
+/// boundary, keeps every row of every block.
 #[test]
 fn q5_multiway_with_a_lone_sorter_skips_the_sample_barrier() {
     q5_multiway(1);

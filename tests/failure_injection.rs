@@ -389,7 +389,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
                     transport.send(&sender, &probe.channel, 0, garbage(), 0, true).await.unwrap();
                 }
                 // Without its write, the probe address points at nothing.
-                let senders = address_sections(0, &sections, &inline, 1).unwrap();
+                let senders = address_sections(0, &sections, &inline, &[(0, 0)], 1).unwrap();
                 let edge = InEdge { senders, bounds: Vec::new() };
                 payload.edges = vec![edge.clone(), edge];
                 let launched = cloud.handle.now();

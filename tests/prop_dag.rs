@@ -304,9 +304,11 @@ proptest! {
 
     /// The cut sort: 1–4 producers of up to 120 rows each — fewer than a
     /// block per sample row, several rows a block, or none once the
-    /// filter drops their rows — into 2–8 sorters, with and without
-    /// LIMIT, ≡ the reference's exact row sequence on both transports,
-    /// and nothing lists.
+    /// filter drops their rows — into 2–8 sorters and then into one, with
+    /// and without LIMIT, ≡ the reference's exact row sequence on both
+    /// transports, and nothing lists or streams. One sorter is the same
+    /// protocol: addressed to every block of several producers, or handed
+    /// all of a lone producer's blocks in its fused invocation.
     #[test]
     fn cut_sort_matches_reference_exactly_on_both_transports(
         producers in prop::collection::vec(1usize..120, 1..5).prop_flat_map(|sizes| {
@@ -319,23 +321,16 @@ proptest! {
         descending in any::<bool>(),
     ) {
         let (sizes, keys) = producers;
-        let sim = Simulation::new();
-        let cloud = Cloud::new(&sim, CloudConfig::default());
         let schema = u_schema();
         let rows = keys.len();
         let cols = vec![Column::I64(keys), Column::I64((0..rows as i64).collect())];
-        let mut files = Vec::new();
+        let mut files: Vec<Vec<Column>> = Vec::new();
         let mut start = 0;
-        for size in sizes {
+        for &size in &sizes {
             let idx: Vec<usize> = (start..start + size).collect();
             files.push(cols.iter().map(|c| c.gather(&idx)).collect());
             start += size;
         }
-        let mut system = Lambada::install(&cloud, LambadaConfig {
-            sort: SortStrategy::Exchange { workers: Some(sort_workers) },
-            ..LambadaConfig::default()
-        });
-        system.register_table(stage_table_real(&cloud, "data", "u", schema.clone(), files, rows as u64, 2));
         let mut catalog = Catalog::new();
         catalog.register(
             "u",
@@ -353,20 +348,34 @@ proptest! {
         }
         let plan = df.build();
         let reference = execute_into_batch(&plan, &catalog).unwrap();
-        let reports = sim.block_on(async move {
-            let dag = system.plan(&plan).unwrap();
-            let mut reports = Vec::new();
-            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
-                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+        for sort_workers in [sort_workers, 1] {
+            let sim = Simulation::new();
+            let cloud = Cloud::new(&sim, CloudConfig::default());
+            let mut system = Lambada::install(&cloud, LambadaConfig {
+                sort: SortStrategy::Exchange { workers: Some(sort_workers) },
+                ..LambadaConfig::default()
+            });
+            let table = stage_table_real(&cloud, "data", "u", schema.clone(), files.clone(), rows as u64, 2);
+            system.register_table(table);
+            let plan = plan.clone();
+            let reports = sim.block_on(async move {
+                let dag = system.plan(&plan).unwrap();
+                let mut reports = Vec::new();
+                for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+                    let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                    reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+                }
+                reports
+            });
+            // A lone producer and a lone sorter run as one invocation.
+            let fused = usize::from(sizes.len() == 1 && sort_workers == 1);
+            for report in &reports {
+                assert_rows_identical(&report.batch, &reference)?;
+                prop_assert_eq!(report.stages[1].workers, sort_workers);
+                prop_assert_eq!(report.invocations() as usize, sizes.len() + sort_workers - fused);
+                prop_assert!(report.stages.iter().all(|s| s.list_requests == 0), "nothing lists");
+                prop_assert_eq!(report.p2p_requests(), 0, "blocks never stream");
             }
-            reports
-        });
-        for report in &reports {
-            assert_rows_identical(&report.batch, &reference)?;
-            prop_assert_eq!(report.stages[1].workers, sort_workers);
-            prop_assert!(report.stages.iter().all(|s| s.list_requests == 0), "nothing lists");
-            prop_assert_eq!(report.p2p_requests(), 0, "blocks never stream");
         }
     }
 

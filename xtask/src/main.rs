@@ -1,25 +1,22 @@
 //! `cargo xtask lint` — the offline workspace linter — and
 //! `cargo xtask loc`, the size count the simplicity issues measure.
 //!
-//! `lint` enforces repo invariants the compiler can't see, as the second layer
-//! of the static-analysis pass (`core::verify` checks plans at runtime;
-//! this checks sources at CI time). Dependency-free by design — the
-//! vendor tree carries no `syn`, so everything is line-based scanning
-//! over [`code_only`]-stripped text:
+//! `lint` enforces repo invariants neither the compiler nor clippy can
+//! see, as the second layer of the static-analysis pass (`core::verify`
+//! checks plans at runtime; this checks sources at CI time). The
+//! hot-path panic rule is clippy's: the worker, driver and exchange
+//! files and the kernels they run on bytes off the wire deny
+//! `unwrap_used`, `expect_used`, `panic` and `unreachable` themselves.
+//! Dependency-free by design — the vendor tree carries no `syn`, so
+//! everything here is line-based scanning over [`code_only`]-stripped
+//! text:
 //!
-//! 1. **hot-path-panic** — no `.unwrap()` / `.expect(` / `panic!(` /
-//!    `unreachable!(` in the worker/driver/exchange hot paths and the
-//!    kernels they run on bytes off the wire (the files in
-//!    [`HOT_PATH_FILES`]). Test modules are exempt, and a
-//!    documented-infallible site is allowlisted by a
-//!    `// lint: allow(unwrap) — <reason>` comment directly above it;
-//!    the reason is required.
-//! 2. **doc-variant** — every `StageKind` and `TransportKind` variant
+//! 1. **doc-variant** — every `StageKind` and `TransportKind` variant
 //!    is named in `docs/OPERATORS.md`, so the operator reference can't
 //!    silently fall behind the planner or the transports.
-//! 3. **doc-metric** — every public `WorkerMetrics` field is named in
+//! 2. **doc-metric** — every public `WorkerMetrics` field is named in
 //!    `docs/OPERATORS.md`'s stage-report metric table.
-//! 4. **wire-stability** — every public struct/enum in the wire-format
+//! 3. **wire-stability** — every public struct/enum in the wire-format
 //!    module (`crates/core/src/message.rs`) carries a doc comment with
 //!    a `Wire stability` note.
 //!
@@ -32,43 +29,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Hot-path files, relative to `crates/`, where a stray panic kills a
-/// paid serverless invocation instead of surfacing a typed error: the
-/// worker/driver/exchange paths of `core`, the planner and the plan
-/// verifier (planning a user's query and verifying a hand-built DAG —
-/// `run_dag` is public — must not panic), and the engine and format
-/// kernels a worker runs on bytes it did not produce.
-const HOT_PATH_FILES: &[&str] = &[
-    "core/src/driver.rs",
-    "core/src/worker.rs",
-    "core/src/exchange.rs",
-    "core/src/transport.rs",
-    "core/src/scan.rs",
-    "core/src/invoke.rs",
-    "core/src/partition.rs",
-    "core/src/message.rs",
-    "core/src/routing.rs",
-    "core/src/sched.rs",
-    "core/src/stage.rs",
-    "core/src/streaming.rs",
-    "core/src/verify.rs",
-    "engine/src/agg.rs",
-    "engine/src/batch.rs",
-    "engine/src/column.rs",
-    "engine/src/expr/eval.rs",
-    "engine/src/expr/kernels.rs",
-    "engine/src/join.rs",
-    "engine/src/keytable.rs",
-    "engine/src/pipeline.rs",
-    "format/src/compress.rs",
-    "format/src/encoding.rs",
-    "format/src/reader.rs",
-];
-
-const ALLOW_MARKER: &str = "lint: allow(unwrap)";
-/// Minimum justification length after the allow marker.
-const MIN_REASON: usize = 10;
 
 struct Finding {
     path: PathBuf,
@@ -102,19 +62,6 @@ fn main() -> ExitCode {
 fn lint() -> ExitCode {
     let root = workspace_root();
     let mut findings = Vec::new();
-
-    for file in HOT_PATH_FILES {
-        let path = root.join("crates").join(file);
-        match std::fs::read_to_string(&path) {
-            Ok(src) => lint_hot_path(&path, &src, &mut findings),
-            Err(e) => findings.push(Finding {
-                path,
-                line: 0,
-                rule: "hot-path-panic",
-                message: format!("cannot read file: {e}"),
-            }),
-        }
-    }
 
     let docs = read_or_report(&root.join("docs/OPERATORS.md"), "doc-variant", &mut findings);
     let stage_src =
@@ -248,8 +195,8 @@ fn read_or_report(path: &Path, rule: &'static str, findings: &mut Vec<Finding>) 
 }
 
 /// Strip line comments, block comments, and string literals from one
-/// line, so `{}`/`.unwrap()` inside format strings or comments never
-/// trip brace tracking or pattern matches. `in_block` carries block
+/// line, so `{}` inside format strings or comments never trips brace
+/// tracking, nor a name inside them a match. `in_block` carries block
 /// comment state across lines.
 fn code_only(line: &str, in_block: &mut bool) -> String {
     let mut out = String::with_capacity(line.len());
@@ -294,97 +241,6 @@ fn code_only(line: &str, in_block: &mut bool) -> String {
         }
     }
     out
-}
-
-/// Lint one hot-path file: flag `.unwrap()` / `.expect(` / `panic!(` /
-/// `unreachable!(` outside test modules, honoring `lint: allow(unwrap)` markers with a
-/// justification.
-fn lint_hot_path(path: &Path, src: &str, findings: &mut Vec<Finding>) {
-    let mut in_block = false;
-    // Depth-based skip of `#[cfg(test)] mod ... { ... }` regions.
-    let mut depth: i64 = 0;
-    let mut skip_from_depth: Option<i64> = None;
-    let mut pending_cfg_test = false;
-    // An allow marker arms an exemption for the next code line.
-    let mut armed = false;
-    let mut armed_with_reason = false;
-
-    for (idx, raw) in src.lines().enumerate() {
-        let line_no = idx + 1;
-        let trimmed = raw.trim_start();
-        if let Some(pos) = raw.find(ALLOW_MARKER) {
-            armed = true;
-            armed_with_reason = raw[pos + ALLOW_MARKER.len()..].trim().len() >= MIN_REASON;
-        }
-        let code = code_only(raw, &mut in_block);
-
-        if skip_from_depth.is_none() && trimmed.starts_with("#[cfg(test)]") {
-            pending_cfg_test = true;
-        } else if pending_cfg_test && skip_from_depth.is_none() {
-            // The attribute applies to the next item; only `mod` bodies
-            // are skipped wholesale (a `#[cfg(test)] use ...` is inert).
-            // Further attributes between the cfg and the item keep the
-            // pending state alive.
-            let t = code.trim_start();
-            if t.starts_with("mod ") || t.starts_with("pub mod ") {
-                skip_from_depth = Some(depth);
-                pending_cfg_test = false;
-            } else if !t.is_empty() && !t.starts_with("#[") {
-                pending_cfg_test = false;
-            }
-        }
-
-        let depth_before = depth;
-        for c in code.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if let Some(d) = skip_from_depth {
-            // Leave skip mode once the module body closes.
-            if depth <= d && depth_before > d {
-                skip_from_depth = None;
-            }
-            continue;
-        }
-
-        if code.trim().is_empty() {
-            continue; // comment/blank line keeps any armed marker alive
-        }
-        let violation = [".unwrap()", ".expect(", "panic!(", "unreachable!("]
-            .iter()
-            .find(|p| code.contains(&***p))
-            .copied();
-        if let Some(pat) = violation {
-            if armed {
-                if !armed_with_reason {
-                    findings.push(Finding {
-                        path: path.to_path_buf(),
-                        line: line_no,
-                        rule: "hot-path-panic",
-                        message: format!(
-                            "`{ALLOW_MARKER}` needs a justification (≥ {MIN_REASON} chars)"
-                        ),
-                    });
-                }
-            } else {
-                findings.push(Finding {
-                    path: path.to_path_buf(),
-                    line: line_no,
-                    rule: "hot-path-panic",
-                    message: format!(
-                        "`{pat}` in a hot path; return a typed error or annotate \
-                         with `// {ALLOW_MARKER} — <reason>`",
-                        pat = pat.trim_start_matches('.')
-                    ),
-                });
-            }
-        }
-        armed = false;
-        armed_with_reason = false;
-    }
 }
 
 /// Extract the variant names of `pub enum <name>` from source text.
@@ -591,54 +447,6 @@ mod tests {
         assert_eq!(code_only(".unwrap() still comment", &mut in_block), "");
         assert_eq!(code_only("end */ after", &mut in_block), " after");
         assert!(!in_block);
-    }
-
-    fn run_hot_path(src: &str) -> Vec<String> {
-        let mut findings = Vec::new();
-        lint_hot_path(Path::new("t.rs"), src, &mut findings);
-        findings.into_iter().map(|f| format!("{}:{}", f.line, f.rule)).collect()
-    }
-
-    #[test]
-    fn hot_path_flags_unwrap_expect_panic() {
-        assert_eq!(run_hot_path("let x = y.unwrap();").len(), 1);
-        assert_eq!(run_hot_path("let x = y.expect(\"m\");").len(), 1);
-        assert_eq!(run_hot_path("panic!(\"boom\");").len(), 1);
-        assert_eq!(run_hot_path("_ => unreachable!(\"checked above\"),").len(), 1);
-        assert!(run_hot_path("let x = y.unwrap_or(0);").is_empty());
-    }
-
-    #[test]
-    fn hot_path_honors_allow_marker_with_reason() {
-        let src = "// lint: allow(unwrap) — the loop above guarantees presence\n\
-                   let x = m.remove(&k).expect(\"present\");";
-        assert!(run_hot_path(src).is_empty());
-        // Marker survives intervening comment lines.
-        let src = "// lint: allow(unwrap) — the loop above guarantees presence\n\
-                   // and this continues the explanation\n\
-                   let x = m.remove(&k).expect(\"present\");";
-        assert!(run_hot_path(src).is_empty());
-        // Reason is mandatory.
-        let src = "// lint: allow(unwrap)\nlet x = y.unwrap();";
-        assert_eq!(run_hot_path(src).len(), 1);
-        // The marker covers one code line only.
-        let src = "// lint: allow(unwrap) — a perfectly good reason\n\
-                   let a = b.unwrap();\n\
-                   let c = d.unwrap();";
-        assert_eq!(run_hot_path(src).len(), 1);
-    }
-
-    #[test]
-    fn hot_path_skips_test_modules() {
-        let src = "fn f() {}\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   fn g() { x.unwrap(); }\n\
-                   }\n\
-                   fn h() { y.unwrap(); }";
-        let found = run_hot_path(src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].starts_with("6:"), "{found:?}");
     }
 
     #[test]
