@@ -293,11 +293,17 @@ pub struct StageReport {
     /// of a join; zero for stages that report to the driver).
     pub bytes_exchanged: u64,
     /// Exact S3 request counts summed over this stage's workers: table
-    /// scans + exchange reads (GET), exchange writes + result uploads
-    /// (PUT), and LISTs — 0, since the driver addresses every stage edge.
+    /// scans + exchange reads, and the driver's reads of their stored
+    /// results (GET), exchange writes + result uploads (PUT), and LISTs —
+    /// 0, since the driver addresses every stage edge.
     pub get_requests: u64,
     pub put_requests: u64,
     pub list_requests: u64,
+    /// The duplicates those GETs and PUTs sent when they ran past their
+    /// hedge deadline (the object store's module docs), billed beside
+    /// them: a closed form's counts are the two above, the bill is both.
+    pub hedged_gets: u64,
+    pub hedged_puts: u64,
     /// Messages this stage's workers moved over the p2p relay (always 0
     /// on the object-store transport; excluded from [`QueryReport::s3_requests`]).
     pub p2p_requests: u64,
@@ -310,9 +316,19 @@ impl StageReport {
     /// Dollar cost of this stage's S3 requests (exact, per worker
     /// accounting — unlike [`StageReport::cost`], safe to sum).
     pub fn request_dollars(&self, prices: &lambada_sim::Prices) -> f64 {
-        self.get_requests as f64 * prices.s3_get
-            + self.put_requests as f64 * prices.s3_put
+        (self.get_requests + self.hedged_gets) as f64 * prices.s3_get
+            + (self.put_requests + self.hedged_puts) as f64 * prices.s3_put
             + self.list_requests as f64 * prices.s3_list
+    }
+
+    /// Every S3 request this stage was billed: GET, PUT and LIST, with
+    /// their hedges.
+    pub fn s3_requests(&self) -> u64 {
+        self.get_requests
+            + self.hedged_gets
+            + self.put_requests
+            + self.hedged_puts
+            + self.list_requests
     }
 }
 
@@ -369,10 +385,11 @@ impl QueryReport {
         self.stages.iter().map(|s| s.backup_invocations).sum()
     }
 
-    /// Exact S3 request count across all stages (GET + PUT + LIST, from
-    /// the per-worker counters — safe to sum across concurrent queries).
+    /// Exact S3 request count across all stages (GET + PUT + LIST and
+    /// their hedges, from the per-worker counters — safe to sum across
+    /// concurrent queries).
     pub fn s3_requests(&self) -> u64 {
-        self.stages.iter().map(|s| s.get_requests + s.put_requests + s.list_requests).sum()
+        self.stages.iter().map(StageReport::s3_requests).sum()
     }
 
     /// Messages moved over the p2p relay across all stages (0 on the
@@ -947,6 +964,8 @@ impl Lambada {
                 get_requests: sum(|m| m.get_requests),
                 put_requests: sum(|m| m.put_requests),
                 list_requests: sum(|m| m.list_requests),
+                hedged_gets: sum(|m| m.hedged_gets),
+                hedged_puts: sum(|m| m.hedged_puts),
                 p2p_requests: sum(|m| m.p2p_requests),
                 // Backups relaunch a whole chain: counted once, at its head.
                 backup_invocations: if head == sid { run.backup_invocations } else { 0 },
@@ -954,7 +973,11 @@ impl Lambada {
         }
 
         let final_results = results.pop().unwrap_or_default();
-        let (batch, agg_state) = self.finalize(&dag.final_stage, &final_results).await?;
+        let reported = match stage_reports.last_mut() {
+            Some(last) => self.reported(&final_results, last).await?,
+            None => Vec::new(),
+        };
+        let (batch, agg_state) = self.finalize(&dag.final_stage, &reported)?;
         let now = self.cloud.handle.now();
         let latency_secs = (now - start).as_secs_f64();
         let span_secs = (now - policy.submitted.unwrap_or(start)).as_secs_f64();
@@ -1071,15 +1094,14 @@ impl Lambada {
     /// aggregating the intermediate worker results"). Returns the result
     /// batch plus, for [`FinalStage::CarryAggState`] only, the merged
     /// unfinalized state for the caller to carry.
-    async fn finalize(
+    fn finalize(
         &self,
         final_stage: &FinalStage,
-        results: &[WorkerResult],
+        reported: &[Bytes],
     ) -> Result<(RecordBatch, Option<Vec<u8>>)> {
-        let reported = self.reported(results).await?;
         match final_stage {
             FinalStage::MergeAggregate { agg_schema, funcs, post } => {
-                let batch = agg_state_to_batch(&merge_agg_states(funcs, &reported)?, agg_schema)?;
+                let batch = agg_state_to_batch(&merge_agg_states(funcs, reported)?, agg_schema)?;
                 Ok((self.apply_post(batch, post)?, None))
             }
             FinalStage::CarryAggState { agg_schema, funcs } => {
@@ -1087,12 +1109,12 @@ impl Lambada {
                 // collection already guarantees one payload per worker slot,
                 // and an exchange merge fleet's shards hold disjoint groups,
                 // so this merge never double-counts.
-                let state = merge_agg_states(funcs, &reported)?;
+                let state = merge_agg_states(funcs, reported)?;
                 Ok((RecordBatch::empty(agg_schema.clone()), Some(state.encode())))
             }
             FinalStage::CollectBatches { schema, post } => {
                 let mut batches = Vec::new();
-                for bytes in &reported {
+                for bytes in reported {
                     batches.extend(crate::partition::decode_batches(bytes)?);
                 }
                 let batch = RecordBatch::concat(schema.clone(), &batches)?;
@@ -1103,9 +1125,13 @@ impl Lambada {
 
     /// The bytes of every report, in worker order: agg state or batches
     /// as they rode the message, or as stored — every stored report's GET
-    /// is in flight before the first is awaited. Reports of nothing are
-    /// skipped.
-    async fn reported(&self, results: &[WorkerResult]) -> Result<Vec<Bytes>> {
+    /// is in flight before the first is awaited, and counts in `stage`'s
+    /// requests. Reports of nothing are skipped.
+    async fn reported(
+        &self,
+        results: &[WorkerResult],
+        stage: &mut StageReport,
+    ) -> Result<Vec<Bytes>> {
         let fetches: Vec<_> = results
             .iter()
             .map(|r| match &r.outcome {
@@ -1124,7 +1150,10 @@ impl Lambada {
                     _,
                 ) => Bytes::copy_from_slice(bytes),
                 (_, Some(fetch)) => {
-                    fetch.await?.as_real().cloned().ok_or_else(|| {
+                    let got = fetch.await?;
+                    stage.get_requests += 1;
+                    stage.hedged_gets += got.hedges;
+                    got.value.as_real().cloned().ok_or_else(|| {
                         CoreError::Storage("stored result was synthetic".to_string())
                     })?
                 }

@@ -391,8 +391,9 @@ fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
 /// must be sorted by receiver id; a receiver with no parts gets a
 /// zero-length section (it learns there is nothing to fetch) and no
 /// bytes. With `named`, the section lengths also ride in the key, for
-/// receivers that discover the file by LIST. Returns the bytes written
-/// and the section table, `(receiver, len)` in file order.
+/// receivers that discover the file by LIST. Returns the bytes written,
+/// the section table, `(receiver, len)` in file order, and the PUT's
+/// hedges.
 pub(crate) async fn put_combined(
     env: &WorkerEnv,
     side: &ExchangeSide,
@@ -401,7 +402,7 @@ pub(crate) async fn put_combined(
     sender: usize,
     named: bool,
     entries: Vec<(u32, Vec<(u32, PartData)>)>,
-) -> Result<(u64, BundleSizes)> {
+) -> Result<(u64, BundleSizes, u64)> {
     let mut file_bytes: Vec<u8> = Vec::new();
     let mut synthetic_total = 0u64;
     let mut sections: BundleSizes = Vec::with_capacity(entries.len());
@@ -432,8 +433,8 @@ pub(crate) async fn put_combined(
     for (rcv, sizes) in side_entries {
         side.put(format!("{bucket}/{key}"), rcv, sizes);
     }
-    env.s3.put(bucket, &key, body).await?;
-    Ok((written, sections))
+    let hedges = env.s3.put(bucket, &key, body).await?.hedges;
+    Ok((written, sections, hedges))
 }
 
 /// Request accounting of one stage-edge receive
@@ -443,6 +444,8 @@ pub(crate) async fn put_combined(
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EdgeReadStats {
     pub get_requests: u64,
+    /// Duplicates of late GETs, billed beside `get_requests`.
+    pub hedged_gets: u64,
     pub bytes_read: u64,
     /// Messages fetched over the p2p relay instead of the object store
     /// (always 0 on the object-store transport).
@@ -601,13 +604,14 @@ pub(crate) async fn await_copies(
 /// **The one fetch.** One task per non-empty copy, in `copies` order, 16
 /// connections at a time: a p2p fetch from the mailbox, a ranged/whole
 /// GET, or nothing for an inline copy, then [`decode_bundle`]. Returns,
-/// per fetched copy, the wire it came over and its parts.
+/// per fetched copy, the wire it came over, its parts and the GET's
+/// hedges.
 pub(crate) async fn fetch_copies(
     env: &WorkerEnv,
     side: &ExchangeSide,
     receiver: usize,
     copies: Vec<Copy>,
-) -> Result<Vec<(Wire, Vec<(u32, PartData)>)>> {
+) -> Result<Vec<(Wire, Vec<(u32, PartData)>, u64)>> {
     let conn = Semaphore::new(16);
     let receiver = receiver as u32;
     let mut fetches = Vec::new();
@@ -629,18 +633,18 @@ pub(crate) async fn fetch_copies(
                         .map_err(|e| CoreError::Storage(e.to_string()))?;
                     let sizes =
                         side2.get(&p2p_side_key(&endpoint, copy.sender, copy.attempt), receiver);
-                    Ok((Wire::Mailbox, decode_bundle(body, sizes)?))
+                    Ok((Wire::Mailbox, decode_bundle(body, sizes)?, 0))
                 }
                 CopyAt::Store { bucket, key, offset } => {
-                    let body = match offset {
+                    let got = match offset {
                         Some(off) => env2.s3.get_range(&bucket, &key, off, copy.len).await?,
                         None => env2.s3.get(&bucket, &key).await?,
                     };
                     let sizes = side2.get(&format!("{bucket}/{key}"), receiver);
-                    Ok((Wire::File, decode_bundle(body, sizes)?))
+                    Ok((Wire::File, decode_bundle(got.value, sizes)?, got.hedges))
                 }
                 CopyAt::Inline(bytes) => {
-                    Ok((Wire::Inline, decode_bundle(Body::Real(bytes), vec![])?))
+                    Ok((Wire::Inline, decode_bundle(Body::Real(bytes), vec![])?, 0))
                 }
             }
         }));
@@ -750,7 +754,7 @@ pub async fn run_exchange(
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 
         // ---- Read phase ----------------------------------------------------
-        for (_, parts) in fetch_copies(env, side, p, copies).await? {
+        for (_, parts, _) in fetch_copies(env, side, p, copies).await? {
             held.extend(parts);
         }
         let read_end = env.cloud.handle.now();

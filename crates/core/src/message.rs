@@ -27,8 +27,9 @@ pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_B
 /// bucket ([`ResultPayload::Stored`]). The message
 /// cap less 4 KiB for the rest of the message: the header and member
 /// count (≤ 46 B), and per stage the invocation ran its
-/// [`WorkerMetrics`] (≤ 137 B) plus, ahead of the last, its payload
-/// (≤ 21 B) — room for chains of twenty-odd fused stages.
+/// [`WorkerMetrics`] (≤ 137 B, and ≤ 20 B of hedge counters) plus, ahead
+/// of the last, its payload (≤ 21 B) — room for chains of twenty-odd
+/// fused stages.
 pub const INLINE_RESULT_BYTES: usize = SQS_MESSAGE_BYTES - 4 * 1024;
 
 /// What may ride toward one consumer stage, all together: the inline
@@ -86,6 +87,12 @@ pub struct WorkerMetrics {
     /// for peers' sections to appear — billed worker time; 0 on a query
     /// stage, whose in-edges the driver addresses, so nothing waits.
     pub exchange_wait_secs: f64,
+    /// Duplicate GETs sent for GETs past their hedge deadline, each billed
+    /// beside the one in `get_requests` it duplicated. Encoded apart, at
+    /// the end of the [`WorkerResult`].
+    pub hedged_gets: u64,
+    /// Duplicate PUTs, likewise beside `put_requests`.
+    pub hedged_puts: u64,
 }
 
 impl WorkerMetrics {
@@ -128,6 +135,8 @@ impl WorkerMetrics {
             // Appended after the first release; absent on messages from
             // older encoders, so a short read defaults it.
             exchange_wait_secs: if may_end && r.is_exhausted() { 0.0 } else { r.f64()? },
+            hedged_gets: 0,
+            hedged_puts: 0,
         })
     }
 }
@@ -196,9 +205,10 @@ pub enum ResultPayload {
     /// The fragment's rows went onto a stage edge: `bytes` crossed it,
     /// and `sections[r]` tells the driver where receiver `r`'s part is —
     /// what it hands every consumer worker so no receiver lists storage.
-    /// `inline` holds the [`Wire::Inline`] sections back to back; it ends
-    /// the message, after the fused members, and a message from an older
-    /// encoder, which ends before it, decodes with none. On a sort edge
+    /// `inline` holds the [`Wire::Inline`] sections back to back; it
+    /// follows the fused members (only hedge counters come after it), and
+    /// a message from an older encoder, which ends before it, decodes with
+    /// none. On a sort edge
     /// the sections are the blocks of the sender's sorted run, and
     /// `starts` (encoded key columns,
     /// [`crate::partition::encode_batches`]) holds each block's first
@@ -216,7 +226,10 @@ pub enum ResultPayload {
 ///
 /// Wire stability: append-only, same codec discipline as
 /// [`WorkerMetrics`]; the outcome tag distinguishes success payloads
-/// from error reports and is frozen.
+/// from error reports and is frozen. Fields appended after the fused
+/// members go after the inline blob, whose length the section table
+/// gives: there the hedge counters of every stage end a message that has
+/// any, and a message without them decodes with none.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerResult {
     pub worker_id: u64,
@@ -294,6 +307,16 @@ impl WorkerResult {
         if let Ok(ResultPayload::Sections { inline, .. }) = &self.outcome {
             w.raw(inline);
         }
+        // Appended after the blob: every stage's hedge counters, the last
+        // stage's first, when any is not 0 — so a message without hedges
+        // is byte for byte what an older encoder sent.
+        let counters: Vec<u64> = std::iter::once(&self.metrics)
+            .chain(self.fused.iter().map(|(_, m)| m))
+            .flat_map(|m| [m.hedged_gets, m.hedged_puts])
+            .collect();
+        if counters.iter().any(|&n| n > 0) {
+            counters.into_iter().for_each(|n| w.varint(n));
+        }
         w.into_bytes()
     }
 
@@ -306,7 +329,7 @@ impl WorkerResult {
                 3 => Err(r.string()?),
                 tag => Ok(decode_payload(tag, &mut r)?),
             };
-            let metrics = WorkerMetrics::decode(&mut r, true)?;
+            let mut metrics = WorkerMetrics::decode(&mut r, true)?;
             // Appended after the first release: absent on messages from
             // older encoders. Entries are pushed as they decode, never
             // reserved from the claimed count.
@@ -314,12 +337,23 @@ impl WorkerResult {
             let members = if r.is_exhausted() { 0 } else { r.varint()? };
             for _ in 0..members {
                 let mut payload = decode_payload(r.u8()?, &mut r)?;
-                attach_inline(Some(&mut payload), &[])?;
+                attach_inline(Some(&mut payload), &mut BinReader::new(&[]))?;
                 fused.push((payload, WorkerMetrics::decode(&mut r, false)?));
             }
-            // The rest of the message is the outcome's inline blob.
             let mut outcome = outcome;
-            attach_inline(outcome.as_mut().ok(), r.raw(r.remaining())?)?;
+            attach_inline(outcome.as_mut().ok(), &mut r)?;
+            // The hedge counters end the message, if any was sent.
+            if !r.is_exhausted() {
+                for m in std::iter::once(&mut metrics).chain(fused.iter_mut().map(|(_, m)| m)) {
+                    (m.hedged_gets, m.hedged_puts) = (r.varint()?, r.varint()?);
+                }
+                if !r.is_exhausted() {
+                    let extra = r.remaining();
+                    return Err(FormatError::Corrupt(format!(
+                        "{extra} B after the hedge counters"
+                    )));
+                }
+            }
             Ok(WorkerResult { worker_id, attempt, outcome, metrics, fused })
         })();
         inner.map_err(|e| CoreError::Format(e.to_string()))
@@ -333,23 +367,23 @@ pub(crate) fn inline_claim(sections: &[Section]) -> Option<u64> {
     inline.try_fold(0u64, |sum, s| sum.checked_add(s.len))
 }
 
-/// Hand a decoded outcome its inline `blob`, which must be exactly as
-/// long as its inline sections claim: only a section table has one, and
-/// a claim is checked before anything is copied.
+/// Hand a decoded outcome its inline blob: as many of `r`'s bytes as its
+/// inline sections claim — none but a section table's — and a claim past
+/// what is left is an error, checked before anything is copied.
 fn attach_inline(
     outcome: Option<&mut ResultPayload>,
-    blob: &[u8],
+    r: &mut BinReader<'_>,
 ) -> std::result::Result<(), FormatError> {
     let (claimed, inline) = match outcome {
         Some(ResultPayload::Sections { sections, inline, .. }) => (inline_claim(sections), inline),
         _ => (Some(0), &mut Bytes::new()),
     };
-    let len = blob.len();
-    if claimed != Some(len as u64) {
-        let claim = format!("inline sections claim {claimed:?} B of a {len} B blob");
+    let left = r.remaining();
+    let Some(len) = claimed.and_then(|c| usize::try_from(c).ok()).filter(|&c| c <= left) else {
+        let claim = format!("inline sections claim {claimed:?} B of a blob of at most {left} B");
         return Err(FormatError::Corrupt(claim));
-    }
-    *inline = Bytes::copy_from_slice(blob);
+    };
+    *inline = Bytes::copy_from_slice(r.raw(len)?);
     Ok(())
 }
 
@@ -445,7 +479,18 @@ mod tests {
             p2p_bytes: 4096,
             cold_start: true,
             exchange_wait_secs: 0.75,
+            hedged_gets: 2,
+            hedged_puts: 1,
         }
+    }
+
+    /// `msg` as an encoder from before hedging sent it.
+    fn unhedged(msg: &WorkerResult) -> WorkerResult {
+        let mut msg = msg.clone();
+        for m in std::iter::once(&mut msg.metrics).chain(msg.fused.iter_mut().map(|(_, m)| m)) {
+            (m.hedged_gets, m.hedged_puts) = (0, 0);
+        }
+        msg
     }
 
     #[test]
@@ -453,7 +498,7 @@ mod tests {
         // A pre-`exchange_wait_secs` encoder stops after `cold_start`
         // (8 bytes before the end of the metrics, which the empty fused
         // member count follows); decode must tolerate the truncated tail.
-        let msg = WorkerResult::ok(7, ResultPayload::Empty, metrics());
+        let msg = unhedged(&WorkerResult::ok(7, ResultPayload::Empty, metrics()));
         let mut bytes = msg.encode();
         bytes.truncate(bytes.len() - 1 - 8);
         let got = WorkerResult::decode(&bytes).unwrap();
@@ -540,8 +585,8 @@ mod tests {
         for msg in [sections_result(), inline_result(), starts_result()] {
             assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
         }
-        let bytes = inline_result().encode();
-        assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends the message");
+        let bytes = unhedged(&inline_result()).encode();
+        assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends it, unhedged");
     }
 
     /// A table without starts is tag 6, byte for byte; one with starts is
@@ -603,10 +648,11 @@ mod tests {
     }
 
     /// Every truncation of a message is an error — except exactly where
-    /// an older encoder ended its message (before the fused members,
-    /// before `exchange_wait_secs`), which decodes to what that encoder
-    /// would have sent. No older encoder wrote inline sections or starts,
-    /// so a message with a blob or starts has no such end.
+    /// an older encoder ended its message (before the hedge counters,
+    /// before the fused members, before `exchange_wait_secs`), which
+    /// decodes to what that encoder would have sent. No encoder from
+    /// before the fused members wrote inline sections or starts, so a
+    /// message with a blob or starts has only the first such end.
     #[test]
     fn every_truncation_is_an_error_except_an_older_encoders_end() {
         let stored =
@@ -620,14 +666,19 @@ mod tests {
             WorkerResult::ok(1, stored, metrics()),
         ] {
             let bytes = msg.encode();
-            let unfused = WorkerResult { fused: Vec::new(), ..msg.clone() };
+            let unhedged = unhedged(&msg);
+            let before_hedges = unhedged.encode().len();
+            assert!(before_hedges < bytes.len(), "the message ends in hedge counters");
+            let unfused = WorkerResult { fused: Vec::new(), ..unhedged.clone() };
             let old = !matches!(&msg.outcome, Ok(ResultPayload::Sections { inline, starts, .. })
                 if !inline.is_empty() || starts.is_some());
             let before_fused = unfused.encode().len() - 1;
             let before_wait = before_fused - 8;
             for cut in 0..bytes.len() {
                 let got = WorkerResult::decode(&bytes[..cut]);
-                if old && cut == before_fused {
+                if cut == before_hedges {
+                    assert_eq!(got.unwrap(), unhedged);
+                } else if old && cut == before_fused {
                     assert_eq!(got.unwrap(), unfused);
                 } else if old && cut == before_wait {
                     let mut old = unfused.clone();
@@ -671,7 +722,7 @@ mod tests {
         w.raw(&[1, 2, 3]);
         assert!(WorkerResult::decode(&w.into_bytes()).is_err());
 
-        let mut bytes = WorkerResult::ok(1, ResultPayload::Empty, metrics()).encode();
+        let mut bytes = unhedged(&WorkerResult::ok(1, ResultPayload::Empty, metrics())).encode();
         assert_eq!(bytes.pop(), Some(0), "the empty member count ends the message");
         let mut w = BinWriter::from_vec(bytes);
         w.varint(1 << 60);
@@ -712,18 +763,20 @@ mod tests {
         assert!(WorkerResult::decode(&w.into_bytes()).is_err());
     }
 
-    /// The blob is exactly as long as the table's inline sections claim:
-    /// one byte short, one byte over, or trailing bytes after a payload
-    /// with no table are typed errors.
+    /// The blob is exactly as long as the table's inline sections claim,
+    /// and the hedge counters, a pair per stage, are all that may follow
+    /// it: one byte short of the blob, one byte after it or after a
+    /// payload with no table, or one after the counters are typed errors.
     #[test]
     fn a_blob_that_does_not_match_its_table_is_an_error() {
-        let bytes = inline_result().encode();
-        let mut long = bytes.clone();
-        long.push(6);
-        let trailing = [WorkerResult::ok(1, ResultPayload::Empty, metrics()).encode(), vec![6]];
-        for damaged in [&bytes[..bytes.len() - 1], &long[..], &trailing.concat()[..]] {
-            let err = WorkerResult::decode(damaged).unwrap_err();
-            assert!(matches!(&err, CoreError::Format(m) if m.contains("blob")), "{err}");
+        let bytes = unhedged(&inline_result()).encode();
+        let err = WorkerResult::decode(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert!(matches!(&err, CoreError::Format(m) if m.contains("blob")), "{err}");
+        let empty = WorkerResult::ok(1, ResultPayload::Empty, metrics());
+        for mut damaged in [bytes, unhedged(&empty).encode(), empty.encode()] {
+            damaged.push(6);
+            let err = WorkerResult::decode(&damaged).unwrap_err();
+            assert!(matches!(&err, CoreError::Format(_)), "{err}");
         }
     }
 

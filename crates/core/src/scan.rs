@@ -89,6 +89,8 @@ pub struct ScanMetrics {
     pub row_groups_pruned: u64,
     pub bytes_read: u64,
     pub get_requests: u64,
+    /// Duplicates of late GETs, billed beside `get_requests`.
+    pub hedged_gets: u64,
     pub rows: u64,
 }
 
@@ -96,7 +98,7 @@ struct Shared {
     metrics: RefCell<ScanMetrics>,
 }
 
-/// One ranged GET under the connection budget, counted as requested.
+/// One ranged GET under the connection budget, counted as billed.
 async fn get_counted(
     env: &WorkerEnv,
     conn: &Semaphore,
@@ -105,14 +107,15 @@ async fn get_counted(
     len: u64,
     shared: &Shared,
 ) -> Result<Body> {
-    let body = {
+    let got = {
         let _permit = conn.acquire(1).await;
         env.s3.get_range(&file.bucket, &file.key, offset, len).await?
     };
     let mut m = shared.metrics.borrow_mut();
     m.get_requests += 1;
-    m.bytes_read += body.len();
-    Ok(body)
+    m.hedged_gets += got.hedges;
+    m.bytes_read += got.value.len();
+    Ok(got.value)
 }
 
 /// A file's footer and the body it came in: the file's bytes
@@ -237,11 +240,13 @@ async fn download_chunk(
         off += len;
     }
     let mut got: Option<ChunkParts> = None;
-    let mut n_bytes = 0u64;
+    let (mut n_bytes, mut n_hedges) = (0u64, 0u64);
     let n_requests = joins.len() as u64;
     for j in joins {
-        let body = j.await?;
+        let reply = j.await?;
+        let body = reply.value;
         n_bytes += body.len();
+        n_hedges += reply.hedges;
         got = Some(match (got, body) {
             (None, body) => ChunkParts::Whole(body),
             (Some(ChunkParts::Whole(Body::Real(first))), Body::Real(bytes)) => {
@@ -260,6 +265,7 @@ async fn download_chunk(
     {
         let mut m = shared.metrics.borrow_mut();
         m.get_requests += n_requests;
+        m.hedged_gets += n_hedges;
         m.bytes_read += n_bytes;
     }
     Ok(match got {

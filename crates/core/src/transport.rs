@@ -113,6 +113,8 @@ pub struct EdgeWriteStats {
     pub bytes_written: u64,
     /// Object-store PUTs issued (0 on a fully direct send).
     pub put_requests: u64,
+    /// Duplicates of late PUTs, billed beside `put_requests`.
+    pub hedged_puts: u64,
     /// Messages delivered over the p2p relay.
     pub p2p_requests: u64,
     /// Payload bytes sent over the p2p relay.
@@ -363,13 +365,14 @@ impl EdgeTransport {
             // is bit-identical whichever wire carried it.
             let bundles = entries.into_iter().map(|(rcv, data)| (rcv, vec![(rcv, data)])).collect();
             let (bucket, prefix) = self.place_of(channel, sender);
-            let (written, filed) =
+            let (written, filed, hedges) =
                 put_combined(env, &self.side, &bucket, &prefix, sender, false, bundles).await?;
             for (rcv, len) in filed {
                 sections[rcv as usize] = Section { len, wire: Wire::File };
             }
             stats.bytes_written += written;
             stats.put_requests += 1;
+            stats.hedged_puts += hedges;
         }
         env.cloud.trace.record(env.worker_id, "exchange_write", start, env.cloud.handle.now());
         Ok((stats, sections, Bytes::from(inline.unwrap_or_default())))
@@ -460,13 +463,14 @@ impl EdgeTransport {
         let start = env.cloud.handle.now();
         env.cloud.trace.record(env.worker_id, "exchange_wait", start, start);
         let (mut out, mut stats) = (Vec::new(), EdgeReadStats::default());
-        for (wire, parts) in fetch_copies(env, &self.side, receiver, copies).await? {
+        for (wire, parts, hedges) in fetch_copies(env, &self.side, receiver, copies).await? {
             let bytes: u64 = parts.iter().map(|(_, data)| data.len()).sum();
             if wire == Wire::Mailbox {
                 stats.p2p_requests += 1;
                 stats.p2p_bytes += bytes;
             } else if wire == Wire::File {
                 stats.get_requests += 1;
+                stats.hedged_gets += hedges;
                 stats.bytes_read += bytes;
             }
             out.extend(parts.into_iter().map(|(_, data)| data));
@@ -697,7 +701,7 @@ mod tests {
             }
         });
         assert!(waited > 0.7 && lists > 1, "the receiver really waited: {waited} s, {lists} LISTs");
-        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))])]);
+        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))], 0)]);
     }
 
     /// (c) Discovery of named (Algorithm-1) files: a listed file with no

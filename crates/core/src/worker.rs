@@ -467,6 +467,7 @@ pub(crate) const SORT_SAMPLE_ROWS: usize = 32;
 fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
     metrics.bytes_written += stats.bytes_written;
     metrics.put_requests += stats.put_requests;
+    metrics.hedged_puts += stats.hedged_puts;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
     stats.bytes_written + stats.p2p_bytes + stats.inline_bytes
@@ -477,6 +478,7 @@ fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
 fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
     metrics.bytes_read += stats.bytes_read;
     metrics.get_requests += stats.get_requests;
+    metrics.hedged_gets += stats.hedged_gets;
     metrics.p2p_requests += stats.p2p_requests;
     metrics.p2p_bytes += stats.p2p_bytes;
 }
@@ -596,7 +598,8 @@ async fn report(
     let key = format!("{}/w{}", task.result_prefix, env.worker_id);
     metrics.bytes_written += bytes.len() as u64;
     metrics.put_requests += 1;
-    env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?;
+    metrics.hedged_puts +=
+        env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?.hedges;
     Ok(ResultPayload::Stored { bucket: task.result_bucket.clone(), key, rows })
 }
 
@@ -727,6 +730,7 @@ async fn run_stage(
             metrics.rows_out = rows_out;
             metrics.bytes_read = scan_metrics.bytes_read;
             metrics.get_requests = scan_metrics.get_requests;
+            metrics.hedged_gets = scan_metrics.hedged_gets;
             metrics.row_groups_pruned = scan_metrics.row_groups_pruned;
             metrics.row_groups_scanned =
                 scan_metrics.row_groups_total - scan_metrics.row_groups_pruned;
@@ -934,9 +938,10 @@ async fn run_exchange_task(
     let mut metrics = WorkerMetrics::default();
     if let Some((bucket, key)) = &task.input {
         let start = env.cloud.handle.now();
-        let body = env.s3.get(bucket, key).await?;
-        metrics.bytes_read += body.len();
+        let got = env.s3.get(bucket, key).await?;
+        metrics.bytes_read += got.value.len();
         metrics.get_requests += 1;
+        metrics.hedged_gets += got.hedges;
         env.cloud.trace.record(env.worker_id, "exchange_input", start, env.cloud.handle.now());
     }
     // An exchange among no workers holds nothing: `run_exchange` rejects it.

@@ -33,7 +33,7 @@
 //! sim.block_on(async move {
 //!     let s3 = c.driver_s3();
 //!     s3.put("data", "hello", Body::from_vec(vec![1, 2, 3])).await.unwrap();
-//!     assert_eq!(s3.get("data", "hello").await.unwrap().len(), 3);
+//!     assert_eq!(s3.get("data", "hello").await.unwrap().value.len(), 3);
 //! });
 //! assert!(cloud.billing.total() > 0.0);
 //! ```

@@ -6,13 +6,27 @@
 //! §4.4.1), per-request billing (GET vs PUT vs LIST prices, §4.3.1/§4.4),
 //! and body transfer through the caller's traffic-shaped NIC (§4.3.1).
 //!
+//! A request's first byte comes after a log-normal latency, or 12× that
+//! for the rare tail request: the stragglers Lambada fights with
+//! "aggressive timeouts and retries" (footnote 17). A GET or PUT that has
+//! not answered by its *hedge deadline* — three sigmas out on its own
+//! latency model, `median × e^{3σ}` plus the client's `extra_latency` —
+//! sends one duplicate, and the first answer wins (Dean & Barroso's hedged
+//! request). Both are billed and both take a rate-limiter token; a hedged
+//! PUT uploads its body twice, a hedged GET downloads the winner's only.
+//! The caller learns how many duplicates it paid for from [`Reply`], and
+//! the store counts them apart ([`ObjectStore::hedges`]), so a closed form
+//! of protocol requests is billed requests less hedges. Only a request
+//! past its deadline draws a second latency, so a run where none is late
+//! draws exactly the latencies an unhedged store would.
+//!
 //! Objects may carry [`Body::Synthetic`] payloads: byte counts without
 //! materialized bytes, used to run paper-scale experiments (hundreds of
 //! GiB) without allocating them. All timing and billing treat synthetic and
 //! real bodies identically.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::{Rc, Weak};
@@ -100,7 +114,8 @@ pub struct S3Config {
     /// Log-normal sigma of the TTFB distribution.
     pub ttfb_sigma: f64,
     /// Probability that a request hits the slow tail (the stragglers that
-    /// footnote 17 fights with aggressive timeouts and retries).
+    /// footnote 17 fights with aggressive timeouts and retries; a GET or
+    /// PUT hedges them, see the module docs).
     pub tail_probability: f64,
     /// Latency multiplier for tail requests.
     pub tail_multiplier: f64,
@@ -122,12 +137,24 @@ impl Default for S3Config {
     }
 }
 
+/// What a GET or PUT answered, and how many duplicates it sent: 1 when it
+/// ran past its hedge deadline, else 0. Each duplicate was billed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reply<T> {
+    pub value: T,
+    pub hedges: u64,
+}
+
+/// Duplicates the store has been sent, by request kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Hedges {
+    pub gets: u64,
+    pub puts: u64,
+}
+
 #[derive(Default)]
 struct BucketState {
     objects: BTreeMap<String, Body>,
-    gets: u64,
-    puts: u64,
-    lists: u64,
     // S3 rate limits apply per partitioned key prefix (AWS performance
     // guidelines), so a bucket keeps one limiter per prefix-up-to-last-/.
     get_limiters: HashMap<String, TokenBucket>,
@@ -163,11 +190,19 @@ pub struct ObjectStore {
     handle: SimHandle,
     billing: Billing,
     rng: SimRng,
+    hedges: Rc<Cell<Hedges>>,
 }
 
 impl ObjectStore {
     pub fn new(handle: SimHandle, cfg: S3Config, billing: Billing, rng: SimRng) -> Self {
-        ObjectStore { st: Rc::default(), cfg: Rc::new(cfg), handle, billing, rng }
+        let (st, cfg, hedges) = (Rc::default(), Rc::new(cfg), Rc::default());
+        ObjectStore { st, cfg, handle, billing, rng, hedges }
+    }
+
+    /// Duplicates sent so far: billed requests less these are the
+    /// requests the callers' protocols issued.
+    pub fn hedges(&self) -> Hedges {
+        self.hedges.get()
     }
 
     /// A weak handle on the stored state — buckets and every object in
@@ -198,18 +233,6 @@ impl ObjectStore {
         let st = self.st.borrow();
         let b = st.get(bucket).expect("bucket just created");
         b.borrow_mut().objects.insert(key.to_string(), body);
-    }
-
-    /// Request counters for a bucket: (gets, puts, lists).
-    pub fn bucket_counters(&self, bucket: &str) -> (u64, u64, u64) {
-        let st = self.st.borrow();
-        match st.get(bucket) {
-            Some(b) => {
-                let b = b.borrow();
-                (b.gets, b.puts, b.lists)
-            }
-            None => (0, 0, 0),
-        }
     }
 
     /// Total bytes stored in a bucket.
@@ -260,6 +283,31 @@ impl ObjectStore {
         }
         Duration::from_secs_f64(lat)
     }
+
+    /// A duplicate's latency: one draw from the model's log-normal body.
+    /// The tail is one request's bad luck (a slow server, a lost packet);
+    /// the duplicate is a fresh connection.
+    fn sample_body(&self, base: Duration) -> Duration {
+        Duration::from_secs_f64(self.rng.lognormal(base.as_secs_f64(), self.cfg.ttfb_sigma))
+    }
+
+    /// How long a request of median latency `base` waits before it sends
+    /// its duplicate: three sigmas out, which one body draw in 740 passes
+    /// (and, at the defaults, every tail draw).
+    fn hedge_deadline(&self, base: Duration) -> Duration {
+        base.mul_f64((3.0 * self.cfg.ttfb_sigma).exp())
+    }
+
+    /// Bill one request of `item` and its `hedges` duplicates.
+    fn bill(&self, item: CostItem, hedges: u64) {
+        self.billing.record(item, (1 + hedges) as f64);
+        let mut counted = self.hedges.get();
+        match item {
+            CostItem::S3Put => counted.puts += hedges,
+            _ => counted.gets += hedges,
+        }
+        self.hedges.set(counted);
+    }
 }
 
 /// Per-caller S3 access: all request latency and body bandwidth are charged
@@ -277,25 +325,48 @@ impl S3Client {
         &self.link
     }
 
+    /// Wait for the first byte of a request of median latency `base`
+    /// whose `limiter` token is taken, hedging once: a request that has
+    /// not answered by its deadline sends one duplicate, which takes a
+    /// token of its own, and the first answer wins. Returns the
+    /// duplicates sent.
+    async fn first_byte(&self, limiter: &TokenBucket, base: Duration) -> u64 {
+        let store = &self.store;
+        let first = self.extra_latency + store.sample_latency(base);
+        let deadline = self.extra_latency + store.hedge_deadline(base);
+        if first <= deadline {
+            store.handle.sleep(first).await;
+            return 0;
+        }
+        let sent = store.handle.now();
+        store.handle.sleep(deadline).await;
+        limiter.acquire(1.0).await;
+        let second = self.extra_latency + store.sample_body(base);
+        let waited = store.handle.now() - sent;
+        store.handle.sleep(first.min(waited + second).saturating_sub(waited)).await;
+        1
+    }
+
     /// GET an entire object.
-    pub async fn get(&self, bucket: &str, key: &str) -> Result<Body, S3Error> {
+    pub async fn get(&self, bucket: &str, key: &str) -> Result<Reply<Body>, S3Error> {
         self.get_range(bucket, key, 0, u64::MAX).await
     }
 
     /// Ranged GET (`Ranges:` header): download `len` bytes at `offset`.
+    /// Hedged; only the winner's body moves.
     pub async fn get_range(
         &self,
         bucket: &str,
         key: &str,
         offset: u64,
         len: u64,
-    ) -> Result<Body, S3Error> {
+    ) -> Result<Reply<Body>, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.get_limiter(&b, key).acquire(1.0).await;
-        store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
-        store.billing.record(CostItem::S3Get, 1.0);
-        b.borrow_mut().gets += 1;
+        let limiter = store.get_limiter(&b, key);
+        limiter.acquire(1.0).await;
+        let hedges = self.first_byte(&limiter, store.cfg.ttfb_median).await;
+        store.bill(CostItem::S3Get, hedges);
         let body = {
             let st = b.borrow();
             st.objects.get(key).map(|body| body.slice(offset, len)).ok_or_else(|| {
@@ -303,22 +374,20 @@ impl S3Client {
             })?
         };
         self.link.transfer(body.len() as f64).await;
-        Ok(body)
+        Ok(Reply { value: body, hedges })
     }
 
-    /// PUT an object.
-    pub async fn put(&self, bucket: &str, key: &str, body: Body) -> Result<(), S3Error> {
+    /// PUT an object. Hedged; a duplicate uploads the body again.
+    pub async fn put(&self, bucket: &str, key: &str, body: Body) -> Result<Reply<()>, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
-        store.put_limiter(&b, key).acquire(1.0).await;
-        let base = store.cfg.ttfb_median + store.cfg.put_extra;
-        store.handle.sleep(self.extra_latency + store.sample_latency(base)).await;
-        store.billing.record(CostItem::S3Put, 1.0);
-        self.link.transfer(body.len() as f64).await;
-        let mut st = b.borrow_mut();
-        st.puts += 1;
-        st.objects.insert(key.to_string(), body);
-        Ok(())
+        let limiter = store.put_limiter(&b, key);
+        limiter.acquire(1.0).await;
+        let hedges = self.first_byte(&limiter, store.cfg.ttfb_median + store.cfg.put_extra).await;
+        store.bill(CostItem::S3Put, hedges);
+        self.link.transfer(body.len() as f64 * (1 + hedges) as f64).await;
+        b.borrow_mut().objects.insert(key.to_string(), body);
+        Ok(Reply { value: (), hedges })
     }
 
     /// LIST keys under a prefix; returns `(key, size)` pairs in key order.
@@ -338,20 +407,7 @@ impl S3Client {
         };
         let pages = (out.len().max(1)).div_ceil(1000) as f64;
         store.billing.record(CostItem::S3List, pages);
-        b.borrow_mut().lists += pages as u64;
         Ok(out)
-    }
-
-    /// HEAD: does the object exist? Billed like a GET.
-    pub async fn exists(&self, bucket: &str, key: &str) -> Result<bool, S3Error> {
-        let store = &self.store;
-        let b = store.bucket(bucket)?;
-        store.get_limiter(&b, key).acquire(1.0).await;
-        store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
-        store.billing.record(CostItem::S3Get, 1.0);
-        let mut st = b.borrow_mut();
-        st.gets += 1;
-        Ok(st.objects.contains_key(key))
     }
 
     /// DELETE (free of request charges, like AWS).
@@ -361,32 +417,6 @@ impl S3Client {
         store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
         b.borrow_mut().objects.remove(key);
         Ok(())
-    }
-
-    /// GET with retries until the object exists (the exchange receivers'
-    /// "repeat reading a file until that file exists", §4.4.1). Every
-    /// attempt is a billed request.
-    pub async fn get_with_retry(
-        &self,
-        bucket: &str,
-        key: &str,
-        poll_interval: Duration,
-        max_attempts: usize,
-    ) -> Result<Body, S3Error> {
-        let mut last_err = None;
-        for attempt in 0..max_attempts {
-            match self.get(bucket, key).await {
-                Ok(body) => return Ok(body),
-                Err(e @ S3Error::NoSuchKey { .. }) => {
-                    last_err = Some(e);
-                    if attempt + 1 < max_attempts {
-                        self.store.handle.sleep(poll_interval).await;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("at least one attempt"))
     }
 }
 
@@ -414,7 +444,7 @@ mod tests {
         store.create_bucket("b");
         let body = sim.block_on(async move {
             client.put("b", "k", Body::from_vec(vec![1, 2, 3])).await.unwrap();
-            client.get("b", "k").await.unwrap()
+            client.get("b", "k").await.unwrap().value
         });
         assert_eq!(body.as_real().unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(billing.units(CostItem::S3Put), 1.0);
@@ -426,7 +456,8 @@ mod tests {
         let sim = Simulation::new();
         let (store, client, _) = setup(&sim);
         store.stage("b", "k", Body::from_vec((0u8..100).collect()));
-        let body = sim.block_on(async move { client.get_range("b", "k", 10, 5).await.unwrap() });
+        let body =
+            sim.block_on(async move { client.get_range("b", "k", 10, 5).await.unwrap().value });
         assert_eq!(body.as_real().unwrap().as_ref(), &[10, 11, 12, 13, 14]);
     }
 
@@ -491,29 +522,113 @@ mod tests {
         assert!((t - 2.0).abs() < 0.05, "t = {t}");
     }
 
+    /// A store whose every request draws its median times
+    /// `tail_multiplier` exactly (σ = 0, always the tail), and a client 5 ms
+    /// from the region on a 1 MB/s link.
+    fn always_late(sim: &Simulation, tail_multiplier: f64) -> (ObjectStore, S3Client, Billing) {
+        let h = sim.handle();
+        let billing = Billing::new(Prices::default());
+        let cfg = S3Config {
+            ttfb_sigma: 0.0,
+            tail_probability: 1.0,
+            tail_multiplier,
+            ..S3Config::default()
+        };
+        let store = ObjectStore::new(h.clone(), cfg, billing.clone(), SimRng::new(1));
+        let link = BurstLink::new(h, BurstLinkConfig::flat(1e6));
+        (store.clone(), store.client(link, Duration::from_millis(5)), billing)
+    }
+
+    /// Equal to the nanosecond, up to the fair-share timer's rounding.
+    fn assert_close(got: Duration, want: Duration) {
+        assert!(got.abs_diff(want) <= Duration::from_micros(1), "{got:?} vs {want:?}");
+    }
+
+    /// With σ = 0 the deadline is the median plus the client's extra
+    /// latency, and a duplicate draws the median: every late GET and PUT
+    /// sends exactly one, whose answer comes at deadline + extra + median.
+    /// Both requests are billed, the PUT moves its body twice and the GET
+    /// once.
     #[test]
-    fn get_with_retry_waits_for_producer() {
+    fn a_late_request_hedges_once_and_its_duplicate_answers() {
+        let sim = Simulation::new();
+        let (store, client, billing) = always_late(&sim, 12.0);
+        store.create_bucket("b");
+        let (h, link) = (sim.handle(), client.link().clone());
+        let (put, get) = sim.block_on(async move {
+            let t0 = h.now();
+            let put = client.put("b", "k", Body::Synthetic(1000)).await.unwrap().hedges;
+            let t1 = h.now();
+            let get = client.get("b", "k").await.unwrap();
+            ((put, t1 - t0), (get.hedges, get.value.len(), h.now() - t1))
+        });
+        let (extra, ms) = (Duration::from_millis(5), Duration::from_millis(1));
+        let (get_median, put_median) = (12 * ms, 20 * ms);
+        assert_eq!(put.0, 1);
+        assert_close(put.1, 2 * (extra + put_median) + 2 * ms);
+        assert_eq!((get.0, get.1), (1, 1000));
+        assert_close(get.2, 2 * (extra + get_median) + ms);
+        assert_eq!(billing.units(CostItem::S3Put), 2.0);
+        assert_eq!(billing.units(CostItem::S3Get), 2.0);
+        assert_eq!(store.hedges(), Hedges { gets: 1, puts: 1 });
+        // The timer's rounding nanosecond moves a byte's thousandth.
+        assert!((link.total_bytes() - 3000.0).abs() < 0.01, "{}", link.total_bytes());
+    }
+
+    /// A late request whose duplicate would answer later than it still
+    /// answers first; both requests are billed.
+    #[test]
+    fn the_first_answer_wins_even_when_it_is_the_late_one() {
+        let sim = Simulation::new();
+        let (store, client, billing) = always_late(&sim, 1.5);
+        store.stage("b", "k", Body::Synthetic(0));
+        let h = sim.handle();
+        let (hedges, took) = sim.block_on(async move {
+            let start = h.now();
+            let hedges = client.get("b", "k").await.unwrap().hedges;
+            (hedges, h.now() - start)
+        });
+        assert_eq!(hedges, 1);
+        assert_close(took, Duration::from_millis(5) + Duration::from_millis(18));
+        assert_eq!(billing.units(CostItem::S3Get), 2.0);
+        assert_eq!(store.hedges(), Hedges { gets: 1, puts: 0 });
+    }
+
+    /// With no tail, no request at the defaults reaches its deadline in
+    /// this run, and each waits exactly the latency an unhedged store
+    /// draws: the log-normal, then the tail's Bernoulli trial.
+    #[test]
+    fn requests_before_their_deadline_draw_what_an_unhedged_store_draws() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let (store, client, billing) = setup(&sim);
+        let billing = Billing::new(Prices::default());
+        let cfg = S3Config { tail_probability: 0.0, ..S3Config::default() };
+        let store = ObjectStore::new(h.clone(), cfg.clone(), billing.clone(), SimRng::new(1));
         store.create_bucket("b");
-        let writer =
+        let client =
             store.client(BurstLink::new(h.clone(), BurstLinkConfig::flat(1e9)), Duration::ZERO);
-        let body = sim.block_on({
-            let h2 = h.clone();
-            async move {
-                h2.spawn({
-                    let h3 = h2.clone();
-                    async move {
-                        h3.sleep(Duration::from_secs(1)).await;
-                        writer.put("b", "late", Body::Synthetic(7)).await.unwrap();
-                    }
-                });
-                client.get_with_retry("b", "late", Duration::from_millis(100), 100).await.unwrap()
+        let waits = sim.block_on(async move {
+            let mut waits = Vec::new();
+            for i in 0..200 {
+                let start = h.now();
+                let hedges = if i % 2 == 0 {
+                    client.put("b", "k", Body::Synthetic(0)).await.unwrap().hedges
+                } else {
+                    client.get("b", "k").await.unwrap().hedges
+                };
+                assert_eq!(hedges, 0);
+                waits.push(h.now() - start);
             }
+            waits
         });
-        assert_eq!(body.len(), 7);
-        // Polling attempts before success are billed GETs.
-        assert!(billing.units(CostItem::S3Get) > 1.0);
+        let twin = SimRng::new(1);
+        for (i, wait) in waits.into_iter().enumerate() {
+            let base = if i % 2 == 0 { cfg.ttfb_median + cfg.put_extra } else { cfg.ttfb_median };
+            let drawn = twin.lognormal(base.as_secs_f64(), cfg.ttfb_sigma);
+            assert!(!twin.bernoulli(cfg.tail_probability));
+            assert_eq!(wait, Duration::from_secs_f64(drawn), "request {i}");
+        }
+        assert_eq!(store.hedges(), Hedges::default());
+        assert_eq!(billing.units(CostItem::S3Put) + billing.units(CostItem::S3Get), 200.0);
     }
 }

@@ -263,6 +263,11 @@ fn stored_results_are_fetched_concurrently() {
     assert_eq!(report.batch.num_rows() as u64, rows, "every row is back");
     let scan = &report.stages[0];
     assert_eq!((scan.workers, scan.put_requests), (12, 12), "every worker stored its result");
+    // The driver's GETs of them count in the stage: the report holds
+    // every request billed.
+    let billed: f64 =
+        [CostItem::S3Get, CostItem::S3Put].map(|i| cloud.billing.units(i)).iter().sum();
+    assert_eq!(report.s3_requests() as f64, billed);
     let finalize = report.latency_secs - scan.wall_secs;
     let ttfb = cloud.config.s3.ttfb_median.as_secs_f64();
     assert!(finalize < 3.0 * ttfb, "finalize took {finalize} s for twelve stored results");
@@ -766,6 +771,55 @@ fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
     // Q1's shards and Q12's filtered rows ride inline from every sender;
     // on Q4's edge only the big file's sender is over its budget.
     assert_eq!(lineitem_puts, vec![0, 0, 1]);
+}
+
+/// Half of all requests in the slow tail, so hedges fire in every query:
+/// Q12 and Q3, each alone on a fresh cloud, on both transports, still
+/// match the reference, and their reports count exactly what was billed —
+/// every GET and PUT with its hedges, which are the store's own hedges,
+/// and every invocation.
+#[test]
+fn reports_count_every_billed_request_while_hedges_fire() {
+    use lambada::core::TransportKind;
+    use lambada::sim::services::object_store::S3Config;
+    let mut hedged = 0;
+    for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+        for plan in [
+            lambada::workloads::q12("lineitem", "orders"),
+            lambada::workloads::q3("lineitem", "orders"),
+        ] {
+            let sim = Simulation::new();
+            let s3 = S3Config { tail_probability: 0.5, ..S3Config::default() };
+            let cloud = Cloud::new(&sim, CloudConfig { s3, ..CloudConfig::default() });
+            let config = LambadaConfig {
+                transport,
+                join_workers: Some(3),
+                agg: AggStrategy::Exchange { workers: Some(2) },
+                ..LambadaConfig::default()
+            };
+            let mut system = Lambada::install(&cloud, config);
+            let cat = stage_join_tables(&cloud, &mut system, 0.005, 71);
+            let optimized = lambada::engine::Optimizer::new().optimize(&plan).unwrap();
+            let reference = execute_into_batch(&optimized, &cat).unwrap();
+            let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+            assert_batches_close(&report.batch, &reference);
+
+            let units = |item| cloud.billing.units(item);
+            let s3_billed =
+                units(CostItem::S3Get) + units(CostItem::S3Put) + units(CostItem::S3List);
+            assert_eq!(report.s3_requests() as f64, s3_billed, "{transport:?}");
+            let invoked = units(CostItem::LambdaRequests);
+            assert_eq!(report.request_count() as f64, s3_billed + invoked, "{transport:?}");
+            let hedges = cloud.s3.hedges();
+            let stages = |f: fn(&lambada::core::StageReport) -> u64| -> u64 {
+                report.stages.iter().map(f).sum()
+            };
+            let counted = (stages(|s| s.hedged_gets), stages(|s| s.hedged_puts));
+            assert_eq!(counted, (hedges.gets, hedges.puts), "{transport:?}");
+            hedged += hedges.gets + hedges.puts;
+        }
+    }
+    assert!(hedged > 0, "the tail made some requests late");
 }
 
 #[test]

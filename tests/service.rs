@@ -773,6 +773,62 @@ fn direct_transport_shrinks_admission_estimate() {
     assert!(direct.request_dollars < store.request_dollars);
 }
 
+/// With half of all requests in the slow tail, hedges fire, and the
+/// tenant ledger is still the bill: the requests and request-$ a tenant is
+/// charged for Q1, Q12 and Q3, run together, are the billed S3 requests
+/// and invocations (no attempt is discarded: speculation is off). A hedge
+/// at most doubles a request, so the envelope's 2× margin still bounds
+/// every query.
+#[test]
+fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
+    use lambada::sim::services::object_store::S3Config;
+    use lambada::sim::CostItem;
+    let sim = Simulation::new();
+    let s3 = S3Config { tail_probability: 0.5, ..S3Config::default() };
+    let cloud = Cloud::new(&sim, CloudConfig { s3, ..CloudConfig::default() });
+    let li = stage_real(
+        &cloud,
+        "tpch",
+        "lineitem",
+        StageOptions { scale: 0.005, num_files: 6, row_groups_per_file: 3, seed: 7 },
+    );
+    let ord = stage_real_orders(
+        &cloud,
+        "tpch",
+        "orders",
+        OrdersStageOptions { rows: li.total_rows, num_files: 4, row_groups_per_file: 3, seed: 7 },
+    );
+    let config =
+        LambadaConfig { speculation: SpeculationConfig::default(), ..service_lambada_config() };
+    let mut system = Lambada::install(&cloud, config);
+    system.register_table(li);
+    system.register_table(ord);
+    let service = QueryService::new(system);
+    let plans = [q1("lineitem"), q12("lineitem", "orders"), q3("lineitem", "orders")];
+    let estimates: Vec<_> = plans.iter().map(|p| service.estimate(p).unwrap()).collect();
+    let reports = sim.block_on(async {
+        let handles: Vec<_> = plans.iter().map(|p| service.submit("t", p)).collect();
+        let mut out = Vec::new();
+        for h in handles {
+            out.push(h.await.unwrap());
+        }
+        out
+    });
+    for (report, estimate) in reports.iter().zip(&estimates) {
+        assert!(report.request_count() <= estimate.requests, "{estimate:?}");
+    }
+    let hedges = cloud.s3.hedges();
+    assert!(hedges.gets + hedges.puts > 0, "the tail made some requests late");
+    let items = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List, CostItem::LambdaRequests];
+    let billed: f64 = items.iter().map(|&i| cloud.billing.units(i)).sum();
+    let bill = cloud.billing.snapshot();
+    let dollars: f64 = items.iter().map(|&i| bill.dollars(i)).sum();
+    let usage = service.tenant_usage("t").unwrap();
+    assert_eq!(usage.requests_used as f64, billed);
+    let off = (usage.request_dollars_used - dollars).abs();
+    assert!(off <= 1e-12 * dollars, "{} vs {dollars}", usage.request_dollars_used);
+}
+
 /// Inline edges loosen the request envelope, never break it: every query
 /// of the `service_mix` benchmark (Q1, Q6, Q12 and Q4 at SF 0.01 under
 /// its configuration, where most edges ride the messages) spends at most
