@@ -65,7 +65,11 @@ pub fn run_tpch_descriptor(
     let spec = stage_descriptors(&cloud, "tpch", "lineitem", &opts);
     let mut system = Lambada::install(
         &cloud,
-        LambadaConfig { memory_mib, files_per_worker, ..LambadaConfig::default() },
+        LambadaConfig {
+            memory_mib,
+            files_per_worker: Some(files_per_worker),
+            ..LambadaConfig::default()
+        },
     );
     system.register_table(spec);
     let plan = match query {

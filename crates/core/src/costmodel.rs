@@ -159,7 +159,7 @@ impl ComputeCostModel {
     /// query's fleets shrink as neighbors arrive instead of queueing
     /// behind them — at the cost of per-query latency, which is the right
     /// trade under contention because a smaller fleet still finishes
-    /// (workers stream files sequentially) while a starved query does
+    /// (each of its workers takes more files) while a starved query does
     /// not.
     pub fn contended_fleet_cap(&self, global_worker_cap: usize, active_queries: usize) -> usize {
         (global_worker_cap / active_queries.max(1)).max(1)

@@ -33,8 +33,8 @@
 //! invocation is fixed once per `(dag, fleet_cap)`, in
 //! [`Lambada::launch_plan`]: the DAG is verified, then one pass over the
 //! stages yields each stage's pin, byte estimate and fleet size (scans
-//! by file count, consumer fleets by their pin or else the compute cost
-//! model), and the DAG's edge table ([`crate::stage::EdgeTable`]) turns
+//! by their file sizes, consumer fleets by their pin or else the compute
+//! cost model), and the DAG's edge table ([`crate::stage::EdgeTable`]) turns
 //! those into every out-edge's partition count and sort-edge spec, and
 //! marks the edges that are *fused*. The fleet verifier, the p2p
 //! registration, the stage-task builder and the service's admission
@@ -50,13 +50,15 @@
 //! Results ride that message when they are small
 //! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
 //! stored rest concurrently. Collection keeps a few result-queue long
-//! polls in flight and handles each as it completes, so a stage ends
-//! when its last report arrives, not when the slowest poll times out.
+//! polls in flight, one more than the missing reports need, and handles
+//! each as it completes, so a stage ends when its last report arrives,
+//! not when the slowest poll times out or a fresh poll reaches the queue.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
+use std::ops::Range;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::Poll;
@@ -176,8 +178,11 @@ pub struct LambadaConfig {
     /// Worker memory size M (the knob of Fig 10).
     pub memory_mib: u32,
     pub timeout: Duration,
-    /// Files per worker F; the worker count is `ceil(#files / F)` (§5.2).
-    pub files_per_worker: usize,
+    /// Fixed files per scan worker F; the worker count is then
+    /// `ceil(#files / F)` (§5.2). `None` derives each scan's chunks from
+    /// its file sizes: latency-bound files are packed a round of
+    /// connections to a worker ([`Lambada::launch_plan`]).
+    pub files_per_worker: Option<usize>,
     pub scan: ScanConfig,
     pub costs: ComputeCostModel,
     /// Long-poll duration per result-queue receive call.
@@ -215,7 +220,7 @@ impl Default for LambadaConfig {
             function_name: "lambada-worker".to_string(),
             memory_mib: 2048,
             timeout: Duration::from_secs(300),
-            files_per_worker: 1,
+            files_per_worker: None,
             scan: ScanConfig::default(),
             costs: ComputeCostModel::default(),
             receive_wait: Duration::from_secs(1),
@@ -487,9 +492,13 @@ pub struct LaunchPlan<'a> {
     /// over its readers. `u64::MAX` for the driver-bound last stage,
     /// which ships nothing.
     pub inline_budgets: Vec<u64>,
-    /// For scan stages, the scanned table and the files-per-worker chunk.
-    pub scans: Vec<Option<(Rc<TableSpec>, usize)>>,
+    /// For scan stages, the scanned table and each worker's run of its
+    /// files.
+    pub scans: Vec<Option<ScanFleet>>,
 }
+
+/// A scan stage's table and, by worker id, each worker's run of its files.
+pub type ScanFleet = (Rc<TableSpec>, Vec<Range<usize>>);
 
 impl<'a> LaunchPlan<'a> {
     /// Wire sized fleets to the edges: every out-edge's partition count,
@@ -504,7 +513,7 @@ impl<'a> LaunchPlan<'a> {
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
         workers: Vec<usize>,
-        scans: Vec<Option<(Rc<TableSpec>, usize)>>,
+        scans: Vec<Option<ScanFleet>>,
     ) -> LaunchPlan<'a> {
         let mut partitions = vec![0; workers.len()];
         let mut sort_edges = vec![None; workers.len()];
@@ -683,7 +692,9 @@ impl Lambada {
     /// launch together: a producer can shard its output for a consumer
     /// fleet that does not exist yet.
     ///
-    /// Sizing: `ceil(#files / F)` per scan (§5.2); consumer fleets (join,
+    /// Sizing: a scan fleet follows its file sizes — a worker per
+    /// connections' round of latency-bound files, one per larger file — or
+    /// is `ceil(#files / F)` under a pinned F (§5.2); consumer fleets (join,
     /// agg-merge, sort) sized per stage by the compute cost model from
     /// their inputs' estimated edge volume — the resource-allocation
     /// trade-off of Kassing et al. applied at every level of the DAG —
@@ -703,6 +714,16 @@ impl Lambada {
         let edges = verify::checked_edges(dag).map_err(CoreError::InvalidPlan)?;
         let costs = &self.config.costs;
         let budget = u64::from(self.config.memory_mib) * 1024 * 1024;
+        let packing = match self.config.files_per_worker {
+            Some(f) => Packing::Pinned(f),
+            None => Packing::BySize {
+                latency_bound: crate::scan::latency_bound_bytes(
+                    &self.config.scan,
+                    &self.cloud.config,
+                ),
+                connections: self.config.scan.connections,
+            },
+        };
         // Pinned fleets stay pinned; model-sized ones shrink to the cap.
         let sized = |pin: Option<usize>, model: usize| match (pin, fleet_cap) {
             (Some(pinned), _) => pinned.max(1),
@@ -718,18 +739,12 @@ impl Lambada {
             let (pin, bytes, fleet, scan) = match kind {
                 StageKind::Scan(scan) => {
                     let table = self.table_spec(&scan.table)?;
-                    // One worker per F files (§5.2: W = #files / F),
-                    // rebalanced when the policy's fleet cap binds.
-                    let (files_per_worker, fleet) = scan_partitioning(
-                        table.files.len(),
-                        self.config.files_per_worker,
-                        fleet_cap,
-                    );
+                    let chunks = scan_chunks(&table.files, packing, fleet_cap);
                     // Crude column-selectivity estimate: exchanged bytes
                     // scale with the fraction of columns that survive.
                     let frac = scan.scan_columns.len() as f64 / table.schema.len().max(1) as f64;
                     let bytes = (table.total_bytes() as f64 * frac) as u64;
-                    (None, bytes, fleet, Some((table, files_per_worker)))
+                    (None, bytes, chunks.len(), Some((table, chunks)))
                 }
                 StageKind::Join(j) => {
                     let (probe, build) = (est[j.probe_input], est[j.build_input]);
@@ -1048,14 +1063,9 @@ impl Lambada {
         let edge = |slot: usize, input: usize| EdgeRead { channel: self.channel(qid, input), slot };
         let op = match kind {
             StageKind::Scan(stage) => {
-                let (table, files_per_worker) =
+                let (table, chunks) =
                     launch.scans[sid].clone().ok_or_else(|| unknown_table(&stage.table))?;
-                StageOp::Scan(Rc::new(ScanOp {
-                    stage,
-                    table,
-                    scan: self.config.scan,
-                    files_per_worker,
-                }))
+                StageOp::Scan(Rc::new(ScanOp { stage, table, scan: self.config.scan, chunks }))
             }
             StageKind::Join(stage) => StageOp::Join {
                 probe: edge(0, stage.probe_input),
@@ -1198,30 +1208,59 @@ fn merge_agg_states(
     Ok(state)
 }
 
-/// Scan-fleet partitioning: the files-per-worker chunk size and the
-/// resulting worker count, with the policy's fleet cap applied. When the
-/// cap does not bind this is exactly §5.2's `W = ceil(#files / F)` with
-/// chunk `F`; when it binds, files are rebalanced into `cap` equal
-/// chunks. [`Lambada::launch_plan`] is the one caller: the chunk size it
-/// hands the payload builder and the worker count that fixes exchange
-/// sender counts come from the same call, so the planned count always
-/// equals the number of payloads built.
-fn scan_partitioning(
-    num_files: usize,
-    files_per_worker: usize,
+/// How a scan's files are dealt to its workers.
+#[derive(Clone, Copy, Debug)]
+enum Packing {
+    /// F files per worker (§5.2).
+    Pinned(usize),
+    /// Consecutive files of at most `latency_bound` bytes share workers,
+    /// at most `connections` to one; a larger file gets a worker of its own.
+    BySize { latency_bound: u64, connections: usize },
+}
+
+/// A scan fleet: each worker's run of the table's files, contiguous and in
+/// order. Pinned, this is §5.2's `W = ceil(#files / F)`. By size, a run of
+/// `L` consecutive latency-bound files goes to `ceil(L / connections)`
+/// workers, dealt evenly: each such file is one GET ([`crate::scan`]) and
+/// a worker reads its files at once, so its run costs one round of
+/// first-byte latency where as many workers would cost as many
+/// invocations and billing quanta. When the policy's fleet cap binds, the
+/// files are dealt evenly to `cap` workers. [`Lambada::launch_plan`] is
+/// the one caller: the chunks it hands the payload builder and the worker
+/// count that fixes exchange sender counts come from the same call, so the
+/// planned count always equals the number of payloads built.
+fn scan_chunks(
+    files: &[crate::table::TableFile],
+    packing: Packing,
     fleet_cap: Option<usize>,
-) -> (usize, usize) {
-    let f = files_per_worker.max(1);
-    let uncapped = num_files.div_ceil(f);
-    let workers = match fleet_cap {
-        Some(cap) => uncapped.min(cap.max(1)),
-        None => uncapped,
+) -> Vec<Range<usize>> {
+    let n = files.len();
+    let chunks: Vec<Range<usize>> = match packing {
+        Packing::Pinned(f) => (0..n).step_by(f.max(1)).map(|s| s..(s + f.max(1)).min(n)).collect(),
+        Packing::BySize { latency_bound, connections } => {
+            let large = |i: &usize| files[*i].size > latency_bound;
+            let mut chunks = Vec::new();
+            let mut start = 0;
+            while start < n {
+                let end =
+                    if large(&start) { start + 1 } else { (start..n).find(large).unwrap_or(n) };
+                chunks.extend(dealt(start..end, (end - start).div_ceil(connections.max(1))));
+                start = end;
+            }
+            chunks
+        }
     };
-    if workers == uncapped {
-        return (f, uncapped);
+    match fleet_cap {
+        Some(cap) if chunks.len() > cap.max(1) => dealt(0..n, cap.max(1)).collect(),
+        _ => chunks,
     }
-    let chunk = num_files.div_ceil(workers).max(1);
-    (chunk, num_files.div_ceil(chunk))
+}
+
+/// `files` dealt to `workers` contiguous runs whose lengths differ by at
+/// most one.
+fn dealt(files: Range<usize>, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let (start, n) = (files.start, files.len());
+    (0..workers).map(move |w| start + w * n / workers..start + (w + 1) * n / workers)
 }
 
 /// One chain's fleet as the driver spawns it.
@@ -1451,11 +1490,14 @@ struct Collected {
 /// Poll the result queue until all workers reported (§3.3). Like the
 /// invoker, the driver polls from a small thread pool — with thousands
 /// of workers a single serial receive loop would dominate query latency:
-/// up to one long poll per ten missing reports (at most 16) stays in
-/// flight, each is handled the moment it returns and replaced while
-/// reports are missing, and the rest are dropped — their timers
+/// one long poll per ten missing reports (at most 16) stays in flight,
+/// plus one spare, each is handled the moment it returns and replaced
+/// while reports are missing, and the rest are dropped — their timers
 /// cancelled — once the fleet is complete, so collection ends with the
-/// last report rather than with the slowest poll's `receive_wait`.
+/// last report rather than with the slowest poll's `receive_wait`. The
+/// spare is what keeps a report from waiting out a poll's round trip: a
+/// poll that returns with the first of two close reports leaves another
+/// already listening for the second.
 ///
 /// After every receive the driver plays straggler watcher: once the
 /// configured quantile of the fleet has reported and the holdouts exceed
@@ -1505,7 +1547,7 @@ async fn collect_results(
                 missing_workers: workers - seen.len(),
             });
         }
-        let wanted = pollers.min((workers - seen.len()).div_ceil(10));
+        let wanted = pollers.min((workers - seen.len()).div_ceil(10)) + 1;
         while receives.len() < wanted {
             receives.push(receive());
         }
@@ -1783,6 +1825,62 @@ mod tests {
         let sqs_median = cloud.config.sqs.latency_median.as_secs_f64();
         assert!(lag < 2.0 * sqs_median, "collected {lag} s after the last report");
         assert_eq!(sim.pending_timers(), 0, "the dropped polls cancelled their timers");
+    }
+
+    /// A poll that returns with the first of two close reports leaves a
+    /// spare already listening: the second is collected the moment it
+    /// lands, not a fresh poll's round trip (the driver's RTT plus SQS
+    /// latency, ≈ 30 ms) later.
+    #[test]
+    fn a_second_close_report_is_collected_the_moment_it_lands() {
+        let (sim, cloud, config) = installed();
+        let (landed, collected) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let (sender, at) = (cloud.sqs.client(Duration::ZERO), cloud.handle.clone());
+                let last = cloud.handle.spawn(async move {
+                    at.sleep(Duration::from_millis(100)).await;
+                    sender.send("results", inline_report(0, 0, b"a").encode()).await.unwrap();
+                    at.sleep(Duration::from_millis(5)).await;
+                    sender.send("results", inline_report(1, 0, b"b").encode()).await.unwrap();
+                    at.now()
+                });
+                let start = cloud.handle.now();
+                let collected = collect_results(&cloud, &config, "results", 2, &[], start).await;
+                assert_eq!(collected.unwrap().results.len(), 2);
+                (last.await, cloud.handle.now())
+            }
+        });
+        let lag = (collected - landed).as_secs_f64();
+        assert!(lag < 1e-3, "collected {lag} s after the last report landed");
+        assert_eq!(sim.pending_timers(), 0, "the spare poll was dropped with its timers");
+    }
+
+    /// A real file of `size` bytes.
+    fn file_of(size: u64) -> crate::table::TableFile {
+        crate::table::TableFile::real("data", "f", size)
+    }
+
+    /// Latency-bound files are dealt evenly, a round of connections to a
+    /// worker; a larger file gets a worker of its own and splits the runs
+    /// around it. A pin is §5.2's chunking, and a binding fleet cap deals
+    /// every file evenly.
+    #[test]
+    fn scan_fleets_follow_file_sizes() {
+        let by_size = Packing::BySize { latency_bound: 100, connections: 4 };
+        let chunks = |sizes: &[u64], packing, cap| {
+            scan_chunks(&sizes.iter().map(|&s| file_of(s)).collect::<Vec<_>>(), packing, cap)
+        };
+        let lens = |c: Vec<Range<usize>>| c.iter().map(|r| r.len()).collect::<Vec<_>>();
+        assert_eq!(chunks(&[10; 8], by_size, None), vec![0..4, 4..8]);
+        assert_eq!(lens(chunks(&[10; 6], by_size, None)), vec![3, 3], "not 4 + 2");
+        assert_eq!(lens(chunks(&[10; 5], by_size, None)), vec![2, 3]);
+        assert_eq!(chunks(&[10, 10, 101, 10, 100], by_size, None), vec![0..2, 2..3, 3..5]);
+        assert_eq!(chunks(&[500; 3], by_size, None), vec![0..1, 1..2, 2..3]);
+        assert_eq!(chunks(&[], by_size, None), Vec::<Range<usize>>::new(), "no file, no worker");
+        assert_eq!(chunks(&[10; 7], Packing::Pinned(3), None), vec![0..3, 3..6, 6..7]);
+        assert_eq!(lens(chunks(&[500; 10], by_size, Some(4))), vec![2, 3, 2, 3]);
+        assert_eq!(chunks(&[10; 8], by_size, Some(2)), vec![0..4, 4..8], "the cap does not bind");
     }
 
     /// A sort-edge report of `blocks` ten-byte file blocks and `starts`.

@@ -5,7 +5,8 @@
 //! * the footer is loaded "with a single file read" — a speculative tail
 //!   range request, retried with the exact size if the footer turns out
 //!   larger (level 4 exploits this: metadata for *all* files is prefetched
-//!   by a dedicated task to hide the latency of these small requests);
+//!   by a dedicated task to hide the latency of these small requests, a
+//!   read per connection at once);
 //! * min/max statistics prune entire row groups against the pushed-down
 //!   predicate before any data is downloaded (Fig 11);
 //! * only projected/predicate column chunks are downloaded, one ranged GET
@@ -32,17 +33,32 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 
 use lambada_engine::expr::range::can_match;
 use lambada_engine::{Column, Expr, RecordBatch, Schema};
 use lambada_format::{ColumnChunkMeta, Compression, FileMeta, FormatError};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{mpsc, Semaphore};
+use lambada_sim::CloudConfig;
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::table::TableFile;
+
+/// The bytes one connection moves within one first-byte latency, capped at
+/// the request limit: a span of no more is *latency-bound* — a second
+/// request for part of it would take longer than reading over the gaps —
+/// and a file of no more is read whole by its footer read. The driver packs
+/// latency-bound files into scan workers by the same limit.
+pub(crate) fn latency_bound_bytes(cfg: &ScanConfig, cloud: &CloudConfig) -> u64 {
+    let per_latency = cloud.s3.ttfb_median.as_secs_f64() * cloud.nic.per_conn;
+    cfg.max_request_bytes.max(1).min(per_latency as u64)
+}
 
 /// Scan operator tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -324,6 +340,28 @@ async fn download_row_group(
     Ok(bodies)
 }
 
+/// The reads a scan keeps in flight, in file order, each with its output
+/// once it has one.
+type Ahead<F> = VecDeque<(Pin<Box<F>>, Option<<F as Future>::Output>)>;
+
+/// Drive every read in `ahead` and resolve with the first one's output
+/// once it has one, so outputs leave in order while the reads overlap;
+/// `None` once `ahead` is empty.
+async fn next_in_order<F: Future>(ahead: &mut Ahead<F>) -> Option<F::Output> {
+    std::future::poll_fn(|cx| {
+        for (read, out) in ahead.iter_mut().filter(|(_, out)| out.is_none()) {
+            if let Poll::Ready(done) = read.as_mut().poll(cx) {
+                *out = Some(done);
+            }
+        }
+        let Some((_, out)) = ahead.front_mut() else { return Poll::Ready(None) };
+        let Some(first) = out.take() else { return Poll::Pending };
+        ahead.pop_front();
+        Poll::Ready(Some(first))
+    })
+    .await
+}
+
 /// Charge decode CPU, optionally splitting onto the second hardware
 /// thread (only profitable with heavy compression and spare vCPU share).
 async fn charge_decode(env: &WorkerEnv, cfg: &ScanConfig, vcpu_seconds: f64) {
@@ -360,16 +398,14 @@ pub async fn scan_table(
     let shared = Rc::new(Shared { metrics: RefCell::new(ScanMetrics::default()) });
     let conn = Semaphore::new(cfg.connections.max(1));
     let max_req = cfg.max_request_bytes.max(1);
-    // A span a connection moves within one first-byte latency: a second
-    // request for part of it would take longer than reading over the gaps.
-    // A file that small is read whole by its footer read.
-    let service = &env.cloud.config;
-    let coalesce_below =
-        max_req.min((service.s3.ttfb_median.as_secs_f64() * service.nic.per_conn) as u64);
+    let coalesce_below = latency_bound_bytes(cfg, &env.cloud.config);
 
-    // Level 4: prefetch metadata for all files in a dedicated task. A
-    // footer is checked against the scan before it is handed over, and the
-    // task stops at the first file that fails (or once the scan is gone).
+    // Level 4: prefetch metadata in a dedicated task, one footer read per
+    // connection at once — a latency-bound file's footer read is the whole
+    // file, so a worker's packed files all download in one round — handed
+    // over in file order. A footer is checked against the scan before it is
+    // handed over, and the task stops at the first file that fails (or once
+    // the scan is gone), dropping the reads still in flight.
     let (meta_tx, mut meta_rx) = mpsc::channel::<Result<Footer>>();
     {
         let env = env.clone();
@@ -379,15 +415,21 @@ pub async fn scan_table(
         let width = base_schema.len();
         let shared = Rc::clone(&shared);
         let tail = cfg.metadata_tail_bytes;
+        let window = cfg.connections.max(1);
         env.cloud.handle.clone().spawn(async move {
-            for file in &files {
-                let out = fetch_metadata(&env, &conn, file, tail, coalesce_below, &shared)
-                    .await
-                    .and_then(|footer| {
-                        check_width(file, &footer.meta, width)?;
-                        check_chunk_ranges(file, &footer.meta, &columns)?;
-                        Ok(footer)
-                    });
+            let (env, conn, shared, columns) = (&env, &conn, &shared, &columns);
+            let fetch = |file: TableFile| async move {
+                let footer = fetch_metadata(env, conn, &file, tail, coalesce_below, shared).await?;
+                check_width(&file, &footer.meta, width)?;
+                check_chunk_ranges(&file, &footer.meta, columns)?;
+                Ok(footer)
+            };
+            let mut pending = files.into_iter();
+            let mut ahead = VecDeque::with_capacity(window);
+            loop {
+                let room = window - ahead.len();
+                ahead.extend(pending.by_ref().take(room).map(|f| (Box::pin(fetch(f)), None)));
+                let Some(out) = next_in_order(&mut ahead).await else { return };
                 let failed = out.is_err();
                 if meta_tx.send(out).is_err() || failed {
                     return;
@@ -402,8 +444,7 @@ pub async fn scan_table(
         decode_seconds: f64,
         columns: Vec<(usize, ColumnChunkMeta, Body)>,
     }
-    let mut inflight: std::collections::VecDeque<lambada_sim::JoinHandle<Result<InFlight>>> =
-        std::collections::VecDeque::new();
+    let mut inflight: VecDeque<lambada_sim::JoinHandle<Result<InFlight>>> = VecDeque::new();
 
     // Drain helper: decode + emit the oldest in-flight row group.
     async fn drain_one(

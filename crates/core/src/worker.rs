@@ -51,6 +51,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use lambada_engine::agg::GroupedAggState;
@@ -136,8 +137,8 @@ pub struct ScanOp {
     /// installation's registry).
     pub table: Rc<TableSpec>,
     pub scan: ScanConfig,
-    /// Files per worker (the chunk size).
-    pub files_per_worker: usize,
+    /// Each worker's run of `table.files`, by worker id.
+    pub chunks: Vec<Range<usize>>,
 }
 
 /// What a stage's workers compute. Consumer operators own one
@@ -648,12 +649,8 @@ async fn drive_scan(
         let scan = Rc::clone(scan);
         env.cloud.handle.spawn(async move {
             // Worker `w` scans chunk `w` of the table's files.
-            let files = scan
-                .table
-                .files
-                .chunks(scan.files_per_worker.max(1))
-                .nth(env2.worker_id as usize)
-                .unwrap_or_default();
+            let chunk = scan.chunks.get(env2.worker_id as usize).cloned().unwrap_or_default();
+            let files = scan.table.files.get(chunk).unwrap_or_default();
             scan_table(
                 &env2,
                 &scan.scan,
@@ -983,7 +980,7 @@ mod tests {
                 stage,
                 table: Rc::new(TableSpec::new("t", schema, Vec::new(), 0)),
                 scan: ScanConfig::default(),
-                files_per_worker: 1,
+                chunks: Vec::new(),
             })),
             sink,
             transport: Rc::new(EdgeTransport::new(

@@ -75,7 +75,9 @@ fn q1_distributed_matches_reference() {
     .unwrap();
     let (batch, report) = run_distributed(&plan, scale, seed, LambadaConfig::default());
     assert_batches_close(&batch, &reference);
-    assert_eq!(report.workers, 6);
+    // Six latency-bound files, packed a round of four connections to a
+    // worker.
+    assert_eq!(report.workers, 2);
     assert!(report.latency_secs > 0.0);
     assert!(report.cost.total() > 0.0);
     // Q1 groups: 4 (A/F, N/F, N/O, R/F).
@@ -135,7 +137,7 @@ fn direct_and_two_level_invocation_agree() {
                 stage: stage.clone(),
                 table: Rc::new(spec),
                 scan: config.scan,
-                files_per_worker: 1,
+                chunks: (0..workers).map(|w| w..w + 1).collect(),
             })),
             sink: StageSink::Report,
             transport: Rc::new(EdgeTransport::new(
@@ -195,7 +197,8 @@ fn direct_and_two_level_invocation_agree() {
     assert_eq!(tree_spawns, 3, "six workers: three first-generation workers with a child each");
     assert_eq!(direct, tree, "the shape moves the clock, never a bit of the result");
     // And the shape the installation picks for this fleet gives the same.
-    let (chosen, _) = run_distributed(&plan, 0.001, 7, LambadaConfig::default());
+    let by_file = LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() };
+    let (chosen, _) = run_distributed(&plan, 0.001, 7, by_file);
     assert_eq!(chosen, direct);
 }
 
@@ -206,17 +209,22 @@ fn files_per_worker_changes_worker_count_not_results() {
         &plan,
         0.001,
         3,
-        LambadaConfig { files_per_worker: 1, ..LambadaConfig::default() },
+        LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() },
     );
     let (b2, r2) = run_distributed(
         &plan,
         0.001,
         3,
-        LambadaConfig { files_per_worker: 3, ..LambadaConfig::default() },
+        LambadaConfig { files_per_worker: Some(3), ..LambadaConfig::default() },
     );
+    // Unpinned, six latency-bound files pack a round of four connections
+    // to a worker.
+    let (b3, r3) = run_distributed(&plan, 0.001, 3, LambadaConfig::default());
     assert_eq!(r1.workers, 6);
     assert_eq!(r2.workers, 2);
+    assert_eq!(r3.workers, 2);
     assert_batches_close(&b1, &b2);
+    assert_batches_close(&b1, &b3);
 }
 
 #[test]
@@ -254,7 +262,8 @@ fn stored_results_are_fetched_concurrently() {
     let opts = StageOptions { scale: 0.005, num_files: 12, row_groups_per_file: 2, seed: 9 };
     let spec = stage_real(&cloud, "tpch", "lineitem", opts);
     let rows = spec.total_rows;
-    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    let config = LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() };
+    let mut system = Lambada::install(&cloud, config);
     system.register_table(spec);
     let df = system.from_table("lineitem").unwrap();
     let pred = df.col("l_quantity").unwrap().gt(lambada::engine::lit_f64(0.0));
@@ -311,7 +320,8 @@ fn query_cost_is_dominated_by_lambda_compute() {
     let files = stage_opts(0.002, 13).num_files as u64;
     assert_eq!(report.stages[0].get_requests, files, "one GET per file");
     assert_eq!(report.cost.units(CostItem::S3Get), files as f64);
-    assert!(report.cost.units(CostItem::SqsRequests) >= 6.0, "one result per worker");
+    let workers = report.workers as f64;
+    assert!(report.cost.units(CostItem::SqsRequests) >= workers, "one result per worker");
 }
 
 #[test]
@@ -337,6 +347,8 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
+            // One scan worker per file, as the request counts below assume.
+            files_per_worker: Some(1),
             join_workers: Some(join_workers),
             agg: AggStrategy::Exchange { workers: Some(agg_workers) },
             ..LambadaConfig::default()
@@ -501,6 +513,8 @@ fn q5_multiway(sort_workers: usize) {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
+            // One scan worker per file, as the request counts below assume.
+            files_per_worker: Some(1),
             join_workers: Some(join_workers),
             agg: lambada::core::AggStrategy::Exchange { workers: Some(agg_workers) },
             sort: lambada::core::SortStrategy::Exchange { workers: Some(sort_workers) },
@@ -1052,7 +1066,9 @@ fn q12_join_runs_distributed_and_matches_reference() {
         seed,
     };
     let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
-    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    // One scan worker per file, as the request counts below assume.
+    let config = LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() };
+    let mut system = Lambada::install(&cloud, config);
     system.register_table(li_spec);
     system.register_table(ord_spec);
 

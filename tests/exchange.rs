@@ -479,6 +479,7 @@ fn concurrent_installs_never_collide_on_exchange_keys() {
     // Identical query shape, disjoint key domains: install A groups keys
     // 0..GROUPS, install B keys 1_000_000.. as many.
     let config = || LambadaConfig {
+        files_per_worker: Some(1),
         agg: AggStrategy::Exchange { workers: Some(3) },
         ..LambadaConfig::default()
     };

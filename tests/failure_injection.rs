@@ -128,6 +128,8 @@ fn function_timeout_kills_workers_and_driver_gives_up() {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
+            // One scan worker per file: the faults target one of several.
+            files_per_worker: Some(1),
             timeout: Duration::from_millis(10),
             max_wait: Duration::from_secs(30),
             ..LambadaConfig::default()
@@ -221,6 +223,8 @@ fn killed_worker_is_recovered_by_a_speculative_backup() {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
+            // One scan worker per file: the faults target one of several.
+            files_per_worker: Some(1),
             max_wait: Duration::from_secs(60),
             speculation: test_speculation(true),
             ..LambadaConfig::default()
@@ -684,6 +688,8 @@ fn killed_sort_producer_is_recovered_by_the_quorum_rule() {
             let mut system = Lambada::install(
                 &cloud,
                 LambadaConfig {
+                    // One scan worker per file: the faults target one of several.
+                    files_per_worker: Some(1),
                     sort: SortStrategy::Exchange { workers: Some(2) },
                     transport: kind,
                     max_wait: Duration::from_secs(120),

@@ -108,11 +108,11 @@ fn exchange_config() -> LambadaConfig {
 #[test]
 fn q6_on_real_files() {
     let expected = Pin {
-        queries: vec![(4607355825314501289, 4536170005752090809)],
+        queries: vec![(4604807926223726205, 4529051753090497676)],
         s3_gets: 4,
         s3_puts: 0,
         s3_lists: 0,
-        trace_len: 24,
+        trace_len: 6,
     };
     check("q6_on_real_files", expected, |sim| {
         let cloud = cloud(sim, 11);
@@ -128,11 +128,11 @@ fn q6_on_real_files() {
 #[test]
 fn q12_over_the_object_store_exchange() {
     let expected = Pin {
-        queries: vec![(4609077591313405331, 4544955844077947286)],
-        s3_gets: 16,
-        s3_puts: 3,
+        queries: vec![(4610127651386149371, 4541013025470417561)],
+        s3_gets: 10,
+        s3_puts: 1,
         s3_lists: 0,
-        trace_len: 98,
+        trace_len: 63,
     };
     check("q12_over_the_object_store_exchange", expected, |sim| {
         let (cloud, system) = join_system(sim, 12, exchange_config());
@@ -146,11 +146,11 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4608294356214949694, 4543152847782967867)],
+        queries: vec![(4611365134850756730, 4540157096545397438)],
         s3_gets: 7,
         s3_puts: 0,
         s3_lists: 0,
-        trace_len: 98,
+        trace_len: 63,
     };
     check("q3_on_the_direct_transport", expected, |sim| {
         let config = LambadaConfig { transport: TransportKind::Direct, ..exchange_config() };
@@ -168,15 +168,15 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4607840699432637824, 4544601666591732062),
-            (4609792591139920380, 4549570124169760039),
-            (4607494555553006297, 4543861202755398314),
-            (4607833472168545811, 4547162074669162946),
+            (4608131269581918342, 4547567903038784556),
+            (4607712350630785052, 4547265376435975720),
+            (4604229031032629808, 4536494668447788098),
+            (4601748565739694826, 4545826530398226375),
         ],
-        s3_gets: 40,
-        s3_puts: 6,
+        s3_gets: 31,
+        s3_puts: 3,
         s3_lists: 0,
-        trace_len: 217,
+        trace_len: 155,
     };
     check("two_tenants_through_a_small_gate", expected, |sim| {
         let (cloud, system) = join_system(sim, 14, exchange_config());
@@ -213,7 +213,7 @@ fn two_tenants_through_a_small_gate() {
 fn descriptor_q1_on_40_files() {
     let expected = Pin {
         // 1713 scan GETs and 9 hedges of late ones (3.137 s → 3.126 s).
-        queries: vec![(4614221992033637507, 4570193122875565508)],
+        queries: vec![(4614224319221457155, 4570198656898787621)],
         s3_gets: 1722,
         s3_puts: 0,
         s3_lists: 0,
@@ -236,7 +236,7 @@ fn descriptor_q1_on_40_files() {
 #[test]
 fn killed_worker_with_speculation() {
     let expected = Pin {
-        queries: vec![(4611320429639372056, 4537439141744362027)],
+        queries: vec![(4610867626275678774, 4537557200906433768)],
         s3_gets: 5,
         s3_puts: 0,
         s3_lists: 0,
@@ -245,6 +245,8 @@ fn killed_worker_with_speculation() {
     check("killed_worker_with_speculation", expected, |sim| {
         let cloud = cloud(sim, 16);
         let config = LambadaConfig {
+            // One scan worker per file, so worker 1 is one of four.
+            files_per_worker: Some(1),
             max_wait: Duration::from_secs(60),
             speculation: SpeculationConfig {
                 enabled: true,

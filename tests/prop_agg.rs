@@ -47,22 +47,23 @@ fn arb_keys(len: usize) -> impl Strategy<Value = Vec<i64>> {
 struct AggCase {
     keys: Vec<i64>,
     num_files: usize,
-    files_per_worker: usize,
+    files_per_worker: Option<usize>,
     agg_workers: usize,
     with_filter: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = AggCase> {
     (0usize..80).prop_flat_map(|n| {
-        (arb_keys(n), 1usize..4, 1usize..3, 1usize..8, any::<bool>()).prop_map(
-            |(keys, num_files, files_per_worker, agg_workers, with_filter)| AggCase {
-                keys,
-                num_files,
-                files_per_worker,
-                agg_workers,
-                with_filter,
-            },
+        (
+            arb_keys(n),
+            1usize..4,
+            (0usize..3).prop_map(|f| (f > 0).then_some(f)),
+            1usize..8,
+            any::<bool>(),
         )
+            .prop_map(|(keys, num_files, files_per_worker, agg_workers, with_filter)| {
+                AggCase { keys, num_files, files_per_worker, agg_workers, with_filter }
+            })
     })
 }
 

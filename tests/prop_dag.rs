@@ -117,7 +117,7 @@ struct MultiwayCase {
     u_keys: Vec<i64>,
     v_keys: Vec<i64>,
     files: usize,
-    files_per_worker: usize,
+    files_per_worker: Option<usize>,
     join_workers: usize,
     with_filter: bool,
 }
@@ -130,7 +130,7 @@ fn arb_multiway() -> impl Strategy<Value = MultiwayCase> {
             arb_keys(un),
             arb_keys(vn),
             1usize..4,
-            1usize..3,
+            (0usize..3).prop_map(|f| (f > 0).then_some(f)),
             1usize..7,
             any::<bool>(),
         )
@@ -250,7 +250,7 @@ proptest! {
     fn distributed_sort_matches_reference_exactly(
         keys in arb_keys(35),
         files in 1usize..4,
-        files_per_worker in 1usize..3,
+        files_per_worker in (0usize..3).prop_map(|f| (f > 0).then_some(f)),
         sort_workers in 1usize..7,
         limit in (any::<bool>(), 0usize..20).prop_map(|(some, n)| some.then_some(n)),
         descending in any::<bool>(),
@@ -352,6 +352,8 @@ proptest! {
             let sim = Simulation::new();
             let cloud = Cloud::new(&sim, CloudConfig::default());
             let mut system = Lambada::install(&cloud, LambadaConfig {
+                // One producer per file.
+                files_per_worker: Some(1),
                 sort: SortStrategy::Exchange { workers: Some(sort_workers) },
                 ..LambadaConfig::default()
             });

@@ -45,14 +45,22 @@ struct JoinCase {
     right_keys: Vec<i64>,
     left_files: usize,
     right_files: usize,
-    files_per_worker: usize,
+    files_per_worker: Option<usize>,
     join_workers: usize,
     with_filter: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = JoinCase> {
     (0usize..50, 0usize..30).prop_flat_map(|(ln, rn)| {
-        (arb_keys(ln), arb_keys(rn), 1usize..4, 1usize..4, 1usize..3, 1usize..8, any::<bool>())
+        (
+            arb_keys(ln),
+            arb_keys(rn),
+            1usize..4,
+            1usize..4,
+            (0usize..3).prop_map(|f| (f > 0).then_some(f)),
+            1usize..8,
+            any::<bool>(),
+        )
             .prop_map(
                 |(
                     left_keys,

@@ -62,7 +62,7 @@ struct VariantCase {
     build_keys: Vec<i64>,
     probe_files: usize,
     build_files: usize,
-    files_per_worker: usize,
+    files_per_worker: Option<usize>,
     join_workers: usize,
     with_filter: bool,
 }
@@ -75,7 +75,7 @@ fn arb_case() -> impl Strategy<Value = VariantCase> {
             arb_keys(rn),
             1usize..4,
             1usize..4,
-            1usize..3,
+            (0usize..3).prop_map(|f| (f > 0).then_some(f)),
             1usize..8,
             any::<bool>(),
         )

@@ -363,6 +363,9 @@ fn run_fault_case(
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
+            // One scan worker per file: enough producers to warm the
+            // consumers' containers, and the faults target one of several.
+            files_per_worker: Some(1),
             join_workers: Some(4),
             agg: AggStrategy::Exchange { workers: Some(2) },
             transport: kind,

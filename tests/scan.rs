@@ -5,7 +5,8 @@
 //! a bandwidth-bound one is a GET per chunk split at `max_request_bytes`.
 //! Every plan yields the same batches, a footer that lies about a chunk's
 //! place in the file is an error before any request or slice is sized
-//! from it, and a failed scan requests nothing more.
+//! from it, a worker's files are read a connection each at once, and a
+//! failed scan requests no file after those in flight.
 
 use std::time::Duration;
 
@@ -324,23 +325,59 @@ fn a_footer_longer_than_the_whole_file_read_is_an_error_after_one_get() {
     assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "a retry has no more bytes to give");
 }
 
+/// A scan reads a file per connection at once, so a failed file stops
+/// the scan with the reads beside it in flight: those are dropped, and no
+/// file after them is requested.
 #[test]
 fn a_failed_scan_stops_requesting() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let files = vec![
-        stage_with_footer(&cloud, "f0", |m| m.row_groups[3].columns[2].compressed_len += 1 << 20),
-        stage_with_footer(&cloud, "f1", |_| {}),
-        stage_with_footer(&cloud, "f2", |_| {}),
-    ];
+    let cfg = ScanConfig::default();
+    let mut files = vec![stage_with_footer(&cloud, "f0", |m| {
+        m.row_groups[3].columns[2].compressed_len += 1 << 20;
+    })];
+    for i in 1..cfg.connections + 2 {
+        files.push(stage_with_footer(&cloud, &format!("f{i}"), |_| {}));
+    }
     let spec = TableSpec::new("t", schema(), files, 3 * ROWS as u64);
     let before = sim.live_tasks();
-    let err = scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, None)
+    let err = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None)
         .map(|(metrics, _)| metrics)
         .unwrap_err();
     assert!(matches!(err, CoreError::Format(_)), "{err}");
     // Drain the simulation: whatever the scan left running runs out.
     sim.block_on(sim.handle().sleep(Duration::from_secs(60)));
-    assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "no file after the failed one");
+    let gets = cloud.billing.units(CostItem::S3Get);
+    assert!(
+        (1.0..=cfg.connections as f64).contains(&gets),
+        "{gets} GETs: no file after those in flight with the failed one"
+    );
     assert_eq!(sim.live_tasks(), before, "the metadata prefetch has ended");
+}
+
+/// A worker's latency-bound files are one GET each, all in flight at once:
+/// a round of connections' files costs one first-byte latency, not one per
+/// file, and scans into the same batches, in file order.
+#[test]
+fn a_round_of_latency_bound_files_is_read_at_once() {
+    let cfg = ScanConfig::default();
+    let run = |files: usize| {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let files: Vec<TableFile> = (0..files)
+            .map(|i| stage(&cloud, "data", &format!("f{i}"), write(ROWS, ROW_GROUPS)))
+            .collect();
+        let spec = TableSpec::new("t", schema(), files, ROWS as u64);
+        let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+        (sim.now().as_secs_f64(), metrics, batches(items))
+    };
+    let (one, one_metrics, one_batches) = run(1);
+    let (round, metrics, batches) = run(cfg.connections);
+    assert_eq!(metrics.get_requests, cfg.connections as u64, "one GET per file");
+    assert_eq!(metrics.files, cfg.connections as u64);
+    assert!(round < 2.0 * one, "a round took {round} s, one file {one} s");
+    assert_eq!(one_metrics.get_requests, 1);
+    for (i, chunk) in batches.chunks(one_batches.len()).enumerate() {
+        assert_eq!(chunk, one_batches.as_slice(), "file {i}'s batches, in order");
+    }
 }

@@ -98,6 +98,9 @@ fn staged_lineitem(sim: &Simulation) -> (Cloud, Lambada) {
 
 fn service_lambada_config() -> LambadaConfig {
     LambadaConfig {
+        // One scan worker per file: enough producers to warm the
+        // consumers' containers, and the faults target one of several.
+        files_per_worker: Some(1),
         join_workers: Some(4),
         agg: AggStrategy::Exchange { workers: Some(2) },
         sort: SortStrategy::Exchange { workers: Some(2) },

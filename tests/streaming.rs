@@ -93,6 +93,9 @@ fn reference_windows(kept: &[SourceEvent], window: &WindowSpec) -> RecordBatch {
 
 fn streaming_config(agg: AggStrategy, transport: TransportKind) -> LambadaConfig {
     LambadaConfig {
+        // One scan worker per file: enough producers to warm the
+        // consumers' containers, and the faults target one of several.
+        files_per_worker: Some(1),
         join_workers: Some(4),
         agg,
         transport,
