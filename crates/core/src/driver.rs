@@ -42,11 +42,15 @@
 //! anything again.
 //!
 //! A stage boundary costs something only where rows change workers. An
-//! edge from a one-worker fleet into a one-worker, single-input consumer
-//! is an identity, so it is fused ([`LaunchPlan::fused`]): the consumer
-//! runs inside its producer's invocation, and a chain of such stages
-//! (Q12's join → agg → sort) is one fleet future, one invocation, one
-//! result message — with one [`StageReport`] per stage all the same.
+//! edge from a one-worker fleet into a one-worker consumer that alone
+//! reads it is an identity, so it may be fused ([`LaunchPlan::fused`]):
+//! the consumer runs inside its *host*, the producer's invocation, and a
+//! chain of such stages (Q12's orders scan → join → agg → sort) is one
+//! fleet future, one invocation, one result message — with one
+//! [`StageReport`] per stage all the same. A member that reads other
+//! edges (the join) gets their addresses through its inbox while the
+//! host runs; a host that waits past its priced bound ships its part
+//! after all, and the rest of the chain launches as a fleet of its own.
 //! Results ride that message when they are small
 //! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
 //! stored rest concurrently. Collection keeps a few result-queue long
@@ -56,6 +60,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::ops::Range;
@@ -73,13 +78,16 @@ use lambada_engine::physical::{
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
 use lambada_sim::services::object_store::Bytes;
+use lambada_sim::sync::{select2, Either};
 use lambada_sim::{BillingSnapshot, Cloud};
 
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
 use crate::invoke::{self, invoke_workers};
-use crate::message::{ResultPayload, Section, Wire, WorkerMetrics, WorkerResult};
+use crate::message::{
+    encode_in_edges, ResultPayload, Section, Wire, WorkerMetrics, WorkerResult, SQS_MESSAGE_BYTES,
+};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -88,11 +96,11 @@ use crate::stage::{
     StageOutput,
 };
 use crate::table::TableSpec;
-use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
+use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind, ADDRESS_BYTES};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp, StageSink,
-    StageTask, WorkerPayload, WorkerTask,
+    edge_bytes, register_worker_function, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp,
+    StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -270,8 +278,10 @@ pub struct StageReport {
     pub workers: usize,
     /// Id of the stage whose invocations ran this one: `id` itself, or
     /// the head of the fused chain this stage ran in (see
-    /// [`LaunchPlan::fused`]). A fused stage shares its head's launch,
-    /// timing and billing window, and launches no invocation of its own.
+    /// [`LaunchPlan::fused`]) — or, after its host fell back, the stage
+    /// the rest of the chain launched at. A fused stage shares its
+    /// head's launch, timing and billing window, and launches no
+    /// invocation of its own.
     pub chain: usize,
     /// Virtual seconds from the stage's enqueue (query start) to its
     /// last worker report: `queue_wait_secs + exec_secs`.
@@ -365,8 +375,9 @@ pub struct QueryReport {
     pub cost: BillingSnapshot,
     /// Worker invocations launched across all stages: one per fleet
     /// slot, except that a fused chain of one-worker stages runs in one
-    /// invocation. (`Σ stages[i].workers` minus the fused edges;
-    /// speculative backups are counted separately.)
+    /// invocation. (`Σ stages[i].workers` minus the fused edges that
+    /// held — a host that fell back launched one more; speculative
+    /// backups are counted separately.)
     pub workers: usize,
     pub cold_starts: u64,
     pub worker_metrics: Vec<WorkerMetrics>,
@@ -442,6 +453,21 @@ pub struct Lambada {
 
 static INSTANCE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Scope guard for a query's inboxes: dropping it (query finished,
+/// successfully or not) deletes every one, so no query leaks a queue.
+struct QueueGuard {
+    sqs: lambada_sim::services::queue::QueueService,
+    names: Vec<String>,
+}
+
+impl Drop for QueueGuard {
+    fn drop(&mut self) {
+        for name in &self.names {
+            self.sqs.delete_queue(name);
+        }
+    }
+}
+
 /// Scope guard for the p2p endpoints a direct-transport query registers:
 /// dropping it (query finished, successfully or not) deregisters every
 /// endpoint under the query's key prefix so the rendezvous service never
@@ -479,11 +505,12 @@ pub struct LaunchPlan<'a> {
     /// `Some` exactly for a stage one of whose readers is a sort stage:
     /// the keys, limit and schema its fleet ships its runs with.
     pub sort_edges: Vec<Option<SortEdgeSpec>>,
-    /// Whether the stage's out-edge is *fused*: the stage runs on one
-    /// worker, its one reader is a stage that runs on one worker and
-    /// reads nothing else. Such an edge moves no rows between workers,
-    /// so the consumer runs in the producer's invocation — no exchange
-    /// objects, requests, invocation or result message for it.
+    /// Whether the stage's out-edge is *fused*: the stage is its reader's
+    /// *host*. Both run on one worker, the reader is the edge's only one,
+    /// and the reader runs inside the host's invocation on the parts the
+    /// host hands on — no exchange objects, requests, invocation or
+    /// result message for the edge. A reader with other in-edges gets
+    /// their addresses through its inbox while the host runs.
     pub fused: Vec<bool>,
     /// How many encoded bytes each sender of the stage's out-edge may
     /// ship inline: its [`crate::transport::inline_budget`] among every
@@ -507,17 +534,26 @@ impl<'a> LaunchPlan<'a> {
     /// [`crate::verify::verify_fleets`], run on the wired plan, holds
     /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
     /// and the edge pass a producer to at most one sort reader
-    /// (`V-EXCH-003`). Fusion never targets a join (two inputs), so a
-    /// chain's launch waits are exactly its head's.
+    /// (`V-EXCH-003`).
+    ///
+    /// Fusion: a one-worker consumer runs in the invocation of its *host*,
+    /// the one-worker producer whose out-edge it alone reads with the
+    /// deepest chain — ties go to the larger byte estimate `est`, then to
+    /// the lower stage id. The deepest chain is the one likely to finish
+    /// last, so the consumer's other inputs have most time to complete
+    /// before the host needs them. A chain launches when its head may,
+    /// and a member's other in-edges reach it through its inbox.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
         workers: Vec<usize>,
+        est: &[u64],
         scans: Vec<Option<ScanFleet>>,
     ) -> LaunchPlan<'a> {
-        let mut partitions = vec![0; workers.len()];
-        let mut sort_edges = vec![None; workers.len()];
-        let mut inline_budgets = vec![u64::MAX; workers.len()];
+        let n = workers.len();
+        let mut partitions = vec![0; n];
+        let mut sort_edges = vec![None; n];
+        let mut inline_budgets = vec![u64::MAX; n];
         for (pid, readers) in edges.readers.iter().enumerate() {
             for reader in readers {
                 let Some(consumer) = reader.stage else { continue };
@@ -538,14 +574,22 @@ impl<'a> LaunchPlan<'a> {
                 inline_budgets[pid] = inline_budgets[pid].min(share);
             }
         }
-        let fused = (0..workers.len())
-            .map(|p| match edges.readers[p][..] {
-                [Reader { stage: Some(c), .. }] => {
-                    workers[p] == 1 && workers[c] == 1 && edges.dag.stages[c].inputs().len() == 1
-                }
+        // Stages are in topological order, so every input's chain depth
+        // is final before its reader picks a host.
+        let (mut fused, mut depth) = (vec![false; n], vec![1usize; n]);
+        for c in (0..n).filter(|&c| workers[c] == 1) {
+            let sole_reader = |p: &usize| match edges.readers[*p][..] {
+                [Reader { stage: Some(r), .. }] => r == c,
                 _ => false,
-            })
-            .collect();
+            };
+            let inputs = edges.dag.stages[c].inputs();
+            let candidates = inputs.into_iter().filter(|&p| workers[p] == 1).filter(sole_reader);
+            let host = candidates.max_by_key(|&p| (depth[p], est.get(p).copied(), Reverse(p)));
+            if let Some(p) = host {
+                fused[p] = true;
+                depth[c] = depth[p] + 1;
+            }
+        }
         LaunchPlan { edges, pins, workers, partitions, sort_edges, fused, inline_budgets, scans }
     }
 
@@ -557,21 +601,30 @@ impl<'a> LaunchPlan<'a> {
         }
     }
 
+    /// Whether `sid` runs after its host but reads other edges too: its
+    /// host's invocation waits for their addresses in `sid`'s inbox.
+    pub(crate) fn waits(&self, sid: usize) -> bool {
+        !self.is_chain_head(sid) && self.edges.dag.stages[sid].inputs().len() > 1
+    }
+
     /// Whether `sid` runs in an invocation of its own fleet — it is no
-    /// fused edge's reader — rather than after its producer.
+    /// fused edge's reader — rather than after its host.
     pub(crate) fn is_chain_head(&self, sid: usize) -> bool {
         !self.edges.dag.stages[sid].inputs().iter().any(|&p| self.fused[p])
     }
 
     /// The stages one invocation of `head`'s fleet runs: `head`, then
-    /// every stage fused after it, in order.
+    /// every stage fused after it, in order — each the host of the next.
     pub(crate) fn chain(&self, head: usize) -> Vec<usize> {
         std::iter::successors(Some(head), |&sid| self.fused_into(sid)).collect()
     }
 }
 
-/// Result of one stage's fleet: the collected worker reports plus timing.
+/// Result of one fleet launch: the collected worker reports plus timing.
 struct StageRun {
+    /// The stages its invocations ran: a chain head, or the member a host
+    /// fell back at, then the members fused after it that ran.
+    chain: Vec<usize>,
     results: Vec<WorkerResult>,
     workers: usize,
     invoke_secs: f64,
@@ -774,7 +827,7 @@ impl Lambada {
             workers.push(fleet);
             scans.push(scan);
         }
-        let launch = LaunchPlan::wire(edges, pins, workers, scans);
+        let launch = LaunchPlan::wire(edges, pins, workers, &est, scans);
         let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
         diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.fused));
         if diags.is_empty() {
@@ -820,8 +873,9 @@ impl Lambada {
         // size, so the address book is complete before the first producer
         // launches even though consumer fleets launch later. Registration
         // failures (capacity) are fine: senders fall back to the object
-        // store for unregistered endpoints. A fused edge has no endpoint,
-        // and neither has a sort edge: blocks are not receivers.
+        // store for unregistered endpoints. A sort edge has no endpoint —
+        // blocks are not receivers — and neither has a fused edge, unless
+        // its reader waits: then the host may ship its part after all.
         let transport_kind = policy.transport.unwrap_or(self.config.transport);
         let transport = Rc::new(EdgeTransport::new(
             self.config.exchange.clone(),
@@ -830,7 +884,8 @@ impl Lambada {
         ));
         let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
             for (sid, &parts) in launch.partitions.iter().enumerate() {
-                if launch.fused[sid] || launch.sort_edges[sid].is_some() {
+                let handed = launch.fused_into(sid).is_some_and(|c| !launch.waits(c));
+                if handed || launch.sort_edges[sid].is_some() {
                     continue;
                 }
                 let channel = self.channel(qid, sid);
@@ -841,13 +896,11 @@ impl Lambada {
             P2pGuard { p2p: self.cloud.p2p.clone(), prefix: format!("x{}/q{qid}/", self.instance) }
         });
 
-        // Build every stage's task, consumers first so a fused producer
-        // can link the stage it hands its part to, and every chain head's
-        // payloads, before anything launches: a payload-planning failure
-        // must surface before the first invocation, and result queues are
-        // created only after *all* payloads built without error so a
-        // planning failure cannot leak one. Edge addresses are the one
-        // per-worker part known only at launch: the fleet fills them in.
+        // Build every stage's task, consumers first so a host can link
+        // the stage it hands its part to, before anything launches: a
+        // planning failure must surface before the first invocation.
+        // Edge addresses are the one per-worker part known only at
+        // launch: the fleet fills them in.
         let n = dag.stages.len();
         let mut tasks: Vec<Rc<StageTask>> = Vec::with_capacity(n); // stage n - 1 first
         for sid in (0..n).rev() {
@@ -858,45 +911,47 @@ impl Lambada {
                     dag.stages[sid].label(sid)
                 ),
                 task: Rc::clone(&tasks[n - 1 - c]),
+                slot: dag.stages[c].inputs().iter().position(|&i| i == sid).unwrap_or_default(),
+                inbox: launch.waits(c).then(|| self.inbox(qid, c)),
             });
             tasks.push(Rc::new(self.stage_task(qid, sid, &launch, &transport, fused_into)?));
         }
         tasks.reverse();
-        let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
-        let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(heads.len());
-        for &head in &heads {
-            let result_queue = format!("lambada-results-x{}-q{qid}-s{head}", self.instance);
-            let task = &tasks[head];
-            // One payload per fleet slot; the worker id doubles as the
-            // file-chunk id (scans) or the partition id (consumers).
-            let payloads = (0..launch.workers[head])
-                .map(|w| WorkerPayload {
-                    worker_id: w as u64,
-                    attempt: 0,
-                    query: qid,
-                    task: WorkerTask::Stage(Rc::clone(task)),
-                    edges: Vec::new(),
-                    children: Vec::new(),
-                    result_queue: result_queue.clone(),
-                })
-                .collect();
-            staged.push((result_queue, payloads));
+        // Every waiting stage's inbox exists before its host launches and
+        // is deleted when the query ends, however it ends.
+        let inboxes = QueueGuard {
+            sqs: self.cloud.sqs.clone(),
+            names: (0..n)
+                .filter(|&sid| launch.waits(sid))
+                .map(|sid| self.inbox(qid, sid))
+                .collect(),
+        };
+        for inbox in &inboxes.names {
+            self.cloud.sqs.create_queue(inbox);
         }
 
         // One concurrently spawned fleet future per chain head, sequenced
         // by the shared board: each future sleeps until its head's inputs
         // have completed, addresses its workers' reads from their
         // producers' section tables, admits its whole fleet through the
-        // gate, invokes, and collects.
+        // gate, invokes, feeds its members' inboxes, and collects.
         let board = Rc::new(StageBoard::new(dag));
+        let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
         let mut handles = Vec::with_capacity(heads.len());
-        for (&head, (result_queue, payloads)) in heads.iter().zip(staged) {
-            self.cloud.sqs.create_queue(&result_queue);
-            let chain = launch.chain(head);
-            let last = chain.last().copied().unwrap_or(head);
-            let receivers = launch.partitions[last];
-            let sort = launch.sort_edges[last].clone();
-            let fleet = Fleet { result_queue, payloads, sort, chain, receivers };
+        for &head in &heads {
+            let chain = launch.chain(head).into_iter().map(|sid| Member {
+                sid,
+                task: Rc::clone(&tasks[sid]),
+                receivers: launch.partitions[sid],
+                sort: launch.sort_edges[sid].clone(),
+                inbox: launch.waits(sid).then(|| self.inbox(qid, sid)),
+            });
+            let fleet = Fleet {
+                query: qid,
+                queues: format!("lambada-results-x{}-q{qid}", self.instance),
+                workers: launch.workers[head],
+                chain: chain.collect(),
+            };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 self.cloud.clone(),
                 self.config.clone(),
@@ -907,35 +962,42 @@ impl Lambada {
         }
         // On failure the board's failed flag stands the unlaunched
         // fleets down (they resolve to `None`), so this join always
-        // drains; the lowest-numbered failing stage — the most upstream,
-        // usually the root cause — wins error reporting.
+        // drains; the lowest-numbered failing chain head — the most
+        // upstream, usually the root cause — wins error reporting.
+        let outcomes = lambada_sim::sync::join_all(handles).await;
+        drop(inboxes);
+        if let Some(e) = outcomes.iter().find_map(|o| o.as_ref().err()) {
+            return Err(e.clone());
+        }
         let mut runs: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
         let mut results: Vec<Vec<WorkerResult>> = vec![Vec::new(); n];
         let mut chain_of = vec![0; n];
         let (mut invoke_secs, mut workers_total) = (0.0, 0);
-        for (&head, outcome) in heads.iter().zip(lambada_sim::sync::join_all(handles).await) {
-            let mut run = outcome?.ok_or_else(|| never_ran(head))?;
-            invoke_secs += run.invoke_secs;
-            workers_total += run.workers;
-            // Every worker's report splits into one per chain member.
-            let chain = launch.chain(head);
-            for &sid in &chain {
-                chain_of[sid] = head;
-            }
-            for r in std::mem::take(&mut run.results) {
-                let split = r.split_fused();
-                if split.len() != chain.len() {
-                    return Err(CoreError::Engine(format!(
-                        "a worker of stage {head} reported {} stages of its {}-stage chain",
-                        split.len(),
-                        chain.len()
-                    )));
+        for (&head, outcome) in heads.iter().zip(outcomes) {
+            for mut run in outcome?.ok_or_else(|| never_ran(head))? {
+                invoke_secs += run.invoke_secs;
+                workers_total += run.workers;
+                // Every worker's report splits into one per stage it ran.
+                let ran = std::mem::take(&mut run.chain);
+                let first = ran.first().copied().unwrap_or(head);
+                for &sid in &ran {
+                    chain_of[sid] = first;
                 }
-                for (&sid, r) in chain.iter().zip(split) {
-                    results[sid].push(r);
+                for r in std::mem::take(&mut run.results) {
+                    let split = r.split_fused();
+                    if split.len() != ran.len() {
+                        return Err(CoreError::Engine(format!(
+                            "a worker of stage {first} reported {} stages of its {}",
+                            split.len(),
+                            ran.len()
+                        )));
+                    }
+                    for (&sid, r) in ran.iter().zip(split) {
+                        results[sid].push(r);
+                    }
                 }
+                runs[first] = Some(run);
             }
-            runs[head] = Some(run);
         }
 
         let mut stage_reports: Vec<StageReport> = Vec::with_capacity(n);
@@ -1098,6 +1160,12 @@ impl Lambada {
     /// one cloud never read each other's shuffle files.
     fn channel(&self, qid: u64, sid: usize) -> String {
         format!("x{}/q{qid}/s{sid}", self.instance)
+    }
+
+    /// The inbox of stage `sid` of query `qid`: where the driver sends the
+    /// addresses of its other in-edges while its host runs.
+    fn inbox(&self, qid: u64, sid: usize) -> String {
+        format!("lambada-inbox-x{}-q{qid}-s{sid}", self.instance)
     }
 
     /// Driver-scope post-processing (§3.2: "post-processing like
@@ -1265,17 +1333,30 @@ fn dealt(files: Range<usize>, workers: usize) -> impl Iterator<Item = Range<usiz
 
 /// One chain's fleet as the driver spawns it.
 struct Fleet {
-    result_queue: String,
-    /// One payload per fleet slot, edge addresses still empty.
-    payloads: Vec<WorkerPayload>,
-    /// The chain's out-edge, if it is a sort edge: its reports carry
-    /// blocks and starts, not one section per receiver.
-    sort: Option<SortEdgeSpec>,
+    query: u64,
+    /// Prefix of the result queue each launch creates for itself:
+    /// `{queues}-s{head}`.
+    queues: String,
+    /// The head's fleet size (a chain of several stages is one worker).
+    workers: usize,
     /// The head, then every stage fused after it.
-    chain: Vec<usize>,
-    /// Consumer fleet size of the chain's out-edge: how many sections
+    chain: Vec<Member>,
+}
+
+/// One stage of a chain, as its fleet future drives it.
+struct Member {
+    sid: usize,
+    /// What a fleet launched at this stage runs.
+    task: Rc<StageTask>,
+    /// Consumer fleet size of the stage's out-edge: how many sections
     /// every report must carry (0 when the driver reads it).
     receivers: usize,
+    /// The stage's out-edge, if it is a sort edge: its reports carry
+    /// blocks and starts, not one section per receiver.
+    sort: Option<SortEdgeSpec>,
+    /// Where it waits for its other in-edges' addresses, if it has any:
+    /// the member before it is its host.
+    inbox: Option<String>,
 }
 
 /// Invoke one chain's fleet and collect every worker's report. A free
@@ -1283,13 +1364,21 @@ struct Fleet {
 /// the shared [`StageBoard`] sequences them — each future first sleeps
 /// until its head's inputs have completed, then addresses every
 /// worker's reads from its producers' section tables, admits its whole
-/// fleet through the gate, invokes, and collects. All members of the
-/// chain complete with the fleet; the last one's section tables go on
-/// the board for its consumers.
-/// The stage's result queue is deleted once the fleet is collected
-/// (success or failure) — per-stage queues would otherwise leak one
-/// queue per stage per query. Late reports from superseded stragglers
-/// land on the deleted queue and vanish, which is exactly
+/// fleet through the gate, invokes, and collects. While it collects, it
+/// sends every waiting member its other in-edges' addresses the moment
+/// their producers complete ([`feed_inboxes`]). The members that ran
+/// complete with the fleet; the last one's section tables go on the
+/// board for its consumers.
+///
+/// A host that fell back reports the members up to itself, with its own
+/// section table: the future then launches the rest of the chain as a
+/// fleet of its own, once the member it stopped at is ready, and so on
+/// until the chain has run. One [`StageRun`] per launch comes back.
+///
+/// Each launch creates its result queue and deletes it once the fleet is
+/// collected (success or failure) — per-stage queues would otherwise
+/// leak one queue per stage per query. Late reports from superseded
+/// stragglers land on the deleted queue and vanish, which is exactly
 /// first-result-wins.
 ///
 /// Under the query service, `gate` is the installation's shared worker
@@ -1299,7 +1388,8 @@ struct Fleet {
 /// deadlock; the lease is whole because the fleet launches at once — its
 /// invocation tree and the straggler watcher's spans both assume so, and
 /// a fleet launched in waves would have its later waves speculated
-/// against.
+/// against. A host holding its lease waits for other fleets at most its
+/// bounded inbox wait, so it never holds the gate for good.
 ///
 /// Returns `Ok(None)` when another stage failed before this one
 /// launched: the board's failure flag lets unlaunched fleets stand down
@@ -1311,72 +1401,155 @@ async fn run_fleet(
     gate: Option<WorkerGate>,
     board: Rc<StageBoard>,
     fleet: Fleet,
-) -> Result<Option<StageRun>> {
-    let Fleet { result_queue, mut payloads, sort, chain, receivers } = fleet;
-    let head = chain.first().copied().unwrap_or_default();
-    let enqueued = cloud.handle.now();
-    loop {
-        if board.failed() {
-            cloud.sqs.delete_queue(&result_queue);
-            return Ok(None);
+) -> Result<Option<Vec<StageRun>>> {
+    let Fleet { query, queues, mut workers, chain } = fleet;
+    let (mut runs, mut at) = (Vec::new(), 0);
+    while let Some(head) = chain.get(at) {
+        let enqueued = cloud.handle.now();
+        loop {
+            if board.failed() {
+                return Ok(None);
+            }
+            if board.ready(head.sid) {
+                break;
+            }
+            board.notified().await;
         }
-        if board.ready(head) {
-            break;
+        let result_queue = format!("{queues}-s{}", head.sid);
+        let payloads: Vec<WorkerPayload> = (0..workers)
+            .map(|w| WorkerPayload {
+                // The worker id doubles as the file-chunk id (scans) or
+                // the partition id (consumers).
+                worker_id: w as u64,
+                attempt: 0,
+                query,
+                task: WorkerTask::Stage(Rc::clone(&head.task)),
+                edges: board.addresses(head.sid, w),
+                children: Vec::new(),
+                result_queue: result_queue.clone(),
+            })
+            .collect();
+        let lease = match &gate {
+            Some(g) => Some(g.admit(workers).await),
+            None => None,
+        };
+        cloud.sqs.create_queue(&result_queue);
+        let stage_start = cloud.handle.now();
+        let queue_wait_secs = (stage_start - enqueued).as_secs_f64();
+        let cost_before = cloud.billing.snapshot();
+        // Only the straggler watcher re-reads the assignments; don't copy a
+        // paper-scale fleet's payloads when speculation is off.
+        let retained: Vec<WorkerPayload> =
+            if config.speculation.enabled { payloads.clone() } else { Vec::new() };
+        let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
+        let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
+        let collected = match invoked {
+            Ok(()) => {
+                let mut collect = std::pin::pin!(collect_results(
+                    &cloud,
+                    &config,
+                    &result_queue,
+                    workers,
+                    &retained,
+                    stage_start
+                ));
+                let feed = feed_inboxes(&cloud, &board, &chain[at..]);
+                match select2(collect.as_mut(), feed).await {
+                    Either::Left(collected) => collected,
+                    Either::Right(Ok(())) => collect.await,
+                    Either::Right(Err(e)) => Err(e),
+                }
+            }
+            Err(e) => Err(e),
+        };
+        cloud.sqs.delete_queue(&result_queue);
+        drop(lease);
+        let written = collected.and_then(|c| {
+            let ran = members_ran(&c.results, &chain[at..])?;
+            let last = &chain[at + ran - 1];
+            let tables = section_tables(&c.results, last.receivers, last.sort.as_ref())?;
+            Ok((c, ran, tables))
+        });
+        let (collected, ran, tables) = match written {
+            Ok(written) => written,
+            Err(e) => {
+                // Wake every still-waiting fleet so it can stand down.
+                board.fail();
+                return Err(e);
+            }
+        };
+        let members = &chain[at..at + ran];
+        if let Some((last, ahead)) = members.split_last() {
+            for member in ahead {
+                board.complete(member.sid, Vec::new());
+            }
+            board.complete(last.sid, tables);
         }
-        board.notified().await;
+        runs.push(StageRun {
+            chain: members.iter().map(|m| m.sid).collect(),
+            results: collected.results,
+            workers,
+            invoke_secs,
+            queue_wait_secs,
+            exec_secs: (cloud.handle.now() - stage_start).as_secs_f64(),
+            cost: cloud.billing.snapshot().since(&cost_before),
+            backup_invocations: collected.backup_invocations,
+        });
+        // A fused member runs on one worker, and so does the fleet that
+        // picks the chain up after a host fell back.
+        (at, workers) = (at + ran, 1);
     }
-    for p in &mut payloads {
-        p.edges = board.addresses(head, p.worker_id as usize);
+    Ok(Some(runs))
+}
+
+/// How many members of `chain` — a launch's head, then the members fused
+/// after it — the launch's workers ran: all of them, or the ones up to a
+/// host that fell back before a waiting member. Every report must agree.
+fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
+    let ran = results.first().map_or(chain.len(), |r| r.fused.len() + 1);
+    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.inbox.is_some());
+    let agreed = results.iter().all(|r| r.fused.len() + 1 == ran);
+    if !agreed || ran > chain.len() || (ran < chain.len() && !stopped_at_inbox) {
+        let (head, members) = (chain.first().map_or(0, |m| m.sid), chain.len());
+        return Err(CoreError::Engine(format!(
+            "a worker of stage {head} reported {ran} stages of its {members}-stage chain"
+        )));
     }
-    let workers = payloads.len();
-    let lease = match &gate {
-        Some(g) => Some(g.admit(workers).await),
-        None => None,
-    };
-    let stage_start = cloud.handle.now();
-    let queue_wait_secs = (stage_start - enqueued).as_secs_f64();
-    let cost_before = cloud.billing.snapshot();
-    // Only the straggler watcher re-reads the assignments; don't copy a
-    // paper-scale fleet's payloads when speculation is off.
-    let retained: Vec<WorkerPayload> =
-        if config.speculation.enabled { payloads.clone() } else { Vec::new() };
-    let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
-    let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
-    let collected = match invoked {
-        Ok(()) => {
-            collect_results(&cloud, &config, &result_queue, workers, &retained, stage_start).await
+    Ok(ran)
+}
+
+/// Send each waiting member of `chain` — a launch's head, then the
+/// members fused after it — the addresses of its other in-edges the
+/// moment their producers complete, in chain order, over the driver's
+/// SQS client: the same [`InEdge`]s its payload would have carried, held
+/// to the same cap and paying their inline bytes over the driver's link
+/// the same way. (A launch after a fallback may send a member a second,
+/// identical message: the first it reads is the one.) Returns once every
+/// member is sent, or the query failed.
+async fn feed_inboxes(cloud: &Cloud, board: &StageBoard, chain: &[Member]) -> Result<()> {
+    for pair in chain.windows(2) {
+        let ([host, member], Some(inbox)) = (pair, &pair[1].inbox) else { continue };
+        loop {
+            if board.failed() {
+                return Ok(());
+            }
+            if board.ready_beside(member.sid, host.sid) {
+                break;
+            }
+            board.notified().await;
         }
-        Err(e) => Err(e),
-    };
-    cloud.sqs.delete_queue(&result_queue);
-    drop(lease);
-    let written = collected.and_then(|c| {
-        let tables = section_tables(&c.results, receivers, sort.as_ref())?;
-        Ok((c, tables))
-    });
-    let (collected, tables) = match written {
-        Ok(written) => written,
-        Err(e) => {
-            // Wake every still-waiting fleet so it can stand down.
-            board.fail();
-            return Err(e);
+        let edges = board.addresses(member.sid, 0);
+        let size = edge_bytes(&edges, ADDRESS_BYTES);
+        if size > SQS_MESSAGE_BYTES {
+            return Err(CoreError::Queue(format!(
+                "stage {}'s addresses take {size} B, over the {SQS_MESSAGE_BYTES} B cap",
+                member.sid
+            )));
         }
-    };
-    if let Some((&last, ahead)) = chain.split_last() {
-        for &sid in ahead {
-            board.complete(sid, Vec::new());
-        }
-        board.complete(last, tables);
+        invoke::carry_inline(cloud, edge_bytes(&edges, 0)).await;
+        cloud.driver_sqs().send(inbox, encode_in_edges(&edges)).await?;
     }
-    Ok(Some(StageRun {
-        results: collected.results,
-        workers,
-        invoke_secs,
-        queue_wait_secs,
-        exec_secs: (cloud.handle.now() - stage_start).as_secs_f64(),
-        cost: cloud.billing.snapshot().since(&cost_before),
-        backup_invocations: collected.backup_invocations,
-    }))
+    Ok(())
 }
 
 /// Where each of the `receivers` consumer workers finds the out-edge,

@@ -7,7 +7,7 @@
 use lambada_sim::services::faas::InstanceCtx;
 use lambada_sim::services::object_store::S3Client;
 use lambada_sim::services::queue::SqsClient;
-use lambada_sim::Cloud;
+use lambada_sim::{Cloud, SimTime};
 
 use crate::costmodel::ComputeCostModel;
 
@@ -24,13 +24,17 @@ pub struct WorkerEnv {
     /// this worker writes so duplicates stay distinguishable.
     pub attempt: u32,
     pub costs: ComputeCostModel,
+    /// When the invocation's handler started: its billed time runs from
+    /// here.
+    pub started: SimTime,
 }
 
 impl WorkerEnv {
     pub fn new(cloud: &Cloud, ctx: InstanceCtx, worker_id: u64, costs: ComputeCostModel) -> Self {
         let s3 = cloud.s3.client(ctx.link(), std::time::Duration::ZERO);
         let sqs = cloud.instance_sqs();
-        WorkerEnv { cloud: cloud.clone(), ctx, s3, sqs, worker_id, attempt: 0, costs }
+        let started = cloud.handle.now();
+        WorkerEnv { cloud: cloud.clone(), ctx, s3, sqs, worker_id, attempt: 0, costs, started }
     }
 
     /// An environment outside the FaaS dispatch path (benches and tests

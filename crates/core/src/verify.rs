@@ -26,7 +26,8 @@
 //!   execution — nonzero fleets, cost-model bounds, pinned fleets
 //!   respected, shared edges with equal consumer fleets (the partition
 //!   count of an edge *is* its consumer's fleet size) — and
-//!   [`verify_fused`] that every fused edge is a 1 → 1 identity.
+//!   [`verify_fused`] that every fused edge is a 1 → 1 host edge, one
+//!   host to a consumer.
 //!
 //! The scheduler needs no check of its own: a stage waits for exactly
 //! its inputs, which the topological-order check already holds to
@@ -113,9 +114,9 @@ pub mod codes {
     /// the edge's partition count is its consumer fleet size, so shared
     /// edges need equal consumer fleets.
     pub const FLEET_SHARED_EDGE: &str = "V-FLEET-004";
-    /// A fused edge is not an identity: its producer or consumer fleet
-    /// is not one worker, it has another reader (or the driver reads
-    /// it), or its consumer reads a second edge — the consumer could not
+    /// A fused edge is no host edge: its producer or consumer fleet is
+    /// not one worker, it has another reader (or the driver reads it), or
+    /// its consumer already runs in another host — the consumer could not
     /// run inside the producer's invocation on the producer's parts.
     pub const FLEET_FUSED: &str = "V-FLEET-005";
     /// A non-driver output edge has no consumer (dangling exchange), or
@@ -771,10 +772,11 @@ pub fn verify_fleets(
 }
 
 /// Verify the fused edges of a sized plan ([`crate::LaunchPlan::fused`],
-/// one flag per stage): a fused edge runs its consumer inside the
-/// producer's one invocation on the producer's parts, so both fleets
-/// are one worker, the consumer is the edge's only reader (not the
-/// driver) and reads no other edge.
+/// one flag per stage): a fused edge runs its consumer inside its host —
+/// the producer's one invocation — on the host's parts, so both fleets
+/// are one worker, the consumer is the host edge's only reader (not the
+/// driver), and a consumer has at most one host. Its other in-edges, if
+/// any, reach it by address.
 pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> Vec<Diagnostic> {
     let stages = &edges.dag.stages;
     if fused.len() != stages.len() || fleets.len() != stages.len() {
@@ -791,21 +793,25 @@ pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> 
     }
     let mut out = Vec::new();
     for p in (0..stages.len()).filter(|&p| fused[p]) {
-        let problem = match edges.readers[p][..] {
+        let readers = &edges.readers[p];
+        let problem = match readers[..] {
             _ if fleets[p] != 1 => format!("its producer runs {} workers", fleets[p]),
             [Reader { stage: Some(c), .. }] if fleets[c] != 1 => {
                 format!("its consumer stage {c} runs {} workers", fleets[c])
             }
-            [Reader { stage: Some(c), .. }] if stages[c].inputs().len() != 1 => {
-                format!("its consumer stage {c} reads {} edges", stages[c].inputs().len())
+            [Reader { stage: Some(c), .. }] => {
+                match stages[c].inputs().into_iter().find(|&h| h < p && fused[h]) {
+                    Some(h) => format!("its consumer stage {c} already runs in stage {h}"),
+                    None => continue,
+                }
             }
-            [Reader { stage: Some(_), .. }] => continue,
-            _ => format!("it has {} readers, not one stage", edges.readers[p].len()),
+            _ if readers.iter().any(|r| r.stage.is_none()) => "the driver reads it".to_string(),
+            _ => format!("it has {} readers, not one stage", readers.len()),
         };
         out.push(Diagnostic::new(
             codes::FLEET_FUSED,
             p,
-            format!("out-edge marked fused but {problem}; only a 1 → 1 identity edge fuses"),
+            format!("out-edge marked fused but {problem}; only a 1 → 1 host edge fuses"),
         ));
     }
     out
@@ -829,7 +835,7 @@ pub(crate) mod test_dags {
     /// pinned.
     pub(crate) fn sized(dag: &QueryDag, workers: Vec<usize>) -> LaunchPlan<'_> {
         let n = dag.stages.len();
-        LaunchPlan::wire(dag.edges(), vec![None; n], workers, vec![None; n])
+        LaunchPlan::wire(dag.edges(), vec![None; n], workers, &[], vec![None; n])
     }
 
     pub(crate) fn schema(n: usize) -> SchemaRef {
@@ -984,10 +990,11 @@ pub(crate) mod test_dags {
 #[cfg(test)]
 mod tests {
     use super::test_dags::{
-        agg_merge, agg_scan, collect_scan, diamond_dag, scan_sort_dag, schema, single_scan_dag,
-        sized, sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
+        agg_merge, agg_scan, collect_scan, diamond_dag, join_stage, scan_sort_dag, schema,
+        single_scan_dag, sized, sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
     };
     use super::*;
+    use crate::driver::LaunchPlan;
     use lambada_engine::types::{DataType, Field};
     use lambada_engine::{AggFunc, Expr};
 
@@ -1168,40 +1175,85 @@ mod tests {
         }
     }
 
-    /// Fusion is a pure function of fleet sizes and the edge table: a
-    /// 1 → 1 edge into a single-input consumer fuses, nothing else does.
+    /// Fusion is a pure function of fleet sizes, byte estimates and the
+    /// edge table: a one-worker consumer runs in the one-worker producer
+    /// it alone reads with the deepest chain — ties to the larger
+    /// estimate, then the lower id — and nothing else fuses.
     #[test]
-    fn only_one_worker_edges_into_single_input_consumers_fuse() {
+    fn one_worker_consumers_run_in_their_deepest_one_worker_producer() {
         let fused = |dag: &QueryDag, workers: Vec<usize>| sized(dag, workers).fused;
         let chain = merge_chain_dag();
         assert_eq!(fused(&chain, vec![1, 1]), [true, false]);
         assert_eq!(fused(&chain, vec![2, 1]), [false, false], "two producers");
         assert_eq!(fused(&chain, vec![1, 2]), [false, false], "two consumers");
-        // A join reads two edges; in the diamond the scan has four readers
-        // and the middle joins feed a join.
-        assert_eq!(fused(&two_scan_join_dag(), vec![1; 3]), [false; 3]);
-        assert_eq!(fused(&diamond_dag(), vec![1; 4]), [false; 4]);
-        assert_eq!(fused(&unbalanced_join_dag(), vec![1; 4]), [false; 4]);
+        // A join runs in one of its scans: the lower id on a tie, the
+        // larger estimate otherwise, the one-worker one if only one is.
+        let join = two_scan_join_dag();
+        assert_eq!(fused(&join, vec![1; 3]), [true, false, false]);
+        let wired = |workers: Vec<usize>, est: &[u64]| {
+            LaunchPlan::wire(join.edges(), vec![None; 3], workers, est, vec![None; 3]).fused
+        };
+        assert_eq!(wired(vec![1; 3], &[10, 20, 0]), [false, true, false], "the larger estimate");
+        assert_eq!(wired(vec![2, 1, 1], &[]), [false, true, false]);
+        assert_eq!(fused(&join, vec![1, 1, 2]), [false; 3], "a two-worker join");
+        let launch = sized(&join, vec![1; 3]);
+        assert!(launch.waits(2) && !launch.waits(0) && !launch.is_chain_head(2));
+        assert_eq!(launch.chain(0), [0, 2]);
+        // In the diamond the scan has four readers; in the unbalanced
+        // shape join 2 reads scan 0 twice. Either way the final join's
+        // two inputs are chains of one stage, and the lower id hosts.
+        assert_eq!(fused(&diamond_dag(), vec![1; 4]), [false, true, false, false]);
+        assert_eq!(fused(&unbalanced_join_dag(), vec![1; 4]), [false, true, false, false]);
         // The one-worker sort edge fuses; the chain is one invocation.
         let sort = scan_sort_dag();
         let launch = sized(&sort, vec![1, 1]);
         assert_eq!(launch.fused, [true, false]);
         assert_eq!(launch.chain(0), [0, 1]);
-        assert!(launch.is_chain_head(0) && !launch.is_chain_head(1));
+        assert!(launch.is_chain_head(0) && !launch.is_chain_head(1) && !launch.waits(1));
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+        for dag in [two_scan_join_dag(), diamond_dag(), unbalanced_join_dag()] {
+            let launch = sized(&dag, vec![1; dag.stages.len()]);
+            assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+        }
+    }
+
+    /// The deepest chain hosts: in a three-way join tree whose first join
+    /// runs in its scan, the second join runs in the first — depth 2 —
+    /// not in the other scan, whatever the estimates say.
+    #[test]
+    fn the_deepest_chain_hosts() {
+        let dag = QueryDag {
+            stages: vec![
+                collect_scan(StageOutput::Exchange { keys: vec![0] }),
+                collect_scan(StageOutput::Exchange { keys: vec![0] }),
+                collect_scan(StageOutput::Exchange { keys: vec![0] }),
+                join_stage(0, 1, StageOutput::Exchange { keys: vec![0] }),
+                join_stage(2, 3, StageOutput::Driver),
+            ],
+            final_stage: FinalStage::CollectBatches { schema: schema(2), post: Vec::new() },
+        };
+        let est = [5, 1, 1000, 1, 1];
+        let launch = LaunchPlan::wire(dag.edges(), vec![None; 5], vec![1; 5], &est, vec![None; 5]);
+        assert_eq!(launch.fused, [true, false, false, true, false]);
+        assert_eq!(launch.chain(0), [0, 3, 4]);
+        assert!(launch.waits(3) && launch.waits(4));
         assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
     }
 
-    /// A fused edge must be an identity; a plan marking anything else
-    /// fused is rejected.
+    /// A fused edge must be a host edge; a plan marking anything else
+    /// fused is rejected: two hosts for one consumer, a host the driver
+    /// reads, fleets of more than one worker.
     #[test]
     fn a_fused_edge_that_is_no_identity_is_fleet_005() {
         let join = two_scan_join_dag();
         let chain = merge_chain_dag();
-        let cases: [(&QueryDag, &[usize], &[bool], &str); 5] = [
-            (&join, &[1, 1, 1], &[true, false, false], "reads 2 edges"),
+        let cases: [(&QueryDag, &[usize], &[bool], &str); 7] = [
+            (&join, &[1, 1, 1], &[true, true, false], "stage 2 already runs in stage 0"),
+            (&join, &[1, 1, 1], &[false, false, true], "the driver reads it"),
+            (&chain, &[1, 1], &[false, true], "the driver reads it"),
             (&chain, &[2, 1], &[true, false], "producer runs 2 workers"),
             (&chain, &[1, 3], &[true, false], "consumer stage 1 runs 3 workers"),
-            (&chain, &[1, 1], &[true, true], "1 readers, not one stage"),
+            (&diamond_dag(), &[1; 4], &[true, false, false, false], "4 readers, not one stage"),
             (&chain, &[1, 1], &[true], "the DAG has 2"),
         ];
         for (dag, fleets, fused, says) in cases {

@@ -25,18 +25,26 @@
 //!
 //! Between two one-worker fleets an exchange edge is an identity: all of
 //! the producer's output goes to the consumer's one worker. The driver
-//! marks such an edge *fused* and launches the consumer inside the
-//! producer's invocation ([`StageTask::fused_into`]): `run_chain` runs
-//! the members one after the other, and a member's sink hands all its
-//! parts — receiver 0's one part, or a sorted run's blocks — to the next
-//! member as the exact [`PartData`] bytes the transport would have
+//! marks such an edge *fused* and runs the consumer inside its *host*,
+//! the producer's invocation ([`StageTask::fused_into`]): `run_chain`
+//! runs the members one after the other, and a member's sink hands all
+//! its parts — receiver 0's one part, or a sorted run's blocks — to the
+//! next member as the exact [`PartData`] bytes the transport would have
 //! delivered, with no PUT, LIST, GET, partitioning charge or result
-//! message, so the consumer's decode → merge/sort path is the one it
-//! runs behind a real edge. A fused member has no addresses, so a fused
-//! sorter has no range boundaries and keeps every row. A member's
-//! operator state is dropped before the next member starts, every budget
-//! check stays, and each member reports its own metrics
-//! ([`WorkerResult::fused`]).
+//! message, so the consumer's decode → merge/sort/join path is the one it
+//! runs behind a real edge. The handed parts stand in for one in-edge
+//! ([`FusedStage::slot`]); a member with other in-edges — a join — reads
+//! those from addresses the driver sends its inbox
+//! ([`FusedStage::inbox`]) the moment their producers complete: the same
+//! [`InEdge`]s its payload would have carried. The host waits for them
+//! at most [`host_wait`], which prices the idle memory against the
+//! member's own launch; past it the host ships its parts through the
+//! transport after all, reports its section table, and the driver
+//! launches the rest of the chain as a fleet of its own. A handed edge
+//! has no addresses, so a fused sorter has no range boundaries and keeps
+//! every row. A member's operator state is dropped before the next member
+//! starts, every budget check stays, and each member reports its own
+//! metrics ([`WorkerResult::fused`]).
 //!
 //! # Results
 //!
@@ -51,8 +59,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::rc::Rc;
+use std::time::Duration;
 
 use lambada_engine::agg::GroupedAggState;
 use lambada_engine::join::JoinState;
@@ -66,18 +76,20 @@ use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{mpsc, try_join2};
-use lambada_sim::Cloud;
+use lambada_sim::{Cloud, Prices};
 
 use crate::costmodel::ComputeCostModel;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{run_exchange, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData};
 use crate::invoke;
-use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
+use crate::message::{
+    decode_in_edges, ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES,
+};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
-use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, KEY_BYTES};
+use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, TransportKind, KEY_BYTES};
 
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
@@ -184,6 +196,17 @@ pub enum StageSink {
     SortEdge { channel: String, inline_budget: u64, edge: SortEdgeSpec },
 }
 
+impl StageSink {
+    /// An edge sink's channel and inline budget; `None` for a report.
+    fn edge(&self) -> Option<(&str, u64)> {
+        match self {
+            StageSink::Report => None,
+            StageSink::Edge { channel, inline_budget }
+            | StageSink::SortEdge { channel, inline_budget, .. } => Some((channel, *inline_budget)),
+        }
+    }
+}
+
 /// One stage's assignment, shared by its whole fleet.
 pub struct StageTask {
     pub op: StageOp,
@@ -200,11 +223,18 @@ pub struct StageTask {
     pub fused_into: Option<FusedStage>,
 }
 
-/// The stage a fused out-edge feeds, run right after its producer.
+/// The stage a fused out-edge feeds, run right after its host.
 pub struct FusedStage {
     /// How errors name the stage: `agg#5 (fused after join#4)`.
     pub label: String,
     pub task: Rc<StageTask>,
+    /// Which of the stage's in-edges the host's handed parts are: its
+    /// position among the stage's inputs.
+    pub slot: usize,
+    /// The queue the driver sends the addresses of the stage's other
+    /// in-edges to ([`crate::message::encode_in_edges`]); `None` when it
+    /// reads no other edge.
+    pub inbox: Option<String>,
 }
 
 /// What a worker is asked to do.
@@ -253,13 +283,8 @@ impl WorkerPayload {
     /// the payload is sized at against the invoke cap. The task is not
     /// sized: the fleet shares it, and the sim hands it over by reference.
     pub fn edge_bytes(&self, per_address: usize) -> usize {
-        let addrs = self.edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
-            At::Inline(bytes) => bytes.len() + per_address,
-            _ => per_address,
-        });
-        let bounds = self.edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
         let children = self.children.iter().map(|c| c.edge_bytes(per_address));
-        addrs.sum::<usize>() + bounds.sum::<usize>() + children.sum::<usize>()
+        edge_bytes(&self.edges, per_address) + children.sum::<usize>()
     }
 
     /// The same assignment re-issued as a speculative backup: next
@@ -277,6 +302,48 @@ impl WorkerPayload {
             result_queue: self.result_queue.clone(),
         }
     }
+}
+
+/// The bytes `edges` add to a payload or an inbox message: their inline
+/// sections and boundaries ([`KEY_BYTES`] a key) plus `per_address` for
+/// each address.
+pub fn edge_bytes(edges: &[InEdge], per_address: usize) -> usize {
+    let addrs = edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
+        At::Inline(bytes) => bytes.len() + per_address,
+        _ => per_address,
+    });
+    let bounds = edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
+    addrs.sum::<usize>() + bounds.sum::<usize>()
+}
+
+/// How long a host, `elapsed` seconds into its invocation, may idle for
+/// its next member's addresses before idling costs more than running that
+/// member on its own. The rest of the billing quantum it has started is
+/// free; past it, its memory may idle for as many whole quanta as the
+/// member's own launch would cost: the invoke request, one quantum and —
+/// when the host's section would go through the object store (`spills`:
+/// over its inline budget, on the object-store transport; the direct
+/// transport streams it) — the PUT and GET that carry it. Idling into a
+/// quantum bills all of it, so the bound stops at the last whole one that
+/// costs no more than the launch. Derived from the prices, the function's
+/// memory and the quantum alone: nothing here is a knob.
+pub fn host_wait(
+    prices: &Prices,
+    memory_mib: u32,
+    quantum: f64,
+    elapsed: f64,
+    spills: bool,
+) -> f64 {
+    let per_second = prices.lambda_gib_second * f64::from(memory_mib) / 1024.0;
+    let free = if quantum > 0.0 { (elapsed / quantum).ceil() * quantum - elapsed } else { 0.0 };
+    let transfer = if spills { prices.s3_put + prices.s3_get } else { 0.0 };
+    let launch = prices.lambda_request + quantum * per_second + transfer;
+    let idle = match (per_second > 0.0, quantum > 0.0) {
+        (false, _) => 0.0,
+        (true, false) => launch / per_second,
+        (true, true) => (launch / (quantum * per_second)).floor() * quantum,
+    };
+    free.max(0.0) + idle
 }
 
 /// Register the Lambada worker function on the cloud. Re-registering
@@ -433,26 +500,68 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
 }
 
 /// Run a stage task and every stage fused after it, one after the
-/// other: the head reads its in-edges at `edges`, every member after it
-/// the parts its predecessor handed on, with no addresses. Members ahead
-/// of the last are timed here; an error names the member it happened in.
+/// other: the head reads its in-edges at `edges`; every member after it
+/// reads the parts its host handed on and, if it has other in-edges, the
+/// addresses the driver sends its inbox. A host waits for those at most
+/// [`host_wait`]; past that it ships its parts through the transport,
+/// reports its section table, and the invocation ends there: the driver
+/// launches the rest of the chain. A member's time runs from its host's
+/// handoff, its wait included. Members ahead of the last are timed here;
+/// an error names the member it happened in.
 async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
     let mut ahead = Vec::new();
-    let (mut task, mut input, mut label, mut edges) = (head, None, None, edges);
+    let (mut task, mut label, mut handed) = (head, None, None);
+    let mut edges = Cow::Borrowed(edges);
+    let mut start = env.cloud.handle.now();
     loop {
-        let start = env.cloud.handle.now();
-        let ran = run_stage(env, task, input.take(), edges).await;
-        let (payload, mut metrics, handoff) = ran.map_err(|e| match label {
+        let named = |e: CoreError| match label {
             Some(label) => format!("{label}: {e}"),
             None => e.to_string(),
-        })?;
-        let Some(next) = &task.fused_into else {
+        };
+        let ran = run_stage(env, task, handed.take(), &edges).await;
+        let (payload, mut metrics, handoff) = ran.map_err(named)?;
+        let (Some(next), Some(handoff)) = (&task.fused_into, handoff) else {
             return Ok((payload, metrics, ahead));
         };
-        metrics.processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
+        let handed_off = env.cloud.handle.now();
+        edges = match &next.inbox {
+            None => Cow::Borrowed(&[]),
+            Some(inbox) => {
+                match await_addresses(env, task, inbox, &handoff).await.map_err(named)? {
+                    Some(addressed) => Cow::Owned(addressed),
+                    None => {
+                        let payload =
+                            ship(env, task, handoff, &mut metrics).await.map_err(named)?;
+                        return Ok((payload, metrics, ahead));
+                    }
+                }
+            }
+        };
+        metrics.processing_secs = (handed_off - start).as_secs_f64();
         ahead.push((payload, metrics));
-        (task, input, label, edges) = (&next.task, handoff, Some(&next.label), &[]);
+        (task, label, handed, start) =
+            (&next.task, Some(&next.label), Some((next.slot, handoff.parts)), handed_off);
     }
+}
+
+/// The addresses of the next member's other in-edges, from its inbox,
+/// waiting at most [`host_wait`] for them: `None` if they did not come.
+async fn await_addresses(
+    env: &WorkerEnv,
+    task: &StageTask,
+    inbox: &str,
+    handoff: &Handoff,
+) -> Result<Option<Vec<InEdge>>> {
+    let held: u64 = handoff.parts.iter().map(PartData::len).sum();
+    let stored = task.transport.kind() == TransportKind::ObjectStore;
+    let spills = stored && task.sink.edge().is_some_and(|(_, budget)| held > budget);
+    let start = env.cloud.handle.now();
+    let elapsed = (start - env.started).as_secs_f64();
+    let (prices, quantum) = (env.cloud.billing.prices(), env.cloud.config.faas.billing_quantum);
+    let wait = host_wait(&prices, env.ctx.memory_mib(), quantum, elapsed, spills);
+    let got = env.sqs.receive(inbox, 1, Duration::from_secs_f64(wait)).await?;
+    env.cloud.trace.record(env.worker_id, "inbox_wait", start, env.cloud.handle.now());
+    got.first().map(|msg| decode_in_edges(msg)).transpose()
 }
 
 /// Blocks a sort-edge producer cuts its run into, at most: their first
@@ -461,6 +570,39 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
 /// row lands in exactly one range either way — so a small constant
 /// suffices.
 pub(crate) const SORT_SAMPLE_ROWS: usize = 32;
+
+/// What a fused member hands the next: the rows that left it, its parts
+/// for receiver 0 — or its run's blocks — and, on a sort edge, their
+/// first keys.
+#[derive(Debug)]
+struct Handoff {
+    rows: u64,
+    parts: Vec<PartData>,
+    starts: Option<Vec<u8>>,
+}
+
+/// Send `handoff` onto the task's out-edge through the transport, the
+/// one write whatever wire carries it, and report the section table.
+async fn ship(
+    env: &WorkerEnv,
+    task: &StageTask,
+    handoff: Handoff,
+    metrics: &mut WorkerMetrics,
+) -> Result<ResultPayload> {
+    let Some((channel, inline_budget)) = task.sink.edge() else {
+        return Err(CoreError::Engine("a stage that reports has no edge to ship on".to_string()));
+    };
+    let Handoff { rows, parts, starts } = handoff;
+    // Blocks (what starts come with) stream to no mailbox, and the
+    // starts ride the message beside whatever goes inline.
+    let (stream, starts_len) = (starts.is_none(), starts.as_ref().map_or(0, Vec::len));
+    let inline_budget = inline_budget.saturating_sub(starts_len as u64);
+    let sender = env.worker_id as usize;
+    let (stats, sections, inline) =
+        task.transport.send(env, channel, sender, parts, inline_budget, stream).await?;
+    let bytes = fold_write_stats(metrics, stats);
+    Ok(ResultPayload::Sections { rows, bytes, sections, inline, starts })
+}
 
 /// Fold one stage-edge send's request accounting into the worker
 /// metrics; returns the bytes that crossed the edge, whichever wire
@@ -485,16 +627,21 @@ fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
 }
 
 /// Receive one receiver's co-partition of a stage edge from the senders
-/// `edges` addresses and hand back the non-empty payloads in sender
-/// order, with the receive's request accounting. Modeled payloads carry
-/// no rows to compute on and are rejected.
+/// `edges` addresses — or, on a fused edge, take the parts its host
+/// `handed` on, at no cost — and hand back the non-empty payloads in
+/// sender order, with the receive's request accounting. Modeled payloads
+/// carry no rows to compute on and are rejected.
 async fn recv_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
     edges: &[InEdge],
     receiver: usize,
+    handed: Option<Vec<PartData>>,
 ) -> Result<(Vec<Vec<u8>>, EdgeReadStats)> {
+    if let Some(parts) = handed {
+        return Ok((real_payloads(parts)?, EdgeReadStats::default()));
+    }
     let addrs = edges.get(edge.slot).ok_or_else(|| {
         CoreError::Engine(format!("no addresses for in-edge {} ({})", edge.slot, edge.channel))
     })?;
@@ -520,8 +667,7 @@ fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
 }
 
 /// [`recv_edge`] for an operator with one in-edge: the accounting goes
-/// straight into the metrics. On a fused edge the producer's parts are
-/// `handed` already, and reading them costs nothing.
+/// straight into the metrics.
 async fn read_edge(
     env: &WorkerEnv,
     task: &StageTask,
@@ -530,12 +676,21 @@ async fn read_edge(
     handed: Option<Vec<PartData>>,
     metrics: &mut WorkerMetrics,
 ) -> Result<Vec<Vec<u8>>> {
-    if let Some(parts) = handed {
-        return real_payloads(parts);
-    }
-    let (payloads, stats) = recv_edge(env, task, edge, edges, env.worker_id as usize).await?;
+    let receiver = env.worker_id as usize;
+    let (payloads, stats) = recv_edge(env, task, edge, edges, receiver, handed).await?;
     fold_read_stats(metrics, stats);
     Ok(payloads)
+}
+
+/// The parts a host handed on, if they are `edge`'s.
+fn handed_for(
+    handed: &mut Option<(usize, Vec<PartData>)>,
+    edge: &EdgeRead,
+) -> Option<Vec<PartData>> {
+    match handed {
+        Some((slot, _)) if *slot == edge.slot => handed.take().map(|(_, parts)| parts),
+        _ => None,
+    }
 }
 
 /// Decode received edge payloads into record batches, one payload at a
@@ -699,15 +854,15 @@ async fn drive_scan(
 /// agg state or batches inline, one stored object, or a write onto the
 /// out-edge (§4.4's "operators that repartition data", executed with no
 /// infrastructure beyond storage and functions). `edges` addresses the
-/// in-edges; `handed` is the parts a fused producer handed on instead.
-/// The parts this stage hands on, if its own out-edge is fused, come back
-/// beside the report.
+/// in-edges; `handed` is the parts a host handed on for one of them, by
+/// its slot. What this stage hands on, if its own out-edge is fused,
+/// comes back beside the report.
 async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
-    handed: Option<Vec<PartData>>,
+    mut handed: Option<(usize, Vec<PartData>)>,
     edges: &[InEdge],
-) -> Result<(ResultPayload, WorkerMetrics, Option<Vec<PartData>>)> {
+) -> Result<(ResultPayload, WorkerMetrics, Option<Handoff>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
     let mut metrics = WorkerMetrics::default();
@@ -740,8 +895,10 @@ async fn run_stage(
             // accounting is folded in that order too, so float sums
             // repeat.
             // ---- Build side: the whole co-partition, then one hash table.
+            let (build_handed, probe_handed) =
+                (handed_for(&mut handed, build), handed_for(&mut handed, probe));
             let build_side = async {
-                let (payloads, stats) = recv_edge(env, task, build, edges, p).await?;
+                let (payloads, stats) = recv_edge(env, task, build, edges, p, build_handed).await?;
                 let build_batches = decode_parts(payloads).collect::<Result<Vec<_>>>()?;
                 let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
                 env.compute(env.costs.process_seconds(build_rows)).await;
@@ -761,7 +918,7 @@ async fn run_stage(
             // A build-side failure is the worker's failure at once: the
             // probe receive is dropped, not waited for.
             let ((table, build_rows, build_stats), probed) =
-                try_join2(build_side, recv_edge(env, task, probe, edges, p)).await?;
+                try_join2(build_side, recv_edge(env, task, probe, edges, p, probe_handed)).await?;
             fold_read_stats(&mut metrics, build_stats);
             let (probe_payloads, probe_stats) = probed?;
             fold_read_stats(&mut metrics, probe_stats);
@@ -807,6 +964,7 @@ async fn run_stage(
         }
         StageOp::AggMerge { stage, input, emit_state } => {
             let mut state = GroupedAggState::new(&stage.funcs)?;
+            let handed = handed_for(&mut handed, input);
             for bytes in read_edge(env, task, input, edges, handed, &mut metrics).await? {
                 let shard = GroupedAggState::decode(&bytes)?;
                 metrics.rows_in += shard.num_groups() as u64;
@@ -846,6 +1004,7 @@ async fn run_stage(
             let bounds = edges.get(input.slot).map_or(&[][..], |e| &e.bounds[..]);
             let (mut batches, mut received) = (Vec::new(), 0u64);
             let mut state_bytes = 0u64;
+            let handed = handed_for(&mut handed, input);
             let payloads = read_edge(env, task, input, edges, handed, &mut metrics).await?;
             for batch in decode_parts(payloads) {
                 let mut batch = batch?;
@@ -882,26 +1041,25 @@ async fn run_stage(
     // What leaves on an edge: filtered rows for hash-partition terminals,
     // grouped states (one "row" per group) for partitioned aggregates, a
     // sorted run cut into blocks for sort edges.
-    let (rows, (channel, inline_budget), parts, starts) = match (&task.sink, output) {
+    let (rows, parts, starts) = match (&task.sink, output) {
         (StageSink::Report, output) => {
             return Ok((report(env, task, output, &mut metrics).await?, metrics, None));
         }
-        (StageSink::Edge { channel, inline_budget }, PipelineOutput::Partitions(partitions)) => {
-            (metrics.rows_out, (channel, *inline_budget), batch_parts(&partitions)?, None)
+        (StageSink::Edge { .. }, PipelineOutput::Partitions(partitions)) => {
+            (metrics.rows_out, batch_parts(&partitions)?, None)
         }
-        (StageSink::Edge { channel, inline_budget }, PipelineOutput::AggShards(shards)) => {
+        (StageSink::Edge { .. }, PipelineOutput::AggShards(shards)) => {
             // Empty shards become zero-length parts, like empty batch lists.
             let parts = shards
                 .iter()
                 .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
                 .collect();
-            let rows = shards.iter().map(|s| s.num_groups() as u64).sum();
-            (rows, (channel, *inline_budget), parts, None)
+            (shards.iter().map(|s| s.num_groups() as u64).sum(), parts, None)
         }
-        (StageSink::SortEdge { channel, inline_budget, edge }, PipelineOutput::Batches(run)) => {
+        (StageSink::SortEdge { edge, .. }, PipelineOutput::Batches(run)) => {
             let run = RecordBatch::concat(edge.schema.clone(), &run)?;
             let (parts, starts) = sort_edge_parts(edge, &run)?;
-            (run.num_rows() as u64, (channel, *inline_budget), parts, starts)
+            (run.num_rows() as u64, parts, starts)
         }
         (StageSink::Edge { .. }, _) => {
             return Err(CoreError::Engine("an exchange edge needs a sharding terminal".to_string()))
@@ -913,19 +1071,13 @@ async fn run_stage(
         }
     };
     metrics.rows_exchanged += rows;
+    let handoff = Handoff { rows, parts, starts };
     if task.fused_into.is_some() {
         // The parts go to the next stage as they are: no request, no
         // partitioning charge.
-        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, Some(parts)));
+        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, Some(handoff)));
     }
-    // Blocks (what starts come with) stream to no mailbox, and the
-    // starts ride the message beside whatever goes inline.
-    let (stream, starts_len) = (starts.is_none(), starts.as_ref().map_or(0, Vec::len));
-    let inline_budget = inline_budget.saturating_sub(starts_len as u64);
-    let (stats, sections, inline) =
-        task.transport.send(env, channel, p, parts, inline_budget, stream).await?;
-    let bytes = fold_write_stats(&mut metrics, stats);
-    Ok((ResultPayload::Sections { rows, bytes, sections, inline, starts }, metrics, None))
+    Ok((ship(env, task, handoff, &mut metrics).await?, metrics, None))
 }
 
 async fn run_exchange_task(
@@ -1176,7 +1328,7 @@ mod tests {
             now() - start
         });
         for (what, handed, edges) in
-            [("addressed", None, addressed), ("fused", Some(parts), vec![])]
+            [("addressed", None, addressed), ("fused", Some((0, parts)), vec![])]
         {
             let (ran, took) = sim.block_on(async {
                 let start = now();
@@ -1189,6 +1341,27 @@ mod tests {
             assert_eq!(got.collect::<Vec<i64>>(), (0..100).collect::<Vec<_>>(), "{what}");
             assert_eq!(took, sort_secs, "{what}: the sort is all it is charged");
         }
+    }
+
+    /// The wait bound in worked numbers, at the default prices and a
+    /// 100 ms quantum: a 2 GiB host's quantum costs $3.3e-6, and a
+    /// member's own launch is the $2e-7 request and a quantum — one whole
+    /// quantum of idling, 0.1 s — plus $5.4e-6 of PUT and GET for a
+    /// section that would go through the object store — $8.9e-6, two
+    /// whole quanta. The rest of the quantum the host has started comes on
+    /// top, free. At 1 GiB the quantum costs half: $7.25e-6 is four. With
+    /// no quantum the idle is priced by the second.
+    #[test]
+    fn the_host_wait_prices_idle_memory_against_a_launch() {
+        let prices = Prices::default();
+        let wait = |memory, elapsed, spills| host_wait(&prices, memory, 0.1, elapsed, spills);
+        let near = |got: f64, want: f64| (got - want).abs() < 1e-9;
+        assert!(near(wait(2048, 0.0, false), 0.1), "{}", wait(2048, 0.0, false));
+        assert!(near(wait(2048, 0.0, true), 0.2), "{}", wait(2048, 0.0, true));
+        assert!(near(wait(2048, 0.03, true), 0.27), "the quantum's rest");
+        assert!(near(wait(2048, 0.13, true), 0.27), "each quantum alike");
+        assert!(near(wait(1024, 0.0, true), 0.4), "{}", wait(1024, 0.0, true));
+        assert!(near(host_wait(&prices, 2048, 0.0, 0.37, false), 2e-7 / 3.3e-5));
     }
 
     /// A malformed Algorithm-1 task — an exchange among no workers, or a

@@ -96,9 +96,9 @@ fn semi_join_breakdown() {
          probe rows)",
         report.batch.num_rows()
     );
-    // No edge here writes a file: every orders scanner is under its
-    // inline budget and its rows ride the messages, and the one-worker
-    // semi join hands its part to the merge worker in its invocation.
+    // No edge here writes a file: the one-worker orders scan hosts the
+    // one-worker semi join, handing its rows on in its invocation, and
+    // the semi join hands its part to the merge worker the same way.
     let puts =
         |label: &str| report.stages.iter().find(|s| s.label == label).map(|s| s.put_requests);
     assert_eq!(puts("scan:orders#0"), Some(0), "the orders edge wrote a file");

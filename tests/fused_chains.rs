@@ -1,21 +1,27 @@
 //! Fused chains: between two one-worker fleets a stage edge is an
-//! identity, so the consumer runs inside its producer's invocation. The
-//! planner's Q12, Q5 and Q3 with cost-model-sized tails must fuse exactly
-//! their one-worker tails, match the reference executor, spend no request
-//! and leave no object on a fused edge, and still report every stage on
-//! its own — on both transports.
+//! identity, so the consumer runs inside its host, the producer's
+//! invocation — a join too, whose other side's addresses reach the
+//! running host through its inbox. The planner's Q12, Q5 and Q3 with
+//! cost-model-sized tails must fuse exactly their one-worker joins and
+//! tails, match the reference executor, spend no request and leave no
+//! object on a host edge, and still report every stage on its own — on
+//! both transports. A host whose other side is late falls back to the
+//! transport after a bounded wait, a killed host ends in a typed timeout,
+//! and no path leaves a queue behind.
 
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Duration;
 
+use lambada::core::worker::host_wait;
 use lambada::core::{
-    AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport, QueryService, ServiceConfig,
-    SortStrategy, TransportKind,
+    inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryDag,
+    QueryReport, QueryService, ServiceConfig, SortStrategy, StageOp, TransportKind, WorkerTask,
 };
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
 };
-use lambada::sim::{Cloud, CloudConfig, Simulation};
+use lambada::sim::{Cloud, CloudConfig, InjectedFault, Simulation};
 use lambada::workloads::{
     lineitem_schema, stage_real, stage_real_customer, stage_real_orders, CustomerStageOptions,
     OrdersStageOptions, StageOptions,
@@ -84,7 +90,7 @@ fn config(sort: bool, transport: TransportKind) -> LambadaConfig {
 }
 
 /// A query, whether it sorts serverlessly, and the fused edges its
-/// model-sized tail must have, as `(producer, consumer)` labels.
+/// model-sized fleets must have, as `(host, consumer)` labels.
 struct Case {
     name: &'static str,
     plan: LogicalPlan,
@@ -98,19 +104,25 @@ fn cases() -> Vec<Case> {
             name: "Q12",
             plan: lambada::workloads::q12("lineitem", "orders"),
             sort: true,
-            fused: &[("join#2", "agg#3"), ("agg#3", "sort#4")],
+            fused: &[("scan:orders#0", "join#2"), ("join#2", "agg#3"), ("agg#3", "sort#4")],
         },
         Case {
             name: "Q5",
             plan: lambada::workloads::q5("lineitem", "orders", "customer"),
             sort: true,
-            fused: &[("join#4", "agg#5"), ("agg#5", "sort#6")],
+            // The orders scan's chain is the deeper input of join#4.
+            fused: &[
+                ("scan:orders#2", "join#3"),
+                ("join#3", "join#4"),
+                ("join#4", "agg#5"),
+                ("agg#5", "sort#6"),
+            ],
         },
         Case {
             name: "Q3",
             plan: lambada::workloads::q3("lineitem", "orders"),
             sort: false,
-            fused: &[("join#2", "agg#3")],
+            fused: &[("scan:orders#1", "join#2"), ("join#2", "agg#3")],
         },
     ]
 }
@@ -137,7 +149,7 @@ fn edge_objects(
     })
 }
 
-fn check_fused_run(case: &Case, report: &QueryReport, what: &str) {
+fn check_fused_run(case: &Case, dag: &QueryDag, report: &QueryReport, what: &str) {
     let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
     let fused: Vec<(usize, usize)> = case.fused.iter().map(|(p, c)| (id(p), id(c))).collect();
     // The chains are exactly the expected fused edges.
@@ -157,14 +169,21 @@ fn check_fused_run(case: &Case, report: &QueryReport, what: &str) {
     for &(p, c) in &fused {
         let (producer, consumer) = (&report.stages[p], &report.stages[c]);
         assert_eq!((producer.workers, consumer.workers), (1, 1), "{what}");
-        // Nothing crossed the fused edge: no PUT from its producer (which
-        // reports nothing either), no LIST or GET by its consumer (whose
-        // one in-edge it is), no exchanged bytes.
+        // Nothing crossed the fused edge: no PUT from its host (which
+        // reports nothing either), no exchanged bytes, no LIST by its
+        // consumer and no GET or mailbox fetch beyond one per sender of
+        // its other in-edges — none when the host edge is its only one.
         assert_eq!(producer.put_requests, 0, "{what}: {} PUT", producer.label);
         assert_eq!(producer.bytes_exchanged, 0, "{what}: {} shipped bytes", producer.label);
-        assert_eq!(
-            (consumer.get_requests, consumer.list_requests, consumer.p2p_requests),
-            (0, 0, 0),
+        let others: usize = dag.stages[c]
+            .inputs()
+            .into_iter()
+            .filter(|&i| i != p)
+            .map(|i| report.stages[i].workers)
+            .sum();
+        assert_eq!(consumer.list_requests, 0, "{what}: {} listed", consumer.label);
+        assert!(
+            consumer.get_requests + consumer.p2p_requests <= others as u64,
             "{what}: {} read its fused in-edge",
             consumer.label
         );
@@ -197,6 +216,7 @@ fn model_sized_tails_fuse_and_match_the_reference() {
             let config = config(case.sort, transport);
             let mut system = Lambada::install(&cloud, config.clone());
             stage_tables(&cloud, &mut system);
+            let dag = system.plan(&case.plan).unwrap();
             // Through the ungated service, so the admission estimate —
             // which drops fused edges and counts one invocation per
             // chain — can be held against the actuals.
@@ -205,10 +225,12 @@ fn model_sized_tails_fuse_and_match_the_reference() {
                 ServiceConfig { max_inflight_workers: 0, ..ServiceConfig::default() },
             );
             let estimate = service.estimate(&case.plan).unwrap();
+            let queues = cloud.sqs.queue_count();
             let report = sim.block_on(service.run("t", &case.plan)).unwrap();
             assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
             assert_eq!(report.batch, reference, "{what}: bit for bit");
-            check_fused_run(&case, &report, &what);
+            check_fused_run(&case, &dag, &report, &what);
+            assert_eq!(cloud.sqs.queue_count(), queues, "{what}: a queue left behind");
             for (p, _) in case.fused {
                 let p = report.stages.iter().position(|s| s.label == *p).unwrap();
                 let left = edge_objects(&sim, &cloud, &config, report.query_id, p);
@@ -263,6 +285,7 @@ fn an_oom_in_a_fused_member_names_the_member() {
     };
     let mut system = Lambada::install(&cloud, config);
     system.register_table(spec);
+    let queues = cloud.sqs.queue_count();
     let df = system.from_table("lineitem").unwrap();
     let (key, part) = (df.col("l_orderkey").unwrap(), df.col("l_partkey").unwrap());
     let plan = df
@@ -278,4 +301,101 @@ fn an_oom_in_a_fused_member_names_the_member() {
     let CoreError::Worker { message, .. } = &err else { panic!("expected a worker error: {err}") };
     assert!(message.starts_with("sort#1 (fused after scan:lineitem#0): "), "{message}");
     assert!(message.contains("out of memory: sort partition"), "{message}");
+    assert_eq!(cloud.sqs.queue_count(), queues, "a queue left behind");
+}
+
+/// The object-store Q12 of [`cases`] on a fresh cloud with `config`,
+/// faulted by `fault`, next to the reference result; the run's outcome
+/// and the queues it left.
+fn faulted_q12(
+    config: LambadaConfig,
+    fault: impl Fn(&lambada::core::WorkerPayload) -> Option<InjectedFault> + 'static,
+) -> (Simulation, Cloud, RecordBatch, Result<QueryReport, CoreError>, usize) {
+    let case = cases().remove(0);
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let mut system = Lambada::install(&cloud, config);
+    let cat = stage_tables(&cloud, &mut system);
+    let reference =
+        execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
+    inject_query_worker_faults(&cloud, fault);
+    let queues = cloud.sqs.queue_count();
+    let outcome = sim.block_on(async move { system.run_query(&case.plan).await });
+    let left = cloud.sqs.queue_count() - queues;
+    (sim, cloud, reference, outcome, left)
+}
+
+/// Whether `payload` scans `table`.
+fn scans(payload: &lambada::core::WorkerPayload, table: &str) -> bool {
+    match &payload.task {
+        WorkerTask::Stage(task) => matches!(&task.op, StageOp::Scan(s) if s.table.name == table),
+        _ => false,
+    }
+}
+
+/// The other side of Q12's join — the lineitem scan — runs 30× slow, so
+/// its addresses miss the host's bound: the orders scan waits no longer
+/// than its wait bound, then ships its section after all — one PUT on the
+/// object store, one relay message on the direct transport, as the
+/// unfused edge would — and the join, its agg and sort run as a fleet of
+/// their own (one more invocation). The result is bit for bit the
+/// reference, and the inbox is gone.
+#[test]
+fn a_late_other_side_makes_the_host_fall_back_within_its_wait_bound() {
+    for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+        let config = config(true, transport);
+        let (memory, function) = (config.memory_mib, config.clone());
+        let slow = |p: &lambada::core::WorkerPayload| {
+            scans(p, "lineitem").then(|| InjectedFault::slowdown(30.0))
+        };
+        let (sim, cloud, reference, outcome, left) = faulted_q12(config, slow);
+        let report = outcome.unwrap();
+        let what = format!("{transport:?}");
+        assert_eq!(report.batch, reference, "{what}: bit for bit");
+        assert_eq!(left, 0, "{what}: a queue left behind");
+        assert_eq!(sim.live_tasks(), 0, "{what}: nothing left running");
+        assert_eq!(cloud.p2p.endpoint_count(), 0, "{what}: endpoints deregistered");
+        let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
+        let (host, join) = (&report.stages[id("scan:orders#0")], &report.stages[id("join#2")]);
+        assert_eq!((host.chain, join.chain), (host.id, join.id), "{what}: the join ran alone");
+        assert_eq!(report.stages[id("sort#4")].chain, join.id, "{what}: its tail ran in it");
+        let slots: usize = report.stages.iter().map(|s| s.workers).sum();
+        assert_eq!(report.invocations() as usize, slots - 2, "{what}: one invocation more");
+        let stored = transport == TransportKind::ObjectStore;
+        let shipped = (host.put_requests, host.p2p_requests);
+        assert_eq!(shipped, if stored { (1, 0) } else { (0, 1) }, "{what}: the host's one send");
+        let objects = edge_objects(&sim, &cloud, &function, report.query_id, host.id);
+        assert_eq!(objects, usize::from(stored), "{what}");
+
+        // The host idled at least the bound past its quantum and at most
+        // the rest of that quantum more, plus the inbox poll's round trip:
+        // its billed time is its own work, the bound and the send.
+        let prices = cloud.billing.prices();
+        let quantum = cloud.config.faas.billing_quantum;
+        let idle = host_wait(&prices, memory, quantum, 0.0, stored);
+        let waits = cloud.trace.durations("inbox_wait");
+        assert_eq!(waits.len(), 1, "{what}: {waits:?}");
+        let latency = 5.0 * cloud.config.sqs.latency_median.as_secs_f64();
+        let bounded = waits[0] >= idle && waits[0] <= idle + quantum + latency;
+        assert!(bounded, "{what}: {waits:?} against {idle}");
+    }
+}
+
+/// A host killed mid-flight never reports: under a small `max_wait` the
+/// query ends in a typed timeout — it does not hang on the inbox — and
+/// leaves no queue and no task behind.
+#[test]
+fn a_killed_host_is_a_timeout_and_leaves_no_inbox() {
+    let config = LambadaConfig {
+        max_wait: Duration::from_secs(5),
+        ..config(true, TransportKind::ObjectStore)
+    };
+    let kill = |p: &lambada::core::WorkerPayload| {
+        scans(p, "orders").then(|| InjectedFault::kill(Duration::from_millis(10)))
+    };
+    let (sim, _, _, outcome, left) = faulted_q12(config, kill);
+    let err = outcome.unwrap_err();
+    assert!(matches!(err, CoreError::Timeout { missing_workers: 1, .. }), "{err}");
+    assert_eq!(left, 0, "a queue left behind");
+    assert_eq!(sim.live_tasks(), 0, "nothing left running");
 }

@@ -167,6 +167,12 @@ struct Staged {
 }
 
 fn stage_three_tables(case: &MultiwayCase, config: LambadaConfig) -> Staged {
+    stage_three_tables_in(case, [case.files; 3], config)
+}
+
+/// [`stage_three_tables`] with `t`, `u` and `v` split into the given
+/// numbers of files.
+fn stage_three_tables_in(case: &MultiwayCase, files: [usize; 3], config: LambadaConfig) -> Staged {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let tcols = columns_for(&t_schema(), &case.t_k1, Some(&case.t_k2), 1);
@@ -174,15 +180,17 @@ fn stage_three_tables(case: &MultiwayCase, config: LambadaConfig) -> Staged {
     let vcols = columns_for(&v_schema(), &case.v_keys, None, 3);
     let mut system = Lambada::install(&cloud, config);
     let mut catalog = Catalog::new();
-    for (name, schema, cols) in
+    for ((name, schema, cols), files) in
         [("t", t_schema(), tcols), ("u", u_schema(), ucols), ("v", v_schema(), vcols)]
+            .into_iter()
+            .zip(files)
     {
         let spec = stage_table_real(
             &cloud,
             "data",
             name,
             schema.clone(),
-            split_files(&cols, case.files),
+            split_files(&cols, files),
             cols.first().map_or(0, Column::len) as u64,
             2,
         );
@@ -242,6 +250,64 @@ proptest! {
             .map(|s| s.workers)
             .collect();
         prop_assert_eq!(join_fleets, vec![case.join_workers; 2]);
+    }
+
+    /// A one-worker join tree over one- and two-worker scans (one file a
+    /// worker) runs each join in the invocation of its host — its
+    /// deepest one-worker input that no one else reads — with the other
+    /// side addressed through the inbox, on both transports: bit for bit
+    /// the reference, and one invocation per fleet slot less one per
+    /// fused edge. Warm, every fused edge of the launch plan holds; cold,
+    /// a host may outwait its bound behind a cold start and fall back,
+    /// which costs exactly one invocation more.
+    #[test]
+    fn one_worker_joins_run_in_their_hosts_on_both_transports(
+        sizes in (1usize..40, 1usize..25, 1usize..25),
+        fleets in (1usize..3, 1usize..3, 1usize..3),
+        keys in any::<u64>(),
+        with_filter in any::<bool>(),
+    ) {
+        let (tn, un, vn) = sizes;
+        let draw = |n: usize, salt: u64| -> Vec<i64> {
+            (0..n as u64).map(|i| ((i * 7 + salt + keys % 5) % 4) as i64 - 1).collect()
+        };
+        let case = MultiwayCase {
+            t_k1: draw(tn, 0),
+            t_k2: draw(tn, 1),
+            u_keys: draw(un, 2),
+            v_keys: draw(vn, 3),
+            files: 1,
+            files_per_worker: Some(1),
+            join_workers: 1,
+            with_filter,
+        };
+        let plan = multiway_plan(&case);
+        let staged = stage_three_tables_in(&case, [fleets.0, fleets.1, fleets.2], LambadaConfig {
+            files_per_worker: Some(1),
+            join_workers: Some(1),
+            ..LambadaConfig::default()
+        });
+        let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
+        let system = staged.system;
+        let (fused, reports) = staged.sim.block_on(async move {
+            let dag = system.plan(&plan).unwrap();
+            let fused = system.launch_plan(&dag, None).unwrap().fused.iter().filter(|&&f| f).count();
+            let mut reports = Vec::new();
+            // Cold first, then warm on each transport.
+            for transport in [TransportKind::ObjectStore, TransportKind::ObjectStore, TransportKind::Direct] {
+                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+            }
+            (fused, reports)
+        });
+        prop_assert!(fused >= 1, "a one-worker join over a one-worker scan fuses");
+        for (run, report) in reports.iter().enumerate() {
+            prop_assert_eq!(row_multiset(&report.batch), row_multiset(&reference));
+            let slots: usize = report.stages.iter().map(|s| s.workers).sum();
+            let held = report.stages.iter().filter(|s| s.chain != s.id).count();
+            prop_assert_eq!(report.invocations() as usize, slots - held);
+            prop_assert!(held <= fused && (run == 0 || held == fused), "run {}: {} of {}", run, held, fused);
+        }
     }
 
     /// Distributed range-partitioned sort/top-k over a scan ≡ reference,
