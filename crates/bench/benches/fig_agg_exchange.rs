@@ -93,7 +93,9 @@ fn main() {
         println!(
             "{:<4} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>14.8} {:>14.8}",
             agg_workers,
-            agg_stage.rows_out,
+            // The groups sharded to the merge fleet (each in one join
+            // worker's shards): a merge worker reports only its top 10.
+            join_stage.rows_out,
             report.latency_secs,
             join_stage.wall_secs,
             agg_stage.wall_secs,

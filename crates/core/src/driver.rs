@@ -73,7 +73,7 @@ use lambada_engine::agg::GroupedAggState;
 use lambada_engine::logical::LogicalPlan;
 use lambada_engine::physical::{
     agg_state_to_batch, cmp_key_rows, project_batch, range_boundaries, range_partition_of,
-    sort_batch,
+    sort_batch, truncate_rows,
 };
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
@@ -99,8 +99,8 @@ use crate::table::TableSpec;
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind, ADDRESS_BYTES};
 use crate::verify;
 use crate::worker::{
-    edge_bytes, register_worker_function, EdgeRead, FusedStage, ScanOp, SortEdgeSpec, StageOp,
-    StageSink, StageTask, WorkerPayload, WorkerTask,
+    edge_bytes, register_worker_function, EdgeRead, FusedStage, ReportTop, ScanOp, SortEdgeSpec,
+    StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -127,7 +127,9 @@ pub enum AggStrategy {
 pub enum SortStrategy {
     /// The driver sorts the collected result — right for the small
     /// results of driver-merged aggregates, where a sort fleet would only
-    /// add a wave.
+    /// add a wave. Under a `LIMIT n`, each worker that reports rows keeps
+    /// its own stable top n first ([`crate::worker::ReportTop`]), so the
+    /// driver merges at most workers × n rows.
     #[default]
     Driver,
     /// Distributed range-partitioned sort: producers locally sort (and
@@ -1094,7 +1096,7 @@ impl Lambada {
         let (partitions, inline_budget) = (launch.partitions[sid], launch.inline_budgets[sid]);
         let sink = match (&launch.sort_edges[sid], kind.output()) {
             (Some(edge), _) => StageSink::SortEdge { channel, inline_budget, edge: edge.clone() },
-            (None, StageOutput::Driver) => StageSink::Report,
+            (None, StageOutput::Driver) => StageSink::Report { top: report_top(&dag.final_stage) },
             (None, _) => StageSink::Edge { channel, inline_budget },
         };
         // Swap the planner's placeholder terminal for the sharding
@@ -1245,14 +1247,25 @@ impl Lambada {
         for op in post {
             batch = match op {
                 PostOp::Sort(keys) => sort_batch(&batch, keys)?,
-                PostOp::Limit(n) => {
-                    let keep: Vec<usize> = (0..batch.num_rows().min(*n)).collect();
-                    batch.gather(&keep)
-                }
+                PostOp::Limit(n) => truncate_rows(batch, *n),
                 PostOp::Project(exprs, schema) => project_batch(&batch, exprs, schema)?,
             };
         }
         Ok(batch)
+    }
+}
+
+/// What a worker reporting to `final_stage` keeps of its rows: the
+/// leading part of the driver's post-ops that commutes with concatenating
+/// the reports in worker order — `ORDER BY … LIMIT n` or `LIMIT n`.
+fn report_top(final_stage: &FinalStage) -> Option<ReportTop> {
+    let FinalStage::CollectBatches { post, .. } = final_stage else {
+        return None;
+    };
+    match post.as_slice() {
+        [PostOp::Sort(keys), PostOp::Limit(n), ..] => Some(ReportTop { keys: keys.clone(), n: *n }),
+        [PostOp::Limit(n), ..] => Some(ReportTop { keys: Vec::new(), n: *n }),
+        _ => None,
     }
 }
 

@@ -108,7 +108,10 @@ pub enum FinalStage {
         post: Vec<PostOp>,
     },
     /// Concatenate collected batches (in worker order — which is range
-    /// order below a sort stage), then apply post-ops.
+    /// order below a sort stage), then apply post-ops. When those lead
+    /// with `ORDER BY … LIMIT n` or `LIMIT n`, each reporting worker has
+    /// already kept its own top n ([`crate::worker::ReportTop`]): the
+    /// driver merges those, and keeps the same rows it would from all.
     CollectBatches { schema: SchemaRef, post: Vec<PostOp> },
     /// Merge partial aggregate states but do *not* finalize: the driver
     /// returns the merged state's wire encoding so a caller can carry it
@@ -549,7 +552,9 @@ fn split_with_inner(plan: &LogicalPlan, opts: &SplitOptions) -> Result<QueryDag>
     // A trailing `ORDER BY [LIMIT]` (and nothing else) lowers into a
     // distributed sort stage when the sorted rows materialize
     // serverlessly. A driver-merged aggregate only materializes on the
-    // driver, so its Sort/Limit stay driver post-ops.
+    // driver, so its Sort/Limit stay driver post-ops. So does every
+    // `ORDER BY` without `exchange_sorts`: the reporting workers then
+    // keep their own top n under a LIMIT, and the driver merges them.
     let sort_spec = match post.as_slice() {
         _ if !opts.exchange_sorts || (agg.is_some() && !merge_fleet) => None,
         [PostOp::Sort(keys)] => Some((keys.clone(), None)),

@@ -56,6 +56,12 @@
 //! (see [`crate::transport`]): the message, and then each consumer's
 //! invocation payload, carries them, and both pay their transfer over the
 //! driver's link ([`invoke::carry_inline`]).
+//!
+//! Reported batches are first cut to what the driver keeps: when its
+//! post-ops lead with `ORDER BY … LIMIT n` or `LIMIT n`, the report sink
+//! carries it ([`ReportTop`]) and the worker ships its own stable top n —
+//! Q3's ten of 26 542 groups ride the message. The driver still sorts and
+//! truncates the concatenation, now of at most workers × n rows.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -68,7 +74,7 @@ use lambada_engine::agg::GroupedAggState;
 use lambada_engine::join::JoinState;
 use lambada_engine::logical::SortKey;
 use lambada_engine::physical::{
-    agg_state_to_batch, range_partition_batch, sort_batch, sort_key_columns, truncate_rows,
+    agg_state_to_batch, range_partition_batch, sort_key_columns, sort_limit,
 };
 use lambada_engine::pipeline::{Pipeline, PipelineOutput, PipelineSpec, Terminal};
 use lambada_engine::types::{Field, Schema, SchemaRef};
@@ -185,8 +191,10 @@ pub enum StageOp {
 /// the transport's wires (see [`crate::message::INLINE_EDGE_BYTES`]).
 pub enum StageSink {
     /// Report to the driver: agg state or batches inline in the message,
-    /// or, past its limit, as one stored object in the result bucket.
-    Report,
+    /// or, past its limit, as one stored object in the result bucket —
+    /// batches cut to their [`ReportTop`] first, when the driver's
+    /// post-ops lead with one.
+    Report { top: Option<ReportTop> },
     /// Shard onto the exchange edge `channel`: hash-partitioned rows
     /// ([`Terminal::HashPartition`]) or grouped partial-aggregate state
     /// ([`Terminal::PartitionedAggregate`]).
@@ -196,11 +204,23 @@ pub enum StageSink {
     SortEdge { channel: String, inline_budget: u64, edge: SortEdgeSpec },
 }
 
+/// The rows a reporting worker keeps of its batches: the first `n` under
+/// `keys` (a stable sort; as they come when `keys` is empty) — the
+/// leading `ORDER BY … LIMIT n`, or `LIMIT n`, of the driver's post-ops.
+/// The driver still applies both to the reports concatenated in worker
+/// order and gets the same rows: its global top n under (key, worker,
+/// row) lies within the union of every worker's own top n.
+#[derive(Clone, Debug)]
+pub struct ReportTop {
+    pub keys: Vec<SortKey>,
+    pub n: usize,
+}
+
 impl StageSink {
     /// An edge sink's channel and inline budget; `None` for a report.
     fn edge(&self) -> Option<(&str, u64)> {
         match self {
-            StageSink::Report => None,
+            StageSink::Report { .. } => None,
             StageSink::Edge { channel, inline_budget }
             | StageSink::SortEdge { channel, inline_budget, .. } => Some((channel, *inline_budget)),
         }
@@ -719,21 +739,34 @@ fn batch_parts(partitions: &[Vec<RecordBatch>]) -> Result<Vec<PartData>> {
 }
 
 /// Report what a stage hands the driver — its agg state or its result
-/// batches — inline in the message while it encodes to at most
-/// [`INLINE_RESULT_BYTES`], otherwise through the one result upload:
-/// large results go to cloud storage, not through the queue. The key is
-/// namespaced by installation and query, so concurrent queries on one
-/// installation never overwrite each other.
+/// batches, cut to the sink's [`ReportTop`] — inline in the message while
+/// it encodes to at most [`INLINE_RESULT_BYTES`], otherwise through the
+/// one result upload: large results go to cloud storage, not through the
+/// queue. The key is namespaced by installation and query, so concurrent
+/// queries on one installation never overwrite each other.
 async fn report(
     env: &WorkerEnv,
     task: &StageTask,
-    output: PipelineOutput,
+    mut output: PipelineOutput,
     metrics: &mut WorkerMetrics,
 ) -> Result<ResultPayload> {
+    if let (StageSink::Report { top: Some(top) }, PipelineOutput::Batches(batches)) =
+        (&task.sink, &mut output)
+    {
+        let rows: usize = batches.iter().map(RecordBatch::num_rows).sum();
+        // More rows than the driver keeps: ship only those that can reach
+        // its result. (A worker with at most `n` ships all as they are;
+        // the driver's own sort orders them.)
+        if let Some(first) = batches.first().filter(|_| rows > top.n) {
+            let all = RecordBatch::concat(first.schema().clone(), batches)?;
+            *batches = vec![sort_limit(all, &top.keys, Some(top.n))?];
+        }
+    }
     let (rows, bytes) = match &output {
         PipelineOutput::Aggregate(state) => (metrics.rows_out, state.encode()),
         PipelineOutput::Batches(batches) => {
             let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+            metrics.rows_out = rows;
             if rows == 0 {
                 return Ok(ResultPayload::Empty);
             }
@@ -871,7 +904,7 @@ async fn run_stage(
         StageOp::Scan(scan) => {
             let mut pipeline = Pipeline::new(scan.stage.pipeline.clone())?;
             let (scan_metrics, modeled_rows) = drive_scan(env, scan, &mut pipeline).await?;
-            if modeled_rows > 0 && !matches!(task.sink, StageSink::Report) {
+            if modeled_rows > 0 && !matches!(task.sink, StageSink::Report { .. }) {
                 return Err(CoreError::Unsupported(
                     "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
                         .to_string(),
@@ -989,10 +1022,7 @@ async fn run_stage(
                     // merge worker is a sort-exchange producer, so it
                     // sorts and top-k-truncates locally, as a
                     // `Terminal::SortPartition` pipeline would.
-                    batch = sort_batch(&batch, &edge.keys)?;
-                    if let Some(n) = edge.limit {
-                        batch = truncate_rows(batch, n);
-                    }
+                    batch = sort_limit(batch, &edge.keys, edge.limit)?;
                 }
                 PipelineOutput::Batches(vec![batch])
             }
@@ -1029,10 +1059,7 @@ async fn run_stage(
             metrics.rows_exchanged = rows_in;
             env.compute(env.costs.process_seconds(rows_in)).await;
             let all = RecordBatch::concat(stage.schema.clone(), &batches)?;
-            let mut sorted = sort_batch(&all, &stage.keys)?;
-            if let Some(n) = stage.limit {
-                sorted = truncate_rows(sorted, n);
-            }
+            let sorted = sort_limit(all, &stage.keys, stage.limit)?;
             metrics.rows_out = sorted.num_rows() as u64;
             PipelineOutput::Batches(vec![sorted])
         }
@@ -1042,7 +1069,7 @@ async fn run_stage(
     // grouped states (one "row" per group) for partitioned aggregates, a
     // sorted run cut into blocks for sort edges.
     let (rows, parts, starts) = match (&task.sink, output) {
-        (StageSink::Report, output) => {
+        (StageSink::Report { .. }, output) => {
             return Ok((report(env, task, output, &mut metrics).await?, metrics, None));
         }
         (StageSink::Edge { .. }, PipelineOutput::Partitions(partitions)) => {
@@ -1177,7 +1204,8 @@ mod tests {
         let cloud = Cloud::new(&sim, CloudConfig::default());
         cloud.s3.create_bucket("results");
         let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
-        let task = scan_task(Terminal::Collect, StageOutput::Driver, StageSink::Report);
+        let task =
+            scan_task(Terminal::Collect, StageOutput::Driver, StageSink::Report { top: None });
         // The column name's length moves the encoded size byte by byte
         // (its length prefix stays two bytes from 128 on).
         let rows = INLINE_RESULT_BYTES / 8 - 64;
@@ -1206,6 +1234,56 @@ mod tests {
         );
         assert!(matches!(stored, ResultPayload::Stored { .. }), "{stored:?}");
         assert_eq!(puts, (0, 1));
+    }
+
+    /// A reporting worker keeps what the driver keeps: rows that encode
+    /// to twice [`INLINE_RESULT_BYTES`], under a sink carrying `ORDER BY
+    /// a DESC LIMIT 10`, shrink to their stable top 10 and ride the
+    /// message — no PUT — in the order the driver's sort would give them.
+    #[test]
+    fn a_report_under_a_limit_ships_its_top_rows_inline() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        cloud.s3.create_bucket("results");
+        let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+        let top = ReportTop { keys: vec![SortKey::desc(col(0))], n: 10 };
+        let sink = StageSink::Report { top: Some(top) };
+        let task = scan_task(Terminal::Collect, StageOutput::Driver, sink);
+        // Key `i % 1000`: each key is tied 33 ways, so the top 10 are the
+        // first ten rows of key 999, in row order.
+        let rows = INLINE_RESULT_BYTES / 8 + 100;
+        let batch = RecordBatch::from_columns(
+            &["a", "b"],
+            vec![
+                Column::I64((0..rows as i64).map(|i| i % 1000).collect()),
+                Column::I64((0..rows as i64).collect()),
+            ],
+        )
+        .unwrap();
+        let size = crate::partition::encode_batches(std::slice::from_ref(&batch)).unwrap().len();
+        assert!(size > 2 * INLINE_RESULT_BYTES, "{size} B");
+        let halves =
+            [0..rows / 2, rows / 2..rows].map(|r| batch.gather(&r.collect::<Vec<_>>())).to_vec();
+        let (payload, metrics) = sim.block_on(async move {
+            let mut metrics = WorkerMetrics { rows_out: rows as u64, ..WorkerMetrics::default() };
+            let payload =
+                report(&env, &task, PipelineOutput::Batches(halves), &mut metrics).await.unwrap();
+            (payload, metrics)
+        });
+        let ResultPayload::InlineBatches { rows: 10, bytes } = &payload else {
+            panic!("expected 10 inline rows, got {payload:?}");
+        };
+        assert_eq!((metrics.put_requests, metrics.rows_out), (0, 10));
+        let got = crate::partition::decode_batches(bytes).unwrap();
+        let want = RecordBatch::from_columns(
+            &["a", "b"],
+            vec![
+                Column::I64(vec![999; 10]),
+                Column::I64((0..10).map(|i| 999 + 1000 * i).collect()),
+            ],
+        )
+        .unwrap();
+        assert_eq!(got, vec![want]);
     }
 
     /// A sort edge of two ranges over a run of 64 rows whose key 21 is
@@ -1266,7 +1344,7 @@ mod tests {
         let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
         let task = StageTask {
             op: StageOp::Sort { stage, input },
-            sink: StageSink::Report,
+            sink: StageSink::Report { top: None },
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
@@ -1315,7 +1393,7 @@ mod tests {
         let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
         let task = StageTask {
             op: StageOp::Sort { stage, input },
-            sink: StageSink::Report,
+            sink: StageSink::Report { top: None },
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),

@@ -233,6 +233,19 @@ pub fn truncate_rows(batch: RecordBatch, n: usize) -> RecordBatch {
     batch.gather(&keep)
 }
 
+/// The first `limit` rows of a batch under `keys` — every row when
+/// `limit` is `None`, in arrival order when `keys` is empty: a stable
+/// [`sort_batch`], then [`truncate_rows`]. The one top-k of a sorting
+/// terminal, a sort stage and a reporting worker's `ORDER BY … LIMIT`.
+pub fn sort_limit(
+    batch: RecordBatch,
+    keys: &[SortKey],
+    limit: Option<usize>,
+) -> Result<RecordBatch> {
+    let sorted = if keys.is_empty() { batch } else { sort_batch(&batch, keys)? };
+    Ok(truncate_rows(sorted, limit.unwrap_or(usize::MAX)))
+}
+
 /// Evaluate sort-key expressions over a batch into one column per key.
 pub fn sort_key_columns(batch: &RecordBatch, keys: &[SortKey]) -> Result<Vec<Column>> {
     let rows = batch.num_rows();

@@ -422,11 +422,7 @@ impl Pipeline {
             Terminal::HashPartition { .. } => PipelineOutput::Partitions(self.partitioned),
             Terminal::SortPartition { keys, limit } => {
                 let all = RecordBatch::concat(self.mid_schema, &self.collected)?;
-                let mut sorted = crate::physical::sort_batch(&all, &keys)?;
-                if let Some(n) = limit {
-                    sorted = crate::physical::truncate_rows(sorted, n);
-                }
-                PipelineOutput::Batches(vec![sorted])
+                PipelineOutput::Batches(vec![crate::physical::sort_limit(all, &keys, limit)?])
             }
             _ => PipelineOutput::Batches(self.collected),
         })

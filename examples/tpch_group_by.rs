@@ -4,9 +4,10 @@
 //! both tables onto exchange edges, a join fleet builds + probes its
 //! co-partitions and pre-aggregates, then ships its grouped state
 //! *sharded by group-key hash* over a second exchange edge to an
-//! agg-merge fleet that merges and finalizes. The driver only
-//! concatenates finished batches and applies the top-10 sort — no
-//! driver-side aggregate merge, no always-on infrastructure anywhere.
+//! agg-merge fleet that merges and finalizes, and each merge worker
+//! reports only its own top 10. The driver only concatenates those rows
+//! and applies the top-10 sort — no driver-side aggregate merge, no
+//! always-on infrastructure anywhere.
 //!
 //! ```sh
 //! cargo run --release --example tpch_group_by
@@ -81,8 +82,10 @@ fn main() {
             s.request_dollars(&prices),
         );
     }
+    // Q3 groups by a key the join partitions on: every group is one join
+    // worker's, so the join fleet's shards hold each group once.
     let groups =
-        report.stages.iter().find(|s| s.label.starts_with("agg#")).map_or(0, |s| s.rows_out);
+        report.stages.iter().find(|s| s.label.starts_with("join#")).map_or(0, |s| s.rows_out);
     println!(
         "\ntotal: {} workers, {:.2}s end-to-end, ${:.6} ({} cold starts)",
         report.workers,

@@ -139,7 +139,7 @@ fn direct_and_two_level_invocation_agree() {
                 scan: config.scan,
                 chunks: (0..workers).map(|w| w..w + 1).collect(),
             })),
-            sink: StageSink::Report,
+            sink: StageSink::Report { top: None },
             transport: Rc::new(EdgeTransport::new(
                 config.exchange.clone(),
                 ExchangeSide::new(),
@@ -394,8 +394,10 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     assert_eq!(join.workers, join_workers);
     assert_eq!(agg.workers, agg_workers);
     // High cardinality really reached the merge fleet: far more groups
-    // than Q1's four, all finalized serverlessly.
-    assert!(agg.rows_out > 100, "{} groups finalized by the merge fleet", agg.rows_out);
+    // than Q1's four, all finalized serverlessly — and each merge worker
+    // ships only its own top 10 of them to the driver.
+    assert!(join.rows_out > 100, "{} groups sharded to the merge fleet", join.rows_out);
+    assert!(agg.rows_out <= 10 * agg_workers as u64, "{} rows reported", agg.rows_out);
 
     // Request counts stay within the stage-edge cost model (writes at
     // most one per sender, GETs bounded by senders × receivers, no LIST:
@@ -416,8 +418,8 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     assert_eq!(join.put_requests, 0, "every grouped shard rides inline");
     assert_eq!(agg.get_requests, 0, "so the merge fleet fetches nothing");
     assert_eq!(agg.list_requests, 0, "an addressed edge lists nothing");
-    // Merge workers report finalized batches (no driver merge), each a
-    // few KB — well under the inline limit, so they ride the result
+    // Merge workers report their top 10 finalized rows (no driver
+    // merge), well under the inline limit, so they ride the result
     // messages: no result PUT at all.
     assert_eq!(agg.put_requests, 0, "finalized groups ride the result messages");
     // Both exchange edges carried bytes.

@@ -363,7 +363,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
         let (probe, build) = (edge(0), edge(1));
         let task = Rc::new(StageTask {
             op: StageOp::Join { stage: stage.clone(), probe: probe.clone(), build: build.clone() },
-            sink: StageSink::Report,
+            sink: StageSink::Report { top: None },
             transport: Rc::clone(&transport),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),

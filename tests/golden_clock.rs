@@ -146,7 +146,7 @@ fn q12_over_the_object_store_exchange() {
 #[test]
 fn q3_on_the_direct_transport() {
     let expected = Pin {
-        queries: vec![(4611365134850756730, 4540157096545397438)],
+        queries: vec![(4611365134850756730, 4540039037383325696)],
         s3_gets: 7,
         s3_puts: 0,
         s3_lists: 0,
@@ -168,10 +168,10 @@ fn q3_on_the_direct_transport() {
 fn two_tenants_through_a_small_gate() {
     let expected = Pin {
         queries: vec![
-            (4608131269581918342, 4547567903038784556),
-            (4607712350630785052, 4547265376435975720),
+            (4608131269581918342, 4547508873457748686),
+            (4607712350630785052, 4547206346854939849),
             (4604229031032629808, 4536494668447788098),
-            (4601748565739694826, 4545826530398226375),
+            (4601748565739694826, 4545767500817190505),
         ],
         s3_gets: 31,
         s3_puts: 3,

@@ -573,6 +573,127 @@ proptest! {
     }
 }
 
+/// Which fleet reports to the driver in
+/// [`a_reporting_fleet_keeps_only_what_the_driver_keeps`].
+#[derive(Clone, Copy, Debug)]
+enum Reporter {
+    Scan,
+    Join,
+    AggMerge,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Metamorphic: under `SortStrategy::Driver` the driver sorts, and a
+    /// reporting fleet of 1–4 scan, join or agg-merge workers keeps only
+    /// its own top n first. Over a sort key tied many ways, `ORDER BY k2
+    /// LIMIT n` is the first n rows of `ORDER BY k2`, and `LIMIT n` the
+    /// first n of the unlimited query, bit for bit, for n of 0, 1, 3 and
+    /// more than the rows, on both transports — and no reporting worker
+    /// ships more than n rows.
+    #[test]
+    fn a_reporting_fleet_keeps_only_what_the_driver_keeps(
+        reporter in prop_oneof![Just(Reporter::Scan), Just(Reporter::Join), Just(Reporter::AggMerge)],
+        rows in 1usize..60,
+        ties in 1i64..4,
+        fleet in 1usize..5,
+        pick in 0usize..4,
+        salt in 0i64..1000,
+        descending in any::<bool>(),
+    ) {
+        // t: join/group key k1, sort key k2 with `ties` values, unique a;
+        // u: unique keys, so a join keeps at most t's rows.
+        let k1: Vec<i64> = (0..rows as i64).map(|i| (i * 5 + salt) % 23).collect();
+        let k2: Vec<i64> = (0..rows as i64).map(|i| (i * 7 + salt) % ties).collect();
+        let tcols = columns_for(&t_schema(), &k1, Some(&k2), 1);
+        let ucols = columns_for(&u_schema(), &(0..20).collect::<Vec<_>>(), None, 2);
+        let n = [0, 1, 3, rows + 5][pick];
+
+        let t = Df::scan("t", &t_schema());
+        let base = match reporter {
+            Reporter::Scan => t,
+            Reporter::Join => t.join(Df::scan("u", &u_schema()), &[("k1", "uk")]).unwrap(),
+            Reporter::AggMerge => {
+                let (k1, k2, a) = (t.col("k1").unwrap(), t.col("k2").unwrap(), t.col("a").unwrap());
+                t.aggregate(
+                    vec![(k1, "k1"), (k2, "k2")],
+                    vec![AggExpr::new(AggFunc::Sum, Some(a), "sum_a")],
+                )
+                .unwrap()
+            }
+        };
+        let k = base.col("k2").unwrap();
+        let sorted = base.clone().sort(vec![if descending { SortKey::desc(k) } else { SortKey::asc(k) }]).unwrap();
+        let plans = [
+            sorted.clone().limit(n).unwrap().build(),
+            sorted.build(),
+            base.clone().limit(n).unwrap().build(),
+            base.build(),
+        ];
+
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let mut system = Lambada::install(&cloud, LambadaConfig {
+            // One scan worker per file.
+            files_per_worker: Some(1),
+            join_workers: Some(fleet),
+            agg: AggStrategy::Exchange { workers: Some(fleet) },
+            sort: SortStrategy::Driver,
+            ..LambadaConfig::default()
+        });
+        let scan_files = if matches!(reporter, Reporter::Scan) { fleet } else { 2 };
+        for (name, schema, cols, files) in
+            [("t", t_schema(), &tcols, scan_files), ("u", u_schema(), &ucols, 1)]
+        {
+            let spec = stage_table_real(
+                &cloud, "data", name, schema, split_files(cols, files), cols[0].len() as u64, 2,
+            );
+            system.register_table(spec);
+        }
+        let mut catalog = Catalog::new();
+        for (name, schema, cols) in [("t", t_schema(), tcols), ("u", u_schema(), ucols)] {
+            let batch = RecordBatch::new(Arc::new(schema), cols).unwrap();
+            catalog.register(name, Rc::new(MemTable::from_batch(batch)));
+        }
+        let reference = execute_into_batch(&plans[1], &catalog).unwrap();
+
+        let runs = sim.block_on(async move {
+            let mut runs = Vec::new();
+            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                let mut reports = Vec::new();
+                for plan in &plans {
+                    let dag = system.plan(plan).unwrap();
+                    reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+                }
+                runs.push(reports);
+            }
+            runs
+        });
+        let prefix = match reporter {
+            Reporter::Scan => "scan:",
+            Reporter::Join => "join#",
+            Reporter::AggMerge => "agg#",
+        };
+        for reports in &runs {
+            let [top, all_sorted, first, all] = &reports[..] else { unreachable!() };
+            prop_assert_eq!(row_multiset(&all_sorted.batch), row_multiset(&reference));
+            for (limited, whole) in [(top, all_sorted), (first, all)] {
+                let keep: Vec<usize> = (0..whole.batch.num_rows().min(n)).collect();
+                assert_rows_identical(&limited.batch, &whole.batch.gather(&keep))?;
+                let last = limited.stages.last().unwrap();
+                prop_assert!(last.label.starts_with(prefix), "{} reports", last.label);
+                let shipped = &limited.worker_metrics[limited.worker_metrics.len() - last.workers..];
+                prop_assert_eq!(shipped.len(), last.workers);
+                for m in shipped {
+                    prop_assert!(m.rows_out <= n as u64, "a worker shipped {} of {}", m.rows_out, n);
+                }
+            }
+        }
+    }
+}
+
 /// A shared edge is partitioned once, so its consumers' fleets must
 /// agree. Pins cannot disagree (one pin per operator kind), but
 /// model-sized fleets can: a hand-built diamond whose scan `t` feeds a
