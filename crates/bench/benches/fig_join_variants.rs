@@ -23,7 +23,7 @@
 //! `LAMBADA_FIG_VARIANTS_WIDTHS` (number of fleet widths from
 //! {1, 2, 4, 8, 16} to sweep, default all).
 
-use lambada_bench::{banner, env_f64, env_usize, record_bench_summary};
+use lambada_bench::{banner, env_f64, env_usize};
 use lambada_core::{Lambada, LambadaConfig};
 use lambada_engine::JoinVariant;
 use lambada_sim::{Cloud, CloudConfig, Prices, Simulation};
@@ -89,12 +89,6 @@ fn main() {
                 report.stages.iter().map(|s| s.put_requests).sum::<u64>(),
                 report.stages.iter().map(|s| s.get_requests).sum::<u64>(),
                 report.stages.iter().map(|s| s.list_requests).sum::<u64>(),
-                request_dollars,
-            );
-            record_bench_summary(
-                "fig_join_variants",
-                &format!("{}_w{join_workers}", variant.label()),
-                report.latency_secs,
                 request_dollars,
             );
         }

@@ -11,15 +11,14 @@
 //! Quick mode for CI: `LAMBADA_FIG_STRAGGLER_POINTS=2
 //! LAMBADA_FIG_STRAGGLER_FILES=4 cargo bench --bench fig_straggler`.
 
-use lambada_bench::{banner, env_f64, env_usize, record_bench_summary};
+use lambada_bench::{banner, env_f64, env_usize};
 use lambada_core::{inject_worker_faults, Lambada, LambadaConfig, SpeculationConfig};
-use lambada_sim::{Cloud, CloudConfig, InjectedFault, Prices, Simulation};
+use lambada_sim::{Cloud, CloudConfig, InjectedFault, Simulation};
 use lambada_workloads::{q1, stage_descriptors, DescriptorOptions};
 
 struct Run {
     latency_secs: f64,
     backups: u64,
-    request_dollars: f64,
 }
 
 fn run_q1(files: usize, scale: f64, severity: f64, speculate: bool) -> Run {
@@ -47,11 +46,7 @@ fn run_q1(files: usize, scale: f64, severity: f64, speculate: bool) -> Run {
         });
     }
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
-    Run {
-        latency_secs: report.latency_secs,
-        backups: report.backup_invocations(),
-        request_dollars: report.request_dollars(&Prices::default()),
-    }
+    Run { latency_secs: report.latency_secs, backups: report.backup_invocations() }
 }
 
 fn main() {
@@ -69,7 +64,6 @@ fn main() {
     );
     let base = run_q1(files, scale, 1.0, false);
     println!("straggler-free baseline: {:.2} s", base.latency_secs);
-    record_bench_summary("fig_straggler", "baseline", base.latency_secs, base.request_dollars);
     println!(
         "{:<10} {:>14} {:>18} {:>8} {:>9}",
         "severity", "no-spec [s]", "speculation [s]", "backups", "speedup"
@@ -83,18 +77,6 @@ fn main() {
             on.latency_secs,
             on.backups,
             off.latency_secs / on.latency_secs
-        );
-        record_bench_summary(
-            "fig_straggler",
-            &format!("sev{severity}_nospec"),
-            off.latency_secs,
-            off.request_dollars,
-        );
-        record_bench_summary(
-            "fig_straggler",
-            &format!("sev{severity}_spec"),
-            on.latency_secs,
-            on.request_dollars,
         );
         // Speculation must never lose more than polling noise (losing
         // backups cost requests, not latency — first result wins).

@@ -6,6 +6,9 @@
 //! published values for comparison. `cargo bench --workspace` regenerates
 //! everything; the rows each target prints are the paper-vs-measured
 //! record (the repo's own benchmark is described in `benchmark/README.md`).
+//! Three targets are not figures: `micro_primitives` times the kernels,
+//! and `fig_straggler` / `fig_join_variants` print sweeps of what no
+//! benchmark workload runs (speculation; anti and left-outer joins).
 
 use lambada_core::{
     run_exchange, ComputeCostModel, ExchangeConfig, ExchangeSide, Lambada, LambadaConfig, PartData,
@@ -176,47 +179,4 @@ pub fn run_modeled_exchange(
         }
     }
     ExchangeRunSummary { makespan_secs: makespan, fastest_total_secs: fastest, phases }
-}
-
-/// Append one bench datapoint to the machine-readable run summary
-/// (`BENCH_summary.json` in the bench binary's working directory — the
-/// crate root under `cargo bench` — with a path override via
-/// `LAMBADA_BENCH_SUMMARY`). CI uploads the file as an artifact so the
-/// perf trajectory — end-to-end span and exact request-$ per bench
-/// series — is tracked across PRs. Hand-rolled JSON (the workspace
-/// deliberately carries no serde): the file is a flat array of
-/// `{"bench", "series", "span_secs", "request_dollars"}` objects, and
-/// each call rewrites it with the new entry appended, so any number of
-/// sequential bench binaries accumulate into one artifact.
-pub fn record_bench_summary(bench: &str, series: &str, span_secs: f64, request_dollars: f64) {
-    fn escape(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let path =
-        std::env::var("LAMBADA_BENCH_SUMMARY").unwrap_or_else(|_| "BENCH_summary.json".to_string());
-    let entry = format!(
-        "{{\"bench\":\"{}\",\"series\":\"{}\",\"span_secs\":{span_secs:.6},\"request_dollars\":{request_dollars:.8}}}",
-        escape(bench),
-        escape(series),
-    );
-    let body = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            // Reopen the array: strip the closing bracket and trailing
-            // separators; anything unparseable starts the file over.
-            let head = existing
-                .trim_end()
-                .strip_suffix(']')
-                .map(|h| h.trim_end().trim_end_matches(',').to_string())
-                .unwrap_or_default();
-            if head.trim() == "[" || head.trim().is_empty() {
-                format!("[\n  {entry}\n]\n")
-            } else {
-                format!("{head},\n  {entry}\n]\n")
-            }
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    // Bench binaries run sequentially under `cargo bench`; a lost write
-    // only costs one artifact row, never correctness.
-    let _ = std::fs::write(&path, body);
 }

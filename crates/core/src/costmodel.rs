@@ -9,6 +9,8 @@
 
 use lambada_engine::JoinVariant;
 
+use crate::verify::MAX_MODEL_FLEET;
+
 /// Throughput constants per vCPU.
 #[derive(Clone, Copy, Debug)]
 pub struct ComputeCostModel {
@@ -64,26 +66,23 @@ impl ComputeCostModel {
         bytes as f64 / self.partition_bytes_per_s
     }
 
-    /// Worker count for a join stage, given the estimated exchanged bytes
-    /// of both inputs and the per-worker engine memory budget.
+    /// Worker count for a consumer fleet — a join, agg-merge or sort
+    /// stage — given the bytes each worker's share is sized from and the
+    /// per-worker engine memory budget.
     ///
     /// Per-stage fleet sizing follows the resource-allocation trade-off
     /// of serverless query processing (Kassing et al., CIDR 2022): more
     /// workers cut per-worker state and latency but every worker pays
     /// invocation, request, and straggler overheads, so the model picks
-    /// the *smallest* fleet whose co-partitions fit comfortably in
-    /// memory. Each worker must simultaneously hold its build-side hash
-    /// table, a probe slice, and the join output, so a quarter of the
-    /// budget is treated as usable for raw input bytes.
-    pub fn join_stage_workers(
-        &self,
-        probe_bytes: u64,
-        build_bytes: u64,
-        memory_budget: u64,
-    ) -> usize {
+    /// the *smallest* fleet whose shares fit comfortably in memory. A
+    /// worker holds its share next to what it builds from it — a hash
+    /// table and the join output, merged agg states and decode buffers, a
+    /// range and its sorted copy — so a quarter of the budget is treated
+    /// as usable for raw input bytes. The fleet is clamped to
+    /// `1..=`[`MAX_MODEL_FLEET`].
+    pub fn consumer_workers(&self, bytes: u64, memory_budget: u64) -> usize {
         let usable = (memory_budget / 4).max(1);
-        let total = probe_bytes + build_bytes;
-        (total.div_ceil(usable) as usize).clamp(1, 256)
+        (bytes.div_ceil(usable) as usize).clamp(1, MAX_MODEL_FLEET)
     }
 
     /// Estimated bytes a join stage emits onto its output edge, given the
@@ -111,41 +110,6 @@ impl ComputeCostModel {
             JoinVariant::LeftOuter => probe_bytes.max(build_bytes).saturating_add(probe_bytes / 4),
             JoinVariant::Semi | JoinVariant::Anti => (probe_bytes / 2).max(1),
         }
-    }
-
-    /// Worker count for the merge stage of a repartitioned aggregation,
-    /// given the estimated bytes entering the producer's partial
-    /// aggregation and the per-worker engine memory budget.
-    ///
-    /// Partial aggregation compacts its input before anything is
-    /// exchanged — only grouped states travel, and even a pathological
-    /// all-distinct group-by shrinks rows to fixed-width accumulator
-    /// entries — so the model charges an 8:1 reduction over the raw
-    /// input estimate, then (like [`Self::join_stage_workers`]) picks
-    /// the smallest fleet whose merged partition states fit in a quarter
-    /// of the budget: merge workers hold the merged state plus decode
-    /// buffers, and every extra worker pays invocation, request, and
-    /// straggler overheads (Kassing et al., CIDR 2022).
-    pub fn agg_merge_workers(&self, input_bytes: u64, memory_budget: u64) -> usize {
-        let usable = (memory_budget / 4).max(1);
-        let state_bytes = input_bytes / 8;
-        (state_bytes.div_ceil(usable) as usize).clamp(1, 256)
-    }
-
-    /// Worker count for the sort fleet of a distributed range-partitioned
-    /// sort, given the estimated bytes entering it (its producer's edge
-    /// volume) and the per-worker engine memory budget.
-    ///
-    /// A sort worker holds its whole range plus the sorted copy and
-    /// decode buffers, so — like the other consumer fleets — the model
-    /// picks the smallest fleet whose ranges fit in a quarter of the
-    /// budget; every extra worker pays invocation, request, and straggler
-    /// overheads (Kassing et al., CIDR 2022), and with top-k limit
-    /// pushdown the real exchanged volume is usually far below this
-    /// estimate anyway.
-    pub fn sort_stage_workers(&self, input_bytes: u64, memory_budget: u64) -> usize {
-        let usable = (memory_budget / 4).max(1);
-        (input_bytes.div_ceil(usable) as usize).clamp(1, 256)
     }
 
     /// Per-query fleet cap when `active_queries` share one installation's
@@ -194,21 +158,18 @@ mod tests {
     }
 
     #[test]
-    fn join_fleet_scales_with_data_and_memory() {
+    fn consumer_fleet_scales_with_data_and_memory() {
         let m = ComputeCostModel::default();
         let gib = 1u64 << 30;
-        // Tiny join: one worker suffices.
-        assert_eq!(m.join_stage_workers(1 << 20, 1 << 20, 2 * gib), 1);
+        // A tiny input, or none, needs one worker.
+        assert_eq!(m.consumer_workers(2 << 20, 2 * gib), 1);
+        assert_eq!(m.consumer_workers(0, 2 * gib), 1);
         // 64 GiB across 2 GiB workers (512 MiB usable each): 128 workers.
-        assert_eq!(m.join_stage_workers(48 * gib, 16 * gib, 2 * gib), 128);
+        assert_eq!(m.consumer_workers(64 * gib, 2 * gib), 128);
         // More memory per worker shrinks the fleet.
-        assert!(
-            m.join_stage_workers(48 * gib, 16 * gib, 8 * gib)
-                < m.join_stage_workers(48 * gib, 16 * gib, 2 * gib)
-        );
-        // Clamped to a sane band.
-        assert_eq!(m.join_stage_workers(u64::MAX / 4, 0, 2 * gib), 256);
-        assert_eq!(m.join_stage_workers(0, 0, 2 * gib), 1);
+        assert!(m.consumer_workers(64 * gib, 8 * gib) < m.consumer_workers(64 * gib, 2 * gib));
+        // Clamped to the bound the verifier holds unpinned fleets to.
+        assert_eq!(m.consumer_workers(u64::MAX / 2, 2 * gib), MAX_MODEL_FLEET);
     }
 
     #[test]
@@ -226,20 +187,8 @@ mod tests {
         // A consumer fleet sized from a semi-join edge undercuts one
         // sized from the equivalent inner edge.
         let gib = 1u64 << 30;
-        assert!(m.agg_merge_workers(semi, 2 * gib) <= m.agg_merge_workers(inner, 2 * gib));
+        assert!(m.consumer_workers(semi, 2 * gib) <= m.consumer_workers(inner, 2 * gib));
         assert_eq!(m.join_output_bytes(JoinVariant::Semi, 0, b), 1, "never zero");
-    }
-
-    #[test]
-    fn sort_fleet_scales_with_data_and_memory() {
-        let m = ComputeCostModel::default();
-        let gib = 1u64 << 30;
-        assert_eq!(m.sort_stage_workers(1 << 20, 2 * gib), 1, "tiny sorts need one worker");
-        assert!(
-            m.sort_stage_workers(64 * gib, 8 * gib) < m.sort_stage_workers(64 * gib, 2 * gib),
-            "more memory per worker shrinks the fleet"
-        );
-        assert_eq!(m.sort_stage_workers(u64::MAX / 2, 2 * gib), 256, "clamped");
     }
 
     #[test]
@@ -249,21 +198,5 @@ mod tests {
         assert_eq!(m.contended_fleet_cap(64, 4), 16, "even split across active queries");
         assert_eq!(m.contended_fleet_cap(4, 100), 1, "never starves a query to zero workers");
         assert_eq!(m.contended_fleet_cap(64, 0), 64, "zero active treated as one");
-    }
-
-    #[test]
-    fn agg_merge_fleet_is_smaller_than_the_join_fleet_for_the_same_input() {
-        let m = ComputeCostModel::default();
-        let gib = 1u64 << 30;
-        // Pre-aggregation compacts the exchanged volume 8:1, so the merge
-        // fleet undercuts a join fleet fed the same raw bytes.
-        assert!(
-            m.agg_merge_workers(64 * gib, 2 * gib) < m.join_stage_workers(64 * gib, 0, 2 * gib)
-        );
-        // Tiny aggregations need one merge worker; huge ones are clamped.
-        assert_eq!(m.agg_merge_workers(1 << 20, 2 * gib), 1);
-        assert_eq!(m.agg_merge_workers(u64::MAX / 2, 2 * gib), 256);
-        // More memory per worker shrinks the fleet.
-        assert!(m.agg_merge_workers(256 * gib, 8 * gib) < m.agg_merge_workers(256 * gib, 2 * gib));
     }
 }

@@ -669,18 +669,6 @@ impl Lambada {
         &self.cloud
     }
 
-    /// Re-register the worker function, dropping warm containers — the
-    /// next query is a cold run (§5.2).
-    pub fn make_cold(&self) {
-        register_worker_function(
-            &self.cloud,
-            &self.config.function_name,
-            self.config.memory_mib,
-            self.config.timeout,
-            self.config.costs,
-        );
-    }
-
     pub fn register_table(&mut self, spec: TableSpec) {
         self.register_table_shared(spec);
     }
@@ -749,18 +737,19 @@ impl Lambada {
     ///
     /// Sizing: a scan fleet follows its file sizes — a worker per
     /// connections' round of latency-bound files, one per larger file — or
-    /// is `ceil(#files / F)` under a pinned F (§5.2); consumer fleets (join,
-    /// agg-merge, sort) sized per stage by the compute cost model from
-    /// their inputs' estimated edge volume — the resource-allocation
-    /// trade-off of Kassing et al. applied at every level of the DAG —
-    /// unless the installation pins them. `fleet_cap` (contention
-    /// shrinking under the query service) clamps model-sized fleets and
-    /// scan fleets; explicitly pinned fleets stay pinned. The byte
-    /// estimates run bottom-up: table bytes scaled by the fraction of
-    /// surviving columns for scans, the variant-aware
-    /// [`ComputeCostModel::join_output_bytes`] for joins, an 8:1
-    /// pre-aggregation compaction for agg-merge fleets, pass-through for
-    /// sorts.
+    /// is `ceil(#files / F)` under a pinned F (§5.2); a consumer fleet
+    /// (join, agg-merge, sort) is sized per stage by
+    /// [`ComputeCostModel::consumer_workers`] from the bytes it takes in —
+    /// a join's two inputs together, an agg-merge fleet's states, a sort's
+    /// input — the resource-allocation trade-off of Kassing et al.
+    /// applied at every level of the DAG, unless the installation pins
+    /// it. `fleet_cap` (contention shrinking under the query service)
+    /// clamps model-sized fleets and scan fleets; explicitly pinned
+    /// fleets stay pinned. The byte estimates run bottom-up: table bytes
+    /// scaled by the fraction of surviving columns for scans, the
+    /// variant-aware [`ComputeCostModel::join_output_bytes`] for joins, an
+    /// 8:1 pre-aggregation compaction for agg-merge fleets, pass-through
+    /// for sorts.
     pub fn launch_plan<'a>(
         &self,
         dag: &'a QueryDag,
@@ -805,15 +794,17 @@ impl Lambada {
                     let (probe, build) = (est[j.probe_input], est[j.build_input]);
                     let pin = self.config.join_workers;
                     let bytes = costs.join_output_bytes(j.variant, probe, build);
-                    (pin, bytes, sized(pin, costs.join_stage_workers(probe, build, budget)), None)
+                    let fleet =
+                        sized(pin, costs.consumer_workers(probe.saturating_add(build), budget));
+                    (pin, bytes, fleet, None)
                 }
                 StageKind::AggMerge(a) => {
                     let pin = match self.config.agg {
                         AggStrategy::Exchange { workers } => workers,
                         AggStrategy::DriverMerge => None,
                     };
-                    let input = est[a.input];
-                    (pin, input / 8, sized(pin, costs.agg_merge_workers(input, budget)), None)
+                    let states = est[a.input] / 8;
+                    (pin, states, sized(pin, costs.consumer_workers(states, budget)), None)
                 }
                 StageKind::Sort(s) => {
                     let pin = match self.config.sort {
@@ -821,7 +812,7 @@ impl Lambada {
                         SortStrategy::Driver => None,
                     };
                     let input = est[s.input];
-                    (pin, input, sized(pin, costs.sort_stage_workers(input, budget)), None)
+                    (pin, input, sized(pin, costs.consumer_workers(input, budget)), None)
                 }
             };
             pins.push(pin);
@@ -1828,9 +1819,11 @@ mod tests {
     use crate::exchange::{encode_bundle_into, PartData};
     use crate::invoke::{build_tree, choose_strategy, InvocationStrategy};
     use crate::message::{Section, Wire, INLINE_EDGE_BYTES};
+    use crate::table::TableFile;
     use crate::transport::{At, SectionAddr, ADDRESS_BYTES};
     use lambada_engine::logical::SortKey;
     use lambada_engine::types::{Field, Schema};
+    use lambada_engine::{AggExpr, AggFunc};
     use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
     use lambada_sim::services::object_store::Bytes;
     use lambada_sim::{secs, CloudConfig, Simulation};
@@ -2067,6 +2060,39 @@ mod tests {
         assert_eq!(chunks(&[10; 7], Packing::Pinned(3), None), vec![0..3, 3..6, 6..7]);
         assert_eq!(lens(chunks(&[500; 10], by_size, Some(4))), vec![2, 3, 2, 3]);
         assert_eq!(chunks(&[10; 8], by_size, Some(2)), vec![0..4, 4..8], "the cap does not bind");
+    }
+
+    /// Consumer fleets are sized from the bytes they take in, and an
+    /// agg-merge fleet takes in states: its input compacted 8:1. Over a
+    /// 16 GiB scan at 2 GiB (512 MiB usable per worker) the merge fleet
+    /// holds 2 GiB of states, 4 workers, where a sort of the same scan
+    /// gets 32; a sort of the merged states gets the merge fleet's 4.
+    #[test]
+    fn an_agg_merge_fleet_is_sized_from_its_compacted_states() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = LambadaConfig {
+            agg: AggStrategy::Exchange { workers: None },
+            sort: SortStrategy::Exchange { workers: None },
+            ..LambadaConfig::default()
+        };
+        let mut system = Lambada::install(&cloud, config);
+        let schema =
+            Schema::new(vec![Field::new("g", DataType::Int64), Field::new("v", DataType::Int64)]);
+        let files = (0..16).map(|i| TableFile::real("data", format!("t/{i}"), 1 << 30)).collect();
+        system.register_table(TableSpec::new("t", schema.clone(), files, 1 << 30));
+        let fleets = |plan: Df| {
+            let dag = system.plan(&plan.build()).unwrap();
+            system.launch_plan(&dag, None).unwrap().workers
+        };
+        let g = || lambada_engine::col(0);
+        let sum_v = vec![AggExpr::new(AggFunc::Sum, Some(lambada_engine::col(1)), "s")];
+        let agg = Df::scan("t", &schema).aggregate(vec![(g(), "g")], sum_v).unwrap();
+        assert_eq!(fleets(agg.clone()), vec![16, 4], "scan, agg-merge");
+        let sorted = Df::scan("t", &schema).sort(vec![SortKey::asc(g())]).unwrap();
+        assert_eq!(fleets(sorted), vec![16, 32], "scan, sort");
+        let merged_sorted = agg.sort(vec![SortKey::asc(g())]).unwrap();
+        assert_eq!(fleets(merged_sorted), vec![16, 4, 4], "scan, agg-merge, sort");
     }
 
     /// A sort-edge report of `blocks` ten-byte file blocks and `starts`.

@@ -118,8 +118,8 @@ pub async fn invoke_workers(
     invoke_workers_as(cloud, function, payloads, strategy).await
 }
 
-/// [`invoke_workers`] in an explicit shape: for the experiments that
-/// drive the tree on purpose (Fig 5, the FaaS-dispatched exchange).
+/// [`invoke_workers`] in an explicit shape: for what drives one shape on
+/// purpose (Fig 5's comparison of the two, and tests that pin one).
 pub async fn invoke_workers_as(
     cloud: &Cloud,
     function: &str,

@@ -102,6 +102,6 @@ pub use verify::{
 };
 pub use worker::{
     inject_query_worker_faults, inject_worker_faults, register_worker_function, EdgeRead,
-    ExchangeTask, FusedStage, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask,
-    WorkerPayload, WorkerTask,
+    FusedStage, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
+    WorkerTask,
 };

@@ -142,9 +142,9 @@ pub mod codes {
     pub const STREAM_POST: &str = "V-STREAM-004";
 }
 
-/// Largest fleet the cost model can legitimately size: every consumer
-/// sizer in [`crate::costmodel::ComputeCostModel`] clamps to this, so an
-/// unpinned fleet above it cannot have come from the model.
+/// Largest fleet the cost model can legitimately size: the consumer
+/// sizer [`crate::costmodel::ComputeCostModel::consumer_workers`] clamps
+/// to this, so an unpinned fleet above it cannot have come from the model.
 pub const MAX_MODEL_FLEET: usize = 256;
 
 /// One verifier finding: a stable machine-checkable `code`, the stage it

@@ -87,7 +87,7 @@ use lambada_sim::{Cloud, Prices};
 use crate::costmodel::ComputeCostModel;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
-use crate::exchange::{run_exchange, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData};
+use crate::exchange::{EdgeReadStats, PartData};
 use crate::invoke;
 use crate::message::{
     decode_in_edges, ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES,
@@ -96,20 +96,6 @@ use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
 use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, TransportKind, KEY_BYTES};
-
-/// Standalone exchange task (Table 3 / Fig 13 experiments).
-#[derive(Clone)]
-pub struct ExchangeTask {
-    pub cfg: ExchangeConfig,
-    pub total: usize,
-    /// Bytes this worker holds, split evenly over all destinations
-    /// (modeled payloads).
-    pub data_bytes: u64,
-    /// Optional input object to read first (the "Read input" phase of
-    /// Fig 13).
-    pub input: Option<(String, String)>,
-    pub side: ExchangeSide,
-}
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
 /// locally sorted run reaches the consumer sort fleet.
@@ -266,8 +252,6 @@ pub enum WorkerTask {
     Compute { vcpu_seconds: f64, threads: usize },
     /// One stage of a query DAG: operator → sink.
     Stage(Rc<StageTask>),
-    /// Repartition data through cloud storage.
-    Exchange(ExchangeTask),
 }
 
 /// The invocation payload (the "event" of the Lambda function).
@@ -512,10 +496,6 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
             Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new()))
         }
         WorkerTask::Stage(task) => run_chain(env, task, &payload.edges).await,
-        WorkerTask::Exchange(x) => match run_exchange_task(env, x).await {
-            Ok((payload, metrics)) => Ok((payload, metrics, Vec::new())),
-            Err(e) => Err(e.to_string()),
-        },
     }
 }
 
@@ -1107,31 +1087,10 @@ async fn run_stage(
     Ok((ship(env, task, handoff, &mut metrics).await?, metrics, None))
 }
 
-async fn run_exchange_task(
-    env: &WorkerEnv,
-    task: &ExchangeTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let mut metrics = WorkerMetrics::default();
-    if let Some((bucket, key)) = &task.input {
-        let start = env.cloud.handle.now();
-        let got = env.s3.get(bucket, key).await?;
-        metrics.bytes_read += got.value.len();
-        metrics.get_requests += 1;
-        metrics.hedged_gets += got.hedges;
-        env.cloud.trace.record(env.worker_id, "exchange_input", start, env.cloud.handle.now());
-    }
-    // An exchange among no workers holds nothing: `run_exchange` rejects it.
-    let per_dest = task.data_bytes.checked_div(task.total as u64).unwrap_or_default();
-    let parts: Vec<PartData> = (0..task.total).map(|_| PartData::Modeled(per_dest)).collect();
-    let outcome =
-        run_exchange(env, &task.cfg, env.worker_id as usize, task.total, parts, &task.side).await?;
-    metrics.rows_in = outcome.received.len() as u64;
-    Ok((ResultPayload::Empty, metrics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{ExchangeConfig, ExchangeSide};
     use crate::stage::StageOutput;
     use crate::transport::SectionAddr;
     use lambada_engine::types::DataType;
@@ -1440,57 +1399,5 @@ mod tests {
         assert!(near(wait(2048, 0.13, true), 0.27), "each quantum alike");
         assert!(near(wait(1024, 0.0, true), 0.4), "{}", wait(1024, 0.0, true));
         assert!(near(host_wait(&prices, 2048, 0.0, 0.37, false), 2e-7 / 3.3e-5));
-    }
-
-    /// A malformed Algorithm-1 task — an exchange among no workers, or a
-    /// worker outside it — is reported on the result queue as the
-    /// worker's error, not a panic that takes the handler down.
-    #[test]
-    fn a_malformed_exchange_task_posts_an_error_result() {
-        let sim = Simulation::new();
-        let cloud = Cloud::new(&sim, CloudConfig::default());
-        register_worker_function(
-            &cloud,
-            "x",
-            2048,
-            std::time::Duration::from_secs(60),
-            ComputeCostModel::default(),
-        );
-        cloud.sqs.create_queue("results");
-        let side = ExchangeSide::new();
-        let task = |total| ExchangeTask {
-            cfg: ExchangeConfig::default(),
-            total,
-            data_bytes: 1 << 20,
-            input: None,
-            side: side.clone(),
-        };
-        let payloads = [(0, task(0)), (3, task(2))].map(|(worker_id, task)| WorkerPayload {
-            worker_id,
-            attempt: 0,
-            query: 0,
-            task: WorkerTask::Exchange(task),
-            edges: Vec::new(),
-            children: Vec::new(),
-            result_queue: "results".to_string(),
-        });
-        let results = sim.block_on({
-            let cloud = cloud.clone();
-            async move {
-                invoke::invoke_workers(&cloud, "x", payloads.to_vec()).await.unwrap();
-                let mut got = Vec::new();
-                while got.len() < 2 {
-                    let wait = std::time::Duration::from_secs(1);
-                    for msg in cloud.driver_sqs().receive("results", 10, wait).await.unwrap() {
-                        got.push(WorkerResult::decode(&msg).unwrap());
-                    }
-                }
-                got
-            }
-        });
-        for r in results {
-            let err = r.outcome.unwrap_err();
-            assert!(err.contains("-worker exchange"), "worker {}: {err}", r.worker_id);
-        }
     }
 }

@@ -5,7 +5,10 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use lambada::core::{stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig};
+use lambada::core::{
+    stage_edge_counts, AggStrategy, ExecPolicy, InvocationStrategy, Lambada, LambadaConfig,
+    TransportKind,
+};
 use lambada::engine::{execute_into_batch, Catalog, DataType, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 use lambada::workloads::{
@@ -374,11 +377,15 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
-    let report = sim.block_on({
-        let plan = plan.clone();
-        async move { system.run_query(&plan).await.unwrap() }
+    // The object store first, then the direct transport on the same DAG.
+    let (report, direct) = sim.block_on(async {
+        let dag = system.plan(&plan).unwrap();
+        let on = |kind| ExecPolicy { transport: Some(kind), ..ExecPolicy::default() };
+        let store = system.run_dag_with(&dag, &on(TransportKind::ObjectStore)).await.unwrap();
+        (store, system.run_dag_with(&dag, &on(TransportKind::Direct)).await.unwrap())
     });
     assert_batches_close(&report.batch, &reference);
+    assert_eq!(direct.batch, report.batch, "the transports agree bit for bit");
     assert_eq!(report.batch.num_rows(), 10, "top-10 post-op applied on the driver");
 
     // The full DAG ran: two scan fleets, the join fleet, the merge fleet.
@@ -425,6 +432,19 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
     // Both exchange edges carried bytes.
     assert!(scans.iter().all(|s| s.bytes_exchanged > 0));
     assert!(join.bytes_exchanged > 0, "join fleet exchanged grouped state shards");
+
+    // On the direct transport the scanners over budget stream their
+    // sections through the relay instead: no scan PUTs, no join GETs. The
+    // join → agg edge rides inline on both transports, and neither lists.
+    let (direct_scans, direct_join) = (&direct.stages[..2], &direct.stages[2]);
+    assert!(direct_scans.iter().all(|s| s.put_requests == 0), "nothing stored");
+    assert_eq!(direct_join.get_requests, 0, "nothing fetched from the store");
+    assert!(direct_join.p2p_requests > 0, "the scan → join edge streams");
+    for r in [&report, &direct] {
+        let (join, agg) = (&r.stages[2], &r.stages[3]);
+        assert_eq!((join.put_requests, agg.get_requests, agg.p2p_requests), (0, 0, 0));
+        assert!(r.stages.iter().all(|s| s.list_requests == 0));
+    }
 }
 
 /// A driver-merged aggregate state too large for a result message is
@@ -472,9 +492,17 @@ fn an_agg_state_over_the_message_cap_is_stored_and_merged() {
     assert_eq!(join.put_requests, 1, "the state is stored, not sent");
 }
 
+/// A wider sort fleet trades per-worker state for invocations, not
+/// requests: the driver picks the range boundaries from the producers'
+/// block starts, so sorters spend no request agreeing on them, and the
+/// S3 request $ at two or four sorters stays within 10% of one sorter's.
 #[test]
 fn q5_multiway_runs_fully_serverlessly_with_request_counts_matching_the_model() {
-    q5_multiway(2);
+    let one = q5_multiway(1);
+    for width in [2, 4] {
+        let dollars = q5_multiway(width);
+        assert!(dollars <= 1.1 * one, "{width} sorters: ${dollars:.8} against one's ${one:.8}");
+    }
 }
 
 /// A one-worker sort fleet has one range and the same protocol: every
@@ -485,7 +513,9 @@ fn q5_multiway_with_a_lone_sorter_skips_the_sample_barrier() {
     q5_multiway(1);
 }
 
-fn q5_multiway(sort_workers: usize) {
+/// Runs Q5 into `sort_workers` sorters, checks it, and returns its S3
+/// request $.
+fn q5_multiway(sort_workers: usize) -> f64 {
     // The acceptance shape for general DAG lowering: a 3-table join with
     // group-by, ORDER BY, and LIMIT plans and executes entirely in the
     // serverless scope — nested join over a row exchange, repartitioned
@@ -633,6 +663,8 @@ fn q5_multiway(sort_workers: usize) {
     assert!(inner_join.bytes_exchanged > 0, "nested join re-exchanged rows");
     assert!(outer_join.bytes_exchanged > 0, "outer join exchanged grouped state");
     assert!(agg.bytes_exchanged > 0, "merge fleet exchanged sorted runs");
+    let prices = cloud.billing.prices();
+    report.stages.iter().map(|s| s.request_dollars(&prices)).sum()
 }
 
 /// Stage lineitem + orders and register both with the system; returns
@@ -741,7 +773,7 @@ fn q4_semi_join_feeds_agg_and_sort_fleets() {
 /// the others ride their messages.
 #[test]
 fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
-    use lambada::core::{ExecPolicy, SortStrategy, TransportKind};
+    use lambada::core::SortStrategy;
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let config = LambadaConfig {
@@ -800,7 +832,6 @@ fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
 /// and every invocation.
 #[test]
 fn reports_count_every_billed_request_while_hedges_fire() {
-    use lambada::core::TransportKind;
     use lambada::sim::services::object_store::S3Config;
     let mut hedged = 0;
     for transport in [TransportKind::ObjectStore, TransportKind::Direct] {

@@ -1,8 +1,7 @@
 //! Documentation link check: every relative markdown link in README.md
 //! and docs/*.md must point at a file that exists in the repository, so
 //! cross-references between the README, ARCHITECTURE, and OPERATORS
-//! documents cannot rot as the tree moves. Runs as part of `cargo test`
-//! and as a dedicated CI step.
+//! documents cannot rot as the tree moves. Runs as part of `cargo test`.
 
 use std::path::{Path, PathBuf};
 

@@ -251,81 +251,25 @@ fn modeled_exchange_matches_real_request_counts() {
     }
 }
 
-/// The exchange also runs as a regular worker task through the full FaaS
-/// dispatch path (invocation, handler, result queue) — the §5.5 set-up.
+/// A malformed exchange — one among no workers, a worker outside it, or
+/// a part list that is not one part per worker — is a typed error before
+/// any request, not a panic.
 #[test]
-fn exchange_runs_through_faas_workers() {
-    use lambada::core::{
-        invoke_workers_as, register_worker_function, ExchangeTask, InvocationStrategy,
-        WorkerPayload, WorkerResult, WorkerTask,
-    };
-    use std::time::Duration;
-
-    let total = 9usize;
+fn a_malformed_exchange_is_an_error_before_any_request() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let cfg = ExchangeConfig {
-        algo: ExchangeAlgo::TwoLevel,
-        write_combining: true,
-        ..ExchangeConfig::default()
-    };
+    let cfg = ExchangeConfig::default();
     install_exchange_buckets(&cloud, &cfg);
-    cloud.s3.stage(
-        "input",
-        "shard",
-        lambada::sim::services::object_store::Body::Synthetic(1 << 20),
-    );
-    register_worker_function(
-        &cloud,
-        "xchg",
-        2048,
-        Duration::from_secs(600),
-        ComputeCostModel::default(),
-    );
-    cloud.sqs.create_queue("xresults");
+    let env = worker_envs(&cloud, 1, 2048).remove(0);
     let side = ExchangeSide::new();
-    let payloads: Vec<WorkerPayload> = (0..total as u64)
-        .map(|i| WorkerPayload {
-            worker_id: i,
-            attempt: 0,
-            query: 0,
-            task: WorkerTask::Exchange(ExchangeTask {
-                cfg: cfg.clone(),
-                total,
-                data_bytes: 9 << 20,
-                input: Some(("input".to_string(), "shard".to_string())),
-                side: side.clone(),
-            }),
-            edges: Vec::new(),
-            children: Vec::new(),
-            result_queue: "xresults".to_string(),
-        })
-        .collect();
-    let results = sim.block_on({
-        let cloud2 = cloud.clone();
-        async move {
-            invoke_workers_as(&cloud2, "xchg", payloads, InvocationStrategy::TwoLevel)
-                .await
-                .unwrap();
-            let sqs = cloud2.driver_sqs();
-            let mut out = Vec::new();
-            while out.len() < total {
-                for msg in sqs.receive("xresults", 10, Duration::from_secs(2)).await.unwrap() {
-                    out.push(WorkerResult::decode(&msg).unwrap());
-                }
-            }
-            out
-        }
-    });
-    assert_eq!(results.len(), total);
-    for r in &results {
-        assert!(r.outcome.is_ok(), "worker {} failed: {:?}", r.worker_id, r.outcome);
-        // Each worker received one bundle per sender.
-        assert_eq!(r.metrics.rows_in, total as u64);
-        assert!(r.metrics.bytes_read >= 1 << 20, "input read charged");
+    let parts = |n: usize| (0..n).map(|_| PartData::Modeled(1 << 20)).collect::<Vec<_>>();
+    for (p, total, held) in [(0, 0, 0), (3, 2, 2), (0, 2, 3), (1, 2, 1)] {
+        let got = sim.block_on(run_exchange(&env, &cfg, p, total, parts(held), &side));
+        let err = got.err().map(|e| e.to_string()).unwrap_or_default();
+        assert!(err.contains("-worker exchange"), "worker {p} of {total} holding {held}: {err:?}");
     }
-    // Exchange spans were traced for Fig 13-style analysis.
-    assert_eq!(cloud.trace.spans("exchange_write").len(), total * 2);
+    let requests = [CostItem::S3Put, CostItem::S3Get, CostItem::S3List];
+    assert!(requests.iter().all(|&item| cloud.billing.units(item) == 0.0));
 }
 
 /// Run an exchange where worker `p` holds payload `"{p}->{d}"` for every
