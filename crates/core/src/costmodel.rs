@@ -158,18 +158,33 @@ mod tests {
     }
 
     #[test]
-    fn consumer_fleet_scales_with_data_and_memory() {
+    fn join_fleet_scales_with_data_and_memory() {
         let m = ComputeCostModel::default();
         let gib = 1u64 << 30;
-        // A tiny input, or none, needs one worker.
-        assert_eq!(m.consumer_workers(2 << 20, 2 * gib), 1);
-        assert_eq!(m.consumer_workers(0, 2 * gib), 1);
+        // A join fleet is sized from both inputs' bytes together.
+        let join = |probe: u64, build: u64, budget| m.consumer_workers(probe + build, budget);
+        // A tiny join, or an empty one, needs one worker.
+        assert_eq!(join(1 << 20, 1 << 20, 2 * gib), 1);
+        assert_eq!(join(0, 0, 2 * gib), 1);
         // 64 GiB across 2 GiB workers (512 MiB usable each): 128 workers.
-        assert_eq!(m.consumer_workers(64 * gib, 2 * gib), 128);
+        assert_eq!(join(48 * gib, 16 * gib, 2 * gib), 128);
         // More memory per worker shrinks the fleet.
-        assert!(m.consumer_workers(64 * gib, 8 * gib) < m.consumer_workers(64 * gib, 2 * gib));
+        assert!(join(48 * gib, 16 * gib, 8 * gib) < join(48 * gib, 16 * gib, 2 * gib));
         // Clamped to the bound the verifier holds unpinned fleets to.
-        assert_eq!(m.consumer_workers(u64::MAX / 2, 2 * gib), MAX_MODEL_FLEET);
+        assert_eq!(join(u64::MAX / 4, 0, 2 * gib), MAX_MODEL_FLEET);
+    }
+
+    #[test]
+    fn sort_fleet_scales_with_data_and_memory() {
+        let m = ComputeCostModel::default();
+        let gib = 1u64 << 30;
+        // A sort fleet is sized from its producer's edge volume.
+        assert_eq!(m.consumer_workers(1 << 20, 2 * gib), 1, "tiny sorts need one worker");
+        assert!(
+            m.consumer_workers(64 * gib, 8 * gib) < m.consumer_workers(64 * gib, 2 * gib),
+            "more memory per worker shrinks the fleet"
+        );
+        assert_eq!(m.consumer_workers(u64::MAX / 2, 2 * gib), MAX_MODEL_FLEET, "clamped");
     }
 
     #[test]
