@@ -32,11 +32,6 @@ pub fn table3_lambada_paper() -> Vec<(u64, f64)> {
     vec![(250, 22.0), (500, 15.0), (1000, 13.0)]
 }
 
-/// Locus' 1 TB shuffle (§5.5): 39 s with VM-based fast storage.
-pub fn locus_1tb_seconds() -> f64 {
-    39.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@
 //! LAMBADA_FIG_STRAGGLER_FILES=4 cargo bench --bench fig_straggler`.
 
 use lambada_bench::{banner, env_f64, env_usize};
-use lambada_core::{inject_worker_faults, Lambada, LambadaConfig, SpeculationConfig};
+use lambada_core::{inject_worker_faults, Lambada, LambadaConfig};
 use lambada_sim::{Cloud, CloudConfig, InjectedFault, Simulation};
 use lambada_workloads::{q1, stage_descriptors, DescriptorOptions};
 
@@ -26,19 +26,8 @@ fn run_q1(files: usize, scale: f64, severity: f64, speculate: bool) -> Run {
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let opts = DescriptorOptions { scale, num_files: files, ..DescriptorOptions::default() };
     let spec = stage_descriptors(&cloud, "tpch", "lineitem", &opts);
-    let mut system = Lambada::install(
-        &cloud,
-        LambadaConfig {
-            speculation: SpeculationConfig {
-                enabled: speculate,
-                quantile: 0.7,
-                multiplier: 2.0,
-                max_attempts: 1,
-                ..SpeculationConfig::default()
-            },
-            ..LambadaConfig::default()
-        },
-    );
+    let mut system =
+        Lambada::install(&cloud, LambadaConfig { speculate, ..LambadaConfig::default() });
     system.register_table(spec);
     if severity > 1.0 {
         inject_worker_faults(&cloud, move |wid, attempt| {

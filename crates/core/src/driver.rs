@@ -142,45 +142,6 @@ pub enum SortStrategy {
     Exchange { workers: Option<usize> },
 }
 
-/// Speculative re-invocation of straggling workers.
-///
-/// The driver watches per-worker result arrivals while it polls the
-/// result queue. Once at least `quantile` of a fleet has reported and
-/// the stragglers' elapsed time exceeds `multiplier ×` the median span
-/// of the workers that did report, every missing worker is re-invoked
-/// as a backup attempt. The first result per `worker_id` wins, and its
-/// section table is the one consumers are addressed from; the exchange's
-/// attempt-suffixed keys keep a backup's re-written shuffle files from
-/// ever being mixed with the original's.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpeculationConfig {
-    pub enabled: bool,
-    /// Fraction of the fleet that must have reported before backups are
-    /// considered (the paper-era rule of thumb: react once the fastest
-    /// ~90% are in). The quorum is clamped to `workers - 1`, so on small
-    /// fleets — where `ceil(quantile × workers)` would demand the whole
-    /// fleet — a single holdout can still be speculated against.
-    pub quantile: f64,
-    /// A straggler is re-invoked once the fleet's elapsed time exceeds
-    /// `multiplier ×` the median span of the reported workers.
-    pub multiplier: f64,
-    /// Backup attempts per worker beyond the original (attempt 0).
-    pub max_attempts: u32,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig { enabled: false, quantile: 0.9, multiplier: 2.0, max_attempts: 1 }
-    }
-}
-
-impl SpeculationConfig {
-    /// Speculation on with the default thresholds.
-    pub fn on() -> SpeculationConfig {
-        SpeculationConfig { enabled: true, ..SpeculationConfig::default() }
-    }
-}
-
 /// System configuration fixed at installation time (§2.1's "installation").
 #[derive(Clone, Debug)]
 pub struct LambadaConfig {
@@ -195,8 +156,6 @@ pub struct LambadaConfig {
     pub files_per_worker: Option<usize>,
     pub scan: ScanConfig,
     pub costs: ComputeCostModel,
-    /// Long-poll duration per result-queue receive call.
-    pub receive_wait: Duration,
     /// Give up waiting for workers after this long.
     pub max_wait: Duration,
     /// Bucket for collect-fragment outputs.
@@ -215,8 +174,12 @@ pub struct LambadaConfig {
     /// (default) or direct worker-to-worker streaming with object-store
     /// fallback.
     pub transport: TransportKind,
-    /// Speculative re-invocation of straggling workers.
-    pub speculation: SpeculationConfig,
+    /// Speculative re-invocation of straggling workers: once 70% of a
+    /// fleet has reported and twice their median span has passed, the
+    /// driver re-invokes every worker still missing, once each. The
+    /// first result per `worker_id` wins, and its section table is the
+    /// one consumers are addressed from. Off by default.
+    pub speculate: bool,
     /// Multi-tenant query service layer (admission control, per-tenant
     /// budgets, global in-flight worker cap). Only consulted by
     /// [`crate::service::QueryService`]; plain [`Lambada::run_query`]
@@ -233,7 +196,6 @@ impl Default for LambadaConfig {
             files_per_worker: None,
             scan: ScanConfig::default(),
             costs: ComputeCostModel::default(),
-            receive_wait: Duration::from_secs(1),
             max_wait: Duration::from_secs(900),
             result_bucket: "lambada-results".to_string(),
             exchange: ExchangeConfig::default(),
@@ -241,7 +203,7 @@ impl Default for LambadaConfig {
             agg: AggStrategy::DriverMerge,
             sort: SortStrategy::Driver,
             transport: TransportKind::default(),
-            speculation: SpeculationConfig::default(),
+            speculate: false,
             service: ServiceConfig::default(),
         }
     }
@@ -1444,7 +1406,7 @@ async fn run_fleet(
         // Only the straggler watcher re-reads the assignments; don't copy a
         // paper-scale fleet's payloads when speculation is off.
         let retained: Vec<WorkerPayload> =
-            if config.speculation.enabled { payloads.clone() } else { Vec::new() };
+            if config.speculate { payloads.clone() } else { Vec::new() };
         let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
         let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
         let collected = match invoked {
@@ -1657,6 +1619,23 @@ fn block_starts(
     Ok(rows)
 }
 
+/// Long-poll duration of one result-queue receive call.
+const RECEIVE_WAIT: Duration = Duration::from_secs(1);
+
+/// Fraction of a fleet that must have reported before its missing
+/// workers are speculated against. The quorum is clamped to
+/// `workers - 1`, so a small fleet can still speculate against its one
+/// holdout; 0.7 also leaves room for two holdouts from seven workers up,
+/// where 0.9 would wait for all but one below twenty.
+const SPECULATION_QUANTILE: f64 = 0.7;
+
+/// A missing worker is re-invoked once the fleet's elapsed time exceeds
+/// this multiple of the reporters' median span.
+const SPECULATION_MULTIPLIER: f64 = 2.0;
+
+/// Backup attempts per worker beyond the original (attempt 0).
+const MAX_BACKUP_ATTEMPTS: u32 = 1;
+
 /// What [`collect_results`] hands back: one report per worker, plus how
 /// many speculative backups the straggler watcher launched.
 struct Collected {
@@ -1671,19 +1650,20 @@ struct Collected {
 /// plus one spare, each is handled the moment it returns and replaced
 /// while reports are missing, and the rest are dropped — their timers
 /// cancelled — once the fleet is complete, so collection ends with the
-/// last report rather than with the slowest poll's `receive_wait`. The
+/// last report rather than with the slowest poll's [`RECEIVE_WAIT`]. The
 /// spare is what keeps a report from waiting out a poll's round trip: a
 /// poll that returns with the first of two close reports leaves another
 /// already listening for the second.
 ///
-/// After every receive the driver plays straggler watcher: once the
-/// configured quantile of the fleet has reported and the holdouts exceed
-/// `multiplier ×` the fleet's median span, every missing worker is
-/// speculatively re-invoked (§3.3's "the driver decides", applied to
-/// silent deaths and stragglers instead of error reports). The first
-/// result per `worker_id` wins, whatever its attempt id — the stage-edge
-/// dedup rule: consumers are addressed from that report's section table
-/// alone, so a backup's copy and its original's are never combined.
+/// After every receive the driver plays straggler watcher: once
+/// [`SPECULATION_QUANTILE`] of the fleet has reported and the holdouts
+/// exceed [`SPECULATION_MULTIPLIER`] × the fleet's median span, every
+/// missing worker is speculatively re-invoked (§3.3's "the driver
+/// decides", applied to silent deaths and stragglers instead of error
+/// reports). The first result per `worker_id` wins, whatever its attempt
+/// id — the stage-edge dedup rule: consumers are addressed from that
+/// report's section table alone, so a backup's copy and its original's
+/// are never combined.
 ///
 /// `stage_start` is the stage's own launch instant (post-board-wait,
 /// post-gate), so the quorum trigger anchors to when *this* fleet
@@ -1698,7 +1678,6 @@ async fn collect_results(
     payloads: &[WorkerPayload],
     stage_start: lambada_sim::SimTime,
 ) -> Result<Collected> {
-    let spec = config.speculation;
     let mut seen: HashSet<u64> = HashSet::with_capacity(workers);
     let mut results = Vec::with_capacity(workers);
     // Arrival spans (launch → report) of the workers heard so far; the
@@ -1707,15 +1686,16 @@ async fn collect_results(
     let mut attempts_launched: HashMap<u64, u32> = HashMap::new();
     let mut backup_invocations = 0u64;
     // Clamp the quorum to leave at least one reporter short: with small
-    // fleets `ceil(quantile × workers)` would otherwise equal the whole
-    // fleet and speculation could never trigger. (A one-worker fleet has
-    // no reporters to take a median from, so it never speculates.)
-    let quorum = ((spec.quantile * workers as f64).ceil() as usize)
+    // fleets `ceil(SPECULATION_QUANTILE × workers)` would otherwise equal
+    // the whole fleet and speculation could never trigger. (A one-worker
+    // fleet has no reporters to take a median from, so it never
+    // speculates.)
+    let quorum = ((SPECULATION_QUANTILE * workers as f64).ceil() as usize)
         .clamp(1, workers.saturating_sub(1).max(1));
     let deadline = cloud.handle.now() + config.max_wait;
     let pollers = workers.div_ceil(10).clamp(1, 16);
     let sqs = cloud.driver_sqs();
-    let receive = || Box::pin(sqs.receive(queue, 10, config.receive_wait));
+    let receive = || Box::pin(sqs.receive(queue, 10, RECEIVE_WAIT));
     let mut receives = Vec::with_capacity(pollers);
     while seen.len() < workers {
         if cloud.handle.now() >= deadline {
@@ -1754,12 +1734,12 @@ async fn collect_results(
             results.push(result);
         }
 
-        if spec.enabled && seen.len() < workers && seen.len() >= quorum {
+        if config.speculate && seen.len() < workers && seen.len() >= quorum {
             let mut sorted = spans.clone();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
             let elapsed = (cloud.handle.now() - stage_start).as_secs_f64();
-            if elapsed > spec.multiplier * median {
+            if elapsed > SPECULATION_MULTIPLIER * median {
                 backup_invocations +=
                     speculate(cloud, config, payloads, &seen, &mut attempts_launched).await?;
             }
@@ -1799,7 +1779,7 @@ async fn speculate(
             continue;
         }
         let launched = attempts_launched.entry(p.worker_id).or_insert(0);
-        if *launched >= config.speculation.max_attempts {
+        if *launched >= MAX_BACKUP_ATTEMPTS {
             continue;
         }
         *launched += 1;
@@ -1953,7 +1933,7 @@ mod tests {
 
     /// A fleet of more than ten workers is collected when its last report
     /// arrives: once one report is missing only one long poll waits for
-    /// it — none is left to wait out its `receive_wait` — and the polls
+    /// it — none is left to wait out its [`RECEIVE_WAIT`] — and the polls
     /// still in flight are dropped with their timers. Worker 39 reports
     /// last, alone, ~0.8 s after the others. (When every round of four
     /// polls waited for all four, this fleet was collected 1.03 s after

@@ -295,7 +295,8 @@ pub fn decode_bundle(body: Body, side_sizes: Vec<(u32, u64)>) -> Result<Vec<(u32
             let mut out = Vec::new();
             while !r.is_exhausted() {
                 for _ in 0..r.varint().map_err(corrupt)? {
-                    let dest = r.varint().map_err(corrupt)? as u32;
+                    let dest = u32::try_from(r.varint().map_err(corrupt)?)
+                        .map_err(|_| CoreError::Format("destination past u32".to_string()))?;
                     out.push((dest, PartData::Real(r.bytes().map_err(corrupt)?.to_vec())));
                 }
             }
@@ -768,4 +769,25 @@ pub async fn run_exchange(
     }
 
     Ok(ExchangeOutcome { received: held, rounds: timings })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A destination past `u32` is an error, not a wrap onto receiver
+    /// `dest mod 2^32`.
+    #[test]
+    fn a_destination_past_u32_is_an_error() {
+        let parts = [(3, PartData::Real(vec![1, 2]))];
+        let (body, _) = encode_bundle(&parts).unwrap();
+        let decoded = decode_bundle(body, Vec::new()).unwrap();
+        assert_eq!(decoded, parts);
+        let mut w = BinWriter::new();
+        w.varint(1);
+        w.varint((1 << 32) + 3);
+        w.bytes(&[1, 2]);
+        let err = decode_bundle(Body::from_vec(w.into_bytes()), Vec::new()).unwrap_err();
+        assert!(matches!(&err, CoreError::Format(m) if m.contains("destination")), "{err}");
+    }
 }

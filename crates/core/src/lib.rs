@@ -69,7 +69,7 @@ pub mod worker;
 pub use costmodel::ComputeCostModel;
 pub use driver::{
     AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport, SortStrategy,
-    SpeculationConfig, StageReport,
+    StageReport,
 };
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};

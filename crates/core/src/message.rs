@@ -29,7 +29,7 @@ pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_B
 /// bucket ([`ResultPayload::Stored`]). The message
 /// cap less 4 KiB for the rest of the message: the header and member
 /// count (≤ 46 B), and per stage the invocation ran its
-/// [`WorkerMetrics`] (≤ 137 B, and ≤ 20 B of hedge counters) plus, ahead
+/// [`WorkerMetrics`] (≤ 157 B) plus, ahead
 /// of the last, its payload (≤ 21 B) — room for chains of twenty-odd
 /// fused stages.
 pub const INLINE_RESULT_BYTES: usize = SQS_MESSAGE_BYTES - 4 * 1024;
@@ -47,10 +47,11 @@ pub const INLINE_EDGE_BYTES: usize = INLINE_RESULT_BYTES;
 
 /// Per-worker execution metrics, reported with every result.
 ///
-/// Wire stability: append-only. Fields encode in declaration order with
-/// the varint codec; reorder or remove one and a driver decoding results
-/// from an already-deployed worker fleet reads garbage. New counters go
-/// at the end, with decode defaults for short reads.
+/// Wire stability: every field encodes in declaration order with the
+/// varint codec, and decode reads exactly that layout: a message cut
+/// short is a typed error. The driver installs the worker function from
+/// its own build ([`crate::Lambada::install`]), so no other layout
+/// reaches it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerMetrics {
     /// Time spent executing the plan fragment (seconds, excludes
@@ -72,9 +73,11 @@ pub struct WorkerMetrics {
     pub bytes_written: u64,
     /// PUT requests issued (exchange writes, result uploads).
     pub put_requests: u64,
-    /// LIST requests issued: 0 on a query stage, whose in-edges the
-    /// driver addresses (only an Algorithm-1 exchange,
-    /// [`crate::exchange::run_exchange`], discovers by LIST).
+    /// LIST requests issued: always 0. A query stage's in-edges are
+    /// addressed by the driver, and the one task that discovers by LIST,
+    /// the Algorithm-1 exchange ([`crate::exchange::run_exchange`]),
+    /// reports no metrics. Kept because [`crate::StageReport`] sums it
+    /// and the benchmark reads that sum.
     pub list_requests: u64,
     /// Rows exchanged to the consumer stage (hash-partition fragments) or
     /// received from producer stages (join workers).
@@ -85,13 +88,13 @@ pub struct WorkerMetrics {
     pub p2p_bytes: u64,
     /// Whether this invocation was a cold start.
     pub cold_start: bool,
-    /// Virtual seconds spent blocked in exchange discovery polls waiting
-    /// for peers' sections to appear — billed worker time; 0 on a query
-    /// stage, whose in-edges the driver addresses, so nothing waits.
+    /// Virtual seconds blocked in exchange discovery polls: always 0, for
+    /// the reason `list_requests` is — a query stage's in-edges are
+    /// addressed, so nothing polls. Kept because [`crate::StageReport`]
+    /// sums it and the benchmark reads that sum.
     pub exchange_wait_secs: f64,
     /// Duplicate GETs sent for GETs past their hedge deadline, each billed
-    /// beside the one in `get_requests` it duplicated. Encoded apart, at
-    /// the end of the [`WorkerResult`].
+    /// beside the one in `get_requests` it duplicated.
     pub hedged_gets: u64,
     /// Duplicate PUTs, likewise beside `put_requests`.
     pub hedged_puts: u64,
@@ -114,11 +117,11 @@ impl WorkerMetrics {
         w.varint(self.p2p_bytes);
         w.bool(self.cold_start);
         w.f64(self.exchange_wait_secs);
+        w.varint(self.hedged_gets);
+        w.varint(self.hedged_puts);
     }
 
-    /// `may_end`: these metrics may end the message, so an encoder from
-    /// before `exchange_wait_secs` may have stopped short of it.
-    fn decode(r: &mut BinReader<'_>, may_end: bool) -> std::result::Result<Self, FormatError> {
+    fn decode(r: &mut BinReader<'_>) -> std::result::Result<Self, FormatError> {
         Ok(WorkerMetrics {
             processing_secs: r.f64()?,
             rows_in: r.varint()?,
@@ -134,11 +137,9 @@ impl WorkerMetrics {
             p2p_requests: r.varint()?,
             p2p_bytes: r.varint()?,
             cold_start: r.bool()?,
-            // Appended after the first release; absent on messages from
-            // older encoders, so a short read defaults it.
-            exchange_wait_secs: if may_end && r.is_exhausted() { 0.0 } else { r.f64()? },
-            hedged_gets: 0,
-            hedged_puts: 0,
+            exchange_wait_secs: r.f64()?,
+            hedged_gets: r.varint()?,
+            hedged_puts: r.varint()?,
         })
     }
 }
@@ -179,8 +180,8 @@ pub const SECTION_BYTES: usize = 11;
 /// Wire stability: variants encode by fixed tag (0–7; `Exchanged` is 4,
 /// errors are 3, and a section table with starts is 7 — tag 6's fields,
 /// then the starts); tags are frozen once assigned. New payload kinds take the
-/// next free tag — never reuse one, a mixed-version fleet would
-/// misparse old results. The `AggState` encoding
+/// next free tag, never a reused one, and a tag no encoder writes is a
+/// typed error. The `AggState` encoding
 /// ([`lambada_engine::agg::GroupedAggState::encode`]) is additionally
 /// the *carried window state* of continuous queries
 /// (`FinalStage::CarryAggState`): the driver merges it across
@@ -208,9 +209,7 @@ pub enum ResultPayload {
     /// and `sections[r]` tells the driver where receiver `r`'s part is —
     /// what it hands every consumer worker so no receiver lists storage.
     /// `inline` holds the [`Wire::Inline`] sections back to back; it
-    /// follows the fused members (only hedge counters come after it), and
-    /// a message from an older encoder, which ends before it, decodes with
-    /// none. On a sort edge
+    /// ends the message, after the fused members. On a sort edge
     /// the sections are the blocks of the sender's sorted run, and
     /// `starts` (encoded key columns,
     /// [`crate::partition::encode_batches`]) holds each block's first
@@ -226,12 +225,13 @@ pub enum ResultPayload {
 
 /// One message on the result queue.
 ///
-/// Wire stability: append-only, same codec discipline as
-/// [`WorkerMetrics`]; the outcome tag distinguishes success payloads
-/// from error reports and is frozen. Fields appended after the fused
-/// members go after the inline blob, whose length the section table
-/// gives: there the hedge counters of every stage end a message that has
-/// any, and a message without them decodes with none.
+/// Wire stability: one layout, read exactly as written — `varint`
+/// worker id and attempt, the outcome (a payload tag, or the frozen
+/// error tag 3 and its message), the last stage's [`WorkerMetrics`], a
+/// `varint` count of fused members and each member's payload and
+/// metrics, then the inline blob, whose length the section table gives.
+/// A cut, a value out of range or a byte after the blob is a typed
+/// error.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerResult {
     pub worker_id: u64,
@@ -245,8 +245,7 @@ pub struct WorkerResult {
     pub metrics: WorkerMetrics,
     /// A fused chain's members ahead of the last, in chain order: each
     /// one's own payload (what it handed on) and metrics. Empty for an
-    /// invocation that ran one stage. Appended after the first release;
-    /// a short read leaves it empty.
+    /// invocation that ran one stage.
     pub fused: Vec<(ResultPayload, WorkerMetrics)>,
 }
 
@@ -309,16 +308,6 @@ impl WorkerResult {
         if let Ok(ResultPayload::Sections { inline, .. }) = &self.outcome {
             w.raw(inline);
         }
-        // Appended after the blob: every stage's hedge counters, the last
-        // stage's first, when any is not 0 — so a message without hedges
-        // is byte for byte what an older encoder sent.
-        let counters: Vec<u64> = std::iter::once(&self.metrics)
-            .chain(self.fused.iter().map(|(_, m)| m))
-            .flat_map(|m| [m.hedged_gets, m.hedged_puts])
-            .collect();
-        if counters.iter().any(|&n| n > 0) {
-            counters.into_iter().for_each(|n| w.varint(n));
-        }
         w.into_bytes()
     }
 
@@ -326,35 +315,24 @@ impl WorkerResult {
         let mut r = BinReader::new(bytes);
         let inner = (|| -> std::result::Result<WorkerResult, FormatError> {
             let worker_id = r.varint()?;
-            let attempt = r.varint()? as u32;
-            let outcome = match r.u8()? {
+            let attempt = u32::try_from(r.varint()?)
+                .map_err(|_| FormatError::Corrupt("attempt past u32".to_string()))?;
+            let mut outcome = match r.u8()? {
                 3 => Err(r.string()?),
                 tag => Ok(decode_payload(tag, &mut r)?),
             };
-            let mut metrics = WorkerMetrics::decode(&mut r, true)?;
-            // Appended after the first release: absent on messages from
-            // older encoders. Entries are pushed as they decode, never
-            // reserved from the claimed count.
+            let metrics = WorkerMetrics::decode(&mut r)?;
+            // Pushed as they decode, never reserved from the claimed count.
             let mut fused = Vec::new();
-            let members = if r.is_exhausted() { 0 } else { r.varint()? };
-            for _ in 0..members {
+            for _ in 0..r.varint()? {
                 let mut payload = decode_payload(r.u8()?, &mut r)?;
                 attach_inline(Some(&mut payload), &mut BinReader::new(&[]))?;
-                fused.push((payload, WorkerMetrics::decode(&mut r, false)?));
+                fused.push((payload, WorkerMetrics::decode(&mut r)?));
             }
-            let mut outcome = outcome;
             attach_inline(outcome.as_mut().ok(), &mut r)?;
-            // The hedge counters end the message, if any was sent.
             if !r.is_exhausted() {
-                for m in std::iter::once(&mut metrics).chain(fused.iter_mut().map(|(_, m)| m)) {
-                    (m.hedged_gets, m.hedged_puts) = (r.varint()?, r.varint()?);
-                }
-                if !r.is_exhausted() {
-                    let extra = r.remaining();
-                    return Err(FormatError::Corrupt(format!(
-                        "{extra} B after the hedge counters"
-                    )));
-                }
+                let extra = r.remaining();
+                return Err(FormatError::Corrupt(format!("{extra} B after the blob")));
             }
             Ok(WorkerResult { worker_id, attempt, outcome, metrics, fused })
         })();
@@ -589,26 +567,13 @@ mod tests {
         }
     }
 
-    /// `msg` as an encoder from before hedging sent it.
+    /// `msg` with no hedged request in any stage.
     fn unhedged(msg: &WorkerResult) -> WorkerResult {
         let mut msg = msg.clone();
         for m in std::iter::once(&mut msg.metrics).chain(msg.fused.iter_mut().map(|(_, m)| m)) {
             (m.hedged_gets, m.hedged_puts) = (0, 0);
         }
         msg
-    }
-
-    #[test]
-    fn short_read_defaults_trailing_metrics() {
-        // A pre-`exchange_wait_secs` encoder stops after `cold_start`
-        // (8 bytes before the end of the metrics, which the empty fused
-        // member count follows); decode must tolerate the truncated tail.
-        let msg = unhedged(&WorkerResult::ok(7, ResultPayload::Empty, metrics()));
-        let mut bytes = msg.encode();
-        bytes.truncate(bytes.len() - 1 - 8);
-        let got = WorkerResult::decode(&bytes).unwrap();
-        assert_eq!(got.metrics.exchange_wait_secs, 0.0);
-        assert!(got.metrics.cold_start);
     }
 
     #[test]
@@ -623,6 +588,20 @@ mod tests {
         let got = WorkerResult::decode(&msg.encode()).unwrap();
         assert_eq!(got.attempt, 2);
         assert_eq!(got, msg);
+    }
+
+    /// An attempt past `u32` is an error, not a wrap: 2^32 would read as
+    /// attempt 0, and a backup's error as the original's, failing the
+    /// query.
+    #[test]
+    fn an_attempt_past_u32_is_an_error() {
+        let bytes = WorkerResult::error(7, "lost race", metrics()).encode();
+        assert_eq!(bytes[..2], [7, 0], "a one-byte worker id, then a one-byte attempt");
+        let mut w = BinWriter::from_vec(vec![7]);
+        w.varint(1 << 32);
+        w.raw(&bytes[2..]);
+        let err = WorkerResult::decode(&w.into_bytes()).unwrap_err();
+        assert!(matches!(&err, CoreError::Format(m) if m.contains("attempt")), "{err}");
     }
 
     #[test]
@@ -690,8 +669,8 @@ mod tests {
         for msg in [sections_result(), inline_result(), starts_result()] {
             assert_eq!(WorkerResult::decode(&msg.encode()).unwrap(), msg);
         }
-        let bytes = unhedged(&inline_result()).encode();
-        assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends it, unhedged");
+        let bytes = inline_result().encode();
+        assert_eq!(&bytes[bytes.len() - 5..], &[1, 2, 3, 4, 5], "the blob ends it");
     }
 
     /// A table without starts is tag 6, byte for byte; one with starts is
@@ -752,14 +731,10 @@ mod tests {
         assert_eq!((&split[2].outcome, split[2].metrics), (&msg.outcome, msg.metrics));
     }
 
-    /// Every truncation of a message is an error — except exactly where
-    /// an older encoder ended its message (before the hedge counters,
-    /// before the fused members, before `exchange_wait_secs`), which
-    /// decodes to what that encoder would have sent. No encoder from
-    /// before the fused members wrote inline sections or starts, so a
-    /// message with a blob or starts has only the first such end.
+    /// Every truncation of every message shape is an error: no field is
+    /// optional, so no cut reads as another, valid message.
     #[test]
-    fn every_truncation_is_an_error_except_an_older_encoders_end() {
+    fn every_truncation_is_an_error() {
         let stored =
             ResultPayload::Stored { bucket: "b".to_string(), key: "k".to_string(), rows: 5 };
         for msg in [
@@ -771,27 +746,9 @@ mod tests {
             WorkerResult::ok(1, stored, metrics()),
         ] {
             let bytes = msg.encode();
-            let unhedged = unhedged(&msg);
-            let before_hedges = unhedged.encode().len();
-            assert!(before_hedges < bytes.len(), "the message ends in hedge counters");
-            let unfused = WorkerResult { fused: Vec::new(), ..unhedged.clone() };
-            let old = !matches!(&msg.outcome, Ok(ResultPayload::Sections { inline, starts, .. })
-                if !inline.is_empty() || starts.is_some());
-            let before_fused = unfused.encode().len() - 1;
-            let before_wait = before_fused - 8;
             for cut in 0..bytes.len() {
                 let got = WorkerResult::decode(&bytes[..cut]);
-                if cut == before_hedges {
-                    assert_eq!(got.unwrap(), unhedged);
-                } else if old && cut == before_fused {
-                    assert_eq!(got.unwrap(), unfused);
-                } else if old && cut == before_wait {
-                    let mut old = unfused.clone();
-                    old.metrics.exchange_wait_secs = 0.0;
-                    assert_eq!(got.unwrap(), old);
-                } else {
-                    assert!(got.is_err(), "cut at {cut} of {}", bytes.len());
-                }
+                assert!(got.is_err(), "cut at {cut} of {}", bytes.len());
             }
         }
     }
@@ -869,9 +826,8 @@ mod tests {
     }
 
     /// The blob is exactly as long as the table's inline sections claim,
-    /// and the hedge counters, a pair per stage, are all that may follow
-    /// it: one byte short of the blob, one byte after it or after a
-    /// payload with no table, or one after the counters are typed errors.
+    /// and nothing follows it: one byte short of the blob, or one byte
+    /// after it or after a message with no table, is a typed error.
     #[test]
     fn a_blob_that_does_not_match_its_table_is_an_error() {
         let bytes = unhedged(&inline_result()).encode();

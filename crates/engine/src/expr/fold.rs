@@ -1,6 +1,5 @@
 //! Constant folding: collapse literal-only subtrees at plan time.
 
-use crate::error::Result;
 use crate::expr::kernels::{self, Value};
 use crate::expr::Expr;
 use crate::scalar::Scalar;
@@ -65,15 +64,6 @@ fn simplify_logical(op: crate::expr::BinOp, l: Expr, r: Expr) -> Expr {
         | (BinOp::Or, _, Expr::Lit(Scalar::Boolean(true))) => Expr::Lit(Scalar::Boolean(true)),
         _ => Expr::Binary { op, left: Box::new(l), right: Box::new(r) },
     }
-}
-
-/// Fold constants, asserting the result type is preserved (debug aid).
-pub fn fold_checked(expr: &Expr, schema: &crate::types::Schema) -> Result<Expr> {
-    let before = expr.data_type(schema)?;
-    let out = fold(expr);
-    let after = out.data_type(schema)?;
-    debug_assert_eq!(before, after, "folding changed expression type");
-    Ok(out)
 }
 
 #[cfg(test)]

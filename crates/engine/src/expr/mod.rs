@@ -39,10 +39,6 @@ impl BinOp {
         matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
     }
 
-    pub fn is_arithmetic(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
-    }
-
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }

@@ -305,17 +305,6 @@ impl JoinState {
         columns.extend(bpart.into_columns());
         RecordBatch::new(Schema::arc(fields), columns)
     }
-
-    /// The probe output schema for a given probe schema and variant:
-    /// `probe fields ++ build fields` when the variant keeps the build
-    /// columns, the probe fields alone for semi/anti joins.
-    pub fn output_schema(&self, probe_schema: &Schema, variant: JoinVariant) -> SchemaRef {
-        let mut fields = probe_schema.fields.clone();
-        if variant.keeps_build_columns() {
-            fields.extend(self.schema.fields.clone());
-        }
-        Schema::arc(fields)
-    }
 }
 
 #[cfg(test)]

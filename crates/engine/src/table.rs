@@ -8,7 +8,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::batch::RecordBatch;
-use crate::error::{exec_err, plan_err, Result};
+use crate::error::{exec_err, Result};
 use crate::expr::{eval, Expr};
 use crate::types::SchemaRef;
 
@@ -124,16 +124,6 @@ impl Catalog {
     pub fn row_hint(&self, name: &str) -> Option<u64> {
         self.tables.get(name).and_then(|t| t.row_count_hint())
     }
-}
-
-/// Validate that a projection is within the schema's bounds.
-pub fn check_projection(projection: &[usize], ncols: usize) -> Result<()> {
-    for &i in projection {
-        if i >= ncols {
-            return plan_err(format!("projection index {i} out of range ({ncols} columns)"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -76,12 +76,6 @@ pub fn rows_for_scale(scale: f64) -> u64 {
     (6_000_000.0 * scale).round() as u64
 }
 
-/// Bytes of the relation in uncompressed CSV-equivalent terms at SF
-/// `scale` — the paper's SF 1000 is 705 GiB of CSV, 151 GiB of Parquet.
-pub fn csv_bytes_for_scale(scale: f64) -> u64 {
-    (705.0 * (1u64 << 30) as f64 * scale / 1000.0) as u64
-}
-
 /// Deterministic generator.
 pub struct LineitemGenerator {
     pub seed: u64,

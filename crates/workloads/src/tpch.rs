@@ -5,7 +5,7 @@
 //! queries built on `EXISTS` / `NOT EXISTS`.
 
 use lambada_engine::agg::{AggExpr, AggFunc};
-use lambada_engine::expr::{col, lit_f64, lit_i64, Expr};
+use lambada_engine::expr::{col, lit_f64, lit_i64};
 use lambada_engine::logical::{JoinVariant, LogicalPlan, SortKey};
 use lambada_engine::types::Schema;
 
@@ -328,26 +328,6 @@ pub fn q5(lineitem_table: &str, orders_table: &str, customer_table: &str) -> Log
     }
 }
 
-/// Number of LINEITEM columns each query touches (used by the QaaS cost
-/// models of §5.4: BigQuery charges all referenced columns in full,
-/// Athena only the selected rows of them).
-pub fn q1_columns() -> usize {
-    7
-}
-
-pub fn q6_columns() -> usize {
-    4
-}
-
-/// Selectivity of each query's predicate (≈0.98 and ≈0.02, §5.3).
-pub fn q1_selectivity() -> f64 {
-    0.98
-}
-
-pub fn q6_selectivity() -> f64 {
-    0.02
-}
-
 fn scan(table: &str, schema: &Schema) -> LogicalPlan {
     LogicalPlan::Scan {
         table: table.to_string(),
@@ -355,11 +335,6 @@ fn scan(table: &str, schema: &Schema) -> LogicalPlan {
         projection: None,
         predicate: None,
     }
-}
-
-/// The Q1 predicate (base-schema indices), for direct use in benches.
-pub fn q1_predicate() -> Expr {
-    col(cols::SHIPDATE).le(lit_i64(dates::Q1_CUTOFF))
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use lambada::core::{
-    inject_worker_faults, CoreError, Lambada, LambadaConfig, SortStrategy, SpeculationConfig,
-    TransportKind,
+    inject_worker_faults, CoreError, Lambada, LambadaConfig, SortStrategy, TransportKind,
 };
 use lambada::engine::{RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, InjectedFault, LinkFault, Simulation};
@@ -34,20 +33,6 @@ fn staged_descriptors(sim: &Simulation) -> (Cloud, lambada::core::TableSpec) {
     };
     let spec = lambada::workloads::stage_descriptors(&cloud, "tpch", "lineitem", &opts);
     (cloud, spec)
-}
-
-/// Speculation thresholds for the 4–6 worker test fleets. (The quorum
-/// is clamped to `workers - 1`, so even the default 0.9 quantile would
-/// trigger; 0.7 makes the intent explicit and keeps two-straggler
-/// setups speculating too.)
-fn test_speculation(enabled: bool) -> SpeculationConfig {
-    SpeculationConfig {
-        enabled,
-        quantile: 0.7,
-        multiplier: 2.0,
-        max_attempts: 1,
-        ..SpeculationConfig::default()
-    }
 }
 
 #[test]
@@ -162,7 +147,7 @@ fn slow_worker_is_recovered_by_a_speculative_backup() {
         &cloud,
         LambadaConfig {
             max_wait: Duration::from_secs(8),
-            speculation: test_speculation(true),
+            speculate: true,
             ..LambadaConfig::default()
         },
     );
@@ -194,7 +179,7 @@ fn without_speculation_a_straggler_stalls_the_query() {
         &cloud,
         LambadaConfig {
             max_wait: Duration::from_secs(8),
-            speculation: test_speculation(false),
+            speculate: false,
             ..LambadaConfig::default()
         },
     );
@@ -226,7 +211,7 @@ fn killed_worker_is_recovered_by_a_speculative_backup() {
             // One scan worker per file: the faults target one of several.
             files_per_worker: Some(1),
             max_wait: Duration::from_secs(60),
-            speculation: test_speculation(true),
+            speculate: true,
             ..LambadaConfig::default()
         },
     );
@@ -252,7 +237,7 @@ fn a_lost_backup_never_fails_the_query() {
         &cloud,
         LambadaConfig {
             max_wait: Duration::from_secs(60),
-            speculation: test_speculation(true),
+            speculate: true,
             ..LambadaConfig::default()
         },
     );
@@ -300,10 +285,8 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
         seed,
     };
     let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
-    let mut system = Lambada::install(
-        &cloud,
-        LambadaConfig { speculation: test_speculation(true), ..LambadaConfig::default() },
-    );
+    let mut system =
+        Lambada::install(&cloud, LambadaConfig { speculate: true, ..LambadaConfig::default() });
     system.register_table(li_spec);
     system.register_table(ord_spec);
     if straggler {
@@ -458,7 +441,7 @@ fn run_q3_inner(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
-            speculation: test_speculation(true),
+            speculate: true,
             join_workers: Some(join_workers),
             agg: lambada::core::AggStrategy::Exchange { workers: Some(2) },
             ..LambadaConfig::default()
@@ -527,7 +510,7 @@ fn run_q21_anti(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
-            speculation: test_speculation(true),
+            speculate: true,
             join_workers: Some(join_workers),
             agg: lambada::core::AggStrategy::Exchange { workers: Some(2) },
             ..LambadaConfig::default()
@@ -602,7 +585,7 @@ fn run_q12_direct(
     let mut system = Lambada::install(
         &cloud,
         LambadaConfig {
-            speculation: test_speculation(true),
+            speculate: true,
             transport: TransportKind::Direct,
             ..LambadaConfig::default()
         },
@@ -693,7 +676,7 @@ fn killed_sort_producer_is_recovered_by_the_quorum_rule() {
                     sort: SortStrategy::Exchange { workers: Some(2) },
                     transport: kind,
                     max_wait: Duration::from_secs(120),
-                    speculation: test_speculation(true),
+                    speculate: true,
                     ..LambadaConfig::default()
                 },
             );

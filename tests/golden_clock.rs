@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use lambada::core::{
     inject_worker_faults, AggStrategy, Lambada, LambadaConfig, QueryReport, QueryService,
-    ServiceConfig, SpeculationConfig, TenantBudget, TransportKind,
+    ServiceConfig, TenantBudget, TransportKind,
 };
 use lambada::sim::{Cloud, CloudConfig, CostItem, InjectedFault, Simulation};
 use lambada::workloads::{
@@ -248,13 +248,7 @@ fn killed_worker_with_speculation() {
             // One scan worker per file, so worker 1 is one of four.
             files_per_worker: Some(1),
             max_wait: Duration::from_secs(60),
-            speculation: SpeculationConfig {
-                enabled: true,
-                quantile: 0.7,
-                multiplier: 2.0,
-                max_attempts: 1,
-                ..SpeculationConfig::default()
-            },
+            speculate: true,
             ..LambadaConfig::default()
         };
         let mut system = Lambada::install(&cloud, config);

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use lambada::core::streaming::windowed_event_schema;
 use lambada::core::{
     events_to_batch, AggStrategy, ContinuousQuery, Lambada, LambadaConfig, QueryService,
-    ServiceConfig, SpeculationConfig, StreamSpec, TenantBudget, TransportKind, WINDOW_COLUMN,
+    ServiceConfig, StreamSpec, TenantBudget, TransportKind, WINDOW_COLUMN,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
 use lambada::engine::{
@@ -174,7 +174,7 @@ fn run_case(case: &StreamCase) {
             join_workers: Some(3),
             agg,
             transport,
-            speculation: SpeculationConfig { enabled: false, ..SpeculationConfig::default() },
+            speculate: false,
             ..LambadaConfig::default()
         },
     );

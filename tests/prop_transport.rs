@@ -24,8 +24,7 @@ use proptest::prelude::*;
 
 use lambada::core::message::INLINE_EDGE_BYTES;
 use lambada::core::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, SpeculationConfig,
-    TransportKind,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, TransportKind,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{
@@ -382,13 +381,7 @@ fn run_fault_case(
             join_workers: Some(4),
             agg: AggStrategy::Exchange { workers: Some(2) },
             transport: kind,
-            speculation: SpeculationConfig {
-                enabled: true,
-                quantile: 0.7,
-                multiplier: 2.0,
-                max_attempts: 1,
-                ..SpeculationConfig::default()
-            },
+            speculate: true,
             ..LambadaConfig::default()
         },
     );

@@ -10,8 +10,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use lambada::core::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, SpeculationConfig,
-    WorkerGate,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, WorkerGate,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{
@@ -198,13 +197,7 @@ fn run_fault_case(fault: Option<fn(u64, u32) -> Option<InjectedFault>>) -> Query
             join_workers: Some(4),
             agg: AggStrategy::Exchange { workers: Some(2) },
             sort: SortStrategy::Exchange { workers: Some(2) },
-            speculation: SpeculationConfig {
-                enabled: true,
-                quantile: 0.7,
-                multiplier: 2.0,
-                max_attempts: 1,
-                ..SpeculationConfig::default()
-            },
+            speculate: true,
             ..LambadaConfig::default()
         },
     );

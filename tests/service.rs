@@ -9,8 +9,8 @@ use lambada::core::stage::{split_with, SplitOptions, StageKind, StageOutput};
 use lambada::core::verify::codes;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport,
-    QueryService, ServiceConfig, SortStrategy, SpeculationConfig, StageOp, StageSink, TenantBudget,
-    TransportKind, WorkerPayload, WorkerTask,
+    QueryService, ServiceConfig, SortStrategy, StageOp, StageSink, TenantBudget, TransportKind,
+    WorkerPayload, WorkerTask,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{DataType, Df, Field, Optimizer, RecordBatch, Scalar, Schema};
@@ -104,13 +104,7 @@ fn service_lambada_config() -> LambadaConfig {
         join_workers: Some(4),
         agg: AggStrategy::Exchange { workers: Some(2) },
         sort: SortStrategy::Exchange { workers: Some(2) },
-        speculation: SpeculationConfig {
-            enabled: true,
-            quantile: 0.7,
-            multiplier: 2.0,
-            max_attempts: 1,
-            ..SpeculationConfig::default()
-        },
+        speculate: true,
         ..LambadaConfig::default()
     }
 }
@@ -801,8 +795,7 @@ fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
         "orders",
         OrdersStageOptions { rows: li.total_rows, num_files: 4, row_groups_per_file: 3, seed: 7 },
     );
-    let config =
-        LambadaConfig { speculation: SpeculationConfig::default(), ..service_lambada_config() };
+    let config = LambadaConfig { speculate: false, ..service_lambada_config() };
     let mut system = Lambada::install(&cloud, config);
     system.register_table(li);
     system.register_table(ord);

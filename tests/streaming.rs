@@ -13,8 +13,8 @@ use lambada::core::streaming::windowed_event_schema;
 use lambada::core::verify::codes;
 use lambada::core::{
     events_to_batch, inject_query_worker_faults, AggStrategy, ContinuousQuery, CoreError, Lambada,
-    LambadaConfig, QueryService, ServiceConfig, SpeculationConfig, StageOp, StreamSpec,
-    TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN,
+    LambadaConfig, QueryService, ServiceConfig, StageOp, StreamSpec, TenantBudget, TransportKind,
+    WorkerTask, WINDOW_COLUMN,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
 use lambada::engine::{
@@ -99,13 +99,7 @@ fn streaming_config(agg: AggStrategy, transport: TransportKind) -> LambadaConfig
         join_workers: Some(4),
         agg,
         transport,
-        speculation: SpeculationConfig {
-            enabled: true,
-            quantile: 0.7,
-            multiplier: 2.0,
-            max_attempts: 1,
-            ..SpeculationConfig::default()
-        },
+        speculate: true,
         ..LambadaConfig::default()
     }
 }

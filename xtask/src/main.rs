@@ -24,7 +24,8 @@
 //! nonzero when any are found, so CI fails the build.
 //!
 //! `loc` prints the non-test, non-comment line count ([`counted_lines`])
-//! of every first-party crate and of every file under `crates/core/src`.
+//! of every first-party crate and of every file under `crates/core/src`,
+//! then the settable values of the config structs ([`settable_values`]).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -151,6 +152,7 @@ fn loc() -> ExitCode {
 
     println!("non-test, non-comment lines (above the first `#[cfg(test)]`)");
     let mut total = 0;
+    let mut core_src = String::new();
     for (name, dir) in &sources {
         let mut files = Vec::new();
         if let Err(e) = count_tree(&dir.join("src"), &mut files) {
@@ -164,11 +166,50 @@ fn loc() -> ExitCode {
             for (path, n) in &files {
                 let shown = path.strip_prefix(dir.join("src")).unwrap_or(path);
                 println!("    {:<22} {n:>6}", shown.display());
+                match std::fs::read_to_string(path) {
+                    Ok(src) => core_src.push_str(&src),
+                    Err(e) => {
+                        eprintln!("xtask loc: {}: {e}", path.display());
+                        return ExitCode::FAILURE;
+                    }
+                }
             }
         }
     }
     println!("  {:<24} {total:>6}", "total");
+
+    println!("settable values (public config fields; a config-struct field is expanded below)");
+    let mut lines = Vec::new();
+    let values: usize =
+        CONFIG_ROOTS.iter().map(|root| settable_values(&core_src, root, 1, &mut lines)).sum();
+    lines.iter().for_each(|line| println!("{line}"));
+    println!("  {:<24} {values:>6}", "total");
     ExitCode::SUCCESS
+}
+
+/// The `crates/core` structs a caller configures the system through:
+/// the installation's config and the per-query and per-stream ones.
+const CONFIG_ROOTS: [&str; 3] = ["LambadaConfig", "ExecPolicy", "StreamSpec"];
+
+/// Append to `out` one line for struct `name` — its own settable values
+/// and their names — followed by the structs its fields nest, indented
+/// one level deeper, and return the count over all of them. A field
+/// counts as one value unless its type is a struct with public fields
+/// in `src`, which is expanded instead.
+fn settable_values(src: &str, name: &str, depth: usize, out: &mut Vec<String>) -> usize {
+    let at = out.len();
+    out.push(String::new());
+    let (mut own, mut nested) = (Vec::new(), 0);
+    for (field, ty) in struct_fields(src, name) {
+        if struct_fields(src, &ty).is_empty() {
+            own.push(field);
+        } else {
+            nested += settable_values(src, &ty, depth + 1, out);
+        }
+    }
+    let pad = "  ".repeat(depth);
+    out[at] = format!("{pad}{name:<w$} {:>6}  {}", own.len(), own.join(" "), w = 26 - pad.len());
+    own.len() + nested
 }
 
 /// The workspace root: xtask always runs via cargo, which sets the
@@ -318,18 +359,19 @@ fn lint_doc_variants(
     }
 }
 
-/// Extract `pub <field>:` names of `pub struct <name> { ... }`.
-fn struct_fields(src: &str, name: &str) -> Vec<String> {
+/// Extract the `pub <field>: <type>` pairs of `pub struct <name> { ... }`.
+fn struct_fields(src: &str, name: &str) -> Vec<(String, String)> {
     let header = format!("pub struct {name}");
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut in_block = false;
     let mut fields = Vec::new();
     let mut inside = false;
     for raw in src.lines() {
         let code = code_only(raw, &mut in_block);
         if !inside {
-            if code.contains(&header) {
-                inside = true;
-            }
+            // The whole name: `pub struct Scan` is not `pub struct ScanConfig`.
+            let after = code.find(&header).map(|at| code[at + header.len()..].chars().next());
+            inside = after.is_some_and(|next| !next.is_some_and(is_ident));
             continue;
         }
         let trimmed = code.trim();
@@ -339,9 +381,9 @@ fn struct_fields(src: &str, name: &str) -> Vec<String> {
         if let Some(rest) = trimmed.strip_prefix("pub ") {
             if let Some(colon) = rest.find(':') {
                 let ident = rest[..colon].trim();
-                if ident.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') && !ident.is_empty()
-                {
-                    fields.push(ident.to_string());
+                if ident.chars().all(is_ident) && !ident.is_empty() {
+                    let ty = rest[colon + 1..].trim().trim_end_matches(',');
+                    fields.push((ident.to_string(), ty.to_string()));
                 }
             }
         }
@@ -360,7 +402,7 @@ fn lint_doc_metrics(path: &Path, src: &str, docs: &str, findings: &mut Vec<Findi
         });
         return;
     }
-    for f in fields {
+    for (f, _) in fields {
         if !docs.contains(&f) {
             findings.push(Finding {
                 path: path.to_path_buf(),
@@ -455,7 +497,25 @@ mod tests {
                    AggMerge(AggMergeStage),\n    Sort(SortStage),\n}\n";
         assert_eq!(enum_variants(src, "StageKind"), vec!["Scan", "Join", "AggMerge", "Sort"]);
         let src = "pub struct WorkerMetrics {\n    /// doc\n    pub rows_in: u64,\n    pub cold_start: bool,\n}\n";
-        assert_eq!(struct_fields(src, "WorkerMetrics"), vec!["rows_in", "cold_start"]);
+        let names: Vec<String> =
+            struct_fields(src, "WorkerMetrics").into_iter().map(|f| f.0).collect();
+        assert_eq!(names, vec!["rows_in", "cold_start"]);
+    }
+
+    /// A field whose type is a config struct is expanded, not counted;
+    /// one of any other type — a private-field struct included — is one
+    /// value, and a name that only prefixes another struct's is no match.
+    #[test]
+    fn settable_values_expand_nested_config_structs() {
+        let src = "pub struct Root {\n    pub a: u32,\n    pub inner: Inner,\n    pub gate: Option<Gate>,\n}\n\
+                   pub struct InnerX {\n    pub wrong: u8,\n}\n\
+                   pub struct Inner {\n    /// doc\n    pub b: f64,\n    pub c: Duration,\n}\n\
+                   pub struct Gate {\n    cap: usize,\n}\n";
+        let mut lines = Vec::new();
+        assert_eq!(settable_values(src, "Root", 1, &mut lines), 4);
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("  Root ") && lines[0].ends_with("2  a gate"), "{}", lines[0]);
+        assert!(lines[1].starts_with("    Inner ") && lines[1].ends_with("2  b c"), "{}", lines[1]);
     }
 
     #[test]
