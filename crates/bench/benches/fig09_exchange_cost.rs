@@ -4,8 +4,8 @@
 
 use lambada_bench::{banner, fresh_cloud, GIB, MIB};
 use lambada_core::{
-    install_exchange_buckets, request_counts, request_dollars, run_exchange, ComputeCostModel,
-    ExchangeAlgo, ExchangeConfig, ExchangeSide, PartData, WorkerEnv,
+    request_counts, request_dollars, run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig,
+    ExchangeSide, PartData, WorkerEnv,
 };
 use lambada_sim::{CostItem, Prices};
 
@@ -68,7 +68,7 @@ fn main() {
     ] {
         let (sim, cloud) = fresh_cloud();
         let cfg = ExchangeConfig { algo, write_combining: wc, ..ExchangeConfig::default() };
-        install_exchange_buckets(&cloud, &cfg);
+        cfg.buckets.install(&cloud);
         let side = ExchangeSide::new();
         sim.block_on({
             let cloud2 = cloud.clone();

@@ -2,7 +2,7 @@
 //! TwoLevelExchange at 1 TB / 1250 workers and 3 TB / 2500 workers.
 
 use lambada_bench::{banner, env_usize, run_modeled_exchange};
-use lambada_core::ExchangeConfig;
+use lambada_core::{ExchangeBuckets, ExchangeConfig};
 
 fn main() {
     let w1 = env_usize("LAMBADA_FIG13_W1", 1250);
@@ -18,8 +18,11 @@ fn main() {
         ),
     ] {
         banner("Fig 13", &format!("{:.0} TB, {workers} workers — phase break-down", bytes / 1e12));
-        let cfg =
-            ExchangeConfig { num_buckets: 64, run_id: workers as u64, ..ExchangeConfig::default() };
+        let cfg = ExchangeConfig {
+            buckets: ExchangeBuckets { num_buckets: 64, ..ExchangeBuckets::default() },
+            run_id: workers as u64,
+            ..ExchangeConfig::default()
+        };
         let s = run_modeled_exchange(workers, bytes, cfg, straggle_p, straggle_f, 1234);
         println!(
             "makespan {:.1} s; fastest worker {:.1} s ({:.0}% of slowest)",

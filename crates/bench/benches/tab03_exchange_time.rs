@@ -3,7 +3,7 @@
 
 use lambada_baselines::ephemeral::{table3_lambada_paper, table3_references};
 use lambada_bench::{banner, run_modeled_exchange, GIB};
-use lambada_core::ExchangeConfig;
+use lambada_core::{ExchangeBuckets, ExchangeConfig};
 
 fn main() {
     banner("Table 3", "running time of S3-based exchange operators (100 GB)");
@@ -14,8 +14,11 @@ fn main() {
     }
     let paper = table3_lambada_paper();
     for (i, workers) in [250usize, 500, 1000].into_iter().enumerate() {
-        let cfg =
-            ExchangeConfig { num_buckets: 32, run_id: workers as u64, ..ExchangeConfig::default() };
+        let cfg = ExchangeConfig {
+            buckets: ExchangeBuckets { num_buckets: 32, ..ExchangeBuckets::default() },
+            run_id: workers as u64,
+            ..ExchangeConfig::default()
+        };
         let summary = run_modeled_exchange(workers, 100.0 * GIB, cfg, 0.0015, 0.45, 42);
         println!(
             "{:<22} {:>9} {:>10} {:>10.1}   (paper: {:.0} s)",
@@ -27,8 +30,11 @@ fn main() {
 
     banner("§5.5 large datasets", "two-level exchange at 1 TB and 3 TB");
     for (bytes, workers, paper_secs) in [(1e12, 1250usize, 56.0), (3e12, 2500, 159.0)] {
-        let cfg =
-            ExchangeConfig { num_buckets: 64, run_id: workers as u64, ..ExchangeConfig::default() };
+        let cfg = ExchangeConfig {
+            buckets: ExchangeBuckets { num_buckets: 64, ..ExchangeBuckets::default() },
+            run_id: workers as u64,
+            ..ExchangeConfig::default()
+        };
         // Straggler pressure grows with scale (§5.5 observes 30% -> 4x
         // write-tail from 1250 to 2500 workers).
         let (p_straggle, factor) = if workers > 2000 { (0.004, 0.25) } else { (0.002, 0.6) };

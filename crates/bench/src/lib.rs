@@ -107,7 +107,7 @@ pub fn run_modeled_exchange(
     seed: u64,
 ) -> ExchangeRunSummary {
     let (sim, cloud) = fresh_cloud();
-    lambada_core::install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let rng = SimRng::new(seed);
     let per_worker = data_bytes_total / workers as f64;
     let per_dest = (per_worker / workers as f64).max(1.0) as u64;

@@ -83,7 +83,7 @@ use lambada_sim::{BillingSnapshot, Cloud};
 
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
-use crate::exchange::{install_exchange_buckets, ExchangeConfig, ExchangeSide};
+use crate::exchange::ExchangeBuckets;
 use crate::invoke::{self, invoke_workers};
 use crate::message::{
     encode_in_edges, ResultPayload, Section, Wire, WorkerMetrics, WorkerResult, SQS_MESSAGE_BYTES,
@@ -160,8 +160,8 @@ pub struct LambadaConfig {
     pub max_wait: Duration,
     /// Bucket for collect-fragment outputs.
     pub result_bucket: String,
-    /// Exchange-edge configuration for multi-stage (join) queries.
-    pub exchange: ExchangeConfig,
+    /// The buckets stage-edge files shard over (§4.4.1).
+    pub exchange: ExchangeBuckets,
     /// Fixed join-fleet size (= exchange partition count). `None` lets
     /// the compute cost model size the fleet from the estimated
     /// exchanged bytes and the worker memory budget.
@@ -198,7 +198,7 @@ impl Default for LambadaConfig {
             costs: ComputeCostModel::default(),
             max_wait: Duration::from_secs(900),
             result_bucket: "lambada-results".to_string(),
-            exchange: ExchangeConfig::default(),
+            exchange: ExchangeBuckets::default(),
             join_workers: None,
             agg: AggStrategy::DriverMerge,
             sort: SortStrategy::Driver,
@@ -403,47 +403,122 @@ impl QueryReport {
 /// A Lambada installation bound to one simulated cloud.
 pub struct Lambada {
     cloud: Cloud,
-    config: LambadaConfig,
+    config: Rc<LambadaConfig>,
     /// Registered tables. Interior-mutable so long-lived shared handles
     /// (the query service holds the installation in an `Rc`) can
     /// register/unregister the short-lived per-micro-batch tables the
     /// streaming runtime stages.
     tables: std::cell::RefCell<HashMap<String, Rc<TableSpec>>>,
     query_seq: std::cell::Cell<u64>,
-    /// Process-unique installation id, namespacing exchange-edge keys so
-    /// several installations (or re-installs) on one cloud never collide.
+    /// Process-unique installation id, namespacing every per-query name
+    /// ([`QueryScope`]) so several installations (or re-installs) on one
+    /// cloud never collide.
     instance: u64,
 }
 
 static INSTANCE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Scope guard for a query's inboxes: dropping it (query finished,
-/// successfully or not) deletes every one, so no query leaks a queue.
-struct QueueGuard {
-    sqs: lambada_sim::services::queue::QueueService,
-    names: Vec<String>,
+/// The one owner of what a query creates in the cloud. Opened once per
+/// [`Lambada::run_dag_with`] from the installation id `i` and the query
+/// id `q`, it names every per-query resource, registers the p2p
+/// endpoints and creates the inboxes before anything launches, holds the
+/// query's [`EdgeTransport`], and releases the endpoints and inboxes in
+/// its one [`Drop`] when the query returns, however it returns:
+///
+/// | resource | name |
+/// |---|---|
+/// | stage `s`'s out-edge (channel) | `x{i}/q{q}/s{s}` |
+/// | receiver `r`'s endpoint on it | `x{i}/q{q}/s{s}/r{r}`, by [`EdgeTransport::endpoint`] |
+/// | a sender's file on it | `x{i}/q{q}/s{s}/snd{w}a{attempt}`, in an exchange bucket |
+/// | stage `s`'s inbox | `lambada-inbox-x{i}-q{q}-s{s}` |
+/// | the result queue of a launch at stage `h` | `lambada-results-x{i}-q{q}-s{h}` |
+/// | worker `w`'s stored result | `results/x{i}-q{q}/w{w}`, in the result bucket |
+///
+/// Every channel, endpoint and edge file lies under the prefix
+/// `x{i}/q{q}/`, whose endpoints the release deregisters, and every queue
+/// name and result key carries `x{i}-q{q}`: no name of one query is
+/// another query's, or another installation's. A result queue lives only
+/// as long as its launch ([`run_fleet`]). Edge files and stored results
+/// stay in their buckets.
+pub(crate) struct QueryScope {
+    cloud: Cloud,
+    config: Rc<LambadaConfig>,
+    query: u64,
+    /// `x{i}/q{q}/`.
+    prefix: String,
+    /// `x{i}-q{q}`.
+    tag: String,
+    transport: Rc<EdgeTransport>,
+    inboxes: Vec<String>,
 }
 
-impl Drop for QueueGuard {
-    fn drop(&mut self) {
-        for name in &self.names {
-            self.sqs.delete_queue(name);
+impl QueryScope {
+    /// Open query `query`'s scope on `system` for the fleets of `launch`
+    /// on the `kind` transport. On the direct transport it registers every
+    /// consumer endpoint *now*: the launch plan fixed every fleet size, so
+    /// the address book is complete before the first producer launches,
+    /// even though consumer fleets launch later. A registration failure
+    /// (capacity) is fine: senders fall back to the object store for an
+    /// unregistered endpoint. A sort edge has no endpoint — blocks are not
+    /// receivers — and neither has a fused edge, unless its reader waits:
+    /// then the host may ship its part after all. Every waiting stage's
+    /// inbox exists before its host launches.
+    fn open(system: &Lambada, query: u64, launch: &LaunchPlan<'_>, kind: TransportKind) -> Self {
+        let (cloud, instance) = (&system.cloud, system.instance);
+        let p2p = (kind == TransportKind::Direct).then(|| cloud.p2p.clone());
+        let direct = p2p.is_some();
+        let mut scope = QueryScope {
+            cloud: cloud.clone(),
+            config: Rc::clone(&system.config),
+            query,
+            prefix: format!("x{instance}/q{query}/"),
+            tag: format!("x{instance}-q{query}"),
+            transport: Rc::new(EdgeTransport::new(system.config.exchange.clone(), p2p)),
+            inboxes: Vec::new(),
+        };
+        for (sid, &parts) in launch.partitions.iter().enumerate() {
+            let handed = launch.fused_into(sid).is_some_and(|c| !launch.waits(c));
+            let streams = direct && !handed && launch.sort_edges[sid].is_none();
+            for r in (0..parts).filter(|_| streams) {
+                cloud.p2p.register(&EdgeTransport::endpoint(&scope.channel(sid), r));
+            }
         }
+        let waiting = (0..launch.workers.len()).filter(|&sid| launch.waits(sid));
+        scope.inboxes = waiting.map(|sid| scope.inbox(sid)).collect();
+        for inbox in &scope.inboxes {
+            cloud.sqs.create_queue(inbox);
+        }
+        scope
+    }
+
+    /// Stage `sid`'s out-edge.
+    fn channel(&self, sid: usize) -> String {
+        format!("{}s{sid}", self.prefix)
+    }
+
+    /// Stage `sid`'s inbox: where the driver sends the addresses of its
+    /// other in-edges while its host runs.
+    fn inbox(&self, sid: usize) -> String {
+        format!("lambada-inbox-{}-s{sid}", self.tag)
+    }
+
+    /// The result queue of a launch at stage `head`.
+    fn result_queue(&self, head: usize) -> String {
+        format!("lambada-results-{}-s{head}", self.tag)
+    }
+
+    /// The key prefix of the query's stored results.
+    fn result_prefix(&self) -> String {
+        format!("results/{}", self.tag)
     }
 }
 
-/// Scope guard for the p2p endpoints a direct-transport query registers:
-/// dropping it (query finished, successfully or not) deregisters every
-/// endpoint under the query's key prefix so the rendezvous service never
-/// accumulates dead mailboxes across queries.
-struct P2pGuard {
-    p2p: lambada_sim::P2pService,
-    prefix: String,
-}
-
-impl Drop for P2pGuard {
+impl Drop for QueryScope {
     fn drop(&mut self) {
-        self.p2p.deregister_prefix(&self.prefix);
+        self.cloud.p2p.deregister_prefix(&self.prefix);
+        for inbox in &self.inboxes {
+            self.cloud.sqs.delete_queue(inbox);
+        }
     }
 }
 
@@ -613,10 +688,10 @@ impl Lambada {
             config.costs,
         );
         cloud.s3.create_bucket(&config.result_bucket);
-        install_exchange_buckets(cloud, &config.exchange);
+        config.exchange.install(cloud);
         Lambada {
             cloud: cloud.clone(),
-            config,
+            config: Rc::new(config),
             tables: std::cell::RefCell::new(HashMap::new()),
             query_seq: std::cell::Cell::new(0),
             instance: INSTANCE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -822,34 +897,8 @@ impl Lambada {
         let start = self.cloud.handle.now();
         let cost_before = self.cloud.billing.snapshot();
 
-        // The wire every stage edge of this query runs on. On the direct
-        // transport, the driver registers all consumer endpoints with the
-        // rendezvous service *now* — the launch plan fixed every fleet
-        // size, so the address book is complete before the first producer
-        // launches even though consumer fleets launch later. Registration
-        // failures (capacity) are fine: senders fall back to the object
-        // store for unregistered endpoints. A sort edge has no endpoint —
-        // blocks are not receivers — and neither has a fused edge, unless
-        // its reader waits: then the host may ship its part after all.
-        let transport_kind = policy.transport.unwrap_or(self.config.transport);
-        let transport = Rc::new(EdgeTransport::new(
-            self.config.exchange.clone(),
-            ExchangeSide::new(),
-            (transport_kind == TransportKind::Direct).then(|| self.cloud.p2p.clone()),
-        ));
-        let _p2p_guard = (transport_kind == TransportKind::Direct).then(|| {
-            for (sid, &parts) in launch.partitions.iter().enumerate() {
-                let handed = launch.fused_into(sid).is_some_and(|c| !launch.waits(c));
-                if handed || launch.sort_edges[sid].is_some() {
-                    continue;
-                }
-                let channel = self.channel(qid, sid);
-                for r in 0..parts {
-                    self.cloud.p2p.register(&format!("{channel}/r{r}"));
-                }
-            }
-            P2pGuard { p2p: self.cloud.p2p.clone(), prefix: format!("x{}/q{qid}/", self.instance) }
-        });
+        let transport = policy.transport.unwrap_or(self.config.transport);
+        let scope = Rc::new(QueryScope::open(self, qid, &launch, transport));
 
         // Build every stage's task, consumers first so a host can link
         // the stage it hands its part to, before anything launches: a
@@ -867,23 +916,11 @@ impl Lambada {
                 ),
                 task: Rc::clone(&tasks[n - 1 - c]),
                 slot: dag.stages[c].inputs().iter().position(|&i| i == sid).unwrap_or_default(),
-                inbox: launch.waits(c).then(|| self.inbox(qid, c)),
+                inbox: launch.waits(c).then(|| scope.inbox(c)),
             });
-            tasks.push(Rc::new(self.stage_task(qid, sid, &launch, &transport, fused_into)?));
+            tasks.push(Rc::new(self.stage_task(&scope, sid, &launch, fused_into)?));
         }
         tasks.reverse();
-        // Every waiting stage's inbox exists before its host launches and
-        // is deleted when the query ends, however it ends.
-        let inboxes = QueueGuard {
-            sqs: self.cloud.sqs.clone(),
-            names: (0..n)
-                .filter(|&sid| launch.waits(sid))
-                .map(|sid| self.inbox(qid, sid))
-                .collect(),
-        };
-        for inbox in &inboxes.names {
-            self.cloud.sqs.create_queue(inbox);
-        }
 
         // One concurrently spawned fleet future per chain head, sequenced
         // by the shared board: each future sleeps until its head's inputs
@@ -899,17 +936,11 @@ impl Lambada {
                 task: Rc::clone(&tasks[sid]),
                 receivers: launch.partitions[sid],
                 sort: launch.sort_edges[sid].clone(),
-                inbox: launch.waits(sid).then(|| self.inbox(qid, sid)),
+                inbox: launch.waits(sid).then(|| scope.inbox(sid)),
             });
-            let fleet = Fleet {
-                query: qid,
-                queues: format!("lambada-results-x{}-q{qid}", self.instance),
-                workers: launch.workers[head],
-                chain: chain.collect(),
-            };
+            let fleet = Fleet { workers: launch.workers[head], chain: chain.collect() };
             handles.push(self.cloud.handle.spawn(run_fleet(
-                self.cloud.clone(),
-                self.config.clone(),
+                Rc::clone(&scope),
                 policy.gate.clone(),
                 Rc::clone(&board),
                 fleet,
@@ -920,7 +951,6 @@ impl Lambada {
         // drains; the lowest-numbered failing chain head — the most
         // upstream, usually the root cause — wins error reporting.
         let outcomes = lambada_sim::sync::join_all(handles).await;
-        drop(inboxes);
         if let Some(e) = outcomes.iter().find_map(|o| o.as_ref().err()) {
             return Err(e.clone());
         }
@@ -1037,15 +1067,14 @@ impl Lambada {
     /// hands its part to.
     fn stage_task(
         &self,
-        qid: u64,
+        scope: &QueryScope,
         sid: usize,
         launch: &LaunchPlan<'_>,
-        transport: &Rc<EdgeTransport>,
         fused_into: Option<FusedStage>,
     ) -> Result<StageTask> {
         let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
-        let channel = self.channel(qid, sid);
+        let channel = scope.channel(sid);
         let (partitions, inline_budget) = (launch.partitions[sid], launch.inline_budgets[sid]);
         let sink = match (&launch.sort_edges[sid], kind.output()) {
             (Some(edge), _) => StageSink::SortEdge { channel, inline_budget, edge: edge.clone() },
@@ -1077,7 +1106,7 @@ impl Lambada {
         }
 
         // Slot `i` is the stage's `i`-th input, as the payload addresses it.
-        let edge = |slot: usize, input: usize| EdgeRead { channel: self.channel(qid, input), slot };
+        let edge = |slot: usize, input: usize| EdgeRead { channel: scope.channel(input), slot };
         let op = match kind {
             StageKind::Scan(stage) => {
                 let (table, chunks) =
@@ -1103,24 +1132,11 @@ impl Lambada {
         Ok(StageTask {
             op,
             sink,
-            transport: Rc::clone(transport),
+            transport: Rc::clone(&scope.transport),
             result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}", self.instance),
+            result_prefix: scope.result_prefix(),
             fused_into,
         })
-    }
-
-    /// Exchange-edge key prefix of stage `sid` of query `qid`, namespaced
-    /// by the installation so concurrent or successive installations on
-    /// one cloud never read each other's shuffle files.
-    fn channel(&self, qid: u64, sid: usize) -> String {
-        format!("x{}/q{qid}/s{sid}", self.instance)
-    }
-
-    /// The inbox of stage `sid` of query `qid`: where the driver sends the
-    /// addresses of its other in-edges while its host runs.
-    fn inbox(&self, qid: u64, sid: usize) -> String {
-        format!("lambada-inbox-x{}-q{qid}-s{sid}", self.instance)
     }
 
     /// Driver-scope post-processing (§3.2: "post-processing like
@@ -1299,10 +1315,6 @@ fn dealt(files: Range<usize>, workers: usize) -> impl Iterator<Item = Range<usiz
 
 /// One chain's fleet as the driver spawns it.
 struct Fleet {
-    query: u64,
-    /// Prefix of the result queue each launch creates for itself:
-    /// `{queues}-s{head}`.
-    queues: String,
     /// The head's fleet size (a chain of several stages is one worker).
     workers: usize,
     /// The head, then every stage fused after it.
@@ -1362,13 +1374,13 @@ struct Member {
 /// without inventing an error of their own — the failing stage already
 /// carries the root cause.
 async fn run_fleet(
-    cloud: Cloud,
-    config: LambadaConfig,
+    scope: Rc<QueryScope>,
     gate: Option<WorkerGate>,
     board: Rc<StageBoard>,
     fleet: Fleet,
 ) -> Result<Option<Vec<StageRun>>> {
-    let Fleet { query, queues, mut workers, chain } = fleet;
+    let (cloud, config) = (&scope.cloud, &scope.config);
+    let Fleet { mut workers, chain } = fleet;
     let (mut runs, mut at) = (Vec::new(), 0);
     while let Some(head) = chain.get(at) {
         let enqueued = cloud.handle.now();
@@ -1381,14 +1393,14 @@ async fn run_fleet(
             }
             board.notified().await;
         }
-        let result_queue = format!("{queues}-s{}", head.sid);
+        let result_queue = scope.result_queue(head.sid);
         let payloads: Vec<WorkerPayload> = (0..workers)
             .map(|w| WorkerPayload {
                 // The worker id doubles as the file-chunk id (scans) or
                 // the partition id (consumers).
                 worker_id: w as u64,
                 attempt: 0,
-                query,
+                query: scope.query,
                 task: WorkerTask::Stage(Rc::clone(&head.task)),
                 edges: board.addresses(head.sid, w),
                 children: Vec::new(),
@@ -1407,19 +1419,19 @@ async fn run_fleet(
         // paper-scale fleet's payloads when speculation is off.
         let retained: Vec<WorkerPayload> =
             if config.speculate { payloads.clone() } else { Vec::new() };
-        let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
+        let invoked = invoke_workers(cloud, &config.function_name, payloads).await;
         let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
         let collected = match invoked {
             Ok(()) => {
                 let mut collect = std::pin::pin!(collect_results(
-                    &cloud,
-                    &config,
+                    cloud,
+                    config,
                     &result_queue,
                     workers,
                     &retained,
                     stage_start
                 ));
-                let feed = feed_inboxes(&cloud, &board, &chain[at..]);
+                let feed = feed_inboxes(cloud, &board, &chain[at..]);
                 match select2(collect.as_mut(), feed).await {
                     Either::Left(collected) => collected,
                     Either::Right(Ok(())) => collect.await,
@@ -1852,7 +1864,7 @@ mod tests {
                 let tables = section_tables(&collected.unwrap().results, 1, None).unwrap();
                 let addrs = tables[0].senders.clone();
                 assert_eq!(addrs.iter().map(|a| a.attempt).collect::<Vec<_>>(), vec![1, 0]);
-                let t = EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None);
+                let t = EdgeTransport::new(config.exchange.clone(), None);
                 let env = WorkerEnv::bare(&cloud, 0, 2048, config.costs);
                 t.recv(&env, "x0/q0/s0", 0, &addrs).await.unwrap()
             }
@@ -1882,7 +1894,7 @@ mod tests {
         let (carried, invoked, over) = sim.block_on({
             let cloud = cloud.clone();
             async move {
-                let t = EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None);
+                let t = EdgeTransport::new(config.exchange.clone(), None);
                 let mut tables = Vec::new();
                 for s in 0..senders {
                     let env = WorkerEnv::bare(&cloud, s as u64, 2048, config.costs);
@@ -2073,6 +2085,83 @@ mod tests {
         assert_eq!(fleets(sorted), vec![16, 32], "scan, sort");
         let merged_sorted = agg.sort(vec![SortKey::asc(g())]).unwrap();
         assert_eq!(fleets(merged_sorted), vec![16, 4, 4], "scan, agg-merge, sort");
+    }
+
+    /// A query's names come from its scope alone. Every endpoint the scope
+    /// registers is the transport's endpoint for its channel and receiver
+    /// and lies under the prefix its release deregisters; its inboxes exist
+    /// until it is dropped. The names of two queries of one installation,
+    /// and of one query id on two installations, are pairwise distinct,
+    /// and no scope's prefix covers another scope's channel (query 1's
+    /// does not cover query 10's).
+    #[test]
+    fn a_query_scope_names_and_releases_what_its_query_creates() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = LambadaConfig {
+            join_workers: Some(1),
+            agg: AggStrategy::Exchange { workers: Some(3) },
+            ..LambadaConfig::default()
+        };
+        let field = |name: &str| Field::new(name, DataType::Int64);
+        let (t, u) = (Schema::new(vec![field("g"), field("v")]), Schema::new(vec![field("k")]));
+        let install = || {
+            let mut system = Lambada::install(&cloud, config.clone());
+            for (name, schema) in [("t", &t), ("u", &u)] {
+                let files = vec![TableFile::real("data", format!("{name}/0"), 1000)];
+                system.register_table(TableSpec::new(name, schema.clone(), files, 100));
+            }
+            system
+        };
+        let (a, b) = (install(), install());
+        // scan t, scan u → a one-worker join, fused into a scan and
+        // waiting on its inbox → a three-worker agg-merge fleet.
+        let sum_v = vec![AggExpr::new(AggFunc::Sum, Some(lambada_engine::col(1)), "s")];
+        let joined = Df::scan("t", &t).join(Df::scan("u", &u), &[("g", "k")]).unwrap();
+        let query = joined.aggregate(vec![(lambada_engine::col(0), "g")], sum_v).unwrap();
+        let dag = a.plan(&query.build()).unwrap();
+        let (plan_a, plan_b) =
+            (a.launch_plan(&dag, None).unwrap(), b.launch_plan(&dag, None).unwrap());
+        let stages = 0..dag.stages.len();
+        let endpoints = |scope: &QueryScope, launch: &LaunchPlan<'_>| -> Vec<Rc<str>> {
+            let ends = stages.clone().flat_map(|sid| {
+                let channel = scope.channel(sid);
+                (0..launch.partitions[sid]).map(move |r| EdgeTransport::endpoint(&channel, r))
+            });
+            ends.filter(|e| cloud.p2p.is_registered(e)).collect()
+        };
+
+        let queues = cloud.sqs.queue_count();
+        let scope = QueryScope::open(&a, 0, &plan_a, TransportKind::Direct);
+        let registered = endpoints(&scope, &plan_a);
+        assert!(registered.len() > 3, "the agg edge's three and a join input's: {registered:?}");
+        assert_eq!(registered.len(), cloud.p2p.endpoint_count(), "nothing else is registered");
+        assert!(registered.iter().all(|e| e.starts_with(&scope.prefix)), "{registered:?}");
+        assert!(!scope.inboxes.is_empty(), "the join waits on its inbox");
+        assert_eq!(cloud.sqs.queue_count(), queues + scope.inboxes.len());
+        drop(scope);
+        assert_eq!((cloud.p2p.endpoint_count(), cloud.sqs.queue_count()), (0, queues));
+
+        let scopes = [
+            QueryScope::open(&a, 1, &plan_a, TransportKind::ObjectStore),
+            QueryScope::open(&a, 10, &plan_a, TransportKind::ObjectStore),
+            QueryScope::open(&b, 1, &plan_b, TransportKind::ObjectStore),
+        ];
+        let mut names = HashSet::new();
+        for scope in &scopes {
+            for sid in stages.clone() {
+                let channel = scope.channel(sid);
+                let ends = (0..3).map(|r| EdgeTransport::endpoint(&channel, r).to_string());
+                let queues = [scope.inbox(sid), scope.result_queue(sid)];
+                for name in ends.chain(queues).chain([channel.clone(), scope.result_prefix()]) {
+                    names.insert(name);
+                }
+                let mut others = scopes.iter().filter(|other| other.prefix != scope.prefix);
+                assert!(others.all(|other| !channel.starts_with(&other.prefix)), "{channel}");
+            }
+        }
+        let per_scope = dag.stages.len() * 6 + 1;
+        assert_eq!(names.len(), scopes.len() * per_scope, "no name is shared");
     }
 
     /// A sort-edge report of `blocks` ten-byte file blocks and `starts`.

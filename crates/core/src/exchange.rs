@@ -103,14 +103,42 @@ impl PartData {
     }
 }
 
-/// Exchange operator configuration.
+/// The exchange buckets: file names shard over `num_buckets` buckets to
+/// spread S3's per-bucket request-rate limits (§4.4.1). This is all a
+/// query reads of the exchange setup ([`crate::LambadaConfig::exchange`]);
+/// Algorithm 1's rounds read it through [`ExchangeConfig::buckets`].
 #[derive(Clone, Debug)]
-pub struct ExchangeConfig {
-    pub algo: ExchangeAlgo,
-    pub write_combining: bool,
-    /// Buckets to shard file names over (created at installation time).
+pub struct ExchangeBuckets {
     pub num_buckets: usize,
     pub bucket_prefix: String,
+}
+
+impl Default for ExchangeBuckets {
+    fn default() -> Self {
+        ExchangeBuckets { num_buckets: 16, bucket_prefix: "lambada-x".to_string() }
+    }
+}
+
+impl ExchangeBuckets {
+    /// The bucket of sender (or sender group) `id`.
+    pub fn bucket_of(&self, id: usize) -> String {
+        format!("{}-{}", self.bucket_prefix, id % self.num_buckets.max(1))
+    }
+
+    /// Create the buckets (installation time, free — §4.4.1).
+    pub fn install(&self, cloud: &lambada_sim::Cloud) {
+        for i in 0..self.num_buckets.max(1) {
+            cloud.s3.create_bucket(&self.bucket_of(i));
+        }
+    }
+}
+
+/// Configuration of one Algorithm-1 exchange ([`run_exchange`]).
+#[derive(Clone, Debug)]
+pub struct ExchangeConfig {
+    pub buckets: ExchangeBuckets,
+    pub algo: ExchangeAlgo,
+    pub write_combining: bool,
     /// Receiver LIST poll interval ("repeat a few times until they see
     /// the files produced by all senders").
     pub poll_interval: Duration,
@@ -122,27 +150,13 @@ pub struct ExchangeConfig {
 impl Default for ExchangeConfig {
     fn default() -> Self {
         ExchangeConfig {
+            buckets: ExchangeBuckets::default(),
             algo: ExchangeAlgo::TwoLevel,
             write_combining: true,
-            num_buckets: 16,
-            bucket_prefix: "lambada-x".to_string(),
             poll_interval: Duration::from_millis(250),
             max_polls: 2400,
             run_id: 0,
         }
-    }
-}
-
-impl ExchangeConfig {
-    pub fn bucket_of(&self, id: usize) -> String {
-        format!("{}-{}", self.bucket_prefix, id % self.num_buckets.max(1))
-    }
-}
-
-/// Create the exchange buckets (installation time, free — §4.4.1).
-pub fn install_exchange_buckets(cloud: &lambada_sim::Cloud, cfg: &ExchangeConfig) {
-    for i in 0..cfg.num_buckets.max(1) {
-        cloud.s3.create_bucket(&format!("{}-{i}", cfg.bucket_prefix));
     }
 }
 
@@ -326,49 +340,20 @@ fn wc_key(prefix: &str, sender: usize, attempt: u32, sections: &[(u32, u64)]) ->
     name
 }
 
-/// Parse `snd{p}` or `snd{p}a{attempt}` (a bare suffix is attempt 0).
-fn parse_sender_attempt(token: &str, key: &str) -> Result<(usize, u32)> {
-    let body = token
-        .strip_prefix("snd")
-        .ok_or_else(|| CoreError::Storage(format!("bad exchange key {key}")))?;
-    let (snd, attempt) =
-        match body.split_once('a') {
-            Some((s, a)) => (
-                s.parse::<usize>().ok(),
-                Some(a.parse::<u32>().map_err(|_| {
-                    CoreError::Storage(format!("bad attempt in exchange key {key}"))
-                })?),
-            ),
-            None => (body.parse::<usize>().ok(), Some(0)),
-        };
-    match (snd, attempt) {
-        (Some(s), Some(a)) => Ok((s, a)),
-        _ => Err(CoreError::Storage(format!("bad exchange key {key}"))),
-    }
-}
-
-/// Parse an exchange key into sender id, attempt id and name sections
-/// (none for the per-receiver keys of the non-write-combined arm).
-fn parse_wc_sections(key: &str) -> Result<(usize, u32, BundleSizes)> {
-    let tail = key
-        .rsplit('/')
-        .next()
-        .ok_or_else(|| CoreError::Storage(format!("bad exchange key {key}")))?;
-    let mut parts = tail.split('.');
-    let (snd, attempt) = parse_sender_attempt(
-        parts.next().ok_or_else(|| CoreError::Storage(format!("bad exchange key {key}")))?,
-        key,
-    )?;
+/// Parse an exchange key's last component — `snd{p}a{attempt}`, then
+/// the name sections (none for the per-receiver keys of the
+/// non-write-combined arm) — into sender id, attempt id and sections.
+fn parse_key(key: &str) -> Result<(usize, u32, BundleSizes)> {
+    let bad = || CoreError::Storage(format!("bad exchange key {key}"));
+    let mut parts = key.rsplit('/').next().unwrap_or(key).split('.');
+    let head = parts.next().and_then(|t| t.strip_prefix("snd")?.split_once('a'));
+    let (snd, attempt) = head.ok_or_else(bad)?;
     let mut sections = Vec::new();
     for item in parts {
-        let (rcv, len) = item
-            .split_once('_')
-            .ok_or_else(|| CoreError::Storage(format!("bad section in key {key}")))?;
-        let rcv = rcv.parse::<u32>().map_err(|_| CoreError::Storage(format!("bad key {key}")))?;
-        let len = len.parse::<u64>().map_err(|_| CoreError::Storage(format!("bad key {key}")))?;
-        sections.push((rcv, len));
+        let (rcv, len) = item.split_once('_').ok_or_else(bad)?;
+        sections.push((rcv.parse().map_err(|_| bad())?, len.parse().map_err(|_| bad())?));
     }
-    Ok((snd, attempt, sections))
+    Ok((snd.parse().map_err(|_| bad())?, attempt.parse().map_err(|_| bad())?, sections))
 }
 
 /// `receiver`'s `(offset, len)` within a write-combined file, from the
@@ -550,7 +535,7 @@ pub(crate) async fn discover(
     let lists = listings.len() as u64;
     for (place, listing) in listings {
         for (key, size) in listing.await? {
-            let (sender, attempt, sections) = parse_wc_sections(&key)?;
+            let (sender, attempt, sections) = parse_key(&key)?;
             let (offset, len) = match section_for {
                 None => (None, size),
                 Some(receiver) => match section_of(&sections, receiver) {
@@ -709,7 +694,7 @@ pub async fn run_exchange(
         // one object per receiver under the receiver's own.
         let group_place = |s: usize| {
             let gid = (round.group_of)(s);
-            (cfg.bucket_of(gid), format!("x{}/r{round_idx}/g{gid}/", cfg.run_id))
+            (cfg.buckets.bucket_of(gid), format!("x{}/r{round_idx}/g{gid}/", cfg.run_id))
         };
 
         // ---- Write phase -------------------------------------------------
@@ -724,7 +709,7 @@ pub async fn run_exchange(
                 let (body, sizes) = encode_bundle(bundle)?;
                 let key =
                     format!("x{}/r{round_idx}/rcv{target}/snd{p}a{}", cfg.run_id, env.attempt);
-                let bucket = cfg.bucket_of(target);
+                let bucket = cfg.buckets.bucket_of(target);
                 if let Some(sizes) = sizes {
                     side.put(format!("{bucket}/{key}"), target as u32, sizes);
                 }
@@ -746,7 +731,7 @@ pub async fn run_exchange(
         let (places, section_for) = if cfg.write_combining {
             (Place::group(round.senders.iter().copied(), group_place), Some(p))
         } else {
-            let bucket = cfg.bucket_of(p);
+            let bucket = cfg.buckets.bucket_of(p);
             let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
             (vec![Place { bucket, prefix, senders: round.senders.clone() }], None)
         };
@@ -773,7 +758,177 @@ pub async fn run_exchange(
 
 #[cfg(test)]
 mod tests {
+    use lambada_sim::{secs, Cloud, CloudConfig, Simulation};
+
     use super::*;
+    use crate::costmodel::ComputeCostModel;
+
+    const CHANNEL: &str = "x9/q0/s0";
+
+    /// The files of one channel of an Algorithm-1 exchange.
+    struct Channel {
+        cfg: ExchangeConfig,
+        side: ExchangeSide,
+    }
+
+    impl Channel {
+        /// Where sender `sender`'s file goes: sharded over the buckets by
+        /// sender id.
+        fn place_of(&self, sender: usize) -> (String, String) {
+            (self.cfg.buckets.bucket_of(sender), format!("{CHANNEL}/"))
+        }
+    }
+
+    /// `num_buckets` buckets, polled every 10 ms at most `max_polls` times.
+    fn polling(num_buckets: usize, max_polls: usize) -> ExchangeConfig {
+        ExchangeConfig {
+            buckets: ExchangeBuckets { num_buckets, ..ExchangeBuckets::default() },
+            poll_interval: Duration::from_millis(10),
+            max_polls,
+            ..ExchangeConfig::default()
+        }
+    }
+
+    /// A cloud with `cfg`'s buckets, and a channel under them.
+    fn channel(cfg: ExchangeConfig) -> (Simulation, Cloud, Channel) {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        cfg.buckets.install(&cloud);
+        (sim, cloud, Channel { cfg, side: ExchangeSide::new() })
+    }
+
+    fn worker(cloud: &Cloud, id: u64, attempt: u32) -> WorkerEnv {
+        let mut env = WorkerEnv::bare(cloud, id, 2048, ComputeCostModel::default());
+        env.attempt = attempt;
+        env
+    }
+
+    fn real(bytes: &[u8]) -> PartData {
+        PartData::Real(bytes.to_vec())
+    }
+
+    /// Sender `sender`'s named file holding `payload` for `receiver`: an
+    /// Algorithm-1 file with its section lengths in the key.
+    async fn put_file(t: &Channel, env: &WorkerEnv, sender: usize, receiver: u32, payload: &[u8]) {
+        let bundles = vec![(receiver, vec![(receiver, real(payload))])];
+        let (bucket, prefix) = t.place_of(sender);
+        put_combined(env, &t.side, &bucket, &prefix, sender, true, bundles).await.unwrap();
+    }
+
+    /// A discovery pass LISTs every incomplete bucket at once: with eight
+    /// senders on eight buckets already written, discovery costs about one
+    /// first-byte latency, not eight, and spends the LISTs and chooses the
+    /// copies of a pass that visits the buckets one by one.
+    #[test]
+    fn a_discovery_pass_lists_all_buckets_in_one_round() {
+        let (sim, cloud, t) = channel(polling(8, 50));
+        let ttfb = cloud.config.s3.ttfb_median.as_secs_f64();
+        let chosen = |best: &BTreeMap<usize, Copy>| -> Vec<(usize, u32, u64, String)> {
+            let key = |c: &Copy| match &c.at {
+                CopyAt::Store { bucket, key, .. } => format!("{bucket}/{key}"),
+                CopyAt::Mailbox(endpoint) => endpoint.to_string(),
+                CopyAt::Inline(_) => "inline".to_string(),
+            };
+            best.values().map(|c| (c.sender, c.attempt, c.len, key(c))).collect()
+        };
+        sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                // Senders 2 and 5 were speculated against: two files each.
+                for s in 0..8 {
+                    put_file(&t, &worker(&cloud, s as u64, 0), s, 0, &[s as u8; 16]).await;
+                }
+                for s in [2, 5] {
+                    let env = worker(&cloud, s as u64, 1);
+                    put_file(&t, &env, s, 0, &[0xB0 | s as u8; 24]).await;
+                }
+                let places = Place::group(0..8, |s| t.place_of(s));
+                assert_eq!(places.len(), 8, "one bucket per sender");
+                let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
+
+                let start = handle.now();
+                let (mut one_by_one, mut lists) = (BTreeMap::new(), 0);
+                for place in &places {
+                    let place = std::slice::from_ref(place);
+                    lists += discover(handle, &s3, place, Some(0), &mut one_by_one).await.unwrap();
+                }
+                let serial_secs = (handle.now() - start).as_secs_f64();
+
+                let start = handle.now();
+                let mut together = BTreeMap::new();
+                let spent = discover(handle, &s3, &places, Some(0), &mut together).await.unwrap();
+                let round_secs = (handle.now() - start).as_secs_f64();
+                assert_eq!((spent, lists), (8, 8));
+                assert_eq!(chosen(&together), chosen(&one_by_one));
+                assert_eq!(together[&2].attempt, 1, "the backup's file wins");
+                assert!(serial_secs > 6.0 * ttfb, "one by one: {serial_secs} s");
+                assert!(round_secs < 2.5 * ttfb, "one round: {round_secs} s");
+            }
+        });
+    }
+
+    /// The out-of-order attempts a discovery can see: a receiver
+    /// starts waiting before anything is written, so its first pass finds
+    /// an empty prefix and it keeps polling; the speculative attempt-1
+    /// file then lands first and the straggling attempt-0 original later.
+    /// The wait returns exactly one copy, attempt 1's.
+    #[test]
+    fn discovery_keeps_the_highest_attempt_when_attempts_land_out_of_order() {
+        let (sim, cloud, t) = channel(ExchangeConfig::default());
+        let t = Rc::new(t);
+        let (parts, lists, waited) = sim.block_on({
+            let cloud = cloud.clone();
+            async move {
+                let waiting = cloud.handle.spawn({
+                    let (cloud, t) = (cloud.clone(), Rc::clone(&t));
+                    async move {
+                        let env = worker(&cloud, 10, 0);
+                        let places = Place::group(0..1, |s| t.place_of(s));
+                        let (copies, lists) = await_copies(&env, &t.cfg, &places, Some(0)).await?;
+                        let waited = env.cloud.handle.now().as_secs_f64();
+                        let parts = fetch_copies(&env, &t.side, 0, copies).await?;
+                        Ok::<_, CoreError>((parts, lists, waited))
+                    }
+                });
+                // Let the first discovery pass find nothing.
+                cloud.handle.sleep(secs(0.7)).await;
+                for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
+                    put_file(&t, &worker(&cloud, 0, attempt), 0, 0, payload).await;
+                }
+                waiting.await.unwrap()
+            }
+        });
+        assert!(waited > 0.7 && lists > 1, "the receiver really waited: {waited} s, {lists} LISTs");
+        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))], 0)]);
+    }
+
+    /// Discovery of named (Algorithm-1) files: a listed file with no
+    /// section for this receiver is not a copy, so its sender stays
+    /// missing and the timeout says so.
+    #[test]
+    fn a_file_without_the_receivers_section_leaves_its_sender_missing() {
+        let (sim, cloud, t) = channel(polling(1, 6));
+        let err = sim.block_on(async move {
+            put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine").await;
+            put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's").await;
+            let places = Place::group(0..2, |s| t.place_of(s));
+            await_copies(&worker(&cloud, 10, 0), &t.cfg, &places, Some(0)).await.err()
+        });
+        assert!(matches!(err, Some(CoreError::Timeout { missing_workers: 1, .. })), "{err:?}");
+    }
+
+    /// A key parses back into what [`wc_key`] or [`edge_key`] put in it;
+    /// anything else — no attempt, a section without its length, a
+    /// non-number — is a typed error.
+    #[test]
+    fn keys_parse_back_and_malformed_keys_are_errors() {
+        let key = wc_key("x1/r0/g0/", 12, 3, &[(0, 5), (2, 7)]);
+        assert_eq!(parse_key(&key).unwrap(), (12, 3, vec![(0, 5), (2, 7)]));
+        assert_eq!(parse_key(&edge_key("x1/r0/rcv2/", 4, 0)).unwrap(), (4, 0, vec![]));
+        for bad in ["x1/snd4", "x1/rcv4a0", "x1/snd4a0.2", "x1/snd4ax", "x1/snd4a0.2_x"] {
+            assert!(matches!(parse_key(bad), Err(CoreError::Storage(_))), "{bad}");
+        }
+    }
 
     /// A destination past `u32` is an error, not a wrap onto receiver
     /// `dest mod 2^32`.

@@ -74,8 +74,8 @@ pub use driver::{
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
 pub use exchange::{
-    decode_bundle, encode_bundle, encode_bundle_into, install_exchange_buckets, run_exchange,
-    EdgeReadStats, ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData,
+    decode_bundle, encode_bundle, encode_bundle_into, run_exchange, EdgeReadStats, ExchangeBuckets,
+    ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData,
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,

@@ -45,8 +45,8 @@
 //!   merge anywhere.
 //!
 //! Anything else (aggregates below joins, computed projections that do not
-//! compose) reports [`CoreError::Unsupported`] and falls back to the local
-//! reference engine.
+//! compose) is an error: [`CoreError::Unsupported`], returned to the
+//! caller. Nothing runs such a plan instead.
 //!
 //! # The edge table
 //!
@@ -485,8 +485,8 @@ impl QueryDag {
 /// Split an *optimized* plan into a stage DAG with default options
 /// (driver-side aggregate merging and sorting). Any tree of
 /// `Scan | Filter | Project | Join | Aggregate(top) | Sort(top) | Limit(top)`
-/// lowers — joins nest arbitrarily. Aggregates below joins still report
-/// `CoreError::Unsupported` and fall back to the local reference engine.
+/// lowers — joins nest arbitrarily. An aggregate below a join is
+/// `CoreError::Unsupported`, returned to the caller: no other engine runs it.
 pub fn split(plan: &LogicalPlan) -> Result<QueryDag> {
     split_with(plan, &SplitOptions::default())
 }

@@ -87,7 +87,7 @@ use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{
     edge_key, encode_bundle, encode_bundle_into, fetch_copies, p2p_side_key, put_combined, Copy,
-    CopyAt, EdgeReadStats, ExchangeConfig, ExchangeSide, PartData,
+    CopyAt, EdgeReadStats, ExchangeBuckets, ExchangeSide, PartData,
 };
 use crate::invoke::tree_shape;
 use crate::message::{inline_claim, INLINE_EDGE_BYTES, SECTION_BYTES};
@@ -299,14 +299,16 @@ fn inline_blob(
 /// receivers' mailboxes ([`TransportKind::Direct`]); without one every
 /// byte goes through the object store (the paper baseline, §4.4).
 pub struct EdgeTransport {
-    cfg: ExchangeConfig,
+    buckets: ExchangeBuckets,
     side: ExchangeSide,
     p2p: Option<P2pService>,
 }
 
 impl EdgeTransport {
-    pub fn new(cfg: ExchangeConfig, side: ExchangeSide, p2p: Option<P2pService>) -> Self {
-        EdgeTransport { cfg, side, p2p }
+    /// An edge whose files shard over `buckets`, streaming through `p2p`
+    /// when there is one.
+    pub fn new(buckets: ExchangeBuckets, p2p: Option<P2pService>) -> Self {
+        EdgeTransport { buckets, side: ExchangeSide::new(), p2p }
     }
 
     pub fn kind(&self) -> TransportKind {
@@ -319,11 +321,13 @@ impl EdgeTransport {
     /// Where sender `sender`'s combined file of `channel` goes: sharded
     /// over the exchange buckets by sender id (§4.4.1).
     fn place_of(&self, channel: &str, sender: usize) -> (String, String) {
-        (self.cfg.bucket_of(sender), format!("{channel}/"))
+        (self.buckets.bucket_of(sender), format!("{channel}/"))
     }
 
-    /// Receiver `receiver`'s p2p endpoint on `channel`.
-    fn endpoint(channel: &str, receiver: usize) -> Rc<str> {
+    /// Receiver `receiver`'s p2p endpoint on `channel`: the one place an
+    /// endpoint is named, for the driver's registration
+    /// ([`crate::driver::QueryScope`]) and for both ends of a stream.
+    pub(crate) fn endpoint(channel: &str, receiver: usize) -> Rc<str> {
         Rc::from(format!("{channel}/r{receiver}"))
     }
 
@@ -482,48 +486,22 @@ impl EdgeTransport {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-    use std::time::Duration;
-
-    use lambada_sim::{secs, Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
+    use lambada_sim::{Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
 
     use super::*;
     use crate::costmodel::ComputeCostModel;
-    use crate::exchange::{await_copies, discover, install_exchange_buckets, Place};
 
     const CHANNEL: &str = "x9/q0/s0";
 
     /// A cloud with the exchange buckets and an edge of either kind.
-    /// `endpoints` caps the rendezvous service; all senders share one
-    /// bucket, so one LIST sees every file of the channel.
-    /// `max_polls` bounds a discovery wait.
-    fn edge(
-        direct: bool,
-        endpoints: usize,
-        max_polls: usize,
-    ) -> (Simulation, Cloud, EdgeTransport) {
-        edge_over(1, direct, endpoints, max_polls)
-    }
-
-    /// [`edge`] with the senders sharded over `num_buckets` buckets.
-    fn edge_over(
-        num_buckets: usize,
-        direct: bool,
-        endpoints: usize,
-        max_polls: usize,
-    ) -> (Simulation, Cloud, EdgeTransport) {
+    /// `endpoints` caps the rendezvous service.
+    fn edge(direct: bool, endpoints: usize) -> (Simulation, Cloud, EdgeTransport) {
         let sim = Simulation::new();
         let p2p = P2pConfig { max_endpoints: endpoints, ..P2pConfig::default() };
         let cloud = Cloud::new(&sim, CloudConfig { p2p, ..CloudConfig::default() });
-        let cfg = ExchangeConfig {
-            num_buckets,
-            poll_interval: Duration::from_millis(10),
-            max_polls,
-            ..ExchangeConfig::default()
-        };
-        install_exchange_buckets(&cloud, &cfg);
-        let transport =
-            EdgeTransport::new(cfg, ExchangeSide::new(), direct.then(|| cloud.p2p.clone()));
+        let buckets = ExchangeBuckets::default();
+        buckets.install(&cloud);
+        let transport = EdgeTransport::new(buckets, direct.then(|| cloud.p2p.clone()));
         (sim, cloud, transport)
     }
 
@@ -550,34 +528,18 @@ mod tests {
             .collect()
     }
 
-    /// Sender `sender`'s combined file holding `payload` for `receiver`:
-    /// a stage-edge file, or — `named` — an Algorithm-1 file with its
-    /// section lengths in the key.
-    async fn put_file(
-        t: &EdgeTransport,
-        env: &WorkerEnv,
-        sender: usize,
-        receiver: u32,
-        payload: &[u8],
-        named: bool,
-    ) {
-        let bundles = vec![(receiver, vec![(receiver, real(payload))])];
-        let (bucket, prefix) = t.place_of(CHANNEL, sender);
-        put_combined(env, &t.side, &bucket, &prefix, sender, named, bundles).await.unwrap();
-    }
-
     /// (a) The object-store edge *is* the direct edge with no reachable
     /// endpoint: same tables, same parts, same GET/PUT counts, same
     /// stats — and neither lists anything.
     #[test]
     fn direct_edge_without_endpoints_is_the_object_store_edge() {
         let run = |direct: bool| {
-            let (sim, cloud, t) = edge(direct, 0, 50);
+            let (sim, cloud, t) = edge(direct, 0);
             assert_eq!(t.kind() == TransportKind::Direct, direct);
             let cloud2 = cloud.clone();
             let got = sim.block_on(async move {
                 for r in 0..3usize {
-                    let registered = cloud2.p2p.register(&format!("{CHANNEL}/r{r}"));
+                    let registered = cloud2.p2p.register(&EdgeTransport::endpoint(CHANNEL, r));
                     assert!(!registered, "the rendezvous service has no capacity");
                 }
                 let (mut writes, mut tables) = (Vec::new(), Vec::new());
@@ -614,111 +576,6 @@ mod tests {
         assert_eq!(store_units, [6.0, 3.0, 0.0]);
     }
 
-    /// (b) A pass LISTs every incomplete bucket at once: with eight
-    /// senders on eight buckets already written, discovery costs about one
-    /// first-byte latency, not eight, and spends the LISTs and chooses the
-    /// copies of a pass that visits the buckets one by one.
-    #[test]
-    fn a_discovery_pass_lists_all_buckets_in_one_round() {
-        let (sim, cloud, t) = edge_over(8, false, 0, 50);
-        let ttfb = cloud.config.s3.ttfb_median.as_secs_f64();
-        let chosen = |best: &BTreeMap<usize, Copy>| -> Vec<(usize, u32, u64, String)> {
-            let key = |c: &Copy| match &c.at {
-                CopyAt::Store { bucket, key, .. } => format!("{bucket}/{key}"),
-                CopyAt::Mailbox(endpoint) => endpoint.to_string(),
-                CopyAt::Inline(_) => "inline".to_string(),
-            };
-            best.values().map(|c| (c.sender, c.attempt, c.len, key(c))).collect()
-        };
-        sim.block_on({
-            let cloud = cloud.clone();
-            async move {
-                // Senders 2 and 5 were speculated against: two files each.
-                for s in 0..8 {
-                    put_file(&t, &worker(&cloud, s as u64, 0), s, 0, &[s as u8; 16], true).await;
-                }
-                for s in [2, 5] {
-                    let env = worker(&cloud, s as u64, 1);
-                    put_file(&t, &env, s, 0, &[0xB0 | s as u8; 24], true).await;
-                }
-                let places = Place::group(0..8, |s| t.place_of(CHANNEL, s));
-                assert_eq!(places.len(), 8, "one bucket per sender");
-                let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
-
-                let start = handle.now();
-                let (mut one_by_one, mut lists) = (BTreeMap::new(), 0);
-                for place in &places {
-                    let place = std::slice::from_ref(place);
-                    lists += discover(handle, &s3, place, Some(0), &mut one_by_one).await.unwrap();
-                }
-                let serial_secs = (handle.now() - start).as_secs_f64();
-
-                let start = handle.now();
-                let mut together = BTreeMap::new();
-                let spent = discover(handle, &s3, &places, Some(0), &mut together).await.unwrap();
-                let round_secs = (handle.now() - start).as_secs_f64();
-                assert_eq!((spent, lists), (8, 8));
-                assert_eq!(chosen(&together), chosen(&one_by_one));
-                assert_eq!(together[&2].attempt, 1, "the backup's file wins");
-                assert!(serial_secs > 6.0 * ttfb, "one by one: {serial_secs} s");
-                assert!(round_secs < 2.5 * ttfb, "one round: {round_secs} s");
-            }
-        });
-    }
-
-    /// (b') The out-of-order attempts a discovery can see: a receiver
-    /// starts waiting before anything is written, so its first pass finds
-    /// an empty prefix and it keeps polling; the speculative attempt-1
-    /// file then lands first and the straggling attempt-0 original later.
-    /// The wait returns exactly one copy, attempt 1's.
-    #[test]
-    fn discovery_keeps_the_highest_attempt_when_attempts_land_out_of_order() {
-        let sim = Simulation::new();
-        let cloud = Cloud::new(&sim, CloudConfig::default());
-        let cfg = ExchangeConfig::default();
-        install_exchange_buckets(&cloud, &cfg);
-        let t = Rc::new(EdgeTransport::new(cfg, ExchangeSide::new(), None));
-        let (parts, lists, waited) = sim.block_on({
-            let cloud = cloud.clone();
-            async move {
-                let waiting = cloud.handle.spawn({
-                    let (cloud, t) = (cloud.clone(), Rc::clone(&t));
-                    async move {
-                        let env = worker(&cloud, 10, 0);
-                        let places = Place::group(0..1, |s| t.place_of(CHANNEL, s));
-                        let (copies, lists) = await_copies(&env, &t.cfg, &places, Some(0)).await?;
-                        let waited = env.cloud.handle.now().as_secs_f64();
-                        let parts = fetch_copies(&env, &t.side, 0, copies).await?;
-                        Ok::<_, CoreError>((parts, lists, waited))
-                    }
-                });
-                // Let the first discovery pass find nothing.
-                cloud.handle.sleep(secs(0.7)).await;
-                for (attempt, payload) in [(1, b"attempt-one-wins"), (0, b"attempt-zero-old")] {
-                    put_file(&t, &worker(&cloud, 0, attempt), 0, 0, payload, true).await;
-                }
-                waiting.await.unwrap()
-            }
-        });
-        assert!(waited > 0.7 && lists > 1, "the receiver really waited: {waited} s, {lists} LISTs");
-        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))], 0)]);
-    }
-
-    /// (c) Discovery of named (Algorithm-1) files: a listed file with no
-    /// section for this receiver is not a copy, so its sender stays
-    /// missing and the timeout says so.
-    #[test]
-    fn a_file_without_the_receivers_section_leaves_its_sender_missing() {
-        let (sim, cloud, t) = edge(false, 0, 6);
-        let err = sim.block_on(async move {
-            put_file(&t, &worker(&cloud, 0, 0), 0, 0, b"mine", true).await;
-            put_file(&t, &worker(&cloud, 1, 0), 1, 1, b"someone else's", true).await;
-            let places = Place::group(0..2, |s| t.place_of(CHANNEL, s));
-            await_copies(&worker(&cloud, 10, 0), &t.cfg, &places, Some(0)).await.err()
-        });
-        assert!(matches!(err, Some(CoreError::Timeout { missing_workers: 1, .. })), "{err:?}");
-    }
-
     /// (d) One send is one `exchange_write` span, fallback file included,
     /// and its table says where every receiver's copy went: a registered
     /// receiver's to its mailbox, the rest into the file. Each receiver
@@ -729,9 +586,9 @@ mod tests {
         for (direct, registered, puts) in [(false, 0, 1), (true, 0, 1), (true, 1, 1), (true, 2, 0)]
         {
             let what = format!("direct={direct} registered={registered}");
-            let (sim, cloud, t) = edge(direct, 8, 50);
+            let (sim, cloud, t) = edge(direct, 8);
             for r in 0..registered {
-                cloud.p2p.register(&format!("{CHANNEL}/r{r}"));
+                cloud.p2p.register(&EdgeTransport::endpoint(CHANNEL, r));
             }
             let ((stats, sections, _), reads) = sim.block_on({
                 let cloud = cloud.clone();
@@ -769,7 +626,7 @@ mod tests {
     /// with no LIST and no wait.
     #[test]
     fn an_addressed_receive_reads_the_attempt_it_is_handed() {
-        let (sim, cloud, t) = edge(false, 0, 50);
+        let (sim, cloud, t) = edge(false, 0);
         let (parts, stats) = sim.block_on({
             let cloud = cloud.clone();
             async move {
@@ -835,7 +692,7 @@ mod tests {
             assert!(matches!(err, Err(CoreError::Format(_))), "{what}: {err:?}");
         }
 
-        let (sim, cloud, t) = edge(false, 0, 50);
+        let (sim, cloud, t) = edge(false, 0);
         let mailbox = sim.block_on(async move {
             let addr = SectionAddr { attempt: 0, at: At::Mailbox { len: 0 } };
             t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &[addr]).await.err()
@@ -894,9 +751,9 @@ mod tests {
     #[test]
     fn a_sender_of_empty_parts_spends_no_request() {
         for direct in [false, true] {
-            let (sim, cloud, t) = edge(direct, 8, 50);
+            let (sim, cloud, t) = edge(direct, 8);
             for r in 0..3 {
-                cloud.p2p.register(&format!("{CHANNEL}/r{r}"));
+                cloud.p2p.register(&EdgeTransport::endpoint(CHANNEL, r));
             }
             let (sent, table, reads) = sim.block_on({
                 let cloud = cloud.clone();
@@ -937,7 +794,7 @@ mod tests {
         for direct in [false, true] {
             for (budget, inline) in [(encoded + 1, true), (encoded, true), (encoded - 1, false)] {
                 let what = format!("direct={direct} budget={budget}");
-                let (sim, cloud, t) = edge(direct, 0, 50);
+                let (sim, cloud, t) = edge(direct, 0);
                 let ((sent, sections, blob), reads) = sim.block_on({
                     let cloud = cloud.clone();
                     async move {
@@ -973,7 +830,7 @@ mod tests {
     /// naming every section in it would not.
     #[test]
     fn a_wide_edges_keys_stay_under_the_s3_key_cap() {
-        let (sim, cloud, t) = edge(false, 0, 50);
+        let (sim, cloud, t) = edge(false, 0);
         let (keys, sections) = sim.block_on({
             let cloud = cloud.clone();
             async move {

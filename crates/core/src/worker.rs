@@ -1090,7 +1090,7 @@ async fn run_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::{ExchangeConfig, ExchangeSide};
+    use crate::exchange::ExchangeBuckets;
     use crate::stage::StageOutput;
     use crate::transport::SectionAddr;
     use lambada_engine::types::DataType;
@@ -1121,11 +1121,7 @@ mod tests {
                 chunks: Vec::new(),
             })),
             sink,
-            transport: Rc::new(EdgeTransport::new(
-                ExchangeConfig::default(),
-                ExchangeSide::new(),
-                None,
-            )),
+            transport: Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None)),
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             fused_into: None,
@@ -1265,8 +1261,7 @@ mod tests {
         .unwrap();
         let sort_keys = vec![SortKey::asc(col(0))];
         let edge = SortEdgeSpec { keys: sort_keys.clone(), limit: None, schema: schema.clone() };
-        let transport =
-            Rc::new(EdgeTransport::new(ExchangeConfig::default(), ExchangeSide::new(), None));
+        let transport = Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None));
         let (blocks, edges) = sim.block_on({
             let (env, transport) = (env(0), Rc::clone(&transport));
             async move {
@@ -1334,8 +1329,7 @@ mod tests {
         let run = RecordBatch::new(schema.clone(), vec![Column::I64((0..100).collect())]).unwrap();
         let keys = vec![SortKey::asc(col(0))];
         let edge = SortEdgeSpec { keys: keys.clone(), limit: None, schema: schema.clone() };
-        let transport =
-            Rc::new(EdgeTransport::new(ExchangeConfig::default(), ExchangeSide::new(), None));
+        let transport = Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None));
         let (parts, addressed) = sim.block_on(async {
             let (parts, starts) = sort_edge_parts(&edge, &run).unwrap();
             let (_, sections, inline) =

@@ -10,9 +10,9 @@ use crate::executor::{SimHandle, Simulation};
 use crate::region::Region;
 use crate::resource::{BurstLink, BurstLinkConfig};
 use crate::rng::SimRng;
-use crate::services::faas::{FaasCaller, FaasConfig, FaasService, Instance, NicModel};
+use crate::services::faas::{FaasCaller, FaasConfig, FaasService, NicModel};
 use crate::services::object_store::{ObjectStore, S3Client, S3Config};
-use crate::services::p2p::{P2pClient, P2pConfig, P2pService};
+use crate::services::p2p::{P2pConfig, P2pService};
 use crate::services::queue::{QueueService, SqsClient, SqsConfig};
 use crate::trace::Trace;
 
@@ -142,21 +142,9 @@ impl Cloud {
         self.faas.worker_caller(self.config.region)
     }
 
-    /// S3 access from inside a function instance: no WAN latency, the
-    /// instance's traffic-shaped NIC.
-    pub fn instance_s3(&self, instance: &Rc<Instance>) -> S3Client {
-        self.s3.client(instance.link.clone(), Duration::ZERO)
-    }
-
     /// SQS access from inside a function instance.
     pub fn instance_sqs(&self) -> SqsClient {
         self.sqs.client(Duration::ZERO)
-    }
-
-    /// P2p access from inside a function instance: transfers flow
-    /// through the instance's traffic-shaped NIC.
-    pub fn instance_p2p(&self, instance: &Rc<Instance>) -> P2pClient {
-        self.p2p.client(instance.link.clone())
     }
 }
 

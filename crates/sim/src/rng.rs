@@ -77,12 +77,6 @@ impl SimRng {
         }
         median * (sigma * self.normal()).exp()
     }
-
-    /// Exponential with the given mean.
-    pub fn exponential(&self, mean: f64) -> f64 {
-        let u = 1.0 - self.f64();
-        -mean * u.ln()
-    }
 }
 
 #[cfg(test)]

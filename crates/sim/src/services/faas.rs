@@ -351,13 +351,6 @@ impl FaasService {
         );
     }
 
-    /// Drop all warm containers of a function (force cold starts).
-    pub fn reset_warm(&self, name: &str) {
-        if let Some(f) = self.inner.borrow_mut().functions.get_mut(name) {
-            f.warm.clear();
-        }
-    }
-
     /// (invocations, cold starts, timeouts) counters for a function.
     pub fn counters(&self, name: &str) -> (u64, u64, u64) {
         match self.inner.borrow().functions.get(name) {

@@ -94,13 +94,6 @@ impl QueueService {
         });
     }
 
-    /// Drop all pending messages.
-    pub fn purge(&self, name: &str) {
-        if let Some(q) = self.st.borrow().get(name) {
-            q.borrow_mut().messages.clear();
-        }
-    }
-
     /// Delete a queue (control-plane, free). Pending messages are
     /// dropped, later sends fail with [`SqsError::NoSuchQueue`] and
     /// in-flight receives drain nothing more — close enough to SQS for

@@ -7,8 +7,8 @@
 //! ```
 
 use lambada::core::{
-    install_exchange_buckets, request_counts, run_exchange, ComputeCostModel, ExchangeAlgo,
-    ExchangeConfig, ExchangeSide, PartData, WorkerEnv,
+    request_counts, run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig, ExchangeSide,
+    PartData, WorkerEnv,
 };
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 
@@ -16,7 +16,7 @@ fn run_variant(algo: ExchangeAlgo, write_combining: bool, workers: usize) {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let cfg = ExchangeConfig { algo, write_combining, ..ExchangeConfig::default() };
-    install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let side = ExchangeSide::new();
 
     let start = cloud.handle.now();

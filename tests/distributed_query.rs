@@ -112,8 +112,8 @@ fn direct_and_two_level_invocation_agree() {
     use lambada::core::invoke::labels;
     use lambada::core::stage::FinalStage;
     use lambada::core::{
-        invoke_workers_as, EdgeTransport, ExchangeSide, ResultPayload, ScanOp, StageKind, StageOp,
-        StageSink, StageTask, WorkerPayload, WorkerResult, WorkerTask,
+        invoke_workers_as, EdgeTransport, ResultPayload, ScanOp, StageKind, StageOp, StageSink,
+        StageTask, WorkerPayload, WorkerResult, WorkerTask,
     };
     use lambada::engine::physical::agg_state_to_batch;
     use lambada::engine::GroupedAggState;
@@ -143,11 +143,7 @@ fn direct_and_two_level_invocation_agree() {
                 chunks: (0..workers).map(|w| w..w + 1).collect(),
             })),
             sink: StageSink::Report { top: None },
-            transport: Rc::new(EdgeTransport::new(
-                config.exchange.clone(),
-                ExchangeSide::new(),
-                None,
-            )),
+            transport: Rc::new(EdgeTransport::new(config.exchange.clone(), None)),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
             fused_into: None,

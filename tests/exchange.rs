@@ -6,8 +6,7 @@ use std::rc::Rc;
 
 use lambada::core::exchange::RoundTiming;
 use lambada::core::{
-    install_exchange_buckets, run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig,
-    ExchangeSide, PartData, WorkerEnv,
+    run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig, ExchangeSide, PartData, WorkerEnv,
 };
 use lambada::sim::services::faas::{cpu_share, Instance, InstanceCtx};
 use lambada::sim::{BurstLink, Cloud, CloudConfig, CostItem, PsResource, Simulation};
@@ -38,7 +37,7 @@ fn worker_envs(cloud: &Cloud, total: usize, memory_mib: u32) -> Vec<WorkerEnv> {
 fn run_real_exchange(total: usize, cfg: ExchangeConfig) -> (Cloud, Vec<Vec<RoundTiming>>) {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let envs = worker_envs(&cloud, total, 2048);
     let side = ExchangeSide::new();
     let outcomes = sim.block_on({
@@ -216,7 +215,7 @@ fn modeled_exchange_matches_real_request_counts() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let cfg = make_cfg(2);
-    install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let envs = worker_envs(&cloud, total, 2048);
     let side = ExchangeSide::new();
     let outcomes = sim.block_on({
@@ -259,7 +258,7 @@ fn a_malformed_exchange_is_an_error_before_any_request() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let cfg = ExchangeConfig::default();
-    install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let env = worker_envs(&cloud, 1, 2048).remove(0);
     let side = ExchangeSide::new();
     let parts = |n: usize| (0..n).map(|_| PartData::Modeled(1 << 20)).collect::<Vec<_>>();
@@ -285,7 +284,7 @@ fn run_exchange_with_duplicates(
 ) -> Vec<Vec<(u32, Vec<u8>)>> {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    install_exchange_buckets(&cloud, &cfg);
+    cfg.buckets.install(&cloud);
     let side = ExchangeSide::new();
     let spawn_worker = |p: usize, attempt: u32, delay: u64| {
         let mut env = worker_envs(&cloud, total, 2048).swap_remove(p);

@@ -316,9 +316,9 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
 #[test]
 fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
     use lambada::core::{
-        address_sections, invoke_workers_as, EdgeRead, EdgeTransport, ExchangeSide, InEdge,
-        InvocationStrategy, PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv,
-        WorkerPayload, WorkerResult, WorkerTask,
+        address_sections, invoke_workers_as, EdgeRead, EdgeTransport, InEdge, InvocationStrategy,
+        PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv, WorkerPayload, WorkerResult,
+        WorkerTask,
     };
 
     // Seconds from launch until the worker's error report is received.
@@ -340,8 +340,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             panic!("Q12 ends in a join stage");
         };
         let config = system.config();
-        let transport =
-            Rc::new(EdgeTransport::new(config.exchange.clone(), ExchangeSide::new(), None));
+        let transport = Rc::new(EdgeTransport::new(config.exchange.clone(), None));
         let edge = |slot: usize| EdgeRead { channel: format!("xhand/q0/s{slot}"), slot };
         let (probe, build) = (edge(0), edge(1));
         let task = Rc::new(StageTask {

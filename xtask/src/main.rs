@@ -25,7 +25,8 @@
 //!
 //! `loc` prints the non-test, non-comment line count ([`counted_lines`])
 //! of every first-party crate and of every file under `crates/core/src`,
-//! then the settable values of the config structs ([`settable_values`]).
+//! then the settable values of the config structs ([`settable_values`]),
+//! and exits nonzero when those exceed [`MAX_SETTABLE_VALUES`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -184,7 +185,29 @@ fn loc() -> ExitCode {
         CONFIG_ROOTS.iter().map(|root| settable_values(&core_src, root, 1, &mut lines)).sum();
     lines.iter().for_each(|line| println!("{line}"));
     println!("  {:<24} {values:>6}", "total");
-    ExitCode::SUCCESS
+    match settable_within(values, MAX_SETTABLE_VALUES) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("xtask loc: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The most settable values the config structs may hold. A knob needs a
+/// measured reason to exist, so a change that adds one raises this in its
+/// own diff, where review sees it.
+const MAX_SETTABLE_VALUES: usize = 39;
+
+/// `Err` naming the overrun when `values` exceeds `max`.
+fn settable_within(values: usize, max: usize) -> Result<(), String> {
+    if values <= max {
+        return Ok(());
+    }
+    Err(format!(
+        "{values} settable values exceed MAX_SETTABLE_VALUES ({max}); \
+         an added option raises the constant in xtask/src/main.rs"
+    ))
 }
 
 /// The `crates/core` structs a caller configures the system through:
@@ -516,6 +539,16 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("  Root ") && lines[0].ends_with("2  a gate"), "{}", lines[0]);
         assert!(lines[1].starts_with("    Inner ") && lines[1].ends_with("2  b c"), "{}", lines[1]);
+    }
+
+    /// The settable-values gate passes at its maximum and fails one past
+    /// it, naming the constant to raise.
+    #[test]
+    fn settable_values_past_the_maximum_fail() {
+        assert_eq!(settable_within(39, 39), Ok(()));
+        assert_eq!(settable_within(0, 39), Ok(()));
+        let err = settable_within(40, 39).unwrap_err();
+        assert!(err.contains("40") && err.contains("MAX_SETTABLE_VALUES"), "{err}");
     }
 
     #[test]
