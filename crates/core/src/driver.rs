@@ -61,7 +61,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
@@ -99,8 +99,8 @@ use crate::table::TableSpec;
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind, ADDRESS_BYTES};
 use crate::verify;
 use crate::worker::{
-    edge_bytes, register_worker_function, EdgeRead, FusedStage, ReportTop, ScanOp, SortEdgeSpec,
-    StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
+    edge_bytes, register_worker_function, result_key, EdgeRead, FusedStage, ReportTop, ScanOp,
+    SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -422,24 +422,31 @@ static INSTANCE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 /// [`Lambada::run_dag_with`] from the installation id `i` and the query
 /// id `q`, it names every per-query resource, registers the p2p
 /// endpoints and creates the inboxes before anything launches, holds the
-/// query's [`EdgeTransport`], and releases the endpoints and inboxes in
-/// its one [`Drop`] when the query returns, however it returns:
+/// query's [`EdgeTransport`], and releases everything in its one
+/// [`Drop`] when the query returns, however it returns — success, typed
+/// error or timeout:
 ///
-/// | resource | name |
-/// |---|---|
-/// | stage `s`'s out-edge (channel) | `x{i}/q{q}/s{s}` |
-/// | receiver `r`'s endpoint on it | `x{i}/q{q}/s{s}/r{r}`, by [`EdgeTransport::endpoint`] |
-/// | a sender's file on it | `x{i}/q{q}/s{s}/snd{w}a{attempt}`, in an exchange bucket |
-/// | stage `s`'s inbox | `lambada-inbox-x{i}-q{q}-s{s}` |
-/// | the result queue of a launch at stage `h` | `lambada-results-x{i}-q{q}-s{h}` |
-/// | worker `w`'s stored result | `results/x{i}-q{q}/w{w}`, in the result bucket |
+/// | resource | name | released |
+/// |---|---|---|
+/// | stage `s`'s out-edge (channel) | `x{i}/q{q}/s{s}` | — |
+/// | receiver `r`'s endpoint on it | `x{i}/q{q}/s{s}/r{r}`, by [`EdgeTransport::endpoint`] | deregistered by prefix |
+/// | a sender's file on it | `x{i}/q{q}/s{s}/snd{w}a{attempt}`, in an exchange bucket | deleted |
+/// | stage `s`'s inbox | `lambada-inbox-x{i}-q{q}-s{s}` | deleted |
+/// | the result queue of a launch at stage `h` | `lambada-results-x{i}-q{q}-s{h}` | deleted by its launch ([`run_fleet`]) |
+/// | worker `w`'s stored result | `results/x{i}-q{q}/w{w}`, in the result bucket | deleted |
 ///
 /// Every channel, endpoint and edge file lies under the prefix
-/// `x{i}/q{q}/`, whose endpoints the release deregisters, and every queue
-/// name and result key carries `x{i}-q{q}`: no name of one query is
-/// another query's, or another installation's. A result queue lives only
-/// as long as its launch ([`run_fleet`]). Edge files and stored results
-/// stay in their buckets.
+/// `x{i}/q{q}/`, and every queue name and result key carries
+/// `x{i}-q{q}`: no name of one query is another query's, or another
+/// installation's. The objects are deleted by key, with no LIST
+/// ([`ObjectStore::delete_objects`](lambada_sim::services::object_store::ObjectStore::delete_objects)):
+/// the launch plan fixes every fleet, so the keys are every worker's
+/// file on every out-edge not handed on in-process, for attempt 0 and,
+/// under speculation, its backup, and every final worker's result.
+///
+/// One object can outlive the query: a speculated straggler that is slow
+/// but alive may PUT its attempt's file after the query returned.
+/// Cancelling the running attempts (ROADMAP item 3(b)) closes that.
 pub(crate) struct QueryScope {
     cloud: Cloud,
     config: Rc<LambadaConfig>,
@@ -450,6 +457,11 @@ pub(crate) struct QueryScope {
     tag: String,
     transport: Rc<EdgeTransport>,
     inboxes: Vec<String>,
+    /// `(stage, workers)` for every stage whose out-edge may be written
+    /// to the object store.
+    senders: Vec<(usize, usize)>,
+    /// The driver-bound stage's fleet: each worker may store its result.
+    reporters: usize,
 }
 
 impl QueryScope {
@@ -475,12 +487,17 @@ impl QueryScope {
             tag: format!("x{instance}-q{query}"),
             transport: Rc::new(EdgeTransport::new(system.config.exchange.clone(), p2p)),
             inboxes: Vec::new(),
+            senders: Vec::new(),
+            reporters: launch.workers.last().copied().unwrap_or_default(),
         };
         for (sid, &parts) in launch.partitions.iter().enumerate() {
             let handed = launch.fused_into(sid).is_some_and(|c| !launch.waits(c));
             let streams = direct && !handed && launch.sort_edges[sid].is_none();
             for r in (0..parts).filter(|_| streams) {
                 cloud.p2p.register(&EdgeTransport::endpoint(&scope.channel(sid), r));
+            }
+            if parts > 0 && !handed {
+                scope.senders.push((sid, launch.workers[sid]));
             }
         }
         let waiting = (0..launch.workers.len()).filter(|&sid| launch.waits(sid));
@@ -511,6 +528,23 @@ impl QueryScope {
     fn result_prefix(&self) -> String {
         format!("results/{}", self.tag)
     }
+
+    /// Every object key the query can write, by bucket.
+    fn objects(&self) -> BTreeMap<String, Vec<String>> {
+        let attempts = if self.config.speculate { MAX_BACKUP_ATTEMPTS } else { 0 };
+        let mut objects: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for &(sid, workers) in &self.senders {
+            let channel = self.channel(sid);
+            for (w, a) in (0..workers).flat_map(|w| (0..=attempts).map(move |a| (w, a))) {
+                let (bucket, key) = self.transport.file_of(&channel, w, a);
+                objects.entry(bucket).or_default().push(key);
+            }
+        }
+        let prefix = self.result_prefix();
+        let results = (0..self.reporters as u64).map(|w| result_key(&prefix, w));
+        objects.entry(self.config.result_bucket.clone()).or_default().extend(results);
+        objects
+    }
 }
 
 impl Drop for QueryScope {
@@ -518,6 +552,9 @@ impl Drop for QueryScope {
         self.cloud.p2p.deregister_prefix(&self.prefix);
         for inbox in &self.inboxes {
             self.cloud.sqs.delete_queue(inbox);
+        }
+        for (bucket, keys) in self.objects() {
+            self.cloud.s3.delete_objects(&bucket, keys);
         }
     }
 }

@@ -284,8 +284,10 @@ impl<'a> ContinuousQuery<'a> {
 
     /// Ingest one micro-batch: drop late events, assign windows, stage
     /// the batch as a short-lived table, run it as a distributed query
-    /// through the service, merge the returned state into the carried
-    /// windows, advance the watermark, and emit every window it closed.
+    /// through the service, delete the batch's staged files once the
+    /// query returned (on an error too), merge the returned state into
+    /// the carried windows, advance the watermark, and emit every window
+    /// it closed.
     pub async fn push_batch(&mut self, events: &[SourceEvent]) -> Result<StreamBatchReport> {
         let seq = self.seq;
         self.seq += 1;
@@ -308,6 +310,7 @@ impl<'a> ContinuousQuery<'a> {
             let system = self.service.system();
             let table = format!("{}_b{seq}", self.name);
             let spec = self.stage_batch(&table, &windowed)?;
+            let staged: Vec<String> = spec.files.iter().map(|f| f.key.clone()).collect();
             system.register_table_shared(spec);
             let submitted = (|| {
                 let plan = (self.plan_fn)(system, &table)?;
@@ -320,6 +323,9 @@ impl<'a> ContinuousQuery<'a> {
                 Err(e) => Err(e),
             };
             system.unregister_table(&table);
+            // The batch's query has returned, however it returned: its
+            // staged files are read by nobody now.
+            system.cloud().s3.delete_objects(&self.bucket(), staged);
             let report = outcome?;
             if let Some(bytes) = &report.agg_state {
                 self.carried.merge(&GroupedAggState::decode(bytes)?)?;
@@ -354,11 +360,16 @@ impl<'a> ContinuousQuery<'a> {
         Ok(agg_state_to_batch(&closed, &self.agg_schema)?)
     }
 
+    /// The bucket micro-batches are staged in.
+    fn bucket(&self) -> String {
+        format!("stream-{}", self.name)
+    }
+
     /// Encode and stage one windowed micro-batch as `batch_files` real
     /// columnar files, exactly like the workload loader stages tables.
     fn stage_batch(&self, table: &str, windowed: &RecordBatch) -> Result<TableSpec> {
         let system = self.service.system();
-        let bucket = format!("stream-{}", self.name);
+        let bucket = self.bucket();
         system.cloud().s3.create_bucket(&bucket);
         let schema = windowed_event_schema();
         let file_schema = schema.to_file_schema()?;

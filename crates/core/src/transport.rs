@@ -324,6 +324,14 @@ impl EdgeTransport {
         (self.buckets.bucket_of(sender), format!("{channel}/"))
     }
 
+    /// Where sender `sender`'s file of `channel` from attempt `attempt`
+    /// lies, as `(bucket, key)`: for a receive, and for the query's owner
+    /// ([`crate::driver::QueryScope`]) to delete.
+    pub(crate) fn file_of(&self, channel: &str, sender: usize, attempt: u32) -> (String, String) {
+        let (bucket, prefix) = self.place_of(channel, sender);
+        (bucket, edge_key(&prefix, sender, attempt))
+    }
+
     /// Receiver `receiver`'s p2p endpoint on `channel`: the one place an
     /// endpoint is named, for the driver's registration
     /// ([`crate::driver::QueryScope`]) and for both ends of a stream.
@@ -456,8 +464,7 @@ impl EdgeTransport {
                 (At::Inline(bytes), _) => (bytes.len() as u64, CopyAt::Inline(bytes.clone())),
                 (At::Mailbox { len }, Some(_)) => (*len, CopyAt::Mailbox(Rc::clone(&endpoint))),
                 (At::File { offset, len }, _) => {
-                    let (bucket, prefix) = self.place_of(channel, sender);
-                    let key = edge_key(&prefix, sender, a.attempt);
+                    let (bucket, key) = self.file_of(channel, sender, a.attempt);
                     (*len, CopyAt::Store { bucket, key, offset: Some(*offset) })
                 }
             };

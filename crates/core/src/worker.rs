@@ -764,12 +764,17 @@ async fn report(
             _ => ResultPayload::InlineBatches { rows, bytes },
         });
     }
-    let key = format!("{}/w{}", task.result_prefix, env.worker_id);
+    let key = result_key(&task.result_prefix, env.worker_id);
     metrics.bytes_written += bytes.len() as u64;
     metrics.put_requests += 1;
     metrics.hedged_puts +=
         env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?.hedges;
     Ok(ResultPayload::Stored { bucket: task.result_bucket.clone(), key, rows })
+}
+
+/// Worker `worker`'s stored-result key under `prefix`.
+pub(crate) fn result_key(prefix: &str, worker: u64) -> String {
+    format!("{prefix}/w{worker}")
 }
 
 /// Cut one producer's locally sorted run for its sort edge, into any

@@ -20,6 +20,14 @@
 //! past its deadline draws a second latency, so a run where none is late
 //! draws exactly the latencies an unhedged store would.
 //!
+//! DELETE is one call on the store, [`ObjectStore::delete_objects`], made
+//! by the owner of a finished query (or micro-batch) for every key it can
+//! have written. It is free, as on AWS, and applies at once, because
+//! nobody awaits it: it takes no rate-limiter token, since every key lies
+//! under a finished query's own prefix, and draws no latency, so every
+//! GET and PUT draws exactly what it would without it. The store counts
+//! the objects it removed ([`ObjectStore::deleted_objects`]).
+//!
 //! Objects may carry [`Body::Synthetic`] payloads: byte counts without
 //! materialized bytes, used to run paper-scale experiments (hundreds of
 //! GiB) without allocating them. All timing and billing treat synthetic and
@@ -191,18 +199,25 @@ pub struct ObjectStore {
     billing: Billing,
     rng: SimRng,
     hedges: Rc<Cell<Hedges>>,
+    deleted: Rc<Cell<u64>>,
 }
 
 impl ObjectStore {
     pub fn new(handle: SimHandle, cfg: S3Config, billing: Billing, rng: SimRng) -> Self {
-        let (st, cfg, hedges) = (Rc::default(), Rc::new(cfg), Rc::default());
-        ObjectStore { st, cfg, handle, billing, rng, hedges }
+        let (st, cfg, hedges, deleted) =
+            (Rc::default(), Rc::new(cfg), Rc::default(), Rc::default());
+        ObjectStore { st, cfg, handle, billing, rng, hedges, deleted }
     }
 
     /// Duplicates sent so far: billed requests less these are the
     /// requests the callers' protocols issued.
     pub fn hedges(&self) -> Hedges {
         self.hedges.get()
+    }
+
+    /// Objects [`ObjectStore::delete_objects`] has removed so far.
+    pub fn deleted_objects(&self) -> u64 {
+        self.deleted.get()
     }
 
     /// A weak handle on the stored state — buckets and every object in
@@ -247,12 +262,19 @@ impl ObjectStore {
         st.get(bucket).map(|b| b.borrow().objects.len()).unwrap_or(0)
     }
 
-    /// Remove all objects from a bucket (test/bench housekeeping; free).
-    pub fn clear_bucket(&self, bucket: &str) {
-        let st = self.st.borrow();
-        if let Some(b) = st.get(bucket) {
-            b.borrow_mut().objects.clear();
-        }
+    /// DELETE `keys` from `bucket` (see the module docs): free, at once,
+    /// with no limiter token and no latency draw. A key or bucket that
+    /// does not exist is skipped. Returns how many objects it removed.
+    pub fn delete_objects<K: AsRef<str>>(
+        &self,
+        bucket: &str,
+        keys: impl IntoIterator<Item = K>,
+    ) -> usize {
+        let Ok(b) = self.bucket(bucket) else { return 0 };
+        let mut b = b.borrow_mut();
+        let removed = keys.into_iter().filter(|k| b.objects.remove(k.as_ref()).is_some()).count();
+        self.deleted.set(self.deleted.get() + removed as u64);
+        removed
     }
 
     /// A client whose transfers flow through `link` (a function instance's
@@ -408,15 +430,6 @@ impl S3Client {
         let pages = (out.len().max(1)).div_ceil(1000) as f64;
         store.billing.record(CostItem::S3List, pages);
         Ok(out)
-    }
-
-    /// DELETE (free of request charges, like AWS).
-    pub async fn delete(&self, bucket: &str, key: &str) -> Result<(), S3Error> {
-        let store = &self.store;
-        let b = store.bucket(bucket)?;
-        store.handle.sleep(self.extra_latency + store.sample_latency(store.cfg.ttfb_median)).await;
-        b.borrow_mut().objects.remove(key);
-        Ok(())
     }
 }
 
@@ -596,7 +609,8 @@ mod tests {
 
     /// With no tail, no request at the defaults reaches its deadline in
     /// this run, and each waits exactly the latency an unhedged store
-    /// draws: the log-normal, then the tail's Bernoulli trial.
+    /// draws: the log-normal, then the tail's Bernoulli trial. The
+    /// deletes between them draw nothing and take no time.
     #[test]
     fn requests_before_their_deadline_draw_what_an_unhedged_store_draws() {
         let sim = Simulation::new();
@@ -607,20 +621,24 @@ mod tests {
         store.create_bucket("b");
         let client =
             store.client(BurstLink::new(h.clone(), BurstLinkConfig::flat(1e9)), Duration::ZERO);
+        let deleter = store.clone();
         let waits = sim.block_on(async move {
             let mut waits = Vec::new();
             for i in 0..200 {
-                let start = h.now();
+                let (start, key) = (h.now(), format!("k{}", i / 2));
                 let hedges = if i % 2 == 0 {
-                    client.put("b", "k", Body::Synthetic(0)).await.unwrap().hedges
+                    client.put("b", &key, Body::Synthetic(0)).await.unwrap().hedges
                 } else {
-                    client.get("b", "k").await.unwrap().hedges
+                    let hedges = client.get("b", &key).await.unwrap().hedges;
+                    assert_eq!(deleter.delete_objects("b", [key.as_str(), "gone"]), 1);
+                    hedges
                 };
                 assert_eq!(hedges, 0);
                 waits.push(h.now() - start);
             }
             waits
         });
+        assert_eq!((store.deleted_objects(), store.bucket_object_count("b")), (100, 0));
         let twin = SimRng::new(1);
         for (i, wait) in waits.into_iter().enumerate() {
             let base = if i % 2 == 0 { cfg.ttfb_median + cfg.put_extra } else { cfg.ttfb_median };
@@ -630,5 +648,24 @@ mod tests {
         }
         assert_eq!(store.hedges(), Hedges::default());
         assert_eq!(billing.units(CostItem::S3Put) + billing.units(CostItem::S3Get), 200.0);
+    }
+
+    /// A delete removes what exists and nothing else: a missing key or
+    /// bucket is a no-op that returns 0, the gauge counts only removed
+    /// objects, and nothing is billed or waited for.
+    #[test]
+    fn a_delete_counts_only_the_objects_that_existed() {
+        let sim = Simulation::new();
+        let (store, _, billing) = setup(&sim);
+        store.stage("b", "x/1", Body::Synthetic(1));
+        store.stage("b", "x/2", Body::Synthetic(2));
+        assert_eq!(store.delete_objects("b", ["x/1", "x/3"]), 1);
+        assert_eq!(store.delete_objects("b", ["x/1"]), 0, "already gone");
+        assert_eq!(store.delete_objects("nope", ["x/2"]), 0, "no such bucket");
+        assert_eq!(store.delete_objects("b", Vec::<String>::new()), 0);
+        assert_eq!(store.deleted_objects(), 1);
+        assert_eq!((store.bucket_object_count("b"), store.bucket_bytes("b")), (1, 2));
+        assert_eq!(billing.total(), 0.0);
+        assert_eq!((sim.now(), sim.pending_timers()), (crate::SimTime::ZERO, 0));
     }
 }

@@ -1,10 +1,14 @@
 //! End-to-end distributed execution: Lambada's serverless Q1/Q6 results
 //! must match the single-node reference engine bit-for-bit in structure
-//! and within float tolerance in values.
+//! and within float tolerance in values. Every query leaves nothing
+//! behind: no object, queue, endpoint or running task.
+
+mod common;
 
 use std::rc::Rc;
 use std::sync::Arc;
 
+use common::assert_quiescent;
 use lambada::core::{
     stage_edge_counts, AggStrategy, ExecPolicy, InvocationStrategy, Lambada, LambadaConfig,
     TransportKind,
@@ -59,10 +63,12 @@ fn run_distributed(
     let spec = stage_real(&cloud, "tpch", "lineitem", opts);
     let mut system = Lambada::install(&cloud, config);
     system.register_table(spec);
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     (report.batch.clone(), report)
 }
 
@@ -241,10 +247,12 @@ fn collect_query_roundtrips_through_storage() {
     let plan = df.filter(pred).unwrap().build();
 
     let reference = execute_into_batch(&plan, &reference_catalog(0.0005, 9)).unwrap();
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_rows(), reference.num_rows());
     assert!(report.batch.num_rows() > 0);
 }
@@ -267,7 +275,9 @@ fn stored_results_are_fetched_concurrently() {
     let df = system.from_table("lineitem").unwrap();
     let pred = df.col("l_quantity").unwrap().gt(lambada::engine::lit_f64(0.0));
     let plan = df.filter(pred).unwrap().build();
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_rows() as u64, rows, "every row is back");
     let scan = &report.stages[0];
     assert_eq!((scan.workers, scan.put_requests), (12, 12), "every worker stored its result");
@@ -291,11 +301,13 @@ fn cold_runs_slower_than_hot() {
     let mut system = Lambada::install(&cloud, LambadaConfig::default());
     system.register_table(spec);
     let plan = lambada::workloads::q1("lineitem");
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let (cold, hot) = sim.block_on(async move {
         let cold = system.run_query(&plan).await.unwrap();
         let hot = system.run_query(&plan).await.unwrap();
         (cold, hot)
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(cold.cold_starts as usize >= cold.workers / 2, "mostly cold");
     // The warm pool holds as many containers as the cold run's *peak
     // concurrency*, which can be one short of the worker count when an
@@ -374,12 +386,14 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
             .unwrap();
 
     // The object store first, then the direct transport on the same DAG.
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let (report, direct) = sim.block_on(async {
         let dag = system.plan(&plan).unwrap();
         let on = |kind| ExecPolicy { transport: Some(kind), ..ExecPolicy::default() };
         let store = system.run_dag_with(&dag, &on(TransportKind::ObjectStore)).await.unwrap();
         (store, system.run_dag_with(&dag, &on(TransportKind::Direct)).await.unwrap())
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_batches_close(&report.batch, &reference);
     assert_eq!(direct.batch, report.batch, "the transports agree bit for bit");
     assert_eq!(report.batch.num_rows(), 10, "top-10 post-op applied on the driver");
@@ -481,7 +495,9 @@ fn an_agg_state_over_the_message_cap_is_stored_and_merged() {
     let optimized = lambada::engine::Optimizer::new().optimize(&plan).unwrap();
     let reference = execute_into_batch(&optimized, &cat).unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch, reference);
     let join = &report.stages[2];
     assert_eq!((join.label.as_str(), join.workers), ("join#2", 1));
@@ -580,10 +596,12 @@ fn q5_multiway(sort_workers: usize) -> f64 {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     // Exact equality including row order: the q5 sort keys are total
     // (custkey breaks revenue ties), so the serverless sort's
     // concatenated runs must reproduce the reference order bit-for-bit.
@@ -703,10 +721,12 @@ fn q4_semi_join_runs_distributed_and_matches_reference() {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_batches_close(&report.batch, &reference);
     assert!(report.batch.num_rows() > 1, "several priorities qualified");
 
@@ -747,10 +767,12 @@ fn q4_semi_join_feeds_agg_and_sort_fleets() {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     // Total sort keys (priority is the group key), so exact order holds.
     assert_batches_close(&report.batch, &reference);
     let labels: Vec<&str> = report.stages.iter().map(|s| s.label.as_str()).collect();
@@ -804,10 +826,12 @@ fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
         let optimized = lambada::engine::Optimizer::new().optimize(&plan).unwrap();
         let reference = execute_into_batch(&optimized, &cat).unwrap();
         let dag = system.plan(&plan).unwrap();
+        let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
         let (store, direct) = sim.block_on(async {
             let store = system.run_dag_with(&dag, &on(TransportKind::ObjectStore)).await.unwrap();
             (store, system.run_dag_with(&dag, &on(TransportKind::Direct)).await.unwrap())
         });
+        assert_quiescent(&sim, &cloud, &config, queues);
         assert_eq!(direct.batch, store.batch, "the transports agree bit for bit");
         assert_batches_close(&store.batch, &reference);
         if !store.batch.schema().fields.iter().any(|f| f.dtype == DataType::Float64) {
@@ -848,7 +872,9 @@ fn reports_count_every_billed_request_while_hedges_fire() {
             let cat = stage_join_tables(&cloud, &mut system, 0.005, 71);
             let optimized = lambada::engine::Optimizer::new().optimize(&plan).unwrap();
             let reference = execute_into_batch(&optimized, &cat).unwrap();
+            let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
             let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+            assert_quiescent(&sim, &cloud, &config, queues);
             assert_batches_close(&report.batch, &reference);
 
             let units = |item| cloud.billing.units(item);
@@ -884,6 +910,7 @@ fn q21_anti_join_runs_distributed_and_matches_reference() {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let (report, semi_report) = sim.block_on({
         let plan = plan.clone();
         let semi_plan = lambada::workloads::q4("lineitem", "orders");
@@ -893,6 +920,7 @@ fn q21_anti_join_runs_distributed_and_matches_reference() {
             (anti, semi)
         }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_batches_close(&report.batch, &reference);
     assert!(report.batch.num_rows() > 0, "some orders have no late line item");
     let labels: Vec<&str> = report.stages.iter().map(|s| s.label.as_str()).collect();
@@ -1058,7 +1086,9 @@ fn diamond_dag_schedules_and_matches_reference() {
     };
     let reference = execute_into_batch(&plan, &cat).unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_dag(&dag).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_columns(), 8);
     assert_eq!(report.batch.num_rows(), reference.num_rows());
     // Multiset comparison: both sides produce k=2 (1×1) and k=3 (2×2)
@@ -1122,10 +1152,12 @@ fn q12_join_runs_distributed_and_matches_reference() {
         execute_into_batch(&lambada::engine::Optimizer::new().optimize(&plan).unwrap(), &cat)
             .unwrap();
 
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on({
         let plan = plan.clone();
         async move { system.run_query(&plan).await.unwrap() }
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch, reference, "bit-identical to the reference executor");
     assert!(report.batch.num_rows() > 0, "Q12 selected something");
 
@@ -1193,9 +1225,11 @@ fn a_dropped_cloud_is_freed() {
     let mut system = Lambada::install(&cloud, LambadaConfig::default());
     system.register_table(spec);
     let store = cloud.s3.state_weak();
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move {
         system.run_query(&lambada::workloads::q6("lineitem")).await.unwrap()
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(report.workers > 0, "the query really ran on workers");
     assert!(store.upgrade().is_some(), "alive while the cloud is");
     drop(report);

@@ -2,13 +2,18 @@
 //! silently (§3.3) and the driver fails fast on the first error report;
 //! timed-out workers *do* die silently; stragglers and silent deaths are
 //! recovered by speculative re-invocation when enabled, and pinned to
-//! stall the query when not.
+//! stall the query when not. Whatever the failure, the query leaves
+//! nothing behind but what a straggler it did not wait for writes later.
+
+mod common;
 
 use std::rc::Rc;
 use std::time::Duration;
 
+use common::assert_quiescent;
 use lambada::core::{
-    inject_worker_faults, CoreError, Lambada, LambadaConfig, SortStrategy, TransportKind,
+    inject_query_worker_faults, inject_worker_faults, CoreError, Lambada, LambadaConfig,
+    SortStrategy, StageOp, TransportKind, WorkerTask,
 };
 use lambada::engine::{RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, InjectedFault, LinkFault, Simulation};
@@ -52,7 +57,10 @@ fn oom_is_reported_not_silent() {
     let mut system =
         Lambada::install(&cloud, LambadaConfig { memory_mib: 512, ..LambadaConfig::default() });
     system.register_table(spec);
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap_err() });
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
     // The driver fails fast: the *first* error report surfaces without
     // waiting for the rest of the fleet.
     match err {
@@ -83,12 +91,15 @@ fn worker_errors_fail_fast() {
         Lambada::install(&cloud, LambadaConfig { memory_mib: 512, ..LambadaConfig::default() });
     system.register_table(spec);
     inject_worker_faults(&cloud, |wid, _| (wid != 0).then(|| InjectedFault::slowdown(30.0)));
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap_err() });
     assert!(matches!(err, CoreError::Worker { worker_id: 0, .. }), "got {err}");
     // Worker 0 hits its OOM after scanning one huge row group (~100
     // virtual seconds); worker 1's equivalent scan runs ~30x longer
     // under the fault. The error must surface at worker 0's pace.
     assert!(sim.now().as_secs_f64() < 150.0, "failed only at t = {}", sim.now().as_secs_f64());
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 #[test]
@@ -98,7 +109,9 @@ fn big_enough_workers_succeed_on_same_data() {
     let mut system =
         Lambada::install(&cloud, LambadaConfig { memory_mib: 2048, ..LambadaConfig::default() });
     system.register_table(spec);
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_rows(), 4);
 }
 
@@ -121,7 +134,9 @@ fn function_timeout_kills_workers_and_driver_gives_up() {
         },
     );
     system.register_table(spec);
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap_err() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     match err {
         CoreError::Timeout { missing_workers, .. } => assert_eq!(missing_workers, 4),
         other => panic!("expected driver timeout, got {other}"),
@@ -155,7 +170,10 @@ fn slow_worker_is_recovered_by_a_speculative_backup() {
     inject_worker_faults(&cloud, |wid, attempt| {
         (wid == 3 && attempt == 0).then(|| InjectedFault::slowdown(10.0))
     });
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.stages.len(), 1);
     assert_eq!(report.stages[0].workers, 4);
     // Exactly the one straggler was re-invoked, once.
@@ -187,7 +205,10 @@ fn without_speculation_a_straggler_stalls_the_query() {
     inject_worker_faults(&cloud, |wid, attempt| {
         (wid == 3 && attempt == 0).then(|| InjectedFault::slowdown(10.0))
     });
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap_err() });
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
     match err {
         CoreError::Timeout { missing_workers, waited_secs } => {
             assert_eq!(missing_workers, 1, "only the straggler is missing");
@@ -219,7 +240,9 @@ fn killed_worker_is_recovered_by_a_speculative_backup() {
     inject_worker_faults(&cloud, |wid, attempt| {
         (wid == 1 && attempt == 0).then(|| InjectedFault::kill(Duration::from_millis(10)))
     });
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_rows(), 4, "Q1's four groups survive the death");
     assert_eq!(report.backup_invocations(), 1);
     assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1);
@@ -247,7 +270,9 @@ fn a_lost_backup_never_fails_the_query() {
         (3, _) => Some(InjectedFault::kill(Duration::from_millis(10))),
         _ => None,
     });
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.backup_invocations(), 1, "the backup was tried");
     assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1, "... and died");
     // The original straggler delivered (~10s solo span), not the backup.
@@ -306,7 +331,9 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
         });
     }
     let plan = lambada::workloads::q12("lineitem", "orders");
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_left_nothing_but_stragglers(&sim, &cloud, &config, queues, straggler);
     (report.batch.clone(), report)
 }
 
@@ -464,7 +491,9 @@ fn run_q3_inner(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
         });
     }
     let plan = lambada::workloads::q3("lineitem", "orders");
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_left_nothing_but_stragglers(&sim, &cloud, &config, queues, straggler);
     (report.batch.clone(), report)
 }
 
@@ -533,7 +562,9 @@ fn run_q21_anti(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
         });
     }
     let plan = lambada::workloads::q21("lineitem", "orders");
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     (report.batch.clone(), report)
 }
 
@@ -598,7 +629,11 @@ fn run_q12_direct(
         cloud.p2p.set_link_faults(Rc::new(f));
     }
     let plan = lambada::workloads::q12("lineitem", "orders");
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    // A producer on a degraded link is alive, not dead: its streams run
+    // on past the query.
+    assert_left_nothing_but_stragglers(&sim, &cloud, &config, queues, worker_fault.is_none());
     (report.batch.clone(), report, cloud)
 }
 
@@ -698,7 +733,10 @@ fn killed_sort_producer_is_recovered_by_the_quorum_rule() {
                 .limit(10)
                 .unwrap()
                 .build();
-            sim.block_on(async move { system.run_query(&plan).await.unwrap() })
+            let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
+            let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+            assert_quiescent(&sim, &cloud, &config, queues);
+            report
         };
         let clean = run(false);
         assert_eq!(clean.backup_invocations(), 0, "{kind:?}: clean run needs no backups");
@@ -729,14 +767,10 @@ fn result_queues_do_not_leak_across_queries() {
     let (cloud, spec) = staged(&sim, 0.01);
     let mut system = Lambada::install(&cloud, LambadaConfig::default());
     system.register_table(spec);
-    let cloud2 = cloud.clone();
-    sim.block_on(async move {
-        for _ in 0..3 {
-            system.run_query(&q1("lineitem")).await.unwrap();
-            assert_eq!(cloud2.sqs.queue_count(), 0, "stage queues deleted after collection");
-        }
-    });
-    assert_eq!(cloud.sqs.queue_count(), 0);
+    for _ in 0..3 {
+        sim.block_on(system.run_query(&q1("lineitem"))).unwrap();
+        assert_quiescent(&sim, &cloud, system.config(), 0);
+    }
 }
 
 #[test]
@@ -744,6 +778,166 @@ fn unknown_table_is_a_clean_error() {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let system = Lambada::install(&cloud, LambadaConfig::default());
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(async move { system.run_query(&q1("nope")).await.unwrap_err() });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(matches!(err, CoreError::Unsupported(_)));
+}
+
+/// Q12 at a small scale, one scan worker per file, with `fault` on orders
+/// scanner 1's original attempt: every orders scanner ships over its
+/// inline budget, so each writes one file. Returns the simulation, the
+/// cloud, the config, the outcome and the queue count before the query.
+fn q12_with_a_faulted_orders_scanner(
+    fault: InjectedFault,
+    speculate: bool,
+) -> (Simulation, Cloud, LambadaConfig, Result<lambada::core::QueryReport, CoreError>, usize) {
+    let sim = Simulation::new();
+    let (cloud, li_spec) = staged(&sim, 0.002);
+    let orders_opts = lambada::workloads::OrdersStageOptions {
+        rows: li_spec.total_rows,
+        num_files: 4,
+        row_groups_per_file: 3,
+        seed: 21,
+    };
+    let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
+    let config = LambadaConfig {
+        files_per_worker: Some(1),
+        speculate,
+        max_wait: Duration::from_secs(60),
+        ..LambadaConfig::default()
+    };
+    let mut system = Lambada::install(&cloud, config.clone());
+    system.register_table(li_spec);
+    system.register_table(ord_spec);
+    inject_query_worker_faults(&cloud, move |p| {
+        let orders = match &p.task {
+            WorkerTask::Stage(t) => matches!(&t.op, StageOp::Scan(s) if s.table.name == "orders"),
+            _ => false,
+        };
+        (orders && p.worker_id == 1 && p.attempt == 0).then_some(fault)
+    });
+    let queues = cloud.sqs.queue_count();
+    let plan = lambada::workloads::q12("lineitem", "orders");
+    let outcome = sim.block_on(async move { system.run_query(&plan).await });
+    (sim, cloud, config, outcome, queues)
+}
+
+/// Objects in the exchange buckets.
+fn exchange_objects(cloud: &Cloud, config: &LambadaConfig) -> usize {
+    let buckets = (0..config.exchange.num_buckets).map(|b| config.exchange.bucket_of(b));
+    buckets.map(|b| cloud.s3.bucket_object_count(&b)).sum()
+}
+
+/// The one object a query can leave: a speculated straggler that is
+/// slow but alive writes its attempt's file after the query returned,
+/// when the query's owner has already deleted every key it knew. The
+/// query itself leaves nothing; once the straggler ends, exactly its one
+/// file remains.
+#[test]
+fn a_slow_speculated_straggler_leaves_exactly_its_one_file() {
+    let slow = InjectedFault { compute_factor: 50.0, nic_factor: 0.001, kill_after: None };
+    let (sim, cloud, config, outcome, queues) = q12_with_a_faulted_orders_scanner(slow, true);
+    let report = outcome.unwrap();
+    assert_eq!(report.stages[0].label, "scan:orders#0");
+    assert_eq!((report.stages[0].put_requests, report.stages[0].backup_invocations), (4, 1));
+    assert_eq!(exchange_objects(&cloud, &config), 0, "the query deleted its files");
+    assert_eq!(cloud.s3.deleted_objects(), 4, "three originals' files and the backup's");
+    assert_eq!(sim.live_tasks(), 1, "the straggler still runs");
+    settle(&sim, &cloud);
+    assert_eq!(exchange_objects(&cloud, &config), 1, "the straggler's late file");
+    let left = sim.block_on(cloud.driver_s3().list(&config.exchange.bucket_of(1), "")).unwrap();
+    let keys: Vec<&str> = left.iter().map(|(key, _)| key.as_str()).collect();
+    assert!(matches!(keys.as_slice(), [key] if key.ends_with("/s0/snd1a0")), "{keys:?}");
+    assert_eq!(cloud.sqs.queue_count(), queues);
+}
+
+/// The same query with the straggler killed instead: its backup's file
+/// is deleted with the rest, and nothing remains.
+#[test]
+fn a_killed_speculated_straggler_leaves_nothing() {
+    let kill = InjectedFault::kill(Duration::from_millis(10));
+    let (sim, cloud, config, outcome, queues) = q12_with_a_faulted_orders_scanner(kill, true);
+    assert_eq!(outcome.unwrap().stages[0].backup_invocations, 1);
+    assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1);
+    assert_eq!(cloud.s3.deleted_objects(), 4);
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// A killed producer with no backup times the query out after its three
+/// fleet-mates wrote their files: the timeout still deletes them.
+#[test]
+fn a_timeout_deletes_the_files_written_before_it() {
+    let kill = InjectedFault::kill(Duration::from_millis(10));
+    let (sim, cloud, config, outcome, queues) = q12_with_a_faulted_orders_scanner(kill, false);
+    let err = outcome.unwrap_err();
+    assert!(matches!(err, CoreError::Timeout { missing_workers: 1, .. }), "{err}");
+    assert_eq!(cloud.s3.deleted_objects(), 3, "the other orders scanners' files");
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// A consumer fleet that fails after its producers wrote their files: the
+/// eight scanners of a 1 MiB installation each PUT their sorted run's
+/// blocks, and a sorter, holding more than half its budget, reports an
+/// OOM. The typed error still deletes all eight files.
+#[test]
+fn a_consumer_oom_deletes_its_producers_files() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let opts = StageOptions { scale: 0.02, num_files: 8, row_groups_per_file: 10, seed: 21 };
+    let spec = stage_real(&cloud, "tpch", "lineitem", opts);
+    let config = LambadaConfig {
+        memory_mib: 1,
+        files_per_worker: Some(1),
+        sort: SortStrategy::Exchange { workers: Some(2) },
+        ..LambadaConfig::default()
+    };
+    let mut system = Lambada::install(&cloud, config.clone());
+    system.register_table(spec);
+    let df = system.from_table("lineitem").unwrap();
+    let (key, part) = (df.col("l_orderkey").unwrap(), df.col("l_partkey").unwrap());
+    let plan = df
+        .select(vec![(key.clone(), "l_orderkey"), (part, "l_partkey")])
+        .unwrap()
+        .sort(vec![lambada::engine::SortKey::asc(key)])
+        .unwrap()
+        .build();
+    let queues = cloud.sqs.queue_count();
+    let err = sim.block_on(async move { system.run_query(&plan).await.unwrap_err() });
+    let CoreError::Worker { message, .. } = &err else { panic!("expected a worker error: {err}") };
+    assert!(message.contains("out of memory: sort partition"), "{message}");
+    assert_eq!(cloud.s3.deleted_objects(), 8, "every scanner's file");
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// After a query: with `stragglers` still running, the query's own
+/// objects are gone; without, it left nothing at all.
+fn assert_left_nothing_but_stragglers(
+    sim: &Simulation,
+    cloud: &Cloud,
+    config: &LambadaConfig,
+    queues: usize,
+    stragglers: bool,
+) {
+    if stragglers {
+        assert_eq!(exchange_objects(cloud, config), 0, "the query's files were deleted");
+        assert_eq!(cloud.s3.bucket_object_count(&config.result_bucket), 0);
+        assert_eq!(cloud.sqs.queue_count(), queues);
+    } else {
+        assert_quiescent(sim, cloud, config, queues);
+    }
+}
+
+/// Run the simulation on until every task a returned query left running
+/// has ended — a straggler whose backup won, or the fleet-mates of a
+/// worker whose error failed the query fast: nothing cancels them yet.
+fn settle(sim: &Simulation, cloud: &Cloud) {
+    for _ in 0..1000 {
+        if sim.live_tasks() == 0 {
+            return;
+        }
+        sim.block_on(cloud.handle.sleep(Duration::from_secs(10)));
+    }
+    panic!("{} tasks still running at {}", sim.live_tasks(), sim.now());
 }

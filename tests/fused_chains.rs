@@ -7,12 +7,15 @@
 //! object on a host edge, and still report every stage on its own — on
 //! both transports. A host whose other side is late falls back to the
 //! transport after a bounded wait, a killed host ends in a typed timeout,
-//! and no path leaves a queue behind.
+//! and no path leaves a queue, an endpoint or an object behind.
+
+mod common;
 
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::assert_quiescent;
 use lambada::core::worker::host_wait;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryDag,
@@ -230,14 +233,7 @@ fn model_sized_tails_fuse_and_match_the_reference() {
             assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
             assert_eq!(report.batch, reference, "{what}: bit for bit");
             check_fused_run(&case, &dag, &report, &what);
-            assert_eq!(cloud.sqs.queue_count(), queues, "{what}: a queue left behind");
-            for (p, _) in case.fused {
-                let p = report.stages.iter().position(|s| s.label == *p).unwrap();
-                let left = edge_objects(&sim, &cloud, &config, report.query_id, p);
-                assert_eq!(left, 0, "{what}: objects under a fused edge's channel");
-            }
-            assert_eq!(cloud.p2p.endpoint_count(), 0, "{what}: endpoints deregistered");
-            assert_eq!(sim.live_tasks(), 0, "{what}: nothing left running");
+            assert_quiescent(&sim, &cloud, &config, queues);
         }
     }
 }
@@ -259,10 +255,12 @@ fn two_worker_tails_do_not_fuse() {
             },
             ..LambadaConfig::default()
         };
-        let mut system = Lambada::install(&cloud, config);
+        let mut system = Lambada::install(&cloud, config.clone());
         stage_tables(&cloud, &mut system);
         let plan = case.plan.clone();
+        let queues = cloud.sqs.queue_count();
         let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+        assert_quiescent(&sim, &cloud, &config, queues);
         assert!(report.stages.iter().all(|s| s.chain == s.id), "{}: nothing fused", case.name);
         let slots: usize = report.stages.iter().map(|s| s.workers).sum();
         assert_eq!(report.invocations() as usize, slots, "{}", case.name);
@@ -283,7 +281,7 @@ fn an_oom_in_a_fused_member_names_the_member() {
         sort: SortStrategy::Exchange { workers: Some(1) },
         ..LambadaConfig::default()
     };
-    let mut system = Lambada::install(&cloud, config);
+    let mut system = Lambada::install(&cloud, config.clone());
     system.register_table(spec);
     let queues = cloud.sqs.queue_count();
     let df = system.from_table("lineitem").unwrap();
@@ -301,28 +299,27 @@ fn an_oom_in_a_fused_member_names_the_member() {
     let CoreError::Worker { message, .. } = &err else { panic!("expected a worker error: {err}") };
     assert!(message.starts_with("sort#1 (fused after scan:lineitem#0): "), "{message}");
     assert!(message.contains("out of memory: sort partition"), "{message}");
-    assert_eq!(cloud.sqs.queue_count(), queues, "a queue left behind");
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 /// The object-store Q12 of [`cases`] on a fresh cloud with `config`,
 /// faulted by `fault`, next to the reference result; the run's outcome
-/// and the queues it left.
+/// and the queue count before it.
 fn faulted_q12(
-    config: LambadaConfig,
+    config: &LambadaConfig,
     fault: impl Fn(&lambada::core::WorkerPayload) -> Option<InjectedFault> + 'static,
 ) -> (Simulation, Cloud, RecordBatch, Result<QueryReport, CoreError>, usize) {
     let case = cases().remove(0);
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let mut system = Lambada::install(&cloud, config);
+    let mut system = Lambada::install(&cloud, config.clone());
     let cat = stage_tables(&cloud, &mut system);
     let reference =
         execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
     inject_query_worker_faults(&cloud, fault);
     let queues = cloud.sqs.queue_count();
     let outcome = sim.block_on(async move { system.run_query(&case.plan).await });
-    let left = cloud.sqs.queue_count() - queues;
-    (sim, cloud, reference, outcome, left)
+    (sim, cloud, reference, outcome, queues)
 }
 
 /// Whether `payload` scans `table`.
@@ -339,22 +336,20 @@ fn scans(payload: &lambada::core::WorkerPayload, table: &str) -> bool {
 /// object store, one relay message on the direct transport, as the
 /// unfused edge would — and the join, its agg and sort run as a fleet of
 /// their own (one more invocation). The result is bit for bit the
-/// reference, and the inbox is gone.
+/// reference, and the inbox and the host's file are gone.
 #[test]
 fn a_late_other_side_makes_the_host_fall_back_within_its_wait_bound() {
     for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
         let config = config(true, transport);
-        let (memory, function) = (config.memory_mib, config.clone());
+        let memory = config.memory_mib;
         let slow = |p: &lambada::core::WorkerPayload| {
             scans(p, "lineitem").then(|| InjectedFault::slowdown(30.0))
         };
-        let (sim, cloud, reference, outcome, left) = faulted_q12(config, slow);
+        let (sim, cloud, reference, outcome, queues) = faulted_q12(&config, slow);
         let report = outcome.unwrap();
         let what = format!("{transport:?}");
         assert_eq!(report.batch, reference, "{what}: bit for bit");
-        assert_eq!(left, 0, "{what}: a queue left behind");
-        assert_eq!(sim.live_tasks(), 0, "{what}: nothing left running");
-        assert_eq!(cloud.p2p.endpoint_count(), 0, "{what}: endpoints deregistered");
+        assert_quiescent(&sim, &cloud, &config, queues);
         let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
         let (host, join) = (&report.stages[id("scan:orders#0")], &report.stages[id("join#2")]);
         assert_eq!((host.chain, join.chain), (host.id, join.id), "{what}: the join ran alone");
@@ -364,8 +359,11 @@ fn a_late_other_side_makes_the_host_fall_back_within_its_wait_bound() {
         let stored = transport == TransportKind::ObjectStore;
         let shipped = (host.put_requests, host.p2p_requests);
         assert_eq!(shipped, if stored { (1, 0) } else { (0, 1) }, "{what}: the host's one send");
-        let objects = edge_objects(&sim, &cloud, &function, report.query_id, host.id);
-        assert_eq!(objects, usize::from(stored), "{what}");
+        // Its one file was the query's one object, and the query deleted
+        // it (the fresh cloud had deleted nothing before).
+        let objects = edge_objects(&sim, &cloud, &config, report.query_id, host.id);
+        assert_eq!(objects, 0, "{what}: objects under the host's channel");
+        assert_eq!(cloud.s3.deleted_objects(), u64::from(stored), "{what}: objects deleted");
 
         // The host idled at least the bound past its quantum and at most
         // the rest of that quantum more, plus the inbox poll's round trip:
@@ -383,7 +381,7 @@ fn a_late_other_side_makes_the_host_fall_back_within_its_wait_bound() {
 
 /// A host killed mid-flight never reports: under a small `max_wait` the
 /// query ends in a typed timeout — it does not hang on the inbox — and
-/// leaves no queue and no task behind.
+/// leaves no queue, no object and no task behind.
 #[test]
 fn a_killed_host_is_a_timeout_and_leaves_no_inbox() {
     let config = LambadaConfig {
@@ -393,9 +391,8 @@ fn a_killed_host_is_a_timeout_and_leaves_no_inbox() {
     let kill = |p: &lambada::core::WorkerPayload| {
         scans(p, "orders").then(|| InjectedFault::kill(Duration::from_millis(10)))
     };
-    let (sim, _, _, outcome, left) = faulted_q12(config, kill);
+    let (sim, cloud, _, outcome, queues) = faulted_q12(&config, kill);
     let err = outcome.unwrap_err();
     assert!(matches!(err, CoreError::Timeout { missing_workers: 1, .. }), "{err}");
-    assert_eq!(left, 0, "a queue left behind");
-    assert_eq!(sim.live_tasks(), 0, "nothing left running");
+    assert_quiescent(&sim, &cloud, &config, queues);
 }

@@ -1,10 +1,13 @@
 //! The multi-tenant query service: concurrent queries on one
 //! installation must match serial execution, respect per-tenant budgets
 //! and the global worker cap, queue fairly across tenants, and isolate
-//! faults and failures per query.
+//! faults and failures per query — and leave nothing behind.
+
+mod common;
 
 use std::time::Duration;
 
+use common::assert_quiescent;
 use lambada::core::stage::{split_with, SplitOptions, StageKind, StageOutput};
 use lambada::core::verify::codes;
 use lambada::core::{
@@ -128,15 +131,18 @@ fn workload() -> Vec<(&'static str, LogicalPlan)> {
 /// time, on an identically staged fresh cloud.
 fn serial_reports() -> Vec<QueryReport> {
     let sim = Simulation::new();
-    let (_cloud, system) = staged_system(&sim, service_lambada_config());
+    let (cloud, system) = staged_system(&sim, service_lambada_config());
     let plans: Vec<LogicalPlan> = workload().into_iter().map(|(_, p)| p).collect();
-    sim.block_on(async move {
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
+    let reports = sim.block_on(async move {
         let mut out = Vec::new();
         for plan in &plans {
             out.push(system.run_query(plan).await.unwrap());
         }
         out
-    })
+    });
+    assert_quiescent(&sim, &cloud, &config, queues);
+    reports
 }
 
 /// The acceptance e2e: ≥ 8 concurrent queries from 3 tenants through one
@@ -196,6 +202,7 @@ fn concurrent_service_matches_serial_execution() {
             .then(|| InjectedFault::kill(Duration::from_millis(10)))
     });
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let reports = sim.block_on(async {
         let handles: Vec<_> =
             workload().iter().map(|(tenant, plan)| service.submit(tenant, plan)).collect();
@@ -205,6 +212,7 @@ fn concurrent_service_matches_serial_execution() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
 
     // Bit-identical results vs serial execution, per submission.
     assert_eq!(reports.len(), serial.len());
@@ -279,6 +287,7 @@ fn concurrent_tenants_on_direct_transport_share_the_rendezvous_cleanly() {
             default_budget: TenantBudget { max_concurrent_queries: 2, ..TenantBudget::default() },
         },
     );
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let reports = sim.block_on(async {
         let handles: Vec<_> =
             workload().iter().map(|(tenant, plan)| service.submit(tenant, plan)).collect();
@@ -288,6 +297,7 @@ fn concurrent_tenants_on_direct_transport_share_the_rendezvous_cleanly() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(reports.len(), serial.len());
     for (direct, serial) in reports.iter().zip(&serial) {
         assert_batches_close(&direct.batch, &serial.batch);
@@ -338,6 +348,7 @@ fn contention_shrinks_fleets_without_changing_results() {
             default_budget: TenantBudget::default(),
         },
     );
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let reports = sim.block_on(async {
         let handles: Vec<_> =
             workload().iter().map(|(tenant, plan)| service.submit(tenant, plan)).collect();
@@ -347,6 +358,7 @@ fn contention_shrinks_fleets_without_changing_results() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     for (concurrent, serial) in reports.iter().zip(&serial) {
         assert_batches_close(&concurrent.batch, &serial.batch);
         assert!(concurrent.workers <= serial.workers);
@@ -383,7 +395,8 @@ fn concurrent_collect_queries_match_their_serial_results() {
     };
 
     let sim = Simulation::new();
-    let (_cloud, system) = staged_lineitem(&sim);
+    let (cloud, system) = staged_lineitem(&sim);
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let serial: Vec<QueryReport> = sim.block_on(async {
         let mut out = Vec::new();
         for plan in plans(&system) {
@@ -391,9 +404,10 @@ fn concurrent_collect_queries_match_their_serial_results() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
 
     let sim = Simulation::new();
-    let (_cloud, system) = staged_lineitem(&sim);
+    let (cloud, system) = staged_lineitem(&sim);
     let plans = plans(&system);
     let service = QueryService::with_config(
         system,
@@ -404,6 +418,7 @@ fn concurrent_collect_queries_match_their_serial_results() {
             default_budget: TenantBudget { max_concurrent_queries: 2, ..TenantBudget::default() },
         },
     );
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let concurrent: Vec<QueryReport> = sim.block_on(async {
         let handles: Vec<_> = plans.iter().map(|plan| service.submit("adhoc", plan)).collect();
         let mut out = Vec::new();
@@ -412,6 +427,7 @@ fn concurrent_collect_queries_match_their_serial_results() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
 
     for (c, s) in concurrent.iter().zip(&serial) {
         assert!(s.batch.num_rows() > 0);
@@ -427,7 +443,7 @@ fn concurrent_collect_queries_match_their_serial_results() {
 #[test]
 fn fair_queueing_interleaves_tenants() {
     let sim = Simulation::new();
-    let (_cloud, system) = staged_lineitem(&sim);
+    let (cloud, system) = staged_lineitem(&sim);
     let service = QueryService::with_config(
         system,
         ServiceConfig {
@@ -438,6 +454,7 @@ fn fair_queueing_interleaves_tenants() {
         },
     );
     let plan = q6("lineitem");
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (burst, light) = sim.block_on(async {
         let burst: Vec<_> = (0..4).map(|_| service.submit("burst", &plan)).collect();
         let light = service.submit("light", &plan);
@@ -447,6 +464,7 @@ fn fair_queueing_interleaves_tenants() {
         }
         (burst_reports, light.await.unwrap())
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     // The burst's first query was already running, but the light tenant's
     // virtual time (0) beat the burst's advancing clock for the next
     // slot: light finishes before the burst's second query.
@@ -464,7 +482,7 @@ fn fair_queueing_interleaves_tenants() {
 #[test]
 fn heavier_weight_drains_faster() {
     let sim = Simulation::new();
-    let (_cloud, system) = staged_lineitem(&sim);
+    let (cloud, system) = staged_lineitem(&sim);
     let service = QueryService::with_config(
         system,
         ServiceConfig {
@@ -477,6 +495,7 @@ fn heavier_weight_drains_faster() {
     service.set_budget("gold", TenantBudget { weight: 4.0, ..TenantBudget::default() });
     service.set_budget("bronze", TenantBudget { weight: 1.0, ..TenantBudget::default() });
     let plan = q6("lineitem");
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (gold, bronze) = sim.block_on(async {
         let gold: Vec<_> = (0..3).map(|_| service.submit("gold", &plan)).collect();
         let bronze: Vec<_> = (0..3).map(|_| service.submit("bronze", &plan)).collect();
@@ -490,6 +509,7 @@ fn heavier_weight_drains_faster() {
         }
         (g, b)
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(
         gold.last().unwrap().span_secs < bronze.last().unwrap().span_secs,
         "the 4x-weighted tenant drains its backlog first"
@@ -530,6 +550,7 @@ fn request_budget_rejects_and_accounts_exactly() {
         "broke",
         TenantBudget { max_request_dollars: Some(0.0), ..TenantBudget::default() },
     );
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let outcomes = sim.block_on(async {
         let handles: Vec<_> = vec![
             service.submit("capped", &plan),
@@ -543,6 +564,7 @@ fn request_budget_rejects_and_accounts_exactly() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(outcomes[0].is_ok(), "first submission fits the budget");
     for (i, o) in outcomes.iter().enumerate().skip(1) {
         match o {
@@ -609,12 +631,17 @@ fn mid_wave_failure_is_isolated_and_leaks_nothing() {
             default_budget: TenantBudget::default(),
         },
     );
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (ok1, err, ok2) = sim.block_on(async {
         let a = service.submit("ok", &q1("lineitem"));
         let b = service.submit("doomed", &q1("big"));
         let c = service.submit("ok", &q6("lineitem"));
         (a.await, b.await, c.await)
     });
+    // Failing fast does not cancel the doomed fleet's other worker (that
+    // is cancellation's job): it runs into its own OOM a minute later.
+    sim.block_on(cloud.handle.sleep(Duration::from_secs(120)));
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(ok1.unwrap().batch.num_rows(), 4, "neighbor unaffected by the OOM");
     assert!(matches!(err, Err(CoreError::Worker { .. })), "the OOM surfaced to its submitter");
     assert!(ok2.unwrap().batch.num_rows() > 0);
@@ -646,6 +673,7 @@ fn fault_in_one_query_does_not_delay_neighbors() {
                 default_budget: TenantBudget { max_concurrent_queries: 8, ..Default::default() },
             },
         );
+        let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
         let reports = sim.block_on(async {
             let handles: Vec<_> =
                 workload().iter().map(|(tenant, plan)| service.submit(tenant, plan)).collect();
@@ -655,6 +683,7 @@ fn fault_in_one_query_does_not_delay_neighbors() {
             }
             out
         });
+        assert_quiescent(&sim, &cloud, &config, queues);
         reports
     };
     let clean = run(false);
@@ -690,7 +719,7 @@ fn fault_in_one_query_does_not_delay_neighbors() {
 #[test]
 fn invalid_dag_is_rejected_before_any_spend() {
     let sim = Simulation::new();
-    let (_cloud, system) = staged_lineitem(&sim);
+    let (cloud, system) = staged_lineitem(&sim);
     let service = QueryService::with_config(
         system,
         ServiceConfig {
@@ -714,7 +743,9 @@ fn invalid_dag_is_rejected_before_any_spend() {
     }
 
     let handle = service.submit_dag("acme", &dag);
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let err = sim.block_on(handle).unwrap_err();
+    assert_quiescent(&sim, &cloud, &config, queues);
     match err {
         CoreError::InvalidPlan(diags) => {
             assert!(
@@ -737,7 +768,9 @@ fn invalid_dag_is_rejected_before_any_spend() {
 
     // The rejection is per-query: the same tenant's next valid query
     // runs to completion and is the only thing the ledger records.
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(service.run("acme", &q6("lineitem"))).unwrap();
+    assert_quiescent(&sim, &cloud, &config, queues);
     assert!(report.batch.num_rows() >= 1);
     let usage = service.tenant_usage("acme").expect("valid query registers the tenant");
     assert_eq!(usage.completed, 1);
@@ -802,6 +835,7 @@ fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
     let service = QueryService::new(system);
     let plans = [q1("lineitem"), q12("lineitem", "orders"), q3("lineitem", "orders")];
     let estimates: Vec<_> = plans.iter().map(|p| service.estimate(p).unwrap()).collect();
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let reports = sim.block_on(async {
         let handles: Vec<_> = plans.iter().map(|p| service.submit("t", p)).collect();
         let mut out = Vec::new();
@@ -810,6 +844,7 @@ fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
         }
         out
     });
+    assert_quiescent(&sim, &cloud, &config, queues);
     for (report, estimate) in reports.iter().zip(&estimates) {
         assert!(report.request_count() <= estimate.requests, "{estimate:?}");
     }
@@ -867,7 +902,9 @@ fn the_admission_envelope_bounds_every_service_mix_query() {
         [q1("lineitem"), q6("lineitem"), q12("lineitem", "orders"), q4("lineitem", "orders")]
     {
         let estimate = service.estimate(&plan).unwrap();
+        let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
         let report = sim.block_on(service.submit("mix", &plan)).unwrap();
+        assert_quiescent(&sim, &cloud, &config, queues);
         let spent = report.request_count();
         assert!(2 * spent <= estimate.requests, "{spent} requests vs {estimate:?}");
         puts += report.stages.iter().map(|s| s.put_requests).sum::<u64>();

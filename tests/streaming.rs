@@ -3,12 +3,17 @@
 //! over the whole stream — through the shared multi-tenant service,
 //! concurrent with ad-hoc queries, across worker kills and degraded
 //! direct-transport links, and with late events provably excluded.
+//! Each micro-batch deletes its staged files once its query returned,
+//! and leaves nothing else behind either.
+
+mod common;
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::assert_quiescent;
 use lambada::core::streaming::windowed_event_schema;
 use lambada::core::verify::codes;
 use lambada::core::{
@@ -145,6 +150,11 @@ fn streaming_service(
     (cloud, service)
 }
 
+/// Objects left in stream `name`'s staging bucket.
+fn staged_objects(cloud: &Cloud, name: &str) -> usize {
+    cloud.s3.bucket_object_count(&format!("stream-{name}"))
+}
+
 fn plan_fn(_sys: &Lambada, table: &str) -> lambada::core::Result<LogicalPlan> {
     Ok(windowed_plan(table, "dim"))
 }
@@ -226,6 +236,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
         .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (out, incremental_emissions, killed_backups, late, batches_run, adhoc) =
         sim.block_on(async {
             let adhoc = service.submit("dashboards", &q1("lineitem"));
@@ -236,6 +247,9 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
             for (i, b) in batches.iter().enumerate() {
                 armed.set(i == 9);
                 let r = cq.push_batch(b).await.unwrap();
+                // The ad-hoc query may still be running: only the batch's
+                // own files are checked here.
+                assert_eq!(staged_objects(&cloud, "clicks"), 0, "batch {i}'s staged files");
                 if i == 9 {
                     killed_backups = r.query.as_ref().unwrap().backup_invocations();
                 }
@@ -249,6 +263,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
             let out = RecordBatch::concat(cq.agg_schema().clone(), &parts).unwrap();
             (out, incremental, killed_backups, cq.late_events(), cq.batches_run(), adhoc.await)
         });
+    assert_quiescent(&sim, &cloud, &config, queues);
 
     // Bit-identical to the batch reference over the full stream.
     assert_eq!(out, reference);
@@ -278,7 +293,6 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
     }
     assert!(service.peak_inflight_workers() <= 32);
     assert!(service.peak_inflight_workers() > 0);
-    assert_eq!(cloud.sqs.queue_count(), 0, "no result queue leaked");
 }
 
 /// Driver-merged aggregation over a *sliding* window: the other
@@ -303,11 +317,14 @@ fn driver_merged_sliding_windows_match_the_reference() {
         false,
     );
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (out, carried_after) = sim.block_on(async {
         let mut cq = ContinuousQuery::new(&service, "streaming", "slides", spec, plan_fn).unwrap();
         let mut parts = Vec::new();
         for b in &batches {
             let r = cq.push_batch(b).await.unwrap();
+            assert_eq!(staged_objects(&cloud, "slides"), 0);
+            assert_quiescent(&sim, &cloud, &config, queues);
             if r.emitted.num_rows() > 0 {
                 parts.push(r.emitted);
             }
@@ -318,7 +335,7 @@ fn driver_merged_sliding_windows_match_the_reference() {
 
     assert_eq!(out, reference);
     assert_eq!(carried_after, 0, "finish() drained every open window");
-    assert_eq!(cloud.sqs.queue_count(), 0);
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 /// Direct worker-to-worker transport with every p2p link from one
@@ -351,12 +368,15 @@ fn severed_direct_link_falls_back_without_corrupting_carried_state() {
         (armed_f.get() && sender == 1).then(LinkFault::dropped)
     }));
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let out = sim.block_on(async {
         let mut cq = ContinuousQuery::new(&service, "streaming", "direct", spec, plan_fn).unwrap();
         let mut parts = Vec::new();
         for (i, b) in batches.iter().enumerate() {
             armed.set((4..6).contains(&i));
             let r = cq.push_batch(b).await.unwrap();
+            assert_eq!(staged_objects(&cloud, "direct"), 0, "batch {i}");
+            assert_quiescent(&sim, &cloud, &config, queues);
             if r.emitted.num_rows() > 0 {
                 parts.push(r.emitted);
             }
@@ -370,7 +390,7 @@ fn severed_direct_link_falls_back_without_corrupting_carried_state() {
     let (sends, _bytes, drops) = cloud.p2p.counters();
     assert!(drops > 0, "the severed links were really exercised");
     assert!(sends > drops, "healthy batches stayed on the relay");
-    assert_eq!(cloud.sqs.queue_count(), 0);
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 /// Fault-injected late events: events displaced beyond the watermark at
@@ -410,12 +430,15 @@ fn late_events_are_counted_and_provably_excluded() {
         false,
     );
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let (out, late) = sim.block_on(async {
         let mut cq = ContinuousQuery::new(&service, "streaming", "late", spec, plan_fn).unwrap();
         let mut parts = Vec::new();
         let mut late = 0u64;
         for b in &batches {
             let r = cq.push_batch(b).await.unwrap();
+            assert_eq!(staged_objects(&cloud, "late"), 0);
+            assert_quiescent(&sim, &cloud, &config, queues);
             late += r.late_events;
             if r.emitted.num_rows() > 0 {
                 parts.push(r.emitted);
@@ -427,7 +450,7 @@ fn late_events_are_counted_and_provably_excluded() {
 
     assert_eq!(out, reference, "late events affected no window");
     assert_eq!(late, fold.late, "exact late count matches the replayed fold");
-    assert_eq!(cloud.sqs.queue_count(), 0);
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 /// A micro-batch whose events are all late submits no distributed query
@@ -437,12 +460,13 @@ fn all_late_batch_submits_no_query() {
     let spec =
         StreamSpec { window: WindowSpec::tumbling(10), lateness: 0, ..StreamSpec::default() };
     let sim = Simulation::new();
-    let (_cloud, service) = streaming_service(
+    let (cloud, service) = streaming_service(
         &sim,
         streaming_config(AggStrategy::DriverMerge, TransportKind::ObjectStore),
         false,
     );
 
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     sim.block_on(async {
         let mut cq = ContinuousQuery::new(&service, "streaming", "gaps", spec, plan_fn).unwrap();
         let fresh = vec![SourceEvent { ts: 100, key: 1, value: 5 }];
@@ -460,6 +484,39 @@ fn all_late_batch_submits_no_query() {
         assert_eq!(tail.num_rows(), 1, "only the fresh event's window exists");
         assert_eq!(tail.row(0)[0], lambada::engine::Scalar::Int64(100));
     });
+    assert_eq!(staged_objects(&cloud, "gaps"), 0);
+    // The first batch's cold join fleet was speculated against, and the
+    // original it backed up runs on past the query (nothing cancels it)
+    // for a few hundred milliseconds. It reports to the deleted queue
+    // and writes nothing.
+    sim.block_on(cloud.handle.sleep(Duration::from_secs(1)));
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// A micro-batch whose query fails still deletes its staged files: a
+/// tenant with no request budget has its batch rejected after staging,
+/// and the batch leaves nothing behind.
+#[test]
+fn a_failed_batch_deletes_its_staged_files() {
+    let spec =
+        StreamSpec { window: WindowSpec::tumbling(10), lateness: 0, ..StreamSpec::default() };
+    let sim = Simulation::new();
+    let (cloud, service) = streaming_service(
+        &sim,
+        streaming_config(AggStrategy::DriverMerge, TransportKind::ObjectStore),
+        false,
+    );
+    let broke = TenantBudget { max_request_dollars: Some(0.0), ..TenantBudget::default() };
+    service.set_budget("streaming", broke);
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
+    let err = sim.block_on(async {
+        let mut cq = ContinuousQuery::new(&service, "streaming", "broke", spec, plan_fn).unwrap();
+        cq.push_batch(&[SourceEvent { ts: 100, key: 1, value: 5 }]).await.err()
+    });
+    assert!(matches!(err, Some(CoreError::Rejected { .. })), "{err:?}");
+    assert_eq!(staged_objects(&cloud, "broke"), 0, "the rejected batch's staged files");
+    assert!(cloud.s3.deleted_objects() > 0, "they were staged, then deleted");
+    assert_quiescent(&sim, &cloud, &config, queues);
 }
 
 /// Malformed streaming plans are rejected at construction, before any
