@@ -47,10 +47,12 @@
 //! the consumer runs inside its *host*, the producer's invocation, and a
 //! chain of such stages (Q12's orders scan → join → agg → sort) is one
 //! fleet future, one invocation, one result message — with one
-//! [`StageReport`] per stage all the same. A member that reads other
-//! edges (the join) gets their addresses through its inbox while the
-//! host runs; a host that waits past its priced bound ships its part
-//! after all, and the rest of the chain launches as a fleet of its own.
+//! [`StageReport`] per stage all the same. A member that reads another
+//! edge (the join) gets that edge's reports on its inbox while the host
+//! runs, straight from its producers — the driver relays nothing — and
+//! the host addresses it; a host that waits past its priced bound ships
+//! its part after all, and the rest of the chain launches as a fleet of
+//! its own.
 //! Results ride that message when they are small
 //! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
 //! stored rest concurrently. Collection keeps a few result-queue long
@@ -78,16 +80,13 @@ use lambada_engine::physical::{
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
 use lambada_sim::services::object_store::Bytes;
-use lambada_sim::sync::{select2, Either};
 use lambada_sim::{BillingSnapshot, Cloud};
 
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
 use crate::exchange::ExchangeBuckets;
 use crate::invoke::{self, invoke_workers};
-use crate::message::{
-    encode_in_edges, ResultPayload, Section, Wire, WorkerMetrics, WorkerResult, SQS_MESSAGE_BYTES,
-};
+use crate::message::{ResultPayload, Section, Wire, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -96,10 +95,10 @@ use crate::stage::{
     StageOutput,
 };
 use crate::table::TableSpec;
-use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind, ADDRESS_BYTES};
+use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
-    edge_bytes, register_worker_function, result_key, EdgeRead, FusedStage, ReportTop, ScanOp,
+    register_worker_function, result_key, EdgeRead, FusedStage, Inbox, ReportTop, ScanOp,
     SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
@@ -259,7 +258,9 @@ pub struct StageReport {
     pub exec_secs: f64,
     /// Billed virtual seconds this stage's workers spent blocked in
     /// exchange discovery polls, summed over the fleet: 0, since the
-    /// driver addresses every stage edge.
+    /// driver addresses every stage edge — but a hosted stage's other
+    /// in-edge, which its host addresses from its inbox: that wait is
+    /// the member's processing time (the trace's `inbox_wait`), not this.
     pub exchange_wait_secs: f64,
     /// Billing delta over this stage's execution window. Stages launch
     /// concurrently and their windows overlap, so summing this field
@@ -431,7 +432,7 @@ static INSTANCE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 /// | stage `s`'s out-edge (channel) | `x{i}/q{q}/s{s}` | — |
 /// | receiver `r`'s endpoint on it | `x{i}/q{q}/s{s}/r{r}`, by [`EdgeTransport::endpoint`] | deregistered by prefix |
 /// | a sender's file on it | `x{i}/q{q}/s{s}/snd{w}a{attempt}`, in an exchange bucket | deleted |
-/// | stage `s`'s inbox | `lambada-inbox-x{i}-q{q}-s{s}` | deleted |
+/// | stage `s`'s inbox, where its other in-edge's producers post their reports | `lambada-inbox-x{i}-q{q}-s{s}` | deleted |
 /// | the result queue of a launch at stage `h` | `lambada-results-x{i}-q{q}-s{h}` | deleted by its launch ([`run_fleet`]) |
 /// | worker `w`'s stored result | `results/x{i}-q{q}/w{w}`, in the result bucket | deleted |
 ///
@@ -474,7 +475,7 @@ impl QueryScope {
     /// unregistered endpoint. A sort edge has no endpoint — blocks are not
     /// receivers — and neither has a fused edge, unless its reader waits:
     /// then the host may ship its part after all. Every waiting stage's
-    /// inbox exists before its host launches.
+    /// inbox exists before its host or any of its producers launches.
     fn open(system: &Lambada, query: u64, launch: &LaunchPlan<'_>, kind: TransportKind) -> Self {
         let (cloud, instance) = (&system.cloud, system.instance);
         let p2p = (kind == TransportKind::Direct).then(|| cloud.p2p.clone());
@@ -513,8 +514,8 @@ impl QueryScope {
         format!("{}s{sid}", self.prefix)
     }
 
-    /// Stage `sid`'s inbox: where the driver sends the addresses of its
-    /// other in-edges while its host runs.
+    /// Stage `sid`'s inbox: where the producers of its other in-edge post
+    /// their reports while its host runs.
     fn inbox(&self, sid: usize) -> String {
         format!("lambada-inbox-{}-s{sid}", self.tag)
     }
@@ -585,8 +586,8 @@ pub struct LaunchPlan<'a> {
     /// *host*. Both run on one worker, the reader is the edge's only one,
     /// and the reader runs inside the host's invocation on the parts the
     /// host hands on — no exchange objects, requests, invocation or
-    /// result message for the edge. A reader with other in-edges gets
-    /// their addresses through its inbox while the host runs.
+    /// result message for the edge. A reader with another in-edge gets
+    /// that edge's reports through its inbox while the host runs.
     pub fused: Vec<bool>,
     /// How many encoded bytes each sender of the stage's out-edge may
     /// ship inline: its [`crate::transport::inline_budget`] among every
@@ -618,7 +619,7 @@ impl<'a> LaunchPlan<'a> {
     /// the lower stage id. The deepest chain is the one likely to finish
     /// last, so the consumer's other inputs have most time to complete
     /// before the host needs them. A chain launches when its head may,
-    /// and a member's other in-edges reach it through its inbox.
+    /// and a member's other in-edge reaches it through its inbox.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
@@ -677,8 +678,8 @@ impl<'a> LaunchPlan<'a> {
         }
     }
 
-    /// Whether `sid` runs after its host but reads other edges too: its
-    /// host's invocation waits for their addresses in `sid`'s inbox.
+    /// Whether `sid` runs after its host but reads another edge too: its
+    /// host's invocation waits for that edge's reports in `sid`'s inbox.
     pub(crate) fn waits(&self, sid: usize) -> bool {
         !self.is_chain_head(sid) && self.edges.dag.stages[sid].inputs().len() > 1
     }
@@ -945,15 +946,24 @@ impl Lambada {
         let n = dag.stages.len();
         let mut tasks: Vec<Rc<StageTask>> = Vec::with_capacity(n); // stage n - 1 first
         for sid in (0..n).rev() {
-            let fused_into = launch.fused_into(sid).map(|c| FusedStage {
-                label: format!(
-                    "{} (fused after {})",
-                    dag.stages[c].label(c),
-                    dag.stages[sid].label(sid)
-                ),
-                task: Rc::clone(&tasks[n - 1 - c]),
-                slot: dag.stages[c].inputs().iter().position(|&i| i == sid).unwrap_or_default(),
-                inbox: launch.waits(c).then(|| scope.inbox(c)),
+            let fused_into = launch.fused_into(sid).map(|c| {
+                let inputs = dag.stages[c].inputs();
+                // A waiting stage's one other in-edge (`V-FLEET-005`).
+                let other = inputs.iter().position(|&i| i != sid).filter(|_| launch.waits(c));
+                FusedStage {
+                    label: format!(
+                        "{} (fused after {})",
+                        dag.stages[c].label(c),
+                        dag.stages[sid].label(sid)
+                    ),
+                    task: Rc::clone(&tasks[n - 1 - c]),
+                    slot: inputs.iter().position(|&i| i == sid).unwrap_or_default(),
+                    inbox: other.map(|slot| Inbox {
+                        queue: scope.inbox(c),
+                        slot,
+                        senders: launch.workers[inputs[slot]],
+                    }),
+                }
             });
             tasks.push(Rc::new(self.stage_task(&scope, sid, &launch, fused_into)?));
         }
@@ -963,7 +973,7 @@ impl Lambada {
         // by the shared board: each future sleeps until its head's inputs
         // have completed, addresses its workers' reads from their
         // producers' section tables, admits its whole fleet through the
-        // gate, invokes, feeds its members' inboxes, and collects.
+        // gate, invokes, and collects.
         let board = Rc::new(StageBoard::new(dag));
         let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
         let mut handles = Vec::with_capacity(heads.len());
@@ -973,7 +983,7 @@ impl Lambada {
                 task: Rc::clone(&tasks[sid]),
                 receivers: launch.partitions[sid],
                 sort: launch.sort_edges[sid].clone(),
-                inbox: launch.waits(sid).then(|| scope.inbox(sid)),
+                waits: launch.waits(sid),
             });
             let fleet = Fleet { workers: launch.workers[head], chain: chain.collect() };
             handles.push(self.cloud.handle.spawn(run_fleet(
@@ -1166,6 +1176,9 @@ impl Lambada {
             },
             StageKind::Sort(stage) => StageOp::Sort { input: edge(0, stage.input), stage },
         };
+        // Every hosted stage that reads the out-edge unfused waits for it.
+        let waiting = launch.edges.readers[sid].iter().filter_map(|r| r.stage);
+        let waiting = waiting.filter(|&c| launch.waits(c) && launch.fused_into(sid) != Some(c));
         Ok(StageTask {
             op,
             sink,
@@ -1173,6 +1186,7 @@ impl Lambada {
             result_bucket: self.config.result_bucket.clone(),
             result_prefix: scope.result_prefix(),
             fused_into,
+            inboxes: waiting.map(|c| scope.inbox(c)).collect(),
         })
     }
 
@@ -1369,9 +1383,8 @@ struct Member {
     /// The stage's out-edge, if it is a sort edge: its reports carry
     /// blocks and starts, not one section per receiver.
     sort: Option<SortEdgeSpec>,
-    /// Where it waits for its other in-edges' addresses, if it has any:
-    /// the member before it is its host.
-    inbox: Option<String>,
+    /// Whether its host waits for its other in-edge ([`LaunchPlan::waits`]).
+    waits: bool,
 }
 
 /// Invoke one chain's fleet and collect every worker's report. A free
@@ -1379,11 +1392,10 @@ struct Member {
 /// the shared [`StageBoard`] sequences them — each future first sleeps
 /// until its head's inputs have completed, then addresses every
 /// worker's reads from its producers' section tables, admits its whole
-/// fleet through the gate, invokes, and collects. While it collects, it
-/// sends every waiting member its other in-edges' addresses the moment
-/// their producers complete ([`feed_inboxes`]). The members that ran
-/// complete with the fleet; the last one's section tables go on the
-/// board for its consumers.
+/// fleet through the gate, invokes, and collects. A waiting member's
+/// other in-edge reaches its host from the producers themselves, never
+/// through here. The members that ran complete with the fleet; the last
+/// one's section tables go on the board for its consumers.
 ///
 /// A host that fell back reports the members up to itself, with its own
 /// section table: the future then launches the rest of the chain as a
@@ -1460,20 +1472,7 @@ async fn run_fleet(
         let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
         let collected = match invoked {
             Ok(()) => {
-                let mut collect = std::pin::pin!(collect_results(
-                    cloud,
-                    config,
-                    &result_queue,
-                    workers,
-                    &retained,
-                    stage_start
-                ));
-                let feed = feed_inboxes(cloud, &board, &chain[at..]);
-                match select2(collect.as_mut(), feed).await {
-                    Either::Left(collected) => collected,
-                    Either::Right(Ok(())) => collect.await,
-                    Either::Right(Err(e)) => Err(e),
-                }
+                collect_results(cloud, config, &result_queue, workers, &retained, stage_start).await
             }
             Err(e) => Err(e),
         };
@@ -1522,7 +1521,7 @@ async fn run_fleet(
 /// host that fell back before a waiting member. Every report must agree.
 fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
     let ran = results.first().map_or(chain.len(), |r| r.fused.len() + 1);
-    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.inbox.is_some());
+    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.waits);
     let agreed = results.iter().all(|r| r.fused.len() + 1 == ran);
     if !agreed || ran > chain.len() || (ran < chain.len() && !stopped_at_inbox) {
         let (head, members) = (chain.first().map_or(0, |m| m.sid), chain.len());
@@ -1531,40 +1530,6 @@ fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
         )));
     }
     Ok(ran)
-}
-
-/// Send each waiting member of `chain` — a launch's head, then the
-/// members fused after it — the addresses of its other in-edges the
-/// moment their producers complete, in chain order, over the driver's
-/// SQS client: the same [`InEdge`]s its payload would have carried, held
-/// to the same cap and paying their inline bytes over the driver's link
-/// the same way. (A launch after a fallback may send a member a second,
-/// identical message: the first it reads is the one.) Returns once every
-/// member is sent, or the query failed.
-async fn feed_inboxes(cloud: &Cloud, board: &StageBoard, chain: &[Member]) -> Result<()> {
-    for pair in chain.windows(2) {
-        let ([host, member], Some(inbox)) = (pair, &pair[1].inbox) else { continue };
-        loop {
-            if board.failed() {
-                return Ok(());
-            }
-            if board.ready_beside(member.sid, host.sid) {
-                break;
-            }
-            board.notified().await;
-        }
-        let edges = board.addresses(member.sid, 0);
-        let size = edge_bytes(&edges, ADDRESS_BYTES);
-        if size > SQS_MESSAGE_BYTES {
-            return Err(CoreError::Queue(format!(
-                "stage {}'s addresses take {size} B, over the {SQS_MESSAGE_BYTES} B cap",
-                member.sid
-            )));
-        }
-        invoke::carry_inline(cloud, edge_bytes(&edges, 0)).await;
-        cloud.driver_sqs().send(inbox, encode_in_edges(&edges)).await?;
-    }
-    Ok(())
 }
 
 /// Where each of the `receivers` consumer workers finds the out-edge,

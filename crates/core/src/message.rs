@@ -1,8 +1,10 @@
 //! Wire messages between workers and the driver.
 //!
 //! Workers post exactly one message to the result queue per invocation —
-//! success with a payload, or an error report (§3.3). Messages are
-//! hand-serialized with the same binary codec the file format uses.
+//! success with a payload, or an error report (§3.3) — and the same
+//! bytes to the inbox of every hosted stage that waits on their
+//! out-edge. Messages are hand-serialized with the same binary codec the
+//! file format uses.
 //!
 //! A message must fit one SQS message ([`SQS_MESSAGE_BYTES`]), so a
 //! worker returns its batches or agg state inline only up to
@@ -12,13 +14,11 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use lambada_engine::Scalar;
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
 use lambada_sim::services::object_store::Bytes;
 
 use crate::error::{CoreError, Result};
-use crate::transport::{At, InEdge, SectionAddr};
 
 /// SQS's cap on one message body: 256 KiB.
 pub const SQS_MESSAGE_BYTES: usize = lambada_sim::services::queue::MAX_MESSAGE_BYTES;
@@ -438,109 +438,6 @@ fn decode_payload(
     })
 }
 
-/// The inbox message the driver sends a hosted stage: where it finds
-/// its other in-edges, one [`InEdge`] per in-edge in input order — the
-/// one its host hands on empty. It is what the stage's invocation
-/// payload would have carried, sized the same way
-/// ([`crate::worker::edge_bytes`]), so it fits one SQS message whenever
-/// that payload fits the invoke cap.
-///
-/// Wire stability: a `varint` edge count, then per edge its senders — a
-/// `varint` count, and per sender a `varint` attempt and a tag: 0 a file
-/// section with `varint` offset and length, 1 a mailbox section with
-/// `varint` length, 2 an inline section with its length-prefixed bytes —
-/// and its bounds: a `varint` row count, and per row a `varint` key count
-/// and per key a tag (0 `Int64`, 1 `Float64`, 2 `Boolean`) and 8 bytes.
-/// Tags are frozen once assigned.
-pub fn encode_in_edges(edges: &[InEdge]) -> Vec<u8> {
-    let mut w = BinWriter::new();
-    w.varint(edges.len() as u64);
-    for edge in edges {
-        w.varint(edge.senders.len() as u64);
-        for addr in &edge.senders {
-            w.varint(u64::from(addr.attempt));
-            match &addr.at {
-                At::File { offset, len } => {
-                    w.u8(0);
-                    w.varint(*offset);
-                    w.varint(*len);
-                }
-                At::Mailbox { len } => {
-                    w.u8(1);
-                    w.varint(*len);
-                }
-                At::Inline(bytes) => {
-                    w.u8(2);
-                    w.bytes(bytes);
-                }
-            }
-        }
-        w.varint(edge.bounds.len() as u64);
-        for row in &edge.bounds {
-            w.varint(row.len() as u64);
-            for key in row {
-                match key {
-                    Scalar::Int64(v) => {
-                        w.u8(0);
-                        w.i64(*v);
-                    }
-                    Scalar::Float64(v) => {
-                        w.u8(1);
-                        w.f64(*v);
-                    }
-                    Scalar::Boolean(v) => {
-                        w.u8(2);
-                        w.u64(u64::from(*v));
-                    }
-                }
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decode [`encode_in_edges`]: a cut, a bad tag or trailing bytes is a
-/// typed error, never a panic.
-pub fn decode_in_edges(bytes: &[u8]) -> Result<Vec<InEdge>> {
-    let mut r = BinReader::new(bytes);
-    let inner = (|| -> std::result::Result<Vec<InEdge>, FormatError> {
-        // Pushed as they decode, never reserved from a claimed count.
-        let mut edges = Vec::new();
-        for _ in 0..r.varint()? {
-            let mut edge = InEdge::default();
-            for _ in 0..r.varint()? {
-                let attempt = u32::try_from(r.varint()?)
-                    .map_err(|_| FormatError::Corrupt("attempt past u32".to_string()))?;
-                let at = match r.u8()? {
-                    0 => At::File { offset: r.varint()?, len: r.varint()? },
-                    1 => At::Mailbox { len: r.varint()? },
-                    2 => At::Inline(Bytes::copy_from_slice(r.bytes()?)),
-                    other => return Err(FormatError::Corrupt(format!("unknown address {other}"))),
-                };
-                edge.senders.push(SectionAddr { attempt, at });
-            }
-            for _ in 0..r.varint()? {
-                let mut row = Vec::new();
-                for _ in 0..r.varint()? {
-                    row.push(match r.u8()? {
-                        0 => Scalar::Int64(r.i64()?),
-                        1 => Scalar::Float64(r.f64()?),
-                        2 => Scalar::Boolean(r.u64()? != 0),
-                        other => return Err(FormatError::Corrupt(format!("unknown key {other}"))),
-                    });
-                }
-                edge.bounds.push(row);
-            }
-            edges.push(edge);
-        }
-        if !r.is_exhausted() {
-            return Err(FormatError::Corrupt(format!("{} B after the in-edges", r.remaining())));
-        }
-        Ok(edges)
-    })();
-    inner.map_err(|e| CoreError::Format(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,49 +748,5 @@ mod tests {
         bytes[wire] = 3;
         let err = WorkerResult::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("unknown wire 3"), "{err}");
-    }
-
-    /// An inbox message carries a hosted stage's in-edges exactly — every
-    /// wire, attempts past a byte, boundaries of each key type, the
-    /// host's empty edge — within the bytes its payload would have been
-    /// sized at plus a tag a key. Cut anywhere or with a bit flipped, it
-    /// decodes to an error or to in-edges, never to a panic.
-    #[test]
-    fn in_edges_roundtrip_and_damage_is_a_typed_error() {
-        let addr = |attempt, at| SectionAddr { attempt, at };
-        let edges = vec![
-            InEdge::default(),
-            InEdge {
-                senders: vec![
-                    addr(0, At::File { offset: 1 << 40, len: 300 }),
-                    addr(70_000, At::Mailbox { len: 12 }),
-                    addr(1, At::Inline(Bytes::from(vec![7u8; 200]))),
-                    addr(0, At::File { offset: 0, len: 0 }),
-                ],
-                bounds: vec![
-                    vec![Scalar::Int64(-5), Scalar::Float64(2.5)],
-                    vec![Scalar::Boolean(true), Scalar::Int64(i64::MAX)],
-                ],
-            },
-        ];
-        let bytes = encode_in_edges(&edges);
-        assert_eq!(decode_in_edges(&bytes).unwrap(), edges);
-        let keys = 4;
-        let sized = crate::worker::edge_bytes(&edges, crate::transport::ADDRESS_BYTES);
-        assert!(bytes.len() <= sized + keys + 8, "{} B for {sized}", bytes.len());
-        assert_eq!(decode_in_edges(&encode_in_edges(&[])).unwrap(), Vec::<InEdge>::new());
-
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(matches!(decode_in_edges(&trailing), Err(CoreError::Format(_))));
-        for cut in 0..bytes.len() {
-            assert!(decode_in_edges(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut damaged = bytes.clone();
-        for bit in 0..bytes.len() * 8 {
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            let _ = decode_in_edges(&damaged);
-            damaged[bit / 8] ^= 1 << (bit % 8);
-        }
     }
 }

@@ -13,14 +13,14 @@
 //! exact address of its section from every sender
 //! ([`StageBoard::addresses`]): the consumer's receive is a fetch, never
 //! a discovery. A fused edge's consumer runs after its host in the same
-//! invocation and launches with the chain's head; if it reads other
-//! edges, the driver sends it their addresses the moment those complete
-//! ([`StageBoard::ready_beside`]).
+//! invocation and launches with the chain's head; if it reads another
+//! edge, that edge's producers post their reports to its inbox and the
+//! host addresses it: the board is not in that loop.
 //!
 //! Deadlock freedom under a [`crate::service::WorkerGate`] cap: a fleet
 //! asks the gate for workers only after its head's inputs completed, a
 //! completed fleet holds no lease, and a host waiting for another
-//! fleet's addresses waits a bounded time before it reports and lets its
+//! fleet's reports waits a bounded time before it reports and lets its
 //! lease go, so no fleet ever waits on the gate for good.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
@@ -67,14 +67,6 @@ impl StageBoard {
     /// the static verifier rules out before execution.
     pub fn ready(&self, sid: usize) -> bool {
         self.inputs.get(sid).is_some_and(|inputs| inputs.iter().all(|&i| self.completed(i)))
-    }
-
-    /// Have all of stage `sid`'s inputs but `host` completed? What the
-    /// driver waits for before it sends a hosted stage the addresses of
-    /// its other in-edges.
-    pub fn ready_beside(&self, sid: usize, host: usize) -> bool {
-        let others = self.inputs.get(sid).map(|inputs| inputs.iter().filter(|&&i| i != host));
-        others.is_some_and(|mut others| others.all(|&i| self.completed(i)))
     }
 
     /// Stage `sid` finished, its output edge is fully written, and
@@ -150,19 +142,6 @@ mod tests {
         assert!(!board.failed());
         board.fail();
         assert!(board.failed());
-    }
-
-    /// A hosted stage is fed once every input but its host completed: the
-    /// final join of the unbalanced shape, hosted by join 2, waits for
-    /// scan 1 alone.
-    #[test]
-    fn a_hosted_stage_waits_for_its_other_inputs_alone() {
-        let board = StageBoard::new(&unbalanced_join_dag());
-        assert!(!board.ready_beside(3, 2));
-        board.complete(1, Vec::new());
-        assert!(board.ready_beside(3, 2) && !board.ready(3));
-        assert!(board.ready_beside(0, 2), "a source has nothing to wait for");
-        assert!(!board.ready_beside(9, 2), "stage 9 is none");
     }
 
     /// In every DAG shape a source is ready on a fresh board, before any

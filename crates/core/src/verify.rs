@@ -117,7 +117,9 @@ pub mod codes {
     /// A fused edge is no host edge: its producer or consumer fleet is
     /// not one worker, it has another reader (or the driver reads it), or
     /// its consumer already runs in another host — the consumer could not
-    /// run inside the producer's invocation on the producer's parts.
+    /// run inside the producer's invocation on the producer's parts — or
+    /// its consumer waits for other in-edges than exactly one, which its
+    /// inbox could not tell apart.
     pub const FLEET_FUSED: &str = "V-FLEET-005";
     /// A non-driver output edge has no consumer (dangling exchange), or
     /// a sort edge's consumer set is not exactly one sort stage — a run
@@ -775,8 +777,10 @@ pub fn verify_fleets(
 /// one flag per stage): a fused edge runs its consumer inside its host —
 /// the producer's one invocation — on the host's parts, so both fleets
 /// are one worker, the consumer is the host edge's only reader (not the
-/// driver), and a consumer has at most one host. Its other in-edges, if
-/// any, reach it by address.
+/// driver), and a consumer has at most one host. A consumer that reads
+/// more than its host's edge *waits* for exactly one other: its inbox
+/// carries the untagged reports of one producer stage, whose addresses
+/// the host computes.
 pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> Vec<Diagnostic> {
     let stages = &edges.dag.stages;
     if fused.len() != stages.len() || fleets.len() != stages.len() {
@@ -800,8 +804,13 @@ pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> 
                 format!("its consumer stage {c} runs {} workers", fleets[c])
             }
             [Reader { stage: Some(c), .. }] => {
-                match stages[c].inputs().into_iter().find(|&h| h < p && fused[h]) {
+                let inputs = stages[c].inputs();
+                let others = inputs.iter().filter(|&&i| i != p).count();
+                match inputs.iter().find(|&&h| h < p && fused[h]) {
                     Some(h) => format!("its consumer stage {c} already runs in stage {h}"),
+                    None if inputs.len() > 1 && others != 1 => format!(
+                        "its consumer stage {c} waits for {others} in-edges besides it, not one"
+                    ),
                     None => continue,
                 }
             }
@@ -1262,6 +1271,24 @@ mod tests {
             assert_eq!(diags[0].code, codes::FLEET_FUSED);
             assert!(diags[0].message.contains(says), "{}", diags[0].message);
         }
+    }
+
+    /// A waiting stage reads exactly one in-edge besides its host's: the
+    /// reports in its inbox carry no stage, so a join whose host is both
+    /// its inputs — one reader of a hand-built edge table — is rejected,
+    /// and every fused plan the launch plan wires passes.
+    #[test]
+    fn a_waiting_stage_reads_one_other_in_edge() {
+        let dag = unbalanced_join_dag();
+        let mut edges = dag.edges();
+        edges.readers[0].truncate(1);
+        let diags = verify_fused(&edges, &[1; 4], &[true, false, false, false]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::FLEET_FUSED);
+        assert!(diags[0].message.contains("waits for 0 in-edges besides it"), "{diags:?}");
+        let launch = sized(&dag, vec![1; 4]);
+        assert!(launch.waits(3));
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
     }
 
     #[test]

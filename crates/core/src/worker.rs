@@ -33,14 +33,17 @@
 //! delivered, with no PUT, LIST, GET, partitioning charge or result
 //! message, so the consumer's decode → merge/sort/join path is the one it
 //! runs behind a real edge. The handed parts stand in for one in-edge
-//! ([`FusedStage::slot`]); a member with other in-edges — a join — reads
-//! those from addresses the driver sends its inbox
-//! ([`FusedStage::inbox`]) the moment their producers complete: the same
-//! [`InEdge`]s its payload would have carried. The host waits for them
-//! at most [`host_wait`], which prices the idle memory against the
-//! member's own launch; past it the host ships its parts through the
-//! transport after all, reports its section table, and the driver
-//! launches the rest of the chain as a fleet of its own. A handed edge
+//! ([`FusedStage::slot`]); a member with another in-edge — a join —
+//! reads it from the reports its producers post to the member's inbox
+//! ([`FusedStage::inbox`]) in the same message they send the driver, so
+//! the driver relays nothing: the host keeps the first report per worker
+//! and addresses the edge by the driver's own rule, the same [`InEdge`]
+//! its payload would have carried. The host waits for them at most
+//! [`host_wait`], which prices the idle memory against the member's own
+//! launch, and fails at once on a producer's error; past the bound the
+//! host ships its parts through the transport after all, reports its
+//! section table, and the driver launches the rest of the chain as a
+//! fleet of its own. A handed edge
 //! has no addresses, so a fused sorter has no range boundaries and keeps
 //! every row. A member's operator state is dropped before the next member
 //! starts, every budget check stays, and each member reports its own
@@ -85,13 +88,12 @@ use lambada_sim::sync::{mpsc, try_join2};
 use lambada_sim::{Cloud, Prices};
 
 use crate::costmodel::ComputeCostModel;
+use crate::driver::section_tables;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{EdgeReadStats, PartData};
 use crate::invoke;
-use crate::message::{
-    decode_in_edges, ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES,
-};
+use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::TableSpec;
@@ -227,6 +229,10 @@ pub struct StageTask {
     /// `Some` when the out-edge is fused: the sink hands its parts to
     /// this next stage, which runs in the same invocation.
     pub fused_into: Option<FusedStage>,
+    /// The inboxes of the hosted stages that read the out-edge while
+    /// their hosts run ([`FusedStage::inbox`]): every report goes to each
+    /// of them as well as to the driver.
+    pub inboxes: Vec<String>,
 }
 
 /// The stage a fused out-edge feeds, run right after its host.
@@ -237,10 +243,20 @@ pub struct FusedStage {
     /// Which of the stage's in-edges the host's handed parts are: its
     /// position among the stage's inputs.
     pub slot: usize,
-    /// The queue the driver sends the addresses of the stage's other
-    /// in-edges to ([`crate::message::encode_in_edges`]); `None` when it
-    /// reads no other edge.
-    pub inbox: Option<String>,
+    /// Where the stage's other in-edge reaches it; `None` when it reads
+    /// no other edge.
+    pub inbox: Option<Inbox>,
+}
+
+/// A hosted stage's other in-edge: its producers post their reports to
+/// the stage's inbox, and the host addresses the edge from them.
+pub struct Inbox {
+    /// The inbox queue's name.
+    pub queue: String,
+    /// Which of the stage's in-edges it is.
+    pub slot: usize,
+    /// The producer's fleet size: one report per worker completes it.
+    pub senders: usize,
 }
 
 /// What a worker is asked to do.
@@ -287,8 +303,13 @@ impl WorkerPayload {
     /// the payload is sized at against the invoke cap. The task is not
     /// sized: the fleet shares it, and the sim hands it over by reference.
     pub fn edge_bytes(&self, per_address: usize) -> usize {
+        let addrs = self.edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
+            At::Inline(bytes) => bytes.len() + per_address,
+            _ => per_address,
+        });
+        let bounds = self.edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
         let children = self.children.iter().map(|c| c.edge_bytes(per_address));
-        edge_bytes(&self.edges, per_address) + children.sum::<usize>()
+        addrs.sum::<usize>() + bounds.sum::<usize>() + children.sum::<usize>()
     }
 
     /// The same assignment re-issued as a speculative backup: next
@@ -306,18 +327,6 @@ impl WorkerPayload {
             result_queue: self.result_queue.clone(),
         }
     }
-}
-
-/// The bytes `edges` add to a payload or an inbox message: their inline
-/// sections and boundaries ([`KEY_BYTES`] a key) plus `per_address` for
-/// each address.
-pub fn edge_bytes(edges: &[InEdge], per_address: usize) -> usize {
-    let addrs = edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
-        At::Inline(bytes) => bytes.len() + per_address,
-        _ => per_address,
-    });
-    let bounds = edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
-    addrs.sum::<usize>() + bounds.sum::<usize>()
 }
 
 /// How long a host, `elapsed` seconds into its invocation, may idle for
@@ -420,55 +429,94 @@ async fn run_handler(
     env.attempt = payload.attempt;
 
     // Invoke second-generation workers first (§4.2).
-    if !payload.children.is_empty() {
+    let children = if payload.children.is_empty() {
+        Ok(())
+    } else {
         let caller = cloud.worker_invoker();
-        if let Err(e) =
-            invoke::invoke_children(&cloud, &caller, &function, wid, &payload.children).await
-        {
-            let msg = WorkerResult::error(
-                wid,
-                format!("child invocation failed: {e}"),
-                WorkerMetrics::default(),
-            )
-            .with_attempt(payload.attempt);
-            let _ = env.sqs.send(&payload.result_queue, msg.encode()).await;
-            return;
+        invoke::invoke_children(&cloud, &caller, &function, wid, &payload.children).await
+    };
+    let msg = match children {
+        Err(e) => {
+            let message = format!("child invocation failed: {e}");
+            WorkerResult::error(wid, message, WorkerMetrics::default())
         }
-    }
-
-    let start = cloud.handle.now();
-    let outcome = run_task(&env, &payload).await;
-    let processing = (cloud.handle.now() - start).as_secs_f64();
-    cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
-
-    let msg = match outcome {
-        Ok((result, mut metrics, fused)) => {
-            // Fused members ahead of the last timed themselves.
-            let ahead: f64 = fused.iter().map(|(_, m)| m.processing_secs).sum();
-            metrics.processing_secs = processing - ahead;
-            metrics.cold_start = env.ctx.cold;
-            WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
-        }
-        Err(message) => {
-            let metrics = WorkerMetrics {
-                processing_secs: processing,
-                cold_start: env.ctx.cold,
-                ..WorkerMetrics::default()
-            };
-            WorkerResult::error(wid, message, metrics)
+        Ok(()) => {
+            let start = cloud.handle.now();
+            let outcome = run_task(&env, &payload).await;
+            let processing = (cloud.handle.now() - start).as_secs_f64();
+            cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
+            match outcome {
+                Ok((result, mut metrics, fused)) => {
+                    // Fused members ahead of the last timed themselves.
+                    let ahead: f64 = fused.iter().map(|(_, m)| m.processing_secs).sum();
+                    metrics.processing_secs = processing - ahead;
+                    metrics.cold_start = env.ctx.cold;
+                    WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
+                }
+                Err(message) => {
+                    let metrics = WorkerMetrics {
+                        processing_secs: processing,
+                        cold_start: env.ctx.cold,
+                        ..WorkerMetrics::default()
+                    };
+                    WorkerResult::error(wid, message, metrics)
+                }
+            }
         }
     }
     .with_attempt(payload.attempt);
     // Success or error, the handler posts a message to the result queue
     // from which the driver polls (§3.3). Inline edge sections make it
-    // bigger; one the queue refuses is still reported, as an error.
+    // bigger and cross the driver's link. The same message goes to the
+    // inboxes of the stage it ran last — or, on an error, of its chain's
+    // tail — in the region: those sends start first and never wait
+    // behind the carry.
+    let tail = match (&payload.task, &msg.outcome) {
+        (WorkerTask::Stage(task), Ok(_)) => Some(last_member(task, msg.fused.len())),
+        (WorkerTask::Stage(task), Err(_)) => Some(last_member(task, usize::MAX)),
+        _ => None,
+    };
+    let inboxes = tail.map_or(&[][..], |t| &t.inboxes[..]);
+    let encoded = msg.encode();
+    let to_inboxes = async {
+        for inbox in inboxes {
+            post(&env, inbox, &msg, encoded.clone()).await;
+        }
+        Ok::<(), std::convert::Infallible>(())
+    };
+    let to_driver = post_to_driver(&env, &payload.result_queue, &msg, &encoded);
+    let _ = try_join2(to_inboxes, to_driver).await;
+}
+
+/// [`post`] to the driver's result queue, the message's inline edge
+/// sections carried over the driver's link first.
+async fn post_to_driver(env: &WorkerEnv, queue: &str, msg: &WorkerResult, encoded: &[u8]) {
     if let Ok(ResultPayload::Sections { inline, .. }) = &msg.outcome {
-        invoke::carry_inline(&cloud, inline.len()).await;
+        invoke::carry_inline(&env.cloud, inline.len()).await;
     }
-    if let Err(e) = env.sqs.send(&payload.result_queue, msg.encode()).await {
-        let refused = WorkerResult::error(wid, format!("result message: {e}"), msg.metrics);
-        let _ =
-            env.sqs.send(&payload.result_queue, refused.with_attempt(msg.attempt).encode()).await;
+    post(env, queue, msg, encoded.to_vec()).await;
+}
+
+/// The stage an invocation of `head`'s chain ran last when it ran `hops`
+/// members after the head: at most the chain's tail.
+fn last_member(head: &StageTask, hops: usize) -> &StageTask {
+    let mut task = head;
+    for _ in 0..hops {
+        match &task.fused_into {
+            Some(next) => task = &next.task,
+            None => break,
+        }
+    }
+    task
+}
+
+/// Send `msg`, encoded, to `queue`; one the queue refuses is still
+/// reported, as an error.
+async fn post(env: &WorkerEnv, queue: &str, msg: &WorkerResult, encoded: Vec<u8>) {
+    if let Err(e) = env.sqs.send(queue, encoded).await {
+        let refused =
+            WorkerResult::error(msg.worker_id, format!("result message: {e}"), msg.metrics);
+        let _ = env.sqs.send(queue, refused.with_attempt(msg.attempt).encode()).await;
     }
 }
 
@@ -501,13 +549,13 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
 
 /// Run a stage task and every stage fused after it, one after the
 /// other: the head reads its in-edges at `edges`; every member after it
-/// reads the parts its host handed on and, if it has other in-edges, the
-/// addresses the driver sends its inbox. A host waits for those at most
-/// [`host_wait`]; past that it ships its parts through the transport,
-/// reports its section table, and the invocation ends there: the driver
-/// launches the rest of the chain. A member's time runs from its host's
-/// handoff, its wait included. Members ahead of the last are timed here;
-/// an error names the member it happened in.
+/// reads the parts its host handed on and, if it has another in-edge,
+/// the reports its producers post to its inbox. A host waits for those
+/// at most [`host_wait`]; past that it ships its parts through the
+/// transport, reports its section table, and the invocation ends there:
+/// the driver launches the rest of the chain. A member's time runs from
+/// its host's handoff, its wait included. Members ahead of the last are
+/// timed here; an error names the member it happened in.
 async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
     let mut ahead = Vec::new();
     let (mut task, mut label, mut handed) = (head, None, None);
@@ -527,7 +575,8 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
         edges = match &next.inbox {
             None => Cow::Borrowed(&[]),
             Some(inbox) => {
-                match await_addresses(env, task, inbox, &handoff).await.map_err(named)? {
+                let addressed = await_addresses(env, task, inbox, &handoff).await;
+                match addressed.map_err(|e| format!("{}: {e}", next.label))? {
                     Some(addressed) => Cow::Owned(addressed),
                     None => {
                         let payload =
@@ -544,12 +593,17 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
     }
 }
 
-/// The addresses of the next member's other in-edges, from its inbox,
-/// waiting at most [`host_wait`] for them: `None` if they did not come.
+/// The next member's in-edges, its other one addressed from the reports
+/// its producers post to `inbox`, waiting at most [`host_wait`] for one
+/// per producer worker: `None` if they did not all come. The first
+/// report per worker is kept, whatever its attempt, and addressed by the
+/// driver's own rule ([`section_tables`]). An original attempt's error
+/// ends the wait at once as that producer's error; a backup's is a lost
+/// race, skipped — both the driver's collection rules.
 async fn await_addresses(
     env: &WorkerEnv,
     task: &StageTask,
-    inbox: &str,
+    inbox: &Inbox,
     handoff: &Handoff,
 ) -> Result<Option<Vec<InEdge>>> {
     let held: u64 = handoff.parts.iter().map(PartData::len).sum();
@@ -559,9 +613,38 @@ async fn await_addresses(
     let elapsed = (start - env.started).as_secs_f64();
     let (prices, quantum) = (env.cloud.billing.prices(), env.cloud.config.faas.billing_quantum);
     let wait = host_wait(&prices, env.ctx.memory_mib(), quantum, elapsed, spills);
-    let got = env.sqs.receive(inbox, 1, Duration::from_secs_f64(wait)).await?;
+    let deadline = start + Duration::from_secs_f64(wait);
+    let mut reports: Vec<WorkerResult> = Vec::with_capacity(inbox.senders);
+    let mut failed = None;
+    while reports.len() < inbox.senders && failed.is_none() {
+        let left = deadline.saturating_since(env.cloud.handle.now());
+        for msg in env.sqs.receive(&inbox.queue, 10, left).await? {
+            let report = WorkerResult::decode(&msg)?;
+            match &report.outcome {
+                _ if reports.iter().any(|r| r.worker_id == report.worker_id) => {}
+                Err(message) if report.attempt == 0 => {
+                    let (worker_id, message) = (report.worker_id, message.clone());
+                    failed.get_or_insert(CoreError::Worker { worker_id, message });
+                }
+                Err(_) => {}
+                Ok(_) => reports.push(report),
+            }
+        }
+        if env.cloud.handle.now() >= deadline {
+            break;
+        }
+    }
     env.cloud.trace.record(env.worker_id, "inbox_wait", start, env.cloud.handle.now());
-    got.first().map(|msg| decode_in_edges(msg)).transpose()
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    if reports.len() < inbox.senders {
+        return Ok(None);
+    }
+    reports.sort_by_key(|r| r.worker_id);
+    let mut edges = vec![InEdge::default(); inbox.slot + 1];
+    edges[inbox.slot] = section_tables(&reports, 1, None)?.pop().unwrap_or_default();
+    Ok(Some(edges))
 }
 
 /// Blocks a sort-edge producer cuts its run into, at most: their first
@@ -1130,6 +1213,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             fused_into: None,
+            inboxes: Vec::new(),
         }
     }
 
@@ -1308,6 +1392,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             fused_into: None,
+            inboxes: Vec::new(),
         };
         for (r, rows) in [(0usize, 0..21i64), (1, 21..64)] {
             let (env, edge) = (env(r as u64), edges[r].clone());
@@ -1356,6 +1441,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             fused_into: None,
+            inboxes: Vec::new(),
         };
         let now = || cloud.handle.now();
         let sort_secs = sim.block_on(async {

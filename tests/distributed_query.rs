@@ -153,6 +153,7 @@ fn direct_and_two_level_invocation_agree() {
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
             fused_into: None,
+            inboxes: Vec::new(),
         });
         cloud.sqs.create_queue("by-hand");
         let payloads: Vec<WorkerPayload> = (0..workers as u64)

@@ -377,6 +377,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
             fused_into: None,
+            inboxes: Vec::new(),
         });
         let mut payload = WorkerPayload {
             worker_id: 0,
@@ -907,6 +908,53 @@ fn a_consumer_oom_deletes_its_producers_files() {
     let CoreError::Worker { message, .. } = &err else { panic!("expected a worker error: {err}") };
     assert!(message.contains("out of memory: sort partition"), "{message}");
     assert_eq!(cloud.s3.deleted_objects(), 8, "every scanner's file");
+    settle(&sim, &cloud);
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// Q12's join runs in the orders scan and waits for the lineitem scan's
+/// reports on its inbox. A lineitem producer whose file vanished reports
+/// an error there too: the host fails at once with that producer's
+/// error, well inside its wait bound, instead of idling it out and
+/// shipping its part, and the query leaves nothing behind. (Warm, so
+/// that no cold start stands between the two fleets.)
+#[test]
+fn a_hosts_other_side_error_ends_its_wait_at_once() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let opts = StageOptions { scale: 0.002, num_files: 6, row_groups_per_file: 3, seed: 21 };
+    let li_spec = stage_real(&cloud, "tpch", "lineitem", opts);
+    let orders_opts = lambada::workloads::OrdersStageOptions {
+        rows: li_spec.total_rows,
+        num_files: 4,
+        row_groups_per_file: 3,
+        seed: 21,
+    };
+    let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
+    // Worker 1 of the two lineitem scanners reads files 3 to 5.
+    let gone = li_spec.files[5].clone();
+    let config = LambadaConfig::default();
+    let mut system = Lambada::install(&cloud, config.clone());
+    system.register_table(li_spec);
+    system.register_table(ord_spec);
+    let plan = lambada::workloads::q12("lineitem", "orders");
+    let fused = system.launch_plan(&system.plan(&plan).unwrap(), None).unwrap().fused;
+    assert!(fused[0], "the orders scan hosts the join");
+    let queues = cloud.sqs.queue_count();
+    sim.block_on(system.run_query(&plan)).unwrap();
+    cloud.s3.delete_objects(&gone.bucket, [&gone.key]);
+    cloud.trace.clear();
+    let err = sim.block_on(system.run_query(&plan)).unwrap_err();
+    let CoreError::Worker { worker_id: 0, message } = &err else {
+        panic!("the host's error: {err}")
+    };
+    let named = "join#2 (fused after scan:orders#0): worker 1 reported error: ";
+    assert!(message.starts_with(named) && message.contains(&gone.key), "{message}");
+
+    let (prices, quantum) = (cloud.billing.prices(), cloud.config.faas.billing_quantum);
+    let bound = lambada::core::worker::host_wait(&prices, config.memory_mib, quantum, 0.0, false);
+    let waits = cloud.trace.durations("inbox_wait");
+    assert!(matches!(waits[..], [w] if w < bound / 2.0), "{waits:?} against {bound}");
     settle(&sim, &cloud);
     assert_quiescent(&sim, &cloud, &config, queues);
 }

@@ -1,13 +1,15 @@
 //! Fused chains: between two one-worker fleets a stage edge is an
 //! identity, so the consumer runs inside its host, the producer's
-//! invocation — a join too, whose other side's addresses reach the
-//! running host through its inbox. The planner's Q12, Q5 and Q3 with
+//! invocation — a join too, whose other side's producers post their
+//! reports to the running host's inbox. The planner's Q12, Q5 and Q3 with
 //! cost-model-sized tails must fuse exactly their one-worker joins and
 //! tails, match the reference executor, spend no request and leave no
 //! object on a host edge, and still report every stage on its own — on
-//! both transports. A host whose other side is late falls back to the
-//! transport after a bounded wait, a killed host ends in a typed timeout,
-//! and no path leaves a queue, an endpoint or an object behind.
+//! both transports. A host hears its other side without a relay through
+//! the driver and a backed-up producer once; a host whose other side is
+//! late falls back to the transport after a bounded wait, a killed host
+//! ends in a typed timeout, and no path leaves a queue, an endpoint or an
+//! object behind.
 
 mod common;
 
@@ -24,7 +26,7 @@ use lambada::core::{
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
 };
-use lambada::sim::{Cloud, CloudConfig, InjectedFault, Simulation};
+use lambada::sim::{Cloud, CloudConfig, InjectedFault, Region, Simulation};
 use lambada::workloads::{
     lineitem_schema, stage_real, stage_real_customer, stage_real_orders, CustomerStageOptions,
     OrdersStageOptions, StageOptions,
@@ -232,8 +234,43 @@ fn model_sized_tails_fuse_and_match_the_reference() {
             let report = sim.block_on(service.run("t", &case.plan)).unwrap();
             assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
             assert_eq!(report.batch, reference, "{what}: bit for bit");
-            check_fused_run(&case, &dag, &report, &what);
+            // Cold starts spread past a host's bound may make it fall back.
+            bounded_fallbacks(&case, &cloud, config.memory_mib, &report, &what);
             assert_quiescent(&sim, &cloud, &config, queues);
+            // Warm, every chain holds.
+            let warm = sim.block_on(service.run("t", &case.plan)).unwrap();
+            assert_eq!(warm.batch, reference, "{what}: warm, bit for bit");
+            check_fused_run(&case, &dag, &warm, &format!("{what}, warm"));
+            assert_quiescent(&sim, &cloud, &config, queues);
+        }
+    }
+}
+
+/// Every host of `report`'s run that fell back at a waiting member did so
+/// the bounded way: its own wait for that member lasted at least its
+/// bound — the shortest, with no free quantum and no spill — and the
+/// fallback cost exactly one invocation more. A case's chain waits at its
+/// joins one after the other, and each join is waited for once — by the
+/// invocation it holds in or falls back from — so the run's waits, in
+/// time order, are its joins' in chain order.
+fn bounded_fallbacks(case: &Case, cloud: &Cloud, memory: u32, report: &QueryReport, what: &str) {
+    let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
+    let fell_back = |label: &str| report.stages[id(label)].chain == id(label);
+    let fallbacks = case.fused.iter().filter(|(_, c)| fell_back(c)).count();
+    let slots: usize = report.stages.iter().map(|s| s.workers).sum();
+    let invocations = slots - case.fused.len() + fallbacks;
+    assert_eq!(report.invocations() as usize, invocations, "{what}: one more a fallback");
+    let (prices, quantum) = (cloud.billing.prices(), cloud.config.faas.billing_quantum);
+    let bound = host_wait(&prices, memory, quantum, 0.0, false);
+    let joins: Vec<&str> =
+        case.fused.iter().map(|&(_, c)| c).filter(|c| c.starts_with("join")).collect();
+    let mut waits = cloud.trace.spans("inbox_wait");
+    waits.sort_by_key(|w| w.start);
+    assert_eq!(waits.len(), joins.len(), "{what}: one wait a join, {waits:?}");
+    for (join, wait) in joins.iter().zip(&waits) {
+        let waited = wait.duration_secs();
+        if fell_back(join) {
+            assert!(waited >= bound, "{what}: {join} fell back after {waited} s of {bound}");
         }
     }
 }
@@ -394,5 +431,90 @@ fn a_killed_host_is_a_timeout_and_leaves_no_inbox() {
     let (sim, cloud, _, outcome, queues) = faulted_q12(&config, kill);
     let err = outcome.unwrap_err();
     assert!(matches!(err, CoreError::Timeout { missing_workers: 1, .. }), "{err}");
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// Q12's producers post their reports straight to the host's inbox, so
+/// in `Region::Us` — a 110 ms driver round trip, which a relay through
+/// the driver would add — the host's wait still ends within three
+/// in-region queue latencies of the last lineitem worker's end. The
+/// chain holds and the result is the reference's.
+#[test]
+fn the_host_hears_its_other_side_from_the_producers() {
+    let case = cases().remove(0);
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig { region: Region::Us, ..CloudConfig::default() });
+    let config = config(true, TransportKind::ObjectStore);
+    let mut system = Lambada::install(&cloud, config.clone());
+    let cat = stage_tables(&cloud, &mut system);
+    let reference =
+        execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
+    let dag = system.plan(&case.plan).unwrap();
+    let queues = cloud.sqs.queue_count();
+    let report = sim.block_on(system.run_query(&case.plan)).unwrap();
+    assert_eq!(report.batch, reference, "bit for bit");
+    check_fused_run(&case, &dag, &report, "Us");
+    assert_quiescent(&sim, &cloud, &config, queues);
+
+    // Every invocation but the host's ended before the host's: the host
+    // runs the join, its agg and its sort after the lineitem scan's end.
+    let mut execs = cloud.trace.spans("faas_exec");
+    execs.sort_by_key(|e| e.end);
+    execs.pop();
+    let lineitem = report.stages.iter().find(|s| s.label == "scan:lineitem#1").unwrap();
+    assert_eq!(execs.len(), lineitem.workers, "one invocation per lineitem worker");
+    let last = execs.iter().map(|e| e.end).max().unwrap();
+    let waits = cloud.trace.spans("inbox_wait");
+    assert_eq!(waits.len(), 1, "{waits:?}");
+    let latency = cloud.config.sqs.latency_median;
+    assert!(waits[0].end <= last + 3 * latency, "waited until {} for {last}", waits[0].end);
+}
+
+/// A slowed lineitem producer is backed up, and both its attempts post to
+/// the host's inbox before the host — slowed too — reads it: the host
+/// keeps the first report per worker, whichever attempt, so the join
+/// reads worker 0's section once and matches the reference, and its
+/// chain holds: the query costs no invocation but the backup.
+#[test]
+fn a_backed_up_producer_reaches_the_host_once() {
+    let case = cases().remove(0);
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let config = LambadaConfig { speculate: true, ..config(true, TransportKind::ObjectStore) };
+    let mut system = Lambada::install(&cloud, config.clone());
+    let cat = stage_tables(&cloud, &mut system);
+    let reference =
+        execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
+    let dag = system.plan(&case.plan).unwrap();
+    let queues = cloud.sqs.queue_count();
+    // Warm first: a cold lineitem fleet's spans would hide the straggler.
+    let warm = sim.block_on(system.run_query(&case.plan)).unwrap();
+    assert_eq!(warm.batch, reference, "warm-up, bit for bit");
+    check_fused_run(&case, &dag, &warm, "warm-up");
+    inject_query_worker_faults(&cloud, |p| {
+        if scans(p, "orders") {
+            return Some(InjectedFault::slowdown(200.0));
+        }
+        let straggler = scans(p, "lineitem") && p.worker_id == 0 && p.attempt == 0;
+        straggler.then_some(InjectedFault {
+            compute_factor: 50.0,
+            nic_factor: 0.001,
+            kill_after: None,
+        })
+    });
+    cloud.trace.clear();
+    let report = sim.block_on(system.run_query(&case.plan)).unwrap();
+    assert_eq!(report.batch, reference, "bit for bit");
+    let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
+    let lineitem = &report.stages[id("scan:lineitem#1")];
+    assert_eq!((lineitem.workers, lineitem.backup_invocations), (2, 1));
+    assert_eq!(report.stages[id("join#2")].chain, id("scan:orders#0"), "the chain held");
+    let slots: usize = report.stages.iter().map(|s| s.workers).sum();
+    assert_eq!(report.invocations() as usize, slots - case.fused.len() + 1, "and the backup");
+    // Both attempts of worker 0, and worker 1, had ended when the host
+    // began to wait.
+    let execs = cloud.trace.spans("faas_exec");
+    let wait = cloud.trace.spans("inbox_wait").pop().unwrap();
+    assert_eq!(execs.iter().filter(|e| e.end <= wait.start).count(), 3, "{execs:?}");
     assert_quiescent(&sim, &cloud, &config, queues);
 }
