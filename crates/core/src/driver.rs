@@ -43,16 +43,20 @@
 //!
 //! A stage boundary costs something only where rows change workers. An
 //! edge from a one-worker fleet into a one-worker consumer that alone
-//! reads it is an identity, so it may be fused ([`LaunchPlan::fused`]):
-//! the consumer runs inside its *host*, the producer's invocation, and a
-//! chain of such stages (Q12's orders scan → join → agg → sort) is one
-//! fleet future, one invocation, one result message — with one
-//! [`StageReport`] per stage all the same. A member that reads another
-//! edge (the join) gets that edge's reports on its inbox while the host
+//! reads it is an identity, so it may be handed on in memory
+//! ([`LaunchPlan::placement`]). The consumer runs inside its *host*, the
+//! producer's invocation, and a chain of such stages (Q12's orders scan
+//! → join → agg → sort) is one fleet future, one invocation, one result
+//! message — with one [`StageReport`] per stage all the same. The
+//! consumer's other one-worker inputs that are scans run in that
+//! invocation too, *co-hosted* beside the chain from its start (Q5's
+//! customer scan beside the orders scan's chain): a chain plus its
+//! co-hosted scans is one invocation. A member that reads another edge
+//! (Q12's join) gets that edge's reports on its inbox while the host
 //! runs, straight from its producers — the driver relays nothing — and
 //! the host addresses it; a host that waits past its priced bound ships
-//! its part after all, and the rest of the chain launches as a fleet of
-//! its own.
+//! its part after all, and the rest of the chain — its co-hosted scans
+//! included — launches as a fleet of its own.
 //! Results ride that message when they are small
 //! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
 //! stored rest concurrently. Collection keeps a few result-queue long
@@ -98,7 +102,7 @@ use crate::table::TableSpec;
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, result_key, EdgeRead, FusedStage, Inbox, ReportTop, ScanOp,
+    register_worker_function, result_key, CoHosted, EdgeRead, FusedStage, Inbox, ReportTop, ScanOp,
     SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
@@ -240,11 +244,11 @@ pub struct StageReport {
     pub label: String,
     pub workers: usize,
     /// Id of the stage whose invocations ran this one: `id` itself, or
-    /// the head of the fused chain this stage ran in (see
-    /// [`LaunchPlan::fused`]) — or, after its host fell back, the stage
-    /// the rest of the chain launched at. A fused stage shares its
-    /// head's launch, timing and billing window, and launches no
-    /// invocation of its own.
+    /// the head of the fused chain this stage ran in, as a member or as
+    /// a co-hosted scan (see [`LaunchPlan::placement`]) — or, after its
+    /// host fell back, the stage the rest of the chain launched at. Such
+    /// a stage shares its head's launch, timing and billing window, and
+    /// launches no invocation of its own.
     pub chain: usize,
     /// Virtual seconds from the stage's enqueue (query start) to its
     /// last worker report: `queue_wait_secs + exec_secs`.
@@ -339,10 +343,11 @@ pub struct QueryReport {
     /// instead.
     pub cost: BillingSnapshot,
     /// Worker invocations launched across all stages: one per fleet
-    /// slot, except that a fused chain of one-worker stages runs in one
-    /// invocation. (`Σ stages[i].workers` minus the fused edges that
-    /// held — a host that fell back launched one more; speculative
-    /// backups are counted separately.)
+    /// slot, except that a fused chain of one-worker stages and its
+    /// co-hosted scans run in one invocation. (`Σ stages[i].workers`
+    /// minus the stages that ran in another's invocation — a host that
+    /// fell back launched one more; speculative backups are counted
+    /// separately.)
     pub workers: usize,
     pub cold_starts: u64,
     pub worker_metrics: Vec<WorkerMetrics>,
@@ -380,7 +385,8 @@ impl QueryReport {
     }
 
     /// Worker invocations this query paid for: one per fleet slot — a
-    /// fused chain being one — plus the speculative backups.
+    /// fused chain with its co-hosted scans being one — plus the
+    /// speculative backups.
     pub fn invocations(&self) -> u64 {
         self.workers as u64 + self.backup_invocations()
     }
@@ -473,9 +479,10 @@ impl QueryScope {
     /// even though consumer fleets launch later. A registration failure
     /// (capacity) is fine: senders fall back to the object store for an
     /// unregistered endpoint. A sort edge has no endpoint — blocks are not
-    /// receivers — and neither has a fused edge, unless its reader waits:
-    /// then the host may ship its part after all. Every waiting stage's
-    /// inbox exists before its host or any of its producers launches.
+    /// receivers — and neither has a co-hosted edge, nor a fused one
+    /// unless its reader waits: then the host may ship its part after all
+    /// ([`LaunchPlan::ships`]). Every waiting stage's inbox exists before
+    /// its host or any of its producers launches.
     fn open(system: &Lambada, query: u64, launch: &LaunchPlan<'_>, kind: TransportKind) -> Self {
         let (cloud, instance) = (&system.cloud, system.instance);
         let p2p = (kind == TransportKind::Direct).then(|| cloud.p2p.clone());
@@ -492,12 +499,12 @@ impl QueryScope {
             reporters: launch.workers.last().copied().unwrap_or_default(),
         };
         for (sid, &parts) in launch.partitions.iter().enumerate() {
-            let handed = launch.fused_into(sid).is_some_and(|c| !launch.waits(c));
-            let streams = direct && !handed && launch.sort_edges[sid].is_none();
+            let ships = launch.ships(sid);
+            let streams = direct && ships && launch.sort_edges[sid].is_none();
             for r in (0..parts).filter(|_| streams) {
                 cloud.p2p.register(&EdgeTransport::endpoint(&scope.channel(sid), r));
             }
-            if parts > 0 && !handed {
+            if parts > 0 && ships {
                 scope.senders.push((sid, launch.workers[sid]));
             }
         }
@@ -560,14 +567,33 @@ impl Drop for QueryScope {
     }
 }
 
+/// Where a stage's output goes relative to its invocation, fixed once per
+/// launch plan ([`LaunchPlan::placement`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placement {
+    /// Its output leaves its invocation: through the transport to its
+    /// readers' fleets, or to the driver.
+    Apart,
+    /// Its out-edge is *fused*: the stage is its reader's *host*. Both
+    /// run on one worker, the reader is the edge's only one, and the
+    /// reader runs after it inside its invocation on the parts it hands
+    /// on. A reader with another in-edge that is not co-hosted gets that
+    /// edge's reports through its inbox while the host runs.
+    Fused,
+    /// A one-worker scan *co-hosted* in its reader's host invocation: it
+    /// starts at that invocation's start, beside the chain, and hands its
+    /// parts to its reader — its only one, one worker with a host — in
+    /// memory.
+    CoHosted,
+}
+
 /// Everything about a query's fleets that is fixed before the first
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
-/// per stage, the installation's pin, the fleet size, the partition count of its out-edge, whether that edge is
-/// fused and — for a stage feeding a sort fleet — the sort-edge spec.
-/// Built by
-/// [`Lambada::launch_plan`]; the fleet verifier, the p2p registration,
-/// the stage-task builder and the service's admission estimate all read
-/// it.
+/// per stage, the installation's pin, the fleet size, the partition count
+/// of its out-edge, its [`Placement`] and — for a stage feeding a sort
+/// fleet — the sort-edge spec. Built by [`Lambada::launch_plan`]; the
+/// fleet verifier, the query's scope, the stage-task builder and the
+/// service's admission estimate all read it.
 pub struct LaunchPlan<'a> {
     pub edges: EdgeTable<'a>,
     /// The installation's fixed fleet size (`join_workers`, the
@@ -582,13 +608,9 @@ pub struct LaunchPlan<'a> {
     /// `Some` exactly for a stage one of whose readers is a sort stage:
     /// the keys, limit and schema its fleet ships its runs with.
     pub sort_edges: Vec<Option<SortEdgeSpec>>,
-    /// Whether the stage's out-edge is *fused*: the stage is its reader's
-    /// *host*. Both run on one worker, the reader is the edge's only one,
-    /// and the reader runs inside the host's invocation on the parts the
-    /// host hands on — no exchange objects, requests, invocation or
-    /// result message for the edge. A reader with another in-edge gets
-    /// that edge's reports through its inbox while the host runs.
-    pub fused: Vec<bool>,
+    /// Where the stage's output goes. A fused or co-hosted out-edge costs
+    /// no exchange objects, requests, invocation or result message.
+    pub placement: Vec<Placement>,
     /// How many encoded bytes each sender of the stage's out-edge may
     /// ship inline: its [`crate::transport::inline_budget`] among every
     /// sender of all the reader's in-edges — its
@@ -606,20 +628,23 @@ pub type ScanFleet = (Rc<TableSpec>, Vec<Range<usize>>);
 
 impl<'a> LaunchPlan<'a> {
     /// Wire sized fleets to the edges: every out-edge's partition count,
-    /// sort-edge spec and fusion follow from its readers' fleet sizes.
+    /// sort-edge spec and placement follow from its readers' fleet sizes.
     /// Taking the last reader is exact on every plan that is used:
     /// [`crate::verify::verify_fleets`], run on the wired plan, holds
     /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
     /// and the edge pass a producer to at most one sort reader
     /// (`V-EXCH-003`).
     ///
-    /// Fusion: a one-worker consumer runs in the invocation of its *host*,
-    /// the one-worker producer whose out-edge it alone reads with the
-    /// deepest chain — ties go to the larger byte estimate `est`, then to
-    /// the lower stage id. The deepest chain is the one likely to finish
-    /// last, so the consumer's other inputs have most time to complete
-    /// before the host needs them. A chain launches when its head may,
-    /// and a member's other in-edge reaches it through its inbox.
+    /// Placement: a one-worker consumer runs in the invocation of its
+    /// *host*, the one-worker input it alone reads with the deepest chain
+    /// — ties go to the larger byte estimate `est`, then to the lower
+    /// stage id. The deepest chain is the one likely to finish last, so
+    /// the consumer's other inputs have most time to complete before the
+    /// host needs them. Every *other* such input that reads no edge — a
+    /// scan — is co-hosted: it runs in the same invocation, beside the
+    /// chain, so a chain plus its co-hosted scans is one invocation. A
+    /// chain launches when its head may, and a member's remaining in-edge
+    /// reaches it through its inbox.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
@@ -653,47 +678,91 @@ impl<'a> LaunchPlan<'a> {
         }
         // Stages are in topological order, so every input's chain depth
         // is final before its reader picks a host.
-        let (mut fused, mut depth) = (vec![false; n], vec![1usize; n]);
+        let (mut placement, mut depth) = (vec![Placement::Apart; n], vec![1usize; n]);
         for c in (0..n).filter(|&c| workers[c] == 1) {
             let sole_reader = |p: &usize| match edges.readers[*p][..] {
                 [Reader { stage: Some(r), .. }] => r == c,
                 _ => false,
             };
             let inputs = edges.dag.stages[c].inputs();
-            let candidates = inputs.into_iter().filter(|&p| workers[p] == 1).filter(sole_reader);
-            let host = candidates.max_by_key(|&p| (depth[p], est.get(p).copied(), Reverse(p)));
-            if let Some(p) = host {
-                fused[p] = true;
-                depth[c] = depth[p] + 1;
+            let candidates: Vec<usize> =
+                inputs.into_iter().filter(|&p| workers[p] == 1).filter(sole_reader).collect();
+            let rank = |&p: &usize| (depth[p], est.get(p).copied(), Reverse(p));
+            let host = candidates.iter().copied().max_by_key(rank);
+            if let Some(h) = host {
+                placement[h] = Placement::Fused;
+                depth[c] = depth[h] + 1;
+                let scan = |p: &usize| edges.dag.stages[*p].inputs().is_empty();
+                for p in candidates.into_iter().filter(|&p| p != h).filter(scan) {
+                    placement[p] = Placement::CoHosted;
+                }
             }
         }
-        LaunchPlan { edges, pins, workers, partitions, sort_edges, fused, inline_budgets, scans }
+        LaunchPlan {
+            edges,
+            pins,
+            workers,
+            partitions,
+            sort_edges,
+            placement,
+            inline_budgets,
+            scans,
+        }
     }
 
-    /// The stage that reads `sid`'s fused out-edge, if it is fused.
-    pub(crate) fn fused_into(&self, sid: usize) -> Option<usize> {
+    /// The stage `sid` hands its parts to in memory — its one reader —
+    /// if its out-edge is fused or co-hosted.
+    fn handed_to(&self, sid: usize) -> Option<usize> {
         match self.edges.readers[sid][..] {
-            [Reader { stage: Some(c), .. }] if self.fused[sid] => Some(c),
+            [Reader { stage: Some(c), .. }] if self.placement[sid] != Placement::Apart => Some(c),
             _ => None,
         }
     }
 
-    /// Whether `sid` runs after its host but reads another edge too: its
-    /// host's invocation waits for that edge's reports in `sid`'s inbox.
-    pub(crate) fn waits(&self, sid: usize) -> bool {
-        !self.is_chain_head(sid) && self.edges.dag.stages[sid].inputs().len() > 1
+    /// The stage that reads `sid`'s fused out-edge, if it is fused.
+    pub(crate) fn fused_into(&self, sid: usize) -> Option<usize> {
+        self.handed_to(sid).filter(|_| self.placement[sid] == Placement::Fused)
     }
 
-    /// Whether `sid` runs in an invocation of its own fleet — it is no
-    /// fused edge's reader — rather than after its host.
+    /// `sid`'s co-hosted inputs, in input order.
+    pub(crate) fn cohosted_in(&self, sid: usize) -> Vec<usize> {
+        let inputs = self.edges.dag.stages[sid].inputs().into_iter();
+        inputs.filter(|&p| self.placement[p] == Placement::CoHosted).collect()
+    }
+
+    /// Whether `sid` runs after its host but reads an edge that is
+    /// neither fused nor co-hosted too: its host's invocation waits for
+    /// that edge's reports in `sid`'s inbox.
+    pub(crate) fn waits(&self, sid: usize) -> bool {
+        let inputs = self.edges.dag.stages[sid].inputs();
+        !self.is_chain_head(sid) && inputs.iter().any(|&p| self.placement[p] == Placement::Apart)
+    }
+
+    /// Whether `sid` runs in an invocation of its own fleet — it is
+    /// neither co-hosted nor a fused edge's reader — rather than in its
+    /// host's.
     pub(crate) fn is_chain_head(&self, sid: usize) -> bool {
-        !self.edges.dag.stages[sid].inputs().iter().any(|&p| self.fused[p])
+        let inputs = self.edges.dag.stages[sid].inputs();
+        self.placement[sid] != Placement::CoHosted
+            && !inputs.iter().any(|&p| self.placement[p] == Placement::Fused)
+    }
+
+    /// Whether `sid`'s out-edge may go through the transport: it is not
+    /// handed on, or it is fused into a reader that waits — then the host
+    /// may ship its part after all.
+    pub(crate) fn ships(&self, sid: usize) -> bool {
+        match self.handed_to(sid) {
+            Some(c) => self.placement[sid] == Placement::Fused && self.waits(c),
+            None => true,
+        }
     }
 
     /// The stages one invocation of `head`'s fleet runs: `head`, then
-    /// every stage fused after it, in order — each the host of the next.
+    /// every stage fused after it, in order — each the host of the next —
+    /// with each member's co-hosted scans listed just before it.
     pub(crate) fn chain(&self, head: usize) -> Vec<usize> {
-        std::iter::successors(Some(head), |&sid| self.fused_into(sid)).collect()
+        let members = std::iter::successors(Some(head), |&sid| self.fused_into(sid));
+        members.flat_map(|sid| self.cohosted_in(sid).into_iter().chain([sid])).collect()
     }
 }
 
@@ -897,7 +966,7 @@ impl Lambada {
         }
         let launch = LaunchPlan::wire(edges, pins, workers, &est, scans);
         let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
-        diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.fused));
+        diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.placement));
         if diags.is_empty() {
             Ok(launch)
         } else {
@@ -938,36 +1007,59 @@ impl Lambada {
         let transport = policy.transport.unwrap_or(self.config.transport);
         let scope = Rc::new(QueryScope::open(self, qid, &launch, transport));
 
-        // Build every stage's task, consumers first so a host can link
-        // the stage it hands its part to, before anything launches: a
-        // planning failure must surface before the first invocation.
-        // Edge addresses are the one per-worker part known only at
-        // launch: the fleet fills them in.
+        // Build every stage's task before anything launches: a planning
+        // failure must surface before the first invocation. Co-hosted
+        // scans hand on to no one and go first, then the rest consumers
+        // first, so a host can link the stage it hands its part to and
+        // that stage's co-hosted scans. Edge addresses are the one
+        // per-worker part known only at launch: the fleet fills them in.
         let n = dag.stages.len();
-        let mut tasks: Vec<Rc<StageTask>> = Vec::with_capacity(n); // stage n - 1 first
-        for sid in (0..n).rev() {
-            let fused_into = launch.fused_into(sid).map(|c| {
-                let inputs = dag.stages[c].inputs();
-                // A waiting stage's one other in-edge (`V-FLEET-005`).
-                let other = inputs.iter().position(|&i| i != sid).filter(|_| launch.waits(c));
-                FusedStage {
-                    label: format!(
-                        "{} (fused after {})",
-                        dag.stages[c].label(c),
-                        dag.stages[sid].label(sid)
-                    ),
-                    task: Rc::clone(&tasks[n - 1 - c]),
-                    slot: inputs.iter().position(|&i| i == sid).unwrap_or_default(),
-                    inbox: other.map(|slot| Inbox {
-                        queue: scope.inbox(c),
-                        slot,
-                        senders: launch.workers[inputs[slot]],
-                    }),
-                }
-            });
-            tasks.push(Rc::new(self.stage_task(&scope, sid, &launch, fused_into)?));
+        let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
+        let mut head_of: Vec<usize> = (0..n).collect();
+        for &head in &heads {
+            for sid in launch.chain(head) {
+                head_of[sid] = head;
+            }
         }
-        tasks.reverse();
+        let cohosted = |sid: &usize| launch.placement[*sid] == Placement::CoHosted;
+        let order = (0..n).filter(cohosted).chain((0..n).rev().filter(|sid| !cohosted(sid)));
+        let mut built: Vec<Option<Rc<StageTask>>> = vec![None; n];
+        let task = |built: &[Option<Rc<StageTask>>], sid: usize| {
+            built[sid].clone().ok_or_else(|| CoreError::Engine(format!("stage {sid} unbuilt")))
+        };
+        let label = |sid: usize| dag.stages[sid].label(sid);
+        for sid in order {
+            let fused_into = match launch.fused_into(sid) {
+                None => None,
+                Some(c) => {
+                    let inputs = dag.stages[c].inputs();
+                    let slot = |p: usize| inputs.iter().position(|&i| i == p).unwrap_or_default();
+                    // A waiting stage's one other in-edge (`V-FLEET-005`).
+                    let other = inputs.iter().copied().find(|&i| i != sid && !cohosted(&i));
+                    let mut beside = Vec::new();
+                    for p in launch.cohosted_in(c) {
+                        beside.push(CoHosted {
+                            label: format!("{} (co-hosted in {})", label(p), label(head_of[c])),
+                            task: task(&built, p)?,
+                            slot: slot(p),
+                        });
+                    }
+                    Some(FusedStage {
+                        label: format!("{} (fused after {})", label(c), label(sid)),
+                        task: task(&built, c)?,
+                        slot: slot(sid),
+                        inbox: other.filter(|_| launch.waits(c)).map(|i| Inbox {
+                            queue: scope.inbox(c),
+                            slot: slot(i),
+                            senders: launch.workers[i],
+                        }),
+                        cohosted: beside,
+                    })
+                }
+            };
+            built[sid] = Some(Rc::new(self.stage_task(&scope, sid, &launch, fused_into)?));
+        }
+        let tasks = (0..n).map(|sid| task(&built, sid)).collect::<Result<Vec<_>>>()?;
 
         // One concurrently spawned fleet future per chain head, sequenced
         // by the shared board: each future sleeps until its head's inputs
@@ -975,7 +1067,6 @@ impl Lambada {
         // producers' section tables, admits its whole fleet through the
         // gate, invokes, and collects.
         let board = Rc::new(StageBoard::new(dag));
-        let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
         let mut handles = Vec::with_capacity(heads.len());
         for &head in &heads {
             let chain = launch.chain(head).into_iter().map(|sid| Member {
@@ -2103,21 +2194,25 @@ mod tests {
         let config = LambadaConfig {
             join_workers: Some(1),
             agg: AggStrategy::Exchange { workers: Some(3) },
+            files_per_worker: Some(1),
             ..LambadaConfig::default()
         };
         let field = |name: &str| Field::new(name, DataType::Int64);
         let (t, u) = (Schema::new(vec![field("g"), field("v")]), Schema::new(vec![field("k")]));
         let install = || {
             let mut system = Lambada::install(&cloud, config.clone());
-            for (name, schema) in [("t", &t), ("u", &u)] {
-                let files = vec![TableFile::real("data", format!("{name}/0"), 1000)];
-                system.register_table(TableSpec::new(name, schema.clone(), files, 100));
+            for (name, schema, files) in [("t", &t, 1), ("u", &u, 2)] {
+                let files =
+                    (0..files).map(|f| TableFile::real("data", format!("{name}/{f}"), 1000));
+                system.register_table(TableSpec::new(name, schema.clone(), files.collect(), 100));
             }
             system
         };
         let (a, b) = (install(), install());
-        // scan t, scan u → a one-worker join, fused into a scan and
-        // waiting on its inbox → a three-worker agg-merge fleet.
+        // scan t, a two-worker scan u → a one-worker join, fused into
+        // scan t and waiting on its inbox for u's reports → a three-worker
+        // agg-merge fleet. (Beside a one-worker u, co-hosted in its host,
+        // the join would wait for nothing.)
         let sum_v = vec![AggExpr::new(AggFunc::Sum, Some(lambada_engine::col(1)), "s")];
         let joined = Df::scan("t", &t).join(Df::scan("u", &u), &[("g", "k")]).unwrap();
         let query = joined.aggregate(vec![(lambada_engine::col(0), "g")], sum_v).unwrap();

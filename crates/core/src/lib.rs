@@ -68,8 +68,8 @@ pub mod worker;
 
 pub use costmodel::ComputeCostModel;
 pub use driver::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport, SortStrategy,
-    StageReport,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport,
+    SortStrategy, StageReport,
 };
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
@@ -101,7 +101,7 @@ pub use verify::{
     verify_dag, verify_fleets, verify_fused, verify_stream, Diagnostic, MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, EdgeRead,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, CoHosted, EdgeRead,
     FusedStage, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
     WorkerTask,
 };

@@ -13,9 +13,10 @@
 //! exact address of its section from every sender
 //! ([`StageBoard::addresses`]): the consumer's receive is a fetch, never
 //! a discovery. A fused edge's consumer runs after its host in the same
-//! invocation and launches with the chain's head; if it reads another
-//! edge, that edge's producers post their reports to its inbox and the
-//! host addresses it: the board is not in that loop.
+//! invocation and launches with the chain's head, and so does a scan
+//! co-hosted beside the chain; if the consumer reads another edge, that
+//! edge's producers post their reports to its inbox and the host
+//! addresses it: the board is not in that loop.
 //!
 //! Deadlock freedom under a [`crate::service::WorkerGate`] cap: a fleet
 //! asks the gate for workers only after its head's inputs completed, a

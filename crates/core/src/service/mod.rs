@@ -37,7 +37,7 @@ use lambada_engine::logical::LogicalPlan;
 use lambada_sim::sync::{Semaphore, SemaphorePermit};
 use lambada_sim::JoinHandle;
 
-use crate::driver::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, QueryReport};
+use crate::driver::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport};
 use crate::error::Result;
 use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts};
 use crate::stage::QueryDag;
@@ -359,9 +359,10 @@ impl Envelope {
 
 /// Count a DAG's verified, uncapped launch plan into its request
 /// envelope. The plan gives per-stage worker counts, every edge's
-/// readers and the fused edges, which cost no request and share their
-/// producer's invocation — the envelope drops them and counts one
-/// invocation per fused chain, so it stays an over-estimate. Every
+/// readers and the fused and co-hosted edges, which cost no request and
+/// share their reader's invocation — the envelope drops them and counts
+/// one invocation per chain with its co-hosted scans, so it stays an
+/// over-estimate. Every
 /// exchange edge is charged with [`stage_edge_counts`] — or, on the
 /// direct transport, with [`direct_edge_counts`] under the
 /// [`DIRECT_FALLBACK_HEADROOM`] fallback bound — and lists nothing: the
@@ -392,7 +393,7 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
             env.gets += table.files.len() as f64 * (2.0 + 8.0 * width);
             env.gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
         }
-        if launch.fused[pid] {
+        if launch.placement[pid] != Placement::Apart {
             continue;
         }
         let streams = launch.sort_edges[pid].is_none();
@@ -401,7 +402,8 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         }
     }
     let workers: usize = fleets.iter().sum();
-    env.invocations = (workers - launch.fused.iter().filter(|&&f| f).count()) as u64;
+    let handed = launch.placement.iter().filter(|&&p| p != Placement::Apart).count();
+    env.invocations = (workers - handed) as u64;
     env
 }
 

@@ -27,7 +27,8 @@
 //!   respected, shared edges with equal consumer fleets (the partition
 //!   count of an edge *is* its consumer's fleet size) — and
 //!   [`verify_fused`] that every fused edge is a 1 → 1 host edge, one
-//!   host to a consumer.
+//!   host to a consumer, and every co-hosted stage a one-worker scan
+//!   whose one reader has a host.
 //!
 //! The scheduler needs no check of its own: a stage waits for exactly
 //! its inputs, which the topological-order check already holds to
@@ -45,6 +46,7 @@ use std::fmt;
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
 use lambada_engine::types::Schema;
 
+use crate::driver::Placement;
 use crate::stage::{
     Declares, EdgeTable, Emits, FinalStage, QueryDag, Reader, ReaderRole, StageKind, StageOutput,
 };
@@ -773,55 +775,72 @@ pub fn verify_fleets(
     out
 }
 
-/// Verify the fused edges of a sized plan ([`crate::LaunchPlan::fused`],
-/// one flag per stage): a fused edge runs its consumer inside its host —
-/// the producer's one invocation — on the host's parts, so both fleets
-/// are one worker, the consumer is the host edge's only reader (not the
-/// driver), and a consumer has at most one host. A consumer that reads
-/// more than its host's edge *waits* for exactly one other: its inbox
-/// carries the untagged reports of one producer stage, whose addresses
-/// the host computes.
-pub fn verify_fused(edges: &EdgeTable<'_>, fleets: &[usize], fused: &[bool]) -> Vec<Diagnostic> {
+/// Verify the placements of a sized plan ([`crate::LaunchPlan::placement`],
+/// one per stage). A fused edge runs its consumer inside its host — the
+/// producer's one invocation — on the host's parts, so both fleets are
+/// one worker, the consumer is the host edge's only reader (not the
+/// driver), and a consumer has at most one host. A co-hosted stage runs
+/// in its reader's host invocation from that invocation's start, so it
+/// is a one-worker scan — it reads no edge — whose only reader runs one
+/// worker and has a host. A consumer that reads an edge besides its host's
+/// and its co-hosted scans' *waits* for exactly one: its inbox carries the
+/// untagged reports of one producer stage, whose addresses the host
+/// computes.
+pub fn verify_fused(
+    edges: &EdgeTable<'_>,
+    fleets: &[usize],
+    placement: &[Placement],
+) -> Vec<Diagnostic> {
     let stages = &edges.dag.stages;
-    if fused.len() != stages.len() || fleets.len() != stages.len() {
+    if placement.len() != stages.len() || fleets.len() != stages.len() {
         return vec![Diagnostic::new(
             codes::FLEET_FUSED,
             None,
             format!(
-                "fusion marks {} stages and fleets size {} but the DAG has {}",
-                fused.len(),
+                "placement marks {} stages and fleets size {} but the DAG has {}",
+                placement.len(),
                 fleets.len(),
                 stages.len()
             ),
         )];
     }
+    let fused = |p: usize| placement[p] == Placement::Fused;
+    let cohosted = |p: usize| placement[p] == Placement::CoHosted;
     let mut out = Vec::new();
-    for p in (0..stages.len()).filter(|&p| fused[p]) {
+    for p in (0..stages.len()).filter(|&p| placement[p] != Placement::Apart) {
         let readers = &edges.readers[p];
         let problem = match readers[..] {
             _ if fleets[p] != 1 => format!("its producer runs {} workers", fleets[p]),
+            _ if cohosted(p) && !stages[p].inputs().is_empty() => "it reads an edge".to_string(),
             [Reader { stage: Some(c), .. }] if fleets[c] != 1 => {
                 format!("its consumer stage {c} runs {} workers", fleets[c])
             }
             [Reader { stage: Some(c), .. }] => {
                 let inputs = stages[c].inputs();
-                let others = inputs.iter().filter(|&&i| i != p).count();
-                match inputs.iter().find(|&&h| h < p && fused[h]) {
-                    Some(h) => format!("its consumer stage {c} already runs in stage {h}"),
-                    None if inputs.len() > 1 && others != 1 => format!(
+                let handed = 1 + inputs.iter().filter(|&&i| cohosted(i)).count();
+                let others = inputs.iter().filter(|&&i| i != p && !cohosted(i)).count();
+                match inputs.iter().find(|&&h| fused(h) && (h < p || cohosted(p))) {
+                    Some(h) if fused(p) => {
+                        format!("its consumer stage {c} already runs in stage {h}")
+                    }
+                    None if cohosted(p) => format!("its consumer stage {c} has no host"),
+                    None if inputs.len() > handed && others != 1 => format!(
                         "its consumer stage {c} waits for {others} in-edges besides it, not one"
                     ),
-                    None => continue,
+                    _ => continue,
                 }
             }
             _ if readers.iter().any(|r| r.stage.is_none()) => "the driver reads it".to_string(),
             _ => format!("it has {} readers, not one stage", readers.len()),
         };
-        out.push(Diagnostic::new(
-            codes::FLEET_FUSED,
-            p,
-            format!("out-edge marked fused but {problem}; only a 1 → 1 host edge fuses"),
-        ));
+        let message = match placement[p] {
+            Placement::CoHosted => format!(
+                "stage marked co-hosted but {problem}; only a one-worker scan read by one hosted \
+                 worker alone runs in its host"
+            ),
+            _ => format!("out-edge marked fused but {problem}; only a 1 → 1 host edge fuses"),
+        };
+        out.push(Diagnostic::new(codes::FLEET_FUSED, p, message));
     }
     out
 }
@@ -1184,54 +1203,79 @@ mod tests {
         }
     }
 
-    /// Fusion is a pure function of fleet sizes, byte estimates and the
-    /// edge table: a one-worker consumer runs in the one-worker producer
-    /// it alone reads with the deepest chain — ties to the larger
-    /// estimate, then the lower id — and nothing else fuses.
+    /// Placement is a pure function of fleet sizes, byte estimates and
+    /// the edge table: a one-worker consumer runs in the one-worker
+    /// producer it alone reads with the deepest chain — ties to the larger
+    /// estimate, then the lower id — every other such producer that is a
+    /// scan is co-hosted beside it, and nothing else moves.
     #[test]
     fn one_worker_consumers_run_in_their_deepest_one_worker_producer() {
-        let fused = |dag: &QueryDag, workers: Vec<usize>| sized(dag, workers).fused;
+        use Placement::{Apart as A, CoHosted as C, Fused as F};
+        let placed = |dag: &QueryDag, workers: Vec<usize>| sized(dag, workers).placement;
         let chain = merge_chain_dag();
-        assert_eq!(fused(&chain, vec![1, 1]), [true, false]);
-        assert_eq!(fused(&chain, vec![2, 1]), [false, false], "two producers");
-        assert_eq!(fused(&chain, vec![1, 2]), [false, false], "two consumers");
+        assert_eq!(placed(&chain, vec![1, 1]), [F, A]);
+        assert_eq!(placed(&chain, vec![2, 1]), [A, A], "two producers");
+        assert_eq!(placed(&chain, vec![1, 2]), [A, A], "two consumers");
         // A join runs in one of its scans: the lower id on a tie, the
-        // larger estimate otherwise, the one-worker one if only one is.
+        // larger estimate otherwise, the one-worker one if only one is;
+        // the other one-worker scan is co-hosted.
         let join = two_scan_join_dag();
-        assert_eq!(fused(&join, vec![1; 3]), [true, false, false]);
+        assert_eq!(placed(&join, vec![1; 3]), [F, C, A]);
         let wired = |workers: Vec<usize>, est: &[u64]| {
-            LaunchPlan::wire(join.edges(), vec![None; 3], workers, est, vec![None; 3]).fused
+            LaunchPlan::wire(join.edges(), vec![None; 3], workers, est, vec![None; 3]).placement
         };
-        assert_eq!(wired(vec![1; 3], &[10, 20, 0]), [false, true, false], "the larger estimate");
-        assert_eq!(wired(vec![2, 1, 1], &[]), [false, true, false]);
-        assert_eq!(fused(&join, vec![1, 1, 2]), [false; 3], "a two-worker join");
+        assert_eq!(wired(vec![1; 3], &[10, 20, 0]), [C, F, A], "the larger estimate");
+        assert_eq!(wired(vec![2, 1, 1], &[]), [A, F, A]);
+        assert_eq!(placed(&join, vec![1, 1, 2]), [A; 3], "a two-worker join");
+        // Beside its co-hosted scan the join waits for nothing: the
+        // chain lists the scan just before it.
         let launch = sized(&join, vec![1; 3]);
-        assert!(launch.waits(2) && !launch.waits(0) && !launch.is_chain_head(2));
-        assert_eq!(launch.chain(0), [0, 2]);
+        assert!(!launch.waits(2) && !launch.is_chain_head(2) && !launch.is_chain_head(1));
+        assert_eq!(launch.chain(0), [0, 1, 2]);
+        // With a two-worker other side it waits for that side's reports.
+        let launch = sized(&join, vec![2, 1, 1]);
+        assert!(launch.waits(2) && launch.is_chain_head(0));
+        assert_eq!(launch.chain(1), [1, 2]);
         // In the diamond the scan has four readers; in the unbalanced
         // shape join 2 reads scan 0 twice. Either way the final join's
-        // two inputs are chains of one stage, and the lower id hosts.
-        assert_eq!(fused(&diamond_dag(), vec![1; 4]), [false, true, false, false]);
-        assert_eq!(fused(&unbalanced_join_dag(), vec![1; 4]), [false, true, false, false]);
+        // two inputs are chains of one stage, the lower id hosts and the
+        // other, a join, stays apart.
+        assert_eq!(placed(&diamond_dag(), vec![1; 4]), [A, F, A, A]);
+        assert_eq!(placed(&unbalanced_join_dag(), vec![1; 4]), [A, F, A, A]);
         // The one-worker sort edge fuses; the chain is one invocation.
         let sort = scan_sort_dag();
         let launch = sized(&sort, vec![1, 1]);
-        assert_eq!(launch.fused, [true, false]);
+        assert_eq!(launch.placement, [F, A]);
         assert_eq!(launch.chain(0), [0, 1]);
         assert!(launch.is_chain_head(0) && !launch.is_chain_head(1) && !launch.waits(1));
-        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.placement).is_empty());
         for dag in [two_scan_join_dag(), diamond_dag(), unbalanced_join_dag()] {
             let launch = sized(&dag, vec![1; dag.stages.len()]);
-            assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+            assert!(verify_fused(&launch.edges, &launch.workers, &launch.placement).is_empty());
         }
     }
 
     /// The deepest chain hosts: in a three-way join tree whose first join
     /// runs in its scan, the second join runs in the first — depth 2 —
-    /// not in the other scan, whatever the estimates say.
+    /// not in the other scan, whatever the estimates say. The scans that
+    /// host nothing are co-hosted, each listed just before its reader, so
+    /// no join waits and the tree is one invocation.
     #[test]
     fn the_deepest_chain_hosts() {
-        let dag = QueryDag {
+        use Placement::{Apart as A, CoHosted as C, Fused as F};
+        let dag = deepest_chain_dag();
+        let est = [5, 1, 1000, 1, 1];
+        let launch = LaunchPlan::wire(dag.edges(), vec![None; 5], vec![1; 5], &est, vec![None; 5]);
+        assert_eq!(launch.placement, [F, C, C, F, A]);
+        assert_eq!(launch.chain(0), [0, 1, 3, 2, 4]);
+        assert!(!launch.waits(3) && !launch.waits(4));
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.placement).is_empty());
+    }
+
+    /// Three scans, a join over the first two and a final join over the
+    /// third and that join.
+    fn deepest_chain_dag() -> QueryDag {
+        QueryDag {
             stages: vec![
                 collect_scan(StageOutput::Exchange { keys: vec![0] }),
                 collect_scan(StageOutput::Exchange { keys: vec![0] }),
@@ -1240,13 +1284,7 @@ mod tests {
                 join_stage(2, 3, StageOutput::Driver),
             ],
             final_stage: FinalStage::CollectBatches { schema: schema(2), post: Vec::new() },
-        };
-        let est = [5, 1, 1000, 1, 1];
-        let launch = LaunchPlan::wire(dag.edges(), vec![None; 5], vec![1; 5], &est, vec![None; 5]);
-        assert_eq!(launch.fused, [true, false, false, true, false]);
-        assert_eq!(launch.chain(0), [0, 3, 4]);
-        assert!(launch.waits(3) && launch.waits(4));
-        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+        }
     }
 
     /// A fused edge must be a host edge; a plan marking anything else
@@ -1254,23 +1292,63 @@ mod tests {
     /// reads, fleets of more than one worker.
     #[test]
     fn a_fused_edge_that_is_no_identity_is_fleet_005() {
+        use Placement::{Apart as A, Fused as F};
         let join = two_scan_join_dag();
         let chain = merge_chain_dag();
-        let cases: [(&QueryDag, &[usize], &[bool], &str); 7] = [
-            (&join, &[1, 1, 1], &[true, true, false], "stage 2 already runs in stage 0"),
-            (&join, &[1, 1, 1], &[false, false, true], "the driver reads it"),
-            (&chain, &[1, 1], &[false, true], "the driver reads it"),
-            (&chain, &[2, 1], &[true, false], "producer runs 2 workers"),
-            (&chain, &[1, 3], &[true, false], "consumer stage 1 runs 3 workers"),
-            (&diamond_dag(), &[1; 4], &[true, false, false, false], "4 readers, not one stage"),
-            (&chain, &[1, 1], &[true], "the DAG has 2"),
+        let cases: [(&QueryDag, &[usize], &[Placement], &str); 7] = [
+            (&join, &[1, 1, 1], &[F, F, A], "stage 2 already runs in stage 0"),
+            (&join, &[1, 1, 1], &[A, A, F], "the driver reads it"),
+            (&chain, &[1, 1], &[A, F], "the driver reads it"),
+            (&chain, &[2, 1], &[F, A], "producer runs 2 workers"),
+            (&chain, &[1, 3], &[F, A], "consumer stage 1 runs 3 workers"),
+            (&diamond_dag(), &[1; 4], &[F, A, A, A], "4 readers, not one stage"),
+            (&chain, &[1, 1], &[F], "the DAG has 2"),
         ];
-        for (dag, fleets, fused, says) in cases {
-            let diags = verify_fused(&dag.edges(), fleets, fused);
+        for (dag, fleets, placement, says) in cases {
+            let diags = verify_fused(&dag.edges(), fleets, placement);
             assert_eq!(diags.len(), 1, "{diags:?}");
             assert_eq!(diags[0].code, codes::FLEET_FUSED);
             assert!(diags[0].message.contains(says), "{}", diags[0].message);
         }
+    }
+
+    /// The one finding of `placement` on `dag` with `fleets`.
+    fn one_finding(dag: &QueryDag, fleets: &[usize], placement: &[Placement]) -> String {
+        let diags = verify_fused(&dag.edges(), fleets, placement);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::FLEET_FUSED);
+        diags[0].message.clone()
+    }
+
+    /// A co-hosted stage starts with its reader's host invocation, so it
+    /// must read no edge: a join co-hosted beside the final join's host is
+    /// rejected.
+    #[test]
+    fn a_co_hosted_stage_that_reads_an_edge_is_fleet_005() {
+        use Placement::{Apart as A, CoHosted as C, Fused as F};
+        let message = one_finding(&deepest_chain_dag(), &[1; 5], &[F, C, F, C, A]);
+        assert!(message.contains("stage marked co-hosted but it reads an edge"), "{message}");
+    }
+
+    /// A co-hosted stage hands all its parts to one reader: the diamond's
+    /// scan, read four times, is rejected.
+    #[test]
+    fn a_co_hosted_stage_with_more_than_one_reader_is_fleet_005() {
+        use Placement::{Apart as A, CoHosted as C};
+        let message = one_finding(&diamond_dag(), &[1; 4], &[C, A, A, A]);
+        assert!(message.contains("it has 4 readers, not one stage"), "{message}");
+    }
+
+    /// A co-hosted stage runs in its reader's host invocation: a reader of
+    /// two workers, or one with no host, is rejected.
+    #[test]
+    fn a_co_hosted_stage_whose_reader_is_no_hosted_worker_is_fleet_005() {
+        use Placement::{Apart as A, CoHosted as C};
+        let join = two_scan_join_dag();
+        let message = one_finding(&join, &[1, 1, 2], &[A, C, A]);
+        assert!(message.contains("its consumer stage 2 runs 2 workers"), "{message}");
+        let message = one_finding(&join, &[1, 1, 1], &[A, C, A]);
+        assert!(message.contains("its consumer stage 2 has no host"), "{message}");
     }
 
     /// A waiting stage reads exactly one in-edge besides its host's: the
@@ -1279,16 +1357,17 @@ mod tests {
     /// and every fused plan the launch plan wires passes.
     #[test]
     fn a_waiting_stage_reads_one_other_in_edge() {
+        use Placement::{Apart as A, Fused as F};
         let dag = unbalanced_join_dag();
         let mut edges = dag.edges();
         edges.readers[0].truncate(1);
-        let diags = verify_fused(&edges, &[1; 4], &[true, false, false, false]);
+        let diags = verify_fused(&edges, &[1; 4], &[F, A, A, A]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, codes::FLEET_FUSED);
         assert!(diags[0].message.contains("waits for 0 in-edges besides it"), "{diags:?}");
         let launch = sized(&dag, vec![1; 4]);
         assert!(launch.waits(3));
-        assert!(verify_fused(&launch.edges, &launch.workers, &launch.fused).is_empty());
+        assert!(verify_fused(&launch.edges, &launch.workers, &launch.placement).is_empty());
     }
 
     #[test]

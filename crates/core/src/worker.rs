@@ -21,33 +21,49 @@
 //! result each exist once, whatever the operator. The exchange (§4.4) is
 //! just another operator behind the same handler.
 //!
-//! # Fused chains
+//! # Fused chains and co-hosted scans
 //!
 //! Between two one-worker fleets an exchange edge is an identity: all of
 //! the producer's output goes to the consumer's one worker. The driver
 //! marks such an edge *fused* and runs the consumer inside its *host*,
-//! the producer's invocation ([`StageTask::fused_into`]): `run_chain`
+//! the producer's invocation ([`StageTask::fused_into`]): `run_members`
 //! runs the members one after the other, and a member's sink hands all
 //! its parts — receiver 0's one part, or a sorted run's blocks — to the
 //! next member as the exact [`PartData`] bytes the transport would have
 //! delivered, with no PUT, LIST, GET, partitioning charge or result
 //! message, so the consumer's decode → merge/sort/join path is the one it
 //! runs behind a real edge. The handed parts stand in for one in-edge
-//! ([`FusedStage::slot`]); a member with another in-edge — a join —
-//! reads it from the reports its producers post to the member's inbox
-//! ([`FusedStage::inbox`]) in the same message they send the driver, so
-//! the driver relays nothing: the host keeps the first report per worker
-//! and addresses the edge by the driver's own rule, the same [`InEdge`]
-//! its payload would have carried. The host waits for them at most
-//! [`host_wait`], which prices the idle memory against the member's own
-//! launch, and fails at once on a producer's error; past the bound the
-//! host ships its parts through the transport after all, reports its
-//! section table, and the driver launches the rest of the chain as a
-//! fleet of its own. A handed edge
-//! has no addresses, so a fused sorter has no range boundaries and keeps
-//! every row. A member's operator state is dropped before the next member
-//! starts, every budget check stays, and each member reports its own
-//! metrics ([`WorkerResult::fused`]).
+//! ([`FusedStage::slot`]).
+//!
+//! A member's other one-worker input that it alone reads and that reads
+//! no edge itself — a scan — is *co-hosted* ([`FusedStage::cohosted`]):
+//! `run_chain` starts every co-hosted scan of every member when the
+//! invocation starts, beside the chain, in the one future the invocation
+//! runs, and each hands its parts to its reader in memory as a host does.
+//! So a chain plus its co-hosted scans is one invocation, and a join
+//! beside a co-hosted scan waits for nothing. No scan outlives its
+//! invocation: its error ends the invocation at once, named
+//! `scan:… (co-hosted in …)`; and when the host falls back before the
+//! scan's reader, the scan's parts are dropped — the fleet that picks the
+//! chain up runs it again — while its requests still count in the report
+//! the invocation posts.
+//!
+//! A member with an in-edge that is neither — a join whose other side
+//! runs a fleet of its own — reads it from the reports its producers post
+//! to the member's inbox ([`FusedStage::inbox`]) in the same message they
+//! send the driver, so the driver relays nothing: the host keeps the
+//! first report per worker and addresses the edge by the driver's own
+//! rule, the same [`InEdge`] its payload would have carried. The host
+//! waits for them at most [`host_wait`], which prices the idle memory
+//! against the member's own launch, and fails at once on a producer's
+//! error; past the bound the host ships its parts through the transport
+//! after all, reports its section table, and the driver launches the rest
+//! of the chain as a fleet of its own. A handed edge has no addresses, so
+//! a fused sorter has no range boundaries and keeps every row. A member's
+//! operator state is dropped before the next member starts, every budget
+//! check stays, and each stage reports its own metrics
+//! ([`WorkerResult::fused`]: the members ahead of the last in chain
+//! order, each member's co-hosted scans just before it).
 //!
 //! # Results
 //!
@@ -69,7 +85,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::future::Future;
 use std::ops::Range;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -84,8 +104,8 @@ use lambada_engine::types::{Field, Schema, SchemaRef};
 use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
-use lambada_sim::sync::{mpsc, try_join2};
-use lambada_sim::{Cloud, Prices};
+use lambada_sim::sync::{mpsc, oneshot, try_join2, try_join_all};
+use lambada_sim::{Cloud, Prices, SimTime};
 
 use crate::costmodel::ComputeCostModel;
 use crate::driver::section_tables;
@@ -243,9 +263,21 @@ pub struct FusedStage {
     /// Which of the stage's in-edges the host's handed parts are: its
     /// position among the stage's inputs.
     pub slot: usize,
-    /// Where the stage's other in-edge reaches it; `None` when it reads
-    /// no other edge.
+    /// Where the stage's waiting in-edge reaches it; `None` when it reads
+    /// no edge besides its host's and its co-hosted scans'.
     pub inbox: Option<Inbox>,
+    /// Its co-hosted scans, in input order: they run beside the chain from
+    /// the invocation's start and hand the stage their parts in memory.
+    pub cohosted: Vec<CoHosted>,
+}
+
+/// A one-worker scan co-hosted in its reader's host invocation.
+pub struct CoHosted {
+    /// How errors name it: `scan:customer#0 (co-hosted in scan:orders#2)`.
+    pub label: String,
+    pub task: Rc<StageTask>,
+    /// Which of its reader's in-edges its parts are.
+    pub slot: usize,
 }
 
 /// A hosted stage's other in-edge: its producers post their reports to
@@ -447,9 +479,6 @@ async fn run_handler(
             cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
             match outcome {
                 Ok((result, mut metrics, fused)) => {
-                    // Fused members ahead of the last timed themselves.
-                    let ahead: f64 = fused.iter().map(|(_, m)| m.processing_secs).sum();
-                    metrics.processing_secs = processing - ahead;
                     metrics.cold_start = env.ctx.cold;
                     WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
                 }
@@ -497,15 +526,17 @@ async fn post_to_driver(env: &WorkerEnv, queue: &str, msg: &WorkerResult, encode
     post(env, queue, msg, encoded.to_vec()).await;
 }
 
-/// The stage an invocation of `head`'s chain ran last when it ran `hops`
-/// members after the head: at most the chain's tail.
-fn last_member(head: &StageTask, hops: usize) -> &StageTask {
-    let mut task = head;
-    for _ in 0..hops {
-        match &task.fused_into {
-            Some(next) => task = &next.task,
-            None => break,
+/// The stage an invocation of `head`'s chain ran last when it reported
+/// `ahead` stages before it — each member after the head comes after its
+/// host's report and its co-hosted scans': at most the chain's tail.
+fn last_member(head: &StageTask, ahead: usize) -> &StageTask {
+    let (mut task, mut left) = (head, ahead);
+    while let Some(next) = &task.fused_into {
+        let step = 1 + next.cohosted.len();
+        if left < step {
+            break;
         }
+        (task, left) = (&next.task, left - step);
     }
     task
 }
@@ -528,8 +559,9 @@ type Report = (ResultPayload, WorkerMetrics);
 type Ran = std::result::Result<(ResultPayload, WorkerMetrics, Vec<Report>), String>;
 
 async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
+    let start = env.cloud.handle.now();
     match &payload.task {
-        WorkerTask::Noop => Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new())),
+        WorkerTask::Noop => {}
         WorkerTask::Compute { vcpu_seconds, threads } => {
             let threads = (*threads).max(1);
             let share = vcpu_seconds / threads as f64;
@@ -541,34 +573,98 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
             for j in joins {
                 j.await;
             }
-            Ok((ResultPayload::Empty, WorkerMetrics::default(), Vec::new()))
         }
-        WorkerTask::Stage(task) => run_chain(env, task, &payload.edges).await,
+        WorkerTask::Stage(task) => return run_chain(env, task, &payload.edges).await,
     }
+    let processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
+    let metrics = WorkerMetrics { processing_secs, ..WorkerMetrics::default() };
+    Ok((ResultPayload::Empty, metrics, Vec::new()))
 }
 
-/// Run a stage task and every stage fused after it, one after the
-/// other: the head reads its in-edges at `edges`; every member after it
-/// reads the parts its host handed on and, if it has another in-edge,
-/// the reports its producers post to its inbox. A host waits for those
-/// at most [`host_wait`]; past that it ships its parts through the
-/// transport, reports its section table, and the invocation ends there:
-/// the driver launches the rest of the chain. A member's time runs from
-/// its host's handoff, its wait included. Members ahead of the last are
-/// timed here; an error names the member it happened in.
+/// What a co-hosted scan hands its reader: its report and its parts.
+type Beside = (ResultPayload, WorkerMetrics, Handoff);
+
+/// Run a stage task, every stage fused after it and their co-hosted
+/// scans in one invocation. The chain ([`run_members`]) and every
+/// co-hosted scan start together and run concurrently in this one
+/// future, so none outlives the invocation: an error in any of them ends
+/// it at once, the scan's named `scan:… (co-hosted in …)`. A scan's time
+/// runs from the invocation's start to its handoff. A host that fell back
+/// before a scan's reader drops the scan's parts — the fleet that picks
+/// the chain up runs the scan again — but the scan's requests were this
+/// invocation's, and count in the report it posts.
 async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
-    let mut ahead = Vec::new();
-    let (mut task, mut label, mut handed) = (head, None, None);
+    let start = env.cloud.handle.now();
+    let members = std::iter::successors(head.fused_into.as_ref(), |m| m.task.fused_into.as_ref());
+    let beside: Vec<&CoHosted> = members.flat_map(|m| &m.cohosted).collect();
+    let (senders, receivers): (Vec<_>, VecDeque<_>) =
+        beside.iter().map(|_| oneshot::channel::<Beside>()).unzip();
+    let pending = RefCell::new(receivers);
+    type Branch<'a> =
+        Pin<Box<dyn Future<Output = std::result::Result<Option<Chain>, String>> + 'a>>;
+    let mut branches: Vec<Branch<'_>> =
+        vec![Box::pin(async { run_members(env, head, edges, start, &pending).await.map(Some) })];
+    for (co, tx) in beside.into_iter().zip(senders) {
+        branches.push(Box::pin(async move {
+            let ran = run_stage(env, &co.task, Vec::new(), &[], true).await;
+            let named = |e: CoreError| format!("{}: {e}", co.label);
+            let (payload, mut metrics, handoff) = ran.map_err(named)?;
+            let handoff = handoff.ok_or_else(|| format!("{}: nothing handed on", co.label))?;
+            metrics.processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
+            // The reader may be gone: its host fell back and dropped it.
+            let _ = tx.send((payload, metrics, handoff));
+            Ok(None)
+        }));
+    }
+    let ran = try_join_all(branches).await?.into_iter().flatten().next();
+    let (payload, mut metrics, ahead) =
+        ran.ok_or_else(|| "the chain reported nothing".to_string())?;
+    for dropped in pending.into_inner() {
+        if let Ok((_, dropped, _)) = dropped.await {
+            fold_requests(&mut metrics, &dropped);
+        }
+    }
+    Ok((payload, metrics, ahead))
+}
+
+/// What a chain ran: the last member's report and the reports ahead of it.
+type Chain = (ResultPayload, WorkerMetrics, Vec<Report>);
+
+/// Run a stage task and every stage fused after it, one after the
+/// other, from `start`: the head reads its in-edges at `edges`; every
+/// member after it reads the parts its host handed on, its co-hosted
+/// scans' parts from `pending` (in chain order) and, if it waits for
+/// another in-edge, the reports its producers post to its inbox. A host
+/// waits for those at most [`host_wait`]; past that it ships its parts
+/// through the transport, reports its section table, and the chain ends
+/// there: the driver launches the rest of it. A member's time runs from
+/// its host's handoff, its waits included; an error names the member it
+/// happened in. The reports ahead of the last are in chain order, each
+/// member's co-hosted scans just before it.
+async fn run_members(
+    env: &WorkerEnv,
+    head: &StageTask,
+    edges: &[InEdge],
+    start: SimTime,
+    pending: &RefCell<VecDeque<oneshot::Receiver<Beside>>>,
+) -> std::result::Result<Chain, String> {
+    let (mut ahead, mut hosts) = (Vec::new(), Vec::new());
+    let (mut task, mut label, mut handed) = (head, None, Vec::new());
     let mut edges = Cow::Borrowed(edges);
-    let mut start = env.cloud.handle.now();
+    let mut member_start = start;
+    // The last member's time is the chain's less its hosts'.
+    let last_secs =
+        |hosts: &[f64]| (env.cloud.handle.now() - start).as_secs_f64() - hosts.iter().sum::<f64>();
     loop {
         let named = |e: CoreError| match label {
             Some(label) => format!("{label}: {e}"),
             None => e.to_string(),
         };
-        let ran = run_stage(env, task, handed.take(), &edges).await;
+        let hands_on = task.fused_into.is_some();
+        let ran = run_stage(env, task, std::mem::take(&mut handed), &edges, hands_on).await;
         let (payload, mut metrics, handoff) = ran.map_err(named)?;
         let (Some(next), Some(handoff)) = (&task.fused_into, handoff) else {
+            metrics.processing_secs = last_secs(&hosts);
             return Ok((payload, metrics, ahead));
         };
         let handed_off = env.cloud.handle.now();
@@ -581,15 +677,29 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
                     None => {
                         let payload =
                             ship(env, task, handoff, &mut metrics).await.map_err(named)?;
+                        metrics.processing_secs = last_secs(&hosts);
                         return Ok((payload, metrics, ahead));
                     }
                 }
             }
         };
-        metrics.processing_secs = (handed_off - start).as_secs_f64();
+        metrics.processing_secs = (handed_off - member_start).as_secs_f64();
+        hosts.push(metrics.processing_secs);
         ahead.push((payload, metrics));
-        (task, label, handed, start) =
-            (&next.task, Some(&next.label), Some((next.slot, handoff.parts)), handed_off);
+        handed.push((next.slot, handoff.parts));
+        for co in &next.cohosted {
+            let scan = pending.borrow_mut().pop_front();
+            let handed_on = match scan {
+                Some(scan) => scan.await.ok(),
+                None => None,
+            };
+            let Some((payload, metrics, handoff)) = handed_on else {
+                return Err(format!("{}: handed nothing on", co.label));
+            };
+            ahead.push((payload, metrics));
+            handed.push((co.slot, handoff.parts));
+        }
+        (task, label, member_start) = (&next.task, Some(&next.label), handed_off);
     }
 }
 
@@ -699,6 +809,19 @@ fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
     stats.bytes_written + stats.p2p_bytes + stats.inline_bytes
 }
 
+/// Fold the requests `from` spent into `into`: a co-hosted scan's whose
+/// parts its invocation dropped.
+fn fold_requests(into: &mut WorkerMetrics, from: &WorkerMetrics) {
+    into.bytes_read += from.bytes_read;
+    into.get_requests += from.get_requests;
+    into.hedged_gets += from.hedged_gets;
+    into.bytes_written += from.bytes_written;
+    into.put_requests += from.put_requests;
+    into.hedged_puts += from.hedged_puts;
+    into.p2p_requests += from.p2p_requests;
+    into.p2p_bytes += from.p2p_bytes;
+}
+
 /// Fold one stage-edge receive's request accounting into the worker
 /// metrics.
 fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
@@ -765,15 +888,11 @@ async fn read_edge(
     Ok(payloads)
 }
 
-/// The parts a host handed on, if they are `edge`'s.
-fn handed_for(
-    handed: &mut Option<(usize, Vec<PartData>)>,
-    edge: &EdgeRead,
-) -> Option<Vec<PartData>> {
-    match handed {
-        Some((slot, _)) if *slot == edge.slot => handed.take().map(|(_, parts)| parts),
-        _ => None,
-    }
+/// The parts handed on in memory for `edge`, if any: by its host or a
+/// co-hosted scan.
+fn handed_for(handed: &mut Vec<(usize, Vec<PartData>)>, edge: &EdgeRead) -> Option<Vec<PartData>> {
+    let at = handed.iter().position(|(slot, _)| *slot == edge.slot)?;
+    Some(handed.swap_remove(at).1)
 }
 
 /// Decode received edge payloads into record batches, one payload at a
@@ -955,14 +1074,16 @@ async fn drive_scan(
 /// agg state or batches inline, one stored object, or a write onto the
 /// out-edge (§4.4's "operators that repartition data", executed with no
 /// infrastructure beyond storage and functions). `edges` addresses the
-/// in-edges; `handed` is the parts a host handed on for one of them, by
-/// its slot. What this stage hands on, if its own out-edge is fused,
-/// comes back beside the report.
+/// in-edges; `handed` is, by slot, the parts its host and co-hosted scans
+/// handed on in memory for some of them. When the stage `hands_on` — its
+/// out-edge is fused, or it is co-hosted — what it would ship comes back
+/// beside the report instead.
 async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
-    mut handed: Option<(usize, Vec<PartData>)>,
+    mut handed: Vec<(usize, Vec<PartData>)>,
     edges: &[InEdge],
+    hands_on: bool,
 ) -> Result<(ResultPayload, WorkerMetrics, Option<Handoff>)> {
     let p = env.worker_id as usize;
     let budget = env.engine_memory_budget();
@@ -1167,7 +1288,7 @@ async fn run_stage(
     };
     metrics.rows_exchanged += rows;
     let handoff = Handoff { rows, parts, starts };
-    if task.fused_into.is_some() {
+    if hands_on {
         // The parts go to the next stage as they are: no request, no
         // partitioning charge.
         return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, Some(handoff)));
@@ -1233,7 +1354,9 @@ mod tests {
         };
         let sink = StageSink::Edge { channel: "x0/q0/s0".to_string(), inline_budget: 0 };
         let task = scan_task(terminal, StageOutput::AggExchange, sink);
-        let err = sim.block_on(async move { run_stage(&env, &task, None, &[]).await.unwrap_err() });
+        let err = sim.block_on(async move {
+            run_stage(&env, &task, Vec::new(), &[], false).await.unwrap_err()
+        });
         assert!(
             matches!(&err, CoreError::Engine(m) if m.contains("needs a sharding terminal")),
             "got: {err}"
@@ -1396,7 +1519,9 @@ mod tests {
         };
         for (r, rows) in [(0usize, 0..21i64), (1, 21..64)] {
             let (env, edge) = (env(r as u64), edges[r].clone());
-            let ran = sim.block_on(async { run_stage(&env, &task, None, &[edge]).await.unwrap() });
+            let ran = sim.block_on(async {
+                run_stage(&env, &task, Vec::new(), &[edge], false).await.unwrap()
+            });
             let ResultPayload::InlineBatches { bytes, .. } = &ran.0 else { panic!("{:?}", ran.0) };
             let got = crate::partition::decode_batches(bytes).unwrap();
             let got: Vec<i64> =
@@ -1450,11 +1575,11 @@ mod tests {
             now() - start
         });
         for (what, handed, edges) in
-            [("addressed", None, addressed), ("fused", Some((0, parts)), vec![])]
+            [("addressed", Vec::new(), addressed), ("fused", vec![(0, parts)], vec![])]
         {
             let (ran, took) = sim.block_on(async {
                 let start = now();
-                let ran = run_stage(&env, &task, handed, &edges).await.unwrap();
+                let ran = run_stage(&env, &task, handed, &edges, false).await.unwrap();
                 (ran, now() - start)
             });
             let ResultPayload::InlineBatches { bytes, .. } = ran.0 else { panic!("{what}") };

@@ -451,6 +451,60 @@ where
     }
 }
 
+/// Await the futures of a vector together in one task: resolves with the
+/// first error as soon as any fails (dropping the rest, like
+/// [`try_join2`] drops its `b`), otherwise once all have finished, with
+/// their values in input order. Each poll drives the unfinished futures
+/// in input order, so same-instant progress is in that order. The
+/// futures may borrow from the caller; they share one type, so mixed
+/// futures come boxed.
+pub fn try_join_all<T, E, F>(futures: Vec<F>) -> TryJoinAll<T, F>
+where
+    F: Future<Output = Result<T, E>> + Unpin,
+{
+    let outs = futures.iter().map(|_| None).collect();
+    TryJoinAll { futures: futures.into_iter().map(Some).collect(), outs }
+}
+
+pub struct TryJoinAll<T, F> {
+    /// `None` once finished.
+    futures: Vec<Option<F>>,
+    outs: Vec<Option<T>>,
+}
+
+// The futures are `Unpin` and the outputs are plain values: nothing here
+// is structurally pinned.
+impl<T, F: Unpin> Unpin for TryJoinAll<T, F> {}
+
+impl<T, E, F> Future for TryJoinAll<T, F>
+where
+    F: Future<Output = Result<T, E>> + Unpin,
+{
+    type Output = Result<Vec<T>, E>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        for (slot, out) in this.futures.iter_mut().zip(&mut this.outs) {
+            let Some(future) = slot else { continue };
+            match Pin::new(future).poll(cx) {
+                Poll::Ready(Ok(v)) => {
+                    *out = Some(v);
+                    *slot = None;
+                }
+                Poll::Ready(Err(e)) => {
+                    this.futures.clear();
+                    return Poll::Ready(Err(e));
+                }
+                Poll::Pending => {}
+            }
+        }
+        if this.futures.iter().any(Option::is_some) {
+            return Poll::Pending;
+        }
+        Poll::Ready(Ok(this.outs.iter_mut().filter_map(Option::take).collect()))
+    }
+}
+
 /// Await the futures of a vector **one after the other**, returning
 /// outputs in input order. Only futures that already run on their own —
 /// [`crate::JoinHandle`]s of spawned tasks — overlap; plain futures start
@@ -646,6 +700,41 @@ mod tests {
             join_all(spawned).await
         });
         assert_eq!(sim.now().as_secs_f64(), 1.0, "spawned tasks overlap");
+    }
+
+    #[test]
+    fn try_join_all_overlaps_and_returns_at_the_first_error_of_any() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let log = RefCell::new(Vec::new());
+        let out = sim.block_on(async {
+            let step = |name: &'static str, s: f64, ok: bool| {
+                let (h, log) = (&h, &log);
+                Box::pin(async move {
+                    h.sleep(secs(s)).await;
+                    log.borrow_mut().push(name);
+                    if ok {
+                        Ok(name)
+                    } else {
+                        Err(name)
+                    }
+                })
+            };
+            let all = try_join_all(vec![step("a", 2.0, true), step("b", 1.0, true)]).await;
+            // `d` fails after 1 s: neither `c`'s nor `e`'s rest is waited for.
+            let failed = try_join_all(vec![
+                step("c", 5.0, true),
+                step("d", 1.0, false),
+                step("e", 9.0, true),
+            ])
+            .await;
+            (all, failed)
+        });
+        assert_eq!(out.0, Ok(vec!["a", "b"]), "values in input order");
+        assert_eq!(out.1, Err("d"));
+        assert_eq!(*log.borrow(), vec!["b", "a", "d"]);
+        assert_eq!(sim.now().as_secs_f64(), 3.0, "2 s + 1 s");
+        assert_eq!(sim.pending_timers(), 0, "the dropped sleeps cancelled their timers");
     }
 
     #[test]

@@ -17,7 +17,8 @@ use lambada::sim::{Cloud, CloudConfig, Prices, Simulation};
 /// per-worker request counters. Stage labels carry the operator that
 /// actually ran — `semi-join#2`, not a generic `join#2` — and `chain`
 /// names the stage whose invocation ran it (a one-worker stage fused
-/// after its one-worker producer runs in the producer's). The total row
+/// after its one-worker producer runs in the producer's, and a one-worker
+/// scan co-hosted beside it in the same one). The total row
 /// counts invocations, not fleet slots.
 fn print_stages(title: &str, report: &lambada::core::QueryReport) {
     println!("\n{title}");

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use common::assert_quiescent;
 use lambada::core::{
-    inject_query_worker_faults, inject_worker_faults, CoreError, Lambada, LambadaConfig,
+    inject_query_worker_faults, inject_worker_faults, CoreError, Lambada, LambadaConfig, Placement,
     SortStrategy, StageOp, TransportKind, WorkerTask,
 };
 use lambada::engine::{RecordBatch, Scalar};
@@ -938,8 +938,8 @@ fn a_hosts_other_side_error_ends_its_wait_at_once() {
     system.register_table(li_spec);
     system.register_table(ord_spec);
     let plan = lambada::workloads::q12("lineitem", "orders");
-    let fused = system.launch_plan(&system.plan(&plan).unwrap(), None).unwrap().fused;
-    assert!(fused[0], "the orders scan hosts the join");
+    let placement = system.launch_plan(&system.plan(&plan).unwrap(), None).unwrap().placement;
+    assert_eq!(placement[0], Placement::Fused, "the orders scan hosts the join");
     let queues = cloud.sqs.queue_count();
     sim.block_on(system.run_query(&plan)).unwrap();
     cloud.s3.delete_objects(&gone.bucket, [&gone.key]);

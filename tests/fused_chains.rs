@@ -9,7 +9,10 @@
 //! the driver and a backed-up producer once; a host whose other side is
 //! late falls back to the transport after a bounded wait, a killed host
 //! ends in a typed timeout, and no path leaves a queue, an endpoint or an
-//! object behind.
+//! object behind. A one-worker scan that a hosted join alone reads runs
+//! beside the chain in the host's invocation: a host that falls back runs
+//! it again in the fleet that picks the chain up, with every request
+//! counted, and its error ends the invocation at once.
 
 mod common;
 
@@ -20,13 +23,14 @@ use std::time::Duration;
 use common::assert_quiescent;
 use lambada::core::worker::host_wait;
 use lambada::core::{
-    inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryDag,
-    QueryReport, QueryService, ServiceConfig, SortStrategy, StageOp, TransportKind, WorkerTask,
+    inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, Placement,
+    QueryDag, QueryReport, QueryService, ServiceConfig, SortStrategy, StageOp, StageReport,
+    TransportKind, WorkerTask,
 };
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
 };
-use lambada::sim::{Cloud, CloudConfig, InjectedFault, Region, Simulation};
+use lambada::sim::{Cloud, CloudConfig, CostItem, InjectedFault, Region, Simulation};
 use lambada::workloads::{
     lineitem_schema, stage_real, stage_real_customer, stage_real_orders, CustomerStageOptions,
     OrdersStageOptions, StageOptions,
@@ -94,8 +98,10 @@ fn config(sort: bool, transport: TransportKind) -> LambadaConfig {
     }
 }
 
-/// A query, whether it sorts serverlessly, and the fused edges its
-/// model-sized fleets must have, as `(host, consumer)` labels.
+/// A query, whether it sorts serverlessly, and the edges its model-sized
+/// fleets must hand on in memory, as `(producer, consumer)` labels in
+/// chain order: a consumer's first pair names its host, a later one a
+/// scan co-hosted in that host's invocation.
 struct Case {
     name: &'static str,
     plan: LogicalPlan,
@@ -115,10 +121,12 @@ fn cases() -> Vec<Case> {
             name: "Q5",
             plan: lambada::workloads::q5("lineitem", "orders", "customer"),
             sort: true,
-            // The orders scan's chain is the deeper input of join#4.
+            // The orders scan's chain is the deeper input of join#4; the
+            // one-worker customer scan is co-hosted beside it.
             fused: &[
                 ("scan:orders#2", "join#3"),
                 ("join#3", "join#4"),
+                ("scan:customer#0", "join#4"),
                 ("join#4", "agg#5"),
                 ("agg#5", "sort#6"),
             ],
@@ -157,10 +165,17 @@ fn edge_objects(
 fn check_fused_run(case: &Case, dag: &QueryDag, report: &QueryReport, what: &str) {
     let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
     let fused: Vec<(usize, usize)> = case.fused.iter().map(|(p, c)| (id(p), id(c))).collect();
-    // The chains are exactly the expected fused edges.
+    // The chains are exactly the expected handed edges: a consumer runs
+    // in its host's chain, and a co-hosted scan in its reader's.
+    let mut head: Vec<Option<usize>> = vec![None; report.stages.len()];
+    for &(p, c) in &fused {
+        match head[c] {
+            None => head[c] = Some(head[p].unwrap_or(p)),
+            Some(h) => head[p] = Some(h),
+        }
+    }
     for s in &report.stages {
-        let fused_after = fused.iter().find(|&&(_, c)| c == s.id).map(|&(p, _)| p);
-        let head = fused_after.map_or(s.id, |p| report.stages[p].chain);
+        let head = head[s.id].unwrap_or(s.id);
         assert_eq!(s.chain, head, "{what}: {} ran in the chain of stage {}", s.label, s.chain);
     }
     let slots: usize = report.stages.iter().map(|s| s.workers).sum();
@@ -249,21 +264,24 @@ fn model_sized_tails_fuse_and_match_the_reference() {
 /// Every host of `report`'s run that fell back at a waiting member did so
 /// the bounded way: its own wait for that member lasted at least its
 /// bound — the shortest, with no free quantum and no spill — and the
-/// fallback cost exactly one invocation more. A case's chain waits at its
-/// joins one after the other, and each join is waited for once — by the
-/// invocation it holds in or falls back from — so the run's waits, in
-/// time order, are its joins' in chain order.
+/// fallback cost exactly one invocation more. A join waits when only its
+/// host hands it an edge — beside a co-hosted scan it waits for nothing.
+/// A case's chain waits at its waiting joins one after the other, and
+/// each is waited for once — by the invocation it holds in or falls back
+/// from — so the run's waits, in time order, are those joins' in chain
+/// order.
 fn bounded_fallbacks(case: &Case, cloud: &Cloud, memory: u32, report: &QueryReport, what: &str) {
     let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
     let fell_back = |label: &str| report.stages[id(label)].chain == id(label);
-    let fallbacks = case.fused.iter().filter(|(_, c)| fell_back(c)).count();
+    let handed = |c: &str| case.fused.iter().filter(|&&(_, x)| x == c).count();
+    let waiting = |c: &&str| c.starts_with("join") && handed(c) == 1;
+    let joins: Vec<&str> = case.fused.iter().map(|&(_, c)| c).filter(waiting).collect();
+    let fallbacks = joins.iter().filter(|c| fell_back(c)).count();
     let slots: usize = report.stages.iter().map(|s| s.workers).sum();
     let invocations = slots - case.fused.len() + fallbacks;
     assert_eq!(report.invocations() as usize, invocations, "{what}: one more a fallback");
     let (prices, quantum) = (cloud.billing.prices(), cloud.config.faas.billing_quantum);
     let bound = host_wait(&prices, memory, quantum, 0.0, false);
-    let joins: Vec<&str> =
-        case.fused.iter().map(|&(_, c)| c).filter(|c| c.starts_with("join")).collect();
     let mut waits = cloud.trace.spans("inbox_wait");
     waits.sort_by_key(|w| w.start);
     assert_eq!(waits.len(), joins.len(), "{what}: one wait a join, {waits:?}");
@@ -331,7 +349,8 @@ fn an_oom_in_a_fused_member_names_the_member() {
         .build();
     let dag = system.plan(&plan).unwrap();
     let launch = system.launch_plan(&dag, None).unwrap();
-    assert_eq!(launch.fused, vec![true, false], "the scan hands its run to the sort");
+    let fused = vec![Placement::Fused, Placement::Apart];
+    assert_eq!(launch.placement, fused, "the scan hands its run to the sort");
     let err = sim.block_on(async move { system.run_query(&plan).await.unwrap_err() });
     let CoreError::Worker { message, .. } = &err else { panic!("expected a worker error: {err}") };
     assert!(message.starts_with("sort#1 (fused after scan:lineitem#0): "), "{message}");
@@ -516,5 +535,98 @@ fn a_backed_up_producer_reaches_the_host_once() {
     let execs = cloud.trace.spans("faas_exec");
     let wait = cloud.trace.spans("inbox_wait").pop().unwrap();
     assert_eq!(execs.iter().filter(|e| e.end <= wait.start).count(), 3, "{execs:?}");
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// Every lineitem worker runs 30× slow.
+fn slow_lineitem(p: &lambada::core::WorkerPayload) -> Option<InjectedFault> {
+    scans(p, "lineitem").then(|| InjectedFault::slowdown(30.0))
+}
+
+/// Q5's customer scan runs beside the chain in the orders scan's
+/// invocation. Warm, then with every lineitem worker 30× slow, the host
+/// falls back at join#3 — the lineitem reports miss its bound — and drops
+/// the scan's parts; the fleet that picks the chain up at join#3 runs the
+/// scan again. On both transports the result is the reference's bit for
+/// bit, the fallback costs one invocation, the dropped scan's requests
+/// count in the host's report — so the stages' GETs and PUTs are exactly
+/// the billed ones — and nothing is left behind.
+#[test]
+fn a_host_that_falls_back_runs_its_co_hosted_scan_again() {
+    for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+        let what = format!("{transport:?}");
+        let case = cases().remove(1);
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = config(case.sort, transport);
+        let mut system = Lambada::install(&cloud, config.clone());
+        let cat = stage_tables(&cloud, &mut system);
+        let reference =
+            execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
+        let dag = system.plan(&case.plan).unwrap();
+        let queues = cloud.sqs.queue_count();
+        let warm = sim.block_on(system.run_query(&case.plan)).unwrap();
+        check_fused_run(&case, &dag, &warm, &format!("{what}, warm-up"));
+        inject_query_worker_faults(&cloud, slow_lineitem);
+        let report = sim.block_on(system.run_query(&case.plan)).unwrap();
+        assert_eq!(report.batch, reference, "{what}: bit for bit");
+
+        let id = |label: &str| report.stages.iter().position(|s| s.label == label).unwrap();
+        let (host, join, customer) = (id("scan:orders#2"), id("join#3"), id("scan:customer#0"));
+        assert_eq!(report.stages[join].chain, join, "{what}: the host fell back at join#3");
+        assert_eq!(report.stages[customer].chain, join, "{what}: the fallback ran the scan");
+        let slots: usize = report.stages.iter().map(|s| s.workers).sum();
+        assert_eq!(report.invocations() as usize, slots - case.fused.len() + 1, "{what}");
+        // The host's GETs are its own scan's and the dropped scan's.
+        let gets = |r: &QueryReport, sid: usize| r.stages[sid].get_requests;
+        assert_eq!(gets(&report, host), gets(&warm, host) + gets(&warm, customer), "{what}");
+        assert_eq!(gets(&report, customer), gets(&warm, customer), "{what}");
+        let billed = |item| report.cost.units(item) as u64;
+        let counted = |f: fn(&StageReport) -> u64| report.stages.iter().map(f).sum::<u64>();
+        let (got, put) = (counted(|s| s.get_requests + s.hedged_gets), billed(CostItem::S3Put));
+        assert_eq!(billed(CostItem::S3Get), got, "{what}: every billed GET is a stage's");
+        assert_eq!(put, counted(|s| s.put_requests + s.hedged_puts), "{what}: and every PUT");
+        assert_quiescent(&sim, &cloud, &config, queues);
+    }
+}
+
+/// A co-hosted scan's error ends its invocation at once. Q5 over a
+/// customer table whose file keys do not exist, with every lineitem
+/// worker 30× slow so that the host's join#3 wait would last its whole
+/// bound, fails with the scan's typed error, named by the scan and the
+/// chain it is co-hosted in. The host's invocation ends before that wait
+/// could, and the query leaves nothing behind.
+#[test]
+fn a_co_hosted_scan_error_ends_its_invocation_at_once() {
+    let case = cases().remove(1);
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let config = config(case.sort, TransportKind::ObjectStore);
+    let mut system = Lambada::install(&cloud, config.clone());
+    stage_tables(&cloud, &mut system);
+    let mut customer = stage_real_customer(&cloud, "tpch", "customer", customer_opts());
+    for file in &mut customer.files {
+        file.key.push_str(".gone");
+    }
+    let gone = customer.files[0].key.clone();
+    system.register_table(customer);
+    let queues = cloud.sqs.queue_count();
+    // Q12 warms as many containers as Q5 launches invocations.
+    sim.block_on(system.run_query(&cases().remove(0).plan)).unwrap();
+    inject_query_worker_faults(&cloud, slow_lineitem);
+    cloud.trace.clear();
+    let start = sim.now();
+    let err = sim.block_on(system.run_query(&case.plan)).unwrap_err();
+    let CoreError::Worker { message, .. } = &err else { panic!("a worker error: {err}") };
+    let named = "scan:customer#0 (co-hosted in scan:orders#2): ";
+    assert!(message.starts_with(named) && message.contains(&gone), "{message}");
+
+    let (prices, quantum) = (cloud.billing.prices(), cloud.config.faas.billing_quantum);
+    let bound = host_wait(&prices, config.memory_mib, quantum, 0.0, false);
+    let waits = cloud.trace.spans("inbox_wait");
+    assert!(waits.is_empty(), "the host's wait never ended: {waits:?}");
+    let host_end = cloud.trace.spans("faas_exec").iter().map(|e| e.end).min().unwrap();
+    let by = start + Duration::from_secs_f64(bound);
+    assert!(host_end < by, "the host ended at {host_end}, the wait not before {by}");
     assert_quiescent(&sim, &cloud, &config, queues);
 }

@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lambada::core::{AggStrategy, ExecPolicy, Lambada, LambadaConfig, SortStrategy, TransportKind};
+use lambada::core::{
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, Placement, SortStrategy, TransportKind,
+};
 use lambada::engine::{
     execute_into_batch, lit_i64, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, Schema, SortKey,
@@ -291,7 +293,10 @@ proptest! {
         let system = staged.system;
         let (fused, reports) = staged.sim.block_on(async move {
             let dag = system.plan(&plan).unwrap();
-            let fused = system.launch_plan(&dag, None).unwrap().fused.iter().filter(|&&f| f).count();
+            // Co-hosted scans count with the fused stages: each runs in
+            // another stage's invocation.
+            let placement = system.launch_plan(&dag, None).unwrap().placement;
+            let fused = placement.iter().filter(|&&p| p != Placement::Apart).count();
             let mut reports = Vec::new();
             // Cold first, then warm on each transport.
             for transport in [TransportKind::ObjectStore, TransportKind::ObjectStore, TransportKind::Direct] {
