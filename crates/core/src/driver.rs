@@ -615,7 +615,9 @@ pub struct LaunchPlan<'a> {
     /// ship inline: its [`crate::transport::inline_budget`] among every
     /// sender of all the reader's in-edges — its
     /// [`crate::transport::block_budget`] on a sort edge — the smallest
-    /// over its readers. `u64::MAX` for the driver-bound last stage,
+    /// over its readers. A reader that heads a chain leaves room beside
+    /// the sections for its chain's co-hosted inline files, which ride
+    /// the same payload. `u64::MAX` for the driver-bound last stage,
     /// which ships nothing.
     pub inline_budgets: Vec<u64>,
     /// For scan stages, the scanned table and each worker's run of its
@@ -653,29 +655,6 @@ impl<'a> LaunchPlan<'a> {
         scans: Vec<Option<ScanFleet>>,
     ) -> LaunchPlan<'a> {
         let n = workers.len();
-        let mut partitions = vec![0; n];
-        let mut sort_edges = vec![None; n];
-        let mut inline_budgets = vec![u64::MAX; n];
-        for (pid, readers) in edges.readers.iter().enumerate() {
-            for reader in readers {
-                let Some(consumer) = reader.stage else { continue };
-                partitions[pid] = workers[consumer];
-                let senders = edges.dag.stages[consumer].inputs().iter().map(|&i| workers[i]).sum();
-                let mut share = crate::transport::inline_budget(senders, workers[consumer]);
-                if let (ReaderRole::SortInput, StageKind::Sort(s)) =
-                    (reader.role, &edges.dag.stages[consumer])
-                {
-                    let keys = s.keys.len();
-                    share = crate::transport::block_budget(senders, workers[consumer], keys);
-                    sort_edges[pid] = Some(SortEdgeSpec {
-                        keys: s.keys.clone(),
-                        limit: s.limit,
-                        schema: s.schema.clone(),
-                    });
-                }
-                inline_budgets[pid] = inline_budgets[pid].min(share);
-            }
-        }
         // Stages are in topological order, so every input's chain depth
         // is final before its reader picks a host.
         let (mut placement, mut depth) = (vec![Placement::Apart; n], vec![1usize; n]);
@@ -698,16 +677,57 @@ impl<'a> LaunchPlan<'a> {
                 }
             }
         }
-        LaunchPlan {
+        let mut launch = LaunchPlan {
             edges,
             pins,
             workers,
-            partitions,
-            sort_edges,
+            partitions: vec![0; n],
+            sort_edges: vec![None; n],
             placement,
-            inline_budgets,
+            inline_budgets: vec![u64::MAX; n],
             scans,
+        };
+        // A chain head's payload carries its chain's co-hosted inline files
+        // beside its in-edges' inline sections.
+        let beside: Vec<usize> = (0..n).map(|c| launch.cohosted_inline_bytes(c)).collect();
+        let (edges, workers) = (&launch.edges, &launch.workers);
+        for (pid, readers) in edges.readers.iter().enumerate() {
+            for reader in readers {
+                let Some(consumer) = reader.stage else { continue };
+                launch.partitions[pid] = workers[consumer];
+                let senders = edges.dag.stages[consumer].inputs().iter().map(|&i| workers[i]).sum();
+                let fleet = workers[consumer];
+                let mut share = crate::transport::inline_budget(senders, fleet, beside[consumer]);
+                if let (ReaderRole::SortInput, StageKind::Sort(s)) =
+                    (reader.role, &edges.dag.stages[consumer])
+                {
+                    let keys = s.keys.len();
+                    share = crate::transport::block_budget(senders, fleet, keys, beside[consumer]);
+                    launch.sort_edges[pid] = Some(SortEdgeSpec {
+                        keys: s.keys.clone(),
+                        limit: s.limit,
+                        schema: s.schema.clone(),
+                    });
+                }
+                launch.inline_budgets[pid] = launch.inline_budgets[pid].min(share);
+            }
         }
+        launch
+    }
+
+    /// The inline file bytes of the scans co-hosted in `sid`'s chain, if
+    /// `sid` heads one: its payload carries them. A co-hosted scan has one
+    /// worker, so its one run of files.
+    fn cohosted_inline_bytes(&self, sid: usize) -> usize {
+        if !self.is_chain_head(sid) {
+            return 0;
+        }
+        let cohosted =
+            self.chain(sid).into_iter().filter(|&p| self.placement[p] == Placement::CoHosted);
+        let runs = cohosted.filter_map(|p| self.scans[p].as_ref());
+        let files =
+            runs.flat_map(|(table, chunks)| chunks.iter().flat_map(|c| &table.files[c.clone()]));
+        files.map(|f| f.inline_bytes() as usize).sum()
     }
 
     /// The stage `sid` hands its parts to in memory — its one reader —
@@ -818,7 +838,7 @@ impl Lambada {
     }
 
     /// Register a table through a shared (`&self`) handle — how the
-    /// streaming runtime registers each micro-batch's staged table on the
+    /// streaming runtime registers each micro-batch's table on the
     /// installation the query service holds in an `Rc`.
     pub fn register_table_shared(&self, spec: TableSpec) {
         self.tables.borrow_mut().insert(spec.name.clone(), Rc::new(spec));
@@ -1417,10 +1437,14 @@ enum Packing {
 /// a worker reads its files at once, so its run costs one round of
 /// first-byte latency where as many workers would cost as many
 /// invocations and billing quanta. When the policy's fleet cap binds, the
-/// files are dealt evenly to `cap` workers. [`Lambada::launch_plan`] is
-/// the one caller: the chunks it hands the payload builder and the worker
-/// count that fixes exchange sender counts come from the same call, so the
-/// planned count always equals the number of payloads built.
+/// files are dealt evenly to `cap` workers. Inline files ride their
+/// worker's payload: last, any run of several files whose inline bytes
+/// exceed the fleet's [`invoke::inline_file_budget`] is halved, the cap
+/// notwithstanding, until every such run fits, so no payload is refused.
+/// [`Lambada::launch_plan`] is the one caller: the chunks it hands the
+/// payload builder and the worker count that fixes exchange sender counts
+/// come from the same call, so the planned count always equals the number
+/// of payloads built.
 fn scan_chunks(
     files: &[crate::table::TableFile],
     packing: Packing,
@@ -1442,10 +1466,20 @@ fn scan_chunks(
             chunks
         }
     };
-    match fleet_cap {
+    let mut chunks = match fleet_cap {
         Some(cap) if chunks.len() > cap.max(1) => dealt(0..n, cap.max(1)).collect(),
         _ => chunks,
+    };
+    let inline = |c: &Range<usize>| files[c.clone()].iter().map(|f| f.inline_bytes()).sum::<u64>();
+    while let Some(i) = chunks
+        .iter()
+        .position(|c| c.len() > 1 && inline(c) > invoke::inline_file_budget(chunks.len()))
+    {
+        let c = chunks.remove(i);
+        let mid = c.start + c.len() / 2;
+        chunks.splice(i..i, [c.start..mid, mid..c.end]);
     }
+    chunks
 }
 
 /// `files` dealt to `workers` contiguous runs whose lengths differ by at
@@ -1909,8 +1943,9 @@ mod tests {
     use lambada_engine::logical::SortKey;
     use lambada_engine::types::{Field, Schema};
     use lambada_engine::{AggExpr, AggFunc};
+    use lambada_sim::region::Region;
     use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
-    use lambada_sim::services::object_store::Bytes;
+    use lambada_sim::services::object_store::{Body, Bytes};
     use lambada_sim::{secs, CloudConfig, Simulation};
 
     /// A cloud with the worker function registered and a `results` queue.
@@ -1979,7 +2014,7 @@ mod tests {
         let (sim, cloud, config) = installed();
         let (senders, receivers) = (256, 128);
         assert_eq!(choose_strategy(cloud.region(), receivers), InvocationStrategy::TwoLevel);
-        let budget = crate::transport::inline_budget(senders, receivers);
+        let budget = crate::transport::inline_budget(senders, receivers, 0);
         let group = build_tree(vec![payload(0, Vec::new()); receivers])[0].children.len() + 1;
         assert_eq!(group, invoke::tree_shape(receivers).1);
         let addresses = group * senders * ADDRESS_BYTES;
@@ -2145,6 +2180,103 @@ mod tests {
         assert_eq!(chunks(&[10; 7], Packing::Pinned(3), None), vec![0..3, 3..6, 6..7]);
         assert_eq!(lens(chunks(&[500; 10], by_size, Some(4))), vec![2, 3, 2, 3]);
         assert_eq!(chunks(&[10; 8], by_size, Some(2)), vec![0..4, 4..8], "the cap does not bind");
+    }
+
+    /// `n` inline files of `size` bytes each.
+    fn inline_files(n: usize, size: usize) -> Vec<TableFile> {
+        let body = |i: usize| Body::from_vec(vec![i as u8; size]);
+        (0..n).map(|i| TableFile::inline(format!("b/p{i}"), body(i))).collect()
+    }
+
+    /// Inline files pack as stored ones do while a worker's files fit the
+    /// fleet's inline budget; past it a run is halved until every run of
+    /// several files fits — also against a binding fleet cap, which then
+    /// does not hold — so no payload, first-generation ones included, is
+    /// over the invoke cap.
+    #[test]
+    fn inline_files_pack_within_the_payload_budget() {
+        let by_size = Packing::BySize { latency_bound: 1 << 20, connections: 4 };
+        let fits = |files: &[TableFile], chunks: &[Range<usize>]| {
+            let budget = invoke::inline_file_budget(chunks.len());
+            let bytes =
+                |c: &Range<usize>| files[c.clone()].iter().map(|f| f.inline_bytes()).sum::<u64>();
+            chunks.iter().all(|c| bytes(c) <= budget)
+        };
+        let small = inline_files(8, 1_000);
+        assert_eq!(scan_chunks(&small, by_size, None), vec![0..4, 4..8], "today's packing");
+        // Four 40 KB files to each of four workers would be 160 KB a
+        // worker, past a two-worker tree group's share (126 KB): two each.
+        let large = inline_files(16, 40_000);
+        let chunks = scan_chunks(&large, by_size, None);
+        assert_eq!(chunks, (0..8).map(|w| 2 * w..2 * w + 2).collect::<Vec<_>>());
+        assert!(fits(&large, &chunks));
+        let capped = scan_chunks(&large, by_size, Some(2));
+        assert!(capped.len() > 2 && fits(&large, &capped), "past the cap: {capped:?}");
+        // 400 files of 8 KB: four to a worker would be 100 workers of
+        // 32 KB, past a tree group's share of the budget (25.2 KB), so the
+        // fleet launches at two to a worker, and every tree group's
+        // first-generation payload holds at most the budget.
+        let many = inline_files(400, 8_000);
+        let chunks = scan_chunks(&many, by_size, None);
+        assert_eq!(chunks.len(), 200);
+        assert_eq!(choose_strategy(Region::Eu, chunks.len()), InvocationStrategy::TwoLevel);
+        assert!(fits(&many, &chunks));
+        let group = invoke::tree_shape(chunks.len()).1;
+        let bytes =
+            |c: &Range<usize>| many[c.clone()].iter().map(|f| f.inline_bytes()).sum::<u64>();
+        for first_gen in chunks.chunks(group) {
+            assert!(first_gen.iter().map(bytes).sum::<u64>() <= INLINE_EDGE_BYTES as u64);
+        }
+    }
+
+    /// A one-worker join fed by two wide fleets hosts a second join beside
+    /// a co-hosted scan of inline files: the host's payload carries the
+    /// scan's files beside its in-edges' inline sections, so those edges'
+    /// budgets leave room for the files, and the largest payload the
+    /// budgets allow stays within the invoke cap.
+    #[test]
+    fn a_head_s_edge_budgets_leave_room_for_its_cohosted_inline_files() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = LambadaConfig { join_workers: Some(1), ..LambadaConfig::default() };
+        let mut system = Lambada::install(&cloud, config);
+        let field = |name: &str| Field::new(name, DataType::Int64);
+        let (u, v, s) = (
+            Schema::new(vec![field("a"), field("x")]),
+            Schema::new(vec![field("b"), field("y")]),
+            Schema::new(vec![field("c"), field("z")]),
+        );
+        for (name, schema) in [("u", &u), ("v", &v)] {
+            let files = (0..8).map(|f| TableFile::real("data", format!("{name}/{f}"), 1 << 30));
+            system.register_table(TableSpec::new(name, schema.clone(), files.collect(), 1 << 20));
+        }
+        let stream = inline_files(2, 60_000);
+        system.register_table(TableSpec::new("s", s.clone(), stream, 100));
+        let inner = Df::scan("u", &u).join(Df::scan("v", &v), &[("a", "b")]).unwrap();
+        let query = inner.join(Df::scan("s", &s), &[("a", "c")]).unwrap();
+        let dag = system.plan(&query.build()).unwrap();
+        let launch = system.launch_plan(&dag, None).unwrap();
+        let sid = |table: &str| {
+            let scan = |k: &StageKind| matches!(k, StageKind::Scan(s) if s.table == table);
+            dag.stages.iter().position(scan).unwrap()
+        };
+        assert_eq!(launch.placement[sid("s")], Placement::CoHosted);
+        let host = (0..dag.stages.len())
+            .find(|&j| matches!(dag.stages[j], StageKind::Join(_)) && launch.is_chain_head(j))
+            .unwrap();
+        assert!(launch.chain(host).contains(&sid("s")));
+        let senders = launch.workers[sid("u")] + launch.workers[sid("v")];
+        assert_eq!(senders, 16);
+        let files = 120_000;
+        for p in [sid("u"), sid("v")] {
+            assert_eq!(
+                launch.inline_budgets[p],
+                crate::transport::inline_budget(senders, 1, files)
+            );
+            assert!(launch.inline_budgets[p] < crate::transport::inline_budget(senders, 1, 0));
+        }
+        let most = senders * (launch.inline_budgets[sid("u")] as usize + ADDRESS_BYTES) + files;
+        assert!(most <= INLINE_EDGE_BYTES, "{most}");
     }
 
     /// Consumer fleets are sized from the bytes they take in, and an

@@ -14,10 +14,10 @@
 //! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
 //! for the fleet at hand; the crossover is near 100 workers in `eu`.
 //!
-//! A payload is sized at its addresses and the edge sections it carries
-//! inline ([`WorkerPayload::edge_bytes`]), its children's included;
-//! Lambda rejects one over its asynchronous cap. The inline bytes cross
-//! the driver's one link ([`carry_inline`]).
+//! A payload is sized at its addresses, the edge sections and the table
+//! files it carries inline ([`WorkerPayload::edge_bytes`]), its
+//! children's included; Lambda rejects one over its asynchronous cap. The
+//! inline bytes cross the driver's one link ([`carry_inline`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -29,6 +29,7 @@ use lambada_sim::sync::{join_all, Semaphore};
 use lambada_sim::Cloud;
 
 use crate::error::Result;
+use crate::message::INLINE_EDGE_BYTES;
 use crate::transport::ADDRESS_BYTES;
 use crate::worker::WorkerPayload;
 
@@ -71,6 +72,15 @@ pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
 pub(crate) fn tree_shape(p: usize) -> (usize, usize) {
     let n1 = crate::routing::isqrt_ceil(p).max(1);
     (n1, p.div_ceil(n1))
+}
+
+/// The inline file bytes each worker of a `workers`-worker fleet may
+/// carry in its payload: [`INLINE_EDGE_BYTES`] shared over a tree group,
+/// as the edge budgets share it ([`crate::transport::inline_budget`]), so
+/// a first-generation payload with its children's stays within the
+/// invoke cap whichever shape launches the fleet.
+pub(crate) fn inline_file_budget(workers: usize) -> u64 {
+    (INLINE_EDGE_BYTES / tree_shape(workers).1.max(1)) as u64
 }
 
 /// Predicted seconds from fleet launch until the last of `p` workers is
@@ -306,6 +316,17 @@ mod tests {
         let eu = |p, s| predicted_last_initiation(Region::Eu, p, s);
         assert!((eu(8, Direct) - 0.063).abs() < 1e-3);
         assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, TwoLevel) - 0.50).abs() < 1e-2);
+    }
+
+    /// A tree group never shrinks as the fleet grows, so a file that fits
+    /// the inline budget of a fleet fits it in every smaller one.
+    #[test]
+    fn the_inline_file_budget_never_grows_with_the_fleet() {
+        for p in 2..=10_000usize {
+            assert!(tree_shape(p).1 >= tree_shape(p - 1).1, "P={p}");
+            assert!(inline_file_budget(p) <= inline_file_budget(p - 1), "P={p}");
+        }
+        assert_eq!(inline_file_budget(1), INLINE_EDGE_BYTES as u64);
     }
 
     #[test]

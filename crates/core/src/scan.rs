@@ -24,6 +24,10 @@
 //! * a row group whose scanned span lies inside the body the footer came
 //!   in (the whole file, or the tail of a larger one) is sliced from that
 //!   body and costs no request at all;
+//! * an inline file ([`TableFile::inline`]) rode the worker's invocation
+//!   payload: its footer read is that body, so the whole file is sliced
+//!   from it with no request, and none of it counts in
+//!   [`ScanMetrics::bytes_read`];
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
 //!   group;
@@ -103,6 +107,7 @@ pub struct ScanMetrics {
     pub files: u64,
     pub row_groups_total: u64,
     pub row_groups_pruned: u64,
+    /// Bytes fetched from the store: none of an inline file's.
     pub bytes_read: u64,
     pub get_requests: u64,
     /// Duplicates of late GETs, billed beside `get_requests`.
@@ -154,7 +159,9 @@ fn real_bytes(body: &Body) -> Result<&[u8]> {
 /// whole file and brings every row group with it; a larger one reads its
 /// last `tail_bytes`, retried with the exact size if the footer turns out
 /// larger. The body comes back with the footer, so a row group inside it
-/// costs no further request.
+/// costs no further request. An inline file's footer read is its payload
+/// body, the whole file: no request, no connection, no byte read from the
+/// store.
 async fn fetch_metadata(
     env: &WorkerEnv,
     conn: &Semaphore,
@@ -163,6 +170,13 @@ async fn fetch_metadata(
     coalesce_below: u64,
     shared: &Rc<Shared>,
 ) -> Result<Footer> {
+    if let Some(body) = &file.inline {
+        env.compute(env.costs.metadata_parse_s).await;
+        let named = |e: String| CoreError::Format(format!("inline file {}: {e}", file.key));
+        let bytes = body.as_real().ok_or_else(|| named("synthetic body".to_string()))?;
+        let meta = FileMeta::parse_tail(bytes).map_err(|e| named(e.to_string()))?;
+        return Ok(Footer { meta: Rc::new(meta), offset: 0, body: body.clone() });
+    }
     let want = if file.size <= coalesce_below { file.size } else { tail_bytes.min(file.size) };
     let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
     env.compute(env.costs.metadata_parse_s).await;

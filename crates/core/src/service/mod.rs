@@ -368,7 +368,8 @@ impl Envelope {
 /// [`DIRECT_FALLBACK_HEADROOM`] fallback bound — and lists nothing: the
 /// driver addresses its receivers. A sort edge never streams, so it is
 /// charged as a stored edge on either transport.
-/// Scans are charged a per-file metadata + column-chunk envelope.
+/// Scans are charged a per-file metadata + column-chunk envelope for
+/// every stored file; inline files are charged no GET.
 fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
     let fleets = &launch.workers;
     // The S3 requests of an edge from `senders` to `receivers`: every
@@ -388,10 +389,13 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         if let Some((table, _)) = &launch.scans[pid] {
             // Footer fetches plus a column-chunk envelope (8 row groups
             // per file covers every staged layout comfortably) plus
-            // range splits of large chunks.
+            // range splits of large chunks — for stored files: an inline
+            // one rides its payload and makes no request.
             let width = table.schema.len().max(1) as f64;
-            env.gets += table.files.len() as f64 * (2.0 + 8.0 * width);
-            env.gets += (table.total_bytes() as f64) / (cfg.scan.max_request_bytes.max(1) as f64);
+            let stored = table.files.iter().filter(|f| f.inline.is_none());
+            let (files, bytes) = stored.fold((0.0, 0.0), |(n, b), f| (n + 1.0, b + f.size as f64));
+            env.gets += files * (2.0 + 8.0 * width);
+            env.gets += bytes / (cfg.scan.max_request_bytes.max(1) as f64);
         }
         if launch.placement[pid] != Placement::Apart {
             continue;
@@ -430,7 +434,38 @@ fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{TableFile, TableSpec};
     use crate::verify::test_dags::{scan_sort_dag, sized};
+    use lambada_engine::{col, AggExpr, AggFunc, Df};
+    use lambada_sim::services::object_store::Body;
+    use lambada_sim::{Cloud, CloudConfig, Simulation};
+
+    /// An inline file rides its scan worker's payload and makes no
+    /// request: a micro-batch's DAG over two inline files is charged no
+    /// scan GET, where the same two files stored are charged the per-file
+    /// envelope, 2 × (2 + 8 × 4 columns) = 68 GETs and a fraction for
+    /// range splits.
+    #[test]
+    fn a_batch_over_inline_files_is_charged_no_scan_get() {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        let schema = crate::streaming::windowed_event_schema();
+        let inline =
+            (0..2).map(|i| TableFile::inline(format!("b/p{i}"), Body::from_vec(vec![0; 9_000])));
+        let stored = (0..2).map(|i| TableFile::real("data", format!("t/p{i}"), 9_000));
+        system.register_table(TableSpec::new("batch", schema.clone(), inline.collect(), 4_000));
+        system.register_table(TableSpec::new("table", schema.clone(), stored.collect(), 4_000));
+        let gets = |table: &str| {
+            let count = vec![AggExpr::new(AggFunc::Count, None, "n")];
+            let plan = Df::scan(table, &schema).aggregate(vec![(col(3), "wstart")], count).unwrap();
+            let dag = system.plan(&plan.build()).unwrap();
+            envelope(&system.launch_plan(&dag, None).unwrap(), system.config()).gets
+        };
+        assert_eq!(gets("batch"), 0.0);
+        let stored = gets("table");
+        assert!((68.0..69.0).contains(&stored), "{stored}");
+    }
 
     /// A sort edge of several ranges — or of one — is an edge like any
     /// other, listing nothing, but it never streams: 8 merge workers

@@ -14,7 +14,7 @@
 //!
 //! # Windowing without new operators
 //!
-//! The driver assigns window instances *before* staging each micro-batch:
+//! The driver assigns window instances *before* encoding each micro-batch:
 //! [`lambada_engine::assign_windows`] replicates each event row once per
 //! containing window of the query's [`WindowSpec`] and appends the
 //! instance's start as a trailing `Int64` column. The per-batch
@@ -42,6 +42,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::ops::Range;
+
 use lambada_engine::agg::GroupedAggState;
 use lambada_engine::logical::LogicalPlan;
 use lambada_engine::physical::agg_state_to_batch;
@@ -58,12 +60,12 @@ use crate::stage::{FinalStage, QueryDag, StageKind};
 use crate::table::{TableFile, TableSpec};
 use crate::verify::{verify_dag, verify_stream};
 
-/// Name of the window-start column the runtime appends to each staged
+/// Name of the window-start column the runtime appends to each
 /// micro-batch. Plans built by a [`ContinuousQuery`]'s plan function must
 /// group by it first.
 pub const WINDOW_COLUMN: &str = "wstart";
 
-/// Schema of a staged event micro-batch *before* window assignment:
+/// Schema of an event micro-batch *before* window assignment:
 /// `ts`, `key`, `value`, all `Int64` (matching [`SourceEvent`]).
 pub fn event_schema() -> Schema {
     Schema::new(vec![
@@ -73,7 +75,7 @@ pub fn event_schema() -> Schema {
     ])
 }
 
-/// Schema of a staged micro-batch *after* window assignment: the event
+/// Schema of a micro-batch *after* window assignment: the event
 /// schema plus the trailing [`WINDOW_COLUMN`].
 pub fn windowed_event_schema() -> Schema {
     let mut s = event_schema();
@@ -94,7 +96,7 @@ pub fn events_to_batch(events: &[SourceEvent]) -> Result<RecordBatch> {
 }
 
 /// Shape of one continuous query: its window, watermark slack, and how
-/// each micro-batch is staged.
+/// each micro-batch is cut into files.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamSpec {
     /// Tumbling or sliding event-time window of the aggregation.
@@ -103,10 +105,11 @@ pub struct StreamSpec {
     /// timestamp by this much. Set it to the source's out-of-orderness
     /// bound and no in-bound event is ever classified late.
     pub lateness: i64,
-    /// Files each staged micro-batch is split into — also the scan
-    /// fleet's parallelism floor per batch.
+    /// Files each micro-batch is cut into, before any file over its inline
+    /// budget is cut again. Not the scan fleet's size: latency-bound files
+    /// pack several to a worker, so the default two make one scan worker.
     pub batch_files: usize,
-    /// Row groups per staged file.
+    /// Row groups per file.
     pub row_groups_per_file: usize,
 }
 
@@ -171,8 +174,8 @@ pub struct StreamBatchReport {
     pub watermark: i64,
 }
 
-/// Builds the per-batch logical plan given the staged micro-batch's
-/// table name; see [`ContinuousQuery::new`].
+/// Builds the per-batch logical plan given the micro-batch's table
+/// name; see [`ContinuousQuery::new`].
 type PlanFn = Box<dyn Fn(&Lambada, &str) -> Result<LogicalPlan>>;
 
 /// A continuous windowed aggregation over an event stream, executing one
@@ -182,11 +185,11 @@ type PlanFn = Box<dyn Fn(&Lambada, &str) -> Result<LogicalPlan>>;
 /// aggregate's schema and accumulator shapes, and statically verifies
 /// the streaming contracts ([`verify_stream`], the `V-STREAM-*` codes)
 /// alongside the regular plan verifier — a malformed streaming plan
-/// never stages a byte or reserves budget.
+/// never encodes a byte or reserves budget.
 pub struct ContinuousQuery<'a> {
     service: &'a QueryService,
     tenant: String,
-    /// Stream name: prefixes the staging bucket and per-batch tables.
+    /// Stream name: prefixes the per-batch tables.
     name: String,
     spec: StreamSpec,
     plan_fn: PlanFn,
@@ -202,7 +205,7 @@ pub struct ContinuousQuery<'a> {
 
 impl<'a> ContinuousQuery<'a> {
     /// Create a continuous query for `tenant`. `plan_fn` builds the
-    /// per-batch logical plan given the staged micro-batch's table name
+    /// per-batch logical plan given the micro-batch's table name
     /// (schema [`windowed_event_schema`]); it must be an aggregation
     /// grouping by [`WINDOW_COLUMN`] first, and may reference other
     /// registered tables (e.g. a static dimension table to join).
@@ -282,12 +285,12 @@ impl<'a> ContinuousQuery<'a> {
         &self.agg_schema
     }
 
-    /// Ingest one micro-batch: drop late events, assign windows, stage
-    /// the batch as a short-lived table, run it as a distributed query
-    /// through the service, delete the batch's staged files once the
-    /// query returned (on an error too), merge the returned state into
-    /// the carried windows, advance the watermark, and emit every window
-    /// it closed.
+    /// Ingest one micro-batch: drop late events, assign windows, encode
+    /// the batch as a short-lived table of inline files (they ride the
+    /// scan workers' payloads, so nothing is stored and nothing is left
+    /// behind), run it as a distributed query through the service, merge
+    /// the returned state into the carried windows, advance the
+    /// watermark, and emit every window it closed.
     pub async fn push_batch(&mut self, events: &[SourceEvent]) -> Result<StreamBatchReport> {
         let seq = self.seq;
         self.seq += 1;
@@ -309,9 +312,7 @@ impl<'a> ContinuousQuery<'a> {
                 assign_windows(&events_to_batch(&kept)?, 0, &self.spec.window, WINDOW_COLUMN)?;
             let system = self.service.system();
             let table = format!("{}_b{seq}", self.name);
-            let spec = self.stage_batch(&table, &windowed)?;
-            let staged: Vec<String> = spec.files.iter().map(|f| f.key.clone()).collect();
-            system.register_table_shared(spec);
+            system.register_table_shared(batch_table(&table, &windowed, &self.spec)?);
             let submitted = (|| {
                 let plan = (self.plan_fn)(system, &table)?;
                 streamify(system.plan(&plan)?)
@@ -323,9 +324,6 @@ impl<'a> ContinuousQuery<'a> {
                 Err(e) => Err(e),
             };
             system.unregister_table(&table);
-            // The batch's query has returned, however it returned: its
-            // staged files are read by nobody now.
-            system.cloud().s3.delete_objects(&self.bucket(), staged);
             let report = outcome?;
             if let Some(bytes) = &report.agg_state {
                 self.carried.merge(&GroupedAggState::decode(bytes)?)?;
@@ -359,44 +357,92 @@ impl<'a> ContinuousQuery<'a> {
         let closed = self.carried.split_off_closed(close_before);
         Ok(agg_state_to_batch(&closed, &self.agg_schema)?)
     }
+}
 
-    /// The bucket micro-batches are staged in.
-    fn bucket(&self) -> String {
-        format!("stream-{}", self.name)
+/// Encode one windowed micro-batch as the table `table` of inline files
+/// ([`TableFile::inline`]), each riding its scan worker's payload: the
+/// rows are cut into `spec.batch_files` runs of `spec.row_groups_per_file`
+/// row groups each, and a run whose file encodes to more than the inline
+/// budget of a fleet of that many files
+/// ([`crate::invoke::inline_file_budget`]) is cut in two until every file
+/// fits — short of a one-row file, which stays whole. Nothing is stored.
+fn batch_table(table: &str, windowed: &RecordBatch, spec: &StreamSpec) -> Result<TableSpec> {
+    let schema = windowed_event_schema();
+    let file_schema = schema.to_file_schema()?;
+    let encode = |run: &Range<usize>| -> Result<Vec<u8>> {
+        let chunk = windowed.gather(&run.clone().collect::<Vec<_>>());
+        let rg_rows = chunk.num_rows().div_ceil(spec.row_groups_per_file.max(1)).max(1);
+        let data: Result<Vec<ColumnData>> = chunk
+            .into_columns()
+            .into_iter()
+            .map(|c| c.into_data().map_err(CoreError::from))
+            .collect();
+        Ok(write_file(file_schema.clone(), &chunk_rows(&data?, rg_rows), WriterOptions::default())?)
+    };
+    let rows = windowed.num_rows();
+    let per_file = rows.div_ceil(spec.batch_files.max(1)).max(1);
+    let mut files: Vec<(Range<usize>, Vec<u8>)> = (0..rows)
+        .step_by(per_file)
+        .map(|start| {
+            let run = start..(start + per_file).min(rows);
+            Ok((run.clone(), encode(&run)?))
+        })
+        .collect::<Result<_>>()?;
+    let over = |(run, bytes): &(Range<usize>, Vec<u8>), n: usize| {
+        run.len() > 1 && bytes.len() as u64 > crate::invoke::inline_file_budget(n)
+    };
+    while let Some(i) = files.iter().position(|f| over(f, files.len())) {
+        let (run, _) = files.remove(i);
+        let mid = run.start + run.len() / 2;
+        let (a, b) = (run.start..mid, mid..run.end);
+        files.splice(i..i, [(a.clone(), encode(&a)?), (b.clone(), encode(&b)?)]);
+    }
+    let files = files.into_iter().enumerate().map(|(i, (_, bytes))| {
+        TableFile::inline(format!("{table}/p{i:05}/part.lpq"), Body::from_vec(bytes))
+    });
+    Ok(TableSpec::new(table, schema, files.collect(), rows as u64))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::invoke::inline_file_budget;
+
+    /// `rows` events whose values do not compress: each encodes to about
+    /// the 32 bytes of its four `Int64`s once windowed.
+    fn windowed(rows: i64) -> RecordBatch {
+        let mix = |i: i64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64) >> 7;
+        let events: Vec<SourceEvent> = (0..rows)
+            .map(|i| SourceEvent { ts: i / 100, key: mix(i) % 64, value: mix(i + rows) })
+            .collect();
+        let batch = events_to_batch(&events).unwrap();
+        assign_windows(&batch, 0, &WindowSpec::tumbling(10), WINDOW_COLUMN).unwrap()
     }
 
-    /// Encode and stage one windowed micro-batch as `batch_files` real
-    /// columnar files, exactly like the workload loader stages tables.
-    fn stage_batch(&self, table: &str, windowed: &RecordBatch) -> Result<TableSpec> {
-        let system = self.service.system();
-        let bucket = self.bucket();
-        system.cloud().s3.create_bucket(&bucket);
-        let schema = windowed_event_schema();
-        let file_schema = schema.to_file_schema()?;
-        let rows = windowed.num_rows();
-        let per_file = rows.div_ceil(self.spec.batch_files.max(1)).max(1);
-        let mut files = Vec::new();
-        let mut offset = 0usize;
-        let mut file_idx = 0usize;
-        while offset < rows {
-            let end = (offset + per_file).min(rows);
-            let indices: Vec<usize> = (offset..end).collect();
-            let chunk = windowed.gather(&indices);
-            let rg_rows = chunk.num_rows().div_ceil(self.spec.row_groups_per_file.max(1)).max(1);
-            let data: Result<Vec<ColumnData>> = chunk
-                .into_columns()
-                .into_iter()
-                .map(|c| c.into_data().map_err(CoreError::from))
-                .collect();
-            let groups: Vec<Vec<ColumnData>> = chunk_rows(&data?, rg_rows);
-            let bytes = write_file(file_schema.clone(), &groups, WriterOptions::default())?;
-            let key = format!("{table}/p{file_idx:05}/part.lpq");
-            let size = bytes.len() as u64;
-            system.cloud().s3.stage(&bucket, &key, Body::from_vec(bytes));
-            files.push(TableFile::real(bucket.clone(), key, size));
-            offset = end;
-            file_idx += 1;
+    /// A small batch is cut into `batch_files` inline files and nothing
+    /// more; one too large for its payloads is cut again until every file
+    /// fits the inline budget of a fleet of as many files — the rows all
+    /// there, in order, and no file stored.
+    #[test]
+    fn a_batch_is_cut_until_every_file_fits_its_payload_share() {
+        let spec = StreamSpec::default();
+        for (rows, cut_again) in [(4_000, false), (120_000, true)] {
+            let batch = windowed(rows);
+            let table = batch_table("s_b0", &batch, &spec).unwrap();
+            let files = &table.files;
+            assert_eq!(files.len() > spec.batch_files, cut_again, "{rows} rows: {}", files.len());
+            let budget = inline_file_budget(files.len());
+            let mut decoded = Vec::new();
+            for (i, f) in files.iter().enumerate() {
+                assert!(f.bucket.is_empty() && f.key == format!("s_b0/p{i:05}/part.lpq"));
+                assert!(f.inline_bytes() <= budget, "{} B over {budget} B", f.size);
+                let bytes = f.inline.as_ref().and_then(Body::as_real).unwrap();
+                let (_, groups) = lambada_format::read_all(bytes).unwrap();
+                decoded.extend(groups.into_iter().map(|g| g[1].clone()));
+            }
+            let keys: Vec<i64> =
+                decoded.iter().flat_map(|c| c.as_i64().unwrap().to_vec()).collect();
+            assert_eq!(keys.as_slice(), batch.column(1).as_i64().unwrap(), "{rows} rows");
         }
-        Ok(TableSpec::new(table, schema, files, rows as u64))
     }
 }

@@ -171,12 +171,13 @@ pub const KEY_BYTES: usize = 8;
 /// [`INLINE_EDGE_BYTES`] less what locates the sections — a message's
 /// section table ([`SECTION_BYTES`] per receiver) and the addresses of
 /// the largest payload ([`ADDRESS_BYTES`] per sender for each receiver
-/// of a tree group, which covers a directly invoked payload) — shared
-/// evenly. Any set of senders' inline bytes then fits beside the
-/// addresses in any payload, and each sender's fits beside its table in
-/// its message.
-pub fn inline_budget(senders: usize, receivers: usize) -> u64 {
-    shared_budget(senders, receivers, receivers * SECTION_BYTES, 0)
+/// of a tree group, which covers a directly invoked payload) — and less
+/// the `files` bytes of inline table files each payload carries beside
+/// them (a one-worker chain's co-hosted scans'), shared evenly. Any set of
+/// senders' inline bytes then fits beside the addresses and files in any
+/// payload, and each sender's fits beside its table in its message.
+pub fn inline_budget(senders: usize, receivers: usize, files: usize) -> u64 {
+    shared_budget(senders, receivers, receivers * SECTION_BYTES, files)
 }
 
 /// [`inline_budget`] for the senders of a sort edge over `keys` sort
@@ -184,8 +185,13 @@ pub fn inline_budget(senders: usize, receivers: usize) -> u64 {
 /// fleet, and every payload carries its range's two boundaries besides
 /// the addresses. A sender's starts ride its message too, so it inlines
 /// only what fits its budget beside them.
-pub fn block_budget(senders: usize, receivers: usize, keys: usize) -> u64 {
-    shared_budget(senders, receivers, SORT_SAMPLE_ROWS * SECTION_BYTES, 2 * keys * KEY_BYTES)
+pub fn block_budget(senders: usize, receivers: usize, keys: usize, files: usize) -> u64 {
+    shared_budget(
+        senders,
+        receivers,
+        SORT_SAMPLE_ROWS * SECTION_BYTES,
+        2 * keys * KEY_BYTES + files,
+    )
 }
 
 /// What is left of [`INLINE_EDGE_BYTES`] after one message's `table` and

@@ -116,7 +116,7 @@ use crate::invoke;
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
-use crate::table::TableSpec;
+use crate::table::{TableFile, TableSpec};
 use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, TransportKind, KEY_BYTES};
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
@@ -165,6 +165,14 @@ pub struct ScanOp {
     pub scan: ScanConfig,
     /// Each worker's run of `table.files`, by worker id.
     pub chunks: Vec<Range<usize>>,
+}
+
+impl ScanOp {
+    /// Worker `w`'s run of the table's files.
+    pub(crate) fn files(&self, w: u64) -> &[TableFile] {
+        let chunk = self.chunks.get(w as usize).cloned().unwrap_or_default();
+        self.table.files.get(chunk).unwrap_or_default()
+    }
 }
 
 /// What a stage's workers compute. Consumer operators own one
@@ -255,6 +263,23 @@ pub struct StageTask {
     pub inboxes: Vec<String>,
 }
 
+impl StageTask {
+    /// The inline file bytes worker `w` of this stage's fleet carries: its
+    /// own scan's run of files, if the stage is a scan, and those of every
+    /// scan co-hosted beside the stages fused after it, which run in the
+    /// same invocation under the same worker id.
+    pub(crate) fn inline_bytes(&self, w: u64) -> u64 {
+        let members =
+            std::iter::successors(self.fused_into.as_ref(), |m| m.task.fused_into.as_ref());
+        let beside = members.flat_map(|m| &m.cohosted).map(|co| &*co.task);
+        let files = std::iter::once(self).chain(beside).flat_map(|task| match &task.op {
+            StageOp::Scan(scan) => scan.files(w),
+            _ => &[],
+        });
+        files.map(TableFile::inline_bytes).sum()
+    }
+}
+
 /// The stage a fused out-edge feeds, run right after its host.
 pub struct FusedStage {
     /// How errors name the stage: `agg#5 (fused after join#4)`.
@@ -329,19 +354,25 @@ pub struct WorkerPayload {
 
 impl WorkerPayload {
     /// Edge bytes this payload carries, its children's included: its
-    /// inline sections and boundaries ([`KEY_BYTES`] a key) plus
-    /// `per_address` for each address. With 0 that is what crosses the
-    /// driver's link; with [`crate::transport::ADDRESS_BYTES`] it is what
-    /// the payload is sized at against the invoke cap. The task is not
-    /// sized: the fleet shares it, and the sim hands it over by reference.
+    /// inline sections and boundaries ([`KEY_BYTES`] a key), the inline
+    /// files of every scan the invocation runs — its own run's and those
+    /// of its chain's co-hosted scans — plus `per_address` for each
+    /// address. With 0 that is what crosses the driver's link; with
+    /// [`crate::transport::ADDRESS_BYTES`] it is what the payload is sized
+    /// at against the invoke cap. The rest of the task is not sized: the
+    /// fleet shares it, and the sim hands it over by reference.
     pub fn edge_bytes(&self, per_address: usize) -> usize {
         let addrs = self.edges.iter().flat_map(|e| &e.senders).map(|a| match &a.at {
             At::Inline(bytes) => bytes.len() + per_address,
             _ => per_address,
         });
         let bounds = self.edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
+        let files = match &self.task {
+            WorkerTask::Stage(task) => task.inline_bytes(self.worker_id),
+            _ => 0,
+        };
         let children = self.children.iter().map(|c| c.edge_bytes(per_address));
-        addrs.sum::<usize>() + bounds.sum::<usize>() + children.sum::<usize>()
+        addrs.sum::<usize>() + bounds.sum::<usize>() + files as usize + children.sum::<usize>()
     }
 
     /// The same assignment re-issued as a speculative backup: next
@@ -1023,13 +1054,10 @@ async fn drive_scan(
         let env2 = env.clone();
         let scan = Rc::clone(scan);
         env.cloud.handle.spawn(async move {
-            // Worker `w` scans chunk `w` of the table's files.
-            let chunk = scan.chunks.get(env2.worker_id as usize).cloned().unwrap_or_default();
-            let files = scan.table.files.get(chunk).unwrap_or_default();
             scan_table(
                 &env2,
                 &scan.scan,
-                files,
+                scan.files(env2.worker_id),
                 &scan.table.schema,
                 &scan.stage.scan_columns,
                 scan.stage.prune_predicate.as_ref(),

@@ -21,8 +21,8 @@
 //! draws exactly the latencies an unhedged store would.
 //!
 //! DELETE is one call on the store, [`ObjectStore::delete_objects`], made
-//! by the owner of a finished query (or micro-batch) for every key it can
-//! have written. It is free, as on AWS, and applies at once, because
+//! by the owner of a finished query for every key it can have written.
+//! It is free, as on AWS, and applies at once, because
 //! nobody awaits it: it takes no rate-limiter token, since every key lies
 //! under a finished query's own prefix, and draws no latency, so every
 //! GET and PUT draws exactly what it would without it. The store counts
@@ -242,7 +242,10 @@ impl ObjectStore {
 
     /// Insert an object without latency, billing, or bandwidth — used to
     /// stage *input datasets* that exist before the experiment starts
-    /// ("cold data" already resident in cloud storage).
+    /// ("cold data" already resident in cloud storage), never for data a
+    /// run produces: the query path (`crates/core`) has no caller, which
+    /// `cargo xtask lint`'s `free-staging` rule checks. A stream's
+    /// micro-batches ride their workers' invocation payloads instead.
     pub fn stage(&self, bucket: &str, key: &str, body: Body) {
         self.create_bucket(bucket);
         let st = self.st.borrow();

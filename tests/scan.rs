@@ -3,10 +3,12 @@
 //! its tail, and a row group whose scanned span lies inside that tail
 //! costs no request. Any other latency-bound row group is one ranged GET,
 //! a bandwidth-bound one is a GET per chunk split at `max_request_bytes`.
+//! An inline file rode the worker's payload and costs no request at all.
 //! Every plan yields the same batches, a footer that lies about a chunk's
 //! place in the file is an error before any request or slice is sized
-//! from it, a worker's files are read a connection each at once, and a
-//! failed scan requests no file after those in flight.
+//! from it — as is an inline file cut short — a worker's files are read a
+//! connection each at once, and a failed scan requests no file after
+//! those in flight.
 
 use std::time::Duration;
 
@@ -263,6 +265,57 @@ fn a_row_group_partly_inside_the_tail_takes_its_own_get() {
     let (_, reference_items) =
         scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, None).unwrap();
     assert_eq!(batches(items), batches(reference_items));
+}
+
+/// An inline file is read from the body it rode in on: the same batches
+/// as the stored file, pruned alike, with no GET, no byte read from the
+/// store and nothing billed.
+#[test]
+fn an_inline_file_is_read_from_its_payload_with_no_request() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let bytes = write(ROWS, ROW_GROUPS);
+    let stored = stage(&cloud, "data", "t/stored", bytes.clone());
+    let inline = TableFile::inline("t/inline", Body::from_vec(bytes));
+    assert_eq!((inline.size, inline.inline_bytes()), (stored.size, stored.size));
+    let spec = TableSpec::new("t", schema(), vec![stored, inline], ROWS as u64);
+    let keep = Some(col(0).ge(lit_i64(3_500)));
+    for predicate in [None, keep] {
+        let got = |file: &TableFile| {
+            let files = std::slice::from_ref(file);
+            scan(&sim, &cloud, ScanConfig::default(), &spec, files, &SCANNED, predicate.clone())
+                .unwrap()
+        };
+        let before = cloud.billing.snapshot();
+        let (metrics, items) = got(&spec.files[1]);
+        assert_eq!((metrics.get_requests, metrics.bytes_read), (0, 0));
+        assert_eq!(cloud.billing.snapshot().since(&before).units(CostItem::S3Get), 0.0);
+        let (stored_metrics, stored_items) = got(&spec.files[0]);
+        assert_eq!(stored_metrics.get_requests, 1, "the stored file is one GET");
+        assert_eq!(metrics.row_groups_pruned, stored_metrics.row_groups_pruned);
+        assert_eq!(batches(items), batches(stored_items));
+    }
+}
+
+/// An inline body cut anywhere in its footer or trailer is a typed format
+/// error naming the file's key, never a panic.
+#[test]
+fn an_inline_body_cut_short_is_a_format_error_naming_its_key() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let bytes = write(ROWS, ROW_GROUPS);
+    let footer = FileMeta::parse_tail(&bytes).unwrap().encode_footer().len();
+    let ends = [footer / 2, 1, TRAILER_LEN / 2, footer + TRAILER_LEN / 2, bytes.len() - 1];
+    for cut in ends {
+        let body = Body::from_vec(bytes[..bytes.len() - cut].to_vec());
+        let spec = TableSpec::new("t", schema(), vec![TableFile::inline("t/b7/p00001", body)], 0);
+        let got = scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, None);
+        match got {
+            Err(CoreError::Format(m)) => assert!(m.contains("t/b7/p00001"), "cut {cut}: {m}"),
+            Err(e) => panic!("cut {cut}: not a format error: {e}"),
+            Ok(_) => panic!("cut {cut}: a cut body scanned"),
+        }
+    }
 }
 
 /// Stage the test table as one file whose footer was rewritten by `lie`.

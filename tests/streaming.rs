@@ -3,8 +3,10 @@
 //! over the whole stream — through the shared multi-tenant service,
 //! concurrent with ad-hoc queries, across worker kills and degraded
 //! direct-transport links, and with late events provably excluded.
-//! Each micro-batch deletes its staged files once its query returned,
-//! and leaves nothing else behind either.
+//! Each micro-batch's files ride its scan workers' invocation payloads:
+//! no stream bucket is ever created, every inline byte crosses the
+//! driver's link once per invocation that carries it, and a batch leaves
+//! nothing behind.
 
 mod common;
 
@@ -14,12 +16,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::assert_quiescent;
-use lambada::core::streaming::windowed_event_schema;
+use lambada::core::invoke::{choose_strategy, InvocationStrategy};
+use lambada::core::streaming::{streamify, windowed_event_schema};
 use lambada::core::verify::codes;
 use lambada::core::{
     events_to_batch, inject_query_worker_faults, AggStrategy, ContinuousQuery, CoreError, Lambada,
-    LambadaConfig, QueryService, ServiceConfig, StageOp, StreamSpec, TenantBudget, TransportKind,
-    WorkerTask, WINDOW_COLUMN,
+    LambadaConfig, Placement, QueryService, ServiceConfig, StageOp, StreamSpec, TableFile,
+    TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
 use lambada::engine::{
@@ -83,17 +86,52 @@ fn windowed_plan(stream_table: &str, dim_table: &str) -> LogicalPlan {
     }
 }
 
+/// A windowed aggregate of the stream alone: each scan worker reports its
+/// partial state to the driver in its result message, so nothing but the
+/// batch's files crosses the driver's link.
+fn stream_only_plan(stream_table: &str) -> LogicalPlan {
+    LogicalPlan::Aggregate {
+        input: Box::new(LogicalPlan::Scan {
+            table: stream_table.to_string(),
+            schema: Arc::new(windowed_event_schema()),
+            projection: None,
+            predicate: None,
+        }),
+        group_by: vec![(col(3), WINDOW_COLUMN.to_string()), (col(1), "key".to_string())],
+        aggs: vec![
+            AggExpr::new(AggFunc::Sum, Some(col(2)), "sum_value"),
+            AggExpr::new(AggFunc::Count, None, "n"),
+        ],
+    }
+}
+
 /// Batch reference: window-assign the *entire* kept stream at once and
 /// run the same plan through the local engine. `agg_state_to_batch`
 /// sorts groups by (window start, key) on both paths, so the streaming
 /// emissions concatenated over the run must equal this bit-for-bit.
 fn reference_windows(kept: &[SourceEvent], window: &WindowSpec) -> RecordBatch {
+    reference_windows_over(kept, window, dim_batch())
+}
+
+/// [`reference_windows`] joined to the dimension rows `dim`.
+fn reference_windows_over(
+    kept: &[SourceEvent],
+    window: &WindowSpec,
+    dim: RecordBatch,
+) -> RecordBatch {
+    let cat = reference_catalog(kept, window, dim);
+    execute_into_batch(&windowed_plan("stream_ref", "dim_ref"), &cat).unwrap()
+}
+
+/// The whole kept stream, window-assigned, as `stream_ref`, beside the
+/// dimension rows `dim` as `dim_ref`.
+fn reference_catalog(kept: &[SourceEvent], window: &WindowSpec, dim: RecordBatch) -> Catalog {
     let windowed =
         assign_windows(&events_to_batch(kept).unwrap(), 0, window, WINDOW_COLUMN).unwrap();
     let mut cat = Catalog::new();
     cat.register("stream_ref", Rc::new(MemTable::from_batch(windowed)));
-    cat.register("dim_ref", Rc::new(MemTable::from_batch(dim_batch())));
-    execute_into_batch(&windowed_plan("stream_ref", "dim_ref"), &cat).unwrap()
+    cat.register("dim_ref", Rc::new(MemTable::from_batch(dim)));
+    cat
 }
 
 fn streaming_config(agg: AggStrategy, transport: TransportKind) -> LambadaConfig {
@@ -150,9 +188,10 @@ fn streaming_service(
     (cloud, service)
 }
 
-/// Objects left in stream `name`'s staging bucket.
-fn staged_objects(cloud: &Cloud, name: &str) -> usize {
-    cloud.s3.bucket_object_count(&format!("stream-{name}"))
+/// Whether stream `name` has a bucket: its micro-batches ride their scan
+/// workers' payloads, so it never should.
+fn stream_bucket(cloud: &Cloud, name: &str) -> bool {
+    cloud.s3.bucket_exists(&format!("stream-{name}"))
 }
 
 fn plan_fn(_sys: &Lambada, table: &str) -> lambada::core::Result<LogicalPlan> {
@@ -247,9 +286,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
             for (i, b) in batches.iter().enumerate() {
                 armed.set(i == 9);
                 let r = cq.push_batch(b).await.unwrap();
-                // The ad-hoc query may still be running: only the batch's
-                // own files are checked here.
-                assert_eq!(staged_objects(&cloud, "clicks"), 0, "batch {i}'s staged files");
+                assert!(!stream_bucket(&cloud, "clicks"), "batch {i} stored its files");
                 if i == 9 {
                     killed_backups = r.query.as_ref().unwrap().backup_invocations();
                 }
@@ -323,7 +360,7 @@ fn driver_merged_sliding_windows_match_the_reference() {
         let mut parts = Vec::new();
         for b in &batches {
             let r = cq.push_batch(b).await.unwrap();
-            assert_eq!(staged_objects(&cloud, "slides"), 0);
+            assert!(!stream_bucket(&cloud, "slides"));
             assert_quiescent(&sim, &cloud, &config, queues);
             if r.emitted.num_rows() > 0 {
                 parts.push(r.emitted);
@@ -375,7 +412,7 @@ fn severed_direct_link_falls_back_without_corrupting_carried_state() {
         for (i, b) in batches.iter().enumerate() {
             armed.set((4..6).contains(&i));
             let r = cq.push_batch(b).await.unwrap();
-            assert_eq!(staged_objects(&cloud, "direct"), 0, "batch {i}");
+            assert!(!stream_bucket(&cloud, "direct"), "batch {i}");
             assert_quiescent(&sim, &cloud, &config, queues);
             if r.emitted.num_rows() > 0 {
                 parts.push(r.emitted);
@@ -437,7 +474,7 @@ fn late_events_are_counted_and_provably_excluded() {
         let mut late = 0u64;
         for b in &batches {
             let r = cq.push_batch(b).await.unwrap();
-            assert_eq!(staged_objects(&cloud, "late"), 0);
+            assert!(!stream_bucket(&cloud, "late"));
             assert_quiescent(&sim, &cloud, &config, queues);
             late += r.late_events;
             if r.emitted.num_rows() > 0 {
@@ -484,7 +521,7 @@ fn all_late_batch_submits_no_query() {
         assert_eq!(tail.num_rows(), 1, "only the fresh event's window exists");
         assert_eq!(tail.row(0)[0], lambada::engine::Scalar::Int64(100));
     });
-    assert_eq!(staged_objects(&cloud, "gaps"), 0);
+    assert!(!stream_bucket(&cloud, "gaps"));
     // The first batch's cold join fleet was speculated against, and the
     // original it backed up runs on past the query (nothing cancels it)
     // for a few hundred milliseconds. It reports to the deleted queue
@@ -493,11 +530,11 @@ fn all_late_batch_submits_no_query() {
     assert_quiescent(&sim, &cloud, &config, queues);
 }
 
-/// A micro-batch whose query fails still deletes its staged files: a
-/// tenant with no request budget has its batch rejected after staging,
-/// and the batch leaves nothing behind.
+/// A micro-batch whose query fails leaves nothing behind: a tenant with
+/// no request budget has its batch rejected before any worker runs, no
+/// stream bucket exists, and there was nothing to delete.
 #[test]
-fn a_failed_batch_deletes_its_staged_files() {
+fn a_failed_batch_leaves_nothing_behind() {
     let spec =
         StreamSpec { window: WindowSpec::tumbling(10), lateness: 0, ..StreamSpec::default() };
     let sim = Simulation::new();
@@ -514,8 +551,229 @@ fn a_failed_batch_deletes_its_staged_files() {
         cq.push_batch(&[SourceEvent { ts: 100, key: 1, value: 5 }]).await.err()
     });
     assert!(matches!(err, Some(CoreError::Rejected { .. })), "{err:?}");
-    assert_eq!(staged_objects(&cloud, "broke"), 0, "the rejected batch's staged files");
-    assert!(cloud.s3.deleted_objects() > 0, "they were staged, then deleted");
+    assert!(!stream_bucket(&cloud, "broke"), "the rejected batch stored its files");
+    assert_eq!(cloud.s3.deleted_objects(), 0, "nothing was written, so nothing deleted");
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// What a plan function saw of each micro-batch while it was registered:
+/// its files, their encoded bytes, and whether every one was inline.
+#[derive(Default)]
+struct Seen {
+    files: Cell<usize>,
+    bytes: Cell<u64>,
+    all_inline: Cell<bool>,
+}
+
+impl Seen {
+    fn record(&self, sys: &Lambada, table: &str) {
+        let spec = sys.table(table).expect("the batch is registered while it plans");
+        self.files.set(spec.files.len());
+        self.bytes.set(spec.files.iter().map(TableFile::inline_bytes).sum());
+        self.all_inline.set(spec.files.iter().all(|f| f.inline.is_some() && f.bucket.is_empty()));
+    }
+}
+
+/// A stream joined to a one-worker dimension table whose scan hosts the
+/// join: the stream's one scan worker is co-hosted in the dimension
+/// scan's invocation, so its batch rides that payload. Each batch is one
+/// invocation, its inline bytes cross the driver's link exactly once —
+/// the link carries nothing else here, the aggregate state riding the
+/// result message — and the stream scan makes no GET. Emissions stay
+/// bit-identical to the reference.
+#[test]
+fn a_cohosted_stream_scan_carries_its_batch_over_the_driver_link_once() {
+    let spec =
+        StreamSpec { window: WindowSpec::tumbling(10), lateness: 5, ..StreamSpec::default() };
+    let batches = source_batches(
+        SourceConfig { seed: 3, events_per_tick: 10.0, max_delay: 5, ..SourceConfig::default() },
+        6,
+        40,
+    );
+    // A dimension table larger than any batch, so its scan hosts the
+    // join: keys no event has, with weights that do not compress.
+    let filler = 4_000i64;
+    let keys: Vec<i64> = (0..KEY_DOMAIN).chain(1_000..1_000 + filler).collect();
+    let weight = |k: i64| if k < KEY_DOMAIN { (k + 1) * 10 } else { k * 2_654_435_761 % 1_000_003 };
+    let weights: Vec<i64> = keys.iter().map(|&k| weight(k)).collect();
+    let dim = vec![Column::I64(keys), Column::I64(weights)];
+    let reference = reference_windows_over(
+        &batches.concat(),
+        &spec.window,
+        RecordBatch::from_columns(&["dkey", "weight"], dim.clone()).unwrap(),
+    );
+
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let rows = KEY_DOMAIN as u64 + filler as u64;
+    let dim = stage_table_real(&cloud, "dims", "dim", dim_schema(), vec![dim], rows, 1);
+    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    system.register_table(dim);
+    let service = QueryService::new(system);
+
+    let seen = Rc::new(Seen::default());
+    let cohosted = Rc::new(Cell::new(false));
+    let (seen_f, cohosted_f) = (Rc::clone(&seen), Rc::clone(&cohosted));
+    let plan = move |sys: &Lambada, table: &str| {
+        seen_f.record(sys, table);
+        let plan = windowed_plan(table, "dim");
+        let dag = streamify(sys.plan(&plan)?)?;
+        let launch = sys.launch_plan(&dag, None)?;
+        let stream = dag
+            .stages
+            .iter()
+            .position(|s| matches!(s, lambada::core::StageKind::Scan(scan) if scan.table == table));
+        cohosted_f.set(stream.is_some_and(|sid| launch.placement[sid] == Placement::CoHosted));
+        Ok(plan)
+    };
+
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
+    let out = sim.block_on(async {
+        let mut cq = ContinuousQuery::new(&service, "streaming", "joined", spec, plan).unwrap();
+        let mut parts = Vec::new();
+        for (i, b) in batches.iter().enumerate() {
+            let link = cloud.driver_link().total_bytes();
+            let r = cq.push_batch(b).await.unwrap();
+            let carried = cloud.driver_link().total_bytes() - link;
+            assert!(cohosted.get(), "batch {i}: the stream scan is co-hosted");
+            assert!(seen.all_inline.get(), "batch {i}: every file is inline");
+            let query = r.query.expect("every batch runs");
+            assert_eq!(query.invocations(), 1, "batch {i}: one invocation runs the chain");
+            // The link's byte count accumulates rate × time in floats.
+            let once = (carried - seen.bytes.get() as f64).abs() < 1.0;
+            assert!(once, "batch {i}: {carried} B carried for {} B", seen.bytes.get());
+            let scans = query.stages.iter().filter(|s| s.label.starts_with("scan:joined"));
+            assert!(scans.map(|s| s.get_requests).eq([0]), "batch {i}: the stream scan GETs");
+            assert!(!stream_bucket(&cloud, "joined"));
+            if r.emitted.num_rows() > 0 {
+                parts.push(r.emitted);
+            }
+        }
+        parts.push(cq.finish().unwrap());
+        RecordBatch::concat(cq.agg_schema().clone(), &parts).unwrap()
+    });
+    assert_eq!(out, reference);
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// A batch cut into enough files that one worker each makes a fleet the
+/// driver launches two-level: every first-generation payload carries its
+/// group's files within the invoke cap — no invocation is refused — and
+/// the driver's link, which carries nothing else for a stream-only
+/// aggregate, carries at least every batch's bytes (a speculative backup
+/// carries its files again). Emissions stay bit-identical to the
+/// reference.
+#[test]
+fn a_batch_of_many_files_launches_two_level_within_the_payload_cap() {
+    let spec = StreamSpec {
+        window: WindowSpec::tumbling(10),
+        lateness: 5,
+        batch_files: 128,
+        ..StreamSpec::default()
+    };
+    let batches = source_batches(
+        SourceConfig { seed: 13, events_per_tick: 40.0, max_delay: 5, ..SourceConfig::default() },
+        3,
+        600,
+    );
+    let catalog = reference_catalog(&batches.concat(), &spec.window, dim_batch());
+    let reference = execute_into_batch(&stream_only_plan("stream_ref"), &catalog).unwrap();
+
+    let sim = Simulation::new();
+    let (cloud, service) = streaming_service(
+        &sim,
+        streaming_config(AggStrategy::DriverMerge, TransportKind::ObjectStore),
+        false,
+    );
+    let seen = Rc::new(Seen::default());
+    let seen_f = Rc::clone(&seen);
+    let plan = move |sys: &Lambada, table: &str| {
+        seen_f.record(sys, table);
+        Ok(stream_only_plan(table))
+    };
+
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
+    let out = sim.block_on(async {
+        let mut cq = ContinuousQuery::new(&service, "streaming", "wide", spec, plan).unwrap();
+        let mut parts = Vec::new();
+        for (i, b) in batches.iter().enumerate() {
+            let link = cloud.driver_link().total_bytes();
+            let r = cq.push_batch(b).await.unwrap();
+            let carried = cloud.driver_link().total_bytes() - link;
+            assert!(seen.all_inline.get(), "batch {i}: every file is inline");
+            assert!(carried >= seen.bytes.get() as f64, "batch {i}: {carried} B carried");
+            let query = r.query.expect("every batch runs");
+            let files = seen.files.get();
+            let two_level = choose_strategy(cloud.region(), files) == InvocationStrategy::TwoLevel;
+            assert!(two_level, "batch {i}: {files} files");
+            let scan = query.stages.iter().find(|s| s.label.starts_with("scan:wide"));
+            assert_eq!(scan.map(|s| (s.workers, s.get_requests)), Some((files, 0)), "batch {i}");
+            if r.emitted.num_rows() > 0 {
+                parts.push(r.emitted);
+            }
+        }
+        parts.push(cq.finish().unwrap());
+        RecordBatch::concat(cq.agg_schema().clone(), &parts).unwrap()
+    });
+    assert_eq!(out, reference);
+    assert!(!stream_bucket(&cloud, "wide"));
+    sim.block_on(cloud.handle.sleep(Duration::from_secs(1)));
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// A stream scan worker killed mid-batch: its speculative backup is the
+/// same payload re-issued, so it re-reads the same inline files, and the
+/// emissions stay bit-identical to the reference.
+#[test]
+fn a_killed_stream_scan_worker_is_backed_up_from_the_same_payload() {
+    let spec =
+        StreamSpec { window: WindowSpec::tumbling(10), lateness: 5, ..StreamSpec::default() };
+    let batches = source_batches(
+        SourceConfig { seed: 17, events_per_tick: 10.0, max_delay: 5, ..SourceConfig::default() },
+        8,
+        40,
+    );
+    let reference = reference_windows(&batches.concat(), &spec.window);
+
+    let sim = Simulation::new();
+    let (cloud, service) = streaming_service(
+        &sim,
+        streaming_config(AggStrategy::Exchange { workers: Some(2) }, TransportKind::ObjectStore),
+        false,
+    );
+    // Kill the stream scan's worker 1, original attempt, in batch 3 only.
+    let armed = Rc::new(Cell::new(false));
+    let armed_f = Rc::clone(&armed);
+    inject_query_worker_faults(&cloud, move |p| {
+        let stream_scan = matches!(&p.task, WorkerTask::Stage(t)
+            if matches!(&t.op, StageOp::Scan(s) if s.table.name.starts_with("killed_b")));
+        (armed_f.get() && stream_scan && p.worker_id == 1 && p.attempt == 0)
+            .then(|| InjectedFault::kill(Duration::from_millis(1)))
+    });
+
+    let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
+    let (out, backups) = sim.block_on(async {
+        let mut cq = ContinuousQuery::new(&service, "streaming", "killed", spec, plan_fn).unwrap();
+        let (mut parts, mut backups) = (Vec::new(), 0);
+        for (i, b) in batches.iter().enumerate() {
+            armed.set(i == 3);
+            let r = cq.push_batch(b).await.unwrap();
+            if i == 3 {
+                backups = r.query.as_ref().unwrap().backup_invocations();
+            }
+            if r.emitted.num_rows() > 0 {
+                parts.push(r.emitted);
+            }
+        }
+        armed.set(false);
+        parts.push(cq.finish().unwrap());
+        (RecordBatch::concat(cq.agg_schema().clone(), &parts).unwrap(), backups)
+    });
+    assert_eq!(out, reference);
+    assert!(cloud.faas.injected_kills("lambada-worker") >= 1, "the kill happened");
+    assert!(backups >= 1, "the killed scan worker was speculated against");
+    assert!(!stream_bucket(&cloud, "killed"));
+    sim.block_on(cloud.handle.sleep(Duration::from_secs(1)));
     assert_quiescent(&sim, &cloud, &config, queues);
 }
 

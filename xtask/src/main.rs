@@ -19,6 +19,10 @@
 //! 3. **wire-stability** — every public struct/enum in the wire-format
 //!    module (`crates/core/src/message.rs`) carries a doc comment with
 //!    a `Wire stability` note.
+//! 4. **free-staging** — nothing under `crates/core/src` calls
+//!    `ObjectStore::stage`, which stores with no latency, billing or
+//!    bandwidth: it is for data that exists before a run starts, so
+//!    nothing the system does at run time may use it.
 //!
 //! Findings print as `path:line: [rule] message`; the process exits
 //! nonzero when any are found, so CI fails the build.
@@ -103,6 +107,23 @@ fn lint() -> ExitCode {
         lint_wire_stability(&root.join("crates/core/src/message.rs"), message_src, &mut findings);
     }
 
+    let mut core_files = Vec::new();
+    match rs_files(&root.join("crates/core/src"), &mut core_files) {
+        Ok(()) => {
+            for path in &core_files {
+                if let Some(src) = read_or_report(path, "free-staging", &mut findings) {
+                    lint_free_staging(path, &src, &mut findings);
+                }
+            }
+        }
+        Err(e) => findings.push(Finding {
+            path: root.join("crates/core/src"),
+            line: 0,
+            rule: "free-staging",
+            message: format!("cannot list sources: {e}"),
+        }),
+    }
+
     if findings.is_empty() {
         println!("xtask lint: clean");
         ExitCode::SUCCESS
@@ -127,18 +148,29 @@ fn counted_lines(src: &str) -> usize {
         .count()
 }
 
-/// Every `.rs` file under `dir`, recursively, in path order, with its
-/// [`counted_lines`].
-fn count_tree(dir: &Path, out: &mut Vec<(PathBuf, usize)>) -> std::io::Result<()> {
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> =
         std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            count_tree(&path, out)?;
+            rs_files(&path, out)?;
         } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push((path.clone(), counted_lines(&std::fs::read_to_string(&path)?)));
+            out.push(path);
         }
+    }
+    Ok(())
+}
+
+/// Every `.rs` file under `dir`, recursively, in path order, with its
+/// [`counted_lines`].
+fn count_tree(dir: &Path, out: &mut Vec<(PathBuf, usize)>) -> std::io::Result<()> {
+    let mut files = Vec::new();
+    rs_files(dir, &mut files)?;
+    for path in files {
+        let lines = counted_lines(&std::fs::read_to_string(&path)?);
+        out.push((path, lines));
     }
     Ok(())
 }
@@ -484,6 +516,27 @@ fn lint_wire_stability(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// `ObjectStore::stage` puts an object for free and at once. A call to
+/// it — `.stage(`, or `::stage(` — in code (comments and strings
+/// stripped) is a finding: every byte the system moves at run time must
+/// go through a modelled, billed path.
+fn lint_free_staging(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+    let mut in_block = false;
+    for (idx, raw) in src.lines().enumerate() {
+        let code = code_only(raw, &mut in_block);
+        if code.contains(".stage(") || code.contains("::stage(") {
+            findings.push(Finding {
+                path: path.to_path_buf(),
+                line: idx + 1,
+                rule: "free-staging",
+                message: "calls `ObjectStore::stage`, which stores for free; \
+                          only data that exists before a run may be staged"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +602,31 @@ mod tests {
         assert_eq!(settable_within(0, 39), Ok(()));
         let err = settable_within(40, 39).unwrap_err();
         assert!(err.contains("40") && err.contains("MAX_SETTABLE_VALUES"), "{err}");
+    }
+
+    /// A call to `stage`, by method or by path, is a finding; the name in
+    /// a comment or a string, a field named `stage` and another method
+    /// that ends in it are not.
+    #[test]
+    fn free_staging_flags_calls_to_stage() {
+        let mut findings = Vec::new();
+        let src = "cloud.s3.stage(&bucket, &key, body);\n\
+                   // s3.stage(&b, &k, body) in a comment\n\
+                   let m = \"s3.stage(\";\n\
+                   let kind = &dag.stages[sid];\n\
+                   let s = task.stage.clone();\n\
+                   ObjectStore::stage(&store, \"b\", \"k\", body);\n\
+                   let t = self.stage_task(&scope);\n\
+                   let u = self.upstage(x);\n";
+        lint_free_staging(Path::new("c.rs"), src, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![1, 6],
+            "{:?}",
+            findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+        );
+        assert!(findings.iter().all(|f| f.rule == "free-staging"));
     }
 
     #[test]
