@@ -56,7 +56,9 @@
 //! runs, straight from its producers — the driver relays nothing — and
 //! the host addresses it; a host that waits past its priced bound ships
 //! its part after all, and the rest of the chain — its co-hosted scans
-//! included — launches as a fleet of its own.
+//! included — launches as a fleet of its own. Each launch hands its
+//! workers one list, the suffix of [`LaunchPlan::chain`] from the stage
+//! it starts at ([`ChainStage`]), each stage named for that launch.
 //! Results ride that message when they are small
 //! ([`crate::message::INLINE_RESULT_BYTES`]); the driver fetches the
 //! stored rest concurrently. Collection keeps a few result-queue long
@@ -102,7 +104,7 @@ use crate::table::TableSpec;
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, result_key, CoHosted, EdgeRead, FusedStage, Inbox, ReportTop, ScanOp,
+    register_worker_function, result_key, ChainStage, EdgeRead, Inbox, ReportTop, ScanOp,
     SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
 
@@ -744,12 +746,6 @@ impl<'a> LaunchPlan<'a> {
         self.handed_to(sid).filter(|_| self.placement[sid] == Placement::Fused)
     }
 
-    /// `sid`'s co-hosted inputs, in input order.
-    pub(crate) fn cohosted_in(&self, sid: usize) -> Vec<usize> {
-        let inputs = self.edges.dag.stages[sid].inputs().into_iter();
-        inputs.filter(|&p| self.placement[p] == Placement::CoHosted).collect()
-    }
-
     /// Whether `sid` runs after its host but reads an edge that is
     /// neither fused nor co-hosted too: its host's invocation waits for
     /// that edge's reports in `sid`'s inbox.
@@ -780,9 +776,13 @@ impl<'a> LaunchPlan<'a> {
     /// The stages one invocation of `head`'s fleet runs: `head`, then
     /// every stage fused after it, in order — each the host of the next —
     /// with each member's co-hosted scans listed just before it.
-    pub(crate) fn chain(&self, head: usize) -> Vec<usize> {
+    pub fn chain(&self, head: usize) -> Vec<usize> {
         let members = std::iter::successors(Some(head), |&sid| self.fused_into(sid));
-        members.flat_map(|sid| self.cohosted_in(sid).into_iter().chain([sid])).collect()
+        let cohosted = |sid: usize| {
+            let inputs = self.edges.dag.stages[sid].inputs().into_iter();
+            inputs.filter(|&p| self.placement[p] == Placement::CoHosted)
+        };
+        members.flat_map(|sid| cohosted(sid).chain([sid])).collect()
     }
 }
 
@@ -1028,58 +1028,39 @@ impl Lambada {
         let scope = Rc::new(QueryScope::open(self, qid, &launch, transport));
 
         // Build every stage's task before anything launches: a planning
-        // failure must surface before the first invocation. Co-hosted
-        // scans hand on to no one and go first, then the rest consumers
-        // first, so a host can link the stage it hands its part to and
-        // that stage's co-hosted scans. Edge addresses are the one
-        // per-worker part known only at launch: the fleet fills them in.
+        // failure must surface before the first invocation. Edge addresses
+        // are the one per-worker part known only at launch: the fleet
+        // fills them in.
         let n = dag.stages.len();
+        let tasks = (0..n).map(|sid| self.stage_task(&scope, sid, &launch).map(Rc::new));
+        let tasks = tasks.collect::<Result<Vec<_>>>()?;
         let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
-        let mut head_of: Vec<usize> = (0..n).collect();
-        for &head in &heads {
-            for sid in launch.chain(head) {
-                head_of[sid] = head;
-            }
-        }
-        let cohosted = |sid: &usize| launch.placement[*sid] == Placement::CoHosted;
-        let order = (0..n).filter(cohosted).chain((0..n).rev().filter(|sid| !cohosted(sid)));
-        let mut built: Vec<Option<Rc<StageTask>>> = vec![None; n];
-        let task = |built: &[Option<Rc<StageTask>>], sid: usize| {
-            built[sid].clone().ok_or_else(|| CoreError::Engine(format!("stage {sid} unbuilt")))
-        };
-        let label = |sid: usize| dag.stages[sid].label(sid);
-        for sid in order {
-            let fused_into = match launch.fused_into(sid) {
-                None => None,
-                Some(c) => {
-                    let inputs = dag.stages[c].inputs();
-                    let slot = |p: usize| inputs.iter().position(|&i| i == p).unwrap_or_default();
-                    // A waiting stage's one other in-edge (`V-FLEET-005`).
-                    let other = inputs.iter().copied().find(|&i| i != sid && !cohosted(&i));
-                    let mut beside = Vec::new();
-                    for p in launch.cohosted_in(c) {
-                        beside.push(CoHosted {
-                            label: format!("{} (co-hosted in {})", label(p), label(head_of[c])),
-                            task: task(&built, p)?,
-                            slot: slot(p),
-                        });
-                    }
-                    Some(FusedStage {
-                        label: format!("{} (fused after {})", label(c), label(sid)),
-                        task: task(&built, c)?,
-                        slot: slot(sid),
-                        inbox: other.filter(|_| launch.waits(c)).map(|i| Inbox {
-                            queue: scope.inbox(c),
-                            slot: slot(i),
-                            senders: launch.workers[i],
-                        }),
-                        cohosted: beside,
-                    })
-                }
+        let member = |sid: usize| {
+            let cohosted = launch.placement[sid] == Placement::CoHosted;
+            // The in-edge the parts handed on in memory fill: a co-hosted
+            // scan's own at its reader, a member's host's at the member.
+            let inputs = dag.stages[sid].inputs();
+            let (part, reader) = match launch.handed_to(sid) {
+                Some(c) if cohosted => (Some(sid), c),
+                _ => (inputs.iter().copied().find(|&p| launch.fused_into(p) == Some(sid)), sid),
             };
-            built[sid] = Some(Rc::new(self.stage_task(&scope, sid, &launch, fused_into)?));
-        }
-        let tasks = (0..n).map(|sid| task(&built, sid)).collect::<Result<Vec<_>>>()?;
+            let at = |p: usize| dag.stages[reader].inputs().iter().position(|&i| i == p);
+            let slot = part.and_then(at).unwrap_or_default();
+            // A waiting stage's one other in-edge (`V-FLEET-005`).
+            let apart = inputs.iter().position(|&i| launch.placement[i] == Placement::Apart);
+            let inbox = apart.filter(|_| launch.waits(sid)).map(|slot| Inbox {
+                queue: scope.inbox(sid),
+                slot,
+                senders: launch.workers[inputs[slot]],
+            });
+            let (label, task) = (dag.stages[sid].label(sid), Rc::clone(&tasks[sid]));
+            Member {
+                sid,
+                stage: ChainStage { label, task, slot, inbox, cohosted },
+                receivers: launch.partitions[sid],
+                sort: launch.sort_edges[sid].clone(),
+            }
+        };
 
         // One concurrently spawned fleet future per chain head, sequenced
         // by the shared board: each future sleeps until its head's inputs
@@ -1089,14 +1070,8 @@ impl Lambada {
         let board = Rc::new(StageBoard::new(dag));
         let mut handles = Vec::with_capacity(heads.len());
         for &head in &heads {
-            let chain = launch.chain(head).into_iter().map(|sid| Member {
-                sid,
-                task: Rc::clone(&tasks[sid]),
-                receivers: launch.partitions[sid],
-                sort: launch.sort_edges[sid].clone(),
-                waits: launch.waits(sid),
-            });
-            let fleet = Fleet { workers: launch.workers[head], chain: chain.collect() };
+            let chain = launch.chain(head).into_iter().map(member).collect();
+            let fleet = Fleet { workers: launch.workers[head], chain };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 Rc::clone(&scope),
                 policy.gate.clone(),
@@ -1127,15 +1102,7 @@ impl Lambada {
                     chain_of[sid] = first;
                 }
                 for r in std::mem::take(&mut run.results) {
-                    let split = r.split_fused();
-                    if split.len() != ran.len() {
-                        return Err(CoreError::Engine(format!(
-                            "a worker of stage {first} reported {} stages of its {}",
-                            split.len(),
-                            ran.len()
-                        )));
-                    }
-                    for (&sid, r) in ran.iter().zip(split) {
+                    for (&sid, r) in ran.iter().zip(r.split_fused()) {
                         results[sid].push(r);
                     }
                 }
@@ -1221,14 +1188,12 @@ impl Lambada {
     /// Build stage `sid`'s task — the one assignment its whole fleet
     /// shares: the planner's stage as the operator, its in-edges resolved
     /// to channels and sender counts, and its output as a sink, all sized
-    /// by the launch plan; `fused_into` is the stage its fused out-edge
-    /// hands its part to.
+    /// by the launch plan.
     fn stage_task(
         &self,
         scope: &QueryScope,
         sid: usize,
         launch: &LaunchPlan<'_>,
-        fused_into: Option<FusedStage>,
     ) -> Result<StageTask> {
         let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
@@ -1296,7 +1261,6 @@ impl Lambada {
             transport: Rc::clone(&scope.transport),
             result_bucket: self.config.result_bucket.clone(),
             result_prefix: scope.result_prefix(),
-            fused_into,
             inboxes: waiting.map(|c| scope.inbox(c)).collect(),
         })
     }
@@ -1500,16 +1464,34 @@ struct Fleet {
 /// One stage of a chain, as its fleet future drives it.
 struct Member {
     sid: usize,
-    /// What a fleet launched at this stage runs.
-    task: Rc<StageTask>,
+    /// Its entry in a launch's list, under its plain label
+    /// ([`launch_list`] names it for each launch).
+    stage: ChainStage,
     /// Consumer fleet size of the stage's out-edge: how many sections
     /// every report must carry (0 when the driver reads it).
     receivers: usize,
     /// The stage's out-edge, if it is a sort edge: its reports carry
     /// blocks and starts, not one section per receiver.
     sort: Option<SortEdgeSpec>,
-    /// Whether its host waits for its other in-edge ([`LaunchPlan::waits`]).
-    waits: bool,
+}
+
+/// The list a launch at `chain[0]` hands each of its workers: every stage
+/// of the chain from there on, each named for the invocation it runs in —
+/// a member after the first by its host, a co-hosted scan by the
+/// launch's first stage, which is that invocation's.
+fn launch_list(chain: &[Member]) -> Rc<[ChainStage]> {
+    let first = chain.first().map_or("", |m| &m.stage.label);
+    let mut host = first;
+    let named = chain.iter().enumerate().map(|(k, m)| {
+        let own = m.stage.label.as_str();
+        let label = match k {
+            0 => own.to_string(),
+            _ if m.stage.cohosted => format!("{own} (co-hosted in {first})"),
+            _ => format!("{own} (fused after {})", std::mem::replace(&mut host, own)),
+        };
+        ChainStage { label, ..m.stage.clone() }
+    });
+    named.collect()
 }
 
 /// Invoke one chain's fleet and collect every worker's report. A free
@@ -1557,6 +1539,7 @@ async fn run_fleet(
     let Fleet { mut workers, chain } = fleet;
     let (mut runs, mut at) = (Vec::new(), 0);
     while let Some(head) = chain.get(at) {
+        let list = launch_list(&chain[at..]);
         let enqueued = cloud.handle.now();
         loop {
             if board.failed() {
@@ -1575,7 +1558,7 @@ async fn run_fleet(
                 worker_id: w as u64,
                 attempt: 0,
                 query: scope.query,
-                task: WorkerTask::Stage(Rc::clone(&head.task)),
+                task: WorkerTask::Stage(Rc::clone(&list)),
                 edges: board.addresses(head.sid, w),
                 children: Vec::new(),
                 result_queue: result_queue.clone(),
@@ -1641,12 +1624,12 @@ async fn run_fleet(
     Ok(Some(runs))
 }
 
-/// How many members of `chain` — a launch's head, then the members fused
-/// after it — the launch's workers ran: all of them, or the ones up to a
-/// host that fell back before a waiting member. Every report must agree.
+/// How many stages of `chain` — the launch's list — the launch's workers
+/// ran: all of them, or the ones up to a host that fell back before a
+/// waiting member. Every report must agree: the one chain-length check.
 fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
     let ran = results.first().map_or(chain.len(), |r| r.fused.len() + 1);
-    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.waits);
+    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.stage.inbox.is_some());
     let agreed = results.iter().all(|r| r.fused.len() + 1 == ran);
     if !agreed || ran > chain.len() || (ran < chain.len() && !stopped_at_inbox) {
         let (head, members) = (chain.first().map_or(0, |m| m.sid), chain.len());
@@ -1849,23 +1832,7 @@ async fn collect_results(
         }
         for msg in first_done(&mut receives).await? {
             let result = WorkerResult::decode(&msg)?;
-            if seen.contains(&result.worker_id) {
-                continue; // a superseded duplicate lost the race
-            }
-            if let Err(message) = &result.outcome {
-                // Fail fast (§3.3: errors are reported, the driver
-                // decides): a fast OOM must not wait out the slowest
-                // worker before surfacing. Only an *original* attempt's
-                // error is terminal, though — a failed backup is a lost
-                // race whose original is still running (or will hit
-                // max_wait), so speculation can never fail a query that
-                // would have succeeded without it.
-                if result.attempt == 0 {
-                    return Err(CoreError::Worker {
-                        worker_id: result.worker_id,
-                        message: message.clone(),
-                    });
-                }
+            if !result.kept(&seen)? {
                 continue;
             }
             seen.insert(result.worker_id);

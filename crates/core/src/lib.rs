@@ -101,7 +101,7 @@ pub use verify::{
     verify_dag, verify_fleets, verify_fused, verify_stream, Diagnostic, MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, CoHosted, EdgeRead,
-    FusedStage, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, ChainStage,
+    EdgeRead, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
     WorkerTask,
 };

@@ -14,6 +14,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::collections::HashSet;
+
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
 use lambada_sim::services::object_store::Bytes;
@@ -243,9 +245,9 @@ pub struct WorkerResult {
     /// ran a fused chain).
     pub outcome: std::result::Result<ResultPayload, String>,
     pub metrics: WorkerMetrics,
-    /// A fused chain's members ahead of the last, in chain order: each
-    /// one's own payload (what it handed on) and metrics. Empty for an
-    /// invocation that ran one stage.
+    /// The entries of the invocation's launch list ahead of the one that
+    /// ran last, in list order: each one's own payload (what it handed
+    /// on) and metrics. Empty for an invocation that ran one stage.
     pub fused: Vec<(ResultPayload, WorkerMetrics)>,
 }
 
@@ -272,6 +274,27 @@ impl WorkerResult {
     pub fn with_attempt(mut self, attempt: u32) -> WorkerResult {
         self.attempt = attempt;
         self
+    }
+
+    /// Whether a collector keeps this report, given the workers whose
+    /// report it kept already (`seen`): the one acceptance rule, the
+    /// driver's and a host's alike. A worker's first success is kept, and
+    /// every consumer is addressed from its section table alone, so an
+    /// original's and a backup's are never combined. An original
+    /// attempt's error is that worker's error (§3.3: errors are reported,
+    /// the driver decides), so a fast failure never waits out the slowest
+    /// worker. A backup's error is a lost race whose original still runs,
+    /// so speculation never fails a query that would succeed without it;
+    /// it is skipped, as is any report after the kept one.
+    pub fn kept(&self, seen: &HashSet<u64>) -> Result<bool> {
+        match &self.outcome {
+            _ if seen.contains(&self.worker_id) => Ok(false),
+            Ok(_) => Ok(true),
+            Err(message) if self.attempt == 0 => {
+                Err(CoreError::Worker { worker_id: self.worker_id, message: message.clone() })
+            }
+            Err(_) => Ok(false),
+        }
     }
 
     /// One result per stage the invocation ran, in chain order: the
@@ -748,5 +771,45 @@ mod tests {
         bytes[wire] = 3;
         let err = WorkerResult::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("unknown wire 3"), "{err}");
+    }
+    /// The acceptance rule over every case: a report of a worker already
+    /// seen is skipped, whatever it says; an unseen worker's success is
+    /// kept, whatever its attempt; an unseen original's error is that
+    /// worker's error; an unseen backup's error is skipped.
+    #[test]
+    fn kept_keeps_a_first_success_and_fails_on_an_original_s_error() {
+        #[derive(Debug, PartialEq)]
+        enum Want {
+            Kept,
+            Skipped,
+            Failed,
+        }
+        let cases = [
+            (true, 0, true, Want::Skipped),
+            (true, 0, false, Want::Skipped),
+            (true, 1, true, Want::Skipped),
+            (true, 1, false, Want::Skipped),
+            (false, 0, true, Want::Kept),
+            (false, 0, false, Want::Failed),
+            (false, 1, true, Want::Kept),
+            (false, 1, false, Want::Skipped),
+        ];
+        for (seen, attempt, ok, want) in cases {
+            let report = match ok {
+                true => WorkerResult::ok(7, ResultPayload::Empty, metrics()),
+                false => WorkerResult::error(7, "out of memory", metrics()),
+            };
+            let report = report.with_attempt(attempt);
+            let seen: HashSet<u64> = if seen { HashSet::from([7]) } else { HashSet::from([3]) };
+            let got = match report.kept(&seen) {
+                Ok(true) => Want::Kept,
+                Ok(false) => Want::Skipped,
+                Err(CoreError::Worker { worker_id: 7, message }) if message == "out of memory" => {
+                    Want::Failed
+                }
+                Err(e) => panic!("{e}"),
+            };
+            assert_eq!(got, want, "seen {seen:?}, attempt {attempt}, ok {ok}");
+        }
     }
 }

@@ -26,44 +26,47 @@
 //! Between two one-worker fleets an exchange edge is an identity: all of
 //! the producer's output goes to the consumer's one worker. The driver
 //! marks such an edge *fused* and runs the consumer inside its *host*,
-//! the producer's invocation ([`StageTask::fused_into`]): `run_members`
-//! runs the members one after the other, and a member's sink hands all
-//! its parts — receiver 0's one part, or a sorted run's blocks — to the
-//! next member as the exact [`PartData`] bytes the transport would have
-//! delivered, with no PUT, LIST, GET, partitioning charge or result
-//! message, so the consumer's decode → merge/sort/join path is the one it
-//! runs behind a real edge. The handed parts stand in for one in-edge
-//! ([`FusedStage::slot`]).
+//! the producer's invocation. What an invocation runs is one list
+//! ([`WorkerTask::Stage`], one [`ChainStage`] per stage): the launch's
+//! first stage, then every stage fused after it, each member's co-hosted
+//! scans just before it. `run_members` runs the members — the entries
+//! that are not co-hosted — one after the other, and a member's sink
+//! hands all its parts — receiver 0's one part, or a sorted run's blocks
+//! — to the next member as the exact [`PartData`] bytes the transport
+//! would have delivered, with no PUT, LIST, GET, partitioning charge or
+//! result message, so the consumer's decode → merge/sort/join path is the
+//! one it runs behind a real edge. The handed parts stand in for one
+//! in-edge ([`ChainStage::slot`]).
 //!
 //! A member's other one-worker input that it alone reads and that reads
-//! no edge itself — a scan — is *co-hosted* ([`FusedStage::cohosted`]):
-//! `run_chain` starts every co-hosted scan of every member when the
+//! no edge itself — a scan — is *co-hosted* ([`ChainStage::cohosted`]):
+//! `run_chain` starts every co-hosted scan of the list when the
 //! invocation starts, beside the chain, in the one future the invocation
 //! runs, and each hands its parts to its reader in memory as a host does.
 //! So a chain plus its co-hosted scans is one invocation, and a join
 //! beside a co-hosted scan waits for nothing. No scan outlives its
-//! invocation: its error ends the invocation at once, named
-//! `scan:… (co-hosted in …)`; and when the host falls back before the
-//! scan's reader, the scan's parts are dropped — the fleet that picks the
-//! chain up runs it again — while its requests still count in the report
-//! the invocation posts.
+//! invocation: its error ends the invocation at once, named by its label
+//! (`scan:… (co-hosted in …)`, after the launch's first stage); and when
+//! the host falls back before the scan's reader, the scan's parts are
+//! dropped — the fleet that picks the chain up runs it again — while its
+//! requests still count in the report the invocation posts.
 //!
 //! A member with an in-edge that is neither — a join whose other side
 //! runs a fleet of its own — reads it from the reports its producers post
-//! to the member's inbox ([`FusedStage::inbox`]) in the same message they
-//! send the driver, so the driver relays nothing: the host keeps the
-//! first report per worker and addresses the edge by the driver's own
-//! rule, the same [`InEdge`] its payload would have carried. The host
-//! waits for them at most [`host_wait`], which prices the idle memory
-//! against the member's own launch, and fails at once on a producer's
-//! error; past the bound the host ships its parts through the transport
-//! after all, reports its section table, and the driver launches the rest
-//! of the chain as a fleet of its own. A handed edge has no addresses, so
-//! a fused sorter has no range boundaries and keeps every row. A member's
-//! operator state is dropped before the next member starts, every budget
-//! check stays, and each stage reports its own metrics
-//! ([`WorkerResult::fused`]: the members ahead of the last in chain
-//! order, each member's co-hosted scans just before it).
+//! to the member's inbox ([`ChainStage::inbox`]) in the same message they
+//! send the driver, so the driver relays nothing: the host keeps reports
+//! by the driver's rule ([`WorkerResult::kept`]) and addresses the edge
+//! by the driver's rule too, the same [`InEdge`] its payload would have
+//! carried. The host waits for them at most [`host_wait`], which prices
+//! the idle memory against the member's own launch, and fails at once on
+//! a producer's error; past the bound the host ships its parts through
+//! the transport after all, reports its section table, and the driver
+//! launches the rest of the list as a fleet of its own. A handed edge has
+//! no addresses, so a fused sorter has no range boundaries and keeps
+//! every row. A member's operator state is dropped before the next member
+//! starts, every budget check stays, and each stage reports its own
+//! metrics ([`WorkerResult::fused`]: the list's entries ahead of the one
+//! that ran last, in list order).
 //!
 //! # Results
 //!
@@ -86,7 +89,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
@@ -254,59 +257,38 @@ pub struct StageTask {
     /// query (`results/x{instance}-q{query}`); worker `w` stores under
     /// `{result_prefix}/w{w}`.
     pub result_prefix: String,
-    /// `Some` when the out-edge is fused: the sink hands its parts to
-    /// this next stage, which runs in the same invocation.
-    pub fused_into: Option<FusedStage>,
     /// The inboxes of the hosted stages that read the out-edge while
-    /// their hosts run ([`FusedStage::inbox`]): every report goes to each
+    /// their hosts run ([`ChainStage::inbox`]): every report goes to each
     /// of them as well as to the driver.
     pub inboxes: Vec<String>,
 }
 
-impl StageTask {
-    /// The inline file bytes worker `w` of this stage's fleet carries: its
-    /// own scan's run of files, if the stage is a scan, and those of every
-    /// scan co-hosted beside the stages fused after it, which run in the
-    /// same invocation under the same worker id.
-    pub(crate) fn inline_bytes(&self, w: u64) -> u64 {
-        let members =
-            std::iter::successors(self.fused_into.as_ref(), |m| m.task.fused_into.as_ref());
-        let beside = members.flat_map(|m| &m.cohosted).map(|co| &*co.task);
-        let files = std::iter::once(self).chain(beside).flat_map(|task| match &task.op {
-            StageOp::Scan(scan) => scan.files(w),
-            _ => &[],
-        });
-        files.map(TableFile::inline_bytes).sum()
-    }
-}
-
-/// The stage a fused out-edge feeds, run right after its host.
-pub struct FusedStage {
-    /// How errors name the stage: `agg#5 (fused after join#4)`.
+/// One stage of the list a launch hands each of its workers
+/// ([`WorkerTask::Stage`]): the launch's first stage, then every stage
+/// fused after it, each member's co-hosted scans just before it.
+#[derive(Clone)]
+pub struct ChainStage {
+    /// How errors name the stage in this launch's invocations: `agg#5
+    /// (fused after join#4)`, `scan:customer#0 (co-hosted in join#3)`.
+    /// The first stage's is its plain label, and its errors go unnamed.
     pub label: String,
     pub task: Rc<StageTask>,
-    /// Which of the stage's in-edges the host's handed parts are: its
-    /// position among the stage's inputs.
+    /// Which of its reader's in-edges the parts handed on in memory are:
+    /// a co-hosted scan's own, or a member's host's (unread when the
+    /// member is its launch's first: its host shipped them). 0 for a
+    /// chain's head.
     pub slot: usize,
     /// Where the stage's waiting in-edge reaches it; `None` when it reads
     /// no edge besides its host's and its co-hosted scans'.
     pub inbox: Option<Inbox>,
-    /// Its co-hosted scans, in input order: they run beside the chain from
-    /// the invocation's start and hand the stage their parts in memory.
-    pub cohosted: Vec<CoHosted>,
-}
-
-/// A one-worker scan co-hosted in its reader's host invocation.
-pub struct CoHosted {
-    /// How errors name it: `scan:customer#0 (co-hosted in scan:orders#2)`.
-    pub label: String,
-    pub task: Rc<StageTask>,
-    /// Which of its reader's in-edges its parts are.
-    pub slot: usize,
+    /// A co-hosted scan: it runs beside the chain from the invocation's
+    /// start and hands its parts to the next member in memory.
+    pub cohosted: bool,
 }
 
 /// A hosted stage's other in-edge: its producers post their reports to
 /// the stage's inbox, and the host addresses the edge from them.
+#[derive(Clone)]
 pub struct Inbox {
     /// The inbox queue's name.
     pub queue: String,
@@ -323,8 +305,9 @@ pub enum WorkerTask {
     Noop,
     /// Fixed amount of number crunching on N threads (Fig 4).
     Compute { vcpu_seconds: f64, threads: usize },
-    /// One stage of a query DAG: operator → sink.
-    Stage(Rc<StageTask>),
+    /// The stages of a query DAG one invocation runs, in order: one
+    /// stage, or a fused chain with its co-hosted scans.
+    Stage(Rc<[ChainStage]>),
 }
 
 /// The invocation payload (the "event" of the Lambda function).
@@ -367,10 +350,15 @@ impl WorkerPayload {
             _ => per_address,
         });
         let bounds = self.edges.iter().flat_map(|e| &e.bounds).map(|row| row.len() * KEY_BYTES);
-        let files = match &self.task {
-            WorkerTask::Stage(task) => task.inline_bytes(self.worker_id),
-            _ => 0,
+        let stages = match &self.task {
+            WorkerTask::Stage(list) => &list[..],
+            _ => &[],
         };
+        let files = stages.iter().flat_map(|s| match &s.task.op {
+            StageOp::Scan(scan) => scan.files(self.worker_id),
+            _ => &[],
+        });
+        let files: u64 = files.map(TableFile::inline_bytes).sum();
         let children = self.children.iter().map(|c| c.edge_bytes(per_address));
         addrs.sum::<usize>() + bounds.sum::<usize>() + files as usize + children.sum::<usize>()
     }
@@ -528,15 +516,15 @@ async fn run_handler(
     // Success or error, the handler posts a message to the result queue
     // from which the driver polls (§3.3). Inline edge sections make it
     // bigger and cross the driver's link. The same message goes to the
-    // inboxes of the stage it ran last — or, on an error, of its chain's
-    // tail — in the region: those sends start first and never wait
-    // behind the carry.
-    let tail = match (&payload.task, &msg.outcome) {
-        (WorkerTask::Stage(task), Ok(_)) => Some(last_member(task, msg.fused.len())),
-        (WorkerTask::Stage(task), Err(_)) => Some(last_member(task, usize::MAX)),
+    // inboxes of the stage it ran last — the one after the `fused` reports
+    // ahead of it or, on an error, the list's tail — in the region: those
+    // sends start first and never wait behind the carry.
+    let last = match (&payload.task, &msg.outcome) {
+        (WorkerTask::Stage(list), Ok(_)) => list.get(msg.fused.len()),
+        (WorkerTask::Stage(list), Err(_)) => list.last(),
         _ => None,
     };
-    let inboxes = tail.map_or(&[][..], |t| &t.inboxes[..]);
+    let inboxes = last.map_or(&[][..], |s| &s.task.inboxes[..]);
     let encoded = msg.encode();
     let to_inboxes = async {
         for inbox in inboxes {
@@ -555,21 +543,6 @@ async fn post_to_driver(env: &WorkerEnv, queue: &str, msg: &WorkerResult, encode
         invoke::carry_inline(&env.cloud, inline.len()).await;
     }
     post(env, queue, msg, encoded.to_vec()).await;
-}
-
-/// The stage an invocation of `head`'s chain ran last when it reported
-/// `ahead` stages before it — each member after the head comes after its
-/// host's report and its co-hosted scans': at most the chain's tail.
-fn last_member(head: &StageTask, ahead: usize) -> &StageTask {
-    let (mut task, mut left) = (head, ahead);
-    while let Some(next) = &task.fused_into {
-        let step = 1 + next.cohosted.len();
-        if left < step {
-            break;
-        }
-        (task, left) = (&next.task, left - step);
-    }
-    task
 }
 
 /// Send `msg`, encoded, to `queue`; one the queue refuses is still
@@ -605,7 +578,7 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
                 j.await;
             }
         }
-        WorkerTask::Stage(task) => return run_chain(env, task, &payload.edges).await,
+        WorkerTask::Stage(list) => return run_chain(env, list, &payload.edges).await,
     }
     let processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
     let metrics = WorkerMetrics { processing_secs, ..WorkerMetrics::default() };
@@ -615,26 +588,24 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
 /// What a co-hosted scan hands its reader: its report and its parts.
 type Beside = (ResultPayload, WorkerMetrics, Handoff);
 
-/// Run a stage task, every stage fused after it and their co-hosted
-/// scans in one invocation. The chain ([`run_members`]) and every
-/// co-hosted scan start together and run concurrently in this one
-/// future, so none outlives the invocation: an error in any of them ends
-/// it at once, the scan's named `scan:… (co-hosted in …)`. A scan's time
-/// runs from the invocation's start to its handoff. A host that fell back
+/// Run a launch's list in one invocation: its chain ([`run_members`])
+/// and every co-hosted scan start together and run concurrently in this
+/// one future, so none outlives the invocation: an error in any of them
+/// ends it at once, the scan's named by its label. A scan's time runs
+/// from the invocation's start to its handoff. A host that fell back
 /// before a scan's reader drops the scan's parts — the fleet that picks
 /// the chain up runs the scan again — but the scan's requests were this
 /// invocation's, and count in the report it posts.
-async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
+async fn run_chain(env: &WorkerEnv, list: &[ChainStage], edges: &[InEdge]) -> Ran {
     let start = env.cloud.handle.now();
-    let members = std::iter::successors(head.fused_into.as_ref(), |m| m.task.fused_into.as_ref());
-    let beside: Vec<&CoHosted> = members.flat_map(|m| &m.cohosted).collect();
+    let beside: Vec<&ChainStage> = list.iter().filter(|s| s.cohosted).collect();
     let (senders, receivers): (Vec<_>, VecDeque<_>) =
         beside.iter().map(|_| oneshot::channel::<Beside>()).unzip();
     let pending = RefCell::new(receivers);
     type Branch<'a> =
         Pin<Box<dyn Future<Output = std::result::Result<Option<Chain>, String>> + 'a>>;
     let mut branches: Vec<Branch<'_>> =
-        vec![Box::pin(async { run_members(env, head, edges, start, &pending).await.map(Some) })];
+        vec![Box::pin(async { run_members(env, list, edges, start, &pending).await.map(Some) })];
     for (co, tx) in beside.into_iter().zip(senders) {
         branches.push(Box::pin(async move {
             let ran = run_stage(env, &co.task, Vec::new(), &[], true).await;
@@ -661,53 +632,53 @@ async fn run_chain(env: &WorkerEnv, head: &StageTask, edges: &[InEdge]) -> Ran {
 /// What a chain ran: the last member's report and the reports ahead of it.
 type Chain = (ResultPayload, WorkerMetrics, Vec<Report>);
 
-/// Run a stage task and every stage fused after it, one after the
-/// other, from `start`: the head reads its in-edges at `edges`; every
-/// member after it reads the parts its host handed on, its co-hosted
-/// scans' parts from `pending` (in chain order) and, if it waits for
-/// another in-edge, the reports its producers post to its inbox. A host
-/// waits for those at most [`host_wait`]; past that it ships its parts
-/// through the transport, reports its section table, and the chain ends
-/// there: the driver launches the rest of it. A member's time runs from
-/// its host's handoff, its waits included; an error names the member it
-/// happened in. The reports ahead of the last are in chain order, each
-/// member's co-hosted scans just before it.
+/// Run the list's members — its stages that are not co-hosted — one after
+/// the other, from `start`: the first reads its in-edges at `edges`;
+/// every member after it reads the parts its host handed on, the parts
+/// of the co-hosted scans listed before it from `pending` (in list order)
+/// and, if it waits for another in-edge, the reports its producers post
+/// to its inbox. A host waits for those at most [`host_wait`]; past that
+/// it ships its parts through the transport, reports its section table,
+/// and the chain ends there: the driver launches the rest of it. A
+/// member's time runs from its host's handoff, its waits included; an
+/// error names the member it happened in. The reports ahead of the last
+/// are the list's entries before it, in order.
 async fn run_members(
     env: &WorkerEnv,
-    head: &StageTask,
+    list: &[ChainStage],
     edges: &[InEdge],
     start: SimTime,
     pending: &RefCell<VecDeque<oneshot::Receiver<Beside>>>,
 ) -> std::result::Result<Chain, String> {
     let (mut ahead, mut hosts) = (Vec::new(), Vec::new());
-    let (mut task, mut label, mut handed) = (head, None, Vec::new());
+    let (mut at, mut handed) = (0, Vec::new());
     let mut edges = Cow::Borrowed(edges);
     let mut member_start = start;
     // The last member's time is the chain's less its hosts'.
     let last_secs =
         |hosts: &[f64]| (env.cloud.handle.now() - start).as_secs_f64() - hosts.iter().sum::<f64>();
-    loop {
-        let named = |e: CoreError| match label {
-            Some(label) => format!("{label}: {e}"),
-            None => e.to_string(),
+    while let Some(member) = list.get(at) {
+        let named = |e: CoreError| match at {
+            0 => e.to_string(),
+            _ => format!("{}: {e}", member.label),
         };
-        let hands_on = task.fused_into.is_some();
-        let ran = run_stage(env, task, std::mem::take(&mut handed), &edges, hands_on).await;
-        let (payload, mut metrics, handoff) = ran.map_err(named)?;
-        let (Some(next), Some(handoff)) = (&task.fused_into, handoff) else {
+        let next = (at + 1..list.len()).find(|&i| !list[i].cohosted);
+        let ran = run_stage(env, &member.task, std::mem::take(&mut handed), &edges, next.is_some());
+        let (payload, mut metrics, handoff) = ran.await.map_err(named)?;
+        let (Some(next), Some(handoff)) = (next, handoff) else {
             metrics.processing_secs = last_secs(&hosts);
             return Ok((payload, metrics, ahead));
         };
-        let handed_off = env.cloud.handle.now();
-        edges = match &next.inbox {
+        let (reader, handed_off) = (&list[next], env.cloud.handle.now());
+        edges = match &reader.inbox {
             None => Cow::Borrowed(&[]),
             Some(inbox) => {
-                let addressed = await_addresses(env, task, inbox, &handoff).await;
-                match addressed.map_err(|e| format!("{}: {e}", next.label))? {
+                let addressed = await_addresses(env, &member.task, inbox, &handoff).await;
+                match addressed.map_err(|e| format!("{}: {e}", reader.label))? {
                     Some(addressed) => Cow::Owned(addressed),
                     None => {
                         let payload =
-                            ship(env, task, handoff, &mut metrics).await.map_err(named)?;
+                            ship(env, &member.task, handoff, &mut metrics).await.map_err(named)?;
                         metrics.processing_secs = last_secs(&hosts);
                         return Ok((payload, metrics, ahead));
                     }
@@ -717,8 +688,8 @@ async fn run_members(
         metrics.processing_secs = (handed_off - member_start).as_secs_f64();
         hosts.push(metrics.processing_secs);
         ahead.push((payload, metrics));
-        handed.push((next.slot, handoff.parts));
-        for co in &next.cohosted {
+        handed.push((reader.slot, handoff.parts));
+        for co in &list[at + 1..next] {
             let scan = pending.borrow_mut().pop_front();
             let handed_on = match scan {
                 Some(scan) => scan.await.ok(),
@@ -730,17 +701,17 @@ async fn run_members(
             ahead.push((payload, metrics));
             handed.push((co.slot, handoff.parts));
         }
-        (task, label, member_start) = (&next.task, Some(&next.label), handed_off);
+        (at, member_start) = (next, handed_off);
     }
+    Err("the chain ran nothing".to_string())
 }
 
 /// The next member's in-edges, its other one addressed from the reports
 /// its producers post to `inbox`, waiting at most [`host_wait`] for one
-/// per producer worker: `None` if they did not all come. The first
-/// report per worker is kept, whatever its attempt, and addressed by the
-/// driver's own rule ([`section_tables`]). An original attempt's error
-/// ends the wait at once as that producer's error; a backup's is a lost
-/// race, skipped — both the driver's collection rules.
+/// per producer worker: `None` if they did not all come. Reports are
+/// kept by the driver's own rule ([`WorkerResult::kept`]) — an original
+/// attempt's error ends the wait at once as that producer's error — and
+/// addressed by its own rule too ([`section_tables`]).
 async fn await_addresses(
     env: &WorkerEnv,
     task: &StageTask,
@@ -756,19 +727,21 @@ async fn await_addresses(
     let wait = host_wait(&prices, env.ctx.memory_mib(), quantum, elapsed, spills);
     let deadline = start + Duration::from_secs_f64(wait);
     let mut reports: Vec<WorkerResult> = Vec::with_capacity(inbox.senders);
+    let mut seen = HashSet::with_capacity(inbox.senders);
     let mut failed = None;
     while reports.len() < inbox.senders && failed.is_none() {
         let left = deadline.saturating_since(env.cloud.handle.now());
         for msg in env.sqs.receive(&inbox.queue, 10, left).await? {
             let report = WorkerResult::decode(&msg)?;
-            match &report.outcome {
-                _ if reports.iter().any(|r| r.worker_id == report.worker_id) => {}
-                Err(message) if report.attempt == 0 => {
-                    let (worker_id, message) = (report.worker_id, message.clone());
-                    failed.get_or_insert(CoreError::Worker { worker_id, message });
+            match report.kept(&seen) {
+                Ok(true) => {
+                    seen.insert(report.worker_id);
+                    reports.push(report);
                 }
-                Err(_) => {}
-                Ok(_) => reports.push(report),
+                Ok(false) => {}
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
         }
         if env.cloud.handle.now() >= deadline {
@@ -1361,7 +1334,6 @@ mod tests {
             transport: Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None)),
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
-            fused_into: None,
             inboxes: Vec::new(),
         }
     }
@@ -1542,7 +1514,6 @@ mod tests {
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
-            fused_into: None,
             inboxes: Vec::new(),
         };
         for (r, rows) in [(0usize, 0..21i64), (1, 21..64)] {
@@ -1593,7 +1564,6 @@ mod tests {
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
-            fused_into: None,
             inboxes: Vec::new(),
         };
         let now = || cloud.handle.now();

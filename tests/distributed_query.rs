@@ -118,8 +118,8 @@ fn direct_and_two_level_invocation_agree() {
     use lambada::core::invoke::labels;
     use lambada::core::stage::FinalStage;
     use lambada::core::{
-        invoke_workers_as, EdgeTransport, ResultPayload, ScanOp, StageKind, StageOp, StageSink,
-        StageTask, WorkerPayload, WorkerResult, WorkerTask,
+        invoke_workers_as, ChainStage, EdgeTransport, ResultPayload, ScanOp, StageKind, StageOp,
+        StageSink, StageTask, WorkerPayload, WorkerResult, WorkerTask,
     };
     use lambada::engine::physical::agg_state_to_batch;
     use lambada::engine::GroupedAggState;
@@ -152,16 +152,22 @@ fn direct_and_two_level_invocation_agree() {
             transport: Rc::new(EdgeTransport::new(config.exchange.clone(), None)),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
-            fused_into: None,
             inboxes: Vec::new(),
         });
+        let list: Rc<[ChainStage]> = Rc::new([ChainStage {
+            label: "scan:lineitem#0".to_string(),
+            task,
+            slot: 0,
+            inbox: None,
+            cohosted: false,
+        }]);
         cloud.sqs.create_queue("by-hand");
         let payloads: Vec<WorkerPayload> = (0..workers as u64)
             .map(|w| WorkerPayload {
                 worker_id: w,
                 attempt: 0,
                 query: 0,
-                task: WorkerTask::Stage(Rc::clone(&task)),
+                task: WorkerTask::Stage(Rc::clone(&list)),
                 edges: Vec::new(),
                 children: Vec::new(),
                 result_queue: "by-hand".to_string(),

@@ -343,9 +343,9 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
 #[test]
 fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
     use lambada::core::{
-        address_sections, invoke_workers_as, EdgeRead, EdgeTransport, InEdge, InvocationStrategy,
-        PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv, WorkerPayload, WorkerResult,
-        WorkerTask,
+        address_sections, invoke_workers_as, ChainStage, EdgeRead, EdgeTransport, InEdge,
+        InvocationStrategy, PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv,
+        WorkerPayload, WorkerResult, WorkerTask,
     };
 
     // Seconds from launch until the worker's error report is received.
@@ -376,14 +376,19 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             transport: Rc::clone(&transport),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
-            fused_into: None,
             inboxes: Vec::new(),
         });
         let mut payload = WorkerPayload {
             worker_id: 0,
             attempt: 0,
             query: 0,
-            task: WorkerTask::Stage(task),
+            task: WorkerTask::Stage(Rc::new([ChainStage {
+                label: "join#2".to_string(),
+                task,
+                slot: 0,
+                inbox: None,
+                cohosted: false,
+            }])),
             edges: Vec::new(),
             children: Vec::new(),
             result_queue: "by-hand".to_string(),
@@ -813,7 +818,9 @@ fn q12_with_a_faulted_orders_scanner(
     system.register_table(ord_spec);
     inject_query_worker_faults(&cloud, move |p| {
         let orders = match &p.task {
-            WorkerTask::Stage(t) => matches!(&t.op, StageOp::Scan(s) if s.table.name == "orders"),
+            WorkerTask::Stage(list) => {
+                matches!(&list[0].task.op, StageOp::Scan(s) if s.table.name == "orders")
+            }
             _ => false,
         };
         (orders && p.worker_id == 1 && p.attempt == 0).then_some(fault)

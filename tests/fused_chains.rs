@@ -12,10 +12,13 @@
 //! object behind. A one-worker scan that a hosted join alone reads runs
 //! beside the chain in the host's invocation: a host that falls back runs
 //! it again in the fleet that picks the chain up, with every request
-//! counted, and its error ends the invocation at once.
+//! counted, and its error ends the invocation at once. Every launch
+//! hands its workers one list, the chain from the stage it starts at, so
+//! a co-hosted scan's error names the invocation it ran in.
 
 mod common;
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,9 +26,9 @@ use std::time::Duration;
 use common::assert_quiescent;
 use lambada::core::worker::host_wait;
 use lambada::core::{
-    inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, Placement,
-    QueryDag, QueryReport, QueryService, ServiceConfig, SortStrategy, StageOp, StageReport,
-    TransportKind, WorkerTask,
+    inject_query_worker_faults, AggStrategy, ChainStage, CoreError, Lambada, LambadaConfig,
+    LaunchPlan, Placement, QueryDag, QueryReport, QueryService, ServiceConfig, SortStrategy,
+    StageOp, StageReport, TransportKind, WorkerPayload, WorkerTask,
 };
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
@@ -381,7 +384,9 @@ fn faulted_q12(
 /// Whether `payload` scans `table`.
 fn scans(payload: &lambada::core::WorkerPayload, table: &str) -> bool {
     match &payload.task {
-        WorkerTask::Stage(task) => matches!(&task.op, StageOp::Scan(s) if s.table.name == table),
+        WorkerTask::Stage(list) => {
+            matches!(&list[0].task.op, StageOp::Scan(s) if s.table.name == table)
+        }
         _ => false,
     }
 }
@@ -628,5 +633,169 @@ fn a_co_hosted_scan_error_ends_its_invocation_at_once() {
     let host_end = cloud.trace.spans("faas_exec").iter().map(|e| e.end).min().unwrap();
     let by = start + Duration::from_secs_f64(bound);
     assert!(host_end < by, "the host ended at {host_end}, the wait not before {by}");
+    assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// The stage ids of `list`'s entries, read from their labels.
+fn list_sids(dag: &QueryDag, list: &[ChainStage]) -> Vec<usize> {
+    let plain = |s: &ChainStage| s.label.split(" (").next().unwrap().to_string();
+    let id = |label: String| (0..dag.stages.len()).find(|&i| dag.stages[i].label(i) == label);
+    list.iter().map(|s| id(plain(s)).unwrap()).collect()
+}
+
+/// `list` is a launch's list for the stages `want`, in that order, each
+/// entry as the launch plan implies: a co-hosted scan flagged and named
+/// by the launch's first stage, its slot its own at its reader — the
+/// next member; a member named by its host, the member before it, its
+/// slot its host's; a member that waits for another in-edge addressed at
+/// that edge's inbox.
+fn check_list(launch: &LaunchPlan<'_>, list: &[ChainStage], want: &[usize], what: &str) {
+    let dag = launch.edges.dag;
+    assert_eq!(list_sids(dag, list), want, "{what}");
+    let label = |sid: usize| dag.stages[sid].label(sid);
+    let slot_in = |p: usize, c: usize| dag.stages[c].inputs().iter().position(|&i| i == p);
+    let mut host = None;
+    for (k, (entry, &sid)) in list.iter().zip(want).enumerate() {
+        let what = format!("{what}: {}", entry.label);
+        let inputs = dag.stages[sid].inputs();
+        let cohosted = launch.placement[sid] == Placement::CoHosted;
+        assert_eq!(entry.cohosted, cohosted, "{what}");
+        let own_host = inputs.iter().copied().find(|&p| launch.placement[p] == Placement::Fused);
+        let slot = if cohosted {
+            let reader =
+                want[k..].iter().copied().find(|&c| launch.placement[c] != Placement::CoHosted);
+            slot_in(sid, reader.unwrap())
+        } else {
+            own_host.map_or(Some(0), |h| slot_in(h, sid))
+        };
+        assert_eq!(Some(entry.slot), slot, "{what}");
+        let apart = inputs.iter().position(|&p| launch.placement[p] == Placement::Apart);
+        let inbox = entry.inbox.as_ref().map(|i| (i.slot, i.senders));
+        let waits = apart.filter(|_| own_host.is_some() && !cohosted);
+        assert_eq!(inbox, waits.map(|slot| (slot, launch.workers[inputs[slot]])), "{what}");
+        let named = match (k, host) {
+            (0, _) => label(sid),
+            _ if cohosted => format!("{} (co-hosted in {})", label(sid), label(want[0])),
+            (_, Some(h)) => format!("{} (fused after {})", label(sid), label(h)),
+            (_, None) => panic!("{what}: a member with no host before it"),
+        };
+        assert_eq!(entry.label, named, "{what}");
+        if !cohosted {
+            host = Some(sid);
+        }
+    }
+}
+
+/// Every list `run` hands a worker, captured through the fault injector,
+/// which slows every lineitem worker 30× when `slow`.
+fn captured_lists(
+    sim: &Simulation,
+    cloud: &Cloud,
+    system: &Lambada,
+    plan: &LogicalPlan,
+    slow: bool,
+) -> (QueryReport, Vec<Rc<[ChainStage]>>) {
+    let lists = Rc::new(RefCell::new(Vec::new()));
+    let seen = Rc::clone(&lists);
+    inject_query_worker_faults(cloud, move |p: &WorkerPayload| {
+        if let WorkerTask::Stage(list) = &p.task {
+            seen.borrow_mut().push(Rc::clone(list));
+        }
+        slow.then(|| slow_lineitem(p)).flatten()
+    });
+    let report = sim.block_on(system.run_query(plan)).unwrap();
+    let lists = lists.take();
+    (report, lists)
+}
+
+/// Every payload of a warm Q5 carries the chain of the stage it launches,
+/// `LaunchPlan::chain(head)`; with every lineitem worker 30× slow the
+/// host falls back at join#3, and the launch that picks the chain up
+/// carries the rest of the orders scan's chain from join#3 — its customer
+/// scan named by join#3, the invocation it runs in. On both transports.
+#[test]
+fn each_launch_hands_its_workers_the_chain_from_where_it_starts() {
+    for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+        let what = format!("{transport:?}");
+        let case = cases().remove(1);
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let config = config(case.sort, transport);
+        let mut system = Lambada::install(&cloud, config.clone());
+        let cat = stage_tables(&cloud, &mut system);
+        let reference =
+            execute_into_batch(&Optimizer::new().optimize(&case.plan).unwrap(), &cat).unwrap();
+        let dag = system.plan(&case.plan).unwrap();
+        let launch = system.launch_plan(&dag, None).unwrap();
+        let id = |label: &str| (0..dag.stages.len()).find(|&i| dag.stages[i].label(i) == label);
+        let (host, join) = (id("scan:orders#2").unwrap(), id("join#3").unwrap());
+        let queues = cloud.sqs.queue_count();
+        // Cold starts spread may break a chain: warm first.
+        sim.block_on(system.run_query(&case.plan)).unwrap();
+
+        let (warm, lists) = captured_lists(&sim, &cloud, &system, &case.plan, false);
+        assert_eq!(warm.batch, reference, "{what}: warm, bit for bit");
+        check_fused_run(&case, &dag, &warm, &format!("{what}, warm"));
+        assert_eq!(lists.len(), warm.invocations() as usize, "{what}: one list an invocation");
+        for list in &lists {
+            let head = list_sids(&dag, list)[0];
+            check_list(&launch, list, &launch.chain(head), &format!("{what}, warm"));
+        }
+
+        let (report, lists) = captured_lists(&sim, &cloud, &system, &case.plan, true);
+        assert_eq!(report.batch, reference, "{what}: bit for bit");
+        assert_eq!(report.stages[join].chain, join, "{what}: the host fell back at join#3");
+        assert_eq!(lists.len(), report.invocations() as usize, "{what}: one list an invocation");
+        let chain = launch.chain(host);
+        let rest = &chain[chain.iter().position(|&sid| sid == join).unwrap()..];
+        let mut fallbacks = 0;
+        for list in &lists {
+            let head = list_sids(&dag, list)[0];
+            let (want, what) = match head == join {
+                true => (rest.to_vec(), format!("{what}, the fallback")),
+                false => (launch.chain(head), format!("{what}, slow")),
+            };
+            fallbacks += usize::from(head == join);
+            check_list(&launch, list, &want, &what);
+        }
+        assert_eq!(fallbacks, 1, "{what}: one launch picks the chain up");
+        assert_quiescent(&sim, &cloud, &config, queues);
+    }
+}
+
+/// A co-hosted scan's error names the invocation it ran in, after a
+/// fallback too. Q5 with every lineitem worker 30× slow falls back at
+/// join#3; once the first invocation has ended — its customer scan had
+/// read the customer files by then — a sim task deletes those files, so
+/// the fleet that picks the chain up at join#3 fails to scan them, and
+/// the error names the scan co-hosted in join#3. Nothing is left behind.
+#[test]
+fn a_co_hosted_scan_error_after_a_fallback_names_the_launch_it_ran_in() {
+    let case = cases().remove(1);
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let config = config(case.sort, TransportKind::ObjectStore);
+    let mut system = Lambada::install(&cloud, config.clone());
+    stage_tables(&cloud, &mut system);
+    let customer = system.table("customer").unwrap();
+    let queues = cloud.sqs.queue_count();
+    let warm = sim.block_on(system.run_query(&case.plan)).unwrap();
+    let dag = system.plan(&case.plan).unwrap();
+    check_fused_run(&case, &dag, &warm, "warm-up");
+    inject_query_worker_faults(&cloud, slow_lineitem);
+    cloud.trace.clear();
+    let deleter = cloud.clone();
+    cloud.handle.spawn(async move {
+        while deleter.trace.spans("faas_exec").is_empty() {
+            deleter.handle.sleep(Duration::from_millis(1)).await;
+        }
+        for file in &customer.files {
+            deleter.s3.delete_objects(&file.bucket, [&file.key]);
+        }
+    });
+    let err = sim.block_on(system.run_query(&case.plan)).unwrap_err();
+    let CoreError::Worker { message, .. } = &err else { panic!("a worker error: {err}") };
+    let named = "scan:customer#0 (co-hosted in join#3): ";
+    assert!(message.starts_with(named), "{message}");
     assert_quiescent(&sim, &cloud, &config, queues);
 }

@@ -26,9 +26,9 @@ use lambada::workloads::{
 /// Is this payload a worker of an exchange-feeding scan fleet or of a
 /// join fleet? (The fleets the fault-isolation tests kill a worker in.)
 fn scan_exchange_or_join(p: &WorkerPayload) -> bool {
-    let WorkerTask::Stage(task) = &p.task else { return false };
+    let WorkerTask::Stage(list) = &p.task else { return false };
     matches!(
-        (&task.op, &task.sink),
+        (&list[0].task.op, &list[0].task.sink),
         (StageOp::Scan(_), StageSink::Edge { .. } | StageSink::SortEdge { .. })
             | (StageOp::Join { .. }, _)
     )

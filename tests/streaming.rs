@@ -271,7 +271,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
         (armed_f.get()
             && p.worker_id == 1
             && p.attempt == 0
-            && matches!(&p.task, WorkerTask::Stage(t) if matches!(t.op, StageOp::Join { .. })))
+            && matches!(&p.task, WorkerTask::Stage(l) if matches!(l[0].task.op, StageOp::Join { .. })))
         .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });
 
@@ -745,8 +745,8 @@ fn a_killed_stream_scan_worker_is_backed_up_from_the_same_payload() {
     let armed = Rc::new(Cell::new(false));
     let armed_f = Rc::clone(&armed);
     inject_query_worker_faults(&cloud, move |p| {
-        let stream_scan = matches!(&p.task, WorkerTask::Stage(t)
-            if matches!(&t.op, StageOp::Scan(s) if s.table.name.starts_with("killed_b")));
+        let stream_scan = matches!(&p.task, WorkerTask::Stage(l)
+            if matches!(&l[0].task.op, StageOp::Scan(s) if s.table.name.starts_with("killed_b")));
         (armed_f.get() && stream_scan && p.worker_id == 1 && p.attempt == 0)
             .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });
