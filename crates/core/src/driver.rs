@@ -86,7 +86,7 @@ use lambada_engine::physical::{
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
 use lambada_sim::services::object_store::Bytes;
-use lambada_sim::{BillingSnapshot, Cloud};
+use lambada_sim::{BillingSnapshot, Cloud, Tally};
 
 use crate::costmodel::ComputeCostModel;
 use crate::error::{CoreError, Result};
@@ -1110,6 +1110,8 @@ impl Lambada {
             }
         }
 
+        // The driver's GETs of stored reports count in the last stage's.
+        let (reported, fetched) = self.reported(results.last().map_or(&[], Vec::as_slice)).await?;
         let mut stage_reports: Vec<StageReport> = Vec::with_capacity(n);
         let mut all_metrics: Vec<WorkerMetrics> = Vec::new();
         let mut cold_starts = 0u64;
@@ -1117,7 +1119,13 @@ impl Lambada {
             let head = chain_of[sid];
             let run = runs[head].as_ref().ok_or_else(|| never_ran(sid))?;
             let reports = &results[sid];
-            let sum = |f: fn(&WorkerMetrics) -> u64| reports.iter().map(|r| f(&r.metrics)).sum();
+            let mut driver = WorkerMetrics::default();
+            if sid + 1 == n {
+                driver.add(fetched);
+            }
+            let sum = |f: fn(&WorkerMetrics) -> u64| {
+                reports.iter().map(|r| f(&r.metrics)).sum::<u64>() + f(&driver)
+            };
             cold_starts += reports.iter().filter(|r| r.metrics.cold_start).count() as u64;
             all_metrics.extend(reports.iter().map(|r| r.metrics));
             stage_reports.push(StageReport {
@@ -1159,11 +1167,6 @@ impl Lambada {
             });
         }
 
-        let final_results = results.pop().unwrap_or_default();
-        let reported = match stage_reports.last_mut() {
-            Some(last) => self.reported(&final_results, last).await?,
-            None => Vec::new(),
-        };
         let (batch, agg_state) = self.finalize(&dag.final_stage, &reported)?;
         let now = self.cloud.handle.now();
         let latency_secs = (now - start).as_secs_f64();
@@ -1300,18 +1303,15 @@ impl Lambada {
 
     /// The bytes of every report, in worker order: agg state or batches
     /// as they rode the message, or as stored — every stored report's GET
-    /// is in flight before the first is awaited, and counts in `stage`'s
-    /// requests. Reports of nothing are skipped.
-    async fn reported(
-        &self,
-        results: &[WorkerResult],
-        stage: &mut StageReport,
-    ) -> Result<Vec<Bytes>> {
+    /// is in flight before the first is awaited — and the tally of the
+    /// driver's client that fetched them. Reports of nothing are skipped.
+    async fn reported(&self, results: &[WorkerResult]) -> Result<(Vec<Bytes>, Tally)> {
+        let s3 = self.cloud.driver_s3();
         let fetches: Vec<_> = results
             .iter()
             .map(|r| match &r.outcome {
                 Ok(ResultPayload::Stored { bucket, key, .. }) => {
-                    let (s3, bucket, key) = (self.cloud.driver_s3(), bucket.clone(), key.clone());
+                    let (s3, bucket, key) = (s3.clone(), bucket.clone(), key.clone());
                     Some(self.cloud.handle.spawn(async move { s3.get(&bucket, &key).await }))
                 }
                 _ => None,
@@ -1325,17 +1325,14 @@ impl Lambada {
                     _,
                 ) => Bytes::copy_from_slice(bytes),
                 (_, Some(fetch)) => {
-                    let got = fetch.await?;
-                    stage.get_requests += 1;
-                    stage.hedged_gets += got.hedges;
-                    got.value.as_real().cloned().ok_or_else(|| {
+                    fetch.await?.as_real().cloned().ok_or_else(|| {
                         CoreError::Storage("stored result was synthetic".to_string())
                     })?
                 }
                 _ => continue,
             });
         }
-        Ok(reported)
+        Ok((reported, s3.tally()))
     }
 
     fn apply_post(&self, mut batch: RecordBatch, post: &[PostOp]) -> Result<RecordBatch> {
@@ -1893,7 +1890,13 @@ async fn speculate(
     }
     let launched = backups.len() as u64;
     if launched > 0 {
-        invoke::invoke_backups(cloud, &config.function_name, backups).await?;
+        // Directly from the driver: backup fleets are a handful of
+        // workers, so the two-level tree would only add latency. Each
+        // backup carries no children — every missing worker, a dead
+        // first-generation worker's never-invoked subtree included, is
+        // re-issued individually.
+        let direct = invoke::InvocationStrategy::Direct;
+        invoke::invoke_workers_as(cloud, &config.function_name, backups, direct).await?;
     }
     Ok(launched)
 }
@@ -1961,12 +1964,12 @@ mod tests {
                 assert_eq!(addrs.iter().map(|a| a.attempt).collect::<Vec<_>>(), vec![1, 0]);
                 let t = EdgeTransport::new(config.exchange.clone(), None);
                 let env = WorkerEnv::bare(&cloud, 0, 2048, config.costs);
-                t.recv(&env, "x0/q0/s0", 0, &addrs).await.unwrap()
+                (t.recv(&env, "x0/q0/s0", 0, &addrs).await.unwrap(), env.tally())
             }
         });
         let bytes = |b: &[u8]| PartData::Real(b.to_vec());
         assert_eq!(parts.0, vec![bytes(b"backup"), bytes(b"other")]);
-        assert_eq!(parts.1.get_requests, 0, "nothing is fetched");
+        assert_eq!(parts.1.gets, 0, "nothing is fetched");
     }
 
     /// A 256-sender edge into a 128-worker consumer fleet, which the

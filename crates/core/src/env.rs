@@ -7,7 +7,7 @@
 use lambada_sim::services::faas::InstanceCtx;
 use lambada_sim::services::object_store::S3Client;
 use lambada_sim::services::queue::SqsClient;
-use lambada_sim::{Cloud, SimTime};
+use lambada_sim::{Cloud, P2pClient, SharedTally, SimTime, Tally};
 
 use crate::costmodel::ComputeCostModel;
 
@@ -16,7 +16,11 @@ use crate::costmodel::ComputeCostModel;
 pub struct WorkerEnv {
     pub cloud: Cloud,
     pub ctx: InstanceCtx,
+    /// Object-store and p2p rendezvous/relay access (the direct exchange
+    /// transport), both through this worker's traffic-shaped NIC and
+    /// counting into one [`Tally`].
     pub s3: S3Client,
+    pub p2p: P2pClient,
     pub sqs: SqsClient,
     pub worker_id: u64,
     /// Attempt id of this invocation: 0 for the original, 1.. for the
@@ -32,9 +36,34 @@ pub struct WorkerEnv {
 impl WorkerEnv {
     pub fn new(cloud: &Cloud, ctx: InstanceCtx, worker_id: u64, costs: ComputeCostModel) -> Self {
         let s3 = cloud.s3.client(ctx.link(), std::time::Duration::ZERO);
-        let sqs = cloud.instance_sqs();
-        let started = cloud.handle.now();
-        WorkerEnv { cloud: cloud.clone(), ctx, s3, sqs, worker_id, attempt: 0, costs, started }
+        let p2p = cloud.p2p.client(ctx.link());
+        let (sqs, started) = (cloud.instance_sqs(), cloud.handle.now());
+        let env = WorkerEnv {
+            cloud: cloud.clone(),
+            ctx,
+            s3,
+            p2p,
+            sqs,
+            worker_id,
+            attempt: 0,
+            costs,
+            started,
+        };
+        env.for_stage()
+    }
+
+    /// This environment with fresh S3 and p2p clients that share one new
+    /// tally: what one stage's requests are counted in, wherever (in
+    /// whichever spawned task) they are made.
+    pub fn for_stage(&self) -> WorkerEnv {
+        let tally = SharedTally::default();
+        let (s3, p2p) = (self.s3.counting_into(tally.clone()), self.p2p.counting_into(tally));
+        WorkerEnv { s3, p2p, ..self.clone() }
+    }
+
+    /// What this environment's clients did so far.
+    pub fn tally(&self) -> Tally {
+        self.s3.tally()
     }
 
     /// An environment outside the FaaS dispatch path (benches and tests
@@ -76,12 +105,6 @@ impl WorkerEnv {
         });
         let ctx = InstanceCtx::bare(cloud.handle.clone(), instance);
         WorkerEnv::new(cloud, ctx, worker_id, costs)
-    }
-
-    /// P2p rendezvous/relay access: transfers flow through this worker's
-    /// traffic-shaped NIC (used by the direct exchange transport).
-    pub fn p2p(&self) -> lambada_sim::P2pClient {
-        self.cloud.p2p.client(self.ctx.link())
     }
 
     /// Charge single-threaded compute (vCPU-seconds).

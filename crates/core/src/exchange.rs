@@ -76,7 +76,6 @@ use lambada_sim::SimHandle;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange_cost::ExchangeAlgo;
-use crate::message::Wire;
 use crate::routing::{Grid, HyperGrid};
 
 /// One partition's payload.
@@ -377,9 +376,8 @@ fn section_of(sections: &[(u32, u64)], receiver: usize) -> Option<(u64, u64)> {
 /// must be sorted by receiver id; a receiver with no parts gets a
 /// zero-length section (it learns there is nothing to fetch) and no
 /// bytes. With `named`, the section lengths also ride in the key, for
-/// receivers that discover the file by LIST. Returns the bytes written,
-/// the section table, `(receiver, len)` in file order, and the PUT's
-/// hedges.
+/// receivers that discover the file by LIST. Returns the section table,
+/// `(receiver, len)` in file order.
 pub(crate) async fn put_combined(
     env: &WorkerEnv,
     side: &ExchangeSide,
@@ -388,7 +386,7 @@ pub(crate) async fn put_combined(
     sender: usize,
     named: bool,
     entries: Vec<(u32, Vec<(u32, PartData)>)>,
-) -> Result<(u64, BundleSizes, u64)> {
+) -> Result<BundleSizes> {
     let mut file_bytes: Vec<u8> = Vec::new();
     let mut synthetic_total = 0u64;
     let mut sections: BundleSizes = Vec::with_capacity(entries.len());
@@ -415,29 +413,11 @@ pub(crate) async fn put_combined(
     } else {
         Body::Synthetic(synthetic_total + file_bytes.len() as u64)
     };
-    let written = body.len();
     for (rcv, sizes) in side_entries {
         side.put(format!("{bucket}/{key}"), rcv, sizes);
     }
-    let hedges = env.s3.put(bucket, &key, body).await?.hedges;
-    Ok((written, sections, hedges))
-}
-
-/// Request accounting of one stage-edge receive
-/// ([`crate::transport::EdgeTransport::recv`], with or without a
-/// mailbox). The driver addresses every receiver, so a receive lists
-/// nothing and waits for nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EdgeReadStats {
-    pub get_requests: u64,
-    /// Duplicates of late GETs, billed beside `get_requests`.
-    pub hedged_gets: u64,
-    pub bytes_read: u64,
-    /// Messages fetched over the p2p relay instead of the object store
-    /// (always 0 on the object-store transport).
-    pub p2p_requests: u64,
-    /// Payload bytes received over the p2p relay.
-    pub p2p_bytes: u64,
+    env.s3.put(bucket, &key, body).await?;
+    Ok(sections)
 }
 
 /// Where a receiver looks for some of its senders: the files under
@@ -519,20 +499,19 @@ fn complete(place: &Place, best: &BTreeMap<usize, Copy>) -> bool {
 /// failed listing in place order is the error. `section_for` names the
 /// receiver whose section of each write-combined file is the copy (a
 /// file without one is no copy of anything for it); `None` takes whole
-/// objects. Returns the LISTs spent.
+/// objects.
 pub(crate) async fn discover(
     handle: &SimHandle,
     s3: &S3Client,
     places: &[Place],
     section_for: Option<usize>,
     best: &mut BTreeMap<usize, Copy>,
-) -> Result<u64> {
+) -> Result<()> {
     let mut listings = Vec::new();
     for place in places.iter().filter(|p| !complete(p, best)) {
         let (s3, bucket, prefix) = (s3.clone(), place.bucket.clone(), place.prefix.clone());
         listings.push((place, handle.spawn(async move { s3.list(&bucket, &prefix).await })));
     }
-    let lists = listings.len() as u64;
     for (place, listing) in listings {
         for (key, size) in listing.await? {
             let (sender, attempt, sections) = parse_key(&key)?;
@@ -547,30 +526,29 @@ pub(crate) async fn discover(
             offer(best, Copy { sender, attempt, len, at });
         }
     }
-    Ok(lists)
+    Ok(())
 }
 
 /// **The one wait**, for Algorithm 1's peers, which run at once: poll
 /// until every sender of every place has a copy — one [`discover`] pass
 /// per round — then back off, or time out with the number of senders
-/// still missing. Returns one copy per expected sender in sender order,
-/// and the LISTs spent.
+/// still missing. Returns one copy per expected sender in sender order.
 pub(crate) async fn await_copies(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
     places: &[Place],
     section_for: Option<usize>,
-) -> Result<(Vec<Copy>, u64)> {
+) -> Result<Vec<Copy>> {
     let wait_start = env.cloud.handle.now();
     let mut best = BTreeMap::new();
-    let (mut lists, mut polls) = (0u64, 0usize);
+    let mut polls = 0usize;
     loop {
-        lists += discover(&env.cloud.handle, &env.s3, places, section_for, &mut best).await?;
+        discover(&env.cloud.handle, &env.s3, places, section_for, &mut best).await?;
         if places.iter().all(|p| complete(p, &best)) {
             let mut copies: Vec<Copy> =
                 places.iter().flat_map(|p| &p.senders).filter_map(|s| best.remove(s)).collect();
             copies.sort_by_key(|c| c.sender);
-            return Ok((copies, lists));
+            return Ok(copies);
         }
         polls += 1;
         if polls >= cfg.max_polls {
@@ -589,15 +567,14 @@ pub(crate) async fn await_copies(
 
 /// **The one fetch.** One task per non-empty copy, in `copies` order, 16
 /// connections at a time: a p2p fetch from the mailbox, a ranged/whole
-/// GET, or nothing for an inline copy, then [`decode_bundle`]. Returns,
-/// per fetched copy, the wire it came over, its parts and the GET's
-/// hedges.
+/// GET, or nothing for an inline copy, then [`decode_bundle`]. Returns
+/// the fetched copies' parts, in `copies` order.
 pub(crate) async fn fetch_copies(
     env: &WorkerEnv,
     side: &ExchangeSide,
     receiver: usize,
     copies: Vec<Copy>,
-) -> Result<Vec<(Wire, Vec<(u32, PartData)>, u64)>> {
+) -> Result<Vec<(u32, PartData)>> {
     let conn = Semaphore::new(16);
     let receiver = receiver as u32;
     let mut fetches = Vec::new();
@@ -613,29 +590,27 @@ pub(crate) async fn fetch_copies(
             match copy.at {
                 CopyAt::Mailbox(endpoint) => {
                     let body = env2
-                        .p2p()
+                        .p2p
                         .fetch(&endpoint, copy.sender as u32, copy.attempt)
                         .await
                         .map_err(|e| CoreError::Storage(e.to_string()))?;
                     let sizes =
                         side2.get(&p2p_side_key(&endpoint, copy.sender, copy.attempt), receiver);
-                    Ok((Wire::Mailbox, decode_bundle(body, sizes)?, 0))
+                    decode_bundle(body, sizes)
                 }
                 CopyAt::Store { bucket, key, offset } => {
-                    let got = match offset {
+                    let body = match offset {
                         Some(off) => env2.s3.get_range(&bucket, &key, off, copy.len).await?,
                         None => env2.s3.get(&bucket, &key).await?,
                     };
-                    let sizes = side2.get(&format!("{bucket}/{key}"), receiver);
-                    Ok((Wire::File, decode_bundle(got.value, sizes)?, got.hedges))
+                    decode_bundle(body, side2.get(&format!("{bucket}/{key}"), receiver))
                 }
-                CopyAt::Inline(bytes) => {
-                    Ok((Wire::Inline, decode_bundle(Body::Real(bytes), vec![])?, 0))
-                }
+                CopyAt::Inline(bytes) => decode_bundle(Body::Real(bytes), vec![]),
             }
         }));
     }
-    join_all(fetches).await.into_iter().collect()
+    let fetched = join_all(fetches).await.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(fetched.into_iter().flatten().collect())
 }
 
 /// Exponential poll backoff (capped at 8x) keeps the LIST count per
@@ -735,14 +710,12 @@ pub async fn run_exchange(
             let prefix = format!("x{}/r{round_idx}/rcv{p}/", cfg.run_id);
             (vec![Place { bucket, prefix, senders: round.senders.clone() }], None)
         };
-        let (copies, _) = await_copies(env, cfg, &places, section_for).await?;
+        let copies = await_copies(env, cfg, &places, section_for).await?;
         let wait_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_wait", write_end, wait_end);
 
         // ---- Read phase ----------------------------------------------------
-        for (_, parts, _) in fetch_copies(env, side, p, copies).await? {
-            held.extend(parts);
-        }
+        held.extend(fetch_copies(env, side, p, copies).await?);
         let read_end = env.cloud.handle.now();
         env.cloud.trace.record(p as u64, "exchange_read", wait_end, read_end);
 
@@ -847,17 +820,19 @@ mod tests {
                 let (handle, s3) = (&cloud.handle, worker(&cloud, 10, 0).s3);
 
                 let start = handle.now();
-                let (mut one_by_one, mut lists) = (BTreeMap::new(), 0);
+                let mut one_by_one = BTreeMap::new();
                 for place in &places {
                     let place = std::slice::from_ref(place);
-                    lists += discover(handle, &s3, place, Some(0), &mut one_by_one).await.unwrap();
+                    discover(handle, &s3, place, Some(0), &mut one_by_one).await.unwrap();
                 }
                 let serial_secs = (handle.now() - start).as_secs_f64();
+                let lists = s3.tally().list_units;
 
                 let start = handle.now();
                 let mut together = BTreeMap::new();
-                let spent = discover(handle, &s3, &places, Some(0), &mut together).await.unwrap();
+                discover(handle, &s3, &places, Some(0), &mut together).await.unwrap();
                 let round_secs = (handle.now() - start).as_secs_f64();
+                let spent = s3.tally().list_units - lists;
                 assert_eq!((spent, lists), (8, 8));
                 assert_eq!(chosen(&together), chosen(&one_by_one));
                 assert_eq!(together[&2].attempt, 1, "the backup's file wins");
@@ -884,8 +859,9 @@ mod tests {
                     async move {
                         let env = worker(&cloud, 10, 0);
                         let places = Place::group(0..1, |s| t.place_of(s));
-                        let (copies, lists) = await_copies(&env, &t.cfg, &places, Some(0)).await?;
+                        let copies = await_copies(&env, &t.cfg, &places, Some(0)).await?;
                         let waited = env.cloud.handle.now().as_secs_f64();
+                        let lists = env.tally().list_units;
                         let parts = fetch_copies(&env, &t.side, 0, copies).await?;
                         Ok::<_, CoreError>((parts, lists, waited))
                     }
@@ -899,7 +875,7 @@ mod tests {
             }
         });
         assert!(waited > 0.7 && lists > 1, "the receiver really waited: {waited} s, {lists} LISTs");
-        assert_eq!(parts, vec![(Wire::File, vec![(0, real(b"attempt-one-wins"))], 0)]);
+        assert_eq!(parts, vec![(0, real(b"attempt-one-wins"))]);
     }
 
     /// Discovery of named (Algorithm-1) files: a listed file with no
@@ -928,6 +904,98 @@ mod tests {
         for bad in ["x1/snd4", "x1/rcv4a0", "x1/snd4a0.2", "x1/snd4ax", "x1/snd4a0.2_x"] {
             assert!(matches!(parse_key(bad), Err(CoreError::Storage(_))), "{bad}");
         }
+    }
+
+    /// Bytes on the wire, the offsets at which a bundle in them ends, and
+    /// the parts they decode to.
+    type OnWire = (Vec<u8>, Vec<usize>, Vec<(u32, PartData)>);
+
+    /// Bundles as a wire carries them: one part, many parts (an empty one
+    /// among them), two bundles back to back (as a sort-edge address spans
+    /// blocks) and an empty bundle.
+    fn wire_bundles() -> Vec<OnWire> {
+        let one = vec![(3, real(b"one part"))];
+        let many: Vec<(u32, PartData)> =
+            (0..9).map(|d| (d * 37, real(&vec![d as u8; d as usize * 29]))).collect();
+        let (first, second) = (vec![(0, real(&[7; 200]))], vec![(1, real(b"xy")), (2, real(b""))]);
+        let encoded = |bundles: &[&[(u32, PartData)]]| {
+            let (mut out, mut ends) = (Vec::new(), Vec::new());
+            for bundle in bundles {
+                encode_bundle_into(&mut out, bundle).unwrap();
+                ends.push(out.len());
+            }
+            (out, ends)
+        };
+        let with = |(bytes, ends): (Vec<u8>, Vec<usize>), parts| (bytes, ends, parts);
+        vec![
+            with(encoded(&[&one]), one.clone()),
+            with(encoded(&[&many]), many.clone()),
+            with(encoded(&[&first, &second]), [first.clone(), second.clone()].concat()),
+            with(encoded(&[&[]]), Vec::new()),
+        ]
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<Vec<(u32, PartData)>> {
+        decode_bundle(Body::from_vec(bytes.to_vec()), Vec::new())
+    }
+
+    /// Every truncation and every single-bit flip of a bundle on the wire
+    /// decodes or is a typed format error, never a panic; a cut decodes
+    /// only where a bundle ends (or at nothing), to the bundles before it.
+    #[test]
+    fn every_cut_or_flipped_bundle_decodes_or_is_a_format_error() {
+        for (bytes, ends, parts) in wire_bundles() {
+            assert_eq!(decoded(&bytes).unwrap(), parts);
+            for cut in 0..bytes.len() {
+                match decoded(&bytes[..cut]) {
+                    Ok(got) => {
+                        assert!(cut == 0 || ends.contains(&cut), "a cut at {cut} decoded");
+                        assert_eq!(got, parts[..got.len()], "cut at {cut}");
+                    }
+                    Err(CoreError::Format(_)) => {}
+                    Err(e) => panic!("cut at {cut}: {e}"),
+                }
+            }
+            let (mut damaged, mut errors) = (bytes.clone(), 0);
+            for bit in 0..bytes.len() * 8 {
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                match decoded(&damaged) {
+                    Ok(_) => {}
+                    Err(CoreError::Format(_)) => errors += 1,
+                    Err(e) => panic!("bit {bit}: {e}"),
+                }
+                damaged[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert!(errors > 0, "some flips break the structure");
+        }
+    }
+
+    /// Lengths and counts are claims, not allocations: a part claiming
+    /// 2^40 bytes, or a bundle claiming 2^60 parts, over a handful of real
+    /// bytes is a format error, found without reserving what it claims.
+    #[test]
+    fn lying_bundle_lengths_are_format_errors_without_allocating() {
+        let mut w = BinWriter::new();
+        w.varint(1);
+        w.varint(4);
+        w.varint(1 << 40);
+        w.raw(&[1, 2, 3]);
+        assert!(matches!(decoded(&w.into_bytes()), Err(CoreError::Format(_))));
+
+        let mut w = BinWriter::new();
+        w.varint(1 << 60);
+        w.varint(4);
+        w.bytes(&[1, 2, 3]);
+        assert!(matches!(decoded(&w.into_bytes()), Err(CoreError::Format(_))));
+
+        // The second of two back-to-back bundles lies.
+        let (mut bytes, _) = encode_bundle(&[(0, real(b"fine"))]).unwrap();
+        let mut w = BinWriter::from_vec(bytes.as_real().unwrap().to_vec());
+        w.varint(2);
+        w.varint(1);
+        w.varint(1 << 40);
+        bytes = Body::from_vec(w.into_bytes());
+        assert!(matches!(decode_bundle(bytes, Vec::new()), Err(CoreError::Format(_))));
     }
 
     /// A destination past `u32` is an error, not a wrap onto receiver

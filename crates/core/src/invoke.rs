@@ -170,19 +170,6 @@ pub fn build_tree(payloads: Vec<WorkerPayload>) -> Vec<Rc<WorkerPayload>> {
     out
 }
 
-/// Re-invoke straggling workers as speculative backups, directly from
-/// the driver: backup fleets are a handful of workers, so the two-level
-/// tree would only add latency. Payloads carry `attempt > 0` and no
-/// children (each missing worker — including a dead first-generation
-/// worker's never-invoked subtree — is re-issued individually).
-pub async fn invoke_backups(
-    cloud: &Cloud,
-    function: &str,
-    payloads: Vec<WorkerPayload>,
-) -> Result<()> {
-    invoke_from_driver(cloud, function, payloads.into_iter().map(Rc::new).collect()).await
-}
-
 async fn invoke_from_driver(
     cloud: &Cloud,
     function: &str,

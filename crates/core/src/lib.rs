@@ -74,14 +74,14 @@ pub use driver::{
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
 pub use exchange::{
-    decode_bundle, encode_bundle, encode_bundle_into, run_exchange, EdgeReadStats, ExchangeBuckets,
+    decode_bundle, encode_bundle, encode_bundle_into, run_exchange, ExchangeBuckets,
     ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData,
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,
     RequestCounts,
 };
-pub use invoke::{invoke_backups, invoke_workers, invoke_workers_as, InvocationStrategy};
+pub use invoke::{invoke_workers, invoke_workers_as, InvocationStrategy};
 pub use message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 pub use scan::{scan_table, ScanConfig, ScanItem, ScanMetrics};
 pub use sched::StageBoard;
@@ -94,8 +94,7 @@ pub use streaming::{
 };
 pub use table::{TableFile, TableSpec};
 pub use transport::{
-    address_sections, EdgeTransport, EdgeWriteStats, InEdge, Section, SectionAddr, TransportKind,
-    Wire,
+    address_sections, EdgeTransport, InEdge, Section, SectionAddr, TransportKind, Wire,
 };
 pub use verify::{
     verify_dag, verify_fleets, verify_fused, verify_stream, Diagnostic, MAX_MODEL_FLEET,

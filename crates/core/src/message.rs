@@ -19,6 +19,7 @@ use std::collections::HashSet;
 use lambada_format::binio::{BinReader, BinWriter};
 use lambada_format::FormatError;
 use lambada_sim::services::object_store::Bytes;
+use lambada_sim::Tally;
 
 use crate::error::{CoreError, Result};
 
@@ -63,9 +64,10 @@ pub struct WorkerMetrics {
     pub rows_in: u64,
     /// Rows surviving the filter.
     pub rows_out: u64,
-    /// Bytes downloaded from cloud storage.
+    /// Bytes the stage's client downloaded from cloud storage: table file
+    /// ranges, stored edge sections with their bundle headers.
     pub bytes_read: u64,
-    /// GET requests issued.
+    /// GET requests the stage's client issued.
     pub get_requests: u64,
     /// Row groups pruned via min/max statistics.
     pub row_groups_pruned: u64,
@@ -75,18 +77,19 @@ pub struct WorkerMetrics {
     pub bytes_written: u64,
     /// PUT requests issued (exchange writes, result uploads).
     pub put_requests: u64,
-    /// LIST requests issued: always 0. A query stage's in-edges are
-    /// addressed by the driver, and the one task that discovers by LIST,
-    /// the Algorithm-1 exchange ([`crate::exchange::run_exchange`]),
-    /// reports no metrics. Kept because [`crate::StageReport`] sums it
-    /// and the benchmark reads that sum.
+    /// LIST units the stage's client was billed ([`Tally::list_units`]):
+    /// 0 on every query path, since a query stage's in-edges are
+    /// addressed by the driver and only the Algorithm-1 exchange
+    /// ([`crate::exchange::run_exchange`]) discovers by LIST.
     pub list_requests: u64,
     /// Rows exchanged to the consumer stage (hash-partition fragments) or
     /// received from producer stages (join workers).
     pub rows_exchanged: u64,
-    /// Messages moved over the p2p relay (direct transport only).
+    /// Messages the stage sent over the p2p relay plus those it fetched
+    /// (direct transport only).
     pub p2p_requests: u64,
-    /// Payload bytes moved over the p2p relay (direct transport only).
+    /// Bodies of the messages the stage sent over the relay plus those it
+    /// fetched, bundle headers included (direct transport only).
     pub p2p_bytes: u64,
     /// Whether this invocation was a cold start.
     pub cold_start: bool,
@@ -103,6 +106,20 @@ pub struct WorkerMetrics {
 }
 
 impl WorkerMetrics {
+    /// Fold what a stage's clients did ([`crate::WorkerEnv::for_stage`])
+    /// into its report: the one place request counts enter a report.
+    pub fn add(&mut self, tally: Tally) {
+        self.get_requests += tally.gets;
+        self.hedged_gets += tally.hedged_gets;
+        self.bytes_read += tally.bytes_read;
+        self.put_requests += tally.puts;
+        self.hedged_puts += tally.hedged_puts;
+        self.bytes_written += tally.bytes_written;
+        self.list_requests += tally.list_units;
+        self.p2p_requests += tally.p2p_messages;
+        self.p2p_bytes += tally.p2p_bytes;
+    }
+
     fn encode(&self, w: &mut BinWriter) {
         w.f64(self.processing_secs);
         w.varint(self.rows_in);

@@ -26,8 +26,8 @@
 //!   body and costs no request at all;
 //! * an inline file ([`TableFile::inline`]) rode the worker's invocation
 //!   payload: its footer read is that body, so the whole file is sliced
-//!   from it with no request, and none of it counts in
-//!   [`ScanMetrics::bytes_read`];
+//!   from it with no request, and none of it counts in the worker's
+//!   bytes read ([`crate::WorkerMetrics::bytes_read`]);
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
 //!   group;
@@ -36,7 +36,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -101,42 +100,26 @@ pub enum ScanItem {
     Modeled { rows: u64, bytes: u64 },
 }
 
-/// Counters the scan maintains (feed [`crate::message::WorkerMetrics`]).
+/// Counters the scan maintains (feed [`crate::message::WorkerMetrics`];
+/// its requests are counted by the worker's client).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ScanMetrics {
     pub files: u64,
     pub row_groups_total: u64,
     pub row_groups_pruned: u64,
-    /// Bytes fetched from the store: none of an inline file's.
-    pub bytes_read: u64,
-    pub get_requests: u64,
-    /// Duplicates of late GETs, billed beside `get_requests`.
-    pub hedged_gets: u64,
     pub rows: u64,
 }
 
-struct Shared {
-    metrics: RefCell<ScanMetrics>,
-}
-
-/// One ranged GET under the connection budget, counted as billed.
-async fn get_counted(
+/// One ranged GET under the connection budget.
+async fn get_range(
     env: &WorkerEnv,
     conn: &Semaphore,
     file: &TableFile,
     offset: u64,
     len: u64,
-    shared: &Shared,
 ) -> Result<Body> {
-    let got = {
-        let _permit = conn.acquire(1).await;
-        env.s3.get_range(&file.bucket, &file.key, offset, len).await?
-    };
-    let mut m = shared.metrics.borrow_mut();
-    m.get_requests += 1;
-    m.hedged_gets += got.hedges;
-    m.bytes_read += got.value.len();
-    Ok(got.value)
+    let _permit = conn.acquire(1).await;
+    Ok(env.s3.get_range(&file.bucket, &file.key, offset, len).await?)
 }
 
 /// A file's footer and the body it came in: the file's bytes
@@ -154,10 +137,10 @@ fn real_bytes(body: &Body) -> Result<&[u8]> {
         .ok_or_else(|| CoreError::Format("real file returned synthetic body".to_string()))
 }
 
-/// Fetch a file's footer with one read, plus request accounting. A file
-/// of at most `coalesce_below` bytes is latency-bound, so the read is the
-/// whole file and brings every row group with it; a larger one reads its
-/// last `tail_bytes`, retried with the exact size if the footer turns out
+/// Fetch a file's footer with one read. A file of at most
+/// `coalesce_below` bytes is latency-bound, so the read is the whole file
+/// and brings every row group with it; a larger one reads its last
+/// `tail_bytes`, retried with the exact size if the footer turns out
 /// larger. The body comes back with the footer, so a row group inside it
 /// costs no further request. An inline file's footer read is its payload
 /// body, the whole file: no request, no connection, no byte read from the
@@ -168,7 +151,6 @@ async fn fetch_metadata(
     file: &TableFile,
     tail_bytes: u64,
     coalesce_below: u64,
-    shared: &Rc<Shared>,
 ) -> Result<Footer> {
     if let Some(body) = &file.inline {
         env.compute(env.costs.metadata_parse_s).await;
@@ -178,7 +160,7 @@ async fn fetch_metadata(
         return Ok(Footer { meta: Rc::new(meta), offset: 0, body: body.clone() });
     }
     let want = if file.size <= coalesce_below { file.size } else { tail_bytes.min(file.size) };
-    let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
+    let body = get_range(env, conn, file, file.size - want, want).await?;
     env.compute(env.costs.metadata_parse_s).await;
     if let Some(meta) = &file.meta {
         // Descriptor-backed file: the range request above charged the
@@ -192,7 +174,7 @@ async fn fetch_metadata(
         // that is already the whole file has no more to give).
         Err(FormatError::TailTooShort(need)) if want < file.size => {
             let want = (need as u64).min(file.size);
-            let body = get_counted(env, conn, file, file.size - want, want, shared).await?;
+            let body = get_range(env, conn, file, file.size - want, want).await?;
             let meta = FileMeta::parse_tail(real_bytes(&body)?)?;
             Ok(Footer { meta: Rc::new(meta), offset: file.size - want, body })
         }
@@ -249,13 +231,11 @@ async fn download_chunk(
     file: &TableFile,
     chunk: &ColumnChunkMeta,
     max_request_bytes: u64,
-    shared: &Rc<Shared>,
 ) -> Result<Body> {
     // Launch all requests for this chunk concurrently; the connection
     // semaphore bounds global parallelism (levels 1+2 share the budget).
     // A paper-scale scan spawns tens of thousands of these tasks per
-    // query, so each carries the client and two names only, and the
-    // chunk counts its requests once.
+    // query, so each carries the client and two names only.
     let mut joins = Vec::new();
     let mut off = chunk.offset;
     let end = chunk.offset + chunk.compressed_len;
@@ -270,13 +250,10 @@ async fn download_chunk(
         off += len;
     }
     let mut got: Option<ChunkParts> = None;
-    let (mut n_bytes, mut n_hedges) = (0u64, 0u64);
-    let n_requests = joins.len() as u64;
+    let mut n_bytes = 0u64;
     for j in joins {
-        let reply = j.await?;
-        let body = reply.value;
+        let body = j.await?;
         n_bytes += body.len();
-        n_hedges += reply.hedges;
         got = Some(match (got, body) {
             (None, body) => ChunkParts::Whole(body),
             (Some(ChunkParts::Whole(Body::Real(first))), Body::Real(bytes)) => {
@@ -291,12 +268,6 @@ async fn download_chunk(
             }
             _ => ChunkParts::Synthetic,
         });
-    }
-    {
-        let mut m = shared.metrics.borrow_mut();
-        m.get_requests += n_requests;
-        m.hedged_gets += n_hedges;
-        m.bytes_read += n_bytes;
     }
     Ok(match got {
         Some(ChunkParts::Whole(body)) => body,
@@ -331,20 +302,18 @@ async fn download_row_group(
     chunks: &[(usize, ColumnChunkMeta)],
     max_request_bytes: u64,
     coalesce_below: u64,
-    shared: &Rc<Shared>,
 ) -> Result<Vec<Body>> {
     let (start, end) = scanned_span(chunks);
     let span = end - start;
     if span > 0 && span <= coalesce_below {
-        let whole = get_counted(env, conn, file, start, span, shared).await?;
+        let whole = get_range(env, conn, file, start, span).await?;
         return Ok(slice_chunks(chunks, &whole, start));
     }
     let mut joins = Vec::with_capacity(chunks.len());
     for (_, chunk) in chunks {
-        let (env2, conn, file, chunk, shared) =
-            (env.clone(), conn.clone(), file.clone(), chunk.clone(), Rc::clone(shared));
+        let (env2, conn, file, chunk) = (env.clone(), conn.clone(), file.clone(), chunk.clone());
         joins.push(env.cloud.handle.spawn(async move {
-            download_chunk(&env2, &conn, &file, &chunk, max_request_bytes, &shared).await
+            download_chunk(&env2, &conn, &file, &chunk, max_request_bytes).await
         }));
     }
     let mut bodies = Vec::with_capacity(joins.len());
@@ -409,7 +378,7 @@ pub async fn scan_table(
     prune_predicate: Option<&Expr>,
     items: mpsc::Sender<ScanItem>,
 ) -> Result<ScanMetrics> {
-    let shared = Rc::new(Shared { metrics: RefCell::new(ScanMetrics::default()) });
+    let mut metrics = ScanMetrics::default();
     let conn = Semaphore::new(cfg.connections.max(1));
     let max_req = cfg.max_request_bytes.max(1);
     let coalesce_below = latency_bound_bytes(cfg, &env.cloud.config);
@@ -427,13 +396,12 @@ pub async fn scan_table(
         let files: Vec<TableFile> = files.to_vec();
         let columns = columns.to_vec();
         let width = base_schema.len();
-        let shared = Rc::clone(&shared);
         let tail = cfg.metadata_tail_bytes;
         let window = cfg.connections.max(1);
         env.cloud.handle.clone().spawn(async move {
-            let (env, conn, shared, columns) = (&env, &conn, &shared, &columns);
+            let (env, conn, columns) = (&env, &conn, &columns);
             let fetch = |file: TableFile| async move {
-                let footer = fetch_metadata(env, conn, &file, tail, coalesce_below, shared).await?;
+                let footer = fetch_metadata(env, conn, &file, tail, coalesce_below).await?;
                 check_width(&file, &footer.meta, width)?;
                 check_chunk_ranges(&file, &footer.meta, columns)?;
                 Ok(footer)
@@ -466,13 +434,13 @@ pub async fn scan_table(
         cfg: &ScanConfig,
         base_schema: &Schema,
         columns: &[usize],
-        shared: &Rc<Shared>,
+        metrics: &mut ScanMetrics,
         got: Result<InFlight>,
         tx: &mpsc::Sender<ScanItem>,
     ) -> Result<()> {
         let rg = got?;
         charge_decode(env, cfg, rg.decode_seconds).await;
-        shared.metrics.borrow_mut().rows += rg.rows;
+        metrics.rows += rg.rows;
         let all_real = rg.columns.iter().all(|(_, _, b)| b.as_real().is_some());
         let item = if all_real && !rg.columns.is_empty() {
             let mut cols = Vec::with_capacity(columns.len());
@@ -501,13 +469,13 @@ pub async fn scan_table(
             Some(f) => f?,
             None => return Err(CoreError::Storage("metadata prefetch task died".to_string())),
         };
-        shared.metrics.borrow_mut().files += 1;
+        metrics.files += 1;
         for rg in &footer.meta.row_groups {
-            shared.metrics.borrow_mut().row_groups_total += 1;
+            metrics.row_groups_total += 1;
             if let Some(pred) = prune_predicate {
                 let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
                 if !can_match(pred, &stats) {
-                    shared.metrics.borrow_mut().row_groups_pruned += 1;
+                    metrics.row_groups_pruned += 1;
                     continue;
                 }
             }
@@ -515,13 +483,12 @@ pub async fn scan_table(
             while inflight.len() >= cfg.row_group_pipeline.max(1) {
                 let Some(head) = inflight.pop_front() else { break };
                 let got = head.await;
-                drain_one(env, cfg, base_schema, columns, &shared, got, &items).await?;
+                drain_one(env, cfg, base_schema, columns, &mut metrics, got, &items).await?;
             }
             // Level 2/1: download the needed chunks of this row group.
             let env2 = env.clone();
             let conn2 = conn.clone();
             let file2 = file.clone();
-            let shared2 = Rc::clone(&shared);
             let chunk_metas: Vec<(usize, ColumnChunkMeta)> =
                 columns.iter().map(|&c| (c, rg.columns[c].clone())).collect();
             // A row group the footer's body holds is already here.
@@ -540,7 +507,6 @@ pub async fn scan_table(
                             &chunk_metas,
                             max_req,
                             coalesce_below,
-                            &shared2,
                         )
                         .await?
                     }
@@ -561,8 +527,7 @@ pub async fn scan_table(
     }
     while let Some(handle) = inflight.pop_front() {
         let got = handle.await;
-        drain_one(env, cfg, base_schema, columns, &shared, got, &items).await?;
+        drain_one(env, cfg, base_schema, columns, &mut metrics, got, &items).await?;
     }
-    let metrics = *shared.metrics.borrow();
     Ok(metrics)
 }

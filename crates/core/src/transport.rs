@@ -87,7 +87,7 @@ use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange::{
     edge_key, encode_bundle, encode_bundle_into, fetch_copies, p2p_side_key, put_combined, Copy,
-    CopyAt, EdgeReadStats, ExchangeBuckets, ExchangeSide, PartData,
+    CopyAt, ExchangeBuckets, ExchangeSide, PartData,
 };
 use crate::invoke::tree_shape;
 use crate::message::{inline_claim, INLINE_EDGE_BYTES, SECTION_BYTES};
@@ -103,24 +103,6 @@ pub enum TransportKind {
     /// Worker-to-worker streaming through the p2p rendezvous/relay, with
     /// the object store as fallback for unreachable peers.
     Direct,
-}
-
-/// Request accounting of one stage-edge send.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EdgeWriteStats {
-    /// Bytes written to the object store (the full combined file on the
-    /// baseline; only the fallback file, if any, on the direct path).
-    pub bytes_written: u64,
-    /// Object-store PUTs issued (0 on a fully direct send).
-    pub put_requests: u64,
-    /// Duplicates of late PUTs, billed beside `put_requests`.
-    pub hedged_puts: u64,
-    /// Messages delivered over the p2p relay.
-    pub p2p_requests: u64,
-    /// Payload bytes sent over the p2p relay.
-    pub p2p_bytes: u64,
-    /// Bytes of inline sections, which ride the result message.
-    pub inline_bytes: u64,
 }
 
 /// Where a receiver finds one sender's section of a stage edge: the
@@ -353,8 +335,9 @@ impl EdgeTransport {
     /// as the inline blob and writes nothing. Otherwise it streams what it
     /// may over p2p and PUTs one combined file for the rest — everything,
     /// without p2p or `stream`. Empty parts travel nowhere. Returns the
-    /// accounting, the section table (one [`Section`] per part) and the
-    /// blob.
+    /// bytes moved — file, streamed bodies and inline blob — the section
+    /// table (one [`Section`] per part) and the blob. Its requests count in
+    /// `env`'s tally.
     pub async fn send(
         &self,
         env: &WorkerEnv,
@@ -363,8 +346,7 @@ impl EdgeTransport {
         parts: Vec<PartData>,
         inline_budget: u64,
         stream: bool,
-    ) -> Result<(EdgeWriteStats, Vec<Section>, Bytes)> {
-        let mut stats = EdgeWriteStats::default();
+    ) -> Result<(u64, Vec<Section>, Bytes)> {
         let held_bytes: u64 = parts.iter().map(PartData::len).sum();
         env.compute(env.costs.partition_seconds(held_bytes)).await;
         let start = env.cloud.handle.now();
@@ -374,26 +356,24 @@ impl EdgeTransport {
         let mut entries: Vec<(u32, PartData)> =
             entries.map(|(rcv, data)| (rcv as u32, data)).collect();
         let inline = inline_blob(&entries, inline_budget, &mut sections)?;
-        stats.inline_bytes = inline.as_ref().map_or(0, |blob| blob.len() as u64);
         if inline.is_none() && stream && self.p2p.is_some() {
-            entries = self.stream(env, channel, sender, entries, &mut stats, &mut sections).await?;
+            entries = self.stream(env, channel, sender, entries, &mut sections).await?;
         }
         if inline.is_none() && !entries.is_empty() {
             // The same bundle encoding on every wire, so a received part
             // is bit-identical whichever wire carried it.
             let bundles = entries.into_iter().map(|(rcv, data)| (rcv, vec![(rcv, data)])).collect();
             let (bucket, prefix) = self.place_of(channel, sender);
-            let (written, filed, hedges) =
+            let filed =
                 put_combined(env, &self.side, &bucket, &prefix, sender, false, bundles).await?;
             for (rcv, len) in filed {
                 sections[rcv as usize] = Section { len, wire: Wire::File };
             }
-            stats.bytes_written += written;
-            stats.put_requests += 1;
-            stats.hedged_puts += hedges;
         }
         env.cloud.trace.record(env.worker_id, "exchange_write", start, env.cloud.handle.now());
-        Ok((stats, sections, Bytes::from(inline.unwrap_or_default())))
+        // Each non-empty part's section now names the wire that carried it.
+        let moved = sections.iter().map(|s| s.len).sum();
+        Ok((moved, sections, Bytes::from(inline.unwrap_or_default())))
     }
 
     /// Stream each entry to its receiver's mailbox, 16 connections at a
@@ -406,10 +386,8 @@ impl EdgeTransport {
         channel: &str,
         sender: usize,
         entries: Vec<(u32, PartData)>,
-        stats: &mut EdgeWriteStats,
         sections: &mut [Section],
     ) -> Result<Vec<(u32, PartData)>> {
-        let client = env.p2p();
         let attempt = env.attempt;
         let conn = Semaphore::new(16);
         let mut sends = Vec::with_capacity(entries.len());
@@ -420,7 +398,7 @@ impl EdgeTransport {
             if let Some(sizes) = sizes {
                 self.side.put(p2p_side_key(&endpoint, sender, attempt), rcv, sizes);
             }
-            let client2 = client.clone();
+            let client2 = env.p2p.clone();
             let conn2 = conn.clone();
             sends.push(env.cloud.handle.spawn(async move {
                 let _permit = conn2.acquire(1).await;
@@ -434,11 +412,7 @@ impl EdgeTransport {
         let mut undelivered = Vec::new();
         for outcome in join_all(sends).await {
             match outcome {
-                Ok((rcv, len)) => {
-                    stats.p2p_requests += 1;
-                    stats.p2p_bytes += len;
-                    sections[rcv as usize] = Section { len, wire: Wire::Mailbox };
-                }
+                Ok((rcv, len)) => sections[rcv as usize] = Section { len, wire: Wire::Mailbox },
                 Err(entry) => undelivered.push(entry),
             }
         }
@@ -450,14 +424,15 @@ impl EdgeTransport {
     /// decode the inline sections and fetch the other non-empty ones
     /// straight from their wires — one request per address — and return
     /// their payloads in sender order (empty parts omitted). A mailbox
-    /// address on a transport without p2p is a typed error.
+    /// address on a transport without p2p is a typed error. Its requests
+    /// count in `env`'s tally.
     pub async fn recv(
         &self,
         env: &WorkerEnv,
         channel: &str,
         receiver: usize,
         addrs: &[SectionAddr],
-    ) -> Result<(Vec<PartData>, EdgeReadStats)> {
+    ) -> Result<Vec<PartData>> {
         let endpoint = Self::endpoint(channel, receiver);
         let mut copies = Vec::with_capacity(addrs.len());
         for (sender, a) in addrs.iter().enumerate() {
@@ -479,27 +454,16 @@ impl EdgeTransport {
         // Nothing to wait for: the span stays, zero long.
         let start = env.cloud.handle.now();
         env.cloud.trace.record(env.worker_id, "exchange_wait", start, start);
-        let (mut out, mut stats) = (Vec::new(), EdgeReadStats::default());
-        for (wire, parts, hedges) in fetch_copies(env, &self.side, receiver, copies).await? {
-            let bytes: u64 = parts.iter().map(|(_, data)| data.len()).sum();
-            if wire == Wire::Mailbox {
-                stats.p2p_requests += 1;
-                stats.p2p_bytes += bytes;
-            } else if wire == Wire::File {
-                stats.get_requests += 1;
-                stats.hedged_gets += hedges;
-                stats.bytes_read += bytes;
-            }
-            out.extend(parts.into_iter().map(|(_, data)| data));
-        }
+        let fetched = fetch_copies(env, &self.side, receiver, copies).await?;
+        let out = fetched.into_iter().map(|(_, data)| data).collect();
         env.cloud.trace.record(env.worker_id, "exchange_read", start, env.cloud.handle.now());
-        Ok((out, stats))
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use lambada_sim::{Cloud, CloudConfig, CostItem, P2pConfig, Simulation};
+    use lambada_sim::{Cloud, CloudConfig, CostItem, P2pConfig, Simulation, Tally};
 
     use super::*;
     use crate::costmodel::ComputeCostModel;
@@ -543,7 +507,7 @@ mod tests {
 
     /// (a) The object-store edge *is* the direct edge with no reachable
     /// endpoint: same tables, same parts, same GET/PUT counts, same
-    /// stats — and neither lists anything.
+    /// tallies — and neither lists anything.
     #[test]
     fn direct_edge_without_endpoints_is_the_object_store_edge() {
         let run = |direct: bool| {
@@ -559,15 +523,16 @@ mod tests {
                 for s in 0..3usize {
                     let parts = vec![real(&[s as u8; 40]), real(&[]), real(&[7, s as u8])];
                     let env = worker(&cloud2, s as u64, 0);
-                    let (stats, sections, inline) =
+                    let (moved, sections, inline) =
                         t.send(&env, CHANNEL, s, parts, 0, true).await.unwrap();
-                    writes.push(stats);
+                    writes.push((moved, env.tally()));
                     tables.push((0, sections, inline));
                 }
                 let mut reads = Vec::new();
                 for r in 0..3usize {
                     let env = worker(&cloud2, 10 + r as u64, 0);
-                    reads.push(t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap());
+                    let parts = t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap();
+                    reads.push((parts, env.tally()));
                 }
                 (writes, tables, reads)
             });
@@ -607,19 +572,21 @@ mod tests {
                 let cloud = cloud.clone();
                 async move {
                     let parts = vec![real(b"left"), real(b"right")];
-                    let sent =
-                        t.send(&worker(&cloud, 0, 0), CHANNEL, 0, parts, 0, true).await.unwrap();
-                    let tables = [(0, sent.1.clone(), sent.2.clone())];
+                    let env = worker(&cloud, 0, 0);
+                    let (_, sections, inline) =
+                        t.send(&env, CHANNEL, 0, parts, 0, true).await.unwrap();
+                    let tables = [(0, sections.clone(), inline.clone())];
                     let mut reads = Vec::new();
                     for r in 0..2 {
                         let env = worker(&cloud, 10, 0);
-                        reads.push(t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap());
+                        let parts = t.recv(&env, CHANNEL, r, &addresses(&tables, r)).await.unwrap();
+                        reads.push((parts, env.tally()));
                     }
-                    (sent, reads)
+                    ((env.tally(), sections, inline), reads)
                 }
             });
-            assert_eq!(stats.put_requests, puts, "{what}");
-            assert_eq!(stats.p2p_requests, registered as u64);
+            assert_eq!(stats.puts, puts, "{what}");
+            assert_eq!(stats.p2p_messages, registered as u64);
             assert_eq!(cloud.trace.spans("exchange_write").len(), 1, "{what}");
             let wires: Vec<Wire> = sections.iter().map(|s| s.wire).collect();
             let expect: Vec<Wire> =
@@ -627,7 +594,7 @@ mod tests {
             assert_eq!(wires, expect, "{what}");
             for (r, (parts, stats)) in reads.iter().enumerate() {
                 assert_eq!(parts, &vec![real([&b"left"[..], b"right"][r])], "{what}");
-                assert_eq!(stats.p2p_requests, u64::from(r < registered), "{what}");
+                assert_eq!(stats.p2p_messages, u64::from(r < registered), "{what}");
             }
             assert_eq!(cloud.billing.units(CostItem::S3List), 0.0, "{what}");
         }
@@ -647,13 +614,13 @@ mod tests {
                 let (_, sections, inline) =
                     t.send(&original, CHANNEL, 0, vec![real(b"first")], 0, true).await.unwrap();
                 t.send(&backup, CHANNEL, 0, vec![real(b"backup!")], 0, true).await.unwrap();
-                t.recv(&worker(&cloud, 10, 0), CHANNEL, 0, &addresses(&[(0, sections, inline)], 0))
-                    .await
-                    .unwrap()
+                let env = worker(&cloud, 10, 0);
+                let addrs = addresses(&[(0, sections, inline)], 0);
+                (t.recv(&env, CHANNEL, 0, &addrs).await.unwrap(), env.tally())
             }
         });
         assert_eq!(parts, vec![real(b"first")]);
-        assert_eq!(stats.get_requests, 1);
+        assert_eq!(stats.gets, 1);
         assert_eq!(cloud.billing.units(CostItem::S3List), 0.0);
     }
 
@@ -772,21 +739,22 @@ mod tests {
                 let cloud = cloud.clone();
                 async move {
                     let env = worker(&cloud, 0, 0);
-                    let (sent, sections, inline) =
+                    let (moved, sections, inline) =
                         t.send(&env, CHANNEL, 0, vec![real(&[]); 3], 0, true).await.unwrap();
                     let table = [(0, sections.clone(), inline)];
                     let mut reads = Vec::new();
                     for r in 0..3 {
                         let env = worker(&cloud, 10, 0);
-                        reads.push(t.recv(&env, CHANNEL, r, &addresses(&table, r)).await.unwrap());
+                        let parts = t.recv(&env, CHANNEL, r, &addresses(&table, r)).await.unwrap();
+                        reads.push((parts, env.tally()));
                     }
-                    (sent, sections, reads)
+                    ((moved, env.tally()), sections, reads)
                 }
             });
-            assert_eq!(sent, EdgeWriteStats::default(), "direct={direct}");
+            assert_eq!(sent, (0, Tally::default()), "direct={direct}");
             assert_eq!(table, vec![Section { len: 0, wire: Wire::File }; 3]);
             for (parts, stats) in reads {
-                assert_eq!((parts, stats), (Vec::new(), EdgeReadStats::default()));
+                assert_eq!((parts, stats), (Vec::new(), Tally::default()));
             }
             let units = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List];
             assert_eq!(units.map(|item| cloud.billing.units(item)), [0.0; 3], "direct={direct}");
@@ -812,15 +780,16 @@ mod tests {
                     let cloud = cloud.clone();
                     async move {
                         let env = worker(&cloud, 0, 0);
-                        let sent = t.send(&env, CHANNEL, 0, parts(), budget, true).await.unwrap();
-                        let table = [(0, sent.1.clone(), sent.2.clone())];
+                        let (moved, sections, blob) =
+                            t.send(&env, CHANNEL, 0, parts(), budget, true).await.unwrap();
+                        let table = [(0, sections.clone(), blob.clone())];
                         let mut reads = Vec::new();
                         for r in 0..3 {
                             let env = worker(&cloud, 10, 0);
                             let addrs = addresses(&table, r);
-                            reads.push(t.recv(&env, CHANNEL, r, &addrs).await.unwrap().0);
+                            reads.push(t.recv(&env, CHANNEL, r, &addrs).await.unwrap());
                         }
-                        (sent, reads)
+                        (((moved, env.tally()), sections, blob), reads)
                     }
                 });
                 let wire = if inline { Wire::Inline } else { Wire::File };
@@ -830,8 +799,8 @@ mod tests {
                 let expect = [vec![real(&[1; 300])], Vec::new(), vec![real(&[2; 40])]];
                 assert_eq!(reads, expect, "{what}");
                 let riding = if inline { encoded } else { 0 };
-                assert_eq!((sent.inline_bytes, blob.len() as u64), (riding, riding), "{what}");
-                assert_eq!(sent.put_requests, u64::from(!inline), "{what}");
+                assert_eq!((sent.0, blob.len() as u64), (encoded, riding), "{what}");
+                assert_eq!(sent.1.puts, u64::from(!inline), "{what}");
                 let gets = cloud.billing.units(CostItem::S3Get);
                 assert_eq!(gets, if inline { 0.0 } else { 2.0 }, "{what}");
             }

@@ -16,9 +16,10 @@
 //! differs per worker rides its payload ([`WorkerPayload::edges`]: where
 //! each sender's section of every in-edge is). `run_stage` is the only
 //! path from one to the other — read edges → operator → emit — so
-//! draining an edge, rejecting modeled payloads, folding request
-//! accounting into the metrics, and turning a [`PipelineOutput`] into a
-//! result each exist once, whatever the operator. The exchange (§4.4) is
+//! draining an edge, rejecting modeled payloads, folding the stage's
+//! request tally into its metrics ([`WorkerEnv::for_stage`]), and turning
+//! a [`PipelineOutput`] into a result each exist once, whatever the
+//! operator. The exchange (§4.4) is
 //! just another operator behind the same handler.
 //!
 //! # Fused chains and co-hosted scans
@@ -49,7 +50,7 @@
 //! (`scan:… (co-hosted in …)`, after the launch's first stage); and when
 //! the host falls back before the scan's reader, the scan's parts are
 //! dropped — the fleet that picks the chain up runs it again — while its
-//! requests still count in the report the invocation posts.
+//! tally still folds into the report the invocation posts.
 //!
 //! A member with an in-edge that is neither — a join whose other side
 //! runs a fleet of its own — reads it from the reports its producers post
@@ -108,19 +109,19 @@ use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{mpsc, oneshot, try_join2, try_join_all};
-use lambada_sim::{Cloud, Prices, SimTime};
+use lambada_sim::{Cloud, Prices, SimTime, Tally};
 
 use crate::costmodel::ComputeCostModel;
 use crate::driver::section_tables;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
-use crate::exchange::{EdgeReadStats, PartData};
+use crate::exchange::PartData;
 use crate::invoke;
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
 use crate::table::{TableFile, TableSpec};
-use crate::transport::{At, EdgeTransport, EdgeWriteStats, InEdge, TransportKind, KEY_BYTES};
+use crate::transport::{At, EdgeTransport, InEdge, TransportKind, KEY_BYTES};
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
 /// locally sorted run reaches the consumer sort fleet.
@@ -585,8 +586,9 @@ async fn run_task(env: &WorkerEnv, payload: &WorkerPayload) -> Ran {
     Ok((ResultPayload::Empty, metrics, Vec::new()))
 }
 
-/// What a co-hosted scan hands its reader: its report and its parts.
-type Beside = (ResultPayload, WorkerMetrics, Handoff);
+/// What a co-hosted scan hands its reader: its report, its parts and its
+/// tally.
+type Beside = (ResultPayload, WorkerMetrics, Handoff, Tally);
 
 /// Run a launch's list in one invocation: its chain ([`run_members`])
 /// and every co-hosted scan start together and run concurrently in this
@@ -595,7 +597,7 @@ type Beside = (ResultPayload, WorkerMetrics, Handoff);
 /// from the invocation's start to its handoff. A host that fell back
 /// before a scan's reader drops the scan's parts — the fleet that picks
 /// the chain up runs the scan again — but the scan's requests were this
-/// invocation's, and count in the report it posts.
+/// invocation's, and its tally folds into the report it posts.
 async fn run_chain(env: &WorkerEnv, list: &[ChainStage], edges: &[InEdge]) -> Ran {
     let start = env.cloud.handle.now();
     let beside: Vec<&ChainStage> = list.iter().filter(|s| s.cohosted).collect();
@@ -608,13 +610,14 @@ async fn run_chain(env: &WorkerEnv, list: &[ChainStage], edges: &[InEdge]) -> Ra
         vec![Box::pin(async { run_members(env, list, edges, start, &pending).await.map(Some) })];
     for (co, tx) in beside.into_iter().zip(senders) {
         branches.push(Box::pin(async move {
-            let ran = run_stage(env, &co.task, Vec::new(), &[], true).await;
+            let stage = env.for_stage();
+            let ran = run_stage(&stage, &co.task, Vec::new(), &[], true).await;
             let named = |e: CoreError| format!("{}: {e}", co.label);
             let (payload, mut metrics, handoff) = ran.map_err(named)?;
             let handoff = handoff.ok_or_else(|| format!("{}: nothing handed on", co.label))?;
             metrics.processing_secs = (env.cloud.handle.now() - start).as_secs_f64();
             // The reader may be gone: its host fell back and dropped it.
-            let _ = tx.send((payload, metrics, handoff));
+            let _ = tx.send((payload, metrics, handoff, stage.tally()));
             Ok(None)
         }));
     }
@@ -622,8 +625,8 @@ async fn run_chain(env: &WorkerEnv, list: &[ChainStage], edges: &[InEdge]) -> Ra
     let (payload, mut metrics, ahead) =
         ran.ok_or_else(|| "the chain reported nothing".to_string())?;
     for dropped in pending.into_inner() {
-        if let Ok((_, dropped, _)) = dropped.await {
-            fold_requests(&mut metrics, &dropped);
+        if let Ok((_, _, _, tally)) = dropped.await {
+            metrics.add(tally);
         }
     }
     Ok((payload, metrics, ahead))
@@ -663,7 +666,8 @@ async fn run_members(
             _ => format!("{}: {e}", member.label),
         };
         let next = (at + 1..list.len()).find(|&i| !list[i].cohosted);
-        let ran = run_stage(env, &member.task, std::mem::take(&mut handed), &edges, next.is_some());
+        let (stage, parts) = (env.for_stage(), std::mem::take(&mut handed));
+        let ran = run_stage(&stage, &member.task, parts, &edges, next.is_some());
         let (payload, mut metrics, handoff) = ran.await.map_err(named)?;
         let (Some(next), Some(handoff)) = (next, handoff) else {
             metrics.processing_secs = last_secs(&hosts);
@@ -677,8 +681,12 @@ async fn run_members(
                 match addressed.map_err(|e| format!("{}: {e}", reader.label))? {
                     Some(addressed) => Cow::Owned(addressed),
                     None => {
-                        let payload =
-                            ship(env, &member.task, handoff, &mut metrics).await.map_err(named)?;
+                        // The member's own tally is folded already: the
+                        // ship counts on a fresh one, added to the same
+                        // report.
+                        let stage = env.for_stage();
+                        let payload = ship(&stage, &member.task, handoff).await.map_err(named)?;
+                        metrics.add(stage.tally());
                         metrics.processing_secs = last_secs(&hosts);
                         return Ok((payload, metrics, ahead));
                     }
@@ -695,7 +703,7 @@ async fn run_members(
                 Some(scan) => scan.await.ok(),
                 None => None,
             };
-            let Some((payload, metrics, handoff)) = handed_on else {
+            let Some((payload, metrics, handoff, _)) = handed_on else {
                 return Err(format!("{}: handed nothing on", co.label));
             };
             ahead.push((payload, metrics));
@@ -780,12 +788,7 @@ struct Handoff {
 
 /// Send `handoff` onto the task's out-edge through the transport, the
 /// one write whatever wire carries it, and report the section table.
-async fn ship(
-    env: &WorkerEnv,
-    task: &StageTask,
-    handoff: Handoff,
-    metrics: &mut WorkerMetrics,
-) -> Result<ResultPayload> {
+async fn ship(env: &WorkerEnv, task: &StageTask, handoff: Handoff) -> Result<ResultPayload> {
     let Some((channel, inline_budget)) = task.sink.edge() else {
         return Err(CoreError::Engine("a stage that reports has no edge to ship on".to_string()));
     };
@@ -795,68 +798,31 @@ async fn ship(
     let (stream, starts_len) = (starts.is_none(), starts.as_ref().map_or(0, Vec::len));
     let inline_budget = inline_budget.saturating_sub(starts_len as u64);
     let sender = env.worker_id as usize;
-    let (stats, sections, inline) =
+    let (bytes, sections, inline) =
         task.transport.send(env, channel, sender, parts, inline_budget, stream).await?;
-    let bytes = fold_write_stats(metrics, stats);
     Ok(ResultPayload::Sections { rows, bytes, sections, inline, starts })
 }
 
-/// Fold one stage-edge send's request accounting into the worker
-/// metrics; returns the bytes that crossed the edge, whichever wire
-/// carried them.
-fn fold_write_stats(metrics: &mut WorkerMetrics, stats: EdgeWriteStats) -> u64 {
-    metrics.bytes_written += stats.bytes_written;
-    metrics.put_requests += stats.put_requests;
-    metrics.hedged_puts += stats.hedged_puts;
-    metrics.p2p_requests += stats.p2p_requests;
-    metrics.p2p_bytes += stats.p2p_bytes;
-    stats.bytes_written + stats.p2p_bytes + stats.inline_bytes
-}
-
-/// Fold the requests `from` spent into `into`: a co-hosted scan's whose
-/// parts its invocation dropped.
-fn fold_requests(into: &mut WorkerMetrics, from: &WorkerMetrics) {
-    into.bytes_read += from.bytes_read;
-    into.get_requests += from.get_requests;
-    into.hedged_gets += from.hedged_gets;
-    into.bytes_written += from.bytes_written;
-    into.put_requests += from.put_requests;
-    into.hedged_puts += from.hedged_puts;
-    into.p2p_requests += from.p2p_requests;
-    into.p2p_bytes += from.p2p_bytes;
-}
-
-/// Fold one stage-edge receive's request accounting into the worker
-/// metrics.
-fn fold_read_stats(metrics: &mut WorkerMetrics, stats: EdgeReadStats) {
-    metrics.bytes_read += stats.bytes_read;
-    metrics.get_requests += stats.get_requests;
-    metrics.hedged_gets += stats.hedged_gets;
-    metrics.p2p_requests += stats.p2p_requests;
-    metrics.p2p_bytes += stats.p2p_bytes;
-}
-
-/// Receive one receiver's co-partition of a stage edge from the senders
+/// Receive this worker's co-partition of a stage edge from the senders
 /// `edges` addresses — or, on a fused edge, take the parts its host
 /// `handed` on, at no cost — and hand back the non-empty payloads in
-/// sender order, with the receive's request accounting. Modeled payloads
-/// carry no rows to compute on and are rejected.
+/// sender order. Modeled payloads carry no rows to compute on and are
+/// rejected.
 async fn recv_edge(
     env: &WorkerEnv,
     task: &StageTask,
     edge: &EdgeRead,
     edges: &[InEdge],
-    receiver: usize,
     handed: Option<Vec<PartData>>,
-) -> Result<(Vec<Vec<u8>>, EdgeReadStats)> {
+) -> Result<Vec<Vec<u8>>> {
     if let Some(parts) = handed {
-        return Ok((real_payloads(parts)?, EdgeReadStats::default()));
+        return real_payloads(parts);
     }
     let addrs = edges.get(edge.slot).ok_or_else(|| {
         CoreError::Engine(format!("no addresses for in-edge {} ({})", edge.slot, edge.channel))
     })?;
-    let (parts, stats) = task.transport.recv(env, &edge.channel, receiver, &addrs.senders).await?;
-    Ok((real_payloads(parts)?, stats))
+    let receiver = env.worker_id as usize;
+    real_payloads(task.transport.recv(env, &edge.channel, receiver, &addrs.senders).await?)
 }
 
 /// The non-empty payloads of received parts, in order.
@@ -873,22 +839,6 @@ fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
             }
         }
     }
-    Ok(payloads)
-}
-
-/// [`recv_edge`] for an operator with one in-edge: the accounting goes
-/// straight into the metrics.
-async fn read_edge(
-    env: &WorkerEnv,
-    task: &StageTask,
-    edge: &EdgeRead,
-    edges: &[InEdge],
-    handed: Option<Vec<PartData>>,
-    metrics: &mut WorkerMetrics,
-) -> Result<Vec<Vec<u8>>> {
-    let receiver = env.worker_id as usize;
-    let (payloads, stats) = recv_edge(env, task, edge, edges, receiver, handed).await?;
-    fold_read_stats(metrics, stats);
     Ok(payloads)
 }
 
@@ -971,10 +921,7 @@ async fn report(
         });
     }
     let key = result_key(&task.result_prefix, env.worker_id);
-    metrics.bytes_written += bytes.len() as u64;
-    metrics.put_requests += 1;
-    metrics.hedged_puts +=
-        env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?.hedges;
+    env.s3.put(&task.result_bucket, &key, Body::from_vec(bytes)).await?;
     Ok(ResultPayload::Stored { bucket: task.result_bucket.clone(), key, rows })
 }
 
@@ -1078,7 +1025,9 @@ async fn drive_scan(
 /// in-edges; `handed` is, by slot, the parts its host and co-hosted scans
 /// handed on in memory for some of them. When the stage `hands_on` — its
 /// out-edge is fused, or it is co-hosted — what it would ship comes back
-/// beside the report instead.
+/// beside the report instead. `env` is the stage's own
+/// ([`WorkerEnv::for_stage`]): after its last request, its tally folds
+/// into the metrics.
 async fn run_stage(
     env: &WorkerEnv,
     task: &StageTask,
@@ -1103,9 +1052,6 @@ async fn run_stage(
             let (rows_in, rows_out) = pipeline.row_counts();
             metrics.rows_in = rows_in + modeled_rows;
             metrics.rows_out = rows_out;
-            metrics.bytes_read = scan_metrics.bytes_read;
-            metrics.get_requests = scan_metrics.get_requests;
-            metrics.hedged_gets = scan_metrics.hedged_gets;
             metrics.row_groups_pruned = scan_metrics.row_groups_pruned;
             metrics.row_groups_scanned =
                 scan_metrics.row_groups_total - scan_metrics.row_groups_pruned;
@@ -1114,14 +1060,12 @@ async fn run_stage(
         StageOp::Join { stage, probe, build } => {
             // Both in-edges are received together — each costs a fetch
             // round of pure latency — and consumed in a fixed order:
-            // build fully, then probe. Their
-            // accounting is folded in that order too, so float sums
-            // repeat.
+            // build fully, then probe.
             // ---- Build side: the whole co-partition, then one hash table.
             let (build_handed, probe_handed) =
                 (handed_for(&mut handed, build), handed_for(&mut handed, probe));
             let build_side = async {
-                let (payloads, stats) = recv_edge(env, task, build, edges, p, build_handed).await?;
+                let payloads = recv_edge(env, task, build, edges, build_handed).await?;
                 let build_batches = decode_parts(payloads).collect::<Result<Vec<_>>>()?;
                 let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
                 env.compute(env.costs.process_seconds(build_rows)).await;
@@ -1136,15 +1080,13 @@ async fn run_stage(
                         table.approx_bytes()
                     )));
                 }
-                Ok::<_, CoreError>((table, build_rows, stats))
+                Ok::<_, CoreError>((table, build_rows))
             };
             // A build-side failure is the worker's failure at once: the
             // probe receive is dropped, not waited for.
-            let ((table, build_rows, build_stats), probed) =
-                try_join2(build_side, recv_edge(env, task, probe, edges, p, probe_handed)).await?;
-            fold_read_stats(&mut metrics, build_stats);
-            let (probe_payloads, probe_stats) = probed?;
-            fold_read_stats(&mut metrics, probe_stats);
+            let ((table, build_rows), probed) =
+                try_join2(build_side, recv_edge(env, task, probe, edges, probe_handed)).await?;
+            let probe_payloads = probed?;
 
             // ---- Probe side: stream the co-partition through the table.
             let mut probe_pipeline = Pipeline::new(PipelineSpec {
@@ -1188,7 +1130,7 @@ async fn run_stage(
         StageOp::AggMerge { stage, input, emit_state } => {
             let mut state = GroupedAggState::new(&stage.funcs)?;
             let handed = handed_for(&mut handed, input);
-            for bytes in read_edge(env, task, input, edges, handed, &mut metrics).await? {
+            for bytes in recv_edge(env, task, input, edges, handed).await? {
                 let shard = GroupedAggState::decode(&bytes)?;
                 metrics.rows_in += shard.num_groups() as u64;
                 env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
@@ -1225,7 +1167,7 @@ async fn run_stage(
             let (mut batches, mut received) = (Vec::new(), 0u64);
             let mut state_bytes = 0u64;
             let handed = handed_for(&mut handed, input);
-            let payloads = read_edge(env, task, input, edges, handed, &mut metrics).await?;
+            let payloads = recv_edge(env, task, input, edges, handed).await?;
             for batch in decode_parts(payloads) {
                 let mut batch = batch?;
                 if !bounds.is_empty() {
@@ -1260,7 +1202,9 @@ async fn run_stage(
     // sorted run cut into blocks for sort edges.
     let (rows, parts, starts) = match (&task.sink, output) {
         (StageSink::Report { .. }, output) => {
-            return Ok((report(env, task, output, &mut metrics).await?, metrics, None));
+            let payload = report(env, task, output, &mut metrics).await?;
+            metrics.add(env.tally());
+            return Ok((payload, metrics, None));
         }
         (StageSink::Edge { .. }, PipelineOutput::Partitions(partitions)) => {
             (metrics.rows_out, batch_parts(&partitions)?, None)
@@ -1289,12 +1233,15 @@ async fn run_stage(
     };
     metrics.rows_exchanged += rows;
     let handoff = Handoff { rows, parts, starts };
-    if hands_on {
+    let (payload, handoff) = if hands_on {
         // The parts go to the next stage as they are: no request, no
         // partitioning charge.
-        return Ok((ResultPayload::Exchanged { rows, bytes: 0 }, metrics, Some(handoff)));
-    }
-    Ok((ship(env, task, handoff, &mut metrics).await?, metrics, None))
+        (ResultPayload::Exchanged { rows, bytes: 0 }, Some(handoff))
+    } else {
+        (ship(env, task, handoff).await?, None)
+    };
+    metrics.add(env.tally());
+    Ok((payload, metrics, handoff))
 }
 
 #[cfg(test)]
@@ -1390,9 +1337,9 @@ mod tests {
             let mut metrics = WorkerMetrics::default();
             let batches = |batch| PipelineOutput::Batches(vec![batch]);
             let inline = report(&env, &task, batches(inline), &mut metrics).await.unwrap();
-            let puts = metrics.put_requests;
+            let puts = env.tally().puts;
             let stored = report(&env, &task, batches(over), &mut metrics).await.unwrap();
-            (inline, stored, (puts, metrics.put_requests))
+            (inline, stored, (puts, env.tally().puts))
         });
         assert!(
             matches!(&inline, ResultPayload::InlineBatches { rows: r, bytes }
@@ -1431,16 +1378,16 @@ mod tests {
         assert!(size > 2 * INLINE_RESULT_BYTES, "{size} B");
         let halves =
             [0..rows / 2, rows / 2..rows].map(|r| batch.gather(&r.collect::<Vec<_>>())).to_vec();
-        let (payload, metrics) = sim.block_on(async move {
+        let (payload, metrics, puts) = sim.block_on(async move {
             let mut metrics = WorkerMetrics { rows_out: rows as u64, ..WorkerMetrics::default() };
             let payload =
                 report(&env, &task, PipelineOutput::Batches(halves), &mut metrics).await.unwrap();
-            (payload, metrics)
+            (payload, metrics, env.tally().puts)
         });
         let ResultPayload::InlineBatches { rows: 10, bytes } = &payload else {
             panic!("expected 10 inline rows, got {payload:?}");
         };
-        assert_eq!((metrics.put_requests, metrics.rows_out), (0, 10));
+        assert_eq!((puts, metrics.rows_out), (0, 10));
         let got = crate::partition::decode_batches(bytes).unwrap();
         let want = RecordBatch::from_columns(
             &["a", "b"],

@@ -237,6 +237,50 @@ impl Billing {
     }
 }
 
+/// What one caller's storage and relay clients did, counted by the
+/// clients at the moment each request is billed (the object store's GET
+/// and PUT as they are billed, a LIST's pages as they are recorded) or
+/// lands (a p2p send as its message arrives, a fetch as its body
+/// returns). So the tallies of all callers sum to the bill's S3 units.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// GETs, and the duplicates late ones sent (billed beside them).
+    pub gets: u64,
+    pub hedged_gets: u64,
+    /// Bytes the GETs downloaded: each winner's body once.
+    pub bytes_read: u64,
+    /// PUTs, and the duplicates late ones sent.
+    pub puts: u64,
+    pub hedged_puts: u64,
+    /// Bytes the PUTs stored: each object once.
+    pub bytes_written: u64,
+    /// LIST units: one per started page of 1000 keys.
+    pub list_units: u64,
+    /// Relay messages sent plus those fetched, and their body bytes.
+    pub p2p_messages: u64,
+    pub p2p_bytes: u64,
+}
+
+/// One [`Tally`] shared by every client that holds a clone of it, so a
+/// caller's S3 and p2p clients (and their clones in spawned tasks) count
+/// into one place. Counting is synchronous: it never awaits, spawns or
+/// draws.
+#[derive(Clone, Debug, Default)]
+pub struct SharedTally(Rc<std::cell::Cell<Tally>>);
+
+impl SharedTally {
+    /// The counts so far.
+    pub fn get(&self) -> Tally {
+        self.0.get()
+    }
+
+    pub(crate) fn count(&self, f: impl FnOnce(&mut Tally)) {
+        let mut tally = self.0.get();
+        f(&mut tally);
+        self.0.set(tally);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,8 @@
 //! sim.block_on(async move {
 //!     let s3 = c.driver_s3();
 //!     s3.put("data", "hello", Body::from_vec(vec![1, 2, 3])).await.unwrap();
-//!     assert_eq!(s3.get("data", "hello").await.unwrap().value.len(), 3);
+//!     assert_eq!(s3.get("data", "hello").await.unwrap().len(), 3);
+//!     assert_eq!((s3.tally().gets, s3.tally().puts), (1, 1));
 //! });
 //! assert!(cloud.billing.total() > 0.0);
 //! ```
@@ -50,7 +51,7 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use billing::{Billing, BillingSnapshot, CostItem, Prices};
+pub use billing::{Billing, BillingSnapshot, CostItem, Prices, SharedTally, Tally};
 pub use cloud::{Cloud, CloudConfig, CloudState, WeakCloud};
 pub use executor::{JoinHandle, SimHandle, Simulation};
 pub use region::Region;

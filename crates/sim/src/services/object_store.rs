@@ -14,11 +14,12 @@
 //! sends one duplicate, and the first answer wins (Dean & Barroso's hedged
 //! request). Both are billed and both take a rate-limiter token; a hedged
 //! PUT uploads its body twice, a hedged GET downloads the winner's only.
-//! The caller learns how many duplicates it paid for from [`Reply`], and
-//! the store counts them apart ([`ObjectStore::hedges`]), so a closed form
-//! of protocol requests is billed requests less hedges. Only a request
-//! past its deadline draws a second latency, so a run where none is late
-//! draws exactly the latencies an unhedged store would.
+//! The caller's client counts the duplicates it paid for in its
+//! [`Tally`], and the store counts them apart ([`ObjectStore::hedges`]),
+//! so a closed form of protocol requests is billed requests less hedges.
+//! Only a request past its deadline draws a second latency, so a run
+//! where none is late draws exactly the latencies an unhedged store
+//! would.
 //!
 //! DELETE is one call on the store, [`ObjectStore::delete_objects`], made
 //! by the owner of a finished query for every key it can have written.
@@ -42,7 +43,7 @@ use std::time::Duration;
 
 pub use bytes::Bytes;
 
-use crate::billing::{Billing, CostItem};
+use crate::billing::{Billing, CostItem, SharedTally, Tally};
 use crate::executor::SimHandle;
 use crate::resource::{BurstLink, TokenBucket};
 use crate::rng::SimRng;
@@ -143,14 +144,6 @@ impl Default for S3Config {
             put_extra: Duration::from_millis(8),
         }
     }
-}
-
-/// What a GET or PUT answered, and how many duplicates it sent: 1 when it
-/// ran past its hedge deadline, else 0. Each duplicate was billed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reply<T> {
-    pub value: T,
-    pub hedges: u64,
 }
 
 /// Duplicates the store has been sent, by request kind.
@@ -282,9 +275,9 @@ impl ObjectStore {
 
     /// A client whose transfers flow through `link` (a function instance's
     /// NIC or the driver's WAN link) with `extra_latency` added per request
-    /// (distance from the region).
+    /// (distance from the region), counting into a tally of its own.
     pub fn client(&self, link: BurstLink, extra_latency: Duration) -> S3Client {
-        S3Client { store: self.clone(), link, extra_latency }
+        S3Client { store: self.clone(), link, extra_latency, tally: SharedTally::default() }
     }
 
     fn bucket(&self, name: &str) -> Result<Rc<RefCell<BucketState>>, S3Error> {
@@ -336,18 +329,45 @@ impl ObjectStore {
 }
 
 /// Per-caller S3 access: all request latency and body bandwidth are charged
-/// against this client's link.
+/// against this client's link, and every request is counted in its
+/// [`Tally`] where it is billed. Clones share the tally.
 #[derive(Clone)]
 pub struct S3Client {
     store: ObjectStore,
     link: BurstLink,
     extra_latency: Duration,
+    tally: SharedTally,
 }
 
 impl S3Client {
     /// The link this client transfers through.
     pub fn link(&self) -> &BurstLink {
         &self.link
+    }
+
+    /// This client, counting into `tally` from now on.
+    pub fn counting_into(&self, tally: SharedTally) -> S3Client {
+        S3Client { tally, ..self.clone() }
+    }
+
+    /// What this client and every client sharing its tally did so far.
+    pub fn tally(&self) -> Tally {
+        self.tally.get()
+    }
+
+    /// Bill one GET or PUT and its `hedges` duplicates, and count them
+    /// with the `bytes` of the object they read or stored.
+    fn bill(&self, item: CostItem, hedges: u64, bytes: u64) {
+        self.store.bill(item, hedges);
+        self.tally.count(|t| {
+            let (requests, duplicates, moved) = match item {
+                CostItem::S3Put => (&mut t.puts, &mut t.hedged_puts, &mut t.bytes_written),
+                _ => (&mut t.gets, &mut t.hedged_gets, &mut t.bytes_read),
+            };
+            *requests += 1;
+            *duplicates += hedges;
+            *moved += bytes;
+        });
     }
 
     /// Wait for the first byte of a request of median latency `base`
@@ -373,7 +393,7 @@ impl S3Client {
     }
 
     /// GET an entire object.
-    pub async fn get(&self, bucket: &str, key: &str) -> Result<Reply<Body>, S3Error> {
+    pub async fn get(&self, bucket: &str, key: &str) -> Result<Body, S3Error> {
         self.get_range(bucket, key, 0, u64::MAX).await
     }
 
@@ -385,34 +405,33 @@ impl S3Client {
         key: &str,
         offset: u64,
         len: u64,
-    ) -> Result<Reply<Body>, S3Error> {
+    ) -> Result<Body, S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
         let limiter = store.get_limiter(&b, key);
         limiter.acquire(1.0).await;
         let hedges = self.first_byte(&limiter, store.cfg.ttfb_median).await;
-        store.bill(CostItem::S3Get, hedges);
-        let body = {
-            let st = b.borrow();
-            st.objects.get(key).map(|body| body.slice(offset, len)).ok_or_else(|| {
-                S3Error::NoSuchKey { bucket: bucket.to_string(), key: key.to_string() }
-            })?
-        };
+        let body = b.borrow().objects.get(key).map(|body| body.slice(offset, len));
+        self.bill(CostItem::S3Get, hedges, body.as_ref().map_or(0, Body::len));
+        let body = body.ok_or_else(|| S3Error::NoSuchKey {
+            bucket: bucket.to_string(),
+            key: key.to_string(),
+        })?;
         self.link.transfer(body.len() as f64).await;
-        Ok(Reply { value: body, hedges })
+        Ok(body)
     }
 
     /// PUT an object. Hedged; a duplicate uploads the body again.
-    pub async fn put(&self, bucket: &str, key: &str, body: Body) -> Result<Reply<()>, S3Error> {
+    pub async fn put(&self, bucket: &str, key: &str, body: Body) -> Result<(), S3Error> {
         let store = &self.store;
         let b = store.bucket(bucket)?;
         let limiter = store.put_limiter(&b, key);
         limiter.acquire(1.0).await;
         let hedges = self.first_byte(&limiter, store.cfg.ttfb_median + store.cfg.put_extra).await;
-        store.bill(CostItem::S3Put, hedges);
+        self.bill(CostItem::S3Put, hedges, body.len());
         self.link.transfer(body.len() as f64 * (1 + hedges) as f64).await;
         b.borrow_mut().objects.insert(key.to_string(), body);
-        Ok(Reply { value: (), hedges })
+        Ok(())
     }
 
     /// LIST keys under a prefix; returns `(key, size)` pairs in key order.
@@ -430,8 +449,9 @@ impl S3Client {
                 .map(|(k, v)| (k.clone(), v.len()))
                 .collect()
         };
-        let pages = (out.len().max(1)).div_ceil(1000) as f64;
-        store.billing.record(CostItem::S3List, pages);
+        let pages = (out.len().max(1)).div_ceil(1000) as u64;
+        store.billing.record(CostItem::S3List, pages as f64);
+        self.tally.count(|t| t.list_units += pages);
         Ok(out)
     }
 }
@@ -460,7 +480,7 @@ mod tests {
         store.create_bucket("b");
         let body = sim.block_on(async move {
             client.put("b", "k", Body::from_vec(vec![1, 2, 3])).await.unwrap();
-            client.get("b", "k").await.unwrap().value
+            client.get("b", "k").await.unwrap()
         });
         assert_eq!(body.as_real().unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(billing.units(CostItem::S3Put), 1.0);
@@ -472,8 +492,7 @@ mod tests {
         let sim = Simulation::new();
         let (store, client, _) = setup(&sim);
         store.stage("b", "k", Body::from_vec((0u8..100).collect()));
-        let body =
-            sim.block_on(async move { client.get_range("b", "k", 10, 5).await.unwrap().value });
+        let body = sim.block_on(async move { client.get_range("b", "k", 10, 5).await.unwrap() });
         assert_eq!(body.as_real().unwrap().as_ref(), &[10, 11, 12, 13, 14]);
     }
 
@@ -505,6 +524,38 @@ mod tests {
         let keys = sim.block_on(async move { client.list("b", "x/").await.unwrap() });
         assert_eq!(keys, vec![("x/1".to_string(), 1), ("x/2".to_string(), 2)]);
         assert_eq!(billing.units(CostItem::S3List), 1.0);
+    }
+
+    /// A client counts what the store bills it, where it bills it — a
+    /// GET of a missing key too, with no bytes. Clients counting into
+    /// one tally, and their clones, share it; the client they came from
+    /// counts apart.
+    #[test]
+    fn a_client_tallies_what_the_store_bills() {
+        let sim = Simulation::new();
+        let (store, client, billing) = setup(&sim);
+        store.stage("b", "x/1", Body::Synthetic(7));
+        let shared = SharedTally::default();
+        let (one, other) =
+            (client.counting_into(shared.clone()), client.counting_into(shared.clone()));
+        sim.block_on(async move {
+            one.put("b", "x/2", Body::from_vec(vec![1, 2, 3])).await.unwrap();
+            other.get_range("b", "x/1", 2, 100).await.unwrap();
+            other.clone().get("b", "nope").await.unwrap_err();
+            one.list("b", "x/").await.unwrap();
+        });
+        let want = Tally {
+            gets: 2,
+            bytes_read: 5,
+            puts: 1,
+            bytes_written: 3,
+            list_units: 1,
+            ..Tally::default()
+        };
+        assert_eq!(shared.get(), want);
+        assert_eq!(client.tally(), Tally::default());
+        let units = [CostItem::S3Get, CostItem::S3Put, CostItem::S3List].map(|i| billing.units(i));
+        assert_eq!(units, [2.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -573,10 +624,10 @@ mod tests {
         let (h, link) = (sim.handle(), client.link().clone());
         let (put, get) = sim.block_on(async move {
             let t0 = h.now();
-            let put = client.put("b", "k", Body::Synthetic(1000)).await.unwrap().hedges;
-            let t1 = h.now();
+            client.put("b", "k", Body::Synthetic(1000)).await.unwrap();
+            let (put, t1) = (client.tally().hedged_puts, h.now());
             let get = client.get("b", "k").await.unwrap();
-            ((put, t1 - t0), (get.hedges, get.value.len(), h.now() - t1))
+            ((put, t1 - t0), (client.tally().hedged_gets, get.len(), h.now() - t1))
         });
         let (extra, ms) = (Duration::from_millis(5), Duration::from_millis(1));
         let (get_median, put_median) = (12 * ms, 20 * ms);
@@ -601,8 +652,8 @@ mod tests {
         let h = sim.handle();
         let (hedges, took) = sim.block_on(async move {
             let start = h.now();
-            let hedges = client.get("b", "k").await.unwrap().hedges;
-            (hedges, h.now() - start)
+            client.get("b", "k").await.unwrap();
+            (client.tally().hedged_gets, h.now() - start)
         });
         assert_eq!(hedges, 1);
         assert_close(took, Duration::from_millis(5) + Duration::from_millis(18));
@@ -629,14 +680,14 @@ mod tests {
             let mut waits = Vec::new();
             for i in 0..200 {
                 let (start, key) = (h.now(), format!("k{}", i / 2));
-                let hedges = if i % 2 == 0 {
-                    client.put("b", &key, Body::Synthetic(0)).await.unwrap().hedges
+                if i % 2 == 0 {
+                    client.put("b", &key, Body::Synthetic(0)).await.unwrap();
                 } else {
-                    let hedges = client.get("b", &key).await.unwrap().hedges;
+                    client.get("b", &key).await.unwrap();
                     assert_eq!(deleter.delete_objects("b", [key.as_str(), "gone"]), 1);
-                    hedges
-                };
-                assert_eq!(hedges, 0);
+                }
+                let tally = client.tally();
+                assert_eq!((tally.hedged_gets, tally.hedged_puts), (0, 0));
                 waits.push(h.now() - start);
             }
             waits

@@ -24,6 +24,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
+use crate::billing::{SharedTally, Tally};
 use crate::executor::SimHandle;
 use crate::resource::BurstLink;
 use crate::services::object_store::Body;
@@ -204,9 +205,9 @@ impl P2pService {
     }
 
     /// A client whose transfers flow through `link` (the calling
-    /// worker's NIC).
+    /// worker's NIC), counting into a tally of its own.
     pub fn client(&self, link: BurstLink) -> P2pClient {
-        P2pClient { svc: self.clone(), link }
+        P2pClient { svc: self.clone(), link, tally: SharedTally::default() }
     }
 
     fn fault_for(&self, endpoint: &str, sender: u32, attempt: u32) -> Option<LinkFault> {
@@ -216,14 +217,34 @@ impl P2pService {
 }
 
 /// Per-worker p2p access: all body bandwidth is charged against this
-/// client's NIC link on top of the relay's per-connection pipe.
+/// client's NIC link on top of the relay's per-connection pipe. Every
+/// message it delivers or fetches is counted in its [`Tally`]; clones
+/// share the tally.
 #[derive(Clone)]
 pub struct P2pClient {
     svc: P2pService,
     link: BurstLink,
+    tally: SharedTally,
 }
 
 impl P2pClient {
+    /// This client, counting into `tally` from now on.
+    pub fn counting_into(&self, tally: SharedTally) -> P2pClient {
+        P2pClient { tally, ..self.clone() }
+    }
+
+    /// What this client and every client sharing its tally did so far.
+    pub fn tally(&self) -> Tally {
+        self.tally.get()
+    }
+
+    fn count(&self, bytes: u64) {
+        self.tally.count(|t| {
+            t.p2p_messages += 1;
+            t.p2p_bytes += bytes;
+        });
+    }
+
     /// Stream a message to a registered endpoint's mailbox. The message
     /// becomes visible only after the whole transfer completes — a
     /// sender killed mid-stream leaves nothing behind. Duplicate sends
@@ -259,6 +280,7 @@ impl P2pClient {
         }
         st.sends += 1;
         st.bytes += body.len();
+        self.count(body.len());
         let mailbox = st.endpoints.get_mut(endpoint).expect("checked above");
         match mailbox.iter_mut().find(|m| m.sender == sender && m.attempt == attempt) {
             Some(m) => m.body = body,
@@ -289,6 +311,7 @@ impl P2pClient {
                 })?
         };
         self.link.transfer(body.len() as f64).await;
+        self.count(body.len());
         Ok(body)
     }
 }
@@ -322,6 +345,26 @@ mod tests {
         assert_eq!(b.as_real().unwrap().as_ref(), &[7, 8]);
         assert_eq!(svc.arrivals("q0/s1/r0").unwrap(), vec![(2, 0, 2)]);
         assert_eq!(svc.counters(), (1, 2, 0));
+    }
+
+    /// A client counts a send when its message lands and a fetch when its
+    /// body returns, body bytes each; a send over a dropped link and a
+    /// fetch of nothing count nothing.
+    #[test]
+    fn a_client_tallies_what_it_sent_and_fetched() {
+        let sim = Simulation::new();
+        let (svc, client) = setup(&sim, P2pConfig::default());
+        svc.register("e");
+        svc.set_link_faults(Rc::new(|_, sender, _| (sender == 9).then(LinkFault::dropped)));
+        let counted = client.clone();
+        sim.block_on(async move {
+            client.send("e", 1, 0, Body::Synthetic(40)).await.unwrap();
+            client.send("e", 9, 0, Body::Synthetic(40)).await.unwrap_err();
+            client.fetch("e", 1, 0).await.unwrap();
+            client.fetch("e", 2, 0).await.unwrap_err();
+        });
+        assert_eq!(counted.tally(), Tally { p2p_messages: 2, p2p_bytes: 80, ..Tally::default() });
+        assert_eq!(svc.counters(), (1, 40, 1));
     }
 
     #[test]

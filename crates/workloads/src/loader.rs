@@ -366,7 +366,7 @@ mod tests {
         let body = sim.block_on({
             let c = cloud.clone();
             let key = spec.files[0].key.clone();
-            async move { c.driver_s3().get("tpch", &key).await.unwrap().value }
+            async move { c.driver_s3().get("tpch", &key).await.unwrap() }
         });
         let (meta, groups) = lambada_format::read_all(body.as_real().unwrap()).unwrap();
         assert_eq!(meta.schema.len(), 16);
@@ -384,7 +384,7 @@ mod tests {
             let body = sim.block_on({
                 let c = cloud.clone();
                 let key = f.key.clone();
-                async move { c.driver_s3().get("tpch", &key).await.unwrap().value }
+                async move { c.driver_s3().get("tpch", &key).await.unwrap() }
             });
             let meta = lambada_format::read_footer(body.as_real().unwrap()).unwrap();
             for rg in &meta.row_groups {

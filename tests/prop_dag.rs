@@ -19,7 +19,7 @@ use lambada::engine::{
     execute_into_batch, lit_i64, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, Schema, SortKey,
 };
-use lambada::sim::{Cloud, CloudConfig, Simulation};
+use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 use lambada::workloads::stage_table_real;
 
 fn t_schema() -> Schema {
@@ -252,6 +252,89 @@ proptest! {
             .map(|s| s.workers)
             .collect();
         prop_assert_eq!(join_fleets, vec![case.join_workers; 2]);
+    }
+
+    /// A stage's request counts are what its clients were billed: a
+    /// three-table join tree over thousands of rows — more than a
+    /// sender's inline budget, so edges go through files or mailboxes —
+    /// aggregated on the driver or by a merge fleet of its own, run alone
+    /// on each transport, has its stages' GETs and PUTs (hedges included)
+    /// and LISTs (none) equal to the bill's units over the query's window,
+    /// and its workers' relay messages and bytes twice the relay's own:
+    /// every mailbox message is sent once and fetched once.
+    #[test]
+    fn per_stage_request_counts_are_the_bill_on_both_transports(
+        rows in (3000usize..9000, 500usize..3000),
+        seed in any::<u64>(),
+        files in (1usize..4, 1usize..4),
+        join_workers in 1usize..4,
+        merge_workers in 0usize..3,
+    ) {
+        let (tn, un) = rows;
+        // Every t row meets about one u row and exactly one v row.
+        let draw = |n: usize, domain: u64, salt: u64| -> Vec<i64> {
+            let mut x = seed ^ salt;
+            (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((x >> 33) % domain) as i64
+                })
+                .collect()
+        };
+        let case = MultiwayCase {
+            t_k1: draw(tn, un as u64, 1),
+            t_k2: draw(tn, 50, 2),
+            u_keys: draw(un, un as u64, 3),
+            v_keys: (0..50).collect(),
+            files: 1,
+            files_per_worker: Some(1),
+            join_workers,
+            with_filter: false,
+        };
+        let agg = match merge_workers {
+            0 => AggStrategy::DriverMerge,
+            w => AggStrategy::Exchange { workers: Some(w) },
+        };
+        let staged = stage_three_tables_in(&case, [files.0, files.1, 1], LambadaConfig {
+            files_per_worker: Some(1),
+            join_workers: Some(join_workers),
+            agg,
+            ..LambadaConfig::default()
+        });
+        let joined = Df::from_plan(multiway_plan(&case)).unwrap();
+        let (k2, a) = (joined.col("k2").unwrap(), joined.col("a").unwrap());
+        let plan = joined
+            .aggregate(vec![(k2, "k2")], vec![AggExpr::new(AggFunc::Sum, Some(a), "sum_a")])
+            .unwrap()
+            .build();
+        let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
+        let system = staged.system;
+        let runs = staged.sim.block_on(async move {
+            let dag = system.plan(&plan).unwrap();
+            let mut runs = Vec::new();
+            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                let relayed = system.cloud().p2p.counters();
+                let report = system.run_dag_with(&dag, &policy).await.unwrap();
+                let (sends, bytes, _) = system.cloud().p2p.counters();
+                runs.push((report, (sends - relayed.0, bytes - relayed.1)));
+            }
+            runs
+        });
+        for (report, (sends, bytes)) in runs {
+            prop_assert_eq!(row_multiset(&report.batch), row_multiset(&reference));
+            let counted = |f: fn(&lambada::core::StageReport) -> u64| -> f64 {
+                report.stages.iter().map(f).sum::<u64>() as f64
+            };
+            let billed = |item| report.cost.units(item);
+            prop_assert_eq!(counted(|s| s.get_requests + s.hedged_gets), billed(CostItem::S3Get));
+            prop_assert_eq!(counted(|s| s.put_requests + s.hedged_puts), billed(CostItem::S3Put));
+            prop_assert_eq!(counted(|s| s.list_requests), billed(CostItem::S3List));
+            prop_assert_eq!(billed(CostItem::S3List), 0.0);
+            let workers = &report.worker_metrics;
+            prop_assert_eq!(workers.iter().map(|w| w.p2p_requests).sum::<u64>(), 2 * sends);
+            prop_assert_eq!(workers.iter().map(|w| w.p2p_bytes).sum::<u64>(), 2 * bytes);
+        }
     }
 
     /// A one-worker join tree over one- and two-worker scans (one file a

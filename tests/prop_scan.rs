@@ -16,7 +16,7 @@ use lambada::engine::{col, lit_i64, Column, DataType, Expr, Field, RecordBatch, 
 use lambada::format::{chunk_rows, write_file, FileMeta, WriterOptions, TRAILER_LEN};
 use lambada::sim::services::object_store::Body;
 use lambada::sim::sync::mpsc;
-use lambada::sim::{Cloud, CloudConfig, Simulation};
+use lambada::sim::{Cloud, CloudConfig, Simulation, Tally};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -99,13 +99,14 @@ fn spans(meta: &FileMeta, columns: &[usize]) -> Vec<(u64, u64)> {
     meta.row_groups.iter().map(span).collect()
 }
 
-/// Scan `bytes`, staged as one file, to its end on a fresh cloud.
+/// Scan `bytes`, staged as one file, to its end on a fresh cloud; what
+/// the worker's client requested comes beside the scan's metrics.
 fn scan(
     cfg: ScanConfig,
     bytes: &[u8],
     columns: &[usize],
     predicate: Option<&Expr>,
-) -> (ScanMetrics, Vec<RecordBatch>) {
+) -> (ScanMetrics, Tally, Vec<RecordBatch>) {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
     cloud.s3.create_bucket("data");
@@ -130,7 +131,7 @@ fn scan(
             ScanItem::Modeled { .. } => panic!("a real file scans into batches"),
         })
         .collect();
-    (metrics, batches)
+    (metrics, env.tally(), batches)
 }
 
 /// The reference plan: a request limit below every chunk and a footer
@@ -179,8 +180,9 @@ proptest! {
         };
 
         let pred = predicate(&case);
-        let (got, got_batches) = scan(cfg, &bytes, &projection, pred.as_ref());
-        let (reference, reference_batches) = scan(reference(), &bytes, &projection, pred.as_ref());
+        let (got, got_tally, got_batches) = scan(cfg, &bytes, &projection, pred.as_ref());
+        let (reference, reference_tally, reference_batches) =
+            scan(reference(), &bytes, &projection, pred.as_ref());
         prop_assert_eq!(&got_batches, &reference_batches, "{:?}", case);
         prop_assert_eq!(got.rows, reference.rows);
         prop_assert_eq!(
@@ -213,10 +215,10 @@ proptest! {
             let over: u64 = outside.iter().map(|(start, end)| end - start).sum();
             (reads + outside.len() as u64, body + over)
         };
-        prop_assert_eq!(got.get_requests, want_gets, "{:?}", case);
-        prop_assert_eq!(got.bytes_read, want_bytes, "{:?}", case);
+        prop_assert_eq!(got_tally.gets, want_gets, "{:?}", case);
+        prop_assert_eq!(got_tally.bytes_read, want_bytes, "{:?}", case);
         // The reference reused nothing: every surviving row group took at
         // least one request of its own.
-        prop_assert!(reference.get_requests >= 2 + surviving.len() as u64);
+        prop_assert!(reference_tally.gets >= 2 + surviving.len() as u64);
     }
 }

@@ -20,7 +20,7 @@ use lambada::engine::{col, lit_i64, Column, DataType, Expr, Field, RecordBatch, 
 use lambada::format::{chunk_rows, write_file, FileMeta, WriterOptions, TRAILER_LEN};
 use lambada::sim::services::object_store::Body;
 use lambada::sim::sync::mpsc;
-use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
+use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation, Tally};
 use lambada::workloads::{stage_descriptors, DescriptorOptions};
 
 const ROW_GROUPS: usize = 6;
@@ -70,7 +70,8 @@ fn latency_limit(cloud: &Cloud) -> u64 {
     (config.s3.ttfb_median.as_secs_f64() * config.nic.per_conn) as u64
 }
 
-/// Run one worker's scan of `files` to its end and drain what it emitted.
+/// Run one worker's scan of `files` to its end and drain what it emitted,
+/// beside what its client requested.
 fn scan(
     sim: &Simulation,
     cloud: &Cloud,
@@ -79,7 +80,7 @@ fn scan(
     files: &[TableFile],
     columns: &[usize],
     predicate: Option<Expr>,
-) -> Result<(ScanMetrics, Vec<ScanItem>), CoreError> {
+) -> Result<(ScanMetrics, Tally, Vec<ScanItem>), CoreError> {
     let env = WorkerEnv::bare(cloud, 0, 2048, ComputeCostModel::default());
     sim.block_on(async {
         let (tx, mut rx) = mpsc::channel();
@@ -89,7 +90,7 @@ fn scan(
         while let Some(item) = rx.recv().await {
             items.push(item);
         }
-        Ok((metrics, items))
+        Ok((metrics, env.tally(), items))
     })
 }
 
@@ -127,29 +128,32 @@ fn a_small_row_group_is_one_get_and_the_same_batches_as_a_get_per_chunk() {
     let predicate = || Some(col(0).ge(lit_i64(2000)));
     let surviving = ROW_GROUPS as u64 - 2;
 
-    let (file, file_items) =
+    let (file, file_tally, file_items) =
         scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, predicate())
             .unwrap();
     assert_eq!((file.row_groups_total, file.row_groups_pruned), (ROW_GROUPS as u64, 2));
-    assert_eq!(file.get_requests, 1, "the footer read is the whole file");
-    assert_eq!(file.bytes_read, size);
+    assert_eq!(file_tally.gets, 1, "the footer read is the whole file");
+    assert_eq!(file_tally.bytes_read, size);
 
     // Below the file, above every row group: the trailer, the footer, then
     // one GET per surviving row group.
-    let (groups, group_items) =
+    let (groups, group_tally, group_items) =
         scan(&sim, &cloud, per_chunk(size / 2), &spec, &spec.files, &SCANNED, predicate()).unwrap();
-    assert_eq!(groups.get_requests, 2 + surviving);
+    assert_eq!(group_tally.gets, 2 + surviving);
 
-    let (many, many_items) =
+    let (many, many_tally, many_items) =
         scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, predicate()).unwrap();
     assert!(
-        many.get_requests > 2 + surviving * SCANNED.len() as u64,
+        many_tally.gets > 2 + surviving * SCANNED.len() as u64,
         "chunks above the request limit are split: {} GETs",
-        many.get_requests
+        many_tally.gets
     );
     // Requested bytes are counted: one GET a row group reads over `pad`,
     // the whole file reads everything.
-    assert!(file.bytes_read > groups.bytes_read && groups.bytes_read > many.bytes_read);
+    assert!(
+        file_tally.bytes_read > group_tally.bytes_read
+            && group_tally.bytes_read > many_tally.bytes_read
+    );
     assert_eq!((file.rows, groups.rows), (many.rows, many.rows));
 
     let file_batches = batches(file_items);
@@ -179,11 +183,11 @@ fn a_descriptor_file_with_paper_scale_row_groups_keeps_one_get_per_chunk() {
     let spec = stage_descriptors(&cloud, "tpch", "lineitem", &opts);
     let cfg = ScanConfig { max_request_bytes: 4 << 20, ..ScanConfig::default() };
     let file = &spec.files[..1];
-    let (metrics, items) = scan(&sim, &cloud, cfg, &spec, file, &q1_columns, None).unwrap();
+    let (_, tally, items) = scan(&sim, &cloud, cfg, &spec, file, &q1_columns, None).unwrap();
     assert!(items.iter().all(|i| matches!(i, ScanItem::Modeled { .. })));
     let want = closed_form(&file[0], &q1_columns, cfg.max_request_bytes);
     assert!(want > 1 + (q1_columns.len() * opts.row_groups_per_file) as u64, "chunks are split");
-    assert_eq!(metrics.get_requests, want);
+    assert_eq!(tally.gets, want);
 
     // The plan follows the bytes, not the kind of file: the same table at
     // a scale where the file is latency-bound is one GET, and its row
@@ -191,11 +195,11 @@ fn a_descriptor_file_with_paper_scale_row_groups_keeps_one_get_per_chunk() {
     let small = DescriptorOptions { scale: 0.01, num_files: 2, ..DescriptorOptions::default() };
     let spec = stage_descriptors(&cloud, "tpch", "small", &small);
     assert!(spec.files[0].size <= latency_limit(&cloud));
-    let (metrics, items) =
+    let (_, tally, items) =
         scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files[..1], &q1_columns, None)
             .unwrap();
-    assert_eq!(metrics.get_requests, 1);
-    assert_eq!(metrics.bytes_read, spec.files[0].size);
+    assert_eq!(tally.gets, 1);
+    assert_eq!(tally.bytes_read, spec.files[0].size);
     assert_eq!(items.len(), small.row_groups_per_file);
     assert!(items.iter().all(|i| matches!(i, ScanItem::Modeled { .. })));
 }
@@ -235,13 +239,14 @@ fn a_row_group_inside_the_footer_tail_costs_no_get() {
     assert!(size > cfg.max_request_bytes, "the file is not read whole");
     assert!(spans.iter().all(|(start, end)| end - start <= cfg.max_request_bytes));
 
-    let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+    let (metrics, tally, items) =
+        scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
     // The footer, then one GET per row group — less the one the tail held.
-    assert_eq!(metrics.get_requests, 1 + 4 - 1);
+    assert_eq!(tally.gets, 1 + 4 - 1);
     let read_over: u64 = spans[..3].iter().map(|(start, end)| end - start).sum();
-    assert_eq!(metrics.bytes_read, cfg.metadata_tail_bytes + read_over);
+    assert_eq!(tally.bytes_read, cfg.metadata_tail_bytes + read_over);
 
-    let (reference, reference_items) =
+    let (reference, _, reference_items) =
         scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, None).unwrap();
     assert_eq!(metrics.rows, reference.rows);
     assert_eq!(batches(items), batches(reference_items));
@@ -260,9 +265,9 @@ fn a_row_group_partly_inside_the_tail_takes_its_own_get() {
         metadata_tail_bytes: size - (start + end) / 2,
         ..ScanConfig::default()
     };
-    let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
-    assert_eq!(metrics.get_requests, 1 + 4, "the footer, then one GET per row group");
-    let (_, reference_items) =
+    let (_, tally, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+    assert_eq!(tally.gets, 1 + 4, "the footer, then one GET per row group");
+    let (_, _, reference_items) =
         scan(&sim, &cloud, per_chunk(512), &spec, &spec.files, &SCANNED, None).unwrap();
     assert_eq!(batches(items), batches(reference_items));
 }
@@ -287,11 +292,11 @@ fn an_inline_file_is_read_from_its_payload_with_no_request() {
                 .unwrap()
         };
         let before = cloud.billing.snapshot();
-        let (metrics, items) = got(&spec.files[1]);
-        assert_eq!((metrics.get_requests, metrics.bytes_read), (0, 0));
+        let (metrics, tally, items) = got(&spec.files[1]);
+        assert_eq!((tally.gets, tally.bytes_read), (0, 0));
         assert_eq!(cloud.billing.snapshot().since(&before).units(CostItem::S3Get), 0.0);
-        let (stored_metrics, stored_items) = got(&spec.files[0]);
-        assert_eq!(stored_metrics.get_requests, 1, "the stored file is one GET");
+        let (stored_metrics, stored_tally, stored_items) = got(&spec.files[0]);
+        assert_eq!(stored_tally.gets, 1, "the stored file is one GET");
         assert_eq!(metrics.row_groups_pruned, stored_metrics.row_groups_pruned);
         assert_eq!(batches(items), batches(stored_items));
     }
@@ -352,7 +357,7 @@ fn a_lying_footer_is_an_error_before_it_sizes_a_request() {
                 assert_eq!(got.unwrap().0.rows, ROWS as u64);
                 continue;
             }
-            let err = got.map(|(metrics, _)| metrics).unwrap_err();
+            let err = got.map(|(metrics, _, _)| metrics).unwrap_err();
             assert!(matches!(err, CoreError::Format(_)), "{name}: {err}");
             assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "{name}: only the footer read");
             assert!(sim.now().as_secs_f64() < 0.1, "{name}: failed at {:?}", sim.now());
@@ -372,7 +377,7 @@ fn a_footer_longer_than_the_whole_file_read_is_an_error_after_one_get() {
     assert!(file.size <= latency_limit(&cloud), "the footer read is the whole file");
     let spec = TableSpec::new("t", schema(), vec![file], ROWS as u64);
     let err = scan(&sim, &cloud, ScanConfig::default(), &spec, &spec.files, &SCANNED, None)
-        .map(|(metrics, _)| metrics)
+        .map(|(metrics, _, _)| metrics)
         .unwrap_err();
     assert!(matches!(err, CoreError::Format(_)), "{err}");
     assert_eq!(cloud.billing.units(CostItem::S3Get), 1.0, "a retry has no more bytes to give");
@@ -395,7 +400,7 @@ fn a_failed_scan_stops_requesting() {
     let spec = TableSpec::new("t", schema(), files, 3 * ROWS as u64);
     let before = sim.live_tasks();
     let err = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None)
-        .map(|(metrics, _)| metrics)
+        .map(|(metrics, _, _)| metrics)
         .unwrap_err();
     assert!(matches!(err, CoreError::Format(_)), "{err}");
     // Drain the simulation: whatever the scan left running runs out.
@@ -421,15 +426,16 @@ fn a_round_of_latency_bound_files_is_read_at_once() {
             .map(|i| stage(&cloud, "data", &format!("f{i}"), write(ROWS, ROW_GROUPS)))
             .collect();
         let spec = TableSpec::new("t", schema(), files, ROWS as u64);
-        let (metrics, items) = scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
-        (sim.now().as_secs_f64(), metrics, batches(items))
+        let (metrics, tally, items) =
+            scan(&sim, &cloud, cfg, &spec, &spec.files, &SCANNED, None).unwrap();
+        (sim.now().as_secs_f64(), metrics, tally, batches(items))
     };
-    let (one, one_metrics, one_batches) = run(1);
-    let (round, metrics, batches) = run(cfg.connections);
-    assert_eq!(metrics.get_requests, cfg.connections as u64, "one GET per file");
+    let (one, _, one_tally, one_batches) = run(1);
+    let (round, metrics, tally, batches) = run(cfg.connections);
+    assert_eq!(tally.gets, cfg.connections as u64, "one GET per file");
     assert_eq!(metrics.files, cfg.connections as u64);
     assert!(round < 2.0 * one, "a round took {round} s, one file {one} s");
-    assert_eq!(one_metrics.get_requests, 1);
+    assert_eq!(one_tally.gets, 1);
     for (i, chunk) in batches.chunks(one_batches.len()).enumerate() {
         assert_eq!(chunk, one_batches.as_slice(), "file {i}'s batches, in order");
     }

@@ -23,6 +23,11 @@
 //!    `ObjectStore::stage`, which stores with no latency, billing or
 //!    bandwidth: it is for data that exists before a run starts, so
 //!    nothing the system does at run time may use it.
+//! 5. **hand-counted-requests** — no non-test code under
+//!    `crates/core/src` adds to a request counter ([`REQUEST_COUNTERS`])
+//!    outside a *tally fold*, a function that takes a `Tally`: a stage's
+//!    requests are what its clients counted where the cloud billed them,
+//!    never a count kept beside the calls.
 //!
 //! Findings print as `path:line: [rule] message`; the process exits
 //! nonzero when any are found, so CI fails the build.
@@ -113,6 +118,7 @@ fn lint() -> ExitCode {
             for path in &core_files {
                 if let Some(src) = read_or_report(path, "free-staging", &mut findings) {
                     lint_free_staging(path, &src, &mut findings);
+                    lint_hand_counted_requests(path, &src, &mut findings);
                 }
             }
         }
@@ -537,6 +543,74 @@ fn lint_free_staging(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The request counters of a stage's report (`WorkerMetrics`, and the
+/// `StageReport` sums of them).
+const REQUEST_COUNTERS: [&str; 9] = [
+    "get_requests",
+    "put_requests",
+    "list_requests",
+    "hedged_gets",
+    "hedged_puts",
+    "p2p_requests",
+    "p2p_bytes",
+    "bytes_read",
+    "bytes_written",
+];
+
+/// The counter `code` adds to with `+=`, if any: the name as a whole
+/// identifier, then `+=`.
+fn added_counter(code: &str) -> Option<&'static str> {
+    REQUEST_COUNTERS.into_iter().find(|name| {
+        code.match_indices(name).any(|(at, _)| {
+            let before = code[..at].chars().next_back();
+            let whole = !before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+            whole && code[at + name.len()..].trim_start().starts_with("+=")
+        })
+    })
+}
+
+/// A `+=` to a request counter in code above the first column-0
+/// `#[cfg(test)]` (comments and strings stripped) is a finding, unless
+/// it lies in the body of a function whose signature names `Tally`.
+fn lint_hand_counted_requests(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+    let mut in_block = false;
+    // Brace depth, the depth of the signature being read (and whether it
+    // names `Tally`), and the depth of the tally fold being walked.
+    let (mut depth, mut signature, mut fold) = (0i64, None::<(i64, bool)>, None::<i64>);
+    for (idx, raw) in src.lines().enumerate() {
+        if raw.starts_with("#[cfg(test)]") {
+            break;
+        }
+        let code = code_only(raw, &mut in_block);
+        if signature.is_none() && fold.is_none() && code.contains("fn ") {
+            signature = Some((depth, false));
+        }
+        if let Some((at, tallied)) = signature {
+            let tallied = tallied || code.contains("Tally");
+            signature = Some((at, tallied));
+            if code.contains('{') || code.contains(';') {
+                fold = (tallied && code.contains('{')).then_some(at);
+                signature = None;
+            }
+        }
+        if let (Some(name), None) = (added_counter(&code), fold) {
+            findings.push(Finding {
+                path: path.to_path_buf(),
+                line: idx + 1,
+                rule: "hand-counted-requests",
+                message: format!(
+                    "adds to `{name}` by hand; a stage's requests are its clients' tally, \
+                     folded by `WorkerMetrics::add`"
+                ),
+            });
+        }
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        if fold.is_some_and(|at| depth <= at) {
+            fold = None;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,6 +701,49 @@ mod tests {
             findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
         );
         assert!(findings.iter().all(|f| f.rule == "free-staging"));
+    }
+
+    /// A `+=` to a request counter is a finding outside a function that
+    /// takes a `Tally` and allowed inside one, a signature over several
+    /// lines included; another field, a counter named in a comment or a
+    /// string, a mere read and the test module are not findings.
+    #[test]
+    fn hand_counted_requests_are_flagged_outside_the_tally_folds() {
+        let mut findings = Vec::new();
+        let src = "impl WorkerMetrics {\n\
+                   \x20   pub fn add(&mut self, tally: Tally) {\n\
+                   \x20       self.get_requests += tally.gets;\n\
+                   \x20   }\n\
+                   }\n\
+                   fn report(m: &mut WorkerMetrics) -> u64 {\n\
+                   \x20   m.put_requests += 1;\n\
+                   \x20   m.rows_out += 1; // m.get_requests += 1\n\
+                   \x20   let s = \"bytes_read += 1\";\n\
+                   \x20   m.p2p_bytes\n\
+                   }\n\
+                   fn fold(\n\
+                   \x20   m: &mut StageReport,\n\
+                   \x20   tally: Tally,\n\
+                   ) {\n\
+                   \x20   m.hedged_gets += tally.hedged_gets;\n\
+                   }\n\
+                   fn after() {\n\
+                   \x20   stats.bytes_written+=2;\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn t(m: &mut WorkerMetrics) { m.bytes_read += 1; }\n\
+                   }\n";
+        lint_hand_counted_requests(Path::new("c.rs"), src, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![7, 19],
+            "{:?}",
+            findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+        );
+        assert!(findings.iter().all(|f| f.rule == "hand-counted-requests"));
+        assert!(findings[0].message.contains("`put_requests`"), "{}", findings[0].message);
     }
 
     #[test]
