@@ -86,6 +86,7 @@ use lambada_engine::physical::{
 use lambada_engine::pipeline::Terminal;
 use lambada_engine::{Column, DataType, Df, Optimizer, RecordBatch, Scalar};
 use lambada_sim::services::object_store::Bytes;
+use lambada_sim::services::queue::SqsClient;
 use lambada_sim::{BillingSnapshot, Cloud, Tally};
 
 use crate::costmodel::ComputeCostModel;
@@ -93,6 +94,7 @@ use crate::error::{CoreError, Result};
 use crate::exchange::ExchangeBuckets;
 use crate::invoke::{self, invoke_workers};
 use crate::message::{ResultPayload, Section, Wire, WorkerMetrics, WorkerResult};
+use crate::predict::{Rates, ScanWork};
 use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
@@ -100,7 +102,7 @@ use crate::stage::{
     self, EdgeTable, FinalStage, PostOp, QueryDag, Reader, ReaderRole, SplitOptions, StageKind,
     StageOutput,
 };
-use crate::table::TableSpec;
+use crate::table::{TableFile, TableSpec};
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
@@ -293,6 +295,12 @@ pub struct StageReport {
     /// Messages this stage's workers moved over the p2p relay (always 0
     /// on the object-store transport; excluded from [`QueryReport::s3_requests`]).
     pub p2p_requests: u64,
+    /// Queue requests this stage's workers were billed: their result
+    /// messages' sends, to the driver and to the inboxes they feed, and
+    /// the inbox receives of a stage that waits. With
+    /// [`QueryReport::driver_sqs_requests`] the stages' counts sum to the
+    /// query's billed SQS requests.
+    pub sqs_requests: u64,
     /// Speculative backup invocations this stage's fleet needed (0 when
     /// no worker straggled past the speculation thresholds).
     pub backup_invocations: u64,
@@ -355,6 +363,9 @@ pub struct QueryReport {
     pub worker_metrics: Vec<WorkerMetrics>,
     /// One entry per executed stage, in launch order.
     pub stages: Vec<StageReport>,
+    /// The driver's own queue requests: its receives on the query's
+    /// result queues, empty ones included.
+    pub driver_sqs_requests: u64,
     /// Merged-but-unfinalized aggregate state, present exactly when the
     /// DAG's final stage is [`FinalStage::CarryAggState`] (the wire
     /// encoding of [`lambada_engine::GroupedAggState`]; `batch` is empty
@@ -471,6 +482,9 @@ pub(crate) struct QueryScope {
     senders: Vec<(usize, usize)>,
     /// The driver-bound stage's fleet: each worker may store its result.
     reporters: usize,
+    /// The driver's queue client for the query's result queues: its
+    /// tally is the driver's own queue requests.
+    sqs: SqsClient,
 }
 
 impl QueryScope {
@@ -499,6 +513,7 @@ impl QueryScope {
             inboxes: Vec::new(),
             senders: Vec::new(),
             reporters: launch.workers.last().copied().unwrap_or_default(),
+            sqs: cloud.driver_sqs(),
         };
         for (sid, &parts) in launch.partitions.iter().enumerate() {
             let ships = launch.ships(sid);
@@ -585,7 +600,10 @@ pub enum Placement {
     /// A one-worker scan *co-hosted* in its reader's host invocation: it
     /// starts at that invocation's start, beside the chain, and hands its
     /// parts to its reader — its only one, one worker with a host — in
-    /// memory.
+    /// memory. The scan has one worker because its files pack into one,
+    /// or because [`Lambada::launch_plan`] priced folding a wider packed
+    /// scan into one cheaper than crossing the edge; either way its one
+    /// run holds every file.
     CoHosted,
 }
 
@@ -648,7 +666,9 @@ impl<'a> LaunchPlan<'a> {
     /// scan — is co-hosted: it runs in the same invocation, beside the
     /// chain, so a chain plus its co-hosted scans is one invocation. A
     /// chain launches when its head may, and a member's remaining in-edge
-    /// reaches it through its inbox.
+    /// reaches it through its inbox. Placement reads fleet sizes only: a
+    /// scan the launch plan folded into one worker is placed like any
+    /// other one-worker input, as its reader's host or co-hosted.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
@@ -901,7 +921,11 @@ impl Lambada {
     ///
     /// Sizing: a scan fleet follows its file sizes — a worker per
     /// connections' round of latency-bound files, one per larger file — or
-    /// is `ceil(#files / F)` under a pinned F (§5.2); a consumer fleet
+    /// is `ceil(#files / F)` under a pinned F (§5.2). Once the consumer
+    /// fleets are sized, a packed scan of several workers whose only
+    /// reader runs one worker is priced against folding into one worker in
+    /// that reader's invocation (the fold, from predicted spans; see
+    /// `fold_scans`); a pinned F is never folded. A consumer fleet
     /// (join, agg-merge, sort) is sized per stage by
     /// [`ComputeCostModel::consumer_workers`] from the bytes it takes in —
     /// a join's two inputs together, an agg-merge fleet's states, a sort's
@@ -984,6 +1008,9 @@ impl Lambada {
             workers.push(fleet);
             scans.push(scan);
         }
+        if matches!(packing, Packing::BySize { .. }) {
+            self.fold_scans(&edges, &pins, &est, &mut workers, &mut scans);
+        }
         let launch = LaunchPlan::wire(edges, pins, workers, &est, scans);
         let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
         diags.extend(verify::verify_fused(&launch.edges, &launch.workers, &launch.placement));
@@ -991,6 +1018,76 @@ impl Lambada {
             Ok(launch)
         } else {
             Err(CoreError::InvalidPlan(diags))
+        }
+    }
+
+    /// Price each scan's width against its crossing: a scan of several
+    /// workers, packed by size, whose only reader runs one worker becomes
+    /// one worker over all its files — which [`LaunchPlan::wire`] then
+    /// places in that reader's invocation, as its host or co-hosted —
+    /// when three things hold. Its predicted span there, one run over all
+    /// its files with the bytes of the invocation's other scans on the
+    /// same link, is no longer than apart: its slowest packed run plus
+    /// the crossing to its reader ([`Rates`]). Its files fit the
+    /// usable quarter of one worker's memory
+    /// ([`ComputeCostModel::consumer_workers`] of one). And the inline
+    /// files of every scan in that invocation still fit its payload.
+    /// Scans are decided in stage order, so a later one sees the earlier
+    /// folds beside it.
+    fn fold_scans(
+        &self,
+        edges: &EdgeTable<'_>,
+        pins: &[Option<usize>],
+        est: &[u64],
+        workers: &mut Vec<usize>,
+        scans: &mut Vec<Option<ScanFleet>>,
+    ) {
+        let (config, costs) = (&self.config, &self.config.costs);
+        let rates =
+            Rates::new(&self.cloud.config, config.memory_mib, *costs, config.scan.connections);
+        let budget = u64::from(config.memory_mib) * 1024 * 1024;
+        let wire = |workers: &[usize], scans: &[Option<ScanFleet>]| {
+            LaunchPlan::wire(edges.clone(), pins.to_vec(), workers.to_vec(), est, scans.to_vec())
+        };
+        for p in 0..workers.len() {
+            let (StageKind::Scan(scan), Some((table, runs)), [Reader { stage: Some(c), .. }]) =
+                (&edges.dag.stages[p], &scans[p], &edges.readers[p][..])
+            else {
+                continue;
+            };
+            if runs.len() < 2 || workers[*c] != 1 {
+                continue;
+            }
+            if costs.consumer_workers(table.total_bytes(), budget) > 1 {
+                continue;
+            }
+            let (mut folded_workers, mut folded_scans) = (workers.clone(), scans.clone());
+            folded_workers[p] = 1;
+            folded_scans[p] = Some((Rc::clone(table), dealt(0..table.files.len(), 1).collect()));
+            let folded = wire(&folded_workers, &folded_scans);
+            let heads = (0..workers.len()).filter(|&h| folded.is_chain_head(h));
+            let Some(invocation) = heads.map(|h| folded.chain(h)).find(|s| s.contains(&p)) else {
+                continue;
+            };
+            let files = |s: &usize| folded_scans[*s].as_ref().map(|(t, _)| &t.files[..]);
+            let inline = invocation.iter().filter_map(files).flatten().map(TableFile::inline_bytes);
+            if inline.sum::<u64>() > invoke::inline_file_budget(1) {
+                continue;
+            }
+            let beside = invocation.iter().filter(|&&s| s != p).filter_map(files).flatten();
+            let beside: u64 = beside.map(|f| f.size - f.inline_bytes()).sum();
+            let total = table.total_bytes().max(1) as f64;
+            let work = ScanWork {
+                scanned: scan.scan_columns.len() as f64 / table.schema.len().max(1) as f64,
+                rows_per_byte: table.total_rows as f64 / total,
+            };
+            let slowest = runs.iter().map(|r| rates.scan(&table.files[r.clone()], work, 0));
+            let budgets = wire(workers, scans).inline_budgets;
+            let apart =
+                slowest.fold(0.0, f64::max) + rates.crossing(est[p], runs.len(), budgets[p]);
+            if rates.scan(&table.files, work, beside) <= apart {
+                (*workers, *scans) = (folded_workers, folded_scans);
+            }
         }
     }
 
@@ -1162,6 +1259,7 @@ impl Lambada {
                 hedged_gets: sum(|m| m.hedged_gets),
                 hedged_puts: sum(|m| m.hedged_puts),
                 p2p_requests: sum(|m| m.p2p_requests),
+                sqs_requests: sum(|m| m.sqs_requests),
                 // Backups relaunch a whole chain: counted once, at its head.
                 backup_invocations: if head == sid { run.backup_invocations } else { 0 },
             });
@@ -1184,6 +1282,7 @@ impl Lambada {
             cold_starts,
             worker_metrics: all_metrics,
             stages: stage_reports,
+            driver_sqs_requests: scope.sqs.tally().sqs_requests,
             agg_state,
         })
     }
@@ -1404,8 +1503,11 @@ enum Packing {
 /// notwithstanding, until every such run fits, so no payload is refused.
 /// [`Lambada::launch_plan`] is the one caller: the chunks it hands the
 /// payload builder and the worker count that fixes exchange sender counts
-/// come from the same call, so the planned count always equals the number
-/// of payloads built.
+/// come from the same call — or, for a packed scan the launch plan folds
+/// into its one-worker reader's invocation, from the one run of every file
+/// that replaces them — so the planned count always equals the number of
+/// payloads built. The packing here knows nothing of the scan's reader;
+/// the fold is where the width is priced against the crossing.
 fn scan_chunks(
     files: &[crate::table::TableFile],
     packing: Packing,
@@ -1577,7 +1679,9 @@ async fn run_fleet(
         let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
         let collected = match invoked {
             Ok(()) => {
-                collect_results(cloud, config, &result_queue, workers, &retained, stage_start).await
+                let sqs = &scope.sqs;
+                collect_results(cloud, config, sqs, &result_queue, workers, &retained, stage_start)
+                    .await
             }
             Err(e) => Err(e),
         };
@@ -1792,6 +1896,7 @@ struct Collected {
 async fn collect_results(
     cloud: &Cloud,
     config: &LambadaConfig,
+    sqs: &SqsClient,
     queue: &str,
     workers: usize,
     payloads: &[WorkerPayload],
@@ -1813,7 +1918,6 @@ async fn collect_results(
         .clamp(1, workers.saturating_sub(1).max(1));
     let deadline = cloud.handle.now() + config.max_wait;
     let pollers = workers.div_ceil(10).clamp(1, 16);
-    let sqs = cloud.driver_sqs();
     let receive = || Box::pin(sqs.receive(queue, 10, RECEIVE_WAIT));
     let mut receives = Vec::with_capacity(pollers);
     while seen.len() < workers {
@@ -1958,7 +2062,9 @@ mod tests {
                 }
                 sqs.send("results", inline_report(1, 0, b"other").encode()).await.unwrap();
                 let start = cloud.handle.now();
-                let collected = collect_results(&cloud, &config, "results", 2, &[], start).await;
+                let collected =
+                    collect_results(&cloud, &config, &cloud.driver_sqs(), "results", 2, &[], start)
+                        .await;
                 let tables = section_tables(&collected.unwrap().results, 1, None).unwrap();
                 let addrs = tables[0].senders.clone();
                 assert_eq!(addrs.iter().map(|a| a.attempt).collect::<Vec<_>>(), vec![1, 0]);
@@ -2081,7 +2187,16 @@ mod tests {
             async move {
                 let start = cloud.handle.now();
                 invoke_workers(&cloud, &function, payloads).await.unwrap();
-                let collected = collect_results(&cloud, &config, "results", 40, &[], start).await;
+                let collected = collect_results(
+                    &cloud,
+                    &config,
+                    &cloud.driver_sqs(),
+                    "results",
+                    40,
+                    &[],
+                    start,
+                )
+                .await;
                 (collected.unwrap().results.len(), cloud.handle.now())
             }
         });
@@ -2115,7 +2230,9 @@ mod tests {
                     at.now()
                 });
                 let start = cloud.handle.now();
-                let collected = collect_results(&cloud, &config, "results", 2, &[], start).await;
+                let collected =
+                    collect_results(&cloud, &config, &cloud.driver_sqs(), "results", 2, &[], start)
+                        .await;
                 assert_eq!(collected.unwrap().results.len(), 2);
                 (last.await, cloud.handle.now())
             }
@@ -2247,6 +2364,34 @@ mod tests {
         }
         let most = senders * (launch.inline_budgets[sid("u")] as usize + ADDRESS_BYTES) + files;
         assert!(most <= INLINE_EDGE_BYTES, "{most}");
+    }
+
+    /// A scan of eight inline files on two workers, read by a one-worker
+    /// join: apart, each sender's share is past its inline budget, so the
+    /// crossing costs a PUT and a GET and one worker beside the join is
+    /// predicted faster. Eight files of 25 KB fold into the join's
+    /// invocation; eight of 40 KB would put 320 KB of files in its
+    /// payload, past the cap, and keep their two workers.
+    #[test]
+    fn a_fold_past_the_payload_cap_does_not_happen() {
+        let field = |name: &str| Field::new(name, DataType::Int64);
+        let (s, u) = (Schema::new(vec![field("a"), field("x")]), Schema::new(vec![field("b")]));
+        for (size, folds) in [(25_000, true), (40_000, false)] {
+            let sim = Simulation::new();
+            let cloud = Cloud::new(&sim, CloudConfig::default());
+            let config = LambadaConfig { join_workers: Some(1), ..LambadaConfig::default() };
+            let mut system = Lambada::install(&cloud, config);
+            system.register_table(TableSpec::new("s", s.clone(), inline_files(8, size), 8_000));
+            let stored = vec![TableFile::real("data", "u/0", 1_000)];
+            system.register_table(TableSpec::new("u", u.clone(), stored, 100));
+            let query = Df::scan("s", &s).join(Df::scan("u", &u), &[("a", "b")]).unwrap();
+            let dag = system.plan(&query.build()).unwrap();
+            let launch = system.launch_plan(&dag, None).unwrap();
+            let scan = |k: &StageKind| matches!(k, StageKind::Scan(t) if t.table == "s");
+            let sid = dag.stages.iter().position(scan).unwrap();
+            assert_eq!(launch.workers[sid], if folds { 1 } else { 2 }, "{size} B files");
+            assert_eq!(launch.placement[sid] == Placement::Apart, !folds, "{size} B files");
+        }
     }
 
     /// Consumer fleets are sized from the bytes they take in, and an

@@ -17,8 +17,8 @@ pub struct WorkerEnv {
     pub cloud: Cloud,
     pub ctx: InstanceCtx,
     /// Object-store and p2p rendezvous/relay access (the direct exchange
-    /// transport), both through this worker's traffic-shaped NIC and
-    /// counting into one [`Tally`].
+    /// transport), both through this worker's traffic-shaped NIC, and
+    /// queue access, all three counting into one [`Tally`].
     pub s3: S3Client,
     pub p2p: P2pClient,
     pub sqs: SqsClient,
@@ -52,13 +52,14 @@ impl WorkerEnv {
         env.for_stage()
     }
 
-    /// This environment with fresh S3 and p2p clients that share one new
-    /// tally: what one stage's requests are counted in, wherever (in
-    /// whichever spawned task) they are made.
+    /// This environment with fresh S3, p2p and queue clients that share
+    /// one new tally: what one stage's requests are counted in, wherever
+    /// (in whichever spawned task) they are made.
     pub fn for_stage(&self) -> WorkerEnv {
         let tally = SharedTally::default();
-        let (s3, p2p) = (self.s3.counting_into(tally.clone()), self.p2p.counting_into(tally));
-        WorkerEnv { s3, p2p, ..self.clone() }
+        let (s3, p2p) =
+            (self.s3.counting_into(tally.clone()), self.p2p.counting_into(tally.clone()));
+        WorkerEnv { s3, p2p, sqs: self.sqs.counting_into(tally), ..self.clone() }
     }
 
     /// What this environment's clients did so far.

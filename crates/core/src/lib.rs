@@ -55,6 +55,7 @@ pub mod exchange_cost;
 pub mod invoke;
 pub mod message;
 pub mod partition;
+mod predict;
 pub mod routing;
 pub mod scan;
 pub mod sched;

@@ -52,9 +52,10 @@ pub const INLINE_EDGE_BYTES: usize = INLINE_RESULT_BYTES;
 ///
 /// Wire stability: every field encodes in declaration order with the
 /// varint codec, and decode reads exactly that layout: a message cut
-/// short is a typed error. The driver installs the worker function from
-/// its own build ([`crate::Lambada::install`]), so no other layout
-/// reaches it.
+/// short is a typed error. A new field is appended after the last one
+/// (`sqs_requests` is the latest), never inserted. The driver installs
+/// the worker function from its own build ([`crate::Lambada::install`]),
+/// so no other layout reaches it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerMetrics {
     /// Time spent executing the plan fragment (seconds, excludes
@@ -103,6 +104,10 @@ pub struct WorkerMetrics {
     pub hedged_gets: u64,
     /// Duplicate PUTs, likewise beside `put_requests`.
     pub hedged_puts: u64,
+    /// Queue requests the stage was billed: its result message's sends
+    /// to the driver and to every inbox it feeds (one per started 64 KiB
+    /// chunk each), and its inbox receives.
+    pub sqs_requests: u64,
 }
 
 impl WorkerMetrics {
@@ -118,6 +123,7 @@ impl WorkerMetrics {
         self.list_requests += tally.list_units;
         self.p2p_requests += tally.p2p_messages;
         self.p2p_bytes += tally.p2p_bytes;
+        self.sqs_requests += tally.sqs_requests;
     }
 
     fn encode(&self, w: &mut BinWriter) {
@@ -138,6 +144,7 @@ impl WorkerMetrics {
         w.f64(self.exchange_wait_secs);
         w.varint(self.hedged_gets);
         w.varint(self.hedged_puts);
+        w.varint(self.sqs_requests);
     }
 
     fn decode(r: &mut BinReader<'_>) -> std::result::Result<Self, FormatError> {
@@ -159,6 +166,7 @@ impl WorkerMetrics {
             exchange_wait_secs: r.f64()?,
             hedged_gets: r.varint()?,
             hedged_puts: r.varint()?,
+            sqs_requests: r.varint()?,
         })
     }
 }
@@ -501,6 +509,7 @@ mod tests {
             exchange_wait_secs: 0.75,
             hedged_gets: 2,
             hedged_puts: 1,
+            sqs_requests: 6,
         }
     }
 

@@ -108,6 +108,7 @@ use lambada_engine::types::{Field, Schema, SchemaRef};
 use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
+use lambada_sim::services::queue::send_requests;
 use lambada_sim::sync::{mpsc, oneshot, try_join2, try_join_all};
 use lambada_sim::{Cloud, Prices, SimTime, Tally};
 
@@ -487,7 +488,7 @@ async fn run_handler(
         let caller = cloud.worker_invoker();
         invoke::invoke_children(&cloud, &caller, &function, wid, &payload.children).await
     };
-    let msg = match children {
+    let mut msg = match children {
         Err(e) => {
             let message = format!("child invocation failed: {e}");
             WorkerResult::error(wid, message, WorkerMetrics::default())
@@ -526,7 +527,7 @@ async fn run_handler(
         _ => None,
     };
     let inboxes = last.map_or(&[][..], |s| &s.task.inboxes[..]);
-    let encoded = msg.encode();
+    let encoded = encode_counted(&mut msg, 1 + inboxes.len() as u64);
     let to_inboxes = async {
         for inbox in inboxes {
             post(&env, inbox, &msg, encoded.clone()).await;
@@ -535,6 +536,23 @@ async fn run_handler(
     };
     let to_driver = post_to_driver(&env, &payload.result_queue, &msg, &encoded);
     let _ = try_join2(to_inboxes, to_driver).await;
+}
+
+/// Encode `msg` with the queue requests its `copies` sends are billed
+/// counted in its last stage's metrics, one per started 64 KiB chunk each
+/// ([`send_requests`]). The count is part of the message it counts, so it
+/// is the count at the length it encodes to.
+fn encode_counted(msg: &mut WorkerResult, copies: u64) -> Vec<u8> {
+    let (metrics, mut chunks) = (msg.metrics, 1);
+    loop {
+        msg.metrics = metrics;
+        msg.metrics.add(Tally { sqs_requests: copies * chunks, ..Tally::default() });
+        let encoded = msg.encode();
+        match send_requests(encoded.len()) {
+            billed if billed == chunks => return encoded,
+            billed => chunks = billed,
+        }
+    }
 }
 
 /// [`post`] to the driver's result queue, the message's inline edge
@@ -656,7 +674,7 @@ async fn run_members(
     let (mut ahead, mut hosts) = (Vec::new(), Vec::new());
     let (mut at, mut handed) = (0, Vec::new());
     let mut edges = Cow::Borrowed(edges);
-    let mut member_start = start;
+    let (mut member_start, mut stage) = (start, env.for_stage());
     // The last member's time is the chain's less its hosts'.
     let last_secs =
         |hosts: &[f64]| (env.cloud.handle.now() - start).as_secs_f64() - hosts.iter().sum::<f64>();
@@ -666,7 +684,7 @@ async fn run_members(
             _ => format!("{}: {e}", member.label),
         };
         let next = (at + 1..list.len()).find(|&i| !list[i].cohosted);
-        let (stage, parts) = (env.for_stage(), std::mem::take(&mut handed));
+        let parts = std::mem::take(&mut handed);
         let ran = run_stage(&stage, &member.task, parts, &edges, next.is_some());
         let (payload, mut metrics, handoff) = ran.await.map_err(named)?;
         let (Some(next), Some(handoff)) = (next, handoff) else {
@@ -674,17 +692,19 @@ async fn run_members(
             return Ok((payload, metrics, ahead));
         };
         let (reader, handed_off) = (&list[next], env.cloud.handle.now());
+        // The reader's requests, its inbox receives first, count on a
+        // stage env of its own.
+        stage = env.for_stage();
         edges = match &reader.inbox {
             None => Cow::Borrowed(&[]),
             Some(inbox) => {
-                let addressed = await_addresses(env, &member.task, inbox, &handoff).await;
+                let addressed = await_addresses(&stage, &member.task, inbox, &handoff).await;
                 match addressed.map_err(|e| format!("{}: {e}", reader.label))? {
                     Some(addressed) => Cow::Owned(addressed),
                     None => {
-                        // The member's own tally is folded already: the
-                        // ship counts on a fresh one, added to the same
-                        // report.
-                        let stage = env.for_stage();
+                        // The member's own tally is folded already. The
+                        // reader does not run here: its receives and the
+                        // ship count in the member's report.
                         let payload = ship(&stage, &member.task, handoff).await.map_err(named)?;
                         metrics.add(stage.tally());
                         metrics.processing_secs = last_secs(&hosts);

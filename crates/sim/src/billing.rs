@@ -237,11 +237,12 @@ impl Billing {
     }
 }
 
-/// What one caller's storage and relay clients did, counted by the
-/// clients at the moment each request is billed (the object store's GET
-/// and PUT as they are billed, a LIST's pages as they are recorded) or
-/// lands (a p2p send as its message arrives, a fetch as its body
-/// returns). So the tallies of all callers sum to the bill's S3 units.
+/// What one caller's storage, relay and queue clients did, counted by
+/// the clients at the moment each request is billed (the object store's
+/// GET and PUT as they are billed, a LIST's pages as they are recorded, a
+/// queue send or receive as it is billed) or lands (a p2p send as its
+/// message arrives, a fetch as its body returns). So the tallies of all
+/// callers sum to the bill's S3 and SQS units.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
     /// GETs, and the duplicates late ones sent (billed beside them).
@@ -259,10 +260,13 @@ pub struct Tally {
     /// Relay messages sent plus those fetched, and their body bytes.
     pub p2p_messages: u64,
     pub p2p_bytes: u64,
+    /// Queue requests: a send one per started 64 KiB chunk of its body, a
+    /// receive one per call, empty or not.
+    pub sqs_requests: u64,
 }
 
 /// One [`Tally`] shared by every client that holds a clone of it, so a
-/// caller's S3 and p2p clients (and their clones in spawned tasks) count
+/// caller's S3, p2p and queue clients (and their clones in spawned tasks) count
 /// into one place. Counting is synchronous: it never awaits, spawns or
 /// draws.
 #[derive(Clone, Debug, Default)]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crate::billing::{Billing, CostItem};
+use crate::billing::{Billing, CostItem, SharedTally, Tally};
 use crate::executor::SimHandle;
 use crate::rng::SimRng;
 use crate::sync::{select2, Notify};
@@ -22,6 +22,12 @@ pub const MAX_MESSAGE_BYTES: usize = 256 * 1024;
 
 /// SQS bills a send one request per started 64 KiB chunk of its body.
 pub const BILLED_CHUNK_BYTES: usize = 64 * 1024;
+
+/// The requests a send of a `len`-byte body is billed: one per started
+/// [`BILLED_CHUNK_BYTES`], and one for an empty body.
+pub fn send_requests(len: usize) -> u64 {
+    len.div_ceil(BILLED_CHUNK_BYTES).max(1) as u64
+}
 
 /// Queue service parameters.
 #[derive(Clone, Debug)]
@@ -113,9 +119,10 @@ impl QueueService {
         self.st.borrow().get(name).map(|q| q.borrow().messages.len()).unwrap_or(0)
     }
 
-    /// A per-caller client with extra request latency (distance to region).
+    /// A per-caller client with extra request latency (distance to
+    /// region), counting into a fresh [`Tally`].
     pub fn client(&self, extra_latency: Duration) -> SqsClient {
-        SqsClient { svc: self.clone(), extra_latency }
+        SqsClient { svc: self.clone(), extra_latency, tally: SharedTally::default() }
     }
 
     fn queue(&self, name: &str) -> Result<Rc<RefCell<QueueState>>, SqsError> {
@@ -129,14 +136,26 @@ impl QueueService {
     }
 }
 
-/// Per-caller queue access.
+/// Per-caller queue access. Every request it is billed is counted in its
+/// [`Tally`] as it is billed; clones share the tally.
 #[derive(Clone)]
 pub struct SqsClient {
     svc: QueueService,
     extra_latency: Duration,
+    tally: SharedTally,
 }
 
 impl SqsClient {
+    /// This client, counting into `tally` instead.
+    pub fn counting_into(&self, tally: SharedTally) -> SqsClient {
+        SqsClient { tally, ..self.clone() }
+    }
+
+    /// What this client (and every client sharing its tally) did so far.
+    pub fn tally(&self) -> Tally {
+        self.tally.get()
+    }
+
     /// Send one message: rejected over [`MAX_MESSAGE_BYTES`], billed one
     /// request per started [`BILLED_CHUNK_BYTES`].
     pub async fn send(&self, queue: &str, msg: Vec<u8>) -> Result<(), SqsError> {
@@ -145,8 +164,9 @@ impl SqsClient {
             return Err(SqsError::MessageTooLarge(msg.len()));
         }
         self.svc.handle.sleep(self.extra_latency + self.svc.latency()).await;
-        let requests = msg.len().div_ceil(BILLED_CHUNK_BYTES).max(1);
+        let requests = send_requests(msg.len());
         self.svc.billing.record(CostItem::SqsRequests, requests as f64);
+        self.tally.count(|t| t.sqs_requests += requests);
         let mut st = q.borrow_mut();
         st.messages.push_back(msg);
         let arrivals = st.arrivals.clone();
@@ -167,6 +187,7 @@ impl SqsClient {
         let q = self.svc.queue(queue)?;
         self.svc.handle.sleep(self.extra_latency + self.svc.latency()).await;
         self.svc.billing.record(CostItem::SqsRequests, 1.0);
+        self.tally.count(|t| t.sqs_requests += 1);
         let deadline = self.svc.handle.now() + wait;
         let max = max.min(self.svc.cfg.max_batch);
         loop {
@@ -210,6 +231,30 @@ mod tests {
         });
         assert_eq!(got, vec![vec![1, 2], vec![3]]);
         assert_eq!(billing.units(CostItem::SqsRequests), 3.0);
+    }
+
+    /// A client counts what the queue bills it: a send one request per
+    /// started 64 KiB chunk, a receive one per call, empty or not; a send
+    /// the queue refuses is billed nothing and counted nothing.
+    #[test]
+    fn a_client_counts_what_it_is_billed() {
+        let sim = Simulation::new();
+        let (svc, client, billing) = setup(&sim);
+        svc.create_queue("q");
+        let shared = SharedTally::default();
+        let counted = client.counting_into(shared.clone());
+        let tally = sim.block_on(async move {
+            counted.send("q", vec![0; BILLED_CHUNK_BYTES + 1]).await.unwrap();
+            counted.send("q", Vec::new()).await.unwrap();
+            assert!(counted.send("gone", vec![1]).await.is_err());
+            counted.receive("q", 10, Duration::from_millis(1)).await.unwrap();
+            counted.receive("q", 10, Duration::from_millis(1)).await.unwrap();
+            counted.tally()
+        });
+        assert_eq!(tally, Tally { sqs_requests: 5, ..Tally::default() });
+        assert_eq!((shared.get(), client.tally()), (tally, Tally::default()));
+        assert_eq!(billing.units(CostItem::SqsRequests), 5.0);
+        assert_eq!((send_requests(0), send_requests(BILLED_CHUNK_BYTES)), (1, 1));
     }
 
     #[test]

@@ -310,8 +310,12 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
         seed,
     };
     let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
-    let mut system =
-        Lambada::install(&cloud, LambadaConfig { speculate: true, ..LambadaConfig::default() });
+    // One worker per file (every file here is past the latency bound, so
+    // this is the packed shape): each scan keeps its own fleet and crosses
+    // its edge, rather than folding into the one-worker join's invocation.
+    let config =
+        LambadaConfig { speculate: true, files_per_worker: Some(1), ..LambadaConfig::default() };
+    let mut system = Lambada::install(&cloud, config);
     system.register_table(li_spec);
     system.register_table(ord_spec);
     if straggler {
@@ -620,9 +624,11 @@ fn run_q12_direct(
     let ord_spec = lambada::workloads::stage_real_orders(&cloud, "tpch", "orders", orders_opts);
     let mut system = Lambada::install(
         &cloud,
+        // One worker per file, as in `run_q12_join`.
         LambadaConfig {
             speculate: true,
             transport: TransportKind::Direct,
+            files_per_worker: Some(1),
             ..LambadaConfig::default()
         },
     );

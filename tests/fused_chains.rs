@@ -14,7 +14,10 @@
 //! it again in the fleet that picks the chain up, with every request
 //! counted, and its error ends the invocation at once. Every launch
 //! hands its workers one list, the chain from the stage it starts at, so
-//! a co-hosted scan's error names the invocation it ran in.
+//! a co-hosted scan's error names the invocation it ran in. A packed scan
+//! whose only reader runs one worker folds into that reader's invocation
+//! when its predicted span says so: at the benchmark's file sizes, not
+//! over 64 files of 1 GiB, and never under a pinned `files_per_worker`.
 
 mod common;
 
@@ -798,4 +801,123 @@ fn a_co_hosted_scan_error_after_a_fallback_names_the_launch_it_ran_in() {
     let named = "scan:customer#0 (co-hosted in join#3): ";
     assert!(message.starts_with(named), "{message}");
     assert_quiescent(&sim, &cloud, &config, queues);
+}
+
+/// `lineitem` in `files` files of `size` bytes each (about 28 B a row,
+/// as the benchmark's SF 0.02 lineitem), beside the benchmark's orders
+/// and customer sizes: fake-sized files, enough for a launch plan.
+fn register_sized(system: &mut Lambada, files: usize, size: u64) {
+    use lambada::core::{TableFile, TableSpec};
+    use lambada::workloads::{customer_schema, orders_schema};
+    let sized = |name: &str, n: usize, size: u64| {
+        (0..n).map(|f| TableFile::real("tpch", format!("{name}/{f}"), size)).collect::<Vec<_>>()
+    };
+    let rows = files as u64 * size / 28;
+    let li = sized("lineitem", files, size);
+    system.register_table(TableSpec::new("lineitem", lineitem_schema(), li, rows));
+    let orders = sized("orders", 4, 580_000);
+    system.register_table(TableSpec::new("orders", orders_schema(), orders, 120_000));
+    let customer = sized("customer", 2, 578_000);
+    system.register_table(TableSpec::new("customer", customer_schema(), customer, 49_999));
+}
+
+/// Q5 under the join-and-sort exchange config, Q3 under the direct
+/// group-by one (the benchmark's `join_shuffle` and `groupby_direct`),
+/// each with `edit` applied to its config.
+fn benchmark_plans(edit: fn(LambadaConfig) -> LambadaConfig) -> Vec<(LogicalPlan, LambadaConfig)> {
+    let exchange = AggStrategy::Exchange { workers: None };
+    let q5 = LambadaConfig {
+        agg: exchange,
+        sort: SortStrategy::Exchange { workers: None },
+        ..LambadaConfig::default()
+    };
+    let q3 = LambadaConfig {
+        agg: exchange,
+        transport: TransportKind::Direct,
+        ..LambadaConfig::default()
+    };
+    vec![
+        (lambada::workloads::q5("lineitem", "orders", "customer"), edit(q5)),
+        (lambada::workloads::q3("lineitem", "orders"), edit(q3)),
+    ]
+}
+
+/// The launch plan of `plan` over `files` lineitem files of `size` bytes,
+/// with the lineitem scan's id and its one reader's.
+fn lineitem_launch(
+    plan: &LogicalPlan,
+    config: LambadaConfig,
+    files: usize,
+    size: u64,
+    check: impl FnOnce(&LaunchPlan<'_>, usize, usize),
+) {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let mut system = Lambada::install(&cloud, config);
+    register_sized(&mut system, files, size);
+    let dag = system.plan(plan).unwrap();
+    let launch = system.launch_plan(&dag, None).unwrap();
+    let li = dag
+        .stages
+        .iter()
+        .position(|k| matches!(k, lambada::core::StageKind::Scan(s) if s.table == "lineitem"))
+        .unwrap();
+    let reader = match launch.edges.readers[li][..] {
+        [lambada::core::stage::Reader { stage: Some(c), .. }] => c,
+        _ => panic!("lineitem has one stage reader"),
+    };
+    check(&launch, li, reader);
+}
+
+/// Whether `a` and `b` run in one invocation: some chain lists both.
+fn one_invocation(launch: &LaunchPlan<'_>, a: usize, b: usize) -> bool {
+    (0..launch.workers.len()).any(|h| {
+        let chain = launch.chain(h);
+        chain.contains(&a) && chain.contains(&b)
+    })
+}
+
+/// At the benchmark's sizes — eight lineitem files of about 420 KB —
+/// packing gives the lineitem scan two workers, and crossing to the
+/// one-worker join costs a PUT, a message and a GET more than reading
+/// all eight files beside it: Q5's and Q3's lineitem scans run as one
+/// worker over every file, in the join's invocation.
+#[test]
+fn a_small_scan_folds_into_its_one_worker_readers_invocation() {
+    for (plan, config) in benchmark_plans(|c| c) {
+        lineitem_launch(&plan, config, 8, 420_000, |launch, li, join| {
+            assert_eq!((launch.workers[li], launch.workers[join]), (1, 1));
+            assert_ne!(launch.placement[li], Placement::Apart);
+            assert!(one_invocation(launch, li, join));
+            let runs = &launch.scans[li].as_ref().unwrap().1;
+            assert_eq!((runs.len(), runs[0].clone()), (1, 0..8), "one run of every file");
+        });
+    }
+}
+
+/// The same plans over 64 files of 1 GiB, their joins pinned to one
+/// worker: the files are past what one worker's memory holds, and apart
+/// each runs its own worker, so the scan keeps its packed width.
+#[test]
+fn a_large_scan_keeps_its_packed_width() {
+    let pinned = |c| LambadaConfig { join_workers: Some(1), ..c };
+    for (plan, config) in benchmark_plans(pinned) {
+        lineitem_launch(&plan, config, 64, 1 << 30, |launch, li, join| {
+            assert_eq!((launch.workers[li], launch.workers[join]), (64, 1));
+            assert_eq!(launch.placement[li], Placement::Apart);
+        });
+    }
+}
+
+/// A pinned `files_per_worker` is §5.2's chunking and is never folded,
+/// however small the files.
+#[test]
+fn a_pinned_scan_never_folds() {
+    let pinned = |c| LambadaConfig { files_per_worker: Some(4), ..c };
+    for (plan, config) in benchmark_plans(pinned) {
+        lineitem_launch(&plan, config, 8, 420_000, |launch, li, join| {
+            assert_eq!((launch.workers[li], launch.workers[join]), (2, 1));
+            assert_eq!(launch.placement[li], Placement::Apart);
+        });
+    }
 }

@@ -162,6 +162,32 @@ fn arb_multiway() -> impl Strategy<Value = MultiwayCase> {
     })
 }
 
+/// A three-table join tree whose `t` carries `rows` wide random keys:
+/// every `u` key is one of them, and `k2` meets `v` in a small domain.
+fn wide_multiway(rows: usize, seed: u64) -> MultiwayCase {
+    let mut x = seed | 1;
+    let mut next = || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let t_k1: Vec<i64> = (0..rows).map(|_| next() as i64).collect();
+    let t_k2: Vec<i64> = (0..rows).map(|_| (next() % 20) as i64).collect();
+    MultiwayCase {
+        u_keys: t_k1.iter().step_by(7).copied().collect(),
+        t_k1,
+        t_k2,
+        v_keys: (0..20).collect(),
+        files: 1,
+        files_per_worker: None,
+        join_workers: 1,
+        with_filter: false,
+    }
+}
+
+fn arb_wide_multiway() -> impl Strategy<Value = MultiwayCase> {
+    (20_000usize..24_000, any::<u64>()).prop_map(|(rows, seed)| wide_multiway(rows, seed))
+}
+
 struct Staged {
     sim: Simulation,
     system: Lambada,
@@ -260,8 +286,9 @@ proptest! {
     /// aggregated on the driver or by a merge fleet of its own, run alone
     /// on each transport, has its stages' GETs and PUTs (hedges included)
     /// and LISTs (none) equal to the bill's units over the query's window,
-    /// and its workers' relay messages and bytes twice the relay's own:
-    /// every mailbox message is sent once and fetched once.
+    /// its stages' queue requests plus the driver's equal to the billed
+    /// SQS requests, and its workers' relay messages and bytes twice the
+    /// relay's own: every mailbox message is sent once and fetched once.
     #[test]
     fn per_stage_request_counts_are_the_bill_on_both_transports(
         rows in (3000usize..9000, 500usize..3000),
@@ -331,9 +358,43 @@ proptest! {
             prop_assert_eq!(counted(|s| s.put_requests + s.hedged_puts), billed(CostItem::S3Put));
             prop_assert_eq!(counted(|s| s.list_requests), billed(CostItem::S3List));
             prop_assert_eq!(billed(CostItem::S3List), 0.0);
+            let driver = report.driver_sqs_requests as f64;
+            prop_assert_eq!(counted(|s| s.sqs_requests) + driver, billed(CostItem::SqsRequests));
             let workers = &report.worker_metrics;
             prop_assert_eq!(workers.iter().map(|w| w.p2p_requests).sum::<u64>(), 2 * sends);
             prop_assert_eq!(workers.iter().map(|w| w.p2p_bytes).sum::<u64>(), 2 * bytes);
+        }
+    }
+
+    /// A scan packed by size whose only reader is a one-worker join keeps
+    /// its fleet and crosses the edge, or folds into the join's
+    /// invocation, as its predicted span says. `t` holds wide random keys,
+    /// so its bytes do not compress away, in file counts on both sides of
+    /// the crossover (`multiway_file_counts_span_the_fold_crossover`):
+    /// either way, on each transport, bit for bit the reference.
+    #[test]
+    fn multiway_scans_fold_or_cross_bit_identically_on_both_transports(
+        case in arb_wide_multiway(),
+        files in 5usize..33,
+    ) {
+        let staged = stage_three_tables_in(&case, [files, 1, 1], LambadaConfig {
+            join_workers: Some(1),
+            ..LambadaConfig::default()
+        });
+        let plan = multiway_plan(&case);
+        let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
+        let system = staged.system;
+        let reports = staged.sim.block_on(async move {
+            let dag = system.plan(&plan).unwrap();
+            let mut reports = Vec::new();
+            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
+                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+            }
+            reports
+        });
+        for report in reports {
+            prop_assert_eq!(row_multiset(&report.batch), row_multiset(&reference));
         }
     }
 
@@ -856,4 +917,25 @@ fn unequal_consumer_fleets_on_a_shared_edge_are_rejected_before_launch() {
     assert!(diags.iter().any(|d| d.code == codes::FLEET_SHARED_EDGE), "{diags:?}");
     assert!(err.to_string().contains("V-FLEET-004"), "{err}");
     assert_eq!(cloud.faas.counters(&function).0, 0, "no worker was invoked");
+}
+
+/// The file counts the fold property draws span the crossover: in a few
+/// files `t`'s two workers would each ship more than their inline budget,
+/// so it folds into the join's invocation; in many, each of its many
+/// workers ships a small share inline, and it keeps its fleet.
+#[test]
+fn multiway_file_counts_span_the_fold_crossover() {
+    let case = wide_multiway(20_000, 1);
+    for (files, folds) in [(5, true), (32, false)] {
+        let staged = stage_three_tables_in(
+            &case,
+            [files, 1, 1],
+            LambadaConfig { join_workers: Some(1), ..LambadaConfig::default() },
+        );
+        let dag = staged.system.plan(&multiway_plan(&case)).unwrap();
+        let launch = staged.system.launch_plan(&dag, None).unwrap();
+        let scan = |k: &lambada::core::StageKind| matches!(k, lambada::core::StageKind::Scan(s) if s.table == "t");
+        let t = dag.stages.iter().position(scan).unwrap();
+        assert_eq!(launch.workers[t] == 1, folds, "{files} files: {:?}", launch.workers);
+    }
 }

@@ -28,6 +28,12 @@
 //!    outside a *tally fold*, a function that takes a `Tally`: a stage's
 //!    requests are what its clients counted where the cloud billed them,
 //!    never a count kept beside the calls.
+//! 6. **env-knob** — no non-test code under `crates/{core,sim,engine,
+//!    format,workloads}/src` reads the process environment
+//!    (`std::env::var`, `var_os`, `vars`): a knob set from outside is a
+//!    setting no config struct shows, and no run records. The sweep
+//!    sizes of `crates/bench` are not in those crates: a bench may read
+//!    its scale from the environment.
 //!
 //! Findings print as `path:line: [rule] message`; the process exits
 //! nonzero when any are found, so CI fails the build.
@@ -128,6 +134,20 @@ fn lint() -> ExitCode {
             rule: "free-staging",
             message: format!("cannot list sources: {e}"),
         }),
+    }
+
+    for krate in KNOBLESS_CRATES {
+        let mut files = Vec::new();
+        let dir = root.join("crates").join(krate).join("src");
+        if let Err(e) = rs_files(&dir, &mut files) {
+            let message = format!("cannot list sources: {e}");
+            findings.push(Finding { path: dir, line: 0, rule: "env-knob", message });
+        }
+        for path in &files {
+            if let Some(src) = read_or_report(path, "env-knob", &mut findings) {
+                lint_env_knobs(path, &src, &mut findings);
+            }
+        }
     }
 
     if findings.is_empty() {
@@ -543,9 +563,34 @@ fn lint_free_staging(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The crates whose sources may not read the process environment.
+const KNOBLESS_CRATES: [&str; 5] = ["core", "sim", "engine", "format", "workloads"];
+
+/// A read of the process environment — `env::var(`, `env::var_os(` or
+/// `env::vars(`, by any path — in code above the first column-0
+/// `#[cfg(test)]` (comments and strings stripped) is a finding.
+fn lint_env_knobs(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+    let mut in_block = false;
+    for (idx, raw) in src.lines().enumerate() {
+        if raw.starts_with("#[cfg(test)]") {
+            break;
+        }
+        let code = code_only(raw, &mut in_block);
+        if ["env::var(", "env::var_os(", "env::vars("].iter().any(|call| code.contains(call)) {
+            findings.push(Finding {
+                path: path.to_path_buf(),
+                line: idx + 1,
+                rule: "env-knob",
+                message: "reads the process environment; a setting belongs in a config struct"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// The request counters of a stage's report (`WorkerMetrics`, and the
 /// `StageReport` sums of them).
-const REQUEST_COUNTERS: [&str; 9] = [
+const REQUEST_COUNTERS: [&str; 10] = [
     "get_requests",
     "put_requests",
     "list_requests",
@@ -555,6 +600,7 @@ const REQUEST_COUNTERS: [&str; 9] = [
     "p2p_bytes",
     "bytes_read",
     "bytes_written",
+    "sqs_requests",
 ];
 
 /// The counter `code` adds to with `+=`, if any: the name as a whole
@@ -744,6 +790,35 @@ mod tests {
         );
         assert!(findings.iter().all(|f| f.rule == "hand-counted-requests"));
         assert!(findings[0].message.contains("`put_requests`"), "{}", findings[0].message);
+    }
+
+    /// A read of the environment is a finding in code, by any path; the
+    /// name in a comment or a string, another function named `var`, a
+    /// `CARGO_*` compile-time `env!` and the test module are not.
+    #[test]
+    fn env_knobs_are_flagged_outside_tests() {
+        let mut findings = Vec::new();
+        let src = "let n = std::env::var(\"LAMBADA_N\").ok();\n\
+                   // std::env::var(\"X\") in a comment\n\
+                   let s = \"env::var(\";\n\
+                   let v = config.var(3);\n\
+                   let dir = env!(\"CARGO_MANIFEST_DIR\");\n\
+                   use std::env;\n\
+                   let o = env::var_os(\"HOME\");\n\
+                   for (k, v) in env::vars() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn t() { let _ = std::env::var(\"T\"); }\n\
+                   }\n";
+        lint_env_knobs(Path::new("k.rs"), src, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![1, 7, 8],
+            "{:?}",
+            findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+        );
+        assert!(findings.iter().all(|f| f.rule == "env-knob"));
     }
 
     #[test]
