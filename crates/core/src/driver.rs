@@ -99,15 +99,15 @@ use crate::scan::ScanConfig;
 use crate::sched::StageBoard;
 use crate::service::{ServiceConfig, WorkerGate};
 use crate::stage::{
-    self, EdgeTable, FinalStage, PostOp, QueryDag, Reader, ReaderRole, SplitOptions, StageKind,
-    StageOutput,
+    self, EdgeTable, FinalStage, PostOp, QueryDag, Reader, ReaderRole, SortStage, SplitOptions,
+    StageKind, StageOutput,
 };
 use crate::table::{TableFile, TableSpec};
 use crate::transport::{address_sections, EdgeTransport, InEdge, TransportKind};
 use crate::verify;
 use crate::worker::{
-    register_worker_function, result_key, ChainStage, EdgeRead, Inbox, ReportTop, ScanOp,
-    SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload, WorkerTask,
+    register_worker_function, result_key, ChainStage, Inbox, ReportTop, ScanFiles, StageSink,
+    StageTask, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -466,7 +466,7 @@ static INSTANCE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 ///
 /// One object can outlive the query: a speculated straggler that is slow
 /// but alive may PUT its attempt's file after the query returned.
-/// Cancelling the running attempts (ROADMAP item 3(b)) closes that.
+/// Cancelling the running attempts (ROADMAP item 13(b)) closes that.
 pub(crate) struct QueryScope {
     cloud: Cloud,
     config: Rc<LambadaConfig>,
@@ -611,7 +611,7 @@ pub enum Placement {
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
 /// per stage, the installation's pin, the fleet size, the partition count
 /// of its out-edge, its [`Placement`] and — for a stage feeding a sort
-/// fleet — the sort-edge spec. Built by [`Lambada::launch_plan`]; the
+/// fleet — the sort stage it feeds. Built by [`Lambada::launch_plan`]; the
 /// fleet verifier, the query's scope, the stage-task builder and the
 /// service's admission estimate all read it.
 pub struct LaunchPlan<'a> {
@@ -626,8 +626,9 @@ pub struct LaunchPlan<'a> {
     /// size, 0 for the driver-bound last stage.
     pub partitions: Vec<usize>,
     /// `Some` exactly for a stage one of whose readers is a sort stage:
-    /// the keys, limit and schema its fleet ships its runs with.
-    pub sort_edges: Vec<Option<SortEdgeSpec>>,
+    /// that stage, whose keys, limit and schema its fleet ships its runs
+    /// with.
+    pub sort_edges: Vec<Option<SortStage>>,
     /// Where the stage's output goes. A fused or co-hosted out-edge costs
     /// no exchange objects, requests, invocation or result message.
     pub placement: Vec<Placement>,
@@ -650,7 +651,7 @@ pub type ScanFleet = (Rc<TableSpec>, Vec<Range<usize>>);
 
 impl<'a> LaunchPlan<'a> {
     /// Wire sized fleets to the edges: every out-edge's partition count,
-    /// sort-edge spec and placement follow from its readers' fleet sizes.
+    /// sort reader and placement follow from its readers' fleet sizes.
     /// Taking the last reader is exact on every plan that is used:
     /// [`crate::verify::verify_fleets`], run on the wired plan, holds
     /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
@@ -725,11 +726,7 @@ impl<'a> LaunchPlan<'a> {
                 {
                     let keys = s.keys.len();
                     share = crate::transport::block_budget(senders, fleet, keys, beside[consumer]);
-                    launch.sort_edges[pid] = Some(SortEdgeSpec {
-                        keys: s.keys.clone(),
-                        limit: s.limit,
-                        schema: s.schema.clone(),
-                    });
+                    launch.sort_edges[pid] = Some(s.clone());
                 }
                 launch.inline_budgets[pid] = launch.inline_budgets[pid].min(share);
             }
@@ -1124,15 +1121,14 @@ impl Lambada {
         let transport = policy.transport.unwrap_or(self.config.transport);
         let scope = Rc::new(QueryScope::open(self, qid, &launch, transport));
 
-        // Build every stage's task before anything launches: a planning
-        // failure must surface before the first invocation. Edge addresses
-        // are the one per-worker part known only at launch: the fleet
-        // fills them in.
+        // Build every stage's task before anything launches. Edge
+        // addresses are the one per-worker part known only at launch: the
+        // fleet fills them in.
         let n = dag.stages.len();
-        let tasks = (0..n).map(|sid| self.stage_task(&scope, sid, &launch).map(Rc::new));
-        let tasks = tasks.collect::<Result<Vec<_>>>()?;
+        let tasks: Vec<_> =
+            (0..n).map(|sid| Rc::new(self.stage_task(&scope, sid, &launch))).collect();
         let heads: Vec<usize> = (0..n).filter(|&sid| launch.is_chain_head(sid)).collect();
-        let member = |sid: usize| {
+        let entry = |sid: usize| {
             let cohosted = launch.placement[sid] == Placement::CoHosted;
             // The in-edge the parts handed on in memory fill: a co-hosted
             // scan's own at its reader, a member's host's at the member.
@@ -1151,12 +1147,7 @@ impl Lambada {
                 senders: launch.workers[inputs[slot]],
             });
             let (label, task) = (dag.stages[sid].label(sid), Rc::clone(&tasks[sid]));
-            Member {
-                sid,
-                stage: ChainStage { label, task, slot, inbox, cohosted },
-                receivers: launch.partitions[sid],
-                sort: launch.sort_edges[sid].clone(),
-            }
+            ChainStage { sid, label, task, slot, inbox, cohosted }
         };
 
         // One concurrently spawned fleet future per chain head, sequenced
@@ -1167,7 +1158,7 @@ impl Lambada {
         let board = Rc::new(StageBoard::new(dag));
         let mut handles = Vec::with_capacity(heads.len());
         for &head in &heads {
-            let chain = launch.chain(head).into_iter().map(member).collect();
+            let chain = launch.chain(head).into_iter().map(entry).collect();
             let fleet = Fleet { workers: launch.workers[head], chain };
             handles.push(self.cloud.handle.spawn(run_fleet(
                 Rc::clone(&scope),
@@ -1288,23 +1279,27 @@ impl Lambada {
     }
 
     /// Build stage `sid`'s task — the one assignment its whole fleet
-    /// shares: the planner's stage as the operator, its in-edges resolved
-    /// to channels and sender counts, and its output as a sink, all sized
-    /// by the launch plan.
-    fn stage_task(
-        &self,
-        scope: &QueryScope,
-        sid: usize,
-        launch: &LaunchPlan<'_>,
-    ) -> Result<StageTask> {
+    /// shares: the planner's stage with its terminal sized for the sink,
+    /// its in-edges' channels by slot, a scan's file runs, and its output
+    /// as a sink, all sized by the launch plan.
+    fn stage_task(&self, scope: &QueryScope, sid: usize, launch: &LaunchPlan<'_>) -> StageTask {
         let dag = launch.edges.dag;
         let mut kind = dag.stages[sid].clone();
         let channel = scope.channel(sid);
         let (partitions, inline_budget) = (launch.partitions[sid], launch.inline_budgets[sid]);
         let sink = match (&launch.sort_edges[sid], kind.output()) {
-            (Some(edge), _) => StageSink::SortEdge { channel, inline_budget, edge: edge.clone() },
-            (None, StageOutput::Driver) => StageSink::Report { top: report_top(&dag.final_stage) },
-            (None, _) => StageSink::Edge { channel, inline_budget },
+            (Some(sort), _) => StageSink::SortEdge {
+                channel,
+                inline_budget,
+                receivers: partitions,
+                sort: sort.clone(),
+            },
+            (None, StageOutput::Driver) => StageSink::Report {
+                top: report_top(&dag.final_stage),
+                // The driver carries the merged state across micro-batches.
+                emit_state: matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
+            },
+            (None, _) => StageSink::Edge { channel, inline_budget, receivers: partitions },
         };
         // Swap the planner's placeholder terminal for the sharding
         // variant, now that the consumer fleet is sized. (Sort-exchange
@@ -1331,40 +1326,23 @@ impl Lambada {
         }
 
         // Slot `i` is the stage's `i`-th input, as the payload addresses it.
-        let edge = |slot: usize, input: usize| EdgeRead { channel: scope.channel(input), slot };
-        let op = match kind {
-            StageKind::Scan(stage) => {
-                let (table, chunks) =
-                    launch.scans[sid].clone().ok_or_else(|| unknown_table(&stage.table))?;
-                StageOp::Scan(Rc::new(ScanOp { stage, table, scan: self.config.scan, chunks }))
-            }
-            StageKind::Join(stage) => StageOp::Join {
-                probe: edge(0, stage.probe_input),
-                build: edge(1, stage.build_input),
-                stage,
-            },
-            StageKind::AggMerge(stage) => StageOp::AggMerge {
-                input: edge(0, stage.input),
-                stage,
-                // Last stage under a carry final stage: the merge fleet
-                // re-emits unfinalized state for the driver to carry
-                // across micro-batches.
-                emit_state: sid + 1 == dag.stages.len()
-                    && matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
-            },
-            StageKind::Sort(stage) => StageOp::Sort { input: edge(0, stage.input), stage },
-        };
+        let in_channels = kind.inputs().into_iter().map(|input| scope.channel(input)).collect();
+        let scan = launch.scans[sid]
+            .clone()
+            .map(|(table, chunks)| Rc::new(ScanFiles { table, chunks, config: self.config.scan }));
         // Every hosted stage that reads the out-edge unfused waits for it.
         let waiting = launch.edges.readers[sid].iter().filter_map(|r| r.stage);
         let waiting = waiting.filter(|&c| launch.waits(c) && launch.fused_into(sid) != Some(c));
-        Ok(StageTask {
-            op,
+        StageTask {
+            kind,
+            in_channels,
+            scan,
             sink,
             transport: Rc::clone(&scope.transport),
             result_bucket: self.config.result_bucket.clone(),
             result_prefix: scope.result_prefix(),
             inboxes: waiting.map(|c| scope.inbox(c)).collect(),
-        })
+        }
     }
 
     /// Driver-scope post-processing (§3.2: "post-processing like
@@ -1556,39 +1534,27 @@ fn dealt(files: Range<usize>, workers: usize) -> impl Iterator<Item = Range<usiz
 struct Fleet {
     /// The head's fleet size (a chain of several stages is one worker).
     workers: usize,
-    /// The head, then every stage fused after it.
-    chain: Vec<Member>,
-}
-
-/// One stage of a chain, as its fleet future drives it.
-struct Member {
-    sid: usize,
-    /// Its entry in a launch's list, under its plain label
-    /// ([`launch_list`] names it for each launch).
-    stage: ChainStage,
-    /// Consumer fleet size of the stage's out-edge: how many sections
-    /// every report must carry (0 when the driver reads it).
-    receivers: usize,
-    /// The stage's out-edge, if it is a sort edge: its reports carry
-    /// blocks and starts, not one section per receiver.
-    sort: Option<SortEdgeSpec>,
+    /// The head, then every stage fused after it, each member's co-hosted
+    /// scans just before it, under their plain labels ([`launch_list`]
+    /// names them for each launch).
+    chain: Vec<ChainStage>,
 }
 
 /// The list a launch at `chain[0]` hands each of its workers: every stage
 /// of the chain from there on, each named for the invocation it runs in —
 /// a member after the first by its host, a co-hosted scan by the
 /// launch's first stage, which is that invocation's.
-fn launch_list(chain: &[Member]) -> Rc<[ChainStage]> {
-    let first = chain.first().map_or("", |m| &m.stage.label);
+fn launch_list(chain: &[ChainStage]) -> Rc<[ChainStage]> {
+    let first = chain.first().map_or("", |s| &s.label);
     let mut host = first;
-    let named = chain.iter().enumerate().map(|(k, m)| {
-        let own = m.stage.label.as_str();
+    let named = chain.iter().enumerate().map(|(k, s)| {
+        let own = s.label.as_str();
         let label = match k {
             0 => own.to_string(),
-            _ if m.stage.cohosted => format!("{own} (co-hosted in {first})"),
+            _ if s.cohosted => format!("{own} (co-hosted in {first})"),
             _ => format!("{own} (fused after {})", std::mem::replace(&mut host, own)),
         };
-        ChainStage { label, ..m.stage.clone() }
+        ChainStage { label, ..s.clone() }
     });
     named.collect()
 }
@@ -1637,19 +1603,19 @@ async fn run_fleet(
     let (cloud, config) = (&scope.cloud, &scope.config);
     let Fleet { mut workers, chain } = fleet;
     let (mut runs, mut at) = (Vec::new(), 0);
-    while let Some(head) = chain.get(at) {
+    while let Some(head) = chain.get(at).map(|s| s.sid) {
         let list = launch_list(&chain[at..]);
         let enqueued = cloud.handle.now();
         loop {
             if board.failed() {
                 return Ok(None);
             }
-            if board.ready(head.sid) {
+            if board.ready(head) {
                 break;
             }
             board.notified().await;
         }
-        let result_queue = scope.result_queue(head.sid);
+        let result_queue = scope.result_queue(head);
         let payloads: Vec<WorkerPayload> = (0..workers)
             .map(|w| WorkerPayload {
                 // The worker id doubles as the file-chunk id (scans) or
@@ -1658,7 +1624,7 @@ async fn run_fleet(
                 attempt: 0,
                 query: scope.query,
                 task: WorkerTask::Stage(Rc::clone(&list)),
-                edges: board.addresses(head.sid, w),
+                edges: board.addresses(head, w),
                 children: Vec::new(),
                 result_queue: result_queue.clone(),
             })
@@ -1688,9 +1654,9 @@ async fn run_fleet(
         cloud.sqs.delete_queue(&result_queue);
         drop(lease);
         let written = collected.and_then(|c| {
-            let ran = members_ran(&c.results, &chain[at..])?;
-            let last = &chain[at + ran - 1];
-            let tables = section_tables(&c.results, last.receivers, last.sort.as_ref())?;
+            let ran = members_ran(&c.results, &list)?;
+            let sink = &list[ran - 1].task.sink;
+            let tables = section_tables(&c.results, sink.receivers(), sink.sort())?;
             Ok((c, ran, tables))
         });
         let (collected, ran, tables) = match written {
@@ -1701,7 +1667,7 @@ async fn run_fleet(
                 return Err(e);
             }
         };
-        let members = &chain[at..at + ran];
+        let members = &list[..ran];
         if let Some((last, ahead)) = members.split_last() {
             for member in ahead {
                 board.complete(member.sid, Vec::new());
@@ -1728,12 +1694,12 @@ async fn run_fleet(
 /// How many stages of `chain` — the launch's list — the launch's workers
 /// ran: all of them, or the ones up to a host that fell back before a
 /// waiting member. Every report must agree: the one chain-length check.
-fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
+fn members_ran(results: &[WorkerResult], chain: &[ChainStage]) -> Result<usize> {
     let ran = results.first().map_or(chain.len(), |r| r.fused.len() + 1);
-    let stopped_at_inbox = chain.get(ran).is_some_and(|m| m.stage.inbox.is_some());
+    let stopped_at_inbox = chain.get(ran).is_some_and(|s| s.inbox.is_some());
     let agreed = results.iter().all(|r| r.fused.len() + 1 == ran);
     if !agreed || ran > chain.len() || (ran < chain.len() && !stopped_at_inbox) {
-        let (head, members) = (chain.first().map_or(0, |m| m.sid), chain.len());
+        let (head, members) = (chain.first().map_or(0, |s| s.sid), chain.len());
         return Err(CoreError::Engine(format!(
             "a worker of stage {head} reported {ran} stages of its {members}-stage chain"
         )));
@@ -1755,7 +1721,7 @@ fn members_ran(results: &[WorkerResult], chain: &[Member]) -> Result<usize> {
 pub(crate) fn section_tables(
     results: &[WorkerResult],
     receivers: usize,
-    sort: Option<&SortEdgeSpec>,
+    sort: Option<&SortStage>,
 ) -> Result<Vec<InEdge>> {
     if receivers == 0 {
         return Ok(Vec::new());
@@ -1812,7 +1778,7 @@ pub(crate) fn section_tables(
 /// on one file or blob. Anything else is a typed error — never a
 /// boundary picked from a lying pool.
 fn block_starts(
-    edge: &SortEdgeSpec,
+    edge: &SortStage,
     blocks: &[Section],
     starts: Option<&[u8]>,
 ) -> Result<Vec<Vec<Scalar>>> {
@@ -2532,7 +2498,7 @@ mod tests {
     fn malformed_starts_are_typed_errors_at_the_driver() {
         let schema = Schema::arc(vec![Field::new("k", DataType::Int64)]);
         let keys = vec![SortKey::asc(lambada_engine::col(0))];
-        let edge = SortEdgeSpec { keys, limit: None, schema };
+        let edge = SortStage { input: 0, schema, keys, limit: None };
         let tables = |report: WorkerResult, sort| section_tables(&[report], 2, sort);
         let good = || block_report(2, starts(Column::I64(vec![1, 5, 9])));
         let edges = tables(good(), Some(&edge)).unwrap();
@@ -2564,19 +2530,10 @@ mod tests {
         }
         assert_eq!(tables(block_report(0, None), Some(&edge)).unwrap()[1].senders.len(), 1);
 
-        let bytes = good().encode();
-        let mut damaged = bytes.clone();
-        for bit in 0..bytes.len() * 8 {
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(report) = WorkerResult::decode(&damaged) {
+        crate::wire_fuzz::sweep(&good().encode(), |_, damaged| {
+            if let Ok(report) = WorkerResult::decode(damaged) {
                 let _ = tables(report, Some(&edge));
             }
-            damaged[bit / 8] ^= 1 << (bit % 8);
-        }
-        for cut in 0..bytes.len() {
-            if let Ok(report) = WorkerResult::decode(&bytes[..cut]) {
-                let _ = tables(report, Some(&edge));
-            }
-        }
+        });
     }
 }

@@ -735,6 +735,7 @@ mod tests {
 
     use super::*;
     use crate::costmodel::ComputeCostModel;
+    use crate::wire_fuzz::{sweep, Damage};
 
     const CHANNEL: &str = "x9/q0/s0";
 
@@ -946,26 +947,16 @@ mod tests {
     fn every_cut_or_flipped_bundle_decodes_or_is_a_format_error() {
         for (bytes, ends, parts) in wire_bundles() {
             assert_eq!(decoded(&bytes).unwrap(), parts);
-            for cut in 0..bytes.len() {
-                match decoded(&bytes[..cut]) {
-                    Ok(got) => {
-                        assert!(cut == 0 || ends.contains(&cut), "a cut at {cut} decoded");
-                        assert_eq!(got, parts[..got.len()], "cut at {cut}");
-                    }
-                    Err(CoreError::Format(_)) => {}
-                    Err(e) => panic!("cut at {cut}: {e}"),
+            let mut errors = 0;
+            sweep(&bytes, |damage, damaged| match (damage, decoded(damaged)) {
+                (Damage::Cut(cut), Ok(got)) => {
+                    assert!(cut == 0 || ends.contains(&cut), "a cut at {cut} decoded");
+                    assert_eq!(got, parts[..got.len()], "cut at {cut}");
                 }
-            }
-            let (mut damaged, mut errors) = (bytes.clone(), 0);
-            for bit in 0..bytes.len() * 8 {
-                damaged[bit / 8] ^= 1 << (bit % 8);
-                match decoded(&damaged) {
-                    Ok(_) => {}
-                    Err(CoreError::Format(_)) => errors += 1,
-                    Err(e) => panic!("bit {bit}: {e}"),
-                }
-                damaged[bit / 8] ^= 1 << (bit % 8);
-            }
+                (Damage::Flip(_), Ok(_)) | (Damage::Cut(_), Err(CoreError::Format(_))) => {}
+                (Damage::Flip(_), Err(CoreError::Format(_))) => errors += 1,
+                (damage, Err(e)) => panic!("{damage:?}: {e}"),
+            });
             assert!(errors > 0, "some flips break the structure");
         }
     }

@@ -27,8 +27,8 @@
 //!   worker-to-worker streaming through a rendezvous/relay (object store
 //!   as fallback) when it does;
 //! * [`worker`] / [`driver`] / [`stage`] — the worker handler (one
-//!   [`worker::StageTask`] shape for every stage: operator → sink; a
-//!   chain of one-worker stages runs in one invocation), the
+//!   [`worker::StageTask`] shape for every stage: the planner's stage
+//!   → sink; a chain of one-worker stages runs in one invocation), the
 //!   driver/session logic, and the distributed planner.
 //!   [`stage::split`] recursively lowers any supported plan tree into a
 //!   [`stage::QueryDag`] of scan, join (arbitrarily nested), agg-merge
@@ -102,6 +102,34 @@ pub use verify::{
 };
 pub use worker::{
     inject_query_worker_faults, inject_worker_faults, register_worker_function, ChainStage,
-    EdgeRead, ReportTop, ScanOp, SortEdgeSpec, StageOp, StageSink, StageTask, WorkerPayload,
-    WorkerTask,
+    ReportTop, ScanFiles, StageSink, StageTask, WorkerPayload, WorkerTask,
 };
+
+/// The one damage sweep every wire decoder's tests run: bytes another
+/// worker or the driver wrote, cut short or with one bit flipped, must
+/// decode or fail with a typed error — never panic.
+#[cfg(test)]
+pub(crate) mod wire_fuzz {
+    /// How a copy of the wire bytes was damaged.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Damage {
+        /// Cut to its first `n` bytes.
+        Cut(usize),
+        /// Bit `b` flipped (byte `b / 8`, bit `b % 8`).
+        Flip(usize),
+    }
+
+    /// Hand `check` every damaged copy of `bytes`: each cut short of the
+    /// whole, shortest first, then each single-bit flip, in bit order.
+    pub(crate) fn sweep(bytes: &[u8], mut check: impl FnMut(Damage, &[u8])) {
+        for cut in 0..bytes.len() {
+            check(Damage::Cut(cut), &bytes[..cut]);
+        }
+        let mut damaged = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            check(Damage::Flip(bit), &damaged);
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}

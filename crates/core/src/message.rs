@@ -489,6 +489,7 @@ fn decode_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire_fuzz::{sweep, Damage};
 
     fn metrics() -> WorkerMetrics {
         WorkerMetrics {
@@ -692,10 +693,12 @@ mod tests {
             WorkerResult::ok(1, stored, metrics()),
         ] {
             let bytes = msg.encode();
-            for cut in 0..bytes.len() {
-                let got = WorkerResult::decode(&bytes[..cut]);
-                assert!(got.is_err(), "cut at {cut} of {}", bytes.len());
-            }
+            sweep(&bytes, |damage, damaged| {
+                if let Damage::Cut(cut) = damage {
+                    let got = WorkerResult::decode(damaged);
+                    assert!(got.is_err(), "cut at {cut} of {}", bytes.len());
+                }
+            });
         }
     }
 
@@ -704,14 +707,12 @@ mod tests {
     #[test]
     fn every_single_bit_flip_decodes_or_errs_without_panicking() {
         for msg in [chain_result(), sections_result(), inline_result(), starts_result()] {
-            let bytes = msg.encode();
-            let mut damaged = bytes.clone();
             let mut errors = 0;
-            for bit in 0..bytes.len() * 8 {
-                damaged[bit / 8] ^= 1 << (bit % 8);
-                errors += usize::from(WorkerResult::decode(&damaged).is_err());
-                damaged[bit / 8] ^= 1 << (bit % 8);
-            }
+            sweep(&msg.encode(), |damage, damaged| {
+                if let Damage::Flip(_) = damage {
+                    errors += usize::from(WorkerResult::decode(damaged).is_err());
+                }
+            });
             assert!(errors > 0, "some flips break the structure");
         }
     }

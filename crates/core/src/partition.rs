@@ -69,6 +69,7 @@ pub fn decode_batches(bytes: &[u8]) -> Result<Vec<RecordBatch>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire_fuzz::{sweep, Damage};
     use lambada_engine::Column;
 
     fn batch(n: usize) -> RecordBatch {
@@ -139,18 +140,15 @@ mod tests {
     fn damaged_payloads_are_errors_never_panics() {
         let batches = vec![batch(10), batch(3)];
         let bytes = encode_batches(&batches).unwrap();
-        for cut in 0..bytes.len() {
-            assert!(decode_batches(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut damaged = bytes.clone();
-        for bit in 0..bytes.len() * 8 {
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(got) = decode_batches(&damaged) {
-                let rows: Vec<usize> = got.iter().map(RecordBatch::num_rows).collect();
-                assert_eq!(rows, [10, 3], "bit {bit}");
+        sweep(&bytes, |damage, damaged| match damage {
+            Damage::Cut(cut) => assert!(decode_batches(damaged).is_err(), "cut at {cut}"),
+            Damage::Flip(bit) => {
+                if let Ok(got) = decode_batches(damaged) {
+                    let rows: Vec<usize> = got.iter().map(RecordBatch::num_rows).collect();
+                    assert_eq!(rows, [10, 3], "bit {bit}");
+                }
             }
-            damaged[bit / 8] ^= 1 << (bit % 8);
-        }
+        });
     }
 
     /// A footer claiming 2^40 rows over the same few bytes: the decoder

@@ -9,18 +9,19 @@
 //! # One stage task
 //!
 //! Every stage of a query DAG reaches the worker as the same
-//! [`StageTask`]: an *operator* ([`StageOp`]: scan, join, agg-merge or
-//! sort, carrying its table files or its [`EdgeRead`] in-edges) and a
-//! *sink* ([`StageSink`]: report to the driver, a hash/agg-shard exchange
-//! edge, or a sort-exchange edge). The task is shared by the fleet; what
-//! differs per worker rides its payload ([`WorkerPayload::edges`]: where
-//! each sender's section of every in-edge is). `run_stage` is the only
-//! path from one to the other — read edges → operator → emit — so
-//! draining an edge, rejecting modeled payloads, folding the stage's
-//! request tally into its metrics ([`WorkerEnv::for_stage`]), and turning
-//! a [`PipelineOutput`] into a result each exist once, whatever the
-//! operator. The exchange (§4.4) is
-//! just another operator behind the same handler.
+//! [`StageTask`]: the planner's own stage ([`StageKind`]: scan, join,
+//! agg-merge or sort), its in-edges' channels by *slot* — an edge's
+//! position in [`StageKind::inputs`] — a scan's table files
+//! ([`ScanFiles`]), and a *sink* ([`StageSink`]: report to the driver, a
+//! hash/agg-shard exchange edge, or a sort-exchange edge). The task is
+//! shared by the fleet; what differs per worker rides its payload
+//! ([`WorkerPayload::edges`]: where each sender's section of every in-edge
+//! is, by slot). `run_stage` is the only path from one to the other —
+//! read edges → stage → emit — so draining an edge, rejecting modeled
+//! payloads, folding the stage's request tally into its metrics
+//! ([`WorkerEnv::for_stage`]), and turning a [`PipelineOutput`] into a
+//! result each exist once, whatever the stage. The exchange (§4.4) is
+//! just another stage behind the same handler.
 //!
 //! # Fused chains and co-hosted scans
 //!
@@ -104,7 +105,7 @@ use lambada_engine::physical::{
     agg_state_to_batch, range_partition_batch, sort_key_columns, sort_limit,
 };
 use lambada_engine::pipeline::{Pipeline, PipelineOutput, PipelineSpec, Terminal};
-use lambada_engine::types::{Field, Schema, SchemaRef};
+use lambada_engine::types::{Field, Schema};
 use lambada_engine::RecordBatch;
 use lambada_sim::services::faas::{FunctionSpec, InstanceCtx, InvokePayload};
 use lambada_sim::services::object_store::Body;
@@ -120,59 +121,23 @@ use crate::exchange::PartData;
 use crate::invoke;
 use crate::message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
 use crate::scan::{scan_table, ScanConfig, ScanItem};
-use crate::stage::{AggMergeStage, JoinStage, ScanStage, SortStage};
+use crate::stage::{ScanStage, SortStage, StageKind};
 use crate::table::{TableFile, TableSpec};
 use crate::transport::{At, EdgeTransport, InEdge, TransportKind, KEY_BYTES};
 
-/// Producer-side configuration of a *sort-exchange* edge: how a stage's
-/// locally sorted run reaches the consumer sort fleet.
-///
-/// One protocol at every width: no producer partitions anything. Each
-/// cuts its run into blocks and reports their first sort keys, the
-/// driver pools those keys into the range boundaries — none for one
-/// range — and every sorter keeps the rows of its own range from the
-/// blocks it is addressed, or all of them when it has no boundaries.
-/// Blocks are not receivers, so a sort edge never streams and the driver
-/// registers no endpoint for it, on either transport; a fused edge hands
-/// every block on.
-#[derive(Clone)]
-pub struct SortEdgeSpec {
-    /// Sort keys over `schema`.
-    pub keys: Vec<SortKey>,
-    /// Top-k truncation pushed into producers and sorters.
-    pub limit: Option<usize>,
-    /// Schema of the rows on the edge.
-    pub schema: SchemaRef,
-}
-
-/// One in-edge of a consumer operator: fleet worker `p` reads
-/// co-partition `p` of the producer stage's output.
-#[derive(Clone, Debug)]
-pub struct EdgeRead {
-    /// Key prefix namespacing the producer stage's exchange edge (e.g.
-    /// `x0/q3/s0`).
-    pub channel: String,
-    /// Which of the payload's [`WorkerPayload::edges`] addresses this
-    /// edge's senders: the edge's position in the stage's inputs.
-    pub slot: usize,
-}
-
-/// A scan operator: the planner's stage plus the table it reads. Worker
-/// `w` of the fleet scans chunk `w` of the table's files.
+/// What a scan stage reads that its [`ScanStage`] does not name: the
+/// table's base schema and files (shared with the installation's
+/// registry), each worker's run of them, and how to read them. Worker `w`
+/// of the fleet scans run `w`.
 #[derive(Debug)]
-pub struct ScanOp {
-    /// Scan columns, pruning predicate and the pipeline over the scan
-    /// output (terminal already patched for the sink).
-    pub stage: ScanStage,
-    /// Base schema and files of the scanned table (shared with the
-    /// installation's registry).
+pub struct ScanFiles {
     pub table: Rc<TableSpec>,
-    pub scan: ScanConfig,
     /// Each worker's run of `table.files`, by worker id.
     pub chunks: Vec<Range<usize>>,
+    pub config: ScanConfig,
 }
 
-impl ScanOp {
+impl ScanFiles {
     /// Worker `w`'s run of the table's files.
     pub(crate) fn files(&self, w: u64) -> &[TableFile] {
         let chunk = self.chunks.get(w as usize).cloned().unwrap_or_default();
@@ -180,49 +145,36 @@ impl ScanOp {
     }
 }
 
-/// What a stage's workers compute. Consumer operators own one
-/// co-partition each: the worker id doubles as the partition id.
-pub enum StageOp {
-    /// Scan + filter + project + the pipeline's terminal.
-    Scan(Rc<ScanOp>),
-    /// Build + probe one co-partition of a distributed hash join, then
-    /// run the post-join pipeline (`stage.post`, terminal patched for the
-    /// sink).
-    Join { stage: JoinStage, probe: EdgeRead, build: EdgeRead },
-    /// Merge shard `p` of every producer's partial-aggregate state — the
-    /// groups whose key hashes to `p`, so the fleet's group ranges are
-    /// disjoint — and finalize it.
-    AggMerge {
-        stage: AggMergeStage,
-        input: EdgeRead,
-        /// Hand the merged state on *unfinalized*. Set for streaming
-        /// queries, whose driver carries the state across micro-batches
-        /// and finalizes only at window close (an averaged `Avg` cannot
-        /// re-merge).
-        emit_state: bool,
-    },
-    /// Sort range partition `p` of every producer's run and truncate it
-    /// to the limit. Ranges are disjoint and ordered by partition id, so
-    /// the driver's concatenation (in worker order) is globally sorted.
-    Sort { stage: SortStage, input: EdgeRead },
-}
-
-/// Where an operator's output goes. An edge sink's `inline_budget` is
-/// how many encoded bytes a sender may ship inline rather than through
-/// the transport's wires (see [`crate::message::INLINE_EDGE_BYTES`]).
+/// Where a stage's output goes. An edge sink's `inline_budget` is how
+/// many encoded bytes a sender may ship inline rather than through the
+/// transport's wires (see [`crate::message::INLINE_EDGE_BYTES`]), and
+/// its `receivers` how many consumer workers read the edge: the sections
+/// every report of it carries.
 pub enum StageSink {
     /// Report to the driver: agg state or batches inline in the message,
     /// or, past its limit, as one stored object in the result bucket —
     /// batches cut to their [`ReportTop`] first, when the driver's
-    /// post-ops lead with one.
-    Report { top: Option<ReportTop> },
+    /// post-ops lead with one. Under `emit_state` an agg-merge stage hands
+    /// its merged state on *unfinalized*: set for streaming queries, whose
+    /// driver carries the state across micro-batches and finalizes only
+    /// at window close (an averaged `Avg` cannot re-merge).
+    Report { top: Option<ReportTop>, emit_state: bool },
     /// Shard onto the exchange edge `channel`: hash-partitioned rows
     /// ([`Terminal::HashPartition`]) or grouped partial-aggregate state
     /// ([`Terminal::PartitionedAggregate`]).
-    Edge { channel: String, inline_budget: u64 },
+    Edge { channel: String, inline_budget: u64, receivers: usize },
     /// Cut the locally sorted run into blocks onto the exchange edge
-    /// `channel`, feeding a sort fleet.
-    SortEdge { channel: String, inline_budget: u64, edge: SortEdgeSpec },
+    /// `channel`, feeding the sort fleet that runs `sort`.
+    ///
+    /// One protocol at every width: no producer partitions anything. Each
+    /// cuts its run into blocks and reports their first sort keys, the
+    /// driver pools those keys into the range boundaries — none for one
+    /// range — and every sorter keeps the rows of its own range from the
+    /// blocks it is addressed, or all of them when it has no boundaries.
+    /// Blocks are not receivers, so a sort edge never streams and the
+    /// driver registers no endpoint for it, on either transport; a fused
+    /// edge hands every block on.
+    SortEdge { channel: String, inline_budget: u64, receivers: usize, sort: SortStage },
 }
 
 /// The rows a reporting worker keeps of its batches: the first `n` under
@@ -242,15 +194,41 @@ impl StageSink {
     fn edge(&self) -> Option<(&str, u64)> {
         match self {
             StageSink::Report { .. } => None,
-            StageSink::Edge { channel, inline_budget }
+            StageSink::Edge { channel, inline_budget, .. }
             | StageSink::SortEdge { channel, inline_budget, .. } => Some((channel, *inline_budget)),
+        }
+    }
+
+    /// How many consumer workers read the out-edge: 0 for a report.
+    pub(crate) fn receivers(&self) -> usize {
+        match self {
+            StageSink::Report { .. } => 0,
+            StageSink::Edge { receivers, .. } | StageSink::SortEdge { receivers, .. } => *receivers,
+        }
+    }
+
+    /// The sort stage reading a sort edge.
+    pub(crate) fn sort(&self) -> Option<&SortStage> {
+        match self {
+            StageSink::SortEdge { sort, .. } => Some(sort),
+            _ => None,
         }
     }
 }
 
-/// One stage's assignment, shared by its whole fleet.
+/// One stage's assignment, shared by its whole fleet: the planner's
+/// stage, its in-edges and its sink. Consumer stages own one
+/// co-partition each: the worker id doubles as the partition id.
 pub struct StageTask {
-    pub op: StageOp,
+    /// The planner's stage, its pipeline's terminal sized for the sink.
+    pub kind: StageKind,
+    /// Each in-edge's channel, by slot: the edge's position in
+    /// [`StageKind::inputs`], which is also where the payload's
+    /// [`WorkerPayload::edges`] addresses it. A join reads its probe side
+    /// at slot 0 and its build side at slot 1.
+    pub in_channels: Vec<String>,
+    /// A scan's table and file runs; `None` for every other stage.
+    pub scan: Option<Rc<ScanFiles>>,
     pub sink: StageSink,
     /// The wire every in-edge arrives on and the out-edge leaves on.
     pub transport: Rc<EdgeTransport>,
@@ -270,6 +248,8 @@ pub struct StageTask {
 /// fused after it, each member's co-hosted scans just before it.
 #[derive(Clone)]
 pub struct ChainStage {
+    /// The stage's id in its query's DAG.
+    pub sid: usize,
     /// How errors name the stage in this launch's invocations: `agg#5
     /// (fused after join#4)`, `scan:customer#0 (co-hosted in join#3)`.
     /// The first stage's is its plain label, and its errors go unnamed.
@@ -356,10 +336,8 @@ impl WorkerPayload {
             WorkerTask::Stage(list) => &list[..],
             _ => &[],
         };
-        let files = stages.iter().flat_map(|s| match &s.task.op {
-            StageOp::Scan(scan) => scan.files(self.worker_id),
-            _ => &[],
-        });
+        let scans = stages.iter().filter_map(|s| s.task.scan.as_deref());
+        let files = scans.flat_map(|scan| scan.files(self.worker_id));
         let files: u64 = files.map(TableFile::inline_bytes).sum();
         let children = self.children.iter().map(|c| c.edge_bytes(per_address));
         addrs.sum::<usize>() + bounds.sum::<usize>() + files as usize + children.sum::<usize>()
@@ -823,26 +801,27 @@ async fn ship(env: &WorkerEnv, task: &StageTask, handoff: Handoff) -> Result<Res
     Ok(ResultPayload::Sections { rows, bytes, sections, inline, starts })
 }
 
-/// Receive this worker's co-partition of a stage edge from the senders
-/// `edges` addresses — or, on a fused edge, take the parts its host
-/// `handed` on, at no cost — and hand back the non-empty payloads in
-/// sender order. Modeled payloads carry no rows to compute on and are
-/// rejected.
+/// Receive this worker's co-partition of the stage's in-edge at `slot`
+/// from the senders `edges` addresses — or, on a fused edge, take the
+/// parts its host `handed` on, at no cost — and hand back the non-empty
+/// payloads in sender order. Modeled payloads carry no rows to compute on
+/// and are rejected.
 async fn recv_edge(
     env: &WorkerEnv,
     task: &StageTask,
-    edge: &EdgeRead,
+    slot: usize,
     edges: &[InEdge],
     handed: Option<Vec<PartData>>,
 ) -> Result<Vec<Vec<u8>>> {
     if let Some(parts) = handed {
         return real_payloads(parts);
     }
-    let addrs = edges.get(edge.slot).ok_or_else(|| {
-        CoreError::Engine(format!("no addresses for in-edge {} ({})", edge.slot, edge.channel))
-    })?;
+    let channel = task.in_channels.get(slot).map_or("", String::as_str);
+    let addrs = edges
+        .get(slot)
+        .ok_or_else(|| CoreError::Engine(format!("no addresses for in-edge {slot} ({channel})")))?;
     let receiver = env.worker_id as usize;
-    real_payloads(task.transport.recv(env, &edge.channel, receiver, &addrs.senders).await?)
+    real_payloads(task.transport.recv(env, channel, receiver, &addrs.senders).await?)
 }
 
 /// The non-empty payloads of received parts, in order.
@@ -862,10 +841,10 @@ fn real_payloads(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
     Ok(payloads)
 }
 
-/// The parts handed on in memory for `edge`, if any: by its host or a
-/// co-hosted scan.
-fn handed_for(handed: &mut Vec<(usize, Vec<PartData>)>, edge: &EdgeRead) -> Option<Vec<PartData>> {
-    let at = handed.iter().position(|(slot, _)| *slot == edge.slot)?;
+/// The parts handed on in memory for the in-edge at `slot`, if any: by
+/// its host or a co-hosted scan.
+fn handed_for(handed: &mut Vec<(usize, Vec<PartData>)>, slot: usize) -> Option<Vec<PartData>> {
+    let at = handed.iter().position(|(s, _)| *s == slot)?;
     Some(handed.swap_remove(at).1)
 }
 
@@ -906,7 +885,7 @@ async fn report(
     mut output: PipelineOutput,
     metrics: &mut WorkerMetrics,
 ) -> Result<ResultPayload> {
-    if let (StageSink::Report { top: Some(top) }, PipelineOutput::Batches(batches)) =
+    if let (StageSink::Report { top: Some(top), .. }, PipelineOutput::Batches(batches)) =
         (&task.sink, &mut output)
     {
         let rows: usize = batches.iter().map(RecordBatch::num_rows).sum();
@@ -959,7 +938,7 @@ pub(crate) fn result_key(prefix: &str, worker: u64) -> String {
 /// that can hold its range; the sorter keeps its own rows. The producer
 /// itself partitions nothing and waits for no one.
 fn sort_edge_parts(
-    edge: &SortEdgeSpec,
+    edge: &SortStage,
     run: &RecordBatch,
 ) -> Result<(Vec<PartData>, Option<Vec<u8>>)> {
     let rows = run.num_rows();
@@ -985,7 +964,8 @@ fn sort_edge_parts(
 /// accounting; returns the scan metrics and modeled row count.
 async fn drive_scan(
     env: &WorkerEnv,
-    scan: &Rc<ScanOp>,
+    stage: &ScanStage,
+    scan: &Rc<ScanFiles>,
     pipeline: &mut Pipeline,
 ) -> Result<(crate::scan::ScanMetrics, u64)> {
     let budget = env.engine_memory_budget();
@@ -993,17 +973,11 @@ async fn drive_scan(
     let scan_handle = {
         let env2 = env.clone();
         let scan = Rc::clone(scan);
+        let (columns, prune) = (stage.scan_columns.clone(), stage.prune_predicate.clone());
         env.cloud.handle.spawn(async move {
-            scan_table(
-                &env2,
-                &scan.scan,
-                scan.files(env2.worker_id),
-                &scan.table.schema,
-                &scan.stage.scan_columns,
-                scan.stage.prune_predicate.as_ref(),
-                tx,
-            )
-            .await
+            let files = scan.files(env2.worker_id);
+            let schema = &scan.table.schema;
+            scan_table(&env2, &scan.config, files, schema, &columns, prune.as_ref(), tx).await
         })
     };
 
@@ -1037,15 +1011,15 @@ async fn drive_scan(
     Ok((scan_metrics, modeled_rows))
 }
 
-/// Run one stage task: the operator turns its files or in-edges into a
-/// [`PipelineOutput`], and the sink turns that into the worker's result —
-/// agg state or batches inline, one stored object, or a write onto the
-/// out-edge (§4.4's "operators that repartition data", executed with no
-/// infrastructure beyond storage and functions). `edges` addresses the
-/// in-edges; `handed` is, by slot, the parts its host and co-hosted scans
-/// handed on in memory for some of them. When the stage `hands_on` — its
-/// out-edge is fused, or it is co-hosted — what it would ship comes back
-/// beside the report instead. `env` is the stage's own
+/// Run one stage task: the planner's stage turns its files or in-edges
+/// into a [`PipelineOutput`], and the sink turns that into the worker's
+/// result — agg state or batches inline, one stored object, or a write
+/// onto the out-edge (§4.4's "operators that repartition data", executed
+/// with no infrastructure beyond storage and functions). `edges` addresses
+/// the in-edges by slot; `handed` is, by slot, the parts its host and
+/// co-hosted scans handed on in memory for some of them. When the stage
+/// `hands_on` — its out-edge is fused, or it is co-hosted — what it would
+/// ship comes back beside the report instead. `env` is the stage's own
 /// ([`WorkerEnv::for_stage`]): after its last request, its tally folds
 /// into the metrics.
 async fn run_stage(
@@ -1059,10 +1033,13 @@ async fn run_stage(
     let budget = env.engine_memory_budget();
     let mut metrics = WorkerMetrics::default();
 
-    let output = match &task.op {
-        StageOp::Scan(scan) => {
-            let mut pipeline = Pipeline::new(scan.stage.pipeline.clone())?;
-            let (scan_metrics, modeled_rows) = drive_scan(env, scan, &mut pipeline).await?;
+    let output = match &task.kind {
+        StageKind::Scan(stage) => {
+            let scan = task.scan.as_ref().ok_or_else(|| {
+                CoreError::Engine(format!("scan of {} carries no files", stage.table))
+            })?;
+            let mut pipeline = Pipeline::new(stage.pipeline.clone())?;
+            let (scan_metrics, modeled_rows) = drive_scan(env, stage, scan, &mut pipeline).await?;
             if modeled_rows > 0 && !matches!(task.sink, StageSink::Report { .. }) {
                 return Err(CoreError::Unsupported(
                     "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
@@ -1077,15 +1054,17 @@ async fn run_stage(
                 scan_metrics.row_groups_total - scan_metrics.row_groups_pruned;
             pipeline.finish()?
         }
-        StageOp::Join { stage, probe, build } => {
-            // Both in-edges are received together — each costs a fetch
-            // round of pure latency — and consumed in a fixed order:
-            // build fully, then probe.
+        StageKind::Join(stage) => {
+            // Build + probe one co-partition, then run the post-join
+            // pipeline. Both in-edges (probe at slot 0, build at slot 1)
+            // are received together — each costs a fetch round of pure
+            // latency — and consumed in a fixed order: build fully, then
+            // probe.
             // ---- Build side: the whole co-partition, then one hash table.
             let (build_handed, probe_handed) =
-                (handed_for(&mut handed, build), handed_for(&mut handed, probe));
+                (handed_for(&mut handed, 1), handed_for(&mut handed, 0));
             let build_side = async {
-                let payloads = recv_edge(env, task, build, edges, build_handed).await?;
+                let payloads = recv_edge(env, task, 1, edges, build_handed).await?;
                 let build_batches = decode_parts(payloads).collect::<Result<Vec<_>>>()?;
                 let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
                 env.compute(env.costs.process_seconds(build_rows)).await;
@@ -1105,7 +1084,7 @@ async fn run_stage(
             // A build-side failure is the worker's failure at once: the
             // probe receive is dropped, not waited for.
             let ((table, build_rows), probed) =
-                try_join2(build_side, recv_edge(env, task, probe, edges, probe_handed)).await?;
+                try_join2(build_side, recv_edge(env, task, 0, edges, probe_handed)).await?;
             let probe_payloads = probed?;
 
             // ---- Probe side: stream the co-partition through the table.
@@ -1147,10 +1126,13 @@ async fn run_stage(
             metrics.rows_out = post.row_counts().1;
             post.finish()?
         }
-        StageOp::AggMerge { stage, input, emit_state } => {
+        StageKind::AggMerge(stage) => {
+            // Merge shard `p` of every producer's partial-aggregate state —
+            // the groups whose key hashes to `p`, so the fleet's group
+            // ranges are disjoint — and finalize it.
             let mut state = GroupedAggState::new(&stage.funcs)?;
-            let handed = handed_for(&mut handed, input);
-            for bytes in recv_edge(env, task, input, edges, handed).await? {
+            let handed = handed_for(&mut handed, 0);
+            for bytes in recv_edge(env, task, 0, edges, handed).await? {
                 let shard = GroupedAggState::decode(&bytes)?;
                 metrics.rows_in += shard.num_groups() as u64;
                 env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
@@ -1163,31 +1145,35 @@ async fn run_stage(
                 }
             }
             metrics.rows_exchanged = metrics.rows_in;
-            if *emit_state {
+            if let StageSink::Report { emit_state: true, .. } = task.sink {
                 metrics.rows_out = state.num_groups() as u64;
                 PipelineOutput::Aggregate(state)
             } else {
                 let mut batch = agg_state_to_batch(&state, &stage.agg_schema)?;
                 metrics.rows_out = batch.num_rows() as u64;
-                if let StageSink::SortEdge { edge, .. } = &task.sink {
+                if let Some(sort) = task.sink.sort() {
                     // A sort fleet consumes the finalized groups: this
                     // merge worker is a sort-exchange producer, so it
                     // sorts and top-k-truncates locally, as a
                     // `Terminal::SortPartition` pipeline would.
-                    batch = sort_limit(batch, &edge.keys, edge.limit)?;
+                    batch = sort_limit(batch, &sort.keys, sort.limit)?;
                 }
                 PipelineOutput::Batches(vec![batch])
             }
         }
-        StageOp::Sort { stage, input } => {
-            // A sort edge's blocks hold other ranges' rows too: keep this
-            // range's, in the order they came. With no bounds — one range,
-            // or a fused edge — every row is this range's.
-            let bounds = edges.get(input.slot).map_or(&[][..], |e| &e.bounds[..]);
+        StageKind::Sort(stage) => {
+            // Sort range partition `p` of every producer's run and truncate
+            // it to the limit. Ranges are disjoint and ordered by partition
+            // id, so the driver's concatenation (in worker order) is
+            // globally sorted. A sort edge's blocks hold other ranges' rows
+            // too: keep this range's, in the order they came. With no
+            // bounds — one range, or a fused edge — every row is this
+            // range's.
+            let bounds = edges.first().map_or(&[][..], |e| &e.bounds[..]);
             let (mut batches, mut received) = (Vec::new(), 0u64);
             let mut state_bytes = 0u64;
-            let handed = handed_for(&mut handed, input);
-            let payloads = recv_edge(env, task, input, edges, handed).await?;
+            let handed = handed_for(&mut handed, 0);
+            let payloads = recv_edge(env, task, 0, edges, handed).await?;
             for batch in decode_parts(payloads) {
                 let mut batch = batch?;
                 if !bounds.is_empty() {
@@ -1237,9 +1223,9 @@ async fn run_stage(
                 .collect();
             (shards.iter().map(|s| s.num_groups() as u64).sum(), parts, None)
         }
-        (StageSink::SortEdge { edge, .. }, PipelineOutput::Batches(run)) => {
-            let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let (parts, starts) = sort_edge_parts(edge, &run)?;
+        (StageSink::SortEdge { sort, .. }, PipelineOutput::Batches(run)) => {
+            let run = RecordBatch::concat(sort.schema.clone(), &run)?;
+            let (parts, starts) = sort_edge_parts(sort, &run)?;
             (run.num_rows() as u64, parts, starts)
         }
         (StageSink::Edge { .. }, _) => {
@@ -1291,11 +1277,12 @@ mod tests {
             output,
         };
         StageTask {
-            op: StageOp::Scan(Rc::new(ScanOp {
-                stage,
+            kind: StageKind::Scan(stage),
+            in_channels: Vec::new(),
+            scan: Some(Rc::new(ScanFiles {
                 table: Rc::new(TableSpec::new("t", schema, Vec::new(), 0)),
-                scan: ScanConfig::default(),
                 chunks: Vec::new(),
+                config: ScanConfig::default(),
             })),
             sink,
             transport: Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None)),
@@ -1319,7 +1306,8 @@ mod tests {
             group_by: Vec::new(),
             aggs: vec![AggExpr::new(AggFunc::Count, None, "n")],
         };
-        let sink = StageSink::Edge { channel: "x0/q0/s0".to_string(), inline_budget: 0 };
+        let sink =
+            StageSink::Edge { channel: "x0/q0/s0".to_string(), inline_budget: 0, receivers: 1 };
         let task = scan_task(terminal, StageOutput::AggExchange, sink);
         let err = sim.block_on(async move {
             run_stage(&env, &task, Vec::new(), &[], false).await.unwrap_err()
@@ -1338,8 +1326,11 @@ mod tests {
         let cloud = Cloud::new(&sim, CloudConfig::default());
         cloud.s3.create_bucket("results");
         let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
-        let task =
-            scan_task(Terminal::Collect, StageOutput::Driver, StageSink::Report { top: None });
+        let task = scan_task(
+            Terminal::Collect,
+            StageOutput::Driver,
+            StageSink::Report { top: None, emit_state: false },
+        );
         // The column name's length moves the encoded size byte by byte
         // (its length prefix stays two bytes from 128 on).
         let rows = INLINE_RESULT_BYTES / 8 - 64;
@@ -1381,7 +1372,7 @@ mod tests {
         cloud.s3.create_bucket("results");
         let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
         let top = ReportTop { keys: vec![SortKey::desc(col(0))], n: 10 };
-        let sink = StageSink::Report { top: Some(top) };
+        let sink = StageSink::Report { top: Some(top), emit_state: false };
         let task = scan_task(Terminal::Collect, StageOutput::Driver, sink);
         // Key `i % 1000`: each key is tied 33 ways, so the top 10 are the
         // first ten rows of key 999, in row order.
@@ -1439,12 +1430,12 @@ mod tests {
         )
         .unwrap();
         let sort_keys = vec![SortKey::asc(col(0))];
-        let edge = SortEdgeSpec { keys: sort_keys.clone(), limit: None, schema: schema.clone() };
+        let edge = SortStage { input: 0, schema, keys: sort_keys, limit: None };
         let transport = Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None));
         let (blocks, edges) = sim.block_on({
-            let (env, transport) = (env(0), Rc::clone(&transport));
+            let (env, transport, edge) = (env(0), Rc::clone(&transport), &edge);
             async move {
-                let (parts, starts) = sort_edge_parts(&edge, &run).unwrap();
+                let (parts, starts) = sort_edge_parts(edge, &run).unwrap();
                 let (_, sections, inline) =
                     transport.send(&env, "x0/q0/s0", 0, parts, u64::MAX, false).await.unwrap();
                 let (rows, bytes) = (64, inline.len() as u64);
@@ -1456,7 +1447,7 @@ mod tests {
                     starts,
                 };
                 let report = WorkerResult::ok(0, report, WorkerMetrics::default());
-                (sections, crate::driver::section_tables(&[report], 2, Some(&edge)).unwrap())
+                (sections, crate::driver::section_tables(&[report], 2, Some(edge)).unwrap())
             }
         });
         assert_eq!(blocks.len(), 32);
@@ -1473,11 +1464,11 @@ mod tests {
             (before + blocks[10].len, blocks[10].len + after)
         );
 
-        let stage = SortStage { input: 0, schema, keys: sort_keys, limit: None };
-        let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
         let task = StageTask {
-            op: StageOp::Sort { stage, input },
-            sink: StageSink::Report { top: None },
+            kind: StageKind::Sort(edge),
+            in_channels: vec!["x0/q0/s0".to_string()],
+            scan: None,
+            sink: StageSink::Report { top: None, emit_state: false },
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
@@ -1509,7 +1500,7 @@ mod tests {
         let schema = Schema::arc(vec![Field::new("k", DataType::Int64)]);
         let run = RecordBatch::new(schema.clone(), vec![Column::I64((0..100).collect())]).unwrap();
         let keys = vec![SortKey::asc(col(0))];
-        let edge = SortEdgeSpec { keys: keys.clone(), limit: None, schema: schema.clone() };
+        let edge = SortStage { input: 0, schema, keys, limit: None };
         let transport = Rc::new(EdgeTransport::new(ExchangeBuckets::default(), None));
         let (parts, addressed) = sim.block_on(async {
             let (parts, starts) = sort_edge_parts(&edge, &run).unwrap();
@@ -1523,11 +1514,11 @@ mod tests {
         assert_eq!(parts.len(), SORT_SAMPLE_ROWS);
         assert_eq!(addressed[0].bounds, Vec::<Vec<Scalar>>::new(), "one range, no boundary");
 
-        let stage = SortStage { input: 0, schema, keys, limit: None };
-        let input = EdgeRead { channel: "x0/q0/s0".to_string(), slot: 0 };
         let task = StageTask {
-            op: StageOp::Sort { stage, input },
-            sink: StageSink::Report { top: None },
+            kind: StageKind::Sort(edge),
+            in_channels: vec!["x0/q0/s0".to_string()],
+            scan: None,
+            sink: StageSink::Report { top: None, emit_state: false },
             transport,
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),

@@ -512,8 +512,9 @@ fn decode_of_mutated_bytes_never_panics() {
     }
 }
 
-/// The merged state, and so the bytes `AggMerge { emit_state }` ships,
-/// depends on the inputs alone: new groups join in the peer's order.
+/// The merged state, and so the bytes an agg-merge stage ships under
+/// `emit_state`, depends on the inputs alone: new groups join in the
+/// peer's order.
 #[test]
 fn merge_order_is_deterministic() {
     let peer = sum_state((0..64).map(|k| k * 7 % 64).collect(), (0..64).collect()).encode();

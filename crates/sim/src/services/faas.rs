@@ -322,11 +322,6 @@ impl FaasService {
         *self.injector.borrow_mut() = Some(injector);
     }
 
-    /// Remove the fault injector.
-    pub fn clear_fault_injector(&self) {
-        *self.injector.borrow_mut() = None;
-    }
-
     /// Number of invocations of `name` silently killed by injected faults.
     pub fn injected_kills(&self, name: &str) -> u64 {
         self.inner.borrow().functions.get(name).map_or(0, |f| f.injected_kills)

@@ -193,11 +193,6 @@ impl P2pService {
         self.st.borrow_mut().fault = Some(injector);
     }
 
-    /// Remove the fault injector.
-    pub fn clear_link_faults(&self) {
-        self.st.borrow_mut().fault = None;
-    }
-
     /// Totals since construction: `(sends, bytes, drops)`.
     pub fn counters(&self) -> (u64, u64, u64) {
         let st = self.st.borrow();

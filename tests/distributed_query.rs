@@ -118,7 +118,7 @@ fn direct_and_two_level_invocation_agree() {
     use lambada::core::invoke::labels;
     use lambada::core::stage::FinalStage;
     use lambada::core::{
-        invoke_workers_as, ChainStage, EdgeTransport, ResultPayload, ScanOp, StageKind, StageOp,
+        invoke_workers_as, ChainStage, EdgeTransport, ResultPayload, ScanFiles, StageKind,
         StageSink, StageTask, WorkerPayload, WorkerResult, WorkerTask,
     };
     use lambada::engine::physical::agg_state_to_batch;
@@ -133,7 +133,7 @@ fn direct_and_two_level_invocation_agree() {
         let mut system = Lambada::install(&cloud, LambadaConfig::default());
         system.register_table(spec.clone());
         let dag = system.plan(&plan).unwrap();
-        let [StageKind::Scan(stage)] = dag.stages.as_slice() else {
+        let [scan @ StageKind::Scan(_)] = dag.stages.as_slice() else {
             panic!("Q6 is one scan stage");
         };
         let FinalStage::MergeAggregate { agg_schema, funcs, post } = &dag.final_stage else {
@@ -142,19 +142,21 @@ fn direct_and_two_level_invocation_agree() {
         assert!(post.is_empty(), "nothing left to apply after the merge");
         let config = system.config();
         let task = Rc::new(StageTask {
-            op: StageOp::Scan(Rc::new(ScanOp {
-                stage: stage.clone(),
+            kind: scan.clone(),
+            in_channels: Vec::new(),
+            scan: Some(Rc::new(ScanFiles {
                 table: Rc::new(spec),
-                scan: config.scan,
                 chunks: (0..workers).map(|w| w..w + 1).collect(),
+                config: config.scan,
             })),
-            sink: StageSink::Report { top: None },
+            sink: StageSink::Report { top: None, emit_state: false },
             transport: Rc::new(EdgeTransport::new(config.exchange.clone(), None)),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
             inboxes: Vec::new(),
         });
         let list: Rc<[ChainStage]> = Rc::new([ChainStage {
+            sid: 0,
             label: "scan:lineitem#0".to_string(),
             task,
             slot: 0,

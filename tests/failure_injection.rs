@@ -13,7 +13,7 @@ use std::time::Duration;
 use common::assert_quiescent;
 use lambada::core::{
     inject_query_worker_faults, inject_worker_faults, CoreError, Lambada, LambadaConfig, Placement,
-    SortStrategy, StageOp, TransportKind, WorkerTask,
+    SortStrategy, StageKind, TransportKind, WorkerTask,
 };
 use lambada::engine::{RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, InjectedFault, LinkFault, Simulation};
@@ -347,9 +347,9 @@ fn run_q12_join(straggler: bool) -> (RecordBatch, lambada::core::QueryReport) {
 #[test]
 fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
     use lambada::core::{
-        address_sections, invoke_workers_as, ChainStage, EdgeRead, EdgeTransport, InEdge,
-        InvocationStrategy, PartData, StageKind, StageOp, StageSink, StageTask, WorkerEnv,
-        WorkerPayload, WorkerResult, WorkerTask,
+        address_sections, invoke_workers_as, ChainStage, EdgeTransport, InEdge, InvocationStrategy,
+        PartData, StageKind, StageSink, StageTask, WorkerEnv, WorkerPayload, WorkerResult,
+        WorkerTask,
     };
 
     // Seconds from launch until the worker's error report is received.
@@ -367,16 +367,17 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
         system.register_table(li_spec);
         system.register_table(ord_spec);
         let dag = system.plan(&lambada::workloads::q12("lineitem", "orders")).unwrap();
-        let Some(StageKind::Join(stage)) = dag.stages.last() else {
+        let Some(join @ StageKind::Join(_)) = dag.stages.last() else {
             panic!("Q12 ends in a join stage");
         };
         let config = system.config();
         let transport = Rc::new(EdgeTransport::new(config.exchange.clone(), None));
-        let edge = |slot: usize| EdgeRead { channel: format!("xhand/q0/s{slot}"), slot };
-        let (probe, build) = (edge(0), edge(1));
+        let (probe, build) = ("xhand/q0/s0".to_string(), "xhand/q0/s1".to_string());
         let task = Rc::new(StageTask {
-            op: StageOp::Join { stage: stage.clone(), probe: probe.clone(), build: build.clone() },
-            sink: StageSink::Report { top: None },
+            kind: join.clone(),
+            in_channels: vec![probe.clone(), build.clone()],
+            scan: None,
+            sink: StageSink::Report { top: None, emit_state: false },
             transport: Rc::clone(&transport),
             result_bucket: config.result_bucket.clone(),
             result_prefix: "results/by-hand".to_string(),
@@ -387,6 +388,7 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             attempt: 0,
             query: 0,
             task: WorkerTask::Stage(Rc::new([ChainStage {
+                sid: 2,
                 label: "join#2".to_string(),
                 task,
                 slot: 0,
@@ -407,9 +409,9 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
                 let sender = WorkerEnv::bare(&cloud, 9, 2048, Default::default());
                 // A budget of 0: the sections go into files.
                 let (_, sections, inline) =
-                    transport.send(&sender, &build.channel, 0, garbage(), 0, true).await.unwrap();
+                    transport.send(&sender, &build, 0, garbage(), 0, true).await.unwrap();
                 if probe_written {
-                    transport.send(&sender, &probe.channel, 0, garbage(), 0, true).await.unwrap();
+                    transport.send(&sender, &probe, 0, garbage(), 0, true).await.unwrap();
                 }
                 // Without its write, the probe address points at nothing.
                 let senders = address_sections(0, &sections, &inline, &[(0, 0)], 1).unwrap();
@@ -825,7 +827,7 @@ fn q12_with_a_faulted_orders_scanner(
     inject_query_worker_faults(&cloud, move |p| {
         let orders = match &p.task {
             WorkerTask::Stage(list) => {
-                matches!(&list[0].task.op, StageOp::Scan(s) if s.table.name == "orders")
+                matches!(&list[0].task.kind, StageKind::Scan(s) if s.table == "orders")
             }
             _ => false,
         };

@@ -31,7 +31,7 @@ use lambada::core::worker::host_wait;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, ChainStage, CoreError, Lambada, LambadaConfig,
     LaunchPlan, Placement, QueryDag, QueryReport, QueryService, ServiceConfig, SortStrategy,
-    StageOp, StageReport, TransportKind, WorkerPayload, WorkerTask,
+    StageKind, StageReport, TransportKind, WorkerPayload, WorkerTask,
 };
 use lambada::engine::{
     execute_into_batch, Catalog, LogicalPlan, MemTable, Optimizer, RecordBatch, SortKey,
@@ -388,7 +388,7 @@ fn faulted_q12(
 fn scans(payload: &lambada::core::WorkerPayload, table: &str) -> bool {
     match &payload.task {
         WorkerTask::Stage(list) => {
-            matches!(&list[0].task.op, StageOp::Scan(s) if s.table.name == table)
+            matches!(&list[0].task.kind, StageKind::Scan(s) if s.table == table)
         }
         _ => false,
     }

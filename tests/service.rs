@@ -12,7 +12,7 @@ use lambada::core::stage::{split_with, SplitOptions, StageKind, StageOutput};
 use lambada::core::verify::codes;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport,
-    QueryService, ServiceConfig, SortStrategy, StageOp, StageSink, TenantBudget, TransportKind,
+    QueryService, ServiceConfig, SortStrategy, StageSink, TenantBudget, TransportKind,
     WorkerPayload, WorkerTask,
 };
 use lambada::engine::logical::LogicalPlan;
@@ -28,9 +28,9 @@ use lambada::workloads::{
 fn scan_exchange_or_join(p: &WorkerPayload) -> bool {
     let WorkerTask::Stage(list) = &p.task else { return false };
     matches!(
-        (&list[0].task.op, &list[0].task.sink),
-        (StageOp::Scan(_), StageSink::Edge { .. } | StageSink::SortEdge { .. })
-            | (StageOp::Join { .. }, _)
+        (&list[0].task.kind, &list[0].task.sink),
+        (StageKind::Scan(_), StageSink::Edge { .. } | StageSink::SortEdge { .. })
+            | (StageKind::Join(_), _)
     )
 }
 

@@ -21,7 +21,7 @@ use lambada::core::streaming::{streamify, windowed_event_schema};
 use lambada::core::verify::codes;
 use lambada::core::{
     events_to_batch, inject_query_worker_faults, AggStrategy, ContinuousQuery, CoreError, Lambada,
-    LambadaConfig, Placement, QueryService, ServiceConfig, StageOp, StreamSpec, TableFile,
+    LambadaConfig, Placement, QueryService, ServiceConfig, StageKind, StreamSpec, TableFile,
     TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
@@ -271,7 +271,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
         (armed_f.get()
             && p.worker_id == 1
             && p.attempt == 0
-            && matches!(&p.task, WorkerTask::Stage(l) if matches!(l[0].task.op, StageOp::Join { .. })))
+            && matches!(&p.task, WorkerTask::Stage(l) if matches!(l[0].task.kind, StageKind::Join(_))))
         .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });
 
@@ -746,7 +746,7 @@ fn a_killed_stream_scan_worker_is_backed_up_from_the_same_payload() {
     let armed_f = Rc::clone(&armed);
     inject_query_worker_faults(&cloud, move |p| {
         let stream_scan = matches!(&p.task, WorkerTask::Stage(l)
-            if matches!(&l[0].task.op, StageOp::Scan(s) if s.table.name.starts_with("killed_b")));
+            if matches!(&l[0].task.kind, StageKind::Scan(s) if s.table.starts_with("killed_b")));
         (armed_f.get() && stream_scan && p.worker_id == 1 && p.attempt == 0)
             .then(|| InjectedFault::kill(Duration::from_millis(1)))
     });

@@ -1,5 +1,7 @@
-//! `cargo xtask lint` — the offline workspace linter — and
-//! `cargo xtask loc`, the size count the simplicity issues measure.
+//! `cargo xtask lint`, the offline workspace linter; `cargo xtask loc`,
+//! the size count that code-size targets are set in; and `cargo xtask
+//! trajectory OLD NEW`, the gate that holds a benchmark run to a
+//! committed one on every row the simulation fixes ([`trajectory`]).
 //!
 //! `lint` enforces repo invariants neither the compiler nor clippy can
 //! see, as the second layer of the static-analysis pass (`core::verify`
@@ -47,6 +49,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod trajectory;
+
 struct Finding {
     path: PathBuf,
     line: usize,
@@ -65,12 +69,13 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("loc") => loc(),
+        Some("trajectory") => trajectory::run(&args.collect::<Vec<_>>()),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: lint, loc");
+            eprintln!("unknown xtask `{other}`; available: lint, loc, trajectory");
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo xtask <lint|loc>");
+            eprintln!("usage: cargo xtask <lint|loc|trajectory OLD NEW>");
             ExitCode::from(2)
         }
     }
