@@ -243,6 +243,19 @@ pub struct StageTask {
     pub inboxes: Vec<String>,
 }
 
+impl StageTask {
+    /// A scan task's planner stage and files.
+    fn scan_parts(&self) -> Result<(&ScanStage, &ScanFiles)> {
+        let StageKind::Scan(stage) = &self.kind else {
+            return Err(CoreError::Engine("only a scan stage reads files".to_string()));
+        };
+        let scan = self.scan.as_deref().ok_or_else(|| {
+            CoreError::Engine(format!("scan of {} carries no files", stage.table))
+        })?;
+        Ok((stage, scan))
+    }
+}
+
 /// One stage of the list a launch hands each of its workers
 /// ([`WorkerTask::Stage`]): the launch's first stage, then every stage
 /// fused after it, each member's co-hosted scans just before it.
@@ -964,20 +977,18 @@ fn sort_edge_parts(
 /// accounting; returns the scan metrics and modeled row count.
 async fn drive_scan(
     env: &WorkerEnv,
-    stage: &ScanStage,
-    scan: &Rc<ScanFiles>,
+    task: &Rc<StageTask>,
     pipeline: &mut Pipeline,
 ) -> Result<(crate::scan::ScanMetrics, u64)> {
     let budget = env.engine_memory_budget();
     let (tx, mut rx) = mpsc::channel::<ScanItem>();
     let scan_handle = {
-        let env2 = env.clone();
-        let scan = Rc::clone(scan);
-        let (columns, prune) = (stage.scan_columns.clone(), stage.prune_predicate.clone());
+        let (env2, task) = (env.clone(), Rc::clone(task));
         env.cloud.handle.spawn(async move {
-            let files = scan.files(env2.worker_id);
-            let schema = &scan.table.schema;
-            scan_table(&env2, &scan.config, files, schema, &columns, prune.as_ref(), tx).await
+            let (stage, scan) = task.scan_parts()?;
+            let (files, schema) = (scan.files(env2.worker_id), &scan.table.schema);
+            let (columns, prune) = (&stage.scan_columns, stage.prune_predicate.as_ref());
+            scan_table(&env2, &scan.config, files, schema, columns, prune, tx).await
         })
     };
 
@@ -1024,7 +1035,7 @@ async fn drive_scan(
 /// into the metrics.
 async fn run_stage(
     env: &WorkerEnv,
-    task: &StageTask,
+    task: &Rc<StageTask>,
     mut handed: Vec<(usize, Vec<PartData>)>,
     edges: &[InEdge],
     hands_on: bool,
@@ -1034,12 +1045,10 @@ async fn run_stage(
     let mut metrics = WorkerMetrics::default();
 
     let output = match &task.kind {
-        StageKind::Scan(stage) => {
-            let scan = task.scan.as_ref().ok_or_else(|| {
-                CoreError::Engine(format!("scan of {} carries no files", stage.table))
-            })?;
+        StageKind::Scan(_) => {
+            let (stage, _) = task.scan_parts()?;
             let mut pipeline = Pipeline::new(stage.pipeline.clone())?;
-            let (scan_metrics, modeled_rows) = drive_scan(env, stage, scan, &mut pipeline).await?;
+            let (scan_metrics, modeled_rows) = drive_scan(env, task, &mut pipeline).await?;
             if modeled_rows > 0 && !matches!(task.sink, StageSink::Report { .. }) {
                 return Err(CoreError::Unsupported(
                     "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
@@ -1262,7 +1271,7 @@ mod tests {
 
     /// A one-worker scan task over an empty `t` whose pipeline ends in
     /// `terminal`, shipping to `sink`.
-    fn scan_task(terminal: Terminal, output: StageOutput, sink: StageSink) -> StageTask {
+    fn scan_task(terminal: Terminal, output: StageOutput, sink: StageSink) -> Rc<StageTask> {
         let schema = Schema::new(vec![Field::new("a", DataType::Int64)]);
         let stage = ScanStage {
             table: "t".to_string(),
@@ -1276,7 +1285,7 @@ mod tests {
             },
             output,
         };
-        StageTask {
+        Rc::new(StageTask {
             kind: StageKind::Scan(stage),
             in_channels: Vec::new(),
             scan: Some(Rc::new(ScanFiles {
@@ -1289,7 +1298,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             inboxes: Vec::new(),
-        }
+        })
     }
 
     /// A plan the verifier would reject can still reach a worker through
@@ -1464,7 +1473,7 @@ mod tests {
             (before + blocks[10].len, blocks[10].len + after)
         );
 
-        let task = StageTask {
+        let task = Rc::new(StageTask {
             kind: StageKind::Sort(edge),
             in_channels: vec!["x0/q0/s0".to_string()],
             scan: None,
@@ -1473,7 +1482,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             inboxes: Vec::new(),
-        };
+        });
         for (r, rows) in [(0usize, 0..21i64), (1, 21..64)] {
             let (env, edge) = (env(r as u64), edges[r].clone());
             let ran = sim.block_on(async {
@@ -1514,7 +1523,7 @@ mod tests {
         assert_eq!(parts.len(), SORT_SAMPLE_ROWS);
         assert_eq!(addressed[0].bounds, Vec::<Vec<Scalar>>::new(), "one range, no boundary");
 
-        let task = StageTask {
+        let task = Rc::new(StageTask {
             kind: StageKind::Sort(edge),
             in_channels: vec!["x0/q0/s0".to_string()],
             scan: None,
@@ -1523,7 +1532,7 @@ mod tests {
             result_bucket: "results".to_string(),
             result_prefix: "results/x0-q0".to_string(),
             inboxes: Vec::new(),
-        };
+        });
         let now = || cloud.handle.now();
         let sort_secs = sim.block_on(async {
             let start = now();
