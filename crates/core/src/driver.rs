@@ -232,9 +232,6 @@ pub struct ExecPolicy {
     pub tenant: Option<String>,
     /// Submission time; `span_secs` then includes admission queueing.
     pub submitted: Option<lambada_sim::SimTime>,
-    /// Per-query transport override (`None` ⇒ the installation's
-    /// [`LambadaConfig::transport`]).
-    pub transport: Option<TransportKind>,
 }
 
 /// Per-stage execution summary of one query.
@@ -251,8 +248,8 @@ pub struct StageReport {
     /// the head of the fused chain this stage ran in, as a member or as
     /// a co-hosted scan (see [`LaunchPlan::placement`]) — or, after its
     /// host fell back, the stage the rest of the chain launched at. Such
-    /// a stage shares its head's launch, timing and billing window, and
-    /// launches no invocation of its own.
+    /// a stage shares its head's launch and timing, and launches no
+    /// invocation of its own.
     pub chain: usize,
     /// Virtual seconds from the stage's enqueue (query start) to its
     /// last worker report: `queue_wait_secs + exec_secs`.
@@ -270,11 +267,6 @@ pub struct StageReport {
     /// in-edge, which its host addresses from its inbox: that wait is
     /// the member's processing time (the trace's `inbox_wait`), not this.
     pub exchange_wait_secs: f64,
-    /// Billing delta over this stage's execution window. Stages launch
-    /// concurrently and their windows overlap, so summing this field
-    /// across stages over-counts; use the per-stage request counters
-    /// below for exact attribution.
-    pub cost: BillingSnapshot,
     /// Rows produced by the stage (exchanged or reported).
     pub rows_out: u64,
     /// Bytes this stage's workers moved onto exchange edges (scan stages
@@ -308,7 +300,7 @@ pub struct StageReport {
 
 impl StageReport {
     /// Dollar cost of this stage's S3 requests (exact, per worker
-    /// accounting — unlike [`StageReport::cost`], safe to sum).
+    /// accounting: safe to sum across stages and concurrent queries).
     pub fn request_dollars(&self, prices: &lambada_sim::Prices) -> f64 {
         (self.get_requests + self.hedged_gets) as f64 * prices.s3_get
             + (self.put_requests + self.hedged_puts) as f64 * prices.s3_put
@@ -346,11 +338,12 @@ pub struct QueryReport {
     pub span_secs: f64,
     /// Seconds spent in driver-side invocation calls, summed over stages.
     pub invoke_secs: f64,
-    /// Billing delta over this query's execution window. Exact when the
-    /// query ran alone; under the concurrent query service the window
-    /// also bills neighbors' requests, so per-tenant accounting uses the
-    /// exact per-stage request counters ([`QueryReport::request_dollars`])
-    /// instead.
+    /// The query's billing window: the cloud's billing delta from launch
+    /// to return. Exact when the query ran alone; under the concurrent
+    /// query service the window also bills neighbors' requests, so
+    /// per-tenant accounting uses the exact per-stage request counters
+    /// ([`QueryReport::request_dollars`]) instead. It stays a window until
+    /// each stage carries an exact bill of its own (ROADMAP item 3(b)–(c)).
     pub cost: BillingSnapshot,
     /// Worker invocations launched across all stages: one per fleet
     /// slot, except that a fused chain of one-worker stages and its
@@ -488,20 +481,22 @@ pub(crate) struct QueryScope {
 }
 
 impl QueryScope {
-    /// Open query `query`'s scope on `system` for the fleets of `launch`
-    /// on the `kind` transport. On the direct transport it registers every
-    /// consumer endpoint *now*: the launch plan fixed every fleet size, so
-    /// the address book is complete before the first producer launches,
-    /// even though consumer fleets launch later. A registration failure
-    /// (capacity) is fine: senders fall back to the object store for an
-    /// unregistered endpoint. A sort edge has no endpoint — blocks are not
+    /// Open query `query`'s scope on `system` for the fleets of `launch`,
+    /// on the installation's [`LambadaConfig::transport`] — the one
+    /// setting that picks a query's wire. On the direct transport it
+    /// registers every consumer endpoint *now*: the launch plan fixed
+    /// every fleet size, so the address book is complete before the first
+    /// producer launches, even though consumer fleets launch later. A
+    /// registration failure (capacity) is fine: senders fall back to the
+    /// object store for an unregistered endpoint. A sort edge
+    /// ([`LaunchPlan::sort_reader`]) has no endpoint — blocks are not
     /// receivers — and neither has a co-hosted edge, nor a fused one
     /// unless its reader waits: then the host may ship its part after all
     /// ([`LaunchPlan::ships`]). Every waiting stage's inbox exists before
     /// its host or any of its producers launches.
-    fn open(system: &Lambada, query: u64, launch: &LaunchPlan<'_>, kind: TransportKind) -> Self {
+    fn open(system: &Lambada, query: u64, launch: &LaunchPlan<'_>) -> Self {
         let (cloud, instance) = (&system.cloud, system.instance);
-        let p2p = (kind == TransportKind::Direct).then(|| cloud.p2p.clone());
+        let p2p = (system.config.transport == TransportKind::Direct).then(|| cloud.p2p.clone());
         let direct = p2p.is_some();
         let mut scope = QueryScope {
             cloud: cloud.clone(),
@@ -517,7 +512,7 @@ impl QueryScope {
         };
         for (sid, &parts) in launch.partitions.iter().enumerate() {
             let ships = launch.ships(sid);
-            let streams = direct && ships && launch.sort_edges[sid].is_none();
+            let streams = direct && ships && launch.sort_reader(sid).is_none();
             for r in (0..parts).filter(|_| streams) {
                 cloud.p2p.register(&EdgeTransport::endpoint(&scope.channel(sid), r));
             }
@@ -610,10 +605,10 @@ pub enum Placement {
 /// Everything about a query's fleets that is fixed before the first
 /// invocation, for one `(dag, fleet_cap)`: the DAG's [`EdgeTable`] plus,
 /// per stage, the installation's pin, the fleet size, the partition count
-/// of its out-edge, its [`Placement`] and — for a stage feeding a sort
-/// fleet — the sort stage it feeds. Built by [`Lambada::launch_plan`]; the
+/// of its out-edge, its [`Placement`], its inline budget and — for a scan
+/// — the files its workers read. Built by [`Lambada::launch_plan`]; the
 /// fleet verifier, the query's scope, the stage-task builder and the
-/// service's admission estimate all read it.
+/// service's admission estimate all read it as it is.
 pub struct LaunchPlan<'a> {
     pub edges: EdgeTable<'a>,
     /// The installation's fixed fleet size (`join_workers`, the
@@ -625,10 +620,6 @@ pub struct LaunchPlan<'a> {
     /// How many ways the stage shards its output: its consumers' fleet
     /// size, 0 for the driver-bound last stage.
     pub partitions: Vec<usize>,
-    /// `Some` exactly for a stage one of whose readers is a sort stage:
-    /// that stage, whose keys, limit and schema its fleet ships its runs
-    /// with.
-    pub sort_edges: Vec<Option<SortStage>>,
     /// Where the stage's output goes. A fused or co-hosted out-edge costs
     /// no exchange objects, requests, invocation or result message.
     pub placement: Vec<Placement>,
@@ -641,22 +632,18 @@ pub struct LaunchPlan<'a> {
     /// the same payload. `u64::MAX` for the driver-bound last stage,
     /// which ships nothing.
     pub inline_budgets: Vec<u64>,
-    /// For scan stages, the scanned table and each worker's run of its
-    /// files.
-    pub scans: Vec<Option<ScanFleet>>,
+    /// For scan stages, the files the fleet's workers read: the table,
+    /// each worker's run of its files and how to read them — shared as
+    /// is with every worker of the fleet.
+    pub scans: Vec<Option<Rc<ScanFiles>>>,
 }
-
-/// A scan stage's table and, by worker id, each worker's run of its files.
-pub type ScanFleet = (Rc<TableSpec>, Vec<Range<usize>>);
 
 impl<'a> LaunchPlan<'a> {
     /// Wire sized fleets to the edges: every out-edge's partition count,
-    /// sort reader and placement follow from its readers' fleet sizes.
+    /// inline budget and placement follow from its readers' fleet sizes.
     /// Taking the last reader is exact on every plan that is used:
     /// [`crate::verify::verify_fleets`], run on the wired plan, holds
-    /// every consumer of a shared edge to one fleet size (`V-FLEET-004`),
-    /// and the edge pass a producer to at most one sort reader
-    /// (`V-EXCH-003`).
+    /// every consumer of a shared edge to one fleet size (`V-FLEET-004`).
     ///
     /// Placement: a one-worker consumer runs in the invocation of its
     /// *host*, the one-worker input it alone reads with the deepest chain
@@ -675,7 +662,7 @@ impl<'a> LaunchPlan<'a> {
         pins: Vec<Option<usize>>,
         workers: Vec<usize>,
         est: &[u64],
-        scans: Vec<Option<ScanFleet>>,
+        scans: Vec<Option<Rc<ScanFiles>>>,
     ) -> LaunchPlan<'a> {
         let n = workers.len();
         // Stages are in topological order, so every input's chain depth
@@ -705,7 +692,6 @@ impl<'a> LaunchPlan<'a> {
             pins,
             workers,
             partitions: vec![0; n],
-            sort_edges: vec![None; n],
             placement,
             inline_budgets: vec![u64::MAX; n],
             scans,
@@ -726,7 +712,6 @@ impl<'a> LaunchPlan<'a> {
                 {
                     let keys = s.keys.len();
                     share = crate::transport::block_budget(senders, fleet, keys, beside[consumer]);
-                    launch.sort_edges[pid] = Some(s.clone());
                 }
                 launch.inline_budgets[pid] = launch.inline_budgets[pid].min(share);
             }
@@ -743,10 +728,21 @@ impl<'a> LaunchPlan<'a> {
         }
         let cohosted =
             self.chain(sid).into_iter().filter(|&p| self.placement[p] == Placement::CoHosted);
-        let runs = cohosted.filter_map(|p| self.scans[p].as_ref());
-        let files =
-            runs.flat_map(|(table, chunks)| chunks.iter().flat_map(|c| &table.files[c.clone()]));
+        let files = cohosted.filter_map(|p| self.scans[p].as_ref()).flat_map(|s| s.files(0));
         files.map(|f| f.inline_bytes() as usize).sum()
+    }
+
+    /// The sort stage that reads `sid`'s out-edge, if one does: its fleet
+    /// ships its runs with that stage's keys, limit and schema. The edge
+    /// pass gives a producer at most one sort reader (`V-EXCH-003`).
+    pub fn sort_reader(&self, sid: usize) -> Option<&'a SortStage> {
+        let dag = self.edges.dag;
+        self.edges.readers[sid].iter().find_map(|r| {
+            match (r.role, r.stage.map(|c| &dag.stages[c])) {
+                (ReaderRole::SortInput, Some(StageKind::Sort(s))) => Some(s),
+                _ => None,
+            }
+        })
     }
 
     /// The stage `sid` hands its parts to in memory — its one reader —
@@ -815,7 +811,6 @@ struct StageRun {
     queue_wait_secs: f64,
     /// Launch → last worker report.
     exec_secs: f64,
-    cost: BillingSnapshot,
     backup_invocations: u64,
 }
 
@@ -973,7 +968,9 @@ impl Lambada {
                     // scale with the fraction of columns that survive.
                     let frac = scan.scan_columns.len() as f64 / table.schema.len().max(1) as f64;
                     let bytes = (table.total_bytes() as f64 * frac) as u64;
-                    (None, bytes, chunks.len(), Some((table, chunks)))
+                    let fleet = chunks.len();
+                    let files = ScanFiles { table, chunks, config: self.config.scan };
+                    (None, bytes, fleet, Some(Rc::new(files)))
                 }
                 StageKind::Join(j) => {
                     let (probe, build) = (est[j.probe_input], est[j.build_input]);
@@ -1037,21 +1034,22 @@ impl Lambada {
         pins: &[Option<usize>],
         est: &[u64],
         workers: &mut Vec<usize>,
-        scans: &mut Vec<Option<ScanFleet>>,
+        scans: &mut Vec<Option<Rc<ScanFiles>>>,
     ) {
         let (config, costs) = (&self.config, &self.config.costs);
         let rates =
             Rates::new(&self.cloud.config, config.memory_mib, *costs, config.scan.connections);
         let budget = u64::from(config.memory_mib) * 1024 * 1024;
-        let wire = |workers: &[usize], scans: &[Option<ScanFleet>]| {
+        let wire = |workers: &[usize], scans: &[Option<Rc<ScanFiles>>]| {
             LaunchPlan::wire(edges.clone(), pins.to_vec(), workers.to_vec(), est, scans.to_vec())
         };
         for p in 0..workers.len() {
-            let (StageKind::Scan(scan), Some((table, runs)), [Reader { stage: Some(c), .. }]) =
+            let (StageKind::Scan(scan), Some(files), [Reader { stage: Some(c), .. }]) =
                 (&edges.dag.stages[p], &scans[p], &edges.readers[p][..])
             else {
                 continue;
             };
+            let (table, runs) = (&files.table, &files.chunks);
             if runs.len() < 2 || workers[*c] != 1 {
                 continue;
             }
@@ -1060,13 +1058,15 @@ impl Lambada {
             }
             let (mut folded_workers, mut folded_scans) = (workers.clone(), scans.clone());
             folded_workers[p] = 1;
-            folded_scans[p] = Some((Rc::clone(table), dealt(0..table.files.len(), 1).collect()));
+            let chunks = dealt(0..table.files.len(), 1).collect();
+            let one_run = ScanFiles { table: Rc::clone(table), chunks, config: files.config };
+            folded_scans[p] = Some(Rc::new(one_run));
             let folded = wire(&folded_workers, &folded_scans);
             let heads = (0..workers.len()).filter(|&h| folded.is_chain_head(h));
             let Some(invocation) = heads.map(|h| folded.chain(h)).find(|s| s.contains(&p)) else {
                 continue;
             };
-            let files = |s: &usize| folded_scans[*s].as_ref().map(|(t, _)| &t.files[..]);
+            let files = |s: &usize| folded_scans[*s].as_ref().map(|f| &f.table.files[..]);
             let inline = invocation.iter().filter_map(files).flatten().map(TableFile::inline_bytes);
             if inline.sum::<u64>() > invoke::inline_file_budget(1) {
                 continue;
@@ -1118,8 +1118,7 @@ impl Lambada {
         let start = self.cloud.handle.now();
         let cost_before = self.cloud.billing.snapshot();
 
-        let transport = policy.transport.unwrap_or(self.config.transport);
-        let scope = Rc::new(QueryScope::open(self, qid, &launch, transport));
+        let scope = Rc::new(QueryScope::open(self, qid, &launch));
 
         // Build every stage's task before anything launches. Edge
         // addresses are the one per-worker part known only at launch: the
@@ -1225,7 +1224,6 @@ impl Lambada {
                 queue_wait_secs: run.queue_wait_secs,
                 exec_secs: run.exec_secs,
                 exchange_wait_secs: reports.iter().map(|r| r.metrics.exchange_wait_secs).sum(),
-                cost: run.cost,
                 rows_out: reports
                     .iter()
                     .map(|r| match &r.outcome {
@@ -1287,7 +1285,7 @@ impl Lambada {
         let mut kind = dag.stages[sid].clone();
         let channel = scope.channel(sid);
         let (partitions, inline_budget) = (launch.partitions[sid], launch.inline_budgets[sid]);
-        let sink = match (&launch.sort_edges[sid], kind.output()) {
+        let sink = match (launch.sort_reader(sid), kind.output()) {
             (Some(sort), _) => StageSink::SortEdge {
                 channel,
                 inline_budget,
@@ -1327,9 +1325,7 @@ impl Lambada {
 
         // Slot `i` is the stage's `i`-th input, as the payload addresses it.
         let in_channels = kind.inputs().into_iter().map(|input| scope.channel(input)).collect();
-        let scan = launch.scans[sid]
-            .clone()
-            .map(|(table, chunks)| Rc::new(ScanFiles { table, chunks, config: self.config.scan }));
+        let scan = launch.scans[sid].clone();
         // Every hosted stage that reads the out-edge unfused waits for it.
         let waiting = launch.edges.readers[sid].iter().filter_map(|r| r.stage);
         let waiting = waiting.filter(|&c| launch.waits(c) && launch.fused_into(sid) != Some(c));
@@ -1636,7 +1632,6 @@ async fn run_fleet(
         cloud.sqs.create_queue(&result_queue);
         let stage_start = cloud.handle.now();
         let queue_wait_secs = (stage_start - enqueued).as_secs_f64();
-        let cost_before = cloud.billing.snapshot();
         // Only the straggler watcher re-reads the assignments; don't copy a
         // paper-scale fleet's payloads when speculation is off.
         let retained: Vec<WorkerPayload> =
@@ -1681,7 +1676,6 @@ async fn run_fleet(
             invoke_secs,
             queue_wait_secs,
             exec_secs: (cloud.handle.now() - stage_start).as_secs_f64(),
-            cost: cloud.billing.snapshot().since(&cost_before),
             backup_invocations: collected.backup_invocations,
         });
         // A fused member runs on one worker, and so does the fleet that
@@ -2412,8 +2406,9 @@ mod tests {
         };
         let field = |name: &str| Field::new(name, DataType::Int64);
         let (t, u) = (Schema::new(vec![field("g"), field("v")]), Schema::new(vec![field("k")]));
-        let install = || {
-            let mut system = Lambada::install(&cloud, config.clone());
+        let install = |transport| {
+            let mut system =
+                Lambada::install(&cloud, LambadaConfig { transport, ..config.clone() });
             for (name, schema, files) in [("t", &t, 1), ("u", &u, 2)] {
                 let files =
                     (0..files).map(|f| TableFile::real("data", format!("{name}/{f}"), 1000));
@@ -2421,7 +2416,7 @@ mod tests {
             }
             system
         };
-        let (a, b) = (install(), install());
+        let (a, b) = (install(TransportKind::Direct), install(TransportKind::ObjectStore));
         // scan t, a two-worker scan u → a one-worker join, fused into
         // scan t and waiting on its inbox for u's reports → a three-worker
         // agg-merge fleet. (Beside a one-worker u, co-hosted in its host,
@@ -2442,7 +2437,7 @@ mod tests {
         };
 
         let queues = cloud.sqs.queue_count();
-        let scope = QueryScope::open(&a, 0, &plan_a, TransportKind::Direct);
+        let scope = QueryScope::open(&a, 0, &plan_a);
         let registered = endpoints(&scope, &plan_a);
         assert!(registered.len() > 3, "the agg edge's three and a join input's: {registered:?}");
         assert_eq!(registered.len(), cloud.p2p.endpoint_count(), "nothing else is registered");
@@ -2453,9 +2448,9 @@ mod tests {
         assert_eq!((cloud.p2p.endpoint_count(), cloud.sqs.queue_count()), (0, queues));
 
         let scopes = [
-            QueryScope::open(&a, 1, &plan_a, TransportKind::ObjectStore),
-            QueryScope::open(&a, 10, &plan_a, TransportKind::ObjectStore),
-            QueryScope::open(&b, 1, &plan_b, TransportKind::ObjectStore),
+            QueryScope::open(&a, 1, &plan_a),
+            QueryScope::open(&a, 10, &plan_a),
+            QueryScope::open(&b, 1, &plan_b),
         ];
         let mut names = HashSet::new();
         for scope in &scopes {

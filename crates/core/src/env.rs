@@ -71,16 +71,7 @@ impl WorkerEnv {
     /// that exercise one component in isolation). The instance still gets
     /// the memory-dependent CPU share and traffic-shaped NIC.
     pub fn bare(cloud: &Cloud, worker_id: u64, memory_mib: u32, costs: ComputeCostModel) -> Self {
-        use lambada_sim::services::faas::{cpu_share, Instance, InstanceCtx};
-        use lambada_sim::{BurstLink, PsResource};
-        let instance = std::rc::Rc::new(Instance {
-            id: worker_id,
-            memory_mib,
-            cpu: PsResource::new(cloud.handle.clone(), cpu_share(memory_mib), 1.0),
-            link: BurstLink::new(cloud.handle.clone(), cloud.config.nic.link_config(memory_mib)),
-        });
-        let ctx = InstanceCtx::bare(cloud.handle.clone(), instance);
-        WorkerEnv::new(cloud, ctx, worker_id, costs)
+        WorkerEnv::bare_with_nic_factor(cloud, worker_id, memory_mib, costs, 1.0)
     }
 
     /// Like [`WorkerEnv::bare`], with the NIC degraded by `bandwidth
@@ -92,19 +83,13 @@ impl WorkerEnv {
         costs: ComputeCostModel,
         factor: f64,
     ) -> Self {
-        use lambada_sim::services::faas::{cpu_share, Instance, InstanceCtx};
-        use lambada_sim::{BurstLink, PsResource};
+        use lambada_sim::services::faas::{Instance, InstanceCtx};
         let mut nic = cloud.config.nic.link_config(memory_mib);
         nic.sustained *= factor;
         nic.burst *= factor;
         nic.per_conn *= factor;
-        let instance = std::rc::Rc::new(Instance {
-            id: worker_id,
-            memory_mib,
-            cpu: PsResource::new(cloud.handle.clone(), cpu_share(memory_mib), 1.0),
-            link: BurstLink::new(cloud.handle.clone(), nic),
-        });
-        let ctx = InstanceCtx::bare(cloud.handle.clone(), instance);
+        let instance = Instance::new(cloud.handle.clone(), worker_id, memory_mib, nic);
+        let ctx = InstanceCtx::bare(cloud.handle.clone(), std::rc::Rc::new(instance));
         WorkerEnv::new(cloud, ctx, worker_id, costs)
     }
 

@@ -309,13 +309,8 @@ async fn admit_and_run(
         }
         _ => None,
     };
-    let policy = ExecPolicy {
-        gate,
-        fleet_cap,
-        tenant: Some(tenant.clone()),
-        submitted: Some(submitted),
-        transport: None,
-    };
+    let policy =
+        ExecPolicy { gate, fleet_cap, tenant: Some(tenant.clone()), submitted: Some(submitted) };
     let outcome = system.run_dag_with(&dag, &policy).await;
     let prices = system.cloud().billing.prices();
     match &outcome {
@@ -386,7 +381,7 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         let senders = fleets[pid] as f64;
         // Every stage uploads at most one result object per worker.
         env.puts += senders;
-        if let Some((table, _)) = &launch.scans[pid] {
+        if let Some(table) = launch.scans[pid].as_ref().map(|s| &s.table) {
             // Footer fetches plus a column-chunk envelope (8 row groups
             // per file covers every staged layout comfortably) plus
             // range splits of large chunks — for stored files: an inline
@@ -400,7 +395,7 @@ fn envelope(launch: &LaunchPlan<'_>, cfg: &LambadaConfig) -> Envelope {
         if launch.placement[pid] != Placement::Apart {
             continue;
         }
-        let streams = launch.sort_edges[pid].is_none();
+        let streams = launch.sort_reader(pid).is_none();
         for consumer in readers.iter().filter_map(|r| r.stage) {
             env.add(exchange(senders, fleets[consumer] as f64, streams));
         }

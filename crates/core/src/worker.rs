@@ -1000,26 +1000,31 @@ async fn drive_scan(
                 let batch_bytes = (batch.num_rows() * batch.num_columns() * 8) as u64;
                 pipeline.push(&batch)?;
                 let state = pipeline.approx_state_bytes() as u64;
-                if state + 3 * batch_bytes > budget {
-                    // §3.3: report out-of-memory instead of dying silently.
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: engine state {state} B + working set exceeds budget {budget} B"
-                    )));
-                }
+                let held = state + 3 * batch_bytes;
+                within_memory(held, budget, "engine state plus 3x the working set")?;
             }
             ScanItem::Modeled { rows, bytes } => {
                 env.compute(env.costs.process_seconds(rows)).await;
                 modeled_rows += rows;
-                if 3 * bytes > budget {
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: row group of {bytes} B exceeds budget {budget} B"
-                    )));
-                }
+                within_memory(3 * bytes, budget, "3x a modelled row group")?;
             }
         }
     }
     let scan_metrics = scan_handle.await?;
     Ok((scan_metrics, modeled_rows))
+}
+
+/// The worker's one memory rule (§3.3: report out-of-memory instead of
+/// dying silently): `held` bytes of `what` may not exceed `limit` — the
+/// engine's budget for what lives the whole stage, half of it for what a
+/// join or a sort holds beside its input.
+fn within_memory(held: u64, limit: u64, what: &str) -> Result<()> {
+    if held > limit {
+        return Err(CoreError::Engine(format!(
+            "out of memory: {what} of {held} B exceeds {limit} B"
+        )));
+    }
+    Ok(())
 }
 
 /// Run one stage task: the planner's stage turns its files or in-edges
@@ -1082,12 +1087,7 @@ async fn run_stage(
                     stage.build_keys.clone(),
                     &build_batches,
                 )?;
-                if table.approx_bytes() as u64 > budget / 2 {
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
-                        table.approx_bytes()
-                    )));
-                }
+                within_memory(table.approx_bytes() as u64, budget / 2, "build-side hash table")?;
                 Ok::<_, CoreError>((table, build_rows))
             };
             // A build-side failure is the worker's failure at once: the
@@ -1111,11 +1111,8 @@ async fn run_stage(
                 let batch = batch?;
                 env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
                 probe_pipeline.push(&batch)?;
-                if probe_pipeline.approx_state_bytes() as u64 > budget / 2 {
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: joined rows exceed half the budget {budget} B"
-                    )));
-                }
+                let joined = probe_pipeline.approx_state_bytes() as u64;
+                within_memory(joined, budget / 2, "joined rows")?;
             }
             let (probe_rows, _) = probe_pipeline.row_counts();
             metrics.rows_in = probe_rows + build_rows;
@@ -1146,12 +1143,7 @@ async fn run_stage(
                 metrics.rows_in += shard.num_groups() as u64;
                 env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
                 state.merge(&shard)?;
-                if state.approx_bytes() as u64 > budget {
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: merged aggregate state {} B exceeds budget {budget} B",
-                        state.approx_bytes()
-                    )));
-                }
+                within_memory(state.approx_bytes() as u64, budget, "merged aggregate state")?;
             }
             metrics.rows_exchanged = metrics.rows_in;
             if let StageSink::Report { emit_state: true, .. } = task.sink {
@@ -1191,11 +1183,7 @@ async fn run_stage(
                     batch = ranges.swap_remove(usize::from(p > 0));
                 }
                 state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
-                if state_bytes > budget / 2 {
-                    return Err(CoreError::Engine(format!(
-                        "out of memory: sort partition exceeds half the budget {budget} B"
-                    )));
-                }
+                within_memory(state_bytes, budget / 2, "sort partition")?;
                 batches.push(batch);
             }
             if !bounds.is_empty() {

@@ -209,6 +209,15 @@ pub struct Instance {
     pub link: BurstLink,
 }
 
+impl Instance {
+    /// A container of `memory_mib` with the memory-dependent CPU share
+    /// ([`cpu_share`]) and a NIC shaped by `link`.
+    pub fn new(handle: SimHandle, id: u64, memory_mib: u32, link: BurstLinkConfig) -> Instance {
+        let cpu = PsResource::new(handle.clone(), cpu_share(memory_mib), 1.0);
+        Instance { id, memory_mib, cpu, link: BurstLink::new(handle, link) }
+    }
+}
+
 /// What a handler gets: its container resources plus a compute helper that
 /// accounts for CPU shares and the cold-start penalty.
 #[derive(Clone)]
@@ -402,17 +411,9 @@ impl FaasService {
                 Some(i) => (i, false),
                 None => {
                     f.cold_starts += 1;
-                    let spec = &f.spec;
-                    let instance = Rc::new(Instance {
-                        id: next_id,
-                        memory_mib: spec.memory_mib,
-                        cpu: PsResource::new(self.handle.clone(), cpu_share(spec.memory_mib), 1.0),
-                        link: BurstLink::new(
-                            self.handle.clone(),
-                            self.nic.link_config(spec.memory_mib),
-                        ),
-                    });
-                    (instance, true)
+                    let (memory, handle) = (f.spec.memory_mib, self.handle.clone());
+                    let nic = self.nic.link_config(memory);
+                    (Rc::new(Instance::new(handle, next_id, memory, nic)), true)
                 }
             };
             if cold {
@@ -429,12 +430,8 @@ impl FaasService {
             nic.burst *= fault.nic_factor;
             nic.per_conn *= fault.nic_factor;
             nic.credit_cap *= fault.nic_factor;
-            instance = Rc::new(Instance {
-                id: instance.id,
-                memory_mib: instance.memory_mib,
-                cpu: PsResource::new(self.handle.clone(), cpu_share(instance.memory_mib), 1.0),
-                link: BurstLink::new(self.handle.clone(), nic),
-            });
+            let handle = self.handle.clone();
+            instance = Rc::new(Instance::new(handle, instance.id, instance.memory_mib, nic));
         }
 
         let init_start = self.handle.now();

@@ -5,8 +5,8 @@ use lambada::sim::{Cloud, Simulation};
 
 /// A query (or a sequence of them) left nothing behind: no object in
 /// the exchange buckets or the result bucket, as many SQS queues as
-/// before it (`queues_before`), no registered p2p endpoint, and no task
-/// still running.
+/// before it (`queues_before`), no registered p2p endpoint, no task
+/// still running and no timer still pending.
 #[track_caller]
 pub fn assert_quiescent(
     sim: &Simulation,
@@ -21,4 +21,5 @@ pub fn assert_quiescent(
     assert_eq!(cloud.sqs.queue_count(), queues_before, "a queue left behind");
     assert_eq!(cloud.p2p.endpoint_count(), 0, "an endpoint left registered");
     assert_eq!(sim.live_tasks(), 0, "a task left running");
+    assert_eq!(sim.pending_timers(), 0, "a timer left pending");
 }

@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 use common::assert_quiescent;
 use lambada::core::{
-    stage_edge_counts, AggStrategy, ExecPolicy, InvocationStrategy, Lambada, LambadaConfig,
-    TransportKind,
+    stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig, TransportKind,
 };
 use lambada::engine::{execute_into_batch, Catalog, DataType, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
@@ -49,6 +48,20 @@ fn assert_batches_close(a: &RecordBatch, b: &RecordBatch) {
             }
         }
     }
+}
+
+/// A second installation on `system`'s cloud, configured like it but on
+/// the direct transport, over the same registered `tables`: a query runs
+/// on both wires by running on both installations. Make it before the
+/// first run — installing re-registers the worker function, which
+/// empties its warm pool.
+fn direct_twin(system: &Lambada, tables: &[&str]) -> Lambada {
+    let config = LambadaConfig { transport: TransportKind::Direct, ..system.config().clone() };
+    let mut twin = Lambada::install(system.cloud(), config);
+    for name in tables {
+        twin.register_table(system.table(name).unwrap());
+    }
+    twin
 }
 
 fn run_distributed(
@@ -395,12 +408,12 @@ fn q3_group_by_runs_repartitioned_and_matches_reference() {
             .unwrap();
 
     // The object store first, then the direct transport on the same DAG.
+    let direct_system = direct_twin(&system, &["lineitem", "orders"]);
     let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
     let (report, direct) = sim.block_on(async {
         let dag = system.plan(&plan).unwrap();
-        let on = |kind| ExecPolicy { transport: Some(kind), ..ExecPolicy::default() };
-        let store = system.run_dag_with(&dag, &on(TransportKind::ObjectStore)).await.unwrap();
-        (store, system.run_dag_with(&dag, &on(TransportKind::Direct)).await.unwrap())
+        let store = system.run_dag(&dag).await.unwrap();
+        (store, direct_system.run_dag(&dag).await.unwrap())
     });
     assert_quiescent(&sim, &cloud, &config, queues);
     assert_batches_close(&report.batch, &reference);
@@ -825,7 +838,7 @@ fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
         stage_table_real(&cloud, "tpch-uneven", "lineitem", lineitem_schema(), uneven, rows, 3);
     system.register_table(li);
 
-    let on = |kind| ExecPolicy { transport: Some(kind), ..ExecPolicy::default() };
+    let direct_system = direct_twin(&system, &["lineitem", "orders"]);
     let mut lineitem_puts = Vec::new();
     for plan in [
         lambada::workloads::q1("lineitem"),
@@ -837,8 +850,8 @@ fn inline_and_file_senders_mix_bit_identically_on_both_transports() {
         let dag = system.plan(&plan).unwrap();
         let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
         let (store, direct) = sim.block_on(async {
-            let store = system.run_dag_with(&dag, &on(TransportKind::ObjectStore)).await.unwrap();
-            (store, system.run_dag_with(&dag, &on(TransportKind::Direct)).await.unwrap())
+            let store = system.run_dag(&dag).await.unwrap();
+            (store, direct_system.run_dag(&dag).await.unwrap())
         });
         assert_quiescent(&sim, &cloud, &config, queues);
         assert_eq!(direct.batch, store.batch, "the transports agree bit for bit");

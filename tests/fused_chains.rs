@@ -889,7 +889,7 @@ fn a_small_scan_folds_into_its_one_worker_readers_invocation() {
             assert_eq!((launch.workers[li], launch.workers[join]), (1, 1));
             assert_ne!(launch.placement[li], Placement::Apart);
             assert!(one_invocation(launch, li, join));
-            let runs = &launch.scans[li].as_ref().unwrap().1;
+            let runs = &launch.scans[li].as_ref().unwrap().chunks;
             assert_eq!((runs.len(), runs[0].clone()), (1, 0..8), "one run of every file");
         });
     }

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lambada::core::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, Placement, SortStrategy, TransportKind,
-};
+use lambada::core::{AggStrategy, Lambada, LambadaConfig, Placement, SortStrategy, TransportKind};
 use lambada::engine::{
     execute_into_batch, lit_i64, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, Schema, SortKey,
@@ -194,6 +192,20 @@ struct Staged {
     catalog: Catalog,
 }
 
+/// A second installation on `system`'s cloud, configured like it but on
+/// the direct transport, over the same registered `tables`: a query runs
+/// on both wires by running on both installations. Make it before the
+/// first run — installing re-registers the worker function, which
+/// empties its warm pool.
+fn direct_twin(system: &Lambada, tables: &[&str]) -> Lambada {
+    let config = LambadaConfig { transport: TransportKind::Direct, ..system.config().clone() };
+    let mut twin = Lambada::install(system.cloud(), config);
+    for name in tables {
+        twin.register_table(system.table(name).unwrap());
+    }
+    twin
+}
+
 fn stage_three_tables(case: &MultiwayCase, config: LambadaConfig) -> Staged {
     stage_three_tables_in(case, [case.files; 3], config)
 }
@@ -336,13 +348,13 @@ proptest! {
             .build();
         let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
         let system = staged.system;
+        let direct = direct_twin(&system, &["t", "u", "v"]);
         let runs = staged.sim.block_on(async move {
             let dag = system.plan(&plan).unwrap();
             let mut runs = Vec::new();
-            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+            for system in [&system, &direct] {
                 let relayed = system.cloud().p2p.counters();
-                let report = system.run_dag_with(&dag, &policy).await.unwrap();
+                let report = system.run_dag(&dag).await.unwrap();
                 let (sends, bytes, _) = system.cloud().p2p.counters();
                 runs.push((report, (sends - relayed.0, bytes - relayed.1)));
             }
@@ -384,12 +396,12 @@ proptest! {
         let plan = multiway_plan(&case);
         let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
         let system = staged.system;
+        let direct = direct_twin(&system, &["t", "u", "v"]);
         let reports = staged.sim.block_on(async move {
             let dag = system.plan(&plan).unwrap();
             let mut reports = Vec::new();
-            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
-                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+            for system in [&system, &direct] {
+                reports.push(system.run_dag(&dag).await.unwrap());
             }
             reports
         });
@@ -435,6 +447,7 @@ proptest! {
         });
         let reference = execute_into_batch(&plan, &staged.catalog).unwrap();
         let system = staged.system;
+        let direct = direct_twin(&system, &["t", "u", "v"]);
         let (fused, reports) = staged.sim.block_on(async move {
             let dag = system.plan(&plan).unwrap();
             // Co-hosted scans count with the fused stages: each runs in
@@ -443,9 +456,8 @@ proptest! {
             let fused = placement.iter().filter(|&&p| p != Placement::Apart).count();
             let mut reports = Vec::new();
             // Cold first, then warm on each transport.
-            for transport in [TransportKind::ObjectStore, TransportKind::ObjectStore, TransportKind::Direct] {
-                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
-                reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+            for system in [&system, &system, &direct] {
+                reports.push(system.run_dag(&dag).await.unwrap());
             }
             (fused, reports)
         });
@@ -574,13 +586,13 @@ proptest! {
             });
             let table = stage_table_real(&cloud, "data", "u", schema.clone(), files.clone(), rows as u64, 2);
             system.register_table(table);
+            let direct = direct_twin(&system, &["u"]);
             let plan = plan.clone();
             let reports = sim.block_on(async move {
                 let dag = system.plan(&plan).unwrap();
                 let mut reports = Vec::new();
-                for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-                    let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
-                    reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+                for system in [&system, &direct] {
+                    reports.push(system.run_dag(&dag).await.unwrap());
                 }
                 reports
             });
@@ -807,14 +819,14 @@ proptest! {
         }
         let reference = execute_into_batch(&plans[1], &catalog).unwrap();
 
+        let direct = direct_twin(&system, &["t", "u"]);
         let runs = sim.block_on(async move {
             let mut runs = Vec::new();
-            for transport in [TransportKind::ObjectStore, TransportKind::Direct] {
-                let policy = ExecPolicy { transport: Some(transport), ..ExecPolicy::default() };
+            for system in [&system, &direct] {
                 let mut reports = Vec::new();
                 for plan in &plans {
                     let dag = system.plan(plan).unwrap();
-                    reports.push(system.run_dag_with(&dag, &policy).await.unwrap());
+                    reports.push(system.run_dag(&dag).await.unwrap());
                 }
                 runs.push(reports);
             }

@@ -13,9 +13,10 @@
 //! unless the probe scan hosts a one-worker join, whose probe rows then
 //! cross no wire at all.
 //!
-//! Both runs execute on the *same* installation over the same staged
-//! files, so any divergence is attributable to the transport alone. All
-//! columns are integer-valued: "bitwise" has no float tolerance.
+//! Both runs execute over the same staged files on one cloud, on two
+//! installations configured alike but for the transport, so any
+//! divergence is attributable to the transport alone. All columns are
+//! integer-valued: "bitwise" has no float tolerance.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 
 use lambada::core::message::INLINE_EDGE_BYTES;
 use lambada::core::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, TransportKind,
+    AggStrategy, Lambada, LambadaConfig, QueryReport, SortStrategy, TransportKind,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{
@@ -138,12 +139,10 @@ fn probe_hosted(store: &QueryReport, direct: &QueryReport) -> bool {
     })
 }
 
-fn policy(kind: TransportKind) -> ExecPolicy {
-    ExecPolicy { transport: Some(kind), ..ExecPolicy::default() }
-}
-
-/// Stage both tables, install with `config`, and run `plan` twice on the
-/// same installation — object-store baseline first, direct second.
+/// Stage both tables, install with `config` once per transport — both
+/// before either runs, since installing re-registers the worker function
+/// and empties its warm pool — and run `plan` on each: object-store
+/// baseline first, direct second.
 fn run_on_both_transports(
     probe_keys: &[i64],
     build_keys: &[i64],
@@ -174,15 +173,18 @@ fn run_on_both_transports(
         build_keys.len() as u64,
         2,
     );
-    let mut system = Lambada::install(&cloud, config);
-    system.register_table(lspec);
-    system.register_table(rspec);
+    let on = |transport| {
+        let mut system = Lambada::install(&cloud, LambadaConfig { transport, ..config.clone() });
+        system.register_table(lspec.clone());
+        system.register_table(rspec.clone());
+        system
+    };
+    let (store, direct) = (on(TransportKind::ObjectStore), on(TransportKind::Direct));
     let plan = plan.clone();
     sim.block_on(async move {
-        let dag = system.plan(&plan).unwrap();
-        let store = system.run_dag_with(&dag, &policy(TransportKind::ObjectStore)).await.unwrap();
-        let direct = system.run_dag_with(&dag, &policy(TransportKind::Direct)).await.unwrap();
-        (store, direct)
+        let dag = store.plan(&plan).unwrap();
+        let store = store.run_dag(&dag).await.unwrap();
+        (store, direct.run_dag(&dag).await.unwrap())
     })
 }
 

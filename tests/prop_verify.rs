@@ -207,7 +207,7 @@ proptest! {
                 prop_assert_eq!(launch.partitions[p], launch.workers[c], "edge {} → {}", p, c);
             }
             prop_assert_eq!(
-                launch.sort_edges[p].is_some(),
+                launch.sort_reader(p).is_some(),
                 matches!(kind.output(), StageOutput::SortExchange),
                 "stage {}", p
             );

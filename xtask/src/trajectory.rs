@@ -16,6 +16,13 @@
 //! `correct`, and on a higher `failed` count than OLD's. A seed of OLD
 //! that NEW did not run is fine: CI runs seed 1 against a file of four.
 //!
+//! `cargo xtask trajectory --coverage A B` checks `GATED` itself, on two
+//! `--all --seed 1 --traced` runs of one commit: it fails on a checked
+//! row ([`checked`]) that is bit-equal in A and B on every workload it
+//! appears in but is not gated — a row the simulation fixes that no gate
+//! holds — and on a gated row that differs between A and B, which reads
+//! the host and would fail every gate by chance.
+//!
 //! The layout it reads is one array of `{seed, seconds, workloads: {name:
 //! {correct, attempted, failed, metrics: {name: {value, unit}}}}}`.
 
@@ -85,11 +92,29 @@ const GATED: [&str; 45] = [
     "sim.s3.put_requests",
 ];
 
-/// `cargo xtask trajectory OLD NEW`.
+/// The end-to-end rows of `BENCHMARK.json` that read the virtual clock
+/// or the bill; the others (setup, host milliseconds, RSS) read the host.
+const VIRTUAL_END_TO_END: [&str; 4] =
+    ["op_span_virtual_s", "op_span_virtual_p90_s", "op_cost_usd", "ops_per_virtual_s"];
+
+/// Whether the coverage check reads `metric`: every `core.*` and `sim.*`
+/// row and the virtual end-to-end rows.
+fn checked(metric: &str) -> bool {
+    metric.starts_with("core.")
+        || metric.starts_with("sim.")
+        || VIRTUAL_END_TO_END.contains(&metric)
+}
+
+/// `cargo xtask trajectory OLD NEW` and `cargo xtask trajectory
+/// --coverage A B`.
 pub fn run(args: &[String]) -> ExitCode {
-    let [old, new] = args else {
-        eprintln!("usage: cargo xtask trajectory OLD NEW");
-        return ExitCode::from(2);
+    let (coverage_check, old, new) = match args {
+        [flag, a, b] if flag == "--coverage" => (true, a, b),
+        [old, new] => (false, old, new),
+        _ => {
+            eprintln!("usage: cargo xtask trajectory [--coverage] OLD NEW");
+            return ExitCode::from(2);
+        }
     };
     let read = |path: &str| {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -102,6 +127,18 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if coverage_check {
+        let failures = coverage(&old_runs, &new_runs);
+        for f in &failures {
+            println!("FAIL {f}");
+        }
+        if failures.is_empty() {
+            println!("xtask trajectory: GATED covers every row that repeats in {old} and {new}");
+            return ExitCode::SUCCESS;
+        }
+        println!("xtask trajectory: {} coverage failure(s)", failures.len());
+        return ExitCode::FAILURE;
+    }
     let (lines, failures) = compare(&old_runs, &new_runs);
     for line in &lines {
         println!("{line}");
@@ -175,6 +212,38 @@ fn compare(old: &Runs, new: &Runs) -> (Vec<String>, Vec<String>) {
     (lines, failures)
 }
 
+/// Hold [`GATED`] to two runs `a` and `b` of one commit: the failures,
+/// empty when every checked row that repeats bit for bit on every
+/// workload and seed both runs share is gated, and every gated row
+/// repeats. Two runs that share no workload check nothing, and fail.
+fn coverage(a: &Runs, b: &Runs) -> Vec<String> {
+    let mut failures = Vec::new();
+    // By metric: whether it repeated on every shared workload so far.
+    let mut repeats: BTreeMap<&str, bool> = BTreeMap::new();
+    for (seed, a_rows) in a {
+        let Some(b_rows) = b.get(seed) else { continue };
+        for (name, x) in a_rows {
+            let Some(y) = b_rows.get(name) else { continue };
+            for (metric, u) in &x.metrics {
+                let Some(v) = y.metrics.get(metric) else { continue };
+                let equal = u.to_bits() == v.to_bits();
+                *repeats.entry(metric).or_insert(true) &= equal;
+                if !equal && GATED.contains(&metric.as_str()) {
+                    failures.push(format!("seed {seed} {name} {metric}: gated, but {u} and {v}"));
+                }
+            }
+        }
+    }
+    if repeats.is_empty() {
+        failures.push("the two runs share no workload".to_string());
+    }
+    let uncovered = repeats.iter().filter(|(m, &equal)| equal && checked(m) && !GATED.contains(m));
+    for (metric, _) in uncovered {
+        failures.push(format!("{metric}: repeats bit for bit on every workload, but is not gated"));
+    }
+    failures
+}
+
 /// Parse a run document.
 fn parse_runs(text: &str) -> Result<Runs, String> {
     let mut runs = Runs::new();
@@ -240,6 +309,45 @@ mod tests {
         let got = failures(SAMPLE, &new);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].starts_with("seed 1 scan_agg op_span_virtual_s"), "{got:?}");
+    }
+
+    /// Two one-workload runs of one seed, with a gated row, a checked row
+    /// and a host row each taking the given values.
+    fn pair(gated: [f64; 2], checked: [f64; 2], host: [f64; 2]) -> (Runs, Runs) {
+        let run = |k: usize| {
+            let m = |v: f64| format!(r#"{{"value": {v}, "unit": "s"}}"#);
+            let text = format!(
+                r#"[{{"seed": 1, "seconds": 10, "workloads": {{"scan_agg": {{"correct": true, "attempted": 3, "failed": 0, "metrics": {{"op_span_virtual_s": {}, "core.verify.ms": {}, "host_ms_per_op": {}}}}}}}}}]"#,
+                m(gated[k]),
+                m(checked[k]),
+                m(host[k]),
+            );
+            parse_runs(&text).unwrap()
+        };
+        (run(0), run(1))
+    }
+
+    #[test]
+    fn a_gated_list_that_covers_every_repeating_row_passes() {
+        // The checked row and the host row read the host: they differ.
+        let (a, b) = pair([0.5, 0.5], [1.5, 1.25], [22.0, 22.0]);
+        assert_eq!(coverage(&a, &b), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_repeating_checked_row_missing_from_the_list_fails() {
+        let (a, b) = pair([0.5, 0.5], [1.5, 1.5], [22.0, 23.0]);
+        let got = coverage(&a, &b);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].starts_with("core.verify.ms: repeats"), "{got:?}");
+    }
+
+    #[test]
+    fn a_gated_row_that_flaps_fails() {
+        let (a, b) = pair([0.5, 0.75], [1.5, 1.25], [22.0, 22.0]);
+        let got = coverage(&a, &b);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].starts_with("seed 1 scan_agg op_span_virtual_s: gated"), "{got:?}");
     }
 
     #[test]
