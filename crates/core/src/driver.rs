@@ -216,9 +216,10 @@ impl Default for LambadaConfig {
     }
 }
 
-/// Scheduling constraints one query executes under. Plain
-/// [`Lambada::run_dag`] calls use the default (no gate, no cap, the
-/// `"local"` tenant); the query service builds one per admitted query.
+/// Scheduling constraints the driver enforces on one query: the worker
+/// gate and the fleet cap. Plain [`Lambada::run_dag`] calls use the
+/// default (no gate, no cap); the query service builds one per admitted
+/// query, and stamps the tenant and span on the report itself.
 #[derive(Clone, Default)]
 pub struct ExecPolicy {
     /// Global in-flight worker gate shared across concurrent queries; a
@@ -228,10 +229,6 @@ pub struct ExecPolicy {
     /// Cap on cost-model-sized fleets (contention shrinking). Fleets the
     /// installation pins explicitly stay pinned.
     pub fleet_cap: Option<usize>,
-    /// Tenant the query is billed to (`None` ⇒ `"local"`).
-    pub tenant: Option<String>,
-    /// Submission time; `span_secs` then includes admission queueing.
-    pub submitted: Option<lambada_sim::SimTime>,
 }
 
 /// Per-stage execution summary of one query.
@@ -323,7 +320,8 @@ impl StageReport {
 pub struct QueryReport {
     /// The query result.
     pub batch: RecordBatch,
-    /// Tenant the query ran for (`"local"` outside the query service).
+    /// Tenant the query ran for: `"local"` as the driver returns it; the
+    /// query service stamps the submitting tenant.
     pub tenant: String,
     /// Driver-assigned query id (the `q{id}` of the query's exchange
     /// channels and result queues) — what [`crate::worker::inject_query_worker_faults`]
@@ -333,8 +331,9 @@ pub struct QueryReport {
     /// result collection (§5.1's measurement definition).
     pub latency_secs: f64,
     /// Submission → completion span in (virtual) seconds. Equals
-    /// `latency_secs` for direct `run_dag` calls; under the query service
-    /// it additionally counts time queued in admission control.
+    /// `latency_secs` as the driver returns it; the query service stamps
+    /// the span from submission at the instant the driver returned, so it
+    /// also counts the time queued in admission control.
     pub span_secs: f64,
     /// Seconds spent in driver-side invocation calls, summed over stages.
     pub invoke_secs: f64,
@@ -397,16 +396,11 @@ impl QueryReport {
         self.workers as u64 + self.backup_invocations()
     }
 
-    /// Requests the query is charged for under per-tenant budget
-    /// accounting: exact S3 requests plus worker invocations. Unlike
-    /// [`QueryReport::cost`], attribution stays exact when queries run
-    /// concurrently.
-    pub fn request_count(&self) -> u64 {
-        self.s3_requests() + self.invocations()
-    }
-
-    /// Dollar cost of [`QueryReport::request_count`] at the given prices
-    /// — the request-$ drawn against a tenant's budget.
+    /// Dollar cost of the query's exact S3 requests
+    /// ([`QueryReport::s3_requests`]) and worker invocations
+    /// ([`QueryReport::invocations`]) at the given prices — the request-$
+    /// drawn against a tenant's budget. Unlike [`QueryReport::cost`],
+    /// attribution stays exact when queries run concurrently.
     pub fn request_dollars(&self, prices: &lambada_sim::Prices) -> f64 {
         self.stages.iter().map(|s| s.request_dollars(prices)).sum::<f64>()
             + self.invocations() as f64 * prices.lambda_request
@@ -652,11 +646,15 @@ impl<'a> LaunchPlan<'a> {
     /// the consumer's other inputs have most time to complete before the
     /// host needs them. Every *other* such input that reads no edge — a
     /// scan — is co-hosted: it runs in the same invocation, beside the
-    /// chain, so a chain plus its co-hosted scans is one invocation. A
+    /// chain, so a chain plus its co-hosted scans is one invocation — but
+    /// only while the inline files of every scan in that invocation, which
+    /// all ride its one payload, fit `invoke::inline_file_budget` of one
+    /// worker (`inline_file_bytes`); past it the scan stays apart. A
     /// chain launches when its head may, and a member's remaining in-edge
-    /// reaches it through its inbox. Placement reads fleet sizes only: a
-    /// scan the launch plan folded into one worker is placed like any
-    /// other one-worker input, as its reader's host or co-hosted.
+    /// reaches it through its inbox. Placement reads fleet sizes and
+    /// inline bytes only: a scan the launch plan folded into one worker is
+    /// placed like any other one-worker input, as its reader's host or
+    /// co-hosted.
     pub fn wire(
         edges: EdgeTable<'a>,
         pins: Vec<Option<usize>>,
@@ -668,6 +666,8 @@ impl<'a> LaunchPlan<'a> {
         // Stages are in topological order, so every input's chain depth
         // is final before its reader picks a host.
         let (mut placement, mut depth) = (vec![Placement::Apart; n], vec![1usize; n]);
+        // The inline file bytes of each one-worker stage's invocation so far.
+        let mut carried: Vec<u64> = (0..n).map(|s| inline_file_bytes(&scans, [s])).collect();
         for c in (0..n).filter(|&c| workers[c] == 1) {
             let sole_reader = |p: &usize| match edges.readers[*p][..] {
                 [Reader { stage: Some(r), .. }] => r == c,
@@ -681,9 +681,13 @@ impl<'a> LaunchPlan<'a> {
             if let Some(h) = host {
                 placement[h] = Placement::Fused;
                 depth[c] = depth[h] + 1;
+                carried[c] += carried[h];
                 let scan = |p: &usize| edges.dag.stages[*p].inputs().is_empty();
                 for p in candidates.into_iter().filter(|&p| p != h).filter(scan) {
-                    placement[p] = Placement::CoHosted;
+                    if carried[c] + carried[p] <= invoke::inline_file_budget(1) {
+                        placement[p] = Placement::CoHosted;
+                        carried[c] += carried[p];
+                    }
                 }
             }
         }
@@ -698,7 +702,9 @@ impl<'a> LaunchPlan<'a> {
         };
         // A chain head's payload carries its chain's co-hosted inline files
         // beside its in-edges' inline sections.
-        let beside: Vec<usize> = (0..n).map(|c| launch.cohosted_inline_bytes(c)).collect();
+        let carries = |c: usize| inline_file_bytes(&launch.scans, launch.chain(c)) as usize;
+        let beside: Vec<usize> =
+            (0..n).map(|c| if launch.is_chain_head(c) { carries(c) } else { 0 }).collect();
         let (edges, workers) = (&launch.edges, &launch.workers);
         for (pid, readers) in edges.readers.iter().enumerate() {
             for reader in readers {
@@ -717,19 +723,6 @@ impl<'a> LaunchPlan<'a> {
             }
         }
         launch
-    }
-
-    /// The inline file bytes of the scans co-hosted in `sid`'s chain, if
-    /// `sid` heads one: its payload carries them. A co-hosted scan has one
-    /// worker, so its one run of files.
-    fn cohosted_inline_bytes(&self, sid: usize) -> usize {
-        if !self.is_chain_head(sid) {
-            return 0;
-        }
-        let cohosted =
-            self.chain(sid).into_iter().filter(|&p| self.placement[p] == Placement::CoHosted);
-        let files = cohosted.filter_map(|p| self.scans[p].as_ref()).flat_map(|s| s.files(0));
-        files.map(|f| f.inline_bytes() as usize).sum()
     }
 
     /// The sort stage that reads `sid`'s out-edge, if one does: its fleet
@@ -797,6 +790,17 @@ impl<'a> LaunchPlan<'a> {
         };
         members.flat_map(|sid| cohosted(sid).chain([sid])).collect()
     }
+}
+
+/// The inline file bytes one invocation running `stages` carries: each
+/// scan among them rides its payload with its first run of files — its
+/// only one, for a scan of one worker, as every scan in a chain is.
+fn inline_file_bytes(
+    scans: &[Option<Rc<ScanFiles>>],
+    stages: impl IntoIterator<Item = usize>,
+) -> u64 {
+    let files = stages.into_iter().filter_map(|s| scans[s].as_ref()).flat_map(|f| f.files(0));
+    files.map(TableFile::inline_bytes).sum()
 }
 
 /// Result of one fleet launch: the collected worker reports plus timing.
@@ -1066,11 +1070,12 @@ impl Lambada {
             let Some(invocation) = heads.map(|h| folded.chain(h)).find(|s| s.contains(&p)) else {
                 continue;
             };
-            let files = |s: &usize| folded_scans[*s].as_ref().map(|f| &f.table.files[..]);
-            let inline = invocation.iter().filter_map(files).flatten().map(TableFile::inline_bytes);
-            if inline.sum::<u64>() > invoke::inline_file_budget(1) {
+            if inline_file_bytes(&folded_scans, invocation.iter().copied())
+                > invoke::inline_file_budget(1)
+            {
                 continue;
             }
+            let files = |s: &usize| folded_scans[*s].as_ref().map(|f| &f.table.files[..]);
             let beside = invocation.iter().filter(|&&s| s != p).filter_map(files).flatten();
             let beside: u64 = beside.map(|f| f.size - f.inline_bytes()).sum();
             let total = table.total_bytes().max(1) as f64;
@@ -1257,14 +1262,13 @@ impl Lambada {
         let (batch, agg_state) = self.finalize(&dag.final_stage, &reported)?;
         let now = self.cloud.handle.now();
         let latency_secs = (now - start).as_secs_f64();
-        let span_secs = (now - policy.submitted.unwrap_or(start)).as_secs_f64();
         let cost = self.cloud.billing.snapshot().since(&cost_before);
         Ok(QueryReport {
             batch,
-            tenant: policy.tenant.clone().unwrap_or_else(|| "local".to_string()),
+            tenant: "local".to_string(),
             query_id: qid,
             latency_secs,
-            span_secs,
+            span_secs: latency_secs,
             invoke_secs,
             cost,
             workers: workers_total,

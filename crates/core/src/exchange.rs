@@ -76,7 +76,7 @@ use lambada_sim::SimHandle;
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
 use crate::exchange_cost::ExchangeAlgo;
-use crate::routing::{Grid, HyperGrid};
+use crate::routing::{kroot_ceil, Grid, HyperGrid};
 
 /// One partition's payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -623,8 +623,9 @@ fn backoff(base: Duration, polls: usize) -> Duration {
 
 /// Run worker `p`'s side of the exchange among `total` workers.
 /// `parts[d]` is the data this worker holds for final partition `d`; a
-/// worker outside the exchange, or a part list of another length, is a
-/// typed error.
+/// worker outside the exchange, a part list of another length, or a
+/// three-level exchange whose fleet is not a perfect cube
+/// ([`HyperGrid`]) is a typed error.
 pub async fn run_exchange(
     env: &WorkerEnv,
     cfg: &ExchangeConfig,
@@ -637,6 +638,10 @@ pub async fn run_exchange(
         let held = parts.len();
         let task = format!("worker {p} holding {held} parts of a {total}-worker exchange");
         return Err(CoreError::Engine(task));
+    }
+    if cfg.algo == ExchangeAlgo::ThreeLevel && kroot_ceil(total, 3).pow(3) != total {
+        let fleet = format!("worker {p} of a {total}-worker exchange: three levels need a cube");
+        return Err(CoreError::Engine(fleet));
     }
     let conn = Semaphore::new(16);
     let mut held: Vec<(u32, PartData)> =

@@ -1,15 +1,17 @@
 //! Admission control: per-tenant budgets and weighted fair queueing.
 //!
 //! Every submission first passes a budget check (reject outright rather
-//! than queue a query that could never be afforded), then reserves its
-//! [`super::QueryEstimate`] and waits in the fair queue. Dispatch picks,
-//! among tenants with headroom, the waiter whose tenant has the smallest
-//! *virtual time* — a per-tenant clock advanced by `cost / weight` at
-//! every grant — so a burst from one tenant interleaves with, rather
-//! than starves, everyone else, and a higher weight drains a tenant's
-//! queue proportionally faster. When a query settles, its reservation is
-//! replaced by the exact actuals from the [`crate::QueryReport`] request
-//! counters and the next waiter dispatches.
+//! than queue a query that could never be afforded), then reserves the
+//! request-$ of its [`super::QueryEstimate`] and waits in the fair
+//! queue. Dispatch picks, among tenants with headroom, the waiter whose
+//! tenant has the smallest *virtual time* — a per-tenant clock advanced
+//! by `cost / weight` at every grant — so a burst from one tenant
+//! interleaves with, rather than starves, everyone else, and a higher
+//! weight drains a tenant's queue proportionally faster. When a query
+//! settles, its reservation is replaced by its exact request-$
+//! ([`crate::QueryReport::request_dollars`]) and the next waiter
+//! dispatches. Request-$ is the one spend measure:
+//! the paper prices every GET, PUT, LIST and invocation (§4.3.1, §4.4).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -26,13 +28,10 @@ pub struct TenantBudget {
     /// Queries this tenant may have executing at once; further
     /// submissions queue (they are not rejected).
     pub max_concurrent_queries: usize,
-    /// Lifetime request budget (S3 requests + worker invocations, the
-    /// [`crate::QueryReport::request_count`] measure); `None` = unmetered.
-    /// Submissions whose estimate would overdraw it are rejected.
-    pub max_requests: Option<u64>,
-    /// Lifetime request-$ budget ([`crate::QueryReport::request_dollars`],
-    /// priced from the cloud's [`lambada_sim::Prices`]); `None` =
-    /// unmetered.
+    /// Lifetime request-$ budget: the S3 requests and worker invocations
+    /// of [`crate::QueryReport::request_dollars`], priced from the cloud's
+    /// [`lambada_sim::Prices`]; `None` = unmetered. Submissions whose
+    /// estimate would overdraw it are rejected.
     pub max_request_dollars: Option<f64>,
     /// Fair-queueing weight: a tenant with weight 2 drains its backlog
     /// twice as fast as a weight-1 tenant under contention.
@@ -41,12 +40,7 @@ pub struct TenantBudget {
 
 impl Default for TenantBudget {
     fn default() -> Self {
-        TenantBudget {
-            max_concurrent_queries: 4,
-            max_requests: None,
-            max_request_dollars: None,
-            weight: 1.0,
-        }
+        TenantBudget { max_concurrent_queries: 4, max_request_dollars: None, weight: 1.0 }
     }
 }
 
@@ -62,10 +56,11 @@ pub struct TenantUsage {
     pub completed: u64,
     pub failed: u64,
     pub rejected: u64,
-    /// Exact requests charged (settled queries only).
-    pub requests_used: u64,
     /// Exact request-$ charged (settled queries only).
     pub request_dollars_used: f64,
+    /// Request-$ reserved by the estimates of queries queued or running:
+    /// 0 once every submission has settled.
+    pub reserved_dollars: f64,
     /// Submission → completion spans of completed queries, in
     /// completion order (percentile fodder for rollups and benches).
     pub spans_secs: Vec<f64>,
@@ -76,8 +71,10 @@ struct TenantState {
     running: usize,
     /// Weighted-fair-queueing virtual time.
     vtime: f64,
-    reserved_requests: u64,
-    reserved_dollars: f64,
+    /// The request-$ of every reservation not yet settled. Kept whole
+    /// rather than as a running sum, so that it is exactly 0 with none
+    /// left however concurrent reservations were added and released.
+    reserved: Vec<f64>,
     usage: TenantUsage,
 }
 
@@ -87,10 +84,20 @@ impl TenantState {
             budget,
             running: 0,
             vtime: 0.0,
-            reserved_requests: 0,
-            reserved_dollars: 0.0,
+            reserved: Vec::new(),
             usage: TenantUsage { tenant: tenant.to_string(), ..TenantUsage::default() },
         }
+    }
+
+    fn reserved_dollars(&self) -> f64 {
+        self.reserved.iter().sum()
+    }
+
+    /// Drop the reservation `est` made.
+    fn release(&mut self, est: &QueryEstimate) {
+        let made = |d: &f64| d.to_bits() == est.request_dollars.to_bits();
+        let i = self.reserved.iter().position(made).expect("settled estimate was reserved");
+        self.reserved.swap_remove(i);
     }
 }
 
@@ -179,22 +186,8 @@ impl AdmissionController {
                     reason: "tenant concurrency budget is zero".to_string(),
                 });
             }
-            if let Some(max) = t.budget.max_requests {
-                let committed = t.usage.requests_used + t.reserved_requests;
-                if committed + est.requests > max {
-                    t.usage.rejected += 1;
-                    return Err(CoreError::Rejected {
-                        tenant: tenant.to_string(),
-                        reason: format!(
-                            "request budget exhausted: {committed} used/reserved + {} estimated \
-                             > {max}",
-                            est.requests
-                        ),
-                    });
-                }
-            }
             if let Some(max) = t.budget.max_request_dollars {
-                let committed = t.usage.request_dollars_used + t.reserved_dollars;
+                let committed = t.usage.request_dollars_used + t.reserved_dollars();
                 if committed + est.request_dollars > max {
                     t.usage.rejected += 1;
                     return Err(CoreError::Rejected {
@@ -207,8 +200,7 @@ impl AdmissionController {
                     });
                 }
             }
-            t.reserved_requests += est.requests;
-            t.reserved_dollars += est.request_dollars;
+            t.reserved.push(est.request_dollars);
             t.usage.queued += 1;
             let (grant, rx) = oneshot::channel();
             st.waiting.push(Waiter {
@@ -231,7 +223,6 @@ impl AdmissionController {
         &self,
         tenant: &str,
         est: &QueryEstimate,
-        requests: u64,
         dollars: f64,
         span_secs: f64,
     ) {
@@ -240,9 +231,7 @@ impl AdmissionController {
             st.running -= 1;
             let t = st.tenants.get_mut(tenant).expect("settled tenant exists");
             t.running -= 1;
-            t.reserved_requests -= est.requests;
-            t.reserved_dollars -= est.request_dollars;
-            t.usage.requests_used += requests;
+            t.release(est);
             t.usage.request_dollars_used += dollars;
             t.usage.completed += 1;
             t.usage.spans_secs.push(span_secs);
@@ -261,8 +250,7 @@ impl AdmissionController {
             st.running -= 1;
             let t = st.tenants.get_mut(tenant).expect("settled tenant exists");
             t.running -= 1;
-            t.reserved_requests -= est.requests;
-            t.reserved_dollars -= est.request_dollars;
+            t.release(est);
             t.usage.failed += 1;
         }
         self.dispatch();
@@ -316,5 +304,5 @@ impl AdmissionController {
 }
 
 fn snapshot_usage(t: &TenantState) -> TenantUsage {
-    TenantUsage { running: t.running, ..t.usage.clone() }
+    TenantUsage { running: t.running, reserved_dollars: t.reserved_dollars(), ..t.usage.clone() }
 }

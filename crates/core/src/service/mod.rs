@@ -8,7 +8,7 @@
 //! handles that resolve to [`QueryReport`]s as queries finish. Between
 //! submission and execution sits an admission controller
 //! (weighted fair queueing across tenants, per-tenant budgets on
-//! concurrency, request count, and request-$) and a global in-flight
+//! concurrency and request-$) and a global in-flight
 //! worker gate that arbitrates the installation's invoke/collect
 //! capacity across the interleaved stage fleets of every running query.
 //!
@@ -144,18 +144,18 @@ impl Drop for WorkerLease {
 }
 
 /// Pre-execution resource envelope of one query — what admission control
-/// reserves against the tenant's budgets until the query settles with
-/// its exact actuals. Deliberately conservative (see `docs/SERVICE.md`):
-/// an under-estimate could let a tenant overshoot its budget, an
-/// over-estimate only delays the tenant's own later submissions.
+/// reserves against the tenant's request-$ budget until the query
+/// settles with its exact [`QueryReport::request_dollars`].
+/// Deliberately conservative (see `docs/SERVICE.md`): an under-estimate
+/// could let a tenant overshoot its budget, an over-estimate only delays
+/// the tenant's own later submissions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryEstimate {
     /// Total planned workers across all stages (uncapped) — also the
     /// query's weighted-fair-queueing cost.
     pub workers: usize,
-    /// Request envelope: S3 GET/PUT/LIST plus worker invocations.
-    pub requests: u64,
-    /// The envelope priced at the cloud's [`lambada_sim::Prices`].
+    /// The request envelope — S3 GETs and PUTs plus worker invocations —
+    /// priced at the cloud's [`lambada_sim::Prices`], with a 2× margin.
     pub request_dollars: f64,
 }
 
@@ -231,6 +231,12 @@ impl QueryService {
         self.gate.as_ref().map_or(0, |g| g.peak_inflight())
     }
 
+    /// Workers holding a lease on the gate right now (0 when the service
+    /// runs ungated, and once every query has returned).
+    pub fn inflight_workers(&self) -> usize {
+        self.gate.as_ref().map_or(0, |g| g.inflight())
+    }
+
     /// Per-tenant usage rollup, sorted by tenant id.
     pub fn usage_report(&self) -> Vec<TenantUsage> {
         self.admission.usage_report()
@@ -246,18 +252,8 @@ impl QueryService {
     /// queueing), execution, and budget settlement all happen in a
     /// spawned task.
     pub fn submit(&self, tenant: &str, plan: &LogicalPlan) -> QueryHandle {
-        let system = Rc::clone(&self.system);
-        let admission = self.admission.clone();
-        let gate = self.gate.clone();
-        let shrink = self.config.shrink_fleets;
-        let tenant = tenant.to_string();
         let plan = plan.clone();
-        let submitted = self.system.cloud().handle.now();
-        let join = self.system.cloud().handle.spawn(async move {
-            let dag = system.plan(&plan)?;
-            admit_and_run(system, admission, gate, shrink, tenant, submitted, dag).await
-        });
-        QueryHandle { join }
+        self.spawn(tenant, move |system| system.plan(&plan))
     }
 
     /// Submit a hand-built stage DAG for `tenant` — the service-side
@@ -266,14 +262,24 @@ impl QueryService {
     /// malformed DAG is rejected with [`crate::CoreError::InvalidPlan`] before
     /// a cent of the tenant's budget is reserved or a worker invoked.
     pub fn submit_dag(&self, tenant: &str, dag: &QueryDag) -> QueryHandle {
+        let dag = dag.clone();
+        self.spawn(tenant, move |_| Ok(dag))
+    }
+
+    /// The one spawn path of both submissions: note the submission time,
+    /// then build the DAG and [`admit_and_run`] it in a task of its own.
+    fn spawn(
+        &self,
+        tenant: &str,
+        dag: impl FnOnce(&Lambada) -> Result<QueryDag> + 'static,
+    ) -> QueryHandle {
         let system = Rc::clone(&self.system);
-        let admission = self.admission.clone();
-        let gate = self.gate.clone();
+        let (admission, gate) = (self.admission.clone(), self.gate.clone());
         let shrink = self.config.shrink_fleets;
         let tenant = tenant.to_string();
-        let dag = dag.clone();
         let submitted = self.system.cloud().handle.now();
         let join = self.system.cloud().handle.spawn(async move {
+            let dag = dag(&system)?;
             admit_and_run(system, admission, gate, shrink, tenant, submitted, dag).await
         });
         QueryHandle { join }
@@ -288,9 +294,12 @@ impl QueryService {
 
 /// The shared back half of [`QueryService::submit`] and
 /// [`QueryService::submit_dag`]: statically verify, estimate, admit,
-/// execute, settle. Verification runs *first* — a malformed plan never
-/// reserves budget, never queues for admission, and never invokes a
-/// worker; the tenant's usage is untouched by the rejection.
+/// execute, stamp, settle. Verification runs *first* — a malformed plan
+/// never reserves budget, never queues for admission, and never invokes
+/// a worker; the tenant's usage is untouched by the rejection. The
+/// driver knows no tenant: the report it returns is stamped here with
+/// its tenant and its span from submission, admission queueing
+/// included, read at the virtual instant the driver returned.
 async fn admit_and_run(
     system: Rc<Lambada>,
     admission: AdmissionController,
@@ -309,18 +318,15 @@ async fn admit_and_run(
         }
         _ => None,
     };
-    let policy =
-        ExecPolicy { gate, fleet_cap, tenant: Some(tenant.clone()), submitted: Some(submitted) };
-    let outcome = system.run_dag_with(&dag, &policy).await;
-    let prices = system.cloud().billing.prices();
-    match &outcome {
-        Ok(report) => admission.settle_success(
-            &tenant,
-            &estimate,
-            report.request_count(),
-            report.request_dollars(&prices),
-            report.span_secs,
-        ),
+    let mut outcome = system.run_dag_with(&dag, &ExecPolicy { gate, fleet_cap }).await;
+    let span_secs = (system.cloud().handle.now() - submitted).as_secs_f64();
+    match &mut outcome {
+        Ok(report) => {
+            report.span_secs = span_secs;
+            let dollars = report.request_dollars(&system.cloud().billing.prices());
+            admission.settle_success(&tenant, &estimate, dollars, span_secs);
+            report.tenant = tenant;
+        }
         Err(_) => admission.settle_failure(&tenant, &estimate),
     }
     outcome
@@ -335,12 +341,13 @@ async fn admit_and_run(
 /// on top.
 const DIRECT_FALLBACK_HEADROOM: f64 = 0.25;
 
-/// The request envelope of one launch plan, before the margin.
+/// The request envelope of one launch plan, before the margin. It has
+/// no LIST term: no stage edge lists ([`stage_edge_counts`],
+/// [`direct_edge_counts`]).
 #[derive(Default)]
 struct Envelope {
     gets: f64,
     puts: f64,
-    lists: f64,
     invocations: u64,
 }
 
@@ -348,7 +355,6 @@ impl Envelope {
     fn add(&mut self, c: RequestCounts) {
         self.gets += c.reads;
         self.puts += c.writes;
-        self.lists += c.lists;
     }
 }
 
@@ -413,17 +419,10 @@ fn estimate_dag(system: &Lambada, launch: &LaunchPlan<'_>) -> QueryEstimate {
     let env = envelope(launch, system.config());
     let prices = system.cloud().billing.prices();
     let margin = 2.0;
-    let invocations = env.invocations as f64;
-    let raw = env.gets + env.puts + env.lists + invocations;
     let dollars = env.gets * prices.s3_get
         + env.puts * prices.s3_put
-        + env.lists * prices.s3_list
-        + invocations * prices.lambda_request;
-    QueryEstimate {
-        workers: launch.workers.iter().sum(),
-        requests: (raw * margin).ceil() as u64,
-        request_dollars: dollars * margin,
-    }
+        + env.invocations as f64 * prices.lambda_request;
+    QueryEstimate { workers: launch.workers.iter().sum(), request_dollars: dollars * margin }
 }
 
 #[cfg(test)]
@@ -475,7 +474,8 @@ mod tests {
             for config in [LambadaConfig::default(), direct.clone()] {
                 let env = envelope(&launch, &config);
                 let s = sorters as f64;
-                assert_eq!((env.gets, env.lists), (8.0 * s, 0.0), "{:?}", config.transport);
+                assert_eq!(env.gets, 8.0 * s, "{:?}", config.transport);
+                assert_eq!(stage_edge_counts(8.0, s).lists, 0.0, "the edge lists nothing");
                 // Result uploads (8 + s) and the edge's PUTs.
                 assert_eq!(env.puts, 8.0 + s + 8.0);
                 assert_eq!(env.invocations, 8 + sorters as u64);

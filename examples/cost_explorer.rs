@@ -224,8 +224,8 @@ fn tenant_rollup() {
     });
     println!(
         "\nper-tenant rollup (5 concurrent queries, 16-worker cap, shrink on):\n  {:<15} {:>4} \
-         {:>9} {:>12} {:>9} {:>9}",
-        "tenant", "done", "requests", "requests [$]", "p50 [s]", "max [s]"
+         {:>12} {:>9} {:>9}",
+        "tenant", "done", "requests [$]", "p50 [s]", "max [s]"
     );
     for u in service.usage_report() {
         let mut spans = u.spans_secs.clone();
@@ -233,8 +233,8 @@ fn tenant_rollup() {
         let p50 = spans.get(spans.len().saturating_sub(1) / 2).copied().unwrap_or(0.0);
         let max = spans.last().copied().unwrap_or(0.0);
         println!(
-            "  {:<15} {:>4} {:>9} {:>12.7} {:>9.2} {:>9.2}",
-            u.tenant, u.completed, u.requests_used, u.request_dollars_used, p50, max
+            "  {:<15} {:>4} {:>12.7} {:>9.2} {:>9.2}",
+            u.tenant, u.completed, u.request_dollars_used, p50, max
         );
     }
 }

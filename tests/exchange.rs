@@ -8,23 +8,16 @@ use lambada::core::exchange::RoundTiming;
 use lambada::core::{
     run_exchange, ComputeCostModel, ExchangeAlgo, ExchangeConfig, ExchangeSide, PartData, WorkerEnv,
 };
-use lambada::sim::services::faas::{cpu_share, Instance, InstanceCtx};
-use lambada::sim::{BurstLink, Cloud, CloudConfig, CostItem, PsResource, Simulation};
+use lambada::sim::services::faas::{Instance, InstanceCtx};
+use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
 
 /// Spin up `total` bare worker environments (no FaaS dispatch — these
 /// tests isolate the exchange itself).
 fn worker_envs(cloud: &Cloud, total: usize, memory_mib: u32) -> Vec<WorkerEnv> {
     (0..total)
         .map(|i| {
-            let instance = Rc::new(Instance {
-                id: i as u64,
-                memory_mib,
-                cpu: PsResource::new(cloud.handle.clone(), cpu_share(memory_mib), 1.0),
-                link: BurstLink::new(
-                    cloud.handle.clone(),
-                    cloud.config.nic.link_config(memory_mib),
-                ),
-            });
+            let link = cloud.config.nic.link_config(memory_mib);
+            let instance = Rc::new(Instance::new(cloud.handle.clone(), i as u64, memory_mib, link));
             let ctx = InstanceCtx::bare(cloud.handle.clone(), instance);
             WorkerEnv::new(cloud, ctx, i as u64, ComputeCostModel::default())
         })
@@ -151,14 +144,14 @@ fn two_level_delivers_ragged_sizes() {
 
 #[test]
 fn three_level_delivers_perfect_cube() {
-    for wc in [false, true] {
+    for (total, wc) in [(8, false), (8, true), (64, true)] {
         let cfg = ExchangeConfig {
             algo: ExchangeAlgo::ThreeLevel,
             write_combining: wc,
             run_id: u64::from(wc),
             ..ExchangeConfig::default()
         };
-        run_real_exchange(8, cfg);
+        run_real_exchange(total, cfg);
     }
 }
 
@@ -250,9 +243,10 @@ fn modeled_exchange_matches_real_request_counts() {
     }
 }
 
-/// A malformed exchange — one among no workers, a worker outside it, or
-/// a part list that is not one part per worker — is a typed error before
-/// any request, not a panic.
+/// A malformed exchange — one among no workers, a worker outside it, a
+/// part list that is not one part per worker, or a three-level one whose
+/// fleet is not a perfect cube (60 workers, where 64 deliver) — is a typed
+/// error before any request, not a panic.
 #[test]
 fn a_malformed_exchange_is_an_error_before_any_request() {
     let sim = Simulation::new();
@@ -262,7 +256,17 @@ fn a_malformed_exchange_is_an_error_before_any_request() {
     let env = worker_envs(&cloud, 1, 2048).remove(0);
     let side = ExchangeSide::new();
     let parts = |n: usize| (0..n).map(|_| PartData::Modeled(1 << 20)).collect::<Vec<_>>();
-    for (p, total, held) in [(0, 0, 0), (3, 2, 2), (0, 2, 3), (1, 2, 1)] {
+    let (one, three) = (ExchangeAlgo::OneLevel, ExchangeAlgo::ThreeLevel);
+    let cases = [
+        (one, 0, 0, 0),
+        (one, 3, 2, 2),
+        (one, 0, 2, 3),
+        (one, 1, 2, 1),
+        (three, 0, 60, 60),
+        (three, 59, 60, 60),
+    ];
+    for (algo, p, total, held) in cases {
+        let cfg = ExchangeConfig { algo, ..cfg.clone() };
         let got = sim.block_on(run_exchange(&env, &cfg, p, total, parts(held), &side));
         let err = got.err().map(|e| e.to_string()).unwrap_or_default();
         assert!(err.contains("-worker exchange"), "worker {p} of {total} holding {held}: {err:?}");

@@ -253,7 +253,8 @@ fn model_sized_tails_fuse_and_match_the_reference() {
             let estimate = service.estimate(&case.plan).unwrap();
             let queues = cloud.sqs.queue_count();
             let report = sim.block_on(service.run("t", &case.plan)).unwrap();
-            assert!(report.request_count() <= estimate.requests, "{what}: an over-estimate");
+            let spent = report.request_dollars(&cloud.billing.prices());
+            assert!(spent <= estimate.request_dollars, "{what}: an over-estimate");
             assert_eq!(report.batch, reference, "{what}: bit for bit");
             // Cold starts spread past a host's bound may make it fall back.
             bounded_fallbacks(&case, &cloud, config.memory_mib, &report, &what);
@@ -920,4 +921,69 @@ fn a_pinned_scan_never_folds() {
             assert_eq!(launch.placement[li], Placement::Apart);
         });
     }
+}
+
+/// Every scan in an invocation rides its one payload with its inline
+/// files, so a scan is co-hosted only while they all fit one worker's
+/// inline budget. Two inline tables of 9,000 rows, one file each, fit it
+/// alone but not together: joined with a count, the smaller scan stays
+/// apart and reaches the join through its inbox, and the query matches
+/// the reference executor bit for bit — where co-hosting it made one
+/// payload past the invoke cap.
+#[test]
+fn inline_scans_that_fit_only_apart_are_not_cohosted() {
+    use lambada::core::{TableFile, TableSpec, INLINE_RESULT_BYTES};
+    use lambada::engine::{AggExpr, AggFunc, Df};
+    use lambada::workloads::{customer_schema, loader, orders_schema};
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    let rows = 9_000;
+    let orders = OrdersStageOptions { rows, num_files: 1, row_groups_per_file: 3, seed: SEED };
+    let customer = CustomerStageOptions { rows, num_files: 1, row_groups_per_file: 3, seed: SEED };
+    // Stage each table as one stored file, then register its bytes inline.
+    let staged = [
+        stage_real_orders(&cloud, "tpch", "orders", orders),
+        stage_real_customer(&cloud, "tpch", "customer", customer),
+    ];
+    let mut sizes = Vec::new();
+    for spec in staged {
+        let s3 = cloud.driver_s3();
+        let key = spec.files[0].key.clone();
+        let body = sim.block_on(async move { s3.get("tpch", &key).await.unwrap() });
+        let file = TableFile::inline(spec.files[0].key.clone(), body);
+        sizes.push(file.inline_bytes());
+        system.register_table(TableSpec::new(&spec.name, spec.schema, vec![file], rows));
+    }
+    let budget = INLINE_RESULT_BYTES as u64;
+    assert!(sizes.iter().all(|&s| s <= budget), "each fits alone: {sizes:?}");
+    assert!(sizes.iter().sum::<u64>() > budget, "not together: {sizes:?}");
+
+    let count = vec![AggExpr::new(AggFunc::Count, None, "n")];
+    let joined = Df::scan("orders", &orders_schema())
+        .join(Df::scan("customer", &customer_schema()), &[("o_custkey", "c_custkey")])
+        .unwrap();
+    let plan = joined.aggregate(vec![], count).unwrap().build();
+    let dag = system.plan(&plan).unwrap();
+    let launch = system.launch_plan(&dag, None).unwrap();
+    assert!(!launch.placement.contains(&Placement::CoHosted), "{:?}", launch.placement);
+    assert!(launch.placement.contains(&Placement::Fused), "the larger scan still hosts");
+
+    let reference = {
+        let mut cat = Catalog::new();
+        let mut register = |name: &str, schema: lambada::engine::Schema, cols| {
+            let schema = Arc::new(schema);
+            let batch = RecordBatch::new(Arc::clone(&schema), cols).unwrap();
+            cat.register(name, Rc::new(MemTable::new(schema, vec![batch]).unwrap()));
+        };
+        let mut orders_cols = loader::generate_orders_file_columns(orders);
+        let mut customer_cols = loader::generate_customer_file_columns(customer);
+        register("orders", orders_schema(), orders_cols.remove(0));
+        register("customer", customer_schema(), customer_cols.remove(0));
+        execute_into_batch(&Optimizer::new().optimize(&plan).unwrap(), &cat).unwrap()
+    };
+    let (config, queues) = (system.config().clone(), cloud.sqs.queue_count());
+    let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    assert_quiescent(&sim, &cloud, &config, queues);
+    assert_eq!(report.batch, reference, "bit for bit");
 }

@@ -1,7 +1,8 @@
 //! The multi-tenant query service: concurrent queries on one
 //! installation must match serial execution, respect per-tenant budgets
 //! and the global worker cap, queue fairly across tenants, and isolate
-//! faults and failures per query — and leave nothing behind.
+//! faults and failures per query — and leave nothing behind: no cloud
+//! resource, no tenant reservation and no worker-gate lease.
 
 mod common;
 
@@ -32,6 +33,17 @@ fn scan_exchange_or_join(p: &WorkerPayload) -> bool {
         (StageKind::Scan(_), StageSink::Edge { .. } | StageSink::SortEdge { .. })
             | (StageKind::Join(_), _)
     )
+}
+
+/// The service's own leak check, once every submission has returned:
+/// every tenant runs and queues nothing and holds no reserved request-$,
+/// and the worker gate holds no lease.
+fn assert_settled(service: &QueryService) {
+    for u in service.usage_report() {
+        assert_eq!((u.running, u.queued), (0, 0), "tenant {} idle", u.tenant);
+        assert_eq!(u.reserved_dollars, 0.0, "tenant {} holds no reservation", u.tenant);
+    }
+    assert_eq!(service.inflight_workers(), 0, "the gate holds no lease");
 }
 
 fn assert_batches_close(a: &RecordBatch, b: &RecordBatch) {
@@ -172,20 +184,17 @@ fn concurrent_service_matches_serial_execution() {
     // reservation invariant (used + reserved ≤ Σ estimates) then makes
     // every submission admissible, and the end-of-run assertion that no
     // tenant exceeded its budget is the real acceptance check.
-    let mut request_budgets: std::collections::HashMap<&str, u64> = Default::default();
     let mut dollar_budgets: std::collections::HashMap<&str, f64> = Default::default();
     for (tenant, plan) in &workload() {
         let est = service.estimate(plan).unwrap();
-        *request_budgets.entry(tenant).or_default() += est.requests;
         *dollar_budgets.entry(tenant).or_default() += est.request_dollars;
     }
-    for (tenant, budget) in &request_budgets {
+    for (tenant, budget) in &dollar_budgets {
         service.set_budget(
             tenant,
             TenantBudget {
                 max_concurrent_queries: 2,
-                max_requests: Some(*budget),
-                max_request_dollars: Some(dollar_budgets[tenant]),
+                max_request_dollars: Some(*budget),
                 weight: 1.0,
             },
         );
@@ -213,6 +222,7 @@ fn concurrent_service_matches_serial_execution() {
         out
     });
     assert_quiescent(&sim, &cloud, &config, queues);
+    assert_settled(&service);
 
     // Bit-identical results vs serial execution, per submission.
     assert_eq!(reports.len(), serial.len());
@@ -240,14 +250,13 @@ fn concurrent_service_matches_serial_execution() {
         assert_eq!(u.completed, 3, "tenant {} finished its three queries", u.tenant);
         assert_eq!(u.failed + u.rejected, 0);
         assert!(
-            u.requests_used <= request_budgets[u.tenant.as_str()],
-            "tenant {} within its request budget: {} <= {}",
+            u.request_dollars_used <= dollar_budgets[u.tenant.as_str()],
+            "tenant {} within its request-$ budget: {} <= {}",
             u.tenant,
-            u.requests_used,
-            request_budgets[u.tenant.as_str()]
+            u.request_dollars_used,
+            dollar_budgets[u.tenant.as_str()]
         );
-        assert!(u.request_dollars_used <= dollar_budgets[u.tenant.as_str()]);
-        assert!(u.requests_used > 0, "exact accounting really accrued");
+        assert!(u.request_dollars_used > 0.0, "exact accounting really accrued");
     }
     for (r, (tenant, _)) in reports.iter().zip(workload().iter()) {
         assert_eq!(&r.tenant, tenant);
@@ -517,7 +526,7 @@ fn heavier_weight_drains_faster() {
 }
 
 /// Per-tenant budgets: submissions whose estimate would overdraw the
-/// request budget are rejected up front, accepted queries are charged
+/// request-$ budget are rejected up front, accepted queries are charged
 /// their exact actuals, and a rejected query leaks nothing.
 #[test]
 fn request_budget_rejects_and_accounts_exactly() {
@@ -534,13 +543,13 @@ fn request_budget_rejects_and_accounts_exactly() {
     );
     let plan = q1("lineitem");
     let est = service.estimate(&plan).unwrap();
-    assert!(est.requests > 0 && est.request_dollars > 0.0);
+    assert!(est.request_dollars > 0.0);
     // Room for one reservation, not two.
-    let budget = est.requests + est.requests / 2;
+    let budget = 1.5 * est.request_dollars;
     service.set_budget(
         "capped",
         TenantBudget {
-            max_requests: Some(budget),
+            max_request_dollars: Some(budget),
             max_concurrent_queries: 4,
             ..TenantBudget::default()
         },
@@ -565,6 +574,7 @@ fn request_budget_rejects_and_accounts_exactly() {
         out
     });
     assert_quiescent(&sim, &cloud, &config, queues);
+    assert_settled(&service);
     assert!(outcomes[0].is_ok(), "first submission fits the budget");
     for (i, o) in outcomes.iter().enumerate().skip(1) {
         match o {
@@ -577,12 +587,12 @@ fn request_budget_rejects_and_accounts_exactly() {
     }
     let capped = service.tenant_usage("capped").unwrap();
     assert_eq!((capped.completed, capped.rejected, capped.failed), (1, 2, 0));
-    assert!(capped.requests_used > 0 && capped.requests_used <= budget);
+    assert!(capped.request_dollars_used > 0.0 && capped.request_dollars_used <= budget);
     assert!(
-        capped.requests_used <= est.requests,
+        capped.request_dollars_used <= est.request_dollars,
         "the conservative estimate covered the actuals: {} <= {}",
-        capped.requests_used,
-        est.requests
+        capped.request_dollars_used,
+        est.request_dollars
     );
     let broke = service.tenant_usage("broke").unwrap();
     assert_eq!((broke.completed, broke.rejected), (0, 1));
@@ -642,6 +652,7 @@ fn mid_wave_failure_is_isolated_and_leaks_nothing() {
     // is cancellation's job): it runs into its own OOM a minute later.
     sim.block_on(cloud.handle.sleep(Duration::from_secs(120)));
     assert_quiescent(&sim, &cloud, &config, queues);
+    assert_settled(&service);
     assert_eq!(ok1.unwrap().batch.num_rows(), 4, "neighbor unaffected by the OOM");
     assert!(matches!(err, Err(CoreError::Worker { .. })), "the OOM surfaced to its submitter");
     assert!(ok2.unwrap().batch.num_rows() > 0);
@@ -761,7 +772,8 @@ fn invalid_dag_is_rejected_before_any_spend() {
     // settled against the tenant.
     assert_eq!(service.peak_inflight_workers(), 0, "no worker may launch");
     if let Some(usage) = service.tenant_usage("acme") {
-        assert_eq!(usage.requests_used, 0, "no requests reserved or settled");
+        assert_eq!(usage.request_dollars_used, 0.0, "no request-$ settled");
+        assert_eq!(usage.reserved_dollars, 0.0, "no request-$ reserved");
         assert_eq!(usage.completed + usage.failed, 0);
         assert_eq!(usage.running + usage.queued, 0);
     }
@@ -771,16 +783,17 @@ fn invalid_dag_is_rejected_before_any_spend() {
     let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
     let report = sim.block_on(service.run("acme", &q6("lineitem"))).unwrap();
     assert_quiescent(&sim, &cloud, &config, queues);
+    assert_settled(&service);
     assert!(report.batch.num_rows() >= 1);
     let usage = service.tenant_usage("acme").expect("valid query registers the tenant");
     assert_eq!(usage.completed, 1);
-    assert!(usage.requests_used > 0);
+    assert!(usage.request_dollars_used > 0.0);
 }
 
 /// Satellite check on the admission estimator: under the direct
 /// transport the exchange edges are priced with the fallback bound from
 /// `direct_edge_counts`, so the same join query reserves a strictly
-/// smaller request envelope than under the object-store transport —
+/// smaller request-$ envelope than under the object-store transport —
 /// while the worker plan (and so the fair-queueing cost) is identical.
 #[test]
 fn direct_transport_shrinks_admission_estimate() {
@@ -795,20 +808,19 @@ fn direct_transport_shrinks_admission_estimate() {
     let direct = estimate_with(TransportKind::Direct);
     assert_eq!(store.workers, direct.workers, "transport must not change the fleet plan");
     assert!(
-        direct.requests < store.requests,
+        direct.request_dollars < store.request_dollars,
         "direct envelope {} must undercut store envelope {}",
-        direct.requests,
-        store.requests
+        direct.request_dollars,
+        store.request_dollars
     );
-    assert!(direct.request_dollars < store.request_dollars);
 }
 
 /// With half of all requests in the slow tail, hedges fire, and the
-/// tenant ledger is still the bill: the requests and request-$ a tenant is
-/// charged for Q1, Q12 and Q3, run together, are the billed S3 requests
-/// and invocations (no attempt is discarded: speculation is off). A hedge
-/// at most doubles a request, so the envelope's 2× margin still bounds
-/// every query.
+/// tenant ledger is still the bill: the request-$ a tenant is charged for
+/// Q1, Q12 and Q3, run together, are those of the billed S3 requests and
+/// invocations, which the reports count exactly (no attempt is
+/// discarded: speculation is off). A hedge at most doubles a request, so
+/// the envelope's 2× margin still bounds every query.
 #[test]
 fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
     use lambada::sim::services::object_store::S3Config;
@@ -845,8 +857,9 @@ fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
         out
     });
     assert_quiescent(&sim, &cloud, &config, queues);
+    let prices = cloud.billing.prices();
     for (report, estimate) in reports.iter().zip(&estimates) {
-        assert!(report.request_count() <= estimate.requests, "{estimate:?}");
+        assert!(report.request_dollars(&prices) <= estimate.request_dollars, "{estimate:?}");
     }
     let hedges = cloud.s3.hedges();
     assert!(hedges.gets + hedges.puts > 0, "the tail made some requests late");
@@ -855,7 +868,8 @@ fn the_tenant_ledger_is_the_bill_while_hedges_fire() {
     let bill = cloud.billing.snapshot();
     let dollars: f64 = items.iter().map(|&i| bill.dollars(i)).sum();
     let usage = service.tenant_usage("t").unwrap();
-    assert_eq!(usage.requests_used as f64, billed);
+    let counted: u64 = reports.iter().map(|r| r.s3_requests() + r.invocations()).sum();
+    assert_eq!(counted as f64, billed);
     let off = (usage.request_dollars_used - dollars).abs();
     assert!(off <= 1e-12 * dollars, "{} vs {dollars}", usage.request_dollars_used);
 }
@@ -905,8 +919,8 @@ fn the_admission_envelope_bounds_every_service_mix_query() {
         let (config, queues) = (service.system().config().clone(), cloud.sqs.queue_count());
         let report = sim.block_on(service.submit("mix", &plan)).unwrap();
         assert_quiescent(&sim, &cloud, &config, queues);
-        let spent = report.request_count();
-        assert!(2 * spent <= estimate.requests, "{spent} requests vs {estimate:?}");
+        let spent = report.request_dollars(&cloud.billing.prices());
+        assert!(2.0 * spent <= estimate.request_dollars, "${spent} vs {estimate:?}");
         puts += report.stages.iter().map(|s| s.put_requests).sum::<u64>();
     }
     assert!(puts > 0, "some sender was over its budget and wrote a file");
