@@ -14,6 +14,7 @@ use lambada_bench::{banner, env_usize, fresh_cloud};
 use lambada_core::invoke::{self, choose_strategy, labels, predicted_last_initiation};
 use lambada_core::{
     register_worker_function, ComputeCostModel, InvocationStrategy, WorkerPayload, WorkerTask,
+    WORKER_FUNCTION,
 };
 use lambada_sim::{Cloud, CloudConfig, TraceEvent};
 use std::process::ExitCode;
@@ -38,7 +39,7 @@ fn payloads(total: usize) -> Vec<WorkerPayload> {
 async fn invoke_all(cloud: &Cloud, total: usize, strategy: InvocationStrategy) -> f64 {
     let launch = cloud.handle.now();
     cloud.trace.clear();
-    invoke::invoke_workers_as(cloud, "lambada-worker", payloads(total), strategy).await.unwrap();
+    invoke::invoke_workers_as(cloud, WORKER_FUNCTION, payloads(total), strategy).await.unwrap();
     while cloud.trace.spans(labels::RUNNING).len() < total {
         cloud.handle.sleep(Duration::from_millis(100)).await;
     }
@@ -56,7 +57,7 @@ fn invoke_cold_then_warm(
     let (sim, cloud) = fresh_cloud();
     register_worker_function(
         &cloud,
-        "lambada-worker",
+        WORKER_FUNCTION,
         2048,
         Duration::from_secs(120),
         ComputeCostModel::default(),
@@ -103,7 +104,10 @@ fn main() -> ExitCode {
         unreachable!("the sweep ends with `total`");
     };
     let first_gen: Vec<u64> =
-        invoke::build_tree(payloads(total)).iter().map(|p| p.worker_id).collect();
+        invoke::build_tree(CloudConfig::default().region, payloads(total), &[])
+            .iter()
+            .map(|p| p.worker_id)
+            .collect();
     let spans = |label: &str| -> Vec<TraceEvent> {
         trace.iter().filter(|e| e.label == label).cloned().collect()
     };

@@ -149,10 +149,14 @@ pub enum SortStrategy {
     Exchange { workers: Option<usize> },
 }
 
+/// The name the worker function is registered under: one function per
+/// installation (§2.1), which [`Lambada::install`] registers and every
+/// fleet invokes.
+pub const WORKER_FUNCTION: &str = "lambada-worker";
+
 /// System configuration fixed at installation time (§2.1's "installation").
 #[derive(Clone, Debug)]
 pub struct LambadaConfig {
-    pub function_name: String,
     /// Worker memory size M (the knob of Fig 10).
     pub memory_mib: u32,
     pub timeout: Duration,
@@ -197,7 +201,6 @@ pub struct LambadaConfig {
 impl Default for LambadaConfig {
     fn default() -> Self {
         LambadaConfig {
-            function_name: "lambada-worker".to_string(),
             memory_mib: 2048,
             timeout: Duration::from_secs(300),
             files_per_worker: None,
@@ -825,7 +828,7 @@ impl Lambada {
     pub fn install(cloud: &Cloud, config: LambadaConfig) -> Lambada {
         register_worker_function(
             cloud,
-            &config.function_name,
+            WORKER_FUNCTION,
             config.memory_mib,
             config.timeout,
             config.costs,
@@ -1640,7 +1643,8 @@ async fn run_fleet(
         // paper-scale fleet's payloads when speculation is off.
         let retained: Vec<WorkerPayload> =
             if config.speculate { payloads.clone() } else { Vec::new() };
-        let invoked = invoke_workers(cloud, &config.function_name, payloads).await;
+        let weights = list.first().map_or_else(Vec::new, |s| scan_weights(&s.task, workers));
+        let invoked = invoke_workers(cloud, WORKER_FUNCTION, payloads, &weights).await;
         let invoke_secs = (cloud.handle.now() - stage_start).as_secs_f64();
         let collected = match invoked {
             Ok(()) => {
@@ -1687,6 +1691,18 @@ async fn run_fleet(
         (at, workers) = (at + ran, 1);
     }
     Ok(Some(runs))
+}
+
+/// Each of a scan launch's `workers` by the bytes it is predicted to read
+/// ([`crate::predict::scan_weight`]), so the tree starts the heaviest
+/// first; no weights for any other launch.
+fn scan_weights(task: &StageTask, workers: usize) -> Vec<u64> {
+    let (StageKind::Scan(stage), Some(scan)) = (&task.kind, &task.scan) else {
+        return Vec::new();
+    };
+    let (columns, predicate) = (&stage.scan_columns, stage.prune_predicate.as_ref());
+    let weight = |w| crate::predict::scan_weight(scan.files(w as u64), columns, predicate);
+    (0..workers).map(weight).collect()
 }
 
 /// How many stages of `chain` — the launch's list — the launch's workers
@@ -1912,7 +1928,7 @@ async fn collect_results(
             let elapsed = (cloud.handle.now() - stage_start).as_secs_f64();
             if elapsed > SPECULATION_MULTIPLIER * median {
                 backup_invocations +=
-                    speculate(cloud, config, payloads, &seen, &mut attempts_launched).await?;
+                    speculate(cloud, payloads, &seen, &mut attempts_launched).await?;
             }
         }
     }
@@ -1939,7 +1955,6 @@ async fn first_done<F: Future + Unpin>(pending: &mut Vec<F>) -> F::Output {
 /// and has backup attempts left. Returns how many backups were launched.
 async fn speculate(
     cloud: &Cloud,
-    config: &LambadaConfig,
     payloads: &[WorkerPayload],
     seen: &HashSet<u64>,
     attempts_launched: &mut HashMap<u64, u32>,
@@ -1964,7 +1979,7 @@ async fn speculate(
         // first-generation worker's never-invoked subtree included, is
         // re-issued individually.
         let direct = invoke::InvocationStrategy::Direct;
-        invoke::invoke_workers_as(cloud, &config.function_name, backups, direct).await?;
+        invoke::invoke_workers_as(cloud, WORKER_FUNCTION, backups, direct).await?;
     }
     Ok(launched)
 }
@@ -1991,7 +2006,7 @@ mod tests {
         let sim = Simulation::new();
         let cloud = Cloud::new(&sim, CloudConfig::default());
         let config = LambadaConfig::default();
-        let (name, memory, timeout) = (&config.function_name, config.memory_mib, config.timeout);
+        let (name, memory, timeout) = (WORKER_FUNCTION, config.memory_mib, config.timeout);
         register_worker_function(&cloud, name, memory, timeout, config.costs);
         cloud.sqs.create_queue("results");
         (sim, cloud, config)
@@ -2046,19 +2061,27 @@ mod tests {
     /// driver invokes through the two-level tree: every sender ships its
     /// whole budget inline, all of it to the first tree group, so that
     /// group's first-generation payload carries all 256 senders' bytes
-    /// and its eleven workers' 256 addresses each — within Lambda's cap,
-    /// and invoked, where a budget blind to the addresses would overrun
-    /// it. A payload past the cap is a typed error, not a panic.
+    /// and its six workers' 256 addresses each — within Lambda's cap,
+    /// and invoked. The budget leaves room for the √P tree's group of
+    /// eleven, which a budget blind to the addresses would overrun, and
+    /// the launched group is never larger. A payload past the cap is a
+    /// typed error, not a panic.
     #[test]
     fn a_first_generation_payload_stays_within_the_invoke_cap() {
         let (sim, cloud, config) = installed();
         let (senders, receivers) = (256, 128);
         assert_eq!(choose_strategy(cloud.region(), receivers), InvocationStrategy::TwoLevel);
         let budget = crate::transport::inline_budget(senders, receivers, 0);
-        let group = build_tree(vec![payload(0, Vec::new()); receivers])[0].children.len() + 1;
-        assert_eq!(group, invoke::tree_shape(receivers).1);
+        let ids = (0..receivers).map(|r| payload(r as u64, Vec::new())).collect();
+        let tree = build_tree(cloud.region(), ids, &[]);
+        let first_group: Vec<usize> = std::iter::once(&tree[0])
+            .chain(&tree[0].children)
+            .map(|p| p.worker_id as usize)
+            .collect();
+        let (group, budgeted) = (first_group.len(), invoke::tree_shape(receivers).1);
+        assert!(group <= budgeted, "{group} > {budgeted}");
+        assert!(INLINE_EDGE_BYTES + budgeted * senders * ADDRESS_BYTES > MAX_ASYNC_PAYLOAD_BYTES);
         let addresses = group * senders * ADDRESS_BYTES;
-        assert!(INLINE_EDGE_BYTES + addresses > MAX_ASYNC_PAYLOAD_BYTES);
         let (carried, invoked, over) = sim.block_on({
             let cloud = cloud.clone();
             async move {
@@ -2069,25 +2092,26 @@ mod tests {
                     // One part, to a receiver of the first group, that
                     // encodes to the budget: its count, receiver id and
                     // two-byte length prefix, then its bytes.
+                    let to = first_group[s % group];
                     let mut parts = vec![PartData::Real(Vec::new()); receivers];
-                    parts[s % group] = PartData::Real(vec![s as u8; budget as usize - 4]);
+                    parts[to] = PartData::Real(vec![s as u8; budget as usize - 4]);
                     let (_, sections, inline) =
                         t.send(&env, "x0/q0/s0", s, parts, budget, true).await.unwrap();
-                    assert_eq!(sections[s % group], Section { len: budget, wire: Wire::Inline });
+                    assert_eq!(sections[to], Section { len: budget, wire: Wire::Inline });
                     let own: Vec<_> = (0..receivers).map(|r| (r, r)).collect();
                     tables.push(address_sections(0, &sections, &inline, &own, receivers).unwrap());
                 }
                 let payloads: Vec<WorkerPayload> = (0..receivers)
                     .map(|r| payload(r as u64, tables.iter().map(|t| t[r].clone()).collect()))
                     .collect();
-                let carried: Vec<usize> = build_tree(payloads.clone())
+                let carried: Vec<usize> = build_tree(cloud.region(), payloads.clone(), &[])
                     .iter()
                     .map(|p| p.edge_bytes(ADDRESS_BYTES))
                     .collect();
-                let invoked = invoke_workers(&cloud, &config.function_name, payloads).await;
+                let invoked = invoke_workers(&cloud, WORKER_FUNCTION, payloads, &[]).await;
                 let bytes = Bytes::from(vec![0; MAX_ASYNC_PAYLOAD_BYTES + 1]);
                 let huge = payload(0, vec![SectionAddr { attempt: 0, at: At::Inline(bytes) }]);
-                (carried, invoked, invoke_workers(&cloud, &config.function_name, vec![huge]).await)
+                (carried, invoked, invoke_workers(&cloud, WORKER_FUNCTION, vec![huge], &[]).await)
             }
         });
         let first = senders * budget as usize + addresses;
@@ -2123,10 +2147,9 @@ mod tests {
         let sim = Simulation::new();
         let cloud = Cloud::new(&sim, CloudConfig::default());
         let config = LambadaConfig::default();
-        let function = config.function_name.clone();
         register_worker_function(
             &cloud,
-            &function,
+            WORKER_FUNCTION,
             config.memory_mib,
             config.timeout,
             config.costs,
@@ -2150,7 +2173,7 @@ mod tests {
             let cloud = cloud.clone();
             async move {
                 let start = cloud.handle.now();
-                invoke_workers(&cloud, &function, payloads).await.unwrap();
+                invoke_workers(&cloud, WORKER_FUNCTION, payloads, &[]).await.unwrap();
                 let collected = collect_results(
                     &cloud,
                     &config,
@@ -2272,12 +2295,16 @@ mod tests {
         assert_eq!(chunks.len(), 200);
         assert_eq!(choose_strategy(Region::Eu, chunks.len()), InvocationStrategy::TwoLevel);
         assert!(fits(&many, &chunks));
+        // The launched group is at most the budgeted one, and the heaviest
+        // runs of that many — whichever the tree deals to one payload —
+        // hold at most the budget together.
         let group = invoke::tree_shape(chunks.len()).1;
+        assert!(invoke::launch_shape(Region::Eu, chunks.len()).1 <= group);
         let bytes =
             |c: &Range<usize>| many[c.clone()].iter().map(|f| f.inline_bytes()).sum::<u64>();
-        for first_gen in chunks.chunks(group) {
-            assert!(first_gen.iter().map(bytes).sum::<u64>() <= INLINE_EDGE_BYTES as u64);
-        }
+        let mut runs: Vec<u64> = chunks.iter().map(bytes).collect();
+        runs.sort_unstable_by(|a, b| b.cmp(a));
+        assert!(runs[..group].iter().sum::<u64>() <= INLINE_EDGE_BYTES as u64);
     }
 
     /// A one-worker join fed by two wide fleets hosts a second join beside

@@ -109,19 +109,22 @@ impl PartData {
 #[derive(Clone, Debug)]
 pub struct ExchangeBuckets {
     pub num_buckets: usize,
-    pub bucket_prefix: String,
 }
+
+/// What every exchange bucket's name starts with: bucket `i` is
+/// `{EXCHANGE_BUCKET_PREFIX}-{i}`.
+pub const EXCHANGE_BUCKET_PREFIX: &str = "lambada-x";
 
 impl Default for ExchangeBuckets {
     fn default() -> Self {
-        ExchangeBuckets { num_buckets: 16, bucket_prefix: "lambada-x".to_string() }
+        ExchangeBuckets { num_buckets: 16 }
     }
 }
 
 impl ExchangeBuckets {
     /// The bucket of sender (or sender group) `id`.
     pub fn bucket_of(&self, id: usize) -> String {
-        format!("{}-{}", self.bucket_prefix, id % self.num_buckets.max(1))
+        format!("{EXCHANGE_BUCKET_PREFIX}-{}", id % self.num_buckets.max(1))
     }
 
     /// Create the buckets (installation time, free — §4.4.1).

@@ -3,21 +3,30 @@
 //! Invoking thousands of functions naively from the driver takes
 //! `P / rate` seconds (Table 1: 220–290 inv/s with 128 threads), which
 //! dominates interactive queries. The two-level strategy has the driver
-//! invoke only ~√P *first-generation* workers, each carrying the payloads
-//! of its ~√P second-generation children, which it invokes before doing
-//! its own work — the last worker is initiated after ~2.5 s even for 4096
-//! workers (Fig 5).
+//! invoke only *first-generation* workers, each carrying the payloads of
+//! its second-generation children, which it invokes while it does its
+//! own work — the last worker is initiated after ~2.5 s even for 4096
+//! workers (Fig 5). The paper's first generation is ~√P wide; here the
+//! width is the one Table 1's rates initiate the last worker soonest at,
+//! searched upward from √P ([`launch_shape`]): the driver's rate is
+//! about four times a worker's, so a wider first generation with smaller
+//! groups wins (32 × 10 at P = 320 in `eu`, not 18 × 18).
+//!
+//! The tree deals the heaviest payloads — by the bytes each scan worker
+//! is predicted to read — to the first generation, which the driver
+//! starts first, then to the children's slots round-robin, so the
+//! workers on a query's critical path start soonest.
 //!
 //! The tree only pays for large fleets: a second-generation worker waits
 //! for its parent's in-region invoke (16/81 s in `eu`) where the driver's
 //! own call takes 36 ms. [`invoke_workers`] therefore prices both shapes
 //! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
-//! for the fleet at hand; the crossover is near 100 workers in `eu`.
+//! for the fleet at hand; the crossover is near 90 workers in `eu`.
 //!
 //! A payload is sized at its addresses, the edge sections and the table
 //! files it carries inline ([`WorkerPayload::edge_bytes`]), its
 //! children's included; Lambda rejects one over its asynchronous cap. The
-//! inline bytes cross the driver's one link ([`carry_inline`]).
+//! inline bytes cross the driver's link ([`carry_inline`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -25,7 +34,7 @@ use std::rc::Rc;
 
 use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
 use lambada_sim::services::faas::FaasCaller;
-use lambada_sim::sync::{join_all, Semaphore};
+use lambada_sim::sync::{join_all, try_join_all, Semaphore};
 use lambada_sim::Cloud;
 
 use crate::error::Result;
@@ -65,13 +74,39 @@ pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
     }
 }
 
-/// Width and depth of the two-level tree over `p` workers: `n1 ≈ √P`
+/// The paper's two-level tree over `p` workers: `n1 ≈ √P`
 /// first-generation workers, each heading a group of at most `group`
-/// (itself included), so driver and first generation perform ~√P
-/// invocations each (§4.2).
+/// (itself included). The launched tree ([`launch_shape`]) is never
+/// narrower, so its groups are never larger: this group bounds what one
+/// first-generation payload carries, for the inline budgets here and in
+/// [`crate::transport::inline_budget`].
 pub(crate) fn tree_shape(p: usize) -> (usize, usize) {
     let n1 = crate::routing::isqrt_ceil(p).max(1);
     (n1, p.div_ceil(n1))
+}
+
+/// The tree the driver launches over `p` workers in `region`: the
+/// first-generation width `n1` that minimises `n1 / concurrent rate +
+/// (⌈P/n1⌉ − 1) / intra-region rate` — the driver's share, then the
+/// largest group's children (Table 1) — searched upward from
+/// `tree_shape`'s `√P` (the narrower on a tie), and its group
+/// `⌈P/n1⌉`, at most `tree_shape`'s, which the inline budgets are sized
+/// by. The search stops where the driver's share alone is no faster
+/// than the best so far.
+pub fn launch_shape(region: Region, p: usize) -> (usize, usize) {
+    let driver = |n1: usize| n1 as f64 / region.concurrent_invocation_rate();
+    let (mut best, mut best_secs) = (tree_shape(p), f64::INFINITY);
+    for n1 in best.0..=p.max(best.0) {
+        if driver(n1) >= best_secs {
+            break;
+        }
+        let group = p.div_ceil(n1);
+        let secs = driver(n1) + group.saturating_sub(1) as f64 / region.intra_region_rate();
+        if secs < best_secs {
+            (best, best_secs) = ((n1, group), secs);
+        }
+    }
+    best
 }
 
 /// The inline file bytes each worker of a `workers`-worker fleet may
@@ -86,8 +121,9 @@ pub(crate) fn inline_file_budget(workers: usize) -> u64 {
 /// Predicted seconds from fleet launch until the last of `p` workers is
 /// initiated under `strategy`, from Table 1's rates: the driver pushes
 /// its share at the concurrent rate and the last call takes one
-/// invocation latency; in the tree the last first-generation worker then
-/// pushes its children at the in-region rate. Non-decreasing in `p`.
+/// invocation latency; in the tree ([`launch_shape`]) the last
+/// first-generation worker then pushes its children at the in-region
+/// rate. Non-decreasing in `p`.
 pub fn predicted_last_initiation(region: Region, p: usize, strategy: InvocationStrategy) -> f64 {
     let driver = |calls: usize| {
         calls as f64 / region.concurrent_invocation_rate()
@@ -96,7 +132,7 @@ pub fn predicted_last_initiation(region: Region, p: usize, strategy: InvocationS
     match strategy {
         InvocationStrategy::Direct => driver(p),
         InvocationStrategy::TwoLevel => {
-            let (n1, group) = tree_shape(p);
+            let (n1, group) = launch_shape(region, p);
             driver(n1)
                 + group.saturating_sub(1) as f64 / region.intra_region_rate()
                 + region.intra_invocation().as_secs_f64()
@@ -116,58 +152,74 @@ pub fn choose_strategy(region: Region, p: usize) -> InvocationStrategy {
 }
 
 /// Invoke all `payloads` of `function` in the shape [`choose_strategy`]
-/// picks for this fleet size. Returns when every *driver-side*
-/// invocation has been accepted (second-generation invocations proceed
-/// inside the first-generation workers).
+/// picks for this fleet size, payload `i` weighing `weights[i]` in the
+/// tree ([`build_tree`]). Returns when every *driver-side* invocation has
+/// been accepted (second-generation invocations proceed inside the
+/// first-generation workers).
 pub async fn invoke_workers(
     cloud: &Cloud,
     function: &str,
     payloads: Vec<WorkerPayload>,
+    weights: &[u64],
 ) -> Result<()> {
     let strategy = choose_strategy(cloud.region(), payloads.len());
-    invoke_workers_as(cloud, function, payloads, strategy).await
+    launch(cloud, function, payloads, weights, strategy).await
 }
 
-/// [`invoke_workers`] in an explicit shape: for what drives one shape on
-/// purpose (Fig 5's comparison of the two, and tests that pin one).
+/// [`invoke_workers`] in an explicit shape, every payload weighing the
+/// same: for what drives one shape on purpose (Fig 5's comparison of the
+/// two, and tests that pin one).
 pub async fn invoke_workers_as(
     cloud: &Cloud,
     function: &str,
     payloads: Vec<WorkerPayload>,
     strategy: InvocationStrategy,
 ) -> Result<()> {
-    match strategy {
-        InvocationStrategy::Direct => {
-            invoke_from_driver(cloud, function, payloads.into_iter().map(Rc::new).collect()).await
-        }
-        InvocationStrategy::TwoLevel => {
-            let first_gen = build_tree(payloads);
-            invoke_from_driver(cloud, function, first_gen).await
-        }
-    }
+    launch(cloud, function, payloads, &[], strategy).await
 }
 
-/// Group flat payloads into a two-level tree: ~√P first-generation
-/// workers, each carrying the rest of its group as children.
-pub fn build_tree(payloads: Vec<WorkerPayload>) -> Vec<Rc<WorkerPayload>> {
-    let p = payloads.len();
-    if p <= 1 {
+async fn launch(
+    cloud: &Cloud,
+    function: &str,
+    payloads: Vec<WorkerPayload>,
+    weights: &[u64],
+    strategy: InvocationStrategy,
+) -> Result<()> {
+    let payloads = match strategy {
+        InvocationStrategy::Direct => payloads.into_iter().map(Rc::new).collect(),
+        InvocationStrategy::TwoLevel => build_tree(cloud.region(), payloads, weights),
+    };
+    invoke_from_driver(cloud, function, payloads).await
+}
+
+/// Group flat payloads into the two-level tree [`launch_shape`] sizes
+/// for `region`, heaviest first: the `n1` heaviest payloads by `weights`
+/// (a payload without one weighs 0) are the first generation, in that
+/// order, and the rest are dealt to their groups round-robin, so each
+/// group's children are also heaviest first. Equal weights keep worker
+/// order.
+pub fn build_tree(
+    region: Region,
+    payloads: Vec<WorkerPayload>,
+    weights: &[u64],
+) -> Vec<Rc<WorkerPayload>> {
+    if payloads.len() <= 1 {
         return payloads.into_iter().map(Rc::new).collect();
     }
-    let (n1, group) = tree_shape(p);
-    let mut out = Vec::with_capacity(n1);
-    let mut iter = payloads.into_iter();
-    loop {
-        let chunk: Vec<WorkerPayload> = iter.by_ref().take(group).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let mut chunk = chunk.into_iter();
-        let Some(mut head) = chunk.next() else { break };
-        head.children = chunk.map(Rc::new).collect();
-        out.push(Rc::new(head));
+    let (n1, _) = launch_shape(region, payloads.len());
+    let mut ranked: Vec<(u64, WorkerPayload)> = payloads
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| (weights.get(i).copied().unwrap_or(0), p))
+        .collect();
+    // Stable: ties keep worker order.
+    ranked.sort_by_key(|(weight, _)| std::cmp::Reverse(*weight));
+    let mut ranked = ranked.into_iter().map(|(_, p)| p);
+    let mut heads: Vec<WorkerPayload> = ranked.by_ref().take(n1).collect();
+    for (k, child) in ranked.enumerate() {
+        heads[k % n1].children.push(Rc::new(child));
     }
-    out
+    heads.into_iter().map(Rc::new).collect()
 }
 
 async fn invoke_from_driver(
@@ -203,7 +255,10 @@ async fn invoke_from_driver(
 }
 
 /// Worker-side: invoke this worker's children with its own caller
-/// (Table 1's intra-region rate) before starting its query fragment.
+/// (Table 1's intra-region rate), beside its query fragment. The calls
+/// run inside the worker's own invocation, not as tasks of their own: a
+/// worker that dies stops invoking, and the children it had not yet
+/// invoked are lost with it.
 pub async fn invoke_children(
     cloud: &Cloud,
     caller: &FaasCaller,
@@ -216,21 +271,15 @@ pub async fn invoke_children(
     }
     let start = cloud.handle.now();
     let sem = Semaphore::new(INTRA_INVOKER_THREADS);
-    let mut joins = Vec::with_capacity(children.len());
-    for child in children {
-        let caller = caller.clone();
-        let sem = sem.clone();
-        let function = function.to_string();
-        let child = Rc::clone(child);
-        joins.push(cloud.handle.spawn(async move {
+    let calls = children.iter().map(|child| {
+        let sem = &sem;
+        Box::pin(async move {
             let _permit = sem.acquire(1).await;
             let bytes = child.edge_bytes(ADDRESS_BYTES);
-            caller.invoke(&function, child, bytes).await
-        }));
-    }
-    for r in join_all(joins).await {
-        r?;
-    }
+            caller.invoke(function, child.clone(), bytes).await
+        })
+    });
+    try_join_all(calls.collect()).await?;
     cloud.trace.record(me, labels::SPAWN, start, cloud.handle.now());
     Ok(())
 }
@@ -254,20 +303,71 @@ mod tests {
             .collect()
     }
 
+    /// Worker ids by first-generation payload: its own, then its children's.
+    fn groups(tree: &[Rc<WorkerPayload>]) -> Vec<Vec<u64>> {
+        let ids = |fg: &WorkerPayload| {
+            let children = fg.children.iter().map(|c| {
+                assert!(c.children.is_empty(), "tree depth is exactly two");
+                c.worker_id
+            });
+            std::iter::once(fg.worker_id).chain(children).collect()
+        };
+        tree.iter().map(|fg| ids(fg)).collect()
+    }
+
     #[test]
     fn tree_covers_all_payloads_once() {
         for n in [1usize, 2, 5, 16, 100, 4096] {
-            let tree = build_tree(payloads(n));
-            let mut seen = Vec::new();
-            for fg in &tree {
-                seen.push(fg.worker_id);
-                for c in &fg.children {
-                    assert!(c.children.is_empty(), "tree depth is exactly two");
-                    seen.push(c.worker_id);
-                }
+            // Unweighted, and weighted with ties (every third worker heavy).
+            let tied: Vec<u64> = (0..n as u64).map(|i| u64::from(i % 3 == 0)).collect();
+            for weights in [&[][..], &tied] {
+                let mut seen: Vec<u64> =
+                    groups(&build_tree(Region::Eu, payloads(n), weights)).concat();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
             }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+
+    /// The heaviest payloads are the first generation, in weight order;
+    /// the rest go round-robin, so each group's children are heaviest
+    /// first too; and equal weights keep worker order.
+    #[test]
+    fn the_heaviest_payloads_head_the_tree_and_ties_keep_worker_order() {
+        let n = 320;
+        let (n1, group) = launch_shape(Region::Eu, n);
+        // Workers 100..150 are heavy, 120..130 the heaviest of them.
+        let weights: Vec<u64> = (0..n as u64)
+            .map(|i| match i {
+                120..130 => 9,
+                100..150 => 5,
+                _ => 1,
+            })
+            .collect();
+        let tree = groups(&build_tree(Region::Eu, payloads(n), &weights));
+        assert_eq!(tree.len(), n1);
+        assert!(tree.iter().all(|g| g.len() <= group));
+        let heads: Vec<u64> = tree.iter().map(|g| g[0]).collect();
+        let want: Vec<u64> = (120..130).chain(100..120).chain(130..150).take(n1).collect();
+        assert_eq!(heads, want);
+        // The heavy workers the first generation has no room for are the
+        // first children of the first groups, in worker order.
+        let rest: Vec<u64> = (100..120).chain(130..150).skip(n1 - 10).collect();
+        let first_children: Vec<u64> = tree.iter().take(rest.len()).map(|g| g[1]).collect();
+        assert_eq!(first_children, rest);
+        for g in &tree {
+            let w: Vec<u64> = g.iter().map(|&id| weights[id as usize]).collect();
+            assert!(w.windows(2).all(|p| p[0] >= p[1]), "group {g:?} is not heaviest first");
+        }
+        // Unweighted, the first generation is the first `n1` workers and
+        // worker `n1 + k` is a child of group `k mod n1`.
+        let plain = groups(&build_tree(Region::Eu, payloads(n), &[]));
+        assert_eq!(
+            plain.iter().map(|g| g[0]).collect::<Vec<_>>(),
+            (0..n1 as u64).collect::<Vec<_>>()
+        );
+        for (k, id) in (n1 as u64..n as u64).enumerate() {
+            assert!(plain[k % n1].contains(&id), "worker {id}");
         }
     }
 
@@ -299,10 +399,12 @@ mod tests {
                 assert!(chosen(p) >= chosen(p - 1), "{region:?} chosen shrinks at P={p}");
             }
         }
-        // Worked numbers for `eu`.
+        // Worked numbers for `eu`: 320 workers launch as 32 × 10, where the
+        // √P tree's 18 × 18 would predict 0.50 s.
         let eu = |p, s| predicted_last_initiation(Region::Eu, p, s);
         assert!((eu(8, Direct) - 0.063).abs() < 1e-3);
-        assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, TwoLevel) - 0.50).abs() < 1e-2);
+        assert_eq!(launch_shape(Region::Eu, 320), (32, 10));
+        assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, TwoLevel) - 0.45).abs() < 1e-2);
     }
 
     /// A tree group never shrinks as the fleet grows, so a file that fits
@@ -316,10 +418,26 @@ mod tests {
         assert_eq!(inline_file_budget(1), INLINE_EDGE_BYTES as u64);
     }
 
+    /// The launched group never exceeds the √P tree's, which the inline
+    /// budgets are sized by, in any region at any fleet size.
     #[test]
-    fn tree_width_is_about_sqrt_p() {
-        let tree = build_tree(payloads(4096));
-        assert_eq!(tree.len(), 64);
-        assert!(tree.iter().all(|fg| fg.children.len() == 63));
+    fn the_launch_group_never_exceeds_the_budgeted_one() {
+        for region in Region::ALL {
+            for p in 2..=10_000usize {
+                let (n1, group) = launch_shape(region, p);
+                assert!(n1 >= tree_shape(p).0 && n1 <= p, "{region:?} P={p}");
+                assert_eq!(group, p.div_ceil(n1), "{region:?} P={p}");
+                assert!(group <= tree_shape(p).1, "{region:?} P={p}");
+            }
+        }
+    }
+
+    /// At 4096 workers the first generation is twice √P wide: 128 groups
+    /// of 32 in `eu`, every group full.
+    #[test]
+    fn tree_width_minimises_table_1s_last_initiation() {
+        let tree = build_tree(Region::Eu, payloads(4096), &[]);
+        assert_eq!(tree.len(), 128);
+        assert!(tree.iter().all(|fg| fg.children.len() == 31));
     }
 }

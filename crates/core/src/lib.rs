@@ -70,13 +70,13 @@ pub mod worker;
 pub use costmodel::ComputeCostModel;
 pub use driver::{
     AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport,
-    SortStrategy, StageReport,
+    SortStrategy, StageReport, WORKER_FUNCTION,
 };
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
 pub use exchange::{
     decode_bundle, encode_bundle, encode_bundle_into, run_exchange, ExchangeBuckets,
-    ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData,
+    ExchangeConfig, ExchangeOutcome, ExchangeSide, PartData, EXCHANGE_BUCKET_PREFIX,
 };
 pub use exchange_cost::{
     direct_edge_counts, request_counts, request_dollars, stage_edge_counts, ExchangeAlgo,

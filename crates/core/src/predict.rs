@@ -11,10 +11,12 @@
 //! runs as one worker inside its reader's invocation and hands its parts
 //! over in memory.
 
+use lambada_engine::Expr;
 use lambada_sim::services::faas::cpu_share;
 use lambada_sim::{BurstLinkConfig, CloudConfig};
 
 use crate::costmodel::ComputeCostModel;
+use crate::scan::may_match;
 use crate::table::TableFile;
 
 /// What a scan does per byte of its files: the share of a file's bytes
@@ -24,6 +26,23 @@ use crate::table::TableFile;
 pub(crate) struct ScanWork {
     pub scanned: f64,
     pub rows_per_byte: f64,
+}
+
+/// The bytes a scan of `files` is predicted to fetch and decode, which
+/// the launch ranks its workers by ([`crate::invoke::build_tree`]): the
+/// scanned `columns`' chunks of the row groups the footer's zone maps let
+/// `predicate` match, where the footer rides the file
+/// ([`TableFile::meta`]), else the file's size.
+pub(crate) fn scan_weight(files: &[TableFile], columns: &[usize], predicate: Option<&Expr>) -> u64 {
+    let weight = |file: &TableFile| match &file.meta {
+        None => file.size,
+        Some(meta) => {
+            let kept = meta.row_groups.iter().filter(|rg| may_match(predicate, rg));
+            let chunks = kept.flat_map(|rg| columns.iter().filter_map(|&c| rg.columns.get(c)));
+            chunks.map(|c| c.compressed_len).sum()
+        }
+    };
+    files.iter().map(weight).sum()
 }
 
 /// The constants one installation's predictions are built from.

@@ -30,7 +30,11 @@
 //!   bytes read ([`crate::WorkerMetrics::bytes_read`]);
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
-//!   group;
+//!   group. A row group downloaded a GET per chunk is decoded in scan
+//!   order as its chunks land — each with the later ones that have landed
+//!   by then — so its first chunk's decode overlaps the download of the
+//!   rest; one the footer's body holds, or one GET brings, is decoded in
+//!   one charge once its turn comes;
 //! * decompression optionally uses the second hardware thread that large
 //!   workers have (§4.1/Fig 4).
 
@@ -44,10 +48,10 @@ use std::task::Poll;
 
 use lambada_engine::expr::range::can_match;
 use lambada_engine::{Column, Expr, RecordBatch, Schema};
-use lambada_format::{ColumnChunkMeta, Compression, FileMeta, FormatError};
+use lambada_format::{ColumnChunkMeta, Compression, FileMeta, FormatError, RowGroupMeta};
 use lambada_sim::services::object_store::Body;
 use lambada_sim::sync::{mpsc, Semaphore};
-use lambada_sim::CloudConfig;
+use lambada_sim::{CloudConfig, JoinHandle};
 
 use crate::env::WorkerEnv;
 use crate::error::{CoreError, Result};
@@ -291,36 +295,47 @@ fn slice_chunks(chunks: &[(usize, ColumnChunkMeta)], body: &Body, offset: u64) -
     chunks.iter().map(|(_, c)| body.slice(c.offset - offset, c.compressed_len)).collect()
 }
 
-/// Download the scanned chunks of one row group; one body per chunk, in
-/// `chunks` order. A scanned span of at most `coalesce_below` bytes is one
-/// ranged GET whose body the chunks slice; a wider one is a download per
-/// chunk, all launched at once (level 2).
-async fn download_row_group(
+/// Whether a row group's min/max statistics let `predicate` match any of
+/// its rows (Fig 11); with no predicate every row group does.
+pub(crate) fn may_match(predicate: Option<&Expr>, rg: &RowGroupMeta) -> bool {
+    let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
+    predicate.is_none_or(|pred| can_match(pred, &stats))
+}
+
+/// Start the downloads of one row group's scanned chunks, in `chunks`
+/// order; each handle yields the bodies of a run of the chunks, and
+/// together they yield one body per chunk. A scanned span of at most
+/// `coalesce_below` bytes is one ranged GET whose body the chunks slice
+/// (one handle); a wider one is a download per chunk, all launched at
+/// once (level 2), each landing on its own (a handle per chunk).
+fn download_row_group(
     env: &WorkerEnv,
     conn: &Semaphore,
     file: &TableFile,
-    chunks: &[(usize, ColumnChunkMeta)],
+    chunks: Rc<[(usize, ColumnChunkMeta)]>,
     max_request_bytes: u64,
     coalesce_below: u64,
-) -> Result<Vec<Body>> {
-    let (start, end) = scanned_span(chunks);
+) -> Vec<JoinHandle<Result<Vec<Body>>>> {
+    let (start, end) = scanned_span(&chunks);
     let span = end - start;
+    let (env, conn, file) = (env.clone(), conn.clone(), file.clone());
+    let handle = env.cloud.handle.clone();
     if span > 0 && span <= coalesce_below {
-        let whole = get_range(env, conn, file, start, span).await?;
-        return Ok(slice_chunks(chunks, &whole, start));
+        return vec![handle.spawn(async move {
+            let whole = get_range(&env, &conn, &file, start, span).await?;
+            Ok(slice_chunks(&chunks, &whole, start))
+        })];
     }
-    let mut joins = Vec::with_capacity(chunks.len());
-    for (_, chunk) in chunks {
-        let (env2, conn, file, chunk) = (env.clone(), conn.clone(), file.clone(), chunk.clone());
-        joins.push(env.cloud.handle.spawn(async move {
-            download_chunk(&env2, &conn, &file, &chunk, max_request_bytes).await
-        }));
-    }
-    let mut bodies = Vec::with_capacity(joins.len());
-    for j in joins {
-        bodies.push(j.await?);
-    }
-    Ok(bodies)
+    (0..chunks.len())
+        .map(|i| {
+            let (env, conn, file, chunks) =
+                (env.clone(), conn.clone(), file.clone(), chunks.clone());
+            handle.spawn(async move {
+                let chunk = &chunks[i].1;
+                Ok(vec![download_chunk(&env, &conn, &file, chunk, max_request_bytes).await?])
+            })
+        })
+        .collect()
 }
 
 /// The reads a scan keeps in flight, in file order, each with its output
@@ -360,6 +375,80 @@ async fn charge_decode(env: &WorkerEnv, cfg: &ScanConfig, vcpu_seconds: f64) {
     } else {
         env.compute(vcpu_seconds).await;
     }
+}
+
+/// The output of `handle`'s task if it has finished, without waiting.
+async fn finished<T>(handle: &mut JoinHandle<T>) -> Option<T> {
+    let polled = std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *handle).poll(cx))).await;
+    match polled {
+        Poll::Ready(out) => Some(out),
+        Poll::Pending => None,
+    }
+}
+
+/// A row group in flight: its rows, its scanned chunks and their
+/// landings — each a run of the chunks' bodies, in scan order: one for a
+/// row group the footer's body holds or a single GET brings, one per
+/// chunk for a download per chunk.
+struct InFlight {
+    rows: u64,
+    chunks: Rc<[(usize, ColumnChunkMeta)]>,
+    landings: Vec<JoinHandle<Result<Vec<Body>>>>,
+}
+
+/// Decode and emit the oldest in-flight row group, in scan order: each
+/// landing's chunks are charged together as it lands, with those of the
+/// landings after it that have landed by then, so a row group downloaded
+/// a chunk at a time decodes its first chunk while the rest are still on
+/// the wire, and one that has landed whole is one charge.
+async fn drain_one(
+    env: &WorkerEnv,
+    cfg: &ScanConfig,
+    base_schema: &Schema,
+    columns: &[usize],
+    metrics: &mut ScanMetrics,
+    rg: InFlight,
+    tx: &mpsc::Sender<ScanItem>,
+) -> Result<()> {
+    let mut chunks = rg.chunks.iter();
+    let (mut cols, mut all_real) = (Vec::with_capacity(columns.len()), true);
+    let mut landings = rg.landings.into_iter().peekable();
+    while let Some(landing) = landings.next() {
+        let mut bodies = landing.await?;
+        // The later chunks that have landed meanwhile share its charge.
+        while let Some(next) = landings.peek_mut() {
+            let Some(more) = finished(next).await else { break };
+            bodies.extend(more?);
+            landings.next();
+        }
+        let landed: Vec<_> = chunks.by_ref().take(bodies.len()).collect();
+        let decode_seconds = landed.iter().fold(0.0, |secs, (_, chunk)| {
+            secs + env.costs.chunk_decode_seconds(
+                chunk.compressed_len,
+                chunk.uncompressed_len,
+                chunk.compression == Compression::Lz,
+            )
+        });
+        charge_decode(env, cfg, decode_seconds).await;
+        for ((col_idx, chunk), body) in landed.into_iter().zip(&bodies) {
+            let Some(bytes) = body.as_real().filter(|_| all_real) else {
+                all_real = false;
+                continue;
+            };
+            let ptype = base_schema.field(*col_idx).dtype.to_physical().map_err(CoreError::from)?;
+            cols.push(Column::from_data(lambada_format::decode_chunk(chunk, ptype, bytes)?));
+        }
+    }
+    metrics.rows += rg.rows;
+    let item = if all_real && !cols.is_empty() {
+        let schema = std::sync::Arc::new(base_schema.project(columns));
+        ScanItem::Batch(RecordBatch::new(schema, cols).map_err(CoreError::from)?)
+    } else {
+        let bytes: u64 = rg.chunks.iter().map(|(_, c)| c.uncompressed_len).sum();
+        ScanItem::Modeled { rows: rg.rows, bytes }
+    };
+    tx.send(item).map_err(|_| CoreError::Engine("scan consumer dropped".to_string()))?;
+    Ok(())
 }
 
 /// Scan the given files, emitting [`ScanItem`]s in file/row-group order
@@ -420,50 +509,8 @@ pub async fn scan_table(
         });
     }
 
-    // In-flight row-group downloads (level 3).
-    struct InFlight {
-        rows: u64,
-        decode_seconds: f64,
-        columns: Vec<(usize, ColumnChunkMeta, Body)>,
-    }
-    let mut inflight: VecDeque<lambada_sim::JoinHandle<Result<InFlight>>> = VecDeque::new();
-
-    // Drain helper: decode + emit the oldest in-flight row group.
-    async fn drain_one(
-        env: &WorkerEnv,
-        cfg: &ScanConfig,
-        base_schema: &Schema,
-        columns: &[usize],
-        metrics: &mut ScanMetrics,
-        got: Result<InFlight>,
-        tx: &mpsc::Sender<ScanItem>,
-    ) -> Result<()> {
-        let rg = got?;
-        charge_decode(env, cfg, rg.decode_seconds).await;
-        metrics.rows += rg.rows;
-        let all_real = rg.columns.iter().all(|(_, _, b)| b.as_real().is_some());
-        let item = if all_real && !rg.columns.is_empty() {
-            let mut cols = Vec::with_capacity(columns.len());
-            for (col_idx, chunk, body) in &rg.columns {
-                let ptype =
-                    base_schema.field(*col_idx).dtype.to_physical().map_err(CoreError::from)?;
-                let bytes = body.as_real().ok_or_else(|| {
-                    CoreError::Storage(format!("column chunk {col_idx} lost its bytes"))
-                })?;
-                let data = lambada_format::decode_chunk(chunk, ptype, bytes)?;
-                cols.push(Column::from_data(data));
-            }
-            let schema = std::sync::Arc::new(base_schema.project(columns));
-            let batch = RecordBatch::new(schema, cols).map_err(CoreError::from)?;
-            ScanItem::Batch(batch)
-        } else {
-            let bytes: u64 = rg.columns.iter().map(|(_, c, _)| c.uncompressed_len).sum();
-            ScanItem::Modeled { rows: rg.rows, bytes }
-        };
-        tx.send(item).map_err(|_| CoreError::Engine("scan consumer dropped".to_string()))?;
-        Ok(())
-    }
-
+    // In-flight row groups (level 3), oldest first.
+    let mut inflight: VecDeque<InFlight> = VecDeque::new();
     for file in files {
         let footer = match meta_rx.recv().await {
             Some(f) => f?,
@@ -472,62 +519,31 @@ pub async fn scan_table(
         metrics.files += 1;
         for rg in &footer.meta.row_groups {
             metrics.row_groups_total += 1;
-            if let Some(pred) = prune_predicate {
-                let stats = |i: usize| rg.columns.get(i).and_then(|c| c.stats);
-                if !can_match(pred, &stats) {
-                    metrics.row_groups_pruned += 1;
-                    continue;
-                }
+            if !may_match(prune_predicate, rg) {
+                metrics.row_groups_pruned += 1;
+                continue;
             }
             // Wait for a pipeline slot.
             while inflight.len() >= cfg.row_group_pipeline.max(1) {
                 let Some(head) = inflight.pop_front() else { break };
-                let got = head.await;
-                drain_one(env, cfg, base_schema, columns, &mut metrics, got, &items).await?;
+                drain_one(env, cfg, base_schema, columns, &mut metrics, head, &items).await?;
             }
             // Level 2/1: download the needed chunks of this row group.
-            let env2 = env.clone();
-            let conn2 = conn.clone();
-            let file2 = file.clone();
-            let chunk_metas: Vec<(usize, ColumnChunkMeta)> =
+            let chunks: Rc<[(usize, ColumnChunkMeta)]> =
                 columns.iter().map(|&c| (c, rg.columns[c].clone())).collect();
-            // A row group the footer's body holds is already here.
-            let held = (scanned_span(&chunk_metas).0 >= footer.offset)
-                .then(|| slice_chunks(&chunk_metas, &footer.body, footer.offset));
-            let rows = rg.num_rows;
-            let costs = env.costs;
-            inflight.push_back(env.cloud.handle.spawn(async move {
-                let bodies = match held {
-                    Some(bodies) => bodies,
-                    None => {
-                        download_row_group(
-                            &env2,
-                            &conn2,
-                            &file2,
-                            &chunk_metas,
-                            max_req,
-                            coalesce_below,
-                        )
-                        .await?
-                    }
-                };
-                let mut decode_seconds = 0.0;
-                let mut out = Vec::with_capacity(bodies.len());
-                for ((col_idx, chunk), bytes) in chunk_metas.into_iter().zip(bodies) {
-                    decode_seconds += costs.chunk_decode_seconds(
-                        chunk.compressed_len,
-                        chunk.uncompressed_len,
-                        chunk.compression == Compression::Lz,
-                    );
-                    out.push((col_idx, chunk, bytes));
-                }
-                Ok(InFlight { rows, decode_seconds, columns: out })
-            }));
+            // A row group the footer's body holds is already here: one
+            // landing of every chunk.
+            let landings = if scanned_span(&chunks).0 >= footer.offset {
+                let held = slice_chunks(&chunks, &footer.body, footer.offset);
+                vec![env.cloud.handle.spawn(async move { Ok(held) })]
+            } else {
+                download_row_group(env, &conn, file, chunks.clone(), max_req, coalesce_below)
+            };
+            inflight.push_back(InFlight { rows: rg.num_rows, chunks, landings });
         }
     }
-    while let Some(handle) = inflight.pop_front() {
-        let got = handle.await;
-        drain_one(env, cfg, base_schema, columns, &mut metrics, got, &items).await?;
+    while let Some(head) = inflight.pop_front() {
+        drain_one(env, cfg, base_schema, columns, &mut metrics, head, &items).await?;
     }
     Ok(metrics)
 }

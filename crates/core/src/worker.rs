@@ -1,10 +1,10 @@
 //! The serverless worker: event handler + execution engine wrapper (§3.3).
 //!
 //! The handler extracts the worker id, plan fragment, and inputs from the
-//! invocation payload, invokes its second-generation children (if any),
-//! runs the fragment, and posts a success or error message to the result
-//! queue — including out-of-memory situations, which are *reported* rather
-//! than dying silently.
+//! invocation payload, runs the fragment while it invokes its
+//! second-generation children (if any), and posts a success or error
+//! message to the result queue — including out-of-memory situations,
+//! which are *reported* rather than dying silently.
 //!
 //! # One stage task
 //!
@@ -325,7 +325,7 @@ pub struct WorkerPayload {
     /// boundaries. Filled in by the driver once the producers reported;
     /// empty for stages that read no edge.
     pub edges: Vec<InEdge>,
-    /// Second-generation workers to invoke before running `task` (§4.2).
+    /// Second-generation workers to invoke while running `task` (§4.2).
     pub children: Vec<Rc<WorkerPayload>>,
     pub result_queue: String,
 }
@@ -472,37 +472,45 @@ async fn run_handler(
     let mut env = WorkerEnv::new(&cloud, ctx, wid, costs);
     env.attempt = payload.attempt;
 
-    // Invoke second-generation workers first (§4.2).
-    let children = if payload.children.is_empty() {
-        Ok(())
-    } else {
-        let caller = cloud.worker_invoker();
-        invoke::invoke_children(&cloud, &caller, &function, wid, &payload.children).await
-    };
-    let mut msg = match children {
-        Err(e) => {
-            let message = format!("child invocation failed: {e}");
-            WorkerResult::error(wid, message, WorkerMetrics::default())
-        }
-        Ok(()) => {
-            let start = cloud.handle.now();
-            let outcome = run_task(&env, &payload).await;
-            let processing = (cloud.handle.now() - start).as_secs_f64();
-            cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
-            match outcome {
-                Ok((result, mut metrics, fused)) => {
-                    metrics.cold_start = env.ctx.cold;
-                    WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
-                }
-                Err(message) => {
-                    let metrics = WorkerMetrics {
-                        processing_secs: processing,
-                        cold_start: env.ctx.cold,
-                        ..WorkerMetrics::default()
-                    };
-                    WorkerResult::error(wid, message, metrics)
-                }
+    let run = async {
+        let start = cloud.handle.now();
+        let outcome = run_task(&env, &payload).await;
+        let processing = (cloud.handle.now() - start).as_secs_f64();
+        cloud.trace.record(wid, "worker_processing", start, cloud.handle.now());
+        match outcome {
+            Ok((result, mut metrics, fused)) => {
+                metrics.cold_start = env.ctx.cold;
+                WorkerResult { fused, ..WorkerResult::ok(wid, result, metrics) }
             }
+            Err(message) => {
+                let metrics = WorkerMetrics {
+                    processing_secs: processing,
+                    cold_start: env.ctx.cold,
+                    ..WorkerMetrics::default()
+                };
+                WorkerResult::error(wid, message, metrics)
+            }
+        }
+    };
+    let mut msg = if payload.children.is_empty() {
+        run.await
+    } else {
+        // A first-generation worker runs its fragment while it invokes its
+        // second-generation children (§4.2); a child it failed to invoke
+        // makes its report an error all the same.
+        let caller = cloud.worker_invoker();
+        let children = async {
+            let invoked =
+                invoke::invoke_children(&cloud, &caller, &function, wid, &payload.children).await;
+            Ok::<_, std::convert::Infallible>(invoked)
+        };
+        match try_join2(children, run).await {
+            Ok((Ok(()), msg)) => msg,
+            Ok((Err(e), _)) => {
+                let message = format!("child invocation failed: {e}");
+                WorkerResult::error(wid, message, WorkerMetrics::default())
+            }
+            Err(never) => match never {},
         }
     }
     .with_attempt(payload.attempt);

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use common::assert_quiescent;
 use lambada::core::{
     stage_edge_counts, AggStrategy, InvocationStrategy, Lambada, LambadaConfig, TransportKind,
+    WORKER_FUNCTION,
 };
 use lambada::engine::{execute_into_batch, Catalog, DataType, MemTable, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation};
@@ -70,9 +71,17 @@ fn run_distributed(
     seed: u64,
     config: LambadaConfig,
 ) -> (RecordBatch, lambada::core::QueryReport) {
+    run_staged(plan, stage_opts(scale, seed), config)
+}
+
+/// [`run_distributed`] over a table staged with `opts`.
+fn run_staged(
+    plan: &lambada::engine::LogicalPlan,
+    opts: StageOptions,
+    config: LambadaConfig,
+) -> (RecordBatch, lambada::core::QueryReport) {
     let sim = Simulation::new();
     let cloud = Cloud::new(&sim, CloudConfig::default());
-    let opts = stage_opts(scale, seed);
     let spec = stage_real(&cloud, "tpch", "lineitem", opts);
     let mut system = Lambada::install(&cloud, config);
     system.register_table(spec);
@@ -125,7 +134,8 @@ fn q6_distributed_matches_reference() {
 /// The installation picks the invocation shape per fleet, so both shapes
 /// are driven here through the explicit entry point: Q6's scan fleet is
 /// built by hand, invoked directly and through the two-level tree, and
-/// its reports merged like the driver merges them.
+/// its reports merged like the driver merges them. Eight workers: the
+/// fewest Table 1's rates give a tree with children.
 #[test]
 fn direct_and_two_level_invocation_agree() {
     use lambada::core::invoke::labels;
@@ -138,10 +148,11 @@ fn direct_and_two_level_invocation_agree() {
     use lambada::engine::GroupedAggState;
 
     let plan = lambada::workloads::q6("lineitem");
+    let opts = StageOptions { num_files: 8, ..stage_opts(0.001, 7) };
     let run = |strategy: InvocationStrategy| {
         let sim = Simulation::new();
         let cloud = Cloud::new(&sim, CloudConfig::default());
-        let spec = stage_real(&cloud, "tpch", "lineitem", stage_opts(0.001, 7));
+        let spec = stage_real(&cloud, "tpch", "lineitem", opts);
         let workers = spec.files.len();
         let mut system = Lambada::install(&cloud, LambadaConfig::default());
         system.register_table(spec.clone());
@@ -188,11 +199,10 @@ fn direct_and_two_level_invocation_agree() {
                 result_queue: "by-hand".to_string(),
             })
             .collect();
-        let function = config.function_name.clone();
         let mut results = sim.block_on({
             let cloud = cloud.clone();
             async move {
-                invoke_workers_as(&cloud, &function, payloads, strategy).await.unwrap();
+                invoke_workers_as(&cloud, WORKER_FUNCTION, payloads, strategy).await.unwrap();
                 let sqs = cloud.driver_sqs();
                 let mut out = Vec::new();
                 while out.len() < workers {
@@ -221,11 +231,11 @@ fn direct_and_two_level_invocation_agree() {
     let (direct, direct_spawns) = run(InvocationStrategy::Direct);
     let (tree, tree_spawns) = run(InvocationStrategy::TwoLevel);
     assert_eq!(direct_spawns, 0, "the driver invoked every worker itself");
-    assert_eq!(tree_spawns, 3, "six workers: three first-generation workers with a child each");
+    assert_eq!(tree_spawns, 4, "eight workers: four first-generation workers with a child each");
     assert_eq!(direct, tree, "the shape moves the clock, never a bit of the result");
     // And the shape the installation picks for this fleet gives the same.
     let by_file = LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() };
-    let (chosen, _) = run_distributed(&plan, 0.001, 7, by_file);
+    let (chosen, _) = run_staged(&plan, opts, by_file);
     assert_eq!(chosen, direct);
 }
 

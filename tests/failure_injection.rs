@@ -13,7 +13,7 @@ use std::time::Duration;
 use common::assert_quiescent;
 use lambada::core::{
     inject_query_worker_faults, inject_worker_faults, CoreError, Lambada, LambadaConfig, Placement,
-    SortStrategy, StageKind, TransportKind, WorkerTask,
+    SortStrategy, StageKind, TransportKind, WorkerTask, WORKER_FUNCTION,
 };
 use lambada::engine::{RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, InjectedFault, LinkFault, Simulation};
@@ -142,7 +142,7 @@ fn function_timeout_kills_workers_and_driver_gives_up() {
         other => panic!("expected driver timeout, got {other}"),
     }
     // The FaaS layer counted the kills: the whole four-file fleet.
-    let (_, _, timeouts) = cloud.faas.counters("lambada-worker");
+    let (_, _, timeouts) = cloud.faas.counters(WORKER_FUNCTION);
     assert_eq!(timeouts, 4);
     // Even the failed stage's result queue was cleaned up.
     assert_eq!(cloud.sqs.queue_count(), 0);
@@ -178,7 +178,7 @@ fn slow_worker_is_recovered_by_a_speculative_backup() {
     assert_eq!(report.stages[0].workers, 4);
     // Exactly the one straggler was re-invoked, once.
     assert_eq!(report.stages[0].backup_invocations, 1);
-    let (invocations, _, _) = cloud.faas.counters("lambada-worker");
+    let (invocations, _, _) = cloud.faas.counters(WORKER_FUNCTION);
     assert_eq!(invocations, 5, "4 originals + 1 backup");
     // Bounded latency: well under the deadline, and far below the
     // straggler's solo finish (~10s; see the pinned stall below).
@@ -245,7 +245,7 @@ fn killed_worker_is_recovered_by_a_speculative_backup() {
     assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.batch.num_rows(), 4, "Q1's four groups survive the death");
     assert_eq!(report.backup_invocations(), 1);
-    assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1);
+    assert_eq!(cloud.faas.injected_kills(WORKER_FUNCTION), 1);
     assert!(report.latency_secs < 15.0, "bounded recovery: {}", report.latency_secs);
 }
 
@@ -274,7 +274,7 @@ fn a_lost_backup_never_fails_the_query() {
     let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
     assert_quiescent(&sim, &cloud, &config, queues);
     assert_eq!(report.backup_invocations(), 1, "the backup was tried");
-    assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1, "... and died");
+    assert_eq!(cloud.faas.injected_kills(WORKER_FUNCTION), 1, "... and died");
     // The original straggler delivered (~10s solo span), not the backup.
     assert!(report.latency_secs > 6.0 && report.latency_secs < 20.0);
 }
@@ -400,7 +400,6 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
             result_queue: "by-hand".to_string(),
         };
         cloud.sqs.create_queue("by-hand");
-        let function = config.function_name.clone();
         sim.block_on({
             let cloud = cloud.clone();
             async move {
@@ -418,9 +417,14 @@ fn a_join_worker_reports_a_bad_build_side_without_waiting_for_its_probe_edge() {
                 let edge = InEdge { senders, bounds: Vec::new() };
                 payload.edges = vec![edge.clone(), edge];
                 let launched = cloud.handle.now();
-                invoke_workers_as(&cloud, &function, vec![payload], InvocationStrategy::Direct)
-                    .await
-                    .unwrap();
+                invoke_workers_as(
+                    &cloud,
+                    WORKER_FUNCTION,
+                    vec![payload],
+                    InvocationStrategy::Direct,
+                )
+                .await
+                .unwrap();
                 let sqs = cloud.driver_sqs();
                 for _ in 0..10 {
                     let wait = Duration::from_secs(2);
@@ -669,7 +673,7 @@ fn killed_producer_on_direct_transport_recovers_over_store_fallback() {
         Some(|_endpoint, sender, _attempt| (sender == 1).then(LinkFault::dropped)),
     );
     assert!(report.backup_invocations() >= 1, "the kill was speculated against");
-    assert!(cloud.faas.injected_kills("lambada-worker") >= 1);
+    assert!(cloud.faas.injected_kills(WORKER_FUNCTION) >= 1);
     let (_, _, drops) = cloud.p2p.counters();
     assert!(drops > 0, "the backup really hit the severed links");
     // The fallback shows up as store GETs on the consumer side, read
@@ -875,7 +879,7 @@ fn a_killed_speculated_straggler_leaves_nothing() {
     let kill = InjectedFault::kill(Duration::from_millis(10));
     let (sim, cloud, config, outcome, queues) = q12_with_a_faulted_orders_scanner(kill, true);
     assert_eq!(outcome.unwrap().stages[0].backup_invocations, 1);
-    assert_eq!(cloud.faas.injected_kills("lambada-worker"), 1);
+    assert_eq!(cloud.faas.injected_kills(WORKER_FUNCTION), 1);
     assert_eq!(cloud.s3.deleted_objects(), 4);
     assert_quiescent(&sim, &cloud, &config, queues);
 }
@@ -1003,4 +1007,117 @@ fn settle(sim: &Simulation, cloud: &Cloud) {
         sim.block_on(cloud.handle.sleep(Duration::from_secs(10)));
     }
     panic!("{} tasks still running at {}", sim.live_tasks(), sim.now());
+}
+
+/// `workers` hand-built workers that each compute for `vcpu_seconds` and
+/// report to `queue`.
+fn computing_payloads(
+    workers: u64,
+    vcpu_seconds: f64,
+    queue: &str,
+) -> Vec<lambada::core::WorkerPayload> {
+    (0..workers)
+        .map(|w| lambada::core::WorkerPayload {
+            worker_id: w,
+            attempt: 0,
+            query: 0,
+            task: WorkerTask::Compute { vcpu_seconds, threads: 1 },
+            edges: Vec::new(),
+            children: Vec::new(),
+            result_queue: queue.to_string(),
+        })
+        .collect()
+}
+
+/// Every report on `queue` once the simulation has run for a minute.
+fn reports_after_a_minute(
+    sim: &Simulation,
+    cloud: &Cloud,
+    queue: &str,
+) -> Vec<lambada::core::WorkerResult> {
+    sim.block_on(async {
+        cloud.handle.sleep(Duration::from_secs(60)).await;
+        let (sqs, mut out) = (cloud.driver_sqs(), Vec::new());
+        loop {
+            let got = sqs.receive(queue, 10, Duration::from_millis(1)).await.unwrap();
+            if got.is_empty() {
+                return out;
+            }
+            out.extend(got.iter().map(|m| lambada::core::WorkerResult::decode(m).unwrap()));
+        }
+    })
+}
+
+/// A first-generation worker invokes its children from inside its own
+/// invocation: one killed before its children's invocations were
+/// accepted dies with them, and its whole subtree never runs — which is
+/// why the driver re-issues every missing worker on its own.
+#[test]
+fn a_killed_first_generation_worker_loses_its_subtree() {
+    use lambada::core::invoke::build_tree;
+    use lambada::core::{invoke_workers_as, InvocationStrategy};
+
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let _system = Lambada::install(&cloud, LambadaConfig::default());
+    cloud.sqs.create_queue("by-hand");
+    let payloads = computing_payloads(20, 0.05, "by-hand");
+    let tree = build_tree(cloud.region(), payloads.clone(), &[]);
+    let subtree: Vec<u64> = tree[0].children.iter().map(|c| c.worker_id).collect();
+    assert_eq!((tree[0].worker_id, subtree.is_empty()), (0, false), "worker 0 heads a group");
+    // An in-region invocation takes ~0.2 s; the kill comes after 1 ms.
+    inject_worker_faults(&cloud, |wid, _| {
+        (wid == 0).then(|| InjectedFault::kill(Duration::from_millis(1)))
+    });
+    sim.block_on(invoke_workers_as(
+        &cloud,
+        WORKER_FUNCTION,
+        payloads,
+        InvocationStrategy::TwoLevel,
+    ))
+    .unwrap();
+    let mut reported: Vec<u64> =
+        reports_after_a_minute(&sim, &cloud, "by-hand").iter().map(|r| r.worker_id).collect();
+    reported.sort_unstable();
+
+    assert_eq!(cloud.faas.injected_kills(WORKER_FUNCTION), 1, "the first-generation worker died");
+    let (invocations, _, _) = cloud.faas.counters(WORKER_FUNCTION);
+    assert_eq!(invocations, 20 - subtree.len() as u64, "its children were never invoked");
+    let survivors: Vec<u64> = (1..20).filter(|w| !subtree.contains(w)).collect();
+    assert_eq!(reported, survivors);
+}
+
+/// A first-generation worker runs its own fragment while it invokes its
+/// children, and a child it fails to invoke — here one whose payload is
+/// over Lambda's cap, let past the driver by declaring its parent at the
+/// parent's own size — still makes its report the error, once its
+/// fragment has run.
+#[test]
+fn a_first_generation_worker_whose_child_invocation_fails_reports_the_error() {
+    use lambada::core::{InEdge, SectionAddr};
+    use lambada::sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES;
+    use lambada::sim::services::object_store::Body;
+
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let _system = Lambada::install(&cloud, LambadaConfig::default());
+    cloud.sqs.create_queue("by-hand");
+    let mut pair = computing_payloads(2, 0.5, "by-hand");
+    let (mut child, mut parent) = (pair.remove(1), pair.remove(0));
+    let huge = Body::from_vec(vec![0; MAX_ASYNC_PAYLOAD_BYTES + 1]).as_real().unwrap().clone();
+    let at = lambada::core::transport::At::Inline(huge);
+    child.edges =
+        vec![InEdge { senders: vec![SectionAddr { attempt: 0, at }], bounds: Vec::new() }];
+    parent.children = vec![Rc::new(child)];
+    let accepted = sim.block_on(cloud.driver_invoker().invoke(WORKER_FUNCTION, Rc::new(parent), 0));
+    assert!(accepted.is_ok(), "{accepted:?}");
+    let reports = reports_after_a_minute(&sim, &cloud, "by-hand");
+
+    let [report] = reports.as_slice() else { panic!("one report: {reports:?}") };
+    assert_eq!(report.worker_id, 0);
+    let Err(message) = &report.outcome else { panic!("an error report: {report:?}") };
+    assert!(message.starts_with("child invocation failed"), "{message}");
+    let ran = cloud.trace.spans("worker_processing");
+    assert!(ran.len() == 1 && ran[0].duration_secs() >= 0.5, "the fragment ran: {ran:?}");
+    assert_eq!(cloud.faas.counters(WORKER_FUNCTION).0, 1, "the child was never invoked");
 }

@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lambada::core::{AggStrategy, Lambada, LambadaConfig, Placement, SortStrategy, TransportKind};
+use lambada::core::{
+    AggStrategy, Lambada, LambadaConfig, Placement, SortStrategy, TransportKind, WORKER_FUNCTION,
+};
 use lambada::engine::{
     execute_into_batch, lit_i64, AggExpr, AggFunc, Catalog, Column, DataType, Df, Field, MemTable,
     RecordBatch, Scalar, Schema, SortKey,
@@ -874,7 +876,6 @@ fn unequal_consumer_fleets_on_a_shared_edge_are_rejected_before_launch() {
     let cloud = Cloud::new(&sim, CloudConfig::default());
     let config = LambadaConfig::default();
     assert!(config.join_workers.is_none(), "join fleets are sized by the cost model");
-    let function = config.function_name.clone();
     let mut system = Lambada::install(&cloud, config);
     let cols = columns_for(&u_schema(), &[1, 2, 3], None, 1);
     system.register_table(stage_table_real(&cloud, "data", "t", u_schema(), vec![cols], 3, 2));
@@ -928,7 +929,7 @@ fn unequal_consumer_fleets_on_a_shared_edge_are_rejected_before_launch() {
     let CoreError::InvalidPlan(diags) = &err else { panic!("expected InvalidPlan, got {err}") };
     assert!(diags.iter().any(|d| d.code == codes::FLEET_SHARED_EDGE), "{diags:?}");
     assert!(err.to_string().contains("V-FLEET-004"), "{err}");
-    assert_eq!(cloud.faas.counters(&function).0, 0, "no worker was invoked");
+    assert_eq!(cloud.faas.counters(WORKER_FUNCTION).0, 0, "no worker was invoked");
 }
 
 /// The file counts the fold property draws span the crossover: in a few

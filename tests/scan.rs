@@ -7,8 +7,9 @@
 //! Every plan yields the same batches, a footer that lies about a chunk's
 //! place in the file is an error before any request or slice is sized
 //! from it — as is an inline file cut short — a worker's files are read a
-//! connection each at once, and a failed scan requests no file after
-//! those in flight.
+//! connection each at once, a failed scan requests no file after those in
+//! flight, and a row group read a GET per chunk decodes each chunk as it
+//! lands.
 
 use std::time::Duration;
 
@@ -19,7 +20,7 @@ use lambada::core::{
 use lambada::engine::{col, lit_i64, Column, DataType, Expr, Field, RecordBatch, Schema};
 use lambada::format::{chunk_rows, write_file, FileMeta, WriterOptions, TRAILER_LEN};
 use lambada::sim::services::object_store::Body;
-use lambada::sim::sync::mpsc;
+use lambada::sim::sync::{mpsc, select2, Either};
 use lambada::sim::{Cloud, CloudConfig, CostItem, Simulation, Tally};
 use lambada::workloads::{stage_descriptors, DescriptorOptions};
 
@@ -439,4 +440,83 @@ fn a_round_of_latency_bound_files_is_read_at_once() {
     for (i, chunk) in batches.chunks(one_batches.len()).enumerate() {
         assert_eq!(chunk, one_batches.as_slice(), "file {i}'s batches, in order");
     }
+}
+
+/// A file above the latency-bound limit whose row groups are each wider
+/// than it is read a GET per chunk, and each row group is decoded chunk
+/// by chunk as its GETs land: with one connection the chunks land one
+/// after the other, and the first chunk's decode starts while the row
+/// group's last chunk is still on the wire. The batches are the table's
+/// rows, bit for bit, and the GETs are the per-chunk plan's.
+#[test]
+fn a_wide_row_group_decodes_its_chunks_as_they_land() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let (rows, row_groups) = (30_000, 3);
+    let bytes = write(rows, row_groups);
+    let meta = FileMeta::parse_tail(&bytes).unwrap();
+    let file = stage(&cloud, "data", "wide", bytes);
+    let spec = TableSpec::new("t", schema(), vec![file], rows as u64);
+    let cfg = ScanConfig { connections: 1, row_group_pipeline: 1, ..per_chunk(16 << 10) };
+    let spans = spans(&meta, &SCANNED);
+    assert!(spec.files[0].size > cfg.max_request_bytes, "the file is not latency-bound");
+    assert!(spans.iter().all(|(start, end)| end - start > cfg.max_request_bytes), "{spans:?}");
+
+    // Decoding is slowed down so that the samples below see it; it moves
+    // no request.
+    let costs = ComputeCostModel {
+        decode_bytes_per_s: 1e6,
+        decompress_bytes_per_s: 1e6,
+        ..ComputeCostModel::default()
+    };
+    let env = WorkerEnv::bare(&cloud, 0, 2048, costs);
+    let (cpu, link) = (&env.ctx.instance.cpu, env.s3.link());
+    // Every 100 µs: whether the CPU is busy, and the bytes the link moved.
+    let (samples, items) = sim.block_on(async {
+        let (tx, mut rx) = mpsc::channel();
+        let scanned = scan_table(&env, &cfg, &spec.files, &spec.schema, &SCANNED, None, tx);
+        let mut samples = Vec::new();
+        let sample = async {
+            loop {
+                samples.push((sim.now(), cpu.active() > 0, link.total_bytes()));
+                sim.handle().sleep(Duration::from_micros(100)).await;
+            }
+        };
+        let metrics = match select2(scanned, sample).await {
+            Either::Left(metrics) => metrics.unwrap(),
+            Either::Right(never) => never,
+        };
+        assert_eq!(metrics.rows, rows as u64);
+        let mut items = Vec::new();
+        while let Some(item) = rx.recv().await {
+            items.push(item);
+        }
+        (samples, items)
+    });
+
+    // The rows, bit for bit.
+    let batches = batches(items);
+    assert_eq!(batches.len(), row_groups);
+    let whole = RecordBatch::concat(batches[0].schema().clone(), &batches).unwrap();
+    let expected: Vec<Column> = SCANNED.iter().map(|&c| columns(rows).swap_remove(c)).collect();
+    assert_eq!(whole.columns(), expected.as_slice());
+
+    // The per-chunk plan: the trailer, the footer, then every scanned
+    // chunk split at the request limit.
+    let chunks = meta.row_groups.iter().flat_map(|rg| SCANNED.iter().map(|&c| &rg.columns[c]));
+    let per_chunk_gets: u64 =
+        chunks.clone().map(|c| c.compressed_len.div_ceil(cfg.max_request_bytes)).sum();
+    let tally = env.tally();
+    assert_eq!(tally.gets, 2 + per_chunk_gets);
+
+    // The footer's bytes, then the first row group's: one row group is in
+    // flight at a time, so the link moves nothing else in between.
+    let footer = tally.bytes_read - chunks.map(|c| c.compressed_len).sum::<u64>();
+    let first: u64 = SCANNED.iter().map(|&c| meta.row_groups[0].columns[c].compressed_len).sum();
+    let decoding = samples.iter().find(|&&(_, busy, moved)| busy && moved > footer as f64);
+    let landed = samples.iter().find(|&&(_, _, moved)| moved >= (footer + first) as f64 - 0.5);
+    let (Some(&(decoding, ..)), Some(&(landed, ..))) = (decoding, landed) else {
+        panic!("no decode or no landing sampled: {samples:?}");
+    };
+    assert!(decoding < landed, "first decode at {decoding:?}, last chunk landed at {landed:?}");
 }

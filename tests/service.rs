@@ -14,7 +14,7 @@ use lambada::core::verify::codes;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport,
     QueryService, ServiceConfig, SortStrategy, StageSink, TenantBudget, TransportKind,
-    WorkerPayload, WorkerTask,
+    WorkerPayload, WorkerTask, WORKER_FUNCTION,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{DataType, Df, Field, Optimizer, RecordBatch, Scalar, Schema};
@@ -233,7 +233,7 @@ fn concurrent_service_matches_serial_execution() {
 
     // The killed worker was recovered by speculation inside query 1;
     // every other query ran without a single backup.
-    assert!(cloud.faas.injected_kills("lambada-worker") >= 1);
+    assert!(cloud.faas.injected_kills(WORKER_FUNCTION) >= 1);
     for r in &reports {
         if r.query_id == 1 {
             assert!(r.backup_invocations() >= 1, "query 1's kill was speculated against");

@@ -22,7 +22,7 @@ use lambada::core::verify::codes;
 use lambada::core::{
     events_to_batch, inject_query_worker_faults, AggStrategy, ContinuousQuery, CoreError, Lambada,
     LambadaConfig, Placement, QueryService, ServiceConfig, StageKind, StreamSpec, TableFile,
-    TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN,
+    TenantBudget, TransportKind, WorkerTask, WINDOW_COLUMN, WORKER_FUNCTION,
 };
 use lambada::engine::logical::{JoinVariant, LogicalPlan};
 use lambada::engine::{
@@ -312,7 +312,7 @@ fn continuous_windows_match_batch_reference_through_shared_service() {
     );
 
     // The kill really happened and was recovered inside its batch.
-    assert!(cloud.faas.injected_kills("lambada-worker") >= 1);
+    assert!(cloud.faas.injected_kills(WORKER_FUNCTION) >= 1);
     assert!(killed_backups >= 1, "the killed join worker was speculated against");
 
     // The ad-hoc tenant ran concurrently on the same installation.
@@ -770,7 +770,7 @@ fn a_killed_stream_scan_worker_is_backed_up_from_the_same_payload() {
         (RecordBatch::concat(cq.agg_schema().clone(), &parts).unwrap(), backups)
     });
     assert_eq!(out, reference);
-    assert!(cloud.faas.injected_kills("lambada-worker") >= 1, "the kill happened");
+    assert!(cloud.faas.injected_kills(WORKER_FUNCTION) >= 1, "the kill happened");
     assert!(backups >= 1, "the killed scan worker was speculated against");
     assert!(!stream_bucket(&cloud, "killed"));
     sim.block_on(cloud.handle.sleep(Duration::from_secs(1)));

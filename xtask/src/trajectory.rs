@@ -16,6 +16,12 @@
 //! `correct`, and on a higher `failed` count than OLD's. A seed of OLD
 //! that NEW did not run is fine: CI runs seed 1 against a file of four.
 //!
+//! `cargo xtask trajectory OLD NEW --moved W…` is the gate for a change
+//! that means to move workloads `W…`: their gated rows may differ, and
+//! each is printed old → new with its ratio, but a named workload that
+//! moved no gated row on a seed fails, as does one NEW does not have.
+//! Every other workload is held bit for bit as above.
+//!
 //! `cargo xtask trajectory --coverage A B` checks `GATED` itself, on two
 //! `--all --seed 1 --traced` runs of one commit: it fails on a checked
 //! row ([`checked`]) that is bit-equal in A and B on every workload it
@@ -108,11 +114,14 @@ fn checked(metric: &str) -> bool {
 /// `cargo xtask trajectory OLD NEW` and `cargo xtask trajectory
 /// --coverage A B`.
 pub fn run(args: &[String]) -> ExitCode {
-    let (coverage_check, old, new) = match args {
-        [flag, a, b] if flag == "--coverage" => (true, a, b),
-        [old, new] => (false, old, new),
+    let (coverage_check, old, new, moved) = match args {
+        [flag, a, b] if flag == "--coverage" => (true, a, b, &[][..]),
+        [old, new] => (false, old, new, &[][..]),
+        [old, new, flag, moved @ ..] if flag == "--moved" && !moved.is_empty() => {
+            (false, old, new, moved)
+        }
         _ => {
-            eprintln!("usage: cargo xtask trajectory [--coverage] OLD NEW");
+            eprintln!("usage: cargo xtask trajectory [--coverage] OLD NEW [--moved W…]");
             return ExitCode::from(2);
         }
     };
@@ -139,7 +148,7 @@ pub fn run(args: &[String]) -> ExitCode {
         println!("xtask trajectory: {} coverage failure(s)", failures.len());
         return ExitCode::FAILURE;
     }
-    let (lines, failures) = compare(&old_runs, &new_runs);
+    let (lines, failures) = compare(&old_runs, &new_runs, moved);
     for line in &lines {
         println!("{line}");
     }
@@ -147,7 +156,9 @@ pub fn run(args: &[String]) -> ExitCode {
         println!("FAIL {f}");
     }
     if failures.is_empty() {
-        println!("xtask trajectory: {new} holds every gated row of {old}");
+        let except =
+            if moved.is_empty() { String::new() } else { format!(" but {}'s", moved.join(", ")) };
+        println!("xtask trajectory: {new} holds every gated row of {old}{except}");
         ExitCode::SUCCESS
     } else {
         println!("xtask trajectory: {} failure(s) of {new} against {old}", failures.len());
@@ -168,9 +179,13 @@ struct Row {
 type Runs = BTreeMap<u64, BTreeMap<String, Row>>;
 
 /// Hold `new` to `old`: the report lines (host rows included) and the
-/// failures, empty when `new` passes.
-fn compare(old: &Runs, new: &Runs) -> (Vec<String>, Vec<String>) {
+/// failures, empty when `new` passes. The `moved` workloads' gated rows
+/// are reported old → new instead, and each must have moved one.
+fn compare(old: &Runs, new: &Runs, moved: &[String]) -> (Vec<String>, Vec<String>) {
     let (mut lines, mut failures) = (Vec::new(), Vec::new());
+    for name in moved.iter().filter(|w| new.values().all(|rows| !rows.contains_key(*w))) {
+        failures.push(format!("{name}: named as moved, but not in the new file"));
+    }
     for (seed, new_rows) in new {
         let Some(old_rows) = old.get(seed) else {
             failures.push(format!("seed {seed}: not in the old file"));
@@ -191,17 +206,26 @@ fn compare(old: &Runs, new: &Runs) -> (Vec<String>, Vec<String>) {
             if n.failed > o.failed {
                 failures.push(format!("{at}: {} failed operations, {} before", n.failed, o.failed));
             }
-            let mut equal = 0;
+            let may_move = moved.contains(name);
+            let (mut equal, mut rows) = (0, Vec::new());
             for metric in GATED {
                 match (o.metrics.get(metric), n.metrics.get(metric)) {
                     (None, None) => {}
                     (Some(a), Some(b)) if a.to_bits() == b.to_bits() => equal += 1,
+                    (Some(a), Some(b)) if may_move => {
+                        let ratio = if *a != 0.0 { format!("x{:.3}", b / a) } else { "-".into() };
+                        rows.push(format!("  moved {metric}: {a} -> {b} ({ratio})"));
+                    }
                     (Some(a), Some(b)) => failures.push(format!("{at} {metric}: {b}, {a} before")),
                     (Some(_), None) => failures.push(format!("{at} {metric}: missing")),
                     (None, Some(_)) => failures.push(format!("{at} {metric}: not in the old file")),
                 }
             }
-            lines.push(format!("{at}: {equal} gated rows equal"));
+            if may_move && rows.is_empty() {
+                failures.push(format!("{at}: named as moved, but no gated row moved"));
+            }
+            lines.push(format!("{at}: {equal} gated rows equal, {} moved", rows.len()));
+            lines.append(&mut rows);
             for (metric, b) in n.metrics.iter().filter(|(m, _)| !GATED.contains(&m.as_str())) {
                 let Some(a) = o.metrics.get(metric) else { continue };
                 let ratio = if *a != 0.0 { format!("x{:.3}", b / a) } else { "-".to_string() };
@@ -289,7 +313,12 @@ mod tests {
 ]"#;
 
     fn failures(old: &str, new: &str) -> Vec<String> {
-        compare(&parse_runs(old).unwrap(), &parse_runs(new).unwrap()).1
+        moved_failures(old, new, &[])
+    }
+
+    fn moved_failures(old: &str, new: &str, moved: &[&str]) -> Vec<String> {
+        let moved: Vec<String> = moved.iter().map(|w| w.to_string()).collect();
+        compare(&parse_runs(old).unwrap(), &parse_runs(new).unwrap(), &moved).1
     }
 
     #[test]
@@ -353,11 +382,52 @@ mod tests {
     #[test]
     fn a_host_row_move_passes() {
         let new = SAMPLE.replacen("22.263970750000002", "31.0", 1);
-        let (lines, failed) = compare(&parse_runs(SAMPLE).unwrap(), &parse_runs(&new).unwrap());
+        let (lines, failed) =
+            compare(&parse_runs(SAMPLE).unwrap(), &parse_runs(&new).unwrap(), &[]);
         assert_eq!(failed, Vec::<String>::new());
         assert!(
             lines.iter().any(|l| l.contains("host host_ms_per_op: 31 (22.263970750000002 before")),
             "{lines:?}"
         );
+    }
+
+    /// `SAMPLE` with seed 1's `scan_agg` span moved by one ulp.
+    fn scan_agg_moved() -> String {
+        let span: f64 = 0.20997684149999998;
+        SAMPLE.replacen(&format!("{span}"), &format!("{}", f64::from_bits(span.to_bits() + 1)), 1)
+    }
+
+    #[test]
+    fn a_workload_named_as_moved_may_move_and_is_printed() {
+        let new = scan_agg_moved();
+        let moved = ["scan_agg".to_string()];
+        let (lines, failed) =
+            compare(&parse_runs(SAMPLE).unwrap(), &parse_runs(&new).unwrap(), &moved);
+        // Seed 2's `scan_agg` did not move: that alone fails.
+        assert_eq!(failed, vec!["seed 2 scan_agg: named as moved, but no gated row moved"]);
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.starts_with("  moved op_span_virtual_s: 0.20997684149999998 -> ")
+                    && l.ends_with("(x1.000)")),
+            "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn a_workload_named_as_moved_that_did_not_move_fails() {
+        let got = moved_failures(SAMPLE, SAMPLE, &["stream_windows"]);
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(got
+            .iter()
+            .all(|f| f.ends_with("stream_windows: named as moved, but no gated row moved")));
+        let got = moved_failures(SAMPLE, SAMPLE, &["join_shuffle"]);
+        assert_eq!(got, vec!["join_shuffle: named as moved, but not in the new file"]);
+    }
+
+    #[test]
+    fn a_workload_not_named_as_moved_is_still_held() {
+        let got = moved_failures(SAMPLE, &scan_agg_moved(), &["stream_windows"]);
+        assert!(got.iter().any(|f| f.starts_with("seed 1 scan_agg op_span_virtual_s")), "{got:?}");
     }
 }
