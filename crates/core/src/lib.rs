@@ -55,6 +55,7 @@ pub mod exchange_cost;
 pub mod invoke;
 pub mod message;
 pub mod partition;
+pub mod plan;
 mod predict;
 pub mod routing;
 pub mod scan;
@@ -69,8 +70,8 @@ pub mod worker;
 
 pub use costmodel::ComputeCostModel;
 pub use driver::{
-    AggStrategy, ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport,
-    SortStrategy, StageReport, WORKER_FUNCTION,
+    AggStrategy, ExecPolicy, Lambada, LambadaConfig, QueryReport, SortStrategy, StageReport,
+    WORKER_FUNCTION,
 };
 pub use env::WorkerEnv;
 pub use error::{CoreError, Result};
@@ -84,6 +85,7 @@ pub use exchange_cost::{
 };
 pub use invoke::{invoke_workers, invoke_workers_as, InvocationStrategy};
 pub use message::{ResultPayload, WorkerMetrics, WorkerResult, INLINE_RESULT_BYTES};
+pub use plan::{LaunchPlan, Placement};
 pub use scan::{scan_table, ScanConfig, ScanItem, ScanMetrics};
 pub use sched::StageBoard;
 pub use service::{

@@ -6,7 +6,7 @@
 //! taken when its prediction is no longer than the alternative's.
 //!
 //! The one choice priced so far is a scan's width against its crossing
-//! (`Lambada::launch_plan`): a multi-worker scan whose only reader runs
+//! (`plan::launch_plan`): a multi-worker scan whose only reader runs
 //! one worker either keeps its packed fleet and crosses a stage edge, or
 //! runs as one worker inside its reader's invocation and hands its parts
 //! over in memory.

@@ -37,11 +37,11 @@ use lambada_engine::logical::LogicalPlan;
 use lambada_sim::sync::{Semaphore, SemaphorePermit};
 use lambada_sim::JoinHandle;
 
-use crate::driver::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport};
 use crate::error::Result;
 use crate::exchange_cost::{direct_edge_counts, stage_edge_counts, RequestCounts};
 use crate::stage::QueryDag;
 use crate::transport::TransportKind;
+use crate::{ExecPolicy, Lambada, LambadaConfig, LaunchPlan, Placement, QueryReport};
 
 use admission::AdmissionController;
 pub use admission::{TenantBudget, TenantUsage};

@@ -22,13 +22,14 @@
 //!   comparison: the diagnostic code is chosen by the reader (a join
 //!   side or sort edge, an agg-merge fleet, or one of the three final
 //!   stages), the comparison is the same;
-//! * [`verify_fleets`] checks the sizing the driver computes per
+//! * [`verify_fleets`] checks the sizing the planner computes per
 //!   execution — nonzero fleets, cost-model bounds, pinned fleets
 //!   respected, shared edges with equal consumer fleets (the partition
-//!   count of an edge *is* its consumer's fleet size) — and
+//!   count of an edge *is* its consumer's fleet size) —
 //!   [`verify_fused`] that every fused edge is a 1 → 1 host edge, one
 //!   host to a consumer, and every co-hosted stage a one-worker scan
-//!   whose one reader has a host.
+//!   whose one reader has a host, and [`verify_payloads`] that every
+//!   invocation of the wired plan fits the platform's caps.
 //!
 //! The scheduler needs no check of its own: a stage waits for exactly
 //! its inputs, which the topological-order check already holds to
@@ -46,10 +47,12 @@ use std::fmt;
 use lambada_engine::pipeline::{agg_func_types, PipelineSpec, Terminal};
 use lambada_engine::types::Schema;
 
-use crate::driver::Placement;
+use crate::message::{INLINE_EDGE_BYTES, SECTION_BYTES};
+use crate::plan::{LaunchPlan, Placement};
 use crate::stage::{
     Declares, EdgeTable, Emits, FinalStage, QueryDag, Reader, ReaderRole, StageKind, StageOutput,
 };
+use crate::transport::{ADDRESS_BYTES, KEY_BYTES};
 
 /// Stable diagnostic codes; one section per invariant family. The full
 /// table, cross-linked to the OPERATORS.md contract each code enforces,
@@ -123,6 +126,12 @@ pub mod codes {
     /// its consumer waits for other in-edges than exactly one, which its
     /// inbox could not tell apart.
     pub const FLEET_FUSED: &str = "V-FLEET-005";
+    /// An invocation of the plan could overrun the platform's caps: a
+    /// chain head's largest tree group of payloads — its inline files,
+    /// addresses and boundaries, and every sender's inline share — is
+    /// past Lambda's asynchronous invoke cap, or a sender's inline share
+    /// and section table are past what its result message holds for them.
+    pub const FLEET_PAYLOAD: &str = "V-FLEET-006";
     /// A non-driver output edge has no consumer (dangling exchange), or
     /// a sort edge's consumer set is not exactly one sort stage — a run
     /// cut into blocks means something only to one sort fleet.
@@ -845,6 +854,57 @@ pub fn verify_fused(
     out
 }
 
+/// Verify that every invocation of a wired plan fits the platform's caps
+/// (`V-FLEET-006`), the payload bound the plan's budgets promise. A
+/// chain head's fleet launches in tree groups of at most
+/// `invoke::tree_shape`'s group (one payload, directly invoked, is a
+/// group of one), and a group's first-generation payload carries all of
+/// them: per payload the addresses of every sender of the head's
+/// in-edges and, into a sort fleet, its range's boundaries; the inline
+/// files of the group's heaviest runs of the chain's scans, co-hosted
+/// ones included; and every sender's whole inline share, all of which
+/// may be the group's. That must fit
+/// [`MAX_ASYNC_PAYLOAD_BYTES`](lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES).
+/// And each sender's share, beside its section table, must fit the
+/// message cap less what the rest of a message takes
+/// ([`INLINE_EDGE_BYTES`]). One pass over the stages and the scanned
+/// files' runs.
+pub fn verify_payloads(launch: &LaunchPlan<'_>) -> Vec<Diagnostic> {
+    use lambada_sim::services::faas::MAX_ASYNC_PAYLOAD_BYTES as INVOKE_CAP;
+    let (stages, workers, budgets) =
+        (&launch.edges.dag.stages, &launch.workers, &launch.inline_budgets);
+    let mut out = Vec::new();
+    let mut over = |sid: usize, what: String, bytes: u64, cap: usize| {
+        if bytes > cap as u64 {
+            let message = format!("{what} may take {bytes} B, past the {cap} B cap");
+            out.push(Diagnostic::new(codes::FLEET_PAYLOAD, sid, message));
+        }
+    };
+    for (p, &share) in budgets.iter().enumerate().filter(|(_, &b)| b < u64::MAX) {
+        let sections =
+            launch.sort_reader(p).map_or(launch.partitions[p], |_| crate::worker::SORT_SAMPLE_ROWS);
+        let bytes = share.saturating_add((sections * SECTION_BYTES) as u64);
+        over(p, "a sender's inline share and section table".into(), bytes, INLINE_EDGE_BYTES);
+    }
+    for h in (0..stages.len()).filter(|&h| workers[h] > 0 && launch.is_chain_head(h)) {
+        let inputs = stages[h].inputs();
+        let bounds =
+            if let StageKind::Sort(s) = &stages[h] { 2 * s.keys.len() * KEY_BYTES } else { 0 };
+        let located = inputs.iter().map(|&p| workers[p]).sum::<usize>() * ADDRESS_BYTES + bounds;
+        let chain = launch.chain(h);
+        let run = |w| crate::plan::inline_file_bytes(&launch.scans, chain.iter().copied(), w);
+        let mut runs: Vec<u64> = (0..workers[h] as u64).map(run).collect();
+        // The group's heaviest runs, whichever the tree deals to it.
+        let group = crate::invoke::tree_shape(workers[h]).1;
+        runs.select_nth_unstable_by(group - 1, |a, b| b.cmp(a));
+        let files = runs[..group].iter().sum::<u64>() + (group * located) as u64;
+        let shares = inputs.iter().map(|&p| budgets[p].saturating_mul(workers[p] as u64));
+        let bytes = shares.fold(files, u64::saturating_add);
+        over(h, format!("a tree group of the invocation {chain:?} heads"), bytes, INVOKE_CAP);
+    }
+    out
+}
+
 /// Shared test-only DAG builders: small, verify-clean plans both the
 /// verifier and the scheduler unit tests exercise.
 #[cfg(test)]
@@ -853,7 +913,7 @@ pub(crate) mod test_dags {
     use lambada_engine::types::{DataType, Field, Schema, SchemaRef};
     use lambada_engine::{AggExpr, AggFunc, Expr, JoinVariant, SortKey};
 
-    use crate::driver::LaunchPlan;
+    use crate::plan::LaunchPlan;
     use crate::stage::{
         AggMergeStage, FinalStage, JoinStage, QueryDag, ScanStage, SortStage, StageKind,
         StageOutput,
@@ -863,7 +923,7 @@ pub(crate) mod test_dags {
     /// pinned.
     pub(crate) fn sized(dag: &QueryDag, workers: Vec<usize>) -> LaunchPlan<'_> {
         let n = dag.stages.len();
-        LaunchPlan::wire(dag.edges(), vec![None; n], workers, &[], vec![None; n])
+        LaunchPlan::wire(dag.edges(), vec![None; n], workers, Vec::new(), vec![None; n])
     }
 
     pub(crate) fn schema(n: usize) -> SchemaRef {
@@ -1022,7 +1082,7 @@ mod tests {
         single_scan_dag, sized, sum_funcs, sum_schema, two_scan_join_dag, unbalanced_join_dag,
     };
     use super::*;
-    use crate::driver::LaunchPlan;
+    use crate::plan::LaunchPlan;
     use lambada_engine::types::{DataType, Field};
     use lambada_engine::{AggFunc, Expr};
 
@@ -1222,7 +1282,8 @@ mod tests {
         let join = two_scan_join_dag();
         assert_eq!(placed(&join, vec![1; 3]), [F, C, A]);
         let wired = |workers: Vec<usize>, est: &[u64]| {
-            LaunchPlan::wire(join.edges(), vec![None; 3], workers, est, vec![None; 3]).placement
+            LaunchPlan::wire(join.edges(), vec![None; 3], workers, est.to_vec(), vec![None; 3])
+                .placement
         };
         assert_eq!(wired(vec![1; 3], &[10, 20, 0]), [C, F, A], "the larger estimate");
         assert_eq!(wired(vec![2, 1, 1], &[]), [A, F, A]);
@@ -1265,7 +1326,8 @@ mod tests {
         use Placement::{Apart as A, CoHosted as C, Fused as F};
         let dag = deepest_chain_dag();
         let est = [5, 1, 1000, 1, 1];
-        let launch = LaunchPlan::wire(dag.edges(), vec![None; 5], vec![1; 5], &est, vec![None; 5]);
+        let launch =
+            LaunchPlan::wire(dag.edges(), vec![None; 5], vec![1; 5], est.to_vec(), vec![None; 5]);
         assert_eq!(launch.placement, [F, C, C, F, A]);
         assert_eq!(launch.chain(0), [0, 1, 3, 2, 4]);
         assert!(!launch.waits(3) && !launch.waits(4));

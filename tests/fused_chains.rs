@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::assert_quiescent;
+use lambada::core::plan;
 use lambada::core::worker::host_wait;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, ChainStage, CoreError, Lambada, LambadaConfig,
@@ -807,7 +808,7 @@ fn a_co_hosted_scan_error_after_a_fallback_names_the_launch_it_ran_in() {
 /// `lineitem` in `files` files of `size` bytes each (about 28 B a row,
 /// as the benchmark's SF 0.02 lineitem), beside the benchmark's orders
 /// and customer sizes: fake-sized files, enough for a launch plan.
-fn register_sized(system: &mut Lambada, files: usize, size: u64) {
+fn sized_tables(files: usize, size: u64) -> plan::Tables {
     use lambada::core::{TableFile, TableSpec};
     use lambada::workloads::{customer_schema, orders_schema};
     let sized = |name: &str, n: usize, size: u64| {
@@ -815,11 +816,14 @@ fn register_sized(system: &mut Lambada, files: usize, size: u64) {
     };
     let rows = files as u64 * size / 28;
     let li = sized("lineitem", files, size);
-    system.register_table(TableSpec::new("lineitem", lineitem_schema(), li, rows));
     let orders = sized("orders", 4, 580_000);
-    system.register_table(TableSpec::new("orders", orders_schema(), orders, 120_000));
     let customer = sized("customer", 2, 578_000);
-    system.register_table(TableSpec::new("customer", customer_schema(), customer, 49_999));
+    let specs = [
+        TableSpec::new("lineitem", lineitem_schema(), li, rows),
+        TableSpec::new("orders", orders_schema(), orders, 120_000),
+        TableSpec::new("customer", customer_schema(), customer, 49_999),
+    ];
+    specs.into_iter().map(|spec| (spec.name.clone(), Rc::new(spec))).collect()
 }
 
 /// Q5 under the join-and-sort exchange config, Q3 under the direct
@@ -843,21 +847,19 @@ fn benchmark_plans(edit: fn(LambadaConfig) -> LambadaConfig) -> Vec<(LogicalPlan
     ]
 }
 
-/// The launch plan of `plan` over `files` lineitem files of `size` bytes,
-/// with the lineitem scan's id and its one reader's.
+/// The launch plan of `query` over `files` lineitem files of `size` bytes,
+/// with the lineitem scan's id and its one reader's: planned from the
+/// tables and the default cloud config alone, with no simulation.
 fn lineitem_launch(
-    plan: &LogicalPlan,
+    query: &LogicalPlan,
     config: LambadaConfig,
     files: usize,
     size: u64,
     check: impl FnOnce(&LaunchPlan<'_>, usize, usize),
 ) {
-    let sim = Simulation::new();
-    let cloud = Cloud::new(&sim, CloudConfig::default());
-    let mut system = Lambada::install(&cloud, config);
-    register_sized(&mut system, files, size);
-    let dag = system.plan(plan).unwrap();
-    let launch = system.launch_plan(&dag, None).unwrap();
+    let tables = sized_tables(files, size);
+    let dag = plan::lower(query, &tables, &config).unwrap();
+    let launch = plan::launch_plan(&dag, &tables, &config, &CloudConfig::default(), None).unwrap();
     let li = dag
         .stages
         .iter()

@@ -207,8 +207,11 @@ fn two_tenants_through_a_small_gate() {
     });
 }
 
-/// Descriptor Q1 on 40 files: the two-level invocation tree and the
-/// modelled scan (no real bytes).
+/// Descriptor Q1 on 40 files: a 40-worker fleet the driver invokes
+/// directly (the two-level tree pays only past ≈ 90 workers in `eu`, see
+/// `invoke::choose_strategy`) and the modelled scan (no real bytes). No
+/// pin here covers the tree's shape: `tests/plan_table.rs` shows it for
+/// the 320-worker SF 1000 scan (32 × 10).
 #[test]
 fn descriptor_q1_on_40_files() {
     let expected = Pin {

@@ -38,6 +38,11 @@
 //!    setting no config struct shows, and no run records. The sweep
 //!    sizes of `crates/bench` are not in those crates: a bench may read
 //!    its scale from the environment.
+//! 7. **sim-free-plan** — no non-test code of the launch planner
+//!    (`crates/core/src/plan.rs`) names the simulation ([`SIM_NAMES`]:
+//!    `Cloud`, `Simulation`, `SimHandle`, a service or its client) or is
+//!    `async`: a plan is a value of the DAG, the tables and the configs,
+//!    built and tested without a cloud.
 //!
 //! Findings print as `path:line: [rule] message`; the process exits
 //! nonzero when any are found, so CI fails the build.
@@ -141,6 +146,11 @@ fn lint() -> ExitCode {
             rule: "free-staging",
             message: format!("cannot list sources: {e}"),
         }),
+    }
+
+    let plan = root.join("crates/core/src/plan.rs");
+    if let Some(src) = read_or_report(&plan, "sim-free-plan", &mut findings) {
+        lint_sim_free_plan(&plan, &src, &mut findings);
     }
 
     for krate in KNOBLESS_CRATES {
@@ -595,6 +605,52 @@ fn lint_env_knobs(path: &Path, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// What the launch planner may not name: the cloud handle, the
+/// simulation and its clock, the simulated services and their clients,
+/// and async code.
+const SIM_NAMES: [&str; 15] = [
+    "Cloud",
+    "CloudState",
+    "WeakCloud",
+    "Simulation",
+    "SimHandle",
+    "ObjectStore",
+    "S3Client",
+    "QueueService",
+    "SqsClient",
+    "FaasService",
+    "FaasCaller",
+    "P2pService",
+    "P2pClient",
+    "async",
+    "await",
+];
+
+/// A whole identifier of [`SIM_NAMES`] in code above the first column-0
+/// `#[cfg(test)]` (comments and strings stripped) is a finding:
+/// `CloudConfig` is a config, not the cloud, and passes.
+fn lint_sim_free_plan(path: &Path, src: &str, findings: &mut Vec<Finding>) {
+    let mut in_block = false;
+    for (idx, raw) in src.lines().enumerate() {
+        if raw.starts_with("#[cfg(test)]") {
+            break;
+        }
+        let code = code_only(raw, &mut in_block);
+        let mut words = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        if let Some(name) = words.find(|w| SIM_NAMES.contains(w)) {
+            findings.push(Finding {
+                path: path.to_path_buf(),
+                line: idx + 1,
+                rule: "sim-free-plan",
+                message: format!(
+                    "the planner names `{name}`; a plan reads the DAG, the tables and the \
+                     configs, never the simulation"
+                ),
+            });
+        }
+    }
+}
+
 /// The request counters of a stage's report (`WorkerMetrics`, and the
 /// `StageReport` sums of them).
 const REQUEST_COUNTERS: [&str; 10] = [
@@ -826,6 +882,33 @@ mod tests {
             findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
         );
         assert!(findings.iter().all(|f| f.rule == "env-knob"));
+    }
+
+    /// A planted simulator name or async code is a finding; `CloudConfig`,
+    /// a name in a comment or a string, and the test module are not.
+    #[test]
+    fn sim_free_plan_flags_the_simulation_outside_tests() {
+        let mut findings = Vec::new();
+        let src = "pub fn plan(cloud: &CloudConfig) -> u64 { 1 }\n\
+                   // needs no Cloud or Simulation\n\
+                   let s = \"SimHandle\";\n\
+                   pub fn bad(cloud: &Cloud) {}\n\
+                   pub async fn worse() { x.await }\n\
+                   let c = lambada_sim::services::queue::SqsClient::new();\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn t(sim: &Simulation) {}\n\
+                   }\n";
+        lint_sim_free_plan(Path::new("plan.rs"), src, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![4, 5, 6],
+            "{:?}",
+            findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+        );
+        assert!(findings.iter().all(|f| f.rule == "sim-free-plan"));
+        assert!(findings[0].message.contains("`Cloud`"), "{}", findings[0].message);
     }
 
     #[test]
