@@ -1457,7 +1457,7 @@ mod tests {
     use super::*;
     use crate::env::WorkerEnv;
     use crate::exchange::{encode_bundle_into, PartData};
-    use crate::invoke::{build_tree, choose_strategy, InvocationStrategy};
+    use crate::invoke::{build_tree, schedule, InvocationStrategy::Soonest};
     use crate::message::{Section, Wire, INLINE_EDGE_BYTES};
     use crate::table::TableFile;
     use crate::transport::{At, SectionAddr, ADDRESS_BYTES};
@@ -1537,10 +1537,10 @@ mod tests {
     fn a_first_generation_payload_stays_within_the_invoke_cap() {
         let (sim, cloud, config) = installed();
         let (senders, receivers) = (256, 128);
-        assert_eq!(choose_strategy(cloud.region(), receivers), InvocationStrategy::TwoLevel);
+        assert!(schedule(cloud.region(), receivers, Soonest).iter().any(|s| s.parent.is_some()));
         let budget = crate::transport::inline_budget(senders, receivers, 0);
         let ids = (0..receivers).map(|r| payload(r as u64, Vec::new())).collect();
-        let tree = build_tree(cloud.region(), ids, &[]);
+        let tree = build_tree(cloud.region(), ids, &[], Soonest);
         let first_group: Vec<usize> = std::iter::once(&tree[0])
             .chain(&tree[0].children)
             .map(|p| p.worker_id as usize)
@@ -1571,10 +1571,11 @@ mod tests {
                 let payloads: Vec<WorkerPayload> = (0..receivers)
                     .map(|r| payload(r as u64, tables.iter().map(|t| t[r].clone()).collect()))
                     .collect();
-                let carried: Vec<usize> = build_tree(cloud.region(), payloads.clone(), &[])
-                    .iter()
-                    .map(|p| p.edge_bytes(ADDRESS_BYTES))
-                    .collect();
+                let carried: Vec<usize> =
+                    build_tree(cloud.region(), payloads.clone(), &[], Soonest)
+                        .iter()
+                        .map(|p| p.edge_bytes(ADDRESS_BYTES))
+                        .collect();
                 let invoked = invoke_workers(&cloud, WORKER_FUNCTION, payloads, &[]).await;
                 let bytes = Bytes::from(vec![0; MAX_ASYNC_PAYLOAD_BYTES + 1]);
                 let huge = payload(0, vec![SectionAddr { attempt: 0, at: At::Inline(bytes) }]);

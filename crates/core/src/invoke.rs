@@ -6,22 +6,27 @@
 //! invoke only *first-generation* workers, each carrying the payloads of
 //! its second-generation children, which it invokes while it does its
 //! own work — the last worker is initiated after ~2.5 s even for 4096
-//! workers (Fig 5). The paper's first generation is ~√P wide; here the
-//! width is the one Table 1's rates initiate the last worker soonest at,
-//! searched upward from √P ([`launch_shape`]): the driver's rate is
-//! about four times a worker's, so a wider first generation with smaller
-//! groups wins (32 × 10 at P = 320 in `eu`, not 18 × 18).
+//! workers (Fig 5).
 //!
-//! The tree deals the heaviest payloads — by the bytes each scan worker
-//! is predicted to read — to the first generation, which the driver
-//! starts first, then to the children's slots round-robin, so the
-//! workers on a query's critical path start soonest.
+//! The launch ([`invoke_workers`]) deals each worker, heaviest first, to
+//! whichever invoker starts it soonest by Table 1's rates ([`schedule`]):
+//! the driver's next call, or the next child call of a worker the driver
+//! started, which waits for that worker's start and then its in-region
+//! invoke (16/81 s in `eu`, against the driver's 36 ms). So the driver
+//! keeps calling while the first generation fans out: at P = 320 in `eu`
+//! it starts 100 workers and they the other 220, the last initiated at a
+//! predicted 0.38 s (the paper's √P tree, 18 × 18, would take 0.50 s). A
+//! fleet of up to about 60 gets no child call at all — the driver's own
+//! call is always sooner — so it launches direct. A worker has at most
+//! as many children as the paper's √P tree gives a first-generation
+//! worker, which the inline budgets are sized by. The weight of a
+//! payload is the bytes its scan is predicted to read, so the workers on
+//! a query's critical path start soonest.
 //!
-//! The tree only pays for large fleets: a second-generation worker waits
-//! for its parent's in-region invoke (16/81 s in `eu`) where the driver's
-//! own call takes 36 ms. [`invoke_workers`] therefore prices both shapes
-//! from Table 1 ([`predicted_last_initiation`]) and takes the faster one
-//! for the fleet at hand; the crossover is near 90 workers in `eu`.
+//! [`invoke_workers_as`] launches one shape on purpose: every worker from
+//! the driver ([`InvocationStrategy::Direct`]), or the paper's tree
+//! ([`InvocationStrategy::TwoLevel`]: the driver starts ⌈√P⌉ workers and
+//! they the rest), for Fig 5 and tests that need children at any size.
 //!
 //! A payload is sized at its addresses, the edge sections and the table
 //! files it carries inline ([`WorkerPayload::edge_bytes`]), its
@@ -30,6 +35,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use lambada_sim::region::{Region, DRIVER_INVOKER_THREADS, INTRA_INVOKER_THREADS};
@@ -42,13 +49,17 @@ use crate::message::INLINE_EDGE_BYTES;
 use crate::transport::ADDRESS_BYTES;
 use crate::worker::WorkerPayload;
 
-/// How the driver starts the fleet.
+/// Who invokes which worker: the shapes [`schedule`] deals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvocationStrategy {
     /// The driver invokes every worker itself with a thread pool.
     Direct,
-    /// Two-level invocation tree (§4.2).
+    /// The paper's two-level tree (§4.2): the driver invokes ⌈√P⌉
+    /// first-generation workers, which invoke the rest.
     TwoLevel,
+    /// Each worker from whichever invoker starts it soonest: what
+    /// [`invoke_workers`] launches.
+    Soonest,
 }
 
 /// Trace labels recorded during invocation (consumed by Fig 5).
@@ -76,37 +87,12 @@ pub async fn carry_inline(cloud: &Cloud, bytes: usize) {
 
 /// The paper's two-level tree over `p` workers: `n1 ≈ √P`
 /// first-generation workers, each heading a group of at most `group`
-/// (itself included). The launched tree ([`launch_shape`]) is never
-/// narrower, so its groups are never larger: this group bounds what one
-/// first-generation payload carries, for the inline budgets here and in
-/// [`crate::transport::inline_budget`].
+/// (itself included). No launch deals a larger group, so this group
+/// bounds what one first-generation payload carries, for the inline
+/// budgets here and in [`crate::transport::inline_budget`].
 pub(crate) fn tree_shape(p: usize) -> (usize, usize) {
     let n1 = crate::routing::isqrt_ceil(p).max(1);
     (n1, p.div_ceil(n1))
-}
-
-/// The tree the driver launches over `p` workers in `region`: the
-/// first-generation width `n1` that minimises `n1 / concurrent rate +
-/// (⌈P/n1⌉ − 1) / intra-region rate` — the driver's share, then the
-/// largest group's children (Table 1) — searched upward from
-/// `tree_shape`'s `√P` (the narrower on a tie), and its group
-/// `⌈P/n1⌉`, at most `tree_shape`'s, which the inline budgets are sized
-/// by. The search stops where the driver's share alone is no faster
-/// than the best so far.
-pub fn launch_shape(region: Region, p: usize) -> (usize, usize) {
-    let driver = |n1: usize| n1 as f64 / region.concurrent_invocation_rate();
-    let (mut best, mut best_secs) = (tree_shape(p), f64::INFINITY);
-    for n1 in best.0..=p.max(best.0) {
-        if driver(n1) >= best_secs {
-            break;
-        }
-        let group = p.div_ceil(n1);
-        let secs = driver(n1) + group.saturating_sub(1) as f64 / region.intra_region_rate();
-        if secs < best_secs {
-            (best, best_secs) = ((n1, group), secs);
-        }
-    }
-    best
 }
 
 /// The inline file bytes each worker of a `workers`-worker fleet may
@@ -118,43 +104,84 @@ pub(crate) fn inline_file_budget(workers: usize) -> u64 {
     (INLINE_EDGE_BYTES / tree_shape(workers).1.max(1)) as u64
 }
 
-/// Predicted seconds from fleet launch until the last of `p` workers is
-/// initiated under `strategy`, from Table 1's rates: the driver pushes
-/// its share at the concurrent rate and the last call takes one
-/// invocation latency; in the tree ([`launch_shape`]) the last
-/// first-generation worker then pushes its children at the in-region
-/// rate. Non-decreasing in `p`.
-pub fn predicted_last_initiation(region: Region, p: usize, strategy: InvocationStrategy) -> f64 {
-    let driver = |calls: usize| {
-        calls as f64 / region.concurrent_invocation_rate()
-            + region.single_invocation().as_secs_f64()
+/// One worker's place in a launch [`schedule`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Start {
+    /// Predicted seconds from launch until its invocation is initiated.
+    pub at: f64,
+    /// The schedule index of the worker that invokes it; `None` for the
+    /// driver.
+    pub parent: Option<usize>,
+}
+
+/// When each of `p` workers is initiated under `strategy`, by Table 1's
+/// rates, soonest first: each start goes to whichever invoker can make it
+/// soonest — the driver's `k`-th call at `k / concurrent rate + one
+/// invocation latency`, or the `j`-th child call of a worker the driver
+/// started, at its start `+ j / in-region rate + one in-region
+/// invocation` — the driver on a tie, then the earlier worker. The driver
+/// makes at most `p` calls (⌈√P⌉ in the paper's tree), a worker at most
+/// ⌈P / ⌈√P⌉⌉ − 1 (none direct), the √P tree's group less itself. Starts never decrease, so
+/// the last is the schedule's span.
+pub fn schedule(region: Region, p: usize, strategy: InvocationStrategy) -> Vec<Start> {
+    let (calls, group) = match strategy {
+        InvocationStrategy::Direct => (p, 1),
+        InvocationStrategy::TwoLevel => tree_shape(p),
+        InvocationStrategy::Soonest => (p, tree_shape(p).1),
     };
-    match strategy {
-        InvocationStrategy::Direct => driver(p),
-        InvocationStrategy::TwoLevel => {
-            let (n1, group) = launch_shape(region, p);
-            driver(n1)
-                + group.saturating_sub(1) as f64 / region.intra_region_rate()
-                + region.intra_invocation().as_secs_f64()
+    let by_driver = |k: usize| {
+        k as f64 / region.concurrent_invocation_rate() + region.single_invocation().as_secs_f64()
+    };
+    let by_worker = |parent: f64, j: usize| {
+        parent + j as f64 / region.intra_region_rate() + region.intra_invocation().as_secs_f64()
+    };
+    let mut starts: Vec<Start> = Vec::with_capacity(p);
+    // Each driver-started worker's next child call: when, by whom, and
+    // its how-manieth. A start is a finite non-negative `f64`, whose bits
+    // order as its values do.
+    let mut next_child: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    let mut made = 0;
+    while starts.len() < p {
+        let driver = (made < calls).then(|| by_driver(made + 1));
+        let child =
+            next_child.peek().map(|&Reverse((bits, parent, j))| (f64::from_bits(bits), parent, j));
+        // The driver on a tie; with neither left, the fleet is dealt
+        // (`calls × group ≥ p` in every shape).
+        match child.filter(|&(child_at, ..)| driver.is_none_or(|at| child_at < at)) {
+            Some((at, parent, j)) => {
+                next_child.pop();
+                if j + 1 < group {
+                    let next = by_worker(starts[parent].at, j + 1);
+                    next_child.push(Reverse((next.to_bits(), parent, j + 1)));
+                }
+                starts.push(Start { at, parent: Some(parent) });
+            }
+            None => {
+                let Some(at) = driver else { break };
+                made += 1;
+                if group > 1 {
+                    let first = by_worker(at, 1);
+                    next_child.push(Reverse((first.to_bits(), starts.len(), 1)));
+                }
+                starts.push(Start { at, parent: None });
+            }
         }
     }
+    starts
 }
 
-/// The shape that initiates the last of `p` workers sooner in `region`
-/// (direct on a tie: it bills no worker time for invoking).
-pub fn choose_strategy(region: Region, p: usize) -> InvocationStrategy {
-    let predicted = |s| predicted_last_initiation(region, p, s);
-    if predicted(InvocationStrategy::TwoLevel) < predicted(InvocationStrategy::Direct) {
-        InvocationStrategy::TwoLevel
-    } else {
-        InvocationStrategy::Direct
-    }
+/// Predicted seconds from fleet launch until the last of `p` workers is
+/// initiated under `strategy`: its [`schedule`]'s last start.
+/// Non-decreasing in `p` for [`InvocationStrategy::Direct`] and
+/// [`InvocationStrategy::Soonest`].
+pub fn predicted_last_initiation(region: Region, p: usize, strategy: InvocationStrategy) -> f64 {
+    schedule(region, p, strategy).last().map_or(0.0, |s| s.at)
 }
 
-/// Invoke all `payloads` of `function` in the shape [`choose_strategy`]
-/// picks for this fleet size, payload `i` weighing `weights[i]` in the
-/// tree ([`build_tree`]). Returns when every *driver-side* invocation has
-/// been accepted (second-generation invocations proceed inside the
+/// Invoke all `payloads` of `function` as [`schedule`] deals them
+/// ([`InvocationStrategy::Soonest`]), payload `i` weighing `weights[i]`
+/// ([`build_tree`]). Returns when every *driver-side* invocation has been
+/// accepted (second-generation invocations proceed inside the
 /// first-generation workers).
 pub async fn invoke_workers(
     cloud: &Cloud,
@@ -162,13 +189,12 @@ pub async fn invoke_workers(
     payloads: Vec<WorkerPayload>,
     weights: &[u64],
 ) -> Result<()> {
-    let strategy = choose_strategy(cloud.region(), payloads.len());
-    launch(cloud, function, payloads, weights, strategy).await
+    launch(cloud, function, payloads, weights, InvocationStrategy::Soonest).await
 }
 
 /// [`invoke_workers`] in an explicit shape, every payload weighing the
-/// same: for what drives one shape on purpose (Fig 5's comparison of the
-/// two, and tests that pin one).
+/// same: for what drives one shape on purpose (Fig 5's comparison, and
+/// tests that pin one).
 pub async fn invoke_workers_as(
     cloud: &Cloud,
     function: &str,
@@ -185,39 +211,37 @@ async fn launch(
     weights: &[u64],
     strategy: InvocationStrategy,
 ) -> Result<()> {
-    let payloads = match strategy {
-        InvocationStrategy::Direct => payloads.into_iter().map(Rc::new).collect(),
-        InvocationStrategy::TwoLevel => build_tree(cloud.region(), payloads, weights),
-    };
+    let payloads = build_tree(cloud.region(), payloads, weights, strategy);
     invoke_from_driver(cloud, function, payloads).await
 }
 
-/// Group flat payloads into the two-level tree [`launch_shape`] sizes
-/// for `region`, heaviest first: the `n1` heaviest payloads by `weights`
-/// (a payload without one weighs 0) are the first generation, in that
-/// order, and the rest are dealt to their groups round-robin, so each
-/// group's children are also heaviest first. Equal weights keep worker
-/// order.
+/// Deal flat payloads to their invokers, heaviest first: ranked by
+/// `weights` (a payload without one weighs 0; equal weights keep worker
+/// order), the `k`-th takes the `k`-th start of `strategy`'s [`schedule`]
+/// in `region`. Returns the driver's payloads in the order it calls them,
+/// each carrying its children in the order it calls them.
 pub fn build_tree(
     region: Region,
     payloads: Vec<WorkerPayload>,
     weights: &[u64],
+    strategy: InvocationStrategy,
 ) -> Vec<Rc<WorkerPayload>> {
-    if payloads.len() <= 1 {
-        return payloads.into_iter().map(Rc::new).collect();
-    }
-    let (n1, _) = launch_shape(region, payloads.len());
+    let starts = schedule(region, payloads.len(), strategy);
     let mut ranked: Vec<(u64, WorkerPayload)> = payloads
         .into_iter()
         .enumerate()
         .map(|(i, p)| (weights.get(i).copied().unwrap_or(0), p))
         .collect();
     // Stable: ties keep worker order.
-    ranked.sort_by_key(|(weight, _)| std::cmp::Reverse(*weight));
-    let mut ranked = ranked.into_iter().map(|(_, p)| p);
-    let mut heads: Vec<WorkerPayload> = ranked.by_ref().take(n1).collect();
-    for (k, child) in ranked.enumerate() {
-        heads[k % n1].children.push(Rc::new(child));
+    ranked.sort_by_key(|(weight, _)| Reverse(*weight));
+    // The driver's payloads, and each start's index among them.
+    let (mut heads, mut head_of) = (Vec::<WorkerPayload>::new(), Vec::with_capacity(starts.len()));
+    for ((_, payload), start) in ranked.into_iter().zip(&starts) {
+        head_of.push(heads.len());
+        match start.parent {
+            None => heads.push(payload),
+            Some(parent) => heads[head_of[parent]].children.push(Rc::new(payload)),
+        }
     }
     heads.into_iter().map(Rc::new).collect()
 }
@@ -288,6 +312,8 @@ pub async fn invoke_children(
 mod tests {
     use super::*;
     use crate::worker::WorkerTask;
+    use lambada_sim::rng::SimRng;
+    use InvocationStrategy::{Direct, Soonest, TwoLevel};
 
     fn payloads(n: usize) -> Vec<WorkerPayload> {
         (0..n as u64)
@@ -315,27 +341,66 @@ mod tests {
         tree.iter().map(|fg| ids(fg)).collect()
     }
 
+    /// The worker each start of `starts` went to in `tree`: the driver's
+    /// calls in the order of the tree's heads, each head's child calls in
+    /// the order of its children.
+    fn started(tree: &[Rc<WorkerPayload>], starts: &[Start]) -> Vec<u64> {
+        let (mut heads, mut head_of, mut called) = (tree.iter(), Vec::new(), vec![0; tree.len()]);
+        let mut ids = Vec::with_capacity(starts.len());
+        for start in starts {
+            match start.parent {
+                None => {
+                    head_of.push(called.len() - heads.len());
+                    ids.push(heads.next().expect("a head per driver call").worker_id);
+                }
+                Some(parent) => {
+                    let h = head_of[parent];
+                    head_of.push(h);
+                    ids.push(tree[h].children[called[h]].worker_id);
+                    called[h] += 1;
+                }
+            }
+        }
+        assert!(heads.next().is_none(), "a driver call per head");
+        ids
+    }
+
+    /// The old launch: the `n1 × ⌈P/n1⌉` tree whose last initiation is
+    /// soonest, over every first-generation width from √P up.
+    fn best_fixed_width_tree(region: Region, p: usize) -> f64 {
+        let driver = |n1: usize| {
+            n1 as f64 / region.concurrent_invocation_rate()
+                + region.single_invocation().as_secs_f64()
+        };
+        (tree_shape(p).0..=p.max(1))
+            .map(|n1| {
+                let children = p.div_ceil(n1).saturating_sub(1) as f64;
+                driver(n1)
+                    + children / region.intra_region_rate()
+                    + region.intra_invocation().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
     #[test]
     fn tree_covers_all_payloads_once() {
         for n in [1usize, 2, 5, 16, 100, 4096] {
             // Unweighted, and weighted with ties (every third worker heavy).
             let tied: Vec<u64> = (0..n as u64).map(|i| u64::from(i % 3 == 0)).collect();
-            for weights in [&[][..], &tied] {
-                let mut seen: Vec<u64> =
-                    groups(&build_tree(Region::Eu, payloads(n), weights)).concat();
+            for (weights, strategy) in [&[][..], &tied].into_iter().zip([Soonest, TwoLevel]) {
+                let tree = build_tree(Region::Eu, payloads(n), weights, strategy);
+                let mut seen: Vec<u64> = groups(&tree).concat();
                 seen.sort_unstable();
-                assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
+                assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n} {strategy:?}");
             }
         }
     }
 
-    /// The heaviest payloads are the first generation, in weight order;
-    /// the rest go round-robin, so each group's children are heaviest
-    /// first too; and equal weights keep worker order.
+    /// The `k`-th heaviest payload takes the schedule's `k`-th start, so
+    /// workers start heaviest first and equal weights keep worker order.
     #[test]
     fn the_heaviest_payloads_head_the_tree_and_ties_keep_worker_order() {
         let n = 320;
-        let (n1, group) = launch_shape(Region::Eu, n);
         // Workers 100..150 are heavy, 120..130 the heaviest of them.
         let weights: Vec<u64> = (0..n as u64)
             .map(|i| match i {
@@ -344,67 +409,57 @@ mod tests {
                 _ => 1,
             })
             .collect();
-        let tree = groups(&build_tree(Region::Eu, payloads(n), &weights));
-        assert_eq!(tree.len(), n1);
-        assert!(tree.iter().all(|g| g.len() <= group));
-        let heads: Vec<u64> = tree.iter().map(|g| g[0]).collect();
-        let want: Vec<u64> = (120..130).chain(100..120).chain(130..150).take(n1).collect();
-        assert_eq!(heads, want);
-        // The heavy workers the first generation has no room for are the
-        // first children of the first groups, in worker order.
-        let rest: Vec<u64> = (100..120).chain(130..150).skip(n1 - 10).collect();
-        let first_children: Vec<u64> = tree.iter().take(rest.len()).map(|g| g[1]).collect();
-        assert_eq!(first_children, rest);
-        for g in &tree {
-            let w: Vec<u64> = g.iter().map(|&id| weights[id as usize]).collect();
-            assert!(w.windows(2).all(|p| p[0] >= p[1]), "group {g:?} is not heaviest first");
-        }
-        // Unweighted, the first generation is the first `n1` workers and
-        // worker `n1 + k` is a child of group `k mod n1`.
-        let plain = groups(&build_tree(Region::Eu, payloads(n), &[]));
-        assert_eq!(
-            plain.iter().map(|g| g[0]).collect::<Vec<_>>(),
-            (0..n1 as u64).collect::<Vec<_>>()
-        );
-        for (k, id) in (n1 as u64..n as u64).enumerate() {
-            assert!(plain[k % n1].contains(&id), "worker {id}");
-        }
+        let starts = schedule(Region::Eu, n, Soonest);
+        let tree = build_tree(Region::Eu, payloads(n), &weights, Soonest);
+        let want: Vec<u64> =
+            (120..130).chain(100..120).chain(130..150).chain((0..100).chain(150..320)).collect();
+        assert_eq!(started(&tree, &starts), want);
+        // The heavy workers are all the driver's: its first 50 calls.
+        let heads: Vec<u64> = groups(&tree).iter().map(|g| g[0]).take(50).collect();
+        assert_eq!(heads, want[..50]);
+        // Unweighted, worker `k` takes start `k`.
+        let plain = build_tree(Region::Eu, payloads(n), &[], Soonest);
+        assert_eq!(started(&plain, &starts), (0..n as u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn small_fleets_go_direct_and_large_ones_through_the_tree() {
-        use InvocationStrategy::{Direct, TwoLevel};
+        let has_children = |region, p, s| schedule(region, p, s).iter().any(|s| s.parent.is_some());
         for region in Region::ALL {
             for p in [1usize, 8, 40] {
-                assert_eq!(choose_strategy(region, p), Direct, "{region:?} P={p}");
+                assert!(!has_children(region, p, Soonest), "{region:?} P={p}");
+                assert!(has_children(region, p, TwoLevel) || p < 3, "{region:?} P={p}");
             }
             for p in [320usize, 4096] {
-                assert_eq!(choose_strategy(region, p), TwoLevel, "{region:?} P={p}");
+                assert!(has_children(region, p, Soonest), "{region:?} P={p}");
             }
-            // The crossover is a single point: once the tree wins it keeps
-            // winning, and every predictor only grows with the fleet.
-            let chosen = |p| predicted_last_initiation(region, p, choose_strategy(region, p));
+            // The crossover is a single point: once a child call is
+            // sooner than the driver's next, it stays so, and the launch's
+            // span only grows with the fleet.
             let mut tree_won = false;
-            for p in 1..=4096usize {
-                let tree = choose_strategy(region, p) == TwoLevel;
+            for p in 1..=1024usize {
+                let tree = has_children(region, p, Soonest);
                 assert!(tree || !tree_won, "{region:?}: back to direct at P={p}");
                 tree_won = tree;
-                for s in [Direct, TwoLevel] {
+                for s in [Direct, Soonest] {
                     assert!(
                         predicted_last_initiation(region, p, s)
                             >= predicted_last_initiation(region, p - 1, s),
                         "{region:?} {s:?} shrinks at P={p}"
                     );
                 }
-                assert!(chosen(p) >= chosen(p - 1), "{region:?} chosen shrinks at P={p}");
             }
         }
-        // Worked numbers for `eu`: 320 workers launch as 32 × 10, where the
-        // √P tree's 18 × 18 would predict 0.50 s.
+        // Worked numbers for `eu`: 320 workers, 100 of them started by the
+        // driver, the last initiated at 0.38 s, where the √P tree's
+        // 18 × 18 predicts 0.50 s and the driver alone 1.12 s.
         let eu = |p, s| predicted_last_initiation(Region::Eu, p, s);
-        assert!((eu(8, Direct) - 0.063).abs() < 1e-3);
-        assert_eq!(launch_shape(Region::Eu, 320), (32, 10));
-        assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, TwoLevel) - 0.45).abs() < 1e-2);
+        assert!((eu(8, Direct) - 0.063).abs() < 1e-3 && eu(8, Soonest) == eu(8, Direct));
+        let by_driver =
+            schedule(Region::Eu, 320, Soonest).iter().filter(|s| s.parent.is_none()).count();
+        assert_eq!(by_driver, 100);
+        assert!((eu(320, Direct) - 1.12).abs() < 1e-2 && (eu(320, Soonest) - 0.38).abs() < 1e-2);
+        assert!((eu(320, TwoLevel) - 0.50).abs() < 1e-2);
     }
 
     /// A tree group never shrinks as the fleet grows, so a file that fits
@@ -418,26 +473,58 @@ mod tests {
         assert_eq!(inline_file_budget(1), INLINE_EDGE_BYTES as u64);
     }
 
-    /// The launched group never exceeds the √P tree's, which the inline
-    /// budgets are sized by, in any region at any fleet size.
+    /// In every region, at fleet sizes from 2 to 10 000 (every one up to
+    /// 400, then a random sample) and under random weights with ties: the
+    /// launch deals every payload exactly once, heaviest first (its
+    /// starts never decrease), in groups no larger than the budgeted
+    /// one, and initiates its last worker no later than the direct launch
+    /// or any fixed-width tree.
     #[test]
     fn the_launch_group_never_exceeds_the_budgeted_one() {
+        let rng = SimRng::new(54);
         for region in Region::ALL {
-            for p in 2..=10_000usize {
-                let (n1, group) = launch_shape(region, p);
-                assert!(n1 >= tree_shape(p).0 && n1 <= p, "{region:?} P={p}");
-                assert_eq!(group, p.div_ceil(n1), "{region:?} P={p}");
-                assert!(group <= tree_shape(p).1, "{region:?} P={p}");
+            let sampled = (0..24).map(|_| rng.range_u64(401, 10_001) as usize);
+            for p in (2..=400usize).chain(sampled) {
+                let starts = schedule(region, p, Soonest);
+                assert_eq!(starts.len(), p, "{region:?} P={p}");
+                assert!(starts.windows(2).all(|w| w[0].at <= w[1].at), "{region:?} P={p}");
+                let mut group = vec![1; p];
+                for s in starts.iter().filter_map(|s| s.parent) {
+                    assert_eq!(starts[s].parent, None, "{region:?} P={p}: depth two");
+                    group[s] += 1;
+                }
+                let largest = group.iter().max().copied().unwrap_or(0);
+                assert!(largest <= tree_shape(p).1, "{region:?} P={p}: group {largest}");
+                let last = starts[p - 1].at;
+                assert!(last <= predicted_last_initiation(region, p, Direct), "{region:?} P={p}");
+                assert!(last <= best_fixed_width_tree(region, p), "{region:?} P={p}");
+                if p > 1_000 && p % 4 != 0 {
+                    continue; // dealing the larger fleets on a quarter keeps the test quick
+                }
+                let weights: Vec<u64> = (0..p).map(|_| rng.range_u64(0, 5)).collect();
+                let tree = build_tree(region, payloads(p), &weights, Soonest);
+                let mut ranked: Vec<u64> = (0..p as u64).collect();
+                ranked.sort_by_key(|&w| Reverse(weights[w as usize]));
+                assert_eq!(started(&tree, &starts), ranked, "{region:?} P={p}");
             }
         }
     }
 
-    /// At 4096 workers the first generation is twice √P wide: 128 groups
-    /// of 32 in `eu`, every group full.
+    /// At 4096 workers the launch initiates its last worker sooner than
+    /// any fixed-width tree (the best, 128 groups of 32 in `eu`, at
+    /// 1.01 s) and the √P tree: its driver starts 227 workers.
     #[test]
     fn tree_width_minimises_table_1s_last_initiation() {
-        let tree = build_tree(Region::Eu, payloads(4096), &[]);
-        assert_eq!(tree.len(), 128);
-        assert!(tree.iter().all(|fg| fg.children.len() == 31));
+        let (p, eu) = (4096, Region::Eu);
+        let starts = schedule(eu, p, Soonest);
+        assert_eq!(starts.iter().filter(|s| s.parent.is_none()).count(), 227);
+        let last = predicted_last_initiation(eu, p, Soonest);
+        assert!(
+            last < best_fixed_width_tree(eu, p)
+                && last < predicted_last_initiation(eu, p, TwoLevel)
+        );
+        let tree = build_tree(eu, payloads(p), &[], TwoLevel);
+        assert_eq!(tree.len(), 64);
+        assert!(tree.iter().all(|fg| fg.children.len() == 63));
     }
 }

@@ -582,7 +582,7 @@ mod tests {
     //! [`CloudConfig`] alone.
 
     use super::*;
-    use crate::invoke::{choose_strategy, InvocationStrategy};
+    use crate::invoke::{schedule, InvocationStrategy::Soonest};
     use crate::message::INLINE_EDGE_BYTES;
     use crate::transport::ADDRESS_BYTES;
     use lambada_engine::logical::SortKey;
@@ -659,13 +659,16 @@ mod tests {
         let many = inline_files(400, 8_000);
         let chunks = scan_chunks(&many, by_size, None);
         assert_eq!(chunks.len(), 200);
-        assert_eq!(choose_strategy(Region::Eu, chunks.len()), InvocationStrategy::TwoLevel);
+        let starts = schedule(Region::Eu, chunks.len(), Soonest);
+        assert!(starts.iter().any(|s| s.parent.is_some()), "the fleet launches through the tree");
         assert!(fits(&many, &chunks));
         // The launched group is at most the budgeted one, and the heaviest
         // runs of that many — whichever the tree deals to one payload —
         // hold at most the budget together.
         let group = invoke::tree_shape(chunks.len()).1;
-        assert!(invoke::launch_shape(Region::Eu, chunks.len()).1 <= group);
+        let mut launched = vec![1; starts.len()];
+        starts.iter().filter_map(|s| s.parent).for_each(|p| launched[p] += 1);
+        assert!(launched.iter().all(|&g| g <= group), "{launched:?}");
         let bytes =
             |c: &Range<usize>| many[c.clone()].iter().map(|f| f.inline_bytes()).sum::<u64>();
         let mut runs: Vec<u64> = chunks.iter().map(bytes).collect();

@@ -30,13 +30,16 @@
 //!   bytes read ([`crate::WorkerMetrics::bytes_read`]);
 //! * up to `row_group_pipeline` row groups are in flight at once
 //!   (level 3), overlapping downloads with decompression of the previous
-//!   group. A row group downloaded a GET per chunk is decoded in scan
-//!   order as its chunks land — each with the later ones that have landed
-//!   by then — so its first chunk's decode overlaps the download of the
-//!   rest; one the footer's body holds, or one GET brings, is decoded in
-//!   one charge once its turn comes;
-//! * decompression optionally uses the second hardware thread that large
-//!   workers have (§4.1/Fig 4).
+//!   group;
+//! * a row group decodes on as many *lanes* as the container has
+//!   hardware threads — two above 1792 MiB, where a function gets more
+//!   than one vCPU (§4.1, Fig 4) — as its chunks land: a lane that is
+//!   free takes its share of the landed chunks not yet decoded (their
+//!   decode seconds ÷ free lanes, rounded up to whole landings, in scan
+//!   order), so a row group downloaded a GET per chunk decodes its first
+//!   chunks while the rest are on the wire, and one that has landed by
+//!   its turn decodes on both threads. One the footer's body holds, or
+//!   one GET brings, lands in one piece: one charge on one lane.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -79,8 +82,6 @@ pub struct ScanConfig {
     pub row_group_pipeline: usize,
     /// Speculative footer fetch size, for a file too large to read whole.
     pub metadata_tail_bytes: u64,
-    /// Use the second hardware thread for decompression (§4.3.2).
-    pub parallel_decompress: bool,
 }
 
 impl Default for ScanConfig {
@@ -90,7 +91,6 @@ impl Default for ScanConfig {
             connections: 4,
             row_group_pipeline: 2,
             metadata_tail_bytes: 64 << 10,
-            parallel_decompress: false,
         }
     }
 }
@@ -360,32 +360,6 @@ async fn next_in_order<F: Future>(ahead: &mut Ahead<F>) -> Option<F::Output> {
     .await
 }
 
-/// Charge decode CPU, optionally splitting onto the second hardware
-/// thread (only profitable with heavy compression and spare vCPU share).
-async fn charge_decode(env: &WorkerEnv, cfg: &ScanConfig, vcpu_seconds: f64) {
-    if cfg.parallel_decompress && env.ctx.instance.cpu.capacity() > 1.0 {
-        let half = vcpu_seconds / 2.0;
-        let a = {
-            let env = env.clone();
-            let handle = env.cloud.handle.clone();
-            handle.spawn(async move { env.compute(half).await })
-        };
-        env.compute(half).await;
-        a.await;
-    } else {
-        env.compute(vcpu_seconds).await;
-    }
-}
-
-/// The output of `handle`'s task if it has finished, without waiting.
-async fn finished<T>(handle: &mut JoinHandle<T>) -> Option<T> {
-    let polled = std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *handle).poll(cx))).await;
-    match polled {
-        Poll::Ready(out) => Some(out),
-        Poll::Pending => None,
-    }
-}
-
 /// A row group in flight: its rows, its scanned chunks and their
 /// landings — each a run of the chunks' bodies, in scan order: one for a
 /// row group the footer's body holds or a single GET brings, one per
@@ -396,48 +370,83 @@ struct InFlight {
     landings: Vec<JoinHandle<Result<Vec<Body>>>>,
 }
 
-/// Decode and emit the oldest in-flight row group, in scan order: each
-/// landing's chunks are charged together as it lands, with those of the
-/// landings after it that have landed by then, so a row group downloaded
-/// a chunk at a time decodes its first chunk while the rest are still on
-/// the wire, and one that has landed whole is one charge.
+/// Decode and emit the oldest in-flight row group. Its landings join a
+/// queue in scan order as they land (a landing waits for those before
+/// it), and each of the container's lanes — one per hardware thread —
+/// that is free takes its share of the queue: landings from the front,
+/// at least one, until they hold the queue's decode seconds over the free
+/// lanes. A lane is one charge of its landings' decode seconds, polled in
+/// place; the lanes share the CPU with whatever else the worker runs. So
+/// a row group downloaded a chunk at a time decodes its first chunks
+/// while the rest are on the wire, and one that lands whole is one
+/// charge, as it is with one lane.
 async fn drain_one(
     env: &WorkerEnv,
-    cfg: &ScanConfig,
     base_schema: &Schema,
     columns: &[usize],
     metrics: &mut ScanMetrics,
     rg: InFlight,
     tx: &mpsc::Sender<ScanItem>,
 ) -> Result<()> {
-    let mut chunks = rg.chunks.iter();
-    let (mut cols, mut all_real) = (Vec::with_capacity(columns.len()), true);
-    let mut landings = rg.landings.into_iter().peekable();
-    while let Some(landing) = landings.next() {
-        let mut bodies = landing.await?;
-        // The later chunks that have landed meanwhile share its charge.
-        while let Some(next) = landings.peek_mut() {
-            let Some(more) = finished(next).await else { break };
-            bodies.extend(more?);
-            landings.next();
-        }
-        let landed: Vec<_> = chunks.by_ref().take(bodies.len()).collect();
-        let decode_seconds = landed.iter().fold(0.0, |secs, (_, chunk)| {
+    let lanes = (env.ctx.instance.cpu.capacity().ceil() as usize).max(1);
+    let decode_seconds = |chunks: &[(usize, ColumnChunkMeta)]| {
+        chunks.iter().fold(0.0, |secs, (_, chunk)| {
             secs + env.costs.chunk_decode_seconds(
                 chunk.compressed_len,
                 chunk.uncompressed_len,
                 chunk.compression == Compression::Lz,
             )
-        });
-        charge_decode(env, cfg, decode_seconds).await;
-        for ((col_idx, chunk), body) in landed.into_iter().zip(&bodies) {
-            let Some(bytes) = body.as_real().filter(|_| all_real) else {
-                all_real = false;
-                continue;
-            };
-            let ptype = base_schema.field(*col_idx).dtype.to_physical().map_err(CoreError::from)?;
-            cols.push(Column::from_data(lambada_format::decode_chunk(chunk, ptype, bytes)?));
+        })
+    };
+    let mut landings = rg.landings.into_iter().peekable();
+    // The landed chunks' bodies in scan order, and of the landings not yet
+    // charged, each one's chunk count and decode seconds.
+    let mut bodies: Vec<Body> = Vec::with_capacity(rg.chunks.len());
+    let (mut queued, mut charged) = (VecDeque::<(usize, f64)>::new(), 0);
+    let mut busy: Vec<Pin<Box<dyn Future<Output = ()> + '_>>> = Vec::with_capacity(lanes);
+    std::future::poll_fn(|cx| loop {
+        while let Some(next) = landings.peek_mut() {
+            match Pin::new(next).poll(cx) {
+                Poll::Pending => break,
+                Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                Poll::Ready(Ok(landed)) => {
+                    landings.next();
+                    let at = bodies.len();
+                    queued.push_back((
+                        landed.len(),
+                        decode_seconds(&rg.chunks[at..][..landed.len()]),
+                    ));
+                    bodies.extend(landed);
+                }
+            }
         }
+        busy.retain_mut(|lane| lane.as_mut().poll(cx).is_pending());
+        if queued.is_empty() || busy.len() == lanes {
+            let done = landings.peek().is_none() && queued.is_empty() && busy.is_empty();
+            return if done { Poll::Ready(Ok(())) } else { Poll::Pending };
+        }
+        while busy.len() < lanes && !queued.is_empty() {
+            let share =
+                queued.iter().map(|&(_, secs)| secs).sum::<f64>() / (lanes - busy.len()) as f64;
+            let (mut n, mut taken) = (0, 0.0);
+            while let Some(&(chunks, secs)) = queued.front().filter(|_| n == 0 || taken < share) {
+                queued.pop_front();
+                (n, taken) = (n + chunks, taken + secs);
+            }
+            let secs = decode_seconds(&rg.chunks[charged..charged + n]);
+            charged += n;
+            busy.push(Box::pin(env.compute(secs)));
+        }
+    })
+    .await?;
+    let (mut cols, mut all_real) = (Vec::with_capacity(columns.len()), true);
+    for ((col_idx, chunk), body) in rg.chunks.iter().zip(&bodies) {
+        let Some(bytes) = body.as_real().filter(|_| all_real) else {
+            all_real = false;
+            continue;
+        };
+        let ptype = base_schema.field(*col_idx).dtype.to_physical().map_err(CoreError::from)?;
+        cols.push(Column::from_data(lambada_format::decode_chunk(chunk, ptype, bytes)?));
     }
     metrics.rows += rg.rows;
     let item = if all_real && !cols.is_empty() {
@@ -526,7 +535,7 @@ pub async fn scan_table(
             // Wait for a pipeline slot.
             while inflight.len() >= cfg.row_group_pipeline.max(1) {
                 let Some(head) = inflight.pop_front() else { break };
-                drain_one(env, cfg, base_schema, columns, &mut metrics, head, &items).await?;
+                drain_one(env, base_schema, columns, &mut metrics, head, &items).await?;
             }
             // Level 2/1: download the needed chunks of this row group.
             let chunks: Rc<[(usize, ColumnChunkMeta)]> =
@@ -543,7 +552,7 @@ pub async fn scan_table(
         }
     }
     while let Some(head) = inflight.pop_front() {
-        drain_one(env, cfg, base_schema, columns, &mut metrics, head, &items).await?;
+        drain_one(env, base_schema, columns, &mut metrics, head, &items).await?;
     }
     Ok(metrics)
 }

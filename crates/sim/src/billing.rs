@@ -206,10 +206,18 @@ impl Billing {
     }
 
     /// Record Lambda compute: `gib` of memory for `seconds`, rounded up to
-    /// the billing quantum (100 ms in the paper's era).
-    pub fn record_lambda_duration(&self, gib: f64, seconds: f64, quantum: f64) -> f64 {
-        let billed = if quantum > 0.0 { (seconds / quantum).ceil() * quantum } else { seconds };
-        self.record(CostItem::LambdaGibSeconds, gib * billed)
+    /// the billing quantum (100 ms in the paper's era). Returns the billed
+    /// quanta (0 without a quantum) and GiB-seconds.
+    pub fn record_lambda_duration(&self, gib: f64, seconds: f64, quantum: f64) -> (u64, f64) {
+        let (quanta, billed) = if quantum > 0.0 {
+            let quanta = (seconds / quantum).ceil();
+            (quanta as u64, quanta * quantum)
+        } else {
+            (0, seconds)
+        };
+        let gib_s = gib * billed;
+        self.record(CostItem::LambdaGibSeconds, gib_s);
+        (quanta, gib_s)
     }
 
     pub fn prices(&self) -> Prices {

@@ -391,6 +391,11 @@ impl PsResource {
         self.capacity
     }
 
+    /// Jobs that have joined so far (a job of no work never joins).
+    pub fn jobs_joined(&self) -> u64 {
+        self.st.borrow().next_job
+    }
+
     /// Execute `work` units of demand (e.g. vCPU-seconds), sharing the
     /// resource with concurrent jobs.
     pub fn run(&self, work: f64) -> ShareJob {

@@ -272,10 +272,28 @@ impl fmt::Display for InvokeError {
 
 impl std::error::Error for InvokeError {}
 
+/// One execution of a function, as Lambda's `REPORT` log line has it:
+/// the bill of that execution alone.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InvocationRecord {
+    /// The container it ran in ([`Instance::id`]).
+    pub instance: u64,
+    /// Whether the container was started for it.
+    pub cold: bool,
+    /// Seconds from the handler's start to its return, timeout or death.
+    pub exec_s: f64,
+    /// `exec_s` in billing quanta, rounded up.
+    pub billed_quanta: u64,
+    /// The function's memory × the billed duration: what it is billed for.
+    pub gib_s: f64,
+}
+
 struct Function {
     spec: FunctionSpec,
     handler: Handler,
     warm: VecDeque<Rc<Instance>>,
+    /// One per finished execution, in the order they finished.
+    records: Vec<InvocationRecord>,
     invocations: u64,
     cold_starts: u64,
     timeouts: u64,
@@ -347,6 +365,7 @@ impl FaasService {
                 spec,
                 handler,
                 warm: VecDeque::new(),
+                records: Vec::new(),
                 invocations: 0,
                 cold_starts: 0,
                 timeouts: 0,
@@ -361,6 +380,12 @@ impl FaasService {
             Some(f) => (f.invocations, f.cold_starts, f.timeouts),
             None => (0, 0, 0),
         }
+    }
+
+    /// Every finished execution of `name`, in the order they finished
+    /// (none once `name` is re-registered).
+    pub fn records(&self, name: &str) -> Vec<InvocationRecord> {
+        self.inner.borrow().functions.get(name).map_or_else(Vec::new, |f| f.records.clone())
     }
 
     /// A caller profile for the driver's machine in `region`, modelling the
@@ -459,17 +484,17 @@ impl FaasService {
         let death = fault.and_then(|f| f.kill_after).map_or(timeout, |k| k.min(timeout));
         let died = matches!(select2(fut, self.handle.sleep(death)).await, Either::Right(()));
         let end = self.handle.now();
-        self.billing.record_lambda_duration(
-            mem_gib,
-            end.saturating_since(start).as_secs_f64(),
-            self.cfg.billing_quantum,
-        );
+        let exec_s = end.saturating_since(start).as_secs_f64();
+        let (billed_quanta, gib_s) =
+            self.billing.record_lambda_duration(mem_gib, exec_s, self.cfg.billing_quantum);
+        let record = InvocationRecord { instance: instance.id, cold, exec_s, billed_quanta, gib_s };
         self.trace.record(instance.id, "faas_exec", start, end);
 
         let killed = died && fault.and_then(|f| f.kill_after).is_some_and(|k| k < timeout);
         let degraded = fault.is_some_and(|f| f.degrades_nic());
         let mut inner = self.inner.borrow_mut();
         if let Some(f) = inner.functions.get_mut(name) {
+            f.records.push(record);
             if killed {
                 f.injected_kills += 1; // container discarded; silent death
             } else if died {
@@ -601,6 +626,50 @@ mod tests {
         assert!(first.1, "first invocation should be cold");
         assert!(!second.1, "second invocation should be warm");
         assert_eq!(first.0, second.0, "same container reused");
+    }
+
+    /// Every execution leaves one record — the cold first, the warm
+    /// reuse of its container, and one the timeout killed — and the
+    /// records priced one by one sum to the bill: the GiB-seconds line
+    /// bit for bit, and one request each.
+    #[test]
+    fn every_execution_is_recorded_and_the_records_price_to_the_lambda_bill() {
+        let sim = Simulation::new();
+        let (svc, billing) = service(&sim, quiet_cfg());
+        svc.register(
+            FunctionSpec::new("f", 2048, Duration::from_millis(800)),
+            Rc::new(move |ctx: InstanceCtx, p: InvokePayload| {
+                let secs = *p.downcast_ref::<f64>().expect("seconds of compute");
+                Box::pin(async move { ctx.compute(secs).await })
+            }),
+        );
+        let caller = svc.driver_caller(Region::Eu);
+        sim.block_on({
+            let h = sim.handle();
+            async move {
+                for secs in [0.25, 0.03, 5.0] {
+                    caller.invoke("f", Rc::new(secs), 0).await.unwrap();
+                    h.sleep(Duration::from_secs(3)).await;
+                }
+            }
+        });
+        let records = svc.records("f");
+        let summary: Vec<(bool, u64)> = records.iter().map(|r| (r.cold, r.billed_quanta)).collect();
+        // 0.25 vCPU-s at 1.14 vCPU, with the cold penalty: 3 quanta; 30 ms
+        // warm: 1; killed at the 800 ms timeout: 8 (or 9, past it by a hair).
+        assert_eq!(summary[..2], [(true, 3), (false, 1)]);
+        assert!(!summary[2].0 && (8..=9).contains(&summary[2].1), "{summary:?}");
+        assert_eq!(records[0].instance, records[1].instance, "the warm run reused the container");
+        assert_eq!(svc.counters("f"), (3, 1, 1));
+        for r in &records {
+            assert_eq!(r.billed_quanta, (r.exec_s / 0.1).ceil() as u64);
+            assert_eq!(r.gib_s, 2.0 * (r.billed_quanta as f64 * 0.1));
+        }
+        let prices = billing.prices();
+        let gib_s = records.iter().fold(0.0, |usd, r| usd + r.gib_s * prices.lambda_gib_second);
+        let bill = billing.snapshot();
+        assert_eq!(gib_s.to_bits(), bill.dollars(CostItem::LambdaGibSeconds).to_bits());
+        assert_eq!(bill.units(CostItem::LambdaRequests), records.len() as f64);
     }
 
     #[test]

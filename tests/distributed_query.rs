@@ -134,8 +134,8 @@ fn q6_distributed_matches_reference() {
 /// The installation picks the invocation shape per fleet, so both shapes
 /// are driven here through the explicit entry point: Q6's scan fleet is
 /// built by hand, invoked directly and through the two-level tree, and
-/// its reports merged like the driver merges them. Eight workers: the
-/// fewest Table 1's rates give a tree with children.
+/// its reports merged like the driver merges them. Eight workers, which
+/// the installation launches direct and the paper's tree as 3 × 3.
 #[test]
 fn direct_and_two_level_invocation_agree() {
     use lambada::core::invoke::labels;
@@ -231,7 +231,7 @@ fn direct_and_two_level_invocation_agree() {
     let (direct, direct_spawns) = run(InvocationStrategy::Direct);
     let (tree, tree_spawns) = run(InvocationStrategy::TwoLevel);
     assert_eq!(direct_spawns, 0, "the driver invoked every worker itself");
-    assert_eq!(tree_spawns, 4, "eight workers: four first-generation workers with a child each");
+    assert_eq!(tree_spawns, 3, "eight workers: the paper's tree, three groups of at most three");
     assert_eq!(direct, tree, "the shape moves the clock, never a bit of the result");
     // And the shape the installation picks for this fleet gives the same.
     let by_file = LambadaConfig { files_per_worker: Some(1), ..LambadaConfig::default() };

@@ -14,8 +14,10 @@
 //! executor, timers, resources, sync primitives) may **not** regenerate
 //! them: for such a PR a moved pin is a bug in the PR.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
+use lambada::core::invoke::{labels, schedule, InvocationStrategy};
 use lambada::core::{
     inject_worker_faults, AggStrategy, Lambada, LambadaConfig, QueryReport, QueryService,
     ServiceConfig, TenantBudget, TransportKind,
@@ -208,17 +210,17 @@ fn two_tenants_through_a_small_gate() {
 }
 
 /// Descriptor Q1 on 40 files: a 40-worker fleet the driver invokes
-/// directly (the two-level tree pays only past ≈ 90 workers in `eu`, see
-/// `invoke::choose_strategy`) and the modelled scan (no real bytes). No
-/// pin here covers the tree's shape: `tests/plan_table.rs` shows it for
-/// the 320-worker SF 1000 scan (32 × 10).
+/// directly (no child call is sooner than the driver's own below ≈ 60
+/// workers in `eu`, see `invoke::schedule`) and the modelled scan (no real
+/// bytes), whose row groups are read a GET per chunk and decode on the
+/// worker's two lanes as the chunks land.
 #[test]
 fn descriptor_q1_on_40_files() {
     let expected = Pin {
-        // 1713 scan GETs and 9 hedges of late ones. Row groups decode
-        // chunk by chunk as their GETs land (3.127 s → 3.075 s).
-        queries: vec![(4614107636595870518, 4570016956469661583)],
-        s3_gets: 1722,
+        // 1713 scan GETs and 13 hedges of late ones. Two decode lanes
+        // (3.075 s → 2.908 s).
+        queries: vec![(4613732615883126271, 4569592681355966262)],
+        s3_gets: 1726,
         s3_puts: 0,
         s3_lists: 0,
         trace_len: 240,
@@ -231,6 +233,34 @@ fn descriptor_q1_on_40_files() {
         let mut system = Lambada::install(&cloud, LambadaConfig::default());
         system.register_table(spec);
         let report = sim.block_on(async move { system.run_query(&q1("lineitem")).await.unwrap() });
+        pin(&cloud, &[report])
+    });
+}
+
+/// Descriptor Q6 on 128 files: a fleet launched through the two-level
+/// tree (`invoke::schedule` deals 79 workers to the driver and 49 to
+/// their child calls in `eu`), so a change to the tree's dealing, its
+/// child calls or the first generation's handler moves this pin.
+#[test]
+fn descriptor_q6_on_128_files_through_the_tree() {
+    let expected = Pin {
+        queries: vec![(4609428020575247884, 4562530748909873158)],
+        s3_gets: 606,
+        s3_puts: 0,
+        s3_lists: 0,
+        trace_len: 687,
+    };
+    check("descriptor_q6_on_128_files_through_the_tree", expected, |sim| {
+        let cloud = cloud(sim, 17);
+        let opts =
+            DescriptorOptions { scale: 100.0, num_files: 128, ..DescriptorOptions::default() };
+        let spec = stage_descriptors(&cloud, "tpch", "lineitem", &opts);
+        let mut system = Lambada::install(&cloud, LambadaConfig::default());
+        system.register_table(spec);
+        let report = sim.block_on(async move { system.run_query(&q6("lineitem")).await.unwrap() });
+        let starts = schedule(cloud.region(), 128, InvocationStrategy::Soonest);
+        let heads: BTreeSet<usize> = starts.iter().filter_map(|s| s.parent).collect();
+        assert_eq!(cloud.trace.spans(labels::SPAWN).len(), heads.len(), "every group fanned out");
         pin(&cloud, &[report])
     });
 }

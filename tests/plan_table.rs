@@ -7,15 +7,16 @@
 //! file) — Q1 and Q6 at `scan_agg`'s, Q12 and Q5 at `join_shuffle`'s, Q3
 //! at `groupby_direct`'s, Q1, Q6, Q12 and Q4 at `service_mix`'s — and Q1
 //! and Q6 over the descriptor lineitem of SF 1000 in 320 files, whose
-//! 320-worker scan launches through the two-level tree. Every query is
+//! 320-worker scan launches through a two-level tree. Every query is
 //! planned at 2048 MiB and at 1024 MiB.
 //!
 //! A line reads: the stage's label, its fleet, the installation's pin
 //! (`-` for none), its placement, the head of the chain it runs in, its
 //! out-edge's partition count, each sender's inline budget (`-` for the
 //! driver-bound last stage) and its byte estimate. A chain head's line
-//! ends with its launch shape: `direct`, or `n1 × group` from
-//! [`invoke::launch_shape`].
+//! ends with its launch shape from [`invoke::schedule`]: `direct`, or
+//! `d + c, group ≤ g` — the driver starts `d` workers, they start the
+//! other `c`, and no worker heads a group of more than `g`.
 //!
 //! Staging the tables uses a simulation (the loaders encode and store
 //! real files); planning does not: [`plan::launch_plan`] reads the
@@ -28,7 +29,7 @@
 
 use std::rc::Rc;
 
-use lambada::core::invoke::{self, InvocationStrategy};
+use lambada::core::invoke::{self, InvocationStrategy::Soonest};
 use lambada::core::plan::{self, LaunchPlan, Placement};
 use lambada::core::{AggStrategy, LambadaConfig, ServiceConfig, SortStrategy, TableSpec};
 use lambada::core::{TenantBudget, TransportKind};
@@ -100,12 +101,15 @@ fn render(launch: &LaunchPlan<'_>, region: Region) -> String {
         ));
         if head == s {
             let workers = launch.workers[s];
-            let shape = match invoke::choose_strategy(region, workers) {
-                InvocationStrategy::Direct => "direct".to_string(),
-                InvocationStrategy::TwoLevel => {
-                    let (n1, group) = invoke::launch_shape(region, workers);
-                    format!("{n1} × {group}")
+            let starts = invoke::schedule(region, workers, Soonest);
+            let mut group = vec![1; workers];
+            starts.iter().filter_map(|s| s.parent).for_each(|p| group[p] += 1);
+            let driver = starts.iter().filter(|s| s.parent.is_none()).count();
+            let shape = match group.iter().max() {
+                Some(&largest) if driver < workers => {
+                    format!("{driver} + {}, group ≤ {largest}", workers - driver)
                 }
+                _ => "direct".to_string(),
             };
             out.push_str(&format!("  launch {shape}"));
         }

@@ -9,9 +9,12 @@
 //! from it — as is an inline file cut short — a worker's files are read a
 //! connection each at once, a failed scan requests no file after those in
 //! flight, and a row group read a GET per chunk decodes each chunk as it
-//! lands.
+//! lands, on as many lanes as the worker has hardware threads — or fails
+//! with a typed error, leaving nothing running, when a chunk's GET fails.
 
 use std::time::Duration;
+
+mod common;
 
 use lambada::core::{
     scan_table, ComputeCostModel, CoreError, ScanConfig, ScanItem, ScanMetrics, TableFile,
@@ -519,4 +522,145 @@ fn a_wide_row_group_decodes_its_chunks_as_they_land() {
         panic!("no decode or no landing sampled: {samples:?}");
     };
     assert!(decoding < landed, "first decode at {decoding:?}, last chunk landed at {landed:?}");
+}
+
+/// One worker's scan of one SF-1000 file's Q1 columns at `memory_mib`:
+/// when it ended, when its first chunk's decode began, its CPU charges
+/// and the decode seconds of all its chunks.
+struct Sf1000Scan {
+    end: f64,
+    decoding_from: f64,
+    charges: u64,
+    decode_secs: f64,
+}
+
+fn scan_one_sf1000_file(memory_mib: u32) -> Sf1000Scan {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let spec = stage_descriptors(&cloud, "tpch", "lineitem", &DescriptorOptions::default());
+    let (file, q1_columns) = (&spec.files[..1], [4, 5, 6, 7, 8, 9, 10]);
+    let env = WorkerEnv::bare(&cloud, 0, memory_mib, ComputeCostModel::default());
+    let meta = file[0].meta.as_ref().expect("descriptor file");
+    let chunks = meta.row_groups.iter().flat_map(|rg| q1_columns.iter().map(|&c| &rg.columns[c]));
+    let decode_secs: f64 = chunks
+        .map(|c| {
+            let heavy = c.compression == lambada::format::Compression::Lz;
+            env.costs.chunk_decode_seconds(c.compressed_len, c.uncompressed_len, heavy)
+        })
+        .sum();
+    let cfg = ScanConfig::default();
+    let (cpu, link) = (&env.ctx.instance.cpu, env.s3.link());
+    // Every millisecond: whether the CPU is busy, and the bytes moved.
+    let (end, samples) = sim.block_on(async {
+        let (tx, mut rx) = mpsc::channel();
+        let scanned = scan_table(&env, &cfg, file, &spec.schema, &q1_columns, None, tx);
+        let mut samples = Vec::new();
+        let sample = async {
+            loop {
+                samples.push((sim.now().as_secs_f64(), cpu.active() > 0, link.total_bytes()));
+                sim.handle().sleep(Duration::from_millis(1)).await;
+            }
+        };
+        match select2(scanned, sample).await {
+            Either::Left(metrics) => assert_eq!(metrics.unwrap().files, 1),
+            Either::Right(never) => never,
+        }
+        while rx.recv().await.is_some() {}
+        (sim.now().as_secs_f64(), samples)
+    });
+    // The footer's read is the file's tail (the link counts it to a
+    // fraction of a byte); the chunks' reads follow it, and the first
+    // decode begins once the first of them has landed.
+    let footer = cfg.metadata_tail_bytes as f64 + 1.0;
+    let decoding = samples.iter().find(|&&(_, busy, moved)| busy && moved > footer);
+    let Some(&(decoding_from, ..)) = decoding else { panic!("no decode sampled") };
+    Sf1000Scan { end, decoding_from, charges: cpu.jobs_joined(), decode_secs }
+}
+
+/// A 2048 MiB worker has two hardware threads, so its row groups decode
+/// on two lanes: from the first decode on, the scan of one SF-1000 file
+/// ends sooner than its decode charges could run one after the other on
+/// one vCPU.
+#[test]
+fn two_lanes_decode_an_sf1000_file_faster_than_one_vcpu_serially() {
+    let scan = scan_one_sf1000_file(2048);
+    let decoding = scan.end - scan.decoding_from;
+    assert!(
+        decoding < scan.decode_secs,
+        "{decoding} s decoding, {} s of charges",
+        scan.decode_secs
+    );
+}
+
+/// A 1792 MiB worker has one vCPU, so one lane: the scan of one SF-1000
+/// file cannot beat its charges run one after the other, and its time and
+/// charge count are the serial decode's, pinned from the scan as it was
+/// before lanes existed (bit for bit).
+#[test]
+fn one_lane_decodes_an_sf1000_file_as_the_serial_scan_did() {
+    let scan = scan_one_sf1000_file(1792);
+    assert!(scan.end - scan.decoding_from >= scan.decode_secs);
+    assert_eq!((scan.end.to_bits(), scan.charges), (4611724318475267344, 10), "{}", scan.end);
+}
+
+/// A latency-bound real file is one GET, and each row group lands with
+/// it in one piece: one charge on one lane, whatever the lanes. Its
+/// virtual time and charge count (the footer's parse and one per row
+/// group) are pinned from the scan as it was before lanes existed.
+#[test]
+fn a_real_latency_bound_file_keeps_one_charge_per_row_group() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let file = stage(&cloud, "data", "whole", write(ROWS, ROW_GROUPS));
+    assert!(file.size <= latency_limit(&cloud));
+    let spec = TableSpec::new("t", schema(), vec![file], ROWS as u64);
+    let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+    let cfg = ScanConfig::default();
+    let end = sim.block_on(async {
+        let (tx, mut rx) = mpsc::channel();
+        scan_table(&env, &cfg, &spec.files, &spec.schema, &SCANNED, None, tx).await.unwrap();
+        while rx.recv().await.is_some() {}
+        sim.now().as_secs_f64()
+    });
+    assert_eq!(env.tally().gets, 1);
+    let charges = env.ctx.instance.cpu.jobs_joined();
+    assert_eq!((end.to_bits(), charges), (4576877794617538856, 1 + ROW_GROUPS as u64), "{end}");
+}
+
+/// A row group read a GET per chunk whose object is deleted once its
+/// first chunk is decoding: a later chunk's GET fails, the scan returns
+/// the typed storage error, and once the reads still in flight have run
+/// out nothing of it is left running.
+#[test]
+fn a_landing_that_fails_mid_row_group_is_a_storage_error_that_leaves_nothing_running() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let bytes = write(30_000, 3);
+    let file = stage(&cloud, "data", "vanishing", bytes);
+    let spec = TableSpec::new("t", schema(), vec![file], 30_000);
+    let cfg = ScanConfig { connections: 1, ..per_chunk(16 << 10) };
+    let env = WorkerEnv::bare(&cloud, 0, 2048, ComputeCostModel::default());
+    let cpu = &env.ctx.instance.cpu;
+    let err = sim.block_on(async {
+        let (tx, mut rx) = mpsc::channel();
+        let scanned = scan_table(&env, &cfg, &spec.files, &spec.schema, &SCANNED, None, tx);
+        let vanish = async {
+            // The footer's parse, then the first chunk's decode.
+            while cpu.jobs_joined() < 2 {
+                sim.handle().sleep(Duration::from_micros(50)).await;
+            }
+            cloud.s3.delete_objects("data", ["vanishing"]);
+            std::future::pending::<std::convert::Infallible>().await
+        };
+        let err = match select2(scanned, vanish).await {
+            Either::Left(out) => out.map(|m| m.rows).unwrap_err(),
+            Either::Right(never) => match never {},
+        };
+        while rx.recv().await.is_some() {}
+        err
+    });
+    assert!(matches!(&err, CoreError::Storage(m) if m.contains("vanishing")), "{err}");
+    drop(env);
+    sim.block_on(sim.handle().sleep(Duration::from_secs(60)));
+    common::assert_quiescent(&sim, &cloud, &lambada::core::LambadaConfig::default(), 0);
 }

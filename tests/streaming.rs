@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::assert_quiescent;
-use lambada::core::invoke::{choose_strategy, InvocationStrategy};
+use lambada::core::invoke::{schedule, InvocationStrategy};
 use lambada::core::streaming::{streamify, windowed_event_schema};
 use lambada::core::verify::codes;
 use lambada::core::{
@@ -704,7 +704,8 @@ fn a_batch_of_many_files_launches_two_level_within_the_payload_cap() {
             assert!(carried >= seen.bytes.get() as f64, "batch {i}: {carried} B carried");
             let query = r.query.expect("every batch runs");
             let files = seen.files.get();
-            let two_level = choose_strategy(cloud.region(), files) == InvocationStrategy::TwoLevel;
+            let starts = schedule(cloud.region(), files, InvocationStrategy::Soonest);
+            let two_level = starts.iter().any(|s| s.parent.is_some());
             assert!(two_level, "batch {i}: {files} files");
             let scan = query.stages.iter().find(|s| s.label.starts_with("scan:wide"));
             assert_eq!(scan.map(|s| (s.workers, s.get_requests)), Some((files, 0)), "batch {i}");
