@@ -121,8 +121,10 @@ pub struct Start {
 /// started, at its start `+ j / in-region rate + one in-region
 /// invocation` — the driver on a tie, then the earlier worker. The driver
 /// makes at most `p` calls (⌈√P⌉ in the paper's tree), a worker at most
-/// ⌈P / ⌈√P⌉⌉ − 1 (none direct), the √P tree's group less itself. Starts never decrease, so
-/// the last is the schedule's span.
+/// ⌈P / ⌈√P⌉⌉ − 1 (none direct), the √P tree's group less itself. Starts
+/// never decrease, so the last is the schedule's span. Outside the
+/// paper's tree only that group depends on `p`, so a fleet's schedule is
+/// the first `p` starts of any larger fleet's with the same group.
 pub fn schedule(region: Region, p: usize, strategy: InvocationStrategy) -> Vec<Start> {
     let (calls, group) = match strategy {
         InvocationStrategy::Direct => (p, 1),
@@ -310,6 +312,8 @@ pub async fn invoke_children(
 
 #[cfg(test)]
 mod tests {
+    use std::ops::RangeInclusive;
+
     use super::*;
     use crate::worker::WorkerTask;
     use lambada_sim::rng::SimRng;
@@ -365,17 +369,45 @@ mod tests {
         ids
     }
 
+    /// Every fleet size from 1 to `max_p` in `region`, in runs of the
+    /// sizes that share the √P tree's group, each with the [`Soonest`]
+    /// schedule of its largest. `schedule` deals the same starts in the
+    /// same order whatever the fleet and only the group caps a worker's
+    /// child calls, so a fleet's schedule is the first `p` starts of its
+    /// run's (checked at the run's smallest and middle sizes): one
+    /// schedule per group, about 2√P of them, stands for every size.
+    fn soonest_by_group(region: Region, max_p: usize) -> Vec<(RangeInclusive<usize>, Vec<Start>)> {
+        let mut runs = Vec::new();
+        let mut lo = 1;
+        while lo <= max_p {
+            let group = tree_shape(lo).1;
+            let hi = (lo..=max_p).take_while(|&p| tree_shape(p).1 == group).last().unwrap_or(lo);
+            let longest = schedule(region, hi, Soonest);
+            for p in [lo, (lo + hi) / 2] {
+                assert_eq!(schedule(region, p, Soonest), longest[..p], "{region:?} P={p}");
+            }
+            runs.push((lo..=hi, longest));
+            lo = hi + 1;
+        }
+        runs
+    }
+
+    /// [`Direct`]'s last initiation: the driver's `p`-th call.
+    fn direct(region: Region, p: usize) -> f64 {
+        p as f64 / region.concurrent_invocation_rate() + region.single_invocation().as_secs_f64()
+    }
+
     /// The old launch: the `n1 × ⌈P/n1⌉` tree whose last initiation is
-    /// soonest, over every first-generation width from √P up.
+    /// soonest, over every first-generation width from √P up — for each
+    /// group size the narrowest width that gives it, since a wider one
+    /// only adds driver calls.
     fn best_fixed_width_tree(region: Region, p: usize) -> f64 {
-        let driver = |n1: usize| {
-            n1 as f64 / region.concurrent_invocation_rate()
-                + region.single_invocation().as_secs_f64()
-        };
-        (tree_shape(p).0..=p.max(1))
-            .map(|n1| {
+        let n0 = tree_shape(p).0;
+        (1..=p.div_ceil(n0).max(1))
+            .map(|group| {
+                let n1 = p.div_ceil(group).max(n0);
                 let children = p.div_ceil(n1).saturating_sub(1) as f64;
-                driver(n1)
+                direct(region, n1)
                     + children / region.intra_region_rate()
                     + region.intra_invocation().as_secs_f64()
             })
@@ -436,18 +468,23 @@ mod tests {
             // The crossover is a single point: once a child call is
             // sooner than the driver's next, it stays so, and the launch's
             // span only grows with the fleet.
-            let mut tree_won = false;
-            for p in 1..=1024usize {
-                let tree = has_children(region, p, Soonest);
-                assert!(tree || !tree_won, "{region:?}: back to direct at P={p}");
-                tree_won = tree;
-                for s in [Direct, Soonest] {
-                    assert!(
-                        predicted_last_initiation(region, p, s)
-                            >= predicted_last_initiation(region, p - 1, s),
-                        "{region:?} {s:?} shrinks at P={p}"
-                    );
+            let (mut tree_won, mut last) = (false, 0.0);
+            for (sizes, starts) in soonest_by_group(region, 4096) {
+                let first_child = starts.iter().position(|s| s.parent.is_some());
+                for p in sizes {
+                    let tree = first_child.is_some_and(|k| k < p);
+                    assert!(tree || !tree_won, "{region:?}: back to direct at P={p}");
+                    tree_won = tree;
+                    assert!(starts[p - 1].at >= last, "{region:?} Soonest shrinks at P={p}");
+                    last = starts[p - 1].at;
                 }
+            }
+            for p in 1..=4096usize {
+                assert!(
+                    predicted_last_initiation(region, p, Direct)
+                        >= predicted_last_initiation(region, p - 1, Direct),
+                    "{region:?} Direct shrinks at P={p}"
+                );
             }
         }
         // Worked numbers for `eu`: 320 workers, 100 of them started by the
@@ -473,39 +510,44 @@ mod tests {
         assert_eq!(inline_file_budget(1), INLINE_EDGE_BYTES as u64);
     }
 
-    /// In every region, at fleet sizes from 2 to 10 000 (every one up to
-    /// 400, then a random sample) and under random weights with ties: the
-    /// launch deals every payload exactly once, heaviest first (its
-    /// starts never decrease), in groups no larger than the budgeted
-    /// one, and initiates its last worker no later than the direct launch
-    /// or any fixed-width tree.
+    /// In every region, at every fleet size from 2 to 10 000: the launch's
+    /// starts never decrease, its groups are no larger than the budgeted
+    /// one, and it initiates its last worker no later than the direct
+    /// launch or any fixed-width tree. Under random weights with ties it
+    /// deals every payload exactly once, heaviest first.
     #[test]
     fn the_launch_group_never_exceeds_the_budgeted_one() {
         let rng = SimRng::new(54);
         for region in Region::ALL {
-            let sampled = (0..24).map(|_| rng.range_u64(401, 10_001) as usize);
-            for p in (2..=400usize).chain(sampled) {
-                let starts = schedule(region, p, Soonest);
-                assert_eq!(starts.len(), p, "{region:?} P={p}");
-                assert!(starts.windows(2).all(|w| w[0].at <= w[1].at), "{region:?} P={p}");
-                let mut group = vec![1; p];
-                for s in starts.iter().filter_map(|s| s.parent) {
-                    assert_eq!(starts[s].parent, None, "{region:?} P={p}: depth two");
-                    group[s] += 1;
+            for (sizes, starts) in soonest_by_group(region, 10_000) {
+                // Fleet `p` launches `starts[..p]`: its groups are those
+                // of the first `p` starts, its last start the `p`-th.
+                let (mut group, mut largest) = (vec![1; starts.len()], 1);
+                for (k, s) in starts.iter().enumerate() {
+                    if let Some(parent) = s.parent {
+                        assert_eq!(starts[parent].parent, None, "{region:?}: depth two");
+                        group[parent] += 1;
+                        largest = largest.max(group[parent]);
+                    }
+                    assert!(k == 0 || starts[k - 1].at <= s.at, "{region:?}: start {k} is sooner");
+                    let p = k + 1;
+                    if !sizes.contains(&p) || p < 2 {
+                        continue;
+                    }
+                    assert!(largest <= tree_shape(p).1, "{region:?} P={p}: group {largest}");
+                    assert!(s.at <= direct(region, p), "{region:?} P={p}");
+                    assert!(s.at <= best_fixed_width_tree(region, p), "{region:?} P={p}");
                 }
-                let largest = group.iter().max().copied().unwrap_or(0);
-                assert!(largest <= tree_shape(p).1, "{region:?} P={p}: group {largest}");
-                let last = starts[p - 1].at;
-                assert!(last <= predicted_last_initiation(region, p, Direct), "{region:?} P={p}");
-                assert!(last <= best_fixed_width_tree(region, p), "{region:?} P={p}");
-                if p > 1_000 && p % 4 != 0 {
-                    continue; // dealing the larger fleets on a quarter keeps the test quick
+                // Dealing is linear in the fleet: every size up to 400,
+                // then the first of each group.
+                let first = *sizes.start();
+                for p in sizes.filter(|&p| (2..=400).contains(&p) || p == first) {
+                    let weights: Vec<u64> = (0..p).map(|_| rng.range_u64(0, 5)).collect();
+                    let tree = build_tree(region, payloads(p), &weights, Soonest);
+                    let mut ranked: Vec<u64> = (0..p as u64).collect();
+                    ranked.sort_by_key(|&w| Reverse(weights[w as usize]));
+                    assert_eq!(started(&tree, &starts[..p]), ranked, "{region:?} P={p}");
                 }
-                let weights: Vec<u64> = (0..p).map(|_| rng.range_u64(0, 5)).collect();
-                let tree = build_tree(region, payloads(p), &weights, Soonest);
-                let mut ranked: Vec<u64> = (0..p as u64).collect();
-                ranked.sort_by_key(|&w| Reverse(weights[w as usize]));
-                assert_eq!(started(&tree, &starts), ranked, "{region:?} P={p}");
             }
         }
     }

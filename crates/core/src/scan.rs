@@ -32,14 +32,16 @@
 //!   (level 3), overlapping downloads with decompression of the previous
 //!   group;
 //! * a row group decodes on as many *lanes* as the container has
-//!   hardware threads — two above 1792 MiB, where a function gets more
-//!   than one vCPU (§4.1, Fig 4) — as its chunks land: a lane that is
-//!   free takes its share of the landed chunks not yet decoded (their
-//!   decode seconds ÷ free lanes, rounded up to whole landings, in scan
-//!   order), so a row group downloaded a GET per chunk decodes its first
-//!   chunks while the rest are on the wire, and one that has landed by
-//!   its turn decodes on both threads. One the footer's body holds, or
-//!   one GET brings, lands in one piece: one charge on one lane.
+//!   hardware threads, one per vCPU begun (⌈memory / 1792 MiB⌉, §4.1,
+//!   Fig 4): one up to 1792 MiB, two up to 3584 MiB, which covers the
+//!   paper's largest function (3008 MiB), and one more per 1792 MiB
+//!   above. It decodes as its chunks land: a lane that is free takes its
+//!   share of the landed chunks not yet decoded (their decode seconds ÷
+//!   free lanes, rounded up to whole landings, in scan order), so a row
+//!   group downloaded a GET per chunk decodes its first chunks while the
+//!   rest are on the wire, and one that has landed by its turn decodes on
+//!   every lane. One the footer's body holds, or one GET brings, lands in
+//!   one piece: one charge on one lane.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 

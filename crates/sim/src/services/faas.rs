@@ -292,8 +292,9 @@ struct Function {
     spec: FunctionSpec,
     handler: Handler,
     warm: VecDeque<Rc<Instance>>,
-    /// One per finished execution, in the order they finished.
-    records: Vec<InvocationRecord>,
+    /// One per finished execution, in the order they finished, once
+    /// [`FaasService::keep_records`] asks for them.
+    records: Option<Vec<InvocationRecord>>,
     invocations: u64,
     cold_starts: u64,
     timeouts: u64,
@@ -365,7 +366,7 @@ impl FaasService {
                 spec,
                 handler,
                 warm: VecDeque::new(),
-                records: Vec::new(),
+                records: None,
                 invocations: 0,
                 cold_starts: 0,
                 timeouts: 0,
@@ -382,10 +383,20 @@ impl FaasService {
         }
     }
 
-    /// Every finished execution of `name`, in the order they finished
-    /// (none once `name` is re-registered).
+    /// Keep an [`InvocationRecord`] of every execution of `name` that
+    /// finishes from now on. None is kept unless asked: the records grow
+    /// with every execution for the life of the cloud.
+    pub fn keep_records(&self, name: &str) {
+        if let Some(f) = self.inner.borrow_mut().functions.get_mut(name) {
+            f.records.get_or_insert_with(Vec::new);
+        }
+    }
+
+    /// The executions of `name` finished since [`FaasService::keep_records`],
+    /// in the order they finished (none once `name` is re-registered).
     pub fn records(&self, name: &str) -> Vec<InvocationRecord> {
-        self.inner.borrow().functions.get(name).map_or_else(Vec::new, |f| f.records.clone())
+        let inner = self.inner.borrow();
+        inner.functions.get(name).and_then(|f| f.records.clone()).unwrap_or_default()
     }
 
     /// A caller profile for the driver's machine in `region`, modelling the
@@ -494,7 +505,9 @@ impl FaasService {
         let degraded = fault.is_some_and(|f| f.degrades_nic());
         let mut inner = self.inner.borrow_mut();
         if let Some(f) = inner.functions.get_mut(name) {
-            f.records.push(record);
+            if let Some(records) = &mut f.records {
+                records.push(record);
+            }
             if killed {
                 f.injected_kills += 1; // container discarded; silent death
             } else if died {
@@ -628,8 +641,8 @@ mod tests {
         assert_eq!(first.0, second.0, "same container reused");
     }
 
-    /// Every execution leaves one record — the cold first, the warm
-    /// reuse of its container, and one the timeout killed — and the
+    /// Once asked for, every execution leaves one record — the cold first,
+    /// the warm reuse of its container, and one the timeout killed — and the
     /// records priced one by one sum to the bill: the GiB-seconds line
     /// bit for bit, and one request each.
     #[test]
@@ -643,6 +656,7 @@ mod tests {
                 Box::pin(async move { ctx.compute(secs).await })
             }),
         );
+        svc.keep_records("f");
         let caller = svc.driver_caller(Region::Eu);
         sim.block_on({
             let h = sim.handle();
@@ -670,6 +684,16 @@ mod tests {
         let bill = billing.snapshot();
         assert_eq!(gib_s.to_bits(), bill.dollars(CostItem::LambdaGibSeconds).to_bits());
         assert_eq!(bill.units(CostItem::LambdaRequests), records.len() as f64);
+        // A function whose records no one asked for keeps none.
+        let handler: Handler = Rc::new(|_ctx, _p| Box::pin(async {}));
+        svc.register(FunctionSpec::new("g", 2048, Duration::from_secs(1)), handler);
+        let caller = svc.driver_caller(Region::Eu);
+        let h = sim.handle();
+        sim.block_on(async move {
+            caller.invoke("g", Rc::new(()), 0).await.unwrap();
+            h.sleep(Duration::from_secs(3)).await;
+        });
+        assert_eq!((svc.counters("g").0, svc.records("g").len()), (1, 0));
     }
 
     #[test]

@@ -525,13 +525,15 @@ fn a_wide_row_group_decodes_its_chunks_as_they_land() {
 }
 
 /// One worker's scan of one SF-1000 file's Q1 columns at `memory_mib`:
-/// when it ended, when its first chunk's decode began, its CPU charges
-/// and the decode seconds of all its chunks.
+/// when it ended, when its first chunk's decode began, its CPU charges,
+/// the decode seconds of all its chunks and the most charges sampled
+/// running at once.
 struct Sf1000Scan {
     end: f64,
     decoding_from: f64,
     charges: u64,
     decode_secs: f64,
+    peak_lanes: usize,
 }
 
 fn scan_one_sf1000_file(memory_mib: u32) -> Sf1000Scan {
@@ -550,14 +552,14 @@ fn scan_one_sf1000_file(memory_mib: u32) -> Sf1000Scan {
         .sum();
     let cfg = ScanConfig::default();
     let (cpu, link) = (&env.ctx.instance.cpu, env.s3.link());
-    // Every millisecond: whether the CPU is busy, and the bytes moved.
+    // Every millisecond: the charges running, and the bytes moved.
     let (end, samples) = sim.block_on(async {
         let (tx, mut rx) = mpsc::channel();
         let scanned = scan_table(&env, &cfg, file, &spec.schema, &q1_columns, None, tx);
         let mut samples = Vec::new();
         let sample = async {
             loop {
-                samples.push((sim.now().as_secs_f64(), cpu.active() > 0, link.total_bytes()));
+                samples.push((sim.now().as_secs_f64(), cpu.active(), link.total_bytes()));
                 sim.handle().sleep(Duration::from_millis(1)).await;
             }
         };
@@ -572,9 +574,10 @@ fn scan_one_sf1000_file(memory_mib: u32) -> Sf1000Scan {
     // fraction of a byte); the chunks' reads follow it, and the first
     // decode begins once the first of them has landed.
     let footer = cfg.metadata_tail_bytes as f64 + 1.0;
-    let decoding = samples.iter().find(|&&(_, busy, moved)| busy && moved > footer);
+    let decoding = samples.iter().find(|&&(_, busy, moved)| busy > 0 && moved > footer);
+    let peak_lanes = samples.iter().map(|&(_, busy, _)| busy).max().unwrap_or(0);
     let Some(&(decoding_from, ..)) = decoding else { panic!("no decode sampled") };
-    Sf1000Scan { end, decoding_from, charges: cpu.jobs_joined(), decode_secs }
+    Sf1000Scan { end, decoding_from, charges: cpu.jobs_joined(), decode_secs, peak_lanes }
 }
 
 /// A 2048 MiB worker has two hardware threads, so its row groups decode
@@ -590,6 +593,16 @@ fn two_lanes_decode_an_sf1000_file_faster_than_one_vcpu_serially() {
         "{decoding} s decoding, {} s of charges",
         scan.decode_secs
     );
+}
+
+/// A worker decodes on one lane per hardware thread, ⌈vCPUs⌉ =
+/// ⌈memory / 1792 MiB⌉: one up to 1792 MiB, two up to 3584 MiB (the
+/// paper's 3008 MiB functions included), a third above.
+#[test]
+fn a_worker_decodes_on_one_lane_per_vcpu() {
+    for (memory_mib, lanes) in [(1792, 1), (2048, 2), (3008, 2), (3584, 2), (4096, 3), (5376, 3)] {
+        assert_eq!(scan_one_sf1000_file(memory_mib).peak_lanes, lanes, "{memory_mib} MiB");
+    }
 }
 
 /// A 1792 MiB worker has one vCPU, so one lane: the scan of one SF-1000
