@@ -267,6 +267,31 @@ impl<'a> LaunchPlan<'a> {
         self.handed_to(sid).is_none_or(|c| self.placement[sid] == Placement::Fused && self.waits(c))
     }
 
+    /// The span [`launch_plan`]'s fold prices scan stage `p` at as one
+    /// worker over all its files, in the invocation this plan runs it in,
+    /// with the stored bytes of that invocation's other scans on its link
+    /// (`predict.rs`, from the service models alone). `None` if `p` is no
+    /// scan or runs in no invocation of a chain.
+    pub fn one_worker_scan_secs(
+        &self,
+        p: usize,
+        config: &LambadaConfig,
+        cloud: &CloudConfig,
+    ) -> Option<f64> {
+        let (StageKind::Scan(scan), Some(files)) = (&self.edges.dag.stages[p], &self.scans[p])
+        else {
+            return None;
+        };
+        let heads = (0..self.workers.len()).filter(|&h| self.is_chain_head(h));
+        let invocation = heads.map(|h| self.chain(h)).find(|s| s.contains(&p))?;
+        let stored = |s: &usize| self.scans[*s].as_ref().map(|f| &f.table.files[..]);
+        let beside = invocation.iter().filter(|&&s| s != p).filter_map(stored).flatten();
+        let beside: u64 = beside.map(|f| f.size - f.inline_bytes()).sum();
+        let rates = Rates::new(cloud, config.memory_mib, config.costs, config.scan.connections);
+        let work = ScanWork::of(&files.table, scan.scan_columns.len());
+        Some(rates.scan(&files.table.files, work, beside))
+    }
+
     /// The stages one invocation of `head`'s fleet runs: `head`, then
     /// every stage fused after it, in order — each the host of the next —
     /// with each member's co-hosted scans listed just before it.
@@ -428,8 +453,7 @@ pub fn launch_plan<'a>(
         scans.push(scan);
     }
     if matches!(packing, Packing::BySize { .. }) {
-        let rates = Rates::new(cloud, config.memory_mib, *costs, config.scan.connections);
-        fold_scans(&edges, &pins, &est, &rates, config, &mut workers, &mut scans);
+        fold_scans(&edges, &pins, &est, config, cloud, &mut workers, &mut scans);
     }
     let launch = LaunchPlan::wire(edges, pins, workers, est, scans);
     let mut diags = verify::verify_fleets(&launch.edges, &launch.workers, &launch.pins);
@@ -457,11 +481,12 @@ fn fold_scans(
     edges: &EdgeTable<'_>,
     pins: &[Option<usize>],
     est: &[u64],
-    rates: &Rates,
     config: &LambadaConfig,
+    cloud: &CloudConfig,
     workers: &mut Vec<usize>,
     scans: &mut Vec<Option<Rc<ScanFiles>>>,
 ) {
+    let rates = Rates::new(cloud, config.memory_mib, config.costs, config.scan.connections);
     let wire = |workers: &[usize], scans: &[Option<Rc<ScanFiles>>]| {
         let (pins, est) = (pins.to_vec(), est.to_vec());
         LaunchPlan::wire(edges.clone(), pins, workers.to_vec(), est, scans.to_vec())
@@ -486,22 +511,14 @@ fn fold_scans(
         let folded = wire(&folded_workers, &folded_scans);
         // A plan past the platform's caps has no invocation to fold into.
         let fits = verify::verify_payloads(&folded).is_empty();
-        let heads = (0..workers.len()).filter(|&h| fits && folded.is_chain_head(h));
-        let Some(invocation) = heads.map(|h| folded.chain(h)).find(|s| s.contains(&p)) else {
+        let Some(one) = folded.one_worker_scan_secs(p, config, cloud).filter(|_| fits) else {
             continue;
         };
-        let files = |s: &usize| folded_scans[*s].as_ref().map(|f| &f.table.files[..]);
-        let beside = invocation.iter().filter(|&&s| s != p).filter_map(files).flatten();
-        let beside: u64 = beside.map(|f| f.size - f.inline_bytes()).sum();
-        let total = table.total_bytes().max(1) as f64;
-        let work = ScanWork {
-            scanned: scan.scan_columns.len() as f64 / table.schema.len().max(1) as f64,
-            rows_per_byte: table.total_rows as f64 / total,
-        };
+        let work = ScanWork::of(table, scan.scan_columns.len());
         let slowest = runs.iter().map(|r| rates.scan(&table.files[r.clone()], work, 0));
         let budgets = wire(workers, scans).inline_budgets;
         let apart = slowest.fold(0.0, f64::max) + rates.crossing(est[p], runs.len(), budgets[p]);
-        if rates.scan(&table.files, work, beside) <= apart {
+        if one <= apart {
             (*workers, *scans) = (folded_workers, folded_scans);
         }
     }

@@ -17,7 +17,7 @@ use lambada_sim::{BurstLinkConfig, CloudConfig};
 
 use crate::costmodel::ComputeCostModel;
 use crate::scan::may_match;
-use crate::table::TableFile;
+use crate::table::{TableFile, TableSpec};
 
 /// What a scan does per byte of its files: the share of a file's bytes
 /// it decodes (the surviving columns' fraction, as the planner's byte
@@ -26,6 +26,18 @@ use crate::table::TableFile;
 pub(crate) struct ScanWork {
     pub scanned: f64,
     pub rows_per_byte: f64,
+}
+
+impl ScanWork {
+    /// A scan of `columns` of `table`'s columns: their share of its
+    /// bytes, and its rows per byte.
+    pub(crate) fn of(table: &TableSpec, columns: usize) -> ScanWork {
+        let total = table.total_bytes().max(1) as f64;
+        ScanWork {
+            scanned: columns as f64 / table.schema.len().max(1) as f64,
+            rows_per_byte: table.total_rows as f64 / total,
+        }
+    }
 }
 
 /// The bytes a scan of `files` is predicted to fetch and decode, which
@@ -83,12 +95,15 @@ impl Rates {
     }
 
     /// Seconds one worker takes to scan `files`, its reads sharing the
-    /// link with `beside` bytes more: a first-byte round per `connections`
-    /// stored files, the stored bytes (and `beside`) over the link at
-    /// that many connections, and the CPU seconds — a footer parse per
-    /// file, the decode of its scanned bytes, its rows through the
-    /// pipeline — over the worker's CPU share. An inline file rides the
-    /// payload: no round and no link bytes.
+    /// link with `beside` bytes more. Its reads: a first-byte round per
+    /// `connections` stored files — each connection sends its next footer
+    /// GET as its last one lands — and the stored bytes (and `beside`)
+    /// over the link at that many connections. Its CPU seconds — a footer
+    /// parse per file, the decode of its scanned bytes, its rows through
+    /// the pipeline — over the worker's CPU share, of which every round's
+    /// but the last runs under the next round's reads, as far as those
+    /// last. An inline file rides the payload: no round and no link
+    /// bytes.
     pub(crate) fn scan(&self, files: &[TableFile], work: ScanWork, beside: u64) -> f64 {
         let stored: Vec<&TableFile> = files.iter().filter(|f| f.inline.is_none()).collect();
         let read: u64 = stored.iter().map(|f| f.size).sum();
@@ -99,7 +114,8 @@ impl Rates {
         let cpu = files.len() as f64 * self.costs.metadata_parse_s
             + self.costs.chunk_decode_seconds(scanned, scanned, false)
             + self.costs.process_seconds((bytes as f64 * work.rows_per_byte) as u64);
-        rounds * self.ttfb + link + cpu / self.cpu_share
+        let (io, cpu) = (rounds * self.ttfb + link, cpu / self.cpu_share);
+        io + cpu - cpu.min(io) * (rounds - 1.0).max(0.0) / rounds.max(1.0)
     }
 
     /// Seconds `est` bytes from `senders` workers take to reach a reader
@@ -127,15 +143,17 @@ mod tests {
 
     const WORK: ScanWork = ScanWork { scanned: 0.25, rows_per_byte: 0.04 };
 
-    /// A scan takes a first-byte round per `connections` files, and what
-    /// shares its link slows it; a crossing that fits the inline budget
-    /// is one message, and one that does not costs a PUT and a GET more.
+    /// A scan takes a first-byte round per `connections` files, though a
+    /// round's CPU runs under the next round's reads, and what shares its
+    /// link slows it; a crossing that fits the inline budget is one
+    /// message, and one that does not costs a PUT and a GET more.
     #[test]
     fn scans_and_crossings_price_their_rounds_and_bytes() {
         let rates = Rates::new(&CloudConfig::default(), 2048, ComputeCostModel::default(), 4);
         let one_round = rates.scan(&files(4, 400_000), WORK, 0);
         let two_rounds = rates.scan(&files(8, 400_000), WORK, 0);
         assert!(two_rounds > one_round + rates.ttfb, "{one_round} {two_rounds}");
+        assert!(two_rounds < 2.0 * one_round, "{one_round} {two_rounds}");
         assert!(rates.scan(&files(4, 400_000), WORK, 1 << 20) > one_round);
         assert_eq!(rates.crossing(100_000, 2, 60_000), rates.message);
         assert!(rates.crossing(1_000_000, 2, 60_000) > 2.0 * rates.ttfb + rates.message);

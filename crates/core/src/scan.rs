@@ -5,8 +5,9 @@
 //! * the footer is loaded "with a single file read" — a speculative tail
 //!   range request, retried with the exact size if the footer turns out
 //!   larger (level 4 exploits this: metadata for *all* files is prefetched
-//!   by a dedicated task to hide the latency of these small requests, a
-//!   read per connection at once);
+//!   by a dedicated task to hide the latency of these small requests, up
+//!   to a footer GET per connection on the wire, the next one sent as soon
+//!   as any of them lands, while the landed footers are parsed);
 //! * min/max statistics prune entire row groups against the pushed-down
 //!   predicate before any data is downloaded (Fig 11);
 //! * only projected/predicate column chunks are downloaded, one ranged GET
@@ -78,7 +79,9 @@ pub struct ScanConfig {
     /// Split chunk downloads into requests of at most this many bytes
     /// (the chunk-size knob of Fig 7).
     pub max_request_bytes: u64,
-    /// Concurrent in-flight requests (connections) per worker.
+    /// Concurrent in-flight requests (connections) per scan: each
+    /// [`scan_table`] call has its own, so a worker running several scans
+    /// at once (a co-hosted scan beside its host's) runs this many each.
     pub connections: usize,
     /// Row groups downloaded ahead (level 3); the paper uses two.
     pub row_group_pipeline: usize,
@@ -147,13 +150,15 @@ fn real_bytes(body: &Body) -> Result<&[u8]> {
 /// `coalesce_below` bytes is latency-bound, so the read is the whole file
 /// and brings every row group with it; a larger one reads its last
 /// `tail_bytes`, retried with the exact size if the footer turns out
-/// larger. The body comes back with the footer, so a row group inside it
-/// costs no further request. An inline file's footer read is its payload
-/// body, the whole file: no request, no connection, no byte read from the
-/// store.
+/// larger. Each GET holds one of the scan's footer `slots` until it lands,
+/// so its parse frees the slot for the next file's GET. The body comes
+/// back with the footer, so a row group inside it costs no further
+/// request. An inline file's footer read is its payload body, the whole
+/// file: no request, no connection, no byte read from the store.
 async fn fetch_metadata(
     env: &WorkerEnv,
     conn: &Semaphore,
+    slots: &Semaphore,
     file: &TableFile,
     tail_bytes: u64,
     coalesce_below: u64,
@@ -166,7 +171,9 @@ async fn fetch_metadata(
         return Ok(Footer { meta: Rc::new(meta), offset: 0, body: body.clone() });
     }
     let want = if file.size <= coalesce_below { file.size } else { tail_bytes.min(file.size) };
+    let slot = slots.acquire(1).await;
     let body = get_range(env, conn, file, file.size - want, want).await?;
+    drop(slot);
     env.compute(env.costs.metadata_parse_s).await;
     if let Some(meta) = &file.meta {
         // Descriptor-backed file: the range request above charged the
@@ -180,6 +187,7 @@ async fn fetch_metadata(
         // that is already the whole file has no more to give).
         Err(FormatError::TailTooShort(need)) if want < file.size => {
             let want = (need as u64).min(file.size);
+            let _slot = slots.acquire(1).await;
             let body = get_range(env, conn, file, file.size - want, want).await?;
             let meta = FileMeta::parse_tail(real_bytes(&body)?)?;
             Ok(Footer { meta: Rc::new(meta), offset: file.size - want, body })
@@ -340,8 +348,8 @@ fn download_row_group(
         .collect()
 }
 
-/// The reads a scan keeps in flight, in file order, each with its output
-/// once it has one.
+/// A scan's footer reads not yet handed over, in file order, each with
+/// its output once it has one.
 type Ahead<F> = VecDeque<(Pin<Box<F>>, Option<<F as Future>::Output>)>;
 
 /// Drive every read in `ahead` and resolve with the first one's output
@@ -483,12 +491,15 @@ pub async fn scan_table(
     let max_req = cfg.max_request_bytes.max(1);
     let coalesce_below = latency_bound_bytes(cfg, &env.cloud.config);
 
-    // Level 4: prefetch metadata in a dedicated task, one footer read per
-    // connection at once — a latency-bound file's footer read is the whole
-    // file, so a worker's packed files all download in one round — handed
-    // over in file order. A footer is checked against the scan before it is
-    // handed over, and the task stops at the first file that fails (or once
-    // the scan is gone), dropping the reads still in flight.
+    // Level 4: prefetch metadata in a dedicated task. Every file's footer
+    // read starts at once and waits for one of `connections` slots, each
+    // held across one footer GET alone: a GET that lands frees its slot
+    // for the next file's while its footer is parsed, so at most a
+    // connection's worth of footer GETs is ahead of the chunk GETs, and a
+    // worker's packed latency-bound files download back to back. Footers
+    // are handed over in file order; each is checked against the scan
+    // first, and the task stops at the first file that fails (or once the
+    // scan is gone), dropping the reads still in flight.
     let (meta_tx, mut meta_rx) = mpsc::channel::<Result<Footer>>();
     {
         let env = env.clone();
@@ -497,21 +508,17 @@ pub async fn scan_table(
         let columns = columns.to_vec();
         let width = base_schema.len();
         let tail = cfg.metadata_tail_bytes;
-        let window = cfg.connections.max(1);
+        let slots = Semaphore::new(cfg.connections.max(1));
         env.cloud.handle.clone().spawn(async move {
-            let (env, conn, columns) = (&env, &conn, &columns);
+            let (env, conn, slots, columns) = (&env, &conn, &slots, &columns);
             let fetch = |file: TableFile| async move {
-                let footer = fetch_metadata(env, conn, &file, tail, coalesce_below).await?;
+                let footer = fetch_metadata(env, conn, slots, &file, tail, coalesce_below).await?;
                 check_width(&file, &footer.meta, width)?;
                 check_chunk_ranges(&file, &footer.meta, columns)?;
                 Ok(footer)
             };
-            let mut pending = files.into_iter();
-            let mut ahead = VecDeque::with_capacity(window);
-            loop {
-                let room = window - ahead.len();
-                ahead.extend(pending.by_ref().take(room).map(|f| (Box::pin(fetch(f)), None)));
-                let Some(out) = next_in_order(&mut ahead).await else { return };
+            let mut ahead = files.into_iter().map(|f| (Box::pin(fetch(f)), None)).collect();
+            while let Some(out) = next_in_order(&mut ahead).await {
                 let failed = out.is_err();
                 if meta_tx.send(out).is_err() || failed {
                     return;

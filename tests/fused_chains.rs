@@ -17,7 +17,8 @@
 //! a co-hosted scan's error names the invocation it ran in. A packed scan
 //! whose only reader runs one worker folds into that reader's invocation
 //! when its predicted span says so: at the benchmark's file sizes, not
-//! over 64 files of 1 GiB, and never under a pinned `files_per_worker`.
+//! over 64 files of 1 GiB, and never under a pinned `files_per_worker`;
+//! at the benchmark's sizes that prediction holds to the simulated scan.
 
 mod common;
 
@@ -895,6 +896,45 @@ fn a_small_scan_folds_into_its_one_worker_readers_invocation() {
             let runs = &launch.scans[li].as_ref().unwrap().chunks;
             assert_eq!((runs.len(), runs[0].clone()), (1, 0..8), "one run of every file");
         });
+    }
+}
+
+/// The fold's price holds to the simulation: at the benchmark's sizes
+/// (SF 0.02: eight lineitem files of about 415 KB, four orders files and
+/// the customer file, four row groups a file, data seed 1), the span the
+/// planner predicts for Q5's and Q3's folded lineitem scan is within
+/// [0.8, 1.25] of the scan's simulated time in its invocation — from the
+/// invocation's start to the scan's handoff — over four warm runs.
+#[test]
+fn a_folded_scans_predicted_span_holds_to_the_simulation() {
+    for (query, config) in benchmark_plans(|c| c) {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let li = StageOptions { scale: 0.02, num_files: 8, row_groups_per_file: 4, seed: 1 };
+        let li = stage_real(&cloud, "tpch", "lineitem", li);
+        let rows = lambada::workloads::orders::rows_matching_lineitem(li.total_rows);
+        let ord = OrdersStageOptions { rows, num_files: 4, row_groups_per_file: 4, seed: 1 };
+        let cust = CustomerStageOptions { seed: 1, ..customer_opts() };
+        let mut system = Lambada::install(&cloud, config.clone());
+        system.register_table(li);
+        system.register_table(stage_real_orders(&cloud, "tpch", "orders", ord));
+        system.register_table(stage_real_customer(&cloud, "tpch", "customer", cust));
+        let dag = system.plan(&query).unwrap();
+        let launch = system.launch_plan(&dag, None).unwrap();
+        let is_lineitem = |k: &StageKind| matches!(k, StageKind::Scan(s) if s.table == "lineitem");
+        let scan = dag.stages.iter().position(is_lineitem).unwrap();
+        assert_eq!(launch.workers[scan], 1, "the lineitem scan folds");
+        let predicted = launch.one_worker_scan_secs(scan, &config, &cloud.config).unwrap();
+        let runs: Vec<f64> = (0..5)
+            .map(|_| {
+                let report = sim.block_on(system.run_dag(&dag)).unwrap();
+                let at: usize = report.stages[..scan].iter().map(|s| s.workers).sum();
+                report.worker_metrics[at].processing_secs
+            })
+            .collect();
+        let simulated = runs[1..].iter().sum::<f64>() / 4.0;
+        let ratio = predicted / simulated;
+        assert!((0.8..=1.25).contains(&ratio), "predicted {predicted} s, simulated {runs:?} s");
     }
 }
 

@@ -7,10 +7,12 @@
 //! Every plan yields the same batches, a footer that lies about a chunk's
 //! place in the file is an error before any request or slice is sized
 //! from it — as is an inline file cut short — a worker's files are read a
-//! connection each at once, a failed scan requests no file after those in
-//! flight, and a row group read a GET per chunk decodes each chunk as it
-//! lands, on as many lanes as the worker has hardware threads — or fails
-//! with a typed error, leaving nothing running, when a chunk's GET fails.
+//! connection each at once, the next footer GET sent as one lands and at
+//! most `connections` on the wire, a failed scan requests no file after
+//! those in flight, and a row group read a GET per chunk decodes each
+//! chunk as it lands, on as many lanes as the worker has hardware threads
+//! — or fails with a typed error, leaving nothing running, when a chunk's
+//! GET fails.
 
 use std::time::Duration;
 
@@ -676,4 +678,108 @@ fn a_landing_that_fails_mid_row_group_is_a_storage_error_that_leaves_nothing_run
     drop(env);
     sim.block_on(sim.handle().sleep(Duration::from_secs(60)));
     common::assert_quiescent(&sim, &cloud, &lambada::core::LambadaConfig::default(), 0);
+}
+
+/// The end of [`footer_reads_refill_as_their_gets_land`]'s scan when the
+/// prefetch sent a file's footer GET only once the oldest footer read
+/// before it had been parsed (measured on that prefetch, same seed).
+const PARSE_GATED_END: f64 = 0.22357456;
+
+/// A worker's `2 × connections` latency-bound files: the second round's
+/// footer GETs are sent as the first round's land, not once the oldest of
+/// them is parsed. With the parse made longer than a GET and a CPU for
+/// every footer, the scan ends at least one parse sooner than the
+/// parse-gated prefetch did, with the same batches, bit for bit, in file
+/// order.
+#[test]
+fn footer_reads_refill_as_their_gets_land() {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let cfg = ScanConfig { connections: 2, ..ScanConfig::default() };
+    let files: Vec<TableFile> = (0..2 * cfg.connections)
+        .map(|i| {
+            let bytes = write(ROWS - 1000 * i as i64, ROW_GROUPS - i);
+            stage(&cloud, "data", &format!("f{i}"), bytes)
+        })
+        .collect();
+    assert!(files.iter().all(|f| f.size <= latency_limit(&cloud)));
+    let spec = TableSpec::new("t", schema(), files, ROWS as u64);
+    let costs = ComputeCostModel { metadata_parse_s: 0.1, ..ComputeCostModel::default() };
+    // Four vCPUs: every footer of the scan parses at full speed.
+    let env = WorkerEnv::bare(&cloud, 0, 4 * 1792, costs);
+    let (end, items) = sim.block_on(async {
+        let (tx, mut rx) = mpsc::channel();
+        scan_table(&env, &cfg, &spec.files, &spec.schema, &SCANNED, None, tx).await.unwrap();
+        let mut items = Vec::new();
+        while let Some(item) = rx.recv().await {
+            items.push(item);
+        }
+        (sim.now().as_secs_f64(), items)
+    });
+    assert_eq!(env.tally().gets, spec.files.len() as u64, "one GET per file");
+    assert!(end + costs.metadata_parse_s <= PARSE_GATED_END, "{end} s");
+    let each: Vec<RecordBatch> = spec
+        .files
+        .iter()
+        .flat_map(|file| {
+            let one = std::slice::from_ref(file);
+            let (_, _, items) = scan(&sim, &cloud, cfg, &spec, one, &SCANNED, None).unwrap();
+            batches(items)
+        })
+        .collect();
+    assert_eq!(batches(items), each, "every file's batches, in file order");
+}
+
+/// The ends of [`paper_scale_footer_gets_stay_within_the_connections`]'s
+/// scans, by connections, under the parse-gated prefetch (measured).
+const PARSE_GATED_SF1000_ENDS: [(usize, f64); 2] = [(2, 22.396852901), (4, 22.555365952)];
+
+/// Eight paper-scale descriptor files on one 1792 MiB worker: however
+/// many footer GETs are waiting, at most `connections` are on the wire,
+/// so file 0's first chunk GET waits behind no more than that many
+/// footers, and the scan is no slower than the parse-gated prefetch — to
+/// the microsecond: the two prefetches charge the same CPU and link work
+/// in a different order, which moves the clock by float rounding alone.
+#[test]
+fn paper_scale_footer_gets_stay_within_the_connections() {
+    for (connections, parse_gated_end) in PARSE_GATED_SF1000_ENDS {
+        let sim = Simulation::new();
+        let cloud = Cloud::new(&sim, CloudConfig::default());
+        let spec = stage_descriptors(&cloud, "tpch", "lineitem", &DescriptorOptions::default());
+        let (files, q1_columns) = (&spec.files[..8], [4, 5, 6, 7, 8, 9, 10]);
+        let env = WorkerEnv::bare(&cloud, 0, 1792, ComputeCostModel::default());
+        let cfg = ScanConfig { connections, ..ScanConfig::default() };
+        let tail = cfg.metadata_tail_bytes;
+        // Every 10 µs until file 0's first chunk GET has its first byte:
+        // the tasks alive (a row group's chunk GETs are tasks, footer
+        // reads are not) and the GETs billed with their bytes.
+        let (end, samples) = sim.block_on(async {
+            let (tx, mut rx) = mpsc::channel();
+            let scanned = scan_table(&env, &cfg, files, &spec.schema, &q1_columns, None, tx);
+            let mut samples = Vec::new();
+            let sample = async {
+                loop {
+                    let tally = env.tally();
+                    samples.push((sim.live_tasks(), tally.gets, tally.bytes_read));
+                    if tally.bytes_read != tally.gets * tail {
+                        std::future::pending::<()>().await;
+                    }
+                    sim.handle().sleep(Duration::from_micros(10)).await;
+                }
+            };
+            match select2(scanned, sample).await {
+                Either::Left(metrics) => assert_eq!(metrics.unwrap().files, 8),
+                Either::Right(never) => never,
+            }
+            while rx.recv().await.is_some() {}
+            (sim.now().as_secs_f64(), samples)
+        });
+        let tasks_before = samples[0].0;
+        let issued = samples.iter().position(|s| s.0 > tasks_before).expect("no chunk GET issued");
+        let (_, footers_then, _) = samples[issued];
+        let (_, gets, _) = *samples.last().expect("no samples");
+        let footers_ahead = gets - 1 - footers_then;
+        assert!(footers_ahead <= connections as u64, "{footers_ahead} footer GETs ahead");
+        assert!(end <= parse_gated_end + 1e-6, "{connections} connections: {end} s");
+    }
 }
